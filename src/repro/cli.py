@@ -609,8 +609,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend",
                    choices=["scalar", "batch", "columnar", "persistent"],
                    default="batch",
-                   help="fast path to measure against scalar "
-                        "(persistent applies to --e2e --profile only)")
+                   help="fast path to measure against scalar; "
+                        "persistent is the streaming pipeline's "
+                        "ring-worker tier, so only --e2e --profile and "
+                        "--scale take it")
     p.add_argument("--compare", action="store_true",
                    help="three-way scalar/batch/columnar comparison; "
                         "writes BENCH_columnar.json and exits nonzero "

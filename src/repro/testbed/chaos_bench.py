@@ -16,9 +16,9 @@ acceptance-criteria invariants:
 * **overhead** — wall-clock and replayed-packet overhead of recovery,
   recorded per seed/backend for the BENCH_chaos.json artifact.
 
-Inline execution (``processes=0``) is the default: the worker function
-is identical with or without a pool, and the CI artifact must not
-depend on the runner's semaphore support.
+Epochs run over the in-process transport: the replica code is the same
+one the ring-fed workers drive, and the CI artifact must not depend on
+the runner's shared-memory support.
 """
 
 from __future__ import annotations
@@ -60,13 +60,11 @@ def _supervisor(
     backend: str,
     chunk_size: int,
     checkpoint_batches: int,
-    processes: int,
     plan: Optional[ShardFaultPlan],
 ) -> ShardSupervisor:
     return ShardSupervisor(
         spec,
         shards=shards,
-        processes=processes,
         backend=backend,
         chunk_size=chunk_size,
         checkpoint_batches=checkpoint_batches,
@@ -84,7 +82,6 @@ def run_chaos_bench(
     checkpoint_batches: int = 4,
     seeds: Sequence[int] = DEFAULT_SEEDS,
     backends: Sequence[str] = BACKENDS,
-    processes: int = 0,
     crash_shard: int = 1,
 ) -> Dict[str, Any]:
     """Measure recovery overhead and prove crash/degradation identity.
@@ -110,8 +107,7 @@ def run_chaos_bench(
         per_backend: Dict[str, Any] = {}
         for backend in backends:
             baseline_sup = _supervisor(
-                spec, shards, backend, chunk_size, checkpoint_batches,
-                processes, None,
+                spec, shards, backend, chunk_size, checkpoint_batches, None
             )
             started = time.perf_counter()
             baseline = baseline_sup.run(stream)
@@ -127,8 +123,7 @@ def run_chaos_bench(
                     max(2, max(baseline.epochs) // 2), degraded_to
                 )
             faulted_sup = _supervisor(
-                spec, shards, backend, chunk_size, checkpoint_batches,
-                processes, plan,
+                spec, shards, backend, chunk_size, checkpoint_batches, plan
             )
             started = time.perf_counter()
             faulted = faulted_sup.run(stream)
@@ -188,7 +183,6 @@ def run_chaos_bench(
         "checkpoint_batches": checkpoint_batches,
         "epoch_size": epoch_size,
         "crash_shard": crash_shard,
-        "processes": processes,
         "seeds": by_seed,
         "all_identical": all_identical,
         "all_tail_only": all_tail_only,

@@ -1,11 +1,17 @@
-"""Multiprocess shard executor for the columnar data plane.
+"""Shard executor for the columnar data plane.
 
 A multi-pipe switch processes independent traffic shards in parallel
 hardware; this module models that at testbed scale by fanning
-hash-partitioned packet streams to a pool of worker *processes*, each
-running its own seeded switch replica, and folding the resulting
-register snapshots with the same associative merge the AggSwitch bank
-read-out uses (:func:`repro.core.stats.merge_snapshots`).
+hash-partitioned packet streams over seeded switch *replicas* and
+folding the resulting register snapshots with the same associative
+merge the AggSwitch bank read-out uses
+(:func:`repro.core.stats.merge_snapshots`).
+
+A replica is reached over one of two **transports**: an in-process
+call (:func:`_run_shard_epoch`) or a long-lived ring-fed worker
+process (:class:`repro.testbed.worker.WorkerFleet`).  Both drive the
+same :class:`Replica` object, so which one ran can never change a
+result — only where the CPU time is spent.
 
 Correctness argument (the differential suite checks it end to end):
 
@@ -17,14 +23,15 @@ Correctness argument (the differential suite checks it end to end):
 * per-kind register folds (add / min / max) are associative and
   commutative, so merging per-shard snapshots equals interleaved
   single-switch execution, cell for cell;
-* workers are spawn-safe: the :class:`ShardSpec` recipe (schema, key,
-  stat specs, seed) is pickled, never a live switch, and each worker
+* replicas are spawn-safe: the :class:`ShardSpec` recipe (schema, key,
+  stat specs, seed) is pickled, never a live switch, and each replica
   builds a private metrics registry so instrument names cannot
   collide with the parent's.
 
-When a pool cannot be created (restricted sandbox, missing semaphore
-support) or ``processes`` is 0/1, the same worker function runs
-sequentially in-process — identical results, no parallelism.
+When ring workers cannot be used (no POSIX shared memory, sandboxed
+spawn, a worker killed from outside) the run falls straight back to
+the in-process transport — identical results, no parallelism — and
+records why in ``fallback_cause``.
 """
 
 from __future__ import annotations
@@ -32,14 +39,17 @@ from __future__ import annotations
 import logging
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
+from repro.chaos.shard_faults import ShardFaultPlan
 from repro.core.aggregation import ForwardingMode
 from repro.core.schema import CookieSchema
 from repro.core.stats import StatSpec, merge_snapshots
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.switch.columns import PacketColumns, get_numpy
+from repro.switch.columns import PacketColumns, get_numpy, numpy_enabled
 from repro.switch.hashing import crc32, crc32_many
 from repro.testbed.placement import PartitionMap
 
@@ -48,8 +58,11 @@ __all__ = [
     "ShardExecutor",
     "ShardRunResult",
     "AdaptiveBackend",
+    "Replica",
+    "fold_snapshots",
     "partition_packets",
     "partition_columns",
+    "partition_stream",
     "render_report",
 ]
 
@@ -117,47 +130,174 @@ def _build_switch(spec: ShardSpec, shard_index: int):
     return switch
 
 
-def _run_shard(
-    args: Tuple[ShardSpec, int, List[bytes], str, int],
-) -> Tuple[int, Dict[str, List[int]], Dict[str, int]]:
-    """Pool worker: build a replica, stream one shard's packets
-    through the chosen backend in chunks, return the raw snapshot.
+class Replica:
+    """One seeded switch replica and everything a transport does to it:
+    restore a checkpoint, arm the fault injector for an epoch attempt,
+    fold one chunk through the scalar / batch / columnar entry point,
+    read the registers back.
 
-    Top-level so the spawn start method can pickle it.
+    The in-process transport (:func:`_run_shard_epoch`) and the ring-fed
+    worker loop (:func:`repro.testbed.worker._worker_main`) drive this
+    same object, so the backend dispatch table below exists once and
+    the two transports cannot drift apart.
     """
-    spec, shard_index, packets, backend, chunk_size = args
-    switch = _build_switch(spec, shard_index)
-    if spec.kind == "lark":
-        from repro.quic.connection_id import ConnectionID
 
-        items: List[Any] = [ConnectionID(p) for p in packets]
-        process = {
-            "scalar": lambda chunk: [
-                switch.process_quic_packet(c) for c in chunk
-            ],
-            "batch": switch.process_quic_batch,
-            "columnar": switch.process_quic_columnar,
-        }[backend]
-    else:
-        items = list(packets)
-        process = {
-            "scalar": lambda chunk: [switch.process_packet(p) for p in chunk],
-            "batch": switch.process_batch,
-            "columnar": switch.process_columnar,
-        }[backend]
-    merged = 0
-    for start in range(0, len(items), chunk_size):
-        for result in process(items[start:start + chunk_size]):
+    def __init__(
+        self,
+        spec: ShardSpec,
+        shard_index: int,
+        plan: Optional[ShardFaultPlan] = None,
+    ):
+        self.spec = spec
+        self.shard_index = shard_index
+        self.plan = plan
+        self.reset()
+
+    def reset(self) -> None:
+        """Back to a freshly built replica (run-to-run isolation)."""
+        switch = self.switch = _build_switch(self.spec, self.shard_index)
+        self.packets = 0
+        self.folded = 0
+        self._injector = None
+        self._batch = 0
+        # Rows arrive as bytes-likes (list slices inline, ring views in
+        # a worker); the columnar kernels take the chunk as it comes.
+        if self.spec.kind == "lark":
+            from repro.quic.connection_id import ConnectionID
+
+            self._process: Dict[str, Callable[[Any], List[Any]]] = {
+                "scalar": lambda rows: [
+                    switch.process_quic_packet(ConnectionID(r)) for r in rows
+                ],
+                "batch": lambda rows: switch.process_quic_batch(
+                    [ConnectionID(r) for r in rows]
+                ),
+                "columnar": switch.process_quic_columnar,
+            }
+        else:
+            self._process = {
+                "scalar": lambda rows: [
+                    switch.process_packet(bytes(r)) for r in rows
+                ],
+                "batch": lambda rows: switch.process_batch(
+                    [bytes(r) for r in rows]
+                ),
+                "columnar": switch.process_columnar,
+            }
+
+    def arm(self, epoch: int, attempt: int, chunk_offset: int) -> None:
+        """Start an epoch attempt: chunk numbering restarts and the
+        fault plan (if any) is keyed on ``(shard, epoch, attempt)``
+        with kills scripted in whole-stream chunk coordinates."""
+        self._batch = 0
+        self._injector = (
+            self.plan.injector(
+                self.shard_index, epoch, attempt, chunk_offset
+            )
+            if self.plan is not None
+            else None
+        )
+
+    def restore(self, checkpoint: Dict[str, Any]) -> None:
+        self.switch.restore(self.spec.app_id, checkpoint)
+
+    def feed(self, rows: Any, backend: str) -> None:
+        """Fold one chunk.  Raises :class:`ShardCrash` *before* touching
+        a register when the armed plan scripts this chunk to die."""
+        if self._injector is not None:
+            self._injector.before_batch(self._batch)
+        self._batch += 1
+        process = self._process[backend]
+        try:
+            self._count(process(rows))
+        except Exception:
+            # Poison isolation, mirroring StreamingPipeline's
+            # _agg_process: a batch entry point that raises (truly
+            # malformed input, not a mere decode failure) is retried
+            # row by row so one poison packet cannot kill the replica —
+            # the poison stays unfolded (a dead letter the caller reads
+            # off the counters).
+            for row in rows:
+                try:
+                    self._count(
+                        process(
+                            PacketColumns([row])
+                            if backend == "columnar"
+                            else [row]
+                        )
+                    )
+                except Exception:
+                    pass
+        self.packets += len(rows)
+
+    def _count(self, results: Iterable[Any]) -> None:
+        for result in results:
             if getattr(result, "merged", False) or (
                 getattr(result, "decoded_values", None) is not None
             ):
-                merged += 1
-    if spec.kind == "lark":
-        snapshot = switch._apps[spec.app_id].stats.snapshot()
-    else:
-        snapshot = switch.merge(spec.app_id)
-    counters = {"packets": len(items), "folded": merged}
-    return shard_index, snapshot, counters
+                self.folded += 1
+
+    def counters(self) -> Dict[str, int]:
+        """Cumulative since the last build/reset (restore does not
+        rewind them)."""
+        return {
+            "packets": self.packets,
+            "folded": self.folded,
+            "unmerged": self.packets - self.folded,
+        }
+
+    def snapshot(self) -> Dict[str, Any]:
+        """The raw register snapshot — at once the unit the fold
+        merges and the checkpoint :meth:`restore` takes back."""
+        return self.switch.checkpoint(self.spec.app_id)
+
+
+def _run_shard_epoch(
+    spec: ShardSpec,
+    shard: int,
+    part: Any,
+    backend: str,
+    chunk_size: int,
+    checkpoint: Optional[Dict[str, Any]] = None,
+    plan: Optional[ShardFaultPlan] = None,
+    epoch: int = 0,
+    attempt: int = 0,
+    chunk_offset: int = 0,
+) -> Tuple[Dict[str, Any], Dict[str, int]]:
+    """The in-process transport: restore ``checkpoint`` into a fresh
+    replica, stream one epoch through it chunk by chunk, return
+    ``(snapshot, counters)``.
+
+    Stateless by design — all cross-epoch state travels in the
+    checkpoint argument, so rerunning it with the same arguments is
+    always safe.
+    """
+    replica = Replica(spec, shard, plan)
+    if checkpoint is not None:
+        replica.restore(checkpoint)
+    replica.arm(epoch, attempt, chunk_offset)
+    for chunk in _chunked(part, chunk_size, backend):
+        replica.feed(chunk, backend)
+    return replica.snapshot(), replica.counters()
+
+
+def fold_snapshots(
+    spec: ShardSpec, snapshots: Iterable[Optional[Dict[str, List[int]]]]
+) -> Optional[Dict[str, List[int]]]:
+    """Fold per-shard register snapshots exactly like the AggSwitch
+    bank read-out.  ``None`` entries (a shard that saw no traffic) are
+    the identity; the result is ``None`` when every entry is."""
+    merged: Optional[Dict[str, List[int]]] = None
+    specs = list(spec.specs)
+    for snapshot in snapshots:
+        if snapshot is None:
+            continue
+        merged = (
+            {name: list(cells) for name, cells in snapshot.items()}
+            if merged is None
+            else merge_snapshots(specs, merged, snapshot)
+        )
+    return merged
 
 
 def partition_packets(
@@ -259,8 +399,30 @@ def partition_columns(
     return parts, [int(c) for c in counts]
 
 
+def partition_stream(
+    spec: ShardSpec,
+    shards: int,
+    packets: Any,
+    pmap: Optional[PartitionMap] = None,
+) -> Tuple[List[Any], Optional[List[int]]]:
+    """The runtime's one partition step: ``(parts, bucket_counts)`` for
+    a stream or window, whatever its container.  Without a map this is
+    the legacy ``crc32 % shards`` split (no bucket accounting, counts
+    ``None``); with one, a :class:`PacketColumns` input takes the
+    vectorized :func:`partition_columns` kernel and a row list the
+    scalar loop."""
+    if pmap is None:
+        if isinstance(packets, PacketColumns):
+            packets = packets.raw
+        return partition_packets(spec, shards, packets), None
+    if isinstance(packets, PacketColumns):
+        return partition_columns(spec, pmap, packets)
+    counts = [0] * pmap.buckets
+    return partition_packets(spec, shards, packets, pmap, counts), counts
+
+
 def _slice_part(part: Any, lo: int, hi: int) -> Any:
-    """Chunk one shard part for ring pushes, whatever its container."""
+    """Rows ``[lo, hi)`` of a shard part, whatever its container."""
     if isinstance(part, PacketColumns):
         if part.vectorized and get_numpy() is not None:
             return PacketColumns.from_matrix(
@@ -268,6 +430,22 @@ def _slice_part(part: Any, lo: int, hi: int) -> Any:
             )
         return PacketColumns(part.raw[lo:hi])
     return part[lo:hi]
+
+
+def _chunked(part: Any, chunk_size: int, backend: str) -> Iterator[Any]:
+    """Cut one shard part into ``chunk_size`` slices — the unit both
+    transports fold, count and inject faults on.  Slices are
+    :class:`PacketColumns` when the columnar kernels will consume them
+    (one matrix copy into a ring slot, no per-row work) and plain row
+    lists otherwise."""
+    columnar = backend == "columnar" and numpy_enabled()
+    if not columnar and isinstance(part, PacketColumns):
+        part = part.raw
+    for lo in range(0, len(part), chunk_size):
+        chunk = _slice_part(part, lo, lo + chunk_size)
+        if columnar and not isinstance(chunk, PacketColumns):
+            chunk = PacketColumns(chunk)
+        yield chunk
 
 
 def render_report(
@@ -291,13 +469,11 @@ class ShardRunResult:
     report: Dict[str, Any]
     shard_packets: List[int]
     shard_folded: List[int]
-    used_pool: bool
     shards: int
-    # Why the pool path was abandoned ("TypeError: ...") — None when the
-    # pool ran, or when the sequential path was requested outright.
+    # Why the ring workers were abandoned ("WorkerDied: ...") — None
+    # when they ran, or when the in-process transport was requested.
     fallback_cause: Optional[str] = None
-    # True when long-lived ring-fed workers processed the run instead
-    # of per-run pool jobs.
+    # True when long-lived ring-fed workers processed the run.
     used_workers: bool = False
 
     @property
@@ -308,19 +484,21 @@ class ShardRunResult:
 class ShardExecutor:
     """Fan a packet stream across switch-replica shards and merge.
 
-    ``processes`` — pool size (``None`` = one per shard); 0 or 1
-    forces the sequential in-process path.  ``backend`` selects the
-    per-shard execution path (``scalar`` / ``batch`` / ``columnar``).
+    ``backend`` selects the per-shard execution path (``scalar`` /
+    ``batch`` / ``columnar``).  ``persistent=True`` keeps one ring-fed
+    worker process alive per shard across ``run()`` calls (see
+    :mod:`repro.testbed.worker`) instead of folding each shard
+    in-process: same API, same results, shards fold in parallel.  Call
+    :meth:`close` (or use the executor as a context manager) to release
+    the workers.
     """
 
     def __init__(
         self,
         spec: ShardSpec,
         shards: int = 2,
-        processes: Optional[int] = None,
         backend: str = "columnar",
         chunk_size: int = 4096,
-        pool_timeout_s: float = 120.0,
         registry: Optional[MetricsRegistry] = None,
         persistent: bool = False,
         placement: Optional[PartitionMap] = None,
@@ -335,8 +513,6 @@ class ShardExecutor:
             raise ValueError("chunk_size must be >= 1")
         self.spec = spec
         self.shards = shards
-        self._auto_processes = processes is None
-        self.processes = shards if processes is None else processes
         self.backend = backend
         # Weighted virtual-bucket placement (None = legacy modulo).
         # last_bucket_counts holds the previous run()'s per-bucket
@@ -344,56 +520,26 @@ class ShardExecutor:
         self.placement = placement
         self.last_bucket_counts: Optional[List[int]] = None
         self.chunk_size = chunk_size
-        self.pool_timeout_s = pool_timeout_s
         self.registry = registry if registry is not None else get_registry()
         self.last_error: Optional[str] = None
-        # persistent=True keeps one ring-fed worker process alive per
-        # shard across run() calls (see repro.testbed.worker) instead
-        # of dispatching each run through a fresh pool; same API, same
-        # results, no per-run spawn/pickle tax.  Call close() (or use
-        # the executor as a context manager) to release the workers.
         self.persistent = persistent
-        self._workers: List[Any] = []
+        self._fleet: Any = None  # WorkerFleet, built by the first worker run
 
-    # -- persistent workers ------------------------------------------------
-
-    def _ensure_workers(self) -> List[Any]:
-        from repro.testbed.worker import ShardWorker
-
-        while len(self._workers) < self.shards:
-            self._workers.append(
-                ShardWorker(
-                    self.spec,
-                    len(self._workers),
-                    backend=self.backend,
-                    row_capacity=max(self.chunk_size, 64),
-                    row_width=64,
-                )
-            )
-        return self._workers
+    @property
+    def _workers(self) -> Dict[int, Any]:
+        """Live ring-fed workers by shard (the chaos suite kills one)."""
+        return self._fleet.workers if self._fleet is not None else {}
 
     def close(self) -> None:
         """Shut down any persistent workers (no-op otherwise)."""
-        workers, self._workers = self._workers, []
-        for worker in workers:
-            try:
-                worker.close()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
+        if self._fleet is not None:
+            self._fleet.close()
 
     def __enter__(self) -> "ShardExecutor":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # -- partitioning ------------------------------------------------------
-
-    def partition(self, packets: Sequence[bytes]) -> List[List[bytes]]:
-        """Deterministic hash partition (see :func:`partition_packets`)."""
-        return partition_packets(
-            self.spec, self.shards, packets, self.placement
-        )
 
     def set_placement(self, pmap: PartitionMap) -> None:
         """Adopt a new partition map between runs (epoch boundary).
@@ -404,16 +550,14 @@ class ShardExecutor:
         folded which bucket.
         """
         self.placement = pmap
-        if pmap.shards != self.shards:
-            self.shards = pmap.shards
-            if self._auto_processes:
-                self.processes = pmap.shards
-            while len(self._workers) > self.shards:
-                worker = self._workers.pop()
-                try:
-                    worker.close()
-                except Exception:  # pragma: no cover - teardown best effort
-                    pass
+        self.shards = pmap.shards
+        if self._fleet is not None:
+            try:
+                self._fleet.resize(pmap.shards)
+            except Exception:
+                # A worker killed from outside between runs: the next
+                # run() starts a fresh fleet.
+                self.close()
 
     # -- execution ---------------------------------------------------------
 
@@ -423,156 +567,80 @@ class ShardExecutor:
         ``packets`` may be a :class:`PacketColumns` batch; with a
         partition map attached the split then runs through the
         vectorized :func:`partition_columns` kernel."""
-        pmap = self.placement
-        if pmap is not None:
-            if isinstance(packets, PacketColumns):
-                parts, counts = partition_columns(self.spec, pmap, packets)
-            else:
-                counts = [0] * pmap.buckets
-                parts = partition_packets(
-                    self.spec, self.shards, packets, pmap, counts
-                )
-            self.last_bucket_counts = counts
-        else:
-            self.last_bucket_counts = None
-            if isinstance(packets, PacketColumns):
-                packets = packets.raw
-            parts = self.partition(packets)
-        worker_cause: Optional[str] = None
+        parts, self.last_bucket_counts = partition_stream(
+            self.spec, self.shards, packets, self.placement
+        )
+        outcome = cause = None
         if self.persistent:
             try:
-                return self._run_persistent(parts)
+                outcome = self._run_workers(parts)
             except Exception as exc:
                 # A dead or wedged worker must not fail the run: note
-                # the cause, drop the fleet and reprocess through the
-                # stateless path (identical results, slower).
-                self.last_error = worker_cause = "%s: %s" % (
+                # the cause, drop the fleet and reprocess in-process
+                # (identical results, no parallelism).
+                self.last_error = cause = "%s: %s" % (
                     type(exc).__name__, exc,
                 )
                 self.registry.counter(
                     "shard_executor.worker_fallbacks"
                 ).inc()
                 _LOG.warning(
-                    "persistent workers failed, pool fallback engaged",
+                    "persistent workers failed, in-process fallback engaged",
                     extra={
                         "component": "shard_executor",
                         "kind": self.spec.kind,
                         "shards": self.shards,
-                        "cause": self.last_error,
+                        "cause": cause,
                     },
                 )
                 self.close()
-        jobs = [
-            (
-                self.spec,
-                shard,
-                part.raw if isinstance(part, PacketColumns) else part,
-                self.backend,
-                self.chunk_size,
+        if outcome is None:
+            outputs = [
+                _run_shard_epoch(
+                    self.spec, shard, part, self.backend, self.chunk_size
+                )
+                for shard, part in enumerate(parts)
+            ]
+            outcome = (
+                fold_snapshots(self.spec, (s for s, _ in outputs)),
+                dict(enumerate(c for _, c in outputs)),
             )
-            for shard, part in enumerate(parts)
-        ]
-        outputs, used_pool = self._execute(jobs)
-        outputs.sort(key=lambda item: item[0])
-        snapshot: Optional[Dict[str, List[int]]] = None
-        specs = list(self.spec.specs)
-        for _, shard_snapshot, _ in outputs:
-            snapshot = (
-                {name: list(cells) for name, cells in shard_snapshot.items()}
-                if snapshot is None
-                else merge_snapshots(specs, snapshot, shard_snapshot)
-            )
+        snapshot, counters = outcome
         return ShardRunResult(
             snapshot=snapshot or {},
             report=render_report(self.spec, self.shards, snapshot),
-            shard_packets=[c["packets"] for _, _, c in outputs],
-            shard_folded=[c["folded"] for _, _, c in outputs],
-            used_pool=used_pool,
+            shard_packets=[
+                counters[shard]["packets"] for shard in range(self.shards)
+            ],
+            shard_folded=[
+                counters[shard]["folded"] for shard in range(self.shards)
+            ],
             shards=self.shards,
-            fallback_cause=worker_cause or (
-                self.last_error if not used_pool else None
-            ),
+            fallback_cause=cause,
+            used_workers=self.persistent and cause is None,
         )
 
-    def _run_persistent(self, parts: List[List[bytes]]) -> ShardRunResult:
+    def _run_workers(
+        self, parts: List[Any]
+    ) -> Tuple[Optional[Dict[str, List[int]]], Dict[int, Dict[str, int]]]:
         """One run over the long-lived worker fleet.
 
         Batches stream to every shard's ring first (workers fold
-        concurrently), then a reset barrier collects each fold snapshot
-        and returns the replicas to a fresh state so consecutive runs
-        stay independent — exactly the lifecycle one pool dispatch had.
+        concurrently), then a reset barrier collects the merged fold
+        snapshot and returns the replicas to a fresh state so
+        consecutive runs stay independent.
         """
-        from repro.switch.columns import numpy_enabled
+        if self._fleet is None:
+            from repro.testbed.worker import WorkerFleet
 
-        workers = self._ensure_workers()
-        columnar = self.backend == "columnar" and numpy_enabled()
-        for shard, part in enumerate(parts):
-            worker = workers[shard]
-            for start in range(0, len(part), self.chunk_size):
-                chunk = _slice_part(part, start, start + self.chunk_size)
-                if columnar and not isinstance(chunk, PacketColumns):
-                    chunk = PacketColumns(chunk)
-                elif not columnar and isinstance(chunk, PacketColumns):
-                    chunk = chunk.raw
-                worker.push_batch(chunk)
-        outputs = []
-        for shard, worker in enumerate(workers):
-            reply = worker.drain(reset=True)
-            outputs.append((shard, reply["snapshot"], reply["counters"]))
-        snapshot: Optional[Dict[str, List[int]]] = None
-        specs = list(self.spec.specs)
-        for _, shard_snapshot, _ in outputs:
-            snapshot = (
-                {name: list(cells) for name, cells in shard_snapshot.items()}
-                if snapshot is None
-                else merge_snapshots(specs, snapshot, shard_snapshot)
+            self._fleet = WorkerFleet(
+                self.spec,
+                backend=self.backend,
+                row_capacity=max(self.chunk_size, 64),
             )
-        return ShardRunResult(
-            snapshot=snapshot or {},
-            report=render_report(self.spec, self.shards, snapshot),
-            shard_packets=[c["packets"] for _, _, c in outputs],
-            shard_folded=[c["folded"] for _, _, c in outputs],
-            used_pool=False,
-            shards=self.shards,
-            used_workers=True,
-        )
-
-    def _execute(self, jobs) -> Tuple[List[Any], bool]:
-        if self.processes > 1 and len(jobs) > 1:
-            try:
-                import multiprocessing as mp
-
-                ctx = mp.get_context("spawn")
-                pool = ctx.Pool(min(self.processes, len(jobs)))
-                try:
-                    # map_async + timeout: a spawn child that cannot
-                    # re-import __main__ (stdin scripts, exotic
-                    # sandboxes) crashes in its bootstrap and a plain
-                    # map() would wait on it forever.  Workers are
-                    # stateless, so on any failure the sequential path
-                    # simply reprocesses from scratch.
-                    return (
-                        pool.map_async(_run_shard, jobs).get(
-                            timeout=self.pool_timeout_s
-                        ),
-                        True,
-                    )
-                finally:
-                    pool.terminate()
-                    pool.join()
-            except Exception as exc:  # no semaphores / sandboxed spawn
-                self.last_error = "%s: %s" % (type(exc).__name__, exc)
-                self.registry.counter("shard_executor.pool_fallbacks").inc()
-                _LOG.warning(
-                    "shard pool failed, sequential fallback engaged",
-                    extra={
-                        "component": "shard_executor",
-                        "kind": self.spec.kind,
-                        "shards": self.shards,
-                        "cause": self.last_error,
-                    },
-                )
-        return [_run_shard(job) for job in jobs], False
+        for shard, part in enumerate(parts):
+            self._fleet.push(shard, part, self.chunk_size, self.backend)
+        return self._fleet.drain(reset=True)
 
 
 class AdaptiveBackend:
@@ -614,15 +682,14 @@ class AdaptiveBackend:
     ``clock`` is injectable so tests can script latency spikes.
     """
 
-    _MODES = ("scalar", "batch", "columnar", "persistent", "auto")
-    _LADDER = ("scalar", "batch", "columnar", "persistent")  # ascending
+    _MODES = ("scalar", "batch", "columnar", "auto")
+    _LADDER = ("scalar", "batch", "columnar")  # ascending
 
     def __init__(
         self,
         scalar_fn: Callable[[Sequence[Any]], List[Any]],
         batch_fn: Callable[[Sequence[Any]], List[Any]],
         columnar_fn: Optional[Callable[[Sequence[Any]], List[Any]]] = None,
-        persistent_fn: Optional[Callable[[Sequence[Any]], List[Any]]] = None,
         mode: str = "batch",
         calibration_rounds: int = 2,
         window: int = 32,
@@ -645,21 +712,13 @@ class AdaptiveBackend:
             "scalar": scalar_fn,
             "batch": batch_fn,
             "columnar": columnar_fn if columnar_fn is not None else batch_fn,
-            "persistent": (
-                persistent_fn
-                if persistent_fn is not None
-                else (columnar_fn if columnar_fn is not None else batch_fn)
-            ),
         }
         # Probe order: higher tiers first.  Without a real columnar_fn
         # the "columnar" entry aliases batch_fn, so probing it would
-        # double-charge the batch path — leave it out (likewise for a
-        # missing persistent_fn, which aliases the next tier down).
+        # double-charge the batch path — leave it out.
         candidates = ["batch", "scalar"]
         if columnar_fn is not None:
             candidates.insert(0, "columnar")
-        if persistent_fn is not None:
-            candidates.insert(0, "persistent")
         self._candidates: Tuple[str, ...] = tuple(candidates)
         self.mode = mode
         self.calibration_rounds = max(1, calibration_rounds)

@@ -39,11 +39,11 @@ from repro.core.aggregation import ForwardingMode
 from repro.core.aggswitch import AggSwitch
 from repro.core.cookie_cache import CookieEncodeCache
 from repro.core.larkswitch import LarkSwitch
-from repro.core.stats import merge_snapshots
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.core.user_stats import UserQuantileConfig
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.switch.columns import PacketColumns, get_numpy
+from repro.switch.columns import PacketColumns
+from repro.testbed.executor import ShardSpec, _slice_part, partition_stream
 from repro.testbed.placement import PlacementController
 
 __all__ = [
@@ -137,9 +137,9 @@ class PipelineResult:
     # Per-user engagement quantiles (user_stats enabled), from the
     # AggSwitch's cumulative tracker after the final drain.
     user_report: Optional[Dict[str, Any]] = None
-    # Elastic placement fleet (persistent backend + placement): the
-    # live map's shard count at end of run, per-shard packet counts
-    # pushed this run, and the controller's rebalance/resize history.
+    # Worker fleet (persistent backend): the live map's shard count at
+    # end of run (1 without a placement controller), per-shard packet
+    # counts folded this run, the controller's rebalance/resize history.
     agg_shards: int = 1
     agg_shard_packets: Optional[List[int]] = None
     placement_history: List[Dict[str, Any]] = field(default_factory=list)
@@ -151,14 +151,6 @@ class PipelineResult:
                 if got.get(key, 0) != count:
                     return False
         return True
-
-
-def _slice_columns(columns: PacketColumns, lo: int, hi: int) -> PacketColumns:
-    if columns.vectorized and get_numpy() is not None:
-        return PacketColumns.from_matrix(
-            columns.data[lo:hi], columns.lengths[lo:hi]
-        )
-    return PacketColumns(columns.raw[lo:hi])
 
 
 class StreamingPipeline:
@@ -177,14 +169,17 @@ class StreamingPipeline:
       switch kernels (falls back to the batch path when the numpy
       gate is closed).
     * ``persistent`` — columnar generate/encode/lark in-process, agg
-      folded by a long-lived worker process fed through a
-      shared-memory ring (:mod:`repro.testbed.worker`): the parent
-      streams the next micro-batches while the worker folds the
-      previous ones.  Reports are byte-identical to the other tiers;
-      per-payload ``agg_results`` stay in the worker, so
-      ``collect_results`` returns an empty list.  Call :meth:`close`
-      (or use the pipeline as a context manager) to release the
-      worker.
+      folded by a fleet of long-lived worker processes fed through
+      shared-memory rings (:class:`repro.testbed.worker.WorkerFleet`):
+      the parent streams the next micro-batches while the workers fold
+      the previous ones.  The fleet has one worker unless a
+      ``placement`` controller is attached; then it has one per shard
+      of the controller's live map, payload batches are partitioned
+      under that map, and period flushes are placement epochs.  Reports
+      are byte-identical to the other tiers; per-payload
+      ``agg_results`` stay in the workers, so ``collect_results``
+      returns an empty list.  Call :meth:`close` (or use the pipeline
+      as a context manager) to release the workers.
 
     ``on_batch(pipeline, columns)`` runs before each micro-batch is
     encoded — the hook the rekey regression test uses to push a
@@ -312,38 +307,23 @@ class StreamingPipeline:
         self.corrupted = 0
         self.last_checkpoint: Optional[Dict[str, Any]] = None
         self._checkpoints_taken = 0
-        # Persistent tier: the agg stage runs in a long-lived worker
-        # process fed through a shared-memory ring; the parent keeps
-        # running generate/encode/lark while the worker folds, and the
-        # ring itself is the bounded hand-off queue between the two.
-        # The local AggSwitch stays around as the report renderer: the
-        # final drain restores the worker's fold snapshot into it, so
-        # every downstream read-out (report / merge / user stats) goes
-        # through exactly the code the in-process tiers use.
-        self._agg_worker = None
-        self._worker_folded_base = 0
-        self._worker_unmerged_base = 0
-        # Placement mode (persistent backend only): the agg stage fans
-        # out over an *elastic* fleet of ring-fed workers, one per
-        # shard of the controller's live PartitionMap.  Workers spawn
-        # lazily on first traffic, retire at period boundaries when
-        # the controller shrinks the map, and the final read-out
-        # merges retired ⊕ live fold snapshots into the local
-        # AggSwitch — so reports stay byte-identical to every other
-        # tier regardless of how buckets moved mid-run.
+        # Persistent tier: the agg stage runs in long-lived worker
+        # processes fed through shared-memory rings; the parent keeps
+        # running generate/encode/lark while they fold, and the rings
+        # are the bounded hand-off queue between the two.  The local
+        # AggSwitch stays around as the report renderer: every drain
+        # barrier restores the fleet's merged fold snapshot into it,
+        # so every downstream read-out (report / merge / user stats)
+        # goes through exactly the code the in-process tiers use, and
+        # reports stay byte-identical no matter how a placement
+        # controller moved buckets (or retired workers) mid-run.
         self.placement = placement
-        self._agg_workers: Dict[int, Any] = {}
-        self._worker_bases: Dict[int, Tuple[int, int]] = {}
+        self._fleet: Any = None
+        self._fleet_merged = 0
         self._fleet_packets: Dict[int, int] = {}
-        self._retired_snapshot: Optional[Dict[str, List[int]]] = None
-        self._retired_run_folded = 0
-        self._retired_run_unmerged = 0
         if backend == "persistent":
-            from repro.testbed.executor import ShardSpec, partition_columns
-            from repro.testbed.worker import ShardWorker
+            from repro.testbed.worker import WorkerFleet
 
-            self._partition_columns = partition_columns
-            self._ShardWorker = ShardWorker
             self._agg_spec = ShardSpec(
                 kind="agg",
                 app_id=app_id,
@@ -352,26 +332,24 @@ class StreamingPipeline:
                 specs=tuple(specs),
                 seed=seed,
             )
+            self._fleet = WorkerFleet(
+                self._agg_spec,
+                backend="columnar",
+                row_capacity=max(batch_size, 64),
+                spill_bytes=1 << 22,
+            )
             if placement is None:
-                self._agg_worker = ShardWorker(
-                    self._agg_spec,
-                    0,
-                    backend="columnar",
-                    row_capacity=max(batch_size, 64),
-                    row_width=64,
-                    spill_bytes=1 << 22,
-                )
+                # Shard 0 is certain to be used: spawn it now so the
+                # interpreter start-up stays out of the first run().
+                # (Under a controller, shards spawn on first traffic.)
+                self._fleet.worker(0)
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
         """Release the persistent agg worker(s) (no-op otherwise)."""
-        worker, self._agg_worker = self._agg_worker, None
-        if worker is not None:
-            worker.close()
-        fleet, self._agg_workers = self._agg_workers, {}
-        for shard_worker in fleet.values():
-            shard_worker.close()
+        if self._fleet is not None:
+            self._fleet.close()
 
     def __enter__(self) -> "StreamingPipeline":
         return self
@@ -383,8 +361,8 @@ class StreamingPipeline:
 
     def rekey(self, new_key: bytes) -> None:
         """Swap the AES key on every tier *and* the encode cache (the
-        cache invalidates, so no stale cookie is ever minted).  With a
-        persistent agg worker the rekey travels through the data ring,
+        cache invalidates, so no stale cookie is ever minted).  With
+        persistent agg workers the rekey travels through the data rings,
         so it lands after every payload already pushed — the same
         ordering an in-process rekey gets for free."""
         self._key = new_key
@@ -392,10 +370,9 @@ class StreamingPipeline:
         self.lark.rekey_application(self.app_id, new_key)
         self.cache.rekey(new_key)
         self.codec = self.cache.codec
-        if self._agg_worker is not None:
-            self._agg_worker.rekey(new_key)
-        for worker in self._agg_workers.values():
-            worker.rekey(new_key)
+        if self._fleet is not None:
+            for worker in self._fleet.workers.values():
+                worker.rekey(new_key)
 
     # -- stages ------------------------------------------------------------
 
@@ -427,8 +404,9 @@ class StreamingPipeline:
         if self.placement is not None:
             # Period flush == placement epoch boundary: fold the
             # window's bucket loads, maybe rebalance/resize, and
-            # retire workers the new map no longer routes to.
-            self._placement_epoch()
+            # retire workers the new map no longer routes to (their
+            # folds and counts stay with the fleet).
+            self._fleet.resize(self.placement.end_epoch().shards)
         if (
             self.checkpoint_every_periods
             and self.periods % self.checkpoint_every_periods == 0
@@ -450,88 +428,36 @@ class StreamingPipeline:
             self._checkpoints_taken += 1
             self.registry.counter("pipeline.checkpoints").inc()
 
-    # -- elastic placement fleet (persistent backend) ----------------------
+    # -- persistent worker fleet -------------------------------------------
 
-    def _placement_epoch(self) -> None:
-        before = self.placement.map.shards
-        new_map = self.placement.end_epoch()
-        if new_map.shards < before:
-            # The map shrank: every worker whose shard id fell off the
-            # end is drained (its cumulative fold snapshot and counter
-            # deltas move to the retired accumulator) and released.
-            for shard in sorted(self._agg_workers):
-                if shard >= new_map.shards:
-                    self._retire_worker(shard)
-
-    def _fleet_worker(self, shard: int):
-        worker = self._agg_workers.get(shard)
-        if worker is None:
-            worker = self._ShardWorker(
-                self._agg_spec,
-                shard,
-                backend="columnar",
-                row_capacity=max(self.batch_size, 64),
-                row_width=64,
-                spill_bytes=1 << 22,
+    def _drain_fleet(self) -> Optional[Dict[str, List[int]]]:
+        """Fleet-wide barrier: every payload pushed so far is folded.
+        Books the workers' counter deltas (folds, per-shard packets,
+        decode rejects -> dead letters) and returns the merged fold
+        snapshot, retired workers included."""
+        snapshot, deltas = self._fleet.drain()
+        unmerged = 0
+        for shard, delta in deltas.items():
+            self._fleet_merged += delta["folded"]
+            unmerged += delta["unmerged"]
+            self._fleet_packets[shard] = (
+                self._fleet_packets.get(shard, 0) + delta["packets"]
             )
-            self._agg_workers[shard] = worker
-            self._worker_bases[shard] = (0, 0)
-        return worker
-
-    def _retire_worker(self, shard: int) -> None:
-        worker = self._agg_workers.pop(shard)
-        try:
-            reply = worker.drain()
-            counters = reply["counters"]
-            base_folded, base_unmerged = self._worker_bases.pop(shard)
-            self._retired_run_folded += counters["folded"] - base_folded
-            self._retired_run_unmerged += (
-                counters["unmerged"] - base_unmerged
-            )
-            snapshot = reply["snapshot"]
-            self._retired_snapshot = (
-                snapshot
-                if self._retired_snapshot is None
-                else merge_snapshots(
-                    list(self._agg_spec.specs),
-                    self._retired_snapshot,
-                    snapshot,
-                )
-            )
-        finally:
-            worker.close()
+        if unmerged:
+            self.dead_letters += unmerged
+            self.registry.counter("pipeline.dead_letters").inc(unmerged)
+        return snapshot
 
     def _agg_checkpoint(self) -> Dict[str, Any]:
-        if self.placement is not None:
-            return self._fleet_checkpoint()
-        if self._agg_worker is None:
+        if self._fleet is None:
             return self.agg.checkpoint(self.app_id)
-        # Barrier the worker (all payloads pushed so far fold first),
-        # then graft the parent-side engagement tracker on — user
-        # stats never cross into the worker.
-        checkpoint = self._agg_worker.drain(checkpoint=True)["checkpoint"]
-        if self.user_stats is not None:
-            parent = self.agg.checkpoint(self.app_id)
-            if "user_quantiles" in parent:
-                checkpoint["user_quantiles"] = parent["user_quantiles"]
-        return checkpoint
-
-    def _fleet_checkpoint(self) -> Dict[str, Any]:
-        """Barrier every live fleet worker, merge their fold snapshots
-        with the retired accumulator into one fleet-wide checkpoint."""
-        checkpoint = self._retired_snapshot
-        specs = list(self._agg_spec.specs)
-        for shard in sorted(self._agg_workers):
-            part = self._agg_workers[shard].drain(checkpoint=True)[
-                "checkpoint"
-            ]
-            checkpoint = (
-                part
-                if checkpoint is None
-                else merge_snapshots(specs, checkpoint, part)
-            )
+        # Barrier the fleet (all payloads pushed so far fold first);
+        # a fleet that has not spawned yet has the parent's (empty)
+        # registers.  Then graft the parent-side engagement tracker
+        # on — user stats never cross into the workers.
+        checkpoint = self._drain_fleet()
         if checkpoint is None:
-            checkpoint = self.agg.checkpoint(self.app_id)
+            return self.agg.checkpoint(self.app_id)
         if self.user_stats is not None:
             parent = self.agg.checkpoint(self.app_id)
             if "user_quantiles" in parent:
@@ -554,7 +480,7 @@ class StreamingPipeline:
             return []
         if self.backend in ("columnar", "persistent"):
             return self.lark.process_quic_columnar(
-                _slice_columns(cids, lo, hi)
+                _slice_part(cids, lo, hi)
             )
         if self.backend == "batch":
             return self.lark.process_quic_batch(cids[lo:hi])
@@ -614,39 +540,26 @@ class StreamingPipeline:
         return len(payloads)
 
     def _deliver(self, payloads: List[bytes], out: List[Any]) -> None:
-        if self.placement is not None:
-            # Elastic fleet: partition the batch under the live map
-            # (vectorized bucket assignment + stable gather), feed the
-            # controller's load accounting, and push each non-empty
-            # part to its shard's ring — spawning workers lazily the
-            # first time a shard sees traffic.
-            parts, counts = self._partition_columns(
-                self._agg_spec, self.placement.map, payloads
-            )
-            self.placement.observe(counts)
-            np = get_numpy()
+        if self._fleet is not None:
+            # Hand the batch to the worker fleet and keep going — the
+            # fold happens concurrently; merged/dead-letter counts
+            # settle at the next drain barrier.  Without a controller
+            # the fleet is one worker and there is nothing to
+            # partition; with one, split under the live map
+            # (vectorized bucket assignment + stable gather) and feed
+            # its load accounting.
+            parts: List[Any] = [payloads]
+            if self.placement is not None:
+                parts, counts = partition_stream(
+                    self._agg_spec,
+                    self.placement.map.shards,
+                    PacketColumns(payloads),
+                    self.placement.map,
+                )
+                self.placement.observe(counts)
             for shard, part in enumerate(parts):
-                n = len(part)
-                if not n:
-                    continue
-                worker = self._fleet_worker(shard)
-                worker.push_batch(
-                    part
-                    if np is not None and part.vectorized
-                    else part.raw
-                )
-                self._fleet_packets[shard] = (
-                    self._fleet_packets.get(shard, 0) + n
-                )
-            return
-        if self._agg_worker is not None:
-            # Hand the batch to the persistent worker and keep going —
-            # the fold happens concurrently; merged/dead-letter counts
-            # settle at the end-of-run drain barrier.
-            np = get_numpy()
-            self._agg_worker.push_batch(
-                PacketColumns(payloads) if np is not None else payloads
-            )
+                if len(part):
+                    self._fleet.push(shard, part)
             return
         results = self._agg_process(payloads)
         dead = sum(1 for r in results if not r.merged)
@@ -678,8 +591,7 @@ class StreamingPipeline:
         self.last_checkpoint = None
         self._checkpoints_taken = 0
         self._fleet_packets = {}
-        self._retired_run_folded = 0
-        self._retired_run_unmerged = 0
+        self._fleet_merged = 0
         agg_results: List[Any] = []
         events = 0
         batches = 0
@@ -752,62 +664,24 @@ class StreamingPipeline:
         # Final engagement handoff (covers per-packet mode, which has
         # no period flushes; idempotent after a periodical tail flush).
         self._drain_user_stats()
-        if self.placement is not None:
-            # Fleet drain barrier: every live worker settles, then the
-            # retired ⊕ live fold snapshots merge into the local
-            # AggSwitch so the read-out below is identical to every
-            # other tier no matter how buckets moved mid-run.
-            merged = self._retired_run_folded
-            unmerged = self._retired_run_unmerged
-            snapshot = self._retired_snapshot
-            specs = list(self._agg_spec.specs)
-            for shard in sorted(self._agg_workers):
-                reply = self._agg_workers[shard].drain()
-                counters = reply["counters"]
-                base_folded, base_unmerged = self._worker_bases[shard]
-                merged += counters["folded"] - base_folded
-                unmerged += counters["unmerged"] - base_unmerged
-                self._worker_bases[shard] = (
-                    counters["folded"],
-                    counters["unmerged"],
-                )
-                snapshot = (
-                    reply["snapshot"]
-                    if snapshot is None
-                    else merge_snapshots(
-                        specs, snapshot, reply["snapshot"]
-                    )
-                )
-            if unmerged:
-                self.dead_letters += unmerged
-                self.registry.counter("pipeline.dead_letters").inc(
-                    unmerged
-                )
-            if snapshot is not None:
-                self.agg.restore(self.app_id, snapshot)
-        elif self._agg_worker is not None:
+        if self._fleet is not None:
             # Drain barrier: every pushed payload is folded before the
-            # read-out.  The worker's cumulative fold snapshot restores
-            # into the local AggSwitch, so report()/merge()/user stats
-            # below run through the same code as the in-process tiers
+            # read-out.  The fleet's merged fold snapshot restores into
+            # the local AggSwitch, so report()/merge()/user stats below
+            # run through the same code as the in-process tiers
             # (restore leaves the parent-side engagement tracker alone
             # — the snapshot carries no "user_quantiles" key).
-            reply = self._agg_worker.drain()
-            counters = reply["counters"]
-            merged = counters["folded"] - self._worker_folded_base
-            unmerged = counters["unmerged"] - self._worker_unmerged_base
-            self._worker_folded_base = counters["folded"]
-            self._worker_unmerged_base = counters["unmerged"]
-            if unmerged:
-                self.dead_letters += unmerged
-                self.registry.counter("pipeline.dead_letters").inc(
-                    unmerged
-                )
-            self.agg.restore(self.app_id, reply["snapshot"])
+            snapshot = self._drain_fleet()
+            if snapshot is not None:
+                self.agg.restore(self.app_id, snapshot)
+            merged = self._fleet_merged
         else:
             merged = sum(
                 1 for r in agg_results if getattr(r, "merged", False)
             )
+        agg_shards = (
+            self.placement.map.shards if self.placement is not None else 1
+        )
         return PipelineResult(
             events=events,
             batches=batches,
@@ -827,22 +701,15 @@ class StreamingPipeline:
                 if self.user_stats is not None
                 else None
             ),
-            agg_shards=(
-                self.placement.map.shards
-                if self.placement is not None
-                else 1
-            ),
+            agg_shards=agg_shards,
             agg_shard_packets=(
                 [
                     self._fleet_packets.get(shard, 0)
                     for shard in range(
-                        max(
-                            [self.placement.map.shards]
-                            + [s + 1 for s in self._fleet_packets]
-                        )
+                        max([agg_shards] + [s + 1 for s in self._fleet_packets])
                     )
                 ]
-                if self.placement is not None
+                if self._fleet is not None
                 else None
             ),
             placement_history=(

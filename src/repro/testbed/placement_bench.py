@@ -223,7 +223,6 @@ def _verify_supervisor(
     return ShardSupervisor(
         spec,
         shards=shards,
-        processes=0,
         backend="columnar",
         chunk_size=chunk_size,
         checkpoint_batches=checkpoint_batches,

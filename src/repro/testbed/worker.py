@@ -1,19 +1,23 @@
 """Persistent shard workers: long-lived switch replicas fed by rings.
 
-:mod:`repro.testbed.executor` dispatches every run through a fresh
-``multiprocessing.Pool`` job — spawn, pickle the packets in, pickle the
-snapshot out, tear down.  A :class:`ShardWorker` instead keeps ONE
-replica process alive for the life of the executor and streams batches
-to it through a :class:`~repro.testbed.shm_ring.ColumnRing`; steady-
-state ingest costs one shared-memory write per batch, no pickling and
-no process churn.
+The in-process transport (:func:`repro.testbed.executor.
+_run_shard_epoch`) folds a shard on the caller's own core.  A
+:class:`ShardWorker` instead keeps ONE replica process alive and
+streams batches to it through a
+:class:`~repro.testbed.shm_ring.ColumnRing`; steady-state ingest costs
+one shared-memory write per batch, no pickling and no process churn,
+and shards fold in parallel.  :class:`WorkerFleet` owns the set of
+workers a runtime uses — every tier above (executor, supervisor,
+streaming pipeline) reaches its workers through one.
 
-The worker runs a small **command loop**.  Data and control both travel
-through the ring (control slots carry a pickled command tuple), so a
-command is totally ordered with respect to the batches around it — a
-``rekey`` pushed after batch N is guaranteed to apply before batch N+1,
-exactly like the in-process pipeline.  Replies (drain snapshots,
-checkpoints, counters) return over a dedicated ``Pipe``:
+The worker runs a small **command loop** around the same
+:class:`~repro.testbed.executor.Replica` the in-process transport
+drives.  Data and control both travel through the ring (control slots
+carry a pickled command tuple), so a command is totally ordered with
+respect to the batches around it — a ``rekey`` pushed after batch N is
+guaranteed to apply before batch N+1, exactly like the in-process
+pipeline.  Replies (barrier snapshots, counters) return over a
+dedicated ``Pipe``:
 
 ====================  =====================================================
 command               effect
@@ -22,24 +26,26 @@ command               effect
                       the execution backend for subsequent batches
 ``("rekey", key)``    re-register the app under a new key (epoch bump)
 ``("restore", snap)`` load a checkpoint into the replica (crash replay)
-``("barrier", ...)``  reply with counters + fold snapshot (+ checkpoint);
-                      optionally reset the replica for a fresh run
+``("barrier", ...)``  reply with counters + register snapshot; optionally
+                      reset the replica for a fresh run
 ``("shutdown",)``     acknowledge and exit cleanly
 ====================  =====================================================
 
 Faults: a :class:`~repro.chaos.shard_faults.ShardFaultPlan` rides into
-the worker at spawn.  Where the pool runtime surfaced an injected
-:class:`ShardCrash` as a raised exception, a persistent worker turns it
-into a **real ``SIGKILL`` of itself** — the supervisor must detect the
-silent death through liveness probes and replay from the last
-checkpoint, which is precisely the failure mode the chaos suite
+the worker at spawn.  Where the in-process transport surfaces an
+injected :class:`ShardCrash` as a raised exception, a persistent worker
+turns it into a **real ``SIGKILL`` of itself** — the supervisor must
+detect the silent death through liveness probes and replay from the
+last checkpoint, which is precisely the failure mode the chaos suite
 certifies.
 
 Lifecycle: the parent owns the ring segment and the worker only ever
 attaches; killing the worker with ``kill -9`` therefore cannot unlink
 the ring, and :meth:`ShardWorker.respawn` reuses the same segment after
 a :meth:`~repro.testbed.shm_ring.ColumnRing.reset`.  ``close()`` is
-idempotent and unlinks exactly once, in the parent.
+idempotent and unlinks exactly once, in the parent.  A worker whose
+parent died (even by ``kill -9``) notices within a second and exits,
+so an orphan never pins the mapping.
 """
 
 from __future__ import annotations
@@ -48,10 +54,15 @@ import os
 import pickle
 import signal
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chaos.shard_faults import ShardCrash, ShardFaultPlan
-from repro.testbed.executor import ShardSpec, _build_switch
+from repro.testbed.executor import (
+    Replica,
+    ShardSpec,
+    _chunked,
+    fold_snapshots,
+)
 from repro.testbed.shm_ring import (
     KIND_CONTROL,
     ColumnRing,
@@ -59,52 +70,12 @@ from repro.testbed.shm_ring import (
     shared_memory_available,
 )
 
-__all__ = ["ShardWorker", "WorkerDied", "worker_backends"]
+__all__ = ["ShardWorker", "WorkerDied", "WorkerFleet"]
 
 
 class WorkerDied(RuntimeError):
     """The persistent worker is gone (crash or kill) — the caller must
     respawn and replay from its last checkpoint."""
-
-
-def worker_backends(spec: ShardSpec, switch) -> Dict[str, Any]:
-    """The per-backend batch callables for a replica, mirroring
-    :func:`repro.testbed.executor._run_shard` exactly (the differential
-    suite leans on the two staying in lockstep)."""
-    if spec.kind == "lark":
-        from repro.quic.connection_id import ConnectionID
-
-        def scalar(rows):
-            return [
-                switch.process_quic_packet(ConnectionID(r)) for r in rows
-            ]
-
-        def batch(rows):
-            return switch.process_quic_batch(
-                [ConnectionID(r) for r in rows]
-            )
-
-        def columnar(columns):
-            return switch.process_quic_columnar(columns)
-
-    else:
-
-        def scalar(rows):
-            return [switch.process_packet(bytes(r)) for r in rows]
-
-        def batch(rows):
-            return switch.process_batch([bytes(r) for r in rows])
-
-        def columnar(columns):
-            return switch.process_columnar(columns)
-
-    return {"scalar": scalar, "batch": batch, "columnar": columnar}
-
-
-def _fold_snapshot(spec: ShardSpec, switch) -> Dict[str, List[int]]:
-    if spec.kind == "lark":
-        return switch._apps[spec.app_id].stats.snapshot()
-    return switch.merge(spec.app_id)
 
 
 def _worker_main(
@@ -117,39 +88,27 @@ def _worker_main(
 ) -> None:
     """Child entry point: attach the ring, build the replica, loop."""
     ring = ColumnRing.attach(descriptor)
-    switch = _build_switch(spec, shard_index)
-    backends = worker_backends(spec, switch)
-    process = backends[backend]
-    injector = None
-    local_batch = 0
-    packets = 0
-    folded = 0
+    replica = Replica(spec, shard_index, plan)
+    current = backend  # an epoch command may degrade it
     map_version = 0
     parent = os.getppid()
     # Readiness handshake: the parent blocks until the replica is
     # built, so the spawn import storm cannot bleed into (and distort)
     # the caller's steady-state ingest window.
     conn.send({"ready": True})
-
-    def fold_results(results) -> None:
-        nonlocal folded
-        for result in results:
-            if getattr(result, "merged", False) or (
-                getattr(result, "decoded_values", None) is not None
-            ):
-                folded += 1
-
     try:
         while True:
             try:
                 view = ring.pop(timeout=1.0)
             except RingClosed:
                 break
+            # A worker must not outlive its parent (an orphan would pin
+            # the shm mapping forever).  pop() returns at least once a
+            # second, so this runs on a bounded tick whether the ring is
+            # idle or still full of a dead parent's batches.
+            if os.getppid() != parent:
+                break
             if view is None:
-                # Idle tick: a worker must not outlive its parent (an
-                # orphan would pin the shm mapping forever).
-                if os.getppid() != parent:
-                    break
                 continue
             if view.kind == KIND_CONTROL:
                 command = pickle.loads(view.body())
@@ -160,105 +119,40 @@ def _worker_main(
                         _op, epoch, attempt, chunk_offset, epoch_backend,
                         map_version,
                     ) = command
-                    if epoch_backend:
-                        process = backends[epoch_backend]
-                    local_batch = 0
-                    injector = (
-                        plan.injector(
-                            shard_index, epoch, attempt, chunk_offset
-                        )
-                        if plan is not None
-                        else None
-                    )
+                    current = epoch_backend or current
+                    replica.arm(epoch, attempt, chunk_offset)
                 elif op == "rekey":
-                    switch.rekey_application(spec.app_id, command[1])
+                    replica.switch.rekey_application(spec.app_id, command[1])
                 elif op == "restore":
-                    switch.restore(spec.app_id, command[1])
+                    replica.restore(command[1])
                 elif op == "barrier":
-                    _op, reset, want_checkpoint, want_user_stats = command
-                    reply = {
-                        "counters": {
-                            "packets": packets,
-                            "folded": folded,
-                            "unmerged": packets - folded,
-                        },
-                        "snapshot": _fold_snapshot(spec, switch),
-                        "checkpoint": (
-                            switch.checkpoint(spec.app_id)
-                            if want_checkpoint
-                            else None
-                        ),
+                    conn.send({
+                        "counters": replica.counters(),
+                        "snapshot": replica.snapshot(),
                         # The placement-map version last armed via the
-                        # epoch command — rides OUTSIDE the raw switch
-                        # checkpoint (restore() must see registers
-                        # only), so supervisors can verify that crash
-                        # replay uses the map that was live.
+                        # epoch command — rides OUTSIDE the raw register
+                        # snapshot (restore() must see registers only).
                         "map_version": map_version,
-                    }
-                    if spec.kind == "lark" and want_user_stats:
-                        # Destructive (snapshot-and-reset), so only on
-                        # request — a checkpointing epoch barrier must
-                        # leave the tracker in place for the next
-                        # epoch's checkpoint to carry it.
-                        reply["user_stats"] = switch.drain_user_stats(
-                            spec.app_id
-                        )
-                    conn.send(reply)
-                    if reset:
-                        switch = _build_switch(spec, shard_index)
-                        backends = worker_backends(spec, switch)
-                        process = backends[backend]
-                        packets = 0
-                        folded = 0
-                        local_batch = 0
-                        injector = None
+                    })
+                    if command[1]:
+                        replica.reset()
+                        current = backend
                 elif op == "shutdown":
-                    conn.send({"counters": {
-                        "packets": packets,
-                        "folded": folded,
-                        "unmerged": packets - folded,
-                    }})
+                    conn.send({"counters": replica.counters()})
                     break
                 continue
             # DATA slot.
-            if injector is not None:
-                try:
-                    injector.before_batch(local_batch)
-                except ShardCrash:
-                    # The pool runtime raised this to its parent; a
-                    # persistent worker dies for real — the supervisor
-                    # must notice the corpse, not catch an exception.
-                    conn.close()
-                    os.kill(os.getpid(), signal.SIGKILL)
-            local_batch += 1
-            n = view.n_rows
-            columnar = process is backends["columnar"]
             try:
-                results = process(
-                    view.columns() if columnar else view.rows()
+                replica.feed(
+                    view.columns() if current == "columnar" else view.rows(),
+                    current,
                 )
-                fold_results(results)
-            except Exception:
-                # Poison isolation, mirroring StreamingPipeline's
-                # _agg_process: a batch entry point that raises (truly
-                # malformed input, not a mere decode failure) is
-                # retried row by row so one poison packet cannot kill
-                # the worker — the poison stays unfolded (a dead
-                # letter the parent reads off the counters).
-                from repro.switch.columns import PacketColumns
-
-                for row in view.rows():
-                    try:
-                        fold_results(
-                            process(
-                                PacketColumns([row])
-                                if columnar
-                                else [row]
-                            )
-                        )
-                    except Exception:
-                        pass
-            packets += n
+            except ShardCrash:
+                # The in-process transport raises this to its caller; a
+                # persistent worker dies for real — the supervisor must
+                # notice the corpse, not catch an exception.
+                conn.close()
+                os.kill(os.getpid(), signal.SIGKILL)
             ring.release()
     finally:
         try:
@@ -306,7 +200,13 @@ class ShardWorker:
         self.restarts = 0
         self._proc = None
         self._conn = None
-        self._spawn()
+        try:
+            self._spawn()
+        except BaseException:
+            # A handle that never came up must not leave its segment
+            # (or a half-started child) behind.
+            self.close()
+            raise
 
     # -- process lifecycle -------------------------------------------------
 
@@ -486,20 +386,161 @@ class ShardWorker:
     def restore(self, checkpoint: Dict[str, Any]) -> None:
         self._push_control(("restore", checkpoint), timeout=30.0)
 
-    def drain(
-        self,
-        reset: bool = False,
-        checkpoint: bool = False,
-        user_stats: bool = False,
-        timeout_s: Optional[float] = None,
-    ) -> Dict[str, Any]:
+    def drain(self, reset: bool = False) -> Dict[str, Any]:
         """Barrier: wait until every pushed batch is folded, then fetch
-        ``{"counters", "snapshot", "checkpoint"[, "user_stats"]}``.
-        ``reset=True`` additionally rebuilds the replica afterwards so
-        the next run starts from zero (run-to-run isolation).
-        ``user_stats=True`` drains the lark engagement tracker into the
-        reply — destructive, so leave it off at checkpoint barriers."""
-        self._push_control(
-            ("barrier", reset, checkpoint, user_stats), timeout=30.0
-        )
-        return self._recv_reply(timeout_s=timeout_s)
+        ``{"counters", "snapshot", "map_version"}`` — the snapshot is
+        the raw register state, i.e. also the checkpoint
+        :meth:`restore` takes back.  ``reset=True`` additionally
+        rebuilds the replica afterwards so the next run starts from
+        zero (run-to-run isolation)."""
+        self._push_control(("barrier", reset), timeout=30.0)
+        return self._recv_reply()
+
+
+_ZERO = {"packets": 0, "folded": 0, "unmerged": 0}
+
+
+class WorkerFleet:
+    """The one owner of ring-fed worker lifecycle for a runtime.
+
+    ``ShardExecutor(persistent=True)``, ``ShardSupervisor(
+    persistent=True)`` and ``StreamingPipeline(backend="persistent")``
+    each hold one fleet and nothing else about workers: shards spawn
+    lazily on first use (restoring the caller's checkpoint when a shard
+    re-enters), parts stream in ``chunk_size`` ring pushes, a drain
+    barrier returns register snapshots with counter **deltas** since
+    the previous drain (worker counters are cumulative; the fleet keeps
+    the bases), a shrinking map retires workers with their state kept,
+    and a dead worker is respawned on its own ring.
+    """
+
+    def __init__(
+        self,
+        spec: ShardSpec,
+        backend: str = "columnar",
+        row_capacity: int = 4096,
+        spill_bytes: int = 1 << 20,
+        fault_plan: Optional[ShardFaultPlan] = None,
+        reply_timeout_s: float = 60.0,
+    ):
+        self.spec = spec
+        self.backend = backend
+        self.row_capacity = row_capacity
+        self.spill_bytes = spill_bytes
+        self.fault_plan = fault_plan
+        self.reply_timeout_s = reply_timeout_s
+        self.workers: Dict[int, ShardWorker] = {}
+        self._bases: Dict[int, Dict[str, int]] = {}
+        # State of workers retired by resize(), reported by the next
+        # fleet-wide drain() so no fold and no count is ever lost.
+        self._retired_snapshot: Optional[Dict[str, List[int]]] = None
+        self._retired_deltas: Dict[int, Dict[str, int]] = {}
+
+    def worker(
+        self, shard: int, checkpoint: Optional[Dict[str, Any]] = None
+    ) -> ShardWorker:
+        """The live worker for ``shard``, spawned on first use.  A new
+        worker restores ``checkpoint`` (a shard re-entering the fleet
+        picks its cumulative fold up where the caller's store left
+        it); an existing one ignores it."""
+        worker = self.workers.get(shard)
+        if worker is None:
+            worker = self.workers[shard] = ShardWorker(
+                self.spec,
+                shard,
+                backend=self.backend,
+                row_capacity=self.row_capacity,
+                row_width=64,
+                spill_bytes=self.spill_bytes,
+                fault_plan=self.fault_plan,
+                reply_timeout_s=self.reply_timeout_s,
+            )
+            self._bases[shard] = _ZERO
+            if checkpoint is not None:
+                worker.restore(checkpoint)
+        return worker
+
+    def push(
+        self,
+        shard: int,
+        part: Any,
+        chunk_size: Optional[int] = None,
+        backend: Optional[str] = None,
+    ) -> None:
+        """Stream one shard part to its ring, one push per chunk (the
+        fault plan's kill coordinates count these pushes)."""
+        worker = self.worker(shard)
+        for chunk in _chunked(
+            part, chunk_size or self.row_capacity, backend or self.backend
+        ):
+            worker.push_batch(chunk)
+
+    def drain_shard(
+        self, shard: int, reset: bool = False
+    ) -> Tuple[Dict[str, List[int]], Dict[str, int]]:
+        """Barrier one worker.  Returns its register snapshot — the
+        checkpoint unit — and its counter deltas since its last drain."""
+        reply = self.workers[shard].drain(reset=reset)
+        counters, base = reply["counters"], self._bases[shard]
+        self._bases[shard] = _ZERO if reset else counters
+        return reply["snapshot"], {k: counters[k] - base[k] for k in _ZERO}
+
+    def drain(
+        self, reset: bool = False
+    ) -> Tuple[Optional[Dict[str, List[int]]], Dict[int, Dict[str, int]]]:
+        """Fleet-wide barrier.  Returns the merged snapshot (retired ⊕
+        live; ``None`` for a fleet that never spawned) and per-shard
+        counter deltas since the last drain, retired shards included."""
+        snapshots = [self._retired_snapshot]
+        deltas, self._retired_deltas = self._retired_deltas, {}
+        for shard in sorted(self.workers):
+            snapshot, delta = self.drain_shard(shard, reset)
+            snapshots.append(snapshot)
+            _add(deltas, shard, delta)
+        if reset:
+            self._retired_snapshot = None
+        return fold_snapshots(self.spec, snapshots), deltas
+
+    def resize(self, shards: int) -> None:
+        """Retire every worker whose shard id fell off a shrunken map:
+        drain it (snapshot and counter deltas move to the retired
+        accumulator) and release its ring."""
+        for shard in sorted(s for s in self.workers if s >= shards):
+            try:
+                snapshot, delta = self.drain_shard(shard)
+                self._retired_snapshot = fold_snapshots(
+                    self.spec, (self._retired_snapshot, snapshot)
+                )
+                _add(self._retired_deltas, shard, delta)
+            finally:
+                self.workers.pop(shard).close()
+                del self._bases[shard]
+
+    def respawn(
+        self, shard: int, checkpoint: Optional[Dict[str, Any]] = None
+    ) -> None:
+        """Replace a dead or wedged worker on the SAME ring segment and
+        restore ``checkpoint`` for the replay."""
+        self.workers[shard].respawn(checkpoint)
+        self._bases[shard] = _ZERO
+
+    def close(self) -> None:
+        """Shut every worker down and release the rings (idempotent;
+        the fleet can be used again and respawns lazily)."""
+        workers = list(self.workers.values())
+        self.workers.clear()
+        self._bases.clear()
+        self._retired_snapshot = None
+        self._retired_deltas = {}
+        for worker in workers:
+            try:
+                worker.close()
+            except Exception:  # pragma: no cover - teardown best effort
+                pass
+
+
+def _add(
+    deltas: Dict[int, Dict[str, int]], shard: int, delta: Dict[str, int]
+) -> None:
+    seen = deltas.get(shard, _ZERO)
+    deltas[shard] = {k: seen[k] + delta[k] for k in _ZERO}

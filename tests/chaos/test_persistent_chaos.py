@@ -65,7 +65,6 @@ def _agg_spec(wl):
 def _supervisor(spec, plan=None, **kwargs):
     defaults = dict(
         shards=2,
-        processes=0,
         backend="columnar",
         chunk_size=64,
         checkpoint_batches=2,
@@ -230,7 +229,7 @@ class TestExecutorFallback:
         spec = _agg_spec(wl)
         packets = wl.payloads("uniform", 400)
         reference = ShardExecutor(
-            spec, shards=2, processes=1, backend="columnar"
+            spec, shards=2, backend="columnar"
         ).run(packets)
         with ShardExecutor(
             spec, shards=2, backend="columnar", persistent=True

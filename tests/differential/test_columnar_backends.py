@@ -7,8 +7,9 @@ per-packet results, digests, decoded values, raw register contents,
 statistics reports — must match byte for byte.  The same streams are
 then replayed with numpy force-disabled (:func:`force_numpy`), proving
 the pure-Python fallback is the semantic reference, and through the
-multiprocess :class:`ShardExecutor`, proving the partition/fold algebra
-reconstructs single-switch state exactly.
+sharded :class:`ShardExecutor`, proving the partition/fold algebra
+reconstructs single-switch state exactly (the ring-worker transport has
+its own differential, ``test_persistent_backend.py``).
 """
 
 import pytest
@@ -168,7 +169,7 @@ def test_numpy_and_fallback_agree(seed):
     assert vec.stats_report(APP_ID) == plain.stats_report(APP_ID)
 
 
-# -- multiprocess shard executor --------------------------------------------
+# -- shard executor ----------------------------------------------------------
 
 
 def _agg_spec(wl):
@@ -207,10 +208,9 @@ def test_shard_executor_agg_matches_single_switch(seed, backend):
     for p in payloads:
         single.process_packet(p)
     executor = ShardExecutor(
-        _agg_spec(wl), shards=3, processes=1, backend=backend
+        _agg_spec(wl), shards=3, backend=backend
     )
     result = executor.run(payloads)
-    assert not result.used_pool
     assert result.total_packets == len(payloads)
     assert result.snapshot == single.merge(APP_ID)
     assert result.report == single.report(APP_ID)
@@ -226,51 +226,12 @@ def test_shard_executor_lark_matches_single_switch(seed):
     for cid in wl.cids("zipfian", PACKETS):
         single.process_quic_packet(cid)
     executor = ShardExecutor(
-        _lark_spec(wl), shards=4, processes=1, backend="columnar"
+        _lark_spec(wl), shards=4, backend="columnar"
     )
     result = executor.run(cids)
     stats = single._apps[APP_ID].stats
     assert result.snapshot == stats.snapshot()
     assert result.report == single.stats_report(APP_ID)
-
-
-def test_shard_executor_pool_matches_sequential():
-    """A real spawn pool produces exactly the sequential result; when
-    the pool cannot be created the executor falls back transparently."""
-    wl = DifferentialWorkload(23)
-    payloads = wl.payloads("uniform", PACKETS)
-    spec = _agg_spec(wl)
-    sequential = ShardExecutor(spec, shards=2, processes=1).run(payloads)
-    pooled = ShardExecutor(
-        spec, shards=2, processes=2, pool_timeout_s=120.0
-    ).run(payloads)
-    if pooled.used_pool:
-        assert pooled.snapshot == sequential.snapshot
-        assert pooled.report == sequential.report
-        assert pooled.shard_packets == sequential.shard_packets
-    else:
-        # Pool unavailable in this environment: the fallback must have
-        # recorded why and still produced the sequential result.
-        assert pooled.snapshot == sequential.snapshot
-
-
-def test_shard_executor_falls_back_when_pool_creation_fails(monkeypatch):
-    """Any pool-creation failure degrades to in-process execution."""
-    import multiprocessing
-
-    def boom(method):
-        raise OSError("no process spawning here")
-
-    monkeypatch.setattr(multiprocessing, "get_context", boom)
-    wl = DifferentialWorkload(37)
-    payloads = wl.payloads("uniform", 120)
-    spec = _agg_spec(wl)
-    executor = ShardExecutor(spec, shards=2, processes=2)
-    result = executor.run(payloads)
-    assert not result.used_pool
-    assert executor.last_error is not None
-    reference = ShardExecutor(spec, shards=2, processes=1).run(payloads)
-    assert result.snapshot == reference.snapshot
 
 
 # -- testbed adaptive backend ------------------------------------------------

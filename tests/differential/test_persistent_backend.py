@@ -63,7 +63,7 @@ def _observables(result):
 
 def _inline(spec, packets, shards, backend):
     executor = ShardExecutor(
-        spec, shards=shards, processes=1, backend=backend, chunk_size=96
+        spec, shards=shards, backend=backend, chunk_size=96
     )
     return _observables(executor.run(packets))
 

@@ -71,7 +71,6 @@ def _supervisor(spec, backend="columnar", placement=None, shards=2,
     return ShardSupervisor(
         spec,
         shards=shards,
-        processes=0,
         backend=backend,
         chunk_size=32,
         checkpoint_batches=2,
@@ -197,12 +196,12 @@ class TestExecutorPlacement:
         spec = _agg_spec(wl)
         packets = wl.payloads("zipfian", PACKETS)
         base = ShardExecutor(
-            spec, shards=2, processes=1, backend="columnar",
+            spec, shards=2, backend="columnar",
             chunk_size=96,
         ).run(packets)
         pmap = PartitionMap(shards=2)
         executor = ShardExecutor(
-            spec, processes=1, backend="columnar", chunk_size=96,
+            spec, backend="columnar", chunk_size=96,
             placement=pmap,
         )
         default_map = executor.run(packets)

@@ -6,10 +6,11 @@ degradations produces **byte-identical** snapshots and reports to the
 fault-free :class:`ShardExecutor` reference — and the recovery replays
 only the failed epoch's tail, never the whole stream.
 
-Everything here runs with ``processes=0`` (in-process dispatch through
-the *same* worker function the pool uses) so the assertions are exact
-and deterministic; one pool test exercises the multiprocess path and
-tolerates the sandboxed-CI fallback.
+Almost everything here runs over the in-process transport so the
+assertions are exact and cheap; one parametrised case drives the same
+scripted kill through both transports (in-process, ring-fed workers)
+and both placements (static, elastic) and pins what may never differ
+between them.
 """
 
 import pytest
@@ -19,6 +20,8 @@ from repro.core.aggregation import ForwardingMode
 from repro.obs.registry import MetricsRegistry
 from repro.testbed.executor import ShardExecutor, ShardSpec
 from repro.testbed.fastpath import BENCH_APP_ID, FastpathFixture
+from repro.testbed.placement import PlacementController
+from repro.testbed.shm_ring import shared_memory_available
 from repro.testbed.supervisor import ShardSupervisor
 
 SEEDS = (3, 19, 71)
@@ -71,7 +74,6 @@ def _agg_payloads(fixture, packets=400):
 def _supervisor(spec, plan=None, **kwargs):
     defaults = dict(
         shards=3,
-        processes=0,
         backend="columnar",
         chunk_size=32,
         checkpoint_batches=2,
@@ -94,7 +96,7 @@ class TestFaultFreeEquivalence:
         stream = _stream(fixture)
         spec = _lark_spec(fixture)
         reference = ShardExecutor(
-            spec, shards=3, processes=1, backend=backend, chunk_size=64
+            spec, shards=3, backend=backend, chunk_size=64
         ).run(stream)
         supervised = _supervisor(spec, backend=backend).run(stream)
         assert supervised.snapshot == reference.snapshot
@@ -109,7 +111,7 @@ class TestFaultFreeEquivalence:
         payloads = _agg_payloads(fixture)
         spec = _agg_spec(fixture)
         reference = ShardExecutor(
-            spec, shards=3, processes=1, backend="columnar", chunk_size=64
+            spec, shards=3, backend="columnar", chunk_size=64
         ).run(payloads)
         supervised = _supervisor(spec).run(payloads)
         assert supervised.snapshot == reference.snapshot
@@ -242,7 +244,7 @@ class TestScriptedDegradation:
         assert faulted.crashes == 1
 
 
-class TestValidationAndPool:
+class TestValidation:
     def test_lark_dedup_is_rejected(self):
         fixture = FastpathFixture(num_users=50, seed=3)
         spec = _lark_spec(fixture, dedup=True)
@@ -259,30 +261,95 @@ class TestValidationAndPool:
         with pytest.raises(ValueError):
             ShardSupervisor(spec, checkpoint_batches=0)
 
-    def test_pool_path_matches_inline(self):
-        """Multiprocess dispatch — or, on hosts where spawn pools are
-        unavailable, the supervised inline fallback — must land on the
-        same snapshot.  Which path ran is reported, not assumed."""
+
+class TestOneLoopEveryMode:
+    """{static, elastic} x {in-process, ring workers} under the same
+    scripted kill: the merged snapshot is the same everywhere, every
+    packet is folded exactly once whatever the placement history, and
+    a static crash replays at most one epoch."""
+
+    @pytest.mark.parametrize("elastic", [False, True],
+                             ids=["static", "elastic"])
+    @pytest.mark.parametrize(
+        "persistent",
+        [
+            False,
+            pytest.param(
+                True,
+                marks=pytest.mark.skipif(
+                    not shared_memory_available(),
+                    reason="POSIX shared memory unavailable",
+                ),
+            ),
+        ],
+        ids=["inline", "workers"],
+    )
+    def test_scripted_kill_is_invisible(self, elastic, persistent):
+        fixture = FastpathFixture(num_users=150, seed=19)
+        stream = _stream(fixture)
+        spec = _lark_spec(fixture)
+        reference = _supervisor(spec, shards=2).run(stream)
+        controller = (
+            PlacementController(
+                shards=2,
+                target_imbalance=1.05,
+                rebalance_margin=0.05,
+                cooldown_epochs=0,
+                registry=MetricsRegistry(),
+            )
+            if elastic
+            else None
+        )
+        supervisor = _supervisor(
+            spec,
+            shards=2,
+            plan=ShardFaultPlan(seed=19).kill_shard(1, at_batch=2),
+            persistent=persistent,
+            placement=controller,
+            job_timeout_s=30.0,
+        )
+        result = supervisor.run(stream)
+        assert result.used_workers == persistent, result.fallback_cause
+        assert result.snapshot == reference.snapshot
+        assert result.report == reference.report
+        # Conservation under any placement history.
+        assert sum(result.shard_packets) == len(stream)
+        assert result.crashes == 1
+        if persistent:
+            assert result.worker_respawns == 1
+        if elastic:
+            assert len(result.map_versions) >= 2
+        else:
+            assert (
+                0
+                < result.recovered_packets
+                <= result.crashes * supervisor.epoch_size
+            )
+
+    def test_unavailable_workers_fall_back_with_a_cause(self, monkeypatch):
+        """No spawn, no shared memory: the run completes in-process,
+        says so, and says why."""
+        import multiprocessing
+
+        def _broken(method):
+            raise OSError("no process spawning here")
+
+        monkeypatch.setattr(multiprocessing, "get_context", _broken)
         fixture = FastpathFixture(num_users=100, seed=21)
         stream = _stream(fixture, packets=300)
         spec = _lark_spec(fixture)
         inline = _supervisor(spec, chunk_size=64).run(stream)
-        supervisor = _supervisor(
-            spec,
-            chunk_size=64,
-            processes=2,
-            job_timeout_s=30.0,
-            max_retries=0,
-        )
-        pooled = supervisor.run(stream)
-        assert pooled.snapshot == inline.snapshot
-        assert pooled.report == inline.report
-        if not pooled.used_pool:
-            assert pooled.fallback_cause or pooled.timeouts >= 0
+        supervisor = _supervisor(spec, chunk_size=64, persistent=True)
+        result = supervisor.run(stream)
+        assert not result.used_workers
+        assert result.fallback_cause
+        assert result.snapshot == inline.snapshot
+        assert result.report == inline.report
+        assert supervisor.registry.value("supervisor.worker_fallbacks") == 1
 
 
 class TestExecutorFallbackCause:
-    def test_pool_failure_surfaces_cause_and_counter(self, monkeypatch):
+    def test_worker_failure_surfaces_cause_and_counter(self, monkeypatch):
         import multiprocessing
 
         fixture = FastpathFixture(num_users=100, seed=31)
@@ -295,22 +362,25 @@ class TestExecutorFallbackCause:
         monkeypatch.setattr(multiprocessing, "get_context", _broken)
         registry = MetricsRegistry()
         executor = ShardExecutor(
-            spec, shards=2, processes=2, backend="batch", registry=registry
+            spec, shards=2, backend="batch", registry=registry,
+            persistent=True,
         )
         result = executor.run(stream)
-        assert not result.used_pool
+        assert not result.used_workers
         assert result.fallback_cause is not None
-        assert "OSError" in result.fallback_cause
         assert executor.last_error == result.fallback_cause
-        assert registry.value("shard_executor.pool_fallbacks") == 1
+        assert registry.value("shard_executor.worker_fallbacks") == 1
+        reference = ShardExecutor(spec, shards=2, backend="batch").run(stream)
+        assert result.snapshot == reference.snapshot
+        assert result.report == reference.report
 
     def test_sequential_run_has_no_fallback_cause(self):
         fixture = FastpathFixture(num_users=100, seed=31)
         stream = _stream(fixture, packets=200)
         spec = _lark_spec(fixture)
         result = ShardExecutor(
-            spec, shards=2, processes=1, backend="batch",
+            spec, shards=2, backend="batch",
             registry=MetricsRegistry(),
         ).run(stream)
-        assert not result.used_pool
+        assert not result.used_workers
         assert result.fallback_cause is None
