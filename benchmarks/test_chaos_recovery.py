@@ -1,7 +1,7 @@
 """Crash-recovery overhead of the supervised shard runtime.
 
 Drives :func:`repro.testbed.chaos_bench.run_chaos_bench`: for each of
-three seeds and all three execution backends, one hash-partitioned
+three seeds and both execution backends, one hash-partitioned
 stream runs through the :class:`ShardSupervisor` fault-free and again
 with a scripted single-shard crash plus a mid-run backend degradation.
 The acceptance invariants are hard assertions, and the measured

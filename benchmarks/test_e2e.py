@@ -2,7 +2,7 @@
 
 Unlike ``benchmarks/test_columnar.py`` (switch kernels on a pre-built
 CID stream), this drives the *entire* ingest pipeline per backend —
-event generation, cookie encode (cached for batch/columnar), lark,
+event generation, cookie encode (cached for columnar), lark,
 agg, verification — via ``repro.testbed.pipeline.StreamingPipeline``,
 and records the comparison into ``BENCH_e2e.json`` at the repo root.
 The scalar backend is the pre-optimization baseline (uncached
@@ -66,7 +66,6 @@ def test_e2e_ingest(benchmark):
         fh.write("\n")
     attach(
         benchmark,
-        batch_vs_scalar=result["speedup_vs_scalar"]["batch"],
         columnar_vs_scalar=result["speedup_vs_scalar"]["columnar"],
         persistent_vs_scalar=result["speedup_vs_scalar"].get("persistent"),
         events=result["events"],
@@ -76,9 +75,9 @@ def test_e2e_ingest(benchmark):
     assert result["reports_match"], "backends produced different reports"
     assert result["verified"], "report disagrees with workload ground truth"
     if not numpy_enabled():
-        # Without numpy the cookie cache and the batch dispatch still
-        # help, but the vectorized kernels fall back to scalar loops;
-        # identity holds but the speedup bar is numpy-path-only.
+        # Without numpy the cookie cache and the grouped folds still
+        # help, but the kernels run their Python forms; identity holds
+        # but the speedup bar is numpy-path-only.
         return
     best = max(
         result["speedup_vs_scalar"][b] for b in ran if b != "scalar"

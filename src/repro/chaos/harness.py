@@ -127,11 +127,11 @@ class ChaosHarness:
             raise ValueError("duration and period must be positive")
         if verify_every_periods < 1:
             raise ValueError("verify_every_periods must be >= 1")
-        if backend not in ("scalar", "batch", "columnar"):
+        if backend not in ("scalar", "columnar"):
             raise ValueError("unknown backend %r" % backend)
         # Which switch entry points the data plane exercises.  Events
-        # arrive one at a time from the simulator, so the fast paths
-        # see single-packet batches — bit-identical to the scalar loop
+        # arrive one at a time from the simulator, so the fast path
+        # sees single-packet batches — bit-identical to the scalar loop
         # (the differential suite proves it), which is exactly why the
         # fingerprint must not change across backends.
         self.backend = backend
@@ -283,9 +283,7 @@ class ChaosHarness:
         self._m_events.inc()
         if self.lark.alive:
             cid = self._transport_codec.encode({"region": region})
-            if self.backend == "batch":
-                self.lark.process_quic_batch([cid])
-            elif self.backend == "columnar":
+            if self.backend == "columnar":
                 self.lark.process_quic_columnar([cid])
             else:
                 self.lark.process_quic_packet(cid)
@@ -326,9 +324,7 @@ class ChaosHarness:
             self.reports_dropped_at_agg += 1
             self._m_reports_dropped.inc()
             return
-        if self.backend == "batch":
-            self.agg.process_batch([packet.payload])
-        elif self.backend == "columnar":
+        if self.backend == "columnar":
             self.agg.process_columnar([packet.payload])
         else:
             self.agg.process_packet(packet.payload)

@@ -23,7 +23,7 @@ Two injection mechanisms, both deterministic:
 
 ``degrade_backend(at_epoch, to)`` additionally scripts a *controller*
 action: from ``at_epoch`` on, the supervisor dispatches epoch jobs on
-a lower execution backend (columnar -> batch -> scalar).  Backends are
+the other execution backend (columnar -> scalar).  Backends are
 bit-identical (the differential suite proves it), so a mid-run
 degradation must not change a single register cell — the chaos bench
 asserts exactly that.
@@ -80,8 +80,8 @@ class ShardFaultPlan:
 
     def degrade_backend(self, at_epoch: int, to: str) -> "ShardFaultPlan":
         """Script a controller degradation: epochs >= ``at_epoch`` run
-        on backend ``to`` (must be one of scalar/batch/columnar)."""
-        if to not in ("scalar", "batch", "columnar"):
+        on backend ``to`` (``scalar`` or ``columnar``)."""
+        if to not in ("scalar", "columnar"):
             raise ValueError("unknown backend %r" % to)
         if at_epoch < 0:
             raise ValueError("at_epoch must be >= 0")

@@ -7,9 +7,9 @@ Subcommands mirror the evaluation:
 * ``breakdown`` — the Figure-1 time-cost breakdown;
 * ``testbed``   — one end-to-end DES run (scheme, INSA, rate, ...);
 * ``measure``   — the synthetic measurement campaign summary;
-* ``bench``     — data-plane throughput: scalar vs one fast path
-  (``--backend batch|columnar``), the three-way ``--compare`` mode
-  that writes ``BENCH_columnar.json``, the whole-run ``--e2e``
+* ``bench``     — data-plane throughput: scalar vs the columnar fast
+  path (``--compare`` adds best-of-N rounds, writes
+  ``BENCH_columnar.json`` and gates on it), the whole-run ``--e2e``
   ingest benchmark that writes ``BENCH_e2e.json`` (add ``--profile
   PATH`` for a cProfile dump), the ``--chaos`` crash-recovery
   benchmark on the supervised shard runtime that writes
@@ -184,11 +184,7 @@ def _cmd_bench(args, out) -> int:
     import json
 
     from repro.core.aggregation import ForwardingMode
-    from repro.testbed.fastpath import (
-        BACKENDS,
-        run_backend_bench,
-        run_fastpath_bench,
-    )
+    from repro.testbed.fastpath import BACKENDS, run_backend_bench
 
     mode = (
         ForwardingMode.PERIODICAL if args.mode == "periodical"
@@ -440,91 +436,55 @@ def _cmd_bench(args, out) -> int:
             out.write("FAIL: recovery replayed more than the epoch tail\n")
             return 1
         return 0
-    if args.compare:
-        # Three-way backend comparison; the columnar path must not
-        # regress below the batch path on the periodical workload.
-        result = run_backend_bench(
-            packets=args.packets,
-            num_users=args.users,
-            mode=mode,
-            batch_size=args.batch_size,
-            shards=args.shards,
-            seed=args.seed,
-            repeats=args.repeats,
-        )
-        out.write(
-            "backend compare: %d packets, %d users, mode=%s, batch=%d, "
-            "best of %d\n"
-            % (result["packets"], result["unique_users"], args.mode,
-               result["batch_size"], result["repeats"])
-        )
-        rows = []
-        for section in ("lark", "agg"):
-            data = result[section]
-            rows.append(
-                [section]
-                + ["%.0f" % data[b]["packets_per_second"] for b in BACKENDS]
-                + ["%.2fx" % data["columnar_vs_batch"],
-                   "yes" if data["reports_match"] else "NO"]
-            )
-        _print_rows(
-            ["path", "scalar pkts/s", "batch pkts/s", "columnar pkts/s",
-             "col/batch", "match"],
-            rows, out,
-        )
-        json_path = args.json or "BENCH_columnar.json"
-        with open(json_path, "w") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        out.write("\nwrote %s\n" % json_path)
-        if not (result["lark"]["reports_match"]
-                and result["agg"]["reports_match"]):
-            out.write("FAIL: backend reports disagree\n")
-            return 1
-        if (args.mode == "periodical"
-                and result["lark"]["columnar_vs_batch"] < 1.0):
-            out.write(
-                "FAIL: columnar lark path slower than batch (%.2fx)\n"
-                % result["lark"]["columnar_vs_batch"]
-            )
-            return 1
-        return 0
-
-    result = run_fastpath_bench(
+    # Scalar vs columnar switch kernels on one seeded stream.  Plain
+    # `bench` is a single round; --compare takes best of --repeats,
+    # records BENCH_columnar.json and gates on the outcome.
+    result = run_backend_bench(
         packets=args.packets,
         num_users=args.users,
         mode=mode,
         batch_size=args.batch_size,
         shards=args.shards,
         seed=args.seed,
-        backend=args.backend,
+        repeats=args.repeats if args.compare else 1,
+    )
+    out.write(
+        "backend compare: %d packets, %d users, mode=%s, batch=%d, "
+        "shards=%d, best of %d\n"
+        % (result["packets"], result["unique_users"], args.mode,
+           result["batch_size"], args.shards, result["repeats"])
     )
     rows = []
     for section in ("lark", "agg"):
         data = result[section]
-        rows.append([
-            section,
-            "%.0f" % data["scalar"]["packets_per_second"],
-            "%.0f" % data["batch"]["packets_per_second"],
-            "%.2fx" % data["speedup"],
-            "yes" if data["reports_match"] else "NO",
-        ])
-    out.write(
-        "fast path: %d packets, %d users, mode=%s, batch=%d, shards=%d, "
-        "backend=%s\n"
-        % (result["packets"], result["unique_users"], args.mode,
-           result["batch_size"], args.shards, args.backend)
-    )
+        rows.append(
+            [section]
+            + ["%.0f" % data[b]["packets_per_second"] for b in BACKENDS]
+            + ["%.2fx" % data["speedup"],
+               "yes" if data["reports_match"] else "NO"]
+        )
     _print_rows(
-        ["path", "scalar pkts/s", "%s pkts/s" % args.backend, "speedup",
-         "match"],
+        ["path", "scalar pkts/s", "columnar pkts/s", "speedup", "match"],
         rows, out,
     )
-    if args.json:
-        with open(args.json, "w") as fh:
+    json_path = args.json or ("BENCH_columnar.json" if args.compare else None)
+    if json_path:
+        with open(json_path, "w") as fh:
             json.dump(result, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        out.write("\nwrote %s\n" % args.json)
+        out.write("\nwrote %s\n" % json_path)
+    if not args.compare:
+        return 0
+    if not (result["lark"]["reports_match"]
+            and result["agg"]["reports_match"]):
+        out.write("FAIL: backend reports disagree\n")
+        return 1
+    if args.mode == "periodical" and result["lark"]["speedup"] < 1.0:
+        out.write(
+            "FAIL: columnar lark path slower than scalar (%.2fx)\n"
+            % result["lark"]["speedup"]
+        )
+        return 1
     return 0
 
 
@@ -597,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="scalar-vs-batch data-plane throughput comparison",
+        help="scalar-vs-columnar data-plane throughput comparison",
     )
     p.add_argument("--packets", type=int, default=20000)
     p.add_argument("--users", type=int, default=2000)
@@ -607,16 +567,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--backend",
-                   choices=["scalar", "batch", "columnar", "persistent"],
-                   default="batch",
-                   help="fast path to measure against scalar; "
-                        "persistent is the streaming pipeline's "
-                        "ring-worker tier, so only --e2e --profile and "
-                        "--scale take it")
+                   choices=["scalar", "columnar", "persistent"],
+                   default="columnar",
+                   help="pipeline backend for --e2e --profile and "
+                        "--scale (persistent is the streaming "
+                        "pipeline's ring-worker tier)")
     p.add_argument("--compare", action="store_true",
-                   help="three-way scalar/batch/columnar comparison; "
-                        "writes BENCH_columnar.json and exits nonzero "
-                        "if columnar is slower than batch")
+                   help="scalar-vs-columnar comparison, best of "
+                        "--repeats; writes BENCH_columnar.json and "
+                        "exits nonzero if reports disagree or columnar "
+                        "is slower than scalar")
     p.add_argument("--repeats", type=int, default=3,
                    help="interleaved best-of-N rounds for --compare/--e2e")
     p.add_argument("--placement", action="store_true",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.aggregation import (
     AggregationCodec,
@@ -35,7 +35,7 @@ from repro.core.stats import (
 )
 from repro.crypto.aes import decrypt_cbc_many
 from repro.obs.registry import MetricsRegistry
-from repro.switch.columns import PacketColumns, get_numpy
+from repro.switch.columns import PacketColumns, match_rows
 from repro.switch.hashing import crc32, crc32_many
 from repro.switch.pipeline import (
     AES_PASS_LATENCY_MS,
@@ -142,12 +142,6 @@ class AggSwitch:
         # Known-good program shape for the columnar backend, cached as
         # (program version, match-table version).
         self._columnar_plan: Optional[Tuple[int, int]] = None
-        # Batch-scoped pre-decode results (payload -> packet), set by
-        # process_batch so _action_merge can skip the per-packet AES
-        # decrypt; None outside a batch.
-        self._batch_decode_cache: Optional[
-            Dict[bytes, AggregationPacket]
-        ] = None
 
     # -- controller RPC surface ---------------------------------------------
 
@@ -292,8 +286,9 @@ class AggSwitch:
             # garbage item stack; both helpers below are pure, so
             # failing here leaves the bank untouched and the caller
             # books a decode failure instead of an exception — crucial
-            # in a batch, where a raise after earlier packets folded
-            # would force the caller to replay (and double-count) them.
+            # in a columnar batch, where a raise after earlier packets
+            # folded would force the caller to replay (and
+            # double-count) them.
             mins = min_array_names(app.specs)
             try:
                 incoming = unflatten_snapshot(
@@ -319,27 +314,18 @@ class AggSwitch:
         app = self._apps[params["app_id"]]
         pipeline.charge_latency(AES_PASS_LATENCY_MS)  # AES decrypt
         payload = phv["payload"]
-        cache = self._batch_decode_cache
-        packet = cache.get(payload) if cache is not None else None
-        if packet is None:
-            # Not pre-decoded (scalar path, unhashable payload, or a
-            # decode failure — re-decoding the failure reproduces the
-            # scalar error accounting exactly).
-            try:
-                packet = app.codec.decode(payload)
-            except ValueError:
-                phv.metadata["decode_failed"] = True
-                self._m_decode_failures.inc()
-                return
+        try:
+            packet = app.codec.decode(payload)
+        except ValueError:
+            phv.metadata["decode_failed"] = True
+            self._m_decode_failures.inc()
+            return
         report = self._fold_packet(app, payload, packet)
         if report is None:
             phv.metadata["decode_failed"] = True
             self._m_decode_failures.inc()
             return
         phv.metadata["merged_app"] = app.app_id
-        # Snapshot the merged report *now*: in a batch, later packets
-        # keep mutating the registers, but each packet's AggResult must
-        # reflect the state at its own merge point (scalar semantics).
         phv.metadata["forward_report"] = report
 
     def _write_snapshot(
@@ -362,80 +348,6 @@ class AggSwitch:
             {"sid": sid, "app_id": app_id, "payload": payload}
         )
         return self._to_agg_result(result)
-
-    def process_batch(self, payloads: Sequence[bytes]) -> List[AggResult]:
-        """Inspect a batch of packets via the compiled fast path.
-
-        Results and register state are bit-identical to calling
-        :meth:`process_packet` once per element in order.
-        """
-        if not self.alive:
-            return [
-                AggResult(is_aggregation=False, merged=False, latency_ms=0.0)
-                for _ in payloads
-            ]
-        def header_fields() -> Iterator[Dict[str, Any]]:
-            # One dict reused across the whole batch (PHV copies it):
-            # per-packet dict churn here is what made large batches
-            # GC-bound and slower than the scalar loop.
-            fields: Dict[str, Any] = {}
-            for payload in payloads:
-                fields["sid"] = (
-                    int.from_bytes(payload[0:2], "big") if len(payload) >= 2
-                    else 0
-                )
-                fields["app_id"] = payload[2] if len(payload) >= 3 else -1
-                fields["payload"] = payload
-                yield fields
-
-        self._m_packets.inc(len(payloads))
-        out: List[AggResult] = []
-        convert = self._to_agg_result
-        self._batch_decode_cache = self._predecode(payloads)
-        try:
-            self.pipeline.process_batch(
-                header_fields(),
-                sink=lambda result: out.append(convert(result)),
-            )
-        finally:
-            self._batch_decode_cache = None
-        return out
-
-    def _predecode(
-        self, payloads: Sequence[bytes]
-    ) -> Dict[bytes, AggregationPacket]:
-        """One batched CBC pass over every decodable payload in the
-        batch (:func:`decrypt_cbc_many`), keyed by payload bytes for
-        :meth:`_action_merge` to consume.  Only successful decodes are
-        cached; failures fall through to the scalar ``codec.decode``
-        so error paths and metrics stay bit-identical."""
-        groups: Dict[int, List[bytes]] = {}
-        for payload in payloads:
-            if (
-                isinstance(payload, bytes)
-                and len(payload) >= 4 + 16 + 16
-                and int.from_bytes(payload[0:2], "big") == SNATCH_SID
-                and payload[2] in self._apps
-            ):
-                groups.setdefault(payload[2], []).append(payload)
-        cache: Dict[bytes, AggregationPacket] = {}
-        for app_id, subs in groups.items():
-            codec = self._apps[app_id].codec
-            bodies = decrypt_cbc_many(
-                codec.aes,
-                [p[4:20] for p in subs],
-                [p[20:] for p in subs],
-            )
-            for payload, body in zip(subs, bodies):
-                if body is None:
-                    continue
-                try:
-                    cache[payload] = codec.packet_from_body(
-                        body, payload[3]
-                    )
-                except ValueError:
-                    pass
-        return cache
 
     # -- columnar fast path -------------------------------------------------
 
@@ -469,45 +381,51 @@ class AggSwitch:
     def process_columnar(self, payloads: Sequence[bytes]) -> List[AggResult]:
         """Columnar fast path over a batch of analytics-bound packets.
 
-        Bit-identical to :meth:`process_batch`: header fields and shard
-        hashes are extracted as columns, every matched payload's CBC
-        body is decrypted in one batched AES pass, and the folds run
-        sequentially in packet order (each forward report reflects the
-        merged state at that packet's own merge point).  Falls back to
-        :meth:`process_batch` when numpy is gated off or the pipeline
-        shape changed under us.
+        Bit-identical to calling :meth:`process_packet` once per
+        element in order: header fields and shard hashes are extracted
+        as columns, every matched payload's CBC body is decrypted in
+        one batched AES pass, and the folds run sequentially in packet
+        order (each forward report reflects the merged state at that
+        packet's own merge point).  The column, CRC and AES kernels
+        each pick their numpy or Python form; only a reshaped pipeline
+        leaves this path, for the interpreter.
         """
         if not self.alive:
             return [
                 AggResult(is_aggregation=False, merged=False, latency_ms=0.0)
                 for _ in payloads
             ]
-        np = get_numpy()
-        if np is None or not payloads or not self._columnar_ready():
-            return self.process_batch(payloads)
-        raws = [bytes(p) for p in payloads]
-        n = len(raws)
+        if not self._columnar_ready():
+            return [self.process_packet(bytes(p)) for p in payloads]
+        columns = (
+            payloads if isinstance(payloads, PacketColumns)
+            else PacketColumns(payloads)
+        )
+        raws = columns.raw
+        n = columns.n
         pipe = self.pipeline
         self._m_packets.inc(n)
         pipe.packets_processed += n
         pipe._m_packets.inc(n)
         table = self._match_table
         table.lookups += n
-        columns = PacketColumns(raws)
         sids = columns.be16_column(0, default=0)
         app_ids = columns.byte_column(2, default=-1)
         shard_column = None
         if self.shards > 1:
-            shard_column = crc32_many(columns) % self.shards
+            crcs = crc32_many(columns)
+            if not isinstance(crcs, list):
+                crcs = crcs.tolist()
+            shard_column = [crc % self.shards for crc in crcs]
         assignments: List[Optional[_AggApp]] = [None] * n
         packets: List[Optional[AggregationPacket]] = [None] * n
         hit_count = 0
         for app_id, app in self._apps.items():
-            idxs = np.nonzero((sids == SNATCH_SID) & (app_ids == app_id))[0]
-            if idxs.size == 0:
+            idxs = match_rows((sids, app_ids), (SNATCH_SID, app_id))
+            if not idxs:
                 continue
-            hit_count += int(idxs.size)
-            sub = [raws[int(i)] for i in idxs]
+            hit_count += len(idxs)
+            sub = [raws[i] for i in idxs]
             # One batched CBC pass over every long-enough payload; the
             # header checks the scalar decode performs are already
             # guaranteed by the match mask.
@@ -522,7 +440,6 @@ class AggSwitch:
             )
             body_at = dict(zip(positions, bodies))
             for j, i in enumerate(idxs):
-                i = int(i)
                 assignments[i] = app
                 body = body_at.get(j)
                 if body is None:
@@ -560,9 +477,7 @@ class AggSwitch:
             packet = packets[i]
             report = None
             if packet is not None:
-                shard = (
-                    int(shard_column[i]) if shard_column is not None else 0
-                )
+                shard = shard_column[i] if shard_column is not None else 0
                 report = self._fold_packet(
                     app, raws[i], packet, shard=shard
                 )

@@ -25,13 +25,14 @@ invariants:
   mid-run rekey or version update never serves a cookie minted under
   the superseded key (hook up via
   ``SnatchController.attach_client(cache)``).
-* **Batch = columnar** — ``encode_batch`` and ``encode_columns``
-  resolve blocks and draw the per-packet framing bytes in exactly the
-  same order, so from the same RNG state and cache contents they emit
-  byte-identical wire cookies.  (A *warm* batch is also byte-identical
-  to sequential ``encode`` calls; on misses the batch draws padding in
-  one ``getrandbits`` call per block ahead of the framing bytes, which
-  only changes random bits that nothing downstream decodes.)
+* **Gate-independent wire bytes** — ``encode_columns`` resolves
+  blocks and draws the per-packet framing bytes in the same order
+  with the numpy gate open or closed, so from the same RNG state and
+  cache contents it emits byte-identical wire cookies.  (A *warm*
+  batch is also byte-identical to sequential ``encode`` calls; on
+  misses the batch draws padding in one ``getrandbits`` call per block
+  ahead of the framing bytes, which only changes random bits that
+  nothing downstream decodes.)
 """
 
 from __future__ import annotations
@@ -337,28 +338,18 @@ class CookieEncodeCache:
             self._store(key, block)
         return self._codec.assemble(block)
 
-    def encode_batch(
-        self,
-        keys: Sequence[Hashable],
-        values_fn: Callable[[int], Dict[str, Any]],
-    ) -> List[ConnectionID]:
-        """Wire cookies for a whole batch: resolve the encrypted blocks
-        (one AES pass over the misses), then assemble per-packet
-        framing in packet order."""
-        blocks = self._resolve_blocks(keys, values_fn)
-        return [self._codec.assemble(block) for block in blocks]
-
     def encode_columns(
         self,
         keys: Sequence[Hashable],
         values_fn: Callable[[int], Dict[str, Any]],
     ):
-        """Like :meth:`encode_batch` but emits a
-        :class:`~repro.switch.columns.PacketColumns` matrix directly
-        (no per-packet ``ConnectionID`` objects), byte-identical to the
-        batch path: same block resolution, same framing draws (DCID,
-        then the two DCID-R2 bytes, per packet in order).  Falls back
-        to row assembly when the numpy gate is closed."""
+        """Wire cookies for a whole batch as a
+        :class:`~repro.switch.columns.PacketColumns` (no per-packet
+        ``ConnectionID`` objects; ``.raw`` gives the rows): resolve the
+        encrypted blocks (one AES pass over the misses), then draw the
+        framing bytes (DCID, then the two DCID-R2 bytes) per packet in
+        order.  Rows are assembled one by one when the numpy gate is
+        closed, as one matrix otherwise."""
         from repro.switch.columns import PacketColumns, get_numpy
 
         blocks = self._resolve_blocks(keys, values_fn)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.aggregation import (
     AggregationCodec,
@@ -45,7 +45,12 @@ from repro.crypto.aes import decrypt_blocks_many
 from repro.obs.registry import MetricsRegistry
 from repro.quic.connection_id import ConnectionID, MAX_CONNECTION_ID_BYTES
 from repro.switch.bloom import BloomFilter
-from repro.switch.columns import PacketColumns, get_numpy, group_rows
+from repro.switch.columns import (
+    PacketColumns,
+    group_counts,
+    group_rows,
+    match_rows,
+)
 from repro.switch.pipeline import (
     AES_PASS_LATENCY_MS,
     Digest,
@@ -143,12 +148,14 @@ class LarkSwitch:
         )
         self.pipeline.add_table(stage=0, table=self._app_table)
         self.pipeline.register_action("snatch_decode", self._action_decode)
-        # Decode memo for the batch fast path, keyed on the preserved
-        # connection-ID region.  It persists across batches (decode is
-        # pure given an app's codec) and is invalidated on any
-        # control-plane change to an app's key/schema; the scalar path
-        # never consults it.  ``_batch_decode_cache`` points at the
-        # memo only while a batch is in flight.
+        # Decode memo for the columnar path, keyed on the preserved
+        # connection-ID region (bytes [1, 18) fully determine the
+        # decode — the Snatch CID policy regenerates only bytes 0 and
+        # 18-19 across connections — so a repeat visitor costs one dict
+        # probe instead of an AES pass).  It persists across batches
+        # (decode is pure given an app's codec) and is invalidated on
+        # any control-plane change to an app's key/schema; the scalar
+        # path never consults it.
         # Optional bound on the memo: unbounded is fine for the small
         # demographic schemas (a few thousand distinct cookies), but a
         # per-user feature makes distinct cookies grow with the user
@@ -160,9 +167,6 @@ class LarkSwitch:
         self._decode_memo: Dict[
             Tuple[int, int, bytes], Optional[Dict[str, Any]]
         ] = {}
-        self._batch_decode_cache: Optional[
-            Dict[Tuple[int, int, bytes], Optional[Dict[str, Any]]]
-        ] = None
         # Known-good program shape for the columnar backend, cached as
         # (program version, app-table version); see _columnar_ready().
         self._columnar_plan: Optional[Tuple[int, int]] = None
@@ -274,104 +278,18 @@ class LarkSwitch:
 
     # -- data plane -----------------------------------------------------------
 
-    def _decode_values(
-        self, app: RegisteredApp, raw: bytes
-    ) -> Optional[Dict[str, Any]]:
-        """Decode the cookie block of a raw connection ID.
-
-        Batch runs memoize on the preserved region (bytes [1, 18)),
-        which fully determines the decode — the Snatch CID policy
-        regenerates only bytes 0 and 18-19 across connections — so a
-        repeat visitor costs one dict probe instead of an AES pass.
-        The *simulated* AES latency is still charged per packet by the
-        caller; only host CPU work is amortized.
-        """
-        cache = self._batch_decode_cache
-        if cache is None:
-            decoded = app.cookie_codec.try_decode(ConnectionID(raw))
-            return decoded.values if decoded is not None else None
-        memo_key = (app.app_id, len(raw), raw[1:COOKIE_BYTE_END])
-        if memo_key in cache:
-            cached = cache[memo_key]
-            # Fresh dict per packet, matching the scalar path where
-            # every decode builds its own values dict.
-            return dict(cached) if cached is not None else None
-        decoded = app.cookie_codec.try_decode(ConnectionID(raw))
-        values = decoded.values if decoded is not None else None
-        cache[memo_key] = values
-        return values
-
-    def _trim_decode_memo(self) -> None:
-        """Enforce the optional memo bound, FIFO (insertion order is
-        the only recency signal a plain dict gives us, and decode is
-        pure, so evicting a hot entry merely costs one re-decrypt)."""
-        cap = self._decode_memo_capacity
-        if cap is None:
-            return
-        memo = self._decode_memo
-        while len(memo) > cap:
-            del memo[next(iter(memo))]
-
-    def _warm_decode_memo(self, dcids: Sequence[ConnectionID]) -> None:
-        """Pre-decrypt the unique not-yet-memoized cookie regions of a
-        batch in one batched AES pass (:func:`decrypt_blocks_many`),
-        seeding the decode memo that :meth:`_decode_values` probes.
-
-        Pure cache warming: the memo entries are exactly what the lazy
-        per-packet path would have stored (decode consumes no RNG and
-        the batched kernel is bit-identical to scalar AES), so results
-        are unchanged — only the per-unique-region Python decrypt drops
-        out of the dispatch loop.
-        """
-        memo = self._decode_memo
-        apps = self._apps
-        pending_keys: List[Tuple[int, int, bytes]] = []
-        pending_blocks: List[bytes] = []
-        pending_codecs: List[TransportCookieCodec] = []
-        for dcid in dcids:
-            raw = bytes(dcid)
-            if len(raw) != MAX_CONNECTION_ID_BYTES:
-                continue
-            app = apps.get(raw[APP_ID_BYTE_INDEX])
-            if app is None:
-                continue
-            key = (app.app_id, len(raw), raw[COOKIE_BYTE_START:COOKIE_BYTE_END])
-            if key in memo:
-                continue
-            memo[key] = None  # claimed; overwritten below
-            pending_keys.append(key)
-            pending_blocks.append(raw[COOKIE_BLOCK_START:COOKIE_BYTE_END])
-            pending_codecs.append(app.cookie_codec)
-        if not pending_blocks:
-            return
-        # Typically one app per batch; group per codec so each group
-        # decrypts under its own key in a single vectorized pass.
-        by_codec: Dict[int, Tuple[TransportCookieCodec, List[int]]] = {}
-        for idx, codec in enumerate(pending_codecs):
-            by_codec.setdefault(id(codec), (codec, []))[1].append(idx)
-        for codec, indices in by_codec.values():
-            plains = decrypt_blocks_many(
-                codec.aes, [pending_blocks[i] for i in indices]
-            )
-            for i, plain in zip(indices, plains):
-                try:
-                    memo[pending_keys[i]] = codec.values_from_block(
-                        bytes(plain)
-                    )
-                except (ValueError, FeatureValueError):
-                    memo[pending_keys[i]] = None
-
     def _action_decode(
         self, pipeline: SwitchPipeline, phv: PHV, params: Dict[str, Any]
     ) -> None:
         app = self._apps[params["app_id"]]
         raw = bytes(phv["dcid"])
         pipeline.charge_latency(AES_PASS_LATENCY_MS)  # AES decrypt
-        values = self._decode_values(app, raw)
-        if values is None:
+        decoded = app.cookie_codec.try_decode(ConnectionID(raw))
+        if decoded is None:
             phv.metadata["decode_failed"] = True
             self._m_decode_failures.inc()
             return
+        values = decoded.values
         if app.users is not None:
             # Engagement counts every decoded request (dedup below only
             # shapes the distinct-count statistics, not per-user load).
@@ -447,63 +365,14 @@ class LarkSwitch:
         result = self.pipeline.process({"app_id": app_id, "dcid": raw})
         return self._to_lark_result(result)
 
-    def process_quic_batch(
-        self, dcids: Sequence[ConnectionID]
-    ) -> List[LarkResult]:
-        """Run a batch of QUIC packets through the compiled fast path.
-
-        Results are bit-identical to calling :meth:`process_quic_packet`
-        once per element in order; host-CPU work is amortized by the
-        compiled pipeline dispatch and a per-batch decode memo keyed on
-        the preserved cookie region (repeat visitors decrypt once).
-        """
-        if not self.alive:
-            return [
-                LarkResult(
-                    matched=False,
-                    forwarded_original=True,
-                    aggregation_payload=None,
-                    latency_ms=0.0,
-                )
-                for _ in dcids
-            ]
-        def header_fields() -> Iterator[Dict[str, Any]]:
-            # One dict reused across the whole batch (PHV copies it),
-            # so the dispatch loop allocates nothing per packet.
-            fields: Dict[str, Any] = {}
-            for dcid in dcids:
-                raw = bytes(dcid)
-                fields["app_id"] = (
-                    raw[APP_ID_BYTE_INDEX]
-                    if len(raw) > APP_ID_BYTE_INDEX else -1
-                )
-                fields["dcid"] = raw
-                yield fields
-
-        if len(dcids) > 1 and self._apps:
-            self._warm_decode_memo(dcids)
-        self._m_packets.inc(len(dcids))
-        out: List[LarkResult] = []
-        convert = self._to_lark_result
-        self._batch_decode_cache = self._decode_memo
-        try:
-            self.pipeline.process_batch(
-                header_fields(),
-                sink=lambda result: out.append(convert(result)),
-            )
-        finally:
-            self._batch_decode_cache = None
-            self._trim_decode_memo()
-        return out
-
     # -- columnar fast path -------------------------------------------------
 
     def _columnar_ready(self) -> bool:
         """True when the pipeline still has exactly the shape the
         columnar backend assumes: one stage holding the app table,
         whose entries all dispatch ``snatch_decode`` to a registered
-        app.  Cached on (program version, table version), the same
-        staleness check the compiled batch plan uses."""
+        app.  Cached on (program version, table version), so the
+        check is two integer compares until the control plane acts."""
         key = (self.pipeline._program_version, self._app_table.version)
         if self._columnar_plan == key:
             return True
@@ -565,7 +434,13 @@ class LarkSwitch:
                 rep = sub[firsts[group]]
                 memo[(app.app_id, len(rep), keys[group])] = values
                 out[group] = values
-        self._trim_decode_memo()
+        cap = self._decode_memo_capacity
+        if cap is not None:
+            # FIFO: insertion order is the only recency signal a plain
+            # dict gives us, and decode is pure, so evicting a hot
+            # entry merely costs one re-decrypt.
+            while len(memo) > cap:
+                del memo[next(iter(memo))]
         return out
 
     def process_quic_columnar(
@@ -573,14 +448,18 @@ class LarkSwitch:
     ) -> List[LarkResult]:
         """Columnar fast path: struct-of-arrays over the whole batch.
 
-        Bit-identical to :meth:`process_quic_batch` (itself identical
-        to the scalar path): packets are grouped by the preserved
-        cookie region, each unique cookie is decrypted once through
-        the batched AES kernel, statistics fold through vectorized
-        register scatters, and per-packet results (latencies, digests,
+        Bit-identical to calling :meth:`process_quic_packet` once per
+        element in order: packets are grouped by the preserved cookie
+        region, each unique cookie is decrypted once through the
+        batched AES kernel, statistics fold once per group with its
+        multiplicity, and per-packet results (latencies, digests,
         RNG-consuming payload encodes) are assembled in packet order.
-        Falls back to :meth:`process_quic_batch` when numpy is gated
-        off or the pipeline shape changed under us.
+        The kernels underneath (:mod:`repro.switch.columns`, AES,
+        register folds) each pick their numpy or Python form, so this
+        is the one fast path with the gate open or closed.  Only a
+        reshaped pipeline (extra stage/table/action) leaves it: then
+        the interpreter is the sole authority on what the program
+        means, and the batch runs through it packet by packet.
         """
         if not self.alive:
             return [
@@ -592,15 +471,14 @@ class LarkSwitch:
                 )
                 for _ in dcids
             ]
-        np = get_numpy()
-        if np is None or not len(dcids) or not self._columnar_ready():
-            return self.process_quic_batch(dcids)
-        if isinstance(dcids, PacketColumns):
-            # Batched ingest hands us the struct-of-arrays form directly
-            # (possibly matrix-built, rows never materialized upstream).
-            columns = dcids
-        else:
-            columns = PacketColumns([bytes(dcid) for dcid in dcids])
+        if not self._columnar_ready():
+            return [self.process_quic_packet(dcid) for dcid in dcids]
+        # Batched ingest hands us the struct-of-arrays form directly
+        # (possibly matrix-built, rows never materialized upstream).
+        columns = (
+            dcids if isinstance(dcids, PacketColumns)
+            else PacketColumns(dcids)
+        )
         raws = columns.raw
         n = columns.n
         pipe = self.pipeline
@@ -614,15 +492,16 @@ class LarkSwitch:
         assignments: List[Optional[Tuple[Dict[str, Any], int]]] = [None] * n
         hit_count = 0
         for app_id, app in self._apps.items():
-            idxs = np.nonzero(app_column == app_id)[0]
-            if idxs.size == 0:
+            idxs = match_rows((app_column,), (app_id,))
+            if not idxs:
                 continue
-            hit_count += int(idxs.size)
-            sub = [raws[int(i)] for i in idxs]
+            hit_count += len(idxs)
+            sub = [raws[i] for i in idxs]
             keys, firsts, inverse = group_rows(
                 sub, COOKIE_BYTE_START, COOKIE_BYTE_END
             )
             group_values = self._decode_groups(app, sub, keys, firsts)
+            counts = group_counts(inverse, len(keys))
             if app.users is not None:
                 # Engagement folds per unique cookie group with its
                 # packet multiplicity (dedup below only shapes the
@@ -630,10 +509,6 @@ class LarkSwitch:
                 # pure function of the update multiset, so grouped
                 # folds land on the same state as the scalar path's
                 # per-packet observes.
-                counts = np.bincount(
-                    np.asarray(inverse, dtype=np.int64),
-                    minlength=len(keys),
-                )
                 user_keys: List[bytes] = []
                 user_counts: List[int] = []
                 for g in range(len(keys)):
@@ -644,7 +519,7 @@ class LarkSwitch:
                     if ukey is None:
                         continue
                     user_keys.append(ukey)
-                    user_counts.append(int(counts[g]))
+                    user_counts.append(counts[g])
                 app.users.observe_many(user_keys, user_counts)
             dup_first = [False] * len(keys)
             if app.dedup is not None:
@@ -666,12 +541,8 @@ class LarkSwitch:
                     if group_values[g] is not None and not dup_first[g]
                 ]
             else:
-                multiplicity = np.bincount(
-                    np.asarray(inverse, dtype=np.int64),
-                    minlength=len(keys),
-                )
                 grouped = [
-                    (group_values[g], int(multiplicity[g]))
+                    (group_values[g], counts[g])
                     for g in range(len(keys))
                     if group_values[g] is not None
                 ]
@@ -684,11 +555,10 @@ class LarkSwitch:
                 [None] * len(keys),    # cached AggregationPackets
                 app.dedup is not None,
             )
-            inverse_list = (
-                inverse.tolist() if hasattr(inverse, "tolist") else inverse
-            )
-            for j, i in enumerate(idxs.tolist()):
-                assignments[i] = (state, inverse_list[j])
+            if not isinstance(inverse, list):
+                inverse = inverse.tolist()
+            for i, group in zip(idxs, inverse):
+                assignments[i] = (state, group)
         hit_meter, miss_meter = pipe._stage_meters[0]
         table.hits += hit_count
         hit_meter.inc(hit_count)

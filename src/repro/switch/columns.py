@@ -1,18 +1,24 @@
 """Columnar (struct-of-arrays) packet representation for the data plane.
 
 The scalar pipeline hands every packet around as a Python dict (one PHV
-per packet); the batch fast path amortizes dispatch but still runs a
-Python-object inner loop.  For sketch-style switch analytics — hashing,
-Bloom tests, register scatter-adds — the per-packet work is identical
-ALU arithmetic over different bytes, which is exactly the shape that
-vectorizes.  This module provides the shared substrate:
+per packet).  For sketch-style switch analytics — hashing, Bloom tests,
+register scatter-adds — the per-packet work is identical ALU arithmetic
+over different bytes, which is exactly the shape that vectorizes.  The
+columnar switch paths are ONE algorithm (match rows, group duplicates,
+decrypt each group once, fold with multiplicities) written over the
+kernels below, and every kernel has two forms — numpy and plain Python
+— that return identical results.  This module provides the shared
+substrate:
 
 * :data:`HAVE_NUMPY` / :func:`numpy_enabled` — a single gate for the
   optional numpy dependency.  Setting the environment variable
   ``REPRO_NO_NUMPY=1`` (or calling :func:`force_numpy`) disables the
   vectorized kernels even when numpy is importable, which is how the
   CI fallback job and the differential suite prove the pure-Python
-  path is the semantic reference.
+  forms are the semantic reference.
+* :data:`VECTOR_MIN_ROWS` — the one batch-size cut-off: smaller batches
+  take the Python forms even with numpy on, because array set-up costs
+  more than the loops it replaces.
 * :class:`PacketColumns` — a batch of packets as padded byte matrices
   plus parallel integer arrays (lengths, leading header fields), built
   once per batch by the parser/switch front end.
@@ -22,6 +28,8 @@ vectorizes.  This module provides the shared substrate:
   vectorized via ``np.unique`` when numpy is on and a dict scan
   otherwise.  Both implementations return identical groupings with
   first-occurrence order preserved.
+* :func:`match_rows` / :func:`group_counts` — the exact-match row mask
+  and the per-group multiplicities the switch paths fold with.
 
 Every kernel built on top of this module (vectorized CRC, batched AES,
 register scatter ops) is *bit-identical* to its scalar counterpart;
@@ -43,16 +51,34 @@ __all__ = [
     "numpy_enabled",
     "force_numpy",
     "get_numpy",
+    "VECTOR_MIN_ROWS",
     "PacketColumns",
     "group_rows",
+    "match_rows",
+    "group_counts",
 ]
 
 HAVE_NUMPY = _np is not None
 
 # Tri-state override: None = follow availability, True/False = forced.
-_FORCED: Optional[bool] = None
-if os.environ.get("REPRO_NO_NUMPY", "").strip() not in ("", "0"):
-    _FORCED = False
+# The environment sets the default that force_numpy(None) returns to.
+_DEFAULT: Optional[bool] = (
+    False
+    if os.environ.get("REPRO_NO_NUMPY", "").strip() not in ("", "0")
+    else None
+)
+_FORCED: Optional[bool] = _DEFAULT
+
+
+# Batches with fewer rows run the Python kernel forms even when the
+# gate is open: building the padded matrix, the field arrays and the
+# np.unique key costs tens of microseconds per call, which makes the
+# 1-8 row calls a per-packet simulator issues 2-3x slower than the
+# loops they replace (measured on 20-byte CIDs through LarkSwitch).
+# From here up the two forms of the row kernels are within ~25% of
+# each other, and a matrix-backed batch is what the CRC, partition and
+# ring-push kernels need to win outright.
+VECTOR_MIN_ROWS = 16
 
 
 def numpy_enabled() -> bool:
@@ -63,13 +89,14 @@ def numpy_enabled() -> bool:
 
 
 def force_numpy(enabled: Optional[bool]) -> None:
-    """Override the numpy gate (``None`` restores auto-detection).
+    """Override the numpy gate (``None`` restores the default:
+    auto-detection, or off under ``REPRO_NO_NUMPY=1``).
 
     Used by the differential suite to run the very same workload with
     kernels on and off; production code never calls this.
     """
     global _FORCED
-    _FORCED = enabled
+    _FORCED = _DEFAULT if enabled is None else enabled
 
 
 def get_numpy():
@@ -82,8 +109,9 @@ class PacketColumns:
 
     ``data`` is an ``(n, max_len)`` uint8 matrix, rows zero-padded past
     their length; ``lengths`` the per-row byte counts.  When numpy is
-    unavailable the same attributes hold plain Python lists and the
-    consumers fall back to scalar loops.
+    gated off, or the batch has fewer than :data:`VECTOR_MIN_ROWS`
+    rows, no matrix is built: ``lengths`` is a plain list and the
+    consumers run their Python forms.
     """
 
     __slots__ = ("_raw", "data", "lengths", "n", "max_len", "vectorized")
@@ -92,9 +120,9 @@ class PacketColumns:
         raw: List[bytes] = [bytes(r) for r in rows]
         self._raw: Optional[List[bytes]] = raw
         self.n = len(raw)
-        lens = [len(r) for r in raw]
+        lens = list(map(len, raw))
         self.max_len = max(lens, default=0)
-        np = get_numpy()
+        np = get_numpy() if self.n >= VECTOR_MIN_ROWS else None
         self.vectorized = np is not None
         if np is not None:
             lengths = np.asarray(lens, dtype=np.int64)
@@ -163,6 +191,14 @@ class PacketColumns:
     def __len__(self) -> int:
         return self.n
 
+    def _kernels(self):
+        """numpy when this batch takes the vectorized kernel forms,
+        ``None`` for the Python ones (gate closed, no matrix, or too
+        few rows to repay the array set-up)."""
+        if self.vectorized and self.n >= VECTOR_MIN_ROWS:
+            return get_numpy()
+        return None
+
     def __iter__(self):
         return iter(self.raw)
 
@@ -173,8 +209,8 @@ class PacketColumns:
 
         Returns an int64 array when vectorized, else a list.
         """
-        np = get_numpy()
-        if np is not None and self.vectorized:
+        np = self._kernels()
+        if np is not None:
             out = np.full(self.n, default, dtype=np.int64)
             mask = self.lengths > index
             if index < self.max_len:
@@ -186,8 +222,8 @@ class PacketColumns:
 
     def be16_column(self, index: int, default: int = 0):
         """Big-endian 16-bit field at ``index`` (``default`` if short)."""
-        np = get_numpy()
-        if np is not None and self.vectorized:
+        np = self._kernels()
+        if np is not None:
             out = np.full(self.n, default, dtype=np.int64)
             mask = self.lengths >= index + 2
             if index + 1 < self.max_len:
@@ -217,8 +253,8 @@ def group_rows(
     lengths never share a group even if their slices match (a truncated
     cookie must not alias a full one in the decode memo).
     """
-    np = get_numpy()
-    if np is not None and len(rows) > 1:
+    np = get_numpy() if len(rows) >= VECTOR_MIN_ROWS else None
+    if np is not None:
         columns = rows if isinstance(rows, PacketColumns) else None
         if columns is None:
             columns = PacketColumns(rows)
@@ -272,3 +308,30 @@ def group_rows(
             firsts.append(i)
         inverse.append(group)
     return keys, firsts, inverse
+
+
+def match_rows(fields: Sequence[Any], values: Sequence[int]) -> List[int]:
+    """Indexes, ascending, of the rows whose header ``fields`` all
+    equal ``values`` — an exact-match table key looked up for a whole
+    batch at once.  ``fields`` are parallel columns as returned by
+    :meth:`PacketColumns.byte_column` / ``be16_column`` (arrays or
+    lists; the form follows theirs)."""
+    first = fields[0]
+    if isinstance(first, list):
+        key = tuple(values)
+        return [i for i, row in enumerate(zip(*fields)) if row == key]
+    hit = first == values[0]
+    for column, value in zip(fields[1:], values[1:]):
+        hit &= column == value
+    return _np.flatnonzero(hit).tolist()
+
+
+def group_counts(inverse: Any, groups: int) -> List[int]:
+    """Rows per group for an ``inverse`` mapping from
+    :func:`group_rows` (array or list; the form follows it)."""
+    if isinstance(inverse, list):
+        counts = [0] * groups
+        for group in inverse:
+            counts[group] += 1
+        return counts
+    return _np.bincount(inverse, minlength=groups).tolist()

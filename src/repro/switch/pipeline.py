@@ -25,14 +25,12 @@ The model:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.switch.primitives import SwitchALU, UnsupportedOperationError
 from repro.switch.registers import RegisterFile
-from repro.switch.tables import MatchActionTable, MatchKind
+from repro.switch.tables import MatchActionTable
 
 __all__ = [
     "PHV",
@@ -40,7 +38,6 @@ __all__ = [
     "Stage",
     "PipelineResult",
     "SwitchPipeline",
-    "CompiledPipeline",
     "PipelineCompileError",
     "MAX_STAGES",
     "MAX_TABLES_PER_STAGE",
@@ -162,9 +159,9 @@ class SwitchPipeline:
         self.packets_processed = 0
         self.packets_dropped = 0
         # Program shape version: bumped whenever stages, tables or
-        # actions change, so a compiled batch plan can tell it is stale.
+        # actions change, so the switches' columnar paths can tell the
+        # pipeline no longer has the shape they assume.
         self._program_version = 0
-        self._compiled: Optional["CompiledPipeline"] = None
         # Instruments are resolved once at construction so the
         # per-packet path only does integer increments.
         self.metrics = registry if registry is not None else get_registry()
@@ -274,83 +271,6 @@ class SwitchPipeline:
             latency_ms=latency_ms,
         )
 
-    # -- batched fast path ------------------------------------------------
-
-    def compile_batch(self) -> "CompiledPipeline":
-        """Return the flattened execution plan, rebuilding it only when
-        the program shape or a table's control-plane state changed."""
-        compiled = self._compiled
-        if compiled is None or not compiled.is_current():
-            compiled = CompiledPipeline(self)
-            self._compiled = compiled
-        return compiled
-
-    def process_batch(
-        self,
-        batch: Iterable[Dict[str, Any]],
-        sink: Optional[Callable[[PipelineResult], None]] = None,
-    ) -> List[PipelineResult]:
-        """Run a batch of packets through the compiled fast path.
-
-        Results (PHVs, clones, digests, latencies, register state,
-        counters) are bit-identical to calling :meth:`process` once per
-        element in order; only dispatch overhead is amortized.
-
-        ``batch`` may be a lazy iterable (even one yielding the same
-        mutated dict — :class:`PHV` copies its fields), so callers can
-        stream header dicts without materializing one per packet; the
-        packet counters settle after the loop.
-
-        When ``sink`` is given, each :class:`PipelineResult` is handed
-        to it as soon as the packet finishes and the return value is an
-        empty list.  Callers that only keep a condensed per-packet
-        summary use this so the PHV graph dies young instead of aging
-        through the cyclic-GC generations while the batch accumulates
-        (holding every PHV alive is what made large batches slower
-        than the scalar loop).
-        """
-        compiled = self.compile_batch()
-        stage_plans = compiled.stage_plans
-        results: List[PipelineResult] = []
-        total_latency_us = 0.0
-        count = 0
-        for fields in batch:
-            count += 1
-            phv = PHV(fields)
-            self._clone_requests = []
-            self._digest_queue = []
-            self._extra_latency_ms = 0.0
-            for plan in stage_plans:
-                if phv.drop:
-                    break
-                for apply_fn in plan:
-                    if phv.drop:
-                        break
-                    apply_fn(self, phv)
-            if phv.drop:
-                self.packets_dropped += 1
-                self._m_drops.inc()
-            latency_ms = LINE_RATE_LATENCY_MS + self._extra_latency_ms
-            self._m_latency_us.observe(latency_ms * 1000.0)
-            total_latency_us += latency_ms * 1000.0
-            result = PipelineResult(
-                phv=phv,
-                forwarded=not phv.drop,
-                clones=list(self._clone_requests),
-                digests=list(self._digest_queue),
-                latency_ms=latency_ms,
-            )
-            if sink is None:
-                results.append(result)
-            else:
-                sink(result)
-        self.packets_processed += count
-        self._m_packets.inc(count)
-        self._m_batches.inc()
-        self._m_batch_size.observe(count)
-        self._m_batch_latency_us.observe(total_latency_us)
-        return results
-
     # -- introspection ----------------------------------------------------
 
     def resource_report(self) -> Dict[str, Any]:
@@ -363,149 +283,3 @@ class SwitchPipeline:
             "packets_processed": self.packets_processed,
             "packets_dropped": self.packets_dropped,
         }
-
-
-_TableApplyFn = Callable[[SwitchPipeline, PHV], None]
-
-
-class CompiledPipeline:
-    """A flattened execution plan for :meth:`SwitchPipeline.process_batch`.
-
-    Compilation pre-resolves, per table: the key field names, the
-    action callables, and — for tables whose keys are all EXACT — a
-    dict dispatch index keyed on the match-value tuple.  The index is
-    built in TCAM order (entries pre-sorted by descending priority,
-    first match wins), so dispatch is one dict probe instead of a
-    linear scan of entries.  Tables with ternary/LPM/range keys, or
-    with unhashable match specs, fall back to the scalar
-    :meth:`~repro.switch.tables.MatchActionTable.lookup`.
-
-    The plan records the pipeline's program version and every table's
-    control-plane version, so staleness detection before each batch is
-    a handful of integer comparisons; any control-plane insert/remove
-    or program mutation triggers a transparent recompile.
-    """
-
-    def __init__(self, pipeline: SwitchPipeline):
-        self.pipeline = pipeline
-        self.program_version = pipeline._program_version
-        self._tables: List[MatchActionTable] = [
-            table for stage in pipeline.stages for table in stage.tables
-        ]
-        self.table_versions: Tuple[int, ...] = tuple(
-            table.version for table in self._tables
-        )
-        self.stage_plans: List[List[_TableApplyFn]] = []
-        for stage_index, stage in enumerate(pipeline.stages):
-            meters = pipeline._stage_meters[stage_index]
-            self.stage_plans.append([
-                self._compile_table(table, meters) for table in stage.tables
-            ])
-
-    def is_current(self) -> bool:
-        pipe = self.pipeline
-        if self.program_version != pipe._program_version:
-            return False
-        tables = [table for stage in pipe.stages for table in stage.tables]
-        if len(tables) != len(self._tables):
-            return False
-        return all(
-            now is then and now.version == version
-            for now, then, version
-            in zip(tables, self._tables, self.table_versions)
-        )
-
-    def _compile_table(
-        self, table: MatchActionTable, meters: Tuple[Any, Any]
-    ) -> _TableApplyFn:
-        hit_meter, miss_meter = meters
-        actions = self.pipeline._actions
-        key_names = tuple(key.field_name for key in table.keys)
-
-        index: Optional[Dict[Tuple[Any, ...], Tuple[str, Any, Dict[str, Any]]]]
-        index = None
-        if all(key.kind is MatchKind.EXACT for key in table.keys):
-            index = {}
-            try:
-                for entry in table.entries():
-                    # setdefault keeps the first (highest-priority) entry.
-                    index.setdefault(
-                        tuple(entry.match_values),
-                        (entry.action, actions.get(entry.action),
-                         entry.action_params),
-                    )
-            except TypeError:
-                index = None
-
-        if index is not None:
-            default = (
-                table.default_action,
-                actions.get(table.default_action),
-                table.default_params,
-            )
-
-            # Key-tuple builders specialized by arity: the generic
-            # tuple(generator) spins up a generator object per packet,
-            # which is both the slowest and the most allocation-heavy
-            # way to build a 1- or 2-element key.
-            if len(key_names) == 1:
-                _k0 = key_names[0]
-
-                def build_key(fields: Dict[str, Any], _k0=_k0):
-                    return (fields.get(_k0, 0),)
-            elif len(key_names) == 2:
-                _k0, _k1 = key_names
-
-                def build_key(fields: Dict[str, Any], _k0=_k0, _k1=_k1):
-                    return (fields.get(_k0, 0), fields.get(_k1, 0))
-            else:
-
-                def build_key(fields: Dict[str, Any], _keys=key_names):
-                    return tuple([fields.get(name, 0) for name in _keys])
-
-            def apply_exact(
-                pipe: SwitchPipeline, phv: PHV,
-                _table=table, _index=index, _build_key=build_key,
-                _default=default, _hit=hit_meter, _miss=miss_meter,
-            ) -> None:
-                _table.lookups += 1
-                try:
-                    found = _index.get(_build_key(phv.fields))
-                except TypeError:
-                    # Unhashable packet value can never equal a hashable
-                    # installed exact spec: scalar lookup would miss too.
-                    found = None
-                if found is not None:
-                    _table.hits += 1
-                    _hit.inc()
-                    action, fn, params = found
-                else:
-                    _miss.inc()
-                    action, fn, params = _default
-                    params = dict(params)
-                if fn is None:
-                    raise UnsupportedOperationError(
-                        "table %s selected unregistered action %r"
-                        % (_table.name, action)
-                    )
-                fn(pipe, phv, params)
-
-            return apply_exact
-
-        def apply_linear(
-            pipe: SwitchPipeline, phv: PHV,
-            _table=table, _keys=key_names, _actions=actions,
-            _hit=hit_meter, _miss=miss_meter,
-        ) -> None:
-            values = [phv.fields.get(name, 0) for name in _keys]
-            action, params, hit = _table.lookup(values)
-            (_hit if hit else _miss).inc()
-            fn = _actions.get(action)
-            if fn is None:
-                raise UnsupportedOperationError(
-                    "table %s selected unregistered action %r"
-                    % (_table.name, action)
-                )
-            fn(pipe, phv, params)
-
-        return apply_linear

@@ -106,9 +106,8 @@ class MatchActionTable:
         self._entries: List[TableEntry] = []
         self.lookups = 0
         self.hits = 0
-        # Bumped on every control-plane mutation so compiled fast
-        # paths (SwitchPipeline.compile_batch) can cheaply detect
-        # stale dispatch indexes.
+        # Bumped on every control-plane mutation so the switches'
+        # columnar paths can cheaply detect a changed entry set.
         self.version = 0
 
     def __len__(self) -> int:

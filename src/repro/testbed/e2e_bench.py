@@ -137,7 +137,7 @@ def run_e2e_bench(
     repeats: int = 3,
     cache_admission: str = "lru",
 ) -> Dict[str, Any]:
-    """Whole-run events/sec for scalar / batch / columnar / persistent
+    """Whole-run events/sec for scalar / columnar / persistent
     ingest (the persistent tier streams agg batches to a long-lived
     shared-memory ring worker; it is skipped on hosts without POSIX
     shared memory and the result's ``backends`` list says what ran).
@@ -211,7 +211,7 @@ def run_e2e_bench(
 
 def profile_e2e(
     path: str,
-    backend: str = "batch",
+    backend: str = "columnar",
     requests_per_second: float = 20_000.0,
     duration_ms: float = 1000.0,
     num_users: int = 2000,

@@ -49,7 +49,7 @@ from repro.core.aggregation import ForwardingMode
 from repro.core.schema import CookieSchema
 from repro.core.stats import StatSpec, merge_snapshots
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.switch.columns import PacketColumns, get_numpy, numpy_enabled
+from repro.switch.columns import PacketColumns, get_numpy
 from repro.switch.hashing import crc32, crc32_many
 from repro.testbed.placement import PartitionMap
 
@@ -58,7 +58,10 @@ __all__ = [
     "ShardExecutor",
     "ShardRunResult",
     "AdaptiveBackend",
+    "BACKENDS",
     "Replica",
+    "check_backend",
+    "process_isolated",
     "fold_snapshots",
     "partition_packets",
     "partition_columns",
@@ -69,6 +72,44 @@ __all__ = [
 _LOG = logging.getLogger(__name__)
 
 _COOKIE_REGION = slice(1, 18)  # preserved cookie bytes (lark partition key)
+
+# The two switch tiers, ascending: the P4-interpreter reference and the
+# columnar fast path.  Every ``backend=`` argument in the testbed means
+# one of these.
+BACKENDS = ("scalar", "columnar")
+
+
+def check_backend(backend: str) -> str:
+    if backend not in BACKENDS:
+        raise ValueError(
+            "unknown backend %r (expected one of %s)"
+            % (backend, "/".join(BACKENDS))
+        )
+    return backend
+
+
+def process_isolated(
+    process: Callable[[Any], List[Any]], rows: Any
+) -> Tuple[List[Any], int]:
+    """Run one chunk through a switch entry point with poison
+    isolation: if the call raises (truly malformed input, not a mere
+    decode failure), retry row by row so one poison packet cannot take
+    the whole chunk — or the replica — down.  Returns the results of
+    everything that went through plus the number of rows left out (the
+    caller books those as dead letters)."""
+    try:
+        return process(rows), 0
+    except Exception:
+        if len(rows) == 1:
+            return [], 1
+        results: List[Any] = []
+        poisoned = 0
+        for row in rows:
+            try:
+                results.extend(process([row]))
+            except Exception:
+                poisoned += 1
+        return results, poisoned
 
 
 @dataclass(frozen=True)
@@ -133,8 +174,8 @@ def _build_switch(spec: ShardSpec, shard_index: int):
 class Replica:
     """One seeded switch replica and everything a transport does to it:
     restore a checkpoint, arm the fault injector for an epoch attempt,
-    fold one chunk through the scalar / batch / columnar entry point,
-    read the registers back.
+    fold one chunk through the scalar or columnar entry point, read
+    the registers back.
 
     The in-process transport (:func:`_run_shard_epoch`) and the ring-fed
     worker loop (:func:`repro.testbed.worker._worker_main`) drive this
@@ -169,9 +210,6 @@ class Replica:
                 "scalar": lambda rows: [
                     switch.process_quic_packet(ConnectionID(r)) for r in rows
                 ],
-                "batch": lambda rows: switch.process_quic_batch(
-                    [ConnectionID(r) for r in rows]
-                ),
                 "columnar": switch.process_quic_columnar,
             }
         else:
@@ -179,9 +217,6 @@ class Replica:
                 "scalar": lambda rows: [
                     switch.process_packet(bytes(r)) for r in rows
                 ],
-                "batch": lambda rows: switch.process_batch(
-                    [bytes(r) for r in rows]
-                ),
                 "columnar": switch.process_columnar,
             }
 
@@ -207,35 +242,15 @@ class Replica:
         if self._injector is not None:
             self._injector.before_batch(self._batch)
         self._batch += 1
-        process = self._process[backend]
-        try:
-            self._count(process(rows))
-        except Exception:
-            # Poison isolation, mirroring StreamingPipeline's
-            # _agg_process: a batch entry point that raises (truly
-            # malformed input, not a mere decode failure) is retried
-            # row by row so one poison packet cannot kill the replica —
-            # the poison stays unfolded (a dead letter the caller reads
-            # off the counters).
-            for row in rows:
-                try:
-                    self._count(
-                        process(
-                            PacketColumns([row])
-                            if backend == "columnar"
-                            else [row]
-                        )
-                    )
-                except Exception:
-                    pass
-        self.packets += len(rows)
-
-    def _count(self, results: Iterable[Any]) -> None:
+        # A poison row stays unfolded: the caller reads it off the
+        # counters as packets - folded.
+        results, _poisoned = process_isolated(self._process[backend], rows)
         for result in results:
             if getattr(result, "merged", False) or (
                 getattr(result, "decoded_values", None) is not None
             ):
                 self.folded += 1
+        self.packets += len(rows)
 
     def counters(self) -> Dict[str, int]:
         """Cumulative since the last build/reset (restore does not
@@ -435,10 +450,10 @@ def _slice_part(part: Any, lo: int, hi: int) -> Any:
 def _chunked(part: Any, chunk_size: int, backend: str) -> Iterator[Any]:
     """Cut one shard part into ``chunk_size`` slices — the unit both
     transports fold, count and inject faults on.  Slices are
-    :class:`PacketColumns` when the columnar kernels will consume them
+    :class:`PacketColumns` when the columnar path will consume them
     (one matrix copy into a ring slot, no per-row work) and plain row
-    lists otherwise."""
-    columnar = backend == "columnar" and numpy_enabled()
+    lists for the interpreter."""
+    columnar = backend == "columnar"
     if not columnar and isinstance(part, PacketColumns):
         part = part.raw
     for lo in range(0, len(part), chunk_size):
@@ -484,8 +499,8 @@ class ShardRunResult:
 class ShardExecutor:
     """Fan a packet stream across switch-replica shards and merge.
 
-    ``backend`` selects the per-shard execution path (``scalar`` /
-    ``batch`` / ``columnar``).  ``persistent=True`` keeps one ring-fed
+    ``backend`` selects the per-shard execution path (``scalar`` or
+    ``columnar``).  ``persistent=True`` keeps one ring-fed
     worker process alive per shard across ``run()`` calls (see
     :mod:`repro.testbed.worker`) instead of folding each shard
     in-process: same API, same results, shards fold in parallel.  Call
@@ -507,13 +522,11 @@ class ShardExecutor:
             shards = placement.shards
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if backend not in ("scalar", "batch", "columnar"):
-            raise ValueError("unknown backend %r" % backend)
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         self.spec = spec
         self.shards = shards
-        self.backend = backend
+        self.backend = check_backend(backend)
         # Weighted virtual-bucket placement (None = legacy modulo).
         # last_bucket_counts holds the previous run()'s per-bucket
         # packet histogram — the load feed for a PlacementController.
@@ -646,34 +659,32 @@ class ShardExecutor:
 class AdaptiveBackend:
     """Per-device backend selector and continuous degradation controller.
 
-    Fixed modes (``scalar`` / ``batch`` / ``columnar``) dispatch every
-    batch straight to the matching callable, no measurement.  In
-    ``auto`` mode the first flushes are calibration probes: batches
-    rotate over every available candidate (columnar included when a
-    ``columnar_fn`` is supplied), each timed per item.  All paths are
+    Fixed modes (``scalar`` / ``columnar``) dispatch every batch
+    straight to the matching callable, no measurement.  In ``auto``
+    mode the first flushes are calibration probes: batches alternate
+    between the two tiers, each timed per item.  Both paths are
     bit-identical (the differential suite proves it), so calibration
     and probe packets are processed exactly once and produce the same
     results either way — only the wall-clock differs.  After
-    ``calibration_rounds`` timed samples per candidate the fastest
-    path wins; ties go to the higher tier (columnar > batch > scalar).
+    ``calibration_rounds`` timed samples per tier the faster one wins;
+    a tie goes to columnar.
 
     Unlike the original one-shot pick, the choice stays under
     supervision afterwards:
 
     * every steady-state flush feeds a sliding window of per-item
       times; when the window mean exceeds ``spike_factor`` times the
-      backend's measured baseline, the controller **degrades** one
-      tier down the ladder (columnar -> batch -> scalar);
-    * an exception raised by the chosen path also degrades one tier
-      (after being counted and re-raised — the switch state already
+      backend's measured baseline, the controller **degrades** from
+      columnar to scalar;
+    * an exception raised by the chosen path also degrades (after
+      being counted and re-raised — the switch state already
       consumed the flush, so the packets cannot be silently replayed);
-    * after ``cooldown_flushes`` flushes at the lower tier, one flush
-      probes the tier we degraded from and **re-promotes** if it is
-      again competitive (no thrash: promotion only retraces recorded
-      degradations);
+    * after ``cooldown_flushes`` flushes on scalar, one flush probes
+      columnar and **re-promotes** if it is again competitive (no
+      thrash: promotion only retraces a recorded degradation);
     * with ``recalibrate_every > 0``, steady state additionally probes
-      the non-chosen candidates round-robin every that-many flushes
-      and re-elects the winner — continuous re-measurement instead of
+      the non-chosen tier every that-many flushes and re-elects the
+      winner — continuous re-measurement instead of
       trusting the startup calibration forever.
 
     Every transition lands in ``history`` and in ``repro.obs``
@@ -682,15 +693,14 @@ class AdaptiveBackend:
     ``clock`` is injectable so tests can script latency spikes.
     """
 
-    _MODES = ("scalar", "batch", "columnar", "auto")
-    _LADDER = ("scalar", "batch", "columnar")  # ascending
+    _MODES = BACKENDS + ("auto",)
+    _LADDER = BACKENDS  # ascending
 
     def __init__(
         self,
         scalar_fn: Callable[[Sequence[Any]], List[Any]],
-        batch_fn: Callable[[Sequence[Any]], List[Any]],
-        columnar_fn: Optional[Callable[[Sequence[Any]], List[Any]]] = None,
-        mode: str = "batch",
+        columnar_fn: Callable[[Sequence[Any]], List[Any]],
+        mode: str = "columnar",
         calibration_rounds: int = 2,
         window: int = 32,
         min_window: int = 5,
@@ -710,16 +720,10 @@ class AdaptiveBackend:
             raise ValueError("spike_factor must be > 1")
         self._fns: Dict[str, Callable[[Sequence[Any]], List[Any]]] = {
             "scalar": scalar_fn,
-            "batch": batch_fn,
-            "columnar": columnar_fn if columnar_fn is not None else batch_fn,
+            "columnar": columnar_fn,
         }
-        # Probe order: higher tiers first.  Without a real columnar_fn
-        # the "columnar" entry aliases batch_fn, so probing it would
-        # double-charge the batch path — leave it out.
-        candidates = ["batch", "scalar"]
-        if columnar_fn is not None:
-            candidates.insert(0, "columnar")
-        self._candidates: Tuple[str, ...] = tuple(candidates)
+        # Probe order: higher tier first.
+        self._candidates: Tuple[str, ...] = self._LADDER[::-1]
         self.mode = mode
         self.calibration_rounds = max(1, calibration_rounds)
         self.window = max(2, window)
@@ -740,7 +744,6 @@ class AdaptiveBackend:
         self._flush = 0
         self._last_transition = 0
         self._last_probe = 0
-        self._probe_index = 0
         # Stack of tiers we stepped down from — re-promotion retraces it.
         self._degraded_from: List[str] = []
         self.history: List[Dict[str, Any]] = []
@@ -855,11 +858,7 @@ class AdaptiveBackend:
 
     def _probe_recalibration(self, items: Sequence[Any]) -> List[Any]:
         self._last_probe = self._flush
-        others = [c for c in self._candidates if c != self.chosen]
-        if not others:
-            return self._steady(items)
-        target = others[self._probe_index % len(others)]
-        self._probe_index += 1
+        target = next(c for c in self._candidates if c != self.chosen)
         results, per_item = self._timed(target, items)
         samples = self._samples[target]
         samples.append(per_item)
@@ -877,16 +876,12 @@ class AdaptiveBackend:
     def _degrade(self, reason: str) -> None:
         if self.chosen is None:
             return
-        lower = [
-            t
-            for t in self._LADDER[: self._LADDER.index(self.chosen)]
-            if t in self._candidates
-        ]
-        if not lower:
+        tier = self._LADDER.index(self.chosen)
+        if tier == 0:
             return  # already on the floor of the ladder
         self._degraded_from.append(self.chosen)
         self.registry.counter(self.name + ".degradations").inc()
-        self._transition(self.chosen, lower[-1], reason)
+        self._transition(self.chosen, self._LADDER[tier - 1], reason)
 
     def _transition(
         self, source: Optional[str], target: str, reason: str

@@ -1,15 +1,14 @@
-"""Scalar-vs-batch fast-path benchmark driver.
+"""Scalar-vs-columnar switch-kernel benchmark driver.
 
-The compiled batch path (:meth:`SwitchPipeline.process_batch`,
-:meth:`LarkSwitch.process_quic_batch`, :meth:`AggSwitch.process_batch`)
-exists so the simulated data plane stops dominating benchmark
-wall-clock.  This module measures exactly that: it replays one seeded
-connection-ID stream through a scalar switch and a batch switch and
-reports host-CPU throughput for both, verifying on the way that the two
-end states agree (the rigorous bit-identity proof lives in
-``tests/differential/``).
+The columnar paths (:meth:`LarkSwitch.process_quic_columnar`,
+:meth:`AggSwitch.process_columnar`) exist so the simulated data plane
+stops dominating benchmark wall-clock.  This module measures exactly
+that: it replays one seeded connection-ID stream through a scalar
+switch and a columnar switch and reports host-CPU throughput for both,
+verifying on the way that the two end states agree (the rigorous
+bit-identity proof lives in ``tests/differential/``).
 
-Used by ``python -m repro.cli bench`` and ``benchmarks/test_fastpath.py``.
+Used by ``python -m repro.cli bench`` and ``benchmarks/test_columnar.py``.
 """
 
 from __future__ import annotations
@@ -25,11 +24,11 @@ from repro.core.larkswitch import LarkSwitch
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.obs.registry import MetricsRegistry
 from repro.quic.connection_id import ConnectionID
+from repro.testbed.executor import BACKENDS
 from repro.workloads.adcampaign import AdCampaignWorkload, iter_batches
 
 __all__ = [
     "FastpathFixture",
-    "run_fastpath_bench",
     "run_backend_bench",
     "BENCH_APP_ID",
     "BACKENDS",
@@ -37,12 +36,10 @@ __all__ = [
 
 BENCH_APP_ID = 0x5C
 
-#: Execution backends, slowest to fastest (on hosts with numpy).
-BACKENDS = ("scalar", "batch", "columnar")
-
 
 class FastpathFixture:
-    """Builds matched scalar/batch switches over one seeded workload."""
+    """Builds matched switches (one per backend under test) over one
+    seeded workload."""
 
     def __init__(
         self,
@@ -92,7 +89,7 @@ class FastpathFixture:
     def make_cids(self, packets: int) -> List[ConnectionID]:
         """One semantic CID per user, replayed in a seeded mix — the
         Snatch CID policy preserves the cookie bytes across a user's
-        connections, which is what the batch decode memo exploits."""
+        connections, which is what the columnar decode memo exploits."""
         codec = TransportCookieCodec(
             BENCH_APP_ID, self.schema, self.key, random.Random(self.seed + 3)
         )
@@ -114,129 +111,19 @@ def _throughput(seconds: float, packets: int) -> Dict[str, float]:
     }
 
 
-def _time_lark(switch, cids, backend: str, batch_size: int) -> float:
-    """Run all ``cids`` through one lark backend; returns seconds."""
+def _time_backend(
+    process_one, process_many, items, backend: str, batch_size: int
+) -> float:
+    """Run all ``items`` through one backend; returns seconds."""
     gc.collect()  # same GC starting state for every timed run
-    if backend == "scalar":
-        process_one = switch.process_quic_packet
-        t0 = time.perf_counter()
-        for cid in cids:
-            process_one(cid)
-        return time.perf_counter() - t0
-    process = (
-        switch.process_quic_batch if backend == "batch"
-        else switch.process_quic_columnar
-    )
     t0 = time.perf_counter()
-    for chunk in iter_batches(cids, batch_size):
-        process(chunk)
-    return time.perf_counter() - t0
-
-
-def _time_agg(switch, payloads, backend: str, batch_size: int) -> float:
-    """Run all ``payloads`` through one agg backend; returns seconds."""
-    gc.collect()  # same GC starting state for every timed run
     if backend == "scalar":
-        process_one = switch.process_packet
-        t0 = time.perf_counter()
-        for payload in payloads:
-            process_one(payload)
-        return time.perf_counter() - t0
-    process = (
-        switch.process_batch if backend == "batch"
-        else switch.process_columnar
-    )
-    t0 = time.perf_counter()
-    for chunk in iter_batches(payloads, batch_size):
-        process(chunk)
+        for item in items:
+            process_one(item)
+    else:
+        for chunk in iter_batches(items, batch_size):
+            process_many(chunk)
     return time.perf_counter() - t0
-
-
-def run_fastpath_bench(
-    packets: int = 100_000,
-    num_users: int = 2000,
-    mode: str = ForwardingMode.PERIODICAL,
-    batch_size: int = 1024,
-    shards: int = 1,
-    agg_packets: int = 5000,
-    seed: int = 42,
-    backend: str = "batch",
-) -> Dict[str, Any]:
-    """Measure scalar vs fast-path throughput on one seeded CID stream.
-
-    ``backend`` selects the fast path under test (``batch`` or
-    ``columnar``; ``scalar`` measures the baseline against itself).
-    Returns a JSON-ready dict with a LarkSwitch section (the headline
-    scalar-vs-fast-path comparison) and an AggSwitch section
-    (per-packet merge throughput at the requested shard count).  The
-    fast path's numbers live under the ``"batch"`` key regardless of
-    backend, for JSON-shape compatibility; the ``"backend"`` field
-    names what was measured.
-    """
-    if backend not in BACKENDS:
-        raise ValueError("unknown backend %r" % backend)
-    fixture = FastpathFixture(
-        mode=mode, num_users=num_users, seed=seed, shards=shards
-    )
-    cids = fixture.make_cids(packets)
-
-    scalar_lark = fixture.new_lark()
-    scalar_s = _time_lark(scalar_lark, cids, "scalar", batch_size)
-
-    batch_lark = fixture.new_lark()
-    batch_s = _time_lark(batch_lark, cids, backend, batch_size)
-
-    reports_match = (
-        scalar_lark.stats_report(BENCH_APP_ID)
-        == batch_lark.stats_report(BENCH_APP_ID)
-    )
-
-    # AggSwitch merge throughput on per-packet aggregation payloads.
-    agg_n = min(agg_packets, packets)
-    payload_fixture = FastpathFixture(
-        mode=ForwardingMode.PER_PACKET, num_users=num_users, seed=seed
-    )
-    payload_lark = payload_fixture.new_lark()
-    payloads = [
-        result.aggregation_payload
-        for result in payload_lark.process_quic_batch(
-            payload_fixture.make_cids(agg_n)
-        )
-        if result.aggregation_payload is not None
-    ]
-
-    scalar_agg = fixture.new_agg(shards=shards)
-    agg_scalar_s = _time_agg(scalar_agg, payloads, "scalar", batch_size)
-
-    batch_agg = fixture.new_agg(shards=shards)
-    agg_batch_s = _time_agg(batch_agg, payloads, backend, batch_size)
-
-    agg_match = (
-        scalar_agg.report(BENCH_APP_ID) == batch_agg.report(BENCH_APP_ID)
-    )
-
-    return {
-        "packets": packets,
-        "unique_users": num_users,
-        "mode": mode,
-        "batch_size": batch_size,
-        "seed": seed,
-        "backend": backend,
-        "lark": {
-            "scalar": _throughput(scalar_s, packets),
-            "batch": _throughput(batch_s, packets),
-            "speedup": scalar_s / batch_s if batch_s > 0 else 0.0,
-            "reports_match": reports_match,
-        },
-        "agg": {
-            "shards": shards,
-            "packets": len(payloads),
-            "scalar": _throughput(agg_scalar_s, len(payloads)),
-            "batch": _throughput(agg_batch_s, len(payloads)),
-            "speedup": agg_scalar_s / agg_batch_s if agg_batch_s > 0 else 0.0,
-            "reports_match": agg_match,
-        },
-    }
 
 
 def run_backend_bench(
@@ -249,20 +136,21 @@ def run_backend_bench(
     seed: int = 42,
     repeats: int = 3,
 ) -> Dict[str, Any]:
-    """Three-way scalar / batch / columnar comparison on one stream.
+    """Scalar vs columnar throughput on one seeded CID stream: a
+    LarkSwitch section (the headline) and an AggSwitch section
+    (per-packet merge throughput at the requested shard count).
 
     Timings are interleaved best-of-``repeats`` — each round builds a
     fresh switch per backend and runs them back to back, so a GC pause
     or a noisy neighbour penalizes at most one (backend, round) sample
     instead of biasing a whole backend.  Reports from the final round
-    are compared for equality across all three backends.
+    are compared for equality.
 
     Result layout (JSON-ready)::
 
-        {"lark": {"scalar": {...}, "batch": {...}, "columnar": {...},
-                  "speedup_vs_scalar": {...}, "columnar_vs_batch": 3.1,
+        {"lark": {"scalar": {...}, "columnar": {...}, "speedup": 26.8,
                   "reports_match": true},
-         "agg": {... same keys, plus "shards" ...}}
+         "agg": {... same keys, plus "shards" and "packets" ...}}
     """
     fixture = FastpathFixture(
         mode=mode, num_users=num_users, seed=seed, shards=shards
@@ -275,7 +163,7 @@ def run_backend_bench(
     )
     payloads = [
         result.aggregation_payload
-        for result in payload_fixture.new_lark().process_quic_batch(
+        for result in payload_fixture.new_lark().process_quic_columnar(
             payload_fixture.make_cids(agg_n)
         )
         if result.aggregation_payload is not None
@@ -288,30 +176,29 @@ def run_backend_bench(
     for _ in range(max(1, repeats)):
         for backend in BACKENDS:
             lark = fixture.new_lark()
-            elapsed = _time_lark(lark, cids, backend, batch_size)
+            elapsed = _time_backend(
+                lark.process_quic_packet, lark.process_quic_columnar,
+                cids, backend, batch_size,
+            )
             best_lark[backend] = min(best_lark[backend], elapsed)
             lark_reports[backend] = lark.stats_report(BENCH_APP_ID)
 
             agg = fixture.new_agg(shards=shards)
-            elapsed = _time_agg(agg, payloads, backend, batch_size)
+            elapsed = _time_backend(
+                agg.process_packet, agg.process_columnar,
+                payloads, backend, batch_size,
+            )
             best_agg[backend] = min(best_agg[backend], elapsed)
             agg_reports[backend] = agg.report(BENCH_APP_ID)
 
     def _section(best: Dict[str, float], n: int, reports) -> Dict[str, Any]:
-        scalar_s = best["scalar"]
         return {
             **{backend: _throughput(best[backend], n) for backend in BACKENDS},
-            "speedup_vs_scalar": {
-                backend: scalar_s / best[backend] if best[backend] > 0 else 0.0
-                for backend in BACKENDS
-            },
-            "columnar_vs_batch": (
-                best["batch"] / best["columnar"]
+            "speedup": (
+                best["scalar"] / best["columnar"]
                 if best["columnar"] > 0 else 0.0
             ),
-            "reports_match": all(
-                reports[backend] == reports["scalar"] for backend in BACKENDS
-            ),
+            "reports_match": reports["columnar"] == reports["scalar"],
         }
 
     return {

@@ -89,7 +89,7 @@ class NetworkTestbed:
         batch_window_ms: float = 0.0,
         batch_max: int = 256,
         agg_shards: int = 1,
-        backend: str = "batch",
+        backend: str = "columnar",
         ingest_batch: int = 256,
         streaming_ingest: bool = True,
         adaptive_recalibrate_every: int = 0,
@@ -102,7 +102,7 @@ class NetworkTestbed:
         if ingest_batch < 1:
             raise ValueError("ingest_batch must be >= 1")
         # batch_window_ms > 0 switches the in-path switch nodes to the
-        # compiled batch fast path: packets arriving within a window
+        # columnar fast path: packets arriving within a window
         # are buffered and processed together (capped at batch_max),
         # modeling a recirculation/burst buffer in front of the pipe.
         self.batch_window_ms = batch_window_ms
@@ -130,7 +130,7 @@ class NetworkTestbed:
         self.agg_device.register_application(_APP_ID, schema, self._key, specs)
         # Backend choice only matters for buffered flushes
         # (batch_window_ms > 0); the window-0 path stays per-packet.
-        # "auto" calibrates all three paths on the first flushes
+        # "auto" calibrates both paths on the first flushes
         # (bit-identical, so packets are processed exactly once either
         # way), picks the fastest, and then stays under the continuous
         # degradation controller: latency spikes or errors step the
@@ -139,7 +139,6 @@ class NetworkTestbed:
             scalar_fn=lambda cids: [
                 self.lark_device.process_quic_packet(c) for c in cids
             ],
-            batch_fn=self.lark_device.process_quic_batch,
             columnar_fn=self.lark_device.process_quic_columnar,
             mode=backend,
             recalibrate_every=adaptive_recalibrate_every,
@@ -150,7 +149,6 @@ class NetworkTestbed:
             scalar_fn=lambda payloads: [
                 self.agg_device.process_packet(p) for p in payloads
             ],
-            batch_fn=self.agg_device.process_batch,
             columnar_fn=self.agg_device.process_columnar,
             mode=backend,
             recalibrate_every=adaptive_recalibrate_every,
@@ -214,7 +212,7 @@ class NetworkTestbed:
             packets and injects aggregation packets toward the agg.
 
             With ``batch_window_ms`` set, arriving packets queue in a
-            burst buffer and go through the compiled batch fast path
+            burst buffer and go through the columnar fast path
             together; per-packet outcomes are identical, each packet
             just waits out the remainder of its window first.
             """
@@ -435,16 +433,16 @@ class NetworkTestbed:
                 return
             workload.accumulate_reference(cols, reference)
             keys = workload.cookie_keys(cols)
-            cids = cache.encode_batch(
+            cids = cache.encode_columns(
                 keys, lambda i: workload.cookie_values_at(cols, i)
-            )
+            ).raw
             base = next_id[0]
             next_id[0] = base + n
             times = cols.time_ms
             for i in range(n):
                 t0 = times[i]
                 t0s[base + i] = t0
-                sim.schedule_at(t0, partial(send, base + i, t0, bytes(cids[i])))
+                sim.schedule_at(t0, partial(send, base + i, t0, cids[i]))
             sim.schedule_at(times[-1], pump)
 
         pump()

@@ -43,7 +43,13 @@ from repro.core.transport_cookie import TransportCookieCodec
 from repro.core.user_stats import UserQuantileConfig
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.switch.columns import PacketColumns
-from repro.testbed.executor import ShardSpec, _slice_part, partition_stream
+from repro.testbed.executor import (
+    BACKENDS,
+    ShardSpec,
+    _slice_part,
+    partition_stream,
+    process_isolated,
+)
 from repro.testbed.placement import PlacementController
 
 __all__ = [
@@ -54,7 +60,6 @@ __all__ = [
     "PIPELINE_BACKENDS",
 ]
 
-BACKENDS = ("scalar", "batch", "columnar")
 # The in-process tiers plus the persistent-worker tier (agg stage runs
 # in a long-lived ring-fed process; see repro.testbed.worker).  Kept
 # out of BACKENDS so suites that compare collected per-payload
@@ -162,12 +167,10 @@ class StreamingPipeline:
       baseline: per-event value dicts, a fresh (uncached) cookie
       encode per request, per-packet LarkSwitch and per-payload
       AggSwitch calls.
-    * ``batch`` — batched generation, the cookie encode cache, and
-      the switches' compiled batch fast paths.
-    * ``columnar`` — same, but cookies flow as a
-      :class:`PacketColumns` matrix straight into the vectorized
-      switch kernels (falls back to the batch path when the numpy
-      gate is closed).
+    * ``columnar`` — batched generation, the cookie encode cache,
+      and cookies flowing as a :class:`PacketColumns` matrix straight
+      into the switches' columnar paths (whose kernels run their
+      Python forms when the numpy gate is closed).
     * ``persistent`` — columnar generate/encode/lark in-process, agg
       folded by a fleet of long-lived worker processes fed through
       shared-memory rings (:class:`repro.testbed.worker.WorkerFleet`):
@@ -207,7 +210,7 @@ class StreamingPipeline:
         seed: int = 42,
         mode: str = ForwardingMode.PERIODICAL,
         period_ms: float = 1000.0,
-        backend: str = "batch",
+        backend: str = "columnar",
         batch_size: int = 512,
         cache_capacity: int = 4096,
         reorder_probability: float = 0.0,
@@ -324,16 +327,15 @@ class StreamingPipeline:
         if backend == "persistent":
             from repro.testbed.worker import WorkerFleet
 
-            self._agg_spec = ShardSpec(
-                kind="agg",
-                app_id=app_id,
-                schema=schema,
-                key=self._key,
-                specs=tuple(specs),
-                seed=seed,
-            )
             self._fleet = WorkerFleet(
-                self._agg_spec,
+                ShardSpec(
+                    kind="agg",
+                    app_id=app_id,
+                    schema=schema,
+                    key=self._key,
+                    specs=tuple(specs),
+                    seed=seed,
+                ),
                 backend="columnar",
                 row_capacity=max(batch_size, 64),
                 spill_bytes=1 << 22,
@@ -371,8 +373,7 @@ class StreamingPipeline:
         self.cache.rekey(new_key)
         self.codec = self.cache.codec
         if self._fleet is not None:
-            for worker in self._fleet.workers.values():
-                worker.rekey(new_key)
+            self._fleet.rekey(new_key)
 
     # -- stages ------------------------------------------------------------
 
@@ -478,15 +479,11 @@ class StreamingPipeline:
     def _lark_segment(self, cids: Any, lo: int, hi: int) -> List[Any]:
         if hi <= lo:
             return []
-        if self.backend in ("columnar", "persistent"):
-            return self.lark.process_quic_columnar(
-                _slice_part(cids, lo, hi)
-            )
-        if self.backend == "batch":
-            return self.lark.process_quic_batch(cids[lo:hi])
-        return [
-            self.lark.process_quic_packet(cid) for cid in cids[lo:hi]
-        ]
+        if self.backend == "scalar":
+            return [
+                self.lark.process_quic_packet(cid) for cid in cids[lo:hi]
+            ]
+        return self.lark.process_quic_columnar(_slice_part(cids, lo, hi))
 
     def _corrupt(self, payloads: List[bytes]) -> List[bytes]:
         """Seeded fault stage: flip one byte in a fraction of payloads
@@ -503,25 +500,9 @@ class StreamingPipeline:
         return out
 
     def _agg_process(self, payloads: List[bytes]) -> List[Any]:
-        """Backend-matched AggSwitch dispatch.  A batch entry point
-        that raises (truly malformed input, not a mere decode failure)
-        is retried payload by payload so one poison packet cannot
-        abort the run — the poison itself becomes a dead letter."""
-        try:
-            if self.backend == "columnar":
-                return self.agg.process_columnar(payloads)
-            if self.backend == "batch":
-                return self.agg.process_batch(payloads)
+        if self.backend == "scalar":
             return [self.agg.process_packet(p) for p in payloads]
-        except Exception:
-            if len(payloads) == 1:
-                self.dead_letters += 1
-                self.registry.counter("pipeline.dead_letters").inc()
-                return []
-            results: List[Any] = []
-            for payload in payloads:
-                results.extend(self._agg_process([payload]))
-            return results
+        return self.agg.process_columnar(payloads)
 
     def _dispatch(self, payloads: List[bytes], out: List[Any]) -> int:
         """Route payloads (through the corruption and reorder fault
@@ -551,7 +532,7 @@ class StreamingPipeline:
             parts: List[Any] = [payloads]
             if self.placement is not None:
                 parts, counts = partition_stream(
-                    self._agg_spec,
+                    self._fleet.spec,
                     self.placement.map.shards,
                     PacketColumns(payloads),
                     self.placement.map,
@@ -561,11 +542,12 @@ class StreamingPipeline:
                 if len(part):
                     self._fleet.push(shard, part)
             return
-        results = self._agg_process(payloads)
-        dead = sum(1 for r in results if not r.merged)
+        # A poison payload (the entry point raises on it) cannot abort
+        # the run; it and every merely undecodable payload — all that
+        # reach this stage are aggregation-bound — are dead letters.
+        results, dead = process_isolated(self._agg_process, payloads)
+        dead += sum(1 for r in results if not r.merged)
         if dead:
-            # Every payload reaching this stage is aggregation-bound,
-            # so an unmerged one is an undecodable dead letter.
             self.dead_letters += dead
             self.registry.counter("pipeline.dead_letters").inc(dead)
         out.extend(results)
@@ -597,7 +579,6 @@ class StreamingPipeline:
         batches = 0
         payload_count = 0
         scalar = self.backend == "scalar"
-        columnar = self.backend in ("columnar", "persistent")
         workload = self.workload
         # Bounded in-flight micro-batches: the generate/encode stage
         # runs up to ``max_inflight`` batches ahead of the switch
@@ -631,10 +612,8 @@ class StreamingPipeline:
                         self.codec.encode(values_at(i))
                         for i in range(len(cols))
                     ]
-                elif columnar:
-                    cids = self.cache.encode_columns(keys, values_at)
                 else:
-                    cids = self.cache.encode_batch(keys, values_at)
+                    cids = self.cache.encode_columns(keys, values_at)
                 pending.append((cols, cids))
             inflight_peak = max(inflight_peak, len(pending))
             if not pending:

@@ -54,9 +54,11 @@ from typing import (
 from repro.chaos.shard_faults import ShardFaultPlan
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.testbed.executor import (
+    BACKENDS,
     ShardSpec,
     _run_shard_epoch,
     _slice_part,
+    check_backend,
     fold_snapshots,
     partition_stream,
     render_report,
@@ -67,9 +69,6 @@ from repro.testbed.worker import WorkerDied, WorkerFleet
 __all__ = ["ShardSupervisor", "SupervisedRunResult"]
 
 _LOG = logging.getLogger(__name__)
-
-# Degradation ladder positions (gauge value per backend tier).
-_TIERS = {"scalar": 0, "batch": 1, "columnar": 2}
 
 
 class _Job(NamedTuple):
@@ -191,8 +190,7 @@ class ShardSupervisor:
             shards = placement.map.shards
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if backend not in ("scalar", "batch", "columnar"):
-            raise ValueError("unknown backend %r" % backend)
+        check_backend(backend)
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         if checkpoint_batches < 1:
@@ -309,7 +307,7 @@ class ShardSupervisor:
                 self.registry.counter("supervisor.degradations").inc()
         if backends:
             self.registry.gauge("supervisor.backend_tier").set(
-                _TIERS[backends[-1]]
+                BACKENDS.index(backends[-1])
             )
         return SupervisedRunResult(
             snapshot=snapshot or {},

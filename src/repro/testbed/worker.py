@@ -54,6 +54,7 @@ import os
 import pickle
 import signal
 import time
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chaos.shard_faults import ShardCrash, ShardFaultPlan
@@ -61,6 +62,7 @@ from repro.testbed.executor import (
     Replica,
     ShardSpec,
     _chunked,
+    check_backend,
     fold_snapshots,
 )
 from repro.testbed.shm_ring import (
@@ -180,15 +182,13 @@ class ShardWorker:
         fault_plan: Optional[ShardFaultPlan] = None,
         reply_timeout_s: float = 60.0,
     ):
+        self.backend = check_backend(backend)
         if not shared_memory_available():
             raise RuntimeError(
                 "persistent workers need POSIX shared memory"
             )
-        if backend not in ("scalar", "batch", "columnar"):
-            raise ValueError("unknown backend %r" % backend)
         self.spec = spec
         self.shard_index = shard_index
-        self.backend = backend
         self.fault_plan = fault_plan
         self.reply_timeout_s = reply_timeout_s
         self.ring = ColumnRing.create(
@@ -474,6 +474,14 @@ class WorkerFleet:
             part, chunk_size or self.row_capacity, backend or self.backend
         ):
             worker.push_batch(chunk)
+
+    def rekey(self, new_key: bytes) -> None:
+        """Ring-ordered rekey of every live worker — and of the recipe,
+        so a shard spawned lazily afterwards is built from the live
+        key."""
+        self.spec = replace(self.spec, key=bytes(new_key))
+        for worker in self.workers.values():
+            worker.rekey(new_key)
 
     def drain_shard(
         self, shard: int, reset: bool = False

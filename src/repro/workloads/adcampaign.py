@@ -35,7 +35,7 @@ __all__ = [
 
 def iter_batches(items: List, batch_size: int) -> Iterator[List]:
     """Yield successive ``batch_size``-sized slices of ``items`` (the
-    last one may be shorter).  Feeds the switch batch fast path."""
+    last one may be shorter).  Feeds the switch columnar fast path."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     for start in range(0, len(items), batch_size):
@@ -161,7 +161,7 @@ class AdCampaignWorkload:
         """Pre-encode an event stream into connection IDs with a
         :class:`~repro.core.transport_cookie.TransportCookieCodec` —
         the client-side work a driver does before replaying the stream
-        into a LarkSwitch (scalar or batch)."""
+        into a LarkSwitch (scalar or columnar)."""
         return [
             codec.encode(
                 event.user.semantic_values(event.campaign, event.event_type)

@@ -1,9 +1,9 @@
 """Chaos coverage for the post-fast-path data plane.
 
-The original chaos suite predates the batch/columnar entry points and
+The original chaos suite predates the columnar entry points and
 sharded AggSwitch banks; it only ever exercised the scalar loop on a
 single bank.  These tests re-run the crash/loss scenarios with the
-fast paths and shards engaged and require two things:
+fast path and shards engaged and require two things:
 
 * every scenario still self-heals to a consistent, verified report;
 * the run **fingerprint** — ground truth, final report, repair and
@@ -18,7 +18,7 @@ import pytest
 
 from repro.chaos import ChaosHarness, ChaosScenario, standard_outage
 
-BACKENDS = ("scalar", "batch", "columnar")
+BACKENDS = ("scalar", "columnar")
 
 #: CI sweeps this (same knob as tests/chaos/test_chaos.py).
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "7"))
@@ -40,12 +40,11 @@ def _outage():
 
 
 class TestLarkCrashOnFastPaths:
-    @pytest.mark.parametrize("backend", ["batch", "columnar"])
-    def test_kill_and_restart_mid_run_stays_consistent(self, backend):
+    def test_kill_and_restart_mid_run_stays_consistent(self):
         """The acceptance case: LarkSwitch killed and restarted
-        mid-run while the data plane runs a fast path over sharded
+        mid-run while the data plane runs the fast path over sharded
         aggregation banks — the report must still verify."""
-        result = _run(backend=backend, agg_shards=2, scenario=_outage())
+        result = _run(backend="columnar", agg_shards=2, scenario=_outage())
         assert result.consistent
         assert result.fallback_events > 0  # the crash actually bit
         kinds = [(e[1], e[2]) for e in result.lifecycle]
@@ -55,11 +54,10 @@ class TestLarkCrashOnFastPaths:
 
     def test_fingerprint_identical_across_backends(self):
         reference = _run(scenario=_outage()).fingerprint()
-        for backend in ("batch", "columnar"):
-            assert (
-                _run(backend=backend, scenario=_outage()).fingerprint()
-                == reference
-            )
+        assert (
+            _run(backend="columnar", scenario=_outage()).fingerprint()
+            == reference
+        )
 
     def test_fingerprint_identical_across_shard_counts(self):
         reference = _run(scenario=_outage()).fingerprint()

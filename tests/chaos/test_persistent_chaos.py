@@ -138,11 +138,11 @@ class TestKillMidEpoch:
         packets = wl.payloads("adversarial", 1200)
         plan = (
             ShardFaultPlan(seed=5)
-            .degrade_backend(at_epoch=2, to="batch")
+            .degrade_backend(at_epoch=2, to="scalar")
             .kill_shard(1, at_batch=3)
         )
         fault_free = ShardFaultPlan(seed=5).degrade_backend(
-            at_epoch=2, to="batch"
+            at_epoch=2, to="scalar"
         )
         baseline = _supervisor(spec, plan=fault_free).run(packets)
         chaos = _supervisor(spec, plan=plan).run(packets)

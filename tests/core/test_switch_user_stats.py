@@ -57,21 +57,19 @@ class TestLarkObservation:
         assert report["events"] == 4
         assert report["quantiles"]["p99"] == 3
 
-    def test_batch_and_columnar_match_scalar(self):
+    def test_columnar_matches_scalar(self):
         users = [1, 2, 1, 3, 1, 2, 3, 3, 3, 7]
         snapshots = []
-        for backend in ("scalar", "batch", "columnar"):
+        for backend in ("scalar", "columnar"):
             lark, codec = _setup()
             cids = _cookies(codec, users)
             if backend == "scalar":
                 for cid in cids:
                     lark.process_quic_packet(cid)
-            elif backend == "batch":
-                lark.process_quic_batch(cids)
             else:
                 lark.process_quic_columnar(cids)
             snapshots.append(lark._apps[APP].users.snapshot())
-        assert snapshots[0] == snapshots[1] == snapshots[2]
+        assert snapshots[0] == snapshots[1]
 
     def test_missing_key_feature_not_observed(self):
         # Feature stacks are prefix-truncated: a cookie carrying only
@@ -212,15 +210,15 @@ class TestResourceBounds:
     def test_decode_memo_bounded(self):
         lark, codec = _setup(decode_memo_capacity=4)
         cids = _cookies(codec, list(range(16)))
-        lark.process_quic_batch(cids)
+        lark.process_quic_columnar(cids)
         assert len(lark._decode_memo) <= 4
         # Decode stays correct through evictions: reprocessing counts.
-        lark.process_quic_batch(cids)
+        lark.process_quic_columnar(cids)
         assert lark.user_report(APP)["events"] == 32
 
     def test_decode_memo_unbounded_by_default(self):
         lark, codec = _setup()
-        lark.process_quic_batch(_cookies(codec, list(range(16))))
+        lark.process_quic_columnar(_cookies(codec, list(range(16))))
         assert len(lark._decode_memo) == 16
 
     def test_invalid_memo_capacity(self):

@@ -80,23 +80,23 @@ class TestDeriveSubkeyEdges:
 
 
 class TestRotationOnTheDataPlane:
-    """Rekeying a LarkSwitch must flush the batch decode memo: scalar
-    and batch paths must agree before, across, and after the rekey."""
+    """Rekeying a LarkSwitch must flush the columnar decode memo: scalar
+    and columnar paths must agree before, across, and after the rekey."""
 
     def _setup(self):
         wl = DifferentialWorkload(seed=77, num_users=40)
         ring = KeyRing(seed=78)
         return wl, ring
 
-    def test_old_key_cookies_rejected_after_rekey_scalar_and_batch(self):
+    def test_old_key_cookies_rejected_after_rekey_scalar_and_columnar(self):
         wl, _ = self._setup()
         old_cids = wl.cids("uniform", 60)
         scalar = wl.new_lark(mode=ForwardingMode.PER_PACKET)
         batch = wl.new_lark(mode=ForwardingMode.PER_PACKET)
 
-        # Warm both switches (and the batch decode memo) on the old key.
+        # Warm both switches (and the columnar decode memo) on the old key.
         warm_scalar = [scalar.process_quic_packet(c) for c in old_cids]
-        warm_batch = batch.process_quic_batch(old_cids)
+        warm_batch = batch.process_quic_columnar(old_cids)
         assert warm_batch == warm_scalar
         assert any(r.decoded_values for r in warm_batch)
 
@@ -105,9 +105,9 @@ class TestRotationOnTheDataPlane:
         batch.rekey_application(APP_ID, new_key)
 
         after_scalar = [scalar.process_quic_packet(c) for c in old_cids]
-        after_batch = batch.process_quic_batch(old_cids)
+        after_batch = batch.process_quic_columnar(old_cids)
         # Bit-identical even across the rekey — a stale memo would make
-        # the batch switch keep decoding old-key cookies here.  (The
+        # the columnar switch keep decoding old-key cookies here.  (The
         # transport cookie has no MAC, so a wrong-key decrypt may yield
         # plausible garbage — but never the original values.)
         assert after_batch == after_scalar
@@ -125,7 +125,7 @@ class TestRotationOnTheDataPlane:
             for _ in range(10)
         ]
         fresh_scalar = [scalar.process_quic_packet(c) for c in fresh]
-        fresh_batch = batch.process_quic_batch(fresh)
+        fresh_batch = batch.process_quic_columnar(fresh)
         assert fresh_batch == fresh_scalar
         assert all(r.decoded_values for r in fresh_batch)
 
@@ -133,9 +133,9 @@ class TestRotationOnTheDataPlane:
         wl, _ = self._setup()
         cids = wl.cids("uniform", 30)
         lark = wl.new_lark()
-        lark.process_quic_batch(cids)
+        lark.process_quic_columnar(cids)
         assert lark.revoke_application(APP_ID)
-        results = lark.process_quic_batch(cids)
+        results = lark.process_quic_columnar(cids)
         assert not any(r.matched for r in results)
         # No stats registers survive the revoke.
         names = lark.pipeline.registers.names()

@@ -1,15 +1,15 @@
-"""Differential proof that all three execution backends are bit-identical.
+"""Differential proof that the execution backends are bit-identical.
 
-Extends ``test_scalar_vs_batch`` with the columnar axis: every workload
-shape runs through the scalar loop, the compiled batch path AND the
-vectorized columnar kernels, at five seeds, and every observable —
-per-packet results, digests, decoded values, raw register contents,
-statistics reports — must match byte for byte.  The same streams are
-then replayed with numpy force-disabled (:func:`force_numpy`), proving
-the pure-Python fallback is the semantic reference, and through the
-sharded :class:`ShardExecutor`, proving the partition/fold algebra
-reconstructs single-switch state exactly (the ring-worker transport has
-its own differential, ``test_persistent_backend.py``).
+Companion to ``test_scalar_vs_columnar``: every workload shape runs
+through the scalar loop and the columnar path, at five seeds, and every
+observable — per-packet results, digests, decoded values, raw register
+contents, statistics reports — must match byte for byte.  The same
+streams are then replayed with numpy force-disabled
+(:func:`force_numpy`), proving the pure-Python kernel forms are the
+semantic reference, and through the sharded :class:`ShardExecutor`,
+proving the partition/fold algebra reconstructs single-switch state
+exactly (the ring-worker transport has its own differential,
+``test_persistent_backend.py``).
 """
 
 import pytest
@@ -29,7 +29,7 @@ from tests.differential.workloads import (
 SEEDS = (11, 23, 37, 41, 59)
 BATCH_SIZES = {11: 1, 23: 7, 37: 64, 41: 113, 59: 4096}
 PACKETS = 240
-FAST_BACKENDS = ("batch", "columnar")
+FAST_BACKENDS = ("columnar",)
 
 
 @pytest.fixture
@@ -45,26 +45,18 @@ def no_numpy():
 def _run_lark(switch, cids, backend, batch_size):
     if backend == "scalar":
         return [switch.process_quic_packet(cid) for cid in cids]
-    process = (
-        switch.process_quic_batch if backend == "batch"
-        else switch.process_quic_columnar
-    )
     results = []
     for chunk in iter_batches(cids, batch_size):
-        results.extend(process(chunk))
+        results.extend(switch.process_quic_columnar(chunk))
     return results
 
 
 def _run_agg(switch, payloads, backend, batch_size):
     if backend == "scalar":
         return [switch.process_packet(p) for p in payloads]
-    process = (
-        switch.process_batch if backend == "batch"
-        else switch.process_columnar
-    )
     results = []
     for chunk in iter_batches(payloads, batch_size):
-        results.extend(process(chunk))
+        results.extend(switch.process_columnar(chunk))
     return results
 
 
@@ -98,13 +90,13 @@ def _assert_agg_identical(wl, shape, seed, shards=1):
         assert fast.report(APP_ID) == scalar.report(APP_ID)
 
 
-# -- three-way backend identity ---------------------------------------------
+# -- backend identity --------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_lark_backends_bit_identical(shape, seed):
-    """Periodical lark: scalar == batch == columnar on every shape."""
+    """Periodical lark: scalar == columnar on every shape."""
     _assert_lark_identical(
         DifferentialWorkload(seed), shape, seed, ForwardingMode.PERIODICAL
     )
@@ -123,7 +115,7 @@ def test_lark_backends_per_packet_mode(shape, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_agg_backends_bit_identical(shape, seed):
-    """AggSwitch: scalar == batch == columnar, single bank."""
+    """AggSwitch: scalar == columnar, single bank."""
     _assert_agg_identical(DifferentialWorkload(seed), shape, seed)
 
 
@@ -141,8 +133,8 @@ def test_agg_backends_bit_identical_sharded(seed):
 @pytest.mark.parametrize("seed", SEEDS[:2])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_backends_identical_without_numpy(no_numpy, shape, seed):
-    """With the numpy gate closed the columnar entry points fall back
-    to the batch path — identity must hold on the pure-Python kernels."""
+    """With the numpy gate closed the columnar entry points run their
+    kernels' Python forms — identity must hold there too."""
     assert not numpy_enabled()
     wl = DifferentialWorkload(seed)
     _assert_lark_identical(wl, shape, seed, ForwardingMode.PERIODICAL)
@@ -198,7 +190,7 @@ def _lark_spec(wl):
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
-@pytest.mark.parametrize("backend", ("scalar", "batch", "columnar"))
+@pytest.mark.parametrize("backend", ("scalar", "columnar"))
 def test_shard_executor_agg_matches_single_switch(seed, backend):
     """Sequential sharded execution folds back to the single-switch
     snapshot and report, whatever the per-shard backend."""
@@ -238,42 +230,76 @@ def test_shard_executor_lark_matches_single_switch(seed):
 
 
 def test_adaptive_backend_auto_picks_and_sticks():
-    """Auto mode times batch and scalar probes, then locks the winner;
+    """Auto mode times columnar and scalar probes, then locks the winner;
     every item is processed exactly once through a bit-identical path."""
-    calls = {"scalar": 0, "batch": 0}
+    calls = {"scalar": 0, "columnar": 0}
 
     def scalar_fn(items):
         calls["scalar"] += 1
         return list(items)
 
-    def slow_batch(items):
-        calls["batch"] += 1
+    def slow_columnar(items):
+        calls["columnar"] += 1
         for _ in range(20000):
             pass
         return list(items)
 
-    chooser = AdaptiveBackend(scalar_fn, slow_batch, mode="auto")
+    chooser = AdaptiveBackend(scalar_fn, slow_columnar, mode="auto")
     out = []
     for _ in range(8):
         out.extend(chooser.run([1, 2, 3]))
     # 4 calibration probes (2 per candidate), then the faster scalar
     # path takes every remaining flush.
     assert chooser.chosen == "scalar"
-    assert calls["batch"] == 2
+    assert calls["columnar"] == 2
     assert len(out) == 8 * 3
     with pytest.raises(ValueError):
-        AdaptiveBackend(scalar_fn, slow_batch, mode="gpu")
+        AdaptiveBackend(scalar_fn, slow_columnar, mode="gpu")
+    with pytest.raises(ValueError):
+        AdaptiveBackend(scalar_fn, slow_columnar, mode="batch")
 
 
 def test_adaptive_backend_fixed_modes_dispatch_directly():
     tagged = {
         "scalar": lambda items: ["s"] * len(items),
-        "batch": lambda items: ["b"] * len(items),
         "columnar": lambda items: ["c"] * len(items),
     }
-    for mode, tag in (("scalar", "s"), ("batch", "b"), ("columnar", "c")):
+    for mode, tag in (("scalar", "s"), ("columnar", "c")):
         chooser = AdaptiveBackend(
-            tagged["scalar"], tagged["batch"], tagged["columnar"], mode=mode
+            tagged["scalar"], tagged["columnar"], mode=mode
         )
         assert chooser.run([0, 0]) == [tag, tag]
         assert chooser.chosen == mode
+
+
+# -- the retired tier --------------------------------------------------------
+
+
+def test_batch_backend_name_is_rejected_everywhere():
+    """There are two tiers.  The retired ``"batch"`` name is an error at
+    every ``backend=`` entry point, never an alias."""
+    from repro.chaos import ChaosHarness
+    from repro.chaos.shard_faults import ShardFaultPlan
+    from repro.cli import build_parser
+    from repro.testbed.network_testbed import NetworkTestbed
+    from repro.testbed.pipeline import StreamingPipeline
+    from repro.testbed.supervisor import ShardSupervisor
+    from repro.testbed.worker import ShardWorker, WorkerFleet
+
+    wl = DifferentialWorkload(SEEDS[0])
+    spec = _agg_spec(wl)
+    attempts = (
+        lambda: ShardExecutor(spec, backend="batch"),
+        lambda: ShardSupervisor(spec, backend="batch"),
+        lambda: ShardWorker(spec, 0, backend="batch"),
+        lambda: WorkerFleet(spec, backend="batch").worker(0),
+        lambda: StreamingPipeline(wl.workload, backend="batch"),
+        lambda: NetworkTestbed(backend="batch"),
+        lambda: ChaosHarness(backend="batch"),
+        lambda: ShardFaultPlan().degrade_backend(1, to="batch"),
+    )
+    for attempt in attempts:
+        with pytest.raises(ValueError):
+            attempt()
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["bench", "--backend", "batch"])

@@ -3,7 +3,7 @@
 A long-lived shard worker fed over a shared-memory columnar ring is
 only an optimization if it changes nothing observable: every run that
 streams through :mod:`repro.testbed.worker` must equal the in-process
-scalar / batch / columnar paths byte for byte — merged register
+scalar / columnar paths byte for byte — merged register
 snapshots, rendered reports, per-shard packet/fold counters, streamed
 pipeline observables — at five seeds, across the uniform / zipfian /
 adversarial workload shapes, sharded and unsharded, for both switch
@@ -33,7 +33,7 @@ pytestmark = pytest.mark.skipif(
 
 SEEDS = (11, 23, 37, 41, 59)
 PACKETS = 400
-INLINE_BACKENDS = ("scalar", "batch", "columnar")
+INLINE_BACKENDS = ("scalar", "columnar")
 
 
 def _agg_spec(wl: DifferentialWorkload) -> ShardSpec:
@@ -151,22 +151,21 @@ class TestExecutorUnsharded:
 
 
 class TestWorkerBackendSelection:
-    """The worker honors non-columnar per-shard backends too: the ring
+    """The worker honors the scalar per-shard backend too: the ring
     transport is orthogonal to the compute tier it feeds."""
 
-    @pytest.mark.parametrize("backend", ("scalar", "batch"))
-    def test_worker_runs_requested_backend(self, backend):
+    def test_worker_runs_requested_backend(self):
         wl = DifferentialWorkload(seed=SEEDS[2])
         spec = _agg_spec(wl)
         packets = wl.payloads("zipfian", PACKETS)
         with ShardExecutor(
-            spec, shards=2, backend=backend, chunk_size=96,
+            spec, shards=2, backend="scalar", chunk_size=96,
             persistent=True,
         ) as executor:
             result = executor.run(packets)
             assert result.used_workers, result.fallback_cause
             assert _observables(result) == _inline(
-                spec, packets, 2, backend
+                spec, packets, 2, "scalar"
             )
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.aggregation import ForwardingMode
 from repro.obs.registry import MetricsRegistry
+from repro.testbed.executor import Replica, ShardSpec, process_isolated
 from repro.testbed.pipeline import BACKENDS, StreamingPipeline
 from repro.workloads.adcampaign import AdCampaignWorkload
 
@@ -68,17 +69,17 @@ class TestDeadLetters:
 
     def test_corruption_is_batch_shape_invariant(self):
         one_shot = _pipe(
-            "batch", corrupt_probability=0.3, batch_size=ONE_SHOT
+            "columnar", corrupt_probability=0.3, batch_size=ONE_SHOT
         ).run(RATE, DURATION_MS)
         for batch_size in (5, 64):
             streamed = _pipe(
-                "batch", corrupt_probability=0.3, batch_size=batch_size
+                "columnar", corrupt_probability=0.3, batch_size=batch_size
             ).run(RATE, DURATION_MS)
             assert _observables(streamed) == _observables(one_shot)
             assert streamed.dead_letters == one_shot.dead_letters
 
     def test_no_corruption_no_dead_letters(self):
-        result = _pipe("batch").run(RATE, DURATION_MS)
+        result = _pipe("columnar").run(RATE, DURATION_MS)
         assert result.dead_letters == 0
         assert result.counts_match_reference()
 
@@ -94,25 +95,25 @@ class TestBoundedInflight:
             assert _observables(result) == _observables(reference), depth
 
     def test_inflight_peak_gauge_reflects_bound(self):
-        pipe = _pipe("batch", max_inflight=3, batch_size=16)
+        pipe = _pipe("columnar", max_inflight=3, batch_size=16)
         pipe.run(RATE, DURATION_MS)
         peak = pipe.registry.value("pipeline.inflight_peak")
         assert 1 <= peak <= 3
 
     def test_on_batch_hook_forces_lockstep(self):
         pipe = _pipe(
-            "batch", max_inflight=8, on_batch=lambda _p, _c: None
+            "columnar", max_inflight=8, on_batch=lambda _p, _c: None
         )
         assert pipe.max_inflight == 1
 
     def test_invalid_inflight_rejected(self):
         with pytest.raises(ValueError):
-            _pipe("batch", max_inflight=0)
+            _pipe("columnar", max_inflight=0)
 
 
 class TestPeriodCheckpoints:
     def test_checkpoints_taken_every_n_periods(self):
-        pipe = _pipe("batch", checkpoint_every_periods=2)
+        pipe = _pipe("columnar", checkpoint_every_periods=2)
         result = pipe.run(RATE, DURATION_MS)
         assert result.periods >= 4
         assert result.checkpoints == result.periods // 2
@@ -124,13 +125,13 @@ class TestPeriodCheckpoints:
     def test_last_checkpoint_restores_into_fresh_switches(self):
         """The pipeline's period checkpoint is a real recovery point:
         restoring it into fresh switches reproduces the registers."""
-        pipe = _pipe("batch", checkpoint_every_periods=1)
+        pipe = _pipe("columnar", checkpoint_every_periods=1)
         pipe.run(RATE, DURATION_MS)
         checkpoint = pipe.last_checkpoint
         assert checkpoint is not None
         assert checkpoint["period"] == pipe.periods
 
-        clone = _pipe("batch")
+        clone = _pipe("columnar")
         clone.lark.restore(clone.app_id, checkpoint["lark"])
         clone.agg.restore(clone.app_id, checkpoint["agg"])
         assert (
@@ -139,7 +140,76 @@ class TestPeriodCheckpoints:
         assert clone.agg.checkpoint(clone.app_id) == checkpoint["agg"]
 
     def test_zero_means_no_checkpoints(self):
-        pipe = _pipe("batch")
+        pipe = _pipe("columnar")
         result = pipe.run(RATE, DURATION_MS)
         assert result.checkpoints == 0
         assert pipe.last_checkpoint is None
+
+
+class TestPoisonIsolation:
+    """One routine (``process_isolated``) keeps a raising entry point
+    from taking a whole chunk down, for the pipeline's agg stage and
+    for shard replicas alike."""
+
+    @staticmethod
+    def _poisoning(inner):
+        """Wrap an entry point so the first row of the first multi-row
+        chunk it sees raises whenever it is present."""
+        poison = []
+
+        def process(rows):
+            rows = list(rows)
+            if not poison and len(rows) > 1:
+                poison.append(bytes(rows[0]))
+            if poison and poison[0] in [bytes(r) for r in rows]:
+                raise RuntimeError("poison packet")
+            return inner(rows)
+
+        return process
+
+    def test_chunk_is_retried_row_by_row_and_single_rows_are_not(self):
+        calls = []
+
+        def process(rows):
+            calls.append(len(rows))
+            if b"poison" in rows:
+                raise RuntimeError("poison packet")
+            return [row.upper() for row in rows]
+
+        assert process_isolated(process, [b"a", b"poison", b"b"]) == (
+            [b"A", b"B"], 1
+        )
+        assert calls == [3, 1, 1, 1]
+        del calls[:]
+        assert process_isolated(process, [b"poison"]) == ([], 1)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_pipeline_books_the_poison_as_one_dead_letter(self, backend):
+        pipe = _pipe(backend, mode=ForwardingMode.PER_PACKET)
+        pipe._agg_process = self._poisoning(pipe._agg_process)
+        result = pipe.run(RATE, DURATION_MS)
+        assert result.dead_letters == 1
+        assert result.merged == result.payloads - 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_replica_leaves_the_poison_unfolded(self, backend):
+        pipe = _pipe("columnar", mode=ForwardingMode.PER_PACKET)
+        payloads = []
+        pipe._deliver = lambda batch, out: payloads.extend(batch)
+        pipe.run(RATE, DURATION_MS)
+        replica = Replica(
+            ShardSpec(
+                kind="agg", app_id=pipe.app_id,
+                schema=pipe.workload.schema(), key=pipe._key,
+                specs=tuple(pipe.workload.specs()),
+            ),
+            0,
+        )
+        replica._process[backend] = self._poisoning(
+            replica._process[backend]
+        )
+        replica.feed(payloads[:50], backend)
+        assert replica.counters() == {
+            "packets": 50, "folded": 49, "unmerged": 1,
+        }

@@ -221,7 +221,7 @@ PERIOD_MS = 100.0
 
 
 def _pipeline_run(backend, seed, placement=None,
-                  mode=ForwardingMode.PERIODICAL):
+                  mode=ForwardingMode.PERIODICAL, on_batch=None):
     workload = AdCampaignWorkload(num_users=80, seed=seed)
     pipe = StreamingPipeline(
         workload,
@@ -232,6 +232,7 @@ def _pipeline_run(backend, seed, placement=None,
         batch_size=64,
         registry=MetricsRegistry(),
         placement=placement,
+        on_batch=on_batch,
     )
     try:
         result = pipe.run(RATE, DURATION_MS)
@@ -282,6 +283,39 @@ class TestPipelinePlacement:
             h["action"] == "resize" for h in result.placement_history
         )
         assert got == _pipeline_run("columnar", SEEDS[1])[0]
+
+    def test_shard_spawned_after_rekey_uses_the_live_key(self):
+        """Periodical mode emits one payload per period, so under an
+        8-shard map most shards see their first payload — and spawn —
+        late in the run.  A rekey at a period boundary must reach those
+        not-yet-spawned workers too: they are built from the fleet's
+        recipe, which therefore has to carry the live key."""
+        new_key = bytes(range(16))
+        spawned_at_rekey = []
+
+        def make_hook():
+            def hook(pipe, cols):
+                if pipe.periods == 2 and pipe._key != new_key:
+                    if pipe._fleet is not None:
+                        spawned_at_rekey.extend(pipe._fleet.workers)
+                    pipe.rekey(new_key)
+
+            return hook
+
+        got, result = _pipeline_run(
+            "persistent", SEEDS[0], placement=_aggressive(8),
+            on_batch=make_hook(),
+        )
+        used = {
+            shard for shard, count in enumerate(result.agg_shard_packets)
+            if count
+        }
+        assert used - set(spawned_at_rekey), "no shard spawned post-rekey"
+        assert result.dead_letters == 0
+        assert result.counts_match_reference()
+        assert got == _pipeline_run(
+            "columnar", SEEDS[0], on_batch=make_hook()
+        )[0]
 
     def test_placement_requires_persistent_backend(self):
         workload = AdCampaignWorkload(num_users=8, seed=1)

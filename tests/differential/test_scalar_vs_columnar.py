@@ -1,0 +1,219 @@
+"""Differential proof that the columnar fast path is bit-identical to
+the scalar interpreter — under both kernel forms.
+
+The load-bearing invariant of the columnar path
+(``LarkSwitch.process_quic_columnar``, ``AggSwitch.process_columnar``)
+is that it is *purely* a host-CPU optimization: every observable —
+per-packet results, digests, decoded values, raw register contents,
+statistics reports, merged shard state — must equal the scalar path's,
+byte for byte.  This suite replays the same seeded streams through both
+paths across three workload shapes (uniform, zipfian, adversarial) and
+five seeds, at several chunk sizes, and runs every case twice in
+process: with the numpy gate forced open and forced closed.  The chunk
+sizes straddle :data:`repro.switch.columns.VECTOR_MIN_ROWS`, so the
+numpy leg also covers the small-batch cut-off to the Python forms.
+"""
+
+import pytest
+
+from repro.core.aggregation import ForwardingMode
+from repro.switch import columns
+from repro.switch.tables import MatchActionTable, MatchKey, MatchKind
+from repro.testbed.config import Scheme, TestbedConfig
+from repro.testbed.network_testbed import NetworkTestbed
+from repro.workloads.adcampaign import iter_batches
+
+from tests.differential.workloads import (
+    APP_ID,
+    SHAPES,
+    DifferentialWorkload,
+    register_state,
+)
+
+SEEDS = (11, 23, 37, 41, 59)
+# One chunking per seed, covering the degenerate single-packet batch,
+# odd sizes that straddle stream boundaries, and an oversized batch.
+BATCH_SIZES = {11: 1, 23: 7, 37: 64, 41: 113, 59: 4096}
+PACKETS = 240
+
+assert min(BATCH_SIZES.values()) < columns.VECTOR_MIN_ROWS < PACKETS
+
+
+@pytest.fixture(autouse=True, params=(True, False), ids=("numpy", "python"))
+def kernel_form(request):
+    """Every test runs once per kernel form, whatever the ambient gate
+    (default run, or CI's ``REPRO_NO_NUMPY=1`` leg)."""
+    previous = columns._FORCED
+    columns.force_numpy(request.param)
+    try:
+        yield
+    finally:
+        columns._FORCED = previous
+
+
+def _run_lark_pair(wl, shape, batch_size, mode):
+    cids = wl.cids(shape, PACKETS)
+    scalar = wl.new_lark(mode=mode)
+    columnar = wl.new_lark(mode=mode)
+    scalar_results = [scalar.process_quic_packet(cid) for cid in cids]
+    columnar_results = []
+    for chunk in iter_batches(cids, batch_size):
+        columnar_results.extend(columnar.process_quic_columnar(chunk))
+    return scalar, columnar, scalar_results, columnar_results
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_lark_columnar_bit_identical(shape, seed):
+    """LarkResults, digests, registers and reports all match."""
+    wl = DifferentialWorkload(seed)
+    scalar, columnar, scalar_results, columnar_results = _run_lark_pair(
+        wl, shape, BATCH_SIZES[seed], ForwardingMode.PERIODICAL
+    )
+    assert len(columnar_results) == len(scalar_results)
+    for i, (s, c) in enumerate(zip(scalar_results, columnar_results)):
+        assert c == s, "packet %d diverged (%s, seed %d)" % (i, shape, seed)
+        assert c.digests == s.digests
+    assert register_state(columnar) == register_state(scalar)
+    assert columnar.stats_report(APP_ID) == scalar.stats_report(APP_ID)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:2])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_lark_columnar_bit_identical_per_packet_mode(shape, seed):
+    """Per-packet forwarding encodes a payload per match (fresh IV from
+    the app RNG) — the RNG consumption order must also line up."""
+    wl = DifferentialWorkload(seed)
+    scalar, columnar, scalar_results, columnar_results = _run_lark_pair(
+        wl, shape, BATCH_SIZES[seed], ForwardingMode.PER_PACKET
+    )
+    assert columnar_results == scalar_results
+    assert register_state(columnar) == register_state(scalar)
+    assert columnar.stats_report(APP_ID) == scalar.stats_report(APP_ID)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_agg_columnar_bit_identical(shape, seed):
+    """AggResults (including per-packet forward reports), registers and
+    merged report all match between scalar and columnar aggregation."""
+    wl = DifferentialWorkload(seed)
+    payloads = wl.payloads(shape, PACKETS)
+    assert payloads, "workload produced no aggregation payloads"
+    scalar = wl.new_agg()
+    columnar = wl.new_agg()
+    scalar_results = [scalar.process_packet(p) for p in payloads]
+    columnar_results = []
+    for chunk in iter_batches(payloads, BATCH_SIZES[seed]):
+        columnar_results.extend(columnar.process_columnar(chunk))
+    assert columnar_results == scalar_results
+    assert register_state(columnar) == register_state(scalar)
+    assert columnar.merge(APP_ID) == scalar.merge(APP_ID)
+    assert columnar.report(APP_ID) == scalar.report(APP_ID)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shards", (2, 4, 7))
+def test_sharded_agg_matches_unsharded(seed, shards):
+    """Hash-partitioned register banks merge back to exactly the
+    single-bank state, scalar and columnar alike."""
+    wl = DifferentialWorkload(seed)
+    payloads = wl.payloads("uniform", PACKETS)
+    flat = wl.new_agg(shards=1)
+    sharded = wl.new_agg(shards=shards)
+    for p in payloads:
+        flat.process_packet(p)
+    sharded.process_columnar(payloads)
+    assert sharded.merge(APP_ID) == flat.merge(APP_ID)
+    assert sharded.report(APP_ID) == flat.report(APP_ID)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_sharded_agg_under_hash_collision_skew(seed):
+    """Adversarially skewed payloads (most hashing to one shard) still
+    merge to the same report as the unsharded switch."""
+    shards = 4
+    wl = DifferentialWorkload(seed)
+    payloads = wl.skewed_payloads(PACKETS, shards)
+    flat = wl.new_agg(shards=1)
+    skewed = wl.new_agg(shards=shards)
+    scalar_results = [flat.process_packet(p) for p in payloads]
+    columnar_results = skewed.process_columnar(payloads)
+    assert skewed.report(APP_ID) == flat.report(APP_ID)
+    # Per-packet forward reports are shard-independent too: the merge
+    # action snapshots the *merged* state after every packet.
+    assert [r.forward_report for r in columnar_results] == [
+        r.forward_report for r in scalar_results
+    ]
+
+
+def _reshape(switch):
+    """Install a second stage the columnar path knows nothing about: a
+    table whose default action drops every packet."""
+
+    def drop(pipeline, phv, params):
+        phv.drop = True
+
+    switch.pipeline.register_action("drop_all", drop)
+    switch.pipeline.add_table(
+        stage=1,
+        table=MatchActionTable(
+            "%s.acl" % switch.name,
+            keys=[MatchKey("app_id", MatchKind.EXACT, 8)],
+            default_action="drop_all",
+        ),
+    )
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_reshaped_pipeline_runs_through_the_interpreter(shape):
+    """The columnar entry points hard-code the program shape the switch
+    installed.  Once someone adds a table, only the interpreter knows
+    what the program means: the batch must go through it packet by
+    packet (here: every packet still folds, then the new stage drops
+    it) instead of silently ignoring the new stage."""
+    wl = DifferentialWorkload(SEEDS[0])
+    cids = wl.cids(shape, PACKETS)
+    scalar, columnar = wl.new_lark(), wl.new_lark()
+    _reshape(scalar)
+    _reshape(columnar)
+    assert not columnar._columnar_ready()
+    scalar_results = [scalar.process_quic_packet(cid) for cid in cids]
+    columnar_results = []
+    for chunk in iter_batches(cids, 64):
+        columnar_results.extend(columnar.process_quic_columnar(chunk))
+    assert columnar_results == scalar_results
+    assert not any(r.forwarded_original for r in columnar_results)
+    assert register_state(columnar) == register_state(scalar)
+
+    payloads = wl.payloads(shape, PACKETS)
+    scalar_agg, columnar_agg = wl.new_agg(), wl.new_agg()
+    _reshape(scalar_agg)
+    _reshape(columnar_agg)
+    assert not columnar_agg._columnar_ready()
+    assert columnar_agg.process_columnar(payloads) == [
+        scalar_agg.process_packet(p) for p in payloads
+    ]
+    assert register_state(columnar_agg) == register_state(scalar_agg)
+    assert columnar_agg.pipeline.packets_dropped == len(payloads)
+
+
+def test_testbed_batched_matches_scalar_analytics():
+    """End to end: a batched-data-plane testbed run reaches the same
+    analytics report as the scalar run (latency differs only by the
+    modeled batching window)."""
+    config = TestbedConfig(
+        scheme=Scheme.TRANS_1RTT,
+        insa=True,
+        requests_per_second=40.0,
+        duration_ms=2000.0,
+    )
+    scalar = NetworkTestbed(config=config).run()
+    batched = NetworkTestbed(
+        config=config, batch_window_ms=5.0, batch_max=64, agg_shards=4
+    ).run()
+    assert scalar.counts_match_reference()
+    assert batched.counts_match_reference()
+    assert batched.report == scalar.report
+    assert len(batched.latencies_ms) == len(scalar.latencies_ms)
+    assert batched.aggregation_packets == scalar.aggregation_packets

@@ -70,14 +70,13 @@ class TestBatchSizeInvariance:
                 backend, batch_size
             )
 
-    @pytest.mark.parametrize("backend", ("batch", "columnar"))
-    def test_micro_batched_equals_one_shot_with_reordering(self, backend):
-        _, one_shot = _run(backend, ONE_SHOT, reorder=0.3)
+    def test_micro_batched_equals_one_shot_with_reordering(self):
+        _, one_shot = _run("columnar", ONE_SHOT, reorder=0.3)
         assert one_shot.counts_match_reference()
         for batch_size in (3, 61):
-            _, streamed = _run(backend, batch_size, reorder=0.3)
+            _, streamed = _run("columnar", batch_size, reorder=0.3)
             assert _observables(streamed) == _observables(one_shot), (
-                backend, batch_size
+                batch_size
             )
 
 
@@ -115,11 +114,10 @@ class TestBackendIdentity:
 
     def test_fast_backends_match_scalar_without_numpy(self, no_numpy):
         _, scalar = _run("scalar", 64)
-        for backend in ("batch", "columnar"):
-            _, fast = _run(backend, 64)
-            assert fast.report == scalar.report, backend
-            assert fast.register_state == scalar.register_state, backend
-            assert fast.counts_match_reference(), backend
+        _, fast = _run("columnar", 64)
+        assert fast.report == scalar.report
+        assert fast.register_state == scalar.register_state
+        assert fast.counts_match_reference()
 
 
 class TestMidRunRekey:

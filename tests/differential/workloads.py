@@ -1,10 +1,10 @@
-"""Seeded workload generators for the scalar-vs-batch differential suite.
+"""Seeded workload generators for the scalar-vs-columnar differential suite.
 
 Three shapes, all deterministic given a seed:
 
 * ``uniform``     — every user equally likely; the common case.
 * ``zipfian``     — heavy-tailed user popularity (Pareto ranks), so the
-  batch decode memo sees a few hot cookies and a long cold tail.
+  columnar decode memo sees a few hot cookies and a long cold tail.
 * ``adversarial`` — engineered to stress the fast path's caches and
   fallbacks: distinct connection IDs that collide in the decode memo
   (same preserved cookie bytes, different random filler), cookies
@@ -13,7 +13,7 @@ Three shapes, all deterministic given a seed:
 
 Every generator returns plain :class:`ConnectionID` lists so the same
 stream can be replayed through the scalar path and through
-``process_quic_batch`` at any chunking.
+``process_quic_columnar`` at any chunking.
 """
 
 import random
@@ -44,7 +44,7 @@ class DifferentialWorkload:
 
     Paired switches are built with identical seeds but *private*
     metrics registries: same-named instruments in the global registry
-    would otherwise be shared between the scalar and batch instances.
+    would otherwise be shared between the scalar and columnar instances.
     """
 
     def __init__(self, seed: int, num_users: int = 300):
@@ -164,7 +164,9 @@ class DifferentialWorkload:
         """Aggregation payloads produced by a per-packet-mode lark over
         the same shaped CID stream (the natural feed for AggSwitch)."""
         lark = self.new_lark(mode=ForwardingMode.PER_PACKET)
-        results = lark.process_quic_batch(self.cids(shape, n))
+        results = [
+            lark.process_quic_packet(cid) for cid in self.cids(shape, n)
+        ]
         return [
             r.aggregation_payload for r in results
             if r.aggregation_payload is not None

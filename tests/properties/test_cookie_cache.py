@@ -16,6 +16,7 @@ from repro.core.cookie_cache import CookieEncodeCache
 from repro.core.schema import Feature
 from repro.core.stats import StatKind, StatSpec
 from repro.core.transport_cookie import TransportCookieCodec
+from repro.quic.connection_id import ConnectionID
 from repro.switch.columns import force_numpy
 
 APP_ID = 0x5C
@@ -51,15 +52,6 @@ def _cache(capacity=4096, seed=3):
     return CookieEncodeCache(codec, capacity=capacity)
 
 
-@pytest.fixture
-def no_numpy():
-    force_numpy(False)
-    try:
-        yield
-    finally:
-        force_numpy(None)
-
-
 class TestDecodeIdentity:
     def test_cached_and_fresh_cookies_decode_identically(self):
         cache = _cache()
@@ -82,9 +74,9 @@ class TestDecodeIdentity:
             APP_ID, _schema(), KEY, random.Random(98)
         )
         keys = [i % 9 for i in range(120)]
-        cids = cache.encode_batch(keys, lambda i: _values(keys[i]))
+        cids = cache.encode_columns(keys, lambda i: _values(keys[i])).raw
         for key, cid in zip(keys, cids):
-            assert decoder.decode(cid).values == _values(key)
+            assert decoder.decode(ConnectionID(cid)).values == _values(key)
         assert cache.misses == 9
         # All 111 repeats land in the same batch as their first
         # occurrence: they ride the queued AES pass, and are counted
@@ -94,39 +86,40 @@ class TestDecodeIdentity:
 
 
 class TestEntryPointEquivalence:
-    def _assert_batch_equals_columns(self):
+    def test_columns_bytes_identical_with_and_without_numpy(self):
+        """Matrix assembly (gate open) and row assembly (gate closed)
+        draw the framing bytes in the same order."""
         keys = [i % 17 for i in range(150)]
         cache_a = _cache(seed=7)
         cache_b = _cache(seed=7)
-        cids = cache_a.encode_batch(keys, lambda i: _values(keys[i]))
-        cols = cache_b.encode_columns(keys, lambda i: _values(keys[i]))
-        assert [bytes(c) for c in cids] == list(cols.raw)
+        force_numpy(True)
+        try:
+            matrix = cache_a.encode_columns(keys, lambda i: _values(keys[i]))
+            force_numpy(False)
+            rows = cache_b.encode_columns(keys, lambda i: _values(keys[i]))
+        finally:
+            force_numpy(None)
+        assert matrix.raw == rows.raw
         assert cache_a.stats() == cache_b.stats()
-
-    def test_batch_equals_columns_bytes(self):
-        self._assert_batch_equals_columns()
-
-    def test_batch_equals_columns_bytes_no_numpy(self, no_numpy):
-        self._assert_batch_equals_columns()
 
     def test_warm_batch_equals_sequential_encode(self):
         cache = _cache(seed=11)
         keys = [i % 6 for i in range(6)]
-        cache.encode_batch(keys, lambda i: _values(keys[i]))  # warm
+        cache.encode_columns(keys, lambda i: _values(keys[i]))  # warm
         state = cache.codec.rng.getstate()
-        batched = cache.encode_batch(keys, lambda i: _values(keys[i]))
+        batched = cache.encode_columns(keys, lambda i: _values(keys[i]))
         cache.codec.rng.setstate(state)
         sequential = [
             cache.encode(k, lambda k=k: _values(k)) for k in keys
         ]
-        assert [bytes(a) for a in batched] == [bytes(b) for b in sequential]
+        assert batched.raw == [bytes(b) for b in sequential]
 
 
 class TestBoundsAndInvalidation:
     def test_lru_bound_and_evictions(self):
         cache = _cache(capacity=8)
         keys = list(range(50))
-        cache.encode_batch(keys, lambda i: _values(keys[i]))
+        cache.encode_columns(keys, lambda i: _values(keys[i]))
         assert len(cache) <= 8
         assert cache.evictions == 50 - 8
         # The most recently stored keys survived.
@@ -135,7 +128,7 @@ class TestBoundsAndInvalidation:
 
     def test_rekey_drops_every_block_and_reencodes(self):
         cache = _cache()
-        cache.encode_batch(list(range(10)), lambda i: _values(i))
+        cache.encode_columns(list(range(10)), lambda i: _values(i))
         assert len(cache) == 10 and cache.misses == 10
         new_key = bytes(reversed(range(16)))
         cache.rekey(new_key)
@@ -176,7 +169,7 @@ class TestControllerClientHooks:
 
     def test_version_push_invalidates_and_adopts_parameters(self):
         controller, cache, handle = self._controller_and_cache()
-        cache.encode_batch(list(range(12)), lambda i: _values(i))
+        cache.encode_columns(list(range(12)), lambda i: _values(i))
         assert len(cache) == 12
         new_handle = controller.update_application("crowd")
         assert cache.epoch == 1 and len(cache) == 0
@@ -217,7 +210,7 @@ class TestAdmissionPolicy:
     def _hit_rate(self, cache, keys, batch=64):
         for lo in range(0, len(keys), batch):
             chunk = keys[lo:lo + batch]
-            cache.encode_batch(chunk, lambda i: _values(chunk[i]))
+            cache.encode_columns(chunk, lambda i: _values(chunk[i]))
         stats = cache.stats()
         return stats["hits"] / (stats["hits"] + stats["misses"])
 
@@ -262,14 +255,16 @@ class TestAdmissionPolicy:
         keys = self._zipf_keys(seed=29, n_keys=100, accesses=300)
         for lo in range(0, len(keys), 32):
             chunk = keys[lo:lo + 32]
-            cids = cache.encode_batch(chunk, lambda i: _values(chunk[i]))
+            cids = cache.encode_columns(
+                chunk, lambda i: _values(chunk[i])
+            ).raw
             for key, cid in zip(chunk, cids):
-                assert decoder.decode(cid).values == _values(key)
+                assert decoder.decode(ConnectionID(cid)).values == _values(key)
         assert len(cache) <= 8
 
     def test_default_lru_pays_no_admission_machinery(self):
         cache = _cache(capacity=16)
         assert cache._freq is None
-        cache.encode_batch(list(range(40)), lambda i: _values(i))
+        cache.encode_columns(list(range(40)), lambda i: _values(i))
         assert cache.admission_rejections == 0
         assert cache.evictions == 40 - 16

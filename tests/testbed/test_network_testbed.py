@@ -110,7 +110,7 @@ class TestStreamingIngest:
         would fail every decode and zero the analytics."""
         testbed = NetworkTestbed(_config())
         cols = testbed.workload.stream(1000.0, 100.0).generate_batch(64)
-        testbed.cookie_cache.encode_batch(
+        testbed.cookie_cache.encode_columns(
             testbed.workload.cookie_keys(cols),
             lambda i: testbed.workload.cookie_values_at(cols, i),
         )

@@ -108,7 +108,7 @@ class TestMaxInflightBackPressure:
 
     def test_on_batch_hook_forces_lockstep(self):
         pipe, _ = _run(
-            "batch", max_inflight=8, on_batch=lambda _p, _c: None
+            "columnar", max_inflight=8, on_batch=lambda _p, _c: None
         )
         assert pipe.max_inflight == 1
 
@@ -125,7 +125,7 @@ class TestTailFlush:
     @needs_shm
     def test_tail_flush_identical_across_tiers(self):
         _, persistent = _run("persistent")
-        for backend in ("scalar", "batch", "columnar"):
+        for backend in ("scalar", "columnar"):
             _, inline = _run(backend)
             assert _observables(persistent) == _observables(inline), backend
 

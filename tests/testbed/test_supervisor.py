@@ -64,7 +64,7 @@ def _agg_payloads(fixture, packets=400):
     )
     return [
         r.aggregation_payload
-        for r in payload_fixture.new_lark().process_quic_batch(
+        for r in payload_fixture.new_lark().process_quic_columnar(
             payload_fixture.make_cids(packets)
         )
         if r.aggregation_payload is not None
@@ -90,7 +90,7 @@ class TestFaultFreeEquivalence:
     """No faults: the supervisor is just a checkpointing executor."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("backend", ["scalar", "batch", "columnar"])
+    @pytest.mark.parametrize("backend", ["scalar", "columnar"])
     def test_matches_shard_executor_on_lark(self, seed, backend):
         fixture = FastpathFixture(num_users=150, seed=seed)
         stream = _stream(fixture)
@@ -219,15 +219,15 @@ class TestScriptedDegradation:
         stream = _stream(fixture)
         spec = _lark_spec(fixture)
         baseline = _supervisor(spec).run(stream)
-        plan = ShardFaultPlan().degrade_backend(2, "batch")
+        plan = ShardFaultPlan().degrade_backend(2, "scalar")
         supervisor = _supervisor(spec, plan=plan)
         degraded = supervisor.run(stream)
         assert degraded.snapshot == baseline.snapshot
         assert degraded.report == baseline.report
         assert degraded.backends[:2] == ["columnar", "columnar"]
-        assert set(degraded.backends[2:]) == {"batch"}
+        assert set(degraded.backends[2:]) == {"scalar"}
         assert supervisor.registry.value("supervisor.degradations") == 1
-        assert supervisor.registry.value("supervisor.backend_tier") == 1
+        assert supervisor.registry.value("supervisor.backend_tier") == 0
 
     def test_degradation_composes_with_a_crash(self):
         fixture = FastpathFixture(num_users=150, seed=13)
@@ -362,7 +362,7 @@ class TestExecutorFallbackCause:
         monkeypatch.setattr(multiprocessing, "get_context", _broken)
         registry = MetricsRegistry()
         executor = ShardExecutor(
-            spec, shards=2, backend="batch", registry=registry,
+            spec, shards=2, backend="columnar", registry=registry,
             persistent=True,
         )
         result = executor.run(stream)
@@ -370,7 +370,7 @@ class TestExecutorFallbackCause:
         assert result.fallback_cause is not None
         assert executor.last_error == result.fallback_cause
         assert registry.value("shard_executor.worker_fallbacks") == 1
-        reference = ShardExecutor(spec, shards=2, backend="batch").run(stream)
+        reference = ShardExecutor(spec, shards=2, backend="columnar").run(stream)
         assert result.snapshot == reference.snapshot
         assert result.report == reference.report
 
@@ -379,7 +379,7 @@ class TestExecutorFallbackCause:
         stream = _stream(fixture, packets=200)
         spec = _lark_spec(fixture)
         result = ShardExecutor(
-            spec, shards=2, backend="batch",
+            spec, shards=2, backend="columnar",
             registry=MetricsRegistry(),
         ).run(stream)
         assert not result.used_workers
