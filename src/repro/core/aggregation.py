@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto.aes import AES, decrypt_cbc, encrypt_cbc
+from repro.crypto.aes import AES, decrypt_cbc, encrypt_cbc_many
 
 __all__ = [
     "AggregationPacket",
@@ -72,7 +72,9 @@ class AggregationCodec:
         self._aes = AES(key)
         self._rng = rng or random.Random()
 
-    def encode(self, packet: AggregationPacket) -> bytes:
+    def _serialise(self, packet: AggregationPacket) -> Tuple[bytes, bytes]:
+        """Validate ``packet``; return its plaintext header and the
+        data-stack to encrypt."""
         if packet.app_id != self.app_id:
             raise ValueError("packet app-ID does not match codec")
         if len(packet.items) > _MAX_ITEMS:
@@ -89,12 +91,45 @@ class AggregationCodec:
             if not 0 <= value < (1 << 48):
                 raise ValueError("item value %d does not fit 48 bits" % value)
             body += tag.to_bytes(2, "big") + value.to_bytes(6, "big")
-        iv = bytes(self._rng.getrandbits(8) for _ in range(16))
-        encrypted = encrypt_cbc(self._aes, iv, bytes(body))
-        header = SNATCH_SID.to_bytes(2, "big") + bytes(
-            [self.app_id, count & 0xFF]
+        header = SNATCH_SID.to_bytes(2, "big") + bytes([self.app_id, count])
+        return header, bytes(body)
+
+    def draw_iv(self) -> bytes:
+        """The next CBC IV from the codec's RNG."""
+        return bytes(self._rng.getrandbits(8) for _ in range(16))
+
+    def encode_many(
+        self,
+        packets: Sequence[AggregationPacket],
+        ivs: Optional[Sequence[bytes]] = None,
+    ) -> List[bytes]:
+        """Encode ``packets`` with one batched CBC pass; byte for byte
+        ``[encode(p) for p in packets]``.
+
+        Every packet is validated before any IV is drawn; a packet
+        object that occurs several times is serialised once.  A caller
+        whose RNG is shared with other codecs (the LarkSwitch) draws
+        the IVs itself, in its global packet order, and passes ``ivs``.
+        """
+        serialised: Dict[int, Tuple[bytes, bytes]] = {}
+        parts: List[Tuple[bytes, bytes]] = []
+        for packet in packets:
+            part = serialised.get(id(packet))
+            if part is None:
+                part = serialised[id(packet)] = self._serialise(packet)
+            parts.append(part)
+        if ivs is None:
+            ivs = [self.draw_iv() for _ in packets]
+        encrypted = encrypt_cbc_many(
+            self._aes, ivs, [body for _, body in parts]
         )
-        return header + iv + encrypted
+        return [
+            header + iv + data
+            for (header, _), iv, data in zip(parts, ivs, encrypted)
+        ]
+
+    def encode(self, packet: AggregationPacket) -> bytes:
+        return self.encode_many([packet])[0]
 
     @property
     def aes(self) -> AES:

@@ -452,8 +452,9 @@ class LarkSwitch:
         element in order: packets are grouped by the preserved cookie
         region, each unique cookie is decrypted once through the
         batched AES kernel, statistics fold once per group with its
-        multiplicity, and per-packet results (latencies, digests,
-        RNG-consuming payload encodes) are assembled in packet order.
+        multiplicity, and per-packet results (latencies, digests, the
+        payload IV draws) are assembled in packet order; per-packet
+        payloads are then sealed in one batched CBC pass per app.
         The kernels underneath (:mod:`repro.switch.columns`, AES,
         register folds) each pick their numpy or Python form, so this
         is the one fast path with the gate open or closed.  Only a
@@ -491,6 +492,7 @@ class LarkSwitch:
         # Per-packet assignment: (per-app state, group id) for hits.
         assignments: List[Optional[Tuple[Dict[str, Any], int]]] = [None] * n
         hit_count = 0
+        states: List[Tuple[Any, ...]] = []
         for app_id, app in self._apps.items():
             idxs = match_rows((app_column,), (app_id,))
             if not idxs:
@@ -554,7 +556,9 @@ class LarkSwitch:
                 [False] * len(keys),   # seen
                 [None] * len(keys),    # cached AggregationPackets
                 app.dedup is not None,
+                ([], [], []),          # deferred payloads
             )
+            states.append(state)
             if not isinstance(inverse, list):
                 inverse = inverse.tolist()
             for i, group in zip(idxs, inverse):
@@ -588,7 +592,9 @@ class LarkSwitch:
                 ))
                 continue
             state, group = assignment
-            app, group_values, dup_first, seen, packets, dedup_on = state
+            app, group_values, dup_first, seen, packets, dedup_on, sealed = (
+                state
+            )
             total_latency_us += hit_us
             values = group_values[group]
             if values is None:
@@ -628,21 +634,32 @@ class LarkSwitch:
                     if name in values
                 ]
                 digest_count += len(digests)
-            payload = None
+            result = LarkResult(
+                matched=True,
+                forwarded_original=True,
+                aggregation_payload=None,
+                latency_ms=hit_latency,
+                decoded_values=values,
+                digests=digests,
+            )
             if app.mode == ForwardingMode.PER_PACKET:
                 packet = packets[group]
                 if packet is None:
                     packet = self._aggregation_packet(app, values)
                     packets[group] = packet
-                payload = app.agg_codec.encode(packet)
-            append(LarkResult(
-                matched=True,
-                forwarded_original=True,
-                aggregation_payload=payload,
-                latency_ms=hit_latency,
-                decoded_values=values,
-                digests=digests,
-            ))
+                # Every codec on this switch draws from the one
+                # self._rng, so the IV is drawn here, in global packet
+                # order; the encryption waits for the app's batch.
+                sealed[0].append(result)
+                sealed[1].append(packet)
+                sealed[2].append(app.agg_codec.draw_iv())
+            append(result)
+        for state in states:
+            app, (emitting, packets, ivs) = state[0], state[-1]
+            if emitting:
+                payloads = app.agg_codec.encode_many(packets, ivs)
+                for result, payload in zip(emitting, payloads):
+                    result.aggregation_payload = payload
         self._m_decoded.inc(decoded_count)
         self._m_decode_failures.inc(failure_count)
         self._m_dedup_hits.inc(dedup_count)

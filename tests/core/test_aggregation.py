@@ -12,6 +12,7 @@ from repro.core.aggregation import (
     ForwardingMode,
     SNATCH_SID,
 )
+from repro.switch import columns
 
 KEY = bytes(range(16))
 
@@ -116,3 +117,53 @@ class TestValidation:
     def test_invalid_app_id(self):
         with pytest.raises(ValueError):
             AggregationCodec(999, KEY)
+
+
+class TestEncodeMany:
+    @pytest.fixture(params=(True, False), ids=("numpy", "python"))
+    def kernel_form(self, request):
+        previous = columns._FORCED
+        columns.force_numpy(request.param)
+        try:
+            yield
+        finally:
+            columns._FORCED = previous
+
+    def _packets(self):
+        shared = _packet([(0, 1), (1, 2), (2, 3)])
+        return [
+            shared,
+            _packet([]),
+            _packet([(7, 2**48 - 1)], mode=ForwardingMode.PERIODICAL),
+            shared,  # the same object again: serialised once, fresh IV
+            _packet([(i, i * i) for i in range(40)]),
+        ]
+
+    def test_equals_encode_per_packet_and_rng_state(self, kernel_form):
+        one, many = _codec(seed=5), _codec(seed=5)
+        packets = self._packets()
+        assert many.encode_many(packets) == [one.encode(p) for p in packets]
+        assert many._rng.getstate() == one._rng.getstate()
+        assert many.encode_many([]) == []
+
+    def test_supplied_ivs_are_used_and_rng_untouched(self, kernel_form):
+        drawer, codec = _codec(seed=5), _codec(seed=6)
+        packets = self._packets()
+        ivs = [drawer.draw_iv() for _ in packets]
+        before = codec._rng.getstate()
+        wires = codec.encode_many(packets, ivs)
+        assert codec._rng.getstate() == before
+        assert wires == _codec(seed=5).encode_many(packets)
+        assert [w[4:20] for w in wires] == ivs
+        with pytest.raises(ValueError):
+            codec.encode_many(packets, ivs[:-1])
+
+    @pytest.mark.parametrize("position", (0, 2, 4))
+    def test_invalid_packet_raises_before_any_iv_is_drawn(self, position):
+        codec = _codec(seed=5)
+        before = codec._rng.getstate()
+        packets = self._packets()
+        packets[position] = _packet([(0, 2**48)])
+        with pytest.raises(ValueError, match="48 bits"):
+            codec.encode_many(packets)
+        assert codec._rng.getstate() == before

@@ -14,9 +14,15 @@ sizes straddle :data:`repro.switch.columns.VECTOR_MIN_ROWS`, so the
 numpy leg also covers the small-batch cut-off to the Python forms.
 """
 
+import itertools
+import random
+
 import pytest
 
 from repro.core.aggregation import ForwardingMode
+from repro.core.larkswitch import LarkSwitch
+from repro.core.transport_cookie import TransportCookieCodec
+from repro.obs.registry import MetricsRegistry
 from repro.switch import columns
 from repro.switch.tables import MatchActionTable, MatchKey, MatchKind
 from repro.testbed.config import Scheme, TestbedConfig
@@ -90,6 +96,66 @@ def test_lark_columnar_bit_identical_per_packet_mode(shape, seed):
     assert columnar_results == scalar_results
     assert register_state(columnar) == register_state(scalar)
     assert columnar.stats_report(APP_ID) == scalar.stats_report(APP_ID)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_lark_interleaved_per_packet_apps_share_one_rng(seed):
+    """Two per-packet apps and a periodical one on one switch, packets
+    interleaved: every codec draws its IVs from the switch's single
+    RNG, so the columnar path (which seals payloads per app, after the
+    result loop) must still draw them in global packet order."""
+    wl = DifferentialWorkload(seed)
+    app_ids = (APP_ID, APP_ID + 1, APP_ID + 2)
+    modes = (
+        ForwardingMode.PER_PACKET,
+        ForwardingMode.PERIODICAL,
+        ForwardingMode.PER_PACKET,
+    )
+    rng = random.Random(seed + 9)
+    keys = [bytes(rng.getrandbits(8) for _ in range(16)) for _ in app_ids]
+
+    def new_lark():
+        lark = LarkSwitch(
+            "diff-lark", rng=random.Random(seed + 1),
+            registry=MetricsRegistry(),
+        )
+        for app_id, key, mode in zip(app_ids, keys, modes):
+            lark.register_application(
+                app_id, wl.schema, key, wl.specs, mode=mode,
+                period_ms=1000.0 if mode == ForwardingMode.PERIODICAL else 0.0,
+            )
+        return lark
+
+    codecs = [
+        TransportCookieCodec(app_id, wl.schema, key, random.Random(seed + 3))
+        for app_id, key in zip(app_ids, keys)
+    ]
+    cids = [
+        rng.choice(codecs).encode(
+            rng.choice(wl.workload.users).semantic_values(
+                rng.choice(wl.workload.campaigns), "view"
+            )
+        )
+        for _ in range(PACKETS)
+    ]
+    scalar, columnar = new_lark(), new_lark()
+    scalar_results = [scalar.process_quic_packet(cid) for cid in cids]
+    columnar_results = []
+    sizes = itertools.cycle((1, 5, 40, 17, 90))
+    position = 0
+    while position < len(cids):
+        size = next(sizes)
+        columnar_results.extend(
+            columnar.process_quic_columnar(cids[position:position + size])
+        )
+        position += size
+    assert columnar_results == scalar_results
+    emitted = [r.aggregation_payload is not None for r in scalar_results]
+    assert any(emitted) and not all(emitted)
+    assert register_state(columnar) == register_state(scalar)
+    for app_id in app_ids:
+        assert columnar.stats_report(app_id) == scalar.stats_report(app_id)
+    assert columnar._rng.getstate() == scalar._rng.getstate()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
