@@ -3,7 +3,8 @@
 Drives one seeded connection-ID stream through both execution
 backends — the scalar per-packet data plane and the columnar fast path
 — with interleaved best-of-N timing, then records the comparison into
-``BENCH_columnar.json`` at the repo root.  ``tests/differential``
+``BENCH_columnar.json`` at the repo root (the same flat layout
+``python -m repro.cli bench --compare`` writes).  ``tests/differential``
 proves the backends bit-identical; this benchmark proves the columnar
 path is worth having:
 
@@ -14,13 +15,16 @@ path is worth having:
 Run directly: ``PYTHONPATH=src python -m pytest benchmarks/test_columnar.py -s``
 """
 
-import json
 import os
 
 from conftest import attach, emit_table
 from repro.core.aggregation import ForwardingMode
 from repro.switch.columns import numpy_enabled
-from repro.testbed.fastpath import BACKENDS, run_backend_bench
+from repro.testbed.fastpath import (
+    BACKENDS,
+    run_backend_bench,
+    write_backend_bench,
+)
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _JSON_PATH = os.path.join(_REPO_ROOT, "BENCH_columnar.json")
@@ -61,17 +65,7 @@ def test_columnar_backends(benchmark):
         rows,
     )
 
-    payload = {
-        "packets": PACKETS,
-        "users": USERS,
-        "batch_size": BATCH_SIZE,
-        "repeats": REPEATS,
-        "numpy": numpy_enabled(),
-        "periodical": result,
-    }
-    with open(_JSON_PATH, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_backend_bench(result, _JSON_PATH)
     attach(
         benchmark,
         lark_columnar_vs_scalar=result["lark"]["speedup"],

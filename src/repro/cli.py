@@ -184,7 +184,11 @@ def _cmd_bench(args, out) -> int:
     import json
 
     from repro.core.aggregation import ForwardingMode
-    from repro.testbed.fastpath import BACKENDS, run_backend_bench
+    from repro.testbed.fastpath import (
+        BACKENDS,
+        run_backend_bench,
+        write_backend_bench,
+    )
 
     mode = (
         ForwardingMode.PERIODICAL if args.mode == "periodical"
@@ -469,9 +473,7 @@ def _cmd_bench(args, out) -> int:
     )
     json_path = args.json or ("BENCH_columnar.json" if args.compare else None)
     if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_backend_bench(result, json_path)
         out.write("\nwrote %s\n" % json_path)
     if not args.compare:
         return 0

@@ -31,7 +31,7 @@ from repro.core.aggregation import (
     AggregationPacket,
     ForwardingMode,
 )
-from repro.core.schema import CookieSchema, FeatureValueError
+from repro.core.schema import CookieSchema
 from repro.core.stats import StatSpec, SwitchStatistics, min_array_names
 from repro.core.transport_cookie import (
     APP_ID_BYTE_INDEX,
@@ -164,8 +164,11 @@ class LarkSwitch:
         if decode_memo_capacity is not None and decode_memo_capacity <= 0:
             raise ValueError("decode_memo_capacity must be positive")
         self._decode_memo_capacity = decode_memo_capacity
+        # Each entry is the codec's (values, wire row) pair, or None
+        # for a cookie that fails to decode.
         self._decode_memo: Dict[
-            Tuple[int, int, bytes], Optional[Dict[str, Any]]
+            Tuple[int, int, bytes],
+            Optional[Tuple[Dict[str, Any], Tuple[int, ...]]],
         ] = {}
         # Known-good program shape for the columnar backend, cached as
         # (program version, app-table version); see _columnar_ready().
@@ -322,30 +325,26 @@ class LarkSwitch:
                 self._m_digests.inc()
         if app.mode == ForwardingMode.PER_PACKET:
             clone = pipeline.clone_packet(phv)
-            clone.metadata["aggregation"] = self._per_packet_payload(
-                app, values
+            items = [
+                (index, feature.encode_value(values[feature.name]))
+                for index, feature in enumerate(app.schema.features)
+                if feature.name in values
+            ]
+            clone.metadata["aggregation"] = app.agg_codec.encode(
+                self._aggregation_packet(app, items)
             )
 
     def _aggregation_packet(
-        self, app: RegisteredApp, values: Dict[str, Any]
+        self, app: RegisteredApp, items: List[Tuple[int, int]]
     ) -> AggregationPacket:
-        items: List[Tuple[int, int]] = []
-        for index, feature in enumerate(app.schema.features):
-            if feature.name in values:
-                items.append(
-                    (index, feature.encode_value(values[feature.name]))
-                )
+        """The per-packet clone's content: (feature index, wire value)
+        for every feature present in the cookie."""
         return AggregationPacket(
             app_id=app.app_id,
             mode=ForwardingMode.PER_PACKET,
             items=items,
             source=self.name,
         )
-
-    def _per_packet_payload(
-        self, app: RegisteredApp, values: Dict[str, Any]
-    ) -> bytes:
-        return app.agg_codec.encode(self._aggregation_packet(app, values))
 
     def process_quic_packet(self, dcid: ConnectionID) -> LarkResult:
         """Run one QUIC short-header packet through the pipeline."""
@@ -402,11 +401,14 @@ class LarkSwitch:
         sub: List[bytes],
         keys: List[bytes],
         firsts: List[int],
-    ) -> List[Optional[Dict[str, Any]]]:
-        """Decode each unique cookie group once: memo probe first, then
-        one batched AES pass over the still-unknown blocks."""
+    ) -> List[Optional[Tuple[Dict[str, Any], Tuple[int, ...]]]]:
+        """Decode each unique cookie group once — memo probe first, then
+        one batched AES pass over the still-unknown blocks — to its
+        ``(values, wire row)`` pair, ``None`` where decode fails."""
         memo = self._decode_memo
-        out: List[Optional[Dict[str, Any]]] = [None] * len(keys)
+        out: List[Optional[Tuple[Dict[str, Any], Tuple[int, ...]]]] = (
+            [None] * len(keys)
+        )
         pending: List[int] = []
         for group, key_bytes in enumerate(keys):
             rep = sub[firsts[group]]
@@ -424,16 +426,12 @@ class LarkSwitch:
                 for group in pending
             ]
             plains = decrypt_blocks_many(app.cookie_codec.aes, blocks)
-            for group, block in zip(pending, plains):
-                try:
-                    values: Optional[Dict[str, Any]] = (
-                        app.cookie_codec.values_from_block(bytes(block))
-                    )
-                except (ValueError, FeatureValueError):
-                    values = None
-                rep = sub[firsts[group]]
-                memo[(app.app_id, len(rep), keys[group])] = values
-                out[group] = values
+            decoded = app.cookie_codec.rows_from_blocks(plains)
+            for group, entry in zip(pending, decoded):
+                memo[
+                    (app.app_id, MAX_CONNECTION_ID_BYTES, keys[group])
+                ] = entry
+                out[group] = entry
         cap = self._decode_memo_capacity
         if cap is not None:
             # FIFO: insertion order is the only recency signal a plain
@@ -451,10 +449,11 @@ class LarkSwitch:
         Bit-identical to calling :meth:`process_quic_packet` once per
         element in order: packets are grouped by the preserved cookie
         region, each unique cookie is decrypted once through the
-        batched AES kernel, statistics fold once per group with its
-        multiplicity, and per-packet results (latencies, digests, the
-        payload IV draws) are assembled in packet order; per-packet
-        payloads are then sealed in one batched CBC pass per app.
+        batched AES kernel, statistics fold once per group (its wire
+        row with its multiplicity), and per-packet results (latencies,
+        digests, the payload IV draws) are assembled in packet order;
+        per-packet payloads are then sealed in one batched CBC pass
+        per app.
         The kernels underneath (:mod:`repro.switch.columns`, AES,
         register folds) each pick their numpy or Python form, so this
         is the one fast path with the gate open or closed.  Only a
@@ -502,7 +501,7 @@ class LarkSwitch:
             keys, firsts, inverse = group_rows(
                 sub, COOKIE_BYTE_START, COOKIE_BYTE_END
             )
-            group_values = self._decode_groups(app, sub, keys, firsts)
+            decoded = self._decode_groups(app, sub, keys, firsts)
             counts = group_counts(inverse, len(keys))
             if app.users is not None:
                 # Engagement folds per unique cookie group with its
@@ -513,45 +512,34 @@ class LarkSwitch:
                 # per-packet observes.
                 user_keys: List[bytes] = []
                 user_counts: List[int] = []
-                for g in range(len(keys)):
-                    values_g = group_values[g]
-                    if values_g is None:
+                for g, entry in enumerate(decoded):
+                    if entry is None:
                         continue
-                    ukey = app.user_key(keys[g], values_g)
+                    ukey = app.user_key(keys[g], entry[0])
                     if ukey is None:
                         continue
                     user_keys.append(ukey)
                     user_counts.append(counts[g])
                 app.users.observe_many(user_keys, user_counts)
             dup_first = [False] * len(keys)
+            folded = [
+                g for g, entry in enumerate(decoded) if entry is not None
+            ]
             if app.dedup is not None:
                 # Bloom state evolves at first occurrences only, so
                 # adding unique decoded cookies in first-occurrence
                 # order reproduces the scalar per-packet test-and-set.
-                decoded_groups = [
-                    g for g, values in enumerate(group_values)
-                    if values is not None
-                ]
-                flags = app.dedup.add_many(
-                    [keys[g] for g in decoded_groups]
-                )
-                for g, flag in zip(decoded_groups, flags):
+                flags = app.dedup.add_many([keys[g] for g in folded])
+                for g, flag in zip(folded, flags):
                     dup_first[g] = flag
-                grouped = [
-                    (group_values[g], 1)
-                    for g in range(len(keys))
-                    if group_values[g] is not None and not dup_first[g]
-                ]
+                folded = [g for g in folded if not dup_first[g]]
+                times = [1] * len(folded)
             else:
-                grouped = [
-                    (group_values[g], counts[g])
-                    for g in range(len(keys))
-                    if group_values[g] is not None
-                ]
-            app.stats.update_grouped(grouped)
+                times = [counts[g] for g in folded]
+            app.stats.fold_rows([decoded[g][1] for g in folded], times)
             state = (
                 app,
-                group_values,
+                decoded,
                 dup_first,
                 [False] * len(keys),   # seen
                 [None] * len(keys),    # cached AggregationPackets
@@ -592,12 +580,12 @@ class LarkSwitch:
                 ))
                 continue
             state, group = assignment
-            app, group_values, dup_first, seen, packets, dedup_on, sealed = (
+            app, decoded, dup_first, seen, packets, dedup_on, sealed = (
                 state
             )
             total_latency_us += hit_us
-            values = group_values[group]
-            if values is None:
+            entry = decoded[group]
+            if entry is None:
                 failure_count += 1
                 append(LarkResult(
                     matched=True,
@@ -623,6 +611,7 @@ class LarkSwitch:
                     ))
                     continue
             decoded_count += 1
+            values, row = entry
             digests: List[Any] = []
             if app.digest_features:
                 digests = [
@@ -645,7 +634,10 @@ class LarkSwitch:
             if app.mode == ForwardingMode.PER_PACKET:
                 packet = packets[group]
                 if packet is None:
-                    packet = self._aggregation_packet(app, values)
+                    packet = self._aggregation_packet(
+                        app,
+                        [(i, wire) for i, wire in enumerate(row) if wire >= 0],
+                    )
                     packets[group] = packet
                 # Every codec on this switch draws from the one
                 # self._rng, so the IV is drawn here, in global packet

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.schema import CookieSchema, FeatureType
-from repro.switch.columns import get_numpy
+from repro.switch.columns import VECTOR_MIN_ROWS, get_numpy
 from repro.switch.registers import RegisterFile
 
 __all__ = [
@@ -31,6 +32,14 @@ __all__ = [
 
 _NUMBER_WIDTH = 48  # register width for sums (wrap-safe for our runs)
 _MIN_SENTINEL = (1 << _NUMBER_WIDTH) - 1
+
+
+def _scatter(np, ufunc, size: int, identity: int, index, values) -> List[int]:
+    """Dense per-cell vector of ``values`` reduced at ``index`` by
+    ``ufunc`` (``identity`` elsewhere), for the register bulk ops."""
+    cells = np.full(size, identity, dtype=np.int64)
+    ufunc.at(cells, index, values)
+    return cells.tolist()
 
 
 class StatKind(enum.Enum):
@@ -96,15 +105,6 @@ class SwitchStatistics:
                     group if group is not None else "all" for group in groups
                 ]
             self._report_keys.append((spec, keys))
-        # Per-values-dict update plans, keyed by dict identity.  The
-        # columnar path feeds update_grouped the same memoized decode
-        # dicts batch after batch, so each distinct cookie's group
-        # indexes and wire encodings are computed once, not per batch.
-        # Entries pin the dict so an id() collision cannot alias; the
-        # dicts are treated as immutable after first sight.
-        self._plan_cache: Dict[
-            int, Tuple[Dict[str, Any], List[Optional[Tuple[int, int]]]]
-        ] = {}
         # Per-spec resolved features, precomputed once: the update hot
         # path must not re-run schema lookups per packet per spec.
         self._spec_rows: List[
@@ -119,6 +119,30 @@ class SwitchStatistics:
             )
             for spec in self.specs
         ]
+        # The same specs resolved to wire-row columns for fold_rows:
+        # (kind, feature column, group column or -1, cardinality,
+        # min_value, array, AVG count array).
+        names = self.schema.feature_names()
+        self._fold_plan: List[Tuple[Any, ...]] = [
+            (
+                spec.kind,
+                names.index(spec.feature),
+                names.index(spec.group_by) if group is not None else -1,
+                feature.cardinality,
+                feature.min_value,
+                self._arrays[
+                    spec.name + ".sum" if spec.kind is StatKind.AVG
+                    else spec.name
+                ],
+                self._arrays[spec.name + ".count"]
+                if spec.kind is StatKind.AVG else None,
+            )
+            for spec, feature, group in self._spec_rows
+        ]
+        # The numpy form needs every wire integer inside int64.
+        self._rows_fit_int64 = all(
+            feature.bits < 64 for feature in self.schema.features
+        )
 
     # -- setup ------------------------------------------------------------
 
@@ -246,151 +270,91 @@ class SwitchStatistics:
         if mirror is not None:
             mirror[name][index] += new - ((new - delta) & array.mask)
 
-    def update_weighted(self, values: Dict[str, Any], times: int) -> None:
-        """Fold ``times`` identical decoded cookies in one pass.
+    def fold_rows(self, rows, counts) -> None:
+        """Columnar fold: ``rows[i]`` is the wire row of one decoded
+        cookie (one int per schema feature in schema order, ``-1``
+        where the feature is absent — see
+        :meth:`TransportCookieCodec.rows_from_blocks`) and
+        ``counts[i] >= 1`` its multiplicity.
 
-        Bit-identical to calling :meth:`update` ``times`` times:
-        counts and sums scale linearly (addition is associative modulo
-        the register mask), min/max are idempotent.
+        Bit-identical to :meth:`update` called ``counts[i]`` times on
+        row ``i``'s decoded values, in any order: counts and sums scale
+        linearly (addition is associative modulo the register mask),
+        min/max are idempotent.  The wire integers index the registers
+        directly (``group * cardinality + class``), as on the switch
+        ALU.  From ``VECTOR_MIN_ROWS`` rows up, with numpy on, each
+        spec is one column compare plus one scatter; below, the same
+        integer arithmetic runs row by row.
         """
-        if times < 0:
-            raise ValueError("times must be >= 0")
-        if times == 0:
+        if len(rows) != len(counts):
+            raise ValueError(
+                "fold_rows got %d rows but %d counts"
+                % (len(rows), len(counts))
+            )
+        self.updates += sum(counts)
+        np = (
+            get_numpy()
+            if len(rows) >= VECTOR_MIN_ROWS and self._rows_fit_int64
+            else None
+        )
+        if np is None:
+            for row, times in zip(rows, counts):
+                for kind, column, by, card, low, array, tally in (
+                    self._fold_plan
+                ):
+                    wire = row[column]
+                    group = row[by] if by >= 0 else 0
+                    if wire < 0 or group < 0:
+                        continue
+                    if kind is StatKind.COUNT_BY_CLASS:
+                        array.add(group * card + wire, times)
+                    elif kind is StatKind.MIN:
+                        array.update_min(group, wire + low)
+                    elif kind is StatKind.MAX:
+                        array.update_max(group, wire + low)
+                    else:  # SUM, and AVG's sum half
+                        array.add(group, (wire + low) * times)
+                        if tally is not None:
+                            tally.add(group, times)
             return
-        if times == 1:
-            self.update(values)
-            return
-        self.updates += times
-        for spec, feature, group in self._spec_rows:
-            if spec.feature not in values:
+        # One flat pass over the ints: about twice as fast as
+        # np.array(rows) on a list of tuples.
+        matrix = np.fromiter(
+            chain.from_iterable(rows), dtype=np.int64,
+            count=len(rows) * len(self.schema.features),
+        ).reshape(len(rows), -1)
+        weights = np.array(counts, dtype=np.int64)
+        ungrouped = np.zeros(len(rows), dtype=np.int64)
+        for kind, column, by, card, low, array, tally in self._fold_plan:
+            wire = matrix[:, column]
+            index = matrix[:, by] if by >= 0 else ungrouped
+            present = (wire >= 0) & (index >= 0)
+            wire, index = wire[present], index[present]
+            times = weights[present]
+            if kind is StatKind.COUNT_BY_CLASS:
+                array.add_vector(_scatter(
+                    np, np.add, array.size, 0, index * card + wire, times
+                ))
                 continue
-            if group is None:
-                group_index = 0
-            elif spec.group_by not in values:
-                continue
+            # Masked like the scalar RMWs mask each value; int64 wraps
+            # modulo 2**64, a multiple of every register width.
+            raw = (wire + (low & array.mask)) & array.mask
+            if kind is StatKind.MIN:
+                array.min_vector(_scatter(
+                    np, np.minimum, array.size, array.mask, index, raw
+                ))
+            elif kind is StatKind.MAX:
+                array.max_vector(_scatter(
+                    np, np.maximum, array.size, 0, index, raw
+                ))
             else:
-                group_index = group.encode_value(values[spec.group_by])
-            if spec.kind is StatKind.COUNT_BY_CLASS:
-                classes = feature.cardinality
-                wire = feature.encode_value(values[spec.feature])
-                self._arrays[spec.name].add(
-                    group_index * classes + wire, times
-                )
-            else:
-                raw = int(values[spec.feature])
-                if spec.kind is StatKind.SUM:
-                    self._arrays[spec.name].add(group_index, raw * times)
-                elif spec.kind is StatKind.MIN:
-                    self._arrays[spec.name].update_min(group_index, raw)
-                elif spec.kind is StatKind.MAX:
-                    self._arrays[spec.name].update_max(group_index, raw)
-                elif spec.kind is StatKind.AVG:
-                    self._arrays[spec.name + ".sum"].add(
-                        group_index, raw * times
-                    )
-                    self._arrays[spec.name + ".count"].add(group_index, times)
-
-    def _update_plan(
-        self, values: Dict[str, Any]
-    ) -> List[Optional[Tuple[int, int]]]:
-        """Per-spec ``(register index, raw value)`` slots for one
-        decoded-values dict (``None`` where the spec doesn't apply),
-        cached on dict identity — see ``_plan_cache``."""
-        key = id(values)
-        hit = self._plan_cache.get(key)
-        if hit is not None and hit[0] is values:
-            return hit[1]
-        plan: List[Optional[Tuple[int, int]]] = []
-        for spec, feature, group in self._spec_rows:
-            if spec.feature not in values:
-                plan.append(None)
-                continue
-            if group is None:
-                group_index = 0
-            elif spec.group_by not in values:
-                plan.append(None)
-                continue
-            else:
-                group_index = group.encode_value(values[spec.group_by])
-            if spec.kind is StatKind.COUNT_BY_CLASS:
-                wire = feature.encode_value(values[spec.feature])
-                plan.append((group_index * feature.cardinality + wire, 0))
-            else:
-                plan.append((group_index, int(values[spec.feature])))
-        if len(self._plan_cache) > 65536:
-            self._plan_cache.clear()
-        self._plan_cache[key] = (values, plan)
-        return plan
-
-    def update_grouped(self, grouped) -> None:
-        """Columnar fold: ``grouped`` is an iterable of
-        ``(values, times)`` pairs, one per *unique* decoded cookie in a
-        batch, with ``times`` its multiplicity.
-
-        With numpy available the per-spec contributions collapse into
-        scatter updates (``np.add.at`` / ``np.minimum.at`` /
-        ``np.maximum.at``) applied through the register bulk ops;
-        otherwise each pair goes through :meth:`update_weighted`.
-        Either way the result is bit-identical to per-packet
-        :meth:`update` calls, in any order.
-        """
-        grouped = [(values, times) for values, times in grouped if times > 0]
-        np = get_numpy()
-        if np is None or len(grouped) < 2:
-            for values, times in grouped:
-                self.update_weighted(values, times)
-            return
-        self.updates += sum(times for _, times in grouped)
-        plans = [
-            (self._update_plan(values), times) for values, times in grouped
-        ]
-        for spec_index, spec in enumerate(self.specs):
-            indexes: List[int] = []
-            weights: List[int] = []
-            raws: List[int] = []
-            count_by_class = spec.kind is StatKind.COUNT_BY_CLASS
-            for plan, times in plans:
-                slot = plan[spec_index]
-                if slot is None:
-                    continue
-                indexes.append(slot[0])
-                if not count_by_class:
-                    raws.append(slot[1])
-                weights.append(times)
-            if not indexes:
-                continue
-            idx = np.asarray(indexes, dtype=np.int64)
-            if spec.kind is StatKind.COUNT_BY_CLASS:
-                array = self._arrays[spec.name]
-                deltas = np.zeros(array.size, dtype=np.int64)
-                np.add.at(deltas, idx, np.asarray(weights, dtype=np.int64))
-                array.add_vector(deltas)
-            elif spec.kind is StatKind.MIN:
-                array = self._arrays[spec.name]
-                cand = np.full(array.size, array.mask, dtype=np.int64)
-                np.minimum.at(cand, idx, np.asarray(raws, dtype=np.int64))
-                array.min_vector(cand)
-            elif spec.kind is StatKind.MAX:
-                array = self._arrays[spec.name]
-                cand = np.zeros(array.size, dtype=np.int64)
-                np.maximum.at(cand, idx, np.asarray(raws, dtype=np.int64))
-                array.max_vector(cand)
-            else:  # SUM and AVG share the weighted-sum scatter
-                weight_arr = np.asarray(weights, dtype=np.int64)
-                raw_arr = np.asarray(raws, dtype=np.int64)
-                name = (
-                    spec.name if spec.kind is StatKind.SUM
-                    else spec.name + ".sum"
-                )
-                array = self._arrays[name]
-                deltas = np.zeros(array.size, dtype=np.int64)
-                np.add.at(deltas, idx, raw_arr * weight_arr)
-                array.add_vector(deltas)
-                if spec.kind is StatKind.AVG:
-                    counts = self._arrays[spec.name + ".count"]
-                    deltas = np.zeros(counts.size, dtype=np.int64)
-                    np.add.at(deltas, idx, weight_arr)
-                    counts.add_vector(deltas)
+                array.add_vector(_scatter(
+                    np, np.add, array.size, 0, index, raw * times
+                ))
+                if tally is not None:
+                    tally.add_vector(_scatter(
+                        np, np.add, tally.size, 0, index, times
+                    ))
 
     # -- read-out ---------------------------------------------------------------
 

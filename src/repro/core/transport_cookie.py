@@ -258,16 +258,16 @@ class TransportCookieCodec:
         decrypts many cookie blocks through it in one batched pass)."""
         return self._aes
 
-    def values_from_block(self, block: bytes) -> Dict[str, Any]:
-        """Parse an already-decrypted cookie block into feature values
-        (the post-AES half of :meth:`decode`; raises on malformed
-        bitmaps or out-of-range wire values).
+    def _parse_block(
+        self, block: bytes
+    ) -> Tuple[Dict[str, Any], Tuple[int, ...]]:
+        """Feature values and wire row of one decrypted cookie block.
 
-        Equivalent to the old per-bit ``_BitReader`` walk — same bit
-        layout, same ``ValueError("bit underflow")`` on truncated
+        Same bit layout, ``ValueError("bit underflow")`` on truncated
         blocks and :class:`FeatureValueError` on out-of-range wire
-        values — but reads the whole block as one big integer and
-        extracts each field with a shift and a mask.
+        values as a per-bit ``_BitReader`` walk, but reads the whole
+        block as one big integer and extracts each field with a shift
+        and a mask.
         """
         plan = self._decode_plan
         total = len(block) * 8
@@ -277,6 +277,7 @@ class TransportCookieCodec:
         acc = int.from_bytes(block, "big")
         bitmap = acc >> (total - n)
         values: Dict[str, Any] = {}
+        row = [-1] * n
         pos = n
         for i, (name, width, mask, card, classes, min_value, feature) in (
             enumerate(plan)
@@ -290,10 +291,36 @@ class TransportCookieCodec:
             if wire >= card:
                 # Delegate for the exact FeatureValueError message.
                 feature.decode_value(wire)
+            row[i] = wire
             values[name] = (
                 classes[wire] if classes is not None else wire + min_value
             )
-        return values
+        return values, tuple(row)
+
+    def values_from_block(self, block: bytes) -> Dict[str, Any]:
+        """Parse an already-decrypted cookie block into feature values
+        (the post-AES half of :meth:`decode`; raises on malformed
+        bitmaps or out-of-range wire values)."""
+        return self._parse_block(block)[0]
+
+    def rows_from_blocks(
+        self, blocks
+    ) -> "list[Optional[Tuple[Dict[str, Any], Tuple[int, ...]]]]":
+        """Batch form of :meth:`values_from_block`: per decrypted block
+        ``(values, wire row)``, or ``None`` where the scalar form
+        raises.  The **wire row** holds one int per schema feature in
+        schema order — the feature's wire integer, ``-1`` when its
+        bitmap bit is clear — i.e. ``feature.encode_value(values[name])``
+        without the round trip through the decoded value; it is what
+        the switch's integer-only fold indexes its registers with."""
+        parse = self._parse_block
+        out = []
+        for block in blocks:
+            try:
+                out.append(parse(bytes(block)))
+            except (ValueError, FeatureValueError):
+                out.append(None)
+        return out
 
     def decode(self, cid: ConnectionID) -> DecodedTransportCookie:
         if len(cid) != MAX_CONNECTION_ID_BYTES:

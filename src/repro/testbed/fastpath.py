@@ -14,6 +14,7 @@ Used by ``python -m repro.cli bench`` and ``benchmarks/test_columnar.py``.
 from __future__ import annotations
 
 import gc
+import json
 import random
 import time
 from typing import Any, Dict, List
@@ -30,6 +31,7 @@ from repro.workloads.adcampaign import AdCampaignWorkload, iter_batches
 __all__ = [
     "FastpathFixture",
     "run_backend_bench",
+    "write_backend_bench",
     "BENCH_APP_ID",
     "BACKENDS",
 ]
@@ -215,3 +217,12 @@ def run_backend_bench(
             **_section(best_agg, len(payloads), agg_reports),
         },
     }
+
+
+def write_backend_bench(result: Dict[str, Any], path: str) -> None:
+    """Record a :func:`run_backend_bench` result as
+    ``BENCH_columnar.json`` is laid out — the flat result, sorted keys
+    — so the CLI and ``benchmarks/test_columnar.py`` write one schema."""
+    with open(path, "w") as fh:
+        json.dump(result, fh, indent=2, sort_keys=True)
+        fh.write("\n")

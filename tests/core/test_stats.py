@@ -1,5 +1,7 @@
 """Switch statistics: counters, numeric aggregates, merge semantics."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from repro.core.stats import (
     merge_snapshots,
     min_array_names,
 )
+from repro.switch import columns
 from repro.switch.registers import RegisterFile
 
 
@@ -108,6 +111,169 @@ class TestUpdates:
         assert report["demand_avg"]["all"] == pytest.approx(
             sum(demands) / len(demands)
         )
+
+
+def _wire_row(schema, values):
+    return tuple(
+        f.encode_value(values[f.name]) if f.name in values else -1
+        for f in schema.features
+    )
+
+
+def _fold_schema():
+    return CookieSchema(
+        "fold",
+        (
+            Feature.categorical("campaign", ["c0", "c1", "c2"]),
+            Feature.categorical("gender", ["f", "m", "x"]),
+            Feature.number("score", -10, 10),
+        ),
+    )
+
+
+def _fold_specs():
+    """Every StatKind, ungrouped and grouped."""
+    specs = [StatSpec("gender", StatKind.COUNT_BY_CLASS, "gender")]
+    specs.append(StatSpec("gender_by", StatKind.COUNT_BY_CLASS, "gender",
+                          group_by="campaign"))
+    for kind in (StatKind.SUM, StatKind.MIN, StatKind.MAX, StatKind.AVG):
+        specs.append(StatSpec(kind.value, kind, "score"))
+        specs.append(StatSpec(kind.value + "_by", kind, "score",
+                              group_by="campaign"))
+    return specs
+
+
+def _fold_cookies(n, seed=5):
+    """``(values, multiplicity)`` pairs: each feature independently
+    absent a quarter of the time, so ``-1`` lands in value columns and
+    in the group column; scores straddle zero."""
+    rng = random.Random(seed)
+    schema = _fold_schema()
+    cookies = []
+    for _ in range(n):
+        values = {}
+        for feature in schema.features:
+            if rng.random() < 0.25:
+                continue
+            values[feature.name] = (
+                rng.choice(feature.classes) if feature.classes
+                else rng.randint(feature.min_value, feature.max_value)
+            )
+        cookies.append((values, rng.choice((1, 1, 2, 7))))
+    return cookies
+
+
+@pytest.fixture(params=(True, False), ids=("numpy", "python"))
+def kernel_form(request):
+    previous = columns._FORCED
+    columns.force_numpy(request.param)
+    try:
+        yield request.param
+    finally:
+        columns._FORCED = previous
+
+
+@pytest.mark.usefixtures("kernel_form")
+class TestFoldRows:
+    """``fold_rows`` against per-packet ``update``, the reference."""
+
+    @staticmethod
+    def _pair(schema, specs, cookies, preload=None):
+        scalar = SwitchStatistics(schema, specs, RegisterFile(), prefix="s")
+        folded = SwitchStatistics(schema, specs, RegisterFile(), prefix="f")
+        if preload is not None:
+            scalar.load_snapshot(preload)
+            folded.load_snapshot(preload)
+        for values, times in cookies:
+            for _ in range(times):
+                scalar.update(values)
+        folded.fold_rows(
+            [_wire_row(schema, values) for values, _ in cookies],
+            [times for _, times in cookies],
+        )
+        assert folded.snapshot() == scalar.snapshot()
+        assert folded.updates == scalar.updates
+        return folded
+
+    # Below and above the cut-off: the row-by-row form and (with numpy
+    # on) the scatter form.
+    @pytest.mark.parametrize(
+        "rows", (1, columns.VECTOR_MIN_ROWS - 1, columns.VECTOR_MIN_ROWS, 200)
+    )
+    def test_every_kind_matches_update(self, rows):
+        cookies = _fold_cookies(rows)
+        folded = self._pair(_fold_schema(), _fold_specs(), cookies)
+        if rows == 200:
+            # Scores straddle zero, and registers are unsigned.
+            assert folded.snapshot()["min"] == [0]
+            assert folded.snapshot()["max"] == [(1 << 48) - 1]
+
+    @pytest.mark.parametrize("repeat", (1, 6))
+    def test_signed_min_max_mask_before_the_reduce(self, repeat):
+        """Scalar ``update_min`` / ``update_max`` mask each value to
+        the register width and then compare; a fold that reduced the
+        signed values first ended at mn=[2**48-5], mx=[7]."""
+        schema = CookieSchema("x", (Feature.number("x", -10, 10),))
+        specs = [
+            StatSpec("mn", StatKind.MIN, "x"),
+            StatSpec("mx", StatKind.MAX, "x"),
+        ]
+        cookies = [({"x": x}, 1) for x in (-5, 3, 7)] * repeat
+        assert (len(cookies) >= columns.VECTOR_MIN_ROWS) == (repeat > 1)
+        folded = self._pair(schema, specs, cookies)
+        assert folded.snapshot() == {"mn": [3], "mx": [(1 << 48) - 5]}
+
+    def test_register_wraps_at_its_width(self):
+        schema, specs = _fold_schema(), _fold_specs()
+        top = (1 << 48) - 1
+        preload = {
+            name: [top - 3] * len(cells)
+            for name, cells in SwitchStatistics(
+                schema, specs, RegisterFile()
+            ).snapshot().items()
+            if not name.startswith(("min", "max"))
+        }
+        folded = self._pair(schema, specs, _fold_cookies(64), preload)
+        assert any(
+            cell < 1000 for cell in folded.snapshot()["gender"]
+        ), "the count register should have wrapped past zero"
+
+    def test_empty_input_is_a_no_op(self):
+        stats = SwitchStatistics(
+            _fold_schema(), _fold_specs(), RegisterFile()
+        )
+        before = stats.snapshot()
+        stats.fold_rows([], [])
+        assert stats.snapshot() == before
+        assert stats.updates == 0
+
+    def test_rows_and_counts_must_pair_up(self):
+        stats = SwitchStatistics(
+            _fold_schema(), _fold_specs(), RegisterFile()
+        )
+        with pytest.raises(ValueError, match="2 rows but 1 counts"):
+            stats.fold_rows([(0, 0, 0), (1, 1, 1)], [1])
+
+    def test_wire_integers_beyond_int64_take_the_row_form(self):
+        """A 64-bit feature cannot enter an int64 matrix; the fold must
+        still agree with ``update`` at any batch size."""
+        schema = CookieSchema(
+            "wide",
+            (
+                Feature.number("id", 0, (1 << 64) - 1),
+                Feature.categorical("gender", ["f", "m"]),
+            ),
+        )
+        specs = [
+            StatSpec("gender", StatKind.COUNT_BY_CLASS, "gender"),
+            StatSpec("id_sum", StatKind.SUM, "id"),
+            StatSpec("id_max", StatKind.MAX, "id"),
+        ]
+        cookies = [
+            ({"id": (1 << 64) - 1 - i, "gender": "fm"[i % 2]}, 1 + i % 3)
+            for i in range(columns.VECTOR_MIN_ROWS * 2)
+        ]
+        self._pair(schema, specs, cookies)
 
 
 class TestMerge:

@@ -137,6 +137,77 @@ class TestDecode:
             _codec().decode(ConnectionID(b"\x00\x42" + bytes(6)))
 
 
+def _block(bits: str) -> bytes:
+    """A 16-byte plaintext block from a bit string, zero-padded."""
+    return int(bits.ljust(128, "0"), 2).to_bytes(16, "big")
+
+
+class TestRowsFromBlocks:
+    """The batch parse: ``(values, wire row)`` per decrypted block,
+    ``None`` exactly where ``values_from_block`` raises."""
+
+    def test_row_is_the_wire_encoding_of_the_values(self):
+        codec = _codec()
+        features = _schema().features
+        cookies = [
+            {"gender": "m", "age": "35+", "score": 77},
+            {"score": 5},
+            {"gender": "x", "score": 0},
+            {},
+        ]
+        blocks = codec.encode_blocks_many(cookies)
+        decoded = codec.rows_from_blocks(blocks)
+        assert [entry[0] for entry in decoded] == cookies
+        for values, row in decoded:
+            assert values == codec.values_from_block(
+                codec.encode_blocks_many([values])[0]
+            )
+            assert row == tuple(
+                f.encode_value(values[f.name]) if f.name in values else -1
+                for f in features
+            )
+        assert decoded[1][1] == (-1, -1, 5)
+        assert decoded[3][1] == (-1, -1, -1)
+
+    def test_accepts_any_bytes_like_block(self):
+        codec = _codec()
+        block = codec.encode_blocks_many([{"gender": "f"}])[0]
+        assert codec.rows_from_blocks(
+            [bytearray(block), memoryview(block)]
+        ) == codec.rows_from_blocks([block, block])
+
+    @pytest.mark.parametrize(
+        "bad",
+        (
+            # gender's 2-bit field holds 3: wire >= cardinality.
+            _block("100" + "11"),
+            # score's 7-bit field holds 101: first value out of range.
+            _block("001" + "1100101"),
+            # every bit set: all three fields out of range.
+            b"\xff" * 16,
+            # bitmap cut short: fewer bits than the schema has features.
+            b"",
+            # all features present, stack truncated mid-field.
+            b"\xe0",
+        ),
+        ids=("class-out-of-range", "number-out-of-range", "all-ones",
+             "partial-bitmap", "truncated-stack"),
+    )
+    def test_none_exactly_where_the_scalar_parse_raises(self, bad):
+        codec = _codec()
+        good = codec.encode_blocks_many([{"gender": "f", "score": 100}])[0]
+        with pytest.raises(ValueError):
+            codec.values_from_block(bad)
+        decoded = codec.rows_from_blocks([good, bad, good])
+        assert decoded[1] is None
+        assert decoded[0] == decoded[2] == (
+            {"gender": "f", "score": 100}, (0, -1, 100)
+        )
+
+    def test_empty_batch(self):
+        assert _codec().rows_from_blocks([]) == []
+
+
 class TestClientPolicyCompatibility:
     def test_regenerated_cid_still_decodes(self):
         """The Snatch 1-RTT client keeps bytes [1, 18); decoding must

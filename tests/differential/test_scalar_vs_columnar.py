@@ -158,6 +158,74 @@ def test_lark_interleaved_per_packet_apps_share_one_rng(seed):
     assert columnar._rng.getstate() == scalar._rng.getstate()
 
 
+@pytest.mark.parametrize("capacity", (None, 4), ids=("unbounded", "memo-4"))
+@pytest.mark.parametrize("shape", SHAPES)
+def test_lark_replayed_batch_folds_from_the_memo(shape, capacity):
+    """The same batch twice: the second pass is all memo hits (or, with
+    a four-entry memo, mostly evictions and re-decrypts), so its rows
+    and values come out of the memo rather than the codec — and must
+    fold and report exactly like 2x the scalar stream."""
+    wl = DifferentialWorkload(SEEDS[1])
+    cids = wl.cids(shape, PACKETS)
+    scalar = wl.new_lark()
+    columnar = LarkSwitch(
+        "diff-lark", rng=random.Random(wl.seed + 1),
+        registry=MetricsRegistry(), decode_memo_capacity=capacity,
+    )
+    columnar.register_application(
+        APP_ID, wl.schema, wl.key, wl.specs,
+        mode=ForwardingMode.PERIODICAL, period_ms=1000.0,
+    )
+    scalar_results = [scalar.process_quic_packet(cid) for cid in cids * 2]
+    columnar_results = columnar.process_quic_columnar(cids)
+    memo_after_first = dict(columnar._decode_memo)
+    columnar_results += columnar.process_quic_columnar(cids)
+    if capacity is None:
+        assert columnar._decode_memo == memo_after_first
+    else:
+        assert len(columnar._decode_memo) <= capacity
+    assert columnar_results == scalar_results
+    assert register_state(columnar) == register_state(scalar)
+    assert columnar.stats_report(APP_ID) == scalar.stats_report(APP_ID)
+
+
+def test_lark_per_packet_payload_bytes_come_from_the_wire_row():
+    """Per-packet items are read off the wire row now, not re-encoded
+    from the decoded values: with features absent from some cookies
+    the payload bytes must still equal the scalar path's, and carry
+    exactly the present features' wire integers."""
+    wl = DifferentialWorkload(SEEDS[0])
+    features = wl.schema.features
+    codec = wl._codec()
+    rng = random.Random(99)
+    cookies = []
+    for user in wl.workload.users[:40]:
+        values = user.semantic_values(
+            rng.choice(wl.workload.campaigns), "view"
+        )
+        for name in rng.sample(sorted(values), rng.randrange(0, 3)):
+            del values[name]
+        cookies.append(values)
+    cids = [codec.encode(values) for values in cookies]
+    scalar = wl.new_lark(mode=ForwardingMode.PER_PACKET)
+    columnar = wl.new_lark(mode=ForwardingMode.PER_PACKET)
+    scalar_results = [scalar.process_quic_packet(cid) for cid in cids]
+    columnar_results = columnar.process_quic_columnar(cids)
+    assert [r.aggregation_payload for r in columnar_results] == [
+        r.aggregation_payload for r in scalar_results
+    ]
+    assert columnar_results == scalar_results
+    agg_codec = columnar._apps[APP_ID].agg_codec
+    assert any(len(values) < len(features) for values in cookies)
+    for values, result in zip(cookies, columnar_results):
+        assert result.decoded_values == values
+        assert agg_codec.decode(result.aggregation_payload).items == [
+            (index, feature.encode_value(values[feature.name]))
+            for index, feature in enumerate(features)
+            if feature.name in values
+        ]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_agg_columnar_bit_identical(shape, seed):
