@@ -30,6 +30,7 @@ __all__ = [
     "AggregationCodec",
     "SNATCH_SID",
     "ForwardingMode",
+    "unpack_items",
 ]
 
 SNATCH_SID = 0x5A4E  # "ZN" — the magic identifier
@@ -53,6 +54,18 @@ class AggregationPacket:
     @property
     def item_count(self) -> int:
         return len(self.items)
+
+
+def unpack_items(body: bytes) -> List[Tuple[int, int]]:
+    """The (tag, value) items of a decrypted data-stack, in wire order."""
+    if len(body) % 8 != 0:
+        raise ValueError("corrupt data-stack length %d" % len(body))
+    stack = int.from_bytes(body, "big")
+    items: List[Tuple[int, int]] = []
+    for shift in range(len(body) * 8 - 64, -1, -64):
+        item = stack >> shift
+        items.append((item >> 48 & 0xFFFF, item & 0xFFFFFFFFFFFF))
+    return items
 
 
 class AggregationCodec:
@@ -84,19 +97,23 @@ class AggregationCodec:
             raise ValueError("item count must fit 7 bits with the mode flag")
         mode_bit = 0x80 if packet.mode == ForwardingMode.PERIODICAL else 0x00
         count = len(packet.items) | mode_bit
-        body = bytearray()
+        # The data-stack is one big-endian integer of 64-bit items.
+        stack = 0
         for tag, value in packet.items:
             if not 0 <= tag <= 0xFFFF:
                 raise ValueError("item tag %d does not fit 16 bits" % tag)
             if not 0 <= value < (1 << 48):
                 raise ValueError("item value %d does not fit 48 bits" % value)
-            body += tag.to_bytes(2, "big") + value.to_bytes(6, "big")
+            stack = stack << 64 | tag << 48 | value
         header = SNATCH_SID.to_bytes(2, "big") + bytes([self.app_id, count])
-        return header, bytes(body)
+        return header, stack.to_bytes(8 * len(packet.items), "big")
 
     def draw_iv(self) -> bytes:
-        """The next CBC IV from the codec's RNG."""
-        return bytes(self._rng.getrandbits(8) for _ in range(16))
+        """The next CBC IV from the codec's RNG: the top byte of each
+        of sixteen 32-bit Mersenne Twister words — the bytes, and the
+        generator state afterwards, of sixteen ``getrandbits(8)``
+        calls, drawn in one."""
+        return self._rng.getrandbits(512).to_bytes(64, "little")[3::4]
 
     def encode_many(
         self,
@@ -163,13 +180,7 @@ class AggregationCodec:
             else ForwardingMode.PER_PACKET
         )
         declared = count_byte & 0x7F
-        if len(body) % 8 != 0:
-            raise ValueError("corrupt data-stack length %d" % len(body))
-        items: List[Tuple[int, int]] = []
-        for i in range(0, len(body), 8):
-            tag = int.from_bytes(body[i:i + 2], "big")
-            value = int.from_bytes(body[i + 2:i + 8], "big")
-            items.append((tag, value))
+        items = unpack_items(body)
         if len(items) != declared:
             raise ValueError(
                 "item count mismatch: declared %d, decoded %d"

@@ -23,6 +23,7 @@ from repro.core.aggregation import (
     AggregationPacket,
     ForwardingMode,
     SNATCH_SID,
+    unpack_items,
 )
 from repro.core.larkswitch import unflatten_snapshot
 from repro.core.schema import CookieSchema
@@ -43,6 +44,7 @@ from repro.switch.pipeline import (
     PHV,
     SwitchPipeline,
 )
+from repro.switch.registers import RegisterFile
 from repro.switch.tables import (
     MatchActionTable,
     MatchKey,
@@ -51,6 +53,9 @@ from repro.switch.tables import (
 )
 
 __all__ = ["AggSwitch", "AggResult"]
+
+# A matched aggregation packet: one table stage plus the AES decrypt.
+_HIT_LATENCY_MS = LINE_RATE_LATENCY_MS + AES_PASS_LATENCY_MS
 
 
 @dataclass
@@ -66,12 +71,111 @@ class _AggApp:
     # Cumulative per-user engagement tracker (absorbs LarkSwitch
     # period drains; not reset by periodical write-backs).
     users: Optional[UserEngagementTracker] = None
-    # Incrementally maintained fold of all shard banks (None =
-    # invalid).  Per-packet updates keep it in lockstep through the
-    # stats mirror; periodical write-backs and control-plane resets
-    # invalidate it.  This turns the per-packet forward report from a
-    # full K-bank re-merge into a cache read.
+    # The fold of all shard banks as of the last read-out (None =
+    # invalid).  Every register write — a per-packet fold, a
+    # periodical write-back, a control-plane reset — invalidates it;
+    # back-to-back read-outs share one K-bank merge.
     merged_cache: Optional[Dict[str, List[int]]] = None
+
+
+def _merge_banks(
+    specs: List[StatSpec], banks: List[SwitchStatistics]
+) -> Dict[str, List[int]]:
+    merged = banks[0].snapshot()
+    for bank in banks[1:]:
+        merged = merge_snapshots(specs, merged, bank.snapshot())
+    return merged
+
+
+def _fold_by_shard(
+    banks: List[SwitchStatistics],
+    rows: Sequence[Tuple[int, ...]],
+    shards: Sequence[int],
+) -> Dict[int, int]:
+    """Fold wire rows into their shard banks, one ``fold_rows`` call
+    per bank; returns the number of rows each touched bank took."""
+    parts: Dict[int, List[Tuple[int, ...]]] = {}
+    for row, shard in zip(rows, shards):
+        parts.setdefault(shard, []).append(row)
+    for shard, part in parts.items():
+        banks[shard].fold_rows(part, [1] * len(part))
+    return {shard: len(part) for shard, part in parts.items()}
+
+
+def _wire_row(
+    cards: List[int], body: bytes, declared: int
+) -> Optional[Tuple[int, ...]]:
+    """The wire row of a per-packet data-stack — its items are
+    ``(feature index, wire integer)`` — or ``None`` exactly where
+    :meth:`AggSwitch._fold_packet` rejects the packet: a corrupt stack
+    length, an item count other than the summary byte's, a feature
+    index outside the schema, a wire value outside its feature's
+    cardinality (``cards``, in schema order)."""
+    try:
+        items = unpack_items(body)
+    except ValueError:
+        return None
+    if len(items) != declared:
+        return None
+    row = [-1] * len(cards)
+    for index, wire in items:
+        if index >= len(cards) or wire >= cards[index]:
+            return None
+        row[index] = wire
+    return tuple(row)
+
+
+class _RunTrail:
+    """What one folded run of per-packet rows leaves behind so that a
+    forward report (the merged state at one row's own merge point) can
+    be rendered if somebody asks: the banks' pre-run snapshots, the
+    rows and their shards.  Rows are replayed into scratch banks up to
+    the asked position; a cursor makes reading a run's reports in
+    order one 1-row fold each, and asking backwards restarts from the
+    base snapshots."""
+
+    __slots__ = (
+        "app", "base", "rows", "shards", "sram_bits", "_banks", "_cursor",
+    )
+
+    def __init__(
+        self,
+        app: _AggApp,
+        rows: List[Tuple[int, ...]],
+        shards: List[int],
+        sram_bits: int,
+    ):
+        self.app = app
+        self.base = [bank.snapshot() for bank in app.banks]
+        self.rows = rows
+        self.shards = shards
+        self.sram_bits = sram_bits  # the switch's own register budget
+        self._banks: List[SwitchStatistics] = []
+        self._cursor = 0  # rows already folded into the scratch banks
+
+    def report_at(self, position: int) -> Dict[str, Any]:
+        app = self.app
+        if not self._banks or self._cursor > position + 1:
+            if not self._banks:
+                registers = RegisterFile(self.sram_bits)
+                self._banks = [
+                    SwitchStatistics(
+                        app.schema, app.specs, registers, "shard%d" % shard
+                    )
+                    for shard in range(len(self.base))
+                ]
+            for bank, snapshot in zip(self._banks, self.base):
+                bank.load_snapshot(snapshot)
+            self._cursor = 0
+        _fold_by_shard(
+            self._banks,
+            self.rows[self._cursor:position + 1],
+            self.shards[self._cursor:position + 1],
+        )
+        self._cursor = position + 1
+        return app.stats.report_from_snapshot(
+            _merge_banks(app.specs, self._banks)
+        )
 
 
 @dataclass(slots=True)
@@ -83,6 +187,20 @@ class AggResult:
     latency_ms: float
     forward_report: Optional[Dict[str, Any]] = None
     destination: Optional[str] = None
+    # process_columnar leaves a per-packet row's forward_report slot
+    # unset and the row's (trail, position) here: the first read of
+    # the report (== and repr read it too) lands in __getattr__.
+    _pending: Optional[Tuple[_RunTrail, int]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __getattr__(self, name: str) -> Any:
+        if name != "forward_report" or self._pending is None:
+            raise AttributeError(name)
+        trail, position = self._pending
+        self.forward_report = trail.report_at(position)
+        self._pending = None
+        return self.forward_report
 
 
 class AggSwitch:
@@ -236,15 +354,12 @@ class AggSwitch:
         return crc32(payload) % self.shards
 
     def _merged_view(self, app: _AggApp) -> Dict[str, List[int]]:
-        """The live fold of all shard banks, rebuilt only when a
-        control-plane write invalidated it.  Callers must not mutate
-        the returned snapshot (use :meth:`merge` for a copy)."""
+        """The fold of all shard banks, rebuilt after any register
+        write invalidated it.  Callers must not mutate the returned
+        snapshot (use :meth:`merge` for a copy)."""
         cache = app.merged_cache
         if cache is None:
-            cache = app.banks[0].snapshot()
-            for bank in app.banks[1:]:
-                cache = merge_snapshots(app.specs, cache, bank.snapshot())
-            app.merged_cache = cache
+            cache = app.merged_cache = _merge_banks(app.specs, app.banks)
         return cache
 
     def _fold_packet(
@@ -254,10 +369,13 @@ class AggSwitch:
         packet: AggregationPacket,
         shard: Optional[int] = None,
     ) -> Optional[Dict[str, Any]]:
-        """Fold one decoded aggregation packet into its shard bank and
-        return the forward report (the merged state at this packet's
-        own merge point).  ``None`` means a malformed per-packet item
-        stack; the caller counts it as a decode failure."""
+        """Fold one decoded aggregation packet into its shard bank,
+        invalidate the merged view, and return the forward report (the
+        merged state at this packet's own merge point, re-merged from
+        the banks).  ``None`` means a malformed item stack; the caller
+        counts it as a decode failure.  This is the scalar action's
+        body; the columnar path takes it for periodical payloads only
+        (see :meth:`_fold_run`)."""
         if shard is None:
             shard = self._shard_for(payload)
         bank = app.banks[shard]
@@ -274,10 +392,7 @@ class AggSwitch:
                     # Corrupted wire value: reject before any register
                     # is touched, so the payload is a clean dead letter.
                     return None
-            # The merged view is kept in lockstep via the mirror, so
-            # the per-packet forward report below is a cache read
-            # instead of a full K-bank re-merge.
-            bank.update(values, mirror=self._merged_view(app))
+            bank.update(values)
             self._m_register_updates.inc()
             self._m_per_packet_merges.inc()
         else:
@@ -300,10 +415,8 @@ class AggSwitch:
             except (ValueError, KeyError, IndexError):
                 return None
             self._write_snapshot(bank, merged)
-            # load_snapshot masks cells on write, which the mirror
-            # arithmetic cannot reproduce — rebuild lazily instead.
-            app.merged_cache = None
             self._m_report_merges.inc()
+        app.merged_cache = None
         self._m_shard_occupancy[shard].inc()
         app.packets_merged += 1
         return app.stats.report_from_snapshot(self._merged_view(app))
@@ -384,11 +497,14 @@ class AggSwitch:
         Bit-identical to calling :meth:`process_packet` once per
         element in order: header fields and shard hashes are extracted
         as columns, every matched payload's CBC body is decrypted in
-        one batched AES pass, and the folds run sequentially in packet
-        order (each forward report reflects the merged state at that
-        packet's own merge point).  The column, CRC and AES kernels
-        each pick their numpy or Python form; only a reshaped pipeline
-        leaves this path, for the interpreter.
+        one batched AES pass, each run of consecutive per-packet rows
+        of an app folds at once (:meth:`_fold_run`), and a periodical
+        payload folds in its own place between runs.  Each forward
+        report still reflects the merged state at that packet's own
+        merge point; a per-packet row's is rendered when first read.
+        The column, CRC, AES and fold kernels each pick their numpy or
+        Python form; only a reshaped pipeline leaves this path, for
+        the interpreter.
         """
         if not self.alive:
             return [
@@ -417,8 +533,9 @@ class AggSwitch:
             if not isinstance(crcs, list):
                 crcs = crcs.tolist()
             shard_column = [crc % self.shards for crc in crcs]
-        assignments: List[Optional[_AggApp]] = [None] * n
-        packets: List[Optional[AggregationPacket]] = [None] * n
+        matched = [False] * n
+        # Filled per merged payload below; the rest after the folds.
+        results: List[Optional[AggResult]] = [None] * n
         hit_count = 0
         for app_id, app in self._apps.items():
             idxs = match_rows((sids, app_ids), (SNATCH_SID, app_id))
@@ -439,68 +556,113 @@ class AggSwitch:
                 [sub[j][20:] for j in positions],
             )
             body_at = dict(zip(positions, bodies))
+            cards = [feature.cardinality for feature in app.schema.features]
+            # The pending run: consecutive per-packet rows of this app
+            # (batch positions and wire rows), folded in one go.
+            run: List[int] = []
+            rows: List[Tuple[int, ...]] = []
             for j, i in enumerate(idxs):
-                assignments[i] = app
+                matched[i] = True
                 body = body_at.get(j)
                 if body is None:
                     continue  # too short or corrupt CBC: decode failure
+                count_byte = sub[j][3]
+                if not count_byte & 0x80:
+                    row = _wire_row(cards, body, count_byte)
+                    if row is not None:
+                        run.append(i)
+                        rows.append(row)
+                    continue
+                # A periodical snapshot merge reads the bank, so the
+                # run before it folds first: packet order is preserved.
+                if run:
+                    self._fold_run(app, run, rows, shard_column, results)
+                    run, rows = [], []
                 try:
-                    packets[i] = app.codec.packet_from_body(
-                        body, sub[j][3]
-                    )
+                    packet = app.codec.packet_from_body(body, count_byte)
                 except ValueError:
-                    pass  # malformed data-stack: decode failure
+                    continue  # malformed data-stack: decode failure
+                report = self._fold_packet(
+                    app, raws[i], packet,
+                    shard=shard_column[i] if shard_column is not None else 0,
+                )
+                if report is not None:
+                    results[i] = AggResult(
+                        is_aggregation=True,
+                        merged=True,
+                        latency_ms=_HIT_LATENCY_MS,
+                        forward_report=report,
+                        destination=app.destination,
+                    )
+            if run:
+                self._fold_run(app, run, rows, shard_column, results)
         hit_meter, miss_meter = pipe._stage_meters[0]
         table.hits += hit_count
         hit_meter.inc(hit_count)
         miss_meter.inc(n - hit_count)
-        hit_latency = LINE_RATE_LATENCY_MS + AES_PASS_LATENCY_MS
         pipe._m_latency_us.observe_many(
             LINE_RATE_LATENCY_MS * 1000.0, n - hit_count
         )
-        pipe._m_latency_us.observe_many(hit_latency * 1000.0, hit_count)
+        pipe._m_latency_us.observe_many(_HIT_LATENCY_MS * 1000.0, hit_count)
         failure_count = 0
         total_latency_us = 0.0
-        results: List[AggResult] = []
         for i in range(n):
-            app = assignments[i]
-            is_aggregation = int(sids[i]) == SNATCH_SID
-            if app is None:
+            if not matched[i]:
                 total_latency_us += LINE_RATE_LATENCY_MS * 1000.0
-                results.append(AggResult(
-                    is_aggregation=is_aggregation,
+                results[i] = AggResult(
+                    is_aggregation=int(sids[i]) == SNATCH_SID,
                     merged=False,
                     latency_ms=LINE_RATE_LATENCY_MS,
-                ))
-                continue
-            total_latency_us += hit_latency * 1000.0
-            packet = packets[i]
-            report = None
-            if packet is not None:
-                shard = shard_column[i] if shard_column is not None else 0
-                report = self._fold_packet(
-                    app, raws[i], packet, shard=shard
                 )
-            if report is None:
+                continue
+            total_latency_us += _HIT_LATENCY_MS * 1000.0
+            if results[i] is None:
                 failure_count += 1
-                results.append(AggResult(
+                results[i] = AggResult(
                     is_aggregation=True,
                     merged=False,
-                    latency_ms=hit_latency,
-                ))
-                continue
-            results.append(AggResult(
-                is_aggregation=True,
-                merged=True,
-                latency_ms=hit_latency,
-                forward_report=report,
-                destination=app.destination,
-            ))
+                    latency_ms=_HIT_LATENCY_MS,
+                )
         self._m_decode_failures.inc(failure_count)
         pipe._m_batches.inc()
         pipe._m_batch_size.observe(n)
         pipe._m_batch_latency_us.observe(total_latency_us)
         return results
+
+    def _fold_run(
+        self,
+        app: _AggApp,
+        run: List[int],
+        rows: List[Tuple[int, ...]],
+        shard_column: Optional[List[int]],
+        results: List[Optional[AggResult]],
+    ) -> None:
+        """Fold one run of validated per-packet wire rows (``run``
+        holds their batch positions) — one ``fold_rows`` per shard
+        bank, counters bumped once — and leave each row a result whose
+        forward report renders on demand from the run's trail."""
+        shards = (
+            [shard_column[i] for i in run]
+            if shard_column is not None else [0] * len(run)
+        )
+        trail = _RunTrail(
+            app, rows, shards, self.pipeline.registers.sram_budget_bits
+        )
+        for shard, count in _fold_by_shard(app.banks, rows, shards).items():
+            self._m_shard_occupancy[shard].inc(count)
+        app.merged_cache = None
+        app.packets_merged += len(rows)
+        self._m_register_updates.inc(len(rows))
+        self._m_per_packet_merges.inc(len(rows))
+        for position, i in enumerate(run):
+            result = results[i] = AggResult(
+                is_aggregation=True,
+                merged=True,
+                latency_ms=_HIT_LATENCY_MS,
+                destination=app.destination,
+                _pending=(trail, position),
+            )
+            del result.forward_report
 
     def _to_agg_result(self, result: Any) -> AggResult:
         merged_app = result.phv.metadata.get("merged_app")

@@ -32,7 +32,12 @@ from repro.core.aggregation import (
     ForwardingMode,
 )
 from repro.core.schema import CookieSchema
-from repro.core.stats import StatSpec, SwitchStatistics, min_array_names
+from repro.core.stats import (
+    StatSpec,
+    SwitchStatistics,
+    array_shapes,
+    min_array_names,
+)
 from repro.core.transport_cookie import (
     APP_ID_BYTE_INDEX,
     COOKIE_BLOCK_START,
@@ -196,8 +201,16 @@ class LarkSwitch:
         value cells are allocated from this switch's register SRAM."""
         if app_id in self._apps:
             raise ValueError("app-ID %d already registered" % app_id)
-        if mode == ForwardingMode.PERIODICAL and period_ms <= 0:
-            raise ValueError("periodical forwarding needs a positive period")
+        if mode == ForwardingMode.PERIODICAL:
+            if period_ms <= 0:
+                raise ValueError(
+                    "periodical forwarding needs a positive period"
+                )
+            check_flattenable({
+                name: size
+                for spec in specs
+                for name, size in array_shapes(schema, spec)
+            })
         users = None
         if user_quantiles is not None:
             users = UserEngagementTracker(
@@ -769,6 +782,25 @@ class LarkSwitch:
 _MIN_SENTINEL = (1 << 48) - 1  # matches repro.core.stats
 
 
+def check_flattenable(sizes: Dict[str, int]) -> None:
+    """Raise ``ValueError`` unless every cell of a statistics program
+    (array name -> cell count) has its own :func:`flatten_snapshot`
+    tag: 6 bits of array ordinal, 10 bits of cell index.  A larger
+    array would alias cell ``i`` onto cell ``i % 1024`` of a later
+    ordinal — a silently wrong count at the AggSwitch."""
+    if len(sizes) > 64:
+        raise ValueError(
+            "%d statistics arrays exceed the 64 a periodical snapshot "
+            "tag can name" % len(sizes)
+        )
+    for name, size in sizes.items():
+        if size > 1024:
+            raise ValueError(
+                "statistics array %r has %d cells; a periodical "
+                "snapshot tag indexes at most 1024" % (name, size)
+            )
+
+
 def flatten_snapshot(
     snapshot: Dict[str, List[int]],
     min_arrays: Optional[set] = None,
@@ -777,9 +809,11 @@ def flatten_snapshot(
 
     The tag packs (array ordinal, cell index); both sides derive the
     same array ordering from the application's StatSpec list, so tags
-    are unambiguous.  Idle cells (zero, or the sentinel for MIN
-    arrays) are skipped to keep packets small.
+    are unambiguous (:func:`check_flattenable` raises for a snapshot
+    whose tags would not be).  Idle cells (zero, or the sentinel for
+    MIN arrays) are skipped to keep packets small.
     """
+    check_flattenable({name: len(cells) for name, cells in snapshot.items()})
     min_arrays = min_arrays or set()
     items: List[Tuple[int, int]] = []
     for ordinal, name in enumerate(sorted(snapshot)):

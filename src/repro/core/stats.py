@@ -26,6 +26,7 @@ __all__ = [
     "StatKind",
     "StatSpec",
     "SwitchStatistics",
+    "array_shapes",
     "merge_snapshots",
     "min_array_names",
 ]
@@ -62,6 +63,23 @@ class StatSpec:
     kind: StatKind
     feature: str
     group_by: Optional[str] = None
+
+
+def array_shapes(
+    schema: CookieSchema, spec: StatSpec
+) -> List[Tuple[str, int]]:
+    """``(snapshot array name, cell count)`` of the register arrays
+    one spec allocates."""
+    groups = (
+        schema.feature(spec.group_by).cardinality if spec.group_by else 1
+    )
+    if spec.kind is StatKind.COUNT_BY_CLASS:
+        return [
+            (spec.name, groups * schema.feature(spec.feature).cardinality)
+        ]
+    if spec.kind is StatKind.AVG:
+        return [(spec.name + ".sum", groups), (spec.name + ".count", groups)]
+    return [(spec.name, groups)]
 
 
 class SwitchStatistics:
@@ -165,31 +183,14 @@ class SwitchStatistics:
                     "%s: group_by needs a class feature" % spec.name
                 )
 
-    def _group_size(self, spec: StatSpec) -> int:
-        if spec.group_by is None:
-            return 1
-        return self.schema.feature(spec.group_by).cardinality
-
     def _allocate(self, spec: StatSpec, prefix: str) -> None:
-        groups = self._group_size(spec)
-        base = "%s.%s" % (prefix, spec.name)
-        if spec.kind is StatKind.COUNT_BY_CLASS:
-            classes = self.schema.feature(spec.feature).cardinality
-            self._arrays[spec.name] = self._registers.allocate(
-                base, groups * classes, _NUMBER_WIDTH
+        for name, size in array_shapes(self.schema, spec):
+            array = self._registers.allocate(
+                "%s.%s" % (prefix, name), size, _NUMBER_WIDTH
             )
-        elif spec.kind is StatKind.AVG:
-            self._arrays[spec.name + ".sum"] = self._registers.allocate(
-                base + ".sum", groups, _NUMBER_WIDTH
-            )
-            self._arrays[spec.name + ".count"] = self._registers.allocate(
-                base + ".count", groups, _NUMBER_WIDTH
-            )
-        else:
-            array = self._registers.allocate(base, groups, _NUMBER_WIDTH)
             if spec.kind is StatKind.MIN:
                 array.fill(_MIN_SENTINEL)
-            self._arrays[spec.name] = array
+            self._arrays[name] = array
 
     # -- update path (per decoded cookie) ------------------------------------
 
@@ -201,20 +202,8 @@ class SwitchStatistics:
         group = self.schema.feature(spec.group_by)
         return group.encode_value(values[spec.group_by])
 
-    def update(
-        self,
-        values: Dict[str, Any],
-        mirror: Optional[Dict[str, List[int]]] = None,
-    ) -> None:
-        """Fold one decoded cookie's values into the registers.
-
-        ``mirror`` is an optional plain snapshot (cells summed across
-        several banks, as the AggSwitch merged-view cache holds) kept
-        in lockstep with the register write: additive cells absorb the
-        same wrapped delta, min/max cells absorb the new cell value —
-        exact because the mirror's fold (sum / min / max across banks)
-        commutes with the single-bank update.
-        """
+    def update(self, values: Dict[str, Any]) -> None:
+        """Fold one decoded cookie's values into the registers."""
         self.updates += 1
         for spec, feature, group in self._spec_rows:
             if spec.feature not in values:
@@ -226,49 +215,21 @@ class SwitchStatistics:
             else:
                 group_index = group.encode_value(values[spec.group_by])
             if spec.kind is StatKind.COUNT_BY_CLASS:
-                classes = feature.cardinality
                 wire = feature.encode_value(values[spec.feature])
-                self._mirrored_add(
-                    spec.name, group_index * classes + wire, 1, mirror
+                self._arrays[spec.name].add(
+                    group_index * feature.cardinality + wire
                 )
             else:
                 raw = int(values[spec.feature])
                 if spec.kind is StatKind.SUM:
-                    self._mirrored_add(spec.name, group_index, raw, mirror)
+                    self._arrays[spec.name].add(group_index, raw)
                 elif spec.kind is StatKind.MIN:
-                    new = self._arrays[spec.name].update_min(group_index, raw)
-                    if mirror is not None:
-                        cells = mirror[spec.name]
-                        if new < cells[group_index]:
-                            cells[group_index] = new
+                    self._arrays[spec.name].update_min(group_index, raw)
                 elif spec.kind is StatKind.MAX:
-                    new = self._arrays[spec.name].update_max(group_index, raw)
-                    if mirror is not None:
-                        cells = mirror[spec.name]
-                        if new > cells[group_index]:
-                            cells[group_index] = new
+                    self._arrays[spec.name].update_max(group_index, raw)
                 elif spec.kind is StatKind.AVG:
-                    self._mirrored_add(
-                        spec.name + ".sum", group_index, raw, mirror
-                    )
-                    self._mirrored_add(
-                        spec.name + ".count", group_index, 1, mirror
-                    )
-
-    def _mirrored_add(
-        self,
-        name: str,
-        index: int,
-        delta: int,
-        mirror: Optional[Dict[str, List[int]]],
-    ) -> None:
-        """Register add that also applies the *wrapped* delta to a
-        mirror snapshot.  The wrapped delta is recovered from the new
-        cell value so that a register wrap shows up in the mirror too."""
-        array = self._arrays[name]
-        new = array.add(index, delta)
-        if mirror is not None:
-            mirror[name][index] += new - ((new - delta) & array.mask)
+                    self._arrays[spec.name + ".sum"].add(group_index, raw)
+                    self._arrays[spec.name + ".count"].add(group_index)
 
     def fold_rows(self, rows, counts) -> None:
         """Columnar fold: ``rows[i]`` is the wire row of one decoded

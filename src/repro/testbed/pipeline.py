@@ -306,6 +306,7 @@ class StreamingPipeline:
         self._corrupt_rng = random.Random(seed + 47)
         self._next_boundary = period_ms
         self.periods = 0
+        self._merged = 0
         self.dead_letters = 0
         self.corrupted = 0
         self.last_checkpoint: Optional[Dict[str, Any]] = None
@@ -322,7 +323,6 @@ class StreamingPipeline:
         # controller moved buckets (or retired workers) mid-run.
         self.placement = placement
         self._fleet: Any = None
-        self._fleet_merged = 0
         self._fleet_packets: Dict[int, int] = {}
         if backend == "persistent":
             from repro.testbed.worker import WorkerFleet
@@ -439,7 +439,7 @@ class StreamingPipeline:
         snapshot, deltas = self._fleet.drain()
         unmerged = 0
         for shard, delta in deltas.items():
-            self._fleet_merged += delta["folded"]
+            self._merged += delta["folded"]
             unmerged += delta["unmerged"]
             self._fleet_packets[shard] = (
                 self._fleet_packets.get(shard, 0) + delta["packets"]
@@ -504,7 +504,9 @@ class StreamingPipeline:
             return [self.agg.process_packet(p) for p in payloads]
         return self.agg.process_columnar(payloads)
 
-    def _dispatch(self, payloads: List[bytes], out: List[Any]) -> int:
+    def _dispatch(
+        self, payloads: List[bytes], out: Optional[List[Any]]
+    ) -> int:
         """Route payloads (through the corruption and reorder fault
         stages when present) into the AggSwitch via the backend-matched
         entry point; count unfoldable payloads as dead letters."""
@@ -520,7 +522,9 @@ class StreamingPipeline:
         self._deliver(payloads, out)
         return len(payloads)
 
-    def _deliver(self, payloads: List[bytes], out: List[Any]) -> None:
+    def _deliver(
+        self, payloads: List[bytes], out: Optional[List[Any]]
+    ) -> None:
         if self._fleet is not None:
             # Hand the batch to the worker fleet and keep going — the
             # fold happens concurrently; merged/dead-letter counts
@@ -546,11 +550,16 @@ class StreamingPipeline:
         # the run; it and every merely undecodable payload — all that
         # reach this stage are aggregation-bound — are dead letters.
         results, dead = process_isolated(self._agg_process, payloads)
-        dead += sum(1 for r in results if not r.merged)
+        merged = sum(1 for r in results if r.merged)
+        self._merged += merged
+        dead += len(results) - merged
         if dead:
             self.dead_letters += dead
             self.registry.counter("pipeline.dead_letters").inc(dead)
-        out.extend(results)
+        # Results are kept only for a caller that asked: a per-packet
+        # stream has one per event (each pinning its run's trail).
+        if out is not None:
+            out.extend(results)
 
     # -- run ---------------------------------------------------------------
 
@@ -568,13 +577,13 @@ class StreamingPipeline:
         )
         self._next_boundary = self.period_ms
         self.periods = 0
+        self._merged = 0
         self.dead_letters = 0
         self.corrupted = 0
         self.last_checkpoint = None
         self._checkpoints_taken = 0
         self._fleet_packets = {}
-        self._fleet_merged = 0
-        agg_results: List[Any] = []
+        agg_results: Optional[List[Any]] = [] if collect_results else None
         events = 0
         batches = 0
         payload_count = 0
@@ -653,11 +662,6 @@ class StreamingPipeline:
             snapshot = self._drain_fleet()
             if snapshot is not None:
                 self.agg.restore(self.app_id, snapshot)
-            merged = self._fleet_merged
-        else:
-            merged = sum(
-                1 for r in agg_results if getattr(r, "merged", False)
-            )
         agg_shards = (
             self.placement.map.shards if self.placement is not None else 1
         )
@@ -665,14 +669,14 @@ class StreamingPipeline:
             events=events,
             batches=batches,
             payloads=payload_count,
-            merged=merged,
+            merged=self._merged,
             periods=self.periods,
             backend=self.backend,
             report=self.agg.report(self.app_id),
             reference=reference,
             register_state=self.agg.merge(self.app_id),
             cache_stats=self.cache.stats(),
-            agg_results=agg_results if collect_results else [],
+            agg_results=agg_results or [],
             dead_letters=self.dead_letters,
             checkpoints=self._checkpoints_taken,
             user_report=(

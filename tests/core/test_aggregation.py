@@ -167,3 +167,76 @@ class TestEncodeMany:
         with pytest.raises(ValueError, match="48 bits"):
             codec.encode_many(packets)
         assert codec._rng.getstate() == before
+
+
+def _old_stack(items):
+    """The data-stack as built before items were packed as one integer."""
+    return b"".join(
+        tag.to_bytes(2, "big") + value.to_bytes(6, "big")
+        for tag, value in items
+    )
+
+
+class TestItemsAsOneInteger:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from((0, 1, 0x7FFF, 0xFFFF)) | st.integers(0, 0xFFFF),
+                st.sampled_from((0, 1, 2**47, 2**48 - 1))
+                | st.integers(0, 2**48 - 1),
+            ),
+            max_size=127,
+        ),
+        st.sampled_from((ForwardingMode.PER_PACKET, ForwardingMode.PERIODICAL)),
+    )
+    @settings(max_examples=60)
+    def test_stack_bytes_and_round_trip(self, items, mode):
+        codec = _codec()
+        header, stack = codec._serialise(_packet(items, mode=mode))
+        assert stack == _old_stack(items)
+        decoded = codec.packet_from_body(stack, header[3])
+        assert decoded.items == items
+        assert decoded.mode == mode
+
+    def test_extremes_at_127_items(self):
+        items = [(0xFFFF, 2**48 - 1)] * 127
+        codec = _codec()
+        header, stack = codec._serialise(_packet(items))
+        assert stack == b"\xff" * (127 * 8) and header[3] == 127
+        assert codec.packet_from_body(stack, 127).items == items
+        # Leading zero items must survive the integer packing too.
+        zeros = [(0, 0)] * 3 + [(0, 1)]
+        assert codec._serialise(_packet(zeros))[1] == _old_stack(zeros)
+        assert codec.packet_from_body(_old_stack(zeros), 4).items == zeros
+
+    @pytest.mark.parametrize(
+        "item, match",
+        (
+            ((0x10000, 0), "16 bits"),
+            ((-1, 0), "16 bits"),
+            ((0, 2**48), "48 bits"),
+            ((0, -1), "48 bits"),
+        ),
+    )
+    def test_range_errors_unchanged(self, item, match):
+        with pytest.raises(ValueError, match=match):
+            _codec()._serialise(_packet([(1, 1), item]))
+
+    def test_body_errors_unchanged(self):
+        codec = _codec()
+        with pytest.raises(ValueError, match="corrupt data-stack length 12"):
+            codec.packet_from_body(bytes(12), 1)
+        with pytest.raises(ValueError, match="declared 3, decoded 2"):
+            codec.packet_from_body(bytes(16), 3)
+
+
+class TestDrawIv:
+    @pytest.mark.parametrize("seed", (0, 1, 5, 2**40 + 3))
+    def test_equals_sixteen_byte_draws_and_rng_state(self, seed):
+        codec = _codec(seed=seed)
+        reference = random.Random(seed)
+        for _ in range(250):
+            assert codec.draw_iv() == bytes(
+                reference.getrandbits(8) for _ in range(16)
+            )
+            assert codec._rng.getstate() == reference.getstate()

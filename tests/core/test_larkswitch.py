@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.aggregation import AggregationCodec, ForwardingMode
+from repro.core.aggswitch import AggSwitch
 from repro.core.larkswitch import LarkSwitch
 from repro.core.schema import CookieSchema, Feature
 from repro.core.stats import StatKind, StatSpec
@@ -211,3 +212,60 @@ class TestRegistration:
         lark.process_quic_packet(other_codec.encode({"n": 5}))
         assert lark.stats_report(APP)["by_gender"]["f"] == 1
         assert lark.stats_report(0x50)["n_sum"]["all"] == 5
+
+
+class TestPeriodicalTagLimits:
+    """A periodical snapshot tag is 6 bits of array ordinal and 10 of
+    cell index: a statistics array of more than 1024 cells used to
+    alias — five ("c39", "k29") cookies (cell 1199 of ``by``) reached
+    the AggSwitch as ("c5", "k25") (cell 175 of the next ordinal)."""
+
+    def _wide(self):
+        schema = CookieSchema(
+            "wide",
+            (
+                Feature.categorical("camp", ["c%d" % i for i in range(40)]),
+                Feature.categorical("k", ["k%d" % i for i in range(30)]),
+            ),
+        )
+        specs = [
+            StatSpec("a_first", StatKind.COUNT_BY_CLASS, "camp"),
+            StatSpec("by", StatKind.COUNT_BY_CLASS, "k", group_by="camp"),
+            StatSpec("z_last", StatKind.COUNT_BY_CLASS, "k"),
+        ]
+        return schema, specs
+
+    def test_periodical_registration_names_the_array(self):
+        schema, specs = self._wide()
+        lark = LarkSwitch("lark", random.Random(1))
+        with pytest.raises(ValueError, match="'by' has 1200 cells"):
+            lark.register_application(
+                APP, schema, KEY, specs,
+                mode=ForwardingMode.PERIODICAL, period_ms=100,
+            )
+        # Rejected up front: nothing was allocated or installed.
+        assert lark.pipeline.registers.used_bits == 0
+        assert lark.registered_app_ids() == []
+        lark.register_application(
+            APP, schema, KEY, specs[:1] + specs[2:],
+            mode=ForwardingMode.PERIODICAL, period_ms=100,
+        )
+
+    def test_per_packet_mode_carries_the_wide_array_exactly(self):
+        schema, specs = self._wide()
+        lark = LarkSwitch("lark", random.Random(1))
+        lark.register_application(APP, schema, KEY, specs)
+        agg = AggSwitch("agg", random.Random(2))
+        agg.register_application(APP, schema, KEY, specs)
+        codec = TransportCookieCodec(APP, schema, KEY, random.Random(3))
+        payloads = [
+            lark.process_quic_packet(
+                codec.encode({"camp": "c39", "k": "k29"})
+            ).aggregation_payload
+            for _ in range(5)
+        ]
+        assert all(r.merged for r in agg.process_columnar(payloads))
+        counted = {
+            key: count for key, count in agg.report(APP)["by"].items() if count
+        }
+        assert counted == {("c39", "k29"): 5}

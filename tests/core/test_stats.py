@@ -345,5 +345,17 @@ class TestFlattenRoundtrip:
         with pytest.raises(ValueError, match="index"):
             unflatten_snapshot([(0 | 1023, 1)], snapshot)
 
+    def test_unaddressable_snapshots_rejected(self):
+        """The tag is (6-bit ordinal, 10-bit index): anything beyond
+        would alias onto another cell, so it raises instead."""
+        assert flatten_snapshot({"a": [0] * 1023 + [9]}) == [(1023, 9)]
+        with pytest.raises(ValueError, match="'wide' has 1025 cells"):
+            flatten_snapshot({"a": [1], "wide": [0] * 1025})
+        arrays = {"s%02d" % i: [i + 1] for i in range(65)}
+        with pytest.raises(ValueError, match="65 statistics arrays"):
+            flatten_snapshot(arrays)
+        del arrays["s64"]
+        assert flatten_snapshot(arrays)[-1] == (63 << 10, 64)
+
     def test_min_array_names(self):
         assert min_array_names(_specs()) == {"demand_min"}

@@ -9,9 +9,12 @@ period checkpoints the pipeline takes are exactly the snapshots a
 crashed replica would restore.
 """
 
+import gc
+
 import pytest
 
 from repro.core.aggregation import ForwardingMode
+from repro.core.aggswitch import AggResult
 from repro.obs.registry import MetricsRegistry
 from repro.testbed.executor import Replica, ShardSpec, process_isolated
 from repro.testbed.pipeline import BACKENDS, StreamingPipeline
@@ -77,6 +80,35 @@ class TestDeadLetters:
             ).run(RATE, DURATION_MS)
             assert _observables(streamed) == _observables(one_shot)
             assert streamed.dead_letters == one_shot.dead_letters
+
+    @pytest.mark.parametrize("backend", ("scalar", "columnar"))
+    def test_results_are_kept_only_when_asked_for(self, backend):
+        """merged / dead letters are counted as batches pass; a run
+        that did not ask for the per-payload results holds none of
+        them afterwards (a per-packet stream has one per event)."""
+        kwargs = dict(mode=ForwardingMode.PER_PACKET, corrupt_probability=0.2)
+        kept = _pipe(backend, **kwargs).run(
+            RATE, DURATION_MS, collect_results=True
+        )
+        assert len(kept.agg_results) == kept.payloads > 0
+        assert kept.merged == sum(r.merged for r in kept.agg_results)
+        assert kept.dead_letters == kept.payloads - kept.merged > 0
+
+        def live_results():
+            gc.collect()
+            return sum(isinstance(o, AggResult) for o in gc.get_objects())
+
+        before = live_results()
+        held = []
+        result = _pipe(
+            backend, on_batch=lambda _p, _c: held.append(live_results()),
+            **kwargs
+        ).run(RATE, DURATION_MS)
+        assert len(held) > 10 and max(held) - before <= 64  # one batch
+        assert result.agg_results == []
+        assert (result.merged, result.dead_letters, result.report) == (
+            kept.merged, kept.dead_letters, kept.report
+        )
 
     def test_no_corruption_no_dead_letters(self):
         result = _pipe("columnar").run(RATE, DURATION_MS)

@@ -281,6 +281,69 @@ def test_sharded_agg_under_hash_collision_skew(seed):
     ]
 
 
+@pytest.mark.parametrize("shards", (1, 4))
+@pytest.mark.parametrize("order", ("forward", "reverse", "one at random"))
+def test_agg_forward_reports_render_on_demand_in_any_order(order, shards):
+    """A columnar batch's forward reports are rendered when read, from
+    the run's trail; whichever way they are read, each equals the
+    scalar switch's report at that packet's own merge point."""
+    wl = DifferentialWorkload(SEEDS[shards % len(SEEDS)])
+    payloads = wl.payloads("zipfian", PACKETS)
+    scalar, columnar = wl.new_agg(shards), wl.new_agg(shards)
+    expected = [scalar.process_packet(p).forward_report for p in payloads]
+    results = columnar.process_columnar(payloads)
+    positions = list(range(len(payloads)))
+    if order == "reverse":
+        positions.reverse()
+    elif order == "one at random":
+        positions = [random.Random(shards).choice(positions)]
+    for position in positions:
+        assert results[position].forward_report == expected[position]
+    assert register_state(columnar) == register_state(scalar)
+    assert columnar.merge(APP_ID) == scalar.merge(APP_ID)
+    assert columnar.report(APP_ID) == scalar.report(APP_ID)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+@pytest.mark.parametrize("shards", (1, 4))
+def test_agg_mixed_modes_and_corruption_bit_identical(seed, shards):
+    """Per-packet rows interleaved with periodical snapshots (each
+    flushes the pending run) and byte-flipped payloads (anywhere from
+    the summary byte to the last cipher block): same results, same
+    registers, and a rejected payload mutates nothing on either path."""
+    wl = DifferentialWorkload(seed)
+    rng = random.Random(seed + 9)
+    lark = wl.new_lark(mode=ForwardingMode.PERIODICAL)
+    cids = wl.cids("uniform", PACKETS)
+    payloads = []
+    for cid, payload in zip(cids, wl.payloads("uniform", PACKETS)):
+        lark.process_quic_packet(cid)
+        draw = rng.random()
+        if draw < 0.05:
+            payloads.append(lark.end_period(APP_ID))
+        elif draw < 0.15:
+            mutated = bytearray(payload)
+            mutated[rng.randrange(3, len(mutated))] ^= 1 << rng.randrange(8)
+            payload = bytes(mutated)
+        payloads.append(payload)
+    scalar, columnar = wl.new_agg(shards), wl.new_agg(shards)
+    scalar_results = []
+    for p in payloads:
+        before = register_state(scalar)
+        scalar_results.append(scalar.process_packet(p))
+        if not scalar_results[-1].merged:
+            assert register_state(scalar) == before
+    assert {r.merged for r in scalar_results} == {True, False}
+    columnar_results = []
+    for chunk in iter_batches(payloads, BATCH_SIZES[seed]):
+        columnar_results.extend(columnar.process_columnar(chunk))
+    assert columnar_results == scalar_results
+    assert register_state(columnar) == register_state(scalar)
+    assert columnar.merge(APP_ID) == scalar.merge(APP_ID)
+    assert columnar.report(APP_ID) == scalar.report(APP_ID)
+    assert columnar.packets_merged(APP_ID) == scalar.packets_merged(APP_ID)
+
+
 def _reshape(switch):
     """Install a second stage the columnar path knows nothing about: a
     table whose default action drops every packet."""
