@@ -129,10 +129,12 @@ class _FrequencySketch:
 class CookieEncodeCache:
     """LRU cache of encrypted cookie blocks keyed by user identity.
 
-    ``values_fn(index)`` supplies the semantic values for the packet at
-    ``index`` and is only invoked on cache misses — the point of the
-    cache is that building the value dict and running AES both drop out
-    of the per-request hot loop.
+    The key is the caller's *identity* for the cookie (a user index, a
+    ``(user, campaign, click)`` triple), never its content: two users
+    with equal demographics keep separate entries, as they keep
+    separate cookies.  The cookie contents are only asked for on cache
+    misses — the point of the cache is that building them and running
+    AES both drop out of the per-request hot loop.
     """
 
     def __init__(
@@ -285,17 +287,19 @@ class CookieEncodeCache:
     def _resolve_blocks(
         self,
         keys: Sequence[Hashable],
-        values_fn: Callable[[int], Dict[str, Any]],
+        rows_fn: Callable[[List[int]], List[Sequence[int]]],
     ) -> List[bytes]:
-        """Encrypted block per packet.  Misses are collected in
-        first-occurrence order, packed into plaintext blocks (one
-        padding draw per miss, in that order) and encrypted in one
-        batched AES pass."""
+        """Encrypted block per packet.  Every packet probes the cache
+        under its caller-given identity key; the misses' batch
+        positions are collected in first-occurrence order, and only
+        those get wire rows (``rows_fn(positions)``), one pack (one
+        padding draw per miss, in that order) and one batched AES
+        pass."""
         codec = self._codec
         n = len(keys)
         out: List[Optional[bytes]] = [None] * n
         miss_order: List[Hashable] = []
-        miss_values: List[Dict[str, Any]] = []
+        miss_positions: List[int] = []
         miss_backrefs: Dict[Hashable, List[int]] = {}
         for i, key in enumerate(keys):
             pending = miss_backrefs.get(key)
@@ -313,11 +317,11 @@ class CookieEncodeCache:
             else:
                 self.misses += 1
                 miss_order.append(key)
-                miss_values.append(values_fn(i))
+                miss_positions.append(i)
                 miss_backrefs[key] = [i]
-        if miss_values:
+        if miss_positions:
             encrypted = encrypt_blocks_many(
-                codec.aes, codec.encode_blocks_many(miss_values)
+                codec.aes, codec.pack_rows(rows_fn(miss_positions))
             )
             for key, block in zip(miss_order, encrypted):
                 self._store(key, block)
@@ -341,7 +345,11 @@ class CookieEncodeCache:
     def encode_columns(
         self,
         keys: Sequence[Hashable],
-        values_fn: Callable[[int], Dict[str, Any]],
+        values_fn: Optional[Callable[[int], Dict[str, Any]]] = None,
+        *,
+        rows_fn: Optional[
+            Callable[[List[int]], List[Sequence[int]]]
+        ] = None,
     ):
         """Wire cookies for a whole batch as a
         :class:`~repro.switch.columns.PacketColumns` (no per-packet
@@ -349,29 +357,44 @@ class CookieEncodeCache:
         encrypted blocks (one AES pass over the misses), then draw the
         framing bytes (DCID, then the two DCID-R2 bytes) per packet in
         order.  Rows are assembled one by one when the numpy gate is
-        closed, as one matrix otherwise."""
+        closed, as one matrix otherwise.
+
+        The cookie contents of the misses come from one of two
+        callbacks: ``rows_fn(positions)`` returns the wire rows (see
+        :meth:`TransportCookieCodec.pack_rows`) of the listed batch
+        positions — integers in, no value dict built; ``values_fn(i)``
+        returns the value dict of position ``i`` and is adapted to
+        rows through ``validate_values``."""
         from repro.switch.columns import PacketColumns, get_numpy
 
-        blocks = self._resolve_blocks(keys, values_fn)
+        if (values_fn is None) == (rows_fn is None):
+            raise TypeError("pass exactly one of values_fn and rows_fn")
+        if rows_fn is None:
+            codec = self._codec
+
+            def rows_fn(positions: List[int]) -> List[Sequence[int]]:
+                return codec.rows_from_values(
+                    [values_fn(i) for i in positions]
+                )
+
+        blocks = self._resolve_blocks(keys, rows_fn)
         np = get_numpy()
-        rng = self._codec.rng
+        getrandbits = self._codec.rng.getrandbits
         n = len(blocks)
+        framing = bytes([getrandbits(8) for _ in range(3 * n)])
         if np is None:
             app_byte = bytes([self.app_id])
-            rows = []
-            for block in blocks:
-                dcid = bytes([rng.getrandbits(8)])
-                r2 = bytes([rng.getrandbits(8), rng.getrandbits(8)])
-                rows.append(dcid + app_byte + block + r2)
-            return PacketColumns(rows)
+            return PacketColumns([
+                framing[i:i + 1] + app_byte + block + framing[i + 1:i + 3]
+                for i, block in zip(range(0, 3 * n, 3), blocks)
+            ])
         data = np.empty((n, 20), dtype=np.uint8)
         if n:
             data[:, 2:18] = np.frombuffer(
                 b"".join(blocks), dtype=np.uint8
             ).reshape(n, 16)
         data[:, 1] = self.app_id
-        for i in range(n):
-            data[i, 0] = rng.getrandbits(8)
-            data[i, 18] = rng.getrandbits(8)
-            data[i, 19] = rng.getrandbits(8)
+        drawn = np.frombuffer(framing, dtype=np.uint8).reshape(n, 3)
+        data[:, 0] = drawn[:, 0]
+        data[:, 18:20] = drawn[:, 1:]
         return PacketColumns.from_matrix(data)

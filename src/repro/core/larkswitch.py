@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.aggregation import (
@@ -105,6 +106,38 @@ class RegisteredApp:
             return None
         return int(value).to_bytes(8, "big")
 
+    @cached_property
+    def digest_columns(self) -> List[Tuple[int, Any]]:
+        """(schema column, feature) per digest-designated feature, in
+        ``digest_features`` order: what the columnar path reads a
+        packet's digest values off its wire row with."""
+        names = self.schema.feature_names()
+        return [
+            (names.index(name), self.schema.feature(name))
+            for name in self.digest_features
+            if name in names
+        ]
+
+    @cached_property
+    def _user_key_column(self) -> Optional[int]:
+        name = self.users.config.key_feature if self.users else None
+        if name is None:
+            return None
+        return self.schema.feature_names().index(name)
+
+    def user_key_of_row(
+        self, region: bytes, row: Tuple[int, ...]
+    ) -> Optional[bytes]:
+        """:meth:`user_key` from a cookie's wire row: only the key
+        feature's value is decoded."""
+        column = self._user_key_column
+        if column is None:
+            return region
+        if row[column] < 0:
+            return None
+        value = self.schema.features[column].decode_value(row[column])
+        return int(value).to_bytes(8, "big")
+
 
 @dataclass(slots=True)
 class LarkResult:
@@ -117,6 +150,23 @@ class LarkResult:
     decoded_values: Optional[Dict[str, Any]] = None
     deduplicated: bool = False
     digests: List[Any] = field(default_factory=list)
+    # The packet's cookie decoded and reached the statistics registers
+    # (False for a miss, a decode failure or a deduplicated repeat).
+    folded: bool = False
+    # process_quic_columnar leaves a folded packet's decoded_values
+    # slot unset and (codec, wire row) here: the first read of the
+    # values (== and repr read them too) lands in __getattr__.
+    _pending: Optional[Tuple[TransportCookieCodec, Tuple[int, ...]]] = (
+        field(default=None, repr=False, compare=False)
+    )
+
+    def __getattr__(self, name: str) -> Any:
+        if name != "decoded_values" or self._pending is None:
+            raise AttributeError(name)
+        codec, row = self._pending
+        self.decoded_values = codec.values_from_row(row)
+        self._pending = None
+        return self.decoded_values
 
 
 class LarkSwitch:
@@ -169,11 +219,10 @@ class LarkSwitch:
         if decode_memo_capacity is not None and decode_memo_capacity <= 0:
             raise ValueError("decode_memo_capacity must be positive")
         self._decode_memo_capacity = decode_memo_capacity
-        # Each entry is the codec's (values, wire row) pair, or None
-        # for a cookie that fails to decode.
+        # Each entry is the cookie's wire row, or None for a cookie
+        # that fails to decode.
         self._decode_memo: Dict[
-            Tuple[int, int, bytes],
-            Optional[Tuple[Dict[str, Any], Tuple[int, ...]]],
+            Tuple[int, int, bytes], Optional[Tuple[int, ...]]
         ] = {}
         # Known-good program shape for the columnar backend, cached as
         # (program version, app-table version); see _columnar_ready().
@@ -414,14 +463,12 @@ class LarkSwitch:
         sub: List[bytes],
         keys: List[bytes],
         firsts: List[int],
-    ) -> List[Optional[Tuple[Dict[str, Any], Tuple[int, ...]]]]:
+    ) -> List[Optional[Tuple[int, ...]]]:
         """Decode each unique cookie group once — memo probe first, then
         one batched AES pass over the still-unknown blocks — to its
-        ``(values, wire row)`` pair, ``None`` where decode fails."""
+        wire row, ``None`` where decode fails."""
         memo = self._decode_memo
-        out: List[Optional[Tuple[Dict[str, Any], Tuple[int, ...]]]] = (
-            [None] * len(keys)
-        )
+        out: List[Optional[Tuple[int, ...]]] = [None] * len(keys)
         pending: List[int] = []
         for group, key_bytes in enumerate(keys):
             rep = sub[firsts[group]]
@@ -525,10 +572,10 @@ class LarkSwitch:
                 # per-packet observes.
                 user_keys: List[bytes] = []
                 user_counts: List[int] = []
-                for g, entry in enumerate(decoded):
-                    if entry is None:
+                for g, row in enumerate(decoded):
+                    if row is None:
                         continue
-                    ukey = app.user_key(keys[g], entry[0])
+                    ukey = app.user_key_of_row(keys[g], row)
                     if ukey is None:
                         continue
                     user_keys.append(ukey)
@@ -536,7 +583,7 @@ class LarkSwitch:
                 app.users.observe_many(user_keys, user_counts)
             dup_first = [False] * len(keys)
             folded = [
-                g for g, entry in enumerate(decoded) if entry is not None
+                g for g, row in enumerate(decoded) if row is not None
             ]
             if app.dedup is not None:
                 # Bloom state evolves at first occurrences only, so
@@ -549,7 +596,7 @@ class LarkSwitch:
                 times = [1] * len(folded)
             else:
                 times = [counts[g] for g in folded]
-            app.stats.fold_rows([decoded[g][1] for g in folded], times)
+            app.stats.fold_rows([decoded[g] for g in folded], times)
             state = (
                 app,
                 decoded,
@@ -597,8 +644,8 @@ class LarkSwitch:
                 state
             )
             total_latency_us += hit_us
-            entry = decoded[group]
-            if entry is None:
+            row = decoded[group]
+            if row is None:
                 failure_count += 1
                 append(LarkResult(
                     matched=True,
@@ -624,26 +671,29 @@ class LarkSwitch:
                     ))
                     continue
             decoded_count += 1
-            values, row = entry
             digests: List[Any] = []
             if app.digest_features:
                 digests = [
                     Digest(
                         "snatch_value",
-                        {"feature": name, "value": values[name]},
+                        {
+                            "feature": feature.name,
+                            "value": feature.decode_value(row[column]),
+                        },
                     )
-                    for name in app.digest_features
-                    if name in values
+                    for column, feature in app.digest_columns
+                    if row[column] >= 0
                 ]
                 digest_count += len(digests)
+            # Positional (field order: matched, forwarded_original,
+            # aggregation_payload, latency_ms, decoded_values,
+            # deduplicated, digests, folded, _pending): half the cost
+            # of the keyword call, once per folded packet.
             result = LarkResult(
-                matched=True,
-                forwarded_original=True,
-                aggregation_payload=None,
-                latency_ms=hit_latency,
-                decoded_values=values,
-                digests=digests,
+                True, True, None, hit_latency, None, False, digests, True,
+                (app.cookie_codec, row),
             )
+            del result.decoded_values
             if app.mode == ForwardingMode.PER_PACKET:
                 packet = packets[group]
                 if packet is None:
@@ -691,6 +741,7 @@ class LarkSwitch:
             decoded_values=decoded,
             deduplicated=result.phv.metadata.get("duplicate", False),
             digests=list(result.digests),
+            folded=decoded is not None,
         )
 
     # -- periodical forwarding -----------------------------------------------------

@@ -245,9 +245,11 @@ class Replica:
         # A poison row stays unfolded: the caller reads it off the
         # counters as packets - folded.
         results, _poisoned = process_isolated(self._process[backend], rows)
+        # AggResult.merged / LarkResult.folded: a flag, so that no
+        # lazily rendered field is read here.
         for result in results:
-            if getattr(result, "merged", False) or (
-                getattr(result, "decoded_values", None) is not None
+            if getattr(result, "merged", False) or getattr(
+                result, "folded", False
             ):
                 self.folded += 1
         self.packets += len(rows)

@@ -434,7 +434,7 @@ class NetworkTestbed:
             workload.accumulate_reference(cols, reference)
             keys = workload.cookie_keys(cols)
             cids = cache.encode_columns(
-                keys, lambda i: workload.cookie_values_at(cols, i)
+                keys, rows_fn=partial(workload.cookie_rows, cols)
             ).raw
             base = next_id[0]
             next_id[0] = base + n

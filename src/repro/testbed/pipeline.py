@@ -33,6 +33,7 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.aggregation import ForwardingMode
@@ -610,19 +611,17 @@ class StreamingPipeline:
                 if accumulate is not None:
                     accumulate(cols, reference)
                 keys = workload.cookie_keys(cols)
-
-                def values_at(i: int, _cols=cols) -> Dict[str, Any]:
-                    return workload.cookie_values_at(_cols, i)
-
                 if scalar:
                     # Pre-optimization reference: every request builds
                     # its value dict and runs the full AES encode.
                     cids = [
-                        self.codec.encode(values_at(i))
+                        self.codec.encode(workload.cookie_values_at(cols, i))
                         for i in range(len(cols))
                     ]
                 else:
-                    cids = self.cache.encode_columns(keys, values_at)
+                    cids = self.cache.encode_columns(
+                        keys, rows_fn=partial(workload.cookie_rows, cols)
+                    )
                 pending.append((cols, cids))
             inflight_peak = max(inflight_peak, len(pending))
             if not pending:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.schema import CookieSchema, Feature
 from repro.core.stats import StatKind, StatSpec
@@ -103,6 +103,16 @@ class AdCampaignWorkload:
             )
             for i in range(num_users)
         )
+        # Per-user wire integers of the demographic features (schema
+        # order), for cookie_rows.
+        self._user_wires = tuple(
+            (
+                GENDERS.index(user.gender),
+                AGE_BRACKETS.index(user.age),
+                GEOS.index(user.geo),
+            )
+            for user in self.users
+        )
 
     # -- Snatch configuration ------------------------------------------------
 
@@ -179,11 +189,23 @@ class AdCampaignWorkload:
         cols = columns.columns
         return list(zip(cols["user"], cols["campaign"], cols["click"]))
 
+    def cookie_rows(
+        self, columns: EventColumns, indexes: Sequence[int]
+    ) -> List[Tuple[int, ...]]:
+        """Wire rows (one wire integer per schema feature) of the
+        listed events of a batch — the columnar tier's cookie contents
+        for encode-cache misses, straight from the integer columns."""
+        cols = columns.columns
+        user, campaign, click = cols["user"], cols["campaign"], cols["click"]
+        wires = self._user_wires
+        return [(click[i], campaign[i]) + wires[user[i]] for i in indexes]
+
     def cookie_values_at(
         self, columns: EventColumns, index: int
     ) -> Dict[str, object]:
-        """Semantic-cookie values for event ``index`` of a batch (only
-        called on encode-cache misses)."""
+        """Semantic-cookie values for event ``index`` of a batch: the
+        scalar tier's input, and what :meth:`cookie_rows` validates
+        to."""
         cols = columns.columns
         user = self.users[cols["user"][index]]
         return user.semantic_values(

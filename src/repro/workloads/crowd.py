@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.schema import CookieSchema, Feature
 from repro.core.stats import StatKind, StatSpec
@@ -62,6 +62,15 @@ class CrowdWorkload:
             )
             for i in range(num_members)
         )
+        # Per-member wire row (constant cookie), for cookie_rows.
+        self._member_wires = tuple(
+            (
+                REGIONS.index(member.region),
+                INTERESTS.index(member.interest),
+                member.dwell_minutes,
+            )
+            for member in self.members
+        )
 
     def schema(self) -> CookieSchema:
         return CookieSchema(
@@ -99,6 +108,14 @@ class CrowdWorkload:
     def cookie_keys(self, columns: EventColumns) -> List[int]:
         """Encode-cache keys: the member index alone (constant cookie)."""
         return list(columns.columns["member"])
+
+    def cookie_rows(
+        self, columns: EventColumns, indexes: Sequence[int]
+    ) -> List[Tuple[int, ...]]:
+        """Wire rows of the listed check-ins (encode-cache misses)."""
+        member = columns.columns["member"]
+        wires = self._member_wires
+        return [wires[member[i]] for i in indexes]
 
     def cookie_values_at(
         self, columns: EventColumns, index: int

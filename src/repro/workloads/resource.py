@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.schema import CookieSchema, Feature
 from repro.core.stats import StatKind, StatSpec
@@ -56,6 +56,11 @@ class ResourceDemandWorkload:
             )
             for i in range(num_tenants)
         )
+        # Per-tenant wire row (constant cookie), for cookie_rows.
+        self._tenant_wires = tuple(
+            (SERVICE_TIERS.index(tenant.tier), tenant.demand_units)
+            for tenant in self.tenants
+        )
 
     def schema(self) -> CookieSchema:
         return CookieSchema(
@@ -88,6 +93,14 @@ class ResourceDemandWorkload:
 
     def cookie_keys(self, columns: EventColumns) -> List[int]:
         return list(columns.columns["tenant"])
+
+    def cookie_rows(
+        self, columns: EventColumns, indexes: Sequence[int]
+    ) -> List[Tuple[int, ...]]:
+        """Wire rows of the listed sessions (encode-cache misses)."""
+        tenant = columns.columns["tenant"]
+        wires = self._tenant_wires
+        return [wires[tenant[i]] for i in indexes]
 
     def cookie_values_at(
         self, columns: EventColumns, index: int

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.schema import CookieSchema, Feature
 from repro.core.stats import StatKind, StatSpec
@@ -76,15 +76,20 @@ class ScaleWorkload:
 
     # -- procedural user attributes -----------------------------------------
 
-    def demographics(self, user_index: int) -> Tuple[str, str, str]:
-        """(gender, age, geo) for a user — a pure hash of the index,
-        so no per-user table exists anywhere."""
+    def demographic_wires(self, user_index: int) -> Tuple[int, int, int]:
+        """(gender, age, geo) class indexes for a user — a pure hash
+        of the index, so no per-user table exists anywhere."""
         h = zlib.crc32(b"%d:%d" % (self.demo_seed, user_index))
         return (
-            GENDERS[h % len(GENDERS)],
-            AGE_BRACKETS[(h >> 8) % len(AGE_BRACKETS)],
-            GEOS[(h >> 16) % len(GEOS)],
+            h % len(GENDERS),
+            (h >> 8) % len(AGE_BRACKETS),
+            (h >> 16) % len(GEOS),
         )
+
+    def demographics(self, user_index: int) -> Tuple[str, str, str]:
+        """(gender, age, geo) for a user."""
+        gender, age, geo = self.demographic_wires(user_index)
+        return GENDERS[gender], AGE_BRACKETS[age], GEOS[geo]
 
     def semantic_values(
         self, user_index: int, campaign_index: int, click: int
@@ -145,6 +150,19 @@ class ScaleWorkload:
         """(user, campaign, click) fully determines the cookie."""
         cols = columns.columns
         return list(zip(cols["user"], cols["campaign"], cols["click"]))
+
+    def cookie_rows(
+        self, columns: EventColumns, indexes: Sequence[int]
+    ) -> List[Tuple[int, ...]]:
+        """Wire rows of the listed events, from the integer columns
+        and the demographic hash (no per-user table here either)."""
+        cols = columns.columns
+        user, campaign, click = cols["user"], cols["campaign"], cols["click"]
+        wires = self.demographic_wires
+        return [
+            (click[i], campaign[i]) + wires(user[i]) + (user[i],)
+            for i in indexes
+        ]
 
     def cookie_values_at(
         self, columns: EventColumns, index: int

@@ -11,8 +11,10 @@ from repro.core.transport_cookie import (
     APP_ID_BYTE_INDEX,
     COOKIE_BYTE_END,
     COOKIE_BYTE_START,
+    ROW_KERNEL_MIN_ROWS,
     TransportCookieCodec,
 )
+from repro.switch import columns
 from repro.quic.connection_id import ConnectionID, random_connection_id
 from repro.quic.connection import SnatchConnectionIdPolicy
 
@@ -143,8 +145,9 @@ def _block(bits: str) -> bytes:
 
 
 class TestRowsFromBlocks:
-    """The batch parse: ``(values, wire row)`` per decrypted block,
-    ``None`` exactly where ``values_from_block`` raises."""
+    """The batch parse: the wire row per decrypted block, ``None``
+    exactly where ``values_from_block`` raises; values render from the
+    row on demand."""
 
     def test_row_is_the_wire_encoding_of_the_values(self):
         codec = _codec()
@@ -157,17 +160,15 @@ class TestRowsFromBlocks:
         ]
         blocks = codec.encode_blocks_many(cookies)
         decoded = codec.rows_from_blocks(blocks)
-        assert [entry[0] for entry in decoded] == cookies
-        for values, row in decoded:
-            assert values == codec.values_from_block(
-                codec.encode_blocks_many([values])[0]
-            )
+        assert [codec.values_from_row(row) for row in decoded] == cookies
+        for values, block, row in zip(cookies, blocks, decoded):
+            assert codec.values_from_block(block) == values
             assert row == tuple(
                 f.encode_value(values[f.name]) if f.name in values else -1
                 for f in features
             )
-        assert decoded[1][1] == (-1, -1, 5)
-        assert decoded[3][1] == (-1, -1, -1)
+        assert decoded[1] == (-1, -1, 5)
+        assert decoded[3] == (-1, -1, -1)
 
     def test_accepts_any_bytes_like_block(self):
         codec = _codec()
@@ -200,12 +201,113 @@ class TestRowsFromBlocks:
             codec.values_from_block(bad)
         decoded = codec.rows_from_blocks([good, bad, good])
         assert decoded[1] is None
-        assert decoded[0] == decoded[2] == (
-            {"gender": "f", "score": 100}, (0, -1, 100)
-        )
+        assert decoded[0] == decoded[2] == (0, -1, 100)
 
     def test_empty_batch(self):
         assert _codec().rows_from_blocks([]) == []
+
+
+@pytest.fixture(params=(True, False), ids=("numpy", "python"))
+def kernel_form(request):
+    previous = columns._FORCED
+    columns.force_numpy(request.param)
+    try:
+        yield request.param
+    finally:
+        columns._FORCED = previous
+
+
+# Row counts on both sides of the kernel cut: the numpy leg takes the
+# Python forms below it, the numpy forms from it up.
+ROW_COUNTS = (1, ROW_KERNEL_MIN_ROWS - 1, ROW_KERNEL_MIN_ROWS, 300)
+
+
+def _rows(n, seed=4):
+    rng = random.Random(seed)
+    return [
+        tuple(
+            -1 if rng.random() < 0.3 else rng.randrange(f.cardinality)
+            for f in _schema().features
+        )
+        for _ in range(n)
+    ]
+
+
+class TestRowKernelGuards:
+    """What the row kernels must refuse rather than misread, in both
+    forms: nothing is drawn, nothing is returned."""
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    @pytest.mark.parametrize(
+        "bad,error",
+        (
+            ((0, -2, 5), FeatureValueError),      # below "absent"
+            ((3, 0, 5), FeatureValueError),       # == cardinality
+            ((0, 0, 1 << 70), FeatureValueError),  # past int64
+            ((0, True, 5), FeatureValueError),    # a bool is not a wire
+            ((0, 1.0, 5), FeatureValueError),
+            ((0, 1), ValueError),                 # short row: no zip cut
+            ((0, 1, 5, 0), ValueError),
+        ),
+        ids=("below-absent", "at-cardinality", "past-int64", "bool",
+             "float", "short-row", "long-row"),
+    )
+    def test_pack_rejects_the_batch_and_draws_nothing(
+        self, kernel_form, n, bad, error
+    ):
+        codec = _codec()
+        rows = _rows(n)
+        rows[n // 2] = bad
+        state = codec.rng.getstate()
+        with pytest.raises(error):
+            codec.pack_rows(rows)
+        assert codec.rng.getstate() == state
+
+    def test_empty_batches_touch_nothing(self, kernel_form):
+        codec = _codec()
+        state = codec.rng.getstate()
+        assert codec.pack_rows([]) == []
+        assert codec.pack_rows(iter(())) == []
+        assert codec.rows_from_blocks([]) == []
+        assert codec.encode_blocks_many([]) == []
+        assert codec.rng.getstate() == state
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    @pytest.mark.parametrize("size", (0, 1, 15, 17, 32))
+    def test_a_block_of_another_size_is_none(self, kernel_form, n, size):
+        codec = _codec()
+        rows = _rows(n)
+        blocks = codec.pack_rows(rows)
+        blocks.insert(n // 2, bytes(size))
+        expected = list(rows)
+        expected.insert(n // 2, None)
+        assert codec.rows_from_blocks(blocks) == expected
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_both_forms_pack_the_same_bytes(self, n):
+        """Same rows, same RNG state: same blocks and the same RNG
+        state afterwards, whichever form packed them."""
+        outcomes = []
+        for numpy_on in (True, False):
+            codec = _codec(seed=9)
+            columns.force_numpy(numpy_on)
+            try:
+                blocks = codec.pack_rows(_rows(n))
+            finally:
+                columns.force_numpy(None)
+            outcomes.append((blocks, codec.rng.getstate()))
+        assert outcomes[0] == outcomes[1]
+
+    def test_encode_blocks_many_is_rows_then_pack(self, kernel_form):
+        cookies = [{"gender": "m", "score": 7}, {}, {"age": "35+"}]
+        a, b = _codec(seed=3), _codec(seed=3)
+        rows = a.rows_from_values(cookies)
+        assert rows == [(1, -1, 7), (-1, -1, -1), (-1, 2, -1)]
+        assert a.pack_rows(rows) == b.encode_blocks_many(cookies)
+        with pytest.raises(FeatureValueError, match="outside the schema"):
+            a.encode_blocks_many([{"height": 3}])
+        with pytest.raises(FeatureValueError, match="not a class"):
+            a.encode_blocks_many([{"gender": "q"}])
 
 
 class TestClientPolicyCompatibility:

@@ -245,3 +245,47 @@ class TestPoisonIsolation:
         assert replica.counters() == {
             "packets": 50, "folded": 49, "unmerged": 1,
         }
+
+
+class TestLarkReplicaCounters:
+    """A lark replica counts folded packets off ``LarkResult.folded``:
+    the same count on both backends, and on the columnar one without
+    rendering a single value dict from its wire rows."""
+
+    def test_folded_count_needs_no_rendered_values(self, monkeypatch):
+        import random
+
+        from repro.core.transport_cookie import TransportCookieCodec
+
+        workload = AdCampaignWorkload(num_users=80, seed=11)
+        schema, key = workload.schema(), bytes(range(16))
+        spec = ShardSpec(
+            kind="lark", app_id=0x5C, schema=schema, key=key,
+            specs=tuple(workload.specs()), dedup=True,
+        )
+        rng = random.Random(2)
+        good = TransportCookieCodec(0x5C, schema, key, rng)
+        stale = TransportCookieCodec(0x5C, schema, bytes(16), rng)
+        cols = workload.stream(20000.0, 20.0).generate_batch(300)
+        rows = [
+            bytes((stale if i % 10 == 0 else good).encode(
+                workload.cookie_values_at(cols, i)
+            ))
+            for i in range(len(cols))
+        ]
+        rows += rows[:40]  # repeats: deduplicated, so not folded
+        rendered = []
+        render = TransportCookieCodec.values_from_row
+        monkeypatch.setattr(
+            TransportCookieCodec, "values_from_row",
+            lambda self, row: rendered.append(row) or render(self, row),
+        )
+        counters = {}
+        for backend in BACKENDS:
+            replica = Replica(spec, 0)
+            replica.feed(rows, backend)
+            counters[backend] = replica.counters()
+        assert counters["columnar"] == counters["scalar"]
+        assert 0 < counters["scalar"]["folded"] < 300
+        assert counters["scalar"]["packets"] == 340
+        assert rendered == []

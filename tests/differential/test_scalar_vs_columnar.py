@@ -158,6 +158,109 @@ def test_lark_interleaved_per_packet_apps_share_one_rng(seed):
     assert columnar._rng.getstate() == scalar._rng.getstate()
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_lark_values_and_digests_render_from_the_wire_row(shape, seed):
+    """A digest-feature app: the columnar path keeps only the wire row
+    per cookie and renders ``decoded_values`` when somebody reads them;
+    what it renders, and the digests it emits, are the scalar path's."""
+    wl = DifferentialWorkload(seed)
+
+    def new_lark():
+        lark = LarkSwitch(
+            "diff-lark", rng=random.Random(seed + 1),
+            registry=MetricsRegistry(),
+        )
+        lark.register_application(
+            APP_ID, wl.schema, wl.key, wl.specs,
+            mode=ForwardingMode.PER_PACKET,
+            digest_features=["geo", "campaign"],
+        )
+        return lark
+
+    cids = wl.cids(shape, PACKETS)
+    scalar, columnar = new_lark(), new_lark()
+    scalar_results = [scalar.process_quic_packet(cid) for cid in cids]
+    columnar_results = []
+    for chunk in iter_batches(cids, BATCH_SIZES[seed]):
+        columnar_results.extend(columnar.process_quic_columnar(chunk))
+    folded = [r for r in columnar_results if r.folded]
+    assert folded and all(r._pending is not None for r in folded)
+    for s, c in zip(scalar_results, columnar_results):
+        assert c.folded == s.folded == (s.decoded_values is not None)
+        assert c.digests == s.digests
+        assert c.decoded_values == s.decoded_values
+        # Rendered once, then held.
+        assert c.decoded_values is c.decoded_values and c._pending is None
+    assert columnar_results == scalar_results
+    emitted = sum(len(r.digests) for r in scalar_results)
+    assert len(folded) <= emitted <= 2 * len(folded)
+    assert register_state(columnar) == register_state(scalar)
+    metrics = [
+        lark.metrics.counter("lark.diff-lark.digests").value
+        for lark in (scalar, columnar)
+    ]
+    assert metrics[0] == metrics[1] == emitted
+
+
+@pytest.mark.parametrize("key_feature", ("user", None), ids=("user", "region"))
+@pytest.mark.parametrize("mode", ("exact", "sketch"))
+def test_lark_user_stats_key_on_the_wire_row(mode, key_feature):
+    """A user_stats app: the columnar path derives the engagement key
+    from the wire row (or the cookie region) without rendering values;
+    tracker state, results and rendered values equal the scalar
+    path's.  Some cookies carry no ``user`` feature at all."""
+    from repro.core.user_stats import UserQuantileConfig
+    from repro.workloads.scale import ScaleWorkload
+
+    workload = ScaleWorkload(num_users=500, seed=SEEDS[2])
+    schema, specs = workload.schema(), workload.specs()
+    key = bytes(range(16))
+    codec = TransportCookieCodec(APP_ID, schema, key, random.Random(4))
+    rng = random.Random(5)
+    minted = []
+    for user in range(160):
+        values = workload.semantic_values(user, rng.randrange(8), user % 2)
+        if user % 9 == 0:
+            del values["user"]
+        minted.append(codec.encode(values))
+    cids = [
+        minted[min(int(rng.paretovariate(1.1)) - 1, len(minted) - 1)]
+        for _ in range(PACKETS)
+    ]
+
+    def new_lark():
+        lark = LarkSwitch(
+            "diff-lark", rng=random.Random(6), registry=MetricsRegistry()
+        )
+        lark.register_application(
+            APP_ID, schema, key, specs, mode=ForwardingMode.PERIODICAL,
+            period_ms=1000.0,
+            user_quantiles=UserQuantileConfig(
+                mode=mode, key_feature=key_feature
+            ),
+        )
+        return lark
+
+    scalar, columnar = new_lark(), new_lark()
+    scalar_results = [scalar.process_quic_packet(cid) for cid in cids]
+    columnar_results = []
+    for chunk in iter_batches(cids, 97):
+        columnar_results.extend(columnar.process_quic_columnar(chunk))
+    assert (
+        columnar._apps[APP_ID].users.snapshot()
+        == scalar._apps[APP_ID].users.snapshot()
+    )
+    assert columnar.user_report(APP_ID) == scalar.user_report(APP_ID)
+    # Nothing was rendered to get there.
+    assert all(r._pending is not None for r in columnar_results)
+    assert [r.decoded_values for r in columnar_results] == [
+        r.decoded_values for r in scalar_results
+    ]
+    assert columnar_results == scalar_results
+    assert register_state(columnar) == register_state(scalar)
+
+
 @pytest.mark.parametrize("capacity", (None, 4), ids=("unbounded", "memo-4"))
 @pytest.mark.parametrize("shape", SHAPES)
 def test_lark_replayed_batch_folds_from_the_memo(shape, capacity):

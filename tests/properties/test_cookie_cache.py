@@ -7,7 +7,9 @@ controller rekey or version push must atomically drop every block
 minted under the superseded parameters.
 """
 
+import hashlib
 import random
+from functools import partial
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.core.stats import StatKind, StatSpec
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.quic.connection_id import ConnectionID
 from repro.switch.columns import force_numpy
+from repro.workloads.adcampaign import AdCampaignWorkload
 
 APP_ID = 0x5C
 KEY = bytes(range(16))
@@ -268,3 +271,165 @@ class TestAdmissionPolicy:
         cache.encode_columns(list(range(40)), lambda i: _values(i))
         assert cache.admission_rejections == 0
         assert cache.evictions == 40 - 16
+
+
+# Recorded at the parent of the wire-row change (commit 68435f6, the
+# value-dict encode path) by replaying the stream of
+# ``_replay`` below: per batch size, (sha256 of every wire cookie in
+# order, sha256 of repr(rng.getstate()), sha256 of repr(LRU items),
+# hits, queued hits, misses, evictions).  3051 events over 960
+# identities against 256 entries; the 1024 batches carry ~480 misses
+# (numpy row kernels), the others stay under the kernel cut.
+PARENT_PINS = {
+    1: (
+        "f14ead04c2583c93bfe8369b1d25596e62d375d2b14e5a5a1de49875bc21dfc2",
+        "9cf3d381d53a274d4877d1f2729c9811efa3ed248df64cbba75491e4c961e2d7",
+        "bdacfd4c244cee62c96dcb8381887737c7fe512e7c9d7318a9262f180447424e",
+        916, 0, 2135, 1879,
+    ),
+    7: (
+        "df0f4b51f3f578bac93155f1c89e55da727c1b1e407e686bf627b3700757ab66",
+        "02c34a1e069af17977a636f9945d88a55c4b9346507e1abb0f77479405cf4fec",
+        "a9c7fef4cb705ccde448dad03072e22b15205ae906b4a496cb42eca4c6b83dd1",
+        910, 9, 2132, 1876,
+    ),
+    40: (
+        "bfcbb7da1684b75741148f6ff3593a2e60d076d4e01bd816eea4420d1ef1303a",
+        "3de78a3c969d9c8f2e3bab8902ccbe2156fb4783712082004fe483023054bb23",
+        "24c0e8094c647237b5d2e197e41278e6c442d451d05ac6317e4aa92dc946b75e",
+        905, 57, 2089, 1833,
+    ),
+    1024: (
+        "bbb7d99e60d7304df9a47997235118735c5377060b295ab18a1003ac62db445b",
+        "1a98b135cd8ef1e74f3230b8b99db26bba0d3375a096d68cd2b1c17d58e3f956",
+        "60c78cbb869e7ce1625a74c2d567bcb63fdcf8c382e1192ffb3279beb8781bcb",
+        555, 1041, 1455, 1199,
+    ),
+}
+
+
+def _sha(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def _replay(batch, hook):
+    workload = AdCampaignWorkload(num_users=60, seed=42)
+    codec = TransportCookieCodec(
+        APP_ID, workload.schema(), KEY, random.Random(3)
+    )
+    cache = CookieEncodeCache(codec, capacity=256)
+    stream = workload.stream(20000.0, 150.0)
+    wire = hashlib.sha256()
+    while True:
+        cols = stream.generate_batch(batch)
+        if not len(cols):
+            break
+        keys = workload.cookie_keys(cols)
+        if hook == "rows":
+            out = cache.encode_columns(
+                keys, rows_fn=partial(workload.cookie_rows, cols)
+            )
+        else:
+            out = cache.encode_columns(
+                keys, lambda i: workload.cookie_values_at(cols, i)
+            )
+        for row in out.raw:
+            wire.update(row)
+    stats = cache.stats()
+    return (
+        wire.hexdigest(),
+        _sha(codec.rng.getstate()),
+        _sha(list(cache._blocks.items())),
+        stats["hits"], stats["queued_hits"], stats["misses"],
+        stats["evictions"],
+    )
+
+
+class TestBitIdentityWithTheValueDictPath:
+    """Packing from wire rows changed no byte: wire cookies, RNG state,
+    LRU contents and statistics equal the parent commit's at every
+    batch size, for either callback, under both kernel forms."""
+
+    @pytest.mark.parametrize("numpy_on", (True, False), ids=("numpy", "python"))
+    @pytest.mark.parametrize("hook", ("rows", "values"))
+    @pytest.mark.parametrize("batch", sorted(PARENT_PINS))
+    def test_replay_equals_the_parent_pins(self, batch, hook, numpy_on):
+        force_numpy(numpy_on)
+        try:
+            assert _replay(batch, hook) == PARENT_PINS[batch]
+        finally:
+            force_numpy(None)
+
+
+class TestEncodeColumnsCallbacks:
+    def test_exactly_one_callback(self):
+        cache = _cache()
+        with pytest.raises(TypeError):
+            cache.encode_columns([1])
+        with pytest.raises(TypeError):
+            cache.encode_columns(
+                [1], lambda i: _values(1), rows_fn=lambda idx: [(0, 0, 0)]
+            )
+
+    def test_rows_are_asked_for_the_misses_only(self):
+        cache = _cache()
+        keys = [5, 6, 5, 7]
+        cache.encode_columns(keys[:1], lambda i: _values(5))
+        asked = []
+
+        def rows_fn(positions):
+            asked.append(list(positions))
+            return cache.codec.rows_from_values(
+                [_values(keys[i]) for i in positions]
+            )
+
+        cache.encode_columns(keys, rows_fn=rows_fn)
+        # 5 is cached; 6 and 7 miss, each asked for once, in one call.
+        assert asked == [[1, 3]]
+        cache.encode_columns(keys, rows_fn=rows_fn)
+        assert asked == [[1, 3]]
+
+    @pytest.mark.parametrize("numpy_on", (True, False), ids=("numpy", "python"))
+    def test_a_rejected_row_leaves_cache_and_rng_alone(self, numpy_on):
+        cache = _cache()
+        cache.encode_columns([1, 2], lambda i: _values(i + 1))
+        blocks = dict(cache._blocks)
+        state = cache.codec.rng.getstate()
+        force_numpy(numpy_on)
+        try:
+            with pytest.raises(ValueError):
+                cache.encode_columns(
+                    list(range(100)),
+                    rows_fn=lambda idx: [(0, 0, 241)] * len(idx),
+                )
+        finally:
+            force_numpy(None)
+        assert dict(cache._blocks) == blocks
+        assert cache.codec.rng.getstate() == state
+
+    def test_framing_bytes_are_one_buffer_of_the_same_draws(self):
+        """Three getrandbits(8) per packet, in packet order (DCID,
+        then the two DCID-R2 bytes), whichever way the rows are
+        assembled; the blocks in between are the cached ones."""
+        n = 50
+        keys = list(range(n))
+        outputs = []
+        for numpy_on in (True, False):
+            cache = _cache(seed=21)
+            cache.encode_columns(keys, lambda i: _values(i))  # warm
+            state = cache.codec.rng.getstate()
+            force_numpy(numpy_on)
+            try:
+                out = cache.encode_columns(keys, lambda i: _values(i)).raw
+            finally:
+                force_numpy(None)
+            replay = random.Random()
+            replay.setstate(state)
+            for key, row in zip(keys, out):
+                drawn = [replay.getrandbits(8) for _ in range(3)]
+                assert [row[0], row[18], row[19]] == drawn
+                assert row[1] == APP_ID
+                assert row[2:18] == cache._blocks[key]
+            assert cache.codec.rng.getstate() == replay.getstate()
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
