@@ -23,9 +23,12 @@ resource limits apply.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property, reduce
+from itertools import compress, repeat
+from operator import add
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.aggregation import (
     AggregationCodec,
@@ -71,7 +74,13 @@ from repro.switch.tables import (
     TableEntry,
 )
 
-__all__ = ["LarkSwitch", "LarkResult", "RegisteredApp", "lark_process_raw"]
+__all__ = [
+    "LarkSwitch",
+    "LarkResult",
+    "LarkBatchResult",
+    "RegisteredApp",
+    "lark_process_raw",
+]
 
 
 @dataclass
@@ -167,6 +176,140 @@ class LarkResult:
         self.decoded_values = codec.values_from_row(row)
         self._pending = None
         return self.decoded_values
+
+
+_UNMATCHED = (False, True, None, LINE_RATE_LATENCY_MS)
+_UNKNOWN = object()  # decode-memo miss (None is a memoised failure)
+_HIT_LATENCY_MS = LINE_RATE_LATENCY_MS + AES_PASS_LATENCY_MS
+
+
+class LarkBatchResult(Sequence):
+    """Outcome of one :meth:`LarkSwitch.process_quic_columnar` batch.
+
+    Streaming callers read two things, both settled before the call
+    returns: ``payloads`` (the emitted aggregation payloads in packet
+    order; empty for a periodical application, whose only output is the
+    period close) and ``folded`` (how many packets reached the
+    statistics registers).  The batch is also the sequence of its
+    per-packet :class:`LarkResult` s — exactly what
+    :meth:`LarkSwitch.process_quic_packet` returns packet by packet —
+    rendered on first use from the per-application columns the switch
+    worked on, then kept: a second read returns the same objects.
+    """
+
+    __slots__ = ("n", "payloads", "folded", "_parts", "_results")
+
+    def __init__(
+        self,
+        n: int,
+        payloads: List[bytes],
+        folded: int,
+        parts: Sequence[Tuple[Any, ...]] = (),
+        results: Optional[List[LarkResult]] = None,
+    ):
+        self.n = n
+        self.payloads = payloads
+        self.folded = folded
+        # Per matched application: (codec, digest columns, packet
+        # indexes, their group ids, per-group wire rows, per-group
+        # "the next packet folds" flags, whether a fold leaves the flag
+        # set, the application's sealed payloads in packet order).
+        self._parts = parts
+        self._results = results
+
+    @classmethod
+    def of(cls, results: List[LarkResult]) -> "LarkBatchResult":
+        """The batch form of results that exist already (the scalar
+        interpreter produced them, or the switch is down)."""
+        return cls(
+            len(results),
+            [
+                r.aggregation_payload for r in results
+                if r.aggregation_payload is not None
+            ],
+            sum(r.folded for r in results),
+            results=results,
+        )
+
+    def results(self) -> List[LarkResult]:
+        """The per-packet view (rendered once)."""
+        if self._results is None:
+            self._results = self._render()
+            self._parts = ()
+        return self._results
+
+    def _render(self) -> List[LarkResult]:
+        out: List[Any] = [None] * self.n
+        matched = 0
+        for (
+            codec, digest_columns, idxs, inverse, decoded, folds, keep,
+            sealed,
+        ) in self._parts:
+            matched += len(idxs)
+            folds = list(folds)
+            payload = iter(sealed)
+            for i, group in zip(idxs, inverse):
+                row = decoded[group]
+                if row is None:
+                    out[i] = LarkResult(True, True, None, _HIT_LATENCY_MS)
+                elif not folds[group]:
+                    out[i] = LarkResult(
+                        True, True, None, _HIT_LATENCY_MS, None, True
+                    )
+                else:
+                    folds[group] = keep
+                    # Positional (field order: matched,
+                    # forwarded_original, aggregation_payload,
+                    # latency_ms, decoded_values, deduplicated,
+                    # digests, folded, _pending): half the cost of the
+                    # keyword call.  The values render on first read.
+                    result = out[i] = LarkResult(
+                        True, True, next(payload, None), _HIT_LATENCY_MS,
+                        None, False,
+                        [
+                            Digest(
+                                "snatch_value",
+                                {
+                                    "feature": feature.name,
+                                    "value": feature.decode_value(
+                                        row[column]
+                                    ),
+                                },
+                            )
+                            for column, feature in digest_columns
+                            if row[column] >= 0
+                        ] if digest_columns else [],
+                        True, (codec, row),
+                    )
+                    del result.decoded_values
+        if matched < self.n:
+            out = [
+                LarkResult(*_UNMATCHED) if result is None else result
+                for result in out
+            ]
+        return out
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, index):
+        return self.results()[index]
+
+    def __iter__(self):
+        return iter(self.results())
+
+    def __eq__(self, other: Any) -> bool:
+        if isinstance(other, LarkBatchResult):
+            other = other.results()
+        return self.results() == other
+
+    def __add__(self, other: Iterable[LarkResult]) -> List[LarkResult]:
+        return self.results() + list(other)
+
+    def __repr__(self) -> str:
+        return "LarkBatchResult(n=%d, folded=%d, payloads=%d)" % (
+            self.n, self.folded, len(self.payloads)
+        )
 
 
 class LarkSwitch:
@@ -460,37 +603,36 @@ class LarkSwitch:
     def _decode_groups(
         self,
         app: RegisteredApp,
-        sub: List[bytes],
         keys: List[bytes],
-        firsts: List[int],
+        lengths: List[int],
     ) -> List[Optional[Tuple[int, ...]]]:
         """Decode each unique cookie group once — memo probe first, then
         one batched AES pass over the still-unknown blocks — to its
         wire row, ``None`` where decode fails."""
         memo = self._decode_memo
-        out: List[Optional[Tuple[int, ...]]] = [None] * len(keys)
+        app_id = app.app_id
+        out = list(map(
+            memo.get, zip(repeat(app_id), lengths, keys), repeat(_UNKNOWN)
+        ))
         pending: List[int] = []
-        for group, key_bytes in enumerate(keys):
-            rep = sub[firsts[group]]
-            memo_key = (app.app_id, len(rep), key_bytes)
-            if memo_key in memo:
-                out[group] = memo[memo_key]
-            elif len(rep) != MAX_CONNECTION_ID_BYTES:
-                # codec.matches() is False: try_decode returns None.
-                memo[memo_key] = None
-            else:
+        for group in [g for g, row in enumerate(out) if row is _UNKNOWN]:
+            if lengths[group] == MAX_CONNECTION_ID_BYTES:
                 pending.append(group)
+            else:
+                # codec.matches() is False: try_decode returns None.
+                memo[(app_id, lengths[group], keys[group])] = None
+                out[group] = None
         if pending:
-            blocks = [
-                sub[firsts[group]][COOKIE_BLOCK_START:COOKIE_BYTE_END]
-                for group in pending
-            ]
-            plains = decrypt_blocks_many(app.cookie_codec.aes, blocks)
+            # The group key is the preserved cookie region; the AES
+            # block is all of it but the application-ID byte.
+            skip = COOKIE_BLOCK_START - COOKIE_BYTE_START
+            plains = decrypt_blocks_many(
+                app.cookie_codec.aes,
+                [keys[group][skip:] for group in pending],
+            )
             decoded = app.cookie_codec.rows_from_blocks(plains)
             for group, entry in zip(pending, decoded):
-                memo[
-                    (app.app_id, MAX_CONNECTION_ID_BYTES, keys[group])
-                ] = entry
+                memo[(app_id, MAX_CONNECTION_ID_BYTES, keys[group])] = entry
                 out[group] = entry
         cap = self._decode_memo_capacity
         if cap is not None:
@@ -501,19 +643,44 @@ class LarkSwitch:
                 del memo[next(iter(memo))]
         return out
 
+    @staticmethod
+    def _seal_per_packet(emitting: List[Tuple[Any, ...]]) -> List[bytes]:
+        """Seal a batch's per-packet clones: ``emitting`` holds, per
+        per-packet application, ``(agg codec, emitting packet indexes,
+        their AggregationPackets, sealed)``; each ``sealed`` list is
+        filled with that application's payloads and all of them are
+        returned in packet order.  Every codec on a switch draws from
+        its one RNG, so the IVs are drawn in global packet order,
+        whichever application a packet belongs to; the encryption is
+        one batched CBC pass per application."""
+        codecs, indexes, packets, sealed = zip(*emitting)
+        slots = sorted(
+            (i, a, k)
+            for a, emit_idxs in enumerate(indexes)
+            for k, i in enumerate(emit_idxs)
+        )
+        ivs: List[List[Any]] = [[None] * len(idxs) for idxs in indexes]
+        for _, a, k in slots:
+            ivs[a][k] = codecs[a].draw_iv()
+        for codec, clones, out, app_ivs in zip(codecs, packets, sealed, ivs):
+            out.extend(codec.encode_many(clones, app_ivs))
+        return [sealed[a][k] for _, a, k in slots]
+
     def process_quic_columnar(
         self, dcids: Sequence[ConnectionID]
-    ) -> List[LarkResult]:
+    ) -> LarkBatchResult:
         """Columnar fast path: struct-of-arrays over the whole batch.
 
         Bit-identical to calling :meth:`process_quic_packet` once per
         element in order: packets are grouped by the preserved cookie
         region, each unique cookie is decrypted once through the
         batched AES kernel, statistics fold once per group (its wire
-        row with its multiplicity), and per-packet results (latencies,
-        digests, the payload IV draws) are assembled in packet order;
-        per-packet payloads are then sealed in one batched CBC pass
-        per app.
+        row with its multiplicity) and every counter is booked from
+        the group multiplicities.  Nothing is built per packet unless
+        an application forwards per packet: then the payload IVs are
+        drawn in packet order and each application's payloads are
+        sealed in one batched CBC pass.  The per-packet results are
+        the returned batch's lazy view.
         The kernels underneath (:mod:`repro.switch.columns`, AES,
         register folds) each pick their numpy or Python form, so this
         is the one fast path with the gate open or closed.  Only a
@@ -522,24 +689,19 @@ class LarkSwitch:
         means, and the batch runs through it packet by packet.
         """
         if not self.alive:
-            return [
-                LarkResult(
-                    matched=False,
-                    forwarded_original=True,
-                    aggregation_payload=None,
-                    latency_ms=0.0,
-                )
-                for _ in dcids
-            ]
+            return LarkBatchResult.of(
+                [LarkResult(False, True, None, 0.0) for _ in dcids]
+            )
         if not self._columnar_ready():
-            return [self.process_quic_packet(dcid) for dcid in dcids]
+            return LarkBatchResult.of(
+                [self.process_quic_packet(dcid) for dcid in dcids]
+            )
         # Batched ingest hands us the struct-of-arrays form directly
         # (possibly matrix-built, rows never materialized upstream).
         columns = (
             dcids if isinstance(dcids, PacketColumns)
             else PacketColumns(dcids)
         )
-        raws = columns.raw
         n = columns.n
         pipe = self.pipeline
         self._m_packets.inc(n)
@@ -548,20 +710,24 @@ class LarkSwitch:
         table = self._app_table
         table.lookups += n
         app_column = columns.byte_column(APP_ID_BYTE_INDEX, default=-1)
-        # Per-packet assignment: (per-app state, group id) for hits.
-        assignments: List[Optional[Tuple[Dict[str, Any], int]]] = [None] * n
         hit_count = 0
-        states: List[Tuple[Any, ...]] = []
+        decoded_count = 0
+        failure_count = 0
+        digest_count = 0
+        parts: List[Tuple[Any, ...]] = []
+        # Per per-packet application: (agg codec, emitting packet
+        # indexes, their AggregationPackets, its part's sealed list).
+        emitting: List[Tuple[Any, ...]] = []
         for app_id, app in self._apps.items():
             idxs = match_rows((app_column,), (app_id,))
             if not idxs:
                 continue
             hit_count += len(idxs)
-            sub = [raws[i] for i in idxs]
-            keys, firsts, inverse = group_rows(
-                sub, COOKIE_BYTE_START, COOKIE_BYTE_END
+            keys, lengths, inverse = group_rows(
+                columns, COOKIE_BYTE_START, COOKIE_BYTE_END,
+                None if len(idxs) == n else idxs,
             )
-            decoded = self._decode_groups(app, sub, keys, firsts)
+            decoded = self._decode_groups(app, keys, lengths)
             counts = group_counts(inverse, len(keys))
             if app.users is not None:
                 # Engagement folds per unique cookie group with its
@@ -581,149 +747,86 @@ class LarkSwitch:
                     user_keys.append(ukey)
                     user_counts.append(counts[g])
                 app.users.observe_many(user_keys, user_counts)
-            dup_first = [False] * len(keys)
-            folded = [
-                g for g, row in enumerate(decoded) if row is not None
-            ]
+            live = [row is not None for row in decoded]
+            live_counts = list(compress(counts, live))
+            decodable = sum(live_counts)
+            failure_count += len(idxs) - decodable
+            # folds[g]: the next packet of group g reaches the
+            # registers.  Without dedup every packet of a decoded
+            # group does; with it only the first, and not even that
+            # one when the Bloom filter has seen the cookie.
             if app.dedup is not None:
                 # Bloom state evolves at first occurrences only, so
                 # adding unique decoded cookies in first-occurrence
                 # order reproduces the scalar per-packet test-and-set.
-                flags = app.dedup.add_many([keys[g] for g in folded])
-                for g, flag in zip(folded, flags):
-                    dup_first[g] = flag
-                folded = [g for g in folded if not dup_first[g]]
-                times = [1] * len(folded)
+                seen = iter(app.dedup.add_many(list(compress(keys, live))))
+                folds = [alive and not next(seen) for alive in live]
+                rows = list(compress(decoded, folds))
+                times = [1] * len(rows)
+                decoded_count += len(rows)
             else:
-                times = [counts[g] for g in folded]
-            app.stats.fold_rows([decoded[g] for g in folded], times)
-            state = (
-                app,
-                decoded,
-                dup_first,
-                [False] * len(keys),   # seen
-                [None] * len(keys),    # cached AggregationPackets
-                app.dedup is not None,
-                ([], [], []),          # deferred payloads
+                folds = live
+                rows = list(compress(decoded, live))
+                times = live_counts
+                decoded_count += decodable
+            app.stats.fold_rows(rows, times)
+            digest_columns = (
+                app.digest_columns if app.digest_features else ()
             )
-            states.append(state)
-            if not isinstance(inverse, list):
-                inverse = inverse.tolist()
-            for i, group in zip(idxs, inverse):
-                assignments[i] = (state, group)
+            for column, _ in digest_columns:
+                digest_count += sum(
+                    t for row, t in zip(rows, times) if row[column] >= 0
+                )
+            keep = app.dedup is None
+            sealed: List[bytes] = []
+            parts.append((
+                app.cookie_codec, digest_columns, idxs, inverse, decoded,
+                folds, keep, sealed,
+            ))
+            if app.mode == ForwardingMode.PER_PACKET:
+                packet_of = {
+                    g: self._aggregation_packet(
+                        app, [(i, w) for i, w in enumerate(row) if w >= 0]
+                    )
+                    for g, row in enumerate(decoded) if folds[g]
+                }
+                emit_idxs: List[int] = []
+                packets: List[AggregationPacket] = []
+                pending = list(folds)
+                for i, g in zip(idxs, inverse):
+                    if pending[g]:
+                        pending[g] = keep
+                        emit_idxs.append(i)
+                        packets.append(packet_of[g])
+                emitting.append(
+                    (app.agg_codec, emit_idxs, packets, sealed)
+                )
+        payloads = self._seal_per_packet(emitting) if emitting else []
         hit_meter, miss_meter = pipe._stage_meters[0]
         table.hits += hit_count
         hit_meter.inc(hit_count)
         miss_meter.inc(n - hit_count)
-        hit_latency = LINE_RATE_LATENCY_MS + AES_PASS_LATENCY_MS
-        pipe._m_latency_us.observe_many(
-            LINE_RATE_LATENCY_MS * 1000.0, n - hit_count
-        )
-        pipe._m_latency_us.observe_many(hit_latency * 1000.0, hit_count)
-        decoded_count = 0
-        failure_count = 0
-        dedup_count = 0
-        digest_count = 0
-        total_latency_us = 0.0
         line_us = LINE_RATE_LATENCY_MS * 1000.0
-        hit_us = hit_latency * 1000.0
-        results: List[LarkResult] = []
-        append = results.append
-        for assignment in assignments:
-            if assignment is None:
-                total_latency_us += line_us
-                append(LarkResult(
-                    matched=False,
-                    forwarded_original=True,
-                    aggregation_payload=None,
-                    latency_ms=LINE_RATE_LATENCY_MS,
-                ))
-                continue
-            state, group = assignment
-            app, decoded, dup_first, seen, packets, dedup_on, sealed = (
-                state
-            )
-            total_latency_us += hit_us
-            row = decoded[group]
-            if row is None:
-                failure_count += 1
-                append(LarkResult(
-                    matched=True,
-                    forwarded_original=True,
-                    aggregation_payload=None,
-                    latency_ms=hit_latency,
-                ))
-                continue
-            if dedup_on:
-                if seen[group]:
-                    duplicate = True
-                else:
-                    seen[group] = True
-                    duplicate = dup_first[group]
-                if duplicate:
-                    dedup_count += 1
-                    append(LarkResult(
-                        matched=True,
-                        forwarded_original=True,
-                        aggregation_payload=None,
-                        latency_ms=hit_latency,
-                        deduplicated=True,
-                    ))
-                    continue
-            decoded_count += 1
-            digests: List[Any] = []
-            if app.digest_features:
-                digests = [
-                    Digest(
-                        "snatch_value",
-                        {
-                            "feature": feature.name,
-                            "value": feature.decode_value(row[column]),
-                        },
-                    )
-                    for column, feature in app.digest_columns
-                    if row[column] >= 0
-                ]
-                digest_count += len(digests)
-            # Positional (field order: matched, forwarded_original,
-            # aggregation_payload, latency_ms, decoded_values,
-            # deduplicated, digests, folded, _pending): half the cost
-            # of the keyword call, once per folded packet.
-            result = LarkResult(
-                True, True, None, hit_latency, None, False, digests, True,
-                (app.cookie_codec, row),
-            )
-            del result.decoded_values
-            if app.mode == ForwardingMode.PER_PACKET:
-                packet = packets[group]
-                if packet is None:
-                    packet = self._aggregation_packet(
-                        app,
-                        [(i, wire) for i, wire in enumerate(row) if wire >= 0],
-                    )
-                    packets[group] = packet
-                # Every codec on this switch draws from the one
-                # self._rng, so the IV is drawn here, in global packet
-                # order; the encryption waits for the app's batch.
-                sealed[0].append(result)
-                sealed[1].append(packet)
-                sealed[2].append(app.agg_codec.draw_iv())
-            append(result)
-        for state in states:
-            app, (emitting, packets, ivs) = state[0], state[-1]
-            if emitting:
-                payloads = app.agg_codec.encode_many(packets, ivs)
-                for result, payload in zip(emitting, payloads):
-                    result.aggregation_payload = payload
+        hit_us = _HIT_LATENCY_MS * 1000.0
+        pipe._m_latency_us.observe_many(line_us, n - hit_count)
+        pipe._m_latency_us.observe_many(hit_us, hit_count)
         self._m_decoded.inc(decoded_count)
         self._m_decode_failures.inc(failure_count)
-        self._m_dedup_hits.inc(dedup_count)
+        self._m_dedup_hits.inc(hit_count - failure_count - decoded_count)
         self._m_register_updates.inc(decoded_count)
         self._m_digests.inc(digest_count)
         pipe._m_batches.inc()
         pipe._m_batch_size.observe(n)
-        pipe._m_batch_latency_us.observe(total_latency_us)
-        return results
+        # The batch latency is the per-packet latencies added up one
+        # after another in packet order (n * hit_us differs from that
+        # in the last bits), here without a Python-level loop.
+        latency_of = dict.fromkeys(self._apps, hit_us)
+        if not isinstance(app_column, list):
+            app_column = app_column.tolist()
+        pipe._m_batch_latency_us.observe(reduce(
+            add, map(latency_of.get, app_column, repeat(line_us)), 0.0
+        ))
+        return LarkBatchResult(n, payloads, decoded_count, parts)
 
     @staticmethod
     def _to_lark_result(result: Any) -> LarkResult:

@@ -11,13 +11,13 @@ This module provides a self-contained, test-vector-verified AES-128
 CTR modes plus PKCS#7 padding.  No third-party crypto library is used,
 per the offline constraint of this reproduction.
 
-The scalar cipher favours clarity over raw throughput: one 16-byte
-block costs 60-130 us of pure Python (measured on the 2-vCPU recorded
-host, which drifts by that factor), about the paper's per-cookie switch
-cost and far too slow for a batch.  The batched ``*_many`` kernels at the
-bottom of this module run the same cipher as numpy table lookups:
-40-80 us fixed per call plus 0.3-0.6 us per block (1024 blocks in
-0.3-0.7 ms), 2-4x the per-pass numpy kernel they replaced.
+Both forms of the cipher are the table-lookup round: the scalar one
+over four 32-bit words and 256-entry integer tables (13-25 us per block
+of pure Python on the 2-vCPU recorded host, which drifts by that
+factor; the byte-wise SubBytes / ShiftRows / MixColumns rounds it
+replaced cost 80-115), the batched ``*_many`` kernels at the bottom of
+this module over the same tables as numpy arrays: 40-80 us fixed per
+call plus 0.3-0.6 us per block (1024 blocks in 0.3-0.7 ms).
 """
 
 from __future__ import annotations
@@ -63,11 +63,7 @@ SBOX = bytes.fromhex(
     "8ca1890dbfe6426841992d0fb054bb16"
 )
 
-_inv = bytearray(256)
-for _i, _v in enumerate(SBOX):
-    _inv[_v] = _i
-INV_SBOX = bytes(_inv)
-del _inv, _i, _v
+INV_SBOX = bytes(SBOX.index(i) for i in range(256))
 
 RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36, 0x6C, 0xD8)
 
@@ -91,20 +87,40 @@ def _gmul(a: int, b: int) -> int:
     return result
 
 
-# Precomputed GF multiplication tables for MixColumns / InvMixColumns.
-_MUL2 = bytes(_gmul(i, 2) for i in range(256))
-_MUL3 = bytes(_gmul(i, 3) for i in range(256))
-_MUL9 = bytes(_gmul(i, 9) for i in range(256))
-_MUL11 = bytes(_gmul(i, 11) for i in range(256))
-_MUL13 = bytes(_gmul(i, 13) for i in range(256))
-_MUL14 = bytes(_gmul(i, 14) for i in range(256))
+def _round_tables(sbox: bytes, coeffs: Sequence[int]) -> List[List[int]]:
+    """Four 256-entry word tables: entry ``x`` of table ``r`` is what a
+    state byte ``x`` in row ``r`` contributes to its column after
+    (Inv)SubBytes and (Inv)MixColumns — the coefficient column rotated
+    down by ``r``, packed big-endian (row 0 in the top byte)."""
+    base = [[_gmul(s, c) for c in coeffs] for s in sbox]
+    return [
+        [int.from_bytes(bytes(col[-r:] + col[:-r]), "big") for col in base]
+        for r in range(4)
+    ]
+
+
+def _sub_word(word: int) -> int:
+    return (
+        SBOX[word >> 24] << 24 | SBOX[word >> 16 & 255] << 16
+        | SBOX[word >> 8 & 255] << 8 | SBOX[word & 255]
+    )
+
+
+_ENC_TABLES = _round_tables(SBOX, (2, 1, 1, 3))
+_DEC_TABLES = _round_tables(INV_SBOX, (14, 9, 13, 11))
 
 
 class AES:
     """AES block cipher for 128/192/256-bit keys.
 
-    The state is kept as a flat 16-byte ``bytearray`` in column-major
-    (FIPS-197) order: byte ``r + 4*c`` is state row ``r``, column ``c``.
+    A block is four big-endian 32-bit words, one per FIPS-197 state
+    column (byte ``r + 4*c`` is state row ``r``, column ``c``), and a
+    round is the table-lookup form [45] puts on the switch: SubBytes
+    fused with MixColumns in four 256-entry word tables, ShiftRows
+    folded into which word each lookup reads.  Decryption is the
+    equivalent inverse cipher (FIPS-197 section 5.3.5): the same round
+    shape over the inverse tables, with InvMixColumns applied to the
+    middle round keys.
     """
 
     def __init__(self, key: bytes):
@@ -114,114 +130,100 @@ class AES:
             )
         self.key = bytes(key)
         self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
-        self._round_keys = self._expand_key(self.key)
+        enc = self._expand_key(self.key)
+        d0, d1, d2, d3 = _DEC_TABLES
+        # A decrypt table undoes the S-box before it mixes, so looking
+        # up SBOX[b] leaves InvMixColumns of b alone.
+        mixed = enc[:4] + [
+            d0[SBOX[w >> 24]] ^ d1[SBOX[w >> 16 & 255]]
+            ^ d2[SBOX[w >> 8 & 255]] ^ d3[SBOX[w & 255]]
+            for w in enc[4:-4]
+        ] + enc[-4:]
+        # Round-key words in the order the rounds apply them, indexed
+        # by ``decrypt``: the schedule as it is for encryption; for
+        # decryption reversed round by round, the middle rounds through
+        # InvMixColumns, every round's words in the mirrored column
+        # order (0, 3, 2, 1) _crypt_block keeps a decrypting state in.
+        self._key_words = (enc, [
+            mixed[4 * r + c]
+            for r in range(self.rounds, -1, -1) for c in (0, 3, 2, 1)
+        ])
         self._key_matrices = None  # numpy forms, built by the batch kernel
 
     # -- key schedule -------------------------------------------------
 
-    def _expand_key(self, key: bytes) -> List[bytes]:
+    def _expand_key(self, key: bytes) -> List[int]:
         nk = len(key) // 4
-        words: List[bytes] = [key[4 * i:4 * i + 4] for i in range(nk)]
-        total_words = 4 * (self.rounds + 1)
-        for i in range(nk, total_words):
-            temp = bytearray(words[i - 1])
-            if i % nk == 0:
-                temp = temp[1:] + temp[:1]  # RotWord
-                temp = bytearray(SBOX[b] for b in temp)  # SubWord
-                temp[0] ^= RCON[i // nk - 1]
-            elif nk > 6 and i % nk == 4:
-                temp = bytearray(SBOX[b] for b in temp)
-            prev = words[i - nk]
-            words.append(bytes(t ^ p for t, p in zip(temp, prev)))
-        return [
-            b"".join(words[4 * r:4 * r + 4]) for r in range(self.rounds + 1)
+        words = [
+            int.from_bytes(key[i:i + 4], "big") for i in range(0, 4 * nk, 4)
         ]
-
-    # -- round primitives ---------------------------------------------
-
-    @staticmethod
-    def _add_round_key(state: bytearray, round_key: bytes) -> None:
-        for i in range(16):
-            state[i] ^= round_key[i]
-
-    @staticmethod
-    def _sub_bytes(state: bytearray) -> None:
-        for i in range(16):
-            state[i] = SBOX[state[i]]
-
-    @staticmethod
-    def _inv_sub_bytes(state: bytearray) -> None:
-        for i in range(16):
-            state[i] = INV_SBOX[state[i]]
-
-    @staticmethod
-    def _shift_rows(state: bytearray) -> None:
-        # Row r (bytes r, r+4, r+8, r+12) rotates left by r.
-        s = bytes(state)
-        for r in range(1, 4):
-            for c in range(4):
-                state[r + 4 * c] = s[r + 4 * ((c + r) % 4)]
-
-    @staticmethod
-    def _inv_shift_rows(state: bytearray) -> None:
-        s = bytes(state)
-        for r in range(1, 4):
-            for c in range(4):
-                state[r + 4 * c] = s[r + 4 * ((c - r) % 4)]
-
-    @staticmethod
-    def _mix_columns(state: bytearray) -> None:
-        for c in range(4):
-            i = 4 * c
-            a0, a1, a2, a3 = state[i:i + 4]
-            state[i] = _MUL2[a0] ^ _MUL3[a1] ^ a2 ^ a3
-            state[i + 1] = a0 ^ _MUL2[a1] ^ _MUL3[a2] ^ a3
-            state[i + 2] = a0 ^ a1 ^ _MUL2[a2] ^ _MUL3[a3]
-            state[i + 3] = _MUL3[a0] ^ a1 ^ a2 ^ _MUL2[a3]
-
-    @staticmethod
-    def _inv_mix_columns(state: bytearray) -> None:
-        for c in range(4):
-            i = 4 * c
-            a0, a1, a2, a3 = state[i:i + 4]
-            state[i] = _MUL14[a0] ^ _MUL11[a1] ^ _MUL13[a2] ^ _MUL9[a3]
-            state[i + 1] = _MUL9[a0] ^ _MUL14[a1] ^ _MUL11[a2] ^ _MUL13[a3]
-            state[i + 2] = _MUL13[a0] ^ _MUL9[a1] ^ _MUL14[a2] ^ _MUL11[a3]
-            state[i + 3] = _MUL11[a0] ^ _MUL13[a1] ^ _MUL9[a2] ^ _MUL14[a3]
+        for i in range(nk, 4 * (self.rounds + 1)):
+            temp = words[i - 1]
+            if i % nk == 0:
+                temp = (temp << 8 | temp >> 24) & 0xFFFFFFFF  # RotWord
+                temp = _sub_word(temp) ^ RCON[i // nk - 1] << 24
+            elif nk > 6 and i % nk == 4:
+                temp = _sub_word(temp)
+            words.append(words[i - nk] ^ temp)
+        return words
 
     # -- block operations ----------------------------------------------
 
-    def encrypt_block(self, block: bytes) -> bytes:
-        """Encrypt exactly one 16-byte block."""
+    def _crypt_block(self, block: bytes, decrypt: bool) -> bytes:
         if len(block) != BLOCK_SIZE:
             raise ValueError("block must be 16 bytes, got %d" % len(block))
-        state = bytearray(block)
-        self._add_round_key(state, self._round_keys[0])
-        for rnd in range(1, self.rounds):
-            self._sub_bytes(state)
-            self._shift_rows(state)
-            self._mix_columns(state)
-            self._add_round_key(state, self._round_keys[rnd])
-        self._sub_bytes(state)
-        self._shift_rows(state)
-        self._add_round_key(state, self._round_keys[self.rounds])
-        return bytes(state)
+        keys = self._key_words[decrypt]
+        (t0, t1, t2, t3), sbox = (
+            (_DEC_TABLES, INV_SBOX) if decrypt else (_ENC_TABLES, SBOX)
+        )
+        state = int.from_bytes(block, "big")
+        s0 = state >> 96
+        s1 = state >> 64 & 0xFFFFFFFF
+        s2 = state >> 32 & 0xFFFFFFFF
+        s3 = state & 0xFFFFFFFF
+        # ShiftRows has output column c read row r from column c + r;
+        # InvShiftRows from column c - r.  With the columns mirrored
+        # (0, 3, 2, 1) the second is the first, so one round body
+        # serves both directions.
+        if decrypt:
+            s1, s3 = s3, s1
+        s0 ^= keys[0]
+        s1 ^= keys[1]
+        s2 ^= keys[2]
+        s3 ^= keys[3]
+        for i in range(4, 4 * self.rounds, 4):
+            s0, s1, s2, s3 = (
+                t0[s0 >> 24] ^ t1[s1 >> 16 & 255]
+                ^ t2[s2 >> 8 & 255] ^ t3[s3 & 255] ^ keys[i],
+                t0[s1 >> 24] ^ t1[s2 >> 16 & 255]
+                ^ t2[s3 >> 8 & 255] ^ t3[s0 & 255] ^ keys[i + 1],
+                t0[s2 >> 24] ^ t1[s3 >> 16 & 255]
+                ^ t2[s0 >> 8 & 255] ^ t3[s1 & 255] ^ keys[i + 2],
+                t0[s3 >> 24] ^ t1[s0 >> 16 & 255]
+                ^ t2[s1 >> 8 & 255] ^ t3[s2 & 255] ^ keys[i + 3],
+            )
+        # Last round: no MixColumns, so the plain S-box.
+        s0, s1, s2, s3 = (
+            (sbox[s0 >> 24] << 24 | sbox[s1 >> 16 & 255] << 16
+             | sbox[s2 >> 8 & 255] << 8 | sbox[s3 & 255]) ^ keys[-4],
+            (sbox[s1 >> 24] << 24 | sbox[s2 >> 16 & 255] << 16
+             | sbox[s3 >> 8 & 255] << 8 | sbox[s0 & 255]) ^ keys[-3],
+            (sbox[s2 >> 24] << 24 | sbox[s3 >> 16 & 255] << 16
+             | sbox[s0 >> 8 & 255] << 8 | sbox[s1 & 255]) ^ keys[-2],
+            (sbox[s3 >> 24] << 24 | sbox[s0 >> 16 & 255] << 16
+             | sbox[s1 >> 8 & 255] << 8 | sbox[s2 & 255]) ^ keys[-1],
+        )
+        if decrypt:
+            s1, s3 = s3, s1
+        return (s0 << 96 | s1 << 64 | s2 << 32 | s3).to_bytes(16, "big")
+
+    def encrypt_block(self, block: bytes) -> bytes:
+        """Encrypt exactly one 16-byte block."""
+        return self._crypt_block(block, False)
 
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt exactly one 16-byte block."""
-        if len(block) != BLOCK_SIZE:
-            raise ValueError("block must be 16 bytes, got %d" % len(block))
-        state = bytearray(block)
-        self._add_round_key(state, self._round_keys[self.rounds])
-        for rnd in range(self.rounds - 1, 0, -1):
-            self._inv_shift_rows(state)
-            self._inv_sub_bytes(state)
-            self._add_round_key(state, self._round_keys[rnd])
-            self._inv_mix_columns(state)
-        self._inv_shift_rows(state)
-        self._inv_sub_bytes(state)
-        self._add_round_key(state, self._round_keys[0])
-        return bytes(state)
+        return self._crypt_block(block, True)
 
 
 # -- padding -----------------------------------------------------------
@@ -350,13 +352,9 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
 #
 # The columnar data plane runs AES over whole batches: the state is an
 # (n, 16) uint8 matrix (one row per block, FIPS column-major order
-# within the row) and every round is the table-lookup form [45] puts on
-# the switch.  Four 256-entry uint32 T-tables hold SubBytes fused with
-# MixColumns, ShiftRows is folded into the gather index, and the four
-# lookups of a column XOR into its output word.  Decryption is the
-# equivalent inverse cipher (FIPS-197 section 5.3.5): the same round
-# shape over inverse tables, with InvMixColumns applied to the middle
-# round keys.  Outputs are bit-identical to the scalar per-block
+# within the row) and every round is the scalar cipher's table-lookup
+# round over the same four word tables, ShiftRows folded into the
+# gather index.  Outputs are bit-identical to the scalar per-block
 # methods; when numpy is unavailable the *_many entry points loop over
 # the scalar implementation.
 
@@ -374,32 +372,28 @@ def _np_tables(np):
     ``(T-tables (4, 256) uint32, ShiftRows gather (16,), S-box)``."""
     global _NP_TABLES
     if _NP_TABLES is None:
-        built = []
-        for sbox, coeffs, sign in (
-            (SBOX, (2, 1, 1, 3), 1), (INV_SBOX, (14, 9, 13, 11), -1)
-        ):
-            # Table r is what a byte in state row r contributes to the
-            # four output rows of its column: the (Inv)MixColumns
-            # coefficient column rotated down by r.  Words are formed by
-            # viewing byte quadruples, the same byte <-> word mapping
-            # the state goes through, so host endianness cancels out.
-            base = np.array(
-                [[_gmul(s, c) for c in coeffs] for s in sbox], dtype=np.uint8
-            )
-            tables = np.stack([np.roll(base, r, axis=1) for r in range(4)])
-            # Flat position r + 4c takes its byte from position
-            # r + 4*((c +- r) % 4), exactly the scalar _shift_rows /
-            # _inv_shift_rows loops.
-            shift = [
-                r + 4 * ((c + sign * r) % 4)
-                for c in range(4) for r in range(4)
-            ]
-            built.append((
-                tables.view(np.uint32).reshape(4, 256),
-                np.array(shift, dtype=np.intp),
+        _NP_TABLES = tuple(
+            (
+                # The scalar cipher's word tables, laid out big-endian
+                # and read back as native words: the same byte <-> word
+                # mapping the state goes through, so host endianness
+                # cancels out.
+                np.array(tables, dtype=">u4").view(np.uint32),
+                # Flat position r + 4c takes its byte from position
+                # r + 4*((c +- r) % 4): (Inv)ShiftRows.
+                np.array(
+                    [
+                        r + 4 * ((c + sign * r) % 4)
+                        for c in range(4) for r in range(4)
+                    ],
+                    dtype=np.intp,
+                ),
                 np.frombuffer(sbox, dtype=np.uint8),
-            ))
-        _NP_TABLES = tuple(built)
+            )
+            for tables, sign, sbox in (
+                (_ENC_TABLES, 1, SBOX), (_DEC_TABLES, -1, INV_SBOX)
+            )
+        )
     return _NP_TABLES
 
 
@@ -407,15 +401,14 @@ def _key_matrices(np, cipher: "AES"):
     """``(encrypt, decrypt)`` round keys as (rounds + 1, 16) uint8
     matrices in the order the rounds apply them, cached on the cipher."""
     if cipher._key_matrices is None:
-        keys = cipher._round_keys
-        middle = []
-        for key in keys[-2:0:-1]:
-            mixed = bytearray(key)
-            AES._inv_mix_columns(mixed)
-            middle.append(bytes(mixed))
+        enc, dec = (
+            np.array(words, dtype=">u4").reshape(-1, 4)
+            for words in cipher._key_words
+        )
+        # The decrypt words are stored with their columns mirrored.
         cipher._key_matrices = tuple(
-            np.frombuffer(b"".join(ks), dtype=np.uint8).reshape(len(ks), 16)
-            for ks in (keys, [keys[-1]] + middle + [keys[0]])
+            np.ascontiguousarray(words).view(np.uint8)
+            for words in (enc, dec[:, [0, 3, 2, 1]])
         )
     return cipher._key_matrices
 

@@ -24,10 +24,8 @@ substrate:
   once per batch by the parser/switch front end.
 * :func:`group_rows` — duplicate-grouping over a byte-slice of every
   row (the "group duplicate cookie bytes before hitting the cipher"
-  primitive): returns first-occurrence indexes and an inverse mapping,
-  vectorized via ``np.unique`` when numpy is on and a dict scan
-  otherwise.  Both implementations return identical groupings with
-  first-occurrence order preserved.
+  primitive): group keys in first-occurrence order and an inverse
+  mapping, one dict scan whatever the batch is built from.
 * :func:`match_rows` / :func:`group_counts` — the exact-match row mask
   and the per-group multiplicities the switch paths fold with.
 
@@ -71,8 +69,8 @@ _FORCED: Optional[bool] = _DEFAULT
 
 
 # Batches with fewer rows run the Python kernel forms even when the
-# gate is open: building the padded matrix, the field arrays and the
-# np.unique key costs tens of microseconds per call, which makes the
+# gate is open: building the padded matrix and the field arrays costs
+# tens of microseconds per call, which makes the
 # 1-8 row calls a per-packet simulator issues 2-3x slower than the
 # loops they replace (measured on 20-byte CIDs through LarkSwitch).
 # From here up the two forms of the row kernels are within ~25% of
@@ -242,72 +240,52 @@ def group_rows(
     rows: Sequence[bytes],
     start: int = 0,
     end: Optional[int] = None,
-) -> Tuple[List[bytes], List[int], "Any"]:
+    indexes: Optional[Sequence[int]] = None,
+) -> Tuple[List[bytes], List[int], List[int]]:
     """Group rows by the byte slice ``[start, end)`` (plus row length).
 
-    Returns ``(keys, firsts, inverse)`` where ``keys[g]`` is the slice
-    bytes of group ``g``, ``firsts[g]`` the index of its first
-    occurrence, and ``inverse[i]`` the group of row ``i``.  Groups are
-    numbered in first-occurrence order, so the scalar and vectorized
-    implementations agree exactly.  Two rows with different total
-    lengths never share a group even if their slices match (a truncated
-    cookie must not alias a full one in the decode memo).
+    Returns ``(keys, lengths, inverse)``: ``keys[g]`` is the slice
+    bytes of group ``g``, ``lengths[g]`` the total length of its rows
+    and ``inverse[j]`` the group of row ``indexes[j]`` (of row ``j``
+    when ``indexes`` is ``None``).  Groups are numbered in
+    first-occurrence order.  Two rows with different total lengths
+    never share a group even if their slices match (a truncated cookie
+    must not alias a full one in the decode memo).
+
+    One dict scan.  A matrix batch whose rows all have one length cuts
+    its keys out of a single ``tobytes`` of the column range — no
+    per-row ``bytes`` is built; any other batch scans its raw rows.
+    (numpy's ``unique`` over void rows, the form this replaced, was
+    behind the scan at every size: 594 vs 202 ns/row at 1024 rows,
+    1387 vs 312 at 32; table in DESIGN.md section 8.)
     """
-    np = get_numpy() if len(rows) >= VECTOR_MIN_ROWS else None
-    if np is not None:
-        columns = rows if isinstance(rows, PacketColumns) else None
-        if columns is None:
-            columns = PacketColumns(rows)
-        if columns.vectorized and columns.max_len > 0:
-            stop = columns.max_len if end is None else min(end, columns.max_len)
-            stop = max(stop, start)
-            width = stop - start
-            # Key matrix: [length byte-pair | zero-padded slice]; rows
-            # shorter than the slice contribute their zero padding,
-            # which is fine because length disambiguates.
-            key = np.zeros((columns.n, width + 2), dtype=np.uint8)
-            key[:, 0] = (columns.lengths >> 8).astype(np.uint8)
-            key[:, 1] = (columns.lengths & 0xFF).astype(np.uint8)
-            if width:
-                key[:, 2:] = columns.data[:, start:stop]
-            void = np.ascontiguousarray(key).view(
-                np.dtype((np.void, key.shape[1]))
-            ).ravel()
-            _, first_idx, inverse = np.unique(
-                void, return_index=True, return_inverse=True
-            )
-            # np.unique sorts by value; renumber groups by first
-            # occurrence so the ordering matches the scalar scan.
-            order = np.argsort(first_idx, kind="stable")
-            rank = np.empty_like(order)
-            rank[order] = np.arange(len(order))
-            inverse = rank[inverse]
-            firsts = first_idx[order]
-            raws = columns.raw
-            keys = [
-                raws[int(i)][start:end] if end is not None
-                else raws[int(i)][start:]
-                for i in firsts
-            ]
-            return keys, [int(i) for i in firsts], inverse
-    # Scalar fallback: one dict scan, first-occurrence order.
-    raw_rows = rows.raw if isinstance(rows, PacketColumns) else rows
-    seen = {}
-    keys: List[bytes] = []
-    firsts: List[int] = []
-    inverse: List[int] = []
-    for i, row in enumerate(raw_rows):
-        row = bytes(row)
-        sliced = row[start:end] if end is not None else row[start:]
-        k = (len(row), sliced)
-        group = seen.get(k)
-        if group is None:
-            group = len(keys)
-            seen[k] = group
-            keys.append(sliced)
-            firsts.append(i)
-        inverse.append(group)
-    return keys, firsts, inverse
+    seen: dict = {}
+    group_of = seen.setdefault
+    columns = rows if isinstance(rows, PacketColumns) else None
+    width = 0
+    if (
+        columns is not None and columns.vectorized and columns.n
+        and (columns.lengths == columns.max_len).all()
+    ):
+        flat = columns.data[:, start:end].tobytes()
+        width = len(flat) // columns.n
+    if width:
+        offsets = (
+            range(0, len(flat), width) if indexes is None
+            else [i * width for i in indexes]
+        )
+        # len(seen) is read before setdefault inserts: the next group
+        # number for a new key, ignored for a known one.
+        inverse = [group_of(flat[o:o + width], len(seen)) for o in offsets]
+        return list(seen), [columns.max_len] * len(seen), inverse
+    raw_rows = rows if columns is None else columns.raw
+    if indexes is not None:
+        raw_rows = [raw_rows[i] for i in indexes]
+    inverse = [
+        group_of((len(row), row[start:end]), len(seen))
+        for row in map(bytes, raw_rows)
+    ]
+    return [key for _, key in seen], [size for size, _ in seen], inverse
 
 
 def match_rows(fields: Sequence[Any], values: Sequence[int]) -> List[int]:
@@ -326,12 +304,10 @@ def match_rows(fields: Sequence[Any], values: Sequence[int]) -> List[int]:
     return _np.flatnonzero(hit).tolist()
 
 
-def group_counts(inverse: Any, groups: int) -> List[int]:
+def group_counts(inverse: List[int], groups: int) -> List[int]:
     """Rows per group for an ``inverse`` mapping from
-    :func:`group_rows` (array or list; the form follows it)."""
-    if isinstance(inverse, list):
-        counts = [0] * groups
-        for group in inverse:
-            counts[group] += 1
-        return counts
-    return _np.bincount(inverse, minlength=groups).tolist()
+    :func:`group_rows`."""
+    counts = [0] * groups
+    for group in inverse:
+        counts[group] += 1
+    return counts

@@ -163,13 +163,9 @@ def run_backend_bench(
     payload_fixture = FastpathFixture(
         mode=ForwardingMode.PER_PACKET, num_users=num_users, seed=seed
     )
-    payloads = [
-        result.aggregation_payload
-        for result in payload_fixture.new_lark().process_quic_columnar(
-            payload_fixture.make_cids(agg_n)
-        )
-        if result.aggregation_payload is not None
-    ]
+    payloads = payload_fixture.new_lark().process_quic_columnar(
+        payload_fixture.make_cids(agg_n)
+    ).payloads
 
     best_lark = {backend: float("inf") for backend in BACKENDS}
     best_agg = {backend: float("inf") for backend in BACKENDS}

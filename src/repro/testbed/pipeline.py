@@ -477,14 +477,22 @@ class StreamingPipeline:
             self.app_id, self.lark.drain_user_stats(self.app_id)
         )
 
-    def _lark_segment(self, cids: Any, lo: int, hi: int) -> List[Any]:
+    def _lark_segment(self, cids: Any, lo: int, hi: int) -> List[bytes]:
+        """Run one segment through the LarkSwitch; the aggregation
+        payloads it emitted, in packet order."""
         if hi <= lo:
             return []
         if self.backend == "scalar":
-            return [
+            results = [
                 self.lark.process_quic_packet(cid) for cid in cids[lo:hi]
             ]
-        return self.lark.process_quic_columnar(_slice_part(cids, lo, hi))
+            return [
+                r.aggregation_payload for r in results
+                if r.aggregation_payload is not None
+            ]
+        return self.lark.process_quic_columnar(
+            _slice_part(cids, lo, hi)
+        ).payloads
 
     def _corrupt(self, payloads: List[bytes]) -> List[bytes]:
         """Seeded fault stage: flip one byte in a fraction of payloads
@@ -629,9 +637,7 @@ class StreamingPipeline:
             cols, cids = pending.popleft()
             payloads: List[bytes] = []
             for lo, hi, flush in self._segments(cols.time_ms):
-                for result in self._lark_segment(cids, lo, hi):
-                    if result.aggregation_payload is not None:
-                        payloads.append(result.aggregation_payload)
+                payloads.extend(self._lark_segment(cids, lo, hi))
                 if flush:
                     self._flush_period(payloads)
             payload_count += len(payloads)

@@ -292,12 +292,22 @@ class AdEventStream(EventStream):
         self._num_users = len(workload.users)
         self._num_campaigns = len(workload.campaigns)
         self._click_fraction = workload.click_fraction
+        self._user_bits = self._num_users.bit_length()
+        self._campaign_bits = self._num_campaigns.bit_length()
 
     def _draw_row(self) -> Tuple[int, int, int]:
+        # rng.randrange(n), minus its frames (see EventStream).
         rng = self._rng
+        getrandbits = rng.getrandbits
+        user = getrandbits(self._user_bits)
+        while user >= self._num_users:
+            user = getrandbits(self._user_bits)
+        campaign = getrandbits(self._campaign_bits)
+        while campaign >= self._num_campaigns:
+            campaign = getrandbits(self._campaign_bits)
         return (
-            rng.randrange(self._num_users),
-            rng.randrange(self._num_campaigns),
+            user,
+            campaign,
             1 if rng.random() < self._click_fraction else 0,
         )
 

@@ -24,12 +24,19 @@ The RNG identity relies on one CPython ``random`` fact the determinism
 suite pins: ``rng.randrange(len(seq))`` consumes exactly the same
 underlying bits as ``rng.choice(seq)`` (both route through
 ``_randbelow``), which lets the batched path draw *indexes* into the
-static population tables instead of the objects themselves.
+static population tables instead of the objects themselves.  The
+``_draw_row`` hooks spell ``randrange(n)`` as what ``_randbelow`` runs —
+``getrandbits(n.bit_length())``, drawn again while the result is
+``>= n`` — and ``generate_batch`` spells ``expovariate(1.0) * gap`` as
+``-log(1.0 - random()) * gap``: the same draws and the same IEEE
+arithmetic, two to three Python frames fewer per event (pinned against
+recorded streams in ``tests/workloads/test_determinism.py``).
 """
 
 from __future__ import annotations
 
 import random
+from math import log as _log
 from typing import Dict, Iterator, List, Tuple
 
 __all__ = ["EventColumns", "EventStream"]
@@ -107,7 +114,7 @@ class EventStream:
         if t >= self._duration_ms:
             return None
         row = self._draw_row()
-        self._t = t + self._rng.expovariate(1.0) * self._gap
+        self._t = t - _log(1.0 - self._rng.random()) * self._gap
         self.generated += 1
         return self._wrap(t, row)
 
@@ -120,27 +127,30 @@ class EventStream:
         if n < 0:
             raise ValueError("batch size must be non-negative")
         times: List[float] = []
-        cols: Tuple[List[int], ...] = tuple([] for _ in self.column_names)
+        rows: List[Tuple[int, ...]] = []
         t = self._t
         duration = self._duration_ms
         if t < duration and n > 0:
-            rng = self._rng
             gap = self._gap
-            expovariate = rng.expovariate
+            random = self._rng.random
             draw = self._draw_row
-            appends = [c.append for c in cols]
-            time_append = times.append
-            remaining = n
-            while remaining > 0 and t < duration:
-                time_append(t)
-                row = draw()
-                for append, value in zip(appends, row):
-                    append(value)
-                t = t + expovariate(1.0) * gap
-                remaining -= 1
+            add_time = times.append
+            add_row = rows.append
+            for _ in range(n):
+                add_time(t)
+                add_row(draw())
+                # rng.expovariate(1.0) * gap, term for term.
+                t = t - _log(1.0 - random()) * gap
+                if t >= duration:
+                    break
             self._t = t
             self.generated += len(times)
-        return EventColumns(times, dict(zip(self.column_names, cols)))
+        # One transpose per batch instead of an append per column per
+        # event.
+        cols = zip(*rows) if rows else ((),) * len(self.column_names)
+        return EventColumns(
+            times, dict(zip(self.column_names, map(list, cols)))
+        )
 
     def batches(self, batch_size: int) -> Iterator[EventColumns]:
         """Drain the stream as successive ``batch_size`` micro-batches."""

@@ -146,9 +146,15 @@ class CrowdEventStream(EventStream):
         super().__init__(workload._rng, rate_per_second, duration_ms)
         self.workload = workload
         self._num_members = len(workload.members)
+        self._member_bits = self._num_members.bit_length()
 
     def _draw_row(self) -> Tuple[int]:
-        return (self._rng.randrange(self._num_members),)
+        # rng.randrange(n), minus its frames (see EventStream).
+        getrandbits = self._rng.getrandbits
+        member = getrandbits(self._member_bits)
+        while member >= self._num_members:
+            member = getrandbits(self._member_bits)
+        return (member,)
 
     def _wrap(
         self, time_ms: float, row: Tuple[int]

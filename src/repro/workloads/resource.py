@@ -130,9 +130,15 @@ class ResourceEventStream(EventStream):
         super().__init__(workload._rng, rate_per_second, duration_ms)
         self.workload = workload
         self._num_tenants = len(workload.tenants)
+        self._tenant_bits = self._num_tenants.bit_length()
 
     def _draw_row(self) -> Tuple[int]:
-        return (self._rng.randrange(self._num_tenants),)
+        # rng.randrange(n), minus its frames (see EventStream).
+        getrandbits = self._rng.getrandbits
+        tenant = getrandbits(self._tenant_bits)
+        while tenant >= self._num_tenants:
+            tenant = getrandbits(self._tenant_bits)
+        return (tenant,)
 
     def _wrap(self, time_ms: float, row: Tuple[int]) -> Tuple[float, Tenant]:
         return (time_ms, self.workload.tenants[row[0]])

@@ -238,19 +238,28 @@ class ScaleEventStream(EventStream):
         self._click_fraction = workload.click_fraction
         self._alpha = workload.zipf_alpha
         self._tail_fraction = workload.tail_fraction
+        self._user_bits = self._num_users.bit_length()
+        self._campaign_bits = self._num_campaigns.bit_length()
 
     def _draw_row(self) -> Tuple[int, int, int]:
+        # rng.randrange(n), minus its frames (see EventStream).
         rng = self._rng
+        getrandbits = rng.getrandbits
         if rng.random() < self._tail_fraction:
-            user = rng.randrange(self._num_users)
+            user = getrandbits(self._user_bits)
+            while user >= self._num_users:
+                user = getrandbits(self._user_bits)
         else:
             user = min(
                 int(rng.paretovariate(self._alpha)) - 1,
                 self._num_users - 1,
             )
+        campaign = getrandbits(self._campaign_bits)
+        while campaign >= self._num_campaigns:
+            campaign = getrandbits(self._campaign_bits)
         return (
             user,
-            rng.randrange(self._num_campaigns),
+            campaign,
             1 if rng.random() < self._click_fraction else 0,
         )
 

@@ -30,6 +30,7 @@ from repro.workloads.columns import EventStream
 __all__ = ["YsbEvent", "YsbEventStream", "YsbWorkload", "YsbPipeline"]
 
 EVENT_TYPES = ("view", "click", "purchase")
+_EVENT_TYPE_BITS = len(EVENT_TYPES).bit_length()
 
 
 @dataclass(frozen=True)
@@ -110,15 +111,26 @@ class YsbEventStream(EventStream):
         super().__init__(workload._rng, rate_per_second, duration_ms)
         self.workload = workload
         self._num_ads = len(workload._ads)
+        self._ad_bits = self._num_ads.bit_length()
 
     def _draw_row(self) -> Tuple[int, int, int, int]:
-        rng = self._rng
-        return (
-            rng.randrange(10_000),
-            rng.randrange(1_000),
-            rng.randrange(self._num_ads),
-            rng.randrange(len(EVENT_TYPES)),
-        )
+        # rng.randrange(n), minus its frames (see EventStream):
+        # 10 000 users (14 bits), 1 000 pages (10), the ads, the
+        # event types.
+        getrandbits = self._rng.getrandbits
+        user = getrandbits(14)
+        while user >= 10_000:
+            user = getrandbits(14)
+        page = getrandbits(10)
+        while page >= 1_000:
+            page = getrandbits(10)
+        ad = getrandbits(self._ad_bits)
+        while ad >= self._num_ads:
+            ad = getrandbits(self._ad_bits)
+        etype = getrandbits(_EVENT_TYPE_BITS)
+        while etype >= len(EVENT_TYPES):
+            etype = getrandbits(_EVENT_TYPE_BITS)
+        return (user, page, ad, etype)
 
     def _wrap(self, time_ms: float, row: Tuple[int, int, int, int]) -> YsbEvent:
         user, page, ad, etype = row

@@ -88,6 +88,66 @@ class TestRoundKernel:
         assert (state == before).all()
 
 
+# sha256 over the outputs of 1 000 seeded blocks per key size, and of
+# one 640-byte CBC payload (a period close's size), recorded from the
+# byte-wise scalar cipher (SubBytes / ShiftRows / MixColumns on a
+# bytearray) before the word-table round replaced it.
+RECORDED_BLOCKS = {
+    16: ("857450e06fed970017b452c99bcc5e9aa2757c9f1832217a8def59c5af7d1205",
+         "0d2f6d54234ddd9c57d4cb0a89019016039cacf8bfd12adb90eb2bc0c7e667db"),
+    24: ("54ea64cd7134466e54bf759c33a604015db3bdacea5025ba6959935187a134ea",
+         "7431287d8d9a37ab9eab6a547f24f4516ee73caa2dd988977ea10469a3b40959"),
+    32: ("5eb44f96e80e6e5d28b3a57044b4d0ac930f8b97ac5c57d8eb971582afea8d82",
+         "2e47c464c168b20cd6be71dda31a402e136f051e124137e77afb03cb3d85a1f0"),
+}
+RECORDED_CBC_640 = (
+    "082cb1da10a8eb8d30d5616a84f60977195b7e4b65e2f5dc453364035019f477"
+)
+
+
+class TestScalarCipherPins:
+    """The scalar word-table cipher against recorded outputs, the numpy
+    round kernel and the batched CBC pass."""
+
+    @pytest.mark.parametrize("key_bytes", (16, 24, 32))
+    def test_thousand_blocks_equal_recorded_and_numpy(self, key_bytes):
+        import hashlib
+
+        rng = random.Random(key_bytes)
+        cipher = AES(_bytes(rng, key_bytes))
+        blocks = [_bytes(rng, 16) for _ in range(1000)]
+        encrypted = [cipher.encrypt_block(b) for b in blocks]
+        decrypted = [cipher.decrypt_block(b) for b in blocks]
+        assert (
+            hashlib.sha256(b"".join(encrypted)).hexdigest(),
+            hashlib.sha256(b"".join(decrypted)).hexdigest(),
+        ) == RECORDED_BLOCKS[key_bytes]
+        assert [cipher.decrypt_block(b) for b in encrypted] == blocks
+        if columns.HAVE_NUMPY:
+            previous = columns._FORCED
+            columns.force_numpy(True)
+            try:
+                assert TestRoundKernel._run(cipher, blocks, False) == encrypted
+                assert TestRoundKernel._run(cipher, blocks, True) == decrypted
+            finally:
+                columns._FORCED = previous
+
+    def test_period_sized_cbc_payload(self, kernel_form):
+        import hashlib
+
+        rng = random.Random(640)
+        key, iv, payload = _bytes(rng, 16), _bytes(rng, 16), _bytes(rng, 640)
+        sealed = encrypt_cbc(key, iv, payload)
+        assert len(sealed) == 656
+        assert hashlib.sha256(sealed).hexdigest() == RECORDED_CBC_640
+        assert decrypt_cbc(key, iv, sealed) == payload
+        # Two payloads, so that the numpy form takes its matrix pass.
+        assert encrypt_cbc_many(key, [iv, iv], [payload, payload]) == [
+            sealed, sealed,
+        ]
+        assert decrypt_cbc_many(key, [iv], [sealed]) == [payload]
+
+
 class TestBlocksMany:
     @pytest.mark.parametrize("n", (0,) + SIZES[:-1])
     def test_matches_scalar(self, kernel_form, n):

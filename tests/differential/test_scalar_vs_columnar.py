@@ -329,6 +329,288 @@ def test_lark_per_packet_payload_bytes_come_from_the_wire_row():
         ]
 
 
+# -- the batch result: its view is the scalar path, its counters the
+# -- group arithmetic ------------------------------------------------------
+
+_BATCH_APPS = (APP_ID, APP_ID + 1)
+
+
+def _batch_lark(wl, apps, mode, dedup, digests):
+    from repro.core.user_stats import UserQuantileConfig
+
+    lark = LarkSwitch(
+        "diff-lark", rng=random.Random(wl.seed + 1),
+        registry=MetricsRegistry(),
+    )
+    for app_id in _BATCH_APPS[:apps]:
+        lark.register_application(
+            app_id, wl.schema, bytes([app_id]) * 16, wl.specs, mode=mode,
+            period_ms=1000.0 if mode == ForwardingMode.PERIODICAL else 0.0,
+            dedup=dedup,
+            digest_features=["geo", "campaign"] if digests else None,
+            user_quantiles=UserQuantileConfig(mode="exact"),
+        )
+    return lark
+
+
+def _batch_stream(wl, apps, n):
+    """Raw CID rows for ``apps`` interleaved applications: a few
+    cookies each (some with features absent), so most packets are
+    repeats, mixed with wrong-key cookies, app-table misses (20-byte,
+    over-long and one-byte rows) and truncated cookies."""
+    rng = random.Random(wl.seed * 31 + apps)
+    minted = []
+    for app_id in _BATCH_APPS[:apps]:
+        codec = TransportCookieCodec(
+            app_id, wl.schema, bytes([app_id]) * 16, rng
+        )
+        stale = TransportCookieCodec(app_id, wl.schema, bytes(16), rng)
+        pool = []
+        for user in wl.workload.users[:9]:
+            values = user.semantic_values(
+                rng.choice(wl.workload.campaigns),
+                rng.choice(("view", "click")),
+            )
+            if len(pool) % 4 == 3:
+                del values["geo"]
+            pool.append(bytes(codec.encode(values)))
+        minted.append((pool, bytes(stale.encode(values))))
+    rows = []
+    for _ in range(n):
+        pool, stale = minted[rng.randrange(apps)]
+        kind = rng.randrange(12)
+        if kind < 7:
+            rows.append(pool[rng.randrange(len(pool))])
+        elif kind == 7:
+            rows.append(stale)
+        elif kind == 8:
+            rows.append(bytes([7, 0x80 | rng.getrandbits(7)]) + bytes(18))
+        elif kind == 9:
+            rows.append(bytes([7, 0xEE]) + bytes(rng.randrange(19, 23)))
+        elif kind == 10:
+            rows.append(pool[0][:rng.randrange(2, 20)])
+        else:
+            rows.append(b"\x07")
+    return rows
+
+
+def _as_matrix(rows):
+    """The chunk as a matrix-built batch: zero-padded, no row bytes."""
+    np = columns.get_numpy()
+    width = max(map(len, rows))
+    data = np.frombuffer(
+        b"".join(row.ljust(width, b"\0") for row in rows), dtype=np.uint8
+    ).reshape(len(rows), width)
+    return columns.PacketColumns.from_matrix(data, [len(r) for r in rows])
+
+
+def _lark_state(lark):
+    """Everything a batch may touch, the per-batch meters apart."""
+    return {
+        "registers": register_state(lark),
+        "rng": lark._rng.getstate(),
+        "metrics": [
+            m for m in lark.metrics.snapshot() if ".batch" not in m["name"]
+        ],
+        "bloom": {
+            app_id: app.dedup.snapshot()
+            for app_id, app in lark._apps.items() if app.dedup is not None
+        },
+        "users": {
+            app_id: app.users.snapshot()
+            for app_id, app in lark._apps.items() if app.users is not None
+        },
+    }
+
+
+_SCALAR_RUNS = {}
+
+
+def _scalar_run(seed, apps, mode, dedup, digests, n):
+    """The reference: the same stream packet by packet (cached; the
+    scalar tier does not depend on the kernel form)."""
+    config = (seed, apps, mode, dedup, digests, n)
+    if config not in _SCALAR_RUNS:
+        wl = DifferentialWorkload(seed, num_users=12)
+        rows = _batch_stream(wl, apps, n)
+        lark = _batch_lark(wl, apps, mode, dedup, digests)
+        results = [lark.process_quic_packet(row) for row in rows]
+        _SCALAR_RUNS[config] = (wl, rows, results, _lark_state(lark))
+    return _SCALAR_RUNS[config]
+
+
+def _batch_cases():
+    modes = (ForwardingMode.PERIODICAL, ForwardingMode.PER_PACKET)
+    flags = (False, True)
+    for size in (7, 40):
+        for case in itertools.product(modes, flags, flags, (1, 2), flags):
+            yield (size, 160) + case
+    # The one-packet call and the full-size batch: every feature on.
+    for size, n in ((1, 48), (1024, 1100)):
+        for mode, matrix in itertools.product(modes, flags):
+            yield (size, n, mode, True, True, 2, matrix)
+
+
+@pytest.mark.parametrize(
+    "size,n,mode,dedup,digests,apps,matrix", list(_batch_cases())
+)
+def test_lark_batch_view_payloads_and_counters_are_the_scalar_path(
+    size, n, mode, dedup, digests, apps, matrix
+):
+    """``list(batch)`` is the scalar results, ``batch.payloads`` the
+    scalar payloads in order, ``batch.folded`` and every counter what
+    the scalar switch counts packet by packet — whether the chunk comes
+    as a row list or as a (ragged) matrix, and whether or not anybody
+    looks at the per-packet view."""
+    if matrix and not columns.numpy_enabled():
+        pytest.skip("matrix-built batches need the numpy gate open")
+    wl, rows, scalar_results, scalar_state = _scalar_run(
+        SEEDS[0], apps, mode, dedup, digests, n
+    )
+    assert {r.matched for r in scalar_results} == {True, False}
+    assert dedup == any(r.deduplicated for r in scalar_results)
+    assert digests == any(r.digests for r in scalar_results)
+    rendered = _batch_lark(wl, apps, mode, dedup, digests)
+    unread = _batch_lark(wl, apps, mode, dedup, digests)
+    chunks = [
+        _as_matrix(chunk) if matrix else chunk
+        for chunk in iter_batches(rows, size)
+    ]
+    position = 0
+    for chunk in chunks:
+        expected = scalar_results[position:position + len(chunk)]
+        position += len(chunk)
+        batch = rendered.process_quic_columnar(chunk)
+        assert list(batch) == expected
+        payloads = [
+            r.aggregation_payload for r in expected
+            if r.aggregation_payload is not None
+        ]
+        assert batch.payloads == payloads
+        assert batch.folded == sum(r.folded for r in expected)
+        if mode == ForwardingMode.PERIODICAL:
+            assert batch.payloads == []
+        blind = unread.process_quic_columnar(chunk)
+        assert (blind.payloads, blind.folded) == (payloads, batch.folded)
+        assert blind._results is None
+    assert _lark_state(rendered) == scalar_state
+    assert _lark_state(unread) == scalar_state
+    assert unread._decode_memo == rendered._decode_memo
+    assert unread.metrics.snapshot() == rendered.metrics.snapshot()
+    # The per-batch meters: one observation per call, the packets and
+    # the latencies of the per-packet meters.
+    meters = {m["name"]: m for m in rendered.metrics.snapshot()}
+    base = "pipeline.diff-lark."
+    assert meters[base + "batches"]["value"] == len(chunks)
+    assert meters[base + "batch.size"]["total"] == len(rows)
+    assert (
+        meters[base + "batch.latency_us"]["total"]
+        == meters[base + "latency_us"]["total"]
+    )
+    if matrix and not any(len(row) != 20 for row in rows):
+        assert all(chunk._raw is None for chunk in chunks)
+
+
+def test_lark_batch_result_is_a_sequence_rendered_once():
+    from repro.core.larkswitch import LarkBatchResult, LarkResult
+
+    wl = DifferentialWorkload(SEEDS[0])
+    cids = wl.cids("adversarial", 40)
+    scalar = wl.new_lark()
+    expected = [scalar.process_quic_packet(cid) for cid in cids]
+    batch = wl.new_lark().process_quic_columnar(cids)
+    assert isinstance(batch, LarkBatchResult)
+    assert batch.payloads == [] and batch._results is None
+    assert bool(batch) and len(batch) == 40
+    first = list(batch)
+    assert first == expected
+    # Tests mutate results and read them back: the same objects.
+    assert all(a is b for a, b in zip(first, batch))
+    first[3].latency_ms = -1.0
+    assert batch[3].latency_ms == -1.0 and batch[-37] is first[3]
+    first[3].latency_ms = expected[3].latency_ms
+    assert batch[5:9] == expected[5:9] and batch[-1] is first[-1]
+    with pytest.raises(IndexError):
+        batch[40]
+    assert batch == expected and expected == batch
+    assert batch != expected[:-1] and not batch == "batch"
+    assert batch == wl.new_lark().process_quic_columnar(cids)
+    assert batch + expected == expected * 2
+    grown = list(expected)
+    grown += batch
+    assert grown == expected * 2
+    assert expected[7] in batch and batch.index(expected[7]) <= 7
+    assert isinstance(batch[0], LarkResult)
+
+
+def test_lark_batch_result_empty_input_and_all_misses():
+    from repro.switch.pipeline import LINE_RATE_LATENCY_MS
+
+    wl = DifferentialWorkload(SEEDS[0])
+    lark = wl.new_lark(mode=ForwardingMode.PER_PACKET)
+    before = (_lark_state(lark), dict(lark._decode_memo))
+    empty = lark.process_quic_columnar([])
+    assert not empty and len(empty) == 0 and list(empty) == []
+    assert empty.payloads == [] and empty.folded == 0
+    assert empty == [] and empty + [] == []
+    # An empty call is still a call (as before): one batch of size 0.
+    assert (_lark_state(lark), lark._decode_memo) == before
+    meters = {m["name"]: m for m in lark.metrics.snapshot()}
+    assert meters["pipeline.diff-lark.batches"]["value"] == 1
+    assert meters["pipeline.diff-lark.batch.size"]["total"] == 0
+    assert meters["pipeline.diff-lark.batch.latency_us"]["total"] == 0
+
+    misses = [bytes([9, 0xEE]) + bytes(18)] * 20 + [b"", b"\x01"]
+    scalar = wl.new_lark(mode=ForwardingMode.PER_PACKET)
+    expected = [scalar.process_quic_packet(row) for row in misses]
+    batch = lark.process_quic_columnar(misses)
+    assert batch.payloads == [] and batch.folded == 0
+    assert list(batch) == expected
+    assert all(
+        not r.matched and r.latency_ms == LINE_RATE_LATENCY_MS for r in batch
+    )
+    assert _lark_state(lark) == _lark_state(scalar)
+
+
+@pytest.mark.parametrize("mode", (
+    ForwardingMode.PERIODICAL, ForwardingMode.PER_PACKET,
+))
+def test_lark_batch_result_from_the_branches_that_hold_a_list(mode):
+    """A downed switch and a reshaped pipeline produce their results
+    packet by packet; they come back as the same type, ``payloads``
+    and ``folded`` filled in from the list."""
+    from repro.core.larkswitch import LarkBatchResult
+
+    wl = DifferentialWorkload(SEEDS[0])
+    cids = wl.cids("uniform", 30)
+    down = wl.new_lark(mode=mode)
+    down.crash()
+    batch = down.process_quic_columnar(cids)
+    assert isinstance(batch, LarkBatchResult) and len(batch) == 30
+    assert batch.payloads == [] and batch.folded == 0
+    assert not any(r.matched for r in batch)
+    assert batch == [down.process_quic_packet(cid) for cid in cids]
+
+    scalar, reshaped = wl.new_lark(mode=mode), wl.new_lark(mode=mode)
+    reshaped.pipeline.add_table(
+        stage=1,
+        table=MatchActionTable(
+            "extra", keys=[MatchKey("app_id", MatchKind.EXACT, 8)],
+            default_action="NoAction",
+        ),
+    )
+    expected = [scalar.process_quic_packet(cid) for cid in cids]
+    batch = reshaped.process_quic_columnar(cids)
+    assert isinstance(batch, LarkBatchResult)
+    assert batch == expected
+    assert batch.folded == 30
+    assert batch.payloads == [
+        r.aggregation_payload for r in expected
+        if r.aggregation_payload is not None
+    ]
+    assert bool(batch.payloads) == (mode == ForwardingMode.PER_PACKET)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_agg_columnar_bit_identical(shape, seed):

@@ -214,20 +214,55 @@ def test_parse_is_none_exactly_where_the_scalar_parse_raises(numpy_on, data):
             assert codec.values_from_row(row) == values
 
 
+@st.composite
+def out_of_range_cases(draw):
+    """(schema, rows, column, wire, position, tile): ``wire`` is out of
+    range for ``schema.features[column]`` and replaces that column of
+    ``rows[position]`` (in copy ``tile`` of the rows, where the numpy
+    form tiles them)."""
+    schema, drawn = draw(schema_and_rows())
+    column = draw(st.integers(0, len(schema.features) - 1))
+    feature = schema.features[column]
+    # 1 << 70 is a legal wire of a 71-bit field (_WIDE_71 below).
+    wire = draw(st.sampled_from([
+        wire for wire in (
+            -2, -(1 << 70), feature.cardinality, feature.cardinality + 1,
+            (1 << feature.bits), 1 << 70,
+        )
+        if wire < -1 or wire >= feature.cardinality
+    ]))
+    position = draw(st.integers(0, len(drawn) - 1))
+    return schema, drawn, column, wire, position, draw(st.integers(0, 63))
+
+
+# The schema on which Hypothesis found 1 << 70 to be a *valid* wire
+# (seven features, column 1 a 71-bit range): its cardinality is
+# 2**70 + 1, so that is the first wire out of range.
+_WIDE_71 = CookieSchema(
+    "wide71",
+    (Feature.categorical("f0", ("a", "b", "c")),
+     Feature.number("f1", 0, 1 << 70))
+    + tuple(Feature.number("f%d" % i, -3, 4) for i in range(2, 7)),
+)
+
+
+def test_the_top_wire_of_a_71_bit_field_is_legal():
+    codec = _codec(_WIDE_71)
+    row = (1, 1 << 70, 0, -1, 7, -1, 3)
+    assert codec.rows_from_blocks(codec.pack_rows([row])) == [row]
+
+
 @FORMS
 @BUDGET
-@given(st.data())
-def test_out_of_range_wires_are_rejected_before_any_draw(numpy_on, data):
-    schema, drawn = data.draw(schema_and_rows())
+@given(out_of_range_cases())
+@example((_WIDE_71, [(1, 0, 0, -1, 7, -1, 3)], 1, (1 << 70) + 1, 0, 0))
+def test_out_of_range_wires_are_rejected_before_any_draw(numpy_on, case):
+    schema, drawn, column, wire, position, tile = case
     codec = _codec(schema)
-    column = data.draw(st.integers(0, len(schema.features) - 1))
     feature = schema.features[column]
-    wire = data.draw(st.sampled_from([
-        -2, -(1 << 70), feature.cardinality, feature.cardinality + 1,
-        (1 << feature.bits), 1 << 70,
-    ]))
+    assert wire < -1 or wire >= feature.cardinality
     rows = _tile(drawn, numpy_on)
-    position = data.draw(st.integers(0, len(rows) - 1))
+    position += tile % (len(rows) // len(drawn)) * len(drawn)
     bad = list(rows[position])
     bad[column] = wire
     rows[position] = tuple(bad)

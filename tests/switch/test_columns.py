@@ -110,32 +110,39 @@ def test_columns_match_without_numpy(no_numpy):
 # -- group_rows --------------------------------------------------------------
 
 
-def _reference_grouping(rows, start, end):
-    seen, keys, firsts, inverse = {}, [], [], []
-    for i, row in enumerate(rows):
+def _reference_grouping(rows, start, end, indexes=None):
+    """Length-disambiguated dict scan: (keys, lengths, inverse) with
+    groups numbered by first occurrence."""
+    seen, keys, lengths, inverse = {}, [], [], []
+    for i in range(len(rows)) if indexes is None else indexes:
+        row = rows[i]
         sliced = row[start:end] if end is not None else row[start:]
         k = (len(row), sliced)
         if k not in seen:
             seen[k] = len(keys)
             keys.append(sliced)
-            firsts.append(i)
+            lengths.append(len(row))
         inverse.append(seen[k])
-    return keys, firsts, inverse
+    return keys, lengths, inverse
+
+
+def _pool_rows(n, seed, width=20, pool=6):
+    rng = random.Random(seed)
+    cookies = [
+        bytes(rng.getrandbits(8) for _ in range(width)) for _ in range(pool)
+    ]
+    return [cookies[rng.randrange(pool)] for _ in range(n)]
 
 
 @pytest.mark.parametrize("start,end", ((0, None), (1, 18), (2, 10), (5, 5)))
 def test_group_rows_matches_scalar_scan(start, end):
-    rng = random.Random(9)
-    pool = [bytes(rng.getrandbits(8) for _ in range(20)) for _ in range(6)]
     # duplicates, truncations (same prefix, different length), and
     # rows shorter than the slice
-    rows = [pool[rng.randrange(len(pool))] for _ in range(60)]
+    rows = _pool_rows(60, seed=9)
     rows += [row[:7] for row in rows[:5]] + [b"", b"\x00"]
-    keys, firsts, inverse = group_rows(rows, start, end)
-    ref_keys, ref_firsts, ref_inverse = _reference_grouping(rows, start, end)
-    assert keys == ref_keys
-    assert firsts == ref_firsts
-    assert list(inverse) == ref_inverse
+    assert group_rows(rows, start, end) == _reference_grouping(
+        rows, start, end
+    )
 
 
 def test_group_rows_length_disambiguates():
@@ -144,18 +151,75 @@ def test_group_rows_length_disambiguates():
     decode memo)."""
     full = bytes(range(20))
     rows = [full, full[:10], full]
-    keys, firsts, inverse = group_rows(rows, 0, 8)
-    assert list(inverse) == [0, 1, 0]
-    assert firsts == [0, 1]
+    keys, lengths, inverse = group_rows(rows, 0, 8)
+    assert inverse == [0, 1, 0]
+    assert keys == [full[:8], full[:8]]
+    assert lengths == [20, 10]
 
 
 def test_group_rows_no_numpy_identical(no_numpy):
-    rng = random.Random(11)
-    pool = [bytes(rng.getrandbits(8) for _ in range(20)) for _ in range(4)]
-    rows = [pool[rng.randrange(len(pool))] for _ in range(30)]
-    keys, firsts, inverse = group_rows(rows, 1, 18)
-    ref = _reference_grouping(rows, 1, 18)
-    assert (keys, firsts, list(inverse)) == ref
+    rows = _pool_rows(30, seed=11, pool=4)
+    assert group_rows(rows, 1, 18) == _reference_grouping(rows, 1, 18)
+    assert group_rows(PacketColumns(rows), 1, 18) == _reference_grouping(
+        rows, 1, 18
+    )
+
+
+def _matrix(rows):
+    """A matrix-built batch (no per-row bytes held), zero-padded."""
+    import numpy as np
+
+    width = max(map(len, rows))
+    data = np.frombuffer(
+        b"".join(row.ljust(width, b"\0") for row in rows), dtype=np.uint8
+    ).reshape(len(rows), width)
+    return PacketColumns.from_matrix(data, [len(row) for row in rows])
+
+
+@pytest.mark.parametrize("n", (1, 7, 15, 16, 40, 1024))
+@pytest.mark.parametrize("start,end", ((1, 18), (0, None), (19, 30), (25, 30)))
+def test_group_rows_one_grouping_whatever_the_batch_is_built_from(
+    n, start, end
+):
+    """Row list, rows-built columns (below and above VECTOR_MIN_ROWS),
+    uniform matrix and ragged matrix: the same (keys, lengths,
+    inverse), for the whole batch and for an index subset."""
+    uniform = _pool_rows(n, seed=n)
+    ragged = list(uniform)
+    for i in range(0, n, 3):
+        ragged[i] = ragged[i][:10 + i % 4]
+    subset = list(range(0, n, 2))
+    for rows in (uniform, ragged):
+        forms = [rows, PacketColumns(rows)]
+        if numpy_enabled():
+            forms.append(_matrix(rows))
+        for indexes in (None, subset):
+            want = _reference_grouping(rows, start, end, indexes)
+            for form in forms:
+                assert group_rows(form, start, end, indexes) == want
+
+
+def test_group_rows_uniform_matrix_never_materialises_raw():
+    if not numpy_enabled():
+        pytest.skip("matrix-built batches need numpy")
+    rows = _pool_rows(64, seed=3)
+    columns = _matrix(rows)
+    want = _reference_grouping(rows, 1, 18)
+    assert group_rows(columns, 1, 18) == want
+    assert group_rows(columns, 1, 18, list(range(5, 60))) == (
+        _reference_grouping(rows, 1, 18, list(range(5, 60)))
+    )
+    assert columns._raw is None
+    # A ragged matrix has to: its rows' lengths are part of the key.
+    ragged = [row[:12] if i % 5 == 0 else row for i, row in enumerate(rows)]
+    columns = _matrix(ragged)
+    assert group_rows(columns, 1, 18) == _reference_grouping(ragged, 1, 18)
+    assert columns._raw is not None
+
+
+def test_group_rows_takes_bytes_likes():
+    rows = [bytearray(b"abcdef"), memoryview(b"abcdef"), b"abcdeX"]
+    assert group_rows(rows, 0, 5) == ([b"abcde"], [6], [0, 0, 0])
 
 
 # -- hashing / bloom / sketch kernels ---------------------------------------
