@@ -23,18 +23,29 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto.aes import AES, decrypt_cbc, encrypt_cbc_many
+from repro.crypto.aes import (
+    AES,
+    decrypt_cbc,
+    encrypt_cbc_many,
+    encrypt_cbc_matrix,
+    pkcs7_pad_matrix,
+)
+from repro.switch.columns import VECTOR_MIN_ROWS, get_numpy, row_matrix
 
 __all__ = [
     "AggregationPacket",
     "AggregationCodec",
     "SNATCH_SID",
     "ForwardingMode",
+    "check_per_packet_schema",
     "unpack_items",
 ]
 
 SNATCH_SID = 0x5A4E  # "ZN" — the magic identifier
 _MAX_ITEMS = 255
+# The summary byte's top bit is the mode flag; an item value has 48 bits.
+_MAX_COUNTED_ITEMS = 127
+_VALUE_BITS = 48
 
 
 class ForwardingMode:
@@ -54,6 +65,24 @@ class AggregationPacket:
     @property
     def item_count(self) -> int:
         return len(self.items)
+
+
+def check_per_packet_schema(cardinalities: Sequence[int]) -> None:
+    """Raise ``ValueError`` unless every cookie of a schema whose
+    features have these cardinalities fits one per-packet aggregation
+    packet: an item per feature under the 7-bit count, every wire
+    integer inside an item's 48-bit value."""
+    if len(cardinalities) > _MAX_COUNTED_ITEMS:
+        raise ValueError(
+            "%d features exceed the %d items a per-packet aggregation "
+            "packet can count" % (len(cardinalities), _MAX_COUNTED_ITEMS)
+        )
+    for index, cardinality in enumerate(cardinalities):
+        if cardinality > 1 << _VALUE_BITS:
+            raise ValueError(
+                "feature %d has %d values; a per-packet aggregation "
+                "item carries %d bits" % (index, cardinality, _VALUE_BITS)
+            )
 
 
 def unpack_items(body: bytes) -> List[Tuple[int, int]]:
@@ -93,7 +122,7 @@ class AggregationCodec:
         if len(packet.items) > _MAX_ITEMS:
             raise ValueError("too many items: %d" % len(packet.items))
         # Summary byte: mode flag in the top bit, item count in the low 7.
-        if len(packet.items) > 127:
+        if len(packet.items) > _MAX_COUNTED_ITEMS:
             raise ValueError("item count must fit 7 bits with the mode flag")
         mode_bit = 0x80 if packet.mode == ForwardingMode.PERIODICAL else 0x00
         count = len(packet.items) | mode_bit
@@ -102,18 +131,101 @@ class AggregationCodec:
         for tag, value in packet.items:
             if not 0 <= tag <= 0xFFFF:
                 raise ValueError("item tag %d does not fit 16 bits" % tag)
-            if not 0 <= value < (1 << 48):
+            if not 0 <= value < (1 << _VALUE_BITS):
                 raise ValueError("item value %d does not fit 48 bits" % value)
             stack = stack << 64 | tag << 48 | value
         header = SNATCH_SID.to_bytes(2, "big") + bytes([self.app_id, count])
         return header, stack.to_bytes(8 * len(packet.items), "big")
 
+    def draw_ivs(self, count: int) -> bytes:
+        """The next ``count`` CBC IVs from the codec's RNG, end to end:
+        the top byte of each of ``16 * count`` 32-bit Mersenne Twister
+        words (a long draw is filled from its lowest word up) — the
+        bytes, and the generator state afterwards, of ``16 * count``
+        ``getrandbits(8)`` calls, drawn in one."""
+        if count == 0:
+            return b""
+        return self._rng.getrandbits(512 * count).to_bytes(
+            64 * count, "little"
+        )[3::4]
+
     def draw_iv(self) -> bytes:
-        """The next CBC IV from the codec's RNG: the top byte of each
-        of sixteen 32-bit Mersenne Twister words — the bytes, and the
-        generator state afterwards, of sixteen ``getrandbits(8)``
-        calls, drawn in one."""
-        return self._rng.getrandbits(512).to_bytes(64, "little")[3::4]
+        return self.draw_ivs(1)
+
+    def seal_rows(
+        self,
+        rows: Sequence[Tuple[int, ...]],
+        groups: Sequence[int],
+        ivs: bytes,
+    ) -> List[bytes]:
+        """Per-packet payloads straight from wire rows: payload ``k``
+        carries the present features of ``rows[groups[k]]`` as
+        ``(feature index, wire integer)`` items under the IV
+        ``ivs[16 * k:16 * k + 16]`` — byte for byte :meth:`encode` of
+        that :class:`AggregationPacket`, which is never built.  The
+        rows' schema passed :func:`check_per_packet_schema`, so no
+        wire integer is range-checked.  From ``VECTOR_MIN_ROWS``
+        payloads up, with numpy on, the items are one
+        ``index << 48 | wire`` matrix whose big-endian bytes are the
+        data-stacks; below, one big-int pack per unique row.
+        """
+        count = len(groups)
+        if len(ivs) != 16 * count:
+            raise ValueError("need one 16-byte IV per payload")
+        if rows and len(rows[0]) > _MAX_COUNTED_ITEMS:
+            raise ValueError("too many items: %d" % len(rows[0]))
+        head = SNATCH_SID.to_bytes(2, "big") + bytes([self.app_id])
+        np = get_numpy() if count >= VECTOR_MIN_ROWS else None
+        if np is None:
+            packed: List[Tuple[bytes, bytes]] = []
+            for row in rows:
+                stack = items = 0
+                for index, wire in enumerate(row):
+                    if wire >= 0:
+                        stack = stack << 64 | index << _VALUE_BITS | wire
+                        items += 1
+                packed.append(
+                    (head + bytes([items]), stack.to_bytes(8 * items, "big"))
+                )
+            cut = [ivs[at:at + 16] for at in range(0, 16 * count, 16)]
+            encrypted = encrypt_cbc_many(
+                self._aes, cut, [packed[group][1] for group in groups]
+            )
+            return [
+                packed[group][0] + iv + data
+                for group, iv, data in zip(groups, cut, encrypted)
+            ]
+        width = len(rows[0])
+        matrix = row_matrix(np, rows, width)
+        present = matrix >= 0
+        item_counts = present.sum(axis=1)
+        items = matrix | np.arange(width, dtype=np.int64) << _VALUE_BITS
+        if int(item_counts.min()) < width:
+            # A clear bitmap bit somewhere: present items to the front
+            # of their row, in feature order.
+            items = np.take_along_axis(
+                items, np.argsort(~present, axis=1, kind="stable"), axis=1
+            )
+        plain, sizes = pkcs7_pad_matrix(
+            items.astype(">u8").view(np.uint8), 8 * item_counts
+        )
+        pick = np.array(groups)
+        iv_rows = np.frombuffer(ivs, dtype=np.uint8).reshape(count, 16)
+        stride = 20 + plain.shape[1]
+        out = np.empty((count, stride), dtype=np.uint8)
+        out[:, :3] = np.frombuffer(head, dtype=np.uint8)
+        out[:, 3] = item_counts[pick]
+        out[:, 4:20] = iv_rows
+        out[:, 20:] = encrypt_cbc_matrix(
+            self._aes, iv_rows, plain[pick], sizes[pick] // 16
+        )
+        flat = out.tobytes()
+        return [
+            flat[at:at + 20 + size]
+            for at, size in zip(
+                range(0, count * stride, stride), sizes[pick].tolist()
+            )
+        ]
 
     def encode_many(
         self,

@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.aggregation import (
@@ -34,9 +37,13 @@ from repro.core.stats import (
     merge_snapshots,
     min_array_names,
 )
-from repro.crypto.aes import decrypt_cbc_many
+from repro.crypto.aes import (
+    decrypt_cbc_many,
+    decrypt_cbc_matrix,
+    pkcs7_sizes,
+)
 from repro.obs.registry import MetricsRegistry
-from repro.switch.columns import PacketColumns, match_rows
+from repro.switch.columns import BatchView, PacketColumns, match_rows
 from repro.switch.hashing import crc32, crc32_many
 from repro.switch.pipeline import (
     AES_PASS_LATENCY_MS,
@@ -52,7 +59,7 @@ from repro.switch.tables import (
     TableEntry,
 )
 
-__all__ = ["AggSwitch", "AggResult"]
+__all__ = ["AggSwitch", "AggResult", "AggBatchResult"]
 
 # A matched aggregation packet: one table stage plus the AES decrypt.
 _HIT_LATENCY_MS = LINE_RATE_LATENCY_MS + AES_PASS_LATENCY_MS
@@ -89,17 +96,24 @@ def _merge_banks(
 
 def _fold_by_shard(
     banks: List[SwitchStatistics],
-    rows: Sequence[Tuple[int, ...]],
-    shards: Sequence[int],
+    rows: Any,
+    shards: Optional[List[int]],
 ) -> Dict[int, int]:
-    """Fold wire rows into their shard banks, one ``fold_rows`` call
-    per bank; returns the number of rows each touched bank took."""
-    parts: Dict[int, List[Tuple[int, ...]]] = {}
-    for row, shard in zip(rows, shards):
-        parts.setdefault(shard, []).append(row)
-    for shard, part in parts.items():
-        banks[shard].fold_rows(part, [1] * len(part))
-    return {shard: len(part) for shard, part in parts.items()}
+    """Fold wire rows (a tuple list or a row matrix) into their shard
+    banks, one ``fold_rows`` call per bank, banks in first-occurrence
+    order; returns the number of rows each touched bank took.
+    ``shards`` is ``None`` on a single-bank switch."""
+    if shards is None:
+        banks[0].fold_rows(rows)
+        return {0: len(rows)}
+    picks: Dict[int, List[int]] = {}
+    for k, shard in enumerate(shards):
+        picks.setdefault(shard, []).append(k)
+    for shard, ks in picks.items():
+        banks[shard].fold_rows(
+            [rows[k] for k in ks] if isinstance(rows, list) else rows[ks]
+        )
+    return {shard: len(ks) for shard, ks in picks.items()}
 
 
 def _wire_row(
@@ -125,11 +139,101 @@ def _wire_row(
     return tuple(row)
 
 
+def _parse_payloads(
+    app: _AggApp, columns: PacketColumns, idxs: List[int]
+) -> Tuple[List[int], Any, List[Tuple[int, int, int, bytes]]]:
+    """The parse kernel: decrypt the payloads at batch positions
+    ``idxs`` (all matched to ``app``) and parse every per-packet
+    data-stack to its wire row.  Returns ``(merged, rows, snapshots)``:
+    the batch positions of the payloads that carry a valid row, those
+    rows in the same order (a tuple list, or an ``(n, F)`` int64 matrix
+    in the numpy form), and per periodical payload that decrypted
+    ``(batch position, valid rows before it, summary byte, body)``.
+    Every other payload is a decode failure, rejected exactly where
+    the scalar action rejects it (see :func:`_wire_row`).  The numpy
+    form (a matrix batch: ``VECTOR_MIN_ROWS`` payloads up) works per
+    distinct payload length on the matrix slice: one CBC pass, the
+    padding and the reject conditions as column masks.
+    """
+    cards = [feature.cardinality for feature in app.schema.features]
+    np = columns.kernels()
+    if np is None:
+        merged: List[int] = []
+        snapshots: List[Tuple[int, int, int, bytes]] = []
+        raws = columns.raw
+        # The header checks the scalar decode performs are already
+        # guaranteed by the match mask, all but the length.
+        long_enough = [i for i in idxs if len(raws[i]) >= 4 + 16 + 16]
+        bodies = decrypt_cbc_many(
+            app.codec.aes,
+            [raws[i][4:20] for i in long_enough],
+            [raws[i][20:] for i in long_enough],
+        )
+        rows: Any = []
+        for i, body in zip(long_enough, bodies):
+            if body is None:
+                continue  # corrupt CBC
+            count_byte = raws[i][3]
+            if count_byte & 0x80:
+                snapshots.append((i, len(rows), count_byte, body))
+                continue
+            row = _wire_row(cards, body, count_byte)
+            if row is not None:
+                merged.append(i)
+                rows.append(row)
+        return merged, rows, snapshots
+    picks = np.array(idxs)
+    lengths = columns.lengths[picks]
+    matrix = np.full((len(idxs), len(cards)), -1, dtype=np.int64)
+    valid = np.zeros(len(idxs), dtype=bool)
+    periodicals: List[Tuple[int, int, bytes]] = []
+    # One limit past the schema: an index outside it clamps there and
+    # no wire integer is below 0.
+    limits = np.array(
+        [min(card, 1 << 48) for card in cards] + [0], dtype=np.uint64
+    )
+    # Distinct lengths through a set: numpy's ``unique`` imports
+    # numpy.ma on its first call, 30 ms inside a fresh process.
+    for length in set(lengths.tolist()):
+        if length < 4 + 16 + 16 or length % 16 != 4:
+            continue
+        at = np.flatnonzero(lengths == length)
+        framed = columns.data[picks[at], :length]
+        plain = decrypt_cbc_matrix(app.codec.aes, framed[:, 4:])
+        sizes = pkcs7_sizes(plain)
+        count_byte = framed[:, 3]
+        periodical = count_byte >= 0x80
+        for k in np.flatnonzero(periodical & (sizes >= 0)).tolist():
+            periodicals.append((
+                int(at[k]), int(count_byte[k]), plain[k, :sizes[k]].tobytes()
+            ))
+        words = plain.view(">u8").astype(np.uint64)
+        wire = words & np.uint64((1 << 48) - 1)
+        index = np.minimum(words >> np.uint64(48), len(cards)).astype(np.intp)
+        live = np.arange(words.shape[1]) < count_byte[:, None]
+        good = np.flatnonzero(
+            ~periodical & (sizes == 8 * count_byte.astype(np.int64))
+            & ~(live & (wire >= limits[index])).any(axis=1)
+        )
+        valid[at[good]] = True
+        wire = wire.astype(np.int64)
+        # Item position by item position: a later duplicate wins.
+        for slot in range(int(count_byte[good].max(initial=0))):
+            has = good[count_byte[good] > slot]
+            matrix[at[has], index[has, slot]] = wire[has, slot]
+    before = np.cumsum(valid)
+    return picks[valid].tolist(), matrix[valid], [
+        (idxs[k], int(before[k]), count_byte, body)
+        for k, count_byte, body in sorted(periodicals)
+    ]
+
+
 class _RunTrail:
     """What one folded run of per-packet rows leaves behind so that a
     forward report (the merged state at one row's own merge point) can
     be rendered if somebody asks: the banks' pre-run snapshots, the
-    rows and their shards.  Rows are replayed into scratch banks up to
+    rows (as parsed: a slice of the batch's row matrix or tuple list)
+    and their shards.  Rows are replayed into scratch banks up to
     the asked position; a cursor makes reading a run's reports in
     order one 1-row fold each, and asking backwards restarts from the
     base snapshots."""
@@ -141,8 +245,8 @@ class _RunTrail:
     def __init__(
         self,
         app: _AggApp,
-        rows: List[Tuple[int, ...]],
-        shards: List[int],
+        rows: Any,
+        shards: Optional[List[int]],
         sram_bits: int,
     ):
         self.app = app
@@ -170,7 +274,7 @@ class _RunTrail:
         _fold_by_shard(
             self._banks,
             self.rows[self._cursor:position + 1],
-            self.shards[self._cursor:position + 1],
+            self.shards and self.shards[self._cursor:position + 1],
         )
         self._cursor = position + 1
         return app.stats.report_from_snapshot(
@@ -201,6 +305,73 @@ class AggResult:
         self.forward_report = trail.report_at(position)
         self._pending = None
         return self.forward_report
+
+
+class AggBatchResult(BatchView):
+    """Outcome of one :meth:`AggSwitch.process_columnar` batch, the
+    mirror of :class:`~repro.core.larkswitch.LarkBatchResult`.
+
+    Streaming callers read ``merged`` (how many payloads reached the
+    registers), settled before the call returns.  The batch is also
+    the sequence of its per-payload :class:`AggResult` s — what
+    :meth:`AggSwitch.process_packet` returns payload by payload, a
+    per-packet row's forward report still rendered on its own first
+    read — built on first use (:class:`~repro.switch.columns.BatchView`).
+    """
+
+    __slots__ = ("merged",)
+
+    def __init__(
+        self,
+        n: int,
+        merged: int,
+        parts: Tuple[Any, ...] = (),
+        results: Optional[List[AggResult]] = None,
+    ):
+        # parts: (SID column, matched batch positions per application,
+        # folded runs as (trail, batch positions, destination), merged
+        # periodical payloads as (batch position, report, destination)).
+        super().__init__(n, parts, results)
+        self.merged = merged
+
+    @classmethod
+    def of(cls, results: List[AggResult]) -> "AggBatchResult":
+        """The batch form of results that exist already (the scalar
+        interpreter produced them, or the switch is down)."""
+        return cls(
+            len(results), sum(r.merged for r in results), results=results
+        )
+
+    def _render(self) -> List[AggResult]:
+        sids, hits, runs, snapshots = self._parts
+        out: List[Any] = [None] * self.n
+        for trail, run, destination in runs:
+            for position, i in enumerate(run):
+                # Positional (field order: is_aggregation, merged,
+                # latency_ms, forward_report, destination, _pending).
+                # The report renders on first read.
+                result = out[i] = AggResult(
+                    True, True, _HIT_LATENCY_MS, None, destination,
+                    (trail, position),
+                )
+                del result.forward_report
+        for i, report, destination in snapshots:
+            out[i] = AggResult(
+                True, True, _HIT_LATENCY_MS, report, destination
+            )
+        for idxs in hits:
+            for i in idxs:
+                if out[i] is None:  # matched, then failed to decode
+                    out[i] = AggResult(True, False, _HIT_LATENCY_MS)
+        return [
+            AggResult(
+                int(sids[i]) == SNATCH_SID, False, LINE_RATE_LATENCY_MS
+            ) if result is None else result
+            for i, result in enumerate(out)
+        ]
+
+    def __repr__(self) -> str:
+        return "AggBatchResult(n=%d, merged=%d)" % (self.n, self.merged)
 
 
 class AggSwitch:
@@ -491,33 +662,35 @@ class AggSwitch:
         self._columnar_plan = key
         return True
 
-    def process_columnar(self, payloads: Sequence[bytes]) -> List[AggResult]:
+    def process_columnar(self, payloads: Sequence[bytes]) -> AggBatchResult:
         """Columnar fast path over a batch of analytics-bound packets.
 
         Bit-identical to calling :meth:`process_packet` once per
         element in order: header fields and shard hashes are extracted
-        as columns, every matched payload's CBC body is decrypted in
-        one batched AES pass, each run of consecutive per-packet rows
-        of an app folds at once (:meth:`_fold_run`), and a periodical
-        payload folds in its own place between runs.  Each forward
-        report still reflects the merged state at that packet's own
-        merge point; a per-packet row's is rendered when first read.
-        The column, CRC, AES and fold kernels each pick their numpy or
-        Python form; only a reshaped pipeline leaves this path, for
+        as columns, every matched payload is decrypted and parsed to a
+        wire row in one kernel (:func:`_parse_payloads`), each run of
+        consecutive per-packet rows of an app folds at once
+        (:meth:`_fold_run`), and a periodical payload folds in its own
+        place between runs.  Each forward report still reflects the
+        merged state at that packet's own merge point; the per-payload
+        results, a per-packet row's report included, are the returned
+        batch's lazy view.
+        The column, CRC, parse and fold kernels each pick their numpy
+        or Python form; only a reshaped pipeline leaves this path, for
         the interpreter.
         """
         if not self.alive:
-            return [
-                AggResult(is_aggregation=False, merged=False, latency_ms=0.0)
-                for _ in payloads
-            ]
+            return AggBatchResult.of(
+                [AggResult(False, False, 0.0) for _ in payloads]
+            )
         if not self._columnar_ready():
-            return [self.process_packet(bytes(p)) for p in payloads]
+            return AggBatchResult.of(
+                [self.process_packet(bytes(p)) for p in payloads]
+            )
         columns = (
             payloads if isinstance(payloads, PacketColumns)
             else PacketColumns(payloads)
         )
-        raws = columns.raw
         n = columns.n
         pipe = self.pipeline
         self._m_packets.inc(n)
@@ -533,117 +706,85 @@ class AggSwitch:
             if not isinstance(crcs, list):
                 crcs = crcs.tolist()
             shard_column = [crc % self.shards for crc in crcs]
-        matched = [False] * n
-        # Filled per merged payload below; the rest after the folds.
-        results: List[Optional[AggResult]] = [None] * n
-        hit_count = 0
+        hits: List[List[int]] = []
+        runs: List[Tuple[_RunTrail, List[int], str]] = []
+        snapshots: List[Tuple[int, Dict[str, Any], str]] = []
+        merged_count = 0
         for app_id, app in self._apps.items():
             idxs = match_rows((sids, app_ids), (SNATCH_SID, app_id))
             if not idxs:
                 continue
-            hit_count += len(idxs)
-            sub = [raws[i] for i in idxs]
-            # One batched CBC pass over every long-enough payload; the
-            # header checks the scalar decode performs are already
-            # guaranteed by the match mask.
-            positions = [
-                j for j, payload in enumerate(sub)
-                if len(payload) >= 4 + 16 + 16
-            ]
-            bodies = decrypt_cbc_many(
-                app.codec.aes,
-                [sub[j][4:20] for j in positions],
-                [sub[j][20:] for j in positions],
-            )
-            body_at = dict(zip(positions, bodies))
-            cards = [feature.cardinality for feature in app.schema.features]
-            # The pending run: consecutive per-packet rows of this app
-            # (batch positions and wire rows), folded in one go.
-            run: List[int] = []
-            rows: List[Tuple[int, ...]] = []
-            for j, i in enumerate(idxs):
-                matched[i] = True
-                body = body_at.get(j)
-                if body is None:
-                    continue  # too short or corrupt CBC: decode failure
-                count_byte = sub[j][3]
-                if not count_byte & 0x80:
-                    row = _wire_row(cards, body, count_byte)
-                    if row is not None:
-                        run.append(i)
-                        rows.append(row)
-                    continue
+            hits.append(idxs)
+            merged, rows, periodical = _parse_payloads(app, columns, idxs)
+            merged_count += len(merged)
+            done = 0  # rows[:done] are folded
+            for i, before, count_byte, body in periodical:
                 # A periodical snapshot merge reads the bank, so the
                 # run before it folds first: packet order is preserved.
-                if run:
-                    self._fold_run(app, run, rows, shard_column, results)
-                    run, rows = [], []
+                if before > done:
+                    runs.append(self._fold_run(
+                        app, merged[done:before], rows[done:before],
+                        shard_column,
+                    ))
+                    done = before
                 try:
                     packet = app.codec.packet_from_body(body, count_byte)
                 except ValueError:
                     continue  # malformed data-stack: decode failure
                 report = self._fold_packet(
-                    app, raws[i], packet,
+                    app, columns.raw[i], packet,
                     shard=shard_column[i] if shard_column is not None else 0,
                 )
                 if report is not None:
-                    results[i] = AggResult(
-                        is_aggregation=True,
-                        merged=True,
-                        latency_ms=_HIT_LATENCY_MS,
-                        forward_report=report,
-                        destination=app.destination,
-                    )
-            if run:
-                self._fold_run(app, run, rows, shard_column, results)
+                    snapshots.append((i, report, app.destination))
+            if len(merged) > done:
+                runs.append(self._fold_run(
+                    app, merged[done:], rows[done:], shard_column
+                ))
+        merged_count += len(snapshots)
+        hit_count = sum(map(len, hits))
         hit_meter, miss_meter = pipe._stage_meters[0]
         table.hits += hit_count
         hit_meter.inc(hit_count)
         miss_meter.inc(n - hit_count)
-        pipe._m_latency_us.observe_many(
-            LINE_RATE_LATENCY_MS * 1000.0, n - hit_count
-        )
-        pipe._m_latency_us.observe_many(_HIT_LATENCY_MS * 1000.0, hit_count)
-        failure_count = 0
-        total_latency_us = 0.0
-        for i in range(n):
-            if not matched[i]:
-                total_latency_us += LINE_RATE_LATENCY_MS * 1000.0
-                results[i] = AggResult(
-                    is_aggregation=int(sids[i]) == SNATCH_SID,
-                    merged=False,
-                    latency_ms=LINE_RATE_LATENCY_MS,
-                )
-                continue
-            total_latency_us += _HIT_LATENCY_MS * 1000.0
-            if results[i] is None:
-                failure_count += 1
-                results[i] = AggResult(
-                    is_aggregation=True,
-                    merged=False,
-                    latency_ms=_HIT_LATENCY_MS,
-                )
-        self._m_decode_failures.inc(failure_count)
+        line_us = LINE_RATE_LATENCY_MS * 1000.0
+        hit_us = _HIT_LATENCY_MS * 1000.0
+        pipe._m_latency_us.observe_many(line_us, n - hit_count)
+        pipe._m_latency_us.observe_many(hit_us, hit_count)
+        self._m_decode_failures.inc(hit_count - merged_count)
         pipe._m_batches.inc()
         pipe._m_batch_size.observe(n)
-        pipe._m_batch_latency_us.observe(total_latency_us)
-        return results
+        # The batch latency is the per-payload latencies added up one
+        # after another in payload order (n * hit_us differs from that
+        # in the last bits), here without a Python-level loop.
+        latency_of = dict.fromkeys(
+            zip(repeat(SNATCH_SID), self._apps), hit_us
+        )
+        if not isinstance(sids, list):
+            sids, app_ids = sids.tolist(), app_ids.tolist()
+        pipe._m_batch_latency_us.observe(reduce(
+            add, map(latency_of.get, zip(sids, app_ids), repeat(line_us)),
+            0.0,
+        ))
+        return AggBatchResult(
+            n, merged_count, (sids, hits, runs, snapshots)
+        )
 
     def _fold_run(
         self,
         app: _AggApp,
         run: List[int],
-        rows: List[Tuple[int, ...]],
+        rows: Any,
         shard_column: Optional[List[int]],
-        results: List[Optional[AggResult]],
-    ) -> None:
+    ) -> Tuple[_RunTrail, List[int], str]:
         """Fold one run of validated per-packet wire rows (``run``
         holds their batch positions) — one ``fold_rows`` per shard
-        bank, counters bumped once — and leave each row a result whose
-        forward report renders on demand from the run's trail."""
+        bank, counters bumped once — and return what renders each
+        row's result on demand: the run's trail, the positions, the
+        destination."""
         shards = (
             [shard_column[i] for i in run]
-            if shard_column is not None else [0] * len(run)
+            if shard_column is not None else None
         )
         trail = _RunTrail(
             app, rows, shards, self.pipeline.registers.sram_budget_bits
@@ -651,18 +792,10 @@ class AggSwitch:
         for shard, count in _fold_by_shard(app.banks, rows, shards).items():
             self._m_shard_occupancy[shard].inc(count)
         app.merged_cache = None
-        app.packets_merged += len(rows)
-        self._m_register_updates.inc(len(rows))
-        self._m_per_packet_merges.inc(len(rows))
-        for position, i in enumerate(run):
-            result = results[i] = AggResult(
-                is_aggregation=True,
-                merged=True,
-                latency_ms=_HIT_LATENCY_MS,
-                destination=app.destination,
-                _pending=(trail, position),
-            )
-            del result.forward_report
+        app.packets_merged += len(run)
+        self._m_register_updates.inc(len(run))
+        self._m_per_packet_merges.inc(len(run))
+        return trail, run, app.destination
 
     def _to_agg_result(self, result: Any) -> AggResult:
         merged_app = result.phv.metadata.get("merged_app")

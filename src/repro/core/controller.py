@@ -37,7 +37,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.aggregation import ForwardingMode
+from repro.core.aggregation import ForwardingMode, check_per_packet_schema
 from repro.core.schema import CookieSchema, Feature
 from repro.core.stats import StatSpec
 from repro.crypto.keys import AES128_KEY_LEN
@@ -137,6 +137,17 @@ class SnatchController:
         app_id = self._rng.choice(available)
         self._used_app_ids.add(app_id)
         return app_id
+
+    @staticmethod
+    def _check_carriable(transport_schema: CookieSchema, mode: str) -> None:
+        """Refuse, before an application-ID is drawn or any tier is
+        touched, a per-packet application whose cookies the LarkSwitch
+        could not forward (it would refuse the registration after the
+        AggSwitch had accepted it)."""
+        if mode == ForwardingMode.PER_PACKET:
+            check_per_packet_schema(
+                [feature.cardinality for feature in transport_schema.features]
+            )
 
     def _new_key(self) -> bytes:
         return bytes(
@@ -238,6 +249,7 @@ class SnatchController:
             raise ValueError("application %r already exists" % name)
         schema = CookieSchema(name, tuple(features))
         transport_schema, overflow = schema.split_for_transport()
+        self._check_carriable(transport_schema, mode)
         handle = ApplicationHandle(
             name=name,
             app_id=self._new_app_id(),
@@ -300,6 +312,7 @@ class SnatchController:
         new_period = period_ms if period_ms is not None else old.period_ms
         if new_mode == ForwardingMode.PERIODICAL and new_period <= 0:
             raise ValueError("periodical forwarding needs a positive period")
+        self._check_carriable(transport_schema, new_mode)
         handle = ApplicationHandle(
             name=name,
             app_id=self._new_app_id(),

@@ -26,14 +26,15 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import add
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.aggregation import (
     AggregationCodec,
     AggregationPacket,
     ForwardingMode,
+    check_per_packet_schema,
 )
 from repro.core.schema import CookieSchema
 from repro.core.stats import (
@@ -55,6 +56,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.quic.connection_id import ConnectionID, MAX_CONNECTION_ID_BYTES
 from repro.switch.bloom import BloomFilter
 from repro.switch.columns import (
+    BatchView,
     PacketColumns,
     group_counts,
     group_rows,
@@ -183,7 +185,7 @@ _UNKNOWN = object()  # decode-memo miss (None is a memoised failure)
 _HIT_LATENCY_MS = LINE_RATE_LATENCY_MS + AES_PASS_LATENCY_MS
 
 
-class LarkBatchResult(Sequence):
+class LarkBatchResult(BatchView):
     """Outcome of one :meth:`LarkSwitch.process_quic_columnar` batch.
 
     Streaming callers read two things, both settled before the call
@@ -194,10 +196,10 @@ class LarkBatchResult(Sequence):
     per-packet :class:`LarkResult` s — exactly what
     :meth:`LarkSwitch.process_quic_packet` returns packet by packet —
     rendered on first use from the per-application columns the switch
-    worked on, then kept: a second read returns the same objects.
+    worked on (:class:`~repro.switch.columns.BatchView`).
     """
 
-    __slots__ = ("n", "payloads", "folded", "_parts", "_results")
+    __slots__ = ("payloads", "folded")
 
     def __init__(
         self,
@@ -207,15 +209,14 @@ class LarkBatchResult(Sequence):
         parts: Sequence[Tuple[Any, ...]] = (),
         results: Optional[List[LarkResult]] = None,
     ):
-        self.n = n
+        # parts, per matched application: (codec, digest columns,
+        # packet indexes, their group ids, per-group wire rows,
+        # per-group "the next packet folds" flags, whether a fold
+        # leaves the flag set, the application's sealed payloads in
+        # packet order).
+        super().__init__(n, parts, results)
         self.payloads = payloads
         self.folded = folded
-        # Per matched application: (codec, digest columns, packet
-        # indexes, their group ids, per-group wire rows, per-group
-        # "the next packet folds" flags, whether a fold leaves the flag
-        # set, the application's sealed payloads in packet order).
-        self._parts = parts
-        self._results = results
 
     @classmethod
     def of(cls, results: List[LarkResult]) -> "LarkBatchResult":
@@ -230,13 +231,6 @@ class LarkBatchResult(Sequence):
             sum(r.folded for r in results),
             results=results,
         )
-
-    def results(self) -> List[LarkResult]:
-        """The per-packet view (rendered once)."""
-        if self._results is None:
-            self._results = self._render()
-            self._parts = ()
-        return self._results
 
     def _render(self) -> List[LarkResult]:
         out: List[Any] = [None] * self.n
@@ -288,23 +282,6 @@ class LarkBatchResult(Sequence):
                 for result in out
             ]
         return out
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, index):
-        return self.results()[index]
-
-    def __iter__(self):
-        return iter(self.results())
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, LarkBatchResult):
-            other = other.results()
-        return self.results() == other
-
-    def __add__(self, other: Iterable[LarkResult]) -> List[LarkResult]:
-        return self.results() + list(other)
 
     def __repr__(self) -> str:
         return "LarkBatchResult(n=%d, folded=%d, payloads=%d)" % (
@@ -403,6 +380,10 @@ class LarkSwitch:
                 for spec in specs
                 for name, size in array_shapes(schema, spec)
             })
+        elif mode == ForwardingMode.PER_PACKET:
+            check_per_packet_schema(
+                [feature.cardinality for feature in schema.features]
+            )
         users = None
         if user_quantiles is not None:
             users = UserEngagementTracker(
@@ -536,20 +517,13 @@ class LarkSwitch:
                 if feature.name in values
             ]
             clone.metadata["aggregation"] = app.agg_codec.encode(
-                self._aggregation_packet(app, items)
+                AggregationPacket(
+                    app_id=app.app_id,
+                    mode=ForwardingMode.PER_PACKET,
+                    items=items,
+                    source=self.name,
+                )
             )
-
-    def _aggregation_packet(
-        self, app: RegisteredApp, items: List[Tuple[int, int]]
-    ) -> AggregationPacket:
-        """The per-packet clone's content: (feature index, wire value)
-        for every feature present in the cookie."""
-        return AggregationPacket(
-            app_id=app.app_id,
-            mode=ForwardingMode.PER_PACKET,
-            items=items,
-            source=self.name,
-        )
 
     def process_quic_packet(self, dcid: ConnectionID) -> LarkResult:
         """Run one QUIC short-header packet through the pipeline."""
@@ -647,23 +621,31 @@ class LarkSwitch:
     def _seal_per_packet(emitting: List[Tuple[Any, ...]]) -> List[bytes]:
         """Seal a batch's per-packet clones: ``emitting`` holds, per
         per-packet application, ``(agg codec, emitting packet indexes,
-        their AggregationPackets, sealed)``; each ``sealed`` list is
-        filled with that application's payloads and all of them are
+        the folded groups' wire rows, each emitting packet's row,
+        sealed)``; each ``sealed`` list is filled with that
+        application's payloads (one ``seal_rows``) and all of them are
         returned in packet order.  Every codec on a switch draws from
-        its one RNG, so the IVs are drawn in global packet order,
-        whichever application a packet belongs to; the encryption is
-        one batched CBC pass per application."""
-        codecs, indexes, packets, sealed = zip(*emitting)
+        its one RNG, so the batch's IVs are one draw in global packet
+        order, dealt out to the applications slot by slot."""
+        codecs, indexes, rows, groups, sealed = zip(*emitting)
+        ivs = codecs[0].draw_ivs(sum(map(len, indexes)))
+        if len(emitting) == 1:
+            sealed[0].extend(codecs[0].seal_rows(rows[0], groups[0], ivs))
+            return list(sealed[0])
         slots = sorted(
             (i, a, k)
             for a, emit_idxs in enumerate(indexes)
             for k, i in enumerate(emit_idxs)
         )
-        ivs: List[List[Any]] = [[None] * len(idxs) for idxs in indexes]
-        for _, a, k in slots:
-            ivs[a][k] = codecs[a].draw_iv()
-        for codec, clones, out, app_ivs in zip(codecs, packets, sealed, ivs):
-            out.extend(codec.encode_many(clones, app_ivs))
+        dealt: List[List[bytes]] = [[] for _ in emitting]
+        for slot, (_, a, _) in enumerate(slots):
+            dealt[a].append(ivs[16 * slot:16 * slot + 16])
+        for codec, app_rows, app_groups, out, app_ivs in zip(
+            codecs, rows, groups, sealed, dealt
+        ):
+            out.extend(
+                codec.seal_rows(app_rows, app_groups, b"".join(app_ivs))
+            )
         return [sealed[a][k] for _, a, k in slots]
 
     def process_quic_columnar(
@@ -678,9 +660,10 @@ class LarkSwitch:
         row with its multiplicity) and every counter is booked from
         the group multiplicities.  Nothing is built per packet unless
         an application forwards per packet: then the payload IVs are
-        drawn in packet order and each application's payloads are
-        sealed in one batched CBC pass.  The per-packet results are
-        the returned batch's lazy view.
+        one draw in packet order and each application's payloads are
+        sealed straight from its groups' wire rows, one batched CBC
+        pass each.  The per-packet results are the returned batch's
+        lazy view.
         The kernels underneath (:mod:`repro.switch.columns`, AES,
         register folds) each pick their numpy or Python form, so this
         is the one fast path with the gate open or closed.  Only a
@@ -716,7 +699,8 @@ class LarkSwitch:
         digest_count = 0
         parts: List[Tuple[Any, ...]] = []
         # Per per-packet application: (agg codec, emitting packet
-        # indexes, their AggregationPackets, its part's sealed list).
+        # indexes, the folded groups' wire rows, each emitting packet's
+        # row, its part's sealed list).
         emitting: List[Tuple[Any, ...]] = []
         for app_id, app in self._apps.items():
             idxs = match_rows((app_column,), (app_id,))
@@ -784,22 +768,18 @@ class LarkSwitch:
                 folds, keep, sealed,
             ))
             if app.mode == ForwardingMode.PER_PACKET:
-                packet_of = {
-                    g: self._aggregation_packet(
-                        app, [(i, w) for i, w in enumerate(row) if w >= 0]
-                    )
-                    for g, row in enumerate(decoded) if folds[g]
-                }
+                # rows[slot_of[g] - 1] is group g's row when it folds.
+                slot_of = list(accumulate(folds))
                 emit_idxs: List[int] = []
-                packets: List[AggregationPacket] = []
+                emit_rows: List[int] = []
                 pending = list(folds)
                 for i, g in zip(idxs, inverse):
                     if pending[g]:
                         pending[g] = keep
                         emit_idxs.append(i)
-                        packets.append(packet_of[g])
+                        emit_rows.append(slot_of[g] - 1)
                 emitting.append(
-                    (app.agg_codec, emit_idxs, packets, sealed)
+                    (app.agg_codec, emit_idxs, rows, emit_rows, sealed)
                 )
         payloads = self._seal_per_packet(emitting) if emitting else []
         hit_meter, miss_meter = pipe._stage_meters[0]

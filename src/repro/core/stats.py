@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.schema import CookieSchema, FeatureType
-from repro.switch.columns import VECTOR_MIN_ROWS, get_numpy
+from repro.switch.columns import VECTOR_MIN_ROWS, get_numpy, row_matrix
 from repro.switch.registers import RegisterFile
 
 __all__ = [
@@ -231,12 +231,14 @@ class SwitchStatistics:
                     self._arrays[spec.name + ".sum"].add(group_index, raw)
                     self._arrays[spec.name + ".count"].add(group_index)
 
-    def fold_rows(self, rows, counts) -> None:
+    def fold_rows(self, rows, counts=None) -> None:
         """Columnar fold: ``rows[i]`` is the wire row of one decoded
         cookie (one int per schema feature in schema order, ``-1``
         where the feature is absent — see
         :meth:`TransportCookieCodec.rows_from_blocks`) and
-        ``counts[i] >= 1`` its multiplicity.
+        ``counts[i] >= 1`` its multiplicity (``None``: one each).
+        ``rows`` is a list of tuples or the same thing as an ``(n, F)``
+        int64 matrix (the AggSwitch parses its payloads to one).
 
         Bit-identical to :meth:`update` called ``counts[i]`` times on
         row ``i``'s decoded values, in any order: counts and sums scale
@@ -247,19 +249,32 @@ class SwitchStatistics:
         spec is one column compare plus one scatter; below, the same
         integer arithmetic runs row by row.
         """
-        if len(rows) != len(counts):
+        n = len(rows)
+        if counts is not None and len(counts) != n:
             raise ValueError(
-                "fold_rows got %d rows but %d counts"
-                % (len(rows), len(counts))
+                "fold_rows got %d rows but %d counts" % (n, len(counts))
             )
-        self.updates += sum(counts)
+        width = len(self.schema.features)
+        matrix = None if isinstance(rows, list) else rows
+        if matrix is not None and (
+            matrix.shape[1:] != (width,) or matrix.dtype.name != "int64"
+        ):
+            raise ValueError(
+                "fold_rows needs an (n, %d) int64 matrix, got %s %s"
+                % (width, matrix.shape, matrix.dtype)
+            )
+        self.updates += n if counts is None else sum(counts)
         np = (
             get_numpy()
-            if len(rows) >= VECTOR_MIN_ROWS and self._rows_fit_int64
+            if n >= VECTOR_MIN_ROWS and self._rows_fit_int64
             else None
         )
         if np is None:
-            for row, times in zip(rows, counts):
+            if matrix is not None:
+                rows = matrix.tolist()
+            for row, times in zip(
+                rows, repeat(1) if counts is None else counts
+            ):
                 for kind, column, by, card, low, array, tally in (
                     self._fold_plan
                 ):
@@ -278,14 +293,13 @@ class SwitchStatistics:
                         if tally is not None:
                             tally.add(group, times)
             return
-        # One flat pass over the ints: about twice as fast as
-        # np.array(rows) on a list of tuples.
-        matrix = np.fromiter(
-            chain.from_iterable(rows), dtype=np.int64,
-            count=len(rows) * len(self.schema.features),
-        ).reshape(len(rows), -1)
-        weights = np.array(counts, dtype=np.int64)
-        ungrouped = np.zeros(len(rows), dtype=np.int64)
+        if matrix is None:
+            matrix = row_matrix(np, rows, width)
+        weights = (
+            np.ones(n, dtype=np.int64) if counts is None
+            else np.array(counts, dtype=np.int64)
+        )
+        ungrouped = np.zeros(n, dtype=np.int64)
         for kind, column, by, card, low, array, tally in self._fold_plan:
             wire = matrix[:, column]
             index = matrix[:, by] if by >= 0 else ungrouped

@@ -38,6 +38,10 @@ __all__ = [
     "decrypt_blocks_many",
     "encrypt_cbc_many",
     "decrypt_cbc_many",
+    "encrypt_cbc_matrix",
+    "decrypt_cbc_matrix",
+    "pkcs7_pad_matrix",
+    "pkcs7_sizes",
     "BLOCK_SIZE",
 ]
 
@@ -454,14 +458,78 @@ def decrypt_blocks_many(cipher: "AES", blocks) -> List[bytes]:
     return _blocks_many(cipher, blocks, True)
 
 
-def encrypt_cbc_many(key, ivs, plaintexts) -> List[bytes]:
-    """CBC-encrypt many (iv, plaintext) pairs at once.
+def pkcs7_pad_matrix(data, sizes):
+    """Matrix form of :func:`pkcs7_pad`: row ``i`` of the uint8 matrix
+    ``data`` cut to ``sizes[i]`` bytes and padded, the pad bytes filled
+    from one column grid.  Returns the padded rows, as wide as the
+    longest (what lies past a row's own padded size is never
+    encrypted), and their padded sizes."""
+    np = _numpy()
+    padded = sizes + BLOCK_SIZE - sizes % BLOCK_SIZE
+    width = int(padded.max())
+    out = np.zeros((len(data), width), dtype=np.uint8)
+    kept = min(width, data.shape[1])
+    out[:, :kept] = data[:, :kept]
+    pad = (padded - sizes).astype(np.uint8)
+    return np.where(
+        np.arange(width) < sizes[:, None], out, pad[:, None]
+    ), padded
+
+
+def pkcs7_sizes(padded):
+    """Matrix form of :func:`pkcs7_unpad`: the unpadded byte count of
+    every row of a uint8 matrix (a whole number of blocks wide), ``-1``
+    where the scalar form raises — the last block checked as columns."""
+    np = _numpy()
+    last = padded[:, -1:]
+    pad = last[:, 0].astype(np.int64)
+    # A tail byte either lies before the padding or equals its length.
+    before = np.arange(BLOCK_SIZE, 0, -1) > pad[:, None]
+    intact = ((padded[:, -BLOCK_SIZE:] == last) | before).all(axis=1)
+    valid = (pad >= 1) & (pad <= BLOCK_SIZE) & intact
+    return np.where(valid, padded.shape[1] - pad, -1)
+
+
+def encrypt_cbc_matrix(cipher: "AES", ivs, plain, blocks):
+    """CBC over padded rows: ``plain`` is an (n, 16 * B) uint8 matrix
+    of which row ``i`` holds ``blocks[i]`` blocks, ``ivs`` (n, 16).
 
     CBC chains sequentially *within* a payload but payloads are
     independent, so the batch runs one matrix AES pass per chain
     position: step ``j`` encrypts block ``j`` of every payload long
-    enough to have one.  Per-element output is bit-identical to
-    :func:`encrypt_cbc`.
+    enough to have one.  Past its last block a row comes back zero.
+    """
+    np = _numpy()
+    n, width = plain.shape
+    plain = plain.reshape(n, -1, BLOCK_SIZE)
+    out = np.zeros_like(plain)
+    prev = ivs
+    for j in range(width // BLOCK_SIZE):
+        active = np.flatnonzero(blocks > j)
+        out[active, j] = _rounds(
+            cipher, plain[active, j] ^ prev[active], False
+        )
+        prev = out[:, j]
+    return out.reshape(n, width)
+
+
+def decrypt_cbc_matrix(cipher: "AES", framed):
+    """CBC-decrypt equal-length payloads in one AES pass: every row of
+    the uint8 matrix ``framed`` is ``IV | ciphertext`` (16 + 16 * B
+    bytes), so block ``j``'s chaining value is the 16 bytes before it
+    in the same row.  Returns the still-padded plaintext rows."""
+    n, width = framed.shape
+    state = framed[:, BLOCK_SIZE:].reshape(-1, BLOCK_SIZE)
+    prev = framed[:, :-BLOCK_SIZE].reshape(-1, BLOCK_SIZE)
+    return (_rounds(cipher, state, True) ^ prev).reshape(
+        n, width - BLOCK_SIZE
+    )
+
+
+def encrypt_cbc_many(key, ivs, plaintexts) -> List[bytes]:
+    """CBC-encrypt many (iv, plaintext) pairs at once through
+    :func:`encrypt_cbc_matrix`.  Per-element output is bit-identical
+    to :func:`encrypt_cbc`.
     """
     cipher = _as_cipher(key)
     if len(ivs) != len(plaintexts):
@@ -477,21 +545,15 @@ def encrypt_cbc_many(key, ivs, plaintexts) -> List[bytes]:
     padded = [pkcs7_pad(pt) for pt in plaintexts]
     sizes = [len(p) for p in padded]
     n, width = len(padded), max(sizes)
-    # Rows zero-filled to the longest payload; the fill is never
-    # encrypted (a row leaves the active set after its last block).
     plain = np.frombuffer(
         b"".join(p.ljust(width, b"\0") for p in padded), dtype=np.uint8
-    ).reshape(n, width // BLOCK_SIZE, BLOCK_SIZE)
-    out = np.zeros_like(plain)
-    counts = np.array(sizes) // BLOCK_SIZE
-    prev = np.frombuffer(b"".join(ivs), dtype=np.uint8).reshape(n, BLOCK_SIZE)
-    for j in range(width // BLOCK_SIZE):
-        active = np.flatnonzero(counts > j)
-        out[active, j] = _rounds(
-            cipher, plain[active, j] ^ prev[active], False
-        )
-        prev = out[:, j]
-    flat = out.tobytes()
+    ).reshape(n, width)
+    flat = encrypt_cbc_matrix(
+        cipher,
+        np.frombuffer(b"".join(ivs), dtype=np.uint8).reshape(n, BLOCK_SIZE),
+        plain,
+        np.array(sizes) // BLOCK_SIZE,
+    ).tobytes()
     return [flat[i * width:i * width + sizes[i]] for i in range(n)]
 
 

@@ -28,6 +28,9 @@ substrate:
   mapping, one dict scan whatever the batch is built from.
 * :func:`match_rows` / :func:`group_counts` — the exact-match row mask
   and the per-group multiplicities the switch paths fold with.
+* :class:`BatchView` — what a columnar switch entry point returns: the
+  counts its streaming callers read, settled eagerly, and the
+  per-packet results as a sequence rendered on first use.
 
 Every kernel built on top of this module (vectorized CRC, batched AES,
 register scatter ops) is *bit-identical* to its scalar counterpart;
@@ -37,7 +40,9 @@ register scatter ops) is *bit-identical* to its scalar counterpart;
 from __future__ import annotations
 
 import os
-from typing import Any, List, Optional, Sequence, Tuple
+from collections import abc
+from itertools import chain
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - exercised via the no-numpy CI job
     import numpy as _np
@@ -51,6 +56,8 @@ __all__ = [
     "get_numpy",
     "VECTOR_MIN_ROWS",
     "PacketColumns",
+    "BatchView",
+    "row_matrix",
     "group_rows",
     "match_rows",
     "group_counts",
@@ -189,7 +196,7 @@ class PacketColumns:
     def __len__(self) -> int:
         return self.n
 
-    def _kernels(self):
+    def kernels(self):
         """numpy when this batch takes the vectorized kernel forms,
         ``None`` for the Python ones (gate closed, no matrix, or too
         few rows to repay the array set-up)."""
@@ -207,7 +214,7 @@ class PacketColumns:
 
         Returns an int64 array when vectorized, else a list.
         """
-        np = self._kernels()
+        np = self.kernels()
         if np is not None:
             out = np.full(self.n, default, dtype=np.int64)
             mask = self.lengths > index
@@ -220,7 +227,7 @@ class PacketColumns:
 
     def be16_column(self, index: int, default: int = 0):
         """Big-endian 16-bit field at ``index`` (``default`` if short)."""
-        np = self._kernels()
+        np = self.kernels()
         if np is not None:
             out = np.full(self.n, default, dtype=np.int64)
             mask = self.lengths >= index + 2
@@ -234,6 +241,65 @@ class PacketColumns:
             if len(row) >= index + 2 else default
             for row in self.raw
         ]
+
+
+def row_matrix(np, rows: Sequence[Sequence[int]], width: int):
+    """Equal-width integer rows (wire rows) as an ``(n, width)`` int64
+    matrix.  One flat pass over the ints: about twice as fast as
+    ``np.array(rows)`` on a list of tuples."""
+    return np.fromiter(
+        chain.from_iterable(rows), dtype=np.int64, count=len(rows) * width
+    ).reshape(len(rows), width)
+
+
+class BatchView(abc.Sequence):
+    """Outcome of one columnar switch call, as a sequence.
+
+    A subclass settles the counts its streaming callers read before
+    the call returns, keeps in ``_parts`` whatever columns its
+    ``_render()`` needs, and *is* the sequence of the batch's
+    per-packet results — exactly what the scalar entry point returns
+    packet by packet — rendered on first use, then kept: a second read
+    returns the same objects.  ``len``, int / negative / slice
+    indexing, iteration, ``in`` / ``index``, ``==`` against a list or
+    another batch and ``+`` with a list all work; truth is non-empty.
+    """
+
+    __slots__ = ("n", "_parts", "_results")
+
+    def __init__(
+        self, n: int, parts: Any = (), results: Optional[List[Any]] = None
+    ):
+        self.n = n
+        self._parts = parts
+        self._results = results
+
+    def _render(self) -> List[Any]:
+        raise NotImplementedError
+
+    def results(self) -> List[Any]:
+        """The per-packet view (rendered once)."""
+        if self._results is None:
+            self._results = self._render()
+            self._parts = ()
+        return self._results
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, index):
+        return self.results()[index]
+
+    def __iter__(self):
+        return iter(self.results())
+
+    def __eq__(self, other: Any) -> bool:
+        if isinstance(other, BatchView):
+            other = other.results()
+        return self.results() == other
+
+    def __add__(self, other: Iterable[Any]) -> List[Any]:
+        return self.results() + list(other)
 
 
 def group_rows(

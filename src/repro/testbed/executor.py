@@ -211,8 +211,8 @@ class Replica:
         self._injector = None
         self._batch = 0
         # Each entry folds one chunk and returns how many of its rows
-        # reached the registers (LarkResult.folded / AggResult.merged:
-        # flags, so no lazily rendered field is read).  Rows arrive as
+        # reached the registers (the batch results' eager counts: no
+        # per-packet result is rendered).  Rows arrive as
         # bytes-likes (list slices inline, ring views in a worker); the
         # columnar kernels take the chunk as it comes.
         if self.spec.kind == "lark":
@@ -232,8 +232,8 @@ class Replica:
                 "scalar": lambda rows: sum(
                     switch.process_packet(bytes(r)).merged for r in rows
                 ),
-                "columnar": lambda rows: sum(
-                    r.merged for r in switch.process_columnar(rows)
+                "columnar": lambda rows: (
+                    switch.process_columnar(rows).merged
                 ),
             }
 

@@ -37,7 +37,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.aggregation import ForwardingMode
-from repro.core.aggswitch import AggSwitch
+from repro.core.aggswitch import AggBatchResult, AggSwitch
 from repro.core.cookie_cache import CookieEncodeCache
 from repro.core.larkswitch import LarkSwitch
 from repro.core.transport_cookie import TransportCookieCodec
@@ -508,9 +508,11 @@ class StreamingPipeline:
             out.append(payload)
         return out
 
-    def _agg_process(self, payloads: List[bytes]) -> List[Any]:
+    def _agg_process(self, payloads: List[bytes]) -> AggBatchResult:
         if self.backend == "scalar":
-            return [self.agg.process_packet(p) for p in payloads]
+            return AggBatchResult.of(
+                [self.agg.process_packet(p) for p in payloads]
+            )
         return self.agg.process_columnar(payloads)
 
     def _dispatch(
@@ -558,17 +560,21 @@ class StreamingPipeline:
         # A poison payload (the entry point raises on it) cannot abort
         # the run; it and every merely undecodable payload — all that
         # reach this stage are aggregation-bound — are dead letters.
-        results, dead = process_isolated(self._agg_process, payloads)
-        merged = sum(1 for r in results if r.merged)
+        batches, dead = process_isolated(
+            lambda chunk: [self._agg_process(chunk)], payloads
+        )
+        merged = sum(batch.merged for batch in batches)
         self._merged += merged
-        dead += len(results) - merged
+        dead += sum(map(len, batches)) - merged
         if dead:
             self.dead_letters += dead
             self.registry.counter("pipeline.dead_letters").inc(dead)
-        # Results are kept only for a caller that asked: a per-packet
-        # stream has one per event (each pinning its run's trail).
+        # Results are rendered and kept only for a caller that asked: a
+        # per-packet stream has one per event (each pinning its run's
+        # trail).
         if out is not None:
-            out.extend(results)
+            for batch in batches:
+                out.extend(batch)
 
     # -- run ---------------------------------------------------------------
 

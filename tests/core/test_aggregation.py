@@ -119,16 +119,17 @@ class TestValidation:
             AggregationCodec(999, KEY)
 
 
-class TestEncodeMany:
-    @pytest.fixture(params=(True, False), ids=("numpy", "python"))
-    def kernel_form(self, request):
-        previous = columns._FORCED
-        columns.force_numpy(request.param)
-        try:
-            yield
-        finally:
-            columns._FORCED = previous
+@pytest.fixture(params=(True, False), ids=("numpy", "python"))
+def kernel_form(request):
+    previous = columns._FORCED
+    columns.force_numpy(request.param)
+    try:
+        yield
+    finally:
+        columns._FORCED = previous
 
+
+class TestEncodeMany:
     def _packets(self):
         shared = _packet([(0, 1), (1, 2), (2, 3)])
         return [
@@ -240,3 +241,93 @@ class TestDrawIv:
                 reference.getrandbits(8) for _ in range(16)
             )
             assert codec._rng.getstate() == reference.getstate()
+
+
+class TestDrawIvs:
+    """The batch draw is the same stream: ``m`` IVs in one
+    ``getrandbits`` are the bytes, and leave the generator where, ``m``
+    ``draw_iv()`` calls do."""
+
+    @pytest.mark.parametrize("count", (1, 2, 1000))
+    def test_equals_repeated_draw_iv_and_rng_state(self, count):
+        one, many = _codec(seed=9), _codec(seed=9)
+        one.draw_iv(), many.draw_iv()  # mid-stream, not from the seed
+        assert many.draw_ivs(count) == b"".join(
+            one.draw_iv() for _ in range(count)
+        )
+        assert many._rng.getstate() == one._rng.getstate()
+
+    def test_no_ivs_leave_the_rng_alone(self):
+        codec = _codec(seed=9)
+        before = codec._rng.getstate()
+        assert codec.draw_ivs(0) == b""
+        assert codec._rng.getstate() == before
+
+
+class TestSealRows:
+    """``seal_rows`` is ``encode`` of the packet a wire row stands for,
+    byte for byte, in both kernel forms."""
+
+    WIDTH = 5
+
+    def _rows(self):
+        rng = random.Random(77)
+        rows = [
+            tuple(rng.randrange(2**20) for _ in range(self.WIDTH)),  # full
+            (-1,) * self.WIDTH,  # zero items
+            (2**48 - 1, -1, 0, -1, 2**48 - 1),
+            (-1, -1, -1, -1, 7),
+            (3, -1, -1, -1, -1),
+        ]
+        for _ in range(20):  # every item count, hence 3 payload lengths
+            rows.append(tuple(
+                rng.choice((-1, rng.randrange(2**48)))
+                for _ in range(self.WIDTH)
+            ))
+        return rows
+
+    @staticmethod
+    def _expected(codec, rows, groups):
+        return [
+            codec.encode(_packet(
+                [(i, w) for i, w in enumerate(rows[group]) if w >= 0]
+            ))
+            for group in groups
+        ]
+
+    @pytest.mark.parametrize("count", (0, 1, 7, 15, 16, 40, 1024))
+    def test_equals_encode_per_packet_and_rng_state(self, kernel_form, count):
+        rows = self._rows()
+        rng = random.Random(count)
+        groups = [rng.randrange(len(rows)) for _ in range(count)]
+        one, many = _codec(seed=5), _codec(seed=5)
+        sealed = many.seal_rows(rows, groups, many.draw_ivs(count))
+        assert sealed == self._expected(one, rows, groups)
+        assert many._rng.getstate() == one._rng.getstate()
+        assert {len(p) for p in sealed} <= {36, 52, 68}
+
+    @pytest.mark.parametrize("rows", (
+        [(4, 5, 6)], [(-1, -1, -1)], [(1, -1, 2), (-1, -1, -1), (0, 0, 0)],
+    ), ids=("full", "absent", "mixed"))
+    def test_uniform_and_ragged_batches(self, kernel_form, rows):
+        groups = [k % len(rows) for k in range(33)]
+        one, many = _codec(seed=8), _codec(seed=8)
+        assert many.seal_rows(
+            rows, groups, many.draw_ivs(33)
+        ) == self._expected(one, rows, groups)
+
+    def test_the_widest_schema_a_packet_can_count(self, kernel_form):
+        rows = [tuple(range(127)), (-1,) * 126 + (2**48 - 1,)]
+        groups = [0, 1] * 10
+        one, many = _codec(seed=2), _codec(seed=2)
+        sealed = many.seal_rows(rows, groups, many.draw_ivs(20))
+        assert sealed == self._expected(one, rows, groups)
+        assert one.decode(sealed[0]).items[-1] == (126, 126)
+        with pytest.raises(ValueError, match="too many items"):
+            many.seal_rows([tuple(range(128))], [0], many.draw_ivs(1))
+
+    def test_one_iv_per_payload(self, kernel_form):
+        codec = _codec()
+        for count in (1, 20):
+            with pytest.raises(ValueError, match="one 16-byte IV"):
+                codec.seal_rows([(1, 2)], [0] * count, bytes(16 * count + 1))

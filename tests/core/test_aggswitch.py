@@ -414,3 +414,304 @@ class TestColumnarRuns:
             "AggResult(is_aggregation=True, merged=True, latency_ms="
         )
         assert lazy != object()
+
+
+# -- hostile payloads through the parse kernel, the batch result --------------
+
+
+def _framed(padded, count_byte, seed, app_id=APP, sid=None):
+    """A payload whose CBC body decrypts to exactly ``padded`` (a
+    whole number of blocks; the padding is the caller's to get right
+    or wrong) under the summary byte ``count_byte``."""
+    from repro.core.aggregation import SNATCH_SID
+
+    codec = AggregationCodec(app_id, KEY, random.Random(seed))
+    prev = iv = codec.draw_iv()
+    body = b""
+    for at in range(0, len(padded), 16):
+        prev = codec.aes.encrypt_block(
+            bytes(a ^ b for a, b in zip(padded[at:at + 16], prev))
+        )
+        body += prev
+    head = (SNATCH_SID if sid is None else sid).to_bytes(2, "big")
+    return head + bytes([app_id, count_byte]) + iv + body
+
+
+def _stack(*items):
+    return b"".join(
+        (index << 48 | wire).to_bytes(8, "big") for index, wire in items
+    )
+
+
+def _pad(body):
+    fill = 16 - len(body) % 16
+    return body + bytes([fill]) * fill
+
+
+def _hostile(valid):
+    """``(kind, payload, merges)``: what a hostile or merely unusual
+    sender can put in the batch, ``valid`` being one good payload."""
+    one, two = _stack((0, 1)), _stack((0, 2), (1, 77))
+    periodical = _periodical_payload(5)
+    torn = bytearray(periodical)
+    torn[3] ^= 1  # a periodical body whose count no longer matches
+    return [
+        ("empty", b"", False),
+        ("sid only", valid[:2], False),
+        ("header only", valid[:4], False),
+        ("35 bytes", valid[:35], False),
+        ("body not whole blocks", valid + b"\x00", False),
+        ("body a byte short", valid[:-1], False),
+        ("pad byte 0", _framed(one + bytes(8), 1, 1), False),
+        ("pad byte 17", _framed(one + b"\x11" * 8, 1, 2), False),
+        ("tail disagrees", _framed(one + b"\x08" * 6 + b"\x07\x08", 1, 3),
+         False),
+        ("full pad block", _framed(_pad(two), 2, 4), True),
+        ("zero items", _framed(_pad(b""), 0, 5), True),
+        ("count too low", _framed(_pad(two), 1, 6), False),
+        ("count too high", _framed(_pad(one), 2, 7), False),
+        ("count 127", _framed(_pad(one), 127, 8), False),
+        ("stack of 12 bytes", _framed(_pad(one + bytes(4)), 1, 9), False),
+        ("index outside schema", _framed(_pad(_stack((2, 0))), 1, 10), False),
+        ("tag with the sign bit", _framed(_pad(_stack((0x8000, 1))), 1, 11),
+         False),
+        ("tag 0xffff", _framed(_pad(_stack((0, 1), (0xFFFF, 1))), 2, 12),
+         False),
+        ("wire outside cardinality", _framed(_pad(_stack((0, 3))), 1, 13),
+         False),
+        ("duplicate index", _framed(
+            _pad(_stack((0, 0), (1, 5), (0, 2))), 3, 14), True),
+        ("duplicate then invalid", _framed(
+            _pad(_stack((0, 1), (0, 3))), 2, 15), False),
+        ("periodical", periodical, True),
+        ("torn periodical", bytes(torn), False),
+        ("periodical, bad padding",
+         _framed(_stack((0, 1)) + bytes(8), 0x81, 16), False),
+        ("foreign sid", _framed(_pad(one), 1, 17, sid=0x1234), False),
+        ("unknown app", _framed(_pad(one), 1, 18, app_id=0x77), False),
+        ("other app", _wide_payloads(1, seed=19, app_id=APP_B)[0], True),
+    ]
+
+
+@pytest.mark.usefixtures("kernel_form")
+class TestHostilePayloads:
+    """The parse kernel rejects exactly where the scalar action does,
+    before any register mutates — as masks over the payload matrix or
+    payload by payload — and a rejected payload is one dead letter."""
+
+    APPS = (APP, APP_B)
+
+    def _batch(self):
+        good = _wide_payloads(30, seed=21)
+        batch = list(good[:6])
+        for position, (_kind, payload, _merges) in enumerate(_hostile(good[0])):
+            batch.append(payload)
+            batch.append(good[6 + position % 24])
+        return batch
+
+    @pytest.mark.parametrize("shards", (1, 3))
+    @pytest.mark.parametrize("read", ("forward", "reverse", "unread"))
+    def test_batch_equals_process_packet_per_element(self, shards, read):
+        batch = self._batch()
+        assert len(batch) > 2 * columns.VECTOR_MIN_ROWS
+        assert len({len(p) for p in batch}) > 6
+        scalar = _wide_agg(shards, self.APPS)
+        expected = [scalar.process_packet(p) for p in batch]
+        hostile = _hostile(batch[0])
+        assert [r.merged for r in expected[6::2]] == [m for *_, m in hostile]
+        # "duplicate index": the later (0, 2) won over (0, 0).
+        winner = expected[6 + 2 * [k for k, *_ in hostile].index(
+            "duplicate index"
+        )]
+        before = expected[expected.index(winner) - 1].forward_report
+        assert winner.forward_report["by_gender"]["x"] == (
+            before["by_gender"]["x"] + 1
+        )
+        columnar = _wide_agg(shards, self.APPS)
+        results = columnar.process_columnar(batch)
+        assert results.merged == sum(r.merged for r in expected)
+        assert results._results is None
+        if read == "forward":
+            for got, want in zip(results, expected):
+                assert got.forward_report == want.forward_report
+        elif read == "reverse":
+            for position in reversed(range(len(batch))):
+                assert results[position] == expected[position]
+        if read != "unread":
+            assert list(results) == expected
+        _assert_same_switch_state(columnar, scalar, self.APPS)
+        for app_id in self.APPS:
+            assert columnar.packets_merged(app_id) == (
+                scalar.packets_merged(app_id)
+            )
+        assert _per_packet_meters(columnar) == _per_packet_meters(scalar)
+        # "sid only" and "unknown app" look like aggregation packets
+        # but miss the table: no decrypt, so no decode failure.
+        failures = sum(r.is_aggregation and not r.merged for r in expected)
+        assert _agg_meters(columnar)["agg.agg.decode_failures"] == failures - 2
+
+    @pytest.mark.parametrize("kind", [k for k, *_ in _hostile(b"\0" * 36)])
+    def test_each_kind_alone_among_good_rows(self, kind):
+        good = _wide_payloads(20, seed=22)
+        (payload, merges), = [
+            (p, m) for k, p, m in _hostile(good[0]) if k == kind
+        ]
+        batch = good[:9] + [payload] + good[9:]
+        scalar, columnar = _wide_agg(2, self.APPS), _wide_agg(2, self.APPS)
+        expected = [scalar.process_packet(p) for p in batch]
+        assert expected[9].merged == merges
+        if not merges:
+            clean = _wide_agg(2, self.APPS)
+            clean.process_columnar(good)
+            assert _registers(scalar) == _registers(clean)
+        results = columnar.process_columnar(batch)
+        assert results.merged == 20 + merges
+        assert results == expected
+        _assert_same_switch_state(columnar, scalar, self.APPS)
+        assert _per_packet_meters(columnar) == _per_packet_meters(scalar)
+
+    def test_numpy_and_python_forms_agree_on_every_meter(self):
+        batch = self._batch()
+        snapshots = []
+        for form in (True, False):
+            columns.force_numpy(form)  # the fixture restores the gate
+            agg = _wide_agg(3, self.APPS)
+            for chunk in (batch[:40], batch[40:47], batch[47:]):
+                agg.process_columnar(chunk)
+            snapshots.append((agg.metrics.snapshot(), _registers(agg)))
+        assert snapshots[0] == snapshots[1]
+
+    @pytest.mark.parametrize("backend", ("scalar", "columnar"))
+    def test_replica_counts_without_rendering_a_result(
+        self, backend, monkeypatch
+    ):
+        from repro.core import aggswitch
+        from repro.testbed.executor import Replica, ShardSpec
+
+        built = []
+
+        class CountedResult(aggswitch.AggResult):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(aggswitch, "AggResult", CountedResult)
+        batch = [p for p in self._batch() if p[2:3] != bytes([APP_B])]
+        scalar = _wide_agg()
+        merged = sum(scalar.process_packet(p).merged for p in batch)
+        replica = Replica(
+            ShardSpec(
+                kind="agg", app_id=APP, schema=_wide_schema(), key=KEY,
+                specs=tuple(_wide_specs()),
+            ),
+            0,
+        )
+        del built[:]
+        replica.feed(batch, backend)
+        assert replica.counters() == {
+            "packets": len(batch), "folded": merged,
+            "unmerged": len(batch) - merged,
+        }
+        assert replica.switch.merge(APP) == scalar.merge(APP)
+        assert bool(built) == (backend == "scalar")
+
+
+def _per_packet_meters(agg):
+    """Every instrument but the per-batch ones (a batch call is one
+    batch; the scalar entry point counts none)."""
+    return [
+        meter for meter in agg.metrics.snapshot()
+        if ".batch" not in meter["name"]
+    ]
+
+
+@pytest.mark.usefixtures("kernel_form")
+class TestBatchResult:
+    def test_is_a_sequence_rendered_once(self):
+        from repro.core.aggswitch import AggBatchResult, AggResult
+
+        payloads = _wide_payloads(40, seed=31)
+        payloads[7] = payloads[7][:-1]
+        scalar, columnar = _wide_agg(2), _wide_agg(2)
+        expected = [scalar.process_packet(p) for p in payloads]
+        batch = columnar.process_columnar(payloads)
+        assert isinstance(batch, AggBatchResult)
+        assert batch.merged == 39 and batch._results is None
+        assert bool(batch) and len(batch) == 40
+        first = list(batch)
+        assert first == expected
+        assert all(a is b for a, b in zip(first, batch))
+        assert batch[3] is first[3] and batch[-37] is first[3]
+        assert batch[5:9] == expected[5:9] and batch[-1] is first[-1]
+        with pytest.raises(IndexError):
+            batch[40]
+        assert batch == expected and expected == batch
+        assert batch != expected[:-1] and not batch == "batch"
+        assert batch == _wide_agg(2).process_columnar(payloads)
+        assert batch + expected == expected * 2
+        grown = list(expected)
+        grown += batch
+        assert grown == expected * 2
+        assert isinstance(batch[0], AggResult)
+        assert repr(batch) == "AggBatchResult(n=40, merged=39)"
+
+    def test_empty_input(self):
+        agg = _wide_agg(2)
+        before = _registers(agg), _per_packet_meters(agg)
+        empty = agg.process_columnar([])
+        assert not empty and len(empty) == 0 and list(empty) == []
+        assert empty.merged == 0 and empty == [] and empty + [] == []
+        # An empty call is still a call (as before): one batch of size 0.
+        assert (_registers(agg), _per_packet_meters(agg)) == before
+        meters = {m["name"]: m for m in agg.metrics.snapshot()}
+        assert meters["pipeline.agg.batches"]["value"] == 1
+        assert meters["pipeline.agg.batch.size"]["total"] == 0
+        assert meters["pipeline.agg.batch.latency_us"]["total"] == 0
+
+    @pytest.mark.parametrize("n", (5, 20))
+    def test_all_table_misses(self, n):
+        from repro.switch.pipeline import LINE_RATE_LATENCY_MS
+
+        good = _wide_payloads(1, seed=32)[0]
+        misses = [
+            b"", b"\x5a", good[:2], b"\x12\x34" + good[2:],
+            good[:2] + b"\x77" + good[3:],
+        ] * (n // 5)
+        scalar, columnar = _wide_agg(), _wide_agg()
+        expected = [scalar.process_packet(p) for p in misses]
+        batch = columnar.process_columnar(misses)
+        assert batch.merged == 0 and bool(batch) and len(batch) == n
+        assert list(batch) == expected
+        assert [r.is_aggregation for r in batch] == [
+            False, False, True, False, True,
+        ] * (n // 5)
+        assert all(
+            not r.merged and r.latency_ms == LINE_RATE_LATENCY_MS
+            for r in batch
+        )
+        assert _per_packet_meters(columnar) == _per_packet_meters(scalar)
+
+    def test_branches_that_hold_a_list_return_the_same_type(self):
+        from repro.core.aggswitch import AggBatchResult
+        from repro.switch.tables import MatchActionTable, MatchKey, MatchKind
+
+        payloads = _wide_payloads(20, seed=33)
+        down = _wide_agg()
+        down.crash()
+        batch = down.process_columnar(payloads)
+        assert isinstance(batch, AggBatchResult) and len(batch) == 20
+        assert batch.merged == 0
+        assert batch == [down.process_packet(p) for p in payloads]
+        scalar, reshaped = _wide_agg(), _wide_agg()
+        reshaped.pipeline.add_table(
+            stage=1,
+            table=MatchActionTable(
+                "extra", keys=[MatchKey("app_id", MatchKind.EXACT, 8)],
+                default_action="NoAction",
+            ),
+        )
+        batch = reshaped.process_columnar(payloads)
+        assert isinstance(batch, AggBatchResult) and batch.merged == 20
+        assert batch == [scalar.process_packet(p) for p in payloads]

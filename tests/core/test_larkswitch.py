@@ -269,3 +269,101 @@ class TestPeriodicalTagLimits:
             key: count for key, count in agg.report(APP)["by"].items() if count
         }
         assert counted == {("c39", "k29"): 5}
+
+
+class TestPerPacketItemLimits:
+    """A per-packet aggregation item is 16 bits of feature index and 48
+    of wire integer, at most 127 to a packet.  A schema beyond that
+    used to register, fold its first wide cookie into the registers
+    and only then raise ``does not fit 48 bits`` out of the data plane
+    (the columnar call after folding the whole batch, emitting
+    nothing)."""
+
+    def _wide(self):
+        schema = CookieSchema("wide", (Feature.number("x", 0, 2**50),))
+        return schema, [StatSpec("x_max", StatKind.MAX, "x")]
+
+    def test_per_packet_registration_is_refused_up_front(self):
+        schema, specs = self._wide()
+        assert schema.fits_transport()
+        lark = LarkSwitch("lark", random.Random(1))
+        with pytest.raises(ValueError, match="feature 0 has .* values"):
+            lark.register_application(APP, schema, KEY, specs)
+        # Nothing was allocated or installed: on both tiers the wide
+        # cookie is an app-table miss and no register exists to move.
+        assert lark.pipeline.registers.used_bits == 0
+        assert lark.registered_app_ids() == []
+        assert len(lark._app_table) == 0
+        codec = TransportCookieCodec(APP, schema, KEY, random.Random(3))
+        cids = [codec.encode({"x": 2**49}) for _ in range(20)]
+        assert not lark.process_quic_packet(cids[0]).matched
+        batch = lark.process_quic_columnar(cids)
+        assert batch.folded == 0 and batch.payloads == []
+        assert not any(r.matched for r in batch)
+        # Periodical forwarding carries register cells, not wire
+        # integers: the same schema registers and folds.
+        lark.register_application(
+            APP, schema, KEY, specs,
+            mode=ForwardingMode.PERIODICAL, period_ms=100,
+        )
+        assert lark.process_quic_columnar(cids).folded == 20
+        assert lark.end_period(APP) is not None
+
+    def test_item_count_limit_is_checked_with_the_value_width(self):
+        # (A transport cookie has room for 64 features, so only the
+        # check itself can see more than the 127 a packet counts.)
+        from repro.core.aggregation import check_per_packet_schema
+
+        check_per_packet_schema([2**48] * 127)
+        with pytest.raises(ValueError, match="128 features"):
+            check_per_packet_schema([2] * 128)
+        with pytest.raises(ValueError, match="feature 3 has"):
+            check_per_packet_schema([2, 2, 2, 2**48 + 1])
+
+    def test_the_limits_themselves_register_and_forward(self):
+        schema = CookieSchema(
+            "edge",
+            (Feature.number("x", 0, 2**48 - 1),)
+            + tuple(
+                Feature.categorical("f%d" % i, ["off", "on"]) for i in range(30)
+            ),
+        )
+        assert schema.features[0].cardinality == 2**48
+        lark = LarkSwitch("lark", random.Random(1))
+        lark.register_application(
+            APP, schema, KEY, [StatSpec("x_max", StatKind.MAX, "x")]
+        )
+        codec = TransportCookieCodec(APP, schema, KEY, random.Random(3))
+        cids = [codec.encode({"x": 2**48 - 1, "f29": "on"})] * 20
+        scalar = lark.process_quic_packet(cids[0]).aggregation_payload
+        items = lark._apps[APP].agg_codec.decode(scalar).items
+        assert items == [(0, 2**48 - 1), (30, 1)]
+        assert all(
+            lark._apps[APP].agg_codec.decode(p).items == items
+            for p in lark.process_quic_columnar(cids).payloads
+        )
+
+    def test_controller_refuses_before_any_tier_is_touched(self):
+        from repro.core.controller import SnatchController
+
+        controller = SnatchController(seed=1)
+        agg = AggSwitch("agg", random.Random(2))
+        lark = LarkSwitch("lark", random.Random(3))
+        controller.attach_agg_switch(agg)
+        controller.attach_lark_switch(lark)
+        schema, specs = self._wide()
+        with pytest.raises(ValueError, match="48 bits"):
+            controller.add_application("wide", list(schema.features), specs)
+        assert agg.registered_app_ids() == lark.registered_app_ids() == []
+        assert controller.applications() == [] and not controller.rpc_log
+        assert not controller._used_app_ids
+        handle = controller.add_application(
+            "wide", list(schema.features), specs,
+            mode=ForwardingMode.PERIODICAL, period_ms=100.0,
+        )
+        with pytest.raises(ValueError, match="48 bits"):
+            controller.update_application(
+                "wide", mode=ForwardingMode.PER_PACKET
+            )
+        assert agg.registered_app_ids() == [handle.app_id]
+        assert lark.registered_app_ids() == [handle.app_id]

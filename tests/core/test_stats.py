@@ -254,6 +254,62 @@ class TestFoldRows:
         with pytest.raises(ValueError, match="2 rows but 1 counts"):
             stats.fold_rows([(0, 0, 0), (1, 1, 1)], [1])
 
+    @pytest.mark.parametrize(
+        "rows", (1, columns.VECTOR_MIN_ROWS - 1, columns.VECTOR_MIN_ROWS, 200)
+    )
+    def test_counts_none_means_one_each_and_a_matrix_is_the_same_rows(
+        self, rows
+    ):
+        """``counts=None`` is ``[1] * n``; an ``(n, F)`` int64 matrix
+        folds as the tuple list it holds — it is the list case's own
+        conversion handed in ready-made (the AggSwitch parse), in
+        either kernel form and on both sides of the cut-off."""
+        np = pytest.importorskip("numpy")
+        schema, specs = _fold_schema(), _fold_specs()
+        wire_rows = [_wire_row(schema, v) for v, _ in _fold_cookies(rows)]
+        folds = [
+            SwitchStatistics(schema, specs, RegisterFile(), prefix="p%d" % k)
+            for k in range(4)
+        ]
+        folds[0].fold_rows(wire_rows, [1] * rows)
+        folds[1].fold_rows(wire_rows)
+        folds[2].fold_rows(np.array(wire_rows, dtype=np.int64))
+        folds[3].fold_rows(
+            np.array(wire_rows, dtype=np.int64), list(range(1, rows + 1))
+        )
+        assert folds[1].snapshot() == folds[2].snapshot() == (
+            folds[0].snapshot()
+        )
+        assert [f.updates for f in folds[:3]] == [rows] * 3
+        weighted = SwitchStatistics(schema, specs, RegisterFile(), prefix="w")
+        weighted.fold_rows(wire_rows, list(range(1, rows + 1)))
+        assert folds[3].snapshot() == weighted.snapshot()
+        assert folds[3].updates == weighted.updates
+
+    @pytest.mark.parametrize("rows", (2, 40))
+    def test_a_matrix_of_the_wrong_shape_or_dtype_moves_no_register(
+        self, rows
+    ):
+        np = pytest.importorskip("numpy")
+        stats = SwitchStatistics(
+            _fold_schema(), _fold_specs(), RegisterFile()
+        )
+        before = stats.snapshot()
+        for bad in (
+            np.zeros((rows, 2), dtype=np.int64),
+            np.zeros((rows, 4), dtype=np.int64),
+            np.zeros(rows * 3, dtype=np.int64),
+            np.zeros((rows, 3), dtype=np.float64),
+            np.zeros((rows, 3), dtype=np.uint64),
+            np.zeros((rows, 3), dtype=np.int32),
+            np.zeros((rows, 3), dtype=bool),
+        ):
+            with pytest.raises(ValueError, match=r"\(n, 3\) int64 matrix"):
+                stats.fold_rows(bad)
+            with pytest.raises(ValueError):
+                stats.fold_rows(bad, [1] * rows)
+        assert stats.snapshot() == before and stats.updates == 0
+
     def test_wire_integers_beyond_int64_take_the_row_form(self):
         """A 64-bit feature cannot enter an int64 matrix; the fold must
         still agree with ``update`` at any batch size."""

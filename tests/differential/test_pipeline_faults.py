@@ -110,6 +110,25 @@ class TestDeadLetters:
             kept.merged, kept.dead_letters, kept.report
         )
 
+    def test_columnar_run_counts_off_the_batch_without_a_result(
+        self, monkeypatch
+    ):
+        """``_deliver`` reads ``AggBatchResult.merged``: a columnar
+        per-packet run nobody collects results from builds not one
+        ``AggResult``, and counts what the scalar run counts."""
+        from repro.core import aggswitch
+
+        kwargs = dict(mode=ForwardingMode.PER_PACKET, corrupt_probability=0.2)
+        scalar = _pipe("scalar", **kwargs).run(RATE, DURATION_MS)
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("rendered a per-payload result")
+
+        monkeypatch.setattr(aggswitch, "AggResult", forbidden)
+        columnar = _pipe("columnar", **kwargs).run(RATE, DURATION_MS)
+        assert columnar.dead_letters == scalar.dead_letters > 0
+        assert _observables(columnar) == _observables(scalar)
+
     def test_no_corruption_no_dead_letters(self):
         result = _pipe("columnar").run(RATE, DURATION_MS)
         assert result.dead_letters == 0

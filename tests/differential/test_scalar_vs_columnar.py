@@ -329,6 +329,108 @@ def test_lark_per_packet_payload_bytes_come_from_the_wire_row():
         ]
 
 
+# -- the row sealer: per-packet payloads straight from wire rows -----------
+
+
+def _ragged_cids(wl, app_ids, keys, n, seed):
+    """Cookies carrying anything from every feature to none at all (an
+    all-absent row seals as zero items), so one batch holds payloads of
+    three lengths; a small pool, so most packets repeat a cookie."""
+    rng = random.Random(seed)
+    pool = []
+    for app_id, key in zip(app_ids, keys):
+        codec = TransportCookieCodec(app_id, wl.schema, key, rng)
+        for user in wl.workload.users[:10]:
+            values = user.semantic_values(
+                rng.choice(wl.workload.campaigns), "view"
+            )
+            keep = rng.sample(sorted(values), rng.randrange(len(values) + 1))
+            pool.append(codec.encode({name: values[name] for name in keep}))
+        pool.append(codec.encode({}))
+    return [rng.choice(pool) for _ in range(n)]
+
+
+@pytest.mark.parametrize("size", (1, 7, 15, 16, 40, 1024))
+@pytest.mark.parametrize("dedup", (False, True), ids=("all", "dedup"))
+@pytest.mark.parametrize("apps", (1, 2))
+def test_lark_sealed_payloads_are_the_scalar_encode(apps, dedup, size):
+    """``batch.payloads`` is, in order, what the scalar switch encodes
+    packet by packet from one ``AggregationPacket`` each, and the
+    switch RNG ends where the scalar one does — at batch sizes on both
+    sides of the kernels' cut-off, payloads of several lengths in one
+    batch, with one per-packet application and with two interleaved."""
+    wl = DifferentialWorkload(SEEDS[1], num_users=12)
+    app_ids = (APP_ID, APP_ID + 1)[:apps]
+    keys = [bytes([app_id]) * 16 for app_id in app_ids]
+
+    def new_lark():
+        lark = LarkSwitch(
+            "diff-lark", rng=random.Random(7), registry=MetricsRegistry()
+        )
+        for app_id, key in zip(app_ids, keys):
+            lark.register_application(
+                app_id, wl.schema, key, wl.specs,
+                mode=ForwardingMode.PER_PACKET, dedup=dedup,
+            )
+        return lark
+
+    cids = _ragged_cids(wl, app_ids, keys, max(2 * size, 60), seed=size)
+    scalar, columnar = new_lark(), new_lark()
+    expected = [scalar.process_quic_packet(cid) for cid in cids]
+    payloads = []
+    for chunk in iter_batches(cids, size):
+        payloads.extend(columnar.process_quic_columnar(chunk).payloads)
+    assert payloads == [
+        r.aggregation_payload for r in expected
+        if r.aggregation_payload is not None
+    ]
+    assert len({len(p) for p in payloads}) == 3
+    assert dedup == (len(payloads) < len(cids))
+    assert columnar._rng.getstate() == scalar._rng.getstate()
+    assert register_state(columnar) == register_state(scalar)
+    assert [
+        m for m in columnar.metrics.snapshot() if ".batch" not in m["name"]
+    ] == [m for m in scalar.metrics.snapshot() if ".batch" not in m["name"]]
+
+
+def test_columnar_per_packet_path_builds_no_object_per_payload(monkeypatch):
+    """The structure behind the speed: a per-packet lark batch seals
+    its payloads without one ``AggregationPacket`` or ``_serialise``
+    call, and the AggSwitch folds them without one ``AggResult`` —
+    those exist once somebody reads the batch's view."""
+    from repro.core import aggregation, aggswitch, larkswitch
+
+    wl = DifferentialWorkload(SEEDS[0])
+    cids = wl.cids("uniform", 64)
+    scalar = wl.new_lark(mode=ForwardingMode.PER_PACKET)
+    expected = [scalar.process_quic_packet(cid) for cid in cids]
+    lark, agg = wl.new_lark(mode=ForwardingMode.PER_PACKET), wl.new_agg()
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("built an object per payload")
+
+    built = []
+
+    class CountedResult(aggswitch.AggResult):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(larkswitch, "AggregationPacket", forbidden)
+        patch.setattr(aggregation, "AggregationPacket", forbidden)
+        patch.setattr(aggregation.AggregationCodec, "_serialise", forbidden)
+        patch.setattr(aggswitch, "AggResult", CountedResult)
+        payloads = lark.process_quic_columnar(cids).payloads
+        batch = agg.process_columnar(payloads)
+        assert batch.merged == len(payloads) == 64 and not built
+        assert len(list(batch)) == 64 and len(built) == 64
+        assert list(batch) == built
+    assert payloads == [r.aggregation_payload for r in expected]
+
+
 # -- the batch result: its view is the scalar path, its counters the
 # -- group arithmetic ------------------------------------------------------
 
