@@ -37,10 +37,8 @@ invariants:
 
 from __future__ import annotations
 
-import random
-import zlib
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.crypto.aes import encrypt_blocks_many
@@ -49,81 +47,6 @@ from repro.quic.connection_id import ConnectionID
 __all__ = ["CookieEncodeCache"]
 
 _DEFAULT_CAPACITY = 4096
-
-_ADMISSION_POLICIES = ("lru", "tinylfu")
-
-
-class _FrequencySketch:
-    """TinyLFU-lite popularity estimator for admission decisions.
-
-    A doorkeeper set absorbs the long tail of once-seen keys; keys
-    seen again increment a 4-row count-min of 4-bit-saturating
-    counters.  Every ``8 * capacity`` touches the counters are halved
-    and the doorkeeper cleared, so the estimate tracks *recent*
-    popularity rather than all history (the aging trick from the
-    TinyLFU paper).  Fingerprints come from CRC32 of the key's repr,
-    so decisions are stable across processes.
-    """
-
-    _ROWS = 4
-    _MAX_COUNT = 15
-
-    def __init__(self, capacity: int):
-        width = 64
-        while width < 4 * capacity:
-            width <<= 1
-        self._mask = width - 1
-        self._rows: List[List[int]] = [
-            [0] * width for _ in range(self._ROWS)
-        ]
-        self._doorkeeper: Set[int] = set()
-        self._touches = 0
-        self._sample_limit = 8 * capacity
-
-    @staticmethod
-    def _fingerprint(key: Hashable) -> int:
-        return zlib.crc32(repr(key).encode("utf-8", "backslashreplace"))
-
-    def _indexes(self, fp: int) -> List[int]:
-        step = (fp >> 16) | 1  # odd => full-period double hashing
-        return [(fp + row * step) & self._mask for row in range(self._ROWS)]
-
-    def touch(self, key: Hashable) -> None:
-        """Record one access to ``key``."""
-        fp = self._fingerprint(key)
-        if fp not in self._doorkeeper:
-            self._doorkeeper.add(fp)
-        else:
-            for row, idx in zip(self._rows, self._indexes(fp)):
-                if row[idx] < self._MAX_COUNT:
-                    row[idx] += 1
-        self._touches += 1
-        if self._touches >= self._sample_limit:
-            self._age()
-
-    def estimate(self, key: Hashable) -> int:
-        fp = self._fingerprint(key)
-        freq = min(
-            row[idx] for row, idx in zip(self._rows, self._indexes(fp))
-        )
-        if fp in self._doorkeeper:
-            freq += 1
-        return freq
-
-    def _age(self) -> None:
-        for row in self._rows:
-            for i, count in enumerate(row):
-                if count:
-                    row[i] = count >> 1
-        self._doorkeeper.clear()
-        self._touches = 0
-
-    def reset(self) -> None:
-        for row in self._rows:
-            for i in range(len(row)):
-                row[i] = 0
-        self._doorkeeper.clear()
-        self._touches = 0
 
 
 class CookieEncodeCache:
@@ -141,26 +64,11 @@ class CookieEncodeCache:
         self,
         codec: TransportCookieCodec,
         capacity: int = _DEFAULT_CAPACITY,
-        admission: str = "lru",
     ):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        if admission not in _ADMISSION_POLICIES:
-            raise ValueError(
-                "admission must be one of %r" % (_ADMISSION_POLICIES,)
-            )
         self._codec = codec
         self._capacity = capacity
-        self.admission = admission
-        # Plain LRU admits every miss, which on a zipfian population
-        # churns the whole cache through the one-hit tail (~15% hit
-        # rate at capacity 4096).  The tinylfu policy only lets a miss
-        # displace the LRU victim when it has been seen at least as
-        # often recently — the tail then bounces off the doorkeeper
-        # while the head stays resident.
-        self._freq: Optional[_FrequencySketch] = (
-            _FrequencySketch(capacity) if admission == "tinylfu" else None
-        )
         self._blocks: "OrderedDict[Hashable, bytes]" = OrderedDict()
         self.epoch = 0
         self.hits = 0
@@ -172,7 +80,6 @@ class CookieEncodeCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        self.admission_rejections = 0
 
     # -- introspection -----------------------------------------------------
 
@@ -197,7 +104,6 @@ class CookieEncodeCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
-            "admission_rejections": self.admission_rejections,
         }
 
     # -- invalidation ------------------------------------------------------
@@ -205,8 +111,6 @@ class CookieEncodeCache:
     def invalidate(self) -> None:
         """Drop every cached block and start a new epoch."""
         self._blocks.clear()
-        if self._freq is not None:
-            self._freq.reset()
         self.epoch += 1
         self.invalidations += 1
 
@@ -254,8 +158,6 @@ class CookieEncodeCache:
     # -- encoding ----------------------------------------------------------
 
     def _lookup(self, key: Hashable) -> Optional[bytes]:
-        if self._freq is not None:
-            self._freq.touch(key)
         block = self._blocks.get(key)
         if block is not None:
             self._blocks.move_to_end(key)
@@ -263,21 +165,6 @@ class CookieEncodeCache:
         return block
 
     def _store(self, key: Hashable, block: bytes) -> None:
-        if (
-            self._freq is not None
-            and len(self._blocks) >= self._capacity
-            and key not in self._blocks
-        ):
-            # Admission duel: the miss only displaces the LRU victim
-            # when it has been *strictly* more popular recently (ties
-            # keep the resident — the standard TinyLFU rule, which is
-            # what stops the one-hit tail from churning the cache).
-            # The caller still gets the freshly encrypted block either
-            # way — rejection only skips caching it.
-            victim = next(iter(self._blocks))
-            if self._freq.estimate(key) <= self._freq.estimate(victim):
-                self.admission_rejections += 1
-                return
         self._blocks[key] = block
         self._blocks.move_to_end(key)
         if len(self._blocks) > self._capacity:
@@ -308,8 +195,6 @@ class CookieEncodeCache:
                 # from the pending AES pass, but not a true cache hit.
                 pending.append(i)
                 self.queued_hits += 1
-                if self._freq is not None:
-                    self._freq.touch(key)
                 continue
             block = self._lookup(key)
             if block is not None:

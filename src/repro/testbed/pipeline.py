@@ -215,7 +215,6 @@ class StreamingPipeline:
         batch_size: int = 512,
         cache_capacity: int = 4096,
         reorder_probability: float = 0.0,
-        reorder_max_delay: int = 8,
         on_batch: Optional[Callable[["StreamingPipeline", Any], None]] = None,
         max_inflight: int = 2,
         corrupt_probability: float = 0.0,
@@ -223,9 +222,7 @@ class StreamingPipeline:
         registry: Optional[MetricsRegistry] = None,
         user_stats: Optional[str] = None,
         quantile_epsilon: float = 0.05,
-        quantile_capacity: Optional[int] = None,
         decode_memo_capacity: Optional[int] = None,
-        cache_admission: str = "lru",
         placement: Optional[PlacementController] = None,
     ):
         if backend not in PIPELINE_BACKENDS:
@@ -272,7 +269,6 @@ class StreamingPipeline:
             quantiles = UserQuantileConfig(
                 mode=user_stats,
                 epsilon=quantile_epsilon,
-                capacity=quantile_capacity,
                 key_feature=key_feature,
             )
         self.lark = LarkSwitch(
@@ -291,15 +287,11 @@ class StreamingPipeline:
         self.codec = TransportCookieCodec(
             app_id, schema, self._key, random.Random(3)
         )
-        self.cache = CookieEncodeCache(
-            self.codec, capacity=cache_capacity, admission=cache_admission
-        )
+        self.cache = CookieEncodeCache(self.codec, capacity=cache_capacity)
         self.injector: Optional[ReorderInjector] = None
         if reorder_probability > 0.0:
             self.injector = ReorderInjector(
-                random.Random(seed + 31),
-                reorder_probability,
-                reorder_max_delay,
+                random.Random(seed + 31), reorder_probability
             )
         # Seeded payload-corruption fault stage: draws per arrival, so
         # (like the reorder stage) it is invariant to batch shape.

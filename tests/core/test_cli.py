@@ -124,3 +124,17 @@ class TestParser:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["testbed", "--scheme", "carrier-pigeon"])
+
+    def test_subcommand_set_is_the_seven_survivors(self):
+        assert (
+            "{speedup,breakdown,testbed,measure,metrics,table1,carriers}"
+            in build_parser().format_help()
+        )
+
+    def test_bench_subcommand_is_gone(self, capsys):
+        """Performance numbers come from ``bench/run.py``; the old
+        ``bench`` subcommand is an argparse error, not an alias."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err

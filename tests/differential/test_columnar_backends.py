@@ -280,7 +280,6 @@ def test_batch_backend_name_is_rejected_everywhere():
     every ``backend=`` entry point, never an alias."""
     from repro.chaos import ChaosHarness
     from repro.chaos.shard_faults import ShardFaultPlan
-    from repro.cli import build_parser
     from repro.testbed.network_testbed import NetworkTestbed
     from repro.testbed.pipeline import StreamingPipeline
     from repro.testbed.supervisor import ShardSupervisor
@@ -301,5 +300,3 @@ def test_batch_backend_name_is_rejected_everywhere():
     for attempt in attempts:
         with pytest.raises(ValueError):
             attempt()
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["bench", "--backend", "batch"])

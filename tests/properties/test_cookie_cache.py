@@ -202,77 +202,6 @@ class TestControllerClientHooks:
         assert cache.epoch == 0 and len(cache) == 1
 
 
-class TestAdmissionPolicy:
-    def _zipf_keys(self, seed, n_keys, accesses, alpha=1.1):
-        rng = random.Random(seed)
-        return [
-            min(int(rng.paretovariate(alpha)) - 1, n_keys - 1)
-            for _ in range(accesses)
-        ]
-
-    def _hit_rate(self, cache, keys, batch=64):
-        for lo in range(0, len(keys), batch):
-            chunk = keys[lo:lo + batch]
-            cache.encode_columns(chunk, lambda i: _values(chunk[i]))
-        stats = cache.stats()
-        return stats["hits"] / (stats["hits"] + stats["misses"])
-
-    def test_invalid_policy_rejected(self):
-        codec = TransportCookieCodec(
-            APP_ID, _schema(), KEY, random.Random(1)
-        )
-        with pytest.raises(ValueError):
-            CookieEncodeCache(codec, admission="lfu")
-
-    def test_tinylfu_beats_lru_on_zipfian_keys(self):
-        """ROADMAP item 1: plain LRU churns the whole cache through
-        the zipfian tail; frequency-aware admission must keep the
-        popular head resident.  alpha is low so the working set dwarfs
-        the capacity — the regime where LRU degrades."""
-        keys = self._zipf_keys(
-            seed=17, n_keys=20000, accesses=8000, alpha=0.2
-        )
-        codec_a = TransportCookieCodec(
-            APP_ID, _schema(), KEY, random.Random(5)
-        )
-        codec_b = TransportCookieCodec(
-            APP_ID, _schema(), KEY, random.Random(5)
-        )
-        lru = CookieEncodeCache(codec_a, capacity=64)
-        tinylfu = CookieEncodeCache(codec_b, capacity=64, admission="tinylfu")
-        lru_rate = self._hit_rate(lru, keys)
-        tinylfu_rate = self._hit_rate(tinylfu, keys)
-        assert tinylfu.admission_rejections > 0
-        assert tinylfu_rate > lru_rate + 0.04, (lru_rate, tinylfu_rate)
-
-    def test_tinylfu_serves_correct_cookies(self):
-        """Admission only changes *what is cached*, never the bytes
-        served: every cookie still decodes to the right values."""
-        codec = TransportCookieCodec(
-            APP_ID, _schema(), KEY, random.Random(23)
-        )
-        cache = CookieEncodeCache(codec, capacity=8, admission="tinylfu")
-        decoder = TransportCookieCodec(
-            APP_ID, _schema(), KEY, random.Random(97)
-        )
-        keys = self._zipf_keys(seed=29, n_keys=100, accesses=300)
-        for lo in range(0, len(keys), 32):
-            chunk = keys[lo:lo + 32]
-            cids = cache.encode_columns(
-                chunk, lambda i: _values(chunk[i])
-            ).raw
-            for key, cid in zip(chunk, cids):
-                assert decoder.decode(ConnectionID(cid)).values == _values(key)
-        assert len(cache) <= 8
-
-    def test_default_lru_pays_no_admission_machinery(self):
-        cache = _cache(capacity=16)
-        assert cache._freq is None
-        cache.encode_columns(list(range(40)), lambda i: _values(i))
-        assert cache.admission_rejections == 0
-        assert cache.evictions == 40 - 16
-
-
 # Recorded at the parent of the wire-row change (commit 68435f6, the
 # value-dict encode path) by replaying the stream of
 # ``_replay`` below: per batch size, (sha256 of every wire cookie in

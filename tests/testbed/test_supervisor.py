@@ -19,10 +19,11 @@ from repro.chaos import ShardCrash, ShardFaultPlan
 from repro.core.aggregation import ForwardingMode
 from repro.obs.registry import MetricsRegistry
 from repro.testbed.executor import ShardExecutor, ShardSpec
-from repro.testbed.fastpath import BENCH_APP_ID, FastpathFixture
 from repro.testbed.placement import PlacementController
 from repro.testbed.shm_ring import shared_memory_available
 from repro.testbed.supervisor import ShardSupervisor
+
+from tests.differential.workloads import APP_ID, DifferentialWorkload
 
 SEEDS = (3, 19, 71)
 
@@ -30,7 +31,7 @@ SEEDS = (3, 19, 71)
 def _lark_spec(fixture, dedup=False):
     return ShardSpec(
         kind="lark",
-        app_id=BENCH_APP_ID,
+        app_id=APP_ID,
         schema=fixture.schema,
         key=fixture.key,
         specs=tuple(fixture.specs),
@@ -44,7 +45,7 @@ def _lark_spec(fixture, dedup=False):
 def _agg_spec(fixture):
     return ShardSpec(
         kind="agg",
-        app_id=BENCH_APP_ID,
+        app_id=APP_ID,
         schema=fixture.schema,
         key=fixture.key,
         specs=tuple(fixture.specs),
@@ -53,22 +54,7 @@ def _agg_spec(fixture):
 
 
 def _stream(fixture, packets=600):
-    return [bytes(c) for c in fixture.make_cids(packets)]
-
-
-def _agg_payloads(fixture, packets=400):
-    payload_fixture = FastpathFixture(
-        mode=ForwardingMode.PER_PACKET,
-        num_users=150,
-        seed=fixture.seed,
-    )
-    return [
-        r.aggregation_payload
-        for r in payload_fixture.new_lark().process_quic_columnar(
-            payload_fixture.make_cids(packets)
-        )
-        if r.aggregation_payload is not None
-    ]
+    return [bytes(c) for c in fixture.cids("uniform", packets)]
 
 
 def _supervisor(spec, plan=None, **kwargs):
@@ -92,7 +78,7 @@ class TestFaultFreeEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("backend", ["scalar", "columnar"])
     def test_matches_shard_executor_on_lark(self, seed, backend):
-        fixture = FastpathFixture(num_users=150, seed=seed)
+        fixture = DifferentialWorkload(seed, num_users=150)
         stream = _stream(fixture)
         spec = _lark_spec(fixture)
         reference = ShardExecutor(
@@ -107,8 +93,8 @@ class TestFaultFreeEquivalence:
         assert supervised.total_packets == len(stream)
 
     def test_matches_shard_executor_on_agg(self):
-        fixture = FastpathFixture(num_users=150, seed=5)
-        payloads = _agg_payloads(fixture)
+        fixture = DifferentialWorkload(5, num_users=150)
+        payloads = fixture.payloads("uniform", 400)
         spec = _agg_spec(fixture)
         reference = ShardExecutor(
             spec, shards=3, backend="columnar", chunk_size=64
@@ -118,7 +104,7 @@ class TestFaultFreeEquivalence:
         assert supervised.report == reference.report
 
     def test_checkpoints_taken_at_epoch_boundaries(self):
-        fixture = FastpathFixture(num_users=150, seed=5)
+        fixture = DifferentialWorkload(5, num_users=150)
         stream = _stream(fixture)
         spec = _lark_spec(fixture)
         supervisor = _supervisor(spec)
@@ -132,13 +118,14 @@ class TestFaultFreeEquivalence:
 
 class TestCrashRecovery:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_scripted_kill_recovers_bit_identical(self, seed):
-        fixture = FastpathFixture(num_users=150, seed=seed)
+    @pytest.mark.parametrize("backend", ["scalar", "columnar"])
+    def test_scripted_kill_recovers_bit_identical(self, seed, backend):
+        fixture = DifferentialWorkload(seed, num_users=150)
         stream = _stream(fixture)
         spec = _lark_spec(fixture)
         baseline = _supervisor(spec).run(stream)
         plan = ShardFaultPlan(seed=seed).kill_shard(1, at_batch=2)
-        supervisor = _supervisor(spec, plan=plan)
+        supervisor = _supervisor(spec, plan=plan, backend=backend)
         faulted = supervisor.run(stream)
         assert faulted.snapshot == baseline.snapshot
         assert faulted.report == baseline.report
@@ -152,7 +139,7 @@ class TestCrashRecovery:
         ) == faulted.recovered_packets
 
     def test_crash_in_first_epoch_restarts_from_empty(self):
-        fixture = FastpathFixture(num_users=150, seed=7)
+        fixture = DifferentialWorkload(7, num_users=150)
         stream = _stream(fixture)
         spec = _lark_spec(fixture)
         baseline = _supervisor(spec).run(stream)
@@ -165,7 +152,7 @@ class TestCrashRecovery:
     def test_seeded_crash_probability_recovers_and_is_deterministic(
         self, seed
     ):
-        fixture = FastpathFixture(num_users=150, seed=seed)
+        fixture = DifferentialWorkload(seed, num_users=150)
         stream = _stream(fixture)
         spec = _lark_spec(fixture)
         baseline = _supervisor(spec).run(stream)
@@ -180,7 +167,7 @@ class TestCrashRecovery:
         assert first.snapshot == second.snapshot
 
     def test_retry_exhaustion_salvages_in_process(self):
-        fixture = FastpathFixture(num_users=150, seed=9)
+        fixture = DifferentialWorkload(9, num_users=150)
         stream = _stream(fixture)
         spec = _lark_spec(fixture)
         baseline = _supervisor(spec).run(stream)
@@ -194,7 +181,7 @@ class TestCrashRecovery:
         assert supervisor.registry.value("supervisor.salvages") == 1
 
     def test_backoff_is_bounded_and_exponential(self):
-        fixture = FastpathFixture(num_users=100, seed=9)
+        fixture = DifferentialWorkload(9, num_users=100)
         stream = _stream(fixture, packets=400)
         spec = _lark_spec(fixture)
         plan = ShardFaultPlan().kill_shard(0, at_batch=0, times=3)
@@ -215,7 +202,7 @@ class TestScriptedDegradation:
     def test_mid_run_degradation_changes_nothing_but_the_backend(
         self, seed
     ):
-        fixture = FastpathFixture(num_users=150, seed=seed)
+        fixture = DifferentialWorkload(seed, num_users=150)
         stream = _stream(fixture)
         spec = _lark_spec(fixture)
         baseline = _supervisor(spec).run(stream)
@@ -230,7 +217,7 @@ class TestScriptedDegradation:
         assert supervisor.registry.value("supervisor.backend_tier") == 0
 
     def test_degradation_composes_with_a_crash(self):
-        fixture = FastpathFixture(num_users=150, seed=13)
+        fixture = DifferentialWorkload(13, num_users=150)
         stream = _stream(fixture)
         spec = _lark_spec(fixture)
         baseline = _supervisor(spec).run(stream)
@@ -246,13 +233,13 @@ class TestScriptedDegradation:
 
 class TestValidation:
     def test_lark_dedup_is_rejected(self):
-        fixture = FastpathFixture(num_users=50, seed=3)
+        fixture = DifferentialWorkload(3, num_users=50)
         spec = _lark_spec(fixture, dedup=True)
         with pytest.raises(ValueError, match="dedup"):
             ShardSupervisor(spec)
 
     def test_bad_parameters_rejected(self):
-        fixture = FastpathFixture(num_users=50, seed=3)
+        fixture = DifferentialWorkload(3, num_users=50)
         spec = _lark_spec(fixture)
         with pytest.raises(ValueError):
             ShardSupervisor(spec, backend="gpu")
@@ -285,7 +272,7 @@ class TestOneLoopEveryMode:
         ids=["inline", "workers"],
     )
     def test_scripted_kill_is_invisible(self, elastic, persistent):
-        fixture = FastpathFixture(num_users=150, seed=19)
+        fixture = DifferentialWorkload(19, num_users=150)
         stream = _stream(fixture)
         spec = _lark_spec(fixture)
         reference = _supervisor(spec, shards=2).run(stream)
@@ -335,7 +322,7 @@ class TestOneLoopEveryMode:
             raise OSError("no process spawning here")
 
         monkeypatch.setattr(multiprocessing, "get_context", _broken)
-        fixture = FastpathFixture(num_users=100, seed=21)
+        fixture = DifferentialWorkload(21, num_users=100)
         stream = _stream(fixture, packets=300)
         spec = _lark_spec(fixture)
         inline = _supervisor(spec, chunk_size=64).run(stream)
@@ -352,7 +339,7 @@ class TestExecutorFallbackCause:
     def test_worker_failure_surfaces_cause_and_counter(self, monkeypatch):
         import multiprocessing
 
-        fixture = FastpathFixture(num_users=100, seed=31)
+        fixture = DifferentialWorkload(31, num_users=100)
         stream = _stream(fixture, packets=300)
         spec = _lark_spec(fixture)
 
@@ -375,7 +362,7 @@ class TestExecutorFallbackCause:
         assert result.report == reference.report
 
     def test_sequential_run_has_no_fallback_cause(self):
-        fixture = FastpathFixture(num_users=100, seed=31)
+        fixture = DifferentialWorkload(31, num_users=100)
         stream = _stream(fixture, packets=200)
         spec = _lark_spec(fixture)
         result = ShardExecutor(
