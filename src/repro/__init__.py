@@ -15,6 +15,9 @@ Subpackages
                        AggSwitch, edge/web services, controller, privacy
 ``repro.workloads``    ad-campaign / crowd / resource-demand workloads
 ``repro.testbed``      end-to-end experiments (paper Figure 6)
+``repro.obs``          metrics registry, sim-time tracer, exporters
+``repro.web``          HTTP / CDN substrate of the application-layer path
+``repro.cli``          ``python -m repro.cli`` command-line front end
 
 Quickstart
 ----------
@@ -25,38 +28,21 @@ Quickstart
 >>> result.median_latency_ms  # ~61 ms, vs ~506 ms without Snatch
 """
 
-from repro.core import (
-    AggSwitch,
-    CookieSchema,
-    Feature,
-    ForwardingMode,
-    LarkSwitch,
-    SnatchController,
-    SnatchEdgeServer,
-    SnatchWebServer,
-    StatKind,
-    StatSpec,
-)
-from repro.model import Protocol, speedup
-from repro.testbed import Scheme, TestbedConfig, TestbedExperiment
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AggSwitch",
-    "CookieSchema",
-    "Feature",
-    "ForwardingMode",
-    "LarkSwitch",
-    "Protocol",
-    "Scheme",
-    "SnatchController",
-    "SnatchEdgeServer",
-    "SnatchWebServer",
-    "StatKind",
-    "StatSpec",
-    "TestbedConfig",
-    "TestbedExperiment",
-    "__version__",
-    "speedup",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "core.aggregation": ("ForwardingMode",),
+    "core.aggswitch": ("AggSwitch",),
+    "core.controller": ("SnatchController",),
+    "core.edge_service": ("SnatchEdgeServer",),
+    "core.larkswitch": ("LarkSwitch",),
+    "core.schema": ("CookieSchema", "Feature"),
+    "core.stats": ("StatKind", "StatSpec"),
+    "core.web_server": ("SnatchWebServer",),
+    "model.speedup": ("Protocol", "speedup"),
+    "testbed.config": ("Scheme", "TestbedConfig"),
+    "testbed.experiment": ("TestbedExperiment",),
+})
+__all__.append("__version__")

@@ -15,20 +15,11 @@ failures *producible* and the recovery *automatic*:
   loop, and automatic repair, deterministically from one seed.
 """
 
-from repro.chaos.harness import ChaosHarness, ChaosResult
-from repro.chaos.lifecycle import DeviceLifecycle, LifecycleEvent
-from repro.chaos.scenario import ChaosEvent, ChaosScenario, standard_outage
-from repro.chaos.shard_faults import ShardCrash, ShardFaultPlan, ShardKill
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChaosEvent",
-    "ChaosHarness",
-    "ChaosResult",
-    "ChaosScenario",
-    "DeviceLifecycle",
-    "LifecycleEvent",
-    "ShardCrash",
-    "ShardFaultPlan",
-    "ShardKill",
-    "standard_outage",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "harness": ("ChaosHarness", "ChaosResult"),
+    "lifecycle": ("DeviceLifecycle", "LifecycleEvent"),
+    "scenario": ("ChaosEvent", "ChaosScenario", "standard_outage"),
+    "shard_faults": ("ShardCrash", "ShardFaultPlan", "ShardKill"),
+})

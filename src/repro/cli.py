@@ -13,6 +13,10 @@ Subcommands mirror the evaluation:
   layer's metrics (text table and/or JSON-lines).
 
 Usage: ``python -m repro.cli testbed --scheme trans-1rtt --insa``
+
+Each handler imports what it runs: building the parser (``--help``)
+loads nothing of ``repro``, and the model-only subcommands load neither
+numpy nor the testbed.
 """
 
 from __future__ import annotations
@@ -20,19 +24,6 @@ from __future__ import annotations
 import argparse
 import sys
 from typing import List, Optional, Sequence
-
-from repro.core.alt_carriers import carrier_comparison
-from repro.core.insa import table1_rows
-from repro.model.breakdown import (
-    app_insa_breakdown,
-    baseline_breakdown,
-    trans_insa_breakdown,
-)
-from repro.model.params import interpolated_scenario, median_scenario
-from repro.model.periodical import periodical_speedup
-from repro.model.speedup import Protocol, speedup_table
-from repro.testbed.config import Scheme, TestbedConfig
-from repro.testbed.experiment import TestbedExperiment
 
 __all__ = ["main", "build_parser"]
 
@@ -51,6 +42,10 @@ def _print_rows(headers: Sequence[str], rows, out) -> None:
 
 
 def _cmd_speedup(args, out) -> int:
+    from repro.model.params import interpolated_scenario, median_scenario
+    from repro.model.periodical import periodical_speedup
+    from repro.model.speedup import Protocol, speedup_table
+
     if args.d_wa is not None:
         params = interpolated_scenario(args.d_wa, t_analytics=args.t_a)
     else:
@@ -81,6 +76,12 @@ def _cmd_speedup(args, out) -> int:
 
 
 def _cmd_breakdown(args, out) -> int:
+    from repro.model.breakdown import (
+        app_insa_breakdown,
+        baseline_breakdown,
+        trans_insa_breakdown,
+    )
+
     for breakdown in (
         baseline_breakdown(),
         app_insa_breakdown(),
@@ -91,12 +92,18 @@ def _cmd_breakdown(args, out) -> int:
     return 0
 
 
-_SCHEMES = {scheme.value: scheme for scheme in Scheme}
+# The values of ``repro.testbed.config.Scheme``, spelled out because
+# importing the testbed to list them would put numpy behind ``--help``
+# (tests/core/test_cli.py holds the two together).
+_SCHEMES = ("app-https", "no-snatch", "trans-0rtt", "trans-1rtt")
 
 
 def _cmd_testbed(args, out) -> int:
+    from repro.testbed.config import Scheme, TestbedConfig
+    from repro.testbed.experiment import TestbedExperiment
+
     config = TestbedConfig(
-        scheme=_SCHEMES[args.scheme],
+        scheme=Scheme(args.scheme),
         insa=args.insa,
         delay_percentile=args.percentile,
         requests_per_second=args.rps,
@@ -136,8 +143,9 @@ def _cmd_measure(args, out) -> int:
 
 
 def _cmd_metrics(args, out) -> int:
-    from repro.chaos import ChaosHarness, standard_outage
-    from repro.obs import dump_jsonl
+    from repro.chaos.harness import ChaosHarness
+    from repro.chaos.scenario import standard_outage
+    from repro.obs.export import dump_jsonl
 
     harness = ChaosHarness(seed=args.seed, duration_ms=args.duration_ms)
     if args.scenario == "standard-outage":
@@ -169,11 +177,15 @@ def _cmd_metrics(args, out) -> int:
 
 
 def _cmd_table1(args, out) -> int:
+    from repro.core.insa import table1_rows
+
     _print_rows(["method", "INSA", "categories"], table1_rows(), out)
     return 0
 
 
 def _cmd_carriers(args, out) -> int:
+    from repro.core.alt_carriers import carrier_comparison
+
     _print_rows(
         ["carrier", "bits", "survives reconnect", "client change",
          "suitable", "reason"],
@@ -208,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_breakdown)
 
     p = sub.add_parser("testbed", help="one end-to-end experiment")
-    p.add_argument("--scheme", choices=sorted(_SCHEMES),
+    p.add_argument("--scheme", choices=_SCHEMES,
                    default="trans-1rtt")
     p.add_argument("--insa", action="store_true")
     p.add_argument("--percentile", type=float, default=50.0)

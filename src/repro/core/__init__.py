@@ -1,180 +1,57 @@
 """Snatch core: semantic cookies, the two switch tiers, edge/web
 services, the controller, INSA planning and privacy mechanisms."""
 
-from repro.core.aggregation import (
-    AggregationCodec,
-    AggregationPacket,
-    ForwardingMode,
-    SNATCH_SID,
-)
-from repro.core.aggswitch import AggResult, AggSwitch
-from repro.core.alt_carriers import (
-    CarrierProfile,
-    Ipv6Carrier,
-    QUIC_CARRIER_PROFILE,
-    TcpTimestampCarrier,
-    carrier_comparison,
-)
-from repro.core.analytics_server import AnalyticsServer
-from repro.core.compiler import (
-    CompileError,
-    CompiledQuery,
-    Query,
-    QueryCompiler,
-    QueryOp,
-    QueryOpKind,
-)
-from repro.core.fault import Discrepancy, FaultRepairLoop, ResultVerifier
-from repro.core.regional import RegionalDeployment, RegionalHandle
-from repro.core.rpc import DeadDeviceError, RpcBus, RpcCall, RpcError
-from repro.core.switch_join import JoinKind, JoinedRow, SwitchJoinTable
-from repro.core.app_cookie import (
-    ApplicationCookieCodec,
-    cookie_name_for_app,
-    format_cookie_header,
-    parse_cookie_header,
-)
-from repro.core.cookie_cache import CookieEncodeCache
-from repro.core.controller import (
-    ApplicationHandle,
-    RpcLog,
-    SnatchController,
-)
-from repro.core.digest_offload import DigestModulo, DigestQuantileEstimator
-from repro.core.edge_service import EdgeResult, SnatchEdgeServer
-from repro.core.insa import (
-    DSTREAM_SUPPORT,
-    InsaPlan,
-    InsaPlanner,
-    MethodInfo,
-    PlanOp,
-    Support,
-    classify,
-    table1_rows,
-)
-from repro.core.larkswitch import (
-    LarkResult,
-    LarkSwitch,
-    RegisteredApp,
-    flatten_snapshot,
-    unflatten_snapshot,
-)
-from repro.core.privacy import (
-    CorrelatedCookies,
-    PrivacyAccountant,
-    PrivacyBudgetExceeded,
-    IdentifiabilityError,
-    NoisyDelta,
-    RandomizedResponse,
-    SchemaAuditFinding,
-    ValueTransform,
-    audit_schema,
-)
-from repro.core.schema import (
-    CookieSchema,
-    Feature,
-    FeatureType,
-    FeatureValueError,
-    TRANSPORT_COOKIE_BITS,
-)
-from repro.core.stats import (
-    StatKind,
-    StatSpec,
-    SwitchStatistics,
-    merge_snapshots,
-    min_array_names,
-)
-from repro.core.transport_cookie import (
-    DecodedTransportCookie,
-    TransportCookieCodec,
-)
-from repro.core.user_stats import UserEngagementTracker, UserQuantileConfig
-from repro.core.web_server import (
-    CookieUpdateFn,
-    ServedResponse,
-    SnatchWebServer,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AggResult",
-    "AnalyticsServer",
-    "CarrierProfile",
-    "CookieEncodeCache",
-    "CompileError",
-    "CompiledQuery",
-    "Query",
-    "QueryCompiler",
-    "QueryOp",
-    "QueryOpKind",
-    "DigestModulo",
-    "DigestQuantileEstimator",
-    "Discrepancy",
-    "FaultRepairLoop",
-    "Ipv6Carrier",
-    "JoinKind",
-    "JoinedRow",
-    "QUIC_CARRIER_PROFILE",
-    "DeadDeviceError",
-    "RegionalDeployment",
-    "RpcBus",
-    "RpcCall",
-    "RpcError",
-    "RegionalHandle",
-    "ResultVerifier",
-    "SwitchJoinTable",
-    "TcpTimestampCarrier",
-    "carrier_comparison",
-    "AggSwitch",
-    "AggregationCodec",
-    "AggregationPacket",
-    "ApplicationCookieCodec",
-    "ApplicationHandle",
-    "CookieSchema",
-    "CookieUpdateFn",
-    "CorrelatedCookies",
-    "DSTREAM_SUPPORT",
-    "DecodedTransportCookie",
-    "EdgeResult",
-    "Feature",
-    "FeatureType",
-    "FeatureValueError",
-    "ForwardingMode",
-    "IdentifiabilityError",
-    "InsaPlan",
-    "InsaPlanner",
-    "LarkResult",
-    "LarkSwitch",
-    "MethodInfo",
-    "NoisyDelta",
-    "PrivacyAccountant",
-    "PrivacyBudgetExceeded",
-    "PlanOp",
-    "RandomizedResponse",
-    "RegisteredApp",
-    "RpcLog",
-    "SNATCH_SID",
-    "SchemaAuditFinding",
-    "ServedResponse",
-    "SnatchController",
-    "SnatchEdgeServer",
-    "SnatchWebServer",
-    "StatKind",
-    "StatSpec",
-    "Support",
-    "SwitchStatistics",
-    "TRANSPORT_COOKIE_BITS",
-    "TransportCookieCodec",
-    "UserEngagementTracker",
-    "UserQuantileConfig",
-    "ValueTransform",
-    "audit_schema",
-    "classify",
-    "cookie_name_for_app",
-    "flatten_snapshot",
-    "format_cookie_header",
-    "merge_snapshots",
-    "min_array_names",
-    "parse_cookie_header",
-    "table1_rows",
-    "unflatten_snapshot",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "aggregation": (
+        "AggregationCodec", "AggregationPacket", "ForwardingMode",
+        "SNATCH_SID",
+    ),
+    "aggswitch": ("AggResult", "AggSwitch"),
+    "alt_carriers": (
+        "CarrierProfile", "Ipv6Carrier", "QUIC_CARRIER_PROFILE",
+        "TcpTimestampCarrier", "carrier_comparison",
+    ),
+    "analytics_server": ("AnalyticsServer",),
+    "app_cookie": (
+        "ApplicationCookieCodec", "cookie_name_for_app",
+        "format_cookie_header", "parse_cookie_header",
+    ),
+    "compiler": (
+        "CompileError", "CompiledQuery", "Query", "QueryCompiler", "QueryOp",
+        "QueryOpKind",
+    ),
+    "controller": ("ApplicationHandle", "RpcLog", "SnatchController"),
+    "cookie_cache": ("CookieEncodeCache",),
+    "digest_offload": ("DigestModulo", "DigestQuantileEstimator"),
+    "edge_service": ("EdgeResult", "SnatchEdgeServer"),
+    "fault": ("Discrepancy", "FaultRepairLoop", "ResultVerifier"),
+    "insa": (
+        "DSTREAM_SUPPORT", "InsaPlan", "InsaPlanner", "MethodInfo", "PlanOp",
+        "Support", "classify", "table1_rows",
+    ),
+    "larkswitch": (
+        "LarkResult", "LarkSwitch", "RegisteredApp", "flatten_snapshot",
+        "unflatten_snapshot",
+    ),
+    "privacy": (
+        "CorrelatedCookies", "IdentifiabilityError", "NoisyDelta",
+        "PrivacyAccountant", "PrivacyBudgetExceeded", "RandomizedResponse",
+        "SchemaAuditFinding", "ValueTransform", "audit_schema",
+    ),
+    "regional": ("RegionalDeployment", "RegionalHandle"),
+    "rpc": ("DeadDeviceError", "RpcBus", "RpcCall", "RpcError"),
+    "schema": (
+        "CookieSchema", "Feature", "FeatureType", "FeatureValueError",
+        "TRANSPORT_COOKIE_BITS",
+    ),
+    "stats": (
+        "StatKind", "StatSpec", "SwitchStatistics", "merge_snapshots",
+        "min_array_names",
+    ),
+    "switch_join": ("JoinKind", "JoinedRow", "SwitchJoinTable"),
+    "transport_cookie": ("DecodedTransportCookie", "TransportCookieCodec"),
+    "user_stats": ("UserEngagementTracker", "UserQuantileConfig"),
+    "web_server": ("CookieUpdateFn", "ServedResponse", "SnatchWebServer"),
+})

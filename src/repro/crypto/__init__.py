@@ -5,35 +5,13 @@ payloads with AES-128 (paper sections 3.6, 4.1, appendix B.3).  This
 package is the self-contained implementation used across the repo.
 """
 
-from repro.crypto.aes import (
-    AES,
-    BLOCK_SIZE,
-    decrypt_cbc,
-    decrypt_ctr,
-    decrypt_ecb,
-    encrypt_cbc,
-    encrypt_ctr,
-    encrypt_ecb,
-    pkcs7_pad,
-    pkcs7_unpad,
-    xor_bytes,
-)
-from repro.crypto.keys import AES128_KEY_LEN, KeyRing, RegionKey, derive_subkey
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AES",
-    "BLOCK_SIZE",
-    "AES128_KEY_LEN",
-    "KeyRing",
-    "RegionKey",
-    "derive_subkey",
-    "encrypt_ecb",
-    "decrypt_ecb",
-    "encrypt_cbc",
-    "decrypt_cbc",
-    "encrypt_ctr",
-    "decrypt_ctr",
-    "pkcs7_pad",
-    "pkcs7_unpad",
-    "xor_bytes",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "aes": (
+        "AES", "BLOCK_SIZE", "decrypt_cbc", "decrypt_ctr", "decrypt_ecb",
+        "encrypt_cbc", "encrypt_ctr", "encrypt_ecb", "pkcs7_pad",
+        "pkcs7_unpad", "xor_bytes",
+    ),
+    "keys": ("AES128_KEY_LEN", "KeyRing", "RegionKey", "derive_subkey"),
+})

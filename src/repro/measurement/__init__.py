@@ -3,76 +3,26 @@ dVPN site census (Fig. 4), delay distributions (Fig. 5(a)), the AWS
 inter-DC matrix (Fig. 9(a)), and per-provider edge delays (Fig. 9(b)).
 """
 
-from repro.measurement.delays import (
-    MEDIANS,
-    all_delay_curves,
-    client_to_closest_cloud,
-    client_to_edge,
-    client_to_isp,
-    client_to_web_server,
-    edge_to_cloud,
-    inter_dc,
-)
-from repro.measurement.interdc import (
-    AWS_REGIONS,
-    US_REGIONS,
-    delay_matrix,
-    haversine_km,
-    matrix_stats,
-    region_delay_ms,
-)
-from repro.measurement.providers import (
-    OFFNET_COVERAGE,
-    PROVIDERS,
-    EdgeProvider,
-    best_edge_delay,
-    provider_curves,
-    site_edge_delays,
-)
-from repro.measurement.quantiles import QuantileCurve
-from repro.measurement.sites import (
-    COUNTRY_CONTINENTS,
-    Site,
-    SiteCensus,
-    TOTAL_COUNTRIES,
-    TOTAL_SITES,
-    generate_sites,
-)
-from repro.measurement.study import (
-    MeasurementStudy,
-    SiteMeasurement,
-    StudyResult,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AWS_REGIONS",
-    "COUNTRY_CONTINENTS",
-    "EdgeProvider",
-    "MEDIANS",
-    "MeasurementStudy",
-    "OFFNET_COVERAGE",
-    "PROVIDERS",
-    "QuantileCurve",
-    "Site",
-    "SiteCensus",
-    "SiteMeasurement",
-    "StudyResult",
-    "TOTAL_COUNTRIES",
-    "TOTAL_SITES",
-    "US_REGIONS",
-    "all_delay_curves",
-    "best_edge_delay",
-    "client_to_closest_cloud",
-    "client_to_edge",
-    "client_to_isp",
-    "client_to_web_server",
-    "delay_matrix",
-    "edge_to_cloud",
-    "generate_sites",
-    "haversine_km",
-    "inter_dc",
-    "matrix_stats",
-    "provider_curves",
-    "region_delay_ms",
-    "site_edge_delays",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "delays": (
+        "MEDIANS", "all_delay_curves", "client_to_closest_cloud",
+        "client_to_edge", "client_to_isp", "client_to_web_server",
+        "edge_to_cloud", "inter_dc",
+    ),
+    "interdc": (
+        "AWS_REGIONS", "US_REGIONS", "delay_matrix", "haversine_km",
+        "matrix_stats", "region_delay_ms",
+    ),
+    "providers": (
+        "EdgeProvider", "OFFNET_COVERAGE", "PROVIDERS", "best_edge_delay",
+        "provider_curves", "site_edge_delays",
+    ),
+    "quantiles": ("QuantileCurve",),
+    "sites": (
+        "COUNTRY_CONTINENTS", "Site", "SiteCensus", "TOTAL_COUNTRIES",
+        "TOTAL_SITES", "generate_sites",
+    ),
+    "study": ("MeasurementStudy", "SiteMeasurement", "StudyResult"),
+})

@@ -5,25 +5,13 @@ Replaces the paper's six-machine testbed + Tofino + Linux ``tc`` setup
 server queues, and in-path switch processing.
 """
 
-from repro.net.faults import FaultModel, LinkFaultSpec, LinkFaults
-from repro.net.link import Link
-from repro.net.node import Node, ProcessingNode, SinkNode, SwitchNode
-from repro.net.packet import NetPacket
-from repro.net.simulator import Event, Simulator
-from repro.net.topology import Network, NoRouteError
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "FaultModel",
-    "Link",
-    "LinkFaultSpec",
-    "LinkFaults",
-    "NetPacket",
-    "Network",
-    "NoRouteError",
-    "Node",
-    "ProcessingNode",
-    "SinkNode",
-    "Simulator",
-    "SwitchNode",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "faults": ("FaultModel", "LinkFaultSpec", "LinkFaults"),
+    "link": ("Link",),
+    "node": ("Node", "ProcessingNode", "SinkNode", "SwitchNode"),
+    "packet": ("NetPacket",),
+    "simulator": ("Event", "Simulator"),
+    "topology": ("Network", "NoRouteError"),
+})

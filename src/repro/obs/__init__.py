@@ -8,39 +8,16 @@ device lifecycle and chaos repair loop all write here, so one dump
 shows where every simulated millisecond and packet went.
 """
 
-from repro.obs.export import (
-    dump_jsonl,
-    jsonl_lines,
-    parse_jsonl,
-    render_spans,
-    render_table,
-)
-from repro.obs.registry import (
-    DEFAULT_LATENCY_EDGES_US,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    scoped_registry,
-    set_registry,
-)
-from repro.obs.tracer import Span, Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "DEFAULT_LATENCY_EDGES_US",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Span",
-    "Tracer",
-    "dump_jsonl",
-    "get_registry",
-    "jsonl_lines",
-    "parse_jsonl",
-    "render_spans",
-    "render_table",
-    "scoped_registry",
-    "set_registry",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "export": (
+        "dump_jsonl", "jsonl_lines", "parse_jsonl", "render_spans",
+        "render_table",
+    ),
+    "registry": (
+        "Counter", "DEFAULT_LATENCY_EDGES_US", "Gauge", "Histogram",
+        "MetricsRegistry", "get_registry", "scoped_registry", "set_registry",
+    ),
+    "tracer": ("Span", "Tracer"),
+})

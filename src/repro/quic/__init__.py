@@ -5,52 +5,20 @@ field (paper sections 3.3, 4.1, Appendix B.2); this package provides
 the protocol mechanics the Snatch core builds on.
 """
 
-from repro.quic.connection import (
-    ConnectionResult,
-    HandshakeEvent,
-    HandshakeMode,
-    QuicClient,
-    QuicServer,
-    RandomConnectionIdPolicy,
-    SessionTicket,
-    SnatchConnectionIdPolicy,
-    one_way_delays_to_server_data,
-)
-from repro.quic.connection_id import (
-    ConnectionID,
-    MAX_CONNECTION_ID_BYTES,
-    random_connection_id,
-)
-from repro.quic.packet import (
-    LongHeaderPacket,
-    PacketType,
-    QUIC_VERSION,
-    SNATCH_DCID_LENGTH,
-    ShortHeaderPacket,
-    parse_packet,
-)
-from repro.quic.varint import decode_varint, encode_varint, varint_length
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConnectionID",
-    "ConnectionResult",
-    "HandshakeEvent",
-    "HandshakeMode",
-    "LongHeaderPacket",
-    "MAX_CONNECTION_ID_BYTES",
-    "PacketType",
-    "QUIC_VERSION",
-    "QuicClient",
-    "QuicServer",
-    "RandomConnectionIdPolicy",
-    "SNATCH_DCID_LENGTH",
-    "SessionTicket",
-    "ShortHeaderPacket",
-    "SnatchConnectionIdPolicy",
-    "decode_varint",
-    "encode_varint",
-    "one_way_delays_to_server_data",
-    "parse_packet",
-    "random_connection_id",
-    "varint_length",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "connection": (
+        "ConnectionResult", "HandshakeEvent", "HandshakeMode", "QuicClient",
+        "QuicServer", "RandomConnectionIdPolicy", "SessionTicket",
+        "SnatchConnectionIdPolicy", "one_way_delays_to_server_data",
+    ),
+    "connection_id": (
+        "ConnectionID", "MAX_CONNECTION_ID_BYTES", "random_connection_id",
+    ),
+    "packet": (
+        "LongHeaderPacket", "PacketType", "QUIC_VERSION", "SNATCH_DCID_LENGTH",
+        "ShortHeaderPacket", "parse_packet",
+    ),
+    "varint": ("decode_varint", "encode_varint", "varint_length"),
+})

@@ -3,23 +3,11 @@ engine (RDDs + the full Table-1 DStream surface) plus a Kafka-like
 message queue for ingestion.
 """
 
-from repro.streaming.context import (
-    BatchInfo,
-    DEFAULT_BATCH_INTERVAL_MS,
-    StreamingContext,
-)
-from repro.streaming.dstream import DStream
-from repro.streaming.queue import Consumer, Message, MessageBroker, Topic
-from repro.streaming.rdd import RDD
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchInfo",
-    "Consumer",
-    "DEFAULT_BATCH_INTERVAL_MS",
-    "DStream",
-    "Message",
-    "MessageBroker",
-    "RDD",
-    "StreamingContext",
-    "Topic",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "context": ("BatchInfo", "DEFAULT_BATCH_INTERVAL_MS", "StreamingContext"),
+    "dstream": ("DStream",),
+    "queue": ("Consumer", "Message", "MessageBroker", "Topic"),
+    "rdd": ("RDD",),
+})

@@ -6,121 +6,35 @@ paper leans on: limited stages, integer-only ALU, match-action tables,
 scarce register SRAM, clones, and control-plane digests.
 """
 
-from repro.switch.bloom import BloomFilter, bloom_parameters, optimal_num_hashes
-from repro.switch.columns import (
-    HAVE_NUMPY,
-    PacketColumns,
-    force_numpy,
-    group_rows,
-    numpy_enabled,
-)
-from repro.switch.hashing import (
-    HashUnit,
-    crc16,
-    crc16_many,
-    crc32,
-    crc32_many,
-    fold_hash,
-)
-from repro.switch.pipeline import (
-    AES_PASS_LATENCY_MS,
-    Digest,
-    LINE_RATE_LATENCY_MS,
-    MAX_STAGES,
-    MAX_TABLES_PER_STAGE,
-    PHV,
-    PipelineCompileError,
-    PipelineResult,
-    Stage,
-    SwitchPipeline,
-)
-from repro.switch.primitives import (
-    SUPPORTED_OPS,
-    SwitchALU,
-    UnsupportedOperationError,
-)
-from repro.switch.parser import (
-    ETHERNET,
-    HeaderField,
-    HeaderType,
-    IPV4,
-    ParseError,
-    ParseState,
-    Parser,
-    QUIC_SHORT,
-    UDP,
-    build_snatch_packet,
-    snatch_parser,
-)
-from repro.switch.sketch import CountMinSketch, dimensions_for
-from repro.switch.quantile_sketch import (
-    SampledQuantileSketch,
-    capacity_for,
-    epsilon_for,
-)
-from repro.switch.registers import (
-    RegisterArray,
-    RegisterFile,
-    SramExhaustedError,
-)
-from repro.switch.tables import (
-    MatchActionTable,
-    MatchKey,
-    MatchKind,
-    TableEntry,
-    TableFullError,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AES_PASS_LATENCY_MS",
-    "BloomFilter",
-    "CountMinSketch",
-    "ETHERNET",
-    "HeaderField",
-    "HeaderType",
-    "IPV4",
-    "ParseError",
-    "ParseState",
-    "Parser",
-    "QUIC_SHORT",
-    "UDP",
-    "Digest",
-    "HashUnit",
-    "LINE_RATE_LATENCY_MS",
-    "MAX_STAGES",
-    "MAX_TABLES_PER_STAGE",
-    "MatchActionTable",
-    "MatchKey",
-    "MatchKind",
-    "PHV",
-    "PipelineCompileError",
-    "PipelineResult",
-    "RegisterArray",
-    "RegisterFile",
-    "SampledQuantileSketch",
-    "capacity_for",
-    "epsilon_for",
-    "SUPPORTED_OPS",
-    "SramExhaustedError",
-    "Stage",
-    "SwitchALU",
-    "SwitchPipeline",
-    "TableEntry",
-    "TableFullError",
-    "UnsupportedOperationError",
-    "HAVE_NUMPY",
-    "PacketColumns",
-    "bloom_parameters",
-    "crc16",
-    "crc16_many",
-    "build_snatch_packet",
-    "dimensions_for",
-    "force_numpy",
-    "group_rows",
-    "numpy_enabled",
-    "snatch_parser",
-    "crc32",
-    "crc32_many",
-    "fold_hash",
-    "optimal_num_hashes",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "bloom": ("BloomFilter", "bloom_parameters", "optimal_num_hashes"),
+    "columns": (
+        "HAVE_NUMPY", "PacketColumns", "force_numpy", "group_rows",
+        "numpy_enabled",
+    ),
+    "hashing": (
+        "HashUnit", "crc16", "crc16_many", "crc32", "crc32_many", "fold_hash",
+    ),
+    "parser": (
+        "ETHERNET", "HeaderField", "HeaderType", "IPV4", "ParseError",
+        "ParseState", "Parser", "QUIC_SHORT", "UDP", "build_snatch_packet",
+        "snatch_parser",
+    ),
+    "pipeline": (
+        "AES_PASS_LATENCY_MS", "Digest", "LINE_RATE_LATENCY_MS", "MAX_STAGES",
+        "MAX_TABLES_PER_STAGE", "PHV", "PipelineCompileError",
+        "PipelineResult", "Stage", "SwitchPipeline",
+    ),
+    "primitives": ("SUPPORTED_OPS", "SwitchALU", "UnsupportedOperationError"),
+    "quantile_sketch": (
+        "SampledQuantileSketch", "capacity_for", "epsilon_for",
+    ),
+    "registers": ("RegisterArray", "RegisterFile", "SramExhaustedError"),
+    "sketch": ("CountMinSketch", "dimensions_for"),
+    "tables": (
+        "MatchActionTable", "MatchKey", "MatchKind", "TableEntry",
+        "TableFullError",
+    ),
+})

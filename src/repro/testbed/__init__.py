@@ -1,33 +1,13 @@
 """Testbed harness: the simulated equivalent of the paper's 6-machine
 plus Tofino testbed, driving real Snatch components end to end."""
 
-from repro.testbed.config import Scheme, TestbedConfig
-from repro.testbed.experiment import (
-    RequestRecord,
-    TestbedExperiment,
-    TestbedResult,
-)
-from repro.testbed.network_testbed import NetworkRunResult, NetworkTestbed
-from repro.testbed.pipeline import (
-    PipelineResult,
-    ReorderInjector,
-    StreamingPipeline,
-)
-from repro.testbed.spark_model import SparkLatencyModel
-from repro.testbed.supervisor import ShardSupervisor, SupervisedRunResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NetworkRunResult",
-    "NetworkTestbed",
-    "PipelineResult",
-    "ReorderInjector",
-    "RequestRecord",
-    "Scheme",
-    "ShardSupervisor",
-    "SparkLatencyModel",
-    "StreamingPipeline",
-    "SupervisedRunResult",
-    "TestbedConfig",
-    "TestbedExperiment",
-    "TestbedResult",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "config": ("Scheme", "TestbedConfig"),
+    "experiment": ("RequestRecord", "TestbedExperiment", "TestbedResult"),
+    "network_testbed": ("NetworkRunResult", "NetworkTestbed"),
+    "pipeline": ("PipelineResult", "ReorderInjector", "StreamingPipeline"),
+    "spark_model": ("SparkLatencyModel",),
+    "supervisor": ("ShardSupervisor", "SupervisedRunResult"),
+})

@@ -667,6 +667,9 @@ class ShardExecutor:
                 backend=self.backend,
                 row_capacity=max(self.chunk_size, 64),
             )
+        # Every shard's worker is up (started side by side on the first
+        # run, a dictionary check afterwards) before the first push.
+        self._fleet.bring_up(range(len(parts)))
         for shard, part in enumerate(parts):
             self._fleet.push(shard, part, self.chunk_size, self.backend)
         return self._fleet.drain(reset=True)

@@ -545,9 +545,10 @@ class StreamingPipeline:
                     self.placement.map,
                 )
                 self.placement.observe(counts)
-            for shard, part in enumerate(parts):
-                if len(part):
-                    self._fleet.push(shard, part)
+            busy = [shard for shard, part in enumerate(parts) if len(part)]
+            self._fleet.bring_up(busy)
+            for shard in busy:
+                self._fleet.push(shard, parts[shard])
             return
         # A poison payload (the entry point raises on it) cannot abort
         # the run; it and every merely undecodable payload — all that

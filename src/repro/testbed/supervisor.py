@@ -275,10 +275,17 @@ class ShardSupervisor:
                     _slice_part(packets, pos, pos + size),
                     pmap,
                 )
-                for shard, part in enumerate(parts):
+                busy = [
+                    states.setdefault(shard, _ShardState(shard))
+                    for shard, part in enumerate(parts)
+                    if len(part)
+                ]
+                self._bring_up(busy)
+                for state in busy:
+                    part = parts[state.shard]
                     for lo in range(0, len(part), self.epoch_size):
                         self._run_epoch(
-                            states.setdefault(shard, _ShardState(shard)),
+                            state,
                             _slice_part(part, lo, lo + self.epoch_size),
                             version,
                         )
@@ -341,7 +348,11 @@ class ShardSupervisor:
         job = _Job(part, self.epoch_backend(state.epochs), map_version)
         state.attempt = 0
         while True:
-            worker = self._worker(state)
+            worker = (
+                self._fleet.workers[state.shard]
+                if self._fleet is not None
+                else None
+            )
             try:
                 if worker is not None:
                     self._persistent_epoch(state, worker, job)
@@ -370,15 +381,20 @@ class ShardSupervisor:
             if salvage:
                 return
 
-    def _worker(self, state: _ShardState):
-        """The shard's ring-fed worker, spawned on first use from its
-        last checkpoint — or ``None`` for the in-process transport.  A
-        fleet that cannot spawn is dropped for the rest of the run (the
-        checkpoint store makes the switch-over seamless)."""
+    def _bring_up(self, states: List[_ShardState]) -> None:
+        """Before a window's first epoch: every shard the window routes
+        traffic to gets its ring-fed worker, the missing ones started
+        side by side and each restored from its shard's last
+        checkpoint.  A fleet that cannot spawn is dropped for the rest
+        of the run and the epochs go in-process (the checkpoint store
+        makes the switch-over seamless)."""
         if self._fleet is None:
-            return None
+            return
         try:
-            return self._fleet.worker(state.shard, state.checkpoint)
+            self._fleet.bring_up(
+                [state.shard for state in states],
+                {state.shard: state.checkpoint for state in states},
+            )
         except Exception as exc:
             self.last_error = self._fallback_cause = "%s: %s" % (
                 type(exc).__name__, exc,
@@ -386,7 +402,6 @@ class ShardSupervisor:
             self.registry.counter("supervisor.worker_fallbacks").inc()
             self._fleet.close()
             self._fleet = None
-            return None
 
     def _persistent_epoch(self, state: _ShardState, worker, job: _Job) -> None:
         """One epoch over a persistent worker: arm, stream, drain."""

@@ -55,7 +55,9 @@ import pickle
 import signal
 import time
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import (
+    Any, Collection, Dict, Iterable, List, Mapping, Optional, Tuple,
+)
 
 from repro.chaos.shard_faults import ShardCrash, ShardFaultPlan
 from repro.testbed.executor import (
@@ -69,6 +71,7 @@ from repro.testbed.shm_ring import (
     KIND_CONTROL,
     ColumnRing,
     RingClosed,
+    RingTimeout,
     shared_memory_available,
 )
 
@@ -168,7 +171,13 @@ def _worker_main(
 
 
 class ShardWorker:
-    """Parent-side handle on one persistent shard worker process."""
+    """Parent-side handle on one persistent shard worker process.
+
+    Constructing the handle creates the ring and *starts* the process;
+    :meth:`await_ready` completes the start-up.  The two are separate
+    so that :meth:`WorkerFleet.bring_up` can start a whole set of
+    workers before it waits for any of them.
+    """
 
     def __init__(
         self,
@@ -201,7 +210,7 @@ class ShardWorker:
         self._proc = None
         self._conn = None
         try:
-            self._spawn()
+            self._start()
         except BaseException:
             # A handle that never came up must not leave its segment
             # (or a half-started child) behind.
@@ -210,9 +219,14 @@ class ShardWorker:
 
     # -- process lifecycle -------------------------------------------------
 
-    def _spawn(self) -> None:
+    def _start(self) -> None:
+        """Start the worker process and return without waiting for it:
+        the interpreter start-up and imports of several workers overlap
+        when their owner starts them all before the first
+        :meth:`await_ready`."""
         import multiprocessing as mp
 
+        self._shutdown_requested = False
         ctx = mp.get_context("spawn")
         self._conn, child_conn = ctx.Pipe()
         self._proc = ctx.Process(
@@ -229,9 +243,16 @@ class ShardWorker:
         )
         self._proc.start()
         child_conn.close()
-        # Consume the readiness message so replies stay in lockstep
-        # with commands (and spawn cost stays out of ingest timings).
-        ready = self._recv_reply(timeout_s=max(60.0, self.reply_timeout_s))
+
+    def await_ready(self) -> None:
+        """Consume the readiness message, once per process start and
+        before the first command that expects a reply — replies stay in
+        lockstep with commands, and start-up cost stays out of the
+        caller's ingest timings."""
+        ready = self._recv_reply(
+            timeout_s=max(60.0, self.reply_timeout_s),
+            awaiting="start-up readiness",
+        )
         if not ready.get("ready"):
             raise WorkerDied(
                 "shard %d worker sent %r instead of readiness"
@@ -266,7 +287,8 @@ class ShardWorker:
             self._conn.close()
         self.ring.reset()
         self.restarts += 1
-        self._spawn()
+        self._start()
+        self.await_ready()
         if checkpoint is not None:
             self.restore(checkpoint)
 
@@ -276,14 +298,26 @@ class ShardWorker:
             self._proc.kill()
             self._proc.join(timeout=10.0)
 
-    def close(self) -> None:
-        """Shut down (gracefully when possible) and release the ring."""
-        if self._proc is not None and self._proc.is_alive():
+    def request_shutdown(self) -> None:
+        """Push ``shutdown`` without waiting for the worker to act on
+        it; :meth:`close` collects.  An owner of several workers tells
+        them all first, so they wind down side by side."""
+        if self.alive and not self._shutdown_requested:
             try:
                 self._push_control(("shutdown",), timeout=5.0)
-                self._recv_reply(timeout_s=5.0)
-            except Exception:
-                pass
+                self._shutdown_requested = True
+            except (WorkerDied, RingTimeout):
+                pass  # dying or wedged: close() joins or kills it
+
+    def close(self) -> None:
+        """Shut down (gracefully when possible) and release the ring."""
+        if self.alive:
+            self.request_shutdown()
+            if self._shutdown_requested:
+                try:
+                    self._recv_reply(timeout_s=5.0)
+                except WorkerDied:
+                    pass
             self._proc.join(timeout=5.0)
             if self._proc.is_alive():
                 self._proc.kill()
@@ -318,7 +352,9 @@ class ShardWorker:
     def _liveness(self) -> bool:
         return self._proc is not None and self._proc.is_alive()
 
-    def _recv_reply(self, timeout_s: Optional[float] = None):
+    def _recv_reply(
+        self, timeout_s: Optional[float] = None, awaiting: str = "reply"
+    ):
         timeout_s = (
             self.reply_timeout_s if timeout_s is None else timeout_s
         )
@@ -327,16 +363,14 @@ class ShardWorker:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise WorkerDied(
-                    "shard %d worker reply timed out" % self.shard_index
+                    "shard %d worker timed out awaiting %s"
+                    % (self.shard_index, awaiting)
                 )
             if self._conn.poll(min(0.2, max(0.0, remaining))):
                 try:
                     return self._conn.recv()
                 except (EOFError, OSError):
-                    raise WorkerDied(
-                        "shard %d worker died mid-reply"
-                        % self.shard_index
-                    )
+                    raise self._died(awaiting) from None
             if not self._liveness():
                 # One final poll: the reply may have landed just before
                 # the death.
@@ -345,10 +379,17 @@ class ShardWorker:
                         return self._conn.recv()
                     except (EOFError, OSError):
                         pass
-                raise WorkerDied(
-                    "shard %d worker died awaiting reply"
-                    % self.shard_index
-                )
+                raise self._died(awaiting)
+
+    def _died(self, awaiting: str) -> WorkerDied:
+        """Names the phase the worker died in and its exit code (a
+        negative code is the signal that killed it; ``None`` means the
+        pipe closed before the corpse could be collected)."""
+        self._proc.join(timeout=1.0)
+        return WorkerDied(
+            "shard %d worker died awaiting %s (exit code %s)"
+            % (self.shard_index, awaiting, self._proc.exitcode)
+        )
 
     # -- commands ----------------------------------------------------------
 
@@ -405,13 +446,14 @@ class WorkerFleet:
 
     ``ShardExecutor(persistent=True)``, ``ShardSupervisor(
     persistent=True)`` and ``StreamingPipeline(backend="persistent")``
-    each hold one fleet and nothing else about workers: shards spawn
-    lazily on first use (restoring the caller's checkpoint when a shard
-    re-enters), parts stream in ``chunk_size`` ring pushes, a drain
-    barrier returns register snapshots with counter **deltas** since
-    the previous drain (worker counters are cumulative; the fleet keeps
-    the bases), a shrinking map retires workers with their state kept,
-    and a dead worker is respawned on its own ring.
+    each hold one fleet and nothing else about workers: a set of shards
+    is brought up together (processes started side by side, then the
+    readiness handshakes; a shard re-entering the fleet restores the
+    caller's checkpoint), parts stream in ``chunk_size`` ring pushes,
+    a drain barrier returns register snapshots with counter **deltas**
+    since the previous drain (worker counters are cumulative; the fleet
+    keeps the bases), a shrinking map retires workers with their state
+    kept, and a dead worker is respawned on its own ring.
     """
 
     def __init__(
@@ -436,29 +478,56 @@ class WorkerFleet:
         self._retired_snapshot: Optional[Dict[str, List[int]]] = None
         self._retired_deltas: Dict[int, Dict[str, int]] = {}
 
+    def bring_up(
+        self,
+        shards: Iterable[int],
+        checkpoints: Optional[Mapping[int, Dict[str, Any]]] = None,
+    ) -> None:
+        """Make every shard in ``shards`` a live, ready worker.
+
+        The missing processes are all started first and their readiness
+        handshakes consumed afterwards, so the interpreters come up
+        side by side rather than one after another — and still before
+        the caller's first (timed) push.  A new worker restores its
+        entry of ``checkpoints`` (a shard re-entering the fleet picks
+        its cumulative fold up where the caller's store left it);
+        shards already live are left alone.  If any worker fails to
+        come up the whole new set is released and ``WorkerDied``
+        raised: the fleet is as it was before the call.
+        """
+        fresh: Dict[int, ShardWorker] = {}
+        try:
+            for shard in shards:
+                if shard not in self.workers and shard not in fresh:
+                    fresh[shard] = ShardWorker(
+                        self.spec,
+                        shard,
+                        backend=self.backend,
+                        row_capacity=self.row_capacity,
+                        row_width=64,
+                        spill_bytes=self.spill_bytes,
+                        fault_plan=self.fault_plan,
+                        reply_timeout_s=self.reply_timeout_s,
+                    )
+            for worker in fresh.values():
+                worker.await_ready()
+        except BaseException:
+            _close_all(fresh.values())
+            raise
+        for shard, worker in fresh.items():
+            self.workers[shard] = worker
+            self._bases[shard] = _ZERO
+            if checkpoints and checkpoints.get(shard) is not None:
+                worker.restore(checkpoints[shard])
+
     def worker(
         self, shard: int, checkpoint: Optional[Dict[str, Any]] = None
     ) -> ShardWorker:
-        """The live worker for ``shard``, spawned on first use.  A new
-        worker restores ``checkpoint`` (a shard re-entering the fleet
-        picks its cumulative fold up where the caller's store left
-        it); an existing one ignores it."""
-        worker = self.workers.get(shard)
-        if worker is None:
-            worker = self.workers[shard] = ShardWorker(
-                self.spec,
-                shard,
-                backend=self.backend,
-                row_capacity=self.row_capacity,
-                row_width=64,
-                spill_bytes=self.spill_bytes,
-                fault_plan=self.fault_plan,
-                reply_timeout_s=self.reply_timeout_s,
-            )
-            self._bases[shard] = _ZERO
-            if checkpoint is not None:
-                worker.restore(checkpoint)
-        return worker
+        """The live worker for ``shard`` — :meth:`bring_up` of that one
+        shard on first use; an existing worker ignores ``checkpoint``."""
+        if shard not in self.workers:
+            self.bring_up((shard,), {shard: checkpoint})
+        return self.workers[shard]
 
     def push(
         self,
@@ -540,11 +609,20 @@ class WorkerFleet:
         self._bases.clear()
         self._retired_snapshot = None
         self._retired_deltas = {}
-        for worker in workers:
-            try:
-                worker.close()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
+        _close_all(workers)
+
+
+def _close_all(workers: Collection[ShardWorker]) -> None:
+    """Tell every worker to shut down, then collect them: the workers
+    wind down side by side and one wedged worker's join timeout is not
+    paid once per healthy worker behind it."""
+    for worker in workers:
+        worker.request_shutdown()
+    for worker in workers:
+        try:
+            worker.close()
+        except Exception:  # pragma: no cover - teardown best effort
+            pass
 
 
 def _add(

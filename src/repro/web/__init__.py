@@ -2,19 +2,11 @@
 requests/responses, a TTL'd LRU edge cache, the origin server, and a
 Snatch-enabled CDN edge with page rules (paper sections 2.3, 3.3)."""
 
-from repro.web.cache import CacheStats, LruTtlCache
-from repro.web.cdn import CdnEdge, EdgeServed
-from repro.web.http import HttpRequest, HttpResponse, Method, Status
-from repro.web.origin import OriginServer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheStats",
-    "CdnEdge",
-    "EdgeServed",
-    "HttpRequest",
-    "HttpResponse",
-    "LruTtlCache",
-    "Method",
-    "OriginServer",
-    "Status",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "cache": ("CacheStats", "LruTtlCache"),
+    "cdn": ("CdnEdge", "EdgeServed"),
+    "http": ("HttpRequest", "HttpResponse", "Method", "Status"),
+    "origin": ("OriginServer",),
+})

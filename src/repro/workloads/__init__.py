@@ -4,62 +4,22 @@ scaling (section 2.3) — plus the struct-of-arrays event-stream
 substrate (:mod:`repro.workloads.columns`) their batched generators
 share."""
 
-from repro.workloads.adcampaign import (
-    AGE_BRACKETS,
-    AdCampaignWorkload,
-    AdEvent,
-    AdEventStream,
-    EVENT_TYPES,
-    GENDERS,
-    GEOS,
-    UserProfile,
-)
-from repro.workloads.columns import EventColumns, EventStream
-from repro.workloads.crowd import (
-    CrowdEventStream,
-    CrowdMember,
-    CrowdWorkload,
-    INTERESTS,
-    REGIONS,
-)
-from repro.workloads.scale import ScaleEventStream, ScaleWorkload
-from repro.workloads.ysb import (
-    YsbEvent,
-    YsbEventStream,
-    YsbPipeline,
-    YsbWorkload,
-)
-from repro.workloads.resource import (
-    Autoscaler,
-    ResourceDemandWorkload,
-    ResourceEventStream,
-    Tenant,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AGE_BRACKETS",
-    "AdCampaignWorkload",
-    "AdEvent",
-    "AdEventStream",
-    "Autoscaler",
-    "CrowdEventStream",
-    "CrowdMember",
-    "CrowdWorkload",
-    "EVENT_TYPES",
-    "EventColumns",
-    "EventStream",
-    "GENDERS",
-    "GEOS",
-    "INTERESTS",
-    "REGIONS",
-    "ResourceDemandWorkload",
-    "ResourceEventStream",
-    "ScaleEventStream",
-    "ScaleWorkload",
-    "Tenant",
-    "UserProfile",
-    "YsbEvent",
-    "YsbEventStream",
-    "YsbPipeline",
-    "YsbWorkload",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "adcampaign": (
+        "AGE_BRACKETS", "AdCampaignWorkload", "AdEvent", "AdEventStream",
+        "EVENT_TYPES", "GENDERS", "GEOS", "UserProfile",
+    ),
+    "columns": ("EventColumns", "EventStream"),
+    "crowd": (
+        "CrowdEventStream", "CrowdMember", "CrowdWorkload", "INTERESTS",
+        "REGIONS",
+    ),
+    "resource": (
+        "Autoscaler", "ResourceDemandWorkload", "ResourceEventStream",
+        "Tenant",
+    ),
+    "scale": ("ScaleEventStream", "ScaleWorkload"),
+    "ysb": ("YsbEvent", "YsbEventStream", "YsbPipeline", "YsbWorkload"),
+})

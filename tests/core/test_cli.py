@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import build_parser, main
+from tests.fresh import fresh_interpreter
 
 
 def _run(argv):
@@ -138,3 +139,48 @@ class TestParser:
             main(["bench"])
         assert excinfo.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_scheme_choices_are_the_enum_values(self):
+        """The CLI spells the choices out so that ``--help`` need not
+        import the testbed; they must stay the enum's values."""
+        from repro import cli
+        from repro.testbed.config import Scheme
+
+        assert sorted(cli._SCHEMES) == sorted(s.value for s in Scheme)
+        for value in cli._SCHEMES:
+            args = build_parser().parse_args(["testbed", "--scheme", value])
+            assert Scheme(args.scheme).value == value
+
+
+class TestHandlersImportWhatTheyRun:
+    """Counted on ``sys.modules`` in a fresh interpreter, not timed."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["table1"], ["speedup"], ["breakdown"], ["carriers"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_model_subcommands_load_neither_numpy_nor_testbed(self, argv):
+        probe = (
+            "import io, json, sys\n"
+            "from repro.cli import main\n"
+            "out = io.StringIO()\n"
+            "sys.stdout = out\n"
+            "try:\n"
+            "    code = main(sys.argv[1:], out=out)\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "sys.stdout = sys.__stdout__\n"
+            "print(json.dumps({'code': code, 'text': out.getvalue(),"
+            " 'loaded': sorted(sys.modules)}))\n"
+        )
+        result = fresh_interpreter(probe, *argv)
+        assert result["code"] == 0 and result["text"]
+        loaded = result["loaded"]
+        assert "numpy" not in loaded
+        assert "repro.testbed.experiment" not in loaded
+        assert "repro.testbed" not in loaded
+        if argv == ["--help"]:
+            assert [m for m in loaded if m.startswith("repro")] == [
+                "repro", "repro._lazy", "repro.cli",
+            ]

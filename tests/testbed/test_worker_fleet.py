@@ -8,6 +8,7 @@ this file covers the disorderly one: the *parent* is ``SIGKILL``ed
 mid-epoch and never runs a line of teardown.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -18,6 +19,7 @@ import time
 import pytest
 
 from repro.testbed.shm_ring import shared_memory_available
+from tests.fresh import fresh_env
 
 pytestmark = pytest.mark.skipif(
     not shared_memory_available() or not os.path.isdir("/proc"),
@@ -66,19 +68,12 @@ def _gone(pid):
 def test_sigkilled_owner_takes_its_fleet_down(tmp_path):
     script = tmp_path / "fleet_owner.py"
     script.write_text(_OWNER)
-    repo = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__)
-    )))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(repo, "src"), repo, env.get("PYTHONPATH", "")]
-    )
     before = set(os.listdir(_SHM_DIR))
     pids = []
     owner = subprocess.Popen(
         [sys.executable, str(script)],
         stdout=subprocess.PIPE,
-        env=env,
+        env=fresh_env(),
         text=True,
     )
     try:
@@ -110,3 +105,203 @@ def test_sigkilled_owner_takes_its_fleet_down(tmp_path):
         for pid in pids:
             if not _gone(pid):
                 os.kill(pid, signal.SIGKILL)
+
+
+# -- bring-up and close: a set of workers, side by side ---------------------
+
+
+def _agg_spec():
+    from repro.testbed.executor import ShardSpec
+    from tests.differential.workloads import APP_ID, DifferentialWorkload
+
+    wl = DifferentialWorkload(seed=11)
+    return ShardSpec(
+        kind="agg", app_id=APP_ID, schema=wl.schema, key=wl.key,
+        specs=tuple(wl.specs), seed=7,
+    )
+
+
+def _log_calls(monkeypatch, log, *names):
+    """Record ``(name, shard)`` at every call of the named
+    ``ShardWorker`` methods, then run the real method."""
+    from repro.testbed.worker import ShardWorker
+
+    def logged(name):
+        real = getattr(ShardWorker, name)
+
+        def method(self, *args, **kwargs):
+            shard = args[1] if name == "__init__" else self.shard_index
+            log.append((name, shard))
+            return real(self, *args, **kwargs)
+
+        return method
+
+    for name in names:
+        monkeypatch.setattr(ShardWorker, name, logged(name))
+
+
+def _assert_all_gone(procs):
+    for proc in procs:
+        proc.join(timeout=10.0)
+        assert not proc.is_alive()
+
+
+def test_bring_up_starts_every_process_before_the_first_handshake(
+    monkeypatch,
+):
+    from repro.testbed.worker import WorkerFleet
+
+    log = []
+    _log_calls(monkeypatch, log, "__init__", "await_ready")
+    before = set(os.listdir(_SHM_DIR))
+    fleet = WorkerFleet(_agg_spec(), backend="columnar", row_capacity=64)
+    try:
+        fleet.bring_up(range(3))
+        assert log == [
+            ("__init__", 0), ("__init__", 1), ("__init__", 2),
+            ("await_ready", 0), ("await_ready", 1), ("await_ready", 2),
+        ]
+        assert sorted(fleet.workers) == [0, 1, 2]
+        procs = [worker._proc for worker in fleet.workers.values()]
+        assert all(worker.alive for worker in fleet.workers.values())
+        assert len({proc.pid for proc in procs}) == 3
+        # Ready means the handshake is consumed: the first reply each
+        # worker sends after it is the barrier's.
+        snapshot, deltas = fleet.drain()
+        assert sorted(deltas) == [0, 1, 2]
+        assert not any(any(cells) for cells in snapshot.values())
+        # Live shards are left alone; one more brings up only itself.
+        del log[:]
+        fleet.bring_up((1, 3))
+        assert log == [("__init__", 3), ("await_ready", 3)]
+        procs.append(fleet.workers[3]._proc)
+    finally:
+        fleet.close()
+    _assert_all_gone(procs)
+    assert not set(os.listdir(_SHM_DIR)) - before
+
+
+def test_one_failed_start_releases_the_whole_set(monkeypatch):
+    """Shard 1 is handed a recipe its replica cannot be built from, so
+    it dies before its readiness message; 0 and 2 are healthy."""
+    from dataclasses import replace
+
+    from repro.testbed.worker import ShardWorker, WorkerDied, WorkerFleet
+
+    started = []
+    real_init = ShardWorker.__init__
+
+    def init(self, spec, shard_index, **kwargs):
+        if shard_index == 1:
+            spec = replace(spec, key=b"not an AES key")
+        real_init(self, spec, shard_index, **kwargs)
+        started.append(self)
+
+    monkeypatch.setattr(ShardWorker, "__init__", init)
+    before = set(os.listdir(_SHM_DIR))
+    fleet = WorkerFleet(_agg_spec(), backend="columnar", row_capacity=64)
+    try:
+        with pytest.raises(WorkerDied) as failure:
+            fleet.bring_up(range(3))
+        message = str(failure.value)
+        assert "shard 1" in message and "start-up" in message
+        assert "exit code 1" in message
+        assert len(started) == 3, "the set was not started side by side"
+        assert fleet.workers == {}
+        _assert_all_gone([worker._proc for worker in started])
+        assert not set(os.listdir(_SHM_DIR)) - before
+        # The fleet is as it was before the call: still usable.
+        monkeypatch.setattr(ShardWorker, "__init__", real_init)
+        assert fleet.worker(0).alive
+        proc = fleet.workers[0]._proc
+    finally:
+        fleet.close()
+    _assert_all_gone([proc])
+    assert not set(os.listdir(_SHM_DIR)) - before
+
+
+# A __main__ that spawn children cannot re-import: every worker dies in
+# multiprocessing's own bootstrap, before a line of repro runs in it.
+_UNIMPORTABLE_MAIN = textwrap.dedent(
+    """
+    import json
+    import multiprocessing
+
+    if __name__ == "__mp_main__":
+        raise ImportError("this __main__ cannot be imported twice")
+
+    from repro.testbed.executor import ShardExecutor, ShardSpec
+    from repro.testbed.worker import WorkerDied, WorkerFleet
+    from tests.differential.workloads import APP_ID, DifferentialWorkload
+
+    if __name__ == "__main__":
+        wl = DifferentialWorkload(seed=11)
+        spec = ShardSpec(
+            kind="lark", app_id=APP_ID, schema=wl.schema, key=wl.key,
+            specs=tuple(wl.specs), seed=7,
+        )
+        fleet = WorkerFleet(spec, backend="columnar", row_capacity=64)
+        try:
+            fleet.bring_up(range(2))
+            error = None
+        except WorkerDied as exc:
+            error = str(exc)
+        packets = [bytes(c) for c in wl.cids("uniform", 200)]
+        with ShardExecutor(spec, shards=2, persistent=True) as executor:
+            result = executor.run(packets)
+        print(json.dumps({
+            "error": error,
+            "workers": len(fleet.workers),
+            "children": len(multiprocessing.active_children()),
+            "fallback_cause": result.fallback_cause,
+            "packets": result.total_packets,
+        }))
+    """
+)
+
+
+def test_unimportable_main_is_named_and_falls_back(tmp_path):
+    script = tmp_path / "unimportable_main.py"
+    script.write_text(_UNIMPORTABLE_MAIN)
+    before = set(os.listdir(_SHM_DIR))
+    done = subprocess.run(
+        [sys.executable, str(script)],
+        env=fresh_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert "start-up" in out["error"] and "exit code 1" in out["error"]
+    assert out["workers"] == 0 and out["children"] == 0
+    # The executor's existing fallback path took the same exception.
+    assert out["fallback_cause"].startswith("WorkerDied: shard 0")
+    assert "start-up" in out["fallback_cause"]
+    assert out["packets"] == 200
+    assert not set(os.listdir(_SHM_DIR)) - before
+
+
+def test_close_tells_every_worker_before_collecting_any(monkeypatch):
+    from repro.testbed.worker import WorkerFleet
+
+    fleet = WorkerFleet(_agg_spec(), backend="columnar", row_capacity=64)
+    before = set(os.listdir(_SHM_DIR))
+    try:
+        fleet.bring_up(range(3))
+        procs = [worker._proc for worker in fleet.workers.values()]
+        log = []
+        _log_calls(monkeypatch, log, "request_shutdown", "close")
+    finally:
+        fleet.close()
+    # close() asks again for itself (a no-op once asked): what matters
+    # is that all three were told before the first was waited for.
+    assert log[:4] == [
+        ("request_shutdown", 0), ("request_shutdown", 1),
+        ("request_shutdown", 2), ("close", 0),
+    ]
+    assert [entry for entry in log if entry[0] == "close"] == [
+        ("close", 0), ("close", 1), ("close", 2),
+    ]
+    _assert_all_gone(procs)
+    assert all(proc.exitcode == 0 for proc in procs), "not a clean exit"
+    assert not set(os.listdir(_SHM_DIR)) - before
+    assert fleet.workers == {}
+    fleet.close()  # idempotent
