@@ -4,13 +4,11 @@ Builds the whole paper in one script:
 
 1. regional deployment — US and EU LarkSwitches with distinct derived
    AES keys, one global AggSwitch (section 3.6);
-2. a CDN edge + origin pair handling the application-layer path with
-   page rules (section 3.3);
-3. a compiled query (section 6 future work) installed on the switches;
-4. traffic from the ad-campaign workload through real QUIC connection
+2. a compiled query (section 6 future work) installed on the switches;
+3. traffic from the ad-campaign workload through real QUIC connection
    IDs, parsed from raw packet bytes by the P4-style parser;
-5. the merged global report, checked against ground truth;
-6. a key rotation for one region, invalidating its old cookies only.
+4. the merged global report, checked against ground truth;
+5. a key rotation for one region, invalidating its old cookies only.
 
 Run:  python examples/full_deployment.py
 """
@@ -34,7 +32,7 @@ def main() -> None:
     workload = AdCampaignWorkload(num_users=300, num_campaigns=4, seed=11)
     schema = workload.schema()
 
-    # 3. Compile the analytics task.
+    # 2. Compile the analytics task.
     query = (
         Query(schema)
         .where("event", "eq", "view")
@@ -59,7 +57,7 @@ def main() -> None:
           % (handle.region_names(),
              [handle.app_id_for(r) for r in handle.region_names()]))
 
-    # 4. Traffic: users in each region carry semantic QUIC CIDs; the
+    # 3. Traffic: users in each region carry semantic QUIC CIDs; the
     #    regional switch parses raw packet bytes and pre-aggregates.
     rng = random.Random(9)
     accept = compiled.edge_filter()
@@ -80,7 +78,7 @@ def main() -> None:
         agg.process_packet(result.aggregation_payload)
         counted += 1
 
-    # 5. The merged global report.
+    # 4. The merged global report.
     combined = deployment.combined_report("ads")
     views = [e for e in events if e.event_type == "view"]
     spec_name = compiled.specs[0].name  # gender x campaign
@@ -97,7 +95,7 @@ def main() -> None:
     print("cells matching ground truth: %d/%d"
           % (len(truth) - mismatches, len(truth)))
 
-    # 6. Rotate the EU key: old EU cookies stop decoding, US unaffected.
+    # 5. Rotate the EU key: old EU cookies stop decoding, US unaffected.
     old_eu_codec = TransportCookieCodec(
         handle.app_id_for("eu"), handle.transport_schema,
         handle.key_for("eu"), rng,

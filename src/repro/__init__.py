@@ -16,7 +16,6 @@ Subpackages
 ``repro.workloads``    ad-campaign / crowd / resource-demand workloads
 ``repro.testbed``      end-to-end experiments (paper Figure 6)
 ``repro.obs``          metrics registry, sim-time tracer, exporters
-``repro.web``          HTTP / CDN substrate of the application-layer path
 ``repro.cli``          ``python -m repro.cli`` command-line front end
 
 Quickstart

@@ -113,13 +113,6 @@ class DeviceLifecycle:
             self.tracer.finish(span, apps_repushed=pushed)
         return pushed
 
-    def schedule_crash(self, at_ms: float, device_name: str,
-                       down_ms: Optional[float] = None) -> None:
-        """Script a crash (and automatic recovery) at an absolute time."""
-        self.sim.schedule_at(
-            at_ms, lambda: self.crash(device_name, down_ms)
-        )
-
     # -- introspection ----------------------------------------------------------
 
     def crash_count(self, device_name: str) -> int:

@@ -24,7 +24,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "controller": ("ApplicationHandle", "RpcLog", "SnatchController"),
     "cookie_cache": ("CookieEncodeCache",),
-    "digest_offload": ("DigestModulo", "DigestQuantileEstimator"),
     "edge_service": ("EdgeResult", "SnatchEdgeServer"),
     "fault": ("Discrepancy", "FaultRepairLoop", "ResultVerifier"),
     "insa": (

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.crypto.aes import AES, decrypt_cbc, encrypt_cbc, encrypt_cbc_many
+from repro.crypto.aes import AES, decrypt_cbc, encrypt_cbc
 from repro.core.schema import CookieSchema, FeatureValueError
 
 __all__ = [
@@ -124,33 +124,6 @@ class ApplicationCookieCodec:
         iv = bytes(self._rng.getrandbits(8) for _ in range(16))
         ciphertext = encrypt_cbc(self._aes, iv, plaintext)
         return self.cookie_name, (iv + ciphertext).hex()
-
-    def encode_many(self, values_list) -> list:
-        """Batch :meth:`encode`: serialize every value-set, draw the IVs
-        in element order (so the RNG stream — and therefore the output —
-        is bit-identical to sequential ``encode`` calls), then run all
-        CBC chains through one batched AES pass."""
-        plaintexts = []
-        for values in values_list:
-            unknown = set(values) - set(self.schema.feature_names())
-            if unknown:
-                raise FeatureValueError(
-                    "values for features outside the schema: %s"
-                    % sorted(unknown)
-                )
-            plaintexts.append(_serialize_values(self.schema, values))
-        rng = self._rng
-        ivs = [
-            bytes(rng.getrandbits(8) for _ in range(16))
-            for _ in plaintexts
-        ]
-        name = self.cookie_name
-        return [
-            (name, (iv + ct).hex())
-            for iv, ct in zip(
-                ivs, encrypt_cbc_many(self._aes, ivs, plaintexts)
-            )
-        ]
 
     def decode(self, cookie_value: str) -> DecodedApplicationCookie:
         try:

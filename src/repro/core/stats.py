@@ -27,6 +27,7 @@ __all__ = [
     "StatSpec",
     "SwitchStatistics",
     "array_shapes",
+    "counts_match",
     "merge_snapshots",
     "min_array_names",
 ]
@@ -193,14 +194,6 @@ class SwitchStatistics:
             self._arrays[name] = array
 
     # -- update path (per decoded cookie) ------------------------------------
-
-    def _group_index(self, spec: StatSpec, values: Dict[str, Any]) -> Optional[int]:
-        if spec.group_by is None:
-            return 0
-        if spec.group_by not in values:
-            return None
-        group = self.schema.feature(spec.group_by)
-        return group.encode_value(values[spec.group_by])
 
     def update(self, values: Dict[str, Any]) -> None:
         """Fold one decoded cookie's values into the registers."""
@@ -476,3 +469,18 @@ def merge_snapshots(
 def min_array_names(specs: List[StatSpec]) -> set:
     """Names of snapshot arrays whose idle value is the MIN sentinel."""
     return {spec.name for spec in specs if spec.kind is StatKind.MIN}
+
+
+def counts_match(
+    report: Dict[str, Any], reference: Dict[str, Dict[Any, int]]
+) -> bool:
+    """Whether a rendered report equals a ground-truth count table on
+    every statistic the table names: each reference cell is reported
+    with its exact count, and no other cell of those statistics holds
+    a non-zero count."""
+    for stat, expected in reference.items():
+        got = report.get(stat, {})
+        for key in expected.keys() | got.keys():
+            if got.get(key, 0) != expected.get(key, 0):
+                return False
+    return True

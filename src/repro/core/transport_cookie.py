@@ -95,23 +95,6 @@ class _BitWriter:
         return bytes(out)
 
 
-class _BitReader:
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-
-    def read(self, width: int) -> int:
-        if self._pos + width > len(self._data) * 8:
-            raise ValueError("bit underflow")
-        value = 0
-        for _ in range(width):
-            byte = self._data[self._pos // 8]
-            bit = (byte >> (7 - self._pos % 8)) & 1
-            value = (value << 1) | bit
-            self._pos += 1
-        return value
-
-
 @dataclass
 class DecodedTransportCookie:
     """Result of decoding a semantic connection ID."""
@@ -205,15 +188,6 @@ class TransportCookieCodec:
             wires = validate(values)
             rows.append(tuple([wires.get(name, -1) for name in names]))
         return rows
-
-    def encode_blocks_many(self, values_list) -> "list[bytes]":
-        """Plaintext cookie blocks for many value dicts at once:
-        :meth:`rows_from_values` then :meth:`pack_rows`.  Same bitmap
-        and cookie-stack bits and the same validation errors as
-        ``[self.encode_block(v) for v in values_list]``; the padding is
-        one ``getrandbits(pad_bits)`` draw per block rather than one
-        per bit (random filler no decoder reads)."""
-        return self.pack_rows(self.rows_from_values(values_list))
 
     def pack_rows(self, rows) -> "list[bytes]":
         """The 16-byte plaintext block per **wire row** — one plain
@@ -398,11 +372,10 @@ class TransportCookieCodec:
         (the post-AES half of :meth:`decode`, and the scalar reference
         of :meth:`rows_from_blocks`).
 
-        Same bit layout, ``ValueError("bit underflow")`` on truncated
-        blocks and :class:`FeatureValueError` on out-of-range wire
-        values as a per-bit ``_BitReader`` walk, but reads the whole
-        block as one big integer and extracts each field with a shift
-        and a mask.
+        Reads the whole block as one big integer and extracts each
+        field with a shift and a mask: ``ValueError("bit underflow")``
+        on a truncated block, :class:`FeatureValueError` on an
+        out-of-range wire value.
         """
         plan = self._row_plan
         total = len(block) * 8

@@ -1,4 +1,4 @@
-"""Cryptographic substrate: from-scratch AES-128 and key management.
+"""Cryptographic substrate: from-scratch AES-128 and key derivation.
 
 Snatch encrypts transport-layer semantic cookies and aggregation-packet
 payloads with AES-128 (paper sections 3.6, 4.1, appendix B.3).  This
@@ -9,9 +9,8 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "aes": (
-        "AES", "BLOCK_SIZE", "decrypt_cbc", "decrypt_ctr", "decrypt_ecb",
-        "encrypt_cbc", "encrypt_ctr", "encrypt_ecb", "pkcs7_pad",
-        "pkcs7_unpad", "xor_bytes",
+        "AES", "BLOCK_SIZE", "decrypt_cbc", "encrypt_cbc", "pkcs7_pad",
+        "pkcs7_unpad",
     ),
-    "keys": ("AES128_KEY_LEN", "KeyRing", "RegionKey", "derive_subkey"),
+    "keys": ("AES128_KEY_LEN", "derive_subkey"),
 })

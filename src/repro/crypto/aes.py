@@ -7,9 +7,10 @@ paper cites Chen [45] for an AES implementation on Tofino switches via
 scrambled lookup tables; the cost there is ~0.1 ms per 160-bit cookie.
 
 This module provides a self-contained, test-vector-verified AES-128
-(and 192/256, which fall out of the same key schedule) with ECB, CBC and
-CTR modes plus PKCS#7 padding.  No third-party crypto library is used,
-per the offline constraint of this reproduction.
+(and 192/256, which fall out of the same key schedule): the single
+block the transport cookie encrypts, and CBC with PKCS#7 padding for
+application cookies and aggregation payloads.  No third-party crypto
+library is used, per the offline constraint of this reproduction.
 
 Both forms of the cipher are the table-lookup round: the scalar one
 over four 32-bit words and 256-entry integer tables (13-25 us per block
@@ -26,12 +27,8 @@ from typing import List, Optional, Sequence
 
 __all__ = [
     "AES",
-    "encrypt_ecb",
-    "decrypt_ecb",
     "encrypt_cbc",
     "decrypt_cbc",
-    "encrypt_ctr",
-    "decrypt_ctr",
     "pkcs7_pad",
     "pkcs7_unpad",
     "encrypt_blocks_many",
@@ -257,32 +254,11 @@ def pkcs7_unpad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
 
 
 def _as_cipher(key) -> "AES":
-    """Every mode helper accepts either raw key bytes or a
+    """The CBC helpers accept either raw key bytes or a
     pre-scheduled :class:`AES` instance; hot paths (the per-packet
     aggregation codecs) pass an instance so the key schedule is not
     recomputed on every call."""
     return key if isinstance(key, AES) else AES(key)
-
-
-def encrypt_ecb(key, plaintext: bytes) -> bytes:
-    """ECB with PKCS#7 padding.  Used for fixed-format cookie payloads."""
-    cipher = _as_cipher(key)
-    padded = pkcs7_pad(plaintext)
-    return b"".join(
-        cipher.encrypt_block(padded[i:i + BLOCK_SIZE])
-        for i in range(0, len(padded), BLOCK_SIZE)
-    )
-
-
-def decrypt_ecb(key, ciphertext: bytes) -> bytes:
-    cipher = _as_cipher(key)
-    if len(ciphertext) % BLOCK_SIZE != 0:
-        raise ValueError("ECB ciphertext must be a multiple of 16 bytes")
-    padded = b"".join(
-        cipher.decrypt_block(ciphertext[i:i + BLOCK_SIZE])
-        for i in range(0, len(ciphertext), BLOCK_SIZE)
-    )
-    return pkcs7_unpad(padded)
 
 
 def encrypt_cbc(key, iv: bytes, plaintext: bytes) -> bytes:
@@ -316,40 +292,6 @@ def decrypt_cbc(key, iv: bytes, ciphertext: bytes) -> bytes:
         out.extend(p ^ c for p, c in zip(plain, prev))
         prev = block
     return pkcs7_unpad(bytes(out))
-
-
-def _ctr_keystream(cipher: AES, nonce: bytes, nblocks: int) -> bytes:
-    stream = bytearray()
-    counter = int.from_bytes(nonce, "big")
-    for _ in range(nblocks):
-        stream.extend(
-            cipher.encrypt_block(counter.to_bytes(BLOCK_SIZE, "big"))
-        )
-        counter = (counter + 1) % (1 << 128)
-    return bytes(stream)
-
-
-def encrypt_ctr(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
-    """CTR mode: length-preserving, so suitable for the fixed-width
-    transport-layer cookie bits that must fit inside the QUIC
-    connection-ID field without expansion."""
-    if len(nonce) != BLOCK_SIZE:
-        raise ValueError("CTR nonce must be 16 bytes")
-    cipher = _as_cipher(key)
-    nblocks = (len(plaintext) + BLOCK_SIZE - 1) // BLOCK_SIZE
-    stream = _ctr_keystream(cipher, nonce, nblocks)
-    return bytes(p ^ s for p, s in zip(plaintext, stream))
-
-
-def decrypt_ctr(key: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
-    return encrypt_ctr(key, nonce, ciphertext)
-
-
-def xor_bytes(a: bytes, b: bytes) -> bytes:
-    """XOR two equal-length byte strings."""
-    if len(a) != len(b):
-        raise ValueError("xor_bytes operands must have equal length")
-    return bytes(x ^ y for x, y in zip(a, b))
 
 
 # -- columnar (batched) block kernels -------------------------------------

@@ -1,23 +1,18 @@
-"""Key management for Snatch.
+"""Key derivation for Snatch.
 
 The paper (section 3.6) requires AES-128 keys that are (a) scoped per
 region, so a compromise in one region does not expose others, and
-(b) rotated regularly.  The controller generates keys and distributes
-them to LarkSwitches, AggSwitches and edge servers; the application
-developer also holds them to decode aggregated results.
-
-Randomness is drawn from a seedable RNG so simulations are
-deterministic; production deployments would use ``secrets``.
+(b) rotated regularly.  Both are derived here from one registered
+master key: :class:`repro.core.regional.RegionalDeployment` labels a
+subkey per (region, key epoch) and rotates a region by moving its
+epoch.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
 
-__all__ = ["KeyRing", "RegionKey", "derive_subkey"]
+__all__ = ["derive_subkey"]
 
 AES128_KEY_LEN = 16
 
@@ -34,65 +29,3 @@ def derive_subkey(master: bytes, label: str) -> bytes:
         len(master).to_bytes(4, "big") + master + label.encode("utf-8")
     ).digest()
     return digest[:AES128_KEY_LEN]
-
-
-@dataclass
-class RegionKey:
-    """One region's rotating key, with version history for decryption
-    of in-flight packets encrypted under the previous key."""
-
-    region: str
-    key: bytes
-    version: int = 0
-    previous: Optional[bytes] = None
-
-    def rotate(self, new_key: bytes) -> None:
-        self.previous = self.key
-        self.key = new_key
-        self.version += 1
-
-    def candidates(self) -> List[bytes]:
-        """Keys to try when decrypting: current first, then previous."""
-        if self.previous is None:
-            return [self.key]
-        return [self.key, self.previous]
-
-
-class KeyRing:
-    """Per-region AES-128 key registry with rotation.
-
-    The controller owns a KeyRing per application; edge devices hold a
-    read-only view of the regions they serve.
-    """
-
-    def __init__(self, seed: Optional[int] = None):
-        self._rng = random.Random(seed)
-        self._regions: Dict[str, RegionKey] = {}
-
-    def _random_key(self) -> bytes:
-        return bytes(self._rng.getrandbits(8) for _ in range(AES128_KEY_LEN))
-
-    def create_region(self, region: str) -> RegionKey:
-        """Provision a fresh key for ``region``; idempotent."""
-        if region not in self._regions:
-            self._regions[region] = RegionKey(region, self._random_key())
-        return self._regions[region]
-
-    def get(self, region: str) -> RegionKey:
-        if region not in self._regions:
-            raise KeyError("no key provisioned for region %r" % region)
-        return self._regions[region]
-
-    def rotate(self, region: str) -> RegionKey:
-        """Rotate the region's key (paper: 'changed regularly')."""
-        entry = self.get(region)
-        entry.rotate(self._random_key())
-        return entry
-
-    def regions(self) -> List[str]:
-        return sorted(self._regions)
-
-    def export(self, region: str) -> Tuple[bytes, int]:
-        """Key material + version, as shipped over controller RPC."""
-        entry = self.get(region)
-        return entry.key, entry.version

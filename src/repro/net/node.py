@@ -130,11 +130,6 @@ class ProcessingNode(Node):
             raise ValueError("capacity undefined for variable service times")
         return self.workers / (self.service_time_ms / 1000.0)
 
-    def queue_length(self) -> int:
-        """Requests queued or in service right now."""
-        now = self.sim.now
-        return sum(1 for t in self._worker_free_at if t > now)
-
     def handle(self, packet: NetPacket) -> None:
         now = self.sim.now
         if self.is_down(now):

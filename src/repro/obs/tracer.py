@@ -54,9 +54,6 @@ class Span:
             raise ValueError("span %r not finished" % self.name)
         return self.end_ms - self.start_ms
 
-    def set_attribute(self, key: str, value: Any) -> None:
-        self.attributes[key] = value
-
     def snapshot(self) -> Dict[str, Any]:
         return {
             "kind": "span",

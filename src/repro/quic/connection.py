@@ -141,9 +141,6 @@ class QuicServer:
         self.accepted_handshakes: int = 0
         self.accepted_0rtt: int = 0
 
-    def set_cid_factory(self, factory: Callable[[str], ConnectionID]) -> None:
-        self._cid_factory = factory
-
     def handle_initial(
         self, client_identity: str, initial: LongHeaderPacket
     ) -> Tuple[LongHeaderPacket, SessionTicket]:
@@ -206,12 +203,6 @@ class QuicClient:
         self.cid_policy = cid_policy or RandomConnectionIdPolicy(self._rng)
         self._tickets: Dict[str, SessionTicket] = {}
         self._last_dcid: Dict[str, ConnectionID] = {}
-
-    def has_ticket(self, server_name: str) -> bool:
-        return server_name in self._tickets
-
-    def last_dst_conn_id(self, server_name: str) -> Optional[ConnectionID]:
-        return self._last_dcid.get(server_name)
 
     def connect(
         self,

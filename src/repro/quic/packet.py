@@ -26,7 +26,6 @@ __all__ = [
     "PacketType",
     "LongHeaderPacket",
     "ShortHeaderPacket",
-    "encode_short_many",
     "parse_packet",
     "QUIC_VERSION",
     "SNATCH_DCID_LENGTH",
@@ -101,27 +100,6 @@ class ShortHeaderPacket:
     @property
     def is_long_header(self) -> bool:
         return False
-
-
-def encode_short_many(dcids, payloads, spin_bit: bool = False):
-    """Assemble many short-header packets in one pass.
-
-    The batched ingest path skips the per-packet ``ShortHeaderPacket``
-    dataclass (and its ``__post_init__`` length check, hoisted here to
-    one loop) and emits wire bytes directly: element ``i`` equals
-    ``ShortHeaderPacket(dcids[i], payloads[i], spin_bit).encode()``.
-    """
-    first = bytes([_FIXED_BIT | (0x20 if spin_bit else 0x00)])
-    out = []
-    for dcid, payload in zip(dcids, payloads):
-        raw = bytes(dcid)
-        if len(raw) != SNATCH_DCID_LENGTH:
-            raise ValueError(
-                "Snatch short-header DCID must be %d bytes, got %d"
-                % (SNATCH_DCID_LENGTH, len(raw))
-            )
-        out.append(first + raw + payload)
-    return out
 
 
 def parse_packet(data: bytes):

@@ -5,11 +5,10 @@ Used by the long/short header codecs in :mod:`repro.quic.packet`.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 __all__ = [
     "encode_varint",
-    "encode_varint_many",
     "decode_varint",
     "varint_length",
     "MAX_VARINT",
@@ -40,44 +39,6 @@ def encode_varint(value: int) -> bytes:
     prefix = _PREFIX_FOR_LENGTH[length]
     raw = value | (prefix << (8 * length - 2))
     return raw.to_bytes(length, "big")
-
-
-def encode_varint_many(values) -> List[bytes]:
-    """Encode many varints at once, vectorizing by length class.
-
-    Values sharing a byte length encode in one numpy big-endian pass
-    (prefix OR + byteswapped view); the scalar loop handles small
-    batches and numpy-less builds.  Output element ``i`` is exactly
-    ``encode_varint(values[i])``.
-    """
-    values = list(values)
-    if len(values) < 32:
-        return [encode_varint(v) for v in values]
-    from repro.switch.columns import get_numpy  # lazy: no import cycle
-
-    np = get_numpy()
-    if np is None:
-        return [encode_varint(v) for v in values]
-    arr = np.asarray(values, dtype=np.uint64)
-    if len(values) and (
-        int(arr.max()) > MAX_VARINT or min(values) < 0
-    ):
-        raise ValueError("varint out of range")
-    out: List[bytes] = [b""] * len(values)
-    bounds = ((1, 1 << 6), (2, 1 << 14), (4, 1 << 30), (8, MAX_VARINT + 1))
-    lower = 0
-    for length, upper in bounds:
-        mask = (arr >= lower) & (arr < upper) if lower else (arr < upper)
-        idx = np.nonzero(mask)[0]
-        if len(idx):
-            prefix = _PREFIX_FOR_LENGTH[length] << (8 * length - 2)
-            raws = arr[idx] | np.uint64(prefix)
-            packed = raws.astype(">u8").tobytes()
-            skip = 8 - length
-            for row, i in enumerate(idx):
-                out[int(i)] = packed[row * 8 + skip:(row + 1) * 8]
-        lower = upper
-    return out
 
 
 def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:

@@ -68,9 +68,6 @@ class Topic:
     def end_offset(self, partition: int) -> int:
         return len(self._logs[partition])
 
-    def total_messages(self) -> int:
-        return sum(len(log) for log in self._logs)
-
 
 class MessageBroker:
     """Holds topics; producers publish, consumer groups poll."""

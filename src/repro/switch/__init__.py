@@ -14,9 +14,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "HAVE_NUMPY", "PacketColumns", "force_numpy", "group_rows",
         "numpy_enabled",
     ),
-    "hashing": (
-        "HashUnit", "crc16", "crc16_many", "crc32", "crc32_many", "fold_hash",
-    ),
+    "hashing": ("HashUnit", "crc32", "crc32_many", "fold_hash"),
     "parser": (
         "ETHERNET", "HeaderField", "HeaderType", "IPV4", "ParseError",
         "ParseState", "Parser", "QUIC_SHORT", "UDP", "build_snatch_packet",

@@ -1,10 +1,9 @@
 """Hash units of a programmable switch.
 
 Tofino exposes CRC-based hash engines to index register arrays and
-implement Bloom filters / sketches.  We implement CRC-16/CCITT and
-CRC-32 (IEEE) from scratch with table-driven reflection, matching the
-standard check values, plus an identity-fold hash used for direct
-indexing.
+implement Bloom filters / sketches.  We implement CRC-32 (IEEE) from
+scratch with table-driven reflection, matching the standard check
+value, plus an identity-fold hash used for direct indexing.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ from typing import List, Sequence
 from repro.switch.columns import PacketColumns, get_numpy
 
 __all__ = [
-    "crc16",
     "crc32",
-    "crc16_many",
     "crc32_many",
     "fold_hash",
     "HashUnit",
@@ -45,30 +42,6 @@ def crc32(data: bytes) -> int:
     for byte in data:
         crc = (crc >> 8) ^ _CRC32_TABLE[(crc ^ byte) & 0xFF]
     return crc ^ 0xFFFFFFFF
-
-
-def _make_crc16_table() -> List[int]:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-        table.append(crc)
-    return table
-
-
-_CRC16_TABLE = _make_crc16_table()
-
-
-def crc16(data: bytes) -> int:
-    """CRC-16/CCITT-FALSE.  check('123456789')=0x29B1."""
-    crc = 0xFFFF
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC16_TABLE[((crc >> 8) ^ byte) & 0xFF]
-    return crc
 
 
 def _as_columns(rows) -> PacketColumns:
@@ -102,29 +75,7 @@ def crc32_many(rows) -> "Sequence[int]":
     return crc ^ 0xFFFFFFFF
 
 
-def crc16_many(rows) -> "Sequence[int]":
-    """CRC-16/CCITT-FALSE of every row of a batch (columnar kernel)."""
-    columns = _as_columns(rows)
-    np = get_numpy()
-    if np is None or not columns.vectorized:
-        return [crc16(row) for row in columns.raw]
-    table = _crc16_table_np()
-    crc = np.full(columns.n, 0xFFFF, dtype=np.int64)
-    lengths = columns.lengths
-    data = columns.data
-    for j in range(columns.max_len):
-        active = lengths > j
-        if not active.any():
-            break
-        lane = crc[active]
-        crc[active] = ((lane << 8) & 0xFFFF) ^ table[
-            ((lane >> 8) ^ data[active, j]) & 0xFF
-        ]
-    return crc
-
-
 _CRC32_TABLE_NP = None
-_CRC16_TABLE_NP = None
 
 
 def _crc32_table_np():
@@ -133,14 +84,6 @@ def _crc32_table_np():
     if _CRC32_TABLE_NP is None:
         _CRC32_TABLE_NP = np.array(_CRC32_TABLE, dtype=np.int64)
     return _CRC32_TABLE_NP
-
-
-def _crc16_table_np():
-    global _CRC16_TABLE_NP
-    np = get_numpy()
-    if _CRC16_TABLE_NP is None:
-        _CRC16_TABLE_NP = np.array(_CRC16_TABLE, dtype=np.int64)
-    return _CRC16_TABLE_NP
 
 
 def fold_hash(value: int, width: int) -> int:
@@ -164,14 +107,11 @@ class HashUnit:
     can drive the rows of a Bloom filter or sketch.
     """
 
-    def __init__(self, output_range: int, seed: int = 0, kind: str = "crc32"):
+    def __init__(self, output_range: int, seed: int = 0):
         if output_range <= 0:
             raise ValueError("output_range must be positive")
-        if kind not in ("crc16", "crc32"):
-            raise ValueError("unknown hash kind %r" % kind)
         self.output_range = output_range
         self.seed = seed & 0xFFFFFFFF
-        self.kind = kind
 
     def hash(self, data: bytes) -> int:
         # CRC is linear in its input, so merely prefixing a seed yields
@@ -180,8 +120,7 @@ class HashUnit:
         # a single hash.  Real switches use distinct CRC polynomials
         # per unit; we emulate that with a nonlinear per-seed finalizer
         # (odd-multiplier mix, as in splitmix/murmur finalizers).
-        raw = crc32(data) if self.kind == "crc32" else crc16(data)
-        return self._mix(raw)
+        return self._mix(crc32(data))
 
     def hash_int(self, value: int) -> int:
         length = max(1, (value.bit_length() + 7) // 8)
@@ -189,8 +128,8 @@ class HashUnit:
 
     def mix_many(self, raw_crcs) -> "Sequence[int]":
         """Vectorized finalizer: map raw CRC values (one per row, from
-        :func:`crc32_many` / :func:`crc16_many`) to output indexes,
-        bit-identical to :meth:`hash` per element."""
+        :func:`crc32_many`) to output indexes, bit-identical to
+        :meth:`hash` per element."""
         np = get_numpy()
         if np is None or not hasattr(raw_crcs, "dtype"):
             return [self._mix(int(raw)) for raw in raw_crcs]
@@ -216,5 +155,4 @@ class HashUnit:
     def hash_many(self, rows) -> "Sequence[int]":
         """Hash every row of a batch; the columnar counterpart of
         :meth:`hash` (one multi-row CRC pass + vectorized finalizer)."""
-        raw = crc32_many(rows) if self.kind == "crc32" else crc16_many(rows)
-        return self.mix_many(raw)
+        return self.mix_many(crc32_many(rows))

@@ -11,9 +11,8 @@ AggSwitch merge because count-min cells add linearly across sources.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from repro.switch.columns import PacketColumns, get_numpy
 from repro.switch.hashing import HashUnit
 from repro.switch.registers import RegisterArray, RegisterFile
 
@@ -68,31 +67,6 @@ class CountMinSketch:
         for row, index in zip(self._rows, self._indexes(key)):
             row.add(index, count)
         self.total += count
-
-    def add_many(self, keys: Sequence[bytes], count: int = 1) -> None:
-        """Fold a batch of keys in one scatter pass per row.
-
-        Equivalent to ``add(key, count)`` per key: each row's updates
-        collapse to one ``np.bincount`` histogram added cell-wise, which
-        matches the scalar read-modify-write order because additions are
-        associative modulo the register width.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if not keys:
-            return
-        columns = PacketColumns(keys)
-        np = get_numpy()
-        for row, unit in zip(self._rows, self._hashes):
-            indexes = unit.hash_many(columns)
-            if np is not None and hasattr(indexes, "dtype"):
-                row.add_vector(np.bincount(
-                    indexes, minlength=row.size
-                ) * count)
-            else:
-                for index in indexes:
-                    row.add(index, count)
-        self.total += count * len(keys)
 
     def estimate(self, key: bytes) -> int:
         """Point estimate: min over rows; never underestimates."""

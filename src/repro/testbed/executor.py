@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import logging
 import random
-import time
 from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
@@ -57,7 +56,6 @@ __all__ = [
     "ShardSpec",
     "ShardExecutor",
     "ShardRunResult",
-    "AdaptiveBackend",
     "BACKENDS",
     "Replica",
     "check_backend",
@@ -673,259 +671,3 @@ class ShardExecutor:
         for shard, part in enumerate(parts):
             self._fleet.push(shard, part, self.chunk_size, self.backend)
         return self._fleet.drain(reset=True)
-
-
-class AdaptiveBackend:
-    """Per-device backend selector and continuous degradation controller.
-
-    Fixed modes (``scalar`` / ``columnar``) dispatch every batch
-    straight to the matching callable, no measurement.  In ``auto``
-    mode the first flushes are calibration probes: batches alternate
-    between the two tiers, each timed per item.  Both paths are
-    bit-identical (the differential suite proves it), so calibration
-    and probe packets are processed exactly once and produce the same
-    results either way — only the wall-clock differs.  After
-    ``calibration_rounds`` timed samples per tier the faster one wins;
-    a tie goes to columnar.
-
-    Unlike the original one-shot pick, the choice stays under
-    supervision afterwards:
-
-    * every steady-state flush feeds a sliding window of per-item
-      times; when the window mean exceeds ``spike_factor`` times the
-      backend's measured baseline, the controller **degrades** from
-      columnar to scalar;
-    * an exception raised by the chosen path also degrades (after
-      being counted and re-raised — the switch state already
-      consumed the flush, so the packets cannot be silently replayed);
-    * after ``cooldown_flushes`` flushes on scalar, one flush probes
-      columnar and **re-promotes** if it is again competitive (no
-      thrash: promotion only retraces a recorded degradation);
-    * with ``recalibrate_every > 0``, steady state additionally probes
-      the non-chosen tier every that-many flushes and re-elects the
-      winner — continuous re-measurement instead of
-      trusting the startup calibration forever.
-
-    Every transition lands in ``history`` and in ``repro.obs``
-    counters/gauges under ``name`` (``<name>.transitions``,
-    ``.degradations``, ``.promotions``, ``.errors``, ``.tier``).
-    ``clock`` is injectable so tests can script latency spikes.
-    """
-
-    _MODES = BACKENDS + ("auto",)
-    _LADDER = BACKENDS  # ascending
-
-    def __init__(
-        self,
-        scalar_fn: Callable[[Sequence[Any]], List[Any]],
-        columnar_fn: Callable[[Sequence[Any]], List[Any]],
-        mode: str = "columnar",
-        calibration_rounds: int = 2,
-        window: int = 32,
-        min_window: int = 5,
-        spike_factor: float = 4.0,
-        cooldown_flushes: int = 8,
-        recalibrate_every: int = 0,
-        registry: Optional[MetricsRegistry] = None,
-        name: str = "adaptive",
-        clock: Callable[[], float] = time.perf_counter,
-    ):
-        if mode not in self._MODES:
-            raise ValueError(
-                "unknown backend %r (expected one of %s)"
-                % (mode, "/".join(self._MODES))
-            )
-        if spike_factor <= 1.0:
-            raise ValueError("spike_factor must be > 1")
-        self._fns: Dict[str, Callable[[Sequence[Any]], List[Any]]] = {
-            "scalar": scalar_fn,
-            "columnar": columnar_fn,
-        }
-        # Probe order: higher tier first.
-        self._candidates: Tuple[str, ...] = self._LADDER[::-1]
-        self.mode = mode
-        self.calibration_rounds = max(1, calibration_rounds)
-        self.window = max(2, window)
-        self.min_window = max(2, min_window)
-        self.spike_factor = spike_factor
-        self.cooldown_flushes = max(1, cooldown_flushes)
-        self.recalibrate_every = max(0, recalibrate_every)
-        self.registry = registry if registry is not None else get_registry()
-        self.name = name
-        self._clock = clock
-        # chosen is the current dispatch target; None while calibrating.
-        self.chosen: Optional[str] = None if mode == "auto" else mode
-        self._samples: Dict[str, List[float]] = {
-            c: [] for c in self._candidates
-        }
-        self._baseline: Dict[str, float] = {}
-        self._window: List[float] = []
-        self._flush = 0
-        self._last_transition = 0
-        self._last_probe = 0
-        # Stack of tiers we stepped down from — re-promotion retraces it.
-        self._degraded_from: List[str] = []
-        self.history: List[Dict[str, Any]] = []
-        self.errors = 0
-
-    # -- dispatch ----------------------------------------------------------
-
-    def run(self, items: Sequence[Any]) -> List[Any]:
-        """Process one flush worth of ``items``; returns the results."""
-        if self.mode != "auto":
-            return self._fns[self.mode](items)
-        if not items:
-            return []
-        self._flush += 1
-        if self.chosen is None:
-            return self._calibrate(items)
-        if (
-            self._degraded_from
-            and self._flush - self._last_transition >= self.cooldown_flushes
-        ):
-            return self._probe_promotion(items)
-        if (
-            self.recalibrate_every
-            and not self._degraded_from
-            and self._flush - self._last_probe >= self.recalibrate_every
-        ):
-            return self._probe_recalibration(items)
-        return self._steady(items)
-
-    # -- measured execution ------------------------------------------------
-
-    def _timed(self, backend: str, items: Sequence[Any]):
-        started = self._clock()
-        try:
-            results = self._fns[backend](items)
-        except Exception:
-            self.errors += 1
-            self.registry.counter(self.name + ".errors").inc()
-            if backend == self.chosen:
-                # The flush already mutated switch state; degrade for
-                # the next one and let the caller see the failure.
-                self._degrade("error")
-            raise
-        elapsed = self._clock() - started
-        return results, elapsed / max(1, len(items))
-
-    def _calibrate(self, items: Sequence[Any]) -> List[Any]:
-        # Rotate candidates (fewest samples first, higher tier on
-        # ties); per-item time so unequal flush sizes cannot bias the
-        # comparison.
-        candidate = min(
-            self._candidates, key=lambda c: len(self._samples[c])
-        )
-        results, per_item = self._timed(candidate, items)
-        self._samples[candidate].append(per_item)
-        if all(
-            len(s) >= self.calibration_rounds
-            for s in self._samples.values()
-        ):
-            # min-of-N: robust to one-off GC pauses during calibration.
-            for c in self._candidates:
-                self._baseline[c] = min(self._samples[c])
-            winner = min(self._candidates, key=lambda c: self._baseline[c])
-            self._transition(None, winner, "calibration")
-        return results
-
-    def _steady(self, items: Sequence[Any]) -> List[Any]:
-        results, per_item = self._timed(self.chosen, items)
-        self._window.append(per_item)
-        if len(self._window) > self.window:
-            self._window.pop(0)
-        base = self._baseline.get(self.chosen)
-        if base is None or per_item < base:
-            # Continuous re-measurement: the baseline tracks the best
-            # the chosen path has ever done here.
-            base = per_item
-            self._baseline[self.chosen] = base
-        if (
-            len(self._window) >= self.min_window
-            and base > 0
-            and sum(self._window) / len(self._window)
-            > self.spike_factor * base
-        ):
-            self.registry.counter(self.name + ".spikes").inc()
-            self._degrade("latency")
-        return results
-
-    def _probe_promotion(self, items: Sequence[Any]) -> List[Any]:
-        target = self._degraded_from[-1]
-        try:
-            results, per_item = self._timed(target, items)
-        except Exception:
-            # A tier that errors on its probe is never probed again.
-            self._degraded_from.pop()
-            raise
-        current = (
-            sum(self._window) / len(self._window)
-            if self._window
-            else self._baseline.get(self.chosen)
-        )
-        if current is not None and per_item <= current:
-            self._degraded_from.pop()
-            self._baseline[target] = min(
-                per_item, self._baseline.get(target, per_item)
-            )
-            self.registry.counter(self.name + ".promotions").inc()
-            self._transition(self.chosen, target, "recovered")
-        else:
-            # Still slow up there: stay put, restart the cooldown.
-            self._last_transition = self._flush
-        return results
-
-    def _probe_recalibration(self, items: Sequence[Any]) -> List[Any]:
-        self._last_probe = self._flush
-        target = next(c for c in self._candidates if c != self.chosen)
-        results, per_item = self._timed(target, items)
-        samples = self._samples[target]
-        samples.append(per_item)
-        if len(samples) > self.calibration_rounds:
-            samples.pop(0)
-        self._baseline[target] = min(samples)
-        if self._baseline[target] < self._baseline.get(
-            self.chosen, float("inf")
-        ):
-            self._transition(self.chosen, target, "recalibration")
-        return results
-
-    # -- transitions -------------------------------------------------------
-
-    def _degrade(self, reason: str) -> None:
-        if self.chosen is None:
-            return
-        tier = self._LADDER.index(self.chosen)
-        if tier == 0:
-            return  # already on the floor of the ladder
-        self._degraded_from.append(self.chosen)
-        self.registry.counter(self.name + ".degradations").inc()
-        self._transition(self.chosen, self._LADDER[tier - 1], reason)
-
-    def _transition(
-        self, source: Optional[str], target: str, reason: str
-    ) -> None:
-        self.chosen = target
-        self._window = []
-        self._last_transition = self._flush
-        self.history.append(
-            {
-                "flush": self._flush,
-                "from": source,
-                "to": target,
-                "reason": reason,
-            }
-        )
-        self.registry.counter(self.name + ".transitions").inc()
-        self.registry.gauge(self.name + ".tier").set(
-            self._LADDER.index(target)
-        )
-        _LOG.info(
-            "adaptive backend transition",
-            extra={
-                "component": self.name,
-                "from": source,
-                "to": target,
-                "reason": reason,
-            },
-        )

@@ -34,6 +34,7 @@ from repro.core.aggregation import ForwardingMode
 from repro.core.aggswitch import AggSwitch
 from repro.core.edge_service import SnatchEdgeServer
 from repro.core.larkswitch import LarkSwitch
+from repro.core.stats import counts_match
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.core.app_cookie import ApplicationCookieCodec, format_cookie_header
 from repro.model.params import ScenarioParams, percentile_scenario
@@ -113,17 +114,7 @@ class TestbedResult:
     def counts_match_reference(self) -> bool:
         """Whether the in-network aggregate equals ground truth (valid
         for per-packet forwarding with no loss)."""
-        report = self.aggregated_report
-        for stat, expected in self.reference_counts.items():
-            got = report.get(stat, {})
-            for key, count in expected.items():
-                if got.get(key, 0) != count:
-                    return False
-            # No spurious counts either.
-            for key, count in got.items():
-                if count and expected.get(key, 0) != count:
-                    return False
-        return True
+        return counts_match(self.aggregated_report, self.reference_counts)
 
 
 class TestbedExperiment:

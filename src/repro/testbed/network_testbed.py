@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, List, Optional
 
 from repro.core.aggswitch import AggSwitch
 from repro.core.cookie_cache import CookieEncodeCache
 from repro.core.larkswitch import LarkSwitch
+from repro.core.stats import counts_match
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.model.params import ScenarioParams, percentile_scenario
 from repro.net.node import Node, ProcessingNode, SinkNode, SwitchNode
@@ -41,7 +42,6 @@ from repro.net.packet import NetPacket
 from repro.net.topology import Network
 from repro.quic.connection_id import ConnectionID
 from repro.testbed.config import TestbedConfig
-from repro.testbed.executor import AdaptiveBackend
 from repro.workloads.adcampaign import AdCampaignWorkload
 
 __all__ = ["NetworkTestbed", "NetworkRunResult"]
@@ -68,12 +68,7 @@ class NetworkRunResult:
         return statistics.median(self.latencies_ms)
 
     def counts_match_reference(self) -> bool:
-        for stat, expected in self.reference.items():
-            got = self.report.get(stat, {})
-            for key, count in expected.items():
-                if got.get(key, 0) != count:
-                    return False
-        return True
+        return counts_match(self.report, self.reference)
 
 
 class NetworkTestbed:
@@ -89,11 +84,8 @@ class NetworkTestbed:
         batch_window_ms: float = 0.0,
         batch_max: int = 256,
         agg_shards: int = 1,
-        backend: str = "columnar",
         ingest_batch: int = 256,
         streaming_ingest: bool = True,
-        adaptive_recalibrate_every: int = 0,
-        registry=None,
     ):
         if batch_window_ms < 0:
             raise ValueError("batch_window_ms must be non-negative")
@@ -128,34 +120,6 @@ class NetworkTestbed:
             "agg-dev", random.Random(2), shards=agg_shards
         )
         self.agg_device.register_application(_APP_ID, schema, self._key, specs)
-        # Backend choice only matters for buffered flushes
-        # (batch_window_ms > 0); the window-0 path stays per-packet.
-        # "auto" calibrates both paths on the first flushes
-        # (bit-identical, so packets are processed exactly once either
-        # way), picks the fastest, and then stays under the continuous
-        # degradation controller: latency spikes or errors step the
-        # device down the ladder, a cooled-down probe steps it back up.
-        self._lark_backend = AdaptiveBackend(
-            scalar_fn=lambda cids: [
-                self.lark_device.process_quic_packet(c) for c in cids
-            ],
-            columnar_fn=self.lark_device.process_quic_columnar,
-            mode=backend,
-            recalibrate_every=adaptive_recalibrate_every,
-            registry=registry,
-            name="adaptive.lark",
-        )
-        self._agg_backend = AdaptiveBackend(
-            scalar_fn=lambda payloads: [
-                self.agg_device.process_packet(p) for p in payloads
-            ],
-            columnar_fn=self.agg_device.process_columnar,
-            mode=backend,
-            recalibrate_every=adaptive_recalibrate_every,
-            registry=registry,
-            name="adaptive.agg",
-        )
-        self.backend = backend
         self._schema = schema
         self.codec = TransportCookieCodec(
             _APP_ID, schema, self._key, random.Random(3)
@@ -181,24 +145,6 @@ class NetworkTestbed:
         self.lark_device.rekey_application(_APP_ID, new_key)
         self.cookie_cache.rekey(new_key)
         self.codec = self.cookie_cache.codec
-
-    @property
-    def chosen_backends(self) -> Dict[str, Optional[str]]:
-        """Dispatch target per device: the configured backend, or the
-        measured winner in ``auto`` mode (``None`` while calibrating)."""
-        return {
-            "lark": self._lark_backend.chosen,
-            "agg": self._agg_backend.chosen,
-        }
-
-    @property
-    def backend_history(self) -> Dict[str, List[Dict[str, Any]]]:
-        """Controller transition log per device (calibration picks,
-        degradations, re-promotions)."""
-        return {
-            "lark": list(self._lark_backend.history),
-            "agg": list(self._agg_backend.history),
-        }
 
     # -- topology -----------------------------------------------------------
 
@@ -244,7 +190,7 @@ class NetworkTestbed:
                 pending, self._pending = self._pending, []
                 if not pending:
                     return
-                results = testbed._lark_backend.run(
+                results = testbed.lark_device.process_quic_columnar(
                     [ConnectionID(p.headers["dcid"]) for p in pending]
                 )
                 for queued, result in zip(pending, results):
@@ -296,7 +242,7 @@ class NetworkTestbed:
                 pending, self._pending = self._pending, []
                 if not pending:
                     return
-                results = testbed._agg_backend.run(
+                results = testbed.agg_device.process_columnar(
                     [p.payload for p in pending]
                 )
                 for queued, result in zip(pending, results):

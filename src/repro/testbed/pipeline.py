@@ -40,6 +40,7 @@ from repro.core.aggregation import ForwardingMode
 from repro.core.aggswitch import AggBatchResult, AggSwitch
 from repro.core.cookie_cache import CookieEncodeCache
 from repro.core.larkswitch import LarkSwitch
+from repro.core.stats import counts_match
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.core.user_stats import UserQuantileConfig
 from repro.obs.registry import MetricsRegistry, get_registry
@@ -151,12 +152,7 @@ class PipelineResult:
     placement_history: List[Dict[str, Any]] = field(default_factory=list)
 
     def counts_match_reference(self) -> bool:
-        for stat, expected in self.reference.items():
-            got = self.report.get(stat, {})
-            for key, count in expected.items():
-                if got.get(key, 0) != count:
-                    return False
-        return True
+        return counts_match(self.report, self.reference)
 
 
 class StreamingPipeline:

@@ -93,10 +93,6 @@ class PartitionMap:
 
     # -- lookups -----------------------------------------------------------
 
-    def bucket_for(self, key: bytes) -> int:
-        """The virtual bucket of one partition key."""
-        return crc32(key) % self.buckets
-
     def shard_for(self, key: bytes) -> int:
         """The shard owning one partition key under this map."""
         return self.assignment[crc32(key) % self.buckets]
@@ -265,8 +261,7 @@ class PartitionMap:
 class PlacementController:
     """Epoch-boundary placement decisions under hysteresis + cooldown.
 
-    Sits next to :class:`~repro.testbed.executor.AdaptiveBackend` in
-    the control plane: the data plane feeds it per-bucket packet
+    A control-plane component: the data plane feeds it per-bucket packet
     counts (``observe``), and at each epoch barrier the runtime asks
     it for the next epoch's map (``end_epoch``).  Decisions are pure
     functions of the observed loads and the epoch counter — sim-time,

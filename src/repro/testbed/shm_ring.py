@@ -393,9 +393,6 @@ class ColumnRing:
 
     # -- producer side -----------------------------------------------------
 
-    def _free_slots(self) -> int:
-        return self.capacity - (self._head - self._read_u64(6))
-
     def try_push(self, rows, kind: int = KIND_DATA) -> bool:
         """Push one batch if the geometry fits and a slot is free.
 

@@ -167,18 +167,6 @@ class AdCampaignWorkload:
         """A deterministic Poisson-like stream of ad interactions."""
         return self.stream(requests_per_second, duration_ms).drain()
 
-    def encode_events(self, events: List[AdEvent], codec) -> List:
-        """Pre-encode an event stream into connection IDs with a
-        :class:`~repro.core.transport_cookie.TransportCookieCodec` —
-        the client-side work a driver does before replaying the stream
-        into a LarkSwitch (scalar or columnar)."""
-        return [
-            codec.encode(
-                event.user.semantic_values(event.campaign, event.event_type)
-            )
-            for event in events
-        ]
-
     # -- batched cookie assembly hooks -------------------------------------------
 
     def cookie_keys(self, columns: EventColumns) -> List[Tuple[int, int, int]]:

@@ -214,6 +214,51 @@ class TestRegistration:
         assert lark.stats_report(0x50)["n_sum"]["all"] == 5
 
 
+class TestDigests:
+    """A designated feature the ALU cannot fold leaves the data plane
+    as one control-plane digest per packet carrying its value."""
+
+    SCHEMA = CookieSchema(
+        "digest-app",
+        (
+            Feature.categorical("gender", ["f", "m", "x"]),
+            Feature.number("demand", 0, 1000),
+        ),
+    )
+
+    def _lark(self, **kwargs):
+        lark = LarkSwitch("lark", random.Random(4))
+        lark.register_application(
+            APP, self.SCHEMA, KEY,
+            [StatSpec("by_gender", StatKind.COUNT_BY_CLASS, "gender")],
+            **kwargs,
+        )
+        codec = TransportCookieCodec(APP, self.SCHEMA, KEY, random.Random(5))
+        return lark, codec
+
+    def test_designated_feature_digests_every_packet(self):
+        lark, codec = self._lark(digest_features=["demand"])
+        rng = random.Random(3)
+        demands = [rng.randint(0, 1000) for _ in range(50)]
+        digested = []
+        for demand in demands:
+            result = lark.process_quic_packet(
+                codec.encode({"gender": "f", "demand": demand})
+            )
+            digested += [
+                (d.name, d.data["feature"], d.data["value"])
+                for d in result.digests
+            ]
+        assert digested == [("snatch_value", "demand", d) for d in demands]
+
+    def test_no_digests_without_designation(self):
+        lark, codec = self._lark()
+        result = lark.process_quic_packet(
+            codec.encode({"gender": "f", "demand": 7})
+        )
+        assert result.digests == []
+
+
 class TestPeriodicalTagLimits:
     """A periodical snapshot tag is 6 bits of array ordinal and 10 of
     cell index: a statistics array of more than 1024 cells used to

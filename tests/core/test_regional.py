@@ -5,11 +5,13 @@ import random
 import pytest
 
 from repro.core.aggswitch import AggSwitch
+from repro.core.edge_service import SnatchEdgeServer
 from repro.core.larkswitch import LarkSwitch
 from repro.core.regional import RegionalDeployment
 from repro.core.schema import Feature
 from repro.core.stats import StatKind, StatSpec
 from repro.core.transport_cookie import TransportCookieCodec
+from repro.crypto.keys import derive_subkey
 
 
 def _features():
@@ -42,7 +44,6 @@ class TestDeployment:
     def test_keys_derive_from_one_master(self):
         """The developer holds one secret; regional keys are derived,
         deterministic, and labelled."""
-        from repro.crypto.keys import derive_subkey
         deployment, _agg, _larks = _deployment()
         handle = deployment.deploy("ads", _features(), _specs())
         assert handle.key_for("us") == derive_subkey(
@@ -72,6 +73,43 @@ class TestDeployment:
         deployment.deploy("ads", _features(), _specs())
         with pytest.raises(ValueError, match="already"):
             deployment.deploy("ads", _features(), _specs())
+
+    def test_same_seed_same_deployment(self):
+        first = _deployment()[0].deploy("ads", _features(), _specs())
+        again = _deployment()[0].deploy("ads", _features(), _specs())
+        assert again.master_key == first.master_key
+        for region in ("us", "eu"):
+            assert again.key_for(region) == first.key_for(region)
+            assert again.app_id_for(region) == first.app_id_for(region)
+        other = RegionalDeployment(seed=6)
+        other.attach_lark_switch(LarkSwitch("lark", random.Random(1)), "us")
+        assert other.deploy(
+            "ads", _features(), _specs()
+        ).master_key != first.master_key
+
+    def test_region_names_sorted(self):
+        deployment, _agg, _larks = _deployment()
+        handle = deployment.deploy("ads", _features(), _specs())
+        assert deployment.regions() == handle.region_names() == ["eu", "us"]
+
+    def test_each_tier_holds_what_its_region_needs(self):
+        """Regional devices hold their own region's app-ID only; the
+        global AggSwitch holds every region's."""
+        deployment, agg, larks = _deployment()
+        edges = {}
+        for region in ("us", "eu"):
+            edges[region] = SnatchEdgeServer(
+                "edge-%s" % region, random.Random(7)
+            )
+            deployment.attach_edge_server(edges[region], region)
+        handle = deployment.deploy("ads", _features(), _specs())
+        for region in ("us", "eu"):
+            own = [handle.app_id_for(region)]
+            assert larks[region].registered_app_ids() == own
+            assert edges[region].registered_app_ids() == own
+        assert agg.registered_app_ids() == sorted(
+            handle.app_id_for(r) for r in ("us", "eu")
+        )
 
 
 class TestGlobalMerge:
@@ -132,3 +170,81 @@ class TestRotation:
         assert larks["eu"].process_quic_packet(
             eu_codec.encode({"gender": "m"})
         ).matched
+
+
+class TestRotationEdges:
+    def test_rotated_key_is_the_next_epoch_label(self):
+        deployment, _agg, _larks = _deployment()
+        handle = deployment.deploy("ads", _features(), _specs())
+        before = handle.key_for("us")
+        state = deployment.rotate_region("ads", "us")
+        assert state.key == handle.key_for("us") == derive_subkey(
+            handle.master_key, "region:us:epoch:1"
+        )
+        assert state.key != before
+
+    def test_many_rotations_never_reuse_a_key_or_app_id(self):
+        deployment, _agg, _larks = _deployment()
+        handle = deployment.deploy("ads", _features(), _specs())
+        keys = {handle.key_for("us"), handle.key_for("eu")}
+        app_ids = {handle.app_id_for("us"), handle.app_id_for("eu")}
+        for epoch in range(1, 8):
+            state = deployment.rotate_region("ads", "us")
+            assert state.epoch == epoch
+            assert state.key not in keys
+            assert state.app_id not in app_ids
+            keys.add(state.key)
+            app_ids.add(state.app_id)
+
+    def test_unknown_region_or_application_raises(self):
+        deployment, _agg, _larks = _deployment()
+        deployment.deploy("ads", _features(), _specs())
+        with pytest.raises(KeyError):
+            deployment.rotate_region("ads", "apac")
+        with pytest.raises(KeyError):
+            deployment.rotate_region("clicks", "us")
+
+    def test_old_epoch_revoked_on_every_tier(self):
+        deployment, agg, larks = _deployment()
+        edge = SnatchEdgeServer("edge-us", random.Random(7))
+        deployment.attach_edge_server(edge, "us")
+        handle = deployment.deploy("ads", _features(), _specs())
+        old = handle.app_id_for("us")
+        state = deployment.rotate_region("ads", "us")
+        assert old not in agg.registered_app_ids()
+        assert larks["us"].registered_app_ids() == [state.app_id]
+        assert edge.registered_app_ids() == [state.app_id]
+
+    def test_in_flight_old_epoch_payload_is_not_merged(self):
+        """An aggregation packet minted before the rotation reaches an
+        AggSwitch that no longer holds its app-ID: it is dropped, and
+        the combined report counts new-epoch traffic only."""
+        deployment, agg, larks = _deployment()
+        handle = deployment.deploy("ads", _features(), _specs())
+
+        def payload(gender, seed):
+            codec = TransportCookieCodec(
+                handle.app_id_for("us"), handle.transport_schema,
+                handle.key_for("us"), random.Random(seed),
+            )
+            return larks["us"].process_quic_packet(
+                codec.encode({"gender": gender})
+            ).aggregation_payload
+
+        in_flight = payload("f", 8)
+        deployment.rotate_region("ads", "us")
+        assert not agg.process_packet(in_flight).merged
+        assert agg.process_packet(payload("m", 9)).merged
+        assert deployment.combined_report("ads")["by_gender"] == {
+            "f": 0, "m": 1, "x": 0,
+        }
+
+    def test_app_id_space_exhaustion(self):
+        deployment = RegionalDeployment(seed=3)
+        lark = LarkSwitch("lark", random.Random(1))
+        deployment.attach_lark_switch(lark, "us")
+        deployment.deploy("ads", _features(), _specs())
+        for _ in range(255):
+            deployment.rotate_region("ads", "us")
+        with pytest.raises(RuntimeError, match="exhausted"):
+            deployment.rotate_region("ads", "us")

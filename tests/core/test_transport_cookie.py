@@ -158,7 +158,7 @@ class TestRowsFromBlocks:
             {"gender": "x", "score": 0},
             {},
         ]
-        blocks = codec.encode_blocks_many(cookies)
+        blocks = codec.pack_rows(codec.rows_from_values(cookies))
         decoded = codec.rows_from_blocks(blocks)
         assert [codec.values_from_row(row) for row in decoded] == cookies
         for values, block, row in zip(cookies, blocks, decoded):
@@ -172,7 +172,7 @@ class TestRowsFromBlocks:
 
     def test_accepts_any_bytes_like_block(self):
         codec = _codec()
-        block = codec.encode_blocks_many([{"gender": "f"}])[0]
+        block = codec.pack_rows(codec.rows_from_values([{"gender": "f"}]))[0]
         assert codec.rows_from_blocks(
             [bytearray(block), memoryview(block)]
         ) == codec.rows_from_blocks([block, block])
@@ -196,7 +196,9 @@ class TestRowsFromBlocks:
     )
     def test_none_exactly_where_the_scalar_parse_raises(self, bad):
         codec = _codec()
-        good = codec.encode_blocks_many([{"gender": "f", "score": 100}])[0]
+        good = codec.pack_rows(
+            codec.rows_from_values([{"gender": "f", "score": 100}])
+        )[0]
         with pytest.raises(ValueError):
             codec.values_from_block(bad)
         decoded = codec.rows_from_blocks([good, bad, good])
@@ -269,7 +271,7 @@ class TestRowKernelGuards:
         assert codec.pack_rows([]) == []
         assert codec.pack_rows(iter(())) == []
         assert codec.rows_from_blocks([]) == []
-        assert codec.encode_blocks_many([]) == []
+        assert codec.pack_rows(codec.rows_from_values([])) == []
         assert codec.rng.getstate() == state
 
     @pytest.mark.parametrize("n", ROW_COUNTS)
@@ -298,16 +300,17 @@ class TestRowKernelGuards:
             outcomes.append((blocks, codec.rng.getstate()))
         assert outcomes[0] == outcomes[1]
 
-    def test_encode_blocks_many_is_rows_then_pack(self, kernel_form):
+    def test_rows_from_values_then_pack(self, kernel_form):
         cookies = [{"gender": "m", "score": 7}, {}, {"age": "35+"}]
-        a, b = _codec(seed=3), _codec(seed=3)
-        rows = a.rows_from_values(cookies)
+        codec = _codec(seed=3)
+        rows = codec.rows_from_values(cookies)
         assert rows == [(1, -1, 7), (-1, -1, -1), (-1, 2, -1)]
-        assert a.pack_rows(rows) == b.encode_blocks_many(cookies)
+        blocks = codec.pack_rows(rows)
+        assert [codec.values_from_block(b) for b in blocks] == cookies
         with pytest.raises(FeatureValueError, match="outside the schema"):
-            a.encode_blocks_many([{"height": 3}])
+            codec.pack_rows(codec.rows_from_values([{"height": 3}]))
         with pytest.raises(FeatureValueError, match="not a class"):
-            a.encode_blocks_many([{"gender": "q"}])
+            codec.pack_rows(codec.rows_from_values([{"gender": "q"}]))
 
 
 class TestClientPolicyCompatibility:

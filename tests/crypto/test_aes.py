@@ -1,4 +1,4 @@
-"""AES correctness: FIPS-197 vectors, mode roundtrips, padding."""
+"""AES correctness: FIPS-197 vectors, CBC roundtrips, padding."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,14 +8,9 @@ from repro.crypto.aes import (
     AES,
     BLOCK_SIZE,
     decrypt_cbc,
-    decrypt_ctr,
-    decrypt_ecb,
     encrypt_cbc,
-    encrypt_ctr,
-    encrypt_ecb,
     pkcs7_pad,
     pkcs7_unpad,
-    xor_bytes,
 )
 
 # FIPS-197 appendix C vectors: (key, plaintext, ciphertext).
@@ -36,6 +31,65 @@ FIPS_VECTORS = [
         "8ea2b7ca516745bfeafc49904b496089",
     ),
 ]
+
+# NIST SP 800-38A appendix F: one four-block plaintext, per key size the
+# key, the ECB ciphertext (F.1) and the CBC ciphertext under SP800_IV
+# (F.2), one hex string per block.
+SP800_PLAIN = [
+    "6bc1bee22e409f96e93d7e117393172a",
+    "ae2d8a571e03ac9c9eb76fac45af8e51",
+    "30c81c46a35ce411e5fbc1191a0a52ef",
+    "f69f2445df4f9b17ad2b417be66c3710",
+]
+SP800_IV = "000102030405060708090a0b0c0d0e0f"
+SP800_VECTORS = {
+    16: (
+        "2b7e151628aed2a6abf7158809cf4f3c",
+        [
+            "3ad77bb40d7a3660a89ecaf32466ef97",
+            "f5d3d58503b9699de785895a96fdbaaf",
+            "43b1cd7f598ece23881b00e3ed030688",
+            "7b0c785e27e8ad3f8223207104725dd4",
+        ],
+        [
+            "7649abac8119b246cee98e9b12e9197d",
+            "5086cb9b507219ee95db113a917678b2",
+            "73bed6b8e3c1743b7116e69e22229516",
+            "3ff1caa1681fac09120eca307586e1a7",
+        ],
+    ),
+    24: (
+        "8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b",
+        [
+            "bd334f1d6e45f25ff712a214571fa5cc",
+            "974104846d0ad3ad7734ecb3ecee4eef",
+            "ef7afd2270e2e60adce0ba2face6444e",
+            "9a4b41ba738d6c72fb16691603c18e0e",
+        ],
+        [
+            "4f021db243bc633d7178183a9fa071e8",
+            "b4d9ada9ad7dedf4e5e738763f69145a",
+            "571b242012fb7ae07fa9baac3df102e0",
+            "08b0e27988598881d920a9e64f5615cd",
+        ],
+    ),
+    32: (
+        "603deb1015ca71be2b73aef0857d7781"
+        "1f352c073b6108d72d9810a30914dff4",
+        [
+            "f3eed1bdb5d2a03c064b5a7e3db181f8",
+            "591ccb10d410ed26dc5ba74a31362870",
+            "b6ed21b99ca6f4f9f153e7b1beafed1d",
+            "23304b7a39f9f3ff067d8d8f9e24ecc7",
+        ],
+        [
+            "f58c4c04d6e5f1ba779eabfb5f7bfbd6",
+            "9cfc4e967edb808d679f777bc6702c7d",
+            "39f23369a9d9bacfa530e26304231461",
+            "b2eb05e2c39be9fcda6c19078c6a9d1b",
+        ],
+    ),
+}
 
 
 class TestBlockCipher:
@@ -86,6 +140,17 @@ class TestBlockCipher:
         distance = sum(bin(x ^ y).count("1") for x, y in zip(a, b))
         assert distance > 30
 
+    @pytest.mark.parametrize("block", range(4))
+    @pytest.mark.parametrize("key_bytes", sorted(SP800_VECTORS))
+    def test_sp800_38a_block_vectors(self, key_bytes, block):
+        """SP 800-38A F.1: every block of the ECB example, which is the
+        bare block cipher, in both directions."""
+        key, ecb, _cbc = SP800_VECTORS[key_bytes]
+        aes = AES(bytes.fromhex(key))
+        plain = bytes.fromhex(SP800_PLAIN[block])
+        assert aes.encrypt_block(plain).hex() == ecb[block]
+        assert aes.decrypt_block(bytes.fromhex(ecb[block])) == plain
+
 
 class TestPadding:
     @given(st.binary(max_size=100))
@@ -124,29 +189,18 @@ class TestModes:
 
     @given(st.binary(max_size=200))
     @settings(max_examples=30)
-    def test_ecb_roundtrip(self, data):
-        assert decrypt_ecb(self.KEY, encrypt_ecb(self.KEY, data)) == data
-
-    @given(st.binary(max_size=200))
-    @settings(max_examples=30)
     def test_cbc_roundtrip(self, data):
         ct = encrypt_cbc(self.KEY, self.IV, data)
         assert decrypt_cbc(self.KEY, self.IV, ct) == data
 
-    @given(st.binary(max_size=200))
-    @settings(max_examples=30)
-    def test_ctr_roundtrip(self, data):
-        ct = encrypt_ctr(self.KEY, self.IV, data)
-        assert decrypt_ctr(self.KEY, self.IV, ct) == data
-
-    def test_ctr_is_length_preserving(self):
-        assert len(encrypt_ctr(self.KEY, self.IV, b"abc")) == 3
-
     def test_cbc_differs_from_ecb(self):
-        data = bytes(32)
-        assert encrypt_cbc(self.KEY, self.IV, data) != encrypt_ecb(
-            self.KEY, data
+        padded = pkcs7_pad(bytes(32))
+        aes = AES(self.KEY)
+        ecb = b"".join(
+            aes.encrypt_block(padded[i:i + BLOCK_SIZE])
+            for i in range(0, len(padded), BLOCK_SIZE)
         )
+        assert encrypt_cbc(self.KEY, self.IV, bytes(32)) != ecb
 
     def test_cbc_iv_matters(self):
         other_iv = bytes(16)
@@ -154,23 +208,39 @@ class TestModes:
         b = encrypt_cbc(self.KEY, other_iv, b"data")
         assert a != b
 
+    @pytest.mark.parametrize("key_bytes", sorted(SP800_VECTORS))
+    def test_cbc_sp800_38a_encrypt(self, key_bytes):
+        """SP 800-38A F.2 leaves padding out: its four blocks are the
+        first 64 bytes here, followed by PKCS#7's full pad block chained
+        off the last of them."""
+        key, _ecb, cbc = SP800_VECTORS[key_bytes]
+        key = bytes.fromhex(key)
+        plain = bytes.fromhex("".join(SP800_PLAIN))
+        sealed = encrypt_cbc(key, bytes.fromhex(SP800_IV), plain)
+        assert sealed[:64].hex() == "".join(cbc)
+        pad_block = bytes(b ^ 16 for b in sealed[48:64])
+        assert sealed[64:] == AES(key).encrypt_block(pad_block)
+
+    @pytest.mark.parametrize("key_bytes", sorted(SP800_VECTORS))
+    def test_cbc_sp800_38a_decrypt(self, key_bytes):
+        key, _ecb, cbc = SP800_VECTORS[key_bytes]
+        aes = AES(bytes.fromhex(key))
+        ciphertext = bytes.fromhex("".join(cbc))
+        pad_block = bytes(b ^ 16 for b in ciphertext[-16:])
+        assert decrypt_cbc(
+            aes, bytes.fromhex(SP800_IV),
+            ciphertext + aes.encrypt_block(pad_block),
+        ).hex() == "".join(SP800_PLAIN)
+
     def test_cbc_rejects_bad_iv(self):
         with pytest.raises(ValueError, match="IV"):
             encrypt_cbc(self.KEY, b"short", b"data")
         with pytest.raises(ValueError, match="IV"):
             decrypt_cbc(self.KEY, b"short", bytes(16))
 
-    def test_ecb_rejects_partial_blocks(self):
-        with pytest.raises(ValueError):
-            decrypt_ecb(self.KEY, b"x" * 20)
-
     def test_cbc_rejects_empty_ciphertext(self):
         with pytest.raises(ValueError):
             decrypt_cbc(self.KEY, self.IV, b"")
-
-    def test_ctr_rejects_bad_nonce(self):
-        with pytest.raises(ValueError, match="nonce"):
-            encrypt_ctr(self.KEY, b"short", b"data")
 
     def test_wrong_key_fails_or_garbles(self):
         ct = encrypt_cbc(self.KEY, self.IV, b"secret semantic data")
@@ -181,16 +251,3 @@ class TestModes:
             return  # padding check caught it
         assert out != b"secret semantic data"
 
-
-class TestXorBytes:
-    def test_basic(self):
-        assert xor_bytes(b"\x0f\xf0", b"\xff\xff") == b"\xf0\x0f"
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            xor_bytes(b"a", b"ab")
-
-    @given(st.binary(min_size=1, max_size=64))
-    def test_self_inverse(self, data):
-        mask = bytes(len(data))
-        assert xor_bytes(data, mask) == data

@@ -17,7 +17,12 @@ from repro.crypto.aes import (
 )
 from repro.switch import columns
 
-from tests.crypto.test_aes import FIPS_VECTORS
+from tests.crypto.test_aes import (
+    FIPS_VECTORS,
+    SP800_IV,
+    SP800_PLAIN,
+    SP800_VECTORS,
+)
 
 SIZES = (1, 2, 15, 16, 17, 1024)
 
@@ -169,6 +174,35 @@ class TestBlocksMany:
             many(c, [b"a" * 15, b"b" * 17])
         with pytest.raises(ValueError):
             many(c, [b"a" * 16, b"b" * 16, b""])
+
+
+class TestSp80038aVectors:
+    """The SP 800-38A examples through the batch entry points."""
+
+    @pytest.mark.parametrize("key_bytes", sorted(SP800_VECTORS))
+    def test_blocks_many(self, kernel_form, key_bytes):
+        key, ecb, _cbc = SP800_VECTORS[key_bytes]
+        cipher = AES(bytes.fromhex(key))
+        plain = [bytes.fromhex(b) for b in SP800_PLAIN]
+        encrypted = encrypt_blocks_many(cipher, plain)
+        assert [b.hex() for b in encrypted] == ecb
+        assert decrypt_blocks_many(cipher, encrypted) == plain
+
+    @pytest.mark.parametrize("key_bytes", sorted(SP800_VECTORS))
+    def test_cbc_many(self, kernel_form, key_bytes):
+        """Four and three blocks of the example side by side: each
+        payload's CBC prefix is the published chain, whatever the
+        length of the payload next to it."""
+        key, _ecb, cbc = SP800_VECTORS[key_bytes]
+        cipher = AES(bytes.fromhex(key))
+        iv = bytes.fromhex(SP800_IV)
+        plain = bytes.fromhex("".join(SP800_PLAIN))
+        payloads = [plain, plain[:48]]
+        sealed = encrypt_cbc_many(cipher, [iv, iv], payloads)
+        assert sealed[0][:64].hex() == "".join(cbc)
+        assert sealed[1][:48].hex() == "".join(cbc[:3])
+        assert [len(s) for s in sealed] == [80, 64]
+        assert decrypt_cbc_many(cipher, [iv, iv], sealed) == payloads
 
 
 class TestCbcMany:

@@ -1,69 +1,6 @@
-"""Key management: per-region provisioning, rotation, derivation."""
+"""Key management: subkey derivation."""
 
-import pytest
-
-from repro.crypto.keys import AES128_KEY_LEN, KeyRing, derive_subkey
-
-
-class TestKeyRing:
-    def test_create_region_is_idempotent(self):
-        ring = KeyRing(seed=1)
-        first = ring.create_region("us-east")
-        second = ring.create_region("us-east")
-        assert first is second
-
-    def test_keys_differ_per_region(self):
-        ring = KeyRing(seed=1)
-        a = ring.create_region("us-east").key
-        b = ring.create_region("eu-west").key
-        assert a != b
-        assert len(a) == len(b) == AES128_KEY_LEN
-
-    def test_get_unknown_region(self):
-        with pytest.raises(KeyError, match="no key provisioned"):
-            KeyRing(seed=1).get("mars")
-
-    def test_rotation_changes_key_and_keeps_previous(self):
-        ring = KeyRing(seed=2)
-        entry = ring.create_region("apac")
-        old = entry.key
-        ring.rotate("apac")
-        assert entry.key != old
-        assert entry.previous == old
-        assert entry.version == 1
-        assert entry.candidates() == [entry.key, old]
-
-    def test_candidates_before_rotation(self):
-        ring = KeyRing(seed=3)
-        entry = ring.create_region("sa")
-        assert entry.candidates() == [entry.key]
-
-    def test_double_rotation_drops_oldest(self):
-        ring = KeyRing(seed=4)
-        entry = ring.create_region("af")
-        first = entry.key
-        ring.rotate("af")
-        second = entry.key
-        ring.rotate("af")
-        assert entry.previous == second
-        assert first not in entry.candidates()
-
-    def test_regions_listing_sorted(self):
-        ring = KeyRing(seed=5)
-        for region in ("b", "a", "c"):
-            ring.create_region(region)
-        assert ring.regions() == ["a", "b", "c"]
-
-    def test_export(self):
-        ring = KeyRing(seed=6)
-        entry = ring.create_region("na")
-        key, version = ring.export("na")
-        assert key == entry.key and version == 0
-
-    def test_deterministic_with_seed(self):
-        a = KeyRing(seed=42).create_region("x").key
-        b = KeyRing(seed=42).create_region("x").key
-        assert a == b
+from repro.crypto.keys import AES128_KEY_LEN, derive_subkey
 
 
 class TestDeriveSubkey:

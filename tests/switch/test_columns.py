@@ -3,9 +3,9 @@
 The differential suite proves end-to-end bit-identity; these unit tests
 pin the individual kernels — :class:`PacketColumns` layout (including
 the uniform-length fast path), byte/be16 column extraction,
-:func:`group_rows` duplicate grouping, :func:`crc32_many`, Bloom
-``add_many`` and sketch ``add_many`` — against their scalar
-counterparts, with numpy on and force-disabled.
+:func:`group_rows` duplicate grouping, :func:`crc32_many` and Bloom
+``add_many`` — against their scalar counterparts, with numpy on and
+force-disabled.
 """
 
 import random
@@ -20,7 +20,6 @@ from repro.switch.columns import (
     numpy_enabled,
 )
 from repro.switch.hashing import crc32, crc32_many
-from repro.switch.sketch import CountMinSketch
 
 
 @pytest.fixture
@@ -242,20 +241,6 @@ def test_bloom_add_many_matches_sequential_add():
     vec = BloomFilter(size_bits=4096, num_hashes=3, name="vec")
     expected = [seq.add(k) for k in keys]
     assert vec.add_many(keys) == expected
-
-
-def test_sketch_add_many_matches_sequential_add():
-    rng = random.Random(19)
-    keys = [
-        bytes(rng.getrandbits(8) for _ in range(8)) for _ in range(100)
-    ]
-    seq = CountMinSketch(width=64, depth=3, name="seq")
-    vec = CountMinSketch(width=64, depth=3, name="vec")
-    for k in keys:
-        seq.add(k)
-    vec.add_many(keys)
-    for k in keys:
-        assert vec.estimate(k) == seq.estimate(k)
 
 
 def test_kernels_match_without_numpy(no_numpy):

@@ -18,7 +18,6 @@ SUBPACKAGES = (
     "repro.measurement",
     "repro.model",
     "repro.core",
-    "repro.web",
     "repro.workloads",
     "repro.testbed",
     "repro.cli",

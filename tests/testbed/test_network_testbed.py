@@ -123,6 +123,99 @@ class TestStreamingIngest:
         assert result.lost_packets == 0
 
 
+def _record_batches(monkeypatch, testbed):
+    """Wrap both devices' columnar kernels to record flush sizes, and
+    make their per-packet entry points fail if anything calls them."""
+    sizes = {"lark": [], "agg": []}
+
+    def recording(name, kernel):
+        def run(items):
+            sizes[name].append(len(items))
+            return kernel(items)
+        return run
+
+    def per_packet(_item):
+        raise AssertionError("windowed run took the per-packet path")
+
+    lark, agg = testbed.lark_device, testbed.agg_device
+    monkeypatch.setattr(
+        lark, "process_quic_columnar",
+        recording("lark", lark.process_quic_columnar),
+    )
+    monkeypatch.setattr(
+        agg, "process_columnar", recording("agg", agg.process_columnar)
+    )
+    monkeypatch.setattr(lark, "process_quic_packet", per_packet)
+    monkeypatch.setattr(agg, "process_packet", per_packet)
+    return sizes
+
+
+class TestBatchWindow:
+    """``batch_window_ms > 0``: both switch nodes buffer arriving
+    packets for a window and flush them straight into the columnar
+    kernels; per-packet outcomes are those of the window-0 run."""
+
+    def test_flushes_go_to_the_columnar_kernels_only(self, monkeypatch):
+        testbed = NetworkTestbed(_config(), batch_window_ms=5.0)
+        sizes = _record_batches(monkeypatch, testbed)
+        result = testbed.run()
+        assert result.counts_match_reference()
+        assert sum(sizes["lark"]) == len(result.latencies_ms)
+        assert sum(sizes["agg"]) == result.aggregation_packets
+
+    @pytest.mark.parametrize("window_ms", (1.0, 5.0, 20.0))
+    def test_latency_is_the_window_zero_latency_plus_waits(self, window_ms):
+        """Each packet waits at most one window at the LarkSwitch and
+        one at the AggSwitch; nothing else about it changes."""
+        scalar = NetworkTestbed(_config()).run()
+        windowed = NetworkTestbed(_config(), batch_window_ms=window_ms).run()
+        assert windowed.report == scalar.report
+        assert windowed.aggregation_packets == scalar.aggregation_packets
+        assert windowed.aggregation_bytes == scalar.aggregation_bytes
+        assert len(windowed.latencies_ms) == len(scalar.latencies_ms)
+        for base, waited in zip(scalar.latencies_ms, windowed.latencies_ms):
+            assert base - 1e-9 <= waited <= base + 2 * window_ms + 1e-9
+
+    def test_batch_max_one_is_the_window_zero_run(self):
+        scalar = NetworkTestbed(_config()).run()
+        single = NetworkTestbed(
+            _config(), batch_window_ms=50.0, batch_max=1
+        ).run()
+        assert single.latencies_ms == scalar.latencies_ms
+        assert single.report == scalar.report
+
+    @pytest.mark.parametrize("batch_max", (2, 8))
+    def test_flushes_are_capped_at_batch_max(self, monkeypatch, batch_max):
+        testbed = NetworkTestbed(
+            _config(requests_per_second=200, duration_ms=1000),
+            batch_window_ms=50.0, batch_max=batch_max,
+        )
+        sizes = _record_batches(monkeypatch, testbed)
+        result = testbed.run()
+        assert result.counts_match_reference()
+        for name in ("lark", "agg"):
+            assert max(sizes[name]) == batch_max
+            assert min(sizes[name]) >= 1
+
+    @pytest.mark.parametrize("agg_shards", (2, 3))
+    def test_sharded_agg_reports_the_window_zero_result(self, agg_shards):
+        scalar = NetworkTestbed(_config()).run()
+        sharded = NetworkTestbed(
+            _config(), batch_window_ms=5.0, agg_shards=agg_shards
+        ).run()
+        assert sharded.counts_match_reference()
+        assert sharded.report == scalar.report
+
+    @pytest.mark.parametrize(
+        "option",
+        ({"batch_window_ms": -1.0}, {"batch_max": 0}, {"ingest_batch": 0}),
+        ids=("negative-window", "zero-batch-max", "zero-ingest-batch"),
+    )
+    def test_invalid_option_rejected(self, option):
+        with pytest.raises(ValueError):
+            NetworkTestbed(_config(), **option)
+
+
 class TestWebServerOutage:
     def test_transport_path_survives_web_failure(self):
         """The transport-layer pathway forks at the LarkSwitch, before
