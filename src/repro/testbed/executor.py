@@ -23,15 +23,16 @@ Correctness argument (the differential suite checks it end to end):
 * per-kind register folds (add / min / max) are associative and
   commutative, so merging per-shard snapshots equals interleaved
   single-switch execution, cell for cell;
-* replicas are spawn-safe: the :class:`ShardSpec` recipe (schema, key,
-  stat specs, seed) is pickled, never a live switch, and each replica
+* replicas start the same way under ``fork`` and ``spawn``: a worker
+  gets the :class:`ShardSpec` recipe (schema, key, stat specs, seed)
+  — pickled under ``spawn`` — never a live switch, and each replica
   builds a private metrics registry so instrument names cannot
   collide with the parent's.
 
-When ring workers cannot be used (no POSIX shared memory, sandboxed
-spawn, a worker killed from outside) the run falls straight back to
-the in-process transport — identical results, no parallelism — and
-records why in ``fallback_cause``.
+When ring workers cannot be used (no POSIX shared memory, a sandbox
+that forbids starting processes, a worker killed from outside) the
+run falls straight back to the in-process transport — identical
+results, no parallelism — and records why in ``fallback_cause``.
 """
 
 from __future__ import annotations

@@ -330,9 +330,9 @@ class StreamingPipeline:
                 spill_bytes=1 << 22,
             )
             if placement is None:
-                # Shard 0 is certain to be used: spawn it now so the
-                # interpreter start-up stays out of the first run().
-                # (Under a controller, shards spawn on first traffic.)
+                # Shard 0 is certain to be used: start it now so the
+                # worker's start-up stays out of the first run().
+                # (Under a controller, shards start on first traffic.)
                 self._fleet.worker(0)
 
     # -- lifecycle ---------------------------------------------------------

@@ -45,13 +45,13 @@ Lifecycle rules (the chaos/soak suite enforces them):
 
 * the **creator owns the segment** — only it calls ``unlink()``;
   consumers ``attach()`` and only ever ``close()`` their mapping;
-* attaching unregisters from the process-local ``resource_tracker``
-  where that tracker would otherwise unlink the segment when the
-  *attaching* process dies (a killed worker must not take the ring
-  down with it);
+* consumers share the creator's ``resource_tracker``, which unlinks a
+  segment still registered only after every process sharing it has
+  exited (a killed worker cannot take the ring down with it);
 * creators register a ``weakref.finalize`` so even an abandoned ring
   is unlinked at interpreter exit instead of leaking into
-  ``/dev/shm``.
+  ``/dev/shm``; the finalizer unlinks only in the creating process, so
+  a forked child holding a copy of the owner object never does.
 
 Works with or without numpy: the vectorized path does one matrix copy
 in and hands out zero-copy views; the pure-Python path writes and
@@ -61,6 +61,7 @@ protocol, so the numpy-off CI job exercises identical hand-offs.
 
 from __future__ import annotations
 
+import os
 import struct
 import time
 import weakref
@@ -133,12 +134,14 @@ def shared_memory_available() -> bool:
 
 
 def _attach_segment(name: str):
-    """Attach without resource-tracker ownership: a consumer must not
-    let its tracker unlink a segment the creator still owns.  Python
-    3.13+ exposes ``track=False`` for exactly this; older versions
-    never tracked attaches in the first place, so plain attach is
-    already correct there (and sending a manual ``unregister`` would
-    clobber the creator's registration in a shared tracker)."""
+    """Attach a segment the creator owns.  Python 3.13+ takes
+    ``track=False`` and the attach is not registered at all.  Before
+    3.13 an attach registers the name with the resource tracker too,
+    and that is harmless: a worker shares its parent's tracker under
+    both start methods, the tracker's registry is a set (a second
+    registration is a no-op), and the owner's ``unlink`` unregisters
+    the name.  A manual ``unregister`` here would clobber the owner's
+    registration in that shared tracker."""
     try:
         return _shared_memory.SharedMemory(name=name, track=False)
     except TypeError:  # pragma: no cover - Python < 3.13
@@ -256,7 +259,7 @@ class ColumnRing:
             # in /dev/shm outlives the run and the soak test hunts for
             # exactly that.
             self._finalizer = weakref.finalize(
-                self, ColumnRing._cleanup, shm
+                self, ColumnRing._cleanup, shm, os.getpid()
             )
         else:
             self._finalizer = None
@@ -313,7 +316,7 @@ class ColumnRing:
 
     @property
     def descriptor(self) -> Dict[str, int]:
-        """Picklable attach recipe (rides in the worker spawn args)."""
+        """Picklable attach recipe (rides in the worker start args)."""
         return {
             "name": self._shm.name,
             "capacity": self.capacity,
@@ -747,7 +750,12 @@ class ColumnRing:
     # -- lifecycle ---------------------------------------------------------
 
     @staticmethod
-    def _cleanup(shm) -> None:  # pragma: no cover - exit-path safety net
+    def _cleanup(shm, creator: int) -> None:  # pragma: no cover
+        # Exit-path safety net.
+        if os.getpid() != creator:
+            # A forked child's copy of the owner: the segment is not
+            # its to unlink, and its mapping goes when it exits.
+            return
         try:
             shm.close()
         except Exception:

@@ -39,7 +39,7 @@ Fault injection is scripted with
 :class:`~repro.chaos.shard_faults.ShardFaultPlan` — deterministic
 kills (``kill_shard(n, at_batch=k)``), seeded crash probabilities, and
 scripted mid-run backend degradations, all picklable so they ride into
-spawn workers unchanged.
+workers unchanged under either start method.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ class ShardSupervisor:
     machinery, but an injected crash becomes a real ``SIGKILL`` of the
     worker and recovery is a respawn-restore-replay on the same
     shared-memory ring (falls back to in-process, recording
-    ``fallback_cause``, when workers cannot be spawned).  ``placement``
+    ``fallback_cause``, when workers cannot be started).  ``placement``
     — a :class:`PlacementController` makes the run *elastic*: the
     stream is cut into windows of ``epoch_size x shards`` packets, each
     partitioned ONCE under the map live when it is cut (so retries and
@@ -385,7 +385,7 @@ class ShardSupervisor:
         """Before a window's first epoch: every shard the window routes
         traffic to gets its ring-fed worker, the missing ones started
         side by side and each restored from its shard's last
-        checkpoint.  A fleet that cannot spawn is dropped for the rest
+        checkpoint.  A fleet that cannot start is dropped for the rest
         of the run and the epochs go in-process (the checkpoint store
         makes the switch-over seamless)."""
         if self._fleet is None:

@@ -31,8 +31,17 @@ command               effect
 ``("shutdown",)``     acknowledge and exit cleanly
 ====================  =====================================================
 
+Start-up: :func:`_start_context` picks one start method for every
+worker.  On Linux, in a process running exactly one Python thread, a
+worker is a ``fork`` of the warm parent — numpy and ``repro`` are
+already imported, so start-up is a page-table copy plus the replica
+build.  Anywhere else it is a ``spawn``ed fresh interpreter that
+re-imports ``__main__`` and the shard runtime.  Both run the same
+:func:`_worker_main` over the same ring and pipe protocol, and the
+readiness message names the method the child actually started by.
+
 Faults: a :class:`~repro.chaos.shard_faults.ShardFaultPlan` rides into
-the worker at spawn.  Where the in-process transport surfaces an
+the worker at start-up.  Where the in-process transport surfaces an
 injected :class:`ShardCrash` as a raised exception, a persistent worker
 turns it into a **real ``SIGKILL`` of itself** — the supervisor must
 detect the silent death through liveness probes and replay from the
@@ -43,9 +52,12 @@ Lifecycle: the parent owns the ring segment and the worker only ever
 attaches; killing the worker with ``kill -9`` therefore cannot unlink
 the ring, and :meth:`ShardWorker.respawn` reuses the same segment after
 a :meth:`~repro.testbed.shm_ring.ColumnRing.reset`.  ``close()`` is
-idempotent and unlinks exactly once, in the parent.  A worker whose
-parent died (even by ``kill -9``) notices within a second and exits,
-so an orphan never pins the mapping.
+idempotent and unlinks exactly once, in the parent.  A forked worker
+also holds copies of the parent's owner rings; it never runs their
+``close()``, and their finalizers unlink only in the process that
+created the segment.  A worker whose parent died (even by ``kill -9``)
+notices within a second and exits, so an orphan never pins the
+mapping.
 """
 
 from __future__ import annotations
@@ -53,6 +65,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import sys
 import time
 from dataclasses import replace
 from typing import (
@@ -77,10 +90,30 @@ from repro.testbed.shm_ring import (
 
 __all__ = ["ShardWorker", "WorkerDied", "WorkerFleet"]
 
+# The process that imported this module: a forked worker inherits the
+# parent's copy, a spawned one imports its own.
+_IMPORTED_BY = os.getpid()
+
 
 class WorkerDied(RuntimeError):
     """The persistent worker is gone (crash or kill) — the caller must
     respawn and replay from its last checkpoint."""
+
+
+def _start_context():
+    """The ``multiprocessing`` context every ring worker starts from.
+
+    ``fork`` on Linux while this process runs exactly one Python thread:
+    the child is a copy of the warm parent and imports nothing.
+    ``spawn`` otherwise — a fork copies every lock another thread may
+    be holding at that instant, and a child that needs one waits
+    forever."""
+    import multiprocessing as mp
+    import threading
+
+    if sys.platform.startswith("linux") and threading.active_count() == 1:
+        return mp.get_context("fork")
+    return mp.get_context("spawn")
 
 
 def _worker_main(
@@ -98,9 +131,13 @@ def _worker_main(
     map_version = 0
     parent = os.getppid()
     # Readiness handshake: the parent blocks until the replica is
-    # built, so the spawn import storm cannot bleed into (and distort)
-    # the caller's steady-state ingest window.
-    conn.send({"ready": True})
+    # built, so start-up (a fork, or a spawned interpreter's imports)
+    # cannot bleed into (and distort) the caller's steady-state ingest
+    # window.
+    conn.send({
+        "ready": True,
+        "start_method": "spawn" if _IMPORTED_BY == os.getpid() else "fork",
+    })
     try:
         while True:
             try:
@@ -207,6 +244,9 @@ class ShardWorker:
             spill_bytes=spill_bytes,
         )
         self.restarts = 0
+        # "fork" or "spawn", as the running worker's readiness message
+        # reported it.
+        self.start_method: Optional[str] = None
         self._proc = None
         self._conn = None
         try:
@@ -221,13 +261,10 @@ class ShardWorker:
 
     def _start(self) -> None:
         """Start the worker process and return without waiting for it:
-        the interpreter start-up and imports of several workers overlap
-        when their owner starts them all before the first
-        :meth:`await_ready`."""
-        import multiprocessing as mp
-
+        the start-ups of several workers overlap when their owner starts
+        them all before the first :meth:`await_ready`."""
         self._shutdown_requested = False
-        ctx = mp.get_context("spawn")
+        ctx = _start_context()
         self._conn, child_conn = ctx.Pipe()
         self._proc = ctx.Process(
             target=_worker_main,
@@ -258,6 +295,7 @@ class ShardWorker:
                 "shard %d worker sent %r instead of readiness"
                 % (self.shard_index, ready)
             )
+        self.start_method = ready["start_method"]
 
     @property
     def alive(self) -> bool:
@@ -447,13 +485,14 @@ class WorkerFleet:
     ``ShardExecutor(persistent=True)``, ``ShardSupervisor(
     persistent=True)`` and ``StreamingPipeline(backend="persistent")``
     each hold one fleet and nothing else about workers: a set of shards
-    is brought up together (processes started side by side, then the
-    readiness handshakes; a shard re-entering the fleet restores the
-    caller's checkpoint), parts stream in ``chunk_size`` ring pushes,
-    a drain barrier returns register snapshots with counter **deltas**
-    since the previous drain (worker counters are cumulative; the fleet
-    keeps the bases), a shrinking map retires workers with their state
-    kept, and a dead worker is respawned on its own ring.
+    is brought up together (processes started side by side by
+    :func:`_start_context`'s method, then the readiness handshakes; a
+    shard re-entering the fleet restores the caller's checkpoint),
+    parts stream in ``chunk_size`` ring pushes, a drain barrier returns
+    register snapshots with counter **deltas** since the previous drain
+    (worker counters are cumulative; the fleet keeps the bases), a
+    shrinking map retires workers with their state kept, and a dead
+    worker is respawned on its own ring.
     """
 
     def __init__(
@@ -486,9 +525,9 @@ class WorkerFleet:
         """Make every shard in ``shards`` a live, ready worker.
 
         The missing processes are all started first and their readiness
-        handshakes consumed afterwards, so the interpreters come up
-        side by side rather than one after another — and still before
-        the caller's first (timed) push.  A new worker restores its
+        handshakes consumed afterwards, so the workers come up side by
+        side rather than one after another — and still before the
+        caller's first (timed) push.  A new worker restores its
         entry of ``checkpoints`` (a shard re-entering the fleet picks
         its cumulative fold up where the caller's store left it);
         shards already live are left alone.  If any worker fails to

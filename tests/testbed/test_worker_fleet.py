@@ -220,12 +220,17 @@ def test_one_failed_start_releases_the_whole_set(monkeypatch):
     assert not set(os.listdir(_SHM_DIR)) - before
 
 
-# A __main__ that spawn children cannot re-import: every worker dies in
-# multiprocessing's own bootstrap, before a line of repro runs in it.
+# A __main__ that spawn children cannot re-import: every spawned worker
+# dies in multiprocessing's own bootstrap, before a line of repro runs
+# in it.  A forked worker never imports __main__.  ``spawn`` as the
+# argument keeps a live second thread for the whole run, which is what
+# makes the workers spawn.
 _UNIMPORTABLE_MAIN = textwrap.dedent(
     """
     import json
     import multiprocessing
+    import sys
+    import threading
 
     if __name__ == "__mp_main__":
         raise ImportError("this __main__ cannot be imported twice")
@@ -235,6 +240,9 @@ _UNIMPORTABLE_MAIN = textwrap.dedent(
     from tests.differential.workloads import APP_ID, DifferentialWorkload
 
     if __name__ == "__main__":
+        stop = threading.Event()
+        if sys.argv[1] == "spawn":
+            threading.Thread(target=stop.wait).start()
         wl = DifferentialWorkload(seed=11)
         spec = ShardSpec(
             kind="lark", app_id=APP_ID, schema=wl.schema, key=wl.key,
@@ -256,25 +264,41 @@ _UNIMPORTABLE_MAIN = textwrap.dedent(
             "fallback_cause": result.fallback_cause,
             "packets": result.total_packets,
         }))
+        fleet.close()
+        stop.set()
     """
 )
 
 
-def test_unimportable_main_is_named_and_falls_back(tmp_path):
+def _run_unimportable_main(tmp_path, how):
     script = tmp_path / "unimportable_main.py"
     script.write_text(_UNIMPORTABLE_MAIN)
-    before = set(os.listdir(_SHM_DIR))
     done = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, str(script), how],
         env=fresh_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    out = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_unimportable_main_is_named_and_falls_back(tmp_path):
+    before = set(os.listdir(_SHM_DIR))
+    out = _run_unimportable_main(tmp_path, "spawn")
     assert "start-up" in out["error"] and "exit code 1" in out["error"]
     assert out["workers"] == 0 and out["children"] == 0
     # The executor's existing fallback path took the same exception.
     assert out["fallback_cause"].startswith("WorkerDied: shard 0")
     assert "start-up" in out["fallback_cause"]
+    assert out["packets"] == 200
+    assert not set(os.listdir(_SHM_DIR)) - before
+
+
+def test_unimportable_main_is_no_obstacle_to_fork(tmp_path):
+    before = set(os.listdir(_SHM_DIR))
+    out = _run_unimportable_main(tmp_path, "fork")
+    assert out["error"] is None
+    assert out["workers"] == 2 and out["children"] == 2
+    assert out["fallback_cause"] is None
     assert out["packets"] == 200
     assert not set(os.listdir(_SHM_DIR)) - before
 

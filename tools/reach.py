@@ -11,11 +11,12 @@ ever entered.
 
 The recorder is a ``sys.setprofile`` hook installed by a temporary
 ``sitecustomize`` on ``PYTHONPATH``, so processes started by a caller
-(bench repetitions, spawned ring workers) record too.  It appends each
-newly entered code object to a per-process file as it goes, so a
-worker that is killed instead of exiting still counts.  The paper
-benches run with ``--benchmark-disable``: pytest-benchmark's
-instrumentation pause clears the profiler inside timed calls.
+(bench repetitions, spawned ring workers) record too; a forked ring
+worker inherits the hook and appends to its parent's file.  Each newly
+entered code object is appended as it goes, so a worker that is killed
+instead of exiting still counts.  The paper benches run with
+``--benchmark-disable``: pytest-benchmark's instrumentation pause
+clears the profiler inside timed calls.
 
 Everything runs in a temporary copy of the checkout and the copy is
 deleted afterwards: nothing is written inside the repository.  Stdlib
