@@ -21,19 +21,15 @@ Two injection mechanisms, both deterministic:
   draw from a fresh attempt-keyed stream so a doomed epoch is not
   doomed forever.
 
-``degrade_backend(at_epoch, to)`` additionally scripts a *controller*
-action: from ``at_epoch`` on, the supervisor dispatches epoch jobs on
-the other execution backend (columnar -> scalar).  Backends are
-bit-identical (the differential suite proves it), so a mid-run
-degradation must not change a single register cell — the chaos bench
-asserts exactly that.
+A plan scripts crashes only: the backend a run executes on is fixed
+when its supervisor is built.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 __all__ = ["ShardCrash", "ShardFaultPlan", "ShardKill"]
 
@@ -52,7 +48,8 @@ class ShardKill:
 
 
 class ShardFaultPlan:
-    """Picklable, seeded fault recipe for a supervised shard run."""
+    """Picklable, seeded crash recipe for a supervised shard run:
+    scripted kills plus a per-chunk crash probability."""
 
     def __init__(self, seed: int = 0, crash_probability: float = 0.0):
         if not 0.0 <= crash_probability <= 1.0:
@@ -60,7 +57,6 @@ class ShardFaultPlan:
         self.seed = seed
         self.crash_probability = crash_probability
         self.kills: List[ShardKill] = []
-        self._degradations: Dict[int, str] = {}
 
     # -- builders ---------------------------------------------------------------
 
@@ -77,27 +73,6 @@ class ShardFaultPlan:
             raise ValueError("times must be >= 1")
         self.kills.append(ShardKill(shard, at_batch, times))
         return self
-
-    def degrade_backend(self, at_epoch: int, to: str) -> "ShardFaultPlan":
-        """Script a controller degradation: epochs >= ``at_epoch`` run
-        on backend ``to`` (``scalar`` or ``columnar``)."""
-        if to not in ("scalar", "columnar"):
-            raise ValueError("unknown backend %r" % to)
-        if at_epoch < 0:
-            raise ValueError("at_epoch must be >= 0")
-        self._degradations[at_epoch] = to
-        return self
-
-    # -- supervisor-side queries ------------------------------------------------
-
-    def backend_for_epoch(self, epoch: int, default: str) -> str:
-        """The backend a scripted degradation assigns to ``epoch`` (the
-        latest ``degrade_backend`` at or before it), else ``default``."""
-        chosen = default
-        for at_epoch in sorted(self._degradations):
-            if at_epoch <= epoch:
-                chosen = self._degradations[at_epoch]
-        return chosen
 
     # -- worker-side hook -------------------------------------------------------
 

@@ -15,11 +15,11 @@ result — only where the CPU time is spent.
 
 Correctness argument (the differential suite checks it end to end):
 
-* partitioning is deterministic — AggSwitch streams split on
-  ``crc32(payload) % shards`` (the exact in-switch bank partition),
-  LarkSwitch streams on the preserved cookie region ``raw[1:18]`` so
-  every packet of one user lands on one shard and per-shard relative
-  order is the arrival order;
+* partitioning is deterministic — one rule, :func:`partition_columns`
+  under a :class:`~repro.testbed.placement.PartitionMap`: AggSwitch
+  streams hash the whole payload, LarkSwitch streams the preserved
+  cookie region ``raw[1:18]`` so every packet of one user lands on one
+  shard, and per-shard relative order is the arrival order;
 * per-kind register folds (add / min / max) are associative and
   commutative, so merging per-shard snapshots equals interleaved
   single-switch execution, cell for cell;
@@ -64,7 +64,6 @@ __all__ = [
     "fold_snapshots",
     "partition_packets",
     "partition_columns",
-    "partition_stream",
     "render_report",
 ]
 
@@ -252,12 +251,14 @@ class Replica:
     def restore(self, checkpoint: Dict[str, Any]) -> None:
         self.switch.restore(self.spec.app_id, checkpoint)
 
-    def feed(self, rows: Any, backend: str) -> None:
-        """Fold one chunk.  Raises :class:`ShardCrash` *before* touching
-        a register when the armed plan scripts this chunk to die."""
-        if self._injector is not None:
-            self._injector.before_batch(self._batch)
-        self._batch += 1
+    def feed(self, rows: Any, backend: str, continued: bool = False) -> None:
+        """Fold one chunk — or, ``continued``, the next ring slot of the
+        chunk fed last.  Raises :class:`ShardCrash` *before* touching a
+        register when the armed plan scripts this chunk to die."""
+        if not continued:
+            if self._injector is not None:
+                self._injector.before_batch(self._batch)
+            self._batch += 1
         # A poison row stays unfolded: the caller reads it off the
         # counters as packets - folded.
         process = self._process[backend]
@@ -331,48 +332,22 @@ def fold_snapshots(
 
 
 def partition_packets(
-    spec: ShardSpec,
-    shards: int,
-    packets: Sequence[bytes],
-    pmap: Optional[PartitionMap] = None,
-    bucket_loads: Optional[List[int]] = None,
-) -> List[List[bytes]]:
-    """Deterministic hash partition, preserving per-shard arrival
-    order.  Lark streams split on the preserved cookie region so a
-    user's packets (and their dedup state) stay on one shard; agg
-    streams split on payload CRC-32 exactly like the in-switch bank
-    partition.
-
-    With a :class:`~repro.testbed.placement.PartitionMap` the key
-    hashes to a virtual bucket first and the map says which shard owns
-    it (the default map is bit-identical to the bare modulo whenever
-    ``shards`` divides ``pmap.buckets``).  ``bucket_loads`` — a
-    caller-owned list of ``pmap.buckets`` counters — accumulates the
-    per-bucket packet counts the placement controller feeds on.
-    """
-    if pmap is not None:
-        shards = pmap.shards
-    parts: List[List[bytes]] = [[] for _ in range(shards)]
-    if pmap is None and shards == 1:
-        parts[0] = [bytes(p) for p in packets]
-        return parts
+    spec: ShardSpec, pmap: PartitionMap, packets: Sequence[bytes]
+) -> Tuple[List[List[bytes]], List[int]]:
+    """The scalar partition loop: :func:`partition_columns`'s numpy-off
+    form and the reference its vectorized form is tested against."""
+    parts: List[List[bytes]] = [[] for _ in range(pmap.shards)]
+    counts = [0] * pmap.buckets
     lark = spec.kind == "lark"
-    if pmap is None:
-        for packet in packets:
-            raw = bytes(packet)
-            key = raw[_COOKIE_REGION] if lark else raw
-            parts[crc32(key) % shards].append(raw)
-        return parts
     assignment = pmap.assignment
     buckets = pmap.buckets
     for packet in packets:
         raw = bytes(packet)
         key = raw[_COOKIE_REGION] if lark else raw
         bucket = crc32(key) % buckets
-        if bucket_loads is not None:
-            bucket_loads[bucket] += 1
+        counts[bucket] += 1
         parts[assignment[bucket]].append(raw)
-    return parts
+    return parts, counts
 
 
 def partition_columns(
@@ -380,23 +355,25 @@ def partition_columns(
     pmap: PartitionMap,
     rows: Any,
 ) -> Tuple[List[PacketColumns], List[int]]:
-    """Vectorized map partition of one batch: numpy bucket assignment
-    (batched CRC-32 over the partition key region) plus a per-shard
-    stable gather, all without materializing per-row ``bytes``.
+    """The runtime's one partition step, preserving per-shard arrival
+    order.  Lark streams split on the preserved cookie region so a
+    user's packets (and their dedup state) stay on one shard; agg
+    streams split on the whole payload.  The key's CRC-32 picks one of
+    the map's virtual buckets and the map says which shard owns it
+    (the default ``PartitionMap(shards)`` is the bare ``crc32 %
+    shards`` whenever ``shards`` divides the bucket count).
 
     Returns ``(parts, bucket_counts)`` where ``parts[s]`` is the
-    shard-``s`` sub-batch in arrival order and ``bucket_counts`` the
-    per-bucket packet histogram for load accounting.  Falls back to
-    the scalar :func:`partition_packets` loop when the numpy gate is
-    closed — identical output, slower.
+    shard-``s`` sub-batch and ``bucket_counts`` the per-bucket packet
+    histogram the placement controller feeds on.  A vectorized batch
+    takes batched CRC-32 plus a per-shard stable gather, without
+    materializing per-row ``bytes``; anything else takes the scalar
+    :func:`partition_packets` loop — identical output, slower.
     """
     columns = rows if isinstance(rows, PacketColumns) else PacketColumns(rows)
     np = get_numpy()
     if np is None or not columns.vectorized or columns.n == 0:
-        counts = [0] * pmap.buckets
-        raw_parts = partition_packets(
-            spec, pmap.shards, columns.raw, pmap, counts
-        )
+        raw_parts, counts = partition_packets(spec, pmap, columns.raw)
         return [PacketColumns(part) for part in raw_parts], counts
     if spec.kind == "lark":
         start, stop = _COOKIE_REGION.start, _COOKIE_REGION.stop
@@ -427,28 +404,6 @@ def partition_columns(
                 )
             )
     return parts, [int(c) for c in counts]
-
-
-def partition_stream(
-    spec: ShardSpec,
-    shards: int,
-    packets: Any,
-    pmap: Optional[PartitionMap] = None,
-) -> Tuple[List[Any], Optional[List[int]]]:
-    """The runtime's one partition step: ``(parts, bucket_counts)`` for
-    a stream or window, whatever its container.  Without a map this is
-    the legacy ``crc32 % shards`` split (no bucket accounting, counts
-    ``None``); with one, a :class:`PacketColumns` input takes the
-    vectorized :func:`partition_columns` kernel and a row list the
-    scalar loop."""
-    if pmap is None:
-        if isinstance(packets, PacketColumns):
-            packets = packets.raw
-        return partition_packets(spec, shards, packets), None
-    if isinstance(packets, PacketColumns):
-        return partition_columns(spec, pmap, packets)
-    counts = [0] * pmap.buckets
-    return partition_packets(spec, shards, packets, pmap, counts), counts
 
 
 def _slice_part(part: Any, lo: int, hi: int) -> Any:
@@ -515,7 +470,8 @@ class ShardExecutor:
     """Fan a packet stream across switch-replica shards and merge.
 
     ``backend`` selects the per-shard execution path (``scalar`` or
-    ``columnar``).  ``persistent=True`` keeps one ring-fed
+    ``columnar``).  ``placement`` is the partition map (default
+    ``PartitionMap(shards)``).  ``persistent=True`` keeps one ring-fed
     worker process alive per shard across ``run()`` calls (see
     :mod:`repro.testbed.worker`) instead of folding each shard
     in-process: same API, same results, shards fold in parallel.  Call
@@ -542,10 +498,11 @@ class ShardExecutor:
         self.spec = spec
         self.shards = shards
         self.backend = check_backend(backend)
-        # Weighted virtual-bucket placement (None = legacy modulo).
         # last_bucket_counts holds the previous run()'s per-bucket
         # packet histogram — the load feed for a PlacementController.
-        self.placement = placement
+        self.placement = (
+            placement if placement is not None else PartitionMap(shards)
+        )
         self.last_bucket_counts: Optional[List[int]] = None
         self.chunk_size = chunk_size
         self.registry = registry if registry is not None else get_registry()
@@ -590,13 +547,10 @@ class ShardExecutor:
     # -- execution ---------------------------------------------------------
 
     def run(self, packets: Sequence[bytes]) -> ShardRunResult:
-        """Process ``packets`` across all shards and fold the results.
-
-        ``packets`` may be a :class:`PacketColumns` batch; with a
-        partition map attached the split then runs through the
-        vectorized :func:`partition_columns` kernel."""
-        parts, self.last_bucket_counts = partition_stream(
-            self.spec, self.shards, packets, self.placement
+        """Process ``packets`` (a row list or a :class:`PacketColumns`
+        batch) across all shards and fold the results."""
+        parts, self.last_bucket_counts = partition_columns(
+            self.spec, self.placement, packets
         )
         outcome = cause = None
         if self.persistent:
@@ -670,5 +624,5 @@ class ShardExecutor:
         # run, a dictionary check afterwards) before the first push.
         self._fleet.bring_up(range(len(parts)))
         for shard, part in enumerate(parts):
-            self._fleet.push(shard, part, self.chunk_size, self.backend)
+            self._fleet.push(shard, part, self.chunk_size)
         return self._fleet.drain(reset=True)

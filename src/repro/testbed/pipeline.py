@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -44,12 +43,11 @@ from repro.core.stats import counts_match
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.core.user_stats import UserQuantileConfig
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.switch.columns import PacketColumns
 from repro.testbed.executor import (
     BACKENDS,
     ShardSpec,
     _slice_part,
-    partition_stream,
+    partition_columns,
     process_isolated,
 )
 from repro.testbed.placement import PlacementController
@@ -172,7 +170,8 @@ class StreamingPipeline:
       folded by a fleet of long-lived worker processes fed through
       shared-memory rings (:class:`repro.testbed.worker.WorkerFleet`):
       the parent streams the next micro-batches while the workers fold
-      the previous ones.  The fleet has one worker unless a
+      the previous ones, and a full ring is the back-pressure that
+      bounds how far it runs ahead.  The fleet has one worker unless a
       ``placement`` controller is attached; then it has one per shard
       of the controller's live map, payload batches are partitioned
       under that map, and period flushes are placement epochs.  Reports
@@ -183,15 +182,12 @@ class StreamingPipeline:
 
     ``on_batch(pipeline, columns)`` runs before each micro-batch is
     encoded — the hook the rekey regression test uses to push a
-    controller update mid-run.  Because the hook must stay in lockstep
-    with switch processing (a rekey between encode and process would
-    strand in-flight cookies under the old key), setting it forces
-    ``max_inflight`` down to 1.
+    controller update mid-run.  Generate, encode, lark and the push to
+    agg run one batch at a time on one thread, so the hook is in
+    lockstep with switch processing (a rekey between encode and process
+    would strand in-flight cookies under the old key).
 
-    ``max_inflight`` bounds how many encoded micro-batches the
-    generate/encode stage may run ahead of the switch stage — stage
-    order per batch is unchanged, so results are bit-identical for any
-    bound.  ``corrupt_probability`` is a seeded fault stage flipping
+    ``corrupt_probability`` is a seeded fault stage flipping
     one byte in that fraction of aggregation payloads; the AggSwitch
     rejects them at decode and the pipeline counts them as **dead
     letters** (``pipeline.dead_letters`` counter) instead of aborting.
@@ -212,7 +208,6 @@ class StreamingPipeline:
         cache_capacity: int = 4096,
         reorder_probability: float = 0.0,
         on_batch: Optional[Callable[["StreamingPipeline", Any], None]] = None,
-        max_inflight: int = 2,
         corrupt_probability: float = 0.0,
         checkpoint_every_periods: int = 0,
         registry: Optional[MetricsRegistry] = None,
@@ -231,8 +226,6 @@ class StreamingPipeline:
             )
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
         if not 0.0 <= corrupt_probability <= 1.0:
             raise ValueError("corrupt_probability must be in [0, 1]")
         if checkpoint_every_periods < 0:
@@ -246,7 +239,6 @@ class StreamingPipeline:
         self.backend = backend
         self.batch_size = batch_size
         self.on_batch = on_batch
-        self.max_inflight = 1 if on_batch is not None else max_inflight
         self.checkpoint_every_periods = checkpoint_every_periods
         self.registry = registry if registry is not None else get_registry()
         key_rng = random.Random(seed + 9)
@@ -327,7 +319,6 @@ class StreamingPipeline:
                 ),
                 backend="columnar",
                 row_capacity=max(batch_size, 64),
-                spill_bytes=1 << 22,
             )
             if placement is None:
                 # Shard 0 is certain to be used: start it now so the
@@ -534,11 +525,8 @@ class StreamingPipeline:
             # its load accounting.
             parts: List[Any] = [payloads]
             if self.placement is not None:
-                parts, counts = partition_stream(
-                    self._fleet.spec,
-                    self.placement.map.shards,
-                    PacketColumns(payloads),
-                    self.placement.map,
+                parts, counts = partition_columns(
+                    self._fleet.spec, self.placement.map, payloads
                 )
                 self.placement.observe(counts)
             busy = [shard for shard, part in enumerate(parts) if len(part)]
@@ -593,43 +581,28 @@ class StreamingPipeline:
         payload_count = 0
         scalar = self.backend == "scalar"
         workload = self.workload
-        # Bounded in-flight micro-batches: the generate/encode stage
-        # runs up to ``max_inflight`` batches ahead of the switch
-        # stage.  Both stages still see the stream in order, so the
-        # outcome is bit-identical for any bound (the differential
-        # suite pins this); only the stage overlap changes.
-        pending: deque = deque()
-        inflight_peak = 0
-        exhausted = False
         while True:
-            while not exhausted and len(pending) < self.max_inflight:
-                cols = stream.generate_batch(self.batch_size)
-                if not len(cols):
-                    exhausted = True
-                    break
-                batches += 1
-                events += len(cols)
-                if self.on_batch is not None:
-                    self.on_batch(self, cols)
-                if accumulate is not None:
-                    accumulate(cols, reference)
-                keys = workload.cookie_keys(cols)
-                if scalar:
-                    # Pre-optimization reference: every request builds
-                    # its value dict and runs the full AES encode.
-                    cids = [
-                        self.codec.encode(workload.cookie_values_at(cols, i))
-                        for i in range(len(cols))
-                    ]
-                else:
-                    cids = self.cache.encode_columns(
-                        keys, rows_fn=partial(workload.cookie_rows, cols)
-                    )
-                pending.append((cols, cids))
-            inflight_peak = max(inflight_peak, len(pending))
-            if not pending:
+            cols = stream.generate_batch(self.batch_size)
+            if not len(cols):
                 break
-            cols, cids = pending.popleft()
+            batches += 1
+            events += len(cols)
+            if self.on_batch is not None:
+                self.on_batch(self, cols)
+            if accumulate is not None:
+                accumulate(cols, reference)
+            keys = workload.cookie_keys(cols)
+            if scalar:
+                # Pre-optimization reference: every request builds its
+                # value dict and runs the full AES encode.
+                cids = [
+                    self.codec.encode(workload.cookie_values_at(cols, i))
+                    for i in range(len(cols))
+                ]
+            else:
+                cids = self.cache.encode_columns(
+                    keys, rows_fn=partial(workload.cookie_rows, cols)
+                )
             payloads: List[bytes] = []
             for lo, hi, flush in self._segments(cols.time_ms):
                 payloads.extend(self._lark_segment(cids, lo, hi))
@@ -637,7 +610,6 @@ class StreamingPipeline:
                     self._flush_period(payloads)
             payload_count += len(payloads)
             self._dispatch(payloads, agg_results)
-        self.registry.gauge("pipeline.inflight_peak").set(inflight_peak)
         # Tail flush: exactly one end-of-run period close (partial
         # period), then drain anything the reorder stage still holds.
         tail: List[bytes] = []

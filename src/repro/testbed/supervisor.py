@@ -37,9 +37,9 @@ The differential suite and the chaos bench assert both byte for byte.
 
 Fault injection is scripted with
 :class:`~repro.chaos.shard_faults.ShardFaultPlan` — deterministic
-kills (``kill_shard(n, at_batch=k)``), seeded crash probabilities, and
-scripted mid-run backend degradations, all picklable so they ride into
-workers unchanged under either start method.
+kills (``kill_shard(n, at_batch=k)``) and seeded crash probabilities,
+picklable so they ride into workers unchanged under either start
+method.  A run's backend is fixed when the supervisor is built.
 """
 
 from __future__ import annotations
@@ -54,16 +54,15 @@ from typing import (
 from repro.chaos.shard_faults import ShardFaultPlan
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.testbed.executor import (
-    BACKENDS,
     ShardSpec,
     _run_shard_epoch,
     _slice_part,
     check_backend,
     fold_snapshots,
-    partition_stream,
+    partition_columns,
     render_report,
 )
-from repro.testbed.placement import PlacementController
+from repro.testbed.placement import PartitionMap, PlacementController
 from repro.testbed.worker import WorkerDied, WorkerFleet
 
 __all__ = ["ShardSupervisor", "SupervisedRunResult"]
@@ -74,18 +73,17 @@ _LOG = logging.getLogger(__name__)
 class _Job(NamedTuple):
     """One epoch of one shard, as cut by the loop."""
 
-    part: Any  # this epoch's packets (row list or PacketColumns)
-    backend: str
+    part: Any  # this epoch's packets
     map_version: int  # the partition map that cut the window
 
 
 class _ShardState:
     """Supervisor-side bookkeeping for one shard's epoch chain.
 
-    ``epochs`` (completed so far) is the epoch index the fault plan and
-    the degradation script see; ``chunks_done`` is the shard's
-    cumulative chunk offset, because kills are scripted in whole-stream
-    chunk coordinates however the stream was windowed.
+    ``epochs`` (completed so far) is the epoch index the fault plan
+    sees; ``chunks_done`` is the shard's cumulative chunk offset,
+    because kills are scripted in whole-stream chunk coordinates
+    however the stream was windowed.
     """
 
     __slots__ = (
@@ -120,7 +118,6 @@ class SupervisedRunResult:
     recovered_packets: int  # packets replayed from checkpoints
     checkpoints: int  # snapshots taken at epoch flushes
     salvaged: List[int]  # shards that had an epoch finished by salvage
-    backends: List[str]  # backend dispatched per epoch index
     fallback_cause: Optional[str] = None
     used_workers: bool = False  # persistent ring-fed workers ran the epochs
     worker_respawns: int = 0  # dead persistent workers replaced mid-run
@@ -142,14 +139,15 @@ class ShardSupervisor:
     ``checkpoint_batches`` — chunks per epoch; an epoch flush is the
     checkpoint boundary, so a crash replays at most
     ``checkpoint_batches x chunk_size`` packets.  ``fault_plan`` — a
-    :class:`ShardFaultPlan` scripting deterministic crashes and mid-run
-    backend degradations.  ``sleep`` — injectable so tests can retry
-    without real backoff delays.  ``persistent`` — run the epochs on
+    :class:`ShardFaultPlan` scripting deterministic crashes.  ``sleep``
+    — injectable so tests can retry without real backoff delays.
+    ``persistent`` — run the epochs on
     long-lived ring-fed :class:`~repro.testbed.worker.ShardWorker`
     processes instead of in-process: same checkpoint cadence and retry
     machinery, but an injected crash becomes a real ``SIGKILL`` of the
-    worker and recovery is a respawn-restore-replay on the same
-    shared-memory ring (falls back to in-process, recording
+    worker and recovery is a respawn (restoring the checkpoint before
+    the worker reports ready) and a replay on the same shared-memory
+    ring (falls back to in-process, recording
     ``fallback_cause``, when workers cannot be started).  ``placement``
     — a :class:`PlacementController` makes the run *elastic*: the
     stream is cut into windows of ``epoch_size x shards`` packets, each
@@ -159,7 +157,7 @@ class ShardSupervisor:
     may rebalance or resize the fleet for the *next* window.  State
     lives in the supervisor's checkpoint store, so placement changes
     migrate nothing.  Without a controller the whole stream is one
-    window under the static ``crc32 % shards`` split.
+    window under the static ``PartitionMap(shards)``.
 
     **Salvage rule** (one rule, every mode): an epoch job that fails
     ``max_retries + 1`` times is finished in-process with fault
@@ -231,13 +229,6 @@ class ShardSupervisor:
         self._salvaged: List[int] = []
         self._respawns = 0
 
-    def epoch_backend(self, epoch: int) -> str:
-        """The backend dispatched for ``epoch`` — the configured one
-        unless the fault plan scripts a degradation at or before it."""
-        if self.fault_plan is None:
-            return self.backend
-        return self.fault_plan.backend_for_epoch(epoch, self.backend)
-
     # -- the epoch loop ----------------------------------------------------
 
     def run(self, packets: Sequence[bytes]) -> SupervisedRunResult:
@@ -261,19 +252,14 @@ class ShardSupervisor:
         try:
             pos = 0
             while pos < len(packets):
-                pmap = controller.map if controller is not None else None
-                shards = pmap.shards if pmap is not None else self.shards
-                version = pmap.version if pmap is not None else 0
-                size = (
-                    self.epoch_size * shards
-                    if controller is not None
-                    else len(packets)
-                )
-                parts, counts = partition_stream(
-                    self.spec,
-                    shards,
-                    _slice_part(packets, pos, pos + size),
-                    pmap,
+                if controller is not None:
+                    pmap = controller.map
+                    size = self.epoch_size * pmap.shards
+                else:
+                    pmap = PartitionMap(self.shards)
+                    size = len(packets)
+                parts, counts = partition_columns(
+                    self.spec, pmap, _slice_part(packets, pos, pos + size)
                 )
                 busy = [
                     states.setdefault(shard, _ShardState(shard))
@@ -287,10 +273,10 @@ class ShardSupervisor:
                         self._run_epoch(
                             state,
                             _slice_part(part, lo, lo + self.epoch_size),
-                            version,
+                            pmap.version,
                         )
                 if controller is not None:
-                    map_versions.append(version)
+                    map_versions.append(pmap.version)
                     controller.observe(counts)
                     new_map = controller.end_epoch()
                     if self._fleet is not None:
@@ -305,17 +291,6 @@ class ShardSupervisor:
         blank = _ShardState(-1)
         chain = [states.get(shard, blank) for shard in range(width)]
         snapshot = fold_snapshots(self.spec, (s.checkpoint for s in chain))
-        backends = [
-            self.epoch_backend(e)
-            for e in range(max(s.epochs for s in chain))
-        ]
-        for prev, cur in zip(backends, backends[1:]):
-            if cur != prev:
-                self.registry.counter("supervisor.degradations").inc()
-        if backends:
-            self.registry.gauge("supervisor.backend_tier").set(
-                BACKENDS.index(backends[-1])
-            )
         return SupervisedRunResult(
             snapshot=snapshot or {},
             report=render_report(self.spec, self.shards, snapshot),
@@ -329,7 +304,6 @@ class ShardSupervisor:
             recovered_packets=self._recovered,
             checkpoints=self._checkpoints,
             salvaged=list(self._salvaged),
-            backends=backends,
             fallback_cause=self._fallback_cause,
             used_workers=self.persistent and self._fallback_cause is None,
             worker_respawns=self._respawns,
@@ -345,7 +319,7 @@ class ShardSupervisor:
     ) -> None:
         """One epoch job under the retry machinery: dispatch over the
         live transport until it succeeds or exhausts into salvage."""
-        job = _Job(part, self.epoch_backend(state.epochs), map_version)
+        job = _Job(part, map_version)
         state.attempt = 0
         while True:
             worker = (
@@ -384,7 +358,7 @@ class ShardSupervisor:
     def _bring_up(self, states: List[_ShardState]) -> None:
         """Before a window's first epoch: every shard the window routes
         traffic to gets its ring-fed worker, the missing ones started
-        side by side and each restored from its shard's last
+        side by side and each started from its shard's last
         checkpoint.  A fleet that cannot start is dropped for the rest
         of the run and the epochs go in-process (the checkpoint store
         makes the switch-over seamless)."""
@@ -405,14 +379,8 @@ class ShardSupervisor:
 
     def _persistent_epoch(self, state: _ShardState, worker, job: _Job) -> None:
         """One epoch over a persistent worker: arm, stream, drain."""
-        worker.set_epoch(
-            state.epochs,
-            state.attempt,
-            chunk_offset=state.chunks_done,
-            backend=job.backend,
-            map_version=job.map_version,
-        )
-        self._fleet.push(state.shard, job.part, self.chunk_size, job.backend)
+        worker.set_epoch(state.epochs, state.attempt, state.chunks_done)
+        self._fleet.push(state.shard, job.part, self.chunk_size)
         self._on_success(state, job, *self._fleet.drain_shard(state.shard))
 
     def _inline_epoch(
@@ -420,7 +388,7 @@ class ShardSupervisor:
     ) -> None:
         """One epoch in-process: fresh replica, restore, stream."""
         self._on_success(state, job, *_run_shard_epoch(
-            self.spec, state.shard, job.part, job.backend, self.chunk_size,
+            self.spec, state.shard, job.part, self.backend, self.chunk_size,
             state.checkpoint, plan, state.epochs, state.attempt,
             state.chunks_done,
         ))

@@ -22,14 +22,18 @@ dedicated ``Pipe``:
 ====================  =====================================================
 command               effect
 ====================  =====================================================
-``("epoch", ...)``    arm the fault injector for (epoch, attempt) and set
-                      the execution backend for subsequent batches
+``("epoch", ...)``    arm the fault injector for (epoch, attempt)
 ``("rekey", key)``    re-register the app under a new key (epoch bump)
-``("restore", snap)`` load a checkpoint into the replica (crash replay)
 ``("barrier", ...)``  reply with counters + register snapshot; optionally
                       reset the replica for a fresh run
 ``("shutdown",)``     acknowledge and exit cleanly
 ====================  =====================================================
+
+Every command body is a pickle of under 64 bytes.  What does not fit
+that — the shard's checkpoint — is not a command: it rides in the
+worker's start arguments and is restored before the readiness message,
+at first start and at every respawn.  A worker's backend is fixed when
+it is started.
 
 Start-up: :func:`_start_context` picks one start method for every
 worker.  On Linux, in a process running exactly one Python thread, a
@@ -117,23 +121,25 @@ def _start_context():
 
 
 def _worker_main(
-    descriptor: Dict[str, int],
+    descriptor: Dict[str, Any],
     spec: ShardSpec,
     shard_index: int,
     backend: str,
     conn,
     plan: Optional[ShardFaultPlan],
+    checkpoint: Optional[Dict[str, Any]],
 ) -> None:
-    """Child entry point: attach the ring, build the replica, loop."""
+    """Child entry point: attach the ring, build (and restore) the
+    replica, loop."""
     ring = ColumnRing.attach(descriptor)
     replica = Replica(spec, shard_index, plan)
-    current = backend  # an epoch command may degrade it
-    map_version = 0
+    if checkpoint is not None:
+        replica.restore(checkpoint)
     parent = os.getppid()
     # Readiness handshake: the parent blocks until the replica is
-    # built, so start-up (a fork, or a spawned interpreter's imports)
-    # cannot bleed into (and distort) the caller's steady-state ingest
-    # window.
+    # built and restored, so start-up (a fork, or a spawned
+    # interpreter's imports) cannot bleed into (and distort) the
+    # caller's steady-state ingest window.
     conn.send({
         "ready": True,
         "start_method": "spawn" if _IMPORTED_BY == os.getpid() else "fork",
@@ -157,28 +163,16 @@ def _worker_main(
                 ring.release()
                 op = command[0]
                 if op == "epoch":
-                    (
-                        _op, epoch, attempt, chunk_offset, epoch_backend,
-                        map_version,
-                    ) = command
-                    current = epoch_backend or current
-                    replica.arm(epoch, attempt, chunk_offset)
+                    replica.arm(*command[1:])
                 elif op == "rekey":
                     replica.switch.rekey_application(spec.app_id, command[1])
-                elif op == "restore":
-                    replica.restore(command[1])
                 elif op == "barrier":
                     conn.send({
                         "counters": replica.counters(),
                         "snapshot": replica.snapshot(),
-                        # The placement-map version last armed via the
-                        # epoch command — rides OUTSIDE the raw register
-                        # snapshot (restore() must see registers only).
-                        "map_version": map_version,
                     })
                     if command[1]:
                         replica.reset()
-                        current = backend
                 elif op == "shutdown":
                     conn.send({"counters": replica.counters()})
                     break
@@ -186,8 +180,9 @@ def _worker_main(
             # DATA slot.
             try:
                 replica.feed(
-                    view.columns() if current == "columnar" else view.rows(),
-                    current,
+                    view.columns() if backend == "columnar" else view.rows(),
+                    backend,
+                    continued=view.continued,
                 )
             except ShardCrash:
                 # The in-process transport raises this to its caller; a
@@ -213,7 +208,8 @@ class ShardWorker:
     Constructing the handle creates the ring and *starts* the process;
     :meth:`await_ready` completes the start-up.  The two are separate
     so that :meth:`WorkerFleet.bring_up` can start a whole set of
-    workers before it waits for any of them.
+    workers before it waits for any of them.  ``checkpoint`` is
+    restored into the replica before it reports ready.
     """
 
     def __init__(
@@ -223,10 +219,9 @@ class ShardWorker:
         backend: str = "columnar",
         ring_capacity: int = 8,
         row_capacity: int = 4096,
-        row_width: int = 64,
-        spill_bytes: int = 1 << 20,
         fault_plan: Optional[ShardFaultPlan] = None,
         reply_timeout_s: float = 60.0,
+        checkpoint: Optional[Dict[str, Any]] = None,
     ):
         self.backend = check_backend(backend)
         if not shared_memory_available():
@@ -238,10 +233,7 @@ class ShardWorker:
         self.fault_plan = fault_plan
         self.reply_timeout_s = reply_timeout_s
         self.ring = ColumnRing.create(
-            capacity=ring_capacity,
-            row_capacity=row_capacity,
-            row_width=row_width,
-            spill_bytes=spill_bytes,
+            capacity=ring_capacity, row_capacity=row_capacity
         )
         self.restarts = 0
         # "fork" or "spawn", as the running worker's readiness message
@@ -250,7 +242,7 @@ class ShardWorker:
         self._proc = None
         self._conn = None
         try:
-            self._start()
+            self._start(checkpoint)
         except BaseException:
             # A handle that never came up must not leave its segment
             # (or a half-started child) behind.
@@ -259,7 +251,7 @@ class ShardWorker:
 
     # -- process lifecycle -------------------------------------------------
 
-    def _start(self) -> None:
+    def _start(self, checkpoint: Optional[Dict[str, Any]]) -> None:
         """Start the worker process and return without waiting for it:
         the start-ups of several workers overlap when their owner starts
         them all before the first :meth:`await_ready`."""
@@ -275,6 +267,7 @@ class ShardWorker:
                 self.backend,
                 child_conn,
                 self.fault_plan,
+                checkpoint,
             ),
             daemon=True,
         )
@@ -315,8 +308,8 @@ class ShardWorker:
         self, checkpoint: Optional[Dict[str, Any]] = None
     ) -> None:
         """Replace a dead worker on the SAME ring segment: discard
-        whatever the corpse left unconsumed, start a fresh replica and
-        (optionally) restore its last checkpoint for replay."""
+        whatever the corpse left unconsumed, start a fresh replica
+        restored to ``checkpoint`` (when given) for replay."""
         if self._proc is not None:
             if self._proc.is_alive():
                 self._proc.kill()
@@ -325,10 +318,8 @@ class ShardWorker:
             self._conn.close()
         self.ring.reset()
         self.restarts += 1
-        self._start()
+        self._start(checkpoint)
         self.await_ready()
-        if checkpoint is not None:
-            self.restore(checkpoint)
 
     def kill(self) -> None:
         """SIGKILL the worker (chaos tests)."""
@@ -443,35 +434,23 @@ class ShardWorker:
             )
 
     def set_epoch(
-        self,
-        epoch: int,
-        attempt: int = 0,
-        chunk_offset: int = 0,
-        backend: Optional[str] = None,
-        map_version: int = 0,
+        self, epoch: int, attempt: int = 0, chunk_offset: int = 0
     ) -> None:
-        """Arm fault injection / switch backend for the coming epoch.
-        ``map_version`` stamps which partition map cut the epoch's
-        stream; the worker echoes it in every barrier reply."""
+        """Arm fault injection for the coming epoch attempt."""
         self._push_control(
-            ("epoch", epoch, attempt, chunk_offset, backend, map_version),
-            timeout=30.0,
+            ("epoch", epoch, attempt, chunk_offset), timeout=30.0
         )
 
     def rekey(self, new_key: bytes) -> None:
         """Ring-ordered rekey: applies after every batch already pushed."""
         self._push_control(("rekey", bytes(new_key)), timeout=30.0)
 
-    def restore(self, checkpoint: Dict[str, Any]) -> None:
-        self._push_control(("restore", checkpoint), timeout=30.0)
-
     def drain(self, reset: bool = False) -> Dict[str, Any]:
         """Barrier: wait until every pushed batch is folded, then fetch
-        ``{"counters", "snapshot", "map_version"}`` — the snapshot is
-        the raw register state, i.e. also the checkpoint
-        :meth:`restore` takes back.  ``reset=True`` additionally
-        rebuilds the replica afterwards so the next run starts from
-        zero (run-to-run isolation)."""
+        ``{"counters", "snapshot"}`` — the snapshot is the raw register
+        state, i.e. also the checkpoint a (re)start restores.
+        ``reset=True`` additionally rebuilds the replica afterwards so
+        the next run starts from zero (run-to-run isolation)."""
         self._push_control(("barrier", reset), timeout=30.0)
         return self._recv_reply()
 
@@ -487,8 +466,9 @@ class WorkerFleet:
     each hold one fleet and nothing else about workers: a set of shards
     is brought up together (processes started side by side by
     :func:`_start_context`'s method, then the readiness handshakes; a
-    shard re-entering the fleet restores the caller's checkpoint),
-    parts stream in ``chunk_size`` ring pushes, a drain barrier returns
+    shard re-entering the fleet starts from the caller's checkpoint),
+    parts stream in ``chunk_size`` ring pushes on the backend the fleet
+    was built with, a drain barrier returns
     register snapshots with counter **deltas** since the previous drain
     (worker counters are cumulative; the fleet keeps the bases), a
     shrinking map retires workers with their state kept, and a dead
@@ -500,14 +480,12 @@ class WorkerFleet:
         spec: ShardSpec,
         backend: str = "columnar",
         row_capacity: int = 4096,
-        spill_bytes: int = 1 << 20,
         fault_plan: Optional[ShardFaultPlan] = None,
         reply_timeout_s: float = 60.0,
     ):
         self.spec = spec
         self.backend = backend
         self.row_capacity = row_capacity
-        self.spill_bytes = spill_bytes
         self.fault_plan = fault_plan
         self.reply_timeout_s = reply_timeout_s
         self.workers: Dict[int, ShardWorker] = {}
@@ -527,13 +505,14 @@ class WorkerFleet:
         The missing processes are all started first and their readiness
         handshakes consumed afterwards, so the workers come up side by
         side rather than one after another — and still before the
-        caller's first (timed) push.  A new worker restores its
+        caller's first (timed) push.  A new worker starts from its
         entry of ``checkpoints`` (a shard re-entering the fleet picks
         its cumulative fold up where the caller's store left it);
         shards already live are left alone.  If any worker fails to
         come up the whole new set is released and ``WorkerDied``
         raised: the fleet is as it was before the call.
         """
+        checkpoints = checkpoints or {}
         fresh: Dict[int, ShardWorker] = {}
         try:
             for shard in shards:
@@ -543,10 +522,9 @@ class WorkerFleet:
                         shard,
                         backend=self.backend,
                         row_capacity=self.row_capacity,
-                        row_width=64,
-                        spill_bytes=self.spill_bytes,
                         fault_plan=self.fault_plan,
                         reply_timeout_s=self.reply_timeout_s,
+                        checkpoint=checkpoints.get(shard),
                     )
             for worker in fresh.values():
                 worker.await_ready()
@@ -556,8 +534,6 @@ class WorkerFleet:
         for shard, worker in fresh.items():
             self.workers[shard] = worker
             self._bases[shard] = _ZERO
-            if checkpoints and checkpoints.get(shard) is not None:
-                worker.restore(checkpoints[shard])
 
     def worker(
         self, shard: int, checkpoint: Optional[Dict[str, Any]] = None
@@ -569,17 +545,14 @@ class WorkerFleet:
         return self.workers[shard]
 
     def push(
-        self,
-        shard: int,
-        part: Any,
-        chunk_size: Optional[int] = None,
-        backend: Optional[str] = None,
+        self, shard: int, part: Any, chunk_size: Optional[int] = None
     ) -> None:
         """Stream one shard part to its ring, one push per chunk (the
-        fault plan's kill coordinates count these pushes)."""
+        fault plan's kill coordinates count these pushes, however many
+        slots the ring splits one into)."""
         worker = self.worker(shard)
         for chunk in _chunked(
-            part, chunk_size or self.row_capacity, backend or self.backend
+            part, chunk_size or self.row_capacity, self.backend
         ):
             worker.push_batch(chunk)
 
@@ -635,8 +608,8 @@ class WorkerFleet:
     def respawn(
         self, shard: int, checkpoint: Optional[Dict[str, Any]] = None
     ) -> None:
-        """Replace a dead or wedged worker on the SAME ring segment and
-        restore ``checkpoint`` for the replay."""
+        """Replace a dead or wedged worker on the SAME ring segment,
+        started from ``checkpoint`` for the replay."""
         self.workers[shard].respawn(checkpoint)
         self._bases[shard] = _ZERO
 

@@ -233,7 +233,6 @@ def test_batch_backend_name_is_rejected_everywhere():
     """There are two tiers.  The retired ``"batch"`` name is an error at
     every ``backend=`` entry point, never an alias."""
     from repro.chaos import ChaosHarness
-    from repro.chaos.shard_faults import ShardFaultPlan
     from repro.testbed.pipeline import StreamingPipeline
     from repro.testbed.supervisor import ShardSupervisor
     from repro.testbed.worker import ShardWorker, WorkerFleet
@@ -247,7 +246,6 @@ def test_batch_backend_name_is_rejected_everywhere():
         lambda: WorkerFleet(spec, backend="batch").worker(0),
         lambda: StreamingPipeline(wl.workload, backend="batch"),
         lambda: ChaosHarness(backend="batch"),
-        lambda: ShardFaultPlan().degrade_backend(1, to="batch"),
     )
     for attempt in attempts:
         with pytest.raises(ValueError):

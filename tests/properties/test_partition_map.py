@@ -275,10 +275,7 @@ class TestVectorizedPartition:
         pmap = PartitionMap(shards=3).rebalanced(
             _loads(seed), target=1.02
         )
-        counts = [0] * pmap.buckets
-        scalar = partition_packets(
-            spec, pmap.shards, packets, pmap, counts
-        )
+        scalar, counts = partition_packets(spec, pmap, packets)
         parts, vec_counts = partition_columns(spec, pmap, packets)
         assert [part.raw for part in parts] == scalar
         assert vec_counts == counts

@@ -1,14 +1,10 @@
-"""Pipelined stage overlap: back-pressure, tail flush, dead letters.
+"""Pipelined stage overlap: tail flush, dead letters.
 
-The persistent backend overlaps the generate/encode stage with the
-worker's agg folding, bounded by ``max_inflight`` micro-batches.  The
-regression wall here pins the three places that overlap could corrupt:
+The persistent backend overlaps the parent's generate/encode/lark
+stages with the worker's agg folding; the worker's ring is the bound
+on how far the parent runs ahead.  The regression wall here pins the
+two places that overlap could corrupt:
 
-* **back-pressure** — results are bit-identical for any in-flight
-  bound, the encode stage never runs more than ``max_inflight``
-  batches ahead (``pipeline.inflight_peak`` gauge), and an
-  ``on_batch`` hook forces lockstep (bound of 1) so rekeys cannot
-  race the ring;
 * **tail flush** — a run ending mid-period closes exactly one partial
   period after the streamed batches drain, identically on every tier;
 * **dead letters** — corrupted payloads rejected *inside the worker*
@@ -39,24 +35,23 @@ needs_shm = pytest.mark.skipif(
 )
 
 
-def _backends(*extra_skips):
+def _backends():
     return [
         b for b in PIPELINE_BACKENDS
-        if (b != "persistent" or shared_memory_available())
-        and b not in extra_skips
+        if b != "persistent" or shared_memory_available()
     ]
 
 
-def _run(backend, registry=None, mode=ForwardingMode.PERIODICAL, **kw):
+def _run(backend, mode=ForwardingMode.PERIODICAL, **kw):
     workload = AdCampaignWorkload(num_users=80, seed=11)
+    kw.setdefault("batch_size", 64)
     pipe = StreamingPipeline(
         workload,
         seed=11,
         mode=mode,
         period_ms=PERIOD_MS,
         backend=backend,
-        batch_size=64,
-        registry=registry if registry is not None else MetricsRegistry(),
+        registry=MetricsRegistry(),
         **kw,
     )
     try:
@@ -76,41 +71,6 @@ def _observables(result):
         result.register_state,
         result.dead_letters,
     )
-
-
-class TestMaxInflightBackPressure:
-    @pytest.mark.parametrize("backend", _backends("scalar"))
-    def test_results_invariant_under_any_bound(self, backend):
-        _, reference = _run(backend, max_inflight=1)
-        assert reference.counts_match_reference()
-        for bound in (2, 4, 8):
-            _, overlapped = _run(backend, max_inflight=bound)
-            assert _observables(overlapped) == _observables(reference), (
-                backend, bound,
-            )
-
-    @needs_shm
-    def test_peak_respects_the_bound(self):
-        """The encode stage may fill the window but never overrun it —
-        the producer blocks on the ring instead of buffering unboundedly
-        when the worker falls behind."""
-        for bound in (1, 3):
-            registry = MetricsRegistry()
-            _run("persistent", registry=registry, max_inflight=bound)
-            peak = registry.value("pipeline.inflight_peak")
-            assert 1 <= peak <= bound, (bound, peak)
-
-    @needs_shm
-    def test_overlap_actually_happens(self):
-        registry = MetricsRegistry()
-        _run("persistent", registry=registry, max_inflight=4)
-        assert registry.value("pipeline.inflight_peak") > 1
-
-    def test_on_batch_hook_forces_lockstep(self):
-        pipe, _ = _run(
-            "columnar", max_inflight=8, on_batch=lambda _p, _c: None
-        )
-        assert pipe.max_inflight == 1
 
 
 class TestTailFlush:
@@ -155,12 +115,15 @@ class TestDeadLetters:
     def test_dead_letters_do_not_leak_into_overlap_window(self):
         """Back-pressure plus corruption: a rejected payload in batch N
         must not desync the fold of batches N+1.. already queued on the
-        ring."""
-        kw = dict(mode=ForwardingMode.PER_PACKET, corrupt_probability=0.1)
-        _, lockstep = _run("persistent", max_inflight=1, **kw)
-        _, overlapped = _run("persistent", max_inflight=8, **kw)
-        assert lockstep.dead_letters > 0
-        assert _observables(overlapped) == _observables(lockstep)
+        ring.  Batches of 16 keep many slots queued at once."""
+        kw = dict(
+            mode=ForwardingMode.PER_PACKET, corrupt_probability=0.1,
+            batch_size=16,
+        )
+        _, inline = _run("columnar", **kw)
+        _, overlapped = _run("persistent", **kw)
+        assert inline.dead_letters > 0
+        assert _observables(overlapped) == _observables(inline)
 
     def test_clean_run_has_zero_dead_letters(self):
         for backend in _backends():

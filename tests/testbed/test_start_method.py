@@ -5,7 +5,7 @@ warm parent while the parent runs exactly one Python thread, and spawns
 a fresh interpreter otherwise.  A live idle thread is how these tests
 reach the spawn path: there is no option for it.  Under spawn a
 worker's arguments (``ShardSpec``, ``ShardFaultPlan``, the ring
-descriptor) are pickled, under fork they are inherited, so the spawn
+descriptor, a start checkpoint) are pickled, under fork they are inherited, so the spawn
 leg is also what keeps them picklable.
 
 A forked worker inherits the parent's owner ``ColumnRing`` objects,
@@ -139,6 +139,82 @@ def _killed_supervisor_run():
         result.snapshot, result.report,
         result.shard_packets, result.shard_folded,
     ))
+
+
+def _wide_agg_stream(packets=600):
+    """A grouped 40 x 30 statistic — 1200 cells, past the 1024-cell
+    mark — and a per-packet aggregation stream that touches most of
+    them, so a checkpoint is bigger than a ring slot."""
+    import random
+
+    from repro.core.larkswitch import LarkSwitch
+    from repro.core.schema import CookieSchema, Feature
+    from repro.core.stats import StatKind, StatSpec
+    from repro.core.transport_cookie import TransportCookieCodec
+
+    camps = ["c%d" % i for i in range(40)]
+    ks = ["k%d" % i for i in range(30)]
+    schema = CookieSchema(
+        "wide",
+        (Feature.categorical("camp", camps), Feature.categorical("k", ks)),
+    )
+    specs = (StatSpec("by", StatKind.COUNT_BY_CLASS, "k", group_by="camp"),)
+    key = bytes(range(16))
+    lark = LarkSwitch("lark", random.Random(1))
+    lark.register_application(APP_ID, schema, key, list(specs))
+    codec = TransportCookieCodec(APP_ID, schema, key, random.Random(3))
+    rng = random.Random(5)
+    payloads = [
+        lark.process_quic_packet(codec.encode(
+            {"camp": rng.choice(camps), "k": rng.choice(ks)}
+        )).aggregation_payload
+        for _ in range(packets)
+    ]
+    spec = ShardSpec(
+        kind="agg", app_id=APP_ID, schema=schema, key=key, specs=specs,
+        seed=7,
+    )
+    return spec, payloads
+
+
+def _restored_worker_run():
+    """A checkpoint larger than one ring slot reaches the worker at
+    bring-up and again at respawn: both folds of the same tail equal
+    the in-process transport's, byte for byte."""
+    import pickle
+
+    from repro.testbed.executor import _run_shard_epoch
+
+    spec, payloads = _wide_agg_stream()
+    head, tail = payloads[:300], payloads[300:]
+    checkpoint, _counters = _run_shard_epoch(spec, 0, head, "columnar", 64)
+    assert len(checkpoint["by"]) == 1200
+    expected = _run_shard_epoch(spec, 0, tail, "columnar", 64, checkpoint)
+    fleet = WorkerFleet(spec, backend="columnar", row_capacity=16)
+    try:
+        fleet.bring_up([0], {0: checkpoint})
+        slot_bytes = fleet.workers[0].ring.slot_bytes
+        assert len(pickle.dumps(checkpoint)) > slot_bytes
+        fleet.push(0, tail, 64)
+        brought_up = fleet.drain_shard(0)
+        fleet.workers[0].kill()
+        fleet.respawn(0, checkpoint)
+        fleet.push(0, tail, 64)
+        respawned = fleet.drain_shard(0)
+    finally:
+        fleet.close()
+    assert pickle.dumps(brought_up) == pickle.dumps(expected)
+    assert pickle.dumps(respawned) == pickle.dumps(expected)
+    return repr(expected)
+
+
+def test_checkpoint_restores_at_start_forked_and_spawned(monkeypatch):
+    (fork_methods, forked), (spawn_methods, spawned) = _both_ways(
+        monkeypatch, _restored_worker_run
+    )
+    assert fork_methods == ["fork", "fork"]
+    assert spawn_methods == ["spawn", "spawn"]
+    assert forked == spawned
 
 
 def test_lark_executor_is_identical_forked_and_spawned(monkeypatch):
