@@ -362,3 +362,128 @@ class TestEncodeColumnsCallbacks:
             assert cache.codec.rng.getstate() == replay.getstate()
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+# Recorded before the encode cache's probe order and framing draws
+# were rewritten (get first, the pending-miss table only on a miss;
+# framing bytes drawn through map): per batch size, sha256 of every
+# wire cookie in order, sha256 of repr(codec rng.getstate()), sha256
+# of repr(LRU key order), then stats().  6106 events of a seed-42
+# 120-user stream (1920 identities) against 512 entries, so every
+# batch size sees hits, misses, queued hits and evictions; numpy on
+# and off give the same pins.
+PROBE_PINS = {
+    1: (
+        "9b0d045be6fe960d4689d282137c7a6424b87f780dd1a548bceb06f001b37c92",
+        "4edc059f03fce8070ec4cd6680d9fca8e6b315712fabafffcb5c0e14c1f7a3f1",
+        "e908d870799fdffeb5afa2ce1e5cadf3d3ef040ec1a05293eed93f6298ab790b",
+        {"size": 512, "capacity": 512, "epoch": 0, "hits": 1898,
+         "queued_hits": 0, "misses": 4208, "evictions": 3696,
+         "invalidations": 0},
+    ),
+    7: (
+        "f9c348cfac056579a4d3cd239b1c133de15904a2c47c354641e01850da2870db",
+        "1f33be5c2ed7fcfe921b18a163cf4ba331871ab58efb393194d9c89aa870b0af",
+        "48d774214d2592d8efc01703f2f9aeac50488df6715e69bd892c846a1f87ff7e",
+        {"size": 512, "capacity": 512, "epoch": 0, "hits": 1896,
+         "queued_hits": 7, "misses": 4203, "evictions": 3691,
+         "invalidations": 0},
+    ),
+    1024: (
+        "e1a207a939769c12adae08dd5ceeb08517b9af7bb4595b6daab3a35ffda7a6ff",
+        "0738d0d737a46a017f66aa455b4a21a1310efacf070f17f6f635fbcb251b5d80",
+        "27021c01864c0148d28755c4600c0be4ad236e94fa6c6035dd837243a599f1f7",
+        {"size": 512, "capacity": 512, "epoch": 0, "hits": 1602,
+         "queued_hits": 1137, "misses": 3367, "evictions": 2855,
+         "invalidations": 0},
+    ),
+}
+
+# One batch of each probe outcome, then a rekey: the wire and RNG
+# digests as above, the LRU key order and stats() spelled out.
+MIXED_PIN = (
+    "a23a45cc219370da3694e5712a807f395f6842cccfa54c0026fa8132f4f8c30d",
+    "b7c4a2dd51fd3f8de57f9bc144bed3ec9da20d6ba0476549699279b098da3fb2",
+    [3, 5, 1],
+    {"size": 3, "capacity": 3, "epoch": 1, "hits": 3, "queued_hits": 2,
+     "misses": 7, "evictions": 1, "invalidations": 1},
+)
+
+
+def _ad_cache(workload, capacity):
+    codec = TransportCookieCodec(
+        APP_ID, workload.schema(), KEY, random.Random(3)
+    )
+    return CookieEncodeCache(codec, capacity=capacity)
+
+
+class TestProbeOrderPins:
+    """The hit path probes the LRU before the batch's pending misses
+    and counts once per batch; the framing bytes are one buffer of the
+    same 3n draws.  Neither may move a wire byte, an RNG draw, the LRU
+    order or a counter."""
+
+    @pytest.mark.parametrize("numpy_on", (True, False), ids=("numpy", "python"))
+    @pytest.mark.parametrize("batch", sorted(PROBE_PINS))
+    def test_ad_stream_equals_the_recorded_pins(self, batch, numpy_on):
+        workload = AdCampaignWorkload(num_users=120, seed=42)
+        cache = _ad_cache(workload, 512)
+        stream = workload.stream(20000.0, 300.0)
+        wire = hashlib.sha256()
+        force_numpy(numpy_on)
+        try:
+            while True:
+                cols = stream.generate_batch(batch)
+                if not len(cols):
+                    break
+                out = cache.encode_columns(
+                    workload.cookie_keys(cols),
+                    rows_fn=partial(workload.cookie_rows, cols),
+                )
+                for row in out.raw:
+                    wire.update(row)
+        finally:
+            force_numpy(None)
+        assert (
+            wire.hexdigest(),
+            _sha(cache.codec.rng.getstate()),
+            _sha(list(cache._blocks)),
+            cache.stats(),
+        ) == PROBE_PINS[batch]
+
+    @pytest.mark.parametrize("numpy_on", (True, False), ids=("numpy", "python"))
+    def test_hit_miss_repeated_miss_and_rekey(self, numpy_on):
+        workload = AdCampaignWorkload(num_users=8, seed=42)
+        cache = _ad_cache(workload, 3)
+        # Key k stands for event k of one generated batch.
+        cols = workload.stream(20000.0, 10.0).generate_batch(64)
+        wire = hashlib.sha256()
+        force_numpy(numpy_on)
+        try:
+            for keys in (
+                [1, 2],
+                # hit, miss, repeated miss, hit, miss, hit
+                [1, 3, 3, 2, 4, 1],
+                None,
+                # after the rekey: miss, miss, repeated miss, miss
+                [3, 5, 3, 1],
+            ):
+                if keys is None:
+                    cache.rekey(bytes(reversed(KEY)))
+                    continue
+                out = cache.encode_columns(
+                    keys,
+                    rows_fn=lambda positions, keys=keys: workload.cookie_rows(
+                        cols, [keys[i] for i in positions]
+                    ),
+                )
+                for row in out.raw:
+                    wire.update(row)
+        finally:
+            force_numpy(None)
+        assert (
+            wire.hexdigest(),
+            _sha(cache.codec.rng.getstate()),
+            list(cache._blocks),
+            cache.stats(),
+        ) == MIXED_PIN
