@@ -37,7 +37,9 @@ invariants:
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from itertools import compress, repeat
+from operator import not_
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.core.transport_cookie import TransportCookieCodec
@@ -181,37 +183,46 @@ class CookieEncodeCache:
         positions are collected in first-occurrence order, and only
         those get wire rows (``rows_fn(positions)``), one pack (one
         padding draw per miss, in that order) and one batched AES
-        pass."""
-        codec = self._codec
-        n = len(keys)
-        out: List[Optional[bytes]] = [None] * n
+        pass.
+
+        The probe runs in C: one ``get`` per key, then ``move_to_end``
+        for each hit in probe order.  Only the misses visit the table
+        of misses pending in this batch, which is the same thing as
+        asking it first: a pending key is stored after the AES pass,
+        so it is never in the cache while the batch is probed."""
+        blocks = self._blocks
+        out: List[Optional[bytes]] = list(map(blocks.get, keys))
+        deque(map(blocks.move_to_end, compress(keys, out)), maxlen=0)
+        if None not in out:
+            self.hits += len(out)
+            return out  # type: ignore[return-value]
         miss_order: List[Hashable] = []
         miss_positions: List[int] = []
         miss_backrefs: Dict[Hashable, List[int]] = {}
-        for i, key in enumerate(keys):
+        queued = 0
+        for i in compress(range(len(out)), map(not_, out)):
+            key = keys[i]
             pending = miss_backrefs.get(key)
             if pending is not None:
                 # Repeat of a miss already queued in this batch: served
                 # from the pending AES pass, but not a true cache hit.
                 pending.append(i)
-                self.queued_hits += 1
-                continue
-            block = self._lookup(key)
-            if block is not None:
-                out[i] = block
+                queued += 1
             else:
-                self.misses += 1
                 miss_order.append(key)
                 miss_positions.append(i)
                 miss_backrefs[key] = [i]
-        if miss_positions:
-            encrypted = encrypt_blocks_many(
-                codec.aes, codec.pack_rows(rows_fn(miss_positions))
-            )
-            for key, block in zip(miss_order, encrypted):
-                self._store(key, block)
-                for i in miss_backrefs[key]:
-                    out[i] = block
+        self.hits += len(out) - len(miss_positions) - queued
+        self.queued_hits += queued
+        self.misses += len(miss_positions)
+        codec = self._codec
+        encrypted = encrypt_blocks_many(
+            codec.aes, codec.pack_rows(rows_fn(miss_positions))
+        )
+        for key, block in zip(miss_order, encrypted):
+            self._store(key, block)
+            for i in miss_backrefs[key]:
+                out[i] = block
         return out  # type: ignore[return-value]
 
     def encode(
@@ -266,7 +277,7 @@ class CookieEncodeCache:
         np = get_numpy()
         getrandbits = self._codec.rng.getrandbits
         n = len(blocks)
-        framing = bytes([getrandbits(8) for _ in range(3 * n)])
+        framing = bytes(map(getrandbits, repeat(8, 3 * n)))
         if np is None:
             app_byte = bytes([self.app_id])
             return PacketColumns([

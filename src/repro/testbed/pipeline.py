@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -368,12 +369,15 @@ class StreamingPipeline:
         if self.mode != ForwardingMode.PERIODICAL:
             yield 0, n, False
             return
+        # Times are non-decreasing, so each boundary's cut is one
+        # bisection; a gap spanning several periods cuts at the same
+        # index once per boundary it crosses (empty flushing segments).
         lo = 0
-        for i in range(n):
-            while times[i] >= self._next_boundary:
-                yield lo, i, True
-                lo = i
-                self._next_boundary += self.period_ms
+        while n and times[-1] >= self._next_boundary:
+            i = bisect_left(times, self._next_boundary, lo)
+            yield lo, i, True
+            lo = i
+            self._next_boundary += self.period_ms
         yield lo, n, False
 
     def _flush_period(self, payloads: List[bytes]) -> None:

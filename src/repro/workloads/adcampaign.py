@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import log as _log
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.schema import CookieSchema, Feature
@@ -40,6 +41,22 @@ def iter_batches(items: List, batch_size: int) -> Iterator[List]:
         raise ValueError("batch_size must be >= 1")
     for start in range(0, len(items), batch_size):
         yield items[start:start + batch_size]
+
+# Batches with fewer events fold the reference in its Python form even
+# with the numpy gate open: the numpy form costs ~12 us a call before
+# its first row, and its fold over the non-zero cells only stops
+# growing with the batch once most of the 112 cells are hit.  Measured
+# on the default 8 campaigns, us/event, best of 60 alternating runs on
+# the recorded 2-vCPU host:
+#
+#     events   200 users py / numpy   2000 users py / numpy
+#         16       0.64 / 1.12            0.76 / 1.41
+#         32       0.69 / 0.85            0.74 / 0.96
+#         48       0.68 / 0.66            0.70 / 0.71
+#         64       0.69 / 0.54            0.70 / 0.58
+#        128       0.70 / 0.36            0.43 / 0.23
+#       1024       0.68 / 0.14            0.42 / 0.09
+REFERENCE_MIN_ROWS = 48
 
 GENDERS = ("female", "male", "other")
 AGE_BRACKETS = ("18-24", "25-34", "35-44", "45-54", "55+")
@@ -113,6 +130,8 @@ class AdCampaignWorkload:
             )
             for user in self.users
         )
+        # The numpy reference fold's tables, built on its first call.
+        self._reference_plan: Optional[Tuple] = None
 
     # -- Snatch configuration ------------------------------------------------
 
@@ -232,22 +251,85 @@ class AdCampaignWorkload:
         """Fold one column batch into a :meth:`new_reference`
         accumulator — the streaming pipeline's incremental ground
         truth, identical to :meth:`reference_counts` over the same
-        events."""
-        users = self.users
-        campaigns = self.campaigns
+        events (cell for cell; only the dicts' insertion order depends
+        on which form ran)."""
+        cols = columns.columns
+        users, campaigns = cols["user"], cols["campaign"]
+        if len(users) >= REFERENCE_MIN_ROWS:
+            from repro.switch.columns import get_numpy
+
+            np = get_numpy()
+            if np is not None:
+                self._reference_numpy(np, users, campaigns, out)
+                return
+        self._reference_python(users, campaigns, out)
+
+    def _reference_python(
+        self,
+        users: Sequence[int],
+        campaigns: Sequence[int],
+        out: Dict[str, Dict[Tuple[str, str], int]],
+    ) -> None:
+        """The reference fold's Python form: one dict update per event
+        and statistic."""
+        profiles = self.users
+        names = self.campaigns
         gender = out["gender_by_campaign"]
         age = out["age_by_campaign"]
         geo = out["geo_by_campaign"]
-        cols = columns.columns
-        for user_index, campaign_index in zip(cols["user"], cols["campaign"]):
-            user = users[user_index]
-            campaign = campaigns[campaign_index]
+        for user_index, campaign_index in zip(users, campaigns):
+            user = profiles[user_index]
+            campaign = names[campaign_index]
             key = (campaign, user.gender)
             gender[key] = gender.get(key, 0) + 1
             key = (campaign, user.age)
             age[key] = age.get(key, 0) + 1
             key = (campaign, user.geo)
             geo[key] = geo.get(key, 0) + 1
+
+    def _reference_numpy(
+        self,
+        np,
+        users: Sequence[int],
+        campaigns: Sequence[int],
+        out: Dict[str, Dict[Tuple[str, str], int]],
+    ) -> None:
+        """The reference fold's numpy form: one ``bincount`` over the
+        batch's report cells, then one dict update per non-zero cell
+        (at most ``num_campaigns * 14`` of them, whatever the batch).
+
+        Cell ``offset + campaign * width + attribute`` of statistic
+        ``(offset, width)``; the per-user halves of the cell numbers
+        are built once per workload."""
+        if self._reference_plan is None:
+            widths = (len(GENDERS), len(AGE_BRACKETS), len(GEOS))
+            offsets, cells = [], []
+            for name, values in (
+                ("gender_by_campaign", GENDERS),
+                ("age_by_campaign", AGE_BRACKETS),
+                ("geo_by_campaign", GEOS),
+            ):
+                offsets.append(len(cells))
+                cells.extend(
+                    (name, (campaign, value))
+                    for campaign in self.campaigns
+                    for value in values
+                )
+            self._reference_plan = (
+                np.array(self._user_wires, dtype=np.intp)
+                + np.array(offsets, dtype=np.intp),
+                np.array(widths, dtype=np.intp),
+                cells,
+            )
+        user_cells, widths, cells = self._reference_plan
+        index = user_cells[np.array(users, dtype=np.intp)]
+        index += np.multiply.outer(np.array(campaigns, dtype=np.intp), widths)
+        counts = np.bincount(index.ravel(), minlength=len(cells))
+        hit = np.flatnonzero(counts)
+        for cell, count in zip(hit.tolist(), counts[hit].tolist()):
+            name, key = cells[cell]
+            target = out[name]
+            target[key] = target.get(key, 0) + count
 
     def reference_counts(
         self, events: List[AdEvent]
@@ -262,9 +344,11 @@ class AdCampaignWorkload:
 class AdEventStream(EventStream):
     """Incremental ad-interaction stream (see :class:`EventStream`).
 
-    Row draw order matches the legacy ``generate_events`` loop bit for
-    bit: user choice, campaign choice, click test — ``randrange(n)``
-    consumes the same RNG bits as ``choice`` over an ``n``-sequence.
+    Draw order matches the legacy ``generate_events`` loop bit for
+    bit: user choice, campaign choice, click test, gap —
+    ``randrange(n)`` consumes the same RNG bits as ``choice`` over an
+    ``n``-sequence.  :meth:`generate_batch` is the stream's one draw
+    routine; ``generate()`` is a batch of one.
     """
 
     column_names = ("user", "campaign", "click")
@@ -283,20 +367,54 @@ class AdEventStream(EventStream):
         self._user_bits = self._num_users.bit_length()
         self._campaign_bits = self._num_campaigns.bit_length()
 
-    def _draw_row(self) -> Tuple[int, int, int]:
-        # rng.randrange(n), minus its frames (see EventStream).
-        rng = self._rng
-        getrandbits = rng.getrandbits
-        user = getrandbits(self._user_bits)
-        while user >= self._num_users:
-            user = getrandbits(self._user_bits)
-        campaign = getrandbits(self._campaign_bits)
-        while campaign >= self._num_campaigns:
-            campaign = getrandbits(self._campaign_bits)
-        return (
-            user,
-            campaign,
-            1 if rng.random() < self._click_fraction else 0,
+    def generate_batch(self, n: int) -> EventColumns:
+        """Up to ``n`` further events as one :class:`EventColumns`: the
+        whole batch in one loop, appending straight to the columns.
+
+        Per event: ``randrange(num_users)`` and
+        ``randrange(num_campaigns)`` as ``getrandbits`` with redraw (see
+        :class:`EventStream`), the click test, then the gap
+        ``expovariate(1.0) * gap`` as ``-log(1.0 - random()) * gap``.
+        """
+        if n < 0:
+            raise ValueError("batch size must be non-negative")
+        times: List[float] = []
+        users: List[int] = []
+        campaigns: List[int] = []
+        clicks: List[int] = []
+        t = self._t
+        duration = self._duration_ms
+        if t < duration and n > 0:
+            rng = self._rng
+            getrandbits = rng.getrandbits
+            random = rng.random
+            gap = self._gap
+            num_users, user_bits = self._num_users, self._user_bits
+            num_campaigns = self._num_campaigns
+            campaign_bits = self._campaign_bits
+            click_fraction = self._click_fraction
+            add_time = times.append
+            add_user = users.append
+            add_campaign = campaigns.append
+            add_click = clicks.append
+            for _ in range(n):
+                add_time(t)
+                user = getrandbits(user_bits)
+                while user >= num_users:
+                    user = getrandbits(user_bits)
+                add_user(user)
+                campaign = getrandbits(campaign_bits)
+                while campaign >= num_campaigns:
+                    campaign = getrandbits(campaign_bits)
+                add_campaign(campaign)
+                add_click(1 if random() < click_fraction else 0)
+                t = t - _log(1.0 - random()) * gap
+                if t >= duration:
+                    break
+            self._t = t
+            self.generated += len(times)
+        return EventColumns(
+            times, {"user": users, "campaign": campaigns, "click": clicks}
         )
 
     def _wrap(self, time_ms: float, row: Tuple[int, int, int]) -> AdEvent:

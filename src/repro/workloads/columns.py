@@ -10,24 +10,27 @@ substrate:
   (a timestamp list plus one integer index column per drawn attribute),
   the generator-side analogue of
   :class:`repro.switch.columns.PacketColumns`.
-* :class:`EventStream` — an incremental pull-based generator.  Each
-  workload subclasses it with a single ``_draw_row`` describing the
-  per-event RNG draws; ``generate()`` (one wrapped event object) and
-  ``generate_batch(n)`` (one :class:`EventColumns`) both consume rows
-  from that same method, so a batched stream is *draw-for-draw
-  identical* to the scalar one — ``generate_batch(n)`` equals ``n``
-  scalar ``generate()`` calls by construction, and the legacy
-  list-returning generators are reimplemented on top of the stream
-  without disturbing any seeded RNG sequence.
+* :class:`EventStream` — an incremental pull-based generator with
+  exactly one draw routine per stream: ``generate_batch(n)`` (one
+  :class:`EventColumns`), which ``generate()`` calls with ``n = 1``
+  and wraps into the workload's event object.  A batched stream is
+  therefore *draw-for-draw identical* to the scalar one by
+  construction, and the legacy list-returning generators are
+  reimplemented on top of the stream without disturbing any seeded
+  RNG sequence.  Most workloads describe their per-event draws in a
+  single ``_draw_row`` that the generic ``generate_batch`` loop
+  calls; the ad stream, on the pipeline's hot path, overrides
+  ``generate_batch`` with one loop that appends straight to its
+  columns instead.
 
 The RNG identity relies on one CPython ``random`` fact the determinism
 suite pins: ``rng.randrange(len(seq))`` consumes exactly the same
 underlying bits as ``rng.choice(seq)`` (both route through
 ``_randbelow``), which lets the batched path draw *indexes* into the
 static population tables instead of the objects themselves.  The
-``_draw_row`` hooks spell ``randrange(n)`` as what ``_randbelow`` runs —
+draw routines spell ``randrange(n)`` as what ``_randbelow`` runs —
 ``getrandbits(n.bit_length())``, drawn again while the result is
-``>= n`` — and ``generate_batch`` spells ``expovariate(1.0) * gap`` as
+``>= n`` — and the batch loops spell ``expovariate(1.0) * gap`` as
 ``-log(1.0 - random()) * gap``: the same draws and the same IEEE
 arithmetic, two to three Python frames fewer per event (pinned against
 recorded streams in ``tests/workloads/test_determinism.py``).
@@ -70,11 +73,12 @@ class EventColumns:
 class EventStream:
     """Incremental Poisson-gap event stream over one workload RNG.
 
-    Subclasses define ``column_names`` plus ``_draw_row()`` (the
-    per-event RNG draws, returning one int per column) and ``_wrap()``
-    (row -> the workload's scalar event object).  The inter-arrival
-    draw happens *after* the row draw, matching the legacy
-    ``generate_events`` loops exactly.
+    Subclasses define ``column_names``, ``_wrap()`` (row -> the
+    workload's scalar event object) and either ``_draw_row()`` (the
+    per-event RNG draws, returning one int per column, for the generic
+    :meth:`generate_batch` loop) or their own :meth:`generate_batch`.
+    The inter-arrival draw happens *after* the row draw, matching the
+    legacy ``generate_events`` loops exactly.
     """
 
     column_names: Tuple[str, ...] = ()
@@ -109,14 +113,15 @@ class EventStream:
 
     def generate(self):
         """The next scalar event object, or ``None`` when the stream
-        has run past ``duration_ms``."""
-        t = self._t
-        if t >= self._duration_ms:
+        has run past ``duration_ms``: a batch of one, wrapped."""
+        batch = self.generate_batch(1)
+        if not batch.n:
             return None
-        row = self._draw_row()
-        self._t = t - _log(1.0 - self._rng.random()) * self._gap
-        self.generated += 1
-        return self._wrap(t, row)
+        columns = batch.columns
+        return self._wrap(
+            batch.time_ms[0],
+            tuple(columns[name][0] for name in self.column_names),
+        )
 
     def generate_batch(self, n: int) -> EventColumns:
         """Up to ``n`` further events as one :class:`EventColumns`.
