@@ -121,7 +121,6 @@ class ChaosHarness:
         relative_tolerance: float = 0.0,
         registry: Optional[MetricsRegistry] = None,
         backend: str = "scalar",
-        agg_shards: int = 1,
     ):
         if duration_ms <= 0 or period_ms <= 0:
             raise ValueError("duration and period must be positive")
@@ -166,7 +165,7 @@ class ChaosHarness:
         )
 
         self.agg = AggSwitch("agg", random.Random("chaos-agg/%d" % seed),
-                             registry=self.registry, shards=agg_shards)
+                             registry=self.registry)
         self.lark = LarkSwitch("lark", random.Random("chaos-lark/%d" % seed),
                                registry=self.registry)
         self.edge = SnatchEdgeServer(

@@ -44,7 +44,6 @@ from repro.crypto.aes import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.switch.columns import BatchView, PacketColumns, match_rows
-from repro.switch.hashing import crc32, crc32_many
 from repro.switch.pipeline import (
     AES_PASS_LATENCY_MS,
     LINE_RATE_LATENCY_MS,
@@ -71,49 +70,12 @@ class _AggApp:
     schema: CookieSchema
     specs: List[StatSpec]
     codec: AggregationCodec
-    stats: SwitchStatistics  # shard bank 0 (also banks[0])
-    banks: List[SwitchStatistics] = field(default_factory=list)
+    stats: SwitchStatistics
     destination: str = "analytics"
     packets_merged: int = 0
     # Cumulative per-user engagement tracker (absorbs LarkSwitch
     # period drains; not reset by periodical write-backs).
     users: Optional[UserEngagementTracker] = None
-    # The fold of all shard banks as of the last read-out (None =
-    # invalid).  Every register write — a per-packet fold, a
-    # periodical write-back, a control-plane reset — invalidates it;
-    # back-to-back read-outs share one K-bank merge.
-    merged_cache: Optional[Dict[str, List[int]]] = None
-
-
-def _merge_banks(
-    specs: List[StatSpec], banks: List[SwitchStatistics]
-) -> Dict[str, List[int]]:
-    merged = banks[0].snapshot()
-    for bank in banks[1:]:
-        merged = merge_snapshots(specs, merged, bank.snapshot())
-    return merged
-
-
-def _fold_by_shard(
-    banks: List[SwitchStatistics],
-    rows: Any,
-    shards: Optional[List[int]],
-) -> Dict[int, int]:
-    """Fold wire rows (a tuple list or a row matrix) into their shard
-    banks, one ``fold_rows`` call per bank, banks in first-occurrence
-    order; returns the number of rows each touched bank took.
-    ``shards`` is ``None`` on a single-bank switch."""
-    if shards is None:
-        banks[0].fold_rows(rows)
-        return {0: len(rows)}
-    picks: Dict[int, List[int]] = {}
-    for k, shard in enumerate(shards):
-        picks.setdefault(shard, []).append(k)
-    for shard, ks in picks.items():
-        banks[shard].fold_rows(
-            [rows[k] for k in ks] if isinstance(rows, list) else rows[ks]
-        )
-    return {shard: len(ks) for shard, ks in picks.items()}
 
 
 def _wire_row(
@@ -231,55 +193,37 @@ def _parse_payloads(
 class _RunTrail:
     """What one folded run of per-packet rows leaves behind so that a
     forward report (the merged state at one row's own merge point) can
-    be rendered if somebody asks: the banks' pre-run snapshots, the
-    rows (as parsed: a slice of the batch's row matrix or tuple list)
-    and their shards.  Rows are replayed into scratch banks up to
-    the asked position; a cursor makes reading a run's reports in
-    order one 1-row fold each, and asking backwards restarts from the
-    base snapshots."""
+    be rendered if somebody asks: the application's pre-run snapshot
+    and the rows (as parsed: a slice of the batch's row matrix or
+    tuple list).  Rows are replayed into a scratch bank up to the
+    asked position; a cursor makes reading a run's reports in order
+    one 1-row fold each, and asking backwards restarts from the base
+    snapshot."""
 
-    __slots__ = (
-        "app", "base", "rows", "shards", "sram_bits", "_banks", "_cursor",
-    )
+    __slots__ = ("app", "base", "rows", "sram_bits", "_bank", "_cursor")
 
-    def __init__(
-        self,
-        app: _AggApp,
-        rows: Any,
-        shards: Optional[List[int]],
-        sram_bits: int,
-    ):
+    def __init__(self, app: _AggApp, rows: Any, sram_bits: int):
         self.app = app
-        self.base = [bank.snapshot() for bank in app.banks]
+        self.base = app.stats.snapshot()
         self.rows = rows
-        self.shards = shards
         self.sram_bits = sram_bits  # the switch's own register budget
-        self._banks: List[SwitchStatistics] = []
-        self._cursor = 0  # rows already folded into the scratch banks
+        self._bank: Optional[SwitchStatistics] = None
+        self._cursor = 0  # rows already folded into the scratch bank
 
     def report_at(self, position: int) -> Dict[str, Any]:
-        app = self.app
-        if not self._banks or self._cursor > position + 1:
-            if not self._banks:
-                registers = RegisterFile(self.sram_bits)
-                self._banks = [
-                    SwitchStatistics(
-                        app.schema, app.specs, registers, "shard%d" % shard
-                    )
-                    for shard in range(len(self.base))
-                ]
-            for bank, snapshot in zip(self._banks, self.base):
-                bank.load_snapshot(snapshot)
+        bank = self._bank
+        if bank is None or self._cursor > position + 1:
+            if bank is None:
+                app = self.app
+                bank = self._bank = SwitchStatistics(
+                    app.schema, app.specs, RegisterFile(self.sram_bits),
+                    "trail",
+                )
+            bank.load_snapshot(self.base)
             self._cursor = 0
-        _fold_by_shard(
-            self._banks,
-            self.rows[self._cursor:position + 1],
-            self.shards and self.shards[self._cursor:position + 1],
-        )
+        bank.fold_rows(self.rows[self._cursor:position + 1])
         self._cursor = position + 1
-        return app.stats.report_from_snapshot(
-            _merge_banks(app.specs, self._banks)
-        )
+        return bank.report()
 
 
 @dataclass(slots=True)
@@ -377,23 +321,18 @@ class AggBatchResult(BatchView):
 class AggSwitch:
     """The aggregating switch in front of the analytics server.
 
-    ``shards`` models a multi-pipe switch: each application's
-    statistics live in N register banks, aggregation packets are
-    hash-partitioned across banks by payload CRC-32, and read-outs
-    deterministically fold the banks with :meth:`merge` (the per-kind
-    folds — add, min, max — are associative and commutative, so the
-    merged result is independent of how packets were partitioned).
+    Each application's statistics live in one register bank.  Several
+    aggregation pipes are modeled by the replica runtime
+    (:class:`repro.testbed.executor.ShardExecutor` over
+    ``ShardSpec(kind="agg")``), which folds its replicas' snapshots
+    with :func:`repro.core.stats.merge_snapshots`.
     """
 
     def __init__(self, name: str = "agg", rng: Optional[random.Random] = None,
-                 registry: Optional[MetricsRegistry] = None,
-                 shards: int = 1):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
+                 registry: Optional[MetricsRegistry] = None):
         self.name = name
         self.alive = True
         self.crashes = 0
-        self.shards = shards
         self._rng = rng or random.Random()
         self.pipeline = SwitchPipeline(name, registry=registry)
         self.metrics = self.pipeline.metrics
@@ -411,11 +350,6 @@ class AggSwitch:
         )
         self._m_reconciles = self.metrics.counter(base + ".reconciles")
         self._m_crashes = self.metrics.counter(base + ".crashes")
-        # Occupancy per shard bank: packets folded into that bank.
-        self._m_shard_occupancy = [
-            self.metrics.gauge("%s.shard%02d.occupancy" % (base, shard))
-            for shard in range(shards)
-        ]
         self._apps: Dict[int, _AggApp] = {}
         self._match_table = MatchActionTable(
             "%s.sid_app_match" % name,
@@ -445,26 +379,17 @@ class AggSwitch:
     ) -> None:
         if app_id in self._apps:
             raise ValueError("app-ID %d already registered" % app_id)
-        # Shard 0 keeps the legacy register prefix so single-shard
-        # deployments are unchanged on the wire and in SRAM accounting;
-        # extra shards suffix their bank names.  All shard prefixes
-        # start with the app prefix, so revocation frees every bank.
-        base_prefix = "%s.app%02x" % (self.name, app_id)
-        banks = [
-            SwitchStatistics(
-                schema,
-                specs,
-                self.pipeline.registers,
-                prefix=base_prefix if shard == 0
-                else "%s.shard%d" % (base_prefix, shard),
-            )
-            for shard in range(self.shards)
-        ]
+        # Every register array of the app starts with this prefix, so
+        # revocation frees them all.
+        prefix = "%s.app%02x" % (self.name, app_id)
+        stats = SwitchStatistics(
+            schema, specs, self.pipeline.registers, prefix=prefix
+        )
         users = None
         if user_quantiles is not None:
             users = UserEngagementTracker(
                 user_quantiles,
-                name="%s.users" % base_prefix,
+                name="%s.users" % prefix,
                 registers=self.pipeline.registers
                 if user_quantiles.mode == "sketch" else None,
             )
@@ -473,8 +398,7 @@ class AggSwitch:
             schema=schema,
             specs=list(specs),
             codec=AggregationCodec(app_id, key, self._rng),
-            stats=banks[0],
-            banks=banks,
+            stats=stats,
             destination=destination,
             users=users,
         )
@@ -518,38 +442,16 @@ class AggSwitch:
 
     # -- data plane -----------------------------------------------------------
 
-    def _shard_for(self, payload: bytes) -> int:
-        """Deterministic hash partition of a payload onto a shard bank."""
-        if self.shards == 1:
-            return 0
-        return crc32(payload) % self.shards
-
-    def _merged_view(self, app: _AggApp) -> Dict[str, List[int]]:
-        """The fold of all shard banks, rebuilt after any register
-        write invalidated it.  Callers must not mutate the returned
-        snapshot (use :meth:`merge` for a copy)."""
-        cache = app.merged_cache
-        if cache is None:
-            cache = app.merged_cache = _merge_banks(app.specs, app.banks)
-        return cache
-
     def _fold_packet(
-        self,
-        app: _AggApp,
-        payload: bytes,
-        packet: AggregationPacket,
-        shard: Optional[int] = None,
+        self, app: _AggApp, packet: AggregationPacket
     ) -> Optional[Dict[str, Any]]:
-        """Fold one decoded aggregation packet into its shard bank,
-        invalidate the merged view, and return the forward report (the
-        merged state at this packet's own merge point, re-merged from
-        the banks).  ``None`` means a malformed item stack; the caller
-        counts it as a decode failure.  This is the scalar action's
-        body; the columnar path takes it for periodical payloads only
-        (see :meth:`_fold_run`)."""
-        if shard is None:
-            shard = self._shard_for(payload)
-        bank = app.banks[shard]
+        """Fold one decoded aggregation packet into the app's registers
+        and return the forward report (the merged state at this
+        packet's own merge point).  ``None`` means a malformed item
+        stack; the caller counts it as a decode failure.  This is the
+        scalar action's body; the columnar path takes it for periodical
+        payloads only (see :meth:`_fold_run`)."""
+        bank = app.stats
         if packet.mode == ForwardingMode.PER_PACKET:
             # Items are (feature_index, wire_value) for one cookie.
             values: Dict[str, Any] = {}
@@ -587,10 +489,8 @@ class AggSwitch:
                 return None
             self._write_snapshot(bank, merged)
             self._m_report_merges.inc()
-        app.merged_cache = None
-        self._m_shard_occupancy[shard].inc()
         app.packets_merged += 1
-        return app.stats.report_from_snapshot(self._merged_view(app))
+        return bank.report()
 
     def _action_merge(
         self, pipeline: SwitchPipeline, phv: PHV, params: Dict[str, Any]
@@ -604,7 +504,7 @@ class AggSwitch:
             phv.metadata["decode_failed"] = True
             self._m_decode_failures.inc()
             return
-        report = self._fold_packet(app, payload, packet)
+        report = self._fold_packet(app, packet)
         if report is None:
             phv.metadata["decode_failed"] = True
             self._m_decode_failures.inc()
@@ -666,16 +566,15 @@ class AggSwitch:
         """Columnar fast path over a batch of analytics-bound packets.
 
         Bit-identical to calling :meth:`process_packet` once per
-        element in order: header fields and shard hashes are extracted
-        as columns, every matched payload is decrypted and parsed to a
-        wire row in one kernel (:func:`_parse_payloads`), each run of
-        consecutive per-packet rows of an app folds at once
-        (:meth:`_fold_run`), and a periodical payload folds in its own
-        place between runs.  Each forward report still reflects the
+        element in order: header fields are extracted as columns, every
+        matched payload is decrypted and parsed to a wire row in one
+        kernel (:func:`_parse_payloads`), each run of consecutive
+        per-packet rows of an app folds at once (:meth:`_fold_run`),
+        and a periodical payload folds in its own place between runs.  Each forward report still reflects the
         merged state at that packet's own merge point; the per-payload
         results, a per-packet row's report included, are the returned
         batch's lazy view.
-        The column, CRC, parse and fold kernels each pick their numpy
+        The column, parse and fold kernels each pick their numpy
         or Python form; only a reshaped pipeline leaves this path, for
         the interpreter.
         """
@@ -700,12 +599,6 @@ class AggSwitch:
         table.lookups += n
         sids = columns.be16_column(0, default=0)
         app_ids = columns.byte_column(2, default=-1)
-        shard_column = None
-        if self.shards > 1:
-            crcs = crc32_many(columns)
-            if not isinstance(crcs, list):
-                crcs = crcs.tolist()
-            shard_column = [crc % self.shards for crc in crcs]
         hits: List[List[int]] = []
         runs: List[Tuple[_RunTrail, List[int], str]] = []
         snapshots: List[Tuple[int, Dict[str, Any], str]] = []
@@ -723,24 +616,18 @@ class AggSwitch:
                 # run before it folds first: packet order is preserved.
                 if before > done:
                     runs.append(self._fold_run(
-                        app, merged[done:before], rows[done:before],
-                        shard_column,
+                        app, merged[done:before], rows[done:before]
                     ))
                     done = before
                 try:
                     packet = app.codec.packet_from_body(body, count_byte)
                 except ValueError:
                     continue  # malformed data-stack: decode failure
-                report = self._fold_packet(
-                    app, columns.raw[i], packet,
-                    shard=shard_column[i] if shard_column is not None else 0,
-                )
+                report = self._fold_packet(app, packet)
                 if report is not None:
                     snapshots.append((i, report, app.destination))
             if len(merged) > done:
-                runs.append(self._fold_run(
-                    app, merged[done:], rows[done:], shard_column
-                ))
+                runs.append(self._fold_run(app, merged[done:], rows[done:]))
         merged_count += len(snapshots)
         hit_count = sum(map(len, hits))
         hit_meter, miss_meter = pipe._stage_meters[0]
@@ -771,27 +658,14 @@ class AggSwitch:
         )
 
     def _fold_run(
-        self,
-        app: _AggApp,
-        run: List[int],
-        rows: Any,
-        shard_column: Optional[List[int]],
+        self, app: _AggApp, run: List[int], rows: Any
     ) -> Tuple[_RunTrail, List[int], str]:
         """Fold one run of validated per-packet wire rows (``run``
-        holds their batch positions) — one ``fold_rows`` per shard
-        bank, counters bumped once — and return what renders each
-        row's result on demand: the run's trail, the positions, the
-        destination."""
-        shards = (
-            [shard_column[i] for i in run]
-            if shard_column is not None else None
-        )
-        trail = _RunTrail(
-            app, rows, shards, self.pipeline.registers.sram_budget_bits
-        )
-        for shard, count in _fold_by_shard(app.banks, rows, shards).items():
-            self._m_shard_occupancy[shard].inc(count)
-        app.merged_cache = None
+        holds their batch positions) — one ``fold_rows`` call, counters
+        bumped once — and return what renders each row's result on
+        demand: the run's trail, the positions, the destination."""
+        trail = _RunTrail(app, rows, self.pipeline.registers.sram_budget_bits)
+        app.stats.fold_rows(rows)
         app.packets_merged += len(run)
         self._m_register_updates.inc(len(run))
         self._m_per_packet_merges.inc(len(run))
@@ -815,30 +689,20 @@ class AggSwitch:
     # -- read-out ----------------------------------------------------------------
 
     def merge(self, app_id: int) -> Dict[str, List[int]]:
-        """Deterministically fold all shard banks into one raw snapshot.
-
-        The per-kind folds (add for counts/sums, min/max for extrema)
-        are associative and commutative, so the result is independent
-        of both shard order and how packets were partitioned — a
-        single-shard switch fed the same packets produces the same
-        snapshot.
-        """
+        """The application's merged aggregate as one raw register
+        snapshot (a copy: the caller may mutate it)."""
         if app_id not in self._apps:
             raise KeyError("no application %d registered" % app_id)
-        app = self._apps[app_id]
-        return {
-            name: list(cells)
-            for name, cells in self._merged_view(app).items()
-        }
+        return self._apps[app_id].stats.snapshot()
 
     def report(self, app_id: int) -> Dict[str, Any]:
-        """The aggregated analytics result for an application (all
-        shard banks merged).  Apps with an engagement tracker get a
-        ``"user_engagement"`` block alongside the per-spec results."""
+        """The aggregated analytics result for an application.  Apps
+        with an engagement tracker get a ``"user_engagement"`` block
+        alongside the per-spec results."""
         if app_id not in self._apps:
             raise KeyError("no application %d registered" % app_id)
         app = self._apps[app_id]
-        report = app.stats.report_from_snapshot(self._merged_view(app))
+        report = app.stats.report()
         if app.users is not None:
             report["user_engagement"] = app.users.report()
         return report
@@ -869,23 +733,16 @@ class AggSwitch:
 
     def reset(self, app_id: int) -> None:
         """Period-boundary reset after delivering results."""
-        app = self._apps[app_id]
-        for bank in app.banks:
-            bank.reset()
-        app.merged_cache = None
+        self._apps[app_id].stats.reset()
 
     def reconcile_report(self, app_id: int, report: Dict[str, Any]) -> None:
         """Fault repair (section 6): replace the drifted in-network
         aggregate with the result re-computed from the complete
-        web-server-side data — shard bank 0 is overwritten with the
-        ground-truth report and the other banks are cleared."""
+        web-server-side data — the registers are overwritten with the
+        ground-truth report."""
         if app_id not in self._apps:
             raise KeyError("no application %d registered" % app_id)
-        app = self._apps[app_id]
-        app.stats.load_report(report)
-        for bank in app.banks[1:]:
-            bank.reset()
-        app.merged_cache = None
+        self._apps[app_id].stats.load_report(report)
         self._m_reconciles.inc()
 
     def packets_merged(self, app_id: int) -> int:
@@ -894,7 +751,7 @@ class AggSwitch:
     # -- checkpointing (supervised shard runtime) ------------------------------
 
     def checkpoint(self, app_id: int) -> Dict[str, Any]:
-        """The merged register snapshot as a checkpoint unit.  Same
+        """The register snapshot as a checkpoint unit.  Same
         data as :meth:`merge`; named separately so checkpoint call
         sites read as what they are.  Engagement-tracker state rides
         along under the reserved ``"user_quantiles"`` key."""
@@ -905,19 +762,13 @@ class AggSwitch:
         return snapshot
 
     def restore(self, app_id: int, snapshot: Dict[str, Any]) -> None:
-        """Inverse of :meth:`checkpoint` for crash recovery: bank 0 is
-        overwritten with the saved merged snapshot and the other banks
-        are cleared.  :meth:`merge` folds banks associatively, so
-        collapsing the saved state into one bank cannot be observed
-        through any read-out."""
+        """Inverse of :meth:`checkpoint` for crash recovery: the
+        registers are overwritten with the saved snapshot."""
         app = self._apps.get(app_id)
         if app is None:
             raise KeyError("no application %d registered" % app_id)
         snapshot = dict(snapshot)
         user_state = snapshot.pop("user_quantiles", None)
-        for bank in app.banks[1:]:
-            bank.reset()
         app.stats.load_snapshot(snapshot)
-        app.merged_cache = None
         if user_state is not None and app.users is not None:
             app.users.load_snapshot(user_state)

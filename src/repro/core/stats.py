@@ -32,7 +32,7 @@ __all__ = [
     "min_array_names",
 ]
 
-_NUMBER_WIDTH = 48  # register width for sums (wrap-safe for our runs)
+_NUMBER_WIDTH = 48  # register width of every statistic; sums wrap here
 _MIN_SENTINEL = (1 << _NUMBER_WIDTH) - 1
 
 
@@ -440,8 +440,12 @@ def merge_snapshots(
     a: Dict[str, List[int]],
     b: Dict[str, List[int]],
 ) -> Dict[str, List[int]]:
-    """AggSwitch-side merge of two raw snapshots: counts and sums add,
-    minima take min, maxima take max."""
+    """AggSwitch-side merge of two raw snapshots: counts and sums add
+    modulo the register width (``2 ** _NUMBER_WIDTH``, where
+    :meth:`RegisterArray.add` wraps), minima take min, maxima take
+    max.  So folding the snapshots of any split of one stream gives
+    the snapshot one bank fed the whole stream holds."""
+    mask = (1 << _NUMBER_WIDTH) - 1
     out: Dict[str, List[int]] = {}
     kinds: Dict[str, StatKind] = {}
     for spec in specs:
@@ -462,7 +466,7 @@ def merge_snapshots(
         elif kind is StatKind.MAX:
             out[name] = [max(x, y) for x, y in zip(left, right)]
         else:
-            out[name] = [x + y for x, y in zip(left, right)]
+            out[name] = [(x + y) & mask for x, y in zip(left, right)]
     return out
 
 

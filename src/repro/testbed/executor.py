@@ -1,11 +1,11 @@
 """Shard executor for the columnar data plane.
 
 A multi-pipe switch processes independent traffic shards in parallel
-hardware; this module models that at testbed scale by fanning
+hardware; this module is the repo's one model of that: it fans
 hash-partitioned packet streams over seeded switch *replicas* and
-folding the resulting register snapshots with the same associative
-merge the AggSwitch bank read-out uses
-(:func:`repro.core.stats.merge_snapshots`).
+folds the resulting register snapshots with the register algebra
+(:func:`repro.core.stats.merge_snapshots`: counts and sums add modulo
+the register width, minima and maxima take min and max).
 
 A replica is reached over one of two **transports**: an in-process
 call (:func:`_run_shard_epoch`) or a long-lived ring-fed worker
@@ -20,8 +20,8 @@ Correctness argument (the differential suite checks it end to end):
   streams hash the whole payload, LarkSwitch streams the preserved
   cookie region ``raw[1:18]`` so every packet of one user lands on one
   shard, and per-shard relative order is the arrival order;
-* per-kind register folds (add / min / max) are associative and
-  commutative, so merging per-shard snapshots equals interleaved
+* per-kind register folds (wrapping add / min / max) are associative
+  and commutative, so merging per-shard snapshots equals interleaved
   single-switch execution, cell for cell;
 * replicas start the same way under ``fork`` and ``spawn``: a worker
   gets the :class:`ShardSpec` recipe (schema, key, stat specs, seed)
@@ -160,9 +160,7 @@ def _build_switch(spec: ShardSpec, shard_index: int):
     else:
         from repro.core.aggswitch import AggSwitch
 
-        switch = AggSwitch(
-            "agg-shard%d" % shard_index, rng, registry=registry, shards=1
-        )
+        switch = AggSwitch("agg-shard%d" % shard_index, rng, registry=registry)
         switch.register_application(
             spec.app_id, spec.schema, spec.key, list(spec.specs)
         )
@@ -315,9 +313,10 @@ def _run_shard_epoch(
 def fold_snapshots(
     spec: ShardSpec, snapshots: Iterable[Optional[Dict[str, List[int]]]]
 ) -> Optional[Dict[str, List[int]]]:
-    """Fold per-shard register snapshots exactly like the AggSwitch
-    bank read-out.  ``None`` entries (a shard that saw no traffic) are
-    the identity; the result is ``None`` when every entry is."""
+    """Fold per-shard register snapshots into the snapshot one switch
+    fed every shard's packets would hold (:func:`merge_snapshots`).
+    ``None`` entries (a shard that saw no traffic) are the identity;
+    the result is ``None`` when every entry is."""
     merged: Optional[Dict[str, List[int]]] = None
     specs = list(spec.specs)
     for snapshot in snapshots:
@@ -439,10 +438,7 @@ def render_report(
     """Render the statistics report a single switch would have produced
     from a merged shard snapshot, via a throwaway replica."""
     render = _build_switch(spec, shard_index=shards + 1)
-    if spec.kind == "lark":
-        stats = render._apps[spec.app_id].stats
-    else:
-        stats = render._apps[spec.app_id].banks[0]
+    stats = render._apps[spec.app_id].stats
     return stats.report_from_snapshot(snapshot or stats.snapshot())
 
 

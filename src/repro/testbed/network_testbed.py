@@ -83,7 +83,6 @@ class NetworkTestbed:
         workload: Optional[AdCampaignWorkload] = None,
         batch_window_ms: float = 0.0,
         batch_max: int = 256,
-        agg_shards: int = 1,
         ingest_batch: int = 256,
         streaming_ingest: bool = True,
     ):
@@ -116,9 +115,7 @@ class NetworkTestbed:
         self.lark_device.register_application(
             _APP_ID, schema, self._key, specs
         )
-        self.agg_device = AggSwitch(
-            "agg-dev", random.Random(2), shards=agg_shards
-        )
+        self.agg_device = AggSwitch("agg-dev", random.Random(2))
         self.agg_device.register_application(_APP_ID, schema, self._key, specs)
         self._schema = schema
         self.codec = TransportCookieCodec(

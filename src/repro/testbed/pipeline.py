@@ -146,8 +146,8 @@ class PipelineResult:
     # Worker fleet (persistent backend): the live map's shard count at
     # end of run (1 without a placement controller), per-shard packet
     # counts folded this run, the controller's rebalance/resize history.
-    agg_shards: int = 1
-    agg_shard_packets: Optional[List[int]] = None
+    fleet_shards: int = 1
+    fleet_shard_packets: Optional[List[int]] = None
     placement_history: List[Dict[str, Any]] = field(default_factory=list)
 
     def counts_match_reference(self) -> bool:
@@ -638,7 +638,7 @@ class StreamingPipeline:
             snapshot = self._drain_fleet()
             if snapshot is not None:
                 self.agg.restore(self.app_id, snapshot)
-        agg_shards = (
+        fleet_shards = (
             self.placement.map.shards if self.placement is not None else 1
         )
         return PipelineResult(
@@ -660,12 +660,12 @@ class StreamingPipeline:
                 if self.user_stats is not None
                 else None
             ),
-            agg_shards=agg_shards,
-            agg_shard_packets=(
+            fleet_shards=fleet_shards,
+            fleet_shard_packets=(
                 [
                     self._fleet_packets.get(shard, 0)
                     for shard in range(
-                        max([agg_shards] + [s + 1 for s in self._fleet_packets])
+                        max([fleet_shards] + [s + 1 for s in self._fleet_packets])
                     )
                 ]
                 if self._fleet is not None

@@ -18,6 +18,13 @@ from repro.crypto.aes import encrypt_cbc_many
 from repro.obs.registry import MetricsRegistry
 from repro.switch import columns
 
+from tests.differential.workloads import (
+    WIDE_MAX as BIG,
+    wide_payloads,
+    wide_schema as _wide_schema,
+    wide_specs as _wide_specs,
+)
+
 KEY = bytes(range(16))
 APP = 0x42
 
@@ -178,35 +185,11 @@ class TestRobustness:
 # -- columnar run fold + forward reports on demand ---------------------------
 
 APP_B = 0x43
-BIG = 2 ** 48 - 1
 
 
-def _wide_schema():
-    # "big" spans the whole 48-bit register, so two rows wrap a SUM.
-    return CookieSchema(
-        "wide",
-        (
-            Feature.categorical("gender", ["f", "m", "x"]),
-            Feature.number("big", 0, BIG),
-        ),
-    )
-
-
-def _wide_specs():
-    return [
-        StatSpec("by_gender", StatKind.COUNT_BY_CLASS, "gender"),
-        StatSpec("big_sum", StatKind.SUM, "big"),
-        StatSpec("big_min", StatKind.MIN, "big"),
-        StatSpec("big_max", StatKind.MAX, "big"),
-        StatSpec("big_avg", StatKind.AVG, "big", group_by="gender"),
-    ]
-
-
-def _wide_agg(shards=1, apps=(APP,)):
+def _wide_agg(apps=(APP,)):
     # A private registry: same-named switches would share instruments.
-    agg = AggSwitch(
-        "agg", random.Random(3), registry=MetricsRegistry(), shards=shards
-    )
+    agg = AggSwitch("agg", random.Random(3), registry=MetricsRegistry())
     for app_id in apps:
         agg.register_application(app_id, _wide_schema(), KEY, _wide_specs())
     return agg
@@ -219,17 +202,7 @@ def _wire(codec, items, mode=ForwardingMode.PER_PACKET):
 
 
 def _wide_payloads(n, seed, app_id=APP):
-    """Per-packet payloads whose "big" values wrap big_sum (and the
-    grouped big_avg sums) several times within ``n`` rows."""
-    rng = random.Random(seed)
-    codec = AggregationCodec(app_id, KEY, rng)
-    payloads = []
-    for _ in range(n):
-        items = [(0, rng.randrange(3))]
-        if rng.random() < 0.8:
-            items.append((1, BIG - rng.randrange(1 << 40)))
-        payloads.append(_wire(codec, items))
-    return payloads
+    return wide_payloads(app_id, KEY, n, seed)
 
 
 def _periodical_payload(seed, app_id=APP):
@@ -254,7 +227,7 @@ def _registers(agg):
 
 def _agg_meters(agg):
     """The switch's own instruments (packets, merges, failures,
-    register updates, per-shard occupancy); the pipeline's batch
+    register updates); the pipeline's batch
     meters legitimately differ between the two entry points."""
     return {
         meter["name"]: meter["value"]
@@ -284,18 +257,18 @@ def kernel_form(request):
 
 @pytest.mark.usefixtures("kernel_form")
 class TestColumnarRuns:
-    @pytest.mark.parametrize("shards", (1, 2, 7))
+    @pytest.mark.parametrize("seed", (1, 2, 7))
     @pytest.mark.parametrize("order", ("forward", "reverse", "random"))
-    def test_forward_reports_in_any_read_order(self, shards, order):
-        payloads = _wide_payloads(40, seed=shards)
-        scalar = _wide_agg(shards)
+    def test_forward_reports_in_any_read_order(self, seed, order):
+        payloads = _wide_payloads(40, seed=seed)
+        scalar = _wide_agg()
         expected = [scalar.process_packet(p).forward_report for p in payloads]
         # big_sum wraps at its 48-bit width inside the batch: some 30
-        # rows each add nearly a full register, yet no bank exceeds one.
+        # rows each add nearly a full register, yet it never exceeds one.
         assert sum(expected[-1]["by_gender"].values()) == len(payloads)
         assert expected[-1]["big_max"]["all"] > 1 << 47
-        assert expected[-1]["big_sum"]["all"] <= shards * BIG
-        columnar = _wide_agg(shards)
+        assert expected[-1]["big_sum"]["all"] < 1 << 48
+        columnar = _wide_agg()
         results = columnar.process_columnar(payloads)
         positions = list(range(len(payloads)))
         if order == "reverse":
@@ -306,14 +279,13 @@ class TestColumnarRuns:
             assert results[position].forward_report == expected[position]
         _assert_same_switch_state(columnar, scalar)
 
-    @pytest.mark.parametrize("shards", (1, 4))
-    def test_periodical_payload_flushes_the_pending_run(self, shards):
+    def test_periodical_payload_flushes_the_pending_run(self):
         rows = _wide_payloads(24, seed=9)
         payloads = (
             rows[:5] + [_periodical_payload(1)] + rows[5:6]
             + [_periodical_payload(2), _periodical_payload(3)] + rows[6:]
         )
-        scalar, columnar = _wide_agg(shards), _wide_agg(shards)
+        scalar, columnar = _wide_agg(), _wide_agg()
         scalar_results = [scalar.process_packet(p) for p in payloads]
         columnar_results = columnar.process_columnar(payloads)
         assert all(r.merged for r in scalar_results)
@@ -326,7 +298,7 @@ class TestColumnarRuns:
         payloads = [p for pair in zip(a, b) for p in pair]
         payloads.insert(7, _periodical_payload(4, app_id=APP_B))
         apps = (APP, APP_B)
-        scalar, columnar = _wide_agg(2, apps), _wide_agg(2, apps)
+        scalar, columnar = _wide_agg(apps), _wide_agg(apps)
         scalar_results = [scalar.process_packet(p) for p in payloads]
         columnar_results = columnar.process_columnar(payloads)
         assert all(r.merged for r in scalar_results)
@@ -353,14 +325,13 @@ class TestColumnarRuns:
         "kind",
         ("feature index", "wire value", "truncated stack", "count byte"),
     )
-    @pytest.mark.parametrize("shards", (1, 2))
-    def test_corrupted_item_is_one_clean_dead_letter(self, kind, shards):
+    def test_corrupted_item_is_one_clean_dead_letter(self, kind):
         good = _wide_payloads(20, seed=6)
         bad = self._corrupted(kind)
-        clean = _wide_agg(shards)
+        clean = _wide_agg()
         clean.process_columnar(good)
         for process in ("scalar", "columnar"):
-            agg = _wide_agg(shards)
+            agg = _wide_agg()
             batch = good[:9] + [bad] + good[9:]
             if process == "scalar":
                 results = [agg.process_packet(p) for p in batch]
@@ -381,7 +352,7 @@ class TestColumnarRuns:
     @pytest.mark.parametrize("control", ("reset", "reconcile", "restore"))
     def test_trail_owns_its_base_snapshots(self, control):
         first, second = _wide_payloads(18, seed=7), _wide_payloads(18, seed=8)
-        scalar, columnar = _wide_agg(2), _wide_agg(2)
+        scalar, columnar = _wide_agg(), _wide_agg()
 
         def between(agg):
             if control == "reset":
@@ -395,7 +366,7 @@ class TestColumnarRuns:
         between(scalar)
         expected_second = [scalar.process_packet(p) for p in second]
         # Nothing of the first batch is rendered before the control
-        # plane rewrites the banks and the second batch folds.
+        # plane rewrites the registers and the second batch folds.
         got_first = columnar.process_columnar(first)
         between(columnar)
         got_second = columnar.process_columnar(second)
@@ -509,13 +480,12 @@ class TestHostilePayloads:
             batch.append(good[6 + position % 24])
         return batch
 
-    @pytest.mark.parametrize("shards", (1, 3))
     @pytest.mark.parametrize("read", ("forward", "reverse", "unread"))
-    def test_batch_equals_process_packet_per_element(self, shards, read):
+    def test_batch_equals_process_packet_per_element(self, read):
         batch = self._batch()
         assert len(batch) > 2 * columns.VECTOR_MIN_ROWS
         assert len({len(p) for p in batch}) > 6
-        scalar = _wide_agg(shards, self.APPS)
+        scalar = _wide_agg(self.APPS)
         expected = [scalar.process_packet(p) for p in batch]
         hostile = _hostile(batch[0])
         assert [r.merged for r in expected[6::2]] == [m for *_, m in hostile]
@@ -527,7 +497,7 @@ class TestHostilePayloads:
         assert winner.forward_report["by_gender"]["x"] == (
             before["by_gender"]["x"] + 1
         )
-        columnar = _wide_agg(shards, self.APPS)
+        columnar = _wide_agg(self.APPS)
         results = columnar.process_columnar(batch)
         assert results.merged == sum(r.merged for r in expected)
         assert results._results is None
@@ -557,11 +527,11 @@ class TestHostilePayloads:
             (p, m) for k, p, m in _hostile(good[0]) if k == kind
         ]
         batch = good[:9] + [payload] + good[9:]
-        scalar, columnar = _wide_agg(2, self.APPS), _wide_agg(2, self.APPS)
+        scalar, columnar = _wide_agg(self.APPS), _wide_agg(self.APPS)
         expected = [scalar.process_packet(p) for p in batch]
         assert expected[9].merged == merges
         if not merges:
-            clean = _wide_agg(2, self.APPS)
+            clean = _wide_agg(self.APPS)
             clean.process_columnar(good)
             assert _registers(scalar) == _registers(clean)
         results = columnar.process_columnar(batch)
@@ -575,7 +545,7 @@ class TestHostilePayloads:
         snapshots = []
         for form in (True, False):
             columns.force_numpy(form)  # the fixture restores the gate
-            agg = _wide_agg(3, self.APPS)
+            agg = _wide_agg(self.APPS)
             for chunk in (batch[:40], batch[40:47], batch[47:]):
                 agg.process_columnar(chunk)
             snapshots.append((agg.metrics.snapshot(), _registers(agg)))
@@ -634,7 +604,7 @@ class TestBatchResult:
 
         payloads = _wide_payloads(40, seed=31)
         payloads[7] = payloads[7][:-1]
-        scalar, columnar = _wide_agg(2), _wide_agg(2)
+        scalar, columnar = _wide_agg(), _wide_agg()
         expected = [scalar.process_packet(p) for p in payloads]
         batch = columnar.process_columnar(payloads)
         assert isinstance(batch, AggBatchResult)
@@ -649,7 +619,7 @@ class TestBatchResult:
             batch[40]
         assert batch == expected and expected == batch
         assert batch != expected[:-1] and not batch == "batch"
-        assert batch == _wide_agg(2).process_columnar(payloads)
+        assert batch == _wide_agg().process_columnar(payloads)
         assert batch + expected == expected * 2
         grown = list(expected)
         grown += batch
@@ -658,7 +628,7 @@ class TestBatchResult:
         assert repr(batch) == "AggBatchResult(n=40, merged=39)"
 
     def test_empty_input(self):
-        agg = _wide_agg(2)
+        agg = _wide_agg()
         before = _registers(agg), _per_packet_meters(agg)
         empty = agg.process_columnar([])
         assert not empty and len(empty) == 0 and list(empty) == []

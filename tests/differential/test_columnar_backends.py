@@ -6,17 +6,24 @@ observable — per-packet results, digests, decoded values, raw register
 contents, statistics reports — must match byte for byte.  The same
 streams are then replayed with numpy force-disabled
 (:func:`force_numpy`), proving the pure-Python kernel forms are the
-semantic reference, and through the sharded :class:`ShardExecutor`,
-proving the partition/fold algebra reconstructs single-switch state
-exactly (the ring-worker transport has its own differential,
-``test_persistent_backend.py``).
+semantic reference, and through the sharded :class:`ShardExecutor` —
+the one model of a multi-pipe switch — over both transports, proving
+the partition/fold algebra reconstructs single-switch state exactly,
+wrapping registers included (the ring-worker transport has its own
+differential against the in-process one, ``test_persistent_backend.py``).
 """
+
+import itertools
+import random
 
 import pytest
 
 from repro.core.aggregation import ForwardingMode
+from repro.core.aggswitch import AggSwitch
+from repro.obs.registry import MetricsRegistry
 from repro.switch.columns import force_numpy, numpy_enabled
 from repro.testbed.executor import ShardExecutor, ShardSpec
+from repro.testbed.shm_ring import shared_memory_available
 from repro.workloads.adcampaign import iter_batches
 
 from tests.differential.workloads import (
@@ -24,6 +31,9 @@ from tests.differential.workloads import (
     SHAPES,
     DifferentialWorkload,
     register_state,
+    wide_payloads,
+    wide_schema,
+    wide_specs,
 )
 
 SEEDS = (11, 23, 37, 41, 59)
@@ -76,13 +86,13 @@ def _assert_lark_identical(wl, shape, seed, mode):
         assert fast.stats_report(APP_ID) == scalar.stats_report(APP_ID)
 
 
-def _assert_agg_identical(wl, shape, seed, shards=1):
+def _assert_agg_identical(wl, shape, seed):
     payloads = wl.payloads(shape, PACKETS)
     assert payloads, "workload produced no aggregation payloads"
-    scalar = wl.new_agg(shards=shards)
+    scalar = wl.new_agg()
     scalar_results = _run_agg(scalar, payloads, "scalar", 0)
     for backend in FAST_BACKENDS:
-        fast = wl.new_agg(shards=shards)
+        fast = wl.new_agg()
         fast_results = _run_agg(fast, payloads, backend, BATCH_SIZES[seed])
         assert fast_results == scalar_results, backend
         assert register_state(fast) == register_state(scalar), backend
@@ -115,16 +125,8 @@ def test_lark_backends_per_packet_mode(shape, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_agg_backends_bit_identical(shape, seed):
-    """AggSwitch: scalar == columnar, single bank."""
+    """AggSwitch: scalar == columnar."""
     _assert_agg_identical(DifferentialWorkload(seed), shape, seed)
-
-
-@pytest.mark.parametrize("seed", SEEDS[:2])
-def test_agg_backends_bit_identical_sharded(seed):
-    """Same, with hash-partitioned register banks."""
-    _assert_agg_identical(
-        DifferentialWorkload(seed), "zipfian", seed, shards=3
-    )
 
 
 # -- numpy-disabled fallback -------------------------------------------------
@@ -189,23 +191,80 @@ def _lark_spec(wl):
     )
 
 
-@pytest.mark.parametrize("seed", SEEDS[:3])
-@pytest.mark.parametrize("backend", ("scalar", "columnar"))
-def test_shard_executor_agg_matches_single_switch(seed, backend):
-    """Sequential sharded execution folds back to the single-switch
-    snapshot and report, whatever the per-shard backend."""
-    wl = DifferentialWorkload(seed)
-    payloads = wl.payloads("zipfian", PACKETS)
-    single = wl.new_agg(shards=1)
-    for p in payloads:
-        single.process_packet(p)
-    executor = ShardExecutor(
-        _agg_spec(wl), shards=3, backend=backend
+@pytest.fixture(params=("in-process", "persistent"))
+def persistent(request):
+    """The replica transport: in-process calls or ring-fed workers."""
+    if request.param == "persistent" and not shared_memory_available():
+        pytest.skip("POSIX shared memory unavailable")
+    return request.param == "persistent"
+
+
+def _wide_spec(wl):
+    return ShardSpec(
+        kind="agg",
+        app_id=APP_ID,
+        schema=wide_schema(),
+        key=wl.key,
+        specs=tuple(wide_specs()),
+        seed=wl.seed,
     )
-    result = executor.run(payloads)
-    assert result.total_packets == len(payloads)
-    assert result.snapshot == single.merge(APP_ID)
-    assert result.report == single.report(APP_ID)
+
+
+def _agg_streams(wl):
+    """Every stream the shard fold must reconstruct one switch from,
+    by spec: the uniform and zipfian shapes, the hash-collision
+    adversary (most payloads on one shard of four), and a stream whose
+    SUM and AVG cells wrap the 48-bit registers many times over."""
+    return [
+        (_agg_spec(wl), {
+            "uniform": wl.payloads("uniform", PACKETS),
+            "zipfian": wl.payloads("zipfian", PACKETS),
+            "skewed": wl.skewed_payloads(PACKETS, 4),
+        }),
+        (_wide_spec(wl), {
+            "wrapping": wide_payloads(APP_ID, wl.key, PACKETS, wl.seed),
+        }),
+    ]
+
+
+def _single_switch(spec, payloads):
+    agg = AggSwitch(
+        "single", random.Random(spec.seed), registry=MetricsRegistry()
+    )
+    agg.register_application(
+        spec.app_id, spec.schema, spec.key, list(spec.specs)
+    )
+    for payload in payloads:
+        agg.process_packet(payload)
+    return agg
+
+
+@pytest.mark.parametrize("seed,shards", itertools.product(SEEDS, (2, 4, 7)))
+@pytest.mark.parametrize("backend", ("scalar", "columnar"))
+def test_shard_executor_agg_matches_single_switch(
+    seed, shards, backend, persistent
+):
+    """K aggregation pipes are the replica runtime: whatever the seed,
+    shard count, per-shard backend and transport, the folded snapshot and the
+    rendered report equal one AggSwitch fed the whole stream — a
+    wrapping SUM included, since the fold adds modulo the register
+    width like the register itself."""
+    wl = DifferentialWorkload(seed)
+    for spec, streams in _agg_streams(wl):
+        # One executor per spec: a persistent fleet serves every stream.
+        with ShardExecutor(
+            spec, shards=shards, backend=backend, chunk_size=64,
+            persistent=persistent,
+        ) as executor:
+            for stream, payloads in streams.items():
+                single = _single_switch(spec, payloads)
+                result = executor.run(payloads)
+                assert result.used_workers == persistent, (
+                    stream, result.fallback_cause,
+                )
+                assert result.total_packets == len(payloads), stream
+                assert result.snapshot == single.merge(APP_ID), stream
+                assert result.report == single.report(APP_ID), stream
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])

@@ -261,8 +261,8 @@ class TestPipelinePlacement:
             mode=ForwardingMode.PER_PACKET,
         )
         assert result.counts_match_reference()
-        assert result.agg_shards == controller.map.shards
-        assert sum(result.agg_shard_packets) == result.payloads
+        assert result.fleet_shards == controller.map.shards
+        assert sum(result.fleet_shard_packets) == result.payloads
         for backend in BACKENDS:
             assert got == _pipeline_run(
                 backend, seed, mode=ForwardingMode.PER_PACKET
@@ -278,7 +278,7 @@ class TestPipelinePlacement:
         got, result = _pipeline_run(
             "persistent", SEEDS[1], placement=controller
         )
-        assert result.agg_shards == 1
+        assert result.fleet_shards == 1
         assert any(
             h["action"] == "resize" for h in result.placement_history
         )
@@ -307,7 +307,7 @@ class TestPipelinePlacement:
             on_batch=make_hook(),
         )
         used = {
-            shard for shard, count in enumerate(result.agg_shard_packets)
+            shard for shard, count in enumerate(result.fleet_shard_packets)
             if count
         }
         assert used - set(spawned_at_rekey), "no shard spawned post-rekey"

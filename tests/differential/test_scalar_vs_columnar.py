@@ -5,11 +5,11 @@ The load-bearing invariant of the columnar path
 (``LarkSwitch.process_quic_columnar``, ``AggSwitch.process_columnar``)
 is that it is *purely* a host-CPU optimization: every observable —
 per-packet results, digests, decoded values, raw register contents,
-statistics reports, merged shard state — must equal the scalar path's,
-byte for byte.  This suite replays the same seeded streams through both
-paths across three workload shapes (uniform, zipfian, adversarial) and
-five seeds, at several chunk sizes, and runs every case twice in
-process: with the numpy gate forced open and forced closed.  The chunk
+statistics reports — must equal the scalar path's, byte for byte.
+This suite replays the same seeded streams through both paths across
+three workload shapes (uniform, zipfian, adversarial) and five seeds,
+at several chunk sizes, and runs every case twice in process: with
+the numpy gate forced open and forced closed.  The chunk
 sizes straddle :data:`repro.switch.columns.VECTOR_MIN_ROWS`, so the
 numpy leg also covers the small-batch cut-off to the Python forms.
 """
@@ -733,57 +733,22 @@ def test_agg_columnar_bit_identical(shape, seed):
     assert columnar.report(APP_ID) == scalar.report(APP_ID)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("shards", (2, 4, 7))
-def test_sharded_agg_matches_unsharded(seed, shards):
-    """Hash-partitioned register banks merge back to exactly the
-    single-bank state, scalar and columnar alike."""
-    wl = DifferentialWorkload(seed)
-    payloads = wl.payloads("uniform", PACKETS)
-    flat = wl.new_agg(shards=1)
-    sharded = wl.new_agg(shards=shards)
-    for p in payloads:
-        flat.process_packet(p)
-    sharded.process_columnar(payloads)
-    assert sharded.merge(APP_ID) == flat.merge(APP_ID)
-    assert sharded.report(APP_ID) == flat.report(APP_ID)
-
-
-@pytest.mark.parametrize("seed", SEEDS[:3])
-def test_sharded_agg_under_hash_collision_skew(seed):
-    """Adversarially skewed payloads (most hashing to one shard) still
-    merge to the same report as the unsharded switch."""
-    shards = 4
-    wl = DifferentialWorkload(seed)
-    payloads = wl.skewed_payloads(PACKETS, shards)
-    flat = wl.new_agg(shards=1)
-    skewed = wl.new_agg(shards=shards)
-    scalar_results = [flat.process_packet(p) for p in payloads]
-    columnar_results = skewed.process_columnar(payloads)
-    assert skewed.report(APP_ID) == flat.report(APP_ID)
-    # Per-packet forward reports are shard-independent too: the merge
-    # action snapshots the *merged* state after every packet.
-    assert [r.forward_report for r in columnar_results] == [
-        r.forward_report for r in scalar_results
-    ]
-
-
-@pytest.mark.parametrize("shards", (1, 4))
+@pytest.mark.parametrize("seed", (SEEDS[1], SEEDS[4]))
 @pytest.mark.parametrize("order", ("forward", "reverse", "one at random"))
-def test_agg_forward_reports_render_on_demand_in_any_order(order, shards):
+def test_agg_forward_reports_render_on_demand_in_any_order(order, seed):
     """A columnar batch's forward reports are rendered when read, from
     the run's trail; whichever way they are read, each equals the
     scalar switch's report at that packet's own merge point."""
-    wl = DifferentialWorkload(SEEDS[shards % len(SEEDS)])
+    wl = DifferentialWorkload(seed)
     payloads = wl.payloads("zipfian", PACKETS)
-    scalar, columnar = wl.new_agg(shards), wl.new_agg(shards)
+    scalar, columnar = wl.new_agg(), wl.new_agg()
     expected = [scalar.process_packet(p).forward_report for p in payloads]
     results = columnar.process_columnar(payloads)
     positions = list(range(len(payloads)))
     if order == "reverse":
         positions.reverse()
     elif order == "one at random":
-        positions = [random.Random(shards).choice(positions)]
+        positions = [random.Random(seed).choice(positions)]
     for position in positions:
         assert results[position].forward_report == expected[position]
     assert register_state(columnar) == register_state(scalar)
@@ -792,8 +757,7 @@ def test_agg_forward_reports_render_on_demand_in_any_order(order, shards):
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
-@pytest.mark.parametrize("shards", (1, 4))
-def test_agg_mixed_modes_and_corruption_bit_identical(seed, shards):
+def test_agg_mixed_modes_and_corruption_bit_identical(seed):
     """Per-packet rows interleaved with periodical snapshots (each
     flushes the pending run) and byte-flipped payloads (anywhere from
     the summary byte to the last cipher block): same results, same
@@ -813,7 +777,7 @@ def test_agg_mixed_modes_and_corruption_bit_identical(seed, shards):
             mutated[rng.randrange(3, len(mutated))] ^= 1 << rng.randrange(8)
             payload = bytes(mutated)
         payloads.append(payload)
-    scalar, columnar = wl.new_agg(shards), wl.new_agg(shards)
+    scalar, columnar = wl.new_agg(), wl.new_agg()
     scalar_results = []
     for p in payloads:
         before = register_state(scalar)
@@ -894,7 +858,7 @@ def test_testbed_batched_matches_scalar_analytics():
     )
     scalar = NetworkTestbed(config=config).run()
     batched = NetworkTestbed(
-        config=config, batch_window_ms=5.0, batch_max=64, agg_shards=4
+        config=config, batch_window_ms=5.0, batch_max=64
     ).run()
     assert scalar.counts_match_reference()
     assert batched.counts_match_reference()

@@ -14,14 +14,23 @@ Three shapes, all deterministic given a seed:
 Every generator returns plain :class:`ConnectionID` lists so the same
 stream can be replayed through the scalar path and through
 ``process_quic_columnar`` at any chunking.
+
+A fourth stream, :func:`wide_payloads`, is aggregation payloads under
+its own schema whose SUM and AVG cells wrap the 48-bit registers.
 """
 
 import random
 from typing import List
 
-from repro.core.aggregation import ForwardingMode
+from repro.core.aggregation import (
+    AggregationCodec,
+    AggregationPacket,
+    ForwardingMode,
+)
 from repro.core.aggswitch import AggSwitch
 from repro.core.larkswitch import LarkSwitch
+from repro.core.schema import CookieSchema, Feature
+from repro.core.stats import StatKind, StatSpec
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.obs.registry import MetricsRegistry
 from repro.quic.connection_id import ConnectionID
@@ -70,12 +79,11 @@ class DifferentialWorkload:
         )
         return lark
 
-    def new_agg(self, shards: int = 1) -> AggSwitch:
+    def new_agg(self) -> AggSwitch:
         agg = AggSwitch(
             "diff-agg",
             rng=random.Random(self.seed + 2),
             registry=MetricsRegistry(),
-            shards=shards,
         )
         agg.register_application(APP_ID, self.schema, self.key, self.specs)
         return agg
@@ -174,7 +182,7 @@ class DifferentialWorkload:
 
     def skewed_payloads(self, n: int, shards: int) -> List[bytes]:
         """Payloads filtered so most land on one shard — the
-        hash-collision adversary for the sharded register banks."""
+        hash-collision adversary for the shard partition."""
         pool = self.payloads("uniform", n)
         hot = [p for p in pool if crc32(p) % shards == 0]
         rng = random.Random(self.seed + 8)
@@ -182,3 +190,46 @@ class DifferentialWorkload:
         while len(out) < n and hot:
             out.append(hot[rng.randrange(len(hot))])
         return out[:n]
+
+
+# -- the wrapping stream ------------------------------------------------------
+
+WIDE_MAX = (1 << 48) - 1  # one full statistics register
+
+
+def wide_schema() -> CookieSchema:
+    # "big" spans the whole 48-bit register, so two rows wrap a SUM.
+    return CookieSchema(
+        "wide",
+        (
+            Feature.categorical("gender", ["f", "m", "x"]),
+            Feature.number("big", 0, WIDE_MAX),
+        ),
+    )
+
+
+def wide_specs() -> List[StatSpec]:
+    return [
+        StatSpec("by_gender", StatKind.COUNT_BY_CLASS, "gender"),
+        StatSpec("big_sum", StatKind.SUM, "big"),
+        StatSpec("big_min", StatKind.MIN, "big"),
+        StatSpec("big_max", StatKind.MAX, "big"),
+        StatSpec("big_avg", StatKind.AVG, "big", group_by="gender"),
+    ]
+
+
+def wide_payloads(app_id: int, key: bytes, n: int, seed: int) -> List[bytes]:
+    """Per-packet aggregation payloads under :func:`wide_schema` whose
+    "big" values wrap big_sum (and the grouped big_avg sums) several
+    times within ``n`` rows."""
+    rng = random.Random(seed)
+    codec = AggregationCodec(app_id, key, rng)
+    payloads = []
+    for _ in range(n):
+        items = [(0, rng.randrange(3))]
+        if rng.random() < 0.8:
+            items.append((1, WIDE_MAX - rng.randrange(1 << 40)))
+        payloads.append(codec.encode(AggregationPacket(
+            app_id=app_id, mode=ForwardingMode.PER_PACKET, items=items
+        )))
+    return payloads

@@ -2,9 +2,9 @@
 
 One pinned scenario — clients -> web -> LarkSwitch -> AggSwitch ->
 analytics over the DES network, with aggregation-link loss *and* the
-batched data plane (sharded AggSwitch) enabled — is serialized to
-canonical JSON and compared byte-for-byte against a checked-in golden
-file.  Any drift in the simulator, the crypto, the statistics layout,
+batched data plane (the switches' columnar entry points) enabled — is
+serialized to canonical JSON and compared byte-for-byte against a
+checked-in golden file.  Any drift in the simulator, the crypto, the statistics layout,
 the batch fast path, or the metrics namespace shows up as a diff here.
 
 Regenerate deliberately with::
@@ -51,7 +51,6 @@ def run_pinned_scenario():
             agg_loss_rate=0.2,      # faults on: lossy lark->agg link
             batch_window_ms=5.0,    # batched data plane
             batch_max=64,
-            agg_shards=3,           # sharded register banks
         )
         result = testbed.run()
         metrics = registry.snapshot()
@@ -64,7 +63,6 @@ def run_pinned_scenario():
             "agg_loss_rate": 0.2,
             "batch_window_ms": 5.0,
             "batch_max": 64,
-            "agg_shards": 3,
         },
         "completed_requests": len(result.latencies_ms),
         "latencies_ms": result.latencies_ms,

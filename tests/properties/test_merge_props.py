@@ -1,12 +1,15 @@
 """Property tests: snapshot merge is associative, commutative, and
 shard-split-invariant.
 
-The sharded AggSwitch relies on :func:`repro.core.stats.merge_snapshots`
-being a proper commutative monoid fold over register snapshots: counts
-and sums add, minima take min, maxima take max, and a freshly allocated
-statistics program is the identity element.  These tests drive random
-record streams through every statistic kind and check the algebra over
-random shard splits.
+The replica runtime's fold
+(:func:`repro.testbed.executor.fold_snapshots`) relies on
+:func:`repro.core.stats.merge_snapshots` being a proper commutative
+monoid fold over register snapshots: counts and sums add modulo the
+48-bit register width, minima take min, maxima take max, and a freshly
+allocated statistics program is the identity element.  These tests
+drive random record streams through every statistic kind and check
+the algebra over random shard splits, on values that wrap the
+registers and on values that never come near.
 """
 
 import random
@@ -22,12 +25,15 @@ from repro.core.stats import (
 )
 from repro.switch.registers import RegisterFile
 
+BIG = (1 << 48) - 1  # one full statistics register
+
 SCHEMA = CookieSchema(
     "merge-prop",
     (
         Feature.categorical("cls", ("a", "b", "c", "d")),
         Feature.categorical("grp", ("g0", "g1", "g2")),
         Feature.number("val", 0, 1000),
+        Feature.number("big", 0, BIG),
     ),
 )
 
@@ -37,6 +43,8 @@ SPECS = [
     StatSpec("val_min", StatKind.MIN, "val"),
     StatSpec("val_max", StatKind.MAX, "val"),
     StatSpec("val_avg", StatKind.AVG, "val", group_by="grp"),
+    StatSpec("big_sum", StatKind.SUM, "big"),
+    StatSpec("big_avg", StatKind.AVG, "big", group_by="grp"),
 ]
 
 
@@ -44,11 +52,15 @@ def make_stats():
     return SwitchStatistics(SCHEMA, SPECS, RegisterFile(), prefix="prop")
 
 
-def random_record(rng):
+def random_record(rng, wrapping=False):
+    """One record; ``wrapping`` draws "big" within 2**40 of a full
+    register, so a few records carry big_sum past 2**48."""
     return {
         "cls": rng.choice(SCHEMA.feature("cls").classes),
         "grp": rng.choice(SCHEMA.feature("grp").classes),
         "val": rng.randrange(0, 1001),
+        "big": BIG - rng.randrange(1 << 40) if wrapping
+        else rng.randrange(0, 1001),
     }
 
 
@@ -88,12 +100,16 @@ def test_empty_stats_is_identity(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("shards", (2, 3, 5, 8))
-def test_random_shard_split_merges_to_whole(seed, shards):
+@pytest.mark.parametrize("wrapping", (False, True), ids=("narrow", "wrapping"))
+def test_random_shard_split_merges_to_whole(seed, shards, wrapping):
     """Partition one stream across N shards at random; the fold of the
-    shard snapshots equals the unsharded snapshot, in any fold order."""
+    shard snapshots equals the unsharded snapshot, in any fold order —
+    also when the sums wrap their registers."""
     rng = random.Random(300 + seed)
-    records = [random_record(rng) for _ in range(120)]
+    records = [random_record(rng, wrapping) for _ in range(120)]
     whole = snapshot_of(records)
+    if wrapping:
+        assert sum(r["big"] for r in records) >= 100 << 48
 
     banks = [make_stats() for _ in range(shards)]
     for record in records:

@@ -197,15 +197,6 @@ class TestBatchWindow:
             assert max(sizes[name]) == batch_max
             assert min(sizes[name]) >= 1
 
-    @pytest.mark.parametrize("agg_shards", (2, 3))
-    def test_sharded_agg_reports_the_window_zero_result(self, agg_shards):
-        scalar = NetworkTestbed(_config()).run()
-        sharded = NetworkTestbed(
-            _config(), batch_window_ms=5.0, agg_shards=agg_shards
-        ).run()
-        assert sharded.counts_match_reference()
-        assert sharded.report == scalar.report
-
     @pytest.mark.parametrize(
         "option",
         ({"batch_window_ms": -1.0}, {"batch_max": 0}, {"ingest_batch": 0}),

@@ -111,7 +111,7 @@ def _persistent_pipeline_run():
     assert result.counts_match_reference()
     return repr((
         result.report, result.register_state, result.merged,
-        result.dead_letters, result.agg_shard_packets,
+        result.dead_letters, result.fleet_shard_packets,
     ))
 
 
