@@ -13,9 +13,9 @@ waste.
 
 :class:`CookieEncodeCache` memoizes the encrypted 16-byte cookie
 block per caller-chosen key (typically the user index), bounded LRU.
-Misses within a batch are encrypted in one batched AES pass
-(:func:`~repro.crypto.aes.encrypt_blocks_many`).  Correctness
-invariants:
+Misses within a batch are packed and encrypted in one batched AES
+pass (:meth:`~repro.core.transport_cookie.TransportCookieCodec.encrypt_rows`).
+Correctness invariants:
 
 * **Decode identity** — a cached cookie and a freshly encoded cookie
   decrypt to the same feature values (the cached block *is* the
@@ -43,7 +43,6 @@ from operator import not_
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.core.transport_cookie import TransportCookieCodec
-from repro.crypto.aes import encrypt_blocks_many
 from repro.quic.connection_id import ConnectionID
 
 __all__ = ["CookieEncodeCache"]
@@ -159,83 +158,81 @@ class CookieEncodeCache:
 
     # -- encoding ----------------------------------------------------------
 
-    def _lookup(self, key: Hashable) -> Optional[bytes]:
-        block = self._blocks.get(key)
-        if block is not None:
-            self._blocks.move_to_end(key)
-            self.hits += 1
-        return block
-
-    def _store(self, key: Hashable, block: bytes) -> None:
-        self._blocks[key] = block
-        self._blocks.move_to_end(key)
-        if len(self._blocks) > self._capacity:
-            self._blocks.popitem(last=False)
-            self.evictions += 1
-
     def _resolve_blocks(
         self,
         keys: Sequence[Hashable],
-        rows_fn: Callable[[List[int]], List[Sequence[int]]],
+        rows_fn: Callable[[List[int]], Any],
     ) -> List[bytes]:
         """Encrypted block per packet.  Every packet probes the cache
-        under its caller-given identity key; the misses' batch
-        positions are collected in first-occurrence order, and only
-        those get wire rows (``rows_fn(positions)``), one pack (one
-        padding draw per miss, in that order) and one batched AES
-        pass.
+        under its caller-given identity key; the first occurrence of
+        each missed key gives the batch positions, in order, that get
+        wire rows (``rows_fn(positions)``), one pack (one padding draw
+        per miss, in that order) and one AES pass
+        (:meth:`TransportCookieCodec.encrypt_rows`).
 
-        The probe runs in C: one ``get`` per key, then ``move_to_end``
-        for each hit in probe order.  Only the misses visit the table
-        of misses pending in this batch, which is the same thing as
-        asking it first: a pending key is stored after the AES pass,
-        so it is never in the cache while the batch is probed."""
+        The probe runs in C: one ``get`` per key; an all-hit batch
+        then moves its keys to the LRU end in probe order and is done.
+        With misses, the bookkeeping is C calls too: the first
+        position of each missed key is a dict built back to front (the
+        earliest position is written last); after the AES pass the
+        hits move to the LRU end, the new blocks enter it with one
+        ``update`` in first-occurrence order and the overflow leaves
+        its front in one pass.  That is the order and count evicting
+        after every insert gives, even when the batch's new keys
+        outnumber the entries: the entry just inserted is never the
+        front.  The only Python step per miss is filling its first
+        position (and a repeat's, from it).  Nothing moves and nothing
+        is counted until the pack has accepted every row.
+        """
         blocks = self._blocks
         out: List[Optional[bytes]] = list(map(blocks.get, keys))
-        deque(map(blocks.move_to_end, compress(keys, out)), maxlen=0)
         if None not in out:
+            deque(map(blocks.move_to_end, compress(keys, out)), maxlen=0)
             self.hits += len(out)
             return out  # type: ignore[return-value]
-        miss_order: List[Hashable] = []
-        miss_positions: List[int] = []
-        miss_backrefs: Dict[Hashable, List[int]] = {}
-        queued = 0
-        for i in compress(range(len(out)), map(not_, out)):
-            key = keys[i]
-            pending = miss_backrefs.get(key)
-            if pending is not None:
-                # Repeat of a miss already queued in this batch: served
-                # from the pending AES pass, but not a true cache hit.
-                pending.append(i)
-                queued += 1
-            else:
-                miss_order.append(key)
-                miss_positions.append(i)
-                miss_backrefs[key] = [i]
-        self.hits += len(out) - len(miss_positions) - queued
-        self.queued_hits += queued
-        self.misses += len(miss_positions)
-        codec = self._codec
-        encrypted = encrypt_blocks_many(
-            codec.aes, codec.pack_rows(rows_fn(miss_positions))
-        )
-        for key, block in zip(miss_order, encrypted):
-            self._store(key, block)
-            for i in miss_backrefs[key]:
-                out[i] = block
+        missed = list(compress(range(len(out)), map(not_, out)))
+        missed_keys = list(map(keys.__getitem__, missed))
+        first = dict(zip(reversed(missed_keys), reversed(missed)))
+        positions = sorted(first.values())
+        encrypted = self._codec.encrypt_rows(rows_fn(positions))
+        # A repeat of a miss in the same batch is served from its AES
+        # pass but counted apart from the hits: its block was not in
+        # the cache when the batch arrived.
+        self.hits += len(out) - len(missed)
+        self.queued_hits += len(missed) - len(positions)
+        self.misses += len(positions)
+        deque(map(blocks.move_to_end, compress(keys, out)), maxlen=0)
+        blocks.update(zip(map(keys.__getitem__, positions), encrypted))
+        overflow = len(blocks) - self._capacity
+        if overflow > 0:
+            deque(map(blocks.popitem, repeat(False, overflow)), maxlen=0)
+            self.evictions += overflow
+        for i, block in zip(positions, encrypted):
+            out[i] = block
+        if len(positions) < len(missed):
+            for i in set(missed).difference(positions):
+                out[i] = out[first[keys[i]]]
         return out  # type: ignore[return-value]
 
     def encode(
         self, key: Hashable, values_fn: Callable[[], Dict[str, Any]]
     ) -> ConnectionID:
-        """Single-cookie entry point (the testbed's scalar backend)."""
-        block = self._lookup(key)
-        if block is None:
-            self.misses += 1
+        """Single-cookie entry point (the testbed's scalar backend).
+        A miss is counted and stored only once its block is built."""
+        blocks = self._blocks
+        block = blocks.get(key)
+        if block is not None:
+            blocks.move_to_end(key)
+            self.hits += 1
+        else:
             block = self._codec.aes.encrypt_block(
                 self._codec.encode_block(values_fn())
             )
-            self._store(key, block)
+            self.misses += 1
+            blocks[key] = block
+            if len(blocks) > self._capacity:
+                blocks.popitem(last=False)
+                self.evictions += 1
         return self._codec.assemble(block)
 
     def encode_columns(
@@ -243,9 +240,7 @@ class CookieEncodeCache:
         keys: Sequence[Hashable],
         values_fn: Optional[Callable[[int], Dict[str, Any]]] = None,
         *,
-        rows_fn: Optional[
-            Callable[[List[int]], List[Sequence[int]]]
-        ] = None,
+        rows_fn: Optional[Callable[[List[int]], Any]] = None,
     ):
         """Wire cookies for a whole batch as a
         :class:`~repro.switch.columns.PacketColumns` (no per-packet
@@ -257,10 +252,11 @@ class CookieEncodeCache:
 
         The cookie contents of the misses come from one of two
         callbacks: ``rows_fn(positions)`` returns the wire rows (see
-        :meth:`TransportCookieCodec.pack_rows`) of the listed batch
-        positions — integers in, no value dict built; ``values_fn(i)``
-        returns the value dict of position ``i`` and is adapted to
-        rows through ``validate_values``."""
+        :meth:`TransportCookieCodec.pack_rows`: a list of rows or one
+        int64 matrix) of the listed batch positions — integers in, no
+        value dict built; ``values_fn(i)`` returns the value dict of
+        position ``i`` and is adapted to rows through
+        ``validate_values``."""
         from repro.switch.columns import PacketColumns, get_numpy
 
         if (values_fn is None) == (rows_fn is None):

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
+from operator import or_
 from typing import Any, Dict, Optional, Tuple
 
-from repro.crypto.aes import AES
+from repro.crypto.aes import AES, encrypt_blocks_many
 from repro.quic.connection_id import ConnectionID, MAX_CONNECTION_ID_BYTES
 from repro.core.schema import CookieSchema, FeatureValueError
 from repro.switch.columns import get_numpy
@@ -53,20 +54,27 @@ COOKIE_BYTE_END = _BLOCK_END  # end of the preserved region
 # (pack_rows / rows_from_blocks) even with the numpy gate open: the
 # numpy forms are ~30 ufunc calls whatever the batch, about 30-45 us a
 # call.  Measured on the ad-campaign schema (5 features, 17 bits),
-# us/row, best of 200 alternating runs on the recorded 2-vCPU host:
+# us/row, best of 600 alternating runs on the recorded 2-vCPU host;
+# the pack's numpy form fed a list of rows and fed the same rows as an
+# int64 matrix (what AdCampaignWorkload.cookie_rows returns from this
+# many rows up):
 #
-#     rows   pack py / numpy   parse py / numpy
-#       16     1.39 / 2.83       0.82 / 1.94
-#       32     1.29 / 1.84       0.78 / 1.08
-#       48     1.26 / 1.44       0.77 / 0.82
-#       64     1.25 / 1.28       0.76 / 0.69
-#       96     1.24 / 1.09       0.76 / 0.53
-#      256     1.21 / 0.89       0.76 / 0.38
-#      880     1.18 / 0.77       0.73 / 0.33
+#     rows   pack py / numpy / matrix   parse py / numpy
+#       16     1.36 / 3.17 / 2.49         0.96 / 2.38
+#       32     1.20 / 1.90 / 1.41         0.87 / 1.35
+#       48     1.18 / 1.51 / 1.03         0.85 / 0.99
+#       64     1.20 / 1.38 / 0.87         0.85 / 0.87
+#       96     1.15 / 1.09 / 0.67         0.83 / 0.66
+#      256     1.09 / 0.79 / 0.43         0.80 / 0.43
+#      880     1.03 / 0.68 / 0.32         0.79 / 0.37
 #
 # (the value-dict path these replaced: pack 3.0-3.3, parse 1.7-1.9).
-# Higher than switch.columns.VECTOR_MIN_ROWS (16) because those
-# kernels are a handful of numpy calls each, not thirty.
+# With the matrix, the pack's crossover is near 48 rows once the
+# gather is counted (0.27 against the list build's 0.16 us/row at 48
+# rows, 0.24 / 0.15 at 64): a tie there.  The parse's stays at 64, so
+# the one cut stays 64.  Higher than switch.columns.VECTOR_MIN_ROWS
+# (16) because those kernels are a handful of numpy calls each, not
+# thirty.
 ROW_KERNEL_MIN_ROWS = 64
 
 
@@ -194,52 +202,93 @@ class TransportCookieCodec:
         ``int`` per schema feature in schema order, the feature's wire
         integer or ``-1`` when absent — the integers a web server holds
         before any cookie exists, packed as the paper's bitmap ||
-        cookie-stack || random padding.
+        cookie-stack || random padding.  ``rows`` is a list of rows or
+        one ``(m, F)`` int64 matrix of them (the matrix's dtype stands
+        in for the per-int type check).
 
         The whole batch is checked before anything is drawn: a row of
-        the wrong width, a non-``int`` (``bool`` included) or a wire
-        outside ``[-1, cardinality)`` raises and leaves the RNG alone.
-        Padding is then one ``getrandbits(pad_bits)`` per row in row
-        order, in the numpy form and the Python form alike.
+        the wrong width, a non-``int`` (``bool`` included; for a matrix,
+        a dtype other than int64) or a wire outside ``[-1,
+        cardinality)`` raises and leaves the RNG alone.  Padding is
+        then one ``getrandbits(pad_bits)`` per row in row order, in the
+        numpy form and the Python form alike.
         """
-        rows = rows if isinstance(rows, list) else list(rows)
-        if not rows:
-            return []
+        packed = self._pack(rows)
+        if isinstance(packed, list):
+            return packed
+        flat = packed.tobytes()
+        return [flat[i:i + 16] for i in range(0, len(flat), 16)]
+
+    def encrypt_rows(self, rows) -> "list[bytes]":
+        """The *encrypted* cookie block per wire row: :meth:`pack_rows`,
+        then AES under the codec key — the numpy form's packed words
+        go into AES as one ``(m, 16)`` uint8 matrix and are cut into
+        blocks once, after it.  Same checks, draws and bytes as
+        ``encrypt_blocks_many(aes, pack_rows(rows))``."""
+        packed = self._pack(rows)
+        if not isinstance(packed, list):
+            packed = packed.view("uint8")
+        return encrypt_blocks_many(self._aes, packed)
+
+    def _pack(self, rows):
+        """The body of :meth:`pack_rows`: the blocks as a list of bytes
+        (Python form) or as one ``(m, 2)`` big-endian ``uint64`` word
+        matrix (numpy form)."""
         width = len(self._row_plan)
-        if set(map(len, rows)) != {width}:
-            raise ValueError(
-                "every wire row needs %d entries, one per schema feature"
-                % width
-            )
-        flat = list(chain.from_iterable(rows))
-        if set(map(type, flat)) != {int}:
-            raise FeatureValueError("wire rows hold plain ints")
-        np = self._row_kernels(len(rows))
-        if np is not None:
+        if hasattr(rows, "dtype"):
+            if rows.ndim != 2 or rows.shape[1] != width:
+                raise ValueError(
+                    "a wire matrix needs %d columns, one per schema "
+                    "feature" % width
+                )
+            if rows.dtype != "int64":
+                raise FeatureValueError("a wire matrix holds int64")
+            matrix = rows
+            np = self._row_kernels(len(matrix))
+            if np is None:
+                return self._pack_rows_py(matrix.tolist())
+        else:
+            rows = rows if isinstance(rows, list) else list(rows)
+            if not rows:
+                return []
+            if set(map(len, rows)) != {width}:
+                raise ValueError(
+                    "every wire row needs %d entries, one per schema "
+                    "feature" % width
+                )
+            flat = list(chain.from_iterable(rows))
+            if set(map(type, flat)) != {int}:
+                raise FeatureValueError("wire rows hold plain ints")
+            np = self._row_kernels(len(rows))
+            if np is None:
+                return self._pack_rows_py(rows)
             try:
-                hi, lo, pads = self._pack_heads_np(np, flat)
+                matrix = np.fromiter(
+                    flat, dtype=np.int64, count=len(flat)
+                ).reshape(-1, width)
             except OverflowError:
-                np = None  # a wire past int64: the Python form names it
-        if np is None:
-            return self._pack_rows_py(rows)
-        getrandbits = self._rng.getrandbits
+                # A wire past int64: the Python form names it.
+                return self._pack_rows_py(rows)
+        hi, lo, pads = self._pack_heads_np(np, matrix)
         padding = np.frombuffer(
-            b"".join([
-                (getrandbits(pad) if pad else 0).to_bytes(16, "big")
-                for pad in pads
-            ]),
+            b"".join(map(
+                int.to_bytes,
+                map(self._rng.getrandbits, pads),
+                repeat(16),
+                repeat("big"),
+            )),
             dtype=">u8",
-        ).reshape(len(rows), 2)
-        words = np.empty((len(rows), 2), dtype=">u8")
+        ).reshape(len(matrix), 2)
+        words = np.empty((len(matrix), 2), dtype=">u8")
         words[:, 0] = hi | padding[:, 0]
         words[:, 1] = lo | padding[:, 1]
-        packed = words.tobytes()
-        return [packed[i:i + 16] for i in range(0, len(packed), 16)]
+        return words
 
     def _pack_rows_py(self, rows) -> "list[bytes]":
         plan = self._row_plan
         top = 128 - len(plan)
         heads = []
+        pads = []
         for row in rows:
             bitmap = 0
             stack = 0
@@ -251,40 +300,45 @@ class TransportCookieCodec:
                     pad -= width
                 elif wire != -1:
                     feature.decode_value(wire)  # raises, exact message
-            heads.append((((bitmap << (top - pad)) | stack) << pad, pad))
-        getrandbits = self._rng.getrandbits
-        return [
-            (head | getrandbits(pad) if pad else head).to_bytes(16, "big")
-            for head, pad in heads
-        ]
+            heads.append(((bitmap << (top - pad)) | stack) << pad)
+            pads.append(pad)
+        # getrandbits(0) is 0 and draws nothing.
+        return list(map(
+            int.to_bytes,
+            map(or_, heads, map(self._rng.getrandbits, pads)),
+            repeat(16),
+            repeat("big"),
+        ))
 
-    def _pack_heads_np(self, np, flat):
+    def _pack_heads_np(self, np, matrix):
         """numpy form of the pack up to the padding, from the rows'
-        wires as one flat list: per row the two ``uint64`` words of
+        wires as one int64 matrix: per row the two ``uint64`` words of
         bitmap || stack and the number of padding bits below them."""
         widths, cards, _masks, bitmap_shifts = self._vector_plan(np)
-        matrix = np.fromiter(
-            flat, dtype=np.int64, count=len(flat)
-        ).reshape(-1, len(widths))
         # One unsigned compare for both ends of [-1, cardinality).
         bad = (matrix + 1).view(np.uint64) > cards
         if bad.any():
             r, c = (int(x[0]) for x in np.nonzero(bad))
             self.schema.features[c].decode_value(int(matrix[r, c]))
-        present = matrix >= 0
-        shift, low, within = self._field_shifts(np, present, widths)
-        value = np.maximum(matrix, 0).astype(np.uint64)
+        # Feature-major from here: every reduction below runs across
+        # the F rows of contiguous columns, not along rows F wide.
+        columns = np.ascontiguousarray(matrix.T)
+        present = columns >= 0
+        shift, low, within = self._field_shifts(
+            np, present, widths[:, None], axis=0
+        )
+        value = np.maximum(columns, 0).astype(np.uint64)
         shifted = value << within
         # (value >> 1) >> (63 - s) is value >> (64 - s) without the
         # undefined 64-bit shift at s == 0.
         hi = np.where(low, (value >> 1) >> (63 - within), shifted)
-        bitmap = present.astype(np.uint64) << bitmap_shifts
+        bitmap = present.astype(np.uint64) << bitmap_shifts[:, None]
         return (
-            np.bitwise_or.reduce(hi, axis=1)
-            | np.bitwise_or.reduce(bitmap, axis=1),
-            np.bitwise_or.reduce(np.where(low, shifted, 0), axis=1),
+            np.bitwise_or.reduce(hi, axis=0)
+            | np.bitwise_or.reduce(bitmap, axis=0),
+            np.bitwise_or.reduce(np.where(low, shifted, 0), axis=0),
             # Bits below the last field.
-            shift[:, -1].tolist(),
+            shift[-1].tolist(),
         )
 
     # -- the row kernels' shared numpy plumbing ---------------------------------
@@ -312,13 +366,15 @@ class TransportCookieCodec:
         return self._np_plan
 
     @staticmethod
-    def _field_shifts(np, present, widths):
+    def _field_shifts(np, present, widths, axis=1):
         """Where each field sits in the 128-bit block, per row: the
         position of its lowest bit (bit 0 = the block's last bit; an
         absent field gets its predecessor's), whether that is in the
         low word, and the position within its word as a ``uint64``
-        shift count.  A field may straddle the two words."""
-        shift = (128 - len(widths)) - np.cumsum(present * widths, axis=1)
+        shift count.  A field may straddle the two words.  Features
+        run along ``axis`` of ``present``; ``widths`` (one per
+        feature) broadcasts against it."""
+        shift = (128 - len(widths)) - np.cumsum(present * widths, axis=axis)
         return shift, shift < 64, (shift & 63).astype(np.uint64)
 
     def assemble(self, encrypted_block: bytes) -> ConnectionID:

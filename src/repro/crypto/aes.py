@@ -377,26 +377,43 @@ def _rounds(cipher: "AES", state, decrypt: bool):
     return sbox.take(state.take(shift, axis=1)) ^ keys[-1]
 
 
+def _split_blocks(flat: bytes) -> List[bytes]:
+    return [flat[i:i + 16] for i in range(0, len(flat), 16)]
+
+
 def _blocks_many(cipher: "AES", blocks, decrypt: bool) -> List[bytes]:
     cipher = _as_cipher(cipher)
     np = _numpy()
+    if hasattr(blocks, "dtype"):
+        if blocks.ndim != 2 or blocks.shape[1] != BLOCK_SIZE or (
+            blocks.dtype != "uint8"
+        ):
+            raise ValueError("a block matrix must be (n, 16) uint8")
+        if np is not None:
+            # Already the state matrix: no join, no scalar cut-off.
+            return _split_blocks(_rounds(cipher, blocks, decrypt).tobytes())
+        blocks = _split_blocks(blocks.tobytes())
     if np is None or len(blocks) <= 1:
         one = cipher.decrypt_block if decrypt else cipher.encrypt_block
         return [one(b) for b in blocks]
     if set(map(len, blocks)) != {BLOCK_SIZE}:
         raise ValueError("every block must be 16 bytes")
     state = np.frombuffer(b"".join(blocks), dtype=np.uint8)
-    flat = _rounds(cipher, state.reshape(len(blocks), 16), decrypt).tobytes()
-    return [flat[i:i + 16] for i in range(0, len(flat), 16)]
+    return _split_blocks(
+        _rounds(cipher, state.reshape(len(blocks), 16), decrypt).tobytes()
+    )
 
 
 def encrypt_blocks_many(cipher: "AES", blocks) -> List[bytes]:
-    """Encrypt many independent 16-byte blocks (ECB-style) at once."""
+    """Encrypt many independent 16-byte blocks (ECB-style) at once:
+    ``blocks`` is a list of 16-byte strings or one (n, 16) uint8
+    matrix, the result a list of 16-byte strings either way."""
     return _blocks_many(cipher, blocks, False)
 
 
 def decrypt_blocks_many(cipher: "AES", blocks) -> List[bytes]:
-    """Decrypt many independent 16-byte blocks at once."""
+    """Decrypt many independent 16-byte blocks at once (the same two
+    input shapes as :func:`encrypt_blocks_many`)."""
     return _blocks_many(cipher, blocks, True)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import log as _log
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.schema import CookieSchema, Feature
@@ -130,8 +131,10 @@ class AdCampaignWorkload:
             )
             for user in self.users
         )
-        # The numpy reference fold's tables, built on its first call.
+        # The numpy reference fold's tables, built on its first call;
+        # likewise cookie_rows' per-user wire matrix.
         self._reference_plan: Optional[Tuple] = None
+        self._wire_table = None
 
     # -- Snatch configuration ------------------------------------------------
 
@@ -196,14 +199,37 @@ class AdCampaignWorkload:
         cols = columns.columns
         return list(zip(cols["user"], cols["campaign"], cols["click"]))
 
-    def cookie_rows(
-        self, columns: EventColumns, indexes: Sequence[int]
-    ) -> List[Tuple[int, ...]]:
+    def cookie_rows(self, columns: EventColumns, indexes: Sequence[int]):
         """Wire rows (one wire integer per schema feature) of the
         listed events of a batch — the columnar tier's cookie contents
-        for encode-cache misses, straight from the integer columns."""
+        for encode-cache misses, straight from the integer columns.
+
+        A list of tuples, or — from ``ROW_KERNEL_MIN_ROWS`` events up
+        with the numpy gate open, where the pack takes its numpy form
+        anyway — the same rows as one ``(m, 5)`` int64 matrix gathered
+        from the columns and a per-user wire table built once."""
+        from repro.core.transport_cookie import ROW_KERNEL_MIN_ROWS
+
         cols = columns.columns
         user, campaign, click = cols["user"], cols["campaign"], cols["click"]
+        m = len(indexes)
+        if m >= ROW_KERNEL_MIN_ROWS:
+            from repro.switch.columns import get_numpy
+
+            np = get_numpy()
+            if np is not None:
+                if self._wire_table is None:
+                    self._wire_table = np.array(
+                        self._user_wires, dtype=np.int64
+                    )
+                take = itemgetter(*indexes)
+                rows = np.empty((m, 5), dtype=np.int64)
+                rows[:, 0] = np.fromiter(take(click), np.int64, m)
+                rows[:, 1] = np.fromiter(take(campaign), np.int64, m)
+                rows[:, 2:] = self._wire_table[
+                    np.fromiter(take(user), np.intp, m)
+                ]
+                return rows
         wires = self._user_wires
         return [(click[i], campaign[i]) + wires[user[i]] for i in indexes]
 

@@ -175,6 +175,43 @@ class TestBlocksMany:
         with pytest.raises(ValueError):
             many(c, [b"a" * 16, b"b" * 16, b""])
 
+    @pytest.mark.parametrize("n", (0,) + SIZES)
+    def test_a_block_matrix_matches_its_list(self, n):
+        if not columns.HAVE_NUMPY:
+            pytest.skip("numpy not installed")
+        import numpy as np
+
+        rng = random.Random(n)
+        c = AES(_bytes(rng, 16))
+        blocks = [_bytes(rng, 16) for _ in range(n)]
+        matrix = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(
+            n, 16
+        )
+        encrypted = encrypt_blocks_many(c, matrix)
+        assert encrypted == [c.encrypt_block(b) for b in blocks]
+        back = np.frombuffer(b"".join(encrypted), dtype=np.uint8).reshape(
+            n, 16
+        )
+        assert decrypt_blocks_many(c, back) == blocks
+
+    @pytest.mark.parametrize(
+        "many", (encrypt_blocks_many, decrypt_blocks_many)
+    )
+    def test_a_block_matrix_must_be_n_by_16_bytes(self, many):
+        if not columns.HAVE_NUMPY:
+            pytest.skip("numpy not installed")
+        import numpy as np
+
+        c = AES(bytes(16))
+        for bad in (
+            np.zeros((2, 15), dtype=np.uint8),
+            np.zeros(32, dtype=np.uint8),
+            np.zeros((2, 16), dtype=np.int64),
+            np.zeros((2, 2), dtype=">u8"),
+        ):
+            with pytest.raises(ValueError):
+                many(c, bad)
+
 
 class TestSp80038aVectors:
     """The SP 800-38A examples through the batch entry points."""

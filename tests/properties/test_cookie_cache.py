@@ -9,9 +9,12 @@ minted under the superseded parameters.
 
 import hashlib
 import random
+from collections import OrderedDict
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.controller import SnatchController
 from repro.core.cookie_cache import CookieEncodeCache
@@ -19,7 +22,7 @@ from repro.core.schema import Feature
 from repro.core.stats import StatKind, StatSpec
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.quic.connection_id import ConnectionID
-from repro.switch.columns import force_numpy
+from repro.switch.columns import force_numpy, get_numpy
 from repro.workloads.adcampaign import AdCampaignWorkload
 
 APP_ID = 0x5C
@@ -320,21 +323,35 @@ class TestEncodeColumnsCallbacks:
 
     @pytest.mark.parametrize("numpy_on", (True, False), ids=("numpy", "python"))
     def test_a_rejected_row_leaves_cache_and_rng_alone(self, numpy_on):
+        """Key 1 is a hit of the rejected batch: it keeps its LRU place
+        and nothing is counted."""
         cache = _cache()
-        cache.encode_columns([1, 2], lambda i: _values(i + 1))
-        blocks = dict(cache._blocks)
+        cache.encode_columns([1, 2, 3], lambda i: _values(i + 1))
+        blocks = list(cache._blocks.items())
+        stats = cache.stats()
         state = cache.codec.rng.getstate()
         force_numpy(numpy_on)
         try:
             with pytest.raises(ValueError):
                 cache.encode_columns(
-                    list(range(100)),
+                    [1] + list(range(10, 109)),
                     rows_fn=lambda idx: [(0, 0, 241)] * len(idx),
                 )
         finally:
             force_numpy(None)
-        assert dict(cache._blocks) == blocks
+        assert list(cache._blocks.items()) == blocks
+        assert cache.stats() == stats
         assert cache.codec.rng.getstate() == state
+
+    def test_a_rejected_scalar_encode_counts_nothing(self):
+        cache = _cache()
+        cache.encode(1, lambda: _values(1))
+        blocks = list(cache._blocks.items())
+        stats = cache.stats()
+        with pytest.raises(ValueError):
+            cache.encode(2, lambda: {"region": "nowhere"})
+        assert list(cache._blocks.items()) == blocks
+        assert cache.stats() == stats
 
     def test_framing_bytes_are_one_buffer_of_the_same_draws(self):
         """Three getrandbits(8) per packet, in packet order (DCID,
@@ -487,3 +504,96 @@ class TestProbeOrderPins:
             list(cache._blocks),
             cache.stats(),
         ) == MIXED_PIN
+
+
+# -- the batch against a sequential model --------------------------------------
+
+
+def _sequential_batch(model, stats, codec, keys, capacity):
+    """One batch the slow way, one key at a time: hits move to the LRU
+    end in probe order; each key missing on arrival is packed alone
+    (one padding draw) and encrypted alone, in first-occurrence order,
+    and inserted with an eviction after every insert; repeats of a
+    pending miss are queued hits.  Then one ``assemble`` per packet
+    (the three framing draws).  Returns the wire cookies."""
+    served = {}
+    fresh = []
+    for key in keys:
+        if key in model:
+            served[key] = model[key]
+            model.move_to_end(key)
+            stats["hits"] += 1
+        elif key in fresh:
+            stats["queued_hits"] += 1
+        else:
+            fresh.append(key)
+            stats["misses"] += 1
+    for key in fresh:
+        row = codec.rows_from_values([_values(key)])
+        served[key] = codec.aes.encrypt_block(codec.pack_rows(row)[0])
+        model[key] = served[key]
+        if len(model) > capacity:
+            model.popitem(last=False)
+            stats["evictions"] += 1
+    stats["size"] = len(model)
+    return [bytes(codec.assemble(served[key])) for key in keys]
+
+
+class TestBatchAgainstASequentialModel:
+    """Bulk insertion and bulk eviction are the per-insert LRU, also
+    when one batch's fresh keys outnumber the capacity and evict each
+    other: wire bytes, RNG state, LRU order, blocks and stats equal a
+    model fed key by key."""
+
+    @pytest.mark.parametrize("numpy_on", (True, False), ids=("numpy", "python"))
+    @pytest.mark.parametrize("batch", (1, 63, 64, 65, 300))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_batches_equal_the_model(self, batch, numpy_on, data):
+        universe = data.draw(st.integers(1, 3 * batch + 2), label="universe")
+        # Up to half a batch: once the universe is as large as a batch,
+        # one batch's fresh keys mostly outnumber the entries.
+        capacity = data.draw(
+            st.integers(1, max(1, min(universe, batch) // 2)), label="capacity"
+        )
+        batches = data.draw(
+            st.lists(
+                st.lists(
+                    st.integers(0, universe - 1),
+                    min_size=batch, max_size=batch,
+                ),
+                min_size=1, max_size=3,
+            ),
+            label="batches",
+        )
+        as_matrix = data.draw(st.booleans(), label="matrix")
+        cache = _cache(capacity=capacity, seed=17)
+        codec = TransportCookieCodec(
+            APP_ID, _schema(), KEY, random.Random(17)
+        )
+        model = OrderedDict()
+        stats = dict(cache.stats())
+        force_numpy(numpy_on)
+        try:
+            for keys in batches:
+                def rows_fn(positions, keys=keys):
+                    rows = cache.codec.rows_from_values(
+                        [_values(keys[i]) for i in positions]
+                    )
+                    np = get_numpy()
+                    if as_matrix and np is not None:
+                        return np.array(rows, dtype=np.int64).reshape(
+                            len(rows), 3
+                        )
+                    return rows
+
+                wire = cache.encode_columns(keys, rows_fn=rows_fn).raw
+                expected = _sequential_batch(
+                    model, stats, codec, keys, capacity
+                )
+                assert wire == expected
+                assert cache.codec.rng.getstate() == codec.rng.getstate()
+                assert list(cache._blocks.items()) == list(model.items())
+                assert cache.stats() == stats
+        finally:
+            force_numpy(None)

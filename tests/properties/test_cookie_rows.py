@@ -9,13 +9,15 @@ numeric ranges, totals up to exactly 128 bits with fields that straddle
 the two 64-bit words — and the rows (any presence bitmap, all-absent
 included).  Every property runs once per kernel form whatever the
 ambient gate; the numpy form is fed the drawn rows tiled past the cut.
+The pack also takes its rows as one int64 matrix, which must give the
+list's blocks, draws and rejections.
 """
 
 import random
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.schema import CookieSchema, Feature, FeatureValueError
@@ -40,6 +42,9 @@ FORMS = pytest.mark.parametrize(
     ),
 )
 BUDGET = settings(max_examples=120, deadline=None)
+NEEDS_NUMPY = pytest.mark.skipif(
+    not columns.HAVE_NUMPY, reason="wire matrices are numpy arrays"
+)
 
 
 @contextmanager
@@ -54,6 +59,16 @@ def kernel_form(numpy_on):
 
 def _codec(schema, seed=5):
     return TransportCookieCodec(0x42, schema, KEY, random.Random(seed))
+
+
+def _fits_int64(rows):
+    return all(-(1 << 63) <= wire < (1 << 63) for row in rows for wire in row)
+
+
+def _matrix(rows, width):
+    import numpy
+
+    return numpy.array(rows, dtype=numpy.int64).reshape(len(rows), width)
 
 
 def _tile(items, numpy_on):
@@ -271,6 +286,14 @@ def test_out_of_range_wires_are_rejected_before_any_draw(numpy_on, case):
         with pytest.raises(FeatureValueError, match=feature.name):
             codec.pack_rows(rows)
     assert codec.rng.getstate() == state
+    if columns.HAVE_NUMPY and _fits_int64(rows):
+        # The same rows as one int64 matrix: the same rejection.
+        matrix = _matrix(rows, len(schema.features))
+        with kernel_form(numpy_on):
+            for pack in (codec.pack_rows, codec.encrypt_rows):
+                with pytest.raises(FeatureValueError, match=feature.name):
+                    pack(matrix)
+        assert codec.rng.getstate() == state
     if feature.cardinality <= wire < (1 << feature.bits):
         # The wire fits its field, so a block can carry it: pack it
         # under the same layout with the range opened up, then parse.
@@ -284,3 +307,66 @@ def test_out_of_range_wires_are_rejected_before_any_draw(numpy_on, case):
         assert parsed[position] is None
         with pytest.raises(FeatureValueError):
             codec.values_from_block(wide.pack_rows([rows[position]])[0])
+
+
+@NEEDS_NUMPY
+@FORMS
+@BUDGET
+@given(schema_and_rows())
+@example((_FULL_62, [((1 << 62) - 1, (1 << 62) - 1, 1), (-1, 5, -1),
+                     (0, -1, 0)]))
+def test_a_wire_matrix_packs_like_its_rows(numpy_on, case):
+    """A list of rows and the same rows as an int64 matrix: the same
+    plaintext blocks, the same encrypted blocks, the same draws."""
+    schema, drawn = case
+    assume(_fits_int64(drawn))
+    rows = _tile(drawn, numpy_on)
+    matrix = _matrix(rows, len(schema.features))
+    listed, stacked = _codec(schema), _codec(schema)
+    with kernel_form(numpy_on):
+        blocks = listed.pack_rows(rows)
+        assert stacked.pack_rows(matrix) == blocks
+        assert stacked.rng.getstate() == listed.rng.getstate()
+        encrypted = listed.encrypt_rows(rows)
+        assert stacked.encrypt_rows(matrix) == encrypted
+        assert stacked.rng.getstate() == listed.rng.getstate()
+    # encrypt_rows is the pack, then AES block by block: a fresh codec
+    # replays ``listed``'s two packs.
+    reference = _codec(schema)
+    assert reference.pack_rows(rows) == blocks
+    assert [
+        reference.aes.encrypt_block(block)
+        for block in reference.pack_rows(rows)
+    ] == encrypted
+
+
+@NEEDS_NUMPY
+@FORMS
+@pytest.mark.parametrize("rows", (1, ROW_KERNEL_MIN_ROWS, 300))
+def test_a_malformed_wire_matrix_is_rejected_before_any_draw(numpy_on, rows):
+    import numpy
+
+    codec = _codec(_FULL_62)
+    good = numpy.zeros((rows, 3), dtype=numpy.int64)
+    cases = [
+        (good.astype(numpy.int32), FeatureValueError),
+        (good.astype(numpy.uint64), FeatureValueError),
+        (good.astype(numpy.float64), FeatureValueError),
+        (good.astype(bool), FeatureValueError),
+        (good.astype(">i8"), FeatureValueError),
+        (good[:, :2], ValueError),
+        (numpy.zeros((rows, 4), dtype=numpy.int64), ValueError),
+        (good.ravel(), ValueError),
+        (good.reshape(rows, 3, 1), ValueError),
+    ]
+    state = codec.rng.getstate()
+    with kernel_form(numpy_on):
+        for matrix, error in cases:
+            for pack in (codec.pack_rows, codec.encrypt_rows):
+                with pytest.raises(error):
+                    pack(matrix)
+        assert codec.rng.getstate() == state
+        # The well-formed matrix draws, and packs like its rows.
+        assert codec.pack_rows(good) == _codec(_FULL_62).pack_rows(
+            [(0, 0, 0)] * rows
+        )
