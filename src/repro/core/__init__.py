@@ -46,8 +46,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "TRANSPORT_COOKIE_BITS",
     ),
     "stats": (
-        "StatKind", "StatSpec", "SwitchStatistics", "merge_snapshots",
-        "min_array_names",
+        "Lane", "REGISTER_LANES", "REGISTER_WIDTH", "StatKind", "StatSpec",
+        "SwitchStatistics", "array_lanes", "merge_snapshots",
     ),
     "switch_join": ("JoinKind", "JoinedRow", "SwitchJoinTable"),
     "transport_cookie": ("DecodedTransportCookie", "TransportCookieCodec"),

@@ -29,7 +29,9 @@ from repro.crypto.aes import (
     encrypt_cbc_many,
     encrypt_cbc_matrix,
     pkcs7_pad_matrix,
+    random_bytes,
 )
+from repro.core.stats import REGISTER_WIDTH
 from repro.switch.columns import VECTOR_MIN_ROWS, get_numpy, row_matrix
 
 __all__ = [
@@ -43,9 +45,11 @@ __all__ = [
 
 SNATCH_SID = 0x5A4E  # "ZN" — the magic identifier
 _MAX_ITEMS = 255
-# The summary byte's top bit is the mode flag; an item value has 48 bits.
+# The summary byte's top bit is the mode flag.  An item value is one
+# register wide: a periodical item carries one register cell.
 _MAX_COUNTED_ITEMS = 127
-_VALUE_BITS = 48
+_VALUE_BITS = REGISTER_WIDTH
+_VALUE_MASK = (1 << _VALUE_BITS) - 1
 
 
 class ForwardingMode:
@@ -93,7 +97,7 @@ def unpack_items(body: bytes) -> List[Tuple[int, int]]:
     items: List[Tuple[int, int]] = []
     for shift in range(len(body) * 8 - 64, -1, -64):
         item = stack >> shift
-        items.append((item >> 48 & 0xFFFF, item & 0xFFFFFFFFFFFF))
+        items.append((item >> _VALUE_BITS & 0xFFFF, item & _VALUE_MASK))
     return items
 
 
@@ -131,23 +135,16 @@ class AggregationCodec:
         for tag, value in packet.items:
             if not 0 <= tag <= 0xFFFF:
                 raise ValueError("item tag %d does not fit 16 bits" % tag)
-            if not 0 <= value < (1 << _VALUE_BITS):
+            if not 0 <= value <= _VALUE_MASK:
                 raise ValueError("item value %d does not fit 48 bits" % value)
-            stack = stack << 64 | tag << 48 | value
+            stack = stack << 64 | tag << _VALUE_BITS | value
         header = SNATCH_SID.to_bytes(2, "big") + bytes([self.app_id, count])
         return header, stack.to_bytes(8 * len(packet.items), "big")
 
     def draw_ivs(self, count: int) -> bytes:
-        """The next ``count`` CBC IVs from the codec's RNG, end to end:
-        the top byte of each of ``16 * count`` 32-bit Mersenne Twister
-        words (a long draw is filled from its lowest word up) — the
-        bytes, and the generator state afterwards, of ``16 * count``
-        ``getrandbits(8)`` calls, drawn in one."""
-        if count == 0:
-            return b""
-        return self._rng.getrandbits(512 * count).to_bytes(
-            64 * count, "little"
-        )[3::4]
+        """The next ``count`` CBC IVs from the codec's RNG, end to end
+        (:func:`~repro.crypto.aes.random_bytes`)."""
+        return random_bytes(self._rng, 16 * count)
 
     def draw_iv(self) -> bytes:
         return self.draw_ivs(1)

@@ -32,10 +32,10 @@ from repro.core.larkswitch import unflatten_snapshot
 from repro.core.schema import CookieSchema
 from repro.core.user_stats import UserEngagementTracker, UserQuantileConfig
 from repro.core.stats import (
+    REGISTER_WIDTH,
     StatSpec,
     SwitchStatistics,
     merge_snapshots,
-    min_array_names,
 )
 from repro.crypto.aes import (
     decrypt_cbc_many,
@@ -149,10 +149,13 @@ def _parse_payloads(
     matrix = np.full((len(idxs), len(cards)), -1, dtype=np.int64)
     valid = np.zeros(len(idxs), dtype=bool)
     periodicals: List[Tuple[int, int, bytes]] = []
-    # One limit past the schema: an index outside it clamps there and
-    # no wire integer is below 0.
+    # An item's value field is one register wide (a periodical item
+    # carries one register cell), so no wire integer reaches
+    # 2 ** REGISTER_WIDTH.  One limit past the schema: an index outside
+    # it clamps there and no wire integer is below 0.
     limits = np.array(
-        [min(card, 1 << 48) for card in cards] + [0], dtype=np.uint64
+        [min(card, 1 << REGISTER_WIDTH) for card in cards] + [0],
+        dtype=np.uint64,
     )
     # Distinct lengths through a set: numpy's ``unique`` imports
     # numpy.ma on its first call, 30 ms inside a fresh process.
@@ -170,8 +173,10 @@ def _parse_payloads(
                 int(at[k]), int(count_byte[k]), plain[k, :sizes[k]].tobytes()
             ))
         words = plain.view(">u8").astype(np.uint64)
-        wire = words & np.uint64((1 << 48) - 1)
-        index = np.minimum(words >> np.uint64(48), len(cards)).astype(np.intp)
+        wire = words & np.uint64((1 << REGISTER_WIDTH) - 1)
+        index = np.minimum(
+            words >> np.uint64(REGISTER_WIDTH), len(cards)
+        ).astype(np.intp)
         live = np.arange(words.shape[1]) < count_byte[:, None]
         good = np.flatnonzero(
             ~periodical & (sizes == 8 * count_byte.astype(np.int64))
@@ -477,10 +482,9 @@ class AggSwitch:
             # in a columnar batch, where a raise after earlier packets
             # folded would force the caller to replay (and
             # double-count) them.
-            mins = min_array_names(app.specs)
             try:
                 incoming = unflatten_snapshot(
-                    packet.items, bank.snapshot(), mins
+                    packet.items, bank.snapshot(), bank.lanes
                 )
                 merged = merge_snapshots(
                     app.specs, bank.snapshot(), incoming

@@ -43,6 +43,7 @@ from operator import not_
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.core.transport_cookie import TransportCookieCodec
+from repro.crypto.aes import random_bytes
 from repro.quic.connection_id import ConnectionID
 
 __all__ = ["CookieEncodeCache"]
@@ -271,9 +272,8 @@ class CookieEncodeCache:
 
         blocks = self._resolve_blocks(keys, rows_fn)
         np = get_numpy()
-        getrandbits = self._codec.rng.getrandbits
         n = len(blocks)
-        framing = bytes(map(getrandbits, repeat(8, 3 * n)))
+        framing = random_bytes(self._codec.rng, 3 * n)
         if np is None:
             app_byte = bytes([self.app_id])
             return PacketColumns([

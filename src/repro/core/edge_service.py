@@ -31,9 +31,9 @@ from repro.core.aggregation import (
     ForwardingMode,
 )
 from repro.core.app_cookie import ApplicationCookieCodec
-from repro.core.larkswitch import flatten_snapshot
+from repro.core.larkswitch import period_payload
 from repro.core.schema import CookieSchema
-from repro.core.stats import StatSpec, SwitchStatistics, min_array_names
+from repro.core.stats import StatSpec, SwitchStatistics
 from repro.switch.registers import RegisterFile
 
 __all__ = ["SnatchEdgeServer", "EdgeResult"]
@@ -220,15 +220,7 @@ class SnatchEdgeServer:
         if app.stats.updates == 0:
             app.stats.reset()
             return None
-        items = flatten_snapshot(app.stats.snapshot(), min_array_names(app.specs))
-        payload = app.agg_codec.encode(
-            AggregationPacket(
-                app_id=app.app_id,
-                mode=ForwardingMode.PERIODICAL,
-                items=items,
-                source=self.name,
-            )
-        )
+        payload = period_payload(app.stats, app.agg_codec, self.name)
         app.stats.reset()
         return payload
 

@@ -38,10 +38,10 @@ from repro.core.aggregation import (
 )
 from repro.core.schema import CookieSchema
 from repro.core.stats import (
+    Lane,
     StatSpec,
     SwitchStatistics,
     array_shapes,
-    min_array_names,
 )
 from repro.core.transport_cookie import (
     APP_ID_BYTE_INDEX,
@@ -840,16 +840,7 @@ class LarkSwitch:
         if app.stats.updates == 0:
             self._reset_period(app)
             return None
-        items = flatten_snapshot(
-            app.stats.snapshot(), min_array_names(app.specs)
-        )
-        packet = AggregationPacket(
-            app_id=app.app_id,
-            mode=ForwardingMode.PERIODICAL,
-            items=items,
-            source=self.name,
-        )
-        payload = app.agg_codec.encode(packet)
+        payload = period_payload(app.stats, app.agg_codec, self.name)
         self._m_reports.inc()
         self._reset_period(app)
         return payload
@@ -913,9 +904,6 @@ class LarkSwitch:
             app.users.load_snapshot(user_state)
 
 
-_MIN_SENTINEL = (1 << 48) - 1  # matches repro.core.stats
-
-
 def check_flattenable(sizes: Dict[str, int]) -> None:
     """Raise ``ValueError`` unless every cell of a statistics program
     (array name -> cell count) has its own :func:`flatten_snapshot`
@@ -937,21 +925,21 @@ def check_flattenable(sizes: Dict[str, int]) -> None:
 
 def flatten_snapshot(
     snapshot: Dict[str, List[int]],
-    min_arrays: Optional[set] = None,
+    lanes: Optional[Dict[str, Lane]] = None,
 ) -> List[Tuple[int, int]]:
     """Flatten a stats snapshot into (tag, value) items.
 
     The tag packs (array ordinal, cell index); both sides derive the
     same array ordering from the application's StatSpec list, so tags
     are unambiguous (:func:`check_flattenable` raises for a snapshot
-    whose tags would not be).  Idle cells (zero, or the sentinel for
-    MIN arrays) are skipped to keep packets small.
+    whose tags would not be).  Idle cells — each array's lane
+    identity (``lanes``, from :func:`repro.core.stats.array_lanes`;
+    0 without) — are skipped to keep packets small.
     """
     check_flattenable({name: len(cells) for name, cells in snapshot.items()})
-    min_arrays = min_arrays or set()
     items: List[Tuple[int, int]] = []
     for ordinal, name in enumerate(sorted(snapshot)):
-        idle = _MIN_SENTINEL if name in min_arrays else 0
+        idle = lanes[name].identity if lanes else 0
         for index, value in enumerate(snapshot[name]):
             if value != idle:
                 items.append(((ordinal << 10) | index, value))
@@ -961,15 +949,13 @@ def flatten_snapshot(
 def unflatten_snapshot(
     items: List[Tuple[int, int]],
     reference: Dict[str, List[int]],
-    min_arrays: Optional[set] = None,
+    lanes: Optional[Dict[str, Lane]] = None,
 ) -> Dict[str, List[int]]:
     """Inverse of :func:`flatten_snapshot` given a reference snapshot
     (for array names and sizes)."""
-    min_arrays = min_arrays or set()
     names = sorted(reference)
     out = {
-        name: [_MIN_SENTINEL if name in min_arrays else 0]
-        * len(reference[name])
+        name: [lanes[name].identity if lanes else 0] * len(reference[name])
         for name in names
     }
     for tag, value in items:
@@ -981,6 +967,20 @@ def unflatten_snapshot(
             raise ValueError("tag index %d out of range for %s" % (index, name))
         out[name][index] = value
     return out
+
+
+def period_payload(
+    stats: SwitchStatistics, codec: AggregationCodec, source: str
+) -> bytes:
+    """One period's register snapshot as a periodical aggregation
+    payload — what a LarkSwitch or an edge server sends the AggSwitch
+    when a forwarding window closes."""
+    return codec.encode(AggregationPacket(
+        app_id=codec.app_id,
+        mode=ForwardingMode.PERIODICAL,
+        items=flatten_snapshot(stats.snapshot(), stats.lanes),
+        source=source,
+    ))
 
 
 def lark_process_raw(lark: "LarkSwitch", packet_bytes: bytes) -> LarkResult:

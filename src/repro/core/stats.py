@@ -9,6 +9,10 @@ The prototype implements (paper section 4.1 "Statistics Calculation"):
 Statistics live in register arrays allocated from a switch pipeline's
 register file, so SRAM budgeting applies; snapshots are plain dicts
 that aggregation packets carry and the AggSwitch merges.
+
+The register algebra is declared once, in :data:`REGISTER_LANES`;
+every fold, merge, reset and render below reads it, and
+``tests/properties/test_register_algebra.py`` generates its laws.
 """
 
 from __future__ import annotations
@@ -16,24 +20,29 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Dict, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple,
+)
 
 from repro.core.schema import CookieSchema, FeatureType
 from repro.switch.columns import VECTOR_MIN_ROWS, get_numpy, row_matrix
 from repro.switch.registers import RegisterFile
 
 __all__ = [
+    "Lane",
+    "REGISTER_LANES",
+    "REGISTER_WIDTH",
     "StatKind",
     "StatSpec",
     "SwitchStatistics",
+    "array_lanes",
     "array_shapes",
     "counts_match",
     "merge_snapshots",
-    "min_array_names",
 ]
 
-_NUMBER_WIDTH = 48  # register width of every statistic; sums wrap here
-_MIN_SENTINEL = (1 << _NUMBER_WIDTH) - 1
+REGISTER_WIDTH = 48  # every statistics register; counts and sums wrap here
+_MASK = (1 << REGISTER_WIDTH) - 1
 
 
 def _scatter(np, ufunc, size: int, identity: int, index, values) -> List[int]:
@@ -52,6 +61,46 @@ class StatKind(enum.Enum):
     AVG = "avg"
 
 
+class Lane(NamedTuple):
+    """One register array of a statistic and the algebra its cells
+    fold under: ``combine`` is a commutative monoid on the cells of a
+    ``REGISTER_WIDTH``-bit register with unit ``identity``, ``ufunc``
+    the numpy ufunc that computes it over many contributions, ``rmw``
+    and ``bulk`` the :class:`~repro.switch.registers.RegisterArray`
+    ops that apply it to one cell and cell-wise to a vector."""
+
+    identity: int  # idle cell: reset writes it, a merge keeps it
+    combine: Callable[[int, int], int]
+    ufunc: str
+    scales: bool  # a row of multiplicity m contributes m times
+    rmw: str
+    bulk: str
+    suffix: str = ""  # snapshot array name = spec name + suffix
+    tally: bool = False  # a row contributes 1 (an occurrence)
+
+
+def _add_wrapped(a: int, b: int) -> int:
+    return (a + b) & _MASK
+
+
+_SUM = Lane(0, _add_wrapped, "add", True, "add", "add_vector")
+# MIN's identity is the all-ones cell, at or above every cell value.
+_MIN = Lane(_MASK, min, "minimum", False, "update_min", "min_vector")
+_MAX = Lane(0, max, "maximum", False, "update_max", "max_vector")
+
+# Each kind's lanes.  AVG is two SUM lanes, its sum and its count.
+REGISTER_LANES: Dict[StatKind, Tuple[Lane, ...]] = {
+    StatKind.COUNT_BY_CLASS: (_SUM._replace(tally=True),),
+    StatKind.SUM: (_SUM,),
+    StatKind.MIN: (_MIN,),
+    StatKind.MAX: (_MAX,),
+    StatKind.AVG: (
+        _SUM._replace(suffix=".sum"),
+        _SUM._replace(suffix=".count", tally=True),
+    ),
+}
+
+
 @dataclass(frozen=True)
 class StatSpec:
     """One requested statistic over a feature.
@@ -66,21 +115,30 @@ class StatSpec:
     group_by: Optional[str] = None
 
 
+def array_lanes(specs: Iterable[StatSpec]) -> Dict[str, Lane]:
+    """Snapshot array name -> lane, for every array ``specs``
+    allocate (in allocation order)."""
+    return {
+        spec.name + lane.suffix: lane
+        for spec in specs
+        for lane in REGISTER_LANES[spec.kind]
+    }
+
+
 def array_shapes(
     schema: CookieSchema, spec: StatSpec
 ) -> List[Tuple[str, int]]:
     """``(snapshot array name, cell count)`` of the register arrays
-    one spec allocates."""
-    groups = (
+    one spec allocates: a cell per group, times a cell per class for
+    a class count."""
+    cells = (
         schema.feature(spec.group_by).cardinality if spec.group_by else 1
     )
     if spec.kind is StatKind.COUNT_BY_CLASS:
-        return [
-            (spec.name, groups * schema.feature(spec.feature).cardinality)
-        ]
-    if spec.kind is StatKind.AVG:
-        return [(spec.name + ".sum", groups), (spec.name + ".count", groups)]
-    return [(spec.name, groups)]
+        cells *= schema.feature(spec.feature).cardinality
+    return [
+        (spec.name + lane.suffix, cells) for lane in REGISTER_LANES[spec.kind]
+    ]
 
 
 class SwitchStatistics:
@@ -95,75 +153,63 @@ class SwitchStatistics:
     ):
         self.schema = schema
         self.specs = list(specs)
-        self._registers = registers
+        self.lanes = array_lanes(self.specs)
         self._arrays: Dict[str, Any] = {}
         self.updates = 0
         for spec in self.specs:
             self._validate_spec(spec)
-            self._allocate(spec, prefix)
-        # Per-spec report keys, precomputed once (schema and specs are
-        # fixed after construction).  report_from_snapshot runs per
-        # merged packet on the AggSwitch, so rendering must not redo
-        # schema lookups or key construction.
+            for name, size in array_shapes(schema, spec):
+                array = registers.allocate(
+                    "%s.%s" % (prefix, name), size, REGISTER_WIDTH
+                )
+                array.fill(self.lanes[name].identity)
+                self._arrays[name] = array
+        # Per spec, resolved once (schema and specs are fixed after
+        # construction), so no hot path redoes schema lookups: its
+        # report keys (report_from_snapshot runs per merged packet on
+        # the AggSwitch), and the plan update and fold_rows run by —
+        # (feature column, group column or -1, class cardinality or 0,
+        # min_value, lane ops, feature, group feature or None), the
+        # ops one (tally, scales, bound one-cell op, array, lane) per
+        # lane.  A class count indexes its cells by class within the
+        # group, every other kind by group alone.
         self._report_keys: List[Tuple[StatSpec, List[Any]]] = []
+        self._fold_plan: List[Tuple[Any, ...]] = []
+        names = schema.feature_names()
         for spec in self.specs:
-            feature = self.schema.feature(spec.feature)
-            groups = (
-                list(self.schema.feature(spec.group_by).classes)
-                if spec.group_by
-                else [None]
+            feature = schema.feature(spec.feature)
+            group = (
+                schema.feature(spec.group_by)
+                if spec.group_by is not None else None
             )
+            groups = [None] if group is None else list(group.classes)
+            card = 0
             if spec.kind is StatKind.COUNT_BY_CLASS:
+                card = feature.cardinality
                 keys = [
-                    cls if group is None else (group, cls)
-                    for group in groups
+                    cls if g is None else (g, cls)
+                    for g in groups
                     for cls in feature.classes
                 ]
             else:
-                keys = [
-                    group if group is not None else "all" for group in groups
-                ]
+                keys = [g if g is not None else "all" for g in groups]
             self._report_keys.append((spec, keys))
-        # Per-spec resolved features, precomputed once: the update hot
-        # path must not re-run schema lookups per packet per spec.
-        self._spec_rows: List[
-            Tuple[StatSpec, Any, Optional[Any]]
-        ] = [
-            (
-                spec,
-                self.schema.feature(spec.feature),
-                self.schema.feature(spec.group_by)
-                if spec.group_by is not None
-                else None,
-            )
-            for spec in self.specs
-        ]
-        # The same specs resolved to wire-row columns for fold_rows:
-        # (kind, feature column, group column or -1, cardinality,
-        # min_value, array, AVG count array).
-        names = self.schema.feature_names()
-        self._fold_plan: List[Tuple[Any, ...]] = [
-            (
-                spec.kind,
+            ops = []
+            for lane in REGISTER_LANES[spec.kind]:
+                array = self._arrays[spec.name + lane.suffix]
+                ops.append((
+                    lane.tally, lane.scales, getattr(array, lane.rmw),
+                    array, lane,
+                ))
+            self._fold_plan.append((
                 names.index(spec.feature),
-                names.index(spec.group_by) if group is not None else -1,
-                feature.cardinality,
-                feature.min_value,
-                self._arrays[
-                    spec.name + ".sum" if spec.kind is StatKind.AVG
-                    else spec.name
-                ],
-                self._arrays[spec.name + ".count"]
-                if spec.kind is StatKind.AVG else None,
-            )
-            for spec, feature, group in self._spec_rows
-        ]
+                -1 if group is None else names.index(group.name),
+                card, feature.min_value, tuple(ops), feature, group,
+            ))
         # The numpy form needs every wire integer inside int64.
         self._rows_fit_int64 = all(
-            feature.bits < 64 for feature in self.schema.features
+            feature.bits < 64 for feature in schema.features
         )
-
-    # -- setup ------------------------------------------------------------
 
     def _validate_spec(self, spec: StatSpec) -> None:
         feature = self.schema.feature(spec.feature)
@@ -184,45 +230,29 @@ class SwitchStatistics:
                     "%s: group_by needs a class feature" % spec.name
                 )
 
-    def _allocate(self, spec: StatSpec, prefix: str) -> None:
-        for name, size in array_shapes(self.schema, spec):
-            array = self._registers.allocate(
-                "%s.%s" % (prefix, name), size, _NUMBER_WIDTH
-            )
-            if spec.kind is StatKind.MIN:
-                array.fill(_MIN_SENTINEL)
-            self._arrays[name] = array
-
     # -- update path (per decoded cookie) ------------------------------------
 
     def update(self, values: Dict[str, Any]) -> None:
         """Fold one decoded cookie's values into the registers."""
         self.updates += 1
-        for spec, feature, group in self._spec_rows:
-            if spec.feature not in values:
+        for _, _, card, _, ops, feature, group in self._fold_plan:
+            if feature.name not in values:
                 continue
             if group is None:
-                group_index = 0
-            elif spec.group_by not in values:
+                index = 0
+            elif group.name not in values:
                 continue
             else:
-                group_index = group.encode_value(values[spec.group_by])
-            if spec.kind is StatKind.COUNT_BY_CLASS:
-                wire = feature.encode_value(values[spec.feature])
-                self._arrays[spec.name].add(
-                    group_index * feature.cardinality + wire
+                index = group.encode_value(values[group.name])
+            if card:
+                index = index * card + feature.encode_value(
+                    values[feature.name]
                 )
+                raw = 1
             else:
-                raw = int(values[spec.feature])
-                if spec.kind is StatKind.SUM:
-                    self._arrays[spec.name].add(group_index, raw)
-                elif spec.kind is StatKind.MIN:
-                    self._arrays[spec.name].update_min(group_index, raw)
-                elif spec.kind is StatKind.MAX:
-                    self._arrays[spec.name].update_max(group_index, raw)
-                elif spec.kind is StatKind.AVG:
-                    self._arrays[spec.name + ".sum"].add(group_index, raw)
-                    self._arrays[spec.name + ".count"].add(group_index)
+                raw = int(values[feature.name])
+            for tally, _, rmw, _, _ in ops:
+                rmw(index, 1 if tally else raw)
 
     def fold_rows(self, rows, counts=None) -> None:
         """Columnar fold: ``rows[i]`` is the wire row of one decoded
@@ -234,13 +264,14 @@ class SwitchStatistics:
         int64 matrix (the AggSwitch parses its payloads to one).
 
         Bit-identical to :meth:`update` called ``counts[i]`` times on
-        row ``i``'s decoded values, in any order: counts and sums scale
-        linearly (addition is associative modulo the register mask),
-        min/max are idempotent.  The wire integers index the registers
-        directly (``group * cardinality + class``), as on the switch
-        ALU.  From ``VECTOR_MIN_ROWS`` rows up, with numpy on, each
-        spec is one column compare plus one scatter; below, the same
-        integer arithmetic runs row by row.
+        row ``i``'s decoded values, in any order: each lane's combine
+        is a commutative monoid (:data:`REGISTER_LANES`), so a scaling
+        lane takes ``counts[i]`` times the row's contribution at once
+        and an idempotent one takes it once.  The wire integers index
+        the registers directly (``group * cardinality + class``), as
+        on the switch ALU.  From ``VECTOR_MIN_ROWS`` rows up, with
+        numpy on, each lane is one column compare plus one scatter by
+        its ufunc; below, the same integer arithmetic runs row by row.
         """
         n = len(rows)
         if counts is not None and len(counts) != n:
@@ -265,26 +296,22 @@ class SwitchStatistics:
         if np is None:
             if matrix is not None:
                 rows = matrix.tolist()
+            plan = self._fold_plan
             for row, times in zip(
                 rows, repeat(1) if counts is None else counts
             ):
-                for kind, column, by, card, low, array, tally in (
-                    self._fold_plan
-                ):
+                for column, by, card, low, ops, _, _ in plan:
                     wire = row[column]
                     group = row[by] if by >= 0 else 0
                     if wire < 0 or group < 0:
                         continue
-                    if kind is StatKind.COUNT_BY_CLASS:
-                        array.add(group * card + wire, times)
-                    elif kind is StatKind.MIN:
-                        array.update_min(group, wire + low)
-                    elif kind is StatKind.MAX:
-                        array.update_max(group, wire + low)
-                    else:  # SUM, and AVG's sum half
-                        array.add(group, (wire + low) * times)
-                        if tally is not None:
-                            tally.add(group, times)
+                    for tally, scales, rmw, _, _ in ops:
+                        if tally:
+                            rmw(group * card + wire if card else group, times)
+                        elif scales:
+                            rmw(group, (wire + low) * times)
+                        else:
+                            rmw(group, wire + low)
             return
         if matrix is None:
             matrix = row_matrix(np, rows, width)
@@ -293,36 +320,27 @@ class SwitchStatistics:
             else np.array(counts, dtype=np.int64)
         )
         ungrouped = np.zeros(n, dtype=np.int64)
-        for kind, column, by, card, low, array, tally in self._fold_plan:
+        for column, by, card, low, ops, _, _ in self._fold_plan:
             wire = matrix[:, column]
             index = matrix[:, by] if by >= 0 else ungrouped
             present = (wire >= 0) & (index >= 0)
             wire, index = wire[present], index[present]
             times = weights[present]
-            if kind is StatKind.COUNT_BY_CLASS:
-                array.add_vector(_scatter(
-                    np, np.add, array.size, 0, index * card + wire, times
+            if card:
+                index = index * card + wire
+            for tally, scales, _, array, lane in ops:
+                values = times
+                if not tally:
+                    # Masked like the scalar RMWs mask each value; int64
+                    # wraps modulo 2**64, a multiple of the register
+                    # width.
+                    values = (wire + (low & _MASK)) & _MASK
+                    if scales:
+                        values = values * times
+                getattr(array, lane.bulk)(_scatter(
+                    np, getattr(np, lane.ufunc), array.size, lane.identity,
+                    index, values,
                 ))
-                continue
-            # Masked like the scalar RMWs mask each value; int64 wraps
-            # modulo 2**64, a multiple of every register width.
-            raw = (wire + (low & array.mask)) & array.mask
-            if kind is StatKind.MIN:
-                array.min_vector(_scatter(
-                    np, np.minimum, array.size, array.mask, index, raw
-                ))
-            elif kind is StatKind.MAX:
-                array.max_vector(_scatter(
-                    np, np.maximum, array.size, 0, index, raw
-                ))
-            else:
-                array.add_vector(_scatter(
-                    np, np.add, array.size, 0, index, raw * times
-                ))
-                if tally is not None:
-                    tally.add_vector(_scatter(
-                        np, np.add, tally.size, 0, index, times
-                    ))
 
     # -- read-out ---------------------------------------------------------------
 
@@ -333,15 +351,9 @@ class SwitchStatistics:
         }
 
     def reset(self) -> None:
-        """Period-boundary reset of all arrays."""
-        for spec in self.specs:
-            if spec.kind is StatKind.AVG:
-                self._arrays[spec.name + ".sum"].reset()
-                self._arrays[spec.name + ".count"].reset()
-            elif spec.kind is StatKind.MIN:
-                self._arrays[spec.name].fill(_MIN_SENTINEL)
-            else:
-                self._arrays[spec.name].reset()
+        """Period-boundary reset of all arrays to their identities."""
+        for name, lane in self.lanes.items():
+            self._arrays[name].fill(lane.identity)
         self.updates = 0
 
     def report(self) -> Dict[str, Any]:
@@ -354,25 +366,30 @@ class SwitchStatistics:
     ) -> Dict[str, Any]:
         """Render a raw snapshot (this statistics program's shape, but
         possibly merged from several shards/switches) the way
-        :meth:`report` renders the live registers."""
+        :meth:`report` renders the live registers.  A two-lane
+        statistic (AVG) renders its sum over its count, ``None`` at a
+        zero count; a one-lane statistic its cells, MIN's idle
+        sentinel as ``None``."""
         out: Dict[str, Any] = {}
         for spec, keys in self._report_keys:
-            if spec.kind is StatKind.COUNT_BY_CLASS:
-                out[spec.name] = dict(zip(keys, snapshot[spec.name]))
-            elif spec.kind is StatKind.AVG:
-                sums = snapshot[spec.name + ".sum"]
-                counts = snapshot[spec.name + ".count"]
+            lanes = REGISTER_LANES[spec.kind]
+            if len(lanes) == 2:
+                sums, counts = (
+                    snapshot[spec.name + lane.suffix] for lane in lanes
+                )
                 out[spec.name] = {
                     key: sums[gi] / counts[gi] if counts[gi] else None
                     for gi, key in enumerate(keys)
                 }
-            elif spec.kind is StatKind.MIN:
-                out[spec.name] = {
-                    key: None if value == _MIN_SENTINEL else value
-                    for key, value in zip(keys, snapshot[spec.name])
-                }
-            else:
-                out[spec.name] = dict(zip(keys, snapshot[spec.name]))
+                continue
+            cells = snapshot[spec.name]
+            # A nonzero identity (MIN's sentinel) is no value at all; an
+            # idle count, sum or maximum reads 0.
+            blank = lanes[0].identity or None
+            out[spec.name] = dict(zip(keys, cells)) if blank is None else {
+                key: None if value == blank else value
+                for key, value in zip(keys, cells)
+            }
         return out
 
     def load_snapshot(self, snapshot: Dict[str, List[int]]) -> None:
@@ -384,55 +401,36 @@ class SwitchStatistics:
             # of cells.
             self._arrays[name].load(cells)
 
-
     def load_report(self, report: Dict[str, Any]) -> None:
         """Inverse of :meth:`report`: overwrite the registers so that
         :meth:`report` returns ``report``.  This is the section-6
         reconcile step — the analytics re-run on the complete
         web-server-side data replaces a drifted in-network aggregate.
 
-        AVG statistics are restored as (value, 1) sum/count pairs: the
+        A missing or ``None`` cell restores each lane's identity.  AVG
+        statistics are restored as (value, 1) sum/count pairs: the
         average itself is preserved even though the original update
         count is unrecoverable from a report.
         """
-        for spec in self.specs:
+        for spec, keys in self._report_keys:
             cells_map = report.get(spec.name)
             if cells_map is None:
                 continue
-            feature = self.schema.feature(spec.feature)
-            groups = (
-                list(self.schema.feature(spec.group_by).classes)
-                if spec.group_by
-                else [None]
-            )
-            if spec.kind is StatKind.COUNT_BY_CLASS:
-                classes = list(feature.classes)
-                array = self._arrays[spec.name]
-                for gi, group in enumerate(groups):
-                    for ci, cls in enumerate(classes):
-                        key = cls if group is None else (group, cls)
+            lanes = [
+                (self._arrays[spec.name + lane.suffix], lane)
+                for lane in REGISTER_LANES[spec.kind]
+            ]
+            for index, key in enumerate(keys):
+                value = cells_map.get(key)
+                for array, lane in lanes:
+                    if value is None:
+                        array.write(index, lane.identity)
+                    elif len(lanes) == 2:  # AVG: (value, 1)
                         array.write(
-                            gi * len(classes) + ci,
-                            int(cells_map.get(key, 0) or 0),
+                            index, 1 if lane.tally else int(round(value))
                         )
-            elif spec.kind is StatKind.AVG:
-                sums = self._arrays[spec.name + ".sum"]
-                counts = self._arrays[spec.name + ".count"]
-                for gi, group in enumerate(groups):
-                    value = cells_map.get(group if group is not None else "all")
-                    if value is None:
-                        sums.write(gi, 0)
-                        counts.write(gi, 0)
                     else:
-                        sums.write(gi, int(round(value)))
-                        counts.write(gi, 1)
-            else:
-                array = self._arrays[spec.name]
-                for gi, group in enumerate(groups):
-                    value = cells_map.get(group if group is not None else "all")
-                    if value is None:
-                        value = _MIN_SENTINEL if spec.kind is StatKind.MIN else 0
-                    array.write(gi, int(value))
+                        array.write(index, int(value))
 
 
 def merge_snapshots(
@@ -440,39 +438,21 @@ def merge_snapshots(
     a: Dict[str, List[int]],
     b: Dict[str, List[int]],
 ) -> Dict[str, List[int]]:
-    """AggSwitch-side merge of two raw snapshots: counts and sums add
-    modulo the register width (``2 ** _NUMBER_WIDTH``, where
-    :meth:`RegisterArray.add` wraps), minima take min, maxima take
+    """AggSwitch-side merge of two raw snapshots, cell by cell under
+    each array's lane combine (:func:`array_lanes`): counts and sums
+    add modulo ``2 ** REGISTER_WIDTH``, minima take min, maxima take
     max.  So folding the snapshots of any split of one stream gives
     the snapshot one bank fed the whole stream holds."""
-    mask = (1 << _NUMBER_WIDTH) - 1
     out: Dict[str, List[int]] = {}
-    kinds: Dict[str, StatKind] = {}
-    for spec in specs:
-        if spec.kind is StatKind.AVG:
-            kinds[spec.name + ".sum"] = StatKind.SUM
-            kinds[spec.name + ".count"] = StatKind.SUM
-        else:
-            kinds[spec.name] = spec.kind
-    for name, kind in kinds.items():
+    for name, lane in array_lanes(specs).items():
         left, right = a.get(name), b.get(name)
         if left is None or right is None:
             out[name] = list(left or right or [])
             continue
         if len(left) != len(right):
             raise ValueError("snapshot shape mismatch for %r" % name)
-        if kind is StatKind.MIN:
-            out[name] = [min(x, y) for x, y in zip(left, right)]
-        elif kind is StatKind.MAX:
-            out[name] = [max(x, y) for x, y in zip(left, right)]
-        else:
-            out[name] = [(x + y) & mask for x, y in zip(left, right)]
+        out[name] = list(map(lane.combine, left, right))
     return out
-
-
-def min_array_names(specs: List[StatSpec]) -> set:
-    """Names of snapshot arrays whose idle value is the MIN sentinel."""
-    return {spec.name for spec in specs if spec.kind is StatKind.MIN}
 
 
 def counts_match(

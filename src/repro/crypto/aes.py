@@ -39,6 +39,7 @@ __all__ = [
     "decrypt_cbc_matrix",
     "pkcs7_pad_matrix",
     "pkcs7_sizes",
+    "random_bytes",
     "BLOCK_SIZE",
 ]
 
@@ -251,6 +252,16 @@ def pkcs7_unpad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
 
 
 # -- modes of operation --------------------------------------------------
+
+
+def random_bytes(rng, count: int) -> bytes:
+    """The next ``count`` bytes of ``rng`` (a :class:`random.Random`)
+    in one draw: the top byte of each of ``count`` 32-bit Mersenne
+    Twister words (a long draw is filled from its lowest word up) —
+    the bytes, and the generator state afterwards, of ``count``
+    ``getrandbits(8)`` calls.  CBC IVs and cookie framing come from
+    here."""
+    return rng.getrandbits(32 * count).to_bytes(4 * count, "little")[3::4]
 
 
 def _as_cipher(key) -> "AES":

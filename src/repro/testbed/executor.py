@@ -4,8 +4,8 @@ A multi-pipe switch processes independent traffic shards in parallel
 hardware; this module is the repo's one model of that: it fans
 hash-partitioned packet streams over seeded switch *replicas* and
 folds the resulting register snapshots with the register algebra
-(:func:`repro.core.stats.merge_snapshots`: counts and sums add modulo
-the register width, minima and maxima take min and max).
+(:data:`repro.core.stats.REGISTER_LANES`, applied cell by cell by
+:func:`~repro.core.stats.merge_snapshots`).
 
 A replica is reached over one of two **transports**: an in-process
 call (:func:`_run_shard_epoch`) or a long-lived ring-fed worker

@@ -12,8 +12,8 @@ from repro.core.stats import (
     StatKind,
     StatSpec,
     SwitchStatistics,
+    array_lanes,
     merge_snapshots,
-    min_array_names,
 )
 from repro.switch import columns
 from repro.switch.registers import RegisterFile
@@ -373,24 +373,24 @@ class TestFlattenRoundtrip:
         stats.update({"campaign": "c1", "gender": "x", "demand": 123})
         stats.update({"campaign": "c0", "gender": "f", "demand": 7})
         snapshot = stats.snapshot()
-        mins = min_array_names(_specs())
-        items = flatten_snapshot(snapshot, mins)
-        rebuilt = unflatten_snapshot(items, snapshot, mins)
+        lanes = array_lanes(_specs())
+        items = flatten_snapshot(snapshot, lanes)
+        rebuilt = unflatten_snapshot(items, snapshot, lanes)
         assert rebuilt == snapshot
 
     def test_min_sentinel_preserved_when_idle(self):
         stats = _stats()
         stats.update({"campaign": "c0", "gender": "f"})  # no demand
         snapshot = stats.snapshot()
-        mins = min_array_names(_specs())
-        items = flatten_snapshot(snapshot, mins)
-        rebuilt = unflatten_snapshot(items, snapshot, mins)
+        lanes = array_lanes(_specs())
+        items = flatten_snapshot(snapshot, lanes)
+        rebuilt = unflatten_snapshot(items, snapshot, lanes)
         assert rebuilt["demand_min"] == snapshot["demand_min"]
 
     def test_zero_cells_skipped(self):
         stats = _stats()
         stats.update({"campaign": "c0", "gender": "f"})
-        items = flatten_snapshot(stats.snapshot(), min_array_names(_specs()))
+        items = flatten_snapshot(stats.snapshot(), array_lanes(_specs()))
         # Only the one count cell (plus nothing else) is non-idle.
         assert len(items) == 1
 
@@ -413,5 +413,11 @@ class TestFlattenRoundtrip:
         del arrays["s64"]
         assert flatten_snapshot(arrays)[-1] == (63 << 10, 64)
 
-    def test_min_array_names(self):
-        assert min_array_names(_specs()) == {"demand_min"}
+    def test_array_lanes(self):
+        """Every array the specs allocate has a lane, and only the MIN
+        array idles at a nonzero identity."""
+        lanes = array_lanes(_specs())
+        assert list(lanes) == list(_stats().snapshot())
+        assert {name for name, lane in lanes.items() if lane.identity} == {
+            "demand_min"
+        }
