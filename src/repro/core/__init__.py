@@ -51,6 +51,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "switch_join": ("JoinKind", "JoinedRow", "SwitchJoinTable"),
     "transport_cookie": ("DecodedTransportCookie", "TransportCookieCodec"),
-    "user_stats": ("UserEngagementTracker", "UserQuantileConfig"),
     "web_server": ("CookieUpdateFn", "ServedResponse", "SnatchWebServer"),
 })

@@ -30,7 +30,6 @@ from repro.core.aggregation import (
 )
 from repro.core.larkswitch import unflatten_snapshot
 from repro.core.schema import CookieSchema
-from repro.core.user_stats import UserEngagementTracker, UserQuantileConfig
 from repro.core.stats import (
     REGISTER_WIDTH,
     StatSpec,
@@ -73,9 +72,6 @@ class _AggApp:
     stats: SwitchStatistics
     destination: str = "analytics"
     packets_merged: int = 0
-    # Cumulative per-user engagement tracker (absorbs LarkSwitch
-    # period drains; not reset by periodical write-backs).
-    users: Optional[UserEngagementTracker] = None
 
 
 def _wire_row(
@@ -380,7 +376,6 @@ class AggSwitch:
         key: bytes,
         specs: List[StatSpec],
         destination: str = "analytics",
-        user_quantiles: Optional[UserQuantileConfig] = None,
     ) -> None:
         if app_id in self._apps:
             raise ValueError("app-ID %d already registered" % app_id)
@@ -390,14 +385,6 @@ class AggSwitch:
         stats = SwitchStatistics(
             schema, specs, self.pipeline.registers, prefix=prefix
         )
-        users = None
-        if user_quantiles is not None:
-            users = UserEngagementTracker(
-                user_quantiles,
-                name="%s.users" % prefix,
-                registers=self.pipeline.registers
-                if user_quantiles.mode == "sketch" else None,
-            )
         self._apps[app_id] = _AggApp(
             app_id=app_id,
             schema=schema,
@@ -405,7 +392,6 @@ class AggSwitch:
             codec=AggregationCodec(app_id, key, self._rng),
             stats=stats,
             destination=destination,
-            users=users,
         )
         self._match_table.insert(
             TableEntry((SNATCH_SID, app_id), "snatch_merge", {"app_id": app_id})
@@ -700,40 +686,10 @@ class AggSwitch:
         return self._apps[app_id].stats.snapshot()
 
     def report(self, app_id: int) -> Dict[str, Any]:
-        """The aggregated analytics result for an application.  Apps
-        with an engagement tracker get a ``"user_engagement"`` block
-        alongside the per-spec results."""
+        """The aggregated analytics result for an application."""
         if app_id not in self._apps:
             raise KeyError("no application %d registered" % app_id)
-        app = self._apps[app_id]
-        report = app.stats.report()
-        if app.users is not None:
-            report["user_engagement"] = app.users.report()
-        return report
-
-    # -- per-user engagement (bounded-memory scale path) -----------------------
-
-    def absorb_user_stats(
-        self, app_id: int, snapshot: Optional[Dict[str, Any]]
-    ) -> None:
-        """Fold a LarkSwitch :meth:`~repro.core.larkswitch.LarkSwitch.
-        drain_user_stats` payload into the cumulative tracker.  A
-        ``None`` payload (upstream app has no tracker, or an empty
-        drain) is a no-op."""
-        if snapshot is None:
-            return
-        app = self._apps.get(app_id)
-        if app is None:
-            raise KeyError("no application %d registered" % app_id)
-        if app.users is None:
-            raise ValueError(
-                "application %d has no user-engagement tracker" % app_id
-            )
-        app.users.absorb(snapshot)
-
-    def user_report(self, app_id: int) -> Optional[Dict[str, Any]]:
-        app = self._apps[app_id]
-        return app.users.report() if app.users is not None else None
+        return self._apps[app_id].stats.report()
 
     def reset(self, app_id: int) -> None:
         """Period-boundary reset after delivering results."""
@@ -757,13 +713,8 @@ class AggSwitch:
     def checkpoint(self, app_id: int) -> Dict[str, Any]:
         """The register snapshot as a checkpoint unit.  Same
         data as :meth:`merge`; named separately so checkpoint call
-        sites read as what they are.  Engagement-tracker state rides
-        along under the reserved ``"user_quantiles"`` key."""
-        snapshot: Dict[str, Any] = self.merge(app_id)
-        app = self._apps[app_id]
-        if app.users is not None:
-            snapshot["user_quantiles"] = app.users.snapshot()
-        return snapshot
+        sites read as what they are."""
+        return self.merge(app_id)
 
     def restore(self, app_id: int, snapshot: Dict[str, Any]) -> None:
         """Inverse of :meth:`checkpoint` for crash recovery: the
@@ -771,8 +722,4 @@ class AggSwitch:
         app = self._apps.get(app_id)
         if app is None:
             raise KeyError("no application %d registered" % app_id)
-        snapshot = dict(snapshot)
-        user_state = snapshot.pop("user_quantiles", None)
         app.stats.load_snapshot(snapshot)
-        if user_state is not None and app.users is not None:
-            app.users.load_snapshot(user_state)

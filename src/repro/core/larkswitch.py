@@ -26,7 +26,7 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, islice, repeat
 from operator import add
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -50,7 +50,6 @@ from repro.core.transport_cookie import (
     COOKIE_BYTE_START,
     TransportCookieCodec,
 )
-from repro.core.user_stats import UserEngagementTracker, UserQuantileConfig
 from repro.crypto.aes import decrypt_blocks_many
 from repro.obs.registry import MetricsRegistry
 from repro.quic.connection_id import ConnectionID, MAX_CONNECTION_ID_BYTES
@@ -84,6 +83,13 @@ __all__ = [
     "lark_process_raw",
 ]
 
+# The decode memo's fixed bound, in entries.  The memo gains one entry
+# per client encode miss (each re-encode draws fresh padding, so a new
+# cookie), so it needs a bound on any long stream; this one sits above
+# the largest memo a ledger repetition reaches (25.5k on ad-cold-b32),
+# so none of them evicts.
+DECODE_MEMO_BOUND = 1 << 16
+
 
 @dataclass
 class RegisteredApp:
@@ -100,22 +106,6 @@ class RegisteredApp:
     dedup: Optional[BloomFilter] = None
     digest_features: List[str] = field(default_factory=list)
     version: int = 0
-    users: Optional[UserEngagementTracker] = None
-
-    def user_key(
-        self, region: bytes, values: Dict[str, Any]
-    ) -> Optional[bytes]:
-        """The identity this app's engagement tracker keys on: the
-        configured feature's decoded value when one is named (the
-        cookie region is not unique per user for low-cardinality
-        schemas), else the preserved cookie region bytes."""
-        feature = self.users.config.key_feature if self.users else None
-        if feature is None:
-            return region
-        value = values.get(feature)
-        if value is None:
-            return None
-        return int(value).to_bytes(8, "big")
 
     @cached_property
     def digest_columns(self) -> List[Tuple[int, Any]]:
@@ -128,26 +118,6 @@ class RegisteredApp:
             for name in self.digest_features
             if name in names
         ]
-
-    @cached_property
-    def _user_key_column(self) -> Optional[int]:
-        name = self.users.config.key_feature if self.users else None
-        if name is None:
-            return None
-        return self.schema.feature_names().index(name)
-
-    def user_key_of_row(
-        self, region: bytes, row: Tuple[int, ...]
-    ) -> Optional[bytes]:
-        """:meth:`user_key` from a cookie's wire row: only the key
-        feature's value is decoded."""
-        column = self._user_key_column
-        if column is None:
-            return region
-        if row[column] < 0:
-            return None
-        value = self.schema.features[column].decode_value(row[column])
-        return int(value).to_bytes(8, "big")
 
 
 @dataclass(slots=True)
@@ -293,8 +263,7 @@ class LarkSwitch:
     """A Snatch-programmed ISP switch."""
 
     def __init__(self, name: str = "lark", rng: Optional[random.Random] = None,
-                 registry: Optional["MetricsRegistry"] = None,
-                 decode_memo_capacity: Optional[int] = None):
+                 registry: Optional["MetricsRegistry"] = None):
         self.name = name
         self.alive = True
         self.crashes = 0
@@ -330,17 +299,9 @@ class LarkSwitch:
         # probe instead of an AES pass).  It persists across batches
         # (decode is pure given an app's codec) and is invalidated on
         # any control-plane change to an app's key/schema; the scalar
-        # path never consults it.
-        # Optional bound on the memo: unbounded is fine for the small
-        # demographic schemas (a few thousand distinct cookies), but a
-        # per-user feature makes distinct cookies grow with the user
-        # population, and the memo with them.  Decode is pure, so a
-        # FIFO bound only costs re-decrypts, never correctness.
-        if decode_memo_capacity is not None and decode_memo_capacity <= 0:
-            raise ValueError("decode_memo_capacity must be positive")
-        self._decode_memo_capacity = decode_memo_capacity
-        # Each entry is the cookie's wire row, or None for a cookie
-        # that fails to decode.
+        # path never consults it.  It holds at most DECODE_MEMO_BOUND
+        # entries, each the cookie's wire row, or None for a cookie that
+        # fails to decode.
         self._decode_memo: Dict[
             Tuple[int, int, bytes], Optional[Tuple[int, ...]]
         ] = {}
@@ -361,13 +322,9 @@ class LarkSwitch:
         dedup: bool = False,
         digest_features: Optional[List[str]] = None,
         version: int = 0,
-        user_quantiles: Optional[UserQuantileConfig] = None,
     ) -> RegisteredApp:
         """Install an application's parameters (table entry, AES key,
-        cookie format, statistics program).  ``user_quantiles``
-        additionally tracks per-user engagement (distinct users +
-        per-user request-count quantiles); in sketch mode the sample's
-        value cells are allocated from this switch's register SRAM."""
+        cookie format, statistics program)."""
         if app_id in self._apps:
             raise ValueError("app-ID %d already registered" % app_id)
         if mode == ForwardingMode.PERIODICAL:
@@ -383,14 +340,6 @@ class LarkSwitch:
         elif mode == ForwardingMode.PER_PACKET:
             check_per_packet_schema(
                 [feature.cardinality for feature in schema.features]
-            )
-        users = None
-        if user_quantiles is not None:
-            users = UserEngagementTracker(
-                user_quantiles,
-                name="%s.app%02x.users" % (self.name, app_id),
-                registers=self.pipeline.registers
-                if user_quantiles.mode == "sketch" else None,
             )
         app = RegisteredApp(
             app_id=app_id,
@@ -411,7 +360,6 @@ class LarkSwitch:
             else None,
             digest_features=list(digest_features or []),
             version=version,
-            users=users,
         )
         self._apps[app_id] = app
         self._app_table.insert(
@@ -479,14 +427,6 @@ class LarkSwitch:
             self._m_decode_failures.inc()
             return
         values = decoded.values
-        if app.users is not None:
-            # Engagement counts every decoded request (dedup below only
-            # shapes the distinct-count statistics, not per-user load).
-            user_key = app.user_key(
-                raw[COOKIE_BYTE_START:COOKIE_BYTE_END], values
-            )
-            if user_key is not None:
-                app.users.observe(user_key)
         if app.dedup is not None:
             # Dedup on the raw encrypted cookie bytes: stable per user
             # across connections (the Snatch CID policy preserves them).
@@ -608,13 +548,15 @@ class LarkSwitch:
             for group, entry in zip(pending, decoded):
                 memo[(app_id, MAX_CONNECTION_ID_BYTES, keys[group])] = entry
                 out[group] = entry
-        cap = self._decode_memo_capacity
-        if cap is not None:
-            # FIFO: insertion order is the only recency signal a plain
-            # dict gives us, and decode is pure, so evicting a hot
-            # entry merely costs one re-decrypt.
-            while len(memo) > cap:
-                del memo[next(iter(memo))]
+        if len(memo) > DECODE_MEMO_BOUND:
+            # Drop the older half in one pass: insertion order is the
+            # only recency a dict keeps, and decode is pure, so an
+            # evicted hot entry costs one re-decrypt.  Evicting one
+            # entry per insert instead re-walks the deleted slots at
+            # the dict's front each time, which is quadratic.
+            stale = len(memo) - DECODE_MEMO_BOUND // 2
+            for key in list(islice(memo, stale)):
+                del memo[key]
         return out
 
     @staticmethod
@@ -713,24 +655,6 @@ class LarkSwitch:
             )
             decoded = self._decode_groups(app, keys, lengths)
             counts = group_counts(inverse, len(keys))
-            if app.users is not None:
-                # Engagement folds per unique cookie group with its
-                # packet multiplicity (dedup below only shapes the
-                # distinct-count statistics).  The sketch sample is a
-                # pure function of the update multiset, so grouped
-                # folds land on the same state as the scalar path's
-                # per-packet observes.
-                user_keys: List[bytes] = []
-                user_counts: List[int] = []
-                for g, row in enumerate(decoded):
-                    if row is None:
-                        continue
-                    ukey = app.user_key_of_row(keys[g], row)
-                    if ukey is None:
-                        continue
-                    user_keys.append(ukey)
-                    user_counts.append(counts[g])
-                app.users.observe_many(user_keys, user_counts)
             live = [row is not None for row in decoded]
             live_counts = list(compress(counts, live))
             decodable = sum(live_counts)
@@ -853,26 +777,6 @@ class LarkSwitch:
     def stats_report(self, app_id: int) -> Dict[str, Any]:
         return self._apps[app_id].stats.report()
 
-    # -- per-user engagement (bounded-memory scale path) -----------------------
-
-    def drain_user_stats(self, app_id: int) -> Optional[Dict[str, Any]]:
-        """Snapshot-and-reset the app's engagement tracker — the
-        period-boundary handoff the AggSwitch absorbs.  The sketch
-        state does *not* ride :func:`flatten_snapshot` (whose tag
-        format caps arrays at 1024 cells and carries no key bytes);
-        it travels as its own snapshot payload.  Returns ``None`` when
-        the app has no tracker."""
-        app = self._apps.get(app_id)
-        if app is None:
-            raise KeyError("no application %d registered" % app_id)
-        if app.users is None:
-            return None
-        return app.users.drain()
-
-    def user_report(self, app_id: int) -> Optional[Dict[str, Any]]:
-        app = self._apps[app_id]
-        return app.users.report() if app.users is not None else None
-
     # -- checkpointing (supervised shard runtime) ------------------------------
 
     def checkpoint(self, app_id: int) -> Dict[str, Any]:
@@ -880,16 +784,11 @@ class LarkSwitch:
         unit the supervised shard runtime persists at epoch flushes.
         The per-kind folds are associative, so a crashed replica
         restored from this and replayed from the matching stream
-        position reproduces the uninterrupted registers cell for cell.
-        When the app tracks per-user engagement, its tracker state
-        rides along under the reserved ``"user_quantiles"`` key."""
+        position reproduces the uninterrupted registers cell for cell."""
         app = self._apps.get(app_id)
         if app is None:
             raise KeyError("no application %d registered" % app_id)
-        snapshot: Dict[str, Any] = app.stats.snapshot()
-        if app.users is not None:
-            snapshot["user_quantiles"] = app.users.snapshot()
-        return snapshot
+        return app.stats.snapshot()
 
     def restore(self, app_id: int, snapshot: Dict[str, Any]) -> None:
         """Inverse of :meth:`checkpoint`: overwrite the registers with a
@@ -897,11 +796,7 @@ class LarkSwitch:
         app = self._apps.get(app_id)
         if app is None:
             raise KeyError("no application %d registered" % app_id)
-        snapshot = dict(snapshot)
-        user_state = snapshot.pop("user_quantiles", None)
         app.stats.load_snapshot(snapshot)
-        if user_state is not None and app.users is not None:
-            app.users.load_snapshot(user_state)
 
 
 def check_flattenable(sizes: Dict[str, int]) -> None:

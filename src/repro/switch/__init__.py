@@ -26,9 +26,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "PipelineResult", "Stage", "SwitchPipeline",
     ),
     "primitives": ("SUPPORTED_OPS", "SwitchALU", "UnsupportedOperationError"),
-    "quantile_sketch": (
-        "SampledQuantileSketch", "capacity_for", "epsilon_for",
-    ),
     "registers": ("RegisterArray", "RegisterFile", "SramExhaustedError"),
     "sketch": ("CountMinSketch", "dimensions_for"),
     "tables": (

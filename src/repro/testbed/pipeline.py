@@ -42,7 +42,6 @@ from repro.core.cookie_cache import CookieEncodeCache
 from repro.core.larkswitch import LarkSwitch
 from repro.core.stats import counts_match
 from repro.core.transport_cookie import TransportCookieCodec
-from repro.core.user_stats import UserQuantileConfig
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.testbed.executor import (
     BACKENDS,
@@ -140,9 +139,6 @@ class PipelineResult:
     dead_letters: int = 0
     # Period-boundary checkpoints taken (checkpoint_every_periods > 0).
     checkpoints: int = 0
-    # Per-user engagement quantiles (user_stats enabled), from the
-    # AggSwitch's cumulative tracker after the final drain.
-    user_report: Optional[Dict[str, Any]] = None
     # Worker fleet (persistent backend): the live map's shard count at
     # end of run (1 without a placement controller), per-shard packet
     # counts folded this run, the controller's rebalance/resize history.
@@ -212,9 +208,6 @@ class StreamingPipeline:
         corrupt_probability: float = 0.0,
         checkpoint_every_periods: int = 0,
         registry: Optional[MetricsRegistry] = None,
-        user_stats: Optional[str] = None,
-        quantile_epsilon: float = 0.05,
-        decode_memo_capacity: Optional[int] = None,
         placement: Optional[PlacementController] = None,
     ):
         if backend not in PIPELINE_BACKENDS:
@@ -231,8 +224,6 @@ class StreamingPipeline:
             raise ValueError("corrupt_probability must be in [0, 1]")
         if checkpoint_every_periods < 0:
             raise ValueError("checkpoint_every_periods must be >= 0")
-        if user_stats is not None and user_stats not in ("exact", "sketch"):
-            raise ValueError("user_stats must be None, 'exact' or 'sketch'")
         self.workload = workload
         self.app_id = app_id
         self.mode = mode
@@ -246,33 +237,13 @@ class StreamingPipeline:
         self._key = bytes(key_rng.getrandbits(8) for _ in range(16))
         schema = workload.schema()
         specs = workload.specs()
-        self.user_stats = user_stats
-        quantiles: Optional[UserQuantileConfig] = None
-        if user_stats is not None:
-            # Key per-user engagement on the workload's explicit user
-            # feature when the schema carries one; otherwise fall back
-            # to the whole cookie region (distinct cookies).
-            key_feature = (
-                "user" if "user" in schema.feature_names() else None
-            )
-            quantiles = UserQuantileConfig(
-                mode=user_stats,
-                epsilon=quantile_epsilon,
-                key_feature=key_feature,
-            )
-        self.lark = LarkSwitch(
-            "lark-pipe",
-            random.Random(1),
-            decode_memo_capacity=decode_memo_capacity,
-        )
+        self.lark = LarkSwitch("lark-pipe", random.Random(1))
         self.lark.register_application(
             app_id, schema, self._key, specs, mode=mode,
-            period_ms=period_ms, user_quantiles=quantiles,
+            period_ms=period_ms,
         )
         self.agg = AggSwitch("agg-pipe", random.Random(2))
-        self.agg.register_application(
-            app_id, schema, self._key, specs, user_quantiles=quantiles
-        )
+        self.agg.register_application(app_id, schema, self._key, specs)
         self.codec = TransportCookieCodec(
             app_id, schema, self._key, random.Random(3)
         )
@@ -385,7 +356,6 @@ class StreamingPipeline:
         payload = self.lark.end_period(self.app_id)
         if payload is not None:
             payloads.append(payload)
-        self._drain_user_stats()
         if self.placement is not None:
             # Period flush == placement epoch boundary: fold the
             # window's bucket loads, maybe rebalance/resize, and
@@ -434,31 +404,14 @@ class StreamingPipeline:
         return snapshot
 
     def _agg_checkpoint(self) -> Dict[str, Any]:
-        if self._fleet is None:
-            return self.agg.checkpoint(self.app_id)
-        # Barrier the fleet (all payloads pushed so far fold first);
-        # a fleet that has not spawned yet has the parent's (empty)
-        # registers.  Then graft the parent-side engagement tracker
-        # on — user stats never cross into the workers.
-        checkpoint = self._drain_fleet()
-        if checkpoint is None:
-            return self.agg.checkpoint(self.app_id)
-        if self.user_stats is not None:
-            parent = self.agg.checkpoint(self.app_id)
-            if "user_quantiles" in parent:
-                checkpoint["user_quantiles"] = parent["user_quantiles"]
-        return checkpoint
-
-    def _drain_user_stats(self) -> None:
-        """Period-boundary engagement handoff: snapshot-and-reset the
-        lark tracker, fold it into the agg's cumulative one.  The
-        sketch merge is exact (bottom-k of a union), so chunking by
-        period changes nothing downstream."""
-        if self.user_stats is None:
-            return
-        self.agg.absorb_user_stats(
-            self.app_id, self.lark.drain_user_stats(self.app_id)
-        )
+        if self._fleet is not None:
+            # Barrier the fleet (all payloads pushed so far fold
+            # first); a fleet that has not spawned yet has the
+            # parent's (empty) registers.
+            checkpoint = self._drain_fleet()
+            if checkpoint is not None:
+                return checkpoint
+        return self.agg.checkpoint(self.app_id)
 
     def _lark_segment(self, cids: Any, lo: int, hi: int) -> List[bytes]:
         """Run one segment through the LarkSwitch; the aggregation
@@ -625,16 +578,11 @@ class StreamingPipeline:
             held = self.injector.flush()  # counted at lark emission
             if held:
                 self._deliver(held, agg_results)
-        # Final engagement handoff (covers per-packet mode, which has
-        # no period flushes; idempotent after a periodical tail flush).
-        self._drain_user_stats()
         if self._fleet is not None:
             # Drain barrier: every pushed payload is folded before the
             # read-out.  The fleet's merged fold snapshot restores into
-            # the local AggSwitch, so report()/merge()/user stats below
-            # run through the same code as the in-process tiers
-            # (restore leaves the parent-side engagement tracker alone
-            # — the snapshot carries no "user_quantiles" key).
+            # the local AggSwitch, so report()/merge() below run
+            # through the same code as the in-process tiers.
             snapshot = self._drain_fleet()
             if snapshot is not None:
                 self.agg.restore(self.app_id, snapshot)
@@ -655,11 +603,6 @@ class StreamingPipeline:
             agg_results=agg_results or [],
             dead_letters=self.dead_letters,
             checkpoints=self._checkpoints_taken,
-            user_report=(
-                self.agg.user_report(self.app_id)
-                if self.user_stats is not None
-                else None
-            ),
             fleet_shards=fleet_shards,
             fleet_shard_packets=(
                 [

@@ -20,6 +20,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "Autoscaler", "ResourceDemandWorkload", "ResourceEventStream",
         "Tenant",
     ),
-    "scale": ("ScaleEventStream", "ScaleWorkload"),
     "ysb": ("YsbEvent", "YsbEventStream", "YsbPipeline", "YsbWorkload"),
 })

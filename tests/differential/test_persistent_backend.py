@@ -201,7 +201,6 @@ def _pipeline_run(backend, seed, mode=ForwardingMode.PERIODICAL,
         result.report,
         result.register_state,
         result.dead_letters,
-        result.user_report,
     ), result
 
 

@@ -20,6 +20,7 @@ import random
 import pytest
 
 from repro.core.aggregation import ForwardingMode
+from repro.core import larkswitch
 from repro.core.larkswitch import LarkSwitch
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.obs.registry import MetricsRegistry
@@ -27,7 +28,8 @@ from repro.switch import columns
 from repro.switch.tables import MatchActionTable, MatchKey, MatchKind
 from repro.testbed.config import Scheme, TestbedConfig
 from repro.testbed.network_testbed import NetworkTestbed
-from repro.workloads.adcampaign import iter_batches
+from repro.testbed.pipeline import StreamingPipeline
+from repro.workloads.adcampaign import AdCampaignWorkload, iter_batches
 
 from tests.differential.workloads import (
     APP_ID,
@@ -203,77 +205,21 @@ def test_lark_values_and_digests_render_from_the_wire_row(shape, seed):
     assert metrics[0] == metrics[1] == emitted
 
 
-@pytest.mark.parametrize("key_feature", ("user", None), ids=("user", "region"))
-@pytest.mark.parametrize("mode", ("exact", "sketch"))
-def test_lark_user_stats_key_on_the_wire_row(mode, key_feature):
-    """A user_stats app: the columnar path derives the engagement key
-    from the wire row (or the cookie region) without rendering values;
-    tracker state, results and rendered values equal the scalar
-    path's.  Some cookies carry no ``user`` feature at all."""
-    from repro.core.user_stats import UserQuantileConfig
-    from repro.workloads.scale import ScaleWorkload
-
-    workload = ScaleWorkload(num_users=500, seed=SEEDS[2])
-    schema, specs = workload.schema(), workload.specs()
-    key = bytes(range(16))
-    codec = TransportCookieCodec(APP_ID, schema, key, random.Random(4))
-    rng = random.Random(5)
-    minted = []
-    for user in range(160):
-        values = workload.semantic_values(user, rng.randrange(8), user % 2)
-        if user % 9 == 0:
-            del values["user"]
-        minted.append(codec.encode(values))
-    cids = [
-        minted[min(int(rng.paretovariate(1.1)) - 1, len(minted) - 1)]
-        for _ in range(PACKETS)
-    ]
-
-    def new_lark():
-        lark = LarkSwitch(
-            "diff-lark", rng=random.Random(6), registry=MetricsRegistry()
-        )
-        lark.register_application(
-            APP_ID, schema, key, specs, mode=ForwardingMode.PERIODICAL,
-            period_ms=1000.0,
-            user_quantiles=UserQuantileConfig(
-                mode=mode, key_feature=key_feature
-            ),
-        )
-        return lark
-
-    scalar, columnar = new_lark(), new_lark()
-    scalar_results = [scalar.process_quic_packet(cid) for cid in cids]
-    columnar_results = []
-    for chunk in iter_batches(cids, 97):
-        columnar_results.extend(columnar.process_quic_columnar(chunk))
-    assert (
-        columnar._apps[APP_ID].users.snapshot()
-        == scalar._apps[APP_ID].users.snapshot()
-    )
-    assert columnar.user_report(APP_ID) == scalar.user_report(APP_ID)
-    # Nothing was rendered to get there.
-    assert all(r._pending is not None for r in columnar_results)
-    assert [r.decoded_values for r in columnar_results] == [
-        r.decoded_values for r in scalar_results
-    ]
-    assert columnar_results == scalar_results
-    assert register_state(columnar) == register_state(scalar)
-
-
-@pytest.mark.parametrize("capacity", (None, 4), ids=("unbounded", "memo-4"))
+@pytest.mark.parametrize("bound", (None, 4), ids=("default", "memo-4"))
 @pytest.mark.parametrize("shape", SHAPES)
-def test_lark_replayed_batch_folds_from_the_memo(shape, capacity):
+def test_lark_replayed_batch_folds_from_the_memo(shape, bound, monkeypatch):
     """The same batch twice: the second pass is all memo hits (or, with
     a four-entry memo, mostly evictions and re-decrypts), so its rows
     and values come out of the memo rather than the codec — and must
     fold and report exactly like 2x the scalar stream."""
+    if bound is not None:
+        monkeypatch.setattr(larkswitch, "DECODE_MEMO_BOUND", bound)
     wl = DifferentialWorkload(SEEDS[1])
     cids = wl.cids(shape, PACKETS)
     scalar = wl.new_lark()
     columnar = LarkSwitch(
         "diff-lark", rng=random.Random(wl.seed + 1),
-        registry=MetricsRegistry(), decode_memo_capacity=capacity,
+        registry=MetricsRegistry(),
     )
     columnar.register_application(
         APP_ID, wl.schema, wl.key, wl.specs,
@@ -283,13 +229,32 @@ def test_lark_replayed_batch_folds_from_the_memo(shape, capacity):
     columnar_results = columnar.process_quic_columnar(cids)
     memo_after_first = dict(columnar._decode_memo)
     columnar_results += columnar.process_quic_columnar(cids)
-    if capacity is None:
+    if bound is None:
         assert columnar._decode_memo == memo_after_first
     else:
-        assert len(columnar._decode_memo) <= capacity
+        assert len(columnar._decode_memo) <= bound
     assert columnar_results == scalar_results
     assert register_state(columnar) == register_state(scalar)
     assert columnar.stats_report(APP_ID) == scalar.stats_report(APP_ID)
+
+
+def test_lark_memo_holds_its_bound_on_a_longer_stream(monkeypatch):
+    """Every encode miss mints a new cookie, so the memo grows with
+    the misses; a stream with many times more of them than the bound
+    keeps the memo within it after every batch, and the evictions cost
+    only re-decrypts: the report still equals the reference fold."""
+    monkeypatch.setattr(larkswitch, "DECODE_MEMO_BOUND", 64)
+    sizes = []
+    pipe = StreamingPipeline(
+        AdCampaignWorkload(num_users=200, seed=SEEDS[0]), seed=SEEDS[0],
+        batch_size=128, cache_capacity=32,
+        on_batch=lambda p, _: sizes.append(len(p.lark._decode_memo)),
+    )
+    result = pipe.run(20_000.0, 200.0)
+    sizes.append(len(pipe.lark._decode_memo))
+    assert result.cache_stats["misses"] > 8 * 64
+    assert max(sizes) <= 64
+    assert result.counts_match_reference()
 
 
 def test_lark_per_packet_payload_bytes_come_from_the_wire_row():
@@ -438,8 +403,6 @@ _BATCH_APPS = (APP_ID, APP_ID + 1)
 
 
 def _batch_lark(wl, apps, mode, dedup, digests):
-    from repro.core.user_stats import UserQuantileConfig
-
     lark = LarkSwitch(
         "diff-lark", rng=random.Random(wl.seed + 1),
         registry=MetricsRegistry(),
@@ -450,7 +413,6 @@ def _batch_lark(wl, apps, mode, dedup, digests):
             period_ms=1000.0 if mode == ForwardingMode.PERIODICAL else 0.0,
             dedup=dedup,
             digest_features=["geo", "campaign"] if digests else None,
-            user_quantiles=UserQuantileConfig(mode="exact"),
         )
     return lark
 
@@ -517,10 +479,6 @@ def _lark_state(lark):
         "bloom": {
             app_id: app.dedup.snapshot()
             for app_id, app in lark._apps.items() if app.dedup is not None
-        },
-        "users": {
-            app_id: app.users.snapshot()
-            for app_id, app in lark._apps.items() if app.users is not None
         },
     }
 

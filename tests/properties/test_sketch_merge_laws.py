@@ -1,23 +1,17 @@
 """Merge laws of the sketches that ride beside the register banks.
 
-``CountMinSketch.merge``, ``SampledQuantileSketch.merge`` and
-``UserEngagementTracker.merge`` promise what the register lanes of
+``CountMinSketch.merge`` promises what the register lanes of
 ``tests/properties/test_register_algebra.py`` promise: an empty sketch
 is the identity, merging is commutative and associative, and merging
 the sketches of any k-way split (k <= 7) of a stream, in any order,
 gives the sketch fed the whole stream.  Sketches are compared by
-state: the snapshot, plus the count-min total.  A sample sketch's
-``evictions`` is left out: it counts the admissions the sketch had to
-undo, which depends on the order updates arrived in, not on the state
-they leave.
+state: the snapshot, plus the count-min total.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.user_stats import UserEngagementTracker, UserQuantileConfig
-from repro.switch.quantile_sketch import SampledQuantileSketch
 from repro.switch.sketch import CountMinSketch
 
 
@@ -34,36 +28,12 @@ class _Sketch:
         return sketch
 
 
-def _sample_state(sketch):
-    snapshot = dict(sketch.snapshot())
-    snapshot.pop("evictions", None)
-    return snapshot
-
-
 SKETCHES = [
     pytest.param(_Sketch(
         lambda: CountMinSketch(width=16, depth=3),
         CountMinSketch.add,
         lambda s: (s.snapshot(), s.total),
     ), id="count-min"),
-    # A capacity below the key space, so merges evict.
-    pytest.param(_Sketch(
-        lambda: SampledQuantileSketch(capacity=6),
-        SampledQuantileSketch.add,
-        _sample_state,
-    ), id="sampled-quantile"),
-    pytest.param(_Sketch(
-        lambda: UserEngagementTracker(UserQuantileConfig()),
-        UserEngagementTracker.observe,
-        _sample_state,
-    ), id="tracker-exact"),
-    pytest.param(_Sketch(
-        lambda: UserEngagementTracker(
-            UserQuantileConfig(mode="sketch", capacity=6)
-        ),
-        UserEngagementTracker.observe,
-        _sample_state,
-    ), id="tracker-sketch"),
 ]
 
 updates = st.tuples(

@@ -12,11 +12,9 @@ from repro.switch import columns
 from repro.workloads.adcampaign import AdCampaignWorkload
 from repro.workloads.crowd import CrowdWorkload
 from repro.workloads.resource import ResourceDemandWorkload
-from repro.workloads.scale import ScaleWorkload
 
 WORKLOADS = {
     "adcampaign": lambda: AdCampaignWorkload(num_users=150, seed=8),
-    "scale": lambda: ScaleWorkload(num_users=5000, seed=8),
     "crowd": lambda: CrowdWorkload(num_members=150, seed=8),
     "resource": lambda: ResourceDemandWorkload(num_tenants=150, seed=8),
 }

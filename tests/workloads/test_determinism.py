@@ -131,10 +131,6 @@ RECORDED_STREAMS = {
         "a8da7f52485ce35299361b8ad63b595d9363308a112a4a5bf48fc135659f521f",
         "aa642ddaaf30688548838f0fd1ddaa5a15cce1a82ea6e0efc0f16be8c67c7130",
     ),
-    "scale": (
-        "2529b1dcc419deef1607db9ec3bae21f70ae3947d3cbb444406db9b412df639e",
-        "875dd9020dc26f5745b3ced8d6778c318506575780891c92e59b1e3601fa0e9b",
-    ),
     "crowd": (
         "728d423ea82758f3cf092896d93769fdd7d87d4e02ed6f8ed4621f428801d701",
         "6539edc6b2aa16ecc390c99238958c168723325dd47721226107674886028d25",
@@ -146,21 +142,13 @@ RECORDED_STREAMS = {
 }
 
 
-def _make_recorded(name):
-    if name == "scale":
-        from repro.workloads.scale import ScaleWorkload
-
-        return ScaleWorkload(num_users=5000, seed=11)
-    return _make(name, 11)
-
-
 @pytest.mark.parametrize("batch", (1, 7, 1024))
 @pytest.mark.parametrize("name", sorted(RECORDED_STREAMS))
 def test_stream_and_rng_state_equal_the_recorded_ones(name, batch):
     import hashlib
     import struct
 
-    workload = _make_recorded(name)
+    workload = _make(name, 11)
     stream = workload.stream(5000.0, 10_000.0)
     times, cols = [], {c: [] for c in stream.column_names}
     while len(times) < 5000:
@@ -179,7 +167,7 @@ def test_stream_and_rng_state_equal_the_recorded_ones(name, batch):
 
 @pytest.mark.parametrize("name", sorted(RECORDED_STREAMS))
 def test_generate_is_generate_batch_of_one(name):
-    one, batch = _make_recorded(name), _make_recorded(name)
+    one, batch = _make(name, 11), _make(name, 11)
     stream_one = one.stream(5000.0, 100.0)
     stream_batch = batch.stream(5000.0, 100.0)
     while True:
