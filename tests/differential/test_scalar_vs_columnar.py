@@ -257,6 +257,102 @@ def test_lark_memo_holds_its_bound_on_a_longer_stream(monkeypatch):
     assert result.counts_match_reference()
 
 
+@pytest.mark.parametrize("bound", (4, 64), ids=("memo-4", "memo-64"))
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_lark_columnar_bit_identical_while_the_memo_evicts(
+    shape, seed, bound, monkeypatch
+):
+    """Eviction only costs re-decrypts: with a memo far smaller than
+    the stream's distinct cookies, results, digests, registers and
+    reports still equal the scalar path's at every chunking."""
+    monkeypatch.setattr(larkswitch, "DECODE_MEMO_BOUND", bound)
+    wl = DifferentialWorkload(seed)
+    scalar, columnar, scalar_results, columnar_results = _run_lark_pair(
+        wl, shape, BATCH_SIZES[seed], ForwardingMode.PERIODICAL
+    )
+    assert len(columnar._decode_memo) <= bound
+    assert columnar_results == scalar_results
+    assert [c.digests for c in columnar_results] == [
+        s.digests for s in scalar_results
+    ]
+    assert register_state(columnar) == register_state(scalar)
+    assert columnar.stats_report(APP_ID) == scalar.stats_report(APP_ID)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:2])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_lark_per_packet_mode_bit_identical_while_the_memo_evicts(
+    shape, seed, monkeypatch
+):
+    """The per-packet payloads draw their IVs in packet order whether
+    a row came from the memo or from a re-decrypt after an eviction."""
+    monkeypatch.setattr(larkswitch, "DECODE_MEMO_BOUND", 4)
+    wl = DifferentialWorkload(seed)
+    scalar, columnar, scalar_results, columnar_results = _run_lark_pair(
+        wl, shape, BATCH_SIZES[seed], ForwardingMode.PER_PACKET
+    )
+    assert len(columnar._decode_memo) <= 4
+    assert columnar_results == scalar_results
+    assert register_state(columnar) == register_state(scalar)
+    assert columnar.stats_report(APP_ID) == scalar.stats_report(APP_ID)
+
+
+@pytest.mark.parametrize("bound", (2, 4, 8, 16))
+@pytest.mark.parametrize("shape", SHAPES)
+def test_lark_memo_drops_its_older_half(shape, bound, monkeypatch):
+    """After every batch the memo holds at most the bound; an eviction
+    drops the oldest entries in one pass down to half the bound, so
+    the entries that survive from before the batch are the newest of
+    them, in their old order, followed by the batch's new entries."""
+    monkeypatch.setattr(larkswitch, "DECODE_MEMO_BOUND", bound)
+    wl = DifferentialWorkload(SEEDS[2])
+    cids = wl.cids(shape, PACKETS)
+    lark = wl.new_lark()
+    evictions = 0
+    for chunk in iter_batches(cids, 16):
+        before = list(lark._decode_memo)
+        lark.process_quic_columnar(chunk)
+        after = list(lark._decode_memo)
+        old = set(before)
+        kept = [key for key in after if key in old]
+        assert len(after) <= bound
+        assert kept == before[len(before) - len(kept):]
+        assert after[:len(kept)] == kept
+        if len(kept) < len(before):
+            evictions += 1
+            assert len(after) == bound // 2
+    assert evictions > 0
+
+
+@pytest.mark.parametrize("change", ("register", "rekey", "revoke"))
+def test_lark_control_plane_change_empties_the_memo(change):
+    """A memo entry is a decode under one app's key and schema, so any
+    control-plane change to the app table empties it, and the columnar
+    path keeps matching the scalar path across the change."""
+    wl = DifferentialWorkload(SEEDS[3])
+    cids = wl.cids("uniform", PACKETS)
+    scalar, columnar = wl.new_lark(), wl.new_lark()
+    scalar_results = [scalar.process_quic_packet(cid) for cid in cids]
+    columnar_results = list(columnar.process_quic_columnar(cids))
+    assert columnar._decode_memo
+    for lark in (scalar, columnar):
+        if change == "register":
+            lark.register_application(
+                APP_ID + 1, wl.schema, wl.wrong_key, wl.specs,
+                mode=ForwardingMode.PERIODICAL, period_ms=1000.0,
+            )
+        elif change == "rekey":
+            lark.rekey_application(APP_ID, wl.wrong_key)
+        else:
+            assert lark.revoke_application(APP_ID)
+    assert columnar._decode_memo == {}
+    scalar_results += [scalar.process_quic_packet(cid) for cid in cids]
+    columnar_results += columnar.process_quic_columnar(cids)
+    assert columnar_results == scalar_results
+    assert register_state(columnar) == register_state(scalar)
+
+
 def test_lark_per_packet_payload_bytes_come_from_the_wire_row():
     """Per-packet items are read off the wire row now, not re-encoded
     from the decoded values: with features absent from some cookies

@@ -11,7 +11,8 @@ workload's ``num_users`` where it has one, else the ten million users
 import pytest
 
 from repro import workloads
-from repro.core.privacy import audit_schema
+from repro.core.privacy import IdentifiabilityError, audit_schema
+from repro.core.schema import CookieSchema, Feature
 
 DEFAULT_POPULATION = 10_000_000
 
@@ -34,3 +35,27 @@ def test_no_feature_is_an_identifier(name):
         if finding.severity == "reject" and finding.feature != "*"
     ]
     assert rejected == []
+
+
+@pytest.mark.parametrize("population", (10**3, 10**4, 10**5, 10**6, 10**7))
+def test_a_population_sized_feature_is_rejected(population):
+    """The audit the shipped workloads pass is not vacuous: a cookie
+    that names one of ``population`` users, beside an ordinary
+    demographic, is rejected on that feature, and on the joint
+    cardinality it drives past the population, at every population;
+    the strict audit refuses the schema outright."""
+    schema = CookieSchema(
+        "per-user",
+        (
+            Feature.categorical("gender", ("f", "m", "x")),
+            Feature.number("user", 0, population - 1),
+        ),
+    )
+    rejected = [
+        finding.feature
+        for finding in audit_schema(schema, population, strict=False)
+        if finding.severity == "reject"
+    ]
+    assert rejected == ["user", "*"]
+    with pytest.raises(IdentifiabilityError):
+        audit_schema(schema, population)
