@@ -45,17 +45,19 @@ def main() -> None:
     next_flush = PERIOD_MS
     for time_ms, member in arrivals:
         while time_ms >= next_flush:
-            payload = lark.end_period(APP_ID)
-            if payload is not None:
+            payloads = lark.end_period(APP_ID)
+            for payload in payloads:
                 agg.process_packet(payload)
+            if payloads:
                 periods += 1
             next_flush += PERIOD_MS
         values = member.semantic_values()
         values["interest"] = dp.perturb(values["interest"])  # local DP
         lark.process_quic_packet(codec.encode(values))
-    payload = lark.end_period(APP_ID)
-    if payload is not None:
+    payloads = lark.end_period(APP_ID)
+    for payload in payloads:
         agg.process_packet(payload)
+    if payloads:
         periods += 1
 
     print("processed %d check-ins over %d periods of %.0f ms"

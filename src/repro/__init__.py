@@ -8,7 +8,7 @@ Subpackages
 ``repro.switch``       P4/Tofino-style programmable-switch model
 ``repro.net``          discrete-event network simulator + fault model
 ``repro.chaos``        scripted fault scenarios + self-healing harness
-``repro.streaming``    Spark-Streaming-like micro-batch engine + queue
+``repro.streaming``    Spark-Streaming-like micro-batch engine
 ``repro.measurement``  synthetic global measurement study
 ``repro.model``        analytic speedup model (paper Eqs. 1-6)
 ``repro.core``         Snatch itself: semantic cookies, LarkSwitch,

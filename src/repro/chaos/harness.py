@@ -304,19 +304,17 @@ class ChaosHarness:
                 continue
             if self.app_id not in device.registered_app_ids():
                 continue
-            payload = device.end_period(self.app_id)
-            if payload is None:
-                continue
-            self.reports_sent += 1
-            self._m_reports.inc()
-            self.network.transmit(source, NetPacket(
-                src=source,
-                dst="agg",
-                protocol="udp",
-                size_bytes=_UDP_HEADER_BYTES + len(payload),
-                payload=payload,
-                created_at_ms=self.sim.now,
-            ))
+            for payload in device.end_period(self.app_id):
+                self.reports_sent += 1
+                self._m_reports.inc()
+                self.network.transmit(source, NetPacket(
+                    src=source,
+                    dst="agg",
+                    protocol="udp",
+                    size_bytes=_UDP_HEADER_BYTES + len(payload),
+                    payload=payload,
+                    created_at_ms=self.sim.now,
+                ))
 
     def _on_report(self, packet: NetPacket, _now: float) -> None:
         if not self.agg.alive or self.app_id not in self.agg.registered_app_ids():

@@ -7,7 +7,8 @@ Subcommands mirror the evaluation:
 * ``breakdown`` — the Figure-1 time-cost breakdown;
 * ``testbed``   — one end-to-end DES run (scheme, INSA, rate, ...);
 * ``measure``   — the synthetic measurement campaign summary;
-* ``table1``    — DStream methods vs INSA support;
+* ``table1``    — DStream methods vs INSA support (classified, not
+  executed);
 * ``carriers``  — the Appendix-B.2 transport-carrier comparison;
 * ``metrics``   — run a chaos workload and dump the observability
   layer's metrics (text table and/or JSON-lines).
@@ -247,7 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print the sim-time span table")
     p.set_defaults(func=_cmd_metrics)
 
-    p = sub.add_parser("table1", help="DStream methods vs INSA support")
+    p = sub.add_parser(
+        "table1",
+        help="DStream methods vs INSA support (classified, not executed)",
+    )
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("carriers", help="transport-carrier comparison")

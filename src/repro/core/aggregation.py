@@ -39,6 +39,7 @@ __all__ = [
     "AggregationCodec",
     "SNATCH_SID",
     "ForwardingMode",
+    "MAX_COUNTED_ITEMS",
     "check_per_packet_schema",
     "unpack_items",
 ]
@@ -47,7 +48,7 @@ SNATCH_SID = 0x5A4E  # "ZN" — the magic identifier
 _MAX_ITEMS = 255
 # The summary byte's top bit is the mode flag.  An item value is one
 # register wide: a periodical item carries one register cell.
-_MAX_COUNTED_ITEMS = 127
+MAX_COUNTED_ITEMS = 127
 _VALUE_BITS = REGISTER_WIDTH
 _VALUE_MASK = (1 << _VALUE_BITS) - 1
 
@@ -76,10 +77,10 @@ def check_per_packet_schema(cardinalities: Sequence[int]) -> None:
     features have these cardinalities fits one per-packet aggregation
     packet: an item per feature under the 7-bit count, every wire
     integer inside an item's 48-bit value."""
-    if len(cardinalities) > _MAX_COUNTED_ITEMS:
+    if len(cardinalities) > MAX_COUNTED_ITEMS:
         raise ValueError(
             "%d features exceed the %d items a per-packet aggregation "
-            "packet can count" % (len(cardinalities), _MAX_COUNTED_ITEMS)
+            "packet can count" % (len(cardinalities), MAX_COUNTED_ITEMS)
         )
     for index, cardinality in enumerate(cardinalities):
         if cardinality > 1 << _VALUE_BITS:
@@ -126,7 +127,7 @@ class AggregationCodec:
         if len(packet.items) > _MAX_ITEMS:
             raise ValueError("too many items: %d" % len(packet.items))
         # Summary byte: mode flag in the top bit, item count in the low 7.
-        if len(packet.items) > _MAX_COUNTED_ITEMS:
+        if len(packet.items) > MAX_COUNTED_ITEMS:
             raise ValueError("item count must fit 7 bits with the mode flag")
         mode_bit = 0x80 if packet.mode == ForwardingMode.PERIODICAL else 0x00
         count = len(packet.items) | mode_bit
@@ -169,7 +170,7 @@ class AggregationCodec:
         count = len(groups)
         if len(ivs) != 16 * count:
             raise ValueError("need one 16-byte IV per payload")
-        if rows and len(rows[0]) > _MAX_COUNTED_ITEMS:
+        if rows and len(rows[0]) > MAX_COUNTED_ITEMS:
             raise ValueError("too many items: %d" % len(rows[0]))
         head = SNATCH_SID.to_bytes(2, "big") + bytes([self.app_id])
         np = get_numpy() if count >= VECTOR_MIN_ROWS else None

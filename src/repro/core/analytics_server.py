@@ -4,11 +4,10 @@ Two ingestion modes, matching the evaluation:
 
 * **INSA**: the AggSwitch has already computed the aggregate; the
   server just records the delivered report (sub-millisecond).
-* **No INSA**: early-forwarded semantic records arrive through the
-  message queue (persistent connections, paper footnote 2) and flow
-  into the Spark-like micro-batch engine, which recomputes the same
-  grouped counts — so both paths produce *identical* results, only at
-  different latencies.
+* **No INSA**: early-forwarded semantic records arrive over persistent
+  connections (paper footnote 2) and flow into the Spark-like
+  micro-batch engine, which recomputes the same grouped counts — so
+  both paths produce *identical* results, only at different latencies.
 
 The no-INSA pipeline is built from the real engine primitives:
 ``filter`` by event type, ``map`` to ((group, class), 1), and
@@ -18,17 +17,13 @@ The no-INSA pipeline is built from the real engine primitives:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List
 
 from repro.core.schema import CookieSchema
 from repro.core.stats import StatKind, StatSpec
 from repro.streaming.context import StreamingContext
-from repro.streaming.queue import MessageBroker
 
 __all__ = ["AnalyticsServer"]
-
-_TOPIC = "snatch-semantic-records"
-_GROUP = "analytics"
 
 
 class AnalyticsServer:
@@ -39,7 +34,6 @@ class AnalyticsServer:
         schema: CookieSchema,
         specs: List[StatSpec],
         batch_interval_ms: float = 150.0,
-        broker: Optional[MessageBroker] = None,
     ):
         for spec in specs:
             if spec.kind is not StatKind.COUNT_BY_CLASS:
@@ -49,9 +43,6 @@ class AnalyticsServer:
                 )
         self.schema = schema
         self.specs = list(specs)
-        self.broker = broker or MessageBroker()
-        if _TOPIC not in getattr(self.broker, "_topics", {}):
-            self.broker.create_topic(_TOPIC, num_partitions=4)
         self.ssc = StreamingContext(batch_interval_ms=batch_interval_ms)
         self._input = self.ssc.input_stream(num_partitions=4)
         self._batch_results: Dict[str, Dict[Any, int]] = defaultdict(dict)
@@ -95,13 +86,12 @@ class AnalyticsServer:
     # -- ingestion -------------------------------------------------------------
 
     def submit_record(self, values: Dict[str, Any], time_ms: float) -> None:
-        """Early-forwarded semantic data (no INSA) enters the queue."""
-        self.broker.publish(_TOPIC, dict(values), timestamp_ms=time_ms)
+        """Early-forwarded semantic data (no INSA) enters the engine;
+        its arrival time picks the batch."""
+        self._input.push(dict(values), time_ms)
 
     def run_pending_batches(self, until_ms: float) -> int:
-        """Drain the queue into the engine and run due batches."""
-        for message in self.broker.poll(_GROUP, _TOPIC):
-            self._input.push(message.value, message.timestamp_ms)
+        """Run every batch due by ``until_ms``."""
         before = self.ssc.batches_run
         self.ssc.run_until(until_ms)
         return self.ssc.batches_run - before

@@ -211,7 +211,10 @@ class SnatchEdgeServer:
 
     # -- periodical forwarding ------------------------------------------------------
 
-    def end_period(self, app_id: int) -> Optional[bytes]:
+    def end_period(self, app_id: int) -> List[bytes]:
+        """Close the period: the snapshot's payloads (see
+        :func:`repro.core.larkswitch.period_payload`; none for an idle
+        period), then reset the registers."""
         app = self._apps.get(app_id)
         if app is None:
             raise KeyError("no application %d registered" % app_id)
@@ -219,10 +222,10 @@ class SnatchEdgeServer:
             raise ValueError("application %d is per-packet" % app_id)
         if app.stats.updates == 0:
             app.stats.reset()
-            return None
-        payload = period_payload(app.stats, app.agg_codec, self.name)
+            return []
+        payloads = period_payload(app.stats, app.agg_codec, self.name)
         app.stats.reset()
-        return payload
+        return payloads
 
     def stats_report(self, app_id: int) -> Dict[str, Any]:
         return self._apps[app_id].stats.report()

@@ -34,6 +34,7 @@ from repro.core.aggregation import (
     AggregationCodec,
     AggregationPacket,
     ForwardingMode,
+    MAX_COUNTED_ITEMS,
     check_per_packet_schema,
 )
 from repro.core.schema import CookieSchema
@@ -753,9 +754,10 @@ class LarkSwitch:
 
     # -- periodical forwarding -----------------------------------------------------
 
-    def end_period(self, app_id: int) -> Optional[bytes]:
-        """Close the current period: emit the statistics snapshot as an
-        aggregation packet and reset the registers + Bloom filter."""
+    def end_period(self, app_id: int) -> List[bytes]:
+        """Close the current period: emit the statistics snapshot as
+        aggregation packets (see :func:`period_payload`; none for an
+        idle period) and reset the registers + Bloom filter."""
         app = self._apps.get(app_id)
         if app is None:
             raise KeyError("no application %d registered" % app_id)
@@ -763,11 +765,11 @@ class LarkSwitch:
             raise ValueError("application %d is per-packet" % app_id)
         if app.stats.updates == 0:
             self._reset_period(app)
-            return None
-        payload = period_payload(app.stats, app.agg_codec, self.name)
+            return []
+        payloads = period_payload(app.stats, app.agg_codec, self.name)
         self._m_reports.inc()
         self._reset_period(app)
-        return payload
+        return payloads
 
     def _reset_period(self, app: RegisteredApp) -> None:
         app.stats.reset()
@@ -866,16 +868,27 @@ def unflatten_snapshot(
 
 def period_payload(
     stats: SwitchStatistics, codec: AggregationCodec, source: str
-) -> bytes:
-    """One period's register snapshot as a periodical aggregation
-    payload — what a LarkSwitch or an edge server sends the AggSwitch
-    when a forwarding window closes."""
-    return codec.encode(AggregationPacket(
-        app_id=codec.app_id,
-        mode=ForwardingMode.PERIODICAL,
-        items=flatten_snapshot(stats.snapshot(), stats.lanes),
-        source=source,
-    ))
+) -> List[bytes]:
+    """One period's register snapshot as periodical aggregation
+    payloads — what a LarkSwitch or an edge server sends the AggSwitch
+    when a forwarding window closes.
+
+    A packet counts at most ``MAX_COUNTED_ITEMS`` cells, so a period
+    that touched more is split into fragments in cell order.  The
+    AggSwitch folds each cell on its own, so fragments commute; a
+    period of at most that many cells (even none) is one packet.  The
+    caller resets the registers only after every fragment encoded.
+    """
+    items = flatten_snapshot(stats.snapshot(), stats.lanes)
+    return [
+        codec.encode(AggregationPacket(
+            app_id=codec.app_id,
+            mode=ForwardingMode.PERIODICAL,
+            items=items[lo:lo + MAX_COUNTED_ITEMS],
+            source=source,
+        ))
+        for lo in range(0, max(len(items), 1), MAX_COUNTED_ITEMS)
+    ]
 
 
 def lark_process_raw(lark: "LarkSwitch", packet_bytes: bytes) -> LarkResult:

@@ -1,6 +1,7 @@
-"""Streaming-analytics substrate: a Spark-Streaming-like micro-batch
-engine (RDDs + the full Table-1 DStream surface) plus a Kafka-like
-message queue for ingestion.
+"""Streaming-analytics substrate: the Spark-Streaming-like micro-batch
+engine behind the no-INSA baseline.  It runs the operators the YSB
+query and the analytics server use; Table 1's other DStream methods
+are classified (:mod:`repro.core.insa`), not executed.
 """
 
 from repro._lazy import lazy_exports
@@ -8,6 +9,5 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "context": ("BatchInfo", "DEFAULT_BATCH_INTERVAL_MS", "StreamingContext"),
     "dstream": ("DStream",),
-    "queue": ("Consumer", "Message", "MessageBroker", "Topic"),
     "rdd": ("RDD",),
 })

@@ -8,18 +8,20 @@ Spark's 1 s default, for an average in-batch wait of interval/2.
 The context here is deterministic and clock-free: callers push
 timestamped records into input streams and then drive batches with
 :meth:`run_batch` / :meth:`run_until`.  Each batch materializes every
-registered stream (so stateful streams advance in order) and fires
-output operations.  A configurable ``processing_time_ms`` (constant or
-callable on the batch's record count) models the analytics computation
-cost, and :meth:`result_time_ms` exposes when a record's batch result
-becomes available — the quantity the testbed experiments log.
+registered stream, fires output operations, and then evicts every
+cached batch older than the widest registered window — nothing reads
+it again, so each stream holds at most that many batches.  A
+configurable ``processing_time_ms`` (constant or callable on the
+batch's record count) models the analytics computation cost, and
+:meth:`result_time_ms` exposes when a record's batch result becomes
+available — the quantity the testbed experiments log.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Tuple
 
-from repro.streaming.dstream import DStream, InputDStream
+from repro.streaming.dstream import DStream, InputDStream, WindowedDStream
 from repro.streaming.rdd import RDD
 
 __all__ = ["StreamingContext", "BatchInfo"]
@@ -66,7 +68,8 @@ class StreamingContext:
         self._streams: List[DStream] = []
         self._outputs: List[Tuple[DStream, Callable[[RDD, int], None]]] = []
         self._input_streams: List[InputDStream] = []
-        self._pre_batch_hooks: List[Callable[[], None]] = []
+        # Batches the widest window reads back (1 with no window).
+        self._widest_window = 1
 
     # -- graph registration ------------------------------------------------
 
@@ -74,6 +77,10 @@ class StreamingContext:
         self._streams.append(stream)
         if isinstance(stream, InputDStream):
             self._input_streams.append(stream)
+        elif isinstance(stream, WindowedDStream):
+            self._widest_window = max(
+                self._widest_window, stream.window_batches
+            )
 
     def _register_output(
         self, stream: DStream, fn: Callable[[RDD, int], None]
@@ -83,28 +90,6 @@ class StreamingContext:
     def input_stream(self, num_partitions: int = 1) -> InputDStream:
         """Create an ingestion stream (like ``queueStream``)."""
         return InputDStream(self, num_partitions)
-
-    def broker_stream(
-        self,
-        broker,
-        topic: str,
-        group: str = "streaming",
-        num_partitions: int = 1,
-    ) -> InputDStream:
-        """An input stream fed from a message-broker topic.
-
-        The returned stream drains new messages from the topic before
-        each batch (the production pattern of queue-fronted analytics,
-        paper section 2.1); message timestamps assign batch membership.
-        """
-        stream = InputDStream(self, num_partitions)
-
-        def drain() -> None:
-            for message in broker.poll(group, topic):
-                stream.push(message.value, message.timestamp_ms)
-
-        self._pre_batch_hooks.append(drain)
-        return stream
 
     # -- time arithmetic ------------------------------------------------------
 
@@ -135,9 +120,8 @@ class StreamingContext:
         return float(self.processing_time_ms)
 
     def run_batch(self) -> BatchInfo:
-        """Materialize every stream for the next batch and fire outputs."""
-        for hook in self._pre_batch_hooks:
-            hook()
+        """Materialize every stream for the next batch, fire outputs and
+        evict the batch that just left the widest window."""
         index = self.batches_run
         num_records = 0
         for stream in self._input_streams:
@@ -146,6 +130,8 @@ class StreamingContext:
             stream.rdd_for_batch(index)
         for stream, fn in self._outputs:
             fn(stream.rdd_for_batch(index), index)
+        for stream in self._streams:
+            stream._cache.pop(index - self._widest_window, None)
         self.batches_run += 1
         info = BatchInfo(
             index=index,
@@ -166,9 +152,3 @@ class StreamingContext:
         while self.batch_time_ms(self.batches_run) <= time_ms:
             out.append(self.run_batch())
         return out
-
-    def gc(self, keep_batches: int = 4) -> None:
-        """Evict cached RDDs older than the trailing window."""
-        floor = max(0, self.batches_run - keep_batches)
-        for stream in self._streams:
-            stream._evict_before(floor)

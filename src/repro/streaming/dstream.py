@@ -1,22 +1,22 @@
-"""Discretized streams (DStreams) — the full Table-1 method surface.
+"""Discretized streams (DStreams): the operators the pipelines run.
 
 A DStream is a sequence of RDDs, one per batch interval.  The paper's
 Appendix C classifies every PySpark ``DStream`` method by whether
-Snatch's in-network streaming analytics can execute it; to make that
-comparison executable, this module implements the *entire* method
-surface on a single-process micro-batch engine, with Spark's
-(Pythonic camelCase) method names preserved so Table 1 can be
-reproduced mechanically.
+Snatch's in-network streaming analytics can execute it; Table 1 is
+that classification (:mod:`repro.core.insa`), not an execution.  This
+engine keeps the operators the Spark baseline's pipelines use — the
+YSB query, the analytics server's L1-L4 chain and the micro benches —
+under Spark's (Pythonic camelCase) names, each of them a Table 1 row.
 
-Each DStream node computes its batch-``i`` RDD from its parents'
+Each DStream node computes its batch-``i`` RDD from its parent's
 batch-``i`` (or windowed past) RDDs; results are cached per batch so
-windowed re-reads are cheap and ``cache()``/``persist()`` are natural.
+windowed re-reads are cheap, and the context evicts every batch older
+than the widest registered window.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.streaming.rdd import RDD
 
@@ -24,24 +24,23 @@ __all__ = ["DStream"]
 
 
 def _num_batches(duration_ms: float, interval_ms: float) -> int:
+    if duration_ms <= 0:
+        raise ValueError("duration must be positive")
     batches = int(round(duration_ms / interval_ms))
-    if abs(batches * interval_ms - duration_ms) > 1e-9:
+    if batches == 0 or abs(batches * interval_ms - duration_ms) > 1e-9:
         raise ValueError(
             "duration %.3f ms is not a multiple of the batch interval %.3f ms"
             % (duration_ms, interval_ms)
         )
-    return max(1, batches)
+    return batches
 
 
 class DStream:
-    """Base DStream: caches per-batch RDDs computed from parents."""
+    """Base DStream: caches per-batch RDDs computed from its parent."""
 
-    def __init__(self, ssc, parents: Optional[List["DStream"]] = None):
+    def __init__(self, ssc):
         self._ssc = ssc
-        self._parents = parents or []
         self._cache: Dict[int, RDD] = {}
-        self._explicitly_cached = False
-        self._checkpoint_interval_ms: Optional[float] = None
         ssc._register_stream(self)
 
     # -- engine plumbing ---------------------------------------------------
@@ -56,296 +55,41 @@ class DStream:
             self._cache[batch_index] = self._compute(batch_index)
         return self._cache[batch_index]
 
-    def _evict_before(self, batch_index: int) -> None:
-        for idx in [i for i in self._cache if i < batch_index]:
-            del self._cache[idx]
-
-    # -- DStream-specific methods (N/A rows of Table 1) ---------------------
-
-    def cache(self) -> "DStream":
-        """Mark the stream's RDDs for retention (idempotent here)."""
-        self._explicitly_cached = True
-        return self
-
-    def persist(self, storage_level: str = "MEMORY_ONLY") -> "DStream":
-        self._explicitly_cached = True
-        return self
-
-    def checkpoint(self, interval_ms: float) -> "DStream":
-        if interval_ms <= 0:
-            raise ValueError("checkpoint interval must be positive")
-        self._checkpoint_interval_ms = interval_ms
-        return self
-
-    def context(self):
-        return self._ssc
-
-    def glom(self) -> "DStream":
-        return TransformedDStream(self._ssc, self, lambda rdd, _i: rdd.glom())
-
-    def pprint(self, num: int = 10) -> None:
-        def show(rdd: RDD, batch_index: int) -> None:
-            time_ms = self._ssc.batch_time_ms(batch_index)
-            print("-------------------------------------------")
-            print("Time: %.0f ms" % time_ms)
-            print("-------------------------------------------")
-            for record in rdd.take(num):
-                print(record)
-
-        self.foreachRDD(show)
-
-    def saveAsTextFiles(self, prefix: str, suffix: str = "") -> None:
-        def save(rdd: RDD, batch_index: int) -> None:
-            time_ms = self._ssc.batch_time_ms(batch_index)
-            name = "%s-%d%s" % (prefix, int(time_ms), suffix)
-            os.makedirs(os.path.dirname(name) or ".", exist_ok=True)
-            with open(name, "w", encoding="utf-8") as fh:
-                for record in rdd.collect():
-                    fh.write("%s\n" % (record,))
-
-        self.foreachRDD(save)
-
-    # -- foreach-category methods --------------------------------------------
+    # -- operators (Table 1 rows) ----------------------------------------------
 
     def map(self, fn: Callable[[Any], Any]) -> "DStream":
-        return TransformedDStream(
-            self._ssc, self, lambda rdd, _i: rdd.map(fn)
-        )
+        return TransformedDStream(self, lambda rdd: rdd.map(fn))
 
     def filter(self, fn: Callable[[Any], bool]) -> "DStream":
-        return TransformedDStream(
-            self._ssc, self, lambda rdd, _i: rdd.filter(fn)
-        )
+        return TransformedDStream(self, lambda rdd: rdd.filter(fn))
 
-    def flatMap(self, fn: Callable[[Any], Any]) -> "DStream":
-        return TransformedDStream(
-            self._ssc, self, lambda rdd, _i: rdd.flat_map(fn)
-        )
+    def transform(self, fn: Callable[[RDD], RDD]) -> "DStream":
+        """Apply ``fn(rdd) -> RDD`` to every batch."""
+        return TransformedDStream(self, fn)
 
-    def mapValues(self, fn: Callable[[Any], Any]) -> "DStream":
-        return TransformedDStream(
-            self._ssc, self, lambda rdd, _i: rdd.map_values(fn)
-        )
-
-    def flatMapValues(self, fn: Callable[[Any], Any]) -> "DStream":
-        return TransformedDStream(
-            self._ssc, self, lambda rdd, _i: rdd.flat_map_values(fn)
-        )
-
-    def mapPartitions(self, fn: Callable[[List[Any]], Any]) -> "DStream":
-        return TransformedDStream(
-            self._ssc, self, lambda rdd, _i: rdd.map_partitions(fn)
-        )
-
-    def mapPartitionsWithIndex(
-        self, fn: Callable[[int, List[Any]], Any]
-    ) -> "DStream":
-        return TransformedDStream(
-            self._ssc, self, lambda rdd, _i: rdd.map_partitions_with_index(fn)
-        )
-
-    def transform(self, fn: Callable[..., RDD]) -> "DStream":
-        """fn(rdd) or fn(time_ms, rdd) -> RDD."""
-
-        def apply(rdd: RDD, batch_index: int) -> RDD:
-            try:
-                return fn(rdd)
-            except TypeError:
-                return fn(self._ssc.batch_time_ms(batch_index), rdd)
-
-        return TransformedDStream(self._ssc, self, apply)
-
-    def transformWith(
-        self, fn: Callable[[RDD, RDD], RDD], other: "DStream"
-    ) -> "DStream":
-        return BinaryTransformedDStream(self._ssc, self, other, fn)
-
-    def foreachRDD(self, fn: Callable[[RDD, int], None]) -> None:
-        """Register an output operation; ``fn(rdd, batch_index)``."""
-        self._ssc._register_output(self, fn)
-
-    def updateStateByKey(
-        self, update_fn: Callable[[List[Any], Any], Any]
-    ) -> "DStream":
-        return StatefulDStream(self._ssc, self, update_fn)
-
-    def combineByKey(
-        self,
-        create_combiner: Callable[[Any], Any],
-        merge_value: Callable[[Any, Any], Any],
-        merge_combiners: Callable[[Any, Any], Any],
-        numPartitions: Optional[int] = None,
-    ) -> "DStream":
-        return TransformedDStream(
-            self._ssc,
-            self,
-            lambda rdd, _i: rdd.combine_by_key(
-                create_combiner, merge_value, merge_combiners, numPartitions
-            ),
-        )
-
-    # -- reduce-category methods ------------------------------------------------
-
-    def count(self) -> "DStream":
-        return TransformedDStream(
-            self._ssc, self, lambda rdd, _i: RDD.of([rdd.count()])
-        )
-
-    def countByValue(self) -> "DStream":
-        return TransformedDStream(
-            self._ssc,
-            self,
-            lambda rdd, _i: RDD.of(sorted(
-                rdd.count_by_value().items(), key=lambda kv: repr(kv[0])
-            )),
-        )
-
-    def reduce(self, fn: Callable[[Any, Any], Any]) -> "DStream":
-        def apply(rdd: RDD, _i: int) -> RDD:
-            if rdd.is_empty():
-                return RDD.empty()
-            return RDD.of([rdd.reduce(fn)])
-
-        return TransformedDStream(self._ssc, self, apply)
-
-    def reduceByKey(
-        self,
-        fn: Callable[[Any, Any], Any],
-        numPartitions: Optional[int] = None,
-    ) -> "DStream":
-        return TransformedDStream(
-            self._ssc,
-            self,
-            lambda rdd, _i: rdd.reduce_by_key(fn, numPartitions),
-        )
-
-    def groupByKey(self, numPartitions: Optional[int] = None) -> "DStream":
-        return TransformedDStream(
-            self._ssc,
-            self,
-            lambda rdd, _i: rdd.group_by_key(numPartitions),
-        )
-
-    # -- window-category methods -------------------------------------------------
+    def reduceByKey(self, fn: Callable[[Any, Any], Any]) -> "DStream":
+        return TransformedDStream(self, lambda rdd: rdd.reduce_by_key(fn))
 
     def window(
         self, windowDuration_ms: float, slideDuration_ms: Optional[float] = None
     ) -> "DStream":
-        return WindowedDStream(
-            self._ssc, self, windowDuration_ms, slideDuration_ms
-        )
-
-    def countByWindow(
-        self, windowDuration_ms: float, slideDuration_ms: Optional[float] = None
-    ) -> "DStream":
-        return self.window(windowDuration_ms, slideDuration_ms).count()
-
-    def countByValueAndWindow(
-        self, windowDuration_ms: float, slideDuration_ms: Optional[float] = None
-    ) -> "DStream":
-        return self.window(windowDuration_ms, slideDuration_ms).countByValue()
-
-    def reduceByWindow(
-        self,
-        reduce_fn: Callable[[Any, Any], Any],
-        inv_reduce_fn: Optional[Callable[[Any, Any], Any]],
-        windowDuration_ms: float,
-        slideDuration_ms: Optional[float] = None,
-    ) -> "DStream":
-        # inv_reduce_fn enables Spark's incremental optimization; the
-        # result is identical, so we recompute over the window.
-        return self.window(windowDuration_ms, slideDuration_ms).reduce(
-            reduce_fn
-        )
+        return WindowedDStream(self, windowDuration_ms, slideDuration_ms)
 
     def reduceByKeyAndWindow(
         self,
         reduce_fn: Callable[[Any, Any], Any],
-        inv_reduce_fn: Optional[Callable[[Any, Any], Any]] = None,
-        windowDuration_ms: float = 0.0,
-        slideDuration_ms: Optional[float] = None,
-        numPartitions: Optional[int] = None,
-    ) -> "DStream":
-        if windowDuration_ms <= 0:
-            raise ValueError("windowDuration_ms must be positive")
-        return self.window(windowDuration_ms, slideDuration_ms).reduceByKey(
-            reduce_fn, numPartitions
-        )
-
-    def groupByKeyAndWindow(
-        self,
         windowDuration_ms: float,
         slideDuration_ms: Optional[float] = None,
-        numPartitions: Optional[int] = None,
     ) -> "DStream":
-        return self.window(windowDuration_ms, slideDuration_ms).groupByKey(
-            numPartitions
+        """Spark's form without its inverse function: the window is
+        recomputed, which gives the same result."""
+        return self.window(windowDuration_ms, slideDuration_ms).reduceByKey(
+            reduce_fn
         )
 
-    def slice(self, begin_ms: float, end_ms: float) -> List[RDD]:
-        """RDDs of batches whose end time falls in [begin_ms, end_ms]."""
-        interval = self._ssc.batch_interval_ms
-        out = []
-        for batch_index in range(self._ssc.batches_run):
-            time_ms = (batch_index + 1) * interval
-            if begin_ms <= time_ms <= end_ms:
-                out.append(self.rdd_for_batch(batch_index))
-        return out
-
-    # -- join / union-category methods -----------------------------------------------
-
-    def join(self, other: "DStream", numPartitions: Optional[int] = None):
-        return BinaryTransformedDStream(
-            self._ssc, self, other,
-            lambda a, b: a.join(b, numPartitions),
-        )
-
-    def leftOuterJoin(self, other: "DStream", numPartitions=None):
-        return BinaryTransformedDStream(
-            self._ssc, self, other,
-            lambda a, b: a.left_outer_join(b, numPartitions),
-        )
-
-    def rightOuterJoin(self, other: "DStream", numPartitions=None):
-        return BinaryTransformedDStream(
-            self._ssc, self, other,
-            lambda a, b: a.right_outer_join(b, numPartitions),
-        )
-
-    def fullOuterJoin(self, other: "DStream", numPartitions=None):
-        return BinaryTransformedDStream(
-            self._ssc, self, other,
-            lambda a, b: a.full_outer_join(b, numPartitions),
-        )
-
-    def cogroup(self, other: "DStream", numPartitions=None):
-        return BinaryTransformedDStream(
-            self._ssc, self, other,
-            lambda a, b: a.cogroup(b, numPartitions),
-        )
-
-    def union(self, other: "DStream") -> "DStream":
-        return BinaryTransformedDStream(
-            self._ssc, self, other, lambda a, b: a.union(b)
-        )
-
-    # -- partition-category methods ------------------------------------------------
-
-    def partitionBy(
-        self, numPartitions: int, partitionFunc=None
-    ) -> "DStream":
-        return TransformedDStream(
-            self._ssc,
-            self,
-            lambda rdd, _i: rdd.partition_by(numPartitions, partitionFunc),
-        )
-
-    def repartition(self, numPartitions: int) -> "DStream":
-        return TransformedDStream(
-            self._ssc,
-            self,
-            lambda rdd, _i: rdd.repartition(numPartitions),
-        )
+    def foreachRDD(self, fn: Callable[[RDD, int], None]) -> None:
+        """Register an output operation; ``fn(rdd, batch_index)``."""
+        self._ssc._register_output(self, fn)
 
 
 class InputDStream(DStream):
@@ -353,9 +97,9 @@ class InputDStream(DStream):
     into batches by arrival time."""
 
     def __init__(self, ssc, num_partitions: int = 1):
-        super().__init__(ssc, parents=[])
+        super().__init__(ssc)
         self._num_partitions = num_partitions
-        self._pending: Dict[int, List[Any]] = {}
+        self._pending: Dict[int, list] = {}
 
     def push(self, record: Any, time_ms: float) -> int:
         """Add a record arriving at ``time_ms``; returns the batch index
@@ -378,27 +122,13 @@ class InputDStream(DStream):
 class TransformedDStream(DStream):
     """Unary transformation of a parent's per-batch RDD."""
 
-    def __init__(self, ssc, parent: DStream, fn: Callable[[RDD, int], RDD]):
-        super().__init__(ssc, parents=[parent])
+    def __init__(self, parent: DStream, fn: Callable[[RDD], RDD]):
+        super().__init__(parent._ssc)
+        self._parent = parent
         self._fn = fn
 
     def _compute(self, batch_index: int) -> RDD:
-        return self._fn(self._parents[0].rdd_for_batch(batch_index), batch_index)
-
-
-class BinaryTransformedDStream(DStream):
-    """Transformation combining two parents' same-batch RDDs."""
-
-    def __init__(self, ssc, left: DStream, right: DStream,
-                 fn: Callable[[RDD, RDD], RDD]):
-        super().__init__(ssc, parents=[left, right])
-        self._fn = fn
-
-    def _compute(self, batch_index: int) -> RDD:
-        return self._fn(
-            self._parents[0].rdd_for_batch(batch_index),
-            self._parents[1].rdd_for_batch(batch_index),
-        )
+        return self._fn(self._parent.rdd_for_batch(batch_index))
 
 
 class WindowedDStream(DStream):
@@ -410,51 +140,24 @@ class WindowedDStream(DStream):
 
     def __init__(
         self,
-        ssc,
         parent: DStream,
         window_ms: float,
         slide_ms: Optional[float] = None,
     ):
-        super().__init__(ssc, parents=[parent])
+        ssc = parent._ssc
         interval = ssc.batch_interval_ms
         self.window_batches = _num_batches(window_ms, interval)
         self.slide_batches = (
             _num_batches(slide_ms, interval) if slide_ms is not None else 1
         )
+        super().__init__(ssc)
+        self._parent = parent
 
     def _compute(self, batch_index: int) -> RDD:
         if (batch_index + 1) % self.slide_batches != 0:
             return RDD.empty()
-        parent = self._parents[0]
         rdd = RDD.empty()
-        start = batch_index - self.window_batches + 1
+        start = max(0, batch_index - self.window_batches + 1)
         for idx in range(start, batch_index + 1):
-            if idx >= 0:
-                rdd = rdd.union(parent.rdd_for_batch(idx))
-        return rdd
-
-
-class StatefulDStream(DStream):
-    """``updateStateByKey``: per-key running state across batches.
-
-    Batches must be computed in order; the StreamingContext guarantees
-    that by materializing every registered stream each batch.
-    """
-
-    def __init__(self, ssc, parent: DStream, update_fn):
-        super().__init__(ssc, parents=[parent])
-        self._update_fn = update_fn
-        self._state: Dict[Any, Any] = {}
-        self._last_computed = -1
-
-    def _compute(self, batch_index: int) -> RDD:
-        if batch_index != self._last_computed + 1:
-            raise RuntimeError(
-                "stateful stream computed out of order: batch %d after %d"
-                % (batch_index, self._last_computed)
-            )
-        rdd, self._state = self._parents[0].rdd_for_batch(
-            batch_index
-        ).update_state_by_key(self._update_fn, self._state)
-        self._last_computed = batch_index
+            rdd = rdd.union(self._parent.rdd_for_batch(idx))
         return rdd

@@ -2,36 +2,17 @@
 
 Spark Streaming's micro-batch model turns every batch interval of
 streaming data into one RDD and runs batch operators on it (paper
-section 2.1, Appendix C).  This is a faithful single-process
-re-implementation of the RDD operator surface that the DStream methods
-in Table 1 delegate to: partitioned, lazy-free (eager but cheap),
-deterministic.
-
-Partitioning matters to the paper's Appendix C discussion: in Snatch,
-each edge node is a partition whose data cannot be moved, which is why
-``partitionBy``/``repartition`` are the two methods INSA cannot
-support.  We model partitions explicitly as a list of lists.
+section 2.1).  This is a single-process RDD with the operators the
+kept DStreams and the YSB join delegate to: partitioned, eager,
+deterministic.  Partitions are modelled explicitly as a list of lists.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 __all__ = ["RDD"]
-
-
-def _default_partitioner(key: Any, num_partitions: int) -> int:
-    return hash(key) % num_partitions
 
 
 class RDD:
@@ -64,17 +45,13 @@ class RDD:
     def num_partitions(self) -> int:
         return len(self._partitions)
 
-    def glom(self) -> "RDD":
-        """One record per partition: the partition's contents as a list."""
-        return RDD([[list(p)] for p in self._partitions])
-
     def collect(self) -> List[Any]:
         return list(itertools.chain.from_iterable(self._partitions))
 
-    def is_empty(self) -> bool:
-        return all(not p for p in self._partitions)
+    def count(self) -> int:
+        return sum(len(p) for p in self._partitions)
 
-    # -- element-wise transformations ---------------------------------------
+    # -- transformations -----------------------------------------------------
 
     def map(self, fn: Callable[[Any], Any]) -> "RDD":
         return RDD([[fn(x) for x in p] for p in self._partitions])
@@ -82,233 +59,40 @@ class RDD:
     def filter(self, predicate: Callable[[Any], bool]) -> "RDD":
         return RDD([[x for x in p if predicate(x)] for p in self._partitions])
 
-    def flat_map(self, fn: Callable[[Any], Iterable[Any]]) -> "RDD":
-        return RDD(
-            [
-                [y for x in p for y in fn(x)]
-                for p in self._partitions
-            ]
-        )
-
-    def map_partitions(
-        self, fn: Callable[[List[Any]], Iterable[Any]]
-    ) -> "RDD":
-        return RDD([list(fn(list(p))) for p in self._partitions])
-
-    def map_partitions_with_index(
-        self, fn: Callable[[int, List[Any]], Iterable[Any]]
-    ) -> "RDD":
-        return RDD(
-            [list(fn(i, list(p))) for i, p in enumerate(self._partitions)]
-        )
-
-    # -- key-value transformations ---------------------------------------------
-
-    def map_values(self, fn: Callable[[Any], Any]) -> "RDD":
-        return self.map(lambda kv: (kv[0], fn(kv[1])))
-
-    def flat_map_values(self, fn: Callable[[Any], Iterable[Any]]) -> "RDD":
-        return self.flat_map(lambda kv: [(kv[0], v) for v in fn(kv[1])])
-
-    def keys(self) -> "RDD":
-        return self.map(lambda kv: kv[0])
-
-    def values(self) -> "RDD":
-        return self.map(lambda kv: kv[1])
-
-    def group_by_key(self, num_partitions: Optional[int] = None) -> "RDD":
-        groups: Dict[Any, List[Any]] = defaultdict(list)
-        for key, value in self.collect():
-            groups[key].append(value)
-        items = sorted(groups.items(), key=lambda kv: repr(kv[0]))
-        return self._partition_pairs(items, num_partitions)
-
-    def reduce_by_key(
-        self,
-        fn: Callable[[Any, Any], Any],
-        num_partitions: Optional[int] = None,
-    ) -> "RDD":
+    def reduce_by_key(self, fn: Callable[[Any, Any], Any]) -> "RDD":
         acc: Dict[Any, Any] = {}
         for key, value in self.collect():
             acc[key] = fn(acc[key], value) if key in acc else value
         items = sorted(acc.items(), key=lambda kv: repr(kv[0]))
-        return self._partition_pairs(items, num_partitions)
+        return self._partition_pairs(items)
 
-    def combine_by_key(
-        self,
-        create_combiner: Callable[[Any], Any],
-        merge_value: Callable[[Any, Any], Any],
-        merge_combiners: Callable[[Any, Any], Any],
-        num_partitions: Optional[int] = None,
-    ) -> "RDD":
-        # Combine within partitions, then across, matching Spark's
-        # two-phase aggregation.
-        partials: List[Dict[Any, Any]] = []
-        for partition in self._partitions:
-            combiners: Dict[Any, Any] = {}
-            for key, value in partition:
-                if key in combiners:
-                    combiners[key] = merge_value(combiners[key], value)
-                else:
-                    combiners[key] = create_combiner(value)
-            partials.append(combiners)
-        merged: Dict[Any, Any] = {}
-        for combiners in partials:
-            for key, combiner in combiners.items():
-                if key in merged:
-                    merged[key] = merge_combiners(merged[key], combiner)
-                else:
-                    merged[key] = combiner
-        items = sorted(merged.items(), key=lambda kv: repr(kv[0]))
-        return self._partition_pairs(items, num_partitions)
-
-    def update_state_by_key(
-        self,
-        update_fn: Callable[[List[Any], Any], Any],
-        state: Dict[Any, Any],
-    ) -> Tuple["RDD", Dict[Any, Any]]:
-        """Apply ``update_fn(new_values, old_state) -> new_state`` per
-        key; keys whose new state is None are dropped.  Returns the
-        state RDD and the new state dict."""
-        grouped: Dict[Any, List[Any]] = defaultdict(list)
-        for key, value in self.collect():
-            grouped[key].append(value)
-        new_state: Dict[Any, Any] = {}
-        for key in set(grouped) | set(state):
-            updated = update_fn(grouped.get(key, []), state.get(key))
-            if updated is not None:
-                new_state[key] = updated
-        items = sorted(new_state.items(), key=lambda kv: repr(kv[0]))
-        return self._partition_pairs(items, None), new_state
-
-    # -- joins -----------------------------------------------------------------
-
-    def _join_impl(
-        self,
-        other: "RDD",
-        keep_left_only: bool,
-        keep_right_only: bool,
-        num_partitions: Optional[int] = None,
-    ) -> "RDD":
-        left: Dict[Any, List[Any]] = defaultdict(list)
-        right: Dict[Any, List[Any]] = defaultdict(list)
-        for key, value in self.collect():
-            left[key].append(value)
+    def join(self, other: "RDD") -> "RDD":
+        """Inner join on key: ``(k, (left, right))`` per matching pair."""
+        right: Dict[Any, List[Any]] = {}
         for key, value in other.collect():
-            right[key].append(value)
-        keys = set(left) | set(right)
-        out: List[Tuple[Any, Tuple[Any, Any]]] = []
-        for key in sorted(keys, key=repr):
-            in_left, in_right = key in left, key in right
-            if in_left and in_right:
-                for lv in left[key]:
-                    for rv in right[key]:
-                        out.append((key, (lv, rv)))
-            elif in_left and keep_left_only:
-                for lv in left[key]:
-                    out.append((key, (lv, None)))
-            elif in_right and keep_right_only:
-                for rv in right[key]:
-                    out.append((key, (None, rv)))
-        return self._partition_pairs(out, num_partitions)
-
-    def join(self, other: "RDD", num_partitions: Optional[int] = None) -> "RDD":
-        return self._join_impl(other, False, False, num_partitions)
-
-    def left_outer_join(
-        self, other: "RDD", num_partitions: Optional[int] = None
-    ) -> "RDD":
-        return self._join_impl(other, True, False, num_partitions)
-
-    def right_outer_join(
-        self, other: "RDD", num_partitions: Optional[int] = None
-    ) -> "RDD":
-        return self._join_impl(other, False, True, num_partitions)
-
-    def full_outer_join(
-        self, other: "RDD", num_partitions: Optional[int] = None
-    ) -> "RDD":
-        return self._join_impl(other, True, True, num_partitions)
-
-    def cogroup(
-        self, other: "RDD", num_partitions: Optional[int] = None
-    ) -> "RDD":
-        left: Dict[Any, List[Any]] = defaultdict(list)
-        right: Dict[Any, List[Any]] = defaultdict(list)
+            right.setdefault(key, []).append(value)
+        left: Dict[Any, List[Any]] = {}
         for key, value in self.collect():
-            left[key].append(value)
-        for key, value in other.collect():
-            right[key].append(value)
+            if key in right:
+                left.setdefault(key, []).append(value)
         out = [
-            (key, (left.get(key, []), right.get(key, [])))
-            for key in sorted(set(left) | set(right), key=repr)
+            (key, (lv, rv))
+            for key in sorted(left, key=repr)
+            for lv in left[key]
+            for rv in right[key]
         ]
-        return self._partition_pairs(out, num_partitions)
+        return self._partition_pairs(out)
 
     def union(self, other: "RDD") -> "RDD":
         return RDD(self._partitions + other._partitions)
 
-    # -- partitioning ------------------------------------------------------------
-
-    def partition_by(
-        self,
-        num_partitions: int,
-        partition_fn: Callable[[Any], int] = None,
-    ) -> "RDD":
-        if num_partitions <= 0:
-            raise ValueError("num_partitions must be positive")
-        fn = partition_fn or (lambda k: _default_partitioner(k, num_partitions))
-        parts: List[List[Any]] = [[] for _ in range(num_partitions)]
-        for key, value in self.collect():
-            parts[fn(key) % num_partitions].append((key, value))
-        return RDD(parts)
-
-    def repartition(self, num_partitions: int) -> "RDD":
-        return RDD.of(self.collect(), num_partitions)
-
-    def _partition_pairs(
-        self,
-        items: List[Tuple[Any, Any]],
-        num_partitions: Optional[int],
-    ) -> "RDD":
-        n = num_partitions or self.num_partitions
-        parts: List[List[Any]] = [[] for _ in range(max(1, n))]
+    def _partition_pairs(self, items: List[Tuple[Any, Any]]) -> "RDD":
+        """Hash-partition (key, value) pairs over this RDD's partition
+        count, Spark's default partitioner."""
+        parts: List[List[Any]] = [[] for _ in self._partitions]
         for key, value in items:
-            parts[_default_partitioner(key, len(parts))].append((key, value))
+            parts[hash(key) % len(parts)].append((key, value))
         return RDD(parts)
-
-    # -- actions -------------------------------------------------------------------
-
-    def count(self) -> int:
-        return sum(len(p) for p in self._partitions)
-
-    def count_by_value(self) -> Dict[Any, int]:
-        counts: Dict[Any, int] = defaultdict(int)
-        for record in self.collect():
-            counts[record] += 1
-        return dict(counts)
-
-    def reduce(self, fn: Callable[[Any, Any], Any]) -> Any:
-        records = self.collect()
-        if not records:
-            raise ValueError("reduce of empty RDD")
-        acc = records[0]
-        for record in records[1:]:
-            acc = fn(acc, record)
-        return acc
-
-    def fold(self, zero: Any, fn: Callable[[Any, Any], Any]) -> Any:
-        acc = zero
-        for record in self.collect():
-            acc = fn(acc, record)
-        return acc
-
-    def take(self, n: int) -> List[Any]:
-        return self.collect()[:n]
-
-    def foreach(self, fn: Callable[[Any], None]) -> None:
-        for record in self.collect():
-            fn(record)
 
     def __repr__(self) -> str:
         return "RDD(%d partitions, %d records)" % (

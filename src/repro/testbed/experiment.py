@@ -304,17 +304,19 @@ class TestbedExperiment:
 
     def _flush_period(self) -> None:
         if self.config.uses_transport_cookie:
-            payload = self.lark.end_period(_APP_ID)
+            payloads = self.lark.end_period(_APP_ID)
             from_isp = True
         else:
-            payload = self.edge.end_period(_APP_ID)
+            payloads = self.edge.end_period(_APP_ID)
             from_isp = False
         pending, self._pending_periodical = self._pending_periodical, []
-        if payload is None:
-            return
-        self._deliver_aggregation(
-            payload, None, records=pending, from_isp=from_isp
-        )
+        # The period's records complete with its last fragment.
+        for i, payload in enumerate(payloads, 1):
+            self._deliver_aggregation(
+                payload, None,
+                records=pending if i == len(payloads) else [],
+                from_isp=from_isp,
+            )
 
     # -- run -----------------------------------------------------------------------------
 

@@ -353,9 +353,7 @@ class StreamingPipeline:
 
     def _flush_period(self, payloads: List[bytes]) -> None:
         self.periods += 1
-        payload = self.lark.end_period(self.app_id)
-        if payload is not None:
-            payloads.append(payload)
+        payloads.extend(self.lark.end_period(self.app_id))
         if self.placement is not None:
             # Period flush == placement epoch boundary: fold the
             # window's bucket loads, maybe rebalance/resize, and

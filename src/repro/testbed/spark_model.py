@@ -8,10 +8,10 @@ longer than the interval backs the scheduler up — the model accounts
 for that, although the paper's configuration ("the interval minimizes
 the time cost") keeps processing within the interval.
 
-Correctness-path integration: the DES feeds arriving records into a
-real :class:`repro.streaming.StreamingContext` when one is supplied,
-so the reported aggregates are computed by the actual engine while
-this model supplies the timing.
+The model is timing only: it takes arrival times, never records, and
+computes no aggregate.  The testbed's report comes from the AggSwitch
+(the baseline scheme reports none); this model only decides when a
+no-INSA result appears.
 """
 
 from __future__ import annotations

@@ -180,7 +180,6 @@ class YsbPipeline:
         per_campaign = joined.map(lambda kv: (kv[1][1], 1))
         counts = per_campaign.reduceByKeyAndWindow(            # step 5
             lambda a, b: a + b,
-            None,
             windowDuration_ms=self.window_ms,
             slideDuration_ms=self.window_ms,
         )

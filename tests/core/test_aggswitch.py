@@ -111,8 +111,9 @@ class TestPeriodicalMerge:
             lark_b.process_quic_packet(
                 codec.encode({"gender": "f", "demand": 50})
             )
-        agg.process_packet(lark_a.end_period(APP))
-        agg.process_packet(lark_b.end_period(APP))
+        for lark in (lark_a, lark_b):
+            for payload in lark.end_period(APP):
+                agg.process_packet(payload)
         report = agg.report(APP)
         assert report["by_gender"]["f"] == 5
         assert report["demand_sum"]["all"] == 400
@@ -123,7 +124,8 @@ class TestPeriodicalMerge:
         codec = _codec()
         lark = _lark("a", 1, ForwardingMode.PERIODICAL, 100)
         lark.process_quic_packet(codec.encode({"gender": "f"}))  # no demand
-        agg.process_packet(lark.end_period(APP))
+        for payload in lark.end_period(APP):
+            agg.process_packet(payload)
         assert agg.report(APP)["demand_min"]["all"] is None
 
 
@@ -217,7 +219,8 @@ def _periodical_payload(seed, app_id=APP):
     )
     for gender, big in (("f", 7), ("m", BIG - seed), ("f", 1 << 47)):
         lark.process_quic_packet(codec.encode({"gender": gender, "big": big}))
-    return lark.end_period(app_id)
+    [payload] = lark.end_period(app_id)
+    return payload
 
 
 def _registers(agg):

@@ -1,11 +1,14 @@
-"""Analytics server: queue -> micro-batch pipeline vs INSA reports."""
+"""Analytics server: micro-batch pipeline vs INSA reports."""
+
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.analytics_server import AnalyticsServer
 from repro.core.schema import CookieSchema, Feature
 from repro.core.stats import StatKind, StatSpec
-from repro.streaming.queue import MessageBroker
 
 
 def _schema():
@@ -66,14 +69,36 @@ class TestStreamingPath:
         assert server.result_latency_ms(10, processing_ms=115) == 265
         assert server.result_latency_ms(150, processing_ms=115) == 415
 
-    def test_external_broker(self):
-        broker = MessageBroker()
-        server = AnalyticsServer(
-            _schema(), _specs(), batch_interval_ms=100, broker=broker
-        )
-        server.submit_record({"campaign": "c1", "gender": "x"}, 5)
-        server.run_pending_batches(100)
-        assert server.report()["gender_total"]["x"] == 1
+    @given(
+        records=st.lists(st.tuples(
+            st.sampled_from(["c0", "c1", None]),
+            st.sampled_from(["f", "m", "x"]),
+            st.floats(min_value=0, max_value=399.9),
+        ), max_size=40),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_any_arrival_order_gives_the_same_report(self, records, seed):
+        """Submission order inside and across batches does not change
+        the counts: the report equals a plain fold of the records."""
+        shuffled = list(records)
+        random.Random(seed).shuffle(shuffled)
+        server = AnalyticsServer(_schema(), _specs(), batch_interval_ms=100)
+        for campaign, gender, t in shuffled:
+            values = {"gender": gender}
+            if campaign is not None:
+                values["campaign"] = campaign
+            server.submit_record(values, t)
+        server.run_pending_batches(400)
+        by_gender, total = {}, {}
+        for campaign, gender, _t in records:
+            total[gender] = total.get(gender, 0) + 1
+            if campaign is not None:
+                key = (campaign, gender)
+                by_gender[key] = by_gender.get(key, 0) + 1
+        assert server.report() == {
+            "by_gender": by_gender, "gender_total": total,
+        }
 
 
 class TestInsaPath:

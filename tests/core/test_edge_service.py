@@ -117,8 +117,7 @@ class TestPeriodical:
                 {"event": "view"}, _cookie_header({"gender": gender})
             )
             assert result.aggregation_payload is None
-        payload = edge.end_period(APP)
-        assert payload is not None
+        [payload] = edge.end_period(APP)
         packet = AggregationCodec(APP, KEY, random.Random(4)).decode(payload)
         assert packet.mode == ForwardingMode.PERIODICAL
         # Registers reset after the flush.
@@ -126,7 +125,7 @@ class TestPeriodical:
 
     def test_empty_period_is_silent(self):
         edge = _edge(ForwardingMode.PERIODICAL, period=150)
-        assert edge.end_period(APP) is None
+        assert edge.end_period(APP) == []
 
     def test_period_required(self):
         edge = SnatchEdgeServer("e2")

@@ -116,13 +116,13 @@ class TestPeriodical:
         lark, codec = _setup(ForwardingMode.PERIODICAL, period=100)
         for _ in range(3):
             lark.process_quic_packet(codec.encode({"gender": "m"}))
-        payload = lark.end_period(APP)
-        assert payload is not None
+        payloads = lark.end_period(APP)
+        assert len(payloads) == 1
         assert lark.stats_report(APP)["by_gender"]["m"] == 0
 
     def test_empty_period_emits_nothing(self):
         lark, _codec = _setup(ForwardingMode.PERIODICAL, period=100)
-        assert lark.end_period(APP) is None
+        assert lark.end_period(APP) == []
 
     def test_end_period_on_per_packet_app_rejected(self):
         lark, _codec = _setup()
@@ -352,7 +352,7 @@ class TestPerPacketItemLimits:
             mode=ForwardingMode.PERIODICAL, period_ms=100,
         )
         assert lark.process_quic_columnar(cids).folded == 20
-        assert lark.end_period(APP) is not None
+        assert len(lark.end_period(APP)) == 1
 
     def test_item_count_limit_is_checked_with_the_value_width(self):
         # (A transport cookie has room for 64 features, so only the

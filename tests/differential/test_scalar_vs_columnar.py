@@ -825,7 +825,7 @@ def test_agg_mixed_modes_and_corruption_bit_identical(seed):
         lark.process_quic_packet(cid)
         draw = rng.random()
         if draw < 0.05:
-            payloads.append(lark.end_period(APP_ID))
+            payloads.extend(lark.end_period(APP_ID))
         elif draw < 0.15:
             mutated = bytearray(payload)
             mutated[rng.randrange(3, len(mutated))] ^= 1 << rng.randrange(8)

@@ -231,7 +231,7 @@ class TestVersionedConsistency:
         )
         assert result.matched
         assert result.aggregation_payload is None  # buffered for the period
-        assert lark.end_period(handle.app_id) is not None
+        assert len(lark.end_period(handle.app_id)) == 1
 
 
 class TestPrivacyInvariants:

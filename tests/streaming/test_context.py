@@ -1,4 +1,5 @@
-"""StreamingContext: batch timing, latency accounting, GC."""
+"""StreamingContext: batch timing, latency accounting, the bounded
+batch cache."""
 
 import pytest
 
@@ -73,47 +74,48 @@ class TestExecution:
         assert a == [1] and b == [1]
 
 
-class TestGc:
-    def test_evicts_old_batches(self):
+class TestBoundedCache:
+    def test_every_stream_holds_at_most_the_widest_window(self):
+        """The context evicts each batch once the widest registered
+        window no longer reads it, so the cache does not grow with the
+        number of batches run."""
+        ssc = StreamingContext(100)
+        inp = ssc.input_stream()
+        pairs = inp.map(lambda x: (x % 3, 1))
+        counts = []
+        pairs.reduceByKeyAndWindow(
+            lambda a, b: a + b, windowDuration_ms=300
+        ).foreachRDD(lambda rdd, i: counts.append(dict(rdd.collect())))
+        narrow = pairs.window(200)
+        for t in range(0, 5000, 50):
+            inp.push(t // 50, t)
+        ssc.run_batches(50)
+        assert ssc._widest_window == 3
+        for stream in ssc._streams:
+            assert len(stream._cache) <= 3, stream
+        assert set(narrow._cache) == {47, 48, 49}
+        # The last window still saw its three batches: six records.
+        assert sum(counts[-1].values()) == 6
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 6, 10])
+    def test_cache_bound_for_each_window_width(self, width):
+        ssc = StreamingContext(100)
+        inp = ssc.input_stream()
+        windowed = inp.map(lambda x: x).window(width * 100)
+        sizes = []
+        windowed.foreachRDD(lambda rdd, i: sizes.append(rdd.count()))
+        for t in range(0, 3000, 100):
+            inp.push(t, t)
+        ssc.run_batches(30)
+        assert max(len(s._cache) for s in ssc._streams) == width
+        # Full windows throughout: one record per batch.
+        assert sizes[width - 1:] == [width] * (30 - width + 1)
+
+    def test_no_window_keeps_only_the_current_batch(self):
         ssc = StreamingContext(100)
         inp = ssc.input_stream()
         stream = inp.map(lambda x: x)
         for t in range(0, 600, 100):
             inp.push(t, t)
         ssc.run_batches(6)
-        ssc.gc(keep_batches=2)
-        assert set(stream._cache) == {4, 5}
-
-
-class TestBrokerStream:
-    def test_drains_topic_per_batch(self):
-        from repro.streaming.queue import MessageBroker
-
-        broker = MessageBroker()
-        broker.create_topic("clicks", num_partitions=2)
-        ssc = StreamingContext(100)
-        stream = ssc.broker_stream(broker, "clicks")
-        out = []
-        stream.foreachRDD(lambda rdd, i: out.append(sorted(rdd.collect())))
-        broker.publish("clicks", "a", key="k1", timestamp_ms=10)
-        broker.publish("clicks", "b", key="k2", timestamp_ms=160)
-        ssc.run_batch()
-        assert out == [["a"]]
-        broker.publish("clicks", "c", key="k3", timestamp_ms=170)
-        ssc.run_batch()
-        assert out == [["a"], ["b", "c"]]
-
-    def test_late_messages_dropped_from_past_batches(self):
-        from repro.streaming.queue import MessageBroker
-
-        broker = MessageBroker()
-        broker.create_topic("t")
-        ssc = StreamingContext(100)
-        stream = ssc.broker_stream(broker, "t")
-        counts = []
-        stream.count().foreachRDD(lambda rdd, i: counts.append(rdd.collect()))
-        ssc.run_batch()  # batch 0 done
-        broker.publish("t", "late", timestamp_ms=10)  # belongs to batch 0
-        ssc.run_batch()
-        # The late record's batch already ran; it is never recounted.
-        assert counts == [[0], [0]]
+        assert set(stream._cache) == {5}

@@ -2,11 +2,11 @@
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.streaming.context import StreamingContext
-from repro.streaming.rdd import RDD
 
 events = st.lists(
     st.tuples(
@@ -53,11 +53,9 @@ class TestWindowInvariants:
         inp = ssc.input_stream()
         batch_counts = []
         window_counts = []
-        inp.count().foreachRDD(
-            lambda rdd, i: batch_counts.append(rdd.collect()[0])
-        )
-        inp.countByWindow(300).foreachRDD(
-            lambda rdd, i: window_counts.append(rdd.collect()[0])
+        inp.foreachRDD(lambda rdd, i: batch_counts.append(rdd.count()))
+        inp.window(300).foreachRDD(
+            lambda rdd, i: window_counts.append(rdd.count())
         )
         for t, key in records:
             inp.push(key, t)
@@ -72,9 +70,7 @@ class TestWindowInvariants:
         ssc = StreamingContext(100)
         inp = ssc.input_stream()
         counts = []
-        inp.countByWindow(500).foreachRDD(
-            lambda rdd, i: counts.append(rdd.collect()[0])
-        )
+        inp.window(500).foreachRDD(lambda rdd, i: counts.append(rdd.count()))
         for t, key in records:
             inp.push(key, t)
         ssc.run_batches(5)
@@ -85,20 +81,21 @@ class TestStatefulInvariants:
     @given(events)
     @settings(max_examples=30)
     def test_running_state_equals_batch_prefix_sums(self, records):
+        """Per-batch reduceByKey counts folded by an output operation
+        (the analytics server's accumulation) equal the whole stream's
+        counts."""
         ssc = StreamingContext(100)
         inp = ssc.input_stream()
-        states = []
+        state = Counter()
         (
             inp.map(lambda key: (key, 1))
-            .updateStateByKey(lambda vals, old: (old or 0) + sum(vals))
-            .foreachRDD(lambda rdd, i: states.append(dict(rdd.collect())))
+            .reduceByKey(lambda a, b: a + b)
+            .foreachRDD(lambda rdd, i: state.update(dict(rdd.collect())))
         )
         for t, key in records:
             inp.push(key, t)
         ssc.run_batches(5)
-        final = states[-1] if states else {}
-        expected = Counter(key for _t, key in records)
-        assert final == dict(expected)
+        assert state == Counter(key for _t, key in records)
 
     @given(events)
     @settings(max_examples=20)
@@ -108,7 +105,7 @@ class TestStatefulInvariants:
         windowed = []
         (
             inp.map(lambda key: (key, 1))
-            .reduceByKeyAndWindow(lambda a, b: a + b, None, 200)
+            .reduceByKeyAndWindow(lambda a, b: a + b, 200)
             .foreachRDD(lambda rdd, i: windowed.append(dict(rdd.collect())))
         )
         for t, key in records:
@@ -120,3 +117,38 @@ class TestStatefulInvariants:
                 key for t, key in records if lo <= t < hi and t >= 0
             )
             assert windowed[index] == dict(expected)
+
+
+class TestWindowGrid:
+    """Every (width, slide) pair: the windowed count equals the naive
+    count over the trailing width, computed from batches the context
+    has not yet evicted."""
+
+    @pytest.mark.parametrize("width,slide", [
+        (1, 1), (2, 1), (2, 2), (3, 1), (3, 3), (4, 2), (5, 1), (5, 5),
+    ])
+    @given(records=events)
+    @settings(max_examples=15)
+    def test_windowed_counts_match_naive(self, width, slide, records):
+        ssc = StreamingContext(100)
+        inp = ssc.input_stream()
+        windowed = []
+        (
+            inp.map(lambda key: (key, 1))
+            .reduceByKeyAndWindow(
+                lambda a, b: a + b, width * 100, slide * 100
+            )
+            .foreachRDD(lambda rdd, i: windowed.append(dict(rdd.collect())))
+        )
+        for t, key in records:
+            inp.push(key, t)
+        ssc.run_batches(5)
+        for index in range(5):
+            expected = {}
+            if (index + 1) % slide == 0:
+                lo, hi = (index + 1 - width) * 100, (index + 1) * 100
+                expected = dict(Counter(
+                    key for t, key in records if lo <= t < hi
+                ))
+            assert windowed[index] == expected
+

@@ -70,6 +70,26 @@ class TestPipeline:
         pipeline.run(2000)
         assert pipeline.results() == {}
 
+    @pytest.mark.parametrize("window_ms,interval_ms", [
+        (300, 100), (400, 400), (600, 200), (1000, 100), (1000, 250),
+        (1000, 500), (2000, 500),
+    ])
+    def test_window_grid_matches_reference_with_a_bounded_cache(
+        self, window_ms, interval_ms
+    ):
+        workload = YsbWorkload(num_campaigns=4, ads_per_campaign=3, seed=7)
+        events = workload.generate_events(150, 4000)
+        pipeline = YsbPipeline(workload, window_ms=window_ms,
+                               batch_interval_ms=interval_ms)
+        pipeline.feed(events)
+        pipeline.run(4000 + window_ms)  # past the last window's end
+        assert pipeline.results() == workload.reference_window_counts(
+            events, window_ms
+        )
+        # No stream holds more batches than the window spans.
+        span = window_ms // interval_ms
+        assert all(len(s._cache) <= span for s in pipeline.ssc._streams)
+
     def test_window_must_align_with_interval(self):
         with pytest.raises(ValueError, match="multiple"):
             YsbPipeline(YsbWorkload(seed=6), window_ms=1000,
