@@ -15,10 +15,10 @@ and AES passes are charged the ~0.1 ms cost.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
-from operator import add
+from operator import add, mul
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.aggregation import (
@@ -42,14 +42,13 @@ from repro.crypto.aes import (
     pkcs7_sizes,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.switch.columns import BatchView, PacketColumns, match_rows
+from repro.switch.columns import PacketColumns, match_rows
 from repro.switch.pipeline import (
     AES_PASS_LATENCY_MS,
     LINE_RATE_LATENCY_MS,
     PHV,
     SwitchPipeline,
 )
-from repro.switch.registers import RegisterFile
 from repro.switch.tables import (
     MatchActionTable,
     MatchKey,
@@ -191,42 +190,6 @@ def _parse_payloads(
     ]
 
 
-class _RunTrail:
-    """What one folded run of per-packet rows leaves behind so that a
-    forward report (the merged state at one row's own merge point) can
-    be rendered if somebody asks: the application's pre-run snapshot
-    and the rows (as parsed: a slice of the batch's row matrix or
-    tuple list).  Rows are replayed into a scratch bank up to the
-    asked position; a cursor makes reading a run's reports in order
-    one 1-row fold each, and asking backwards restarts from the base
-    snapshot."""
-
-    __slots__ = ("app", "base", "rows", "sram_bits", "_bank", "_cursor")
-
-    def __init__(self, app: _AggApp, rows: Any, sram_bits: int):
-        self.app = app
-        self.base = app.stats.snapshot()
-        self.rows = rows
-        self.sram_bits = sram_bits  # the switch's own register budget
-        self._bank: Optional[SwitchStatistics] = None
-        self._cursor = 0  # rows already folded into the scratch bank
-
-    def report_at(self, position: int) -> Dict[str, Any]:
-        bank = self._bank
-        if bank is None or self._cursor > position + 1:
-            if bank is None:
-                app = self.app
-                bank = self._bank = SwitchStatistics(
-                    app.schema, app.specs, RegisterFile(self.sram_bits),
-                    "trail",
-                )
-            bank.load_snapshot(self.base)
-            self._cursor = 0
-        bank.fold_rows(self.rows[self._cursor:position + 1])
-        self._cursor = position + 1
-        return bank.report()
-
-
 @dataclass(slots=True)
 class AggResult:
     """Outcome of processing one packet at the AggSwitch."""
@@ -236,87 +199,44 @@ class AggResult:
     latency_ms: float
     forward_report: Optional[Dict[str, Any]] = None
     destination: Optional[str] = None
-    # process_columnar leaves a per-packet row's forward_report slot
-    # unset and the row's (trail, position) here: the first read of
-    # the report (== and repr read it too) lands in __getattr__.
-    _pending: Optional[Tuple[_RunTrail, int]] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def __getattr__(self, name: str) -> Any:
-        if name != "forward_report" or self._pending is None:
-            raise AttributeError(name)
-        trail, position = self._pending
-        self.forward_report = trail.report_at(position)
-        self._pending = None
-        return self.forward_report
+    # The packet hit the SID/app table (and so was decrypted).
+    matched: bool = False
 
 
-class AggBatchResult(BatchView):
-    """Outcome of one :meth:`AggSwitch.process_columnar` batch, the
-    mirror of :class:`~repro.core.larkswitch.LarkBatchResult`.
+@dataclass
+class AggBatchResult:
+    """Outcome of one :meth:`AggSwitch.process_columnar` batch, as
+    columns over the batch's payload positions — the mirror of
+    :class:`~repro.core.larkswitch.LarkBatchResult`.
 
-    Streaming callers read ``merged`` (how many payloads reached the
-    registers), settled before the call returns.  The batch is also
-    the sequence of its per-payload :class:`AggResult` s — what
-    :meth:`AggSwitch.process_packet` returns payload by payload, a
-    per-packet row's forward report still rendered on its own first
-    read — built on first use (:class:`~repro.switch.columns.BatchView`).
+    ``matched`` holds, ascending, the positions that hit the SID/app
+    table and ``merged_at`` those whose payload reached the registers;
+    ``latency_ms`` is each payload's pipeline latency.  A packet-level
+    simulator forwards exactly the merged payloads, each after its
+    latency.
     """
 
-    __slots__ = ("merged",)
+    matched: List[int]
+    merged_at: List[int]
+    latency_ms: List[float]
 
-    def __init__(
-        self,
-        n: int,
-        merged: int,
-        parts: Tuple[Any, ...] = (),
-        results: Optional[List[AggResult]] = None,
-    ):
-        # parts: (SID column, matched batch positions per application,
-        # folded runs as (trail, batch positions, destination), merged
-        # periodical payloads as (batch position, report, destination)).
-        super().__init__(n, parts, results)
-        self.merged = merged
+    def __len__(self) -> int:
+        return len(self.latency_ms)
+
+    @property
+    def merged(self) -> int:
+        """How many payloads reached the registers."""
+        return len(self.merged_at)
 
     @classmethod
     def of(cls, results: List[AggResult]) -> "AggBatchResult":
-        """The batch form of results that exist already (the scalar
-        interpreter produced them, or the switch is down)."""
+        """The columns of per-payload results (the scalar interpreter
+        produced them, or the switch is down)."""
         return cls(
-            len(results), sum(r.merged for r in results), results=results
+            [i for i, r in enumerate(results) if r.matched],
+            [i for i, r in enumerate(results) if r.merged],
+            [r.latency_ms for r in results],
         )
-
-    def _render(self) -> List[AggResult]:
-        sids, hits, runs, snapshots = self._parts
-        out: List[Any] = [None] * self.n
-        for trail, run, destination in runs:
-            for position, i in enumerate(run):
-                # Positional (field order: is_aggregation, merged,
-                # latency_ms, forward_report, destination, _pending).
-                # The report renders on first read.
-                result = out[i] = AggResult(
-                    True, True, _HIT_LATENCY_MS, None, destination,
-                    (trail, position),
-                )
-                del result.forward_report
-        for i, report, destination in snapshots:
-            out[i] = AggResult(
-                True, True, _HIT_LATENCY_MS, report, destination
-            )
-        for idxs in hits:
-            for i in idxs:
-                if out[i] is None:  # matched, then failed to decode
-                    out[i] = AggResult(True, False, _HIT_LATENCY_MS)
-        return [
-            AggResult(
-                int(sids[i]) == SNATCH_SID, False, LINE_RATE_LATENCY_MS
-            ) if result is None else result
-            for i, result in enumerate(out)
-        ]
-
-    def __repr__(self) -> str:
-        return "AggBatchResult(n=%d, merged=%d)" % (self.n, self.merged)
 
 
 class AggSwitch:
@@ -433,29 +353,26 @@ class AggSwitch:
 
     # -- data plane -----------------------------------------------------------
 
-    def _fold_packet(
-        self, app: _AggApp, packet: AggregationPacket
-    ) -> Optional[Dict[str, Any]]:
-        """Fold one decoded aggregation packet into the app's registers
-        and return the forward report (the merged state at this
-        packet's own merge point).  ``None`` means a malformed item
-        stack; the caller counts it as a decode failure.  This is the
-        scalar action's body; the columnar path takes it for periodical
-        payloads only (see :meth:`_fold_run`)."""
+    def _fold_packet(self, app: _AggApp, packet: AggregationPacket) -> bool:
+        """Fold one decoded aggregation packet into the app's registers.
+        ``False`` means a malformed item stack, which leaves them
+        untouched; the caller counts it as a decode failure.  This is
+        the scalar action's body; the columnar path takes it for
+        periodical payloads only (see :meth:`_fold_run`)."""
         bank = app.stats
         if packet.mode == ForwardingMode.PER_PACKET:
             # Items are (feature_index, wire_value) for one cookie.
             values: Dict[str, Any] = {}
             for index, wire in packet.items:
                 if index >= len(app.schema.features):
-                    return None
+                    return False
                 feature = app.schema.features[index]
                 try:
                     values[feature.name] = feature.decode_value(wire)
                 except ValueError:
                     # Corrupted wire value: reject before any register
                     # is touched, so the payload is a clean dead letter.
-                    return None
+                    return False
             bank.update(values)
             self._m_register_updates.inc()
             self._m_per_packet_merges.inc()
@@ -476,11 +393,11 @@ class AggSwitch:
                     app.specs, bank.snapshot(), incoming
                 )
             except (ValueError, KeyError, IndexError):
-                return None
+                return False
             self._write_snapshot(bank, merged)
             self._m_report_merges.inc()
         app.packets_merged += 1
-        return bank.report()
+        return True
 
     def _action_merge(
         self, pipeline: SwitchPipeline, phv: PHV, params: Dict[str, Any]
@@ -494,13 +411,14 @@ class AggSwitch:
             phv.metadata["decode_failed"] = True
             self._m_decode_failures.inc()
             return
-        report = self._fold_packet(app, packet)
-        if report is None:
+        if not self._fold_packet(app, packet):
             phv.metadata["decode_failed"] = True
             self._m_decode_failures.inc()
             return
         phv.metadata["merged_app"] = app.app_id
-        phv.metadata["forward_report"] = report
+        # The forward report: the merged state at this packet's own
+        # merge point.
+        phv.metadata["forward_report"] = app.stats.report()
 
     def _write_snapshot(
         self, bank: SwitchStatistics, snapshot: Dict[str, List[int]]
@@ -560,10 +478,9 @@ class AggSwitch:
         matched payload is decrypted and parsed to a wire row in one
         kernel (:func:`_parse_payloads`), each run of consecutive
         per-packet rows of an app folds at once (:meth:`_fold_run`),
-        and a periodical payload folds in its own place between runs.  Each forward report still reflects the
-        merged state at that packet's own merge point; the per-payload
-        results, a per-packet row's report included, are the returned
-        batch's lazy view.
+        and a periodical payload folds in its own place between runs.
+        The result is the batch's columns (:class:`AggBatchResult`);
+        no forward report is built.
         The column, parse and fold kernels each pick their numpy
         or Python form; only a reshaped pipeline leaves this path, for
         the interpreter.
@@ -589,37 +506,34 @@ class AggSwitch:
         table.lookups += n
         sids = columns.be16_column(0, default=0)
         app_ids = columns.byte_column(2, default=-1)
-        hits: List[List[int]] = []
-        runs: List[Tuple[_RunTrail, List[int], str]] = []
-        snapshots: List[Tuple[int, Dict[str, Any], str]] = []
-        merged_count = 0
+        matched: List[int] = []
+        merged_at: List[int] = []
         for app_id, app in self._apps.items():
             idxs = match_rows((sids, app_ids), (SNATCH_SID, app_id))
             if not idxs:
                 continue
-            hits.append(idxs)
+            matched.extend(idxs)
             merged, rows, periodical = _parse_payloads(app, columns, idxs)
-            merged_count += len(merged)
+            merged_at.extend(merged)
             done = 0  # rows[:done] are folded
             for i, before, count_byte, body in periodical:
                 # A periodical snapshot merge reads the bank, so the
                 # run before it folds first: packet order is preserved.
                 if before > done:
-                    runs.append(self._fold_run(
-                        app, merged[done:before], rows[done:before]
-                    ))
+                    self._fold_run(app, rows[done:before])
                     done = before
                 try:
                     packet = app.codec.packet_from_body(body, count_byte)
                 except ValueError:
                     continue  # malformed data-stack: decode failure
-                report = self._fold_packet(app, packet)
-                if report is not None:
-                    snapshots.append((i, report, app.destination))
+                if self._fold_packet(app, packet):
+                    merged_at.append(i)
             if len(merged) > done:
-                runs.append(self._fold_run(app, merged[done:], rows[done:]))
-        merged_count += len(snapshots)
-        hit_count = sum(map(len, hits))
+                self._fold_run(app, rows[done:])
+        # Ascending across applications and periodical payloads.
+        matched.sort()
+        merged_at.sort()
+        hit_count = len(matched)
         hit_meter, miss_meter = pipe._stage_meters[0]
         table.hits += hit_count
         hit_meter.inc(hit_count)
@@ -628,45 +542,40 @@ class AggSwitch:
         hit_us = _HIT_LATENCY_MS * 1000.0
         pipe._m_latency_us.observe_many(line_us, n - hit_count)
         pipe._m_latency_us.observe_many(hit_us, hit_count)
-        self._m_decode_failures.inc(hit_count - merged_count)
+        self._m_decode_failures.inc(hit_count - len(merged_at))
         pipe._m_batches.inc()
         pipe._m_batch_size.observe(n)
+        if not isinstance(sids, list):
+            sids, app_ids = sids.tolist(), app_ids.tolist()
+        latency_ms = list(map(
+            dict.fromkeys(
+                zip(repeat(SNATCH_SID), self._apps), _HIT_LATENCY_MS
+            ).get,
+            zip(sids, app_ids), repeat(LINE_RATE_LATENCY_MS),
+        ))
         # The batch latency is the per-payload latencies added up one
         # after another in payload order (n * hit_us differs from that
         # in the last bits), here without a Python-level loop.
-        latency_of = dict.fromkeys(
-            zip(repeat(SNATCH_SID), self._apps), hit_us
+        pipe._m_batch_latency_us.observe(
+            reduce(add, map(mul, latency_ms, repeat(1000.0)), 0.0)
         )
-        if not isinstance(sids, list):
-            sids, app_ids = sids.tolist(), app_ids.tolist()
-        pipe._m_batch_latency_us.observe(reduce(
-            add, map(latency_of.get, zip(sids, app_ids), repeat(line_us)),
-            0.0,
-        ))
-        return AggBatchResult(
-            n, merged_count, (sids, hits, runs, snapshots)
-        )
+        return AggBatchResult(matched, merged_at, latency_ms)
 
-    def _fold_run(
-        self, app: _AggApp, run: List[int], rows: Any
-    ) -> Tuple[_RunTrail, List[int], str]:
-        """Fold one run of validated per-packet wire rows (``run``
-        holds their batch positions) — one ``fold_rows`` call, counters
-        bumped once — and return what renders each row's result on
-        demand: the run's trail, the positions, the destination."""
-        trail = _RunTrail(app, rows, self.pipeline.registers.sram_budget_bits)
+    def _fold_run(self, app: _AggApp, rows: Any) -> None:
+        """Fold one run of validated per-packet wire rows — one
+        ``fold_rows`` call, counters bumped once."""
         app.stats.fold_rows(rows)
-        app.packets_merged += len(run)
-        self._m_register_updates.inc(len(run))
-        self._m_per_packet_merges.inc(len(run))
-        return trail, run, app.destination
+        app.packets_merged += len(rows)
+        self._m_register_updates.inc(len(rows))
+        self._m_per_packet_merges.inc(len(rows))
 
     def _to_agg_result(self, result: Any) -> AggResult:
-        merged_app = result.phv.metadata.get("merged_app")
+        metadata = result.phv.metadata
+        merged_app = metadata.get("merged_app")
         forward_report = None
         destination = None
         if merged_app is not None:
-            forward_report = result.phv.metadata.get("forward_report")
+            forward_report = metadata.get("forward_report")
             destination = self._apps[merged_app].destination
         return AggResult(
             is_aggregation=result.phv.get("sid", 0) == SNATCH_SID,
@@ -674,6 +583,8 @@ class AggSwitch:
             latency_ms=result.latency_ms,
             forward_report=forward_report,
             destination=destination,
+            matched=merged_app is not None
+            or metadata.get("decode_failed", False),
         )
 
     # -- read-out ----------------------------------------------------------------

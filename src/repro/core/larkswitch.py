@@ -27,7 +27,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import accumulate, compress, islice, repeat
-from operator import add
+from operator import add, mul
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.aggregation import (
@@ -56,7 +56,6 @@ from repro.obs.registry import MetricsRegistry
 from repro.quic.connection_id import ConnectionID, MAX_CONNECTION_ID_BYTES
 from repro.switch.bloom import BloomFilter
 from repro.switch.columns import (
-    BatchView,
     PacketColumns,
     group_counts,
     group_rows,
@@ -64,7 +63,6 @@ from repro.switch.columns import (
 )
 from repro.switch.pipeline import (
     AES_PASS_LATENCY_MS,
-    Digest,
     LINE_RATE_LATENCY_MS,
     PHV,
     SwitchPipeline,
@@ -135,128 +133,53 @@ class LarkResult:
     # The packet's cookie decoded and reached the statistics registers
     # (False for a miss, a decode failure or a deduplicated repeat).
     folded: bool = False
-    # process_quic_columnar leaves a folded packet's decoded_values
-    # slot unset and (codec, wire row) here: the first read of the
-    # values (== and repr read them too) lands in __getattr__.
-    _pending: Optional[Tuple[TransportCookieCodec, Tuple[int, ...]]] = (
-        field(default=None, repr=False, compare=False)
-    )
-
-    def __getattr__(self, name: str) -> Any:
-        if name != "decoded_values" or self._pending is None:
-            raise AttributeError(name)
-        codec, row = self._pending
-        self.decoded_values = codec.values_from_row(row)
-        self._pending = None
-        return self.decoded_values
 
 
-_UNMATCHED = (False, True, None, LINE_RATE_LATENCY_MS)
 _UNKNOWN = object()  # decode-memo miss (None is a memoised failure)
 _HIT_LATENCY_MS = LINE_RATE_LATENCY_MS + AES_PASS_LATENCY_MS
 
 
-class LarkBatchResult(BatchView):
-    """Outcome of one :meth:`LarkSwitch.process_quic_columnar` batch.
+@dataclass
+class LarkBatchResult:
+    """Outcome of one :meth:`LarkSwitch.process_quic_columnar` batch,
+    as columns over the batch's packet positions.
 
-    Streaming callers read two things, both settled before the call
-    returns: ``payloads`` (the emitted aggregation payloads in packet
-    order; empty for a periodical application, whose only output is the
-    period close) and ``folded`` (how many packets reached the
-    statistics registers).  The batch is also the sequence of its
-    per-packet :class:`LarkResult` s — exactly what
-    :meth:`LarkSwitch.process_quic_packet` returns packet by packet —
-    rendered on first use from the per-application columns the switch
-    worked on (:class:`~repro.switch.columns.BatchView`).
+    ``payloads`` are the emitted aggregation payloads in packet order
+    (none for a periodical application, whose only output is the
+    period close) and ``emitters`` the position of the packet that
+    emitted each one; ``matched`` holds, ascending, the positions that
+    hit the application table, and ``folded`` counts the packets that
+    reached the statistics registers.  ``latency_ms`` is each packet's
+    pipeline latency and ``dropped`` the positions whose original the
+    switch did not forward (only a reshaped pipeline drops): what a
+    packet-level simulator schedules each packet from.
     """
 
-    __slots__ = ("payloads", "folded")
+    payloads: List[bytes]
+    emitters: List[int]
+    matched: List[int]
+    folded: int
+    latency_ms: List[float]
+    dropped: List[int]
 
-    def __init__(
-        self,
-        n: int,
-        payloads: List[bytes],
-        folded: int,
-        parts: Sequence[Tuple[Any, ...]] = (),
-        results: Optional[List[LarkResult]] = None,
-    ):
-        # parts, per matched application: (codec, digest columns,
-        # packet indexes, their group ids, per-group wire rows,
-        # per-group "the next packet folds" flags, whether a fold
-        # leaves the flag set, the application's sealed payloads in
-        # packet order).
-        super().__init__(n, parts, results)
-        self.payloads = payloads
-        self.folded = folded
+    def __len__(self) -> int:
+        return len(self.latency_ms)
 
     @classmethod
     def of(cls, results: List[LarkResult]) -> "LarkBatchResult":
-        """The batch form of results that exist already (the scalar
-        interpreter produced them, or the switch is down)."""
+        """The columns of per-packet results (the scalar interpreter
+        produced them, or the switch is down)."""
+        emitters = [
+            i for i, r in enumerate(results)
+            if r.aggregation_payload is not None
+        ]
         return cls(
-            len(results),
-            [
-                r.aggregation_payload for r in results
-                if r.aggregation_payload is not None
-            ],
+            [results[i].aggregation_payload for i in emitters],
+            emitters,
+            [i for i, r in enumerate(results) if r.matched],
             sum(r.folded for r in results),
-            results=results,
-        )
-
-    def _render(self) -> List[LarkResult]:
-        out: List[Any] = [None] * self.n
-        matched = 0
-        for (
-            codec, digest_columns, idxs, inverse, decoded, folds, keep,
-            sealed,
-        ) in self._parts:
-            matched += len(idxs)
-            folds = list(folds)
-            payload = iter(sealed)
-            for i, group in zip(idxs, inverse):
-                row = decoded[group]
-                if row is None:
-                    out[i] = LarkResult(True, True, None, _HIT_LATENCY_MS)
-                elif not folds[group]:
-                    out[i] = LarkResult(
-                        True, True, None, _HIT_LATENCY_MS, None, True
-                    )
-                else:
-                    folds[group] = keep
-                    # Positional (field order: matched,
-                    # forwarded_original, aggregation_payload,
-                    # latency_ms, decoded_values, deduplicated,
-                    # digests, folded, _pending): half the cost of the
-                    # keyword call.  The values render on first read.
-                    result = out[i] = LarkResult(
-                        True, True, next(payload, None), _HIT_LATENCY_MS,
-                        None, False,
-                        [
-                            Digest(
-                                "snatch_value",
-                                {
-                                    "feature": feature.name,
-                                    "value": feature.decode_value(
-                                        row[column]
-                                    ),
-                                },
-                            )
-                            for column, feature in digest_columns
-                            if row[column] >= 0
-                        ] if digest_columns else [],
-                        True, (codec, row),
-                    )
-                    del result.decoded_values
-        if matched < self.n:
-            out = [
-                LarkResult(*_UNMATCHED) if result is None else result
-                for result in out
-            ]
-        return out
-
-    def __repr__(self) -> str:
-        return "LarkBatchResult(n=%d, folded=%d, payloads=%d)" % (
-            self.n, self.folded, len(self.payloads)
+            [r.latency_ms for r in results],
+            [i for i, r in enumerate(results) if not r.forwarded_original],
         )
 
 
@@ -561,20 +484,21 @@ class LarkSwitch:
         return out
 
     @staticmethod
-    def _seal_per_packet(emitting: List[Tuple[Any, ...]]) -> List[bytes]:
+    def _seal_per_packet(
+        emitting: List[Tuple[Any, ...]]
+    ) -> Tuple[List[bytes], List[int]]:
         """Seal a batch's per-packet clones: ``emitting`` holds, per
         per-packet application, ``(agg codec, emitting packet indexes,
-        the folded groups' wire rows, each emitting packet's row,
-        sealed)``; each ``sealed`` list is filled with that
-        application's payloads (one ``seal_rows``) and all of them are
-        returned in packet order.  Every codec on a switch draws from
-        its one RNG, so the batch's IVs are one draw in global packet
-        order, dealt out to the applications slot by slot."""
-        codecs, indexes, rows, groups, sealed = zip(*emitting)
+        the folded groups' wire rows, each emitting packet's row)``.
+        Returns the payloads in packet order (one ``seal_rows`` per
+        application) and the packet index of each.  Every codec on a
+        switch draws from its one RNG, so the batch's IVs are one draw
+        in global packet order, dealt out to the applications slot by
+        slot."""
+        codecs, indexes, rows, groups = zip(*emitting)
         ivs = codecs[0].draw_ivs(sum(map(len, indexes)))
         if len(emitting) == 1:
-            sealed[0].extend(codecs[0].seal_rows(rows[0], groups[0], ivs))
-            return list(sealed[0])
+            return codecs[0].seal_rows(rows[0], groups[0], ivs), indexes[0]
         slots = sorted(
             (i, a, k)
             for a, emit_idxs in enumerate(indexes)
@@ -583,13 +507,13 @@ class LarkSwitch:
         dealt: List[List[bytes]] = [[] for _ in emitting]
         for slot, (_, a, _) in enumerate(slots):
             dealt[a].append(ivs[16 * slot:16 * slot + 16])
-        for codec, app_rows, app_groups, out, app_ivs in zip(
-            codecs, rows, groups, sealed, dealt
-        ):
-            out.extend(
-                codec.seal_rows(app_rows, app_groups, b"".join(app_ivs))
+        sealed = [
+            codec.seal_rows(app_rows, app_groups, b"".join(app_ivs))
+            for codec, app_rows, app_groups, app_ivs in zip(
+                codecs, rows, groups, dealt
             )
-        return [sealed[a][k] for _, a, k in slots]
+        ]
+        return [sealed[a][k] for _, a, k in slots], [i for i, _, _ in slots]
 
     def process_quic_columnar(
         self, dcids: Sequence[ConnectionID]
@@ -605,8 +529,8 @@ class LarkSwitch:
         an application forwards per packet: then the payload IVs are
         one draw in packet order and each application's payloads are
         sealed straight from its groups' wire rows, one batched CBC
-        pass each.  The per-packet results are the returned batch's
-        lazy view.
+        pass each.  The result is the batch's columns
+        (:class:`LarkBatchResult`).
         The kernels underneath (:mod:`repro.switch.columns`, AES,
         register folds) each pick their numpy or Python form, so this
         is the one fast path with the gate open or closed.  Only a
@@ -640,16 +564,17 @@ class LarkSwitch:
         decoded_count = 0
         failure_count = 0
         digest_count = 0
-        parts: List[Tuple[Any, ...]] = []
+        matched: List[int] = []
         # Per per-packet application: (agg codec, emitting packet
         # indexes, the folded groups' wire rows, each emitting packet's
-        # row, its part's sealed list).
+        # row).
         emitting: List[Tuple[Any, ...]] = []
         for app_id, app in self._apps.items():
             idxs = match_rows((app_column,), (app_id,))
             if not idxs:
                 continue
             hit_count += len(idxs)
+            matched.extend(idxs)
             keys, lengths, inverse = group_rows(
                 columns, COOKIE_BYTE_START, COOKIE_BYTE_END,
                 None if len(idxs) == n else idxs,
@@ -679,22 +604,16 @@ class LarkSwitch:
                 times = live_counts
                 decoded_count += decodable
             app.stats.fold_rows(rows, times)
-            digest_columns = (
-                app.digest_columns if app.digest_features else ()
-            )
-            for column, _ in digest_columns:
-                digest_count += sum(
-                    t for row, t in zip(rows, times) if row[column] >= 0
-                )
-            keep = app.dedup is None
-            sealed: List[bytes] = []
-            parts.append((
-                app.cookie_codec, digest_columns, idxs, inverse, decoded,
-                folds, keep, sealed,
-            ))
+            if app.digest_features:
+                for column, _ in app.digest_columns:
+                    digest_count += sum(
+                        t for row, t in zip(rows, times) if row[column] >= 0
+                    )
             if app.mode == ForwardingMode.PER_PACKET:
-                # rows[slot_of[g] - 1] is group g's row when it folds.
+                # rows[slot_of[g] - 1] is group g's row when it folds;
+                # with dedup only a group's first packet folds.
                 slot_of = list(accumulate(folds))
+                keep = app.dedup is None
                 emit_idxs: List[int] = []
                 emit_rows: List[int] = []
                 pending = list(folds)
@@ -703,10 +622,11 @@ class LarkSwitch:
                         pending[g] = keep
                         emit_idxs.append(i)
                         emit_rows.append(slot_of[g] - 1)
-                emitting.append(
-                    (app.agg_codec, emit_idxs, rows, emit_rows, sealed)
-                )
-        payloads = self._seal_per_packet(emitting) if emitting else []
+                emitting.append((app.agg_codec, emit_idxs, rows, emit_rows))
+        payloads, emitters = (
+            self._seal_per_packet(emitting) if emitting else ([], [])
+        )
+        matched.sort()  # ascending across applications
         hit_meter, miss_meter = pipe._stage_meters[0]
         table.hits += hit_count
         hit_meter.inc(hit_count)
@@ -722,16 +642,21 @@ class LarkSwitch:
         self._m_digests.inc(digest_count)
         pipe._m_batches.inc()
         pipe._m_batch_size.observe(n)
+        if not isinstance(app_column, list):
+            app_column = app_column.tolist()
+        latency_ms = list(map(
+            dict.fromkeys(self._apps, _HIT_LATENCY_MS).get, app_column,
+            repeat(LINE_RATE_LATENCY_MS),
+        ))
         # The batch latency is the per-packet latencies added up one
         # after another in packet order (n * hit_us differs from that
         # in the last bits), here without a Python-level loop.
-        latency_of = dict.fromkeys(self._apps, hit_us)
-        if not isinstance(app_column, list):
-            app_column = app_column.tolist()
-        pipe._m_batch_latency_us.observe(reduce(
-            add, map(latency_of.get, app_column, repeat(line_us)), 0.0
-        ))
-        return LarkBatchResult(n, payloads, decoded_count, parts)
+        pipe._m_batch_latency_us.observe(
+            reduce(add, map(mul, latency_ms, repeat(1000.0)), 0.0)
+        )
+        return LarkBatchResult(
+            payloads, emitters, matched, decoded_count, latency_ms, []
+        )
 
     @staticmethod
     def _to_lark_result(result: Any) -> LarkResult:

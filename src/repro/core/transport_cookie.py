@@ -456,7 +456,7 @@ class TransportCookieCodec:
     def values_from_row(self, row) -> Dict[str, Any]:
         """Feature values of a wire row :meth:`rows_from_blocks`
         returned — what :meth:`values_from_block` gives for the same
-        block, rendered only when somebody reads it."""
+        block."""
         return {
             feature.name: feature.decode_value(wire)
             for wire, feature in zip(row, self.schema.features)

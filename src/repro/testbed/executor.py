@@ -207,10 +207,9 @@ class Replica:
         self._injector = None
         self._batch = 0
         # Each entry folds one chunk and returns how many of its rows
-        # reached the registers (the batch results' eager counts: no
-        # per-packet result is rendered).  Rows arrive as
-        # bytes-likes (list slices inline, ring views in a worker); the
-        # columnar kernels take the chunk as it comes.
+        # reached the registers (the columnar batch's count).  Rows
+        # arrive as bytes-likes (list slices inline, ring views in a
+        # worker); the columnar kernels take the chunk as it comes.
         if self.spec.kind == "lark":
             from repro.quic.connection_id import ConnectionID
 

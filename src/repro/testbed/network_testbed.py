@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, List, Optional
 
+from repro.core.aggregation import ForwardingMode
 from repro.core.aggswitch import AggSwitch
 from repro.core.cookie_cache import CookieEncodeCache
 from repro.core.larkswitch import LarkSwitch
@@ -41,13 +42,21 @@ from repro.net.node import Node, ProcessingNode, SinkNode, SwitchNode
 from repro.net.packet import NetPacket
 from repro.net.topology import Network
 from repro.quic.connection_id import ConnectionID
-from repro.testbed.config import TestbedConfig
+from repro.testbed.config import Scheme, TestbedConfig
 from repro.workloads.adcampaign import AdCampaignWorkload
 
 __all__ = ["NetworkTestbed", "NetworkRunResult"]
 
 _APP_ID = 0x5C
 _EPS_MS = 0.25  # agg -> analytics last hop
+# The one pathway the topology below models, as TestbedConfig fields:
+# Trans-1RTT cookies, INSA in the switches, per-packet forwarding.
+_MODELED = {
+    "scheme": Scheme.TRANS_1RTT,
+    "insa": True,
+    "forwarding": ForwardingMode.PER_PACKET,
+    "period_ms": 0.0,
+}
 
 
 @dataclass
@@ -72,7 +81,12 @@ class NetworkRunResult:
 
 
 class NetworkTestbed:
-    """Trans-1RTT + INSA over real hop-by-hop packet delivery."""
+    """Trans-1RTT + INSA over real hop-by-hop packet delivery.
+
+    A ``config`` whose scheme, INSA flag, forwarding mode or period
+    asks for any other pathway is refused with a ``ValueError``; the
+    default config is the modeled one.
+    """
 
     __test__ = False
 
@@ -98,7 +112,14 @@ class NetworkTestbed:
         # modeling a recirculation/burst buffer in front of the pipe.
         self.batch_window_ms = batch_window_ms
         self.batch_max = batch_max
-        self.config = config or TestbedConfig()
+        self.config = config or TestbedConfig(**_MODELED)
+        for name, modeled in _MODELED.items():
+            value = getattr(self.config, name)
+            if value != modeled:
+                raise ValueError(
+                    "NetworkTestbed models only config.%s=%r, not %r"
+                    % (name, modeled, value)
+                )
         self.workload = workload or AdCampaignWorkload(
             num_users=self.config.num_users,
             num_campaigns=self.config.num_campaigns,
@@ -156,8 +177,9 @@ class NetworkTestbed:
 
             With ``batch_window_ms`` set, arriving packets queue in a
             burst buffer and go through the columnar fast path
-            together; per-packet outcomes are identical, each packet
-            just waits out the remainder of its window first.
+            together; each packet is scheduled from the batch's
+            columns exactly as from its own result, after waiting out
+            the remainder of its window.
             """
 
             def __init__(self, name: str):
@@ -173,7 +195,10 @@ class NetworkTestbed:
                     result = testbed.lark_device.process_quic_packet(
                         ConnectionID(packet.headers["dcid"])
                     )
-                    self._schedule_finish(packet, result)
+                    self._schedule_finish(
+                        packet, result.latency_ms,
+                        result.forwarded_original, result.aggregation_payload,
+                    )
                     return
                 self._pending.append(packet)
                 if len(self._pending) >= testbed.batch_max:
@@ -187,29 +212,42 @@ class NetworkTestbed:
                 pending, self._pending = self._pending, []
                 if not pending:
                     return
-                results = testbed.lark_device.process_quic_columnar(
+                batch = testbed.lark_device.process_quic_columnar(
                     [ConnectionID(p.headers["dcid"]) for p in pending]
                 )
-                for queued, result in zip(pending, results):
-                    self._schedule_finish(queued, result)
+                payload_of = dict(zip(batch.emitters, batch.payloads))
+                dropped = set(batch.dropped)
+                for i, (queued, latency_ms) in enumerate(
+                    zip(pending, batch.latency_ms)
+                ):
+                    self._schedule_finish(
+                        queued, latency_ms, i not in dropped,
+                        payload_of.get(i),
+                    )
 
-            def _schedule_finish(self, packet: NetPacket, result) -> None:
+            def _schedule_finish(
+                self,
+                packet: NetPacket,
+                latency_ms: float,
+                forward: bool,
+                payload: Optional[bytes],
+            ) -> None:
                 def finish() -> None:
-                    if result.forwarded_original:
+                    if forward:
                         self.forward(packet)
-                    if result.aggregation_payload is not None:
+                    if payload is not None:
                         clone = NetPacket(
                             src=self.name,
                             dst="agg",
                             protocol="snatch-agg",
-                            size_bytes=len(result.aggregation_payload) + 28,
-                            payload=result.aggregation_payload,
+                            size_bytes=len(payload) + 28,
+                            payload=payload,
                             headers={"request_id": packet.headers["request_id"],
                                      "t0": packet.created_at_ms},
                         )
                         self.send(clone)
 
-                self.sim.schedule(result.latency_ms, finish)
+                self.sim.schedule(latency_ms, finish)
 
         class AggNode(SwitchNode):
             """Merges aggregation packets, forwards results onward."""
@@ -225,7 +263,9 @@ class NetworkTestbed:
                     return
                 if testbed.batch_window_ms <= 0:
                     result = testbed.agg_device.process_packet(packet.payload)
-                    self._schedule_finish(packet, result)
+                    self._schedule_finish(
+                        packet, result.latency_ms, result.merged
+                    )
                     return
                 self._pending.append(packet)
                 if len(self._pending) >= testbed.batch_max:
@@ -239,20 +279,25 @@ class NetworkTestbed:
                 pending, self._pending = self._pending, []
                 if not pending:
                     return
-                results = testbed.agg_device.process_columnar(
+                batch = testbed.agg_device.process_columnar(
                     [p.payload for p in pending]
                 )
-                for queued, result in zip(pending, results):
-                    self._schedule_finish(queued, result)
+                merged = set(batch.merged_at)
+                for i, (queued, latency_ms) in enumerate(
+                    zip(pending, batch.latency_ms)
+                ):
+                    self._schedule_finish(queued, latency_ms, i in merged)
 
-            def _schedule_finish(self, packet: NetPacket, result) -> None:
+            def _schedule_finish(
+                self, packet: NetPacket, latency_ms: float, merged: bool
+            ) -> None:
                 def finish() -> None:
-                    if result.merged:
+                    if merged:
                         self.forward(
                             packet.clone(dst="analytics", src=self.name)
                         )
 
-                self.sim.schedule(result.latency_ms, finish)
+                self.sim.schedule(latency_ms, finish)
 
         net.add_node(Node("client"))
         net.add_node(LarkNode("lark"))

@@ -20,7 +20,7 @@ reordering stage — into the AggSwitch.
 
 Determinism contract (the differential suite holds us to it): for a
 fixed backend, the final aggregation report, the merged register
-arrays, and the per-payload AggResults are **identical for every
+arrays and the merged / dead-letter counts are **identical for every
 micro-batch size**, including with reordering fault injection enabled.
 Period boundaries in periodical forwarding depend only on event
 timestamps, and the tail is flushed exactly once at end-of-run; the
@@ -133,7 +133,6 @@ class PipelineResult:
     reference: Dict[str, Dict[Any, int]]
     register_state: Dict[str, List[int]]
     cache_stats: Dict[str, int]
-    agg_results: List[Any] = field(default_factory=list)
     # Aggregation-bound payloads that could not be folded (corrupted /
     # undecodable) — counted and dropped instead of aborting the run.
     dead_letters: int = 0
@@ -172,10 +171,8 @@ class StreamingPipeline:
       ``placement`` controller is attached; then it has one per shard
       of the controller's live map, payload batches are partitioned
       under that map, and period flushes are placement epochs.  Reports
-      are byte-identical to the other tiers; per-payload
-      ``agg_results`` stay in the workers, so ``collect_results``
-      returns an empty list.  Call :meth:`close` (or use the pipeline
-      as a context manager) to release the workers.
+      are byte-identical to the other tiers.  Call :meth:`close` (or
+      use the pipeline as a context manager) to release the workers.
 
     ``on_batch(pipeline, columns)`` runs before each micro-batch is
     encoded — the hook the rekey regression test uses to push a
@@ -449,9 +446,7 @@ class StreamingPipeline:
             )
         return self.agg.process_columnar(payloads)
 
-    def _dispatch(
-        self, payloads: List[bytes], out: Optional[List[Any]]
-    ) -> int:
+    def _dispatch(self, payloads: List[bytes]) -> int:
         """Route payloads (through the corruption and reorder fault
         stages when present) into the AggSwitch via the backend-matched
         entry point; count unfoldable payloads as dead letters."""
@@ -464,12 +459,10 @@ class StreamingPipeline:
             payloads = emitted
         if not payloads:
             return 0
-        self._deliver(payloads, out)
+        self._deliver(payloads)
         return len(payloads)
 
-    def _deliver(
-        self, payloads: List[bytes], out: Optional[List[Any]]
-    ) -> None:
+    def _deliver(self, payloads: List[bytes]) -> None:
         if self._fleet is not None:
             # Hand the batch to the worker fleet and keep going — the
             # fold happens concurrently; merged/dead-letter counts
@@ -501,20 +494,11 @@ class StreamingPipeline:
         if dead:
             self.dead_letters += dead
             self.registry.counter("pipeline.dead_letters").inc(dead)
-        # Results are rendered and kept only for a caller that asked: a
-        # per-packet stream has one per event (each pinning its run's
-        # trail).
-        if out is not None:
-            for batch in batches:
-                out.extend(batch)
 
     # -- run ---------------------------------------------------------------
 
     def run(
-        self,
-        requests_per_second: float,
-        duration_ms: float,
-        collect_results: bool = False,
+        self, requests_per_second: float, duration_ms: float
     ) -> PipelineResult:
         stream = self.workload.stream(requests_per_second, duration_ms)
         new_reference = getattr(self.workload, "new_reference", None)
@@ -530,7 +514,6 @@ class StreamingPipeline:
         self.last_checkpoint = None
         self._checkpoints_taken = 0
         self._fleet_packets = {}
-        agg_results: Optional[List[Any]] = [] if collect_results else None
         events = 0
         batches = 0
         payload_count = 0
@@ -564,18 +547,18 @@ class StreamingPipeline:
                 if flush:
                     self._flush_period(payloads)
             payload_count += len(payloads)
-            self._dispatch(payloads, agg_results)
+            self._dispatch(payloads)
         # Tail flush: exactly one end-of-run period close (partial
         # period), then drain anything the reorder stage still holds.
         tail: List[bytes] = []
         if self.mode == ForwardingMode.PERIODICAL:
             self._flush_period(tail)
         payload_count += len(tail)
-        self._dispatch(tail, agg_results)
+        self._dispatch(tail)
         if self.injector is not None:
             held = self.injector.flush()  # counted at lark emission
             if held:
-                self._deliver(held, agg_results)
+                self._deliver(held)
         if self._fleet is not None:
             # Drain barrier: every pushed payload is folded before the
             # read-out.  The fleet's merged fold snapshot restores into
@@ -598,7 +581,6 @@ class StreamingPipeline:
             reference=reference,
             register_state=self.agg.merge(self.app_id),
             cache_stats=self.cache.stats(),
-            agg_results=agg_results or [],
             dead_letters=self.dead_letters,
             checkpoints=self._checkpoints_taken,
             fleet_shards=fleet_shards,

@@ -9,7 +9,7 @@ from repro.core.aggregation import (
     AggregationPacket,
     ForwardingMode,
 )
-from repro.core.aggswitch import AggSwitch
+from repro.core.aggswitch import AggBatchResult, AggSwitch
 from repro.core.larkswitch import LarkSwitch
 from repro.core.schema import CookieSchema, Feature
 from repro.core.stats import StatKind, StatSpec
@@ -184,7 +184,7 @@ class TestRobustness:
             agg.report(APP)
 
 
-# -- columnar run fold + forward reports on demand ---------------------------
+# -- columnar run fold -------------------------------------------------------
 
 APP_B = 0x43
 
@@ -261,25 +261,44 @@ def kernel_form(request):
 @pytest.mark.usefixtures("kernel_form")
 class TestColumnarRuns:
     @pytest.mark.parametrize("seed", (1, 2, 7))
-    @pytest.mark.parametrize("order", ("forward", "reverse", "random"))
-    def test_forward_reports_in_any_read_order(self, seed, order):
+    def test_wrapping_rows_fold_like_the_scalar_path(self, seed):
         payloads = _wide_payloads(40, seed=seed)
         scalar = _wide_agg()
-        expected = [scalar.process_packet(p).forward_report for p in payloads]
+        expected = [scalar.process_packet(p) for p in payloads]
         # big_sum wraps at its 48-bit width inside the batch: some 30
         # rows each add nearly a full register, yet it never exceeds one.
-        assert sum(expected[-1]["by_gender"].values()) == len(payloads)
-        assert expected[-1]["big_max"]["all"] > 1 << 47
-        assert expected[-1]["big_sum"]["all"] < 1 << 48
+        report = expected[-1].forward_report
+        assert sum(report["by_gender"].values()) == len(payloads)
+        assert report["big_max"]["all"] > 1 << 47
+        assert report["big_sum"]["all"] < 1 << 48
         columnar = _wide_agg()
-        results = columnar.process_columnar(payloads)
-        positions = list(range(len(payloads)))
-        if order == "reverse":
-            positions.reverse()
-        elif order == "random":
-            positions = [random.Random(5).choice(positions)]
-        for position in positions:
-            assert results[position].forward_report == expected[position]
+        batch = columnar.process_columnar(payloads)
+        assert batch == AggBatchResult.of(expected)
+        assert columnar.report(APP) == report
+        _assert_same_switch_state(columnar, scalar)
+
+    @pytest.mark.parametrize(
+        "sizes", ((1,), (7, 13), (39, 1)), ids=("rows", "ragged", "last-alone")
+    )
+    def test_wrapping_rows_fold_across_calls(self, sizes):
+        """However the stream is cut into calls, each call's columns
+        are its chunk's scalar columns and the report read after it is
+        the scalar forward report of the chunk's last payload: a run
+        fold that wraps ``big_sum`` does not leak across a call."""
+        payloads = _wide_payloads(40, seed=2)
+        scalar, columnar = _wide_agg(), _wide_agg()
+        expected = [scalar.process_packet(p) for p in payloads]
+        assert all(r.merged for r in expected)
+        at, calls = 0, 0
+        while at < len(payloads):
+            size = sizes[calls % len(sizes)]
+            chunk = expected[at:at + size]
+            batch = columnar.process_columnar(payloads[at:at + size])
+            assert batch == AggBatchResult.of(chunk)
+            assert batch.merged_at == list(range(len(chunk)))
+            assert columnar.report(APP) == chunk[-1].forward_report
+            at, calls = at + size, calls + 1
+        assert calls > 1
         _assert_same_switch_state(columnar, scalar)
 
     def test_periodical_payload_flushes_the_pending_run(self):
@@ -290,9 +309,9 @@ class TestColumnarRuns:
         )
         scalar, columnar = _wide_agg(), _wide_agg()
         scalar_results = [scalar.process_packet(p) for p in payloads]
-        columnar_results = columnar.process_columnar(payloads)
+        batch = columnar.process_columnar(payloads)
         assert all(r.merged for r in scalar_results)
-        assert columnar_results == scalar_results
+        assert batch == AggBatchResult.of(scalar_results)
         _assert_same_switch_state(columnar, scalar)
 
     def test_two_apps_interleaved(self):
@@ -303,9 +322,9 @@ class TestColumnarRuns:
         apps = (APP, APP_B)
         scalar, columnar = _wide_agg(apps), _wide_agg(apps)
         scalar_results = [scalar.process_packet(p) for p in payloads]
-        columnar_results = columnar.process_columnar(payloads)
+        batch = columnar.process_columnar(payloads)
         assert all(r.merged for r in scalar_results)
-        assert columnar_results == scalar_results
+        assert batch == AggBatchResult.of(scalar_results)
         _assert_same_switch_state(columnar, scalar, apps)
 
     def _corrupted(self, kind):
@@ -335,16 +354,16 @@ class TestColumnarRuns:
         clean.process_columnar(good)
         for process in ("scalar", "columnar"):
             agg = _wide_agg()
-            batch = good[:9] + [bad] + good[9:]
+            payloads = good[:9] + [bad] + good[9:]
             if process == "scalar":
-                results = [agg.process_packet(p) for p in batch]
+                results = [agg.process_packet(p) for p in payloads]
+                assert results[9].is_aggregation
+                assert results[9].forward_report is None
+                batch = AggBatchResult.of(results)
             else:
-                results = agg.process_columnar(batch)
-            assert [r.merged for r in results] == [True] * 9 + [False] + (
-                [True] * 11
-            )
-            assert results[9].is_aggregation
-            assert results[9].forward_report is None
+                batch = agg.process_columnar(payloads)
+            assert batch.matched == list(range(21))
+            assert batch.merged_at == list(range(9)) + list(range(10, 21))
             assert _registers(agg) == _registers(clean)
             assert agg.merge(APP) == clean.merge(APP)
             meters = _agg_meters(agg)
@@ -353,7 +372,7 @@ class TestColumnarRuns:
             assert meters["agg.agg.register_updates"] == 20
 
     @pytest.mark.parametrize("control", ("reset", "reconcile", "restore"))
-    def test_trail_owns_its_base_snapshots(self, control):
+    def test_control_plane_write_between_batches(self, control):
         first, second = _wide_payloads(18, seed=7), _wide_payloads(18, seed=8)
         scalar, columnar = _wide_agg(), _wide_agg()
 
@@ -368,26 +387,33 @@ class TestColumnarRuns:
         expected_first = [scalar.process_packet(p) for p in first]
         between(scalar)
         expected_second = [scalar.process_packet(p) for p in second]
-        # Nothing of the first batch is rendered before the control
-        # plane rewrites the registers and the second batch folds.
         got_first = columnar.process_columnar(first)
         between(columnar)
         got_second = columnar.process_columnar(second)
-        assert got_second == expected_second
-        assert got_first == expected_first
+        assert got_first == AggBatchResult.of(expected_first)
+        assert got_second == AggBatchResult.of(expected_second)
         _assert_same_switch_state(columnar, scalar)
 
     def test_result_value_semantics(self):
+        """Scalar results and batch columns are plain values: equal
+        when the runs are, whichever switch produced them."""
         payloads = _wide_payloads(3, seed=4)
-        scalar, columnar = _wide_agg(), _wide_agg()
-        lazy = columnar.process_columnar(payloads)[2]
-        eager = [scalar.process_packet(p) for p in payloads][2]
-        assert repr(lazy) == repr(eager)
-        assert lazy == eager and not lazy != eager
-        assert repr(eager).startswith(
+        first = [_wide_agg().process_packet(p) for p in payloads]
+        again = [_wide_agg().process_packet(p) for p in payloads]
+        assert first == again and not first[2] != again[2]
+        assert repr(first[2]).startswith(
             "AggResult(is_aggregation=True, merged=True, latency_ms="
         )
-        assert lazy != object()
+        assert first[2] != object() and first[1] != first[2]
+        batch = _wide_agg().process_columnar(payloads)
+        assert batch == _wide_agg().process_columnar(payloads)
+        assert batch == AggBatchResult.of(first)
+        assert batch != AggBatchResult.of(first[:2])
+        assert batch != object() and batch != AggBatchResult.of(first).matched
+        assert repr(batch) == (
+            "AggBatchResult(matched=[0, 1, 2], merged_at=[0, 1, 2], "
+            "latency_ms=%r)" % (batch.latency_ms,)
+        )
 
 
 # -- hostile payloads through the parse kernel, the batch result --------------
@@ -483,8 +509,7 @@ class TestHostilePayloads:
             batch.append(good[6 + position % 24])
         return batch
 
-    @pytest.mark.parametrize("read", ("forward", "reverse", "unread"))
-    def test_batch_equals_process_packet_per_element(self, read):
+    def test_batch_equals_process_packet_per_element(self):
         batch = self._batch()
         assert len(batch) > 2 * columns.VECTOR_MIN_ROWS
         assert len({len(p) for p in batch}) > 6
@@ -503,15 +528,7 @@ class TestHostilePayloads:
         columnar = _wide_agg(self.APPS)
         results = columnar.process_columnar(batch)
         assert results.merged == sum(r.merged for r in expected)
-        assert results._results is None
-        if read == "forward":
-            for got, want in zip(results, expected):
-                assert got.forward_report == want.forward_report
-        elif read == "reverse":
-            for position in reversed(range(len(batch))):
-                assert results[position] == expected[position]
-        if read != "unread":
-            assert list(results) == expected
+        assert results == AggBatchResult.of(expected)
         _assert_same_switch_state(columnar, scalar, self.APPS)
         for app_id in self.APPS:
             assert columnar.packets_merged(app_id) == (
@@ -539,7 +556,7 @@ class TestHostilePayloads:
             assert _registers(scalar) == _registers(clean)
         results = columnar.process_columnar(batch)
         assert results.merged == 20 + merges
-        assert results == expected
+        assert results == AggBatchResult.of(expected)
         _assert_same_switch_state(columnar, scalar, self.APPS)
         assert _per_packet_meters(columnar) == _per_packet_meters(scalar)
 
@@ -602,40 +619,25 @@ def _per_packet_meters(agg):
 
 @pytest.mark.usefixtures("kernel_form")
 class TestBatchResult:
-    def test_is_a_sequence_rendered_once(self):
-        from repro.core.aggswitch import AggBatchResult, AggResult
-
+    def test_columns_are_the_scalar_path(self):
         payloads = _wide_payloads(40, seed=31)
         payloads[7] = payloads[7][:-1]
         scalar, columnar = _wide_agg(), _wide_agg()
         expected = [scalar.process_packet(p) for p in payloads]
         batch = columnar.process_columnar(payloads)
-        assert isinstance(batch, AggBatchResult)
-        assert batch.merged == 39 and batch._results is None
-        assert bool(batch) and len(batch) == 40
-        first = list(batch)
-        assert first == expected
-        assert all(a is b for a, b in zip(first, batch))
-        assert batch[3] is first[3] and batch[-37] is first[3]
-        assert batch[5:9] == expected[5:9] and batch[-1] is first[-1]
-        with pytest.raises(IndexError):
-            batch[40]
-        assert batch == expected and expected == batch
-        assert batch != expected[:-1] and not batch == "batch"
+        assert batch == AggBatchResult.of(expected)
+        assert len(batch) == 40 and batch.merged == 39
+        assert batch.matched == list(range(40))
+        assert batch.merged_at == [i for i in range(40) if i != 7]
+        assert batch.latency_ms == [r.latency_ms for r in expected]
         assert batch == _wide_agg().process_columnar(payloads)
-        assert batch + expected == expected * 2
-        grown = list(expected)
-        grown += batch
-        assert grown == expected * 2
-        assert isinstance(batch[0], AggResult)
-        assert repr(batch) == "AggBatchResult(n=40, merged=39)"
 
     def test_empty_input(self):
         agg = _wide_agg()
         before = _registers(agg), _per_packet_meters(agg)
         empty = agg.process_columnar([])
-        assert not empty and len(empty) == 0 and list(empty) == []
-        assert empty.merged == 0 and empty == [] and empty + [] == []
+        assert len(empty) == 0 and empty.merged == 0
+        assert empty == AggBatchResult([], [], []) == AggBatchResult.of([])
         # An empty call is still a call (as before): one batch of size 0.
         assert (_registers(agg), _per_packet_meters(agg)) == before
         meters = {m["name"]: m for m in agg.metrics.snapshot()}
@@ -654,20 +656,16 @@ class TestBatchResult:
         ] * (n // 5)
         scalar, columnar = _wide_agg(), _wide_agg()
         expected = [scalar.process_packet(p) for p in misses]
-        batch = columnar.process_columnar(misses)
-        assert batch.merged == 0 and bool(batch) and len(batch) == n
-        assert list(batch) == expected
-        assert [r.is_aggregation for r in batch] == [
+        assert [r.is_aggregation for r in expected] == [
             False, False, True, False, True,
         ] * (n // 5)
-        assert all(
-            not r.merged and r.latency_ms == LINE_RATE_LATENCY_MS
-            for r in batch
-        )
+        batch = columnar.process_columnar(misses)
+        assert batch == AggBatchResult.of(expected) and len(batch) == n
+        assert batch.matched == batch.merged_at == []
+        assert batch.latency_ms == [LINE_RATE_LATENCY_MS] * n
         assert _per_packet_meters(columnar) == _per_packet_meters(scalar)
 
     def test_branches_that_hold_a_list_return_the_same_type(self):
-        from repro.core.aggswitch import AggBatchResult
         from repro.switch.tables import MatchActionTable, MatchKey, MatchKind
 
         payloads = _wide_payloads(20, seed=33)
@@ -675,8 +673,10 @@ class TestBatchResult:
         down.crash()
         batch = down.process_columnar(payloads)
         assert isinstance(batch, AggBatchResult) and len(batch) == 20
-        assert batch.merged == 0
-        assert batch == [down.process_packet(p) for p in payloads]
+        assert batch.merged == 0 and batch.latency_ms == [0.0] * 20
+        assert batch == AggBatchResult.of(
+            [down.process_packet(p) for p in payloads]
+        )
         scalar, reshaped = _wide_agg(), _wide_agg()
         reshaped.pipeline.add_table(
             stage=1,
@@ -687,4 +687,6 @@ class TestBatchResult:
         )
         batch = reshaped.process_columnar(payloads)
         assert isinstance(batch, AggBatchResult) and batch.merged == 20
-        assert batch == [scalar.process_packet(p) for p in payloads]
+        assert batch == AggBatchResult.of(
+            [scalar.process_packet(p) for p in payloads]
+        )

@@ -25,6 +25,7 @@ from repro.core.larkswitch import LarkSwitch, flatten_snapshot, period_payload
 from repro.core.schema import CookieSchema, Feature
 from repro.core.stats import StatKind, StatSpec, SwitchStatistics
 from repro.core.transport_cookie import TransportCookieCodec
+from repro.switch import columns
 from repro.switch.registers import RegisterFile
 from repro.workloads.adcampaign import AdCampaignWorkload
 
@@ -167,3 +168,82 @@ def test_split_is_the_snapshot_in_cell_order(cells):
     assert all(d.mode == ForwardingMode.PERIODICAL for d in decoded)
     assert [i for d in decoded for i in d.items] == items
 
+
+
+# -- the grouped 16 x 10 spec --------------------------------------------------
+
+_GROUPED = CookieSchema("grouped", (
+    Feature.categorical("g", ["g%d" % i for i in range(16)]),
+    Feature.categorical("c", ["c%d" % i for i in range(10)]),
+    Feature.number("v", 0, 1000),
+))
+_GROUPED_SPECS = [
+    StatSpec("c_by_g", StatKind.COUNT_BY_CLASS, "c", group_by="g"),
+    StatSpec("v_avg", StatKind.AVG, "v", group_by="g"),
+    StatSpec("v_max", StatKind.MAX, "v", group_by="g"),
+    StatSpec("v_min", StatKind.MIN, "v", group_by="g"),
+    StatSpec("v_sum", StatKind.SUM, "v", group_by="g"),
+]
+# 16 x 10 class counts, AVG's two lanes and MAX, MIN, SUM per group.
+_GROUPED_CELLS = 16 * 10 + 16 * 2 + 16 * 3
+_MTU_PAYLOAD = 1500 - 20 - 8  # IPv4 and UDP headers
+
+
+@pytest.fixture(params=(True, False), ids=("numpy", "python"))
+def kernel_form(request):
+    previous = columns._FORCED
+    columns.force_numpy(request.param)
+    try:
+        yield
+    finally:
+        columns._FORCED = previous
+
+
+@pytest.mark.usefixtures("kernel_form")
+@pytest.mark.parametrize("agg_tier", ("scalar", "columnar"))
+@pytest.mark.parametrize("lark_tier", ("scalar", "columnar"))
+def test_grouped_16_by_10_spec_fragments_fit_and_fold(lark_tier, agg_tier):
+    """Every busy period touches all 240 cells of a class count over a
+    16 x 10 cross plus AVG, MAX, MIN and SUM grouped by the 16-class
+    feature: it leaves as ceil(240 / 127) fragments, each inside a
+    1500-byte MTU, and the AggSwitch report after three periods equals
+    one fold of every cookie — on either tier of either switch."""
+    lark = LarkSwitch("lark", random.Random(4))
+    lark.register_application(
+        APP, _GROUPED, KEY, _GROUPED_SPECS,
+        mode=ForwardingMode.PERIODICAL, period_ms=1000,
+    )
+    agg = AggSwitch("agg", random.Random(5))
+    agg.register_application(APP, _GROUPED, KEY, _GROUPED_SPECS)
+    codec = TransportCookieCodec(APP, _GROUPED, KEY, random.Random(6))
+    single = SwitchStatistics(_GROUPED, _GROUPED_SPECS, RegisterFile())
+    rng = random.Random(7)
+    app = lark._apps[APP]
+    for _period in range(3):
+        cookies = [
+            {"g": "g%d" % g, "c": "c%d" % c, "v": rng.randrange(1001)}
+            for g in range(16) for c in range(10)
+        ] + [
+            {"g": "g%d" % rng.randrange(16), "c": "c%d" % rng.randrange(10),
+             "v": rng.randrange(1001)}
+            for _ in range(80)
+        ]
+        rng.shuffle(cookies)
+        cids = [codec.encode(values) for values in cookies]
+        if lark_tier == "scalar":
+            for cid in cids:
+                lark.process_quic_packet(cid)
+        else:
+            assert lark.process_quic_columnar(cids).folded == len(cids)
+        for values in cookies:
+            single.update(values)
+        items = flatten_snapshot(app.stats.snapshot(), app.stats.lanes)
+        assert len(items) == _GROUPED_CELLS
+        payloads = lark.end_period(APP)
+        assert len(payloads) == -(-_GROUPED_CELLS // MAX_COUNTED_ITEMS) == 2
+        assert max(map(len, payloads)) <= _MTU_PAYLOAD
+        if agg_tier == "scalar":
+            assert all(agg.process_packet(p).merged for p in payloads)
+        else:
+            assert agg.process_columnar(payloads).merged == len(payloads)
+    assert agg.report(APP) == single.report()

@@ -10,10 +10,15 @@ switch would keep decoding under a dead key.
 import random
 
 from repro.core.aggregation import ForwardingMode
+from repro.core.larkswitch import LarkBatchResult
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.crypto.keys import AES128_KEY_LEN, derive_subkey
 
-from tests.differential.workloads import APP_ID, DifferentialWorkload
+from tests.differential.workloads import (
+    APP_ID,
+    DifferentialWorkload,
+    register_state,
+)
 
 
 class TestDeriveSubkeyEdges:
@@ -47,8 +52,8 @@ class TestRotationOnTheDataPlane:
         # Warm both switches (and the columnar decode memo) on the old key.
         warm_scalar = [scalar.process_quic_packet(c) for c in old_cids]
         warm_batch = batch.process_quic_columnar(old_cids)
-        assert warm_batch == warm_scalar
-        assert any(r.decoded_values for r in warm_batch)
+        assert warm_batch == LarkBatchResult.of(warm_scalar)
+        assert warm_batch.folded > 0
 
         new_key = derive_subkey(wl.key, "rotation-1")
         scalar.rekey_application(APP_ID, new_key)
@@ -60,8 +65,9 @@ class TestRotationOnTheDataPlane:
         # the columnar switch keep decoding old-key cookies here.  (The
         # transport cookie has no MAC, so a wrong-key decrypt may yield
         # plausible garbage — but never the original values.)
-        assert after_batch == after_scalar
-        for warm, after in zip(warm_batch, after_batch):
+        assert after_batch == LarkBatchResult.of(after_scalar)
+        assert register_state(batch) == register_state(scalar)
+        for warm, after in zip(warm_scalar, after_scalar):
             if warm.decoded_values:
                 assert after.decoded_values != warm.decoded_values
 
@@ -76,8 +82,9 @@ class TestRotationOnTheDataPlane:
         ]
         fresh_scalar = [scalar.process_quic_packet(c) for c in fresh]
         fresh_batch = batch.process_quic_columnar(fresh)
-        assert fresh_batch == fresh_scalar
-        assert all(r.decoded_values for r in fresh_batch)
+        assert fresh_batch == LarkBatchResult.of(fresh_scalar)
+        assert fresh_batch.folded == len(fresh)
+        assert register_state(batch) == register_state(scalar)
 
     def test_revoke_after_batches_stops_matching(self):
         wl = DifferentialWorkload(seed=77, num_users=40)
@@ -86,7 +93,7 @@ class TestRotationOnTheDataPlane:
         lark.process_quic_columnar(cids)
         assert lark.revoke_application(APP_ID)
         results = lark.process_quic_columnar(cids)
-        assert not any(r.matched for r in results)
+        assert results.matched == [] and results.folded == 0
         # No stats registers survive the revoke.
         names = lark.pipeline.registers.names()
         assert not any("app%02x" % APP_ID in n for n in names)

@@ -2,8 +2,9 @@
 
 Companion to ``test_scalar_vs_columnar``: every workload shape runs
 through the scalar loop and the columnar path, at five seeds, and every
-observable — per-packet results, digests, decoded values, raw register
-contents, statistics reports — must match byte for byte.  The same
+observable — each batch's columns against the scalar results of its
+chunk, raw register contents, statistics reports — must match byte for
+byte.  The same
 streams are then replayed with numpy force-disabled
 (:func:`force_numpy`), proving the pure-Python kernel forms are the
 semantic reference, and through the sharded :class:`ShardExecutor` —
@@ -19,18 +20,20 @@ import random
 import pytest
 
 from repro.core.aggregation import ForwardingMode
-from repro.core.aggswitch import AggSwitch
+from repro.core.aggswitch import AggBatchResult, AggSwitch
+from repro.core.larkswitch import LarkBatchResult
 from repro.obs.registry import MetricsRegistry
 from repro.switch.columns import force_numpy, numpy_enabled
 from repro.testbed.executor import ShardExecutor, ShardSpec
 from repro.testbed.shm_ring import shared_memory_available
-from repro.workloads.adcampaign import iter_batches
 
 from tests.differential.workloads import (
     APP_ID,
     SHAPES,
     DifferentialWorkload,
+    columnar_batches,
     register_state,
+    scalar_columns,
     wide_payloads,
     wide_schema,
     wide_specs,
@@ -55,19 +58,13 @@ def no_numpy():
 def _run_lark(switch, cids, backend, batch_size):
     if backend == "scalar":
         return [switch.process_quic_packet(cid) for cid in cids]
-    results = []
-    for chunk in iter_batches(cids, batch_size):
-        results.extend(switch.process_quic_columnar(chunk))
-    return results
+    return columnar_batches(switch.process_quic_columnar, cids, batch_size)
 
 
 def _run_agg(switch, payloads, backend, batch_size):
     if backend == "scalar":
         return [switch.process_packet(p) for p in payloads]
-    results = []
-    for chunk in iter_batches(payloads, batch_size):
-        results.extend(switch.process_columnar(chunk))
-    return results
+    return columnar_batches(switch.process_columnar, payloads, batch_size)
 
 
 def _assert_lark_identical(wl, shape, seed, mode):
@@ -76,10 +73,10 @@ def _assert_lark_identical(wl, shape, seed, mode):
     scalar_results = _run_lark(scalar, cids, "scalar", 0)
     for backend in FAST_BACKENDS:
         fast = wl.new_lark(mode=mode)
-        fast_results = _run_lark(fast, cids, backend, BATCH_SIZES[seed])
-        assert len(fast_results) == len(scalar_results)
-        for i, (s, f) in enumerate(zip(scalar_results, fast_results)):
-            assert f == s, "packet %d diverged (%s, seed %d, %s)" % (
+        batches = _run_lark(fast, cids, backend, BATCH_SIZES[seed])
+        expected = scalar_columns(LarkBatchResult.of, scalar_results, batches)
+        for i, (want, got) in enumerate(zip(expected, batches)):
+            assert got == want, "batch %d diverged (%s, seed %d, %s)" % (
                 i, shape, seed, backend
             )
         assert register_state(fast) == register_state(scalar), backend
@@ -93,8 +90,10 @@ def _assert_agg_identical(wl, shape, seed):
     scalar_results = _run_agg(scalar, payloads, "scalar", 0)
     for backend in FAST_BACKENDS:
         fast = wl.new_agg()
-        fast_results = _run_agg(fast, payloads, backend, BATCH_SIZES[seed])
-        assert fast_results == scalar_results, backend
+        batches = _run_agg(fast, payloads, backend, BATCH_SIZES[seed])
+        assert batches == scalar_columns(
+            AggBatchResult.of, scalar_results, batches
+        ), backend
         assert register_state(fast) == register_state(scalar), backend
         assert fast.merge(APP_ID) == scalar.merge(APP_ID)
         assert fast.report(APP_ID) == scalar.report(APP_ID)

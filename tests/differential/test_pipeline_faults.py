@@ -82,17 +82,11 @@ class TestDeadLetters:
             assert streamed.dead_letters == one_shot.dead_letters
 
     @pytest.mark.parametrize("backend", ("scalar", "columnar"))
-    def test_results_are_kept_only_when_asked_for(self, backend):
-        """merged / dead letters are counted as batches pass; a run
-        that did not ask for the per-payload results holds none of
-        them afterwards (a per-packet stream has one per event)."""
+    def test_results_are_counted_not_kept(self, backend):
+        """merged / dead letters are counted as batches pass; no
+        per-payload result outlives its batch (a per-packet stream has
+        one payload per event)."""
         kwargs = dict(mode=ForwardingMode.PER_PACKET, corrupt_probability=0.2)
-        kept = _pipe(backend, **kwargs).run(
-            RATE, DURATION_MS, collect_results=True
-        )
-        assert len(kept.agg_results) == kept.payloads > 0
-        assert kept.merged == sum(r.merged for r in kept.agg_results)
-        assert kept.dead_letters == kept.payloads - kept.merged > 0
 
         def live_results():
             gc.collect()
@@ -105,10 +99,7 @@ class TestDeadLetters:
             **kwargs
         ).run(RATE, DURATION_MS)
         assert len(held) > 10 and max(held) - before <= 64  # one batch
-        assert result.agg_results == []
-        assert (result.merged, result.dead_letters, result.report) == (
-            kept.merged, kept.dead_letters, kept.report
-        )
+        assert result.dead_letters == result.payloads - result.merged > 0
 
     def test_columnar_run_counts_off_the_batch_without_a_result(
         self, monkeypatch
@@ -242,7 +233,7 @@ class TestPoisonIsolation:
     def test_replica_leaves_the_poison_unfolded(self, backend):
         pipe = _pipe("columnar", mode=ForwardingMode.PER_PACKET)
         payloads = []
-        pipe._deliver = lambda batch, out: payloads.extend(batch)
+        pipe._deliver = payloads.extend
         pipe.run(RATE, DURATION_MS)
         replica = Replica(
             ShardSpec(

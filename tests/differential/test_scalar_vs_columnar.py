@@ -4,11 +4,13 @@ the scalar interpreter — under both kernel forms.
 The load-bearing invariant of the columnar path
 (``LarkSwitch.process_quic_columnar``, ``AggSwitch.process_columnar``)
 is that it is *purely* a host-CPU optimization: every observable —
-per-packet results, digests, decoded values, raw register contents,
-statistics reports — must equal the scalar path's, byte for byte.
-This suite replays the same seeded streams through both paths across
-three workload shapes (uniform, zipfian, adversarial) and five seeds,
-at several chunk sizes, and runs every case twice in process: with
+each batch's columns (``LarkBatchResult.of`` / ``AggBatchResult.of``
+of the scalar results over the same chunk), raw register contents,
+statistics reports, switch counters, RNG state — must equal the scalar
+path's, byte for byte.  This suite replays the same seeded streams
+through both paths across three workload shapes (uniform, zipfian,
+adversarial) and five seeds, at several chunk sizes, and runs every
+case twice in process: with
 the numpy gate forced open and forced closed.  The chunk
 sizes straddle :data:`repro.switch.columns.VECTOR_MIN_ROWS`, so the
 numpy leg also covers the small-batch cut-off to the Python forms.
@@ -21,7 +23,8 @@ import pytest
 
 from repro.core.aggregation import ForwardingMode
 from repro.core import larkswitch
-from repro.core.larkswitch import LarkSwitch
+from repro.core.aggswitch import AggBatchResult
+from repro.core.larkswitch import LarkBatchResult, LarkSwitch
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.obs.registry import MetricsRegistry
 from repro.switch import columns
@@ -35,7 +38,9 @@ from tests.differential.workloads import (
     APP_ID,
     SHAPES,
     DifferentialWorkload,
+    columnar_batches,
     register_state,
+    scalar_columns,
 )
 
 SEEDS = (11, 23, 37, 41, 59)
@@ -59,30 +64,49 @@ def kernel_form(request):
         columns._FORCED = previous
 
 
+def _lark_state(lark):
+    """Everything a batch may touch, the per-batch meters apart."""
+    return {
+        "registers": register_state(lark),
+        "rng": lark._rng.getstate(),
+        "metrics": [
+            m for m in lark.metrics.snapshot() if ".batch" not in m["name"]
+        ],
+        "bloom": {
+            app_id: app.dedup.snapshot()
+            for app_id, app in lark._apps.items() if app.dedup is not None
+        },
+    }
+
+
 def _run_lark_pair(wl, shape, batch_size, mode):
+    """The stream packet by packet and in ``batch_size`` chunks: the
+    two switches, the columnar batches and the scalar results as the
+    same chunks' columns."""
     cids = wl.cids(shape, PACKETS)
     scalar = wl.new_lark(mode=mode)
     columnar = wl.new_lark(mode=mode)
     scalar_results = [scalar.process_quic_packet(cid) for cid in cids]
-    columnar_results = []
-    for chunk in iter_batches(cids, batch_size):
-        columnar_results.extend(columnar.process_quic_columnar(chunk))
-    return scalar, columnar, scalar_results, columnar_results
+    batches = columnar_batches(
+        columnar.process_quic_columnar, cids, batch_size
+    )
+    expected = scalar_columns(LarkBatchResult.of, scalar_results, batches)
+    return scalar, columnar, expected, batches
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_lark_columnar_bit_identical(shape, seed):
-    """LarkResults, digests, registers and reports all match."""
+    """Columns, registers, counters, RNG and reports all match."""
     wl = DifferentialWorkload(seed)
-    scalar, columnar, scalar_results, columnar_results = _run_lark_pair(
+    scalar, columnar, expected, batches = _run_lark_pair(
         wl, shape, BATCH_SIZES[seed], ForwardingMode.PERIODICAL
     )
-    assert len(columnar_results) == len(scalar_results)
-    for i, (s, c) in enumerate(zip(scalar_results, columnar_results)):
-        assert c == s, "packet %d diverged (%s, seed %d)" % (i, shape, seed)
-        assert c.digests == s.digests
-    assert register_state(columnar) == register_state(scalar)
+    for i, (want, got) in enumerate(zip(expected, batches)):
+        assert got == want, "batch %d diverged (%s, seed %d)" % (
+            i, shape, seed
+        )
+    assert _lark_state(columnar) == _lark_state(scalar)
     assert columnar.stats_report(APP_ID) == scalar.stats_report(APP_ID)
 
 
@@ -92,11 +116,12 @@ def test_lark_columnar_bit_identical_per_packet_mode(shape, seed):
     """Per-packet forwarding encodes a payload per match (fresh IV from
     the app RNG) — the RNG consumption order must also line up."""
     wl = DifferentialWorkload(seed)
-    scalar, columnar, scalar_results, columnar_results = _run_lark_pair(
+    scalar, columnar, expected, batches = _run_lark_pair(
         wl, shape, BATCH_SIZES[seed], ForwardingMode.PER_PACKET
     )
-    assert columnar_results == scalar_results
-    assert register_state(columnar) == register_state(scalar)
+    assert batches == expected
+    assert any(batch.payloads for batch in batches)
+    assert _lark_state(columnar) == _lark_state(scalar)
     assert columnar.stats_report(APP_ID) == scalar.stats_report(APP_ID)
 
 
@@ -142,30 +167,26 @@ def test_lark_interleaved_per_packet_apps_share_one_rng(seed):
     ]
     scalar, columnar = new_lark(), new_lark()
     scalar_results = [scalar.process_quic_packet(cid) for cid in cids]
-    columnar_results = []
-    sizes = itertools.cycle((1, 5, 40, 17, 90))
-    position = 0
-    while position < len(cids):
-        size = next(sizes)
-        columnar_results.extend(
-            columnar.process_quic_columnar(cids[position:position + size])
-        )
-        position += size
-    assert columnar_results == scalar_results
+    batches = columnar_batches(
+        columnar.process_quic_columnar, cids, (1, 5, 40, 17, 90)
+    )
+    assert batches == scalar_columns(
+        LarkBatchResult.of, scalar_results, batches
+    )
     emitted = [r.aggregation_payload is not None for r in scalar_results]
     assert any(emitted) and not all(emitted)
-    assert register_state(columnar) == register_state(scalar)
+    assert _lark_state(columnar) == _lark_state(scalar)
     for app_id in app_ids:
         assert columnar.stats_report(app_id) == scalar.stats_report(app_id)
-    assert columnar._rng.getstate() == scalar._rng.getstate()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES)
-def test_lark_values_and_digests_render_from_the_wire_row(shape, seed):
-    """A digest-feature app: the columnar path keeps only the wire row
-    per cookie and renders ``decoded_values`` when somebody reads them;
-    what it renders, and the digests it emits, are the scalar path's."""
+def test_lark_digests_count_off_the_wire_row(shape, seed):
+    """A digest-feature app: the columnar path counts the digests off
+    each folded group's wire row (one per present digest feature,
+    times the group's multiplicity) exactly as the scalar path emits
+    them packet by packet."""
     wl = DifferentialWorkload(seed)
 
     def new_lark():
@@ -183,21 +204,16 @@ def test_lark_values_and_digests_render_from_the_wire_row(shape, seed):
     cids = wl.cids(shape, PACKETS)
     scalar, columnar = new_lark(), new_lark()
     scalar_results = [scalar.process_quic_packet(cid) for cid in cids]
-    columnar_results = []
-    for chunk in iter_batches(cids, BATCH_SIZES[seed]):
-        columnar_results.extend(columnar.process_quic_columnar(chunk))
-    folded = [r for r in columnar_results if r.folded]
-    assert folded and all(r._pending is not None for r in folded)
-    for s, c in zip(scalar_results, columnar_results):
-        assert c.folded == s.folded == (s.decoded_values is not None)
-        assert c.digests == s.digests
-        assert c.decoded_values == s.decoded_values
-        # Rendered once, then held.
-        assert c.decoded_values is c.decoded_values and c._pending is None
-    assert columnar_results == scalar_results
+    batches = columnar_batches(
+        columnar.process_quic_columnar, cids, BATCH_SIZES[seed]
+    )
+    assert batches == scalar_columns(
+        LarkBatchResult.of, scalar_results, batches
+    )
+    folded = sum(batch.folded for batch in batches)
     emitted = sum(len(r.digests) for r in scalar_results)
-    assert len(folded) <= emitted <= 2 * len(folded)
-    assert register_state(columnar) == register_state(scalar)
+    assert 0 < folded <= emitted <= 2 * folded
+    assert _lark_state(columnar) == _lark_state(scalar)
     metrics = [
         lark.metrics.counter("lark.diff-lark.digests").value
         for lark in (scalar, columnar)
@@ -226,15 +242,17 @@ def test_lark_replayed_batch_folds_from_the_memo(shape, bound, monkeypatch):
         mode=ForwardingMode.PERIODICAL, period_ms=1000.0,
     )
     scalar_results = [scalar.process_quic_packet(cid) for cid in cids * 2]
-    columnar_results = columnar.process_quic_columnar(cids)
+    batches = [columnar.process_quic_columnar(cids)]
     memo_after_first = dict(columnar._decode_memo)
-    columnar_results += columnar.process_quic_columnar(cids)
+    batches.append(columnar.process_quic_columnar(cids))
     if bound is None:
         assert columnar._decode_memo == memo_after_first
     else:
         assert len(columnar._decode_memo) <= bound
-    assert columnar_results == scalar_results
-    assert register_state(columnar) == register_state(scalar)
+    assert batches == scalar_columns(
+        LarkBatchResult.of, scalar_results, batches
+    )
+    assert _lark_state(columnar) == _lark_state(scalar)
     assert columnar.stats_report(APP_ID) == scalar.stats_report(APP_ID)
 
 
@@ -264,19 +282,16 @@ def test_lark_columnar_bit_identical_while_the_memo_evicts(
     shape, seed, bound, monkeypatch
 ):
     """Eviction only costs re-decrypts: with a memo far smaller than
-    the stream's distinct cookies, results, digests, registers and
+    the stream's distinct cookies, columns, counters, registers and
     reports still equal the scalar path's at every chunking."""
     monkeypatch.setattr(larkswitch, "DECODE_MEMO_BOUND", bound)
     wl = DifferentialWorkload(seed)
-    scalar, columnar, scalar_results, columnar_results = _run_lark_pair(
+    scalar, columnar, expected, batches = _run_lark_pair(
         wl, shape, BATCH_SIZES[seed], ForwardingMode.PERIODICAL
     )
     assert len(columnar._decode_memo) <= bound
-    assert columnar_results == scalar_results
-    assert [c.digests for c in columnar_results] == [
-        s.digests for s in scalar_results
-    ]
-    assert register_state(columnar) == register_state(scalar)
+    assert batches == expected
+    assert _lark_state(columnar) == _lark_state(scalar)
     assert columnar.stats_report(APP_ID) == scalar.stats_report(APP_ID)
 
 
@@ -289,12 +304,12 @@ def test_lark_per_packet_mode_bit_identical_while_the_memo_evicts(
     a row came from the memo or from a re-decrypt after an eviction."""
     monkeypatch.setattr(larkswitch, "DECODE_MEMO_BOUND", 4)
     wl = DifferentialWorkload(seed)
-    scalar, columnar, scalar_results, columnar_results = _run_lark_pair(
+    scalar, columnar, expected, batches = _run_lark_pair(
         wl, shape, BATCH_SIZES[seed], ForwardingMode.PER_PACKET
     )
     assert len(columnar._decode_memo) <= 4
-    assert columnar_results == scalar_results
-    assert register_state(columnar) == register_state(scalar)
+    assert batches == expected
+    assert _lark_state(columnar) == _lark_state(scalar)
     assert columnar.stats_report(APP_ID) == scalar.stats_report(APP_ID)
 
 
@@ -334,7 +349,7 @@ def test_lark_control_plane_change_empties_the_memo(change):
     cids = wl.cids("uniform", PACKETS)
     scalar, columnar = wl.new_lark(), wl.new_lark()
     scalar_results = [scalar.process_quic_packet(cid) for cid in cids]
-    columnar_results = list(columnar.process_quic_columnar(cids))
+    batches = [columnar.process_quic_columnar(cids)]
     assert columnar._decode_memo
     for lark in (scalar, columnar):
         if change == "register":
@@ -348,9 +363,11 @@ def test_lark_control_plane_change_empties_the_memo(change):
             assert lark.revoke_application(APP_ID)
     assert columnar._decode_memo == {}
     scalar_results += [scalar.process_quic_packet(cid) for cid in cids]
-    columnar_results += columnar.process_quic_columnar(cids)
-    assert columnar_results == scalar_results
-    assert register_state(columnar) == register_state(scalar)
+    batches.append(columnar.process_quic_columnar(cids))
+    assert batches == scalar_columns(
+        LarkBatchResult.of, scalar_results, batches
+    )
+    assert _lark_state(columnar) == _lark_state(scalar)
 
 
 def test_lark_per_packet_payload_bytes_come_from_the_wire_row():
@@ -374,16 +391,17 @@ def test_lark_per_packet_payload_bytes_come_from_the_wire_row():
     scalar = wl.new_lark(mode=ForwardingMode.PER_PACKET)
     columnar = wl.new_lark(mode=ForwardingMode.PER_PACKET)
     scalar_results = [scalar.process_quic_packet(cid) for cid in cids]
-    columnar_results = columnar.process_quic_columnar(cids)
-    assert [r.aggregation_payload for r in columnar_results] == [
-        r.aggregation_payload for r in scalar_results
-    ]
-    assert columnar_results == scalar_results
+    batch = columnar.process_quic_columnar(cids)
+    assert batch.payloads == [r.aggregation_payload for r in scalar_results]
+    assert batch == LarkBatchResult.of(scalar_results)
+    assert batch.emitters == list(range(len(cids)))
     agg_codec = columnar._apps[APP_ID].agg_codec
     assert any(len(values) < len(features) for values in cookies)
-    for values, result in zip(cookies, columnar_results):
+    for values, result, payload in zip(
+        cookies, scalar_results, batch.payloads
+    ):
         assert result.decoded_values == values
-        assert agg_codec.decode(result.aggregation_payload).items == [
+        assert agg_codec.decode(payload).items == [
             (index, feature.encode_value(values[feature.name]))
             for index, feature in enumerate(features)
             if feature.name in values
@@ -457,8 +475,7 @@ def test_lark_sealed_payloads_are_the_scalar_encode(apps, dedup, size):
 def test_columnar_per_packet_path_builds_no_object_per_payload(monkeypatch):
     """The structure behind the speed: a per-packet lark batch seals
     its payloads without one ``AggregationPacket`` or ``_serialise``
-    call, and the AggSwitch folds them without one ``AggResult`` —
-    those exist once somebody reads the batch's view."""
+    call, and the AggSwitch folds them without one ``AggResult``."""
     from repro.core import aggregation, aggswitch, larkswitch
 
     wl = DifferentialWorkload(SEEDS[0])
@@ -470,30 +487,20 @@ def test_columnar_per_packet_path_builds_no_object_per_payload(monkeypatch):
     def forbidden(*_args, **_kwargs):
         raise AssertionError("built an object per payload")
 
-    built = []
-
-    class CountedResult(aggswitch.AggResult):
-        __slots__ = ()
-
-        def __init__(self, *args, **kwargs):
-            built.append(self)
-            super().__init__(*args, **kwargs)
-
     with monkeypatch.context() as patch:
         patch.setattr(larkswitch, "AggregationPacket", forbidden)
         patch.setattr(aggregation, "AggregationPacket", forbidden)
         patch.setattr(aggregation.AggregationCodec, "_serialise", forbidden)
-        patch.setattr(aggswitch, "AggResult", CountedResult)
+        patch.setattr(aggswitch, "AggResult", forbidden)
         payloads = lark.process_quic_columnar(cids).payloads
         batch = agg.process_columnar(payloads)
-        assert batch.merged == len(payloads) == 64 and not built
-        assert len(list(batch)) == 64 and len(built) == 64
-        assert list(batch) == built
+    assert batch.merged == len(payloads) == 64
+    assert batch.merged_at == batch.matched == list(range(64))
     assert payloads == [r.aggregation_payload for r in expected]
 
 
-# -- the batch result: its view is the scalar path, its counters the
-# -- group arithmetic ------------------------------------------------------
+# -- the batch columns are the scalar path's, its counters the group
+# -- arithmetic -------------------------------------------------------------
 
 _BATCH_APPS = (APP_ID, APP_ID + 1)
 
@@ -564,21 +571,6 @@ def _as_matrix(rows):
     return columns.PacketColumns.from_matrix(data, [len(r) for r in rows])
 
 
-def _lark_state(lark):
-    """Everything a batch may touch, the per-batch meters apart."""
-    return {
-        "registers": register_state(lark),
-        "rng": lark._rng.getstate(),
-        "metrics": [
-            m for m in lark.metrics.snapshot() if ".batch" not in m["name"]
-        ],
-        "bloom": {
-            app_id: app.dedup.snapshot()
-            for app_id, app in lark._apps.items() if app.dedup is not None
-        },
-    }
-
-
 _SCALAR_RUNS = {}
 
 
@@ -610,14 +602,14 @@ def _batch_cases():
 @pytest.mark.parametrize(
     "size,n,mode,dedup,digests,apps,matrix", list(_batch_cases())
 )
-def test_lark_batch_view_payloads_and_counters_are_the_scalar_path(
+def test_lark_batch_columns_and_counters_are_the_scalar_path(
     size, n, mode, dedup, digests, apps, matrix
 ):
-    """``list(batch)`` is the scalar results, ``batch.payloads`` the
-    scalar payloads in order, ``batch.folded`` and every counter what
-    the scalar switch counts packet by packet — whether the chunk comes
-    as a row list or as a (ragged) matrix, and whether or not anybody
-    looks at the per-packet view."""
+    """Each batch is ``LarkBatchResult.of`` the scalar results of its
+    chunk — payloads, their emitters, matched positions, ``folded``,
+    latencies — and every counter is what the scalar switch counts
+    packet by packet, whether the chunk comes as a row list or as a
+    (ragged) matrix."""
     if matrix and not columns.numpy_enabled():
         pytest.skip("matrix-built batches need the numpy gate open")
     wl, rows, scalar_results, scalar_state = _scalar_run(
@@ -626,8 +618,7 @@ def test_lark_batch_view_payloads_and_counters_are_the_scalar_path(
     assert {r.matched for r in scalar_results} == {True, False}
     assert dedup == any(r.deduplicated for r in scalar_results)
     assert digests == any(r.digests for r in scalar_results)
-    rendered = _batch_lark(wl, apps, mode, dedup, digests)
-    unread = _batch_lark(wl, apps, mode, dedup, digests)
+    lark = _batch_lark(wl, apps, mode, dedup, digests)
     chunks = [
         _as_matrix(chunk) if matrix else chunk
         for chunk in iter_batches(rows, size)
@@ -636,26 +627,14 @@ def test_lark_batch_view_payloads_and_counters_are_the_scalar_path(
     for chunk in chunks:
         expected = scalar_results[position:position + len(chunk)]
         position += len(chunk)
-        batch = rendered.process_quic_columnar(chunk)
-        assert list(batch) == expected
-        payloads = [
-            r.aggregation_payload for r in expected
-            if r.aggregation_payload is not None
-        ]
-        assert batch.payloads == payloads
-        assert batch.folded == sum(r.folded for r in expected)
+        batch = lark.process_quic_columnar(chunk)
+        assert batch == LarkBatchResult.of(expected)
         if mode == ForwardingMode.PERIODICAL:
             assert batch.payloads == []
-        blind = unread.process_quic_columnar(chunk)
-        assert (blind.payloads, blind.folded) == (payloads, batch.folded)
-        assert blind._results is None
-    assert _lark_state(rendered) == scalar_state
-    assert _lark_state(unread) == scalar_state
-    assert unread._decode_memo == rendered._decode_memo
-    assert unread.metrics.snapshot() == rendered.metrics.snapshot()
+    assert _lark_state(lark) == scalar_state
     # The per-batch meters: one observation per call, the packets and
     # the latencies of the per-packet meters.
-    meters = {m["name"]: m for m in rendered.metrics.snapshot()}
+    meters = {m["name"]: m for m in lark.metrics.snapshot()}
     base = "pipeline.diff-lark."
     assert meters[base + "batches"]["value"] == len(chunks)
     assert meters[base + "batch.size"]["total"] == len(rows)
@@ -667,38 +646,6 @@ def test_lark_batch_view_payloads_and_counters_are_the_scalar_path(
         assert all(chunk._raw is None for chunk in chunks)
 
 
-def test_lark_batch_result_is_a_sequence_rendered_once():
-    from repro.core.larkswitch import LarkBatchResult, LarkResult
-
-    wl = DifferentialWorkload(SEEDS[0])
-    cids = wl.cids("adversarial", 40)
-    scalar = wl.new_lark()
-    expected = [scalar.process_quic_packet(cid) for cid in cids]
-    batch = wl.new_lark().process_quic_columnar(cids)
-    assert isinstance(batch, LarkBatchResult)
-    assert batch.payloads == [] and batch._results is None
-    assert bool(batch) and len(batch) == 40
-    first = list(batch)
-    assert first == expected
-    # Tests mutate results and read them back: the same objects.
-    assert all(a is b for a, b in zip(first, batch))
-    first[3].latency_ms = -1.0
-    assert batch[3].latency_ms == -1.0 and batch[-37] is first[3]
-    first[3].latency_ms = expected[3].latency_ms
-    assert batch[5:9] == expected[5:9] and batch[-1] is first[-1]
-    with pytest.raises(IndexError):
-        batch[40]
-    assert batch == expected and expected == batch
-    assert batch != expected[:-1] and not batch == "batch"
-    assert batch == wl.new_lark().process_quic_columnar(cids)
-    assert batch + expected == expected * 2
-    grown = list(expected)
-    grown += batch
-    assert grown == expected * 2
-    assert expected[7] in batch and batch.index(expected[7]) <= 7
-    assert isinstance(batch[0], LarkResult)
-
-
 def test_lark_batch_result_empty_input_and_all_misses():
     from repro.switch.pipeline import LINE_RATE_LATENCY_MS
 
@@ -706,9 +653,8 @@ def test_lark_batch_result_empty_input_and_all_misses():
     lark = wl.new_lark(mode=ForwardingMode.PER_PACKET)
     before = (_lark_state(lark), dict(lark._decode_memo))
     empty = lark.process_quic_columnar([])
-    assert not empty and len(empty) == 0 and list(empty) == []
-    assert empty.payloads == [] and empty.folded == 0
-    assert empty == [] and empty + [] == []
+    assert len(empty) == 0 and empty == LarkBatchResult.of([])
+    assert empty == LarkBatchResult([], [], [], 0, [], [])
     # An empty call is still a call (as before): one batch of size 0.
     assert (_lark_state(lark), lark._decode_memo) == before
     meters = {m["name"]: m for m in lark.metrics.snapshot()}
@@ -720,11 +666,9 @@ def test_lark_batch_result_empty_input_and_all_misses():
     scalar = wl.new_lark(mode=ForwardingMode.PER_PACKET)
     expected = [scalar.process_quic_packet(row) for row in misses]
     batch = lark.process_quic_columnar(misses)
-    assert batch.payloads == [] and batch.folded == 0
-    assert list(batch) == expected
-    assert all(
-        not r.matched and r.latency_ms == LINE_RATE_LATENCY_MS for r in batch
-    )
+    assert batch == LarkBatchResult.of(expected)
+    assert (batch.payloads, batch.matched, batch.folded) == ([], [], 0)
+    assert batch.latency_ms == [LINE_RATE_LATENCY_MS] * len(misses)
     assert _lark_state(lark) == _lark_state(scalar)
 
 
@@ -733,19 +677,19 @@ def test_lark_batch_result_empty_input_and_all_misses():
 ))
 def test_lark_batch_result_from_the_branches_that_hold_a_list(mode):
     """A downed switch and a reshaped pipeline produce their results
-    packet by packet; they come back as the same type, ``payloads``
-    and ``folded`` filled in from the list."""
-    from repro.core.larkswitch import LarkBatchResult
-
+    packet by packet; they come back as the same columns, filled in
+    from the list."""
     wl = DifferentialWorkload(SEEDS[0])
     cids = wl.cids("uniform", 30)
     down = wl.new_lark(mode=mode)
     down.crash()
     batch = down.process_quic_columnar(cids)
     assert isinstance(batch, LarkBatchResult) and len(batch) == 30
-    assert batch.payloads == [] and batch.folded == 0
-    assert not any(r.matched for r in batch)
-    assert batch == [down.process_quic_packet(cid) for cid in cids]
+    assert batch.payloads == batch.matched == [] and batch.folded == 0
+    assert batch.latency_ms == [0.0] * 30 and batch.dropped == []
+    assert batch == LarkBatchResult.of(
+        [down.process_quic_packet(cid) for cid in cids]
+    )
 
     scalar, reshaped = wl.new_lark(mode=mode), wl.new_lark(mode=mode)
     reshaped.pipeline.add_table(
@@ -757,9 +701,8 @@ def test_lark_batch_result_from_the_branches_that_hold_a_list(mode):
     )
     expected = [scalar.process_quic_packet(cid) for cid in cids]
     batch = reshaped.process_quic_columnar(cids)
-    assert isinstance(batch, LarkBatchResult)
-    assert batch == expected
-    assert batch.folded == 30
+    assert batch == LarkBatchResult.of(expected)
+    assert batch.folded == 30 and batch.matched == list(range(30))
     assert batch.payloads == [
         r.aggregation_payload for r in expected
         if r.aggregation_payload is not None
@@ -767,54 +710,67 @@ def test_lark_batch_result_from_the_branches_that_hold_a_list(mode):
     assert bool(batch.payloads) == (mode == ForwardingMode.PER_PACKET)
 
 
+def _agg_state(agg):
+    """Registers, merged aggregate, report and counters of the diff
+    workload's AggSwitch, the per-batch meters apart."""
+    return {
+        "registers": register_state(agg),
+        "merge": agg.merge(APP_ID),
+        "report": agg.report(APP_ID),
+        "packets_merged": agg.packets_merged(APP_ID),
+        "metrics": [
+            m for m in agg.metrics.snapshot() if ".batch" not in m["name"]
+        ],
+    }
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_agg_columnar_bit_identical(shape, seed):
-    """AggResults (including per-packet forward reports), registers and
-    merged report all match between scalar and columnar aggregation."""
+    """Columns, registers, counters and the merged report all match
+    between scalar and columnar aggregation."""
     wl = DifferentialWorkload(seed)
     payloads = wl.payloads(shape, PACKETS)
     assert payloads, "workload produced no aggregation payloads"
     scalar = wl.new_agg()
     columnar = wl.new_agg()
     scalar_results = [scalar.process_packet(p) for p in payloads]
-    columnar_results = []
-    for chunk in iter_batches(payloads, BATCH_SIZES[seed]):
-        columnar_results.extend(columnar.process_columnar(chunk))
-    assert columnar_results == scalar_results
-    assert register_state(columnar) == register_state(scalar)
-    assert columnar.merge(APP_ID) == scalar.merge(APP_ID)
-    assert columnar.report(APP_ID) == scalar.report(APP_ID)
+    batches = columnar_batches(
+        columnar.process_columnar, payloads, BATCH_SIZES[seed]
+    )
+    assert batches == scalar_columns(
+        AggBatchResult.of, scalar_results, batches
+    )
+    assert _agg_state(columnar) == _agg_state(scalar)
 
 
 @pytest.mark.parametrize("seed", (SEEDS[1], SEEDS[4]))
-@pytest.mark.parametrize("order", ("forward", "reverse", "one at random"))
-def test_agg_forward_reports_render_on_demand_in_any_order(order, seed):
-    """A columnar batch's forward reports are rendered when read, from
-    the run's trail; whichever way they are read, each equals the
-    scalar switch's report at that packet's own merge point."""
+@pytest.mark.parametrize("size", (1, 7, 64))
+def test_agg_report_after_each_call_is_the_scalar_forward_report(size, seed):
+    """A columnar call builds no forward report; what a forwarding
+    switch would send after it, the application's report, is the
+    scalar switch's forward report at the call's last payload,
+    wherever the stream is cut."""
     wl = DifferentialWorkload(seed)
     payloads = wl.payloads("zipfian", PACKETS)
     scalar, columnar = wl.new_agg(), wl.new_agg()
-    expected = [scalar.process_packet(p).forward_report for p in payloads]
-    results = columnar.process_columnar(payloads)
-    positions = list(range(len(payloads)))
-    if order == "reverse":
-        positions.reverse()
-    elif order == "one at random":
-        positions = [random.Random(seed).choice(positions)]
-    for position in positions:
-        assert results[position].forward_report == expected[position]
-    assert register_state(columnar) == register_state(scalar)
-    assert columnar.merge(APP_ID) == scalar.merge(APP_ID)
-    assert columnar.report(APP_ID) == scalar.report(APP_ID)
+    scalar_results = [scalar.process_packet(p) for p in payloads]
+    assert all(r.merged for r in scalar_results)
+    for at in range(0, len(payloads), size):
+        chunk = scalar_results[at:at + size]
+        batch = columnar.process_columnar(payloads[at:at + size])
+        assert batch == AggBatchResult.of(chunk)
+        assert columnar.report(APP_ID) == chunk[-1].forward_report, (
+            "report after the call at %d diverged" % at
+        )
+    assert _agg_state(columnar) == _agg_state(scalar)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_agg_mixed_modes_and_corruption_bit_identical(seed):
     """Per-packet rows interleaved with periodical snapshots (each
     flushes the pending run) and byte-flipped payloads (anywhere from
-    the summary byte to the last cipher block): same results, same
+    the summary byte to the last cipher block): same columns, same
     registers, and a rejected payload mutates nothing on either path."""
     wl = DifferentialWorkload(seed)
     rng = random.Random(seed + 9)
@@ -839,14 +795,13 @@ def test_agg_mixed_modes_and_corruption_bit_identical(seed):
         if not scalar_results[-1].merged:
             assert register_state(scalar) == before
     assert {r.merged for r in scalar_results} == {True, False}
-    columnar_results = []
-    for chunk in iter_batches(payloads, BATCH_SIZES[seed]):
-        columnar_results.extend(columnar.process_columnar(chunk))
-    assert columnar_results == scalar_results
-    assert register_state(columnar) == register_state(scalar)
-    assert columnar.merge(APP_ID) == scalar.merge(APP_ID)
-    assert columnar.report(APP_ID) == scalar.report(APP_ID)
-    assert columnar.packets_merged(APP_ID) == scalar.packets_merged(APP_ID)
+    batches = columnar_batches(
+        columnar.process_columnar, payloads, BATCH_SIZES[seed]
+    )
+    assert batches == scalar_columns(
+        AggBatchResult.of, scalar_results, batches
+    )
+    assert _agg_state(columnar) == _agg_state(scalar)
 
 
 def _reshape(switch):
@@ -881,11 +836,13 @@ def test_reshaped_pipeline_runs_through_the_interpreter(shape):
     _reshape(columnar)
     assert not columnar._columnar_ready()
     scalar_results = [scalar.process_quic_packet(cid) for cid in cids]
-    columnar_results = []
-    for chunk in iter_batches(cids, 64):
-        columnar_results.extend(columnar.process_quic_columnar(chunk))
-    assert columnar_results == scalar_results
-    assert not any(r.forwarded_original for r in columnar_results)
+    batches = columnar_batches(columnar.process_quic_columnar, cids, 64)
+    assert batches == scalar_columns(
+        LarkBatchResult.of, scalar_results, batches
+    )
+    assert all(
+        batch.dropped == list(range(len(batch))) for batch in batches
+    )
     assert register_state(columnar) == register_state(scalar)
 
     payloads = wl.payloads(shape, PACKETS)
@@ -893,9 +850,11 @@ def test_reshaped_pipeline_runs_through_the_interpreter(shape):
     _reshape(scalar_agg)
     _reshape(columnar_agg)
     assert not columnar_agg._columnar_ready()
-    assert columnar_agg.process_columnar(payloads) == [
-        scalar_agg.process_packet(p) for p in payloads
-    ]
+    batch = columnar_agg.process_columnar(payloads)
+    assert batch == AggBatchResult.of(
+        [scalar_agg.process_packet(p) for p in payloads]
+    )
+    assert batch.merged == len(payloads)
     assert register_state(columnar_agg) == register_state(scalar_agg)
     assert columnar_agg.pipeline.packets_dropped == len(payloads)
 

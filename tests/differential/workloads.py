@@ -13,14 +13,16 @@ Three shapes, all deterministic given a seed:
 
 Every generator returns plain :class:`ConnectionID` lists so the same
 stream can be replayed through the scalar path and through
-``process_quic_columnar`` at any chunking.
+``process_quic_columnar`` at any chunking; :func:`columnar_batches`
+and :func:`scalar_columns` line the two up chunk by chunk.
 
 A fourth stream, :func:`wide_payloads`, is aggregation payloads under
 its own schema whose SUM and AVG cells wrap the 48-bit registers.
 """
 
+import itertools
 import random
-from typing import List
+from typing import Any, Callable, List, Sequence, Union
 
 from repro.core.aggregation import (
     AggregationCodec,
@@ -39,6 +41,33 @@ from repro.workloads.adcampaign import AdCampaignWorkload
 
 APP_ID = 0x3D
 SHAPES = ("uniform", "zipfian", "adversarial")
+
+
+def columnar_batches(
+    process: Callable[[Sequence[Any]], Any],
+    items: Sequence[Any],
+    sizes: Union[int, Sequence[int]],
+) -> List[Any]:
+    """``items`` through a columnar entry point in chunks of ``sizes``
+    (one size, or sizes taken in turn): the batch results, in order."""
+    cycle = itertools.cycle([sizes] if isinstance(sizes, int) else sizes)
+    batches, at = [], 0
+    while at < len(items):
+        size = next(cycle)
+        batches.append(process(items[at:at + size]))
+        at += size
+    return batches
+
+
+def scalar_columns(of, results: List[Any], batches: List[Any]) -> List[Any]:
+    """Per-packet scalar ``results`` as batch columns (``of`` is the
+    batch type's adapter), chunked as ``batches`` are."""
+    out, at = [], 0
+    for batch in batches:
+        out.append(of(results[at:at + len(batch)]))
+        at += len(batch)
+    assert at == len(results)
+    return out
 
 
 def register_state(switch):

@@ -3,6 +3,7 @@ and link-level loss behaviour."""
 
 import pytest
 
+from repro.core.aggregation import ForwardingMode
 from repro.testbed.config import Scheme, TestbedConfig
 from repro.testbed.experiment import TestbedExperiment
 from repro.testbed.network_testbed import NetworkTestbed
@@ -17,6 +18,35 @@ def _config(**kwargs):
     )
     defaults.update(kwargs)
     return TestbedConfig(**defaults)
+
+
+class TestConfig:
+    """The testbed models Trans-1RTT + INSA with per-packet forwarding
+    and nothing else: a config that asks for another pathway is
+    refused up front instead of silently run as that one."""
+
+    @pytest.mark.parametrize("field,config", [
+        ("scheme", TestbedConfig()),
+        ("scheme", _config(scheme=Scheme.TRANS_0RTT)),
+        ("scheme", _config(scheme=Scheme.APP_HTTPS)),
+        ("insa", _config(insa=False)),
+        ("forwarding", _config(
+            forwarding=ForwardingMode.PERIODICAL, period_ms=100.0,
+        )),
+        ("period_ms", _config(period_ms=100.0)),
+    ], ids=("baseline", "0rtt", "app-https", "no-insa", "periodical",
+            "period"))
+    def test_unmodeled_config_is_refused(self, field, config):
+        with pytest.raises(ValueError, match=r"config\.%s=" % field):
+            NetworkTestbed(config)
+
+    def test_default_config_is_the_modeled_pathway(self):
+        testbed = NetworkTestbed()
+        assert testbed.config.scheme is Scheme.TRANS_1RTT
+        assert testbed.config.insa
+        assert testbed.config.forwarding == ForwardingMode.PER_PACKET
+        result = testbed.run()
+        assert result.latencies_ms and result.counts_match_reference()
 
 
 class TestAgreement:
