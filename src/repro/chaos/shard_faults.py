@@ -1,8 +1,8 @@
-"""Deterministic fault injection for the supervised shard runtime.
+"""Deterministic fault injection for the shard runtime.
 
 The chaos DSL in :mod:`repro.chaos.scenario` scripts faults onto a
 *simulated* deployment (device crashes, link loss).  The multiprocess
-shard runtime (:class:`repro.testbed.supervisor.ShardSupervisor`) runs
+shard runtime (:class:`repro.testbed.executor.ShardExecutor`) runs
 on host CPUs, outside the simulator, so its faults are scripted here
 instead: a :class:`ShardFaultPlan` is a picklable recipe that rides
 into the worker with the job arguments and raises a
@@ -22,7 +22,7 @@ Two injection mechanisms, both deterministic:
   doomed forever.
 
 A plan scripts crashes only: the backend a run executes on is fixed
-when its supervisor is built.
+when its executor is built.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class ShardKill:
 
 
 class ShardFaultPlan:
-    """Picklable, seeded crash recipe for a supervised shard run:
+    """Picklable, seeded crash recipe for a shard run:
     scripted kills plus a per-chunk crash probability."""
 
     def __init__(self, seed: int = 0, crash_probability: float = 0.0):

@@ -9,5 +9,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "network_testbed": ("NetworkRunResult", "NetworkTestbed"),
     "pipeline": ("PipelineResult", "ReorderInjector", "StreamingPipeline"),
     "spark_model": ("SparkLatencyModel",),
-    "supervisor": ("ShardSupervisor", "SupervisedRunResult"),
 })

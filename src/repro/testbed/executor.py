@@ -13,6 +13,16 @@ process (:class:`repro.testbed.worker.WorkerFleet`).  Both drive the
 same :class:`Replica` object, so which one ran can never change a
 result — only where the CPU time is spent.
 
+:meth:`ShardExecutor.run` is the one **epoch loop** for every mode:
+per window of the stream (one unless elastic), partition under the
+live map; per epoch round, push every busy shard's epoch, then drain
+each, folding it into the shard's checkpoint; a failed epoch reruns on
+a fresh replica, or at last in-process.  A worker death therefore
+never takes saved state down with it, and a placement change migrates
+nothing.  When ring workers cannot start (no POSIX shared memory, a
+sandbox that forbids processes) the run goes in-process and records
+why in ``fallback_cause``.
+
 Correctness argument (the differential suite checks it end to end):
 
 * partitioning is deterministic — one rule, :func:`partition_columns`
@@ -21,27 +31,25 @@ Correctness argument (the differential suite checks it end to end):
   cookie region ``raw[1:18]`` so every packet of one user lands on one
   shard, and per-shard relative order is the arrival order;
 * per-kind register folds (wrapping add / min / max) are associative
-  and commutative, so merging per-shard snapshots equals interleaved
-  single-switch execution, cell for cell;
+  and commutative, so merging per-shard, per-epoch snapshots equals
+  single-switch execution, cell for cell — whichever shard folded a
+  packet, in whichever epoch, under whichever map;
 * replicas start the same way under ``fork`` and ``spawn``: a worker
   gets the :class:`ShardSpec` recipe (schema, key, stat specs, seed)
   — pickled under ``spawn`` — never a live switch, and each replica
   builds a private metrics registry so instrument names cannot
   collide with the parent's.
-
-When ring workers cannot be used (no POSIX shared memory, a sandbox
-that forbids starting processes, a worker killed from outside) the
-run falls straight back to the in-process transport — identical
-results, no parallelism — and records why in ``fallback_cause``.
 """
 
 from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
+    Tuple, Union,
 )
 
 from repro.chaos.shard_faults import ShardFaultPlan
@@ -51,7 +59,7 @@ from repro.core.stats import StatSpec, merge_snapshots
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.switch.columns import PacketColumns, get_numpy
 from repro.switch.hashing import crc32, crc32_many
-from repro.testbed.placement import PartitionMap
+from repro.testbed.placement import PartitionMap, PlacementController
 
 __all__ = [
     "ShardSpec",
@@ -75,6 +83,12 @@ _COOKIE_REGION = slice(1, 18)  # preserved cookie bytes (lark partition key)
 # columnar fast path.  Every ``backend=`` argument in the testbed means
 # one of these.
 BACKENDS = ("scalar", "columnar")
+
+# Retry back-off: BACKOFF_BASE_S, doubling, capped at BACKOFF_MAX_S.  A
+# ring worker that does not answer within JOB_TIMEOUT_S counts as dead.
+BACKOFF_BASE_S = 0.01
+BACKOFF_MAX_S = 1.0
+JOB_TIMEOUT_S = 60.0
 
 
 def check_backend(backend: str) -> str:
@@ -286,23 +300,16 @@ def _run_shard_epoch(
     part: Any,
     backend: str,
     chunk_size: int,
-    checkpoint: Optional[Dict[str, Any]] = None,
     plan: Optional[ShardFaultPlan] = None,
     epoch: int = 0,
     attempt: int = 0,
     chunk_offset: int = 0,
 ) -> Tuple[Dict[str, Any], Dict[str, int]]:
-    """The in-process transport: restore ``checkpoint`` into a fresh
-    replica, stream one epoch through it chunk by chunk, return
-    ``(snapshot, counters)``.
-
-    Stateless by design — all cross-epoch state travels in the
-    checkpoint argument, so rerunning it with the same arguments is
-    always safe.
+    """The in-process transport: stream one epoch through a fresh
+    replica chunk by chunk and return ``(snapshot, counters)``.
+    Stateless, so rerunning it with the same arguments is always safe.
     """
     replica = Replica(spec, shard, plan)
-    if checkpoint is not None:
-        replica.restore(checkpoint)
     replica.arm(epoch, attempt, chunk_offset)
     for chunk in _chunked(part, chunk_size, backend):
         replica.feed(chunk, backend)
@@ -443,35 +450,64 @@ def render_report(
 
 @dataclass
 class ShardRunResult:
-    """Merged outcome of a sharded run."""
+    """Merged outcome of a sharded run, with its recovery and
+    placement bookkeeping."""
 
     snapshot: Dict[str, List[int]]
     report: Dict[str, Any]
     shard_packets: List[int]
     shard_folded: List[int]
     shards: int
-    # Why the ring workers were abandoned ("WorkerDied: ...") — None
+    # Why the ring workers could not start ("WorkerDied: ...") — None
     # when they ran, or when the in-process transport was requested.
     fallback_cause: Optional[str] = None
-    # True when long-lived ring-fed workers processed the run.
-    used_workers: bool = False
+    used_workers: bool = False  # ring-fed workers ran the epochs
+    epochs: List[int] = field(default_factory=list)  # completed, per shard
+    crashes: int = 0  # failed epoch attempts: injected, killed or wedged
+    retries: int = 0  # epoch jobs re-dispatched after a failure
+    recovered_packets: int = 0  # packets replayed from checkpoints
+    salvaged: List[int] = field(default_factory=list)  # shards salvaged
+    worker_respawns: int = 0  # ring workers replaced mid-run
+    # elastic placement: the map of each window, the live shards after
+    map_versions: List[int] = field(default_factory=list)
+    final_shards: int = 0  # 0 when static
 
     @property
     def total_packets(self) -> int:
         return sum(self.shard_packets)
 
 
+@dataclass
+class _ShardState:
+    """One shard's epoch chain in a run: its checkpoint-store entry and
+    the whole-stream coordinates its fault plan keys on."""
+
+    shard: int
+    checkpoint: Optional[Dict[str, List[int]]] = None
+    processed: int = 0
+    folded: int = 0
+    epochs: int = 0
+    attempt: int = 0
+    chunks_done: int = 0
+
+
 class ShardExecutor:
     """Fan a packet stream across switch-replica shards and merge.
 
-    ``backend`` selects the per-shard execution path (``scalar`` or
-    ``columnar``).  ``placement`` is the partition map (default
-    ``PartitionMap(shards)``).  ``persistent=True`` keeps one ring-fed
-    worker process alive per shard across ``run()`` calls (see
-    :mod:`repro.testbed.worker`) instead of folding each shard
-    in-process: same API, same results, shards fold in parallel.  Call
-    :meth:`close` (or use the executor as a context manager) to release
-    the workers.
+    ``backend`` is the per-shard path (``scalar`` or ``columnar``).
+    ``persistent=True`` keeps one ring-fed worker process per shard
+    alive across ``run()`` calls (:mod:`repro.testbed.worker`): same
+    results, shards fold in parallel, an injected crash is a real
+    ``SIGKILL``; :meth:`close` (or a ``with`` block) releases them.
+    ``placement`` is a static :class:`PartitionMap` (default
+    ``PartitionMap(shards)``) or a :class:`PlacementController`, which
+    cuts the stream into windows of ``checkpoint_batches x chunk_size x
+    shards`` packets, each partitioned once under the live map, and
+    may rebalance or resize from each window's bucket counts.
+    ``checkpoint_batches`` chunks make an epoch, so a crash replays at
+    most that many; ``None`` makes a shard's part of a run one epoch.
+    A failed epoch is retried ``max_retries`` times with bounded
+    back-off (``sleep`` is injectable), then **salvaged** in-process.
     """
 
     def __init__(
@@ -480,40 +516,50 @@ class ShardExecutor:
         shards: int = 2,
         backend: str = "columnar",
         chunk_size: int = 4096,
+        checkpoint_batches: Optional[int] = None,
+        max_retries: int = 2,
+        fault_plan: Optional[ShardFaultPlan] = None,
         registry: Optional[MetricsRegistry] = None,
+        sleep: Callable[[float], None] = time.sleep,
         persistent: bool = False,
-        placement: Optional[PartitionMap] = None,
+        placement: Union[PartitionMap, PlacementController, None] = None,
     ):
-        if placement is not None:
-            shards = placement.shards
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
+        self.controller = None
+        if isinstance(placement, PlacementController):
+            self.controller, placement = placement, placement.map
+        self.placement = placement or PartitionMap(shards)
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
+        if checkpoint_batches is not None and checkpoint_batches < 1:
+            raise ValueError("checkpoint_batches must be >= 1")
+        if max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if checkpoint_batches and spec.kind == "lark" and spec.dedup:
+            # The dedup bloom filter lives outside the stats snapshot,
+            # so an epoch would forget the cookies the last one saw; a
+            # run of one epoch replays from a fresh replica anyway.
+            raise ValueError(
+                "supervised lark shards require dedup=False "
+                "(dedup state is not checkpointed)"
+            )
         self.spec = spec
-        self.shards = shards
+        self.shards = self.placement.shards
         self.backend = check_backend(backend)
-        # last_bucket_counts holds the previous run()'s per-bucket
-        # packet histogram — the load feed for a PlacementController.
-        self.placement = (
-            placement if placement is not None else PartitionMap(shards)
-        )
-        self.last_bucket_counts: Optional[List[int]] = None
         self.chunk_size = chunk_size
+        self.epoch_size = checkpoint_batches and checkpoint_batches * chunk_size
+        self.max_retries = max_retries
+        self.fault_plan = fault_plan
         self.registry = registry if registry is not None else get_registry()
-        self.last_error: Optional[str] = None
         self.persistent = persistent
-        self._fleet: Any = None  # WorkerFleet, built by the first worker run
-
-    @property
-    def _workers(self) -> Dict[int, Any]:
-        """Live ring-fed workers by shard (the chaos suite kills one)."""
-        return self._fleet.workers if self._fleet is not None else {}
+        self.last_error: Optional[str] = None
+        self._sleep = sleep
+        self._fleet: Any = None  # WorkerFleet, kept across runs
 
     def close(self) -> None:
         """Shut down any persistent workers (no-op otherwise)."""
         if self._fleet is not None:
             self._fleet.close()
+            self._fleet = None
 
     def __enter__(self) -> "ShardExecutor":
         return self
@@ -521,103 +567,180 @@ class ShardExecutor:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def set_placement(self, pmap: PartitionMap) -> None:
-        """Adopt a new partition map between runs (epoch boundary).
-
-        An elastic resize retires surplus persistent workers here;
-        missing ones spawn lazily on the next run.  No state migrates:
-        run() folds all shard snapshots regardless of which shard
-        folded which bucket.
-        """
-        self.placement = pmap
-        self.shards = pmap.shards
-        if self._fleet is not None:
-            try:
-                self._fleet.resize(pmap.shards)
-            except Exception:
-                # A worker killed from outside between runs: the next
-                # run() starts a fresh fleet.
-                self.close()
-
-    # -- execution ---------------------------------------------------------
+    # -- the epoch loop ----------------------------------------------------
 
     def run(self, packets: Sequence[bytes]) -> ShardRunResult:
         """Process ``packets`` (a row list or a :class:`PacketColumns`
-        batch) across all shards and fold the results."""
-        parts, self.last_bucket_counts = partition_columns(
-            self.spec, self.placement, packets
-        )
-        outcome = cause = None
-        if self.persistent:
-            try:
-                outcome = self._run_workers(parts)
-            except Exception as exc:
-                # A dead or wedged worker must not fail the run: note
-                # the cause, drop the fleet and reprocess in-process
-                # (identical results, no parallelism).
-                self.last_error = cause = "%s: %s" % (
-                    type(exc).__name__, exc,
-                )
-                self.registry.counter(
-                    "shard_executor.worker_fallbacks"
-                ).inc()
-                _LOG.warning(
-                    "persistent workers failed, in-process fallback engaged",
-                    extra={
-                        "component": "shard_executor",
-                        "kind": self.spec.kind,
-                        "shards": self.shards,
-                        "cause": cause,
-                    },
-                )
-                self.close()
-        if outcome is None:
-            outputs = [
-                _run_shard_epoch(
-                    self.spec, shard, part, self.backend, self.chunk_size
-                )
-                for shard, part in enumerate(parts)
-            ]
-            outcome = (
-                fold_snapshots(self.spec, (s for s, _ in outputs)),
-                dict(enumerate(c for _, c in outputs)),
-            )
-        snapshot, counters = outcome
-        return ShardRunResult(
-            snapshot=snapshot or {},
-            report=render_report(self.spec, self.shards, snapshot),
-            shard_packets=[
-                counters[shard]["packets"] for shard in range(self.shards)
-            ],
-            shard_folded=[
-                counters[shard]["folded"] for shard in range(self.shards)
-            ],
-            shards=self.shards,
-            fallback_cause=cause,
-            used_workers=self.persistent and cause is None,
-        )
-
-    def _run_workers(
-        self, parts: List[Any]
-    ) -> Tuple[Optional[Dict[str, List[int]]], Dict[int, Dict[str, int]]]:
-        """One run over the long-lived worker fleet.
-
-        Batches stream to every shard's ring first (workers fold
-        concurrently), then a reset barrier collects the merged fold
-        snapshot and returns the replicas to a fresh state so
-        consecutive runs stay independent.
-        """
-        if self._fleet is None:
+        batch) across all shards and fold the shards' checkpoints into
+        one snapshot and report."""
+        self.last_error = None
+        tally = self._tally = ShardRunResult({}, {}, [], [], 0)
+        controller = self.controller
+        states: Dict[int, _ShardState] = {}
+        if self.persistent and self._fleet is None:
             from repro.testbed.worker import WorkerFleet
 
             self._fleet = WorkerFleet(
-                self.spec,
-                backend=self.backend,
-                row_capacity=max(self.chunk_size, 64),
+                self.spec, self.backend, max(self.chunk_size, 64),
+                self.fault_plan, JOB_TIMEOUT_S,
             )
-        # Every shard's worker is up (started side by side on the first
-        # run, a dictionary check afterwards) before the first push.
-        self._fleet.bring_up(range(len(parts)))
-        for shard, part in enumerate(parts):
-            self._fleet.push(shard, part, self.chunk_size)
-        return self._fleet.drain(reset=True)
+        total, pos = len(packets), 0
+        try:
+            while True:
+                pmap = controller.map if controller else self.placement
+                size = total
+                if controller and self.epoch_size:
+                    size = self.epoch_size * pmap.shards
+                parts, counts = partition_columns(
+                    self.spec,
+                    pmap,
+                    packets if size >= total
+                    else _slice_part(packets, pos, pos + size),
+                )
+                self._run_window(parts, states)
+                if controller:
+                    tally.map_versions.append(pmap.version)
+                    controller.observe(counts)
+                    new_map = controller.end_epoch()
+                    if self._fleet is not None:
+                        self._fleet.resize(new_map.shards)
+                pos += size
+                if pos >= total:
+                    break
+        except BaseException:
+            # Workers may hold half an epoch: none of it may reach the
+            # next run.
+            self.close()
+            raise
+        live = controller.map.shards if controller else self.shards
+        width = max([live] + [shard + 1 for shard in states])
+        chain = [states.get(s) or _ShardState(s) for s in range(width)]
+        snapshot = fold_snapshots(self.spec, (s.checkpoint for s in chain))
+        tally.snapshot = snapshot or {}
+        tally.report = render_report(self.spec, self.shards, snapshot)
+        tally.shard_packets = [s.processed for s in chain]
+        tally.shard_folded = [s.folded for s in chain]
+        tally.epochs = [s.epochs for s in chain]
+        tally.shards = len(chain)
+        tally.used_workers = self.persistent and not tally.fallback_cause
+        tally.final_shards = live if controller else 0
+        return tally
+
+    def _run_window(
+        self, parts: List[Any], states: Dict[int, _ShardState]
+    ) -> None:
+        """Run one window's parts, epoch round by epoch round."""
+        busy = [
+            states.setdefault(shard, _ShardState(shard))
+            for shard, part in enumerate(parts)
+            if len(part)
+        ]
+        # Every shard the window routes traffic to gets its worker, the
+        # missing ones started side by side.  A fleet that cannot start
+        # is dropped for the rest of the run, whose epochs go in-process.
+        try:
+            if self._fleet is not None:
+                self._fleet.bring_up([state.shard for state in busy])
+        except Exception as exc:
+            self.last_error = self._tally.fallback_cause = "%s: %s" % (
+                type(exc).__name__, exc,
+            )
+            _LOG.warning("ring workers unavailable, running in-process: %s",
+                         self.last_error)
+            self.registry.counter("shard_executor.worker_fallbacks").inc()
+            self.close()
+        size = self.epoch_size
+        longest = max((len(parts[s.shard]) for s in busy), default=0)
+        for lo in range(0, longest, size or longest or 1):
+            jobs = [
+                (state, _slice_part(part, lo, lo + size) if size else part)
+                for state, part in ((s, parts[s.shard]) for s in busy)
+                if lo < len(part)
+            ]
+            # Over ring workers every busy shard's epoch is pushed
+            # before any is drained, so the workers fold side by side;
+            # a failed job then recovers on its own while the other
+            # shards keep their work.
+            pushed = self._fleet is not None
+            errors = [
+                self._attempt(*job, drain=False) if pushed else None
+                for job in jobs
+            ]
+            for job, error in zip(jobs, errors):
+                error = error or self._attempt(*job, push=not pushed)
+                self._recover(*job, error)
+
+    def _attempt(
+        self, state: _ShardState, part: Any, push: bool = True,
+        drain: bool = True, inline: bool = False,
+    ) -> Optional[Exception]:
+        """One try at a shard's epoch — in-process (``inline``: faults
+        off), or arm + push, then drain and reset its ring worker — folded
+        into the shard's checkpoint.  Returns the failure, not raising it."""
+        try:
+            if inline or self._fleet is None:
+                outcome = _run_shard_epoch(
+                    self.spec, state.shard, part, self.backend,
+                    self.chunk_size, None if inline else self.fault_plan,
+                    state.epochs, state.attempt, state.chunks_done,
+                )
+            else:
+                if push and self.fault_plan is not None:
+                    self._fleet.workers[state.shard].set_epoch(
+                        state.epochs, state.attempt, state.chunks_done
+                    )
+                if push:
+                    self._fleet.push(state.shard, part, self.chunk_size)
+                if not drain:
+                    return None
+                outcome = self._fleet.drain_shard(state.shard, reset=True)
+        except Exception as exc:
+            return exc
+        snapshot, counters = outcome
+        state.checkpoint = fold_snapshots(
+            self.spec, (state.checkpoint, snapshot)
+        )
+        state.processed += counters["packets"]
+        state.folded += counters["folded"]
+        state.epochs += 1
+        state.chunks_done += -(-len(part) // self.chunk_size)
+        state.attempt = 0
+        self.registry.counter("shard_executor.checkpoints").inc()
+        return None
+
+    def _recover(
+        self, state: _ShardState, part: Any, error: Optional[Exception]
+    ) -> None:
+        """Book a failed epoch — its partial work is lost, the replay
+        costs one epoch — respawn the shard's ring worker fresh, and
+        retry after a back-off until an attempt succeeds or the retries
+        run out and salvage runs the epoch in-process, faults off."""
+        tally, counter = self._tally, self.registry.counter
+        while error is not None:
+            self.last_error = "%s: %s" % (type(error).__name__, error)
+            _LOG.warning("shard %d epoch %d attempt %d failed: %s",
+                         state.shard, state.epochs, state.attempt,
+                         self.last_error)
+            tally.crashes += 1
+            tally.recovered_packets += len(part)
+            counter("shard_executor.crashes").inc()
+            counter("shard_executor.recovered_packets").inc(len(part))
+            state.attempt += 1
+            if self._fleet is not None:
+                self._fleet.respawn(state.shard)
+                tally.worker_respawns += 1
+                counter("shard_executor.worker_respawns").inc()
+            if state.attempt > self.max_retries:
+                if state.shard not in tally.salvaged:
+                    tally.salvaged.append(state.shard)
+                    counter("shard_executor.salvages").inc()
+                error = self._attempt(state, part, inline=True)
+                if error is not None:
+                    raise error
+                return
+            tally.retries += 1
+            counter("shard_executor.retries").inc()
+            self._sleep(
+                min(BACKOFF_MAX_S, BACKOFF_BASE_S * 2 ** (state.attempt - 1))
+            )
+            error = self._attempt(state, part)

@@ -30,8 +30,8 @@ static and rebalanced placements produce byte-identical reports.
 Everything here is pure integer/float arithmetic over explicit inputs
 — no wall clock, no RNG — so a plan is reproducible across processes
 and replays (crash recovery replays an epoch under the map that was
-live when the epoch was cut; the supervisor caches the partition per
-window to guarantee it).
+live when the epoch was cut; the shard executor partitions each window
+once to guarantee it).
 """
 
 from __future__ import annotations

@@ -545,7 +545,7 @@ class ColumnRing:
         return len(self) >= self.capacity
 
     def reset(self) -> None:
-        """Empty the ring (supervisor-side, after replacing a dead
+        """Empty the ring (owner-side, after replacing a dead
         consumer): discard unconsumed slots."""
         self._head = 0
         self._tail = 0

@@ -7,8 +7,8 @@ streams batches to it through a
 :class:`~repro.testbed.shm_ring.ColumnRing`; steady-state ingest costs
 one shared-memory write per batch, no pickling and no process churn,
 and shards fold in parallel.  :class:`WorkerFleet` owns the set of
-workers a runtime uses — every tier above (executor, supervisor,
-streaming pipeline) reaches its workers through one.
+workers a runtime uses — both tiers above (the shard executor and
+the streaming pipeline) reach their workers through one.
 
 The worker runs a small **command loop** around the same
 :class:`~repro.testbed.executor.Replica` the in-process transport
@@ -47,9 +47,9 @@ readiness message names the method the child actually started by.
 Faults: a :class:`~repro.chaos.shard_faults.ShardFaultPlan` rides into
 the worker at start-up.  Where the in-process transport surfaces an
 injected :class:`ShardCrash` as a raised exception, a persistent worker
-turns it into a **real ``SIGKILL`` of itself** — the supervisor must
-detect the silent death through liveness probes and replay from the
-last checkpoint, which is precisely the failure mode the chaos suite
+turns it into a **real ``SIGKILL`` of itself** — the executor must
+detect the silent death through liveness probes and rerun the epoch on
+a respawned worker, which is precisely the failure mode the chaos suite
 certifies.
 
 Lifecycle: the parent owns the ring segment and the worker only ever
@@ -186,7 +186,7 @@ def _worker_main(
                 )
             except ShardCrash:
                 # The in-process transport raises this to its caller; a
-                # persistent worker dies for real — the supervisor must
+                # persistent worker dies for real — the executor must
                 # notice the corpse, not catch an exception.
                 conn.close()
                 os.kill(os.getpid(), signal.SIGKILL)
@@ -461,9 +461,9 @@ _ZERO = {"packets": 0, "folded": 0, "unmerged": 0}
 class WorkerFleet:
     """The one owner of ring-fed worker lifecycle for a runtime.
 
-    ``ShardExecutor(persistent=True)``, ``ShardSupervisor(
-    persistent=True)`` and ``StreamingPipeline(backend="persistent")``
-    each hold one fleet and nothing else about workers: a set of shards
+    ``ShardExecutor(persistent=True)`` and
+    ``StreamingPipeline(backend="persistent")`` each hold one fleet and
+    nothing else about workers: a set of shards
     is brought up together (processes started side by side by
     :func:`_start_context`'s method, then the readiness handshakes; a
     shard re-entering the fleet starts from the caller's checkpoint),

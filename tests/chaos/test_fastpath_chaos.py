@@ -10,7 +10,7 @@ scenarios with the fast path engaged and require two things:
   execution backend is a performance choice, not a semantic one.
 
 Sharded aggregation has its own crash coverage on the replica runtime
-(``test_persistent_chaos.py``, ``tests/testbed/test_supervisor.py``).
+(``test_persistent_chaos.py``, ``tests/testbed/test_shard_runtime.py``).
 """
 
 import os

@@ -34,3 +34,22 @@ def pytest_addoption(parser):
 def regen_goldens(request):
     """True when the run should rewrite golden files in place."""
     return request.config.getoption("--regen-goldens")
+
+
+def _shm_entries():
+    """Current shared-memory segment names (empty set when the
+    platform hides them — the leak assertions then degrade to no-ops
+    rather than false alarms)."""
+    try:
+        return set(os.listdir("/dev/shm"))
+    except OSError:  # pragma: no cover - non-Linux shm namespaces
+        return set()
+
+
+@pytest.fixture
+def shm_leakcheck():
+    """Fails the test when it leaves a shared-memory segment behind."""
+    before = _shm_entries()
+    yield
+    leaked = _shm_entries() - before
+    assert not leaked, "leaked shared-memory segments: %s" % sorted(leaked)

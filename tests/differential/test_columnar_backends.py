@@ -292,14 +292,12 @@ def test_batch_backend_name_is_rejected_everywhere():
     every ``backend=`` entry point, never an alias."""
     from repro.chaos import ChaosHarness
     from repro.testbed.pipeline import StreamingPipeline
-    from repro.testbed.supervisor import ShardSupervisor
     from repro.testbed.worker import ShardWorker, WorkerFleet
 
     wl = DifferentialWorkload(SEEDS[0])
     spec = _agg_spec(wl)
     attempts = (
         lambda: ShardExecutor(spec, backend="batch"),
-        lambda: ShardSupervisor(spec, backend="batch"),
         lambda: ShardWorker(spec, 0, backend="batch"),
         lambda: WorkerFleet(spec, backend="batch").worker(0),
         lambda: StreamingPipeline(wl.workload, backend="batch"),

@@ -8,10 +8,10 @@ merged register snapshot and rendered report as the static
 intentionally differ once buckets move; the snapshot and report are
 the cross-placement comparands.)
 
-Covered here, at three seeds each: the inline supervised runtime
+Covered here, at three seeds each: the inline elastic executor
 across the scalar and columnar backends, an aggressive rebalancer that
 moves buckets every epoch, elastic fleet resizes (grow and shrink),
-the persistent ring-fed supervisor, and the streaming pipeline's
+the persistent ring-fed executor, and the streaming pipeline's
 placement fleet — plus the no-rebalance sanity check that a default
 map reproduces the static per-shard packet counts exactly.
 """
@@ -20,11 +20,14 @@ import pytest
 
 from repro.core.aggregation import ForwardingMode
 from repro.obs.registry import MetricsRegistry
-from repro.testbed.executor import ShardExecutor, ShardSpec
+from repro.testbed.executor import (
+    ShardExecutor,
+    ShardSpec,
+    partition_columns,
+)
 from repro.testbed.pipeline import StreamingPipeline
 from repro.testbed.placement import PartitionMap, PlacementController
 from repro.testbed.shm_ring import shared_memory_available
-from repro.testbed.supervisor import ShardSupervisor
 from repro.workloads.adcampaign import AdCampaignWorkload
 
 from tests.differential.workloads import (
@@ -66,24 +69,22 @@ def _aggressive(shards, **kw):
     )
 
 
-def _supervisor(spec, backend="columnar", placement=None, shards=2,
-                persistent=False):
-    return ShardSupervisor(
+def _executor(spec, backend="columnar", placement=None, shards=2,
+              persistent=False):
+    return ShardExecutor(
         spec,
         shards=shards,
         backend=backend,
         chunk_size=32,
         checkpoint_batches=2,
         registry=MetricsRegistry(),
-        backoff_base_s=0.0,
-        sleep=lambda _s: None,
         persistent=persistent,
         placement=placement,
     )
 
 
-class TestSupervisorElastic:
-    """Inline elastic supervisor vs the static runtime."""
+class TestExecutorElastic:
+    """Inline elastic executor vs the static runtime."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -91,8 +92,8 @@ class TestSupervisorElastic:
         wl = DifferentialWorkload(seed=seed)
         spec = _agg_spec(wl)
         packets = wl.payloads("zipfian", PACKETS)
-        static = _supervisor(spec, backend).run(packets)
-        elastic = _supervisor(
+        static = _executor(spec, backend).run(packets)
+        elastic = _executor(
             spec, backend, placement=_aggressive(2)
         ).run(packets)
         assert elastic.snapshot == static.snapshot, (seed, backend)
@@ -104,8 +105,8 @@ class TestSupervisorElastic:
         wl = DifferentialWorkload(seed=seed)
         spec = _lark_spec(wl)
         packets = [bytes(c) for c in wl.cids("zipfian", PACKETS)]
-        static = _supervisor(spec, "columnar").run(packets)
-        elastic = _supervisor(
+        static = _executor(spec, "columnar").run(packets)
+        elastic = _executor(
             spec, "columnar", placement=_aggressive(2)
         ).run(packets)
         assert elastic.snapshot == static.snapshot, seed
@@ -119,9 +120,9 @@ class TestSupervisorElastic:
         wl = DifferentialWorkload(seed=seed)
         spec = _agg_spec(wl)
         packets = wl.skewed_payloads(PACKETS, shards=2)
-        static = _supervisor(spec, "columnar").run(packets)
+        static = _executor(spec, "columnar").run(packets)
         controller = _aggressive(2)
-        elastic = _supervisor(
+        elastic = _executor(
             spec, "columnar", placement=controller
         ).run(packets)
         assert elastic.snapshot == static.snapshot, seed
@@ -135,12 +136,12 @@ class TestSupervisorElastic:
         wl = DifferentialWorkload(seed=SEEDS[0])
         spec = _agg_spec(wl)
         packets = wl.payloads("uniform", PACKETS)
-        static = _supervisor(spec, "columnar").run(packets)
+        static = _executor(spec, "columnar").run(packets)
         calm = PlacementController(
             shards=2, target_imbalance=50.0, cooldown_epochs=0,
             registry=MetricsRegistry(),
         )
-        elastic = _supervisor(
+        elastic = _executor(
             spec, "columnar", placement=calm
         ).run(packets)
         assert elastic.shard_packets == static.shard_packets
@@ -156,12 +157,12 @@ class TestSupervisorElastic:
         wl = DifferentialWorkload(seed=seed)
         spec = _agg_spec(wl)
         packets = wl.payloads("uniform", PACKETS)
-        static = _supervisor(spec, "columnar").run(packets)
+        static = _executor(spec, "columnar").run(packets)
         controller = PlacementController(
             shards=2, target_shard_load=40.0, max_shards=4,
             cooldown_epochs=0, registry=MetricsRegistry(),
         )
-        elastic = _supervisor(
+        elastic = _executor(
             spec, "columnar", placement=controller
         ).run(packets)
         assert elastic.snapshot == static.snapshot, seed
@@ -170,7 +171,7 @@ class TestSupervisorElastic:
 
 
 @needs_shm
-class TestSupervisorElasticPersistent:
+class TestExecutorElasticPersistent:
     """The elastic runtime on real ring-fed worker processes."""
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -178,10 +179,11 @@ class TestSupervisorElasticPersistent:
         wl = DifferentialWorkload(seed=seed)
         spec = _agg_spec(wl)
         packets = wl.payloads("zipfian", PACKETS)
-        static = _supervisor(spec, "columnar").run(packets)
-        elastic = _supervisor(
+        static = _executor(spec, "columnar").run(packets)
+        with _executor(
             spec, "columnar", placement=_aggressive(2), persistent=True,
-        ).run(packets)
+        ) as executor:
+            elastic = executor.run(packets)
         assert elastic.used_workers, elastic.fallback_cause
         assert elastic.snapshot == static.snapshot, seed
         assert elastic.report == static.report, seed
@@ -200,17 +202,16 @@ class TestExecutorPlacement:
             chunk_size=96,
         ).run(packets)
         pmap = PartitionMap(shards=2)
-        executor = ShardExecutor(
-            spec, backend="columnar", chunk_size=96,
-            placement=pmap,
-        )
-        default_map = executor.run(packets)
+        default_map = ShardExecutor(
+            spec, backend="columnar", chunk_size=96, placement=pmap,
+        ).run(packets)
         assert default_map.shard_packets == base.shard_packets
         assert default_map.snapshot == base.snapshot
-        counts = executor.last_bucket_counts
+        _, counts = partition_columns(spec, pmap, packets)
         moved = pmap.rebalanced(counts, target=1.02)
-        executor.set_placement(moved)
-        rebalanced = executor.run(packets)
+        rebalanced = ShardExecutor(
+            spec, backend="columnar", chunk_size=96, placement=moved,
+        ).run(packets)
         assert rebalanced.snapshot == base.snapshot, seed
         assert rebalanced.report == base.report, seed
 

@@ -5,7 +5,7 @@ Pins the invariants the elastic runtimes lean on:
 * every bucket is always owned by exactly one live shard, through any
   sequence of rebalances and resizes;
 * plans are deterministic — same loads, same map, in this process and
-  in a fresh interpreter (the supervisor and its crash-replay must
+  in a fresh interpreter (the executor and its crash-replay must
   agree on placement without communicating);
 * the default map reproduces the legacy ``crc32 % shards`` partition
   bit for bit whenever ``shards`` divides ``buckets``;
