@@ -133,20 +133,23 @@ class ShardSpec:
     cross the process boundary.
     """
 
-    kind: str  # "lark" or "agg"
+    kind: str  # "lark", "agg" or "half" (a pipeline's switch half)
     app_id: int
     schema: CookieSchema
     key: bytes
     specs: Tuple[StatSpec, ...]
     seed: int = 0
-    # lark-only knobs
+    # lark and switch-half knobs
     mode: str = ForwardingMode.PERIODICAL
     period_ms: float = 1000.0
     dedup: bool = False
+    # switch-half fault stages (repro.testbed.pipeline.SwitchHalf)
+    corrupt_probability: float = 0.0
+    reorder_probability: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("lark", "agg"):
-            raise ValueError("kind must be 'lark' or 'agg'")
+        if self.kind not in ("lark", "agg", "half"):
+            raise ValueError("kind must be 'lark', 'agg' or 'half'")
         object.__setattr__(self, "specs", tuple(self.specs))
 
 
@@ -156,6 +159,12 @@ def _build_switch(spec: ShardSpec, shard_index: int):
 
     rng = random.Random(spec.seed * 1000003 + shard_index)
     registry = MetricsRegistry()
+    if spec.kind == "half":
+        # Seeded like the in-process pipeline's own half, whatever the
+        # shard index: the two must emit the same payload bytes.
+        from repro.testbed.pipeline import SwitchHalf
+
+        return SwitchHalf(spec, registry=registry)
     if spec.kind == "lark":
         from repro.core.larkswitch import LarkSwitch
 
@@ -183,9 +192,8 @@ def _build_switch(spec: ShardSpec, shard_index: int):
 
 class Replica:
     """One seeded switch replica and everything a transport does to it:
-    restore a checkpoint, arm the fault injector for an epoch attempt,
-    fold one chunk through the scalar or columnar entry point, read
-    the registers back.
+    arm the fault injector for an epoch attempt, fold one chunk through
+    the scalar or columnar entry point, read the registers back.
 
     The in-process transport (:func:`_run_shard_epoch`) and the ring-fed
     worker loop (:func:`repro.testbed.worker._worker_main`) drive this
@@ -224,7 +232,10 @@ class Replica:
         # reached the registers (the columnar batch's count).  Rows
         # arrive as bytes-likes (list slices inline, ring views in a
         # worker); the columnar kernels take the chunk as it comes.
-        if self.spec.kind == "lark":
+        if self.spec.kind == "half":
+            # A ring-hosted switch half runs its columnar stages only.
+            self._process = {"columnar": switch.feed}
+        elif self.spec.kind == "lark":
             from repro.quic.connection_id import ConnectionID
 
             self._process: Dict[str, Callable[[Any], int]] = {
@@ -259,9 +270,6 @@ class Replica:
             else None
         )
 
-    def restore(self, checkpoint: Dict[str, Any]) -> None:
-        self.switch.restore(self.spec.app_id, checkpoint)
-
     def feed(self, rows: Any, backend: str, continued: bool = False) -> None:
         """Fold one chunk — or, ``continued``, the next ring slot of the
         chunk fed last.  Raises :class:`ShardCrash` *before* touching a
@@ -288,9 +296,14 @@ class Replica:
             "unmerged": self.packets - self.folded,
         }
 
-    def snapshot(self) -> Dict[str, Any]:
-        """The raw register snapshot — at once the unit the fold
-        merges and the checkpoint :meth:`restore` takes back."""
+    def snapshot(
+        self, final: bool = False, lark: bool = False
+    ) -> Dict[str, Any]:
+        """The raw register snapshot: the unit the fold merges and the
+        checkpoint an epoch chain keeps.  A switch half answers with
+        its barrier state instead (``SwitchHalf.barrier(final, lark)``)."""
+        if self.spec.kind == "half":
+            return self.switch.barrier(final, lark)
         return self.switch.checkpoint(self.spec.app_id)
 
 

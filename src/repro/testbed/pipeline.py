@@ -5,18 +5,22 @@ by packet on the discrete-event simulator — the right tool for latency
 questions, the wrong one for throughput: the simulator heap dominates
 the profile long before the switch kernels saturate.  This module wires
 the same devices into a pull-based *stage* pipeline with no simulator
-in between::
+in between, split where the paper splits the devices::
 
-    generate -> encode -> lark -> (reorder?) -> agg -> verify
+    client half:  generate -> encode            (StreamingPipeline)
+    switch half:  lark -> (corrupt?) -> (reorder?) -> agg   (SwitchHalf)
 
 Micro-batches of events stream through all stages without ever
 materializing the full event list: the workload's
 :class:`~repro.workloads.columns.EventStream` produces struct-of-arrays
 batches, the :class:`~repro.core.cookie_cache.CookieEncodeCache` turns
 them into wire cookies (one batched AES pass over the cache misses),
-the LarkSwitch consumes them through the configured backend, and
-aggregation payloads flow — optionally through a fault-injected
-reordering stage — into the AggSwitch.
+and the :class:`SwitchHalf` takes them one forwarding-period segment at
+a time: the LarkSwitch consumes them through the configured backend,
+and aggregation payloads flow — optionally through fault-injected
+corruption and reordering stages — into the AggSwitch.  The in-process
+tiers call the switch half directly; the persistent tier hosts a twin
+of it, built from the same recipe, in a ring-fed worker process.
 
 Determinism contract (the differential suite holds us to it): for a
 fixed backend, the final aggregation report, the merged register
@@ -32,14 +36,14 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.aggregation import ForwardingMode
 from repro.core.aggswitch import AggBatchResult, AggSwitch
 from repro.core.cookie_cache import CookieEncodeCache
-from repro.core.larkswitch import LarkSwitch
+from repro.core.larkswitch import LarkBatchResult, LarkSwitch
 from repro.core.stats import counts_match
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.obs.registry import MetricsRegistry, get_registry
@@ -47,26 +51,24 @@ from repro.testbed.executor import (
     BACKENDS,
     ShardSpec,
     _slice_part,
-    partition_columns,
     process_isolated,
 )
-from repro.testbed.placement import PlacementController
 
 __all__ = [
     "ReorderInjector",
     "StreamingPipeline",
     "PipelineResult",
+    "SwitchHalf",
     "BACKENDS",
     "PIPELINE_BACKENDS",
 ]
 
-# The in-process tiers plus the persistent-worker tier (agg stage runs
-# in a long-lived ring-fed process; see repro.testbed.worker).  Kept
-# out of BACKENDS so suites that compare collected per-payload
+# The in-process tiers plus the persistent-worker tier (the switch half
+# runs in a long-lived ring-fed process; see repro.testbed.worker).
+# Kept out of BACKENDS so suites that compare collected per-payload
 # AggResults — which never leave the worker — keep their parametrize
 # surface.
 PIPELINE_BACKENDS = BACKENDS + ("persistent",)
-
 
 class ReorderInjector:
     """Deterministic packet-reordering fault injection.
@@ -138,15 +140,149 @@ class PipelineResult:
     dead_letters: int = 0
     # Period-boundary checkpoints taken (checkpoint_every_periods > 0).
     checkpoints: int = 0
-    # Worker fleet (persistent backend): the live map's shard count at
-    # end of run (1 without a placement controller), per-shard packet
-    # counts folded this run, the controller's rebalance/resize history.
-    fleet_shards: int = 1
-    fleet_shard_packets: Optional[List[int]] = None
-    placement_history: List[Dict[str, Any]] = field(default_factory=list)
 
     def counts_match_reference(self) -> bool:
         return counts_match(self.report, self.reference)
+
+
+class SwitchHalf:
+    """The switch half of a pipeline: LarkSwitch -> corrupt -> reorder
+    -> AggSwitch, driven in stream order by :meth:`feed` (one period
+    segment of cookies), :meth:`end_period` and :meth:`barrier`.
+
+    One object, two transports, like
+    :class:`~repro.testbed.executor.Replica`: the scalar and columnar
+    tiers call it in-process, and the persistent tier hosts a twin in a
+    ring worker (``ShardSpec(kind="half")``).  Both are built from the
+    same :class:`ShardSpec` recipe, so their seeds match and they emit
+    the same payload bytes, not just the same reports.
+
+    ``corrupt_probability`` is a seeded fault stage flipping one byte
+    in that fraction of aggregation payloads; the AggSwitch rejects
+    them at decode and they count as **dead letters** instead of
+    aborting the run.  Both fault stages draw per arrival, so they are
+    invariant to batch shape.  The counts run from one barrier to the
+    next.
+    """
+
+    def __init__(
+        self,
+        spec: ShardSpec,
+        backend: str = "columnar",
+        registry: Optional[MetricsRegistry] = None,
+    ):
+        self.app_id = spec.app_id
+        self.backend = backend
+        self.lark = LarkSwitch("lark-pipe", random.Random(1), registry)
+        self.lark.register_application(
+            spec.app_id, spec.schema, spec.key, list(spec.specs),
+            mode=spec.mode, period_ms=spec.period_ms, dedup=spec.dedup,
+        )
+        self.agg = AggSwitch("agg-pipe", random.Random(2), registry)
+        self.agg.register_application(
+            spec.app_id, spec.schema, spec.key, list(spec.specs)
+        )
+        self.injector: Optional[ReorderInjector] = None
+        if spec.reorder_probability > 0.0:
+            self.injector = ReorderInjector(
+                random.Random(spec.seed + 31), spec.reorder_probability
+            )
+        self.corrupt_probability = spec.corrupt_probability
+        self._corrupt_rng = random.Random(spec.seed + 47)
+        self.payloads = self.merged = self.dead_letters = self.corrupted = 0
+
+    def rekey_application(self, app_id: int, new_key: bytes) -> None:
+        self.agg.rekey_application(app_id, new_key)
+        self.lark.rekey_application(app_id, new_key)
+
+    def feed(self, cids: Any) -> int:
+        """Run one segment through the LarkSwitch and its aggregation
+        payloads on to the AggSwitch; returns the packets the
+        LarkSwitch folded."""
+        if self.backend == "scalar":
+            result = LarkBatchResult.of(
+                [self.lark.process_quic_packet(cid) for cid in cids]
+            )
+        else:
+            result = self.lark.process_quic_columnar(cids)
+        self._dispatch(result.payloads)
+        return result.folded
+
+    def end_period(self) -> None:
+        """Close the forwarding period: the LarkSwitch's period payloads
+        go on to the AggSwitch."""
+        self._dispatch(self.lark.end_period(self.app_id))
+
+    def barrier(
+        self, final: bool = False, lark: bool = False
+    ) -> Dict[str, Any]:
+        """Everything fed so far has reached the AggSwitch: its register
+        snapshot (and, ``lark``, the LarkSwitch's) with the payload,
+        merged, dead-letter and corrupted counts since the previous
+        barrier.  ``final`` ends the stream first: the reorder stage
+        releases whatever it still holds."""
+        if final and self.injector is not None:
+            held = self.injector.flush()  # counted at lark emission
+            if held:
+                self._deliver(held)
+        state = {
+            "agg": self.agg.checkpoint(self.app_id),
+            "payloads": self.payloads,
+            "merged": self.merged,
+            "dead_letters": self.dead_letters,
+            "corrupted": self.corrupted,
+        }
+        if lark:
+            state["lark"] = self.lark.checkpoint(self.app_id)
+        self.payloads = self.merged = self.dead_letters = self.corrupted = 0
+        return state
+
+    def _corrupt(self, payloads: List[bytes]) -> List[bytes]:
+        """Seeded fault stage: flip one byte in a fraction of payloads
+        (per-arrival draws, batch-shape invariant)."""
+        out: List[bytes] = []
+        for payload in payloads:
+            if self._corrupt_rng.random() < self.corrupt_probability:
+                index = self._corrupt_rng.randrange(len(payload))
+                mutated = bytearray(payload)
+                mutated[index] ^= 0xFF
+                payload = bytes(mutated)
+                self.corrupted += 1
+            out.append(payload)
+        return out
+
+    def _agg_process(self, payloads: List[bytes]) -> AggBatchResult:
+        if self.backend == "scalar":
+            return AggBatchResult.of(
+                [self.agg.process_packet(p) for p in payloads]
+            )
+        return self.agg.process_columnar(payloads)
+
+    def _dispatch(self, payloads: List[bytes]) -> None:
+        """Route payloads through the corruption and reorder fault
+        stages (when present) to the AggSwitch."""
+        self.payloads += len(payloads)
+        if self.corrupt_probability > 0.0:
+            payloads = self._corrupt(payloads)
+        if self.injector is not None:
+            emitted: List[bytes] = []
+            for payload in payloads:
+                emitted.extend(self.injector.push(payload))
+            payloads = emitted
+        if payloads:
+            self._deliver(payloads)
+
+    def _deliver(self, payloads: List[bytes]) -> None:
+        """Fold into the AggSwitch via the backend-matched entry point.
+        A poison payload (the entry point raises on it) cannot abort
+        the run; it and every merely undecodable payload — all that
+        reach this stage are aggregation-bound — are dead letters."""
+        batches, dead = process_isolated(
+            lambda chunk: [self._agg_process(chunk)], payloads
+        )
+        merged = sum(batch.merged for batch in batches)
+        self.merged += merged
+        self.dead_letters += dead + sum(map(len, batches)) - merged
 
 
 class StreamingPipeline:
@@ -162,31 +298,35 @@ class StreamingPipeline:
       and cookies flowing as a :class:`PacketColumns` matrix straight
       into the switches' columnar paths (whose kernels run their
       Python forms when the numpy gate is closed).
-    * ``persistent`` — columnar generate/encode/lark in-process, agg
-      folded by a fleet of long-lived worker processes fed through
-      shared-memory rings (:class:`repro.testbed.worker.WorkerFleet`):
-      the parent streams the next micro-batches while the workers fold
-      the previous ones, and a full ring is the back-pressure that
-      bounds how far it runs ahead.  The fleet has one worker unless a
-      ``placement`` controller is attached; then it has one per shard
-      of the controller's live map, payload batches are partitioned
-      under that map, and period flushes are placement epochs.  Reports
-      are byte-identical to the other tiers.  Call :meth:`close` (or
-      use the pipeline as a context manager) to release the workers.
+    * ``persistent`` — the columnar tier split at the paper's device
+      boundary: this process is the client half (generate, reference,
+      encode) and pushes cookie segments and period-close markers into
+      the shared-memory ring of one long-lived worker process
+      (:class:`repro.testbed.worker.WorkerFleet`) that runs the switch
+      half.  The parent encodes the next micro-batches while the
+      worker decodes and aggregates the previous ones, and a full ring
+      is the back-pressure that bounds how far it runs ahead.  Reports
+      and payload bytes are identical to the other tiers.  Call
+      :meth:`close` (or use the pipeline as a context manager) to
+      release the worker.
+
+    ``lark`` and ``agg`` are the in-process switch half's switches (the
+    persistent tier renders its report through that ``agg``, restored
+    from the worker's snapshot at the end-of-run barrier).
 
     ``on_batch(pipeline, columns)`` runs before each micro-batch is
     encoded — the hook the rekey regression test uses to push a
-    controller update mid-run.  Generate, encode, lark and the push to
-    agg run one batch at a time on one thread, so the hook is in
-    lockstep with switch processing (a rekey between encode and process
-    would strand in-flight cookies under the old key).
+    controller update mid-run.  A rekey is ordered with the batches:
+    in-process it applies between two batches, and to a worker it
+    travels through the ring behind every segment already pushed (a
+    rekey between encode and process would strand in-flight cookies
+    under the old key).
 
-    ``corrupt_probability`` is a seeded fault stage flipping
-    one byte in that fraction of aggregation payloads; the AggSwitch
-    rejects them at decode and the pipeline counts them as **dead
-    letters** (``pipeline.dead_letters`` counter) instead of aborting.
+    ``corrupt_probability`` and ``reorder_probability`` configure the
+    switch half's fault stages; corrupted payloads are counted as
+    **dead letters** (``pipeline.dead_letters`` counter).
     ``checkpoint_every_periods`` snapshots both switches' registers at
-    period flushes (the supervised runtime's checkpoint unit);
+    period flushes (a barrier on the switch half);
     ``last_checkpoint`` holds the most recent one.
     """
 
@@ -205,15 +345,10 @@ class StreamingPipeline:
         corrupt_probability: float = 0.0,
         checkpoint_every_periods: int = 0,
         registry: Optional[MetricsRegistry] = None,
-        placement: Optional[PlacementController] = None,
     ):
         if backend not in PIPELINE_BACKENDS:
             raise ValueError(
                 "backend must be one of %s" % (PIPELINE_BACKENDS,)
-            )
-        if placement is not None and backend != "persistent":
-            raise ValueError(
-                "placement requires the persistent backend"
             )
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -233,72 +368,50 @@ class StreamingPipeline:
         key_rng = random.Random(seed + 9)
         self._key = bytes(key_rng.getrandbits(8) for _ in range(16))
         schema = workload.schema()
-        specs = workload.specs()
-        self.lark = LarkSwitch("lark-pipe", random.Random(1))
-        self.lark.register_application(
-            app_id, schema, self._key, specs, mode=mode,
+        spec = ShardSpec(
+            kind="half",
+            app_id=app_id,
+            schema=schema,
+            key=self._key,
+            specs=tuple(workload.specs()),
+            seed=seed,
+            mode=mode,
             period_ms=period_ms,
+            corrupt_probability=corrupt_probability,
+            reorder_probability=reorder_probability,
         )
-        self.agg = AggSwitch("agg-pipe", random.Random(2))
-        self.agg.register_application(app_id, schema, self._key, specs)
+        self.half = SwitchHalf(
+            spec, "scalar" if backend == "scalar" else "columnar"
+        )
+        self.lark = self.half.lark
+        self.agg = self.half.agg
         self.codec = TransportCookieCodec(
             app_id, schema, self._key, random.Random(3)
         )
         self.cache = CookieEncodeCache(self.codec, capacity=cache_capacity)
-        self.injector: Optional[ReorderInjector] = None
-        if reorder_probability > 0.0:
-            self.injector = ReorderInjector(
-                random.Random(seed + 31), reorder_probability
-            )
-        # Seeded payload-corruption fault stage: draws per arrival, so
-        # (like the reorder stage) it is invariant to batch shape.
-        self.corrupt_probability = corrupt_probability
-        self._corrupt_rng = random.Random(seed + 47)
         self._next_boundary = period_ms
         self.periods = 0
+        self._payloads = 0
         self._merged = 0
         self.dead_letters = 0
         self.corrupted = 0
         self.last_checkpoint: Optional[Dict[str, Any]] = None
         self._checkpoints_taken = 0
-        # Persistent tier: the agg stage runs in long-lived worker
-        # processes fed through shared-memory rings; the parent keeps
-        # running generate/encode/lark while they fold, and the rings
-        # are the bounded hand-off queue between the two.  The local
-        # AggSwitch stays around as the report renderer: every drain
-        # barrier restores the fleet's merged fold snapshot into it,
-        # so every downstream read-out (report / merge / user stats)
-        # goes through exactly the code the in-process tiers use, and
-        # reports stay byte-identical no matter how a placement
-        # controller moved buckets (or retired workers) mid-run.
-        self.placement = placement
+        # Persistent tier: the switch half runs in one long-lived worker
+        # fed through a shared-memory ring, started now so its start-up
+        # stays out of the first run().
         self._fleet: Any = None
-        self._fleet_packets: Dict[int, int] = {}
+        self._worker: Any = None
         if backend == "persistent":
             from repro.testbed.worker import WorkerFleet
 
-            self._fleet = WorkerFleet(
-                ShardSpec(
-                    kind="agg",
-                    app_id=app_id,
-                    schema=schema,
-                    key=self._key,
-                    specs=tuple(specs),
-                    seed=seed,
-                ),
-                backend="columnar",
-                row_capacity=max(batch_size, 64),
-            )
-            if placement is None:
-                # Shard 0 is certain to be used: start it now so the
-                # worker's start-up stays out of the first run().
-                # (Under a controller, shards start on first traffic.)
-                self._fleet.worker(0)
+            self._fleet = WorkerFleet(spec, row_capacity=max(batch_size, 64))
+            self._fleet.worker(0)
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Release the persistent agg worker(s) (no-op otherwise)."""
+        """Release the persistent switch-half worker (no-op otherwise)."""
         if self._fleet is not None:
             self._fleet.close()
 
@@ -312,13 +425,12 @@ class StreamingPipeline:
 
     def rekey(self, new_key: bytes) -> None:
         """Swap the AES key on every tier *and* the encode cache (the
-        cache invalidates, so no stale cookie is ever minted).  With
-        persistent agg workers the rekey travels through the data rings,
-        so it lands after every payload already pushed — the same
-        ordering an in-process rekey gets for free."""
+        cache invalidates, so no stale cookie is ever minted).  For the
+        persistent worker the rekey travels through the ring, so it
+        lands after every segment already pushed — the same ordering an
+        in-process rekey gets for free."""
         self._key = new_key
-        self.agg.rekey_application(self.app_id, new_key)
-        self.lark.rekey_application(self.app_id, new_key)
+        self.half.rekey_application(self.app_id, new_key)
         self.cache.rekey(new_key)
         self.codec = self.cache.codec
         if self._fleet is not None:
@@ -348,152 +460,45 @@ class StreamingPipeline:
             self._next_boundary += self.period_ms
         yield lo, n, False
 
-    def _flush_period(self, payloads: List[bytes]) -> None:
+    def _flush_period(self) -> None:
         self.periods += 1
-        payloads.extend(self.lark.end_period(self.app_id))
-        if self.placement is not None:
-            # Period flush == placement epoch boundary: fold the
-            # window's bucket loads, maybe rebalance/resize, and
-            # retire workers the new map no longer routes to (their
-            # folds and counts stay with the fleet).
-            self._fleet.resize(self.placement.end_epoch().shards)
+        if self._worker is not None:
+            self._worker.end_period()
+        else:
+            self.half.end_period()
         if (
             self.checkpoint_every_periods
             and self.periods % self.checkpoint_every_periods == 0
         ):
             # Epoch-flush checkpoint: the raw register snapshots a
             # crashed replica would restore before replaying the tail.
+            state = self._barrier(lark=True)
             self.last_checkpoint = {
                 "period": self.periods,
-                "lark": self.lark.checkpoint(self.app_id),
-                "agg": self._agg_checkpoint(),
+                "lark": state["lark"],
+                "agg": state["agg"],
             }
-            if self.placement is not None:
-                # Rides outside the raw switch snapshots: restore()
-                # must see registers only, but replay needs to know
-                # which map was live at the checkpoint.
-                self.last_checkpoint["map_version"] = (
-                    self.placement.map.version
-                )
             self._checkpoints_taken += 1
             self.registry.counter("pipeline.checkpoints").inc()
 
-    # -- persistent worker fleet -------------------------------------------
-
-    def _drain_fleet(self) -> Optional[Dict[str, List[int]]]:
-        """Fleet-wide barrier: every payload pushed so far is folded.
-        Books the workers' counter deltas (folds, per-shard packets,
-        decode rejects -> dead letters) and returns the merged fold
-        snapshot, retired workers included."""
-        snapshot, deltas = self._fleet.drain()
-        unmerged = 0
-        for shard, delta in deltas.items():
-            self._merged += delta["folded"]
-            unmerged += delta["unmerged"]
-            self._fleet_packets[shard] = (
-                self._fleet_packets.get(shard, 0) + delta["packets"]
+    def _barrier(
+        self, final: bool = False, lark: bool = False
+    ) -> Dict[str, Any]:
+        """Barrier the switch half, wherever it runs, and book its
+        counts since the previous barrier; returns its state."""
+        if self._worker is not None:
+            state = self._worker.drain(False, final, lark)["snapshot"]
+        else:
+            state = self.half.barrier(final, lark)
+        self._payloads += state["payloads"]
+        self._merged += state["merged"]
+        self.corrupted += state["corrupted"]
+        if state["dead_letters"]:
+            self.dead_letters += state["dead_letters"]
+            self.registry.counter("pipeline.dead_letters").inc(
+                state["dead_letters"]
             )
-        if unmerged:
-            self.dead_letters += unmerged
-            self.registry.counter("pipeline.dead_letters").inc(unmerged)
-        return snapshot
-
-    def _agg_checkpoint(self) -> Dict[str, Any]:
-        if self._fleet is not None:
-            # Barrier the fleet (all payloads pushed so far fold
-            # first); a fleet that has not spawned yet has the
-            # parent's (empty) registers.
-            checkpoint = self._drain_fleet()
-            if checkpoint is not None:
-                return checkpoint
-        return self.agg.checkpoint(self.app_id)
-
-    def _lark_segment(self, cids: Any, lo: int, hi: int) -> List[bytes]:
-        """Run one segment through the LarkSwitch; the aggregation
-        payloads it emitted, in packet order."""
-        if hi <= lo:
-            return []
-        if self.backend == "scalar":
-            results = [
-                self.lark.process_quic_packet(cid) for cid in cids[lo:hi]
-            ]
-            return [
-                r.aggregation_payload for r in results
-                if r.aggregation_payload is not None
-            ]
-        return self.lark.process_quic_columnar(
-            _slice_part(cids, lo, hi)
-        ).payloads
-
-    def _corrupt(self, payloads: List[bytes]) -> List[bytes]:
-        """Seeded fault stage: flip one byte in a fraction of payloads
-        (per-arrival draws, batch-shape invariant)."""
-        out: List[bytes] = []
-        for payload in payloads:
-            if self._corrupt_rng.random() < self.corrupt_probability:
-                index = self._corrupt_rng.randrange(len(payload))
-                mutated = bytearray(payload)
-                mutated[index] ^= 0xFF
-                payload = bytes(mutated)
-                self.corrupted += 1
-            out.append(payload)
-        return out
-
-    def _agg_process(self, payloads: List[bytes]) -> AggBatchResult:
-        if self.backend == "scalar":
-            return AggBatchResult.of(
-                [self.agg.process_packet(p) for p in payloads]
-            )
-        return self.agg.process_columnar(payloads)
-
-    def _dispatch(self, payloads: List[bytes]) -> int:
-        """Route payloads (through the corruption and reorder fault
-        stages when present) into the AggSwitch via the backend-matched
-        entry point; count unfoldable payloads as dead letters."""
-        if self.corrupt_probability > 0.0:
-            payloads = self._corrupt(payloads)
-        if self.injector is not None:
-            emitted: List[bytes] = []
-            for payload in payloads:
-                emitted.extend(self.injector.push(payload))
-            payloads = emitted
-        if not payloads:
-            return 0
-        self._deliver(payloads)
-        return len(payloads)
-
-    def _deliver(self, payloads: List[bytes]) -> None:
-        if self._fleet is not None:
-            # Hand the batch to the worker fleet and keep going — the
-            # fold happens concurrently; merged/dead-letter counts
-            # settle at the next drain barrier.  Without a controller
-            # the fleet is one worker and there is nothing to
-            # partition; with one, split under the live map
-            # (vectorized bucket assignment + stable gather) and feed
-            # its load accounting.
-            parts: List[Any] = [payloads]
-            if self.placement is not None:
-                parts, counts = partition_columns(
-                    self._fleet.spec, self.placement.map, payloads
-                )
-                self.placement.observe(counts)
-            busy = [shard for shard, part in enumerate(parts) if len(part)]
-            self._fleet.bring_up(busy)
-            for shard in busy:
-                self._fleet.push(shard, parts[shard])
-            return
-        # A poison payload (the entry point raises on it) cannot abort
-        # the run; it and every merely undecodable payload — all that
-        # reach this stage are aggregation-bound — are dead letters.
-        batches, dead = process_isolated(
-            lambda chunk: [self._agg_process(chunk)], payloads
-        )
-        merged = sum(batch.merged for batch in batches)
-        self._merged += merged
-        dead += sum(map(len, batches)) - merged
-        if dead:
-            self.dead_letters += dead
-            self.registry.counter("pipeline.dead_letters").inc(dead)
+        return state
 
     # -- run ---------------------------------------------------------------
 
@@ -508,15 +513,19 @@ class StreamingPipeline:
         )
         self._next_boundary = self.period_ms
         self.periods = 0
+        self._payloads = 0
         self._merged = 0
         self.dead_letters = 0
         self.corrupted = 0
         self.last_checkpoint = None
         self._checkpoints_taken = 0
-        self._fleet_packets = {}
+        if self._fleet is not None:
+            self._worker = self._fleet.worker(0)
+            feed = self._worker.push_batch
+        else:
+            feed = self.half.feed
         events = 0
         batches = 0
-        payload_count = 0
         scalar = self.backend == "scalar"
         workload = self.workload
         while True:
@@ -541,39 +550,26 @@ class StreamingPipeline:
                 cids = self.cache.encode_columns(
                     keys, rows_fn=partial(workload.cookie_rows, cols)
                 )
-            payloads: List[bytes] = []
             for lo, hi, flush in self._segments(cols.time_ms):
-                payloads.extend(self._lark_segment(cids, lo, hi))
+                if hi > lo:
+                    feed(_slice_part(cids, lo, hi))
                 if flush:
-                    self._flush_period(payloads)
-            payload_count += len(payloads)
-            self._dispatch(payloads)
+                    self._flush_period()
         # Tail flush: exactly one end-of-run period close (partial
-        # period), then drain anything the reorder stage still holds.
-        tail: List[bytes] = []
+        # period), then the final barrier drains the reorder stage and
+        # waits until every segment is folded.
         if self.mode == ForwardingMode.PERIODICAL:
-            self._flush_period(tail)
-        payload_count += len(tail)
-        self._dispatch(tail)
-        if self.injector is not None:
-            held = self.injector.flush()  # counted at lark emission
-            if held:
-                self._deliver(held)
-        if self._fleet is not None:
-            # Drain barrier: every pushed payload is folded before the
-            # read-out.  The fleet's merged fold snapshot restores into
-            # the local AggSwitch, so report()/merge() below run
-            # through the same code as the in-process tiers.
-            snapshot = self._drain_fleet()
-            if snapshot is not None:
-                self.agg.restore(self.app_id, snapshot)
-        fleet_shards = (
-            self.placement.map.shards if self.placement is not None else 1
-        )
+            self._flush_period()
+        state = self._barrier(final=True)
+        if self._worker is not None:
+            # The worker's fold restores into the local AggSwitch, so
+            # report()/merge() below run through the same code as the
+            # in-process tiers.
+            self.agg.restore(self.app_id, state["agg"])
         return PipelineResult(
             events=events,
             batches=batches,
-            payloads=payload_count,
+            payloads=self._payloads,
             merged=self._merged,
             periods=self.periods,
             backend=self.backend,
@@ -583,20 +579,4 @@ class StreamingPipeline:
             cache_stats=self.cache.stats(),
             dead_letters=self.dead_letters,
             checkpoints=self._checkpoints_taken,
-            fleet_shards=fleet_shards,
-            fleet_shard_packets=(
-                [
-                    self._fleet_packets.get(shard, 0)
-                    for shard in range(
-                        max([fleet_shards] + [s + 1 for s in self._fleet_packets])
-                    )
-                ]
-                if self._fleet is not None
-                else None
-            ),
-            placement_history=(
-                list(self.placement.history)
-                if self.placement is not None
-                else []
-            ),
         )

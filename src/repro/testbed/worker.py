@@ -24,16 +24,18 @@ command               effect
 ====================  =====================================================
 ``("epoch", ...)``    arm the fault injector for (epoch, attempt)
 ``("rekey", key)``    re-register the app under a new key (epoch bump)
-``("barrier", ...)``  reply with counters + register snapshot; optionally
-                      reset the replica for a fresh run
+``("period",)``       close the forwarding period of a pipeline's switch
+                      half (its LarkSwitch flushes into its AggSwitch)
+``("barrier", ...)``  reply with counters + register snapshot (a switch
+                      half's barrier state: AggSwitch snapshot, counts,
+                      LarkSwitch snapshot on request); optionally reset
+                      the replica for a fresh run
 ``("shutdown",)``     acknowledge and exit cleanly
 ====================  =====================================================
 
-Every command body is a pickle of under 64 bytes.  What does not fit
-that — the shard's checkpoint — is not a command: it rides in the
-worker's start arguments and is restored before the readiness message,
-at first start and at every respawn.  A worker's backend is fixed when
-it is started.
+Every command body is a pickle of under 64 bytes.  A worker starts
+from a freshly built replica — state never travels into one — and its
+backend is fixed when it is started.
 
 Start-up: :func:`_start_context` picks one start method for every
 worker.  On Linux, in a process running exactly one Python thread, a
@@ -66,24 +68,17 @@ mapping.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import signal
 import sys
 import time
 from dataclasses import replace
-from typing import (
-    Any, Collection, Dict, Iterable, List, Mapping, Optional, Tuple,
-)
+from typing import Any, Collection, Dict, Iterable, List, Optional, Tuple
 
 from repro.chaos.shard_faults import ShardCrash, ShardFaultPlan
-from repro.testbed.executor import (
-    Replica,
-    ShardSpec,
-    _chunked,
-    check_backend,
-    fold_snapshots,
-)
+from repro.testbed.executor import Replica, ShardSpec, _chunked, check_backend
 from repro.testbed.shm_ring import (
     KIND_CONTROL,
     ColumnRing,
@@ -127,19 +122,21 @@ def _worker_main(
     backend: str,
     conn,
     plan: Optional[ShardFaultPlan],
-    checkpoint: Optional[Dict[str, Any]],
 ) -> None:
-    """Child entry point: attach the ring, build (and restore) the
-    replica, loop."""
+    """Child entry point: attach the ring, build the replica, loop."""
+    # A forked child shares the parent's heap copy-on-write, and a
+    # collection that walks the inherited objects writes to (so copies)
+    # every page they sit on.  Freeze them out of the collector: on a
+    # 2-vCPU Xeon host a switch-half worker's CPU over ad-cold's stream
+    # fell by about 40 %.
+    gc.freeze()
     ring = ColumnRing.attach(descriptor)
     replica = Replica(spec, shard_index, plan)
-    if checkpoint is not None:
-        replica.restore(checkpoint)
     parent = os.getppid()
     # Readiness handshake: the parent blocks until the replica is
-    # built and restored, so start-up (a fork, or a spawned
-    # interpreter's imports) cannot bleed into (and distort) the
-    # caller's steady-state ingest window.
+    # built, so start-up (a fork, or a spawned interpreter's imports)
+    # cannot bleed into (and distort) the caller's steady-state ingest
+    # window.
     conn.send({
         "ready": True,
         "start_method": "spawn" if _IMPORTED_BY == os.getpid() else "fork",
@@ -166,10 +163,12 @@ def _worker_main(
                     replica.arm(*command[1:])
                 elif op == "rekey":
                     replica.switch.rekey_application(spec.app_id, command[1])
+                elif op == "period":
+                    replica.switch.end_period()
                 elif op == "barrier":
                     conn.send({
                         "counters": replica.counters(),
-                        "snapshot": replica.snapshot(),
+                        "snapshot": replica.snapshot(*command[2:]),
                     })
                     if command[1]:
                         replica.reset()
@@ -208,8 +207,7 @@ class ShardWorker:
     Constructing the handle creates the ring and *starts* the process;
     :meth:`await_ready` completes the start-up.  The two are separate
     so that :meth:`WorkerFleet.bring_up` can start a whole set of
-    workers before it waits for any of them.  ``checkpoint`` is
-    restored into the replica before it reports ready.
+    workers before it waits for any of them.
     """
 
     def __init__(
@@ -221,7 +219,6 @@ class ShardWorker:
         row_capacity: int = 4096,
         fault_plan: Optional[ShardFaultPlan] = None,
         reply_timeout_s: float = 60.0,
-        checkpoint: Optional[Dict[str, Any]] = None,
     ):
         self.backend = check_backend(backend)
         if not shared_memory_available():
@@ -242,7 +239,7 @@ class ShardWorker:
         self._proc = None
         self._conn = None
         try:
-            self._start(checkpoint)
+            self._start()
         except BaseException:
             # A handle that never came up must not leave its segment
             # (or a half-started child) behind.
@@ -251,7 +248,7 @@ class ShardWorker:
 
     # -- process lifecycle -------------------------------------------------
 
-    def _start(self, checkpoint: Optional[Dict[str, Any]]) -> None:
+    def _start(self) -> None:
         """Start the worker process and return without waiting for it:
         the start-ups of several workers overlap when their owner starts
         them all before the first :meth:`await_ready`."""
@@ -267,7 +264,6 @@ class ShardWorker:
                 self.backend,
                 child_conn,
                 self.fault_plan,
-                checkpoint,
             ),
             daemon=True,
         )
@@ -304,12 +300,9 @@ class ShardWorker:
         self._proc.join(timeout)
         return not self._proc.is_alive()
 
-    def respawn(
-        self, checkpoint: Optional[Dict[str, Any]] = None
-    ) -> None:
+    def respawn(self) -> None:
         """Replace a dead worker on the SAME ring segment: discard
-        whatever the corpse left unconsumed, start a fresh replica
-        restored to ``checkpoint`` (when given) for replay."""
+        whatever the corpse left unconsumed, start a fresh replica."""
         if self._proc is not None:
             if self._proc.is_alive():
                 self._proc.kill()
@@ -318,7 +311,7 @@ class ShardWorker:
             self._conn.close()
         self.ring.reset()
         self.restarts += 1
-        self._start(checkpoint)
+        self._start()
         self.await_ready()
 
     def kill(self) -> None:
@@ -445,13 +438,19 @@ class ShardWorker:
         """Ring-ordered rekey: applies after every batch already pushed."""
         self._push_control(("rekey", bytes(new_key)), timeout=30.0)
 
-    def drain(self, reset: bool = False) -> Dict[str, Any]:
+    def end_period(self) -> None:
+        """Ring-ordered period close of a switch half."""
+        self._push_control(("period",), timeout=30.0)
+
+    def drain(
+        self, reset: bool = False, final: bool = False, lark: bool = False
+    ) -> Dict[str, Any]:
         """Barrier: wait until every pushed batch is folded, then fetch
         ``{"counters", "snapshot"}`` — the snapshot is the raw register
-        state, i.e. also the checkpoint a (re)start restores.
-        ``reset=True`` additionally rebuilds the replica afterwards so
-        the next run starts from zero (run-to-run isolation)."""
-        self._push_control(("barrier", reset), timeout=30.0)
+        state (``Replica.snapshot(final, lark)``).  ``reset=True``
+        additionally rebuilds the replica afterwards so the next run
+        starts from zero (run-to-run isolation)."""
+        self._push_control(("barrier", reset, final, lark), timeout=30.0)
         return self._recv_reply()
 
 
@@ -465,14 +464,13 @@ class WorkerFleet:
     ``StreamingPipeline(backend="persistent")`` each hold one fleet and
     nothing else about workers: a set of shards
     is brought up together (processes started side by side by
-    :func:`_start_context`'s method, then the readiness handshakes; a
-    shard re-entering the fleet starts from the caller's checkpoint),
+    :func:`_start_context`'s method, then the readiness handshakes),
     parts stream in ``chunk_size`` ring pushes on the backend the fleet
-    was built with, a drain barrier returns
-    register snapshots with counter **deltas** since the previous drain
+    was built with, a drain barrier returns a worker's register
+    snapshot with its counter **deltas** since its previous drain
     (worker counters are cumulative; the fleet keeps the bases), a
-    shrinking map retires workers with their state kept, and a dead
-    worker is respawned on its own ring.
+    shrinking map retires workers, and a dead worker is respawned on
+    its own ring.
     """
 
     def __init__(
@@ -490,29 +488,18 @@ class WorkerFleet:
         self.reply_timeout_s = reply_timeout_s
         self.workers: Dict[int, ShardWorker] = {}
         self._bases: Dict[int, Dict[str, int]] = {}
-        # State of workers retired by resize(), reported by the next
-        # fleet-wide drain() so no fold and no count is ever lost.
-        self._retired_snapshot: Optional[Dict[str, List[int]]] = None
-        self._retired_deltas: Dict[int, Dict[str, int]] = {}
 
-    def bring_up(
-        self,
-        shards: Iterable[int],
-        checkpoints: Optional[Mapping[int, Dict[str, Any]]] = None,
-    ) -> None:
+    def bring_up(self, shards: Iterable[int]) -> None:
         """Make every shard in ``shards`` a live, ready worker.
 
         The missing processes are all started first and their readiness
         handshakes consumed afterwards, so the workers come up side by
         side rather than one after another — and still before the
-        caller's first (timed) push.  A new worker starts from its
-        entry of ``checkpoints`` (a shard re-entering the fleet picks
-        its cumulative fold up where the caller's store left it);
-        shards already live are left alone.  If any worker fails to
-        come up the whole new set is released and ``WorkerDied``
-        raised: the fleet is as it was before the call.
+        caller's first (timed) push.  Shards already live are left
+        alone.  If any worker fails to come up the whole new set is
+        released and ``WorkerDied`` raised: the fleet is as it was
+        before the call.
         """
-        checkpoints = checkpoints or {}
         fresh: Dict[int, ShardWorker] = {}
         try:
             for shard in shards:
@@ -524,7 +511,6 @@ class WorkerFleet:
                         row_capacity=self.row_capacity,
                         fault_plan=self.fault_plan,
                         reply_timeout_s=self.reply_timeout_s,
-                        checkpoint=checkpoints.get(shard),
                     )
             for worker in fresh.values():
                 worker.await_ready()
@@ -535,13 +521,11 @@ class WorkerFleet:
             self.workers[shard] = worker
             self._bases[shard] = _ZERO
 
-    def worker(
-        self, shard: int, checkpoint: Optional[Dict[str, Any]] = None
-    ) -> ShardWorker:
+    def worker(self, shard: int) -> ShardWorker:
         """The live worker for ``shard`` — :meth:`bring_up` of that one
-        shard on first use; an existing worker ignores ``checkpoint``."""
+        shard on first use."""
         if shard not in self.workers:
-            self.bring_up((shard,), {shard: checkpoint})
+            self.bring_up((shard,))
         return self.workers[shard]
 
     def push(
@@ -574,43 +558,19 @@ class WorkerFleet:
         self._bases[shard] = _ZERO if reset else counters
         return reply["snapshot"], {k: counters[k] - base[k] for k in _ZERO}
 
-    def drain(
-        self, reset: bool = False
-    ) -> Tuple[Optional[Dict[str, List[int]]], Dict[int, Dict[str, int]]]:
-        """Fleet-wide barrier.  Returns the merged snapshot (retired ⊕
-        live; ``None`` for a fleet that never spawned) and per-shard
-        counter deltas since the last drain, retired shards included."""
-        snapshots = [self._retired_snapshot]
-        deltas, self._retired_deltas = self._retired_deltas, {}
-        for shard in sorted(self.workers):
-            snapshot, delta = self.drain_shard(shard, reset)
-            snapshots.append(snapshot)
-            _add(deltas, shard, delta)
-        if reset:
-            self._retired_snapshot = None
-        return fold_snapshots(self.spec, snapshots), deltas
-
     def resize(self, shards: int) -> None:
-        """Retire every worker whose shard id fell off a shrunken map:
-        drain it (snapshot and counter deltas move to the retired
-        accumulator) and release its ring."""
-        for shard in sorted(s for s in self.workers if s >= shards):
-            try:
-                snapshot, delta = self.drain_shard(shard)
-                self._retired_snapshot = fold_snapshots(
-                    self.spec, (self._retired_snapshot, snapshot)
-                )
-                _add(self._retired_deltas, shard, delta)
-            finally:
-                self.workers.pop(shard).close()
-                del self._bases[shard]
+        """Release every worker whose shard id fell off a shrunken map.
+        The executor drains every epoch it pushes, so a retiring worker
+        holds nothing."""
+        retiring = sorted(s for s in self.workers if s >= shards)
+        for shard in retiring:
+            del self._bases[shard]
+        _close_all([self.workers.pop(shard) for shard in retiring])
 
-    def respawn(
-        self, shard: int, checkpoint: Optional[Dict[str, Any]] = None
-    ) -> None:
+    def respawn(self, shard: int) -> None:
         """Replace a dead or wedged worker on the SAME ring segment,
-        started from ``checkpoint`` for the replay."""
-        self.workers[shard].respawn(checkpoint)
+        fresh, for the replay."""
+        self.workers[shard].respawn()
         self._bases[shard] = _ZERO
 
     def close(self) -> None:
@@ -619,8 +579,6 @@ class WorkerFleet:
         workers = list(self.workers.values())
         self.workers.clear()
         self._bases.clear()
-        self._retired_snapshot = None
-        self._retired_deltas = {}
         _close_all(workers)
 
 
@@ -636,9 +594,3 @@ def _close_all(workers: Collection[ShardWorker]) -> None:
         except Exception:  # pragma: no cover - teardown best effort
             pass
 
-
-def _add(
-    deltas: Dict[int, Dict[str, int]], shard: int, delta: Dict[str, int]
-) -> None:
-    seen = deltas.get(shard, _ZERO)
-    deltas[shard] = {k: seen[k] + delta[k] for k in _ZERO}

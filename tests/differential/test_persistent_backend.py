@@ -251,3 +251,135 @@ class TestPipelineMidRunRekey:
             "columnar", SEEDS[0], mode=ForwardingMode.PER_PACKET,
             on_batch=make_hook(),
         )[0]
+
+
+# -- the switch half in the worker: fault stages, checkpoints, rekey ---------
+
+NEW_KEY = bytes(range(16))
+
+
+def _half_run(backend, seed, **kw):
+    """One run's observables, checkpoint count and last checkpoint."""
+    kw.setdefault("batch_size", 64)
+    workload = AdCampaignWorkload(num_users=80, seed=seed)
+    with StreamingPipeline(
+        workload, seed=seed, period_ms=PERIOD_MS, backend=backend, **kw
+    ) as pipe:
+        result = pipe.run(RATE, DURATION_MS)
+    # A dead letter's counts are lost by design.
+    assert result.dead_letters or result.counts_match_reference()
+    return (
+        result.events,
+        result.payloads,
+        result.merged,
+        result.periods,
+        result.report,
+        result.register_state,
+        result.dead_letters,
+        result.checkpoints,
+        pipe.last_checkpoint,
+    )
+
+
+class TestPipelineSwitchHalf:
+    """The persistent tier runs LarkSwitch -> corrupt -> reorder ->
+    AggSwitch in its worker; every stage there must act at the stream
+    position the in-process columnar tier acts at."""
+
+    @pytest.mark.parametrize(
+        "mode", (ForwardingMode.PERIODICAL, ForwardingMode.PER_PACKET)
+    )
+    def test_reorder_matches_columnar(self, mode):
+        # A period's payloads held back across the next checkpoint show
+        # in its AggSwitch snapshot: the order becomes observable.
+        kw = dict(
+            mode=mode, reorder_probability=0.3, checkpoint_every_periods=1
+        )
+        assert _half_run("persistent", SEEDS[2], **kw) == _half_run(
+            "columnar", SEEDS[2], **kw
+        )
+
+    @pytest.mark.parametrize(
+        "mode", (ForwardingMode.PERIODICAL, ForwardingMode.PER_PACKET)
+    )
+    def test_the_agg_switch_sees_the_same_payload_bytes(
+        self, mode, monkeypatch, tmp_path
+    ):
+        """Payload bytes, not just reports: with corruption and
+        reordering on, the worker's AggSwitch is handed the same
+        payloads in the same order as the in-process one.  A forked
+        worker inherits the recording patch."""
+        from repro.testbed.pipeline import SwitchHalf
+        from repro.testbed.worker import _start_context
+
+        if _start_context().get_start_method() != "fork":
+            pytest.skip("the recording patch reaches forked workers only")
+        deliver = SwitchHalf._deliver
+        trail = tmp_path / "trail"
+
+        def record(half, payloads):
+            with open(trail, "a") as out:
+                out.writelines(bytes(p).hex() + "\n" for p in payloads)
+            deliver(half, payloads)
+
+        monkeypatch.setattr(SwitchHalf, "_deliver", record)
+        trails = {}
+        for backend in ("columnar", "persistent"):
+            _half_run(
+                backend, SEEDS[1], mode=mode, corrupt_probability=0.2,
+                reorder_probability=0.3,
+            )
+            trails[backend] = trail.read_text()
+            trail.unlink()
+        assert trails["persistent"] == trails["columnar"] != ""
+
+    def test_checkpoint_every_period_matches_columnar(self):
+        got = _half_run("persistent", SEEDS[4], checkpoint_every_periods=1)
+        assert got[7] == got[3] > 0 and got[8]["period"] == got[3]
+        assert got == _half_run(
+            "columnar", SEEDS[4], checkpoint_every_periods=1
+        )
+
+    def test_small_batches_and_a_period_boundary_rekey_match_columnar(self):
+        """Batches of 16 keep many segments queued on the ring when the
+        rekey, pushed right after the second period close, lands."""
+
+        def rekey_after_second_period(pipe, _cols):
+            if pipe.periods == 2 and pipe._key != NEW_KEY:
+                pipe.rekey(NEW_KEY)
+
+        kw = dict(batch_size=16, on_batch=rekey_after_second_period)
+        got = _half_run("persistent", SEEDS[3], **kw)
+        assert got[6] == 0  # no payload stranded under the old key
+        assert got == _half_run("columnar", SEEDS[3], **kw)
+
+    def test_the_switch_half_runs_in_the_worker(self, monkeypatch):
+        """The parent's switches see no traffic: the worker's replica
+        counts every event, and its barrier replies carry every
+        payload."""
+        from repro.testbed.worker import ShardWorker
+
+        replies = []
+        drain = ShardWorker.drain
+
+        def spy(worker, *args, **kwargs):
+            replies.append(drain(worker, *args, **kwargs))
+            return replies[-1]
+
+        monkeypatch.setattr(ShardWorker, "drain", spy)
+        workload = AdCampaignWorkload(num_users=80, seed=SEEDS[0])
+        with StreamingPipeline(
+            workload, seed=SEEDS[0], period_ms=PERIOD_MS,
+            backend="persistent", batch_size=64,
+        ) as pipe:
+            result = pipe.run(RATE, DURATION_MS)
+        assert result.counts_match_reference()
+        assert pipe.lark.pipeline.packets_processed == 0
+        assert pipe.agg.pipeline.packets_processed == 0
+        assert len(replies) == 1
+        events = result.events
+        assert replies[0]["counters"] == {
+            "packets": events, "folded": events, "unmerged": 0,
+        }
+        assert replies[0]["snapshot"]["payloads"] == result.payloads > 0
+        assert replies[0]["snapshot"]["merged"] == result.merged

@@ -137,7 +137,7 @@ class TestBoundedInflight:
                 backend,
                 mode=ForwardingMode.PER_PACKET,
                 on_batch=lambda pipe, cols: seen.append(
-                    (pipe._merged, len(cols))
+                    (pipe.half.merged, len(cols))
                 ),
             ).run(RATE, DURATION_MS)
             folded = 0
@@ -175,6 +175,17 @@ class TestPeriodCheckpoints:
             clone.lark.checkpoint(clone.app_id) == checkpoint["lark"]
         )
         assert clone.agg.checkpoint(clone.app_id) == checkpoint["agg"]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_period_checkpoint_holds_the_whole_period(self, backend):
+        """A period checkpoint is taken once the period's payloads have
+        reached the AggSwitch: the tail period's checkpoint is the
+        end-of-run register state."""
+        pipe = _pipe(backend, checkpoint_every_periods=1)
+        pipe.run(RATE, DURATION_MS)
+        assert pipe.last_checkpoint["agg"] == pipe.agg.checkpoint(
+            pipe.app_id
+        )
 
     def test_zero_means_no_checkpoints(self):
         pipe = _pipe("columnar")
@@ -224,7 +235,7 @@ class TestPoisonIsolation:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_pipeline_books_the_poison_as_one_dead_letter(self, backend):
         pipe = _pipe(backend, mode=ForwardingMode.PER_PACKET)
-        pipe._agg_process = self._poisoning(pipe._agg_process)
+        pipe.half._agg_process = self._poisoning(pipe.half._agg_process)
         result = pipe.run(RATE, DURATION_MS)
         assert result.dead_letters == 1
         assert result.merged == result.payloads - 1
@@ -233,7 +244,7 @@ class TestPoisonIsolation:
     def test_replica_leaves_the_poison_unfolded(self, backend):
         pipe = _pipe("columnar", mode=ForwardingMode.PER_PACKET)
         payloads = []
-        pipe._deliver = payloads.extend
+        pipe.half._deliver = payloads.extend
         pipe.run(RATE, DURATION_MS)
         replica = Replica(
             ShardSpec(

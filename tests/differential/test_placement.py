@@ -10,25 +10,22 @@ the cross-placement comparands.)
 
 Covered here, at three seeds each: the inline elastic executor
 across the scalar and columnar backends, an aggressive rebalancer that
-moves buckets every epoch, elastic fleet resizes (grow and shrink),
-the persistent ring-fed executor, and the streaming pipeline's
-placement fleet — plus the no-rebalance sanity check that a default
-map reproduces the static per-shard packet counts exactly.
+moves buckets every epoch, elastic fleet resizes (grow and shrink)
+and the persistent ring-fed executor — plus the no-rebalance sanity
+check that a default map reproduces the static per-shard packet counts
+exactly.
 """
 
 import pytest
 
-from repro.core.aggregation import ForwardingMode
 from repro.obs.registry import MetricsRegistry
 from repro.testbed.executor import (
     ShardExecutor,
     ShardSpec,
     partition_columns,
 )
-from repro.testbed.pipeline import StreamingPipeline
 from repro.testbed.placement import PartitionMap, PlacementController
 from repro.testbed.shm_ring import shared_memory_available
-from repro.workloads.adcampaign import AdCampaignWorkload
 
 from tests.differential.workloads import (
     APP_ID,
@@ -215,113 +212,3 @@ class TestExecutorPlacement:
         assert rebalanced.snapshot == base.snapshot, seed
         assert rebalanced.report == base.report, seed
 
-
-RATE = 3000.0
-DURATION_MS = 400.0
-PERIOD_MS = 100.0
-
-
-def _pipeline_run(backend, seed, placement=None,
-                  mode=ForwardingMode.PERIODICAL, on_batch=None):
-    workload = AdCampaignWorkload(num_users=80, seed=seed)
-    pipe = StreamingPipeline(
-        workload,
-        seed=seed,
-        mode=mode,
-        period_ms=PERIOD_MS,
-        backend=backend,
-        batch_size=64,
-        registry=MetricsRegistry(),
-        placement=placement,
-        on_batch=on_batch,
-    )
-    try:
-        result = pipe.run(RATE, DURATION_MS)
-    finally:
-        pipe.close()
-    return (
-        result.events,
-        result.payloads,
-        result.merged,
-        result.periods,
-        result.report,
-        result.register_state,
-        result.dead_letters,
-    ), result
-
-
-@needs_shm
-class TestPipelinePlacement:
-    """The streaming pipeline's elastic agg fleet vs the inline tiers."""
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_fleet_matches_inline_backends(self, seed):
-        controller = _aggressive(3)
-        got, result = _pipeline_run(
-            "persistent", seed, placement=controller,
-            mode=ForwardingMode.PER_PACKET,
-        )
-        assert result.counts_match_reference()
-        assert result.fleet_shards == controller.map.shards
-        assert sum(result.fleet_shard_packets) == result.payloads
-        for backend in BACKENDS:
-            assert got == _pipeline_run(
-                backend, seed, mode=ForwardingMode.PER_PACKET
-            )[0], (seed, backend)
-
-    def test_fleet_shrink_matches_columnar(self):
-        """Periodical mode ticks the controller at period flushes; a
-        harsh target_shard_load retires workers mid-run."""
-        controller = PlacementController(
-            shards=4, target_shard_load=10_000.0, min_shards=1,
-            cooldown_epochs=0, registry=MetricsRegistry(),
-        )
-        got, result = _pipeline_run(
-            "persistent", SEEDS[1], placement=controller
-        )
-        assert result.fleet_shards == 1
-        assert any(
-            h["action"] == "resize" for h in result.placement_history
-        )
-        assert got == _pipeline_run("columnar", SEEDS[1])[0]
-
-    def test_shard_spawned_after_rekey_uses_the_live_key(self):
-        """Periodical mode emits one payload per period, so under an
-        8-shard map most shards see their first payload — and spawn —
-        late in the run.  A rekey at a period boundary must reach those
-        not-yet-spawned workers too: they are built from the fleet's
-        recipe, which therefore has to carry the live key."""
-        new_key = bytes(range(16))
-        spawned_at_rekey = []
-
-        def make_hook():
-            def hook(pipe, cols):
-                if pipe.periods == 2 and pipe._key != new_key:
-                    if pipe._fleet is not None:
-                        spawned_at_rekey.extend(pipe._fleet.workers)
-                    pipe.rekey(new_key)
-
-            return hook
-
-        got, result = _pipeline_run(
-            "persistent", SEEDS[0], placement=_aggressive(8),
-            on_batch=make_hook(),
-        )
-        used = {
-            shard for shard, count in enumerate(result.fleet_shard_packets)
-            if count
-        }
-        assert used - set(spawned_at_rekey), "no shard spawned post-rekey"
-        assert result.dead_letters == 0
-        assert result.counts_match_reference()
-        assert got == _pipeline_run(
-            "columnar", SEEDS[0], on_batch=make_hook()
-        )[0]
-
-    def test_placement_requires_persistent_backend(self):
-        workload = AdCampaignWorkload(num_users=8, seed=1)
-        with pytest.raises(ValueError):
-            StreamingPipeline(
-                workload, backend="columnar",
-                placement=_aggressive(2),
-            )

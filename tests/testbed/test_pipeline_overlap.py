@@ -1,9 +1,9 @@
 """Pipelined stage overlap: tail flush, dead letters.
 
-The persistent backend overlaps the parent's generate/encode/lark
-stages with the worker's agg folding; the worker's ring is the bound
-on how far the parent runs ahead.  The regression wall here pins the
-two places that overlap could corrupt:
+The persistent backend overlaps the parent's client half (generate,
+encode) with the worker's switch half (LarkSwitch -> AggSwitch); the
+worker's ring is the bound on how far the parent runs ahead.  The
+regression wall here pins the two places that overlap could corrupt:
 
 * **tail flush** — a run ending mid-period closes exactly one partial
   period after the streamed batches drain, identically on every tier;

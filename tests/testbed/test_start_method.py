@@ -5,7 +5,7 @@ warm parent while the parent runs exactly one Python thread, and spawns
 a fresh interpreter otherwise.  A live idle thread is how these tests
 reach the spawn path: there is no option for it.  Under spawn a
 worker's arguments (``ShardSpec``, ``ShardFaultPlan``, the ring
-descriptor, a start checkpoint) are pickled, under fork they are inherited, so the spawn
+descriptor) are pickled, under fork they are inherited, so the spawn
 leg is also what keeps them picklable.
 
 A forked worker inherits the parent's owner ``ColumnRing`` objects,
@@ -20,6 +20,7 @@ import threading
 import pytest
 
 from repro.chaos import ShardFaultPlan
+from repro.core.aggregation import ForwardingMode
 from repro.obs.registry import MetricsRegistry
 from repro.testbed.executor import ShardExecutor, ShardSpec
 from repro.testbed.pipeline import StreamingPipeline
@@ -110,8 +111,44 @@ def _persistent_pipeline_run():
     assert result.counts_match_reference()
     return repr((
         result.report, result.register_state, result.merged,
-        result.dead_letters, result.fleet_shard_packets,
+        result.dead_letters, result.payloads,
     ))
+
+
+def _faulted_pipeline_run(backend, mode):
+    """Corrupt and reorder stages, a rekey at the third batch and a
+    checkpoint at every period close."""
+    batches = []
+
+    def rekey_at_third_batch(pipeline, _cols):
+        batches.append(len(_cols))
+        if len(batches) == 3:
+            pipeline.rekey(bytes(range(16)))
+
+    workload = AdCampaignWorkload(num_users=300, seed=5)
+    with StreamingPipeline(
+        workload, app_id=0x5C, seed=5, mode=mode, period_ms=250.0,
+        backend=backend, batch_size=256, cache_capacity=256,
+        corrupt_probability=0.5, reorder_probability=0.2,
+        checkpoint_every_periods=1, on_batch=rekey_at_third_batch,
+        registry=MetricsRegistry(),
+    ) as pipeline:
+        result = pipeline.run(4000.0, 1000.0)
+    assert result.dead_letters > 0
+    return repr((
+        result.events, result.payloads, result.merged, result.periods,
+        result.report, result.register_state, result.dead_letters,
+        result.checkpoints, pipeline.last_checkpoint,
+    ))
+
+
+def _faulted_persistent_runs():
+    runs = []
+    for mode in (ForwardingMode.PERIODICAL, ForwardingMode.PER_PACKET):
+        persistent = _faulted_pipeline_run("persistent", mode)
+        assert persistent == _faulted_pipeline_run("columnar", mode), mode
+        runs.append(persistent)
+    return runs
 
 
 def _killed_executor_run():
@@ -138,87 +175,6 @@ def _killed_executor_run():
     ))
 
 
-def _wide_agg_stream(packets=600):
-    """A grouped 40 x 30 statistic — 1200 cells, past the 1024-cell
-    mark — and a per-packet aggregation stream that touches most of
-    them, so a checkpoint is bigger than a ring slot."""
-    import random
-
-    from repro.core.larkswitch import LarkSwitch
-    from repro.core.schema import CookieSchema, Feature
-    from repro.core.stats import StatKind, StatSpec
-    from repro.core.transport_cookie import TransportCookieCodec
-
-    camps = ["c%d" % i for i in range(40)]
-    ks = ["k%d" % i for i in range(30)]
-    schema = CookieSchema(
-        "wide",
-        (Feature.categorical("camp", camps), Feature.categorical("k", ks)),
-    )
-    specs = (StatSpec("by", StatKind.COUNT_BY_CLASS, "k", group_by="camp"),)
-    key = bytes(range(16))
-    lark = LarkSwitch("lark", random.Random(1))
-    lark.register_application(APP_ID, schema, key, list(specs))
-    codec = TransportCookieCodec(APP_ID, schema, key, random.Random(3))
-    rng = random.Random(5)
-    payloads = [
-        lark.process_quic_packet(codec.encode(
-            {"camp": rng.choice(camps), "k": rng.choice(ks)}
-        )).aggregation_payload
-        for _ in range(packets)
-    ]
-    spec = ShardSpec(
-        kind="agg", app_id=APP_ID, schema=schema, key=key, specs=specs,
-        seed=7,
-    )
-    return spec, payloads
-
-
-def _restored_worker_run():
-    """A checkpoint larger than one ring slot reaches the worker at
-    bring-up and again at respawn: both folds of the same tail equal
-    the in-process transport's, byte for byte."""
-    import pickle
-
-    from repro.testbed.executor import _run_shard_epoch
-
-    spec, payloads = _wide_agg_stream()
-    head, tail = payloads[:300], payloads[300:]
-    checkpoint, _counters = _run_shard_epoch(spec, 0, head, "columnar", 64)
-    assert len(checkpoint["by"]) == 1200
-    # Folding the tail onto the restored head is folding both in one
-    # replica; the drain's counters cover the tail alone.
-    expected = (
-        _run_shard_epoch(spec, 0, head + tail, "columnar", 64)[0],
-        _run_shard_epoch(spec, 0, tail, "columnar", 64)[1],
-    )
-    fleet = WorkerFleet(spec, backend="columnar", row_capacity=16)
-    try:
-        fleet.bring_up([0], {0: checkpoint})
-        slot_bytes = fleet.workers[0].ring.slot_bytes
-        assert len(pickle.dumps(checkpoint)) > slot_bytes
-        fleet.push(0, tail, 64)
-        brought_up = fleet.drain_shard(0)
-        fleet.workers[0].kill()
-        fleet.respawn(0, checkpoint)
-        fleet.push(0, tail, 64)
-        respawned = fleet.drain_shard(0)
-    finally:
-        fleet.close()
-    assert pickle.dumps(brought_up) == pickle.dumps(expected)
-    assert pickle.dumps(respawned) == pickle.dumps(expected)
-    return repr(expected)
-
-
-def test_checkpoint_restores_at_start_forked_and_spawned(monkeypatch):
-    (fork_methods, forked), (spawn_methods, spawned) = _both_ways(
-        monkeypatch, _restored_worker_run
-    )
-    assert fork_methods == ["fork", "fork"]
-    assert spawn_methods == ["spawn", "spawn"]
-    assert forked == spawned
-
-
 def test_lark_executor_is_identical_forked_and_spawned(monkeypatch):
     (fork_methods, forked), (spawn_methods, spawned) = _both_ways(
         monkeypatch, _lark_executor_run
@@ -234,6 +190,17 @@ def test_persistent_pipeline_is_identical_forked_and_spawned(monkeypatch):
     )
     assert fork_methods == ["fork"]
     assert spawn_methods == ["spawn"]
+    assert forked == spawned
+
+
+def test_faulted_persistent_pipeline_is_columnar_forked_and_spawned(
+    monkeypatch,
+):
+    (fork_methods, forked), (spawn_methods, spawned) = _both_ways(
+        monkeypatch, _faulted_persistent_runs
+    )
+    assert fork_methods == ["fork", "fork"]
+    assert spawn_methods == ["spawn", "spawn"]
     assert forked == spawned
 
 
@@ -268,7 +235,7 @@ def test_forked_workers_leave_every_segment_to_its_owner():
         assert zero.wait_dead(5.0)
         assert set(segments) <= set(os.listdir(_SHM_DIR))
 
-        fleet.resize(1)  # drains worker 1, shuts it down, closes ring 1
+        fleet.resize(1)  # shuts worker 1 down, closes ring 1
         assert one._proc.exitcode == 0, "not a clean exit"
         assert segments[0] in os.listdir(_SHM_DIR)
         assert segments[1] not in os.listdir(_SHM_DIR)
@@ -276,9 +243,9 @@ def test_forked_workers_leave_every_segment_to_its_owner():
         fleet.respawn(0)
         assert _segment(zero) == segments[0]
         fleet.push(0, payloads, 64)
-        _snapshot, deltas = fleet.drain()
-        assert deltas[0]["packets"] == len(payloads)
-        assert deltas[0]["folded"] == len(payloads)
+        _snapshot, delta = fleet.drain_shard(0)
+        assert delta["packets"] == len(payloads)
+        assert delta["folded"] == len(payloads)
         assert segments[0] in os.listdir(_SHM_DIR)
     finally:
         fleet.close()

@@ -167,9 +167,10 @@ def test_bring_up_starts_every_process_before_the_first_handshake(
         assert len({proc.pid for proc in procs}) == 3
         # Ready means the handshake is consumed: the first reply each
         # worker sends after it is the barrier's.
-        snapshot, deltas = fleet.drain()
-        assert sorted(deltas) == [0, 1, 2]
-        assert not any(any(cells) for cells in snapshot.values())
+        for shard in range(3):
+            snapshot, delta = fleet.drain_shard(shard)
+            assert delta == {"packets": 0, "folded": 0, "unmerged": 0}
+            assert not any(any(cells) for cells in snapshot.values())
         # Live shards are left alone; one more brings up only itself.
         del log[:]
         fleet.bring_up((1, 3))
@@ -218,6 +219,34 @@ def test_one_failed_start_releases_the_whole_set(monkeypatch):
         fleet.close()
     _assert_all_gone([proc])
     assert not set(os.listdir(_SHM_DIR)) - before
+
+
+def test_a_worker_brought_up_after_rekey_decodes_under_the_live_key():
+    """rekey() reaches a live worker through its ring and a worker not
+    yet started through the fleet's recipe.  Built from a stale key,
+    shard 0 folds nothing; after the rekey, shard 0 and shard 1 (brought
+    up only now) fold every payload sealed under the live key."""
+    from dataclasses import replace
+
+    from repro.testbed.worker import WorkerFleet
+    from tests.differential.workloads import DifferentialWorkload
+
+    live = _agg_spec()
+    payloads = DifferentialWorkload(seed=11).payloads("uniform", 200)
+    fleet = WorkerFleet(
+        replace(live, key=bytes(16)), backend="columnar", row_capacity=64
+    )
+    try:
+        fleet.push(0, payloads)
+        assert fleet.drain_shard(0)[1]["folded"] == 0
+        fleet.rekey(live.key)
+        fleet.bring_up([1])
+        for shard in (0, 1):
+            fleet.push(shard, payloads)
+            _snapshot, delta = fleet.drain_shard(shard)
+            assert delta == {"packets": 200, "folded": 200, "unmerged": 0}
+    finally:
+        fleet.close()
 
 
 # A __main__ that spawn children cannot re-import: every spawned worker
