@@ -619,7 +619,7 @@ class AggSwitch:
     def packets_merged(self, app_id: int) -> int:
         return self._apps[app_id].packets_merged
 
-    # -- checkpointing (supervised shard runtime) ------------------------------
+    # -- checkpointing (shard runtime, pipeline) -------------------------------
 
     def checkpoint(self, app_id: int) -> Dict[str, Any]:
         """The register snapshot as a checkpoint unit.  Same

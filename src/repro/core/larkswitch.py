@@ -704,11 +704,11 @@ class LarkSwitch:
     def stats_report(self, app_id: int) -> Dict[str, Any]:
         return self._apps[app_id].stats.report()
 
-    # -- checkpointing (supervised shard runtime) ------------------------------
+    # -- checkpointing (shard runtime, pipeline) -------------------------------
 
     def checkpoint(self, app_id: int) -> Dict[str, Any]:
         """Raw register snapshot of an application's statistics — the
-        unit the supervised shard runtime persists at epoch flushes.
+        unit the shard runtime merges into its per-shard checkpoints.
         The per-kind folds are associative, so a crashed replica
         restored from this and replayed from the matching stream
         position reproduces the uninterrupted registers cell for cell."""

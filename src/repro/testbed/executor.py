@@ -14,26 +14,25 @@ same :class:`Replica` object, so which one ran can never change a
 result — only where the CPU time is spent.
 
 :meth:`ShardExecutor.run` is the one **epoch loop** for every mode:
-per window of the stream (one unless elastic), partition under the
-live map; per epoch round, push every busy shard's epoch, then drain
-each, folding it into the shard's checkpoint; a failed epoch reruns on
-a fresh replica, or at last in-process.  A worker death therefore
-never takes saved state down with it, and a placement change migrates
-nothing.  When ring workers cannot start (no POSIX shared memory, a
-sandbox that forbids processes) the run goes in-process and records
-why in ``fallback_cause``.
+partition the stream once; per epoch round, push every busy shard's
+epoch, then drain each, folding it into the shard's checkpoint; a
+failed epoch reruns on a fresh replica, or at last in-process.  A
+worker death therefore never takes saved state down with it.  When
+ring workers cannot start (no POSIX shared memory, a sandbox that
+forbids processes) the run goes in-process and records why in
+``fallback_cause``.
 
 Correctness argument (the differential suite checks it end to end):
 
-* partitioning is deterministic — one rule, :func:`partition_columns`
-  under a :class:`~repro.testbed.placement.PartitionMap`: AggSwitch
-  streams hash the whole payload, LarkSwitch streams the preserved
-  cookie region ``raw[1:18]`` so every packet of one user lands on one
-  shard, and per-shard relative order is the arrival order;
+* partitioning is deterministic — one rule, :func:`partition_columns`:
+  ``crc32(key) % shards``, where the key is the whole payload for
+  AggSwitch streams and the preserved cookie region ``raw[1:18]`` for
+  LarkSwitch streams, so every packet of one user lands on one shard;
+  per-shard relative order is the arrival order;
 * per-kind register folds (wrapping add / min / max) are associative
   and commutative, so merging per-shard, per-epoch snapshots equals
   single-switch execution, cell for cell — whichever shard folded a
-  packet, in whichever epoch, under whichever map;
+  packet, in whichever epoch;
 * replicas start the same way under ``fork`` and ``spawn``: a worker
   gets the :class:`ShardSpec` recipe (schema, key, stat specs, seed)
   — pickled under ``spawn`` — never a live switch, and each replica
@@ -49,7 +48,7 @@ import time
 from dataclasses import dataclass, field
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
-    Tuple, Union,
+    Tuple,
 )
 
 from repro.chaos.shard_faults import ShardFaultPlan
@@ -59,7 +58,7 @@ from repro.core.stats import StatSpec, merge_snapshots
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.switch.columns import PacketColumns, get_numpy
 from repro.switch.hashing import crc32, crc32_many
-from repro.testbed.placement import PartitionMap, PlacementController
+from repro.testbed.placement import PartitionMap
 
 __all__ = [
     "ShardSpec",
@@ -288,8 +287,7 @@ class Replica:
         self.packets += len(rows)
 
     def counters(self) -> Dict[str, int]:
-        """Cumulative since the last build/reset (restore does not
-        rewind them)."""
+        """Cumulative since the last build or reset."""
         return {
             "packets": self.packets,
             "folded": self.folded,
@@ -350,49 +348,40 @@ def fold_snapshots(
 
 
 def partition_packets(
-    spec: ShardSpec, pmap: PartitionMap, packets: Sequence[bytes]
-) -> Tuple[List[List[bytes]], List[int]]:
+    spec: ShardSpec, shards: int, packets: Sequence[bytes]
+) -> List[List[bytes]]:
     """The scalar partition loop: :func:`partition_columns`'s numpy-off
     form and the reference its vectorized form is tested against."""
-    parts: List[List[bytes]] = [[] for _ in range(pmap.shards)]
-    counts = [0] * pmap.buckets
+    parts: List[List[bytes]] = [[] for _ in range(shards)]
     lark = spec.kind == "lark"
-    assignment = pmap.assignment
-    buckets = pmap.buckets
     for packet in packets:
         raw = bytes(packet)
         key = raw[_COOKIE_REGION] if lark else raw
-        bucket = crc32(key) % buckets
-        counts[bucket] += 1
-        parts[assignment[bucket]].append(raw)
-    return parts, counts
+        parts[crc32(key) % shards].append(raw)
+    return parts
 
 
 def partition_columns(
-    spec: ShardSpec,
-    pmap: PartitionMap,
-    rows: Any,
-) -> Tuple[List[PacketColumns], List[int]]:
-    """The runtime's one partition step, preserving per-shard arrival
-    order.  Lark streams split on the preserved cookie region so a
-    user's packets (and their dedup state) stay on one shard; agg
-    streams split on the whole payload.  The key's CRC-32 picks one of
-    the map's virtual buckets and the map says which shard owns it
-    (the default ``PartitionMap(shards)`` is the bare ``crc32 %
-    shards`` whenever ``shards`` divides the bucket count).
+    spec: ShardSpec, shards: int, rows: Any
+) -> List[PacketColumns]:
+    """The runtime's one partition step: row ``i`` goes to shard
+    ``crc32(key_i) % shards``, in arrival order.  Lark streams key on
+    the preserved cookie region so a user's packets (and their dedup
+    state) stay on one shard; agg streams key on the whole payload.
 
-    Returns ``(parts, bucket_counts)`` where ``parts[s]`` is the
-    shard-``s`` sub-batch and ``bucket_counts`` the per-bucket packet
-    histogram the placement controller feeds on.  A vectorized batch
-    takes batched CRC-32 plus a per-shard stable gather, without
-    materializing per-row ``bytes``; anything else takes the scalar
-    :func:`partition_packets` loop — identical output, slower.
+    Returns ``parts``, where ``parts[s]`` is the shard-``s`` sub-batch.
+    A vectorized batch takes batched CRC-32 plus a per-shard stable
+    gather, without materializing per-row ``bytes``; anything else
+    takes the scalar :func:`partition_packets` loop — identical output,
+    slower.
     """
     columns = rows if isinstance(rows, PacketColumns) else PacketColumns(rows)
     np = get_numpy()
     if np is None or not columns.vectorized or columns.n == 0:
-        raw_parts, counts = partition_packets(spec, pmap, columns.raw)
-        return [PacketColumns(part) for part in raw_parts], counts
+        return [
+            PacketColumns(part)
+            for part in partition_packets(spec, shards, columns.raw)
+        ]
     if spec.kind == "lark":
         start, stop = _COOKIE_REGION.start, _COOKIE_REGION.stop
         stop = min(stop, columns.max_len)
@@ -407,11 +396,9 @@ def partition_columns(
         crcs = np.asarray(crc32_many(sub))
     else:
         crcs = np.asarray(crc32_many(columns))
-    buckets = crcs % pmap.buckets
-    shard_ids = np.asarray(pmap.assignment, dtype=np.int64)[buckets]
-    counts = np.bincount(buckets, minlength=pmap.buckets)
+    shard_ids = crcs % shards
     parts: List[PacketColumns] = []
-    for shard in range(pmap.shards):
+    for shard in range(shards):
         index = np.flatnonzero(shard_ids == shard)
         if len(index) == 0:
             parts.append(PacketColumns([]))
@@ -421,7 +408,7 @@ def partition_columns(
                     columns.data[index], columns.lengths[index]
                 )
             )
-    return parts, [int(c) for c in counts]
+    return parts
 
 
 def _slice_part(part: Any, lo: int, hi: int) -> Any:
@@ -463,8 +450,8 @@ def render_report(
 
 @dataclass
 class ShardRunResult:
-    """Merged outcome of a sharded run, with its recovery and
-    placement bookkeeping."""
+    """Merged outcome of a sharded run, with its recovery
+    bookkeeping."""
 
     snapshot: Dict[str, List[int]]
     report: Dict[str, Any]
@@ -481,9 +468,6 @@ class ShardRunResult:
     recovered_packets: int = 0  # packets replayed from checkpoints
     salvaged: List[int] = field(default_factory=list)  # shards salvaged
     worker_respawns: int = 0  # ring workers replaced mid-run
-    # elastic placement: the map of each window, the live shards after
-    map_versions: List[int] = field(default_factory=list)
-    final_shards: int = 0  # 0 when static
 
     @property
     def total_packets(self) -> int:
@@ -512,11 +496,9 @@ class ShardExecutor:
     alive across ``run()`` calls (:mod:`repro.testbed.worker`): same
     results, shards fold in parallel, an injected crash is a real
     ``SIGKILL``; :meth:`close` (or a ``with`` block) releases them.
-    ``placement`` is a static :class:`PartitionMap` (default
-    ``PartitionMap(shards)``) or a :class:`PlacementController`, which
-    cuts the stream into windows of ``checkpoint_batches x chunk_size x
-    shards`` packets, each partitioned once under the live map, and
-    may rebalance or resize from each window's bucket counts.
+    ``placement`` may restate the shard count as a
+    :class:`PartitionMap`; the split is always ``crc32(key) % shards``
+    (:func:`partition_columns`).
     ``checkpoint_batches`` chunks make an epoch, so a crash replays at
     most that many; ``None`` makes a shard's part of a run one epoch.
     A failed epoch is retried ``max_retries`` times with bounded
@@ -535,12 +517,15 @@ class ShardExecutor:
         registry: Optional[MetricsRegistry] = None,
         sleep: Callable[[float], None] = time.sleep,
         persistent: bool = False,
-        placement: Union[PartitionMap, PlacementController, None] = None,
+        placement: Optional[PartitionMap] = None,
     ):
-        self.controller = None
-        if isinstance(placement, PlacementController):
-            self.controller, placement = placement, placement.map
-        self.placement = placement or PartitionMap(shards)
+        if placement is not None and placement.shards != shards:
+            raise ValueError(
+                "placement splits %d shards but shards=%d"
+                % (placement.shards, shards)
+            )
+        if shards < 1:
+            raise ValueError("shards must be >= 1")
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         if checkpoint_batches is not None and checkpoint_batches < 1:
@@ -552,11 +537,11 @@ class ShardExecutor:
             # so an epoch would forget the cookies the last one saw; a
             # run of one epoch replays from a fresh replica anyway.
             raise ValueError(
-                "supervised lark shards require dedup=False "
+                "checkpointed lark shards require dedup=False "
                 "(dedup state is not checkpointed)"
             )
         self.spec = spec
-        self.shards = self.placement.shards
+        self.shards = shards
         self.backend = check_backend(backend)
         self.chunk_size = chunk_size
         self.epoch_size = checkpoint_batches and checkpoint_batches * chunk_size
@@ -584,12 +569,11 @@ class ShardExecutor:
 
     def run(self, packets: Sequence[bytes]) -> ShardRunResult:
         """Process ``packets`` (a row list or a :class:`PacketColumns`
-        batch) across all shards and fold the shards' checkpoints into
-        one snapshot and report."""
+        batch) across all shards, epoch round by epoch round, and fold
+        the shards' checkpoints into one snapshot and report."""
         self.last_error = None
-        tally = self._tally = ShardRunResult({}, {}, [], [], 0)
-        controller = self.controller
-        states: Dict[int, _ShardState] = {}
+        tally = self._tally = ShardRunResult({}, {}, [], [], self.shards)
+        chain = [_ShardState(shard) for shard in range(self.shards)]
         if self.persistent and self._fleet is None:
             from repro.testbed.worker import WorkerFleet
 
@@ -597,91 +581,58 @@ class ShardExecutor:
                 self.spec, self.backend, max(self.chunk_size, 64),
                 self.fault_plan, JOB_TIMEOUT_S,
             )
-        total, pos = len(packets), 0
+        parts = partition_columns(self.spec, self.shards, packets)
+        busy = [state for state in chain if len(parts[state.shard])]
         try:
-            while True:
-                pmap = controller.map if controller else self.placement
-                size = total
-                if controller and self.epoch_size:
-                    size = self.epoch_size * pmap.shards
-                parts, counts = partition_columns(
-                    self.spec,
-                    pmap,
-                    packets if size >= total
-                    else _slice_part(packets, pos, pos + size),
+            # Every shard the run routes traffic to gets its worker, the
+            # missing ones started side by side.  A fleet that cannot
+            # start is dropped, and the run's epochs go in-process.
+            try:
+                if self._fleet is not None:
+                    self._fleet.bring_up([state.shard for state in busy])
+            except Exception as exc:
+                self.last_error = tally.fallback_cause = "%s: %s" % (
+                    type(exc).__name__, exc,
                 )
-                self._run_window(parts, states)
-                if controller:
-                    tally.map_versions.append(pmap.version)
-                    controller.observe(counts)
-                    new_map = controller.end_epoch()
-                    if self._fleet is not None:
-                        self._fleet.resize(new_map.shards)
-                pos += size
-                if pos >= total:
-                    break
+                _LOG.warning(
+                    "ring workers unavailable, running in-process: %s",
+                    self.last_error,
+                )
+                self.registry.counter("shard_executor.worker_fallbacks").inc()
+                self.close()
+            size = self.epoch_size
+            longest = max((len(parts[s.shard]) for s in busy), default=0)
+            for lo in range(0, longest, size or longest or 1):
+                jobs = [
+                    (state, _slice_part(part, lo, lo + size) if size else part)
+                    for state, part in ((s, parts[s.shard]) for s in busy)
+                    if lo < len(part)
+                ]
+                # Over ring workers every busy shard's epoch is pushed
+                # before any is drained, so the workers fold side by
+                # side; a failed job then recovers on its own while the
+                # other shards keep their work.
+                pushed = self._fleet is not None
+                errors = [
+                    self._attempt(*job, drain=False) if pushed else None
+                    for job in jobs
+                ]
+                for job, error in zip(jobs, errors):
+                    error = error or self._attempt(*job, push=not pushed)
+                    self._recover(*job, error)
         except BaseException:
             # Workers may hold half an epoch: none of it may reach the
             # next run.
             self.close()
             raise
-        live = controller.map.shards if controller else self.shards
-        width = max([live] + [shard + 1 for shard in states])
-        chain = [states.get(s) or _ShardState(s) for s in range(width)]
         snapshot = fold_snapshots(self.spec, (s.checkpoint for s in chain))
         tally.snapshot = snapshot or {}
         tally.report = render_report(self.spec, self.shards, snapshot)
         tally.shard_packets = [s.processed for s in chain]
         tally.shard_folded = [s.folded for s in chain]
         tally.epochs = [s.epochs for s in chain]
-        tally.shards = len(chain)
         tally.used_workers = self.persistent and not tally.fallback_cause
-        tally.final_shards = live if controller else 0
         return tally
-
-    def _run_window(
-        self, parts: List[Any], states: Dict[int, _ShardState]
-    ) -> None:
-        """Run one window's parts, epoch round by epoch round."""
-        busy = [
-            states.setdefault(shard, _ShardState(shard))
-            for shard, part in enumerate(parts)
-            if len(part)
-        ]
-        # Every shard the window routes traffic to gets its worker, the
-        # missing ones started side by side.  A fleet that cannot start
-        # is dropped for the rest of the run, whose epochs go in-process.
-        try:
-            if self._fleet is not None:
-                self._fleet.bring_up([state.shard for state in busy])
-        except Exception as exc:
-            self.last_error = self._tally.fallback_cause = "%s: %s" % (
-                type(exc).__name__, exc,
-            )
-            _LOG.warning("ring workers unavailable, running in-process: %s",
-                         self.last_error)
-            self.registry.counter("shard_executor.worker_fallbacks").inc()
-            self.close()
-        size = self.epoch_size
-        longest = max((len(parts[s.shard]) for s in busy), default=0)
-        for lo in range(0, longest, size or longest or 1):
-            jobs = [
-                (state, _slice_part(part, lo, lo + size) if size else part)
-                for state, part in ((s, parts[s.shard]) for s in busy)
-                if lo < len(part)
-            ]
-            # Over ring workers every busy shard's epoch is pushed
-            # before any is drained, so the workers fold side by side;
-            # a failed job then recovers on its own while the other
-            # shards keep their work.
-            pushed = self._fleet is not None
-            errors = [
-                self._attempt(*job, drain=False) if pushed else None
-                for job in jobs
-            ]
-            for job, error in zip(jobs, errors):
-                error = error or self._attempt(*job, push=not pushed)
-                self._recover(*job, error)
 
     def _attempt(
         self, state: _ShardState, part: Any, push: bool = True,

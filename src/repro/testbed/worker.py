@@ -468,9 +468,8 @@ class WorkerFleet:
     parts stream in ``chunk_size`` ring pushes on the backend the fleet
     was built with, a drain barrier returns a worker's register
     snapshot with its counter **deltas** since its previous drain
-    (worker counters are cumulative; the fleet keeps the bases), a
-    shrinking map retires workers, and a dead worker is respawned on
-    its own ring.
+    (worker counters are cumulative; the fleet keeps the bases), and a
+    dead worker is respawned on its own ring.
     """
 
     def __init__(
@@ -557,15 +556,6 @@ class WorkerFleet:
         counters, base = reply["counters"], self._bases[shard]
         self._bases[shard] = _ZERO if reset else counters
         return reply["snapshot"], {k: counters[k] - base[k] for k in _ZERO}
-
-    def resize(self, shards: int) -> None:
-        """Release every worker whose shard id fell off a shrunken map.
-        The executor drains every epoch it pushes, so a retiring worker
-        holds nothing."""
-        retiring = sorted(s for s in self.workers if s >= shards)
-        for shard in retiring:
-            del self._bases[shard]
-        _close_all([self.workers.pop(shard) for shard in retiring])
 
     def respawn(self, shard: int) -> None:
         """Replace a dead or wedged worker on the SAME ring segment,

@@ -20,7 +20,6 @@ import pytest
 from repro.chaos import ShardFaultPlan
 from repro.obs.registry import MetricsRegistry
 from repro.testbed.executor import ShardExecutor, ShardSpec
-from repro.testbed.placement import PlacementController
 from repro.testbed.shm_ring import shared_memory_available
 from repro.testbed.worker import ShardWorker, WorkerDied, WorkerFleet
 
@@ -134,71 +133,6 @@ class TestKillMidEpoch:
             with pytest.raises(WorkerDied):
                 worker.drain()
             assert worker.wait_dead(5.0)
-
-
-class TestKillDuringRebalance:
-    """SIGKILL lands while the placement controller is live: the crash
-    replay must re-derive the same epoch's partition map (version and
-    all) and reconverge on the static runtime's observable state."""
-
-    def _elastic(self):
-        return PlacementController(
-            shards=2,
-            target_imbalance=1.05,
-            rebalance_margin=0.05,
-            cooldown_epochs=0,
-            registry=MetricsRegistry(),
-        )
-
-    @pytest.mark.parametrize("seed", (3, 19))
-    def test_crash_mid_rebalanced_run_is_byte_identical(
-        self, seed, shm_leakcheck
-    ):
-        wl = DifferentialWorkload(seed=11)
-        spec = _agg_spec(wl)
-        # The hash adversary pins most packets on one shard, so the
-        # controller is guaranteed to move buckets mid-run.
-        packets = wl.skewed_payloads(1200, shards=2)
-        static = _run(spec, packets)
-
-        plan = ShardFaultPlan(seed=seed).kill_shard(1, at_batch=3)
-        controller = self._elastic()
-        chaos = _run(spec, packets, plan=plan, placement=controller)
-        assert chaos.used_workers, chaos.fallback_cause
-        assert chaos.crashes >= 1
-        assert chaos.recovered_packets > 0
-        # The controller actually moved buckets before/around the kill.
-        assert controller.rebalances >= 1
-        assert len(set(chaos.map_versions)) >= 2
-        # Per-shard counts legitimately differ once buckets move; the
-        # merged snapshot and report are the placement-proof comparands.
-        assert chaos.snapshot == static.snapshot
-        assert chaos.report == static.report
-
-    def test_crash_during_elastic_resize_is_byte_identical(
-        self, shm_leakcheck
-    ):
-        """The kill lands while target_shard_load is reshaping the
-        fleet: replay must respawn into the same post-resize map."""
-        wl = DifferentialWorkload(seed=11)
-        spec = _agg_spec(wl)
-        packets = wl.payloads("zipfian", 1200)
-        static = _run(spec, packets)
-        controller = PlacementController(
-            shards=2,
-            target_shard_load=100.0,
-            max_shards=4,
-            cooldown_epochs=0,
-            registry=MetricsRegistry(),
-        )
-        plan = ShardFaultPlan(seed=7).kill_shard(0, at_batch=4)
-        chaos = _run(spec, packets, plan=plan, placement=controller)
-        assert chaos.used_workers, chaos.fallback_cause
-        assert chaos.crashes >= 1
-        assert controller.resizes >= 1
-        assert chaos.final_shards == controller.map.shards
-        assert chaos.snapshot == static.snapshot
-        assert chaos.report == static.report
 
 
 class TestExecutorFallback:

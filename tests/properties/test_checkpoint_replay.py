@@ -1,9 +1,10 @@
 """Checkpoint -> restore -> replay-tail == uninterrupted, for every
 register kind.
 
-The supervised shard runtime's recovery path is exactly this identity:
-a crash restores the last epoch checkpoint into a fresh switch replica
-and replays only the tail.  Here it is proven at every layer that
+The checkpointed shard runtime's recovery path rests on this identity:
+a crash reruns only the failed epoch on a fresh switch replica, and the
+shard's checkpoint folded with that epoch equals the uninterrupted
+registers.  Here it is proven at every layer that
 holds fold state:
 
 * the switch statistics registers — additive counters

@@ -9,10 +9,10 @@ stream.
 Almost everything here runs over the in-process transport so the
 assertions are exact and cheap; one parametrised case drives the same
 scripted kill through both transports (in-process, ring-fed workers)
-and both placements (static, elastic) and pins what may never differ
-between them.  The ring-worker cases also pin the loop's shape: every
-busy shard's epoch is pushed before any is drained, and one executor's
-consecutive runs never see each other's state.
+and pins what may never differ between them.  The ring-worker cases
+also pin the loop's shape: every busy shard's epoch is pushed before
+any is drained, and one executor's consecutive runs never see each
+other's state.
 """
 
 import pytest
@@ -27,7 +27,7 @@ from repro.testbed.executor import (
     ShardExecutor,
     ShardSpec,
 )
-from repro.testbed.placement import PlacementController
+from repro.testbed.placement import PartitionMap
 from repro.testbed.shm_ring import shared_memory_available
 from repro.testbed.worker import ShardWorker
 
@@ -241,6 +241,17 @@ class TestValidation:
             ShardExecutor(spec, checkpoint_batches=4)
         ShardExecutor(spec)  # one epoch per run: accepted
 
+    def test_placement_must_match_shards(self):
+        fixture = DifferentialWorkload(3, num_users=50)
+        spec = _lark_spec(fixture)
+        with pytest.raises(ValueError, match="placement"):
+            ShardExecutor(spec, shards=3, placement=PartitionMap(2))
+        with pytest.raises(ValueError):
+            PartitionMap(0)
+        assert ShardExecutor(
+            spec, shards=3, placement=PartitionMap(3)
+        ).shards == 3
+
     def test_bad_parameters_rejected(self):
         fixture = DifferentialWorkload(3, num_users=50)
         spec = _lark_spec(fixture)
@@ -282,54 +293,36 @@ class TestDedupOneEpoch:
 
 
 class TestOneLoopEveryMode:
-    """{static, elastic} x {in-process, ring workers} under the same
-    scripted kill: the merged snapshot is the same everywhere, every
-    packet is folded exactly once whatever the placement history, and
-    a static crash replays at most one epoch."""
+    """In-process and ring workers under the same scripted kill: the
+    merged snapshot is the same everywhere, every packet is folded
+    exactly once, and a crash replays at most one epoch."""
 
-    @pytest.mark.parametrize("elastic", [False, True],
-                             ids=["static", "elastic"])
     @TRANSPORTS
-    def test_scripted_kill_is_invisible(self, elastic, persistent):
+    def test_scripted_kill_is_invisible(self, persistent):
         fixture = DifferentialWorkload(19, num_users=150)
         stream = _stream(fixture)
         spec = _lark_spec(fixture)
         reference = _executor(spec, shards=2).run(stream)
-        controller = (
-            PlacementController(
-                shards=2,
-                target_imbalance=1.05,
-                rebalance_margin=0.05,
-                cooldown_epochs=0,
-                registry=MetricsRegistry(),
-            )
-            if elastic
-            else None
-        )
         with _executor(
             spec,
             shards=2,
             plan=ShardFaultPlan(seed=19).kill_shard(1, at_batch=2),
             persistent=persistent,
-            placement=controller,
         ) as executor:
             result = executor.run(stream)
         assert result.used_workers == persistent, result.fallback_cause
         assert result.snapshot == reference.snapshot
         assert result.report == reference.report
-        # Conservation under any placement history.
+        # Conservation.
         assert sum(result.shard_packets) == len(stream)
         assert result.crashes == 1
         if persistent:
             assert result.worker_respawns == 1
-        if elastic:
-            assert len(result.map_versions) >= 2
-        else:
-            assert (
-                0
-                < result.recovered_packets
-                <= result.crashes * executor.epoch_size
-            )
+        assert (
+            0
+            < result.recovered_packets
+            <= result.crashes * executor.epoch_size
+        )
 
     def test_unavailable_workers_fall_back_with_a_cause(self, monkeypatch):
         """No spawn, no shared memory: the run completes in-process,
@@ -405,12 +398,10 @@ class TestPushOrder:
 
 @needs_shm
 class TestRunToRunIsolation:
-    """One persistent elastic executor, three consecutive runs: one
-    window under the initial map (the static partition), then a run
-    whose controller shrinks the fleet (a retired worker), then a run
-    that shrinks it again and whose scripted kill lands past the
-    earlier runs' chunk counts.  Each equals a fresh in-process run
-    byte for byte."""
+    """One persistent executor, three consecutive runs, the third's
+    scripted kill landing past the earlier runs' chunk counts: each
+    equals a fresh in-process run byte for byte, per-shard counts
+    included."""
 
     def test_consecutive_runs_share_no_state(self, shm_leakcheck):
         fixture = DifferentialWorkload(31, num_users=150)
@@ -420,19 +411,10 @@ class TestRunToRunIsolation:
             fixture.payloads("zipfian", 500),
             fixture.payloads("uniform", 900),
         ]
-        controller = PlacementController(
-            shards=3,
-            target_shard_load=60.0,
-            min_shards=1,
-            max_shards=3,
-            cooldown_epochs=0,
-            registry=MetricsRegistry(),
-        )
         plan = ShardFaultPlan().kill_shard(0, at_batch=8)
         results = []
         with _executor(
             spec, shards=3, plan=plan, persistent=True,
-            placement=controller,
         ) as executor:
             for stream in streams:
                 results.append(executor.run(stream))
@@ -442,36 +424,27 @@ class TestRunToRunIsolation:
             assert result.snapshot == fresh.snapshot
             assert result.report == fresh.report
             assert result.total_packets == len(stream)
-        static, elastic, killed = results
-        assert static.map_versions == [0]
-        assert static.shard_packets == ShardExecutor(
-            spec, shards=3, chunk_size=32
-        ).run(streams[0]).shard_packets
-        assert static.crashes == elastic.crashes == 0
-        assert static.final_shards == 3
-        assert elastic.final_shards == 2
-        assert killed.final_shards == 1
+            assert result.shard_packets == fresh.shard_packets
+        first, second, killed = results
+        assert first.crashes == second.crashes == 0
         assert killed.crashes == 1 and killed.worker_respawns == 1
 
-
-    def test_shard_idle_in_the_last_window_is_reset(self, shm_leakcheck):
-        """A worker that folded an early window but none of the last
-        one is reset at the end of the run all the same."""
+    def test_shard_idle_in_a_later_run_holds_nothing_from_an_earlier_one(
+        self, shm_leakcheck
+    ):
+        """A worker that folded the first run but none of the second
+        was reset at the end of the first all the same: the third run,
+        which routes to it again, equals a fresh run."""
         fixture = DifferentialWorkload(33, num_users=150)
         spec = _agg_spec(fixture)
-        # Two windows of 2 x 64 packets: the second holds one packet,
-        # so one shard sits it out with the first window's state.
         stream = fixture.payloads("uniform", 129)
-        fresh = ShardExecutor(spec, shards=2, chunk_size=32).run(stream)
-        calm = PlacementController(
-            shards=2, target_imbalance=50.0, registry=MetricsRegistry(),
-        )
-        with _executor(
-            spec, shards=2, persistent=True, placement=calm,
-        ) as executor:
-            runs = [executor.run(stream) for _ in range(2)]
-        for result in runs:
-            assert result.map_versions == [0, 0]
+        streams = [stream, stream[:1], stream]
+        with _executor(spec, shards=2, persistent=True) as executor:
+            runs = [executor.run(each) for each in streams]
+        assert 0 in runs[1].shard_packets
+        for each, result in zip(streams, runs):
+            fresh = ShardExecutor(spec, shards=2, chunk_size=32).run(each)
+            assert result.used_workers, result.fallback_cause
             assert result.shard_packets == fresh.shard_packets
             assert result.snapshot == fresh.snapshot
             assert result.report == fresh.report

@@ -235,7 +235,7 @@ def test_forked_workers_leave_every_segment_to_its_owner():
         assert zero.wait_dead(5.0)
         assert set(segments) <= set(os.listdir(_SHM_DIR))
 
-        fleet.resize(1)  # shuts worker 1 down, closes ring 1
+        fleet.workers.pop(1).close()  # shuts worker 1 down, closes ring 1
         assert one._proc.exitcode == 0, "not a clean exit"
         assert segments[0] in os.listdir(_SHM_DIR)
         assert segments[1] not in os.listdir(_SHM_DIR)
