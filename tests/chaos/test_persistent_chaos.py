@@ -19,6 +19,7 @@ import pytest
 
 from repro.chaos import ShardFaultPlan
 from repro.obs.registry import MetricsRegistry
+from repro.switch.hashing import crc32
 from repro.testbed.executor import ShardExecutor, ShardSpec
 from repro.testbed.shm_ring import shared_memory_available
 from repro.testbed.worker import ShardWorker, WorkerDied, WorkerFleet
@@ -133,6 +134,45 @@ class TestKillMidEpoch:
             with pytest.raises(WorkerDied):
                 worker.drain()
             assert worker.wait_dead(5.0)
+
+
+class TestKillOnSkewedSplit:
+    """SIGKILL lands on a lopsided or wider split: replay re-derives the
+    same ``crc32 % shards`` parts and reconverges byte for byte."""
+
+    @pytest.mark.parametrize("seed", (3, 19))
+    def test_crash_mid_skewed_run_is_byte_identical(
+        self, seed, shm_leakcheck
+    ):
+        wl = DifferentialWorkload(seed=11)
+        spec = _agg_spec(wl)
+        # Most packets hash to shard 0, so the kill hits the long part.
+        pool = wl.payloads("uniform", 1200)
+        hot = [p for p in pool if crc32(p) % 2 == 0]
+        packets = pool[:300] + (hot * 4)[:900]
+        baseline = _run(spec, packets)
+        assert baseline.shard_packets[0] > 3 * baseline.shard_packets[1]
+
+        plan = ShardFaultPlan(seed=seed).kill_shard(0, at_batch=3)
+        chaos = _run(spec, packets, plan=plan)
+        assert chaos.used_workers, chaos.fallback_cause
+        assert chaos.crashes >= 1
+        assert chaos.recovered_packets > 0
+        assert _equal(chaos, baseline)
+
+    def test_crash_on_wider_split_is_byte_identical(self, shm_leakcheck):
+        """A kill on three shards merges to the two-shard report."""
+        wl = DifferentialWorkload(seed=11)
+        spec = _agg_spec(wl)
+        packets = wl.payloads("zipfian", 1200)
+        static = _run(spec, packets)
+        plan = ShardFaultPlan(seed=7).kill_shard(2, at_batch=2)
+        chaos = _run(spec, packets, plan=plan, shards=3)
+        assert chaos.used_workers, chaos.fallback_cause
+        assert chaos.crashes >= 1
+        assert chaos.shards == 3
+        assert chaos.snapshot == static.snapshot
+        assert chaos.report == static.report
 
 
 class TestExecutorFallback:

@@ -1,30 +1,26 @@
-"""Differential proof for skew-aware elastic placement.
+"""Differential proof that the shard split changes nothing observable.
 
-Moving virtual buckets between shards at epoch boundaries — or
-resizing the shard fleet outright — is only an optimization if it
-changes nothing observable: every elastic run must produce the same
-merged register snapshot and rendered report as the static
-``crc32 % shards`` runtime, byte for byte.  (Per-shard packet counts
-intentionally differ once buckets move; the snapshot and report are
-the cross-placement comparands.)
+The shard runtime splits a stream by ``crc32(key) % shards`` and merges
+the per-shard register snapshots.  Every per-shard fold is associative
+and commutative, so the merged snapshot and rendered report must equal
+a one-shard run byte for byte, whatever the shard count and however
+lopsided the split.  (Per-shard packet counts differ between shard
+counts; the snapshot and report are the cross-split comparands.)
 
-Covered here, at three seeds each: the inline elastic executor
-across the scalar and columnar backends, an aggressive rebalancer that
-moves buckets every epoch, elastic fleet resizes (grow and shrink)
-and the persistent ring-fed executor — plus the no-rebalance sanity
-check that a default map reproduces the static per-shard packet counts
-exactly.
+Covered here, at three seeds each: the inline executor across the
+scalar and columnar backends for agg and lark shards, a hash-adversary
+stream that piles most packets on one shard, several shard counts
+against each other and the persistent ring-fed executor — plus the
+check that an explicit ``PartitionMap`` reproduces the default split
+exactly, per-shard packet counts included.
 """
 
 import pytest
 
 from repro.obs.registry import MetricsRegistry
-from repro.testbed.executor import (
-    ShardExecutor,
-    ShardSpec,
-    partition_columns,
-)
-from repro.testbed.placement import PartitionMap, PlacementController
+from repro.switch.hashing import crc32
+from repro.testbed.executor import ShardExecutor, ShardSpec
+from repro.testbed.placement import PartitionMap
 from repro.testbed.shm_ring import shared_memory_available
 
 from tests.differential.workloads import (
@@ -56,16 +52,6 @@ def _lark_spec(wl: DifferentialWorkload) -> ShardSpec:
     )
 
 
-def _aggressive(shards, **kw):
-    """A controller that rebalances at every barrier it legally can."""
-    kw.setdefault("target_imbalance", 1.05)
-    kw.setdefault("rebalance_margin", 0.05)
-    kw.setdefault("cooldown_epochs", 0)
-    return PlacementController(
-        shards=shards, registry=MetricsRegistry(), **kw
-    )
-
-
 def _executor(spec, backend="columnar", placement=None, shards=2,
               persistent=False):
     return ShardExecutor(
@@ -80,135 +66,100 @@ def _executor(spec, backend="columnar", placement=None, shards=2,
     )
 
 
-class TestExecutorElastic:
-    """Inline elastic executor vs the static runtime."""
+class TestExecutorSplit:
+    """The inline executor on several shards vs one shard."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_agg_rebalanced_matches_static(self, seed, backend):
+    def test_agg_split_matches_one_shard(self, seed, backend):
         wl = DifferentialWorkload(seed=seed)
         spec = _agg_spec(wl)
         packets = wl.payloads("zipfian", PACKETS)
-        static = _executor(spec, backend).run(packets)
-        elastic = _executor(
-            spec, backend, placement=_aggressive(2)
-        ).run(packets)
-        assert elastic.snapshot == static.snapshot, (seed, backend)
-        assert elastic.report == static.report, (seed, backend)
-        assert len(elastic.map_versions) >= 2
+        whole = _executor(spec, backend, shards=1).run(packets)
+        split = _executor(spec, backend, shards=3).run(packets)
+        assert split.snapshot == whole.snapshot, (seed, backend)
+        assert split.report == whole.report, (seed, backend)
+        assert split.shard_packets == [
+            sum(1 for p in packets if crc32(p) % 3 == s) for s in range(3)
+        ]
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_lark_rebalanced_matches_static(self, seed):
+    def test_lark_split_matches_one_shard(self, seed):
         wl = DifferentialWorkload(seed=seed)
         spec = _lark_spec(wl)
         packets = [bytes(c) for c in wl.cids("zipfian", PACKETS)]
-        static = _executor(spec, "columnar").run(packets)
-        elastic = _executor(
-            spec, "columnar", placement=_aggressive(2)
-        ).run(packets)
-        assert elastic.snapshot == static.snapshot, seed
-        assert elastic.report == static.report, seed
+        whole = _executor(spec, "columnar", shards=1).run(packets)
+        split = _executor(spec, "columnar", shards=3).run(packets)
+        assert split.snapshot == whole.snapshot, seed
+        assert split.report == whole.report, seed
+        assert split.shard_packets == [
+            sum(1 for p in packets if crc32(p[1:18]) % 3 == s)
+            for s in range(3)
+        ]
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_skewed_stream_rebalances_and_matches(self, seed):
-        """The hash adversary pins most packets on one shard: the
-        controller must actually move buckets, and still change
-        nothing observable."""
+    def test_skewed_stream_matches(self, seed):
+        """The hash adversary piles most packets on shard 0: the split
+        is lopsided, and still changes nothing observable."""
         wl = DifferentialWorkload(seed=seed)
         spec = _agg_spec(wl)
-        packets = wl.skewed_payloads(PACKETS, shards=2)
-        static = _executor(spec, "columnar").run(packets)
-        controller = _aggressive(2)
-        elastic = _executor(
-            spec, "columnar", placement=controller
-        ).run(packets)
-        assert elastic.snapshot == static.snapshot, seed
-        assert elastic.report == static.report, seed
-        assert controller.rebalances >= 1, seed
+        pool = wl.payloads("uniform", PACKETS)
+        hot = [p for p in pool if crc32(p) % 2 == 0]
+        packets = pool[:PACKETS // 4] + (hot * 4)[:PACKETS * 3 // 4]
+        whole = _executor(spec, "columnar", shards=1).run(packets)
+        split = _executor(spec, "columnar", shards=2).run(packets)
+        assert split.shard_packets[0] > 3 * split.shard_packets[1], seed
+        assert split.snapshot == whole.snapshot, seed
+        assert split.report == whole.report, seed
 
     def test_default_map_reproduces_static_partition(self):
-        """With no rebalance pressure the elastic runtime routes every
-        packet exactly like the legacy modulo — per-shard packet
-        counts included."""
+        """An explicit ``PartitionMap`` routes every packet exactly like
+        the default split — per-shard packet counts included."""
         wl = DifferentialWorkload(seed=SEEDS[0])
         spec = _agg_spec(wl)
         packets = wl.payloads("uniform", PACKETS)
         static = _executor(spec, "columnar").run(packets)
-        calm = PlacementController(
-            shards=2, target_imbalance=50.0, cooldown_epochs=0,
-            registry=MetricsRegistry(),
-        )
-        elastic = _executor(
-            spec, "columnar", placement=calm
+        mapped = _executor(
+            spec, "columnar", placement=PartitionMap(shards=2)
         ).run(packets)
-        assert elastic.shard_packets == static.shard_packets
-        assert elastic.snapshot == static.snapshot
-        assert elastic.report == static.report
-        assert calm.map.version == 0
+        assert mapped.shards == 2
+        assert mapped.shard_packets == static.shard_packets
+        assert mapped.snapshot == static.snapshot
+        assert mapped.report == static.report
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_elastic_resize_matches_static(self, seed):
-        """Mid-run fleet grow/shrink driven by target_shard_load: the
-        windows land on different shard counts, the fold does not
-        care."""
+    def test_shard_count_changes_nothing_observable(self, seed):
+        """2, 5 and 7 shards move the per-shard counts, not the merge."""
         wl = DifferentialWorkload(seed=seed)
         spec = _agg_spec(wl)
-        packets = wl.payloads("uniform", PACKETS)
-        static = _executor(spec, "columnar").run(packets)
-        controller = PlacementController(
-            shards=2, target_shard_load=40.0, max_shards=4,
-            cooldown_epochs=0, registry=MetricsRegistry(),
-        )
-        elastic = _executor(
-            spec, "columnar", placement=controller
-        ).run(packets)
-        assert elastic.snapshot == static.snapshot, seed
-        assert elastic.report == static.report, seed
-        assert controller.resizes >= 1, seed
+        packets = wl.payloads("zipfian", PACKETS)
+        runs = {
+            n: ShardExecutor(
+                spec, shards=n, backend="columnar", chunk_size=96,
+            ).run(packets)
+            for n in (2, 5, 7)
+        }
+        for n, result in runs.items():
+            assert len(result.shard_packets) == n
+            assert result.total_packets == len(packets)
+            assert result.snapshot == runs[2].snapshot, (seed, n)
+            assert result.report == runs[2].report, (seed, n)
 
 
 @needs_shm
-class TestExecutorElasticPersistent:
-    """The elastic runtime on real ring-fed worker processes."""
+class TestExecutorSplitPersistent:
+    """The split on real ring-fed worker processes."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_persistent_rebalanced_matches_static(self, seed):
+    def test_persistent_split_matches_inline(self, seed):
         wl = DifferentialWorkload(seed=seed)
         spec = _agg_spec(wl)
         packets = wl.payloads("zipfian", PACKETS)
-        static = _executor(spec, "columnar").run(packets)
+        inline = _executor(spec, "columnar", shards=1).run(packets)
         with _executor(
-            spec, "columnar", placement=_aggressive(2), persistent=True,
+            spec, "columnar", shards=2, persistent=True,
         ) as executor:
-            elastic = executor.run(packets)
-        assert elastic.used_workers, elastic.fallback_cause
-        assert elastic.snapshot == static.snapshot, seed
-        assert elastic.report == static.report, seed
-
-
-class TestExecutorPlacement:
-    """Static executor with an explicit map vs the bare modulo."""
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_rebalanced_map_changes_nothing_observable(self, seed):
-        wl = DifferentialWorkload(seed=seed)
-        spec = _agg_spec(wl)
-        packets = wl.payloads("zipfian", PACKETS)
-        base = ShardExecutor(
-            spec, shards=2, backend="columnar",
-            chunk_size=96,
-        ).run(packets)
-        pmap = PartitionMap(shards=2)
-        default_map = ShardExecutor(
-            spec, backend="columnar", chunk_size=96, placement=pmap,
-        ).run(packets)
-        assert default_map.shard_packets == base.shard_packets
-        assert default_map.snapshot == base.snapshot
-        _, counts = partition_columns(spec, pmap, packets)
-        moved = pmap.rebalanced(counts, target=1.02)
-        rebalanced = ShardExecutor(
-            spec, backend="columnar", chunk_size=96, placement=moved,
-        ).run(packets)
-        assert rebalanced.snapshot == base.snapshot, seed
-        assert rebalanced.report == base.report, seed
-
+            ringed = executor.run(packets)
+        assert ringed.used_workers, ringed.fallback_cause
+        assert ringed.snapshot == inline.snapshot, seed
+        assert ringed.report == inline.report, seed

@@ -10,6 +10,11 @@ Pins the one placement rule the shard runtime has:
   scalar ``partition_packets`` loop.
 """
 
+import hashlib
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.switch.columns import (
@@ -25,6 +30,9 @@ from repro.testbed.executor import (
 from tests.differential.workloads import APP_ID, DifferentialWorkload
 
 SEEDS = (3, 17, 4)
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)
+)))
 
 
 def _specs(wl):
@@ -73,6 +81,38 @@ class TestTheOneRule:
             assert part.raw == [
                 raw for raw in packets if crc32(key(raw)) % shards == shard
             ]
+
+
+def _split_digest(shards):
+    """sha256 over every shard's part of seed-3 lark and agg streams."""
+    wl = DifferentialWorkload(seed=SEEDS[0])
+    digest = hashlib.sha256()
+    for kind, spec in sorted(_specs(wl).items()):
+        packets = _packets(wl, kind, "zipfian", 300)
+        for part in partition_packets(spec, shards, packets):
+            digest.update(b"|%d|" % len(part))
+            digest.update(b"".join(part))
+    return digest.hexdigest()
+
+
+class TestSplitDeterminism:
+    def test_split_deterministic_across_processes(self):
+        """A fresh interpreter under another string-hash seed splits the
+        same stream identically: the executor and its crash replay agree
+        on placement without communicating."""
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, 'src')\n"
+            "from tests.properties.test_partition_map import _split_digest\n"
+            "print(_split_digest(3))\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="12345")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, cwd=ROOT, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == _split_digest(3)
 
 
 class TestVectorizedPartition:
