@@ -120,20 +120,11 @@ class ChaosHarness:
         rpc_max_retries: int = 5,
         relative_tolerance: float = 0.0,
         registry: Optional[MetricsRegistry] = None,
-        backend: str = "scalar",
     ):
         if duration_ms <= 0 or period_ms <= 0:
             raise ValueError("duration and period must be positive")
         if verify_every_periods < 1:
             raise ValueError("verify_every_periods must be >= 1")
-        if backend not in ("scalar", "columnar"):
-            raise ValueError("unknown backend %r" % backend)
-        # Which switch entry points the data plane exercises.  Events
-        # arrive one at a time from the simulator, so the fast path
-        # sees single-packet batches — bit-identical to the scalar loop
-        # (the differential suite proves it), which is exactly why the
-        # fingerprint must not change across backends.
-        self.backend = backend
         self.seed = seed
         self.duration_ms = float(duration_ms)
         self.period_ms = float(period_ms)
@@ -282,10 +273,7 @@ class ChaosHarness:
         self._m_events.inc()
         if self.lark.alive:
             cid = self._transport_codec.encode({"region": region})
-            if self.backend == "columnar":
-                self.lark.process_quic_columnar([cid])
-            else:
-                self.lark.process_quic_packet(cid)
+            self.lark.process_quic_packet(cid)
         else:
             # Incremental-deployment fallback: no LarkSwitch in path,
             # the edge server processes the application-layer cookie.
@@ -321,10 +309,7 @@ class ChaosHarness:
             self.reports_dropped_at_agg += 1
             self._m_reports_dropped.inc()
             return
-        if self.backend == "columnar":
-            self.agg.process_columnar([packet.payload])
-        else:
-            self.agg.process_packet(packet.payload)
+        self.agg.process_packet(packet.payload)
 
     # -- verification -----------------------------------------------------------
 

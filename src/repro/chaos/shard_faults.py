@@ -21,8 +21,7 @@ Two injection mechanisms, both deterministic:
   draw from a fresh attempt-keyed stream so a doomed epoch is not
   doomed forever.
 
-A plan scripts crashes only: the backend a run executes on is fixed
-when its executor is built.
+A plan scripts crashes only.
 """
 
 from __future__ import annotations

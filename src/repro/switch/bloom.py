@@ -11,7 +11,7 @@ period boundary.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.switch.columns import PacketColumns
 from repro.switch.hashing import HashUnit
@@ -137,29 +137,6 @@ class BloomFilter:
         """Control-plane reset at a period boundary."""
         self._bits.reset()
         self.items_added = 0
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Raw filter state for period-boundary checkpointing: the bit
-        array plus the insertion count (needed by the FPR estimate)."""
-        return {
-            "bits": self._bits.snapshot(),
-            "items_added": self.items_added,
-        }
-
-    def load_snapshot(self, snapshot: Dict[str, Any]) -> None:
-        """Inverse of :meth:`snapshot` (crash recovery): overwrite the
-        bits and insertion count with a saved checkpoint."""
-        bits = snapshot["bits"]
-        if len(bits) != self.size_bits:
-            raise ValueError(
-                "snapshot has %d bits, filter has %d"
-                % (len(bits), self.size_bits)
-            )
-        # One bulk register load instead of a bit-by-bit write loop —
-        # at 1M-user sizing (~9.6M bits at 1% FPR) the per-cell loop
-        # dominated every epoch restore.
-        self._bits.load(bits)
-        self.items_added = int(snapshot["items_added"])
 
     def false_positive_rate(self, items: Optional[int] = None) -> float:
         """Analytic FPR estimate (1 - e^{-kn/m})^k for n inserted items."""

@@ -64,9 +64,7 @@ __all__ = [
     "ShardSpec",
     "ShardExecutor",
     "ShardRunResult",
-    "BACKENDS",
     "Replica",
-    "check_backend",
     "process_isolated",
     "fold_snapshots",
     "partition_packets",
@@ -78,25 +76,11 @@ _LOG = logging.getLogger(__name__)
 
 _COOKIE_REGION = slice(1, 18)  # preserved cookie bytes (lark partition key)
 
-# The two switch tiers, ascending: the P4-interpreter reference and the
-# columnar fast path.  Every ``backend=`` argument in the testbed means
-# one of these.
-BACKENDS = ("scalar", "columnar")
-
 # Retry back-off: BACKOFF_BASE_S, doubling, capped at BACKOFF_MAX_S.  A
 # ring worker that does not answer within JOB_TIMEOUT_S counts as dead.
 BACKOFF_BASE_S = 0.01
 BACKOFF_MAX_S = 1.0
 JOB_TIMEOUT_S = 60.0
-
-
-def check_backend(backend: str) -> str:
-    if backend not in BACKENDS:
-        raise ValueError(
-            "unknown backend %r (expected one of %s)"
-            % (backend, "/".join(BACKENDS))
-        )
-    return backend
 
 
 def process_isolated(
@@ -192,12 +176,12 @@ def _build_switch(spec: ShardSpec, shard_index: int):
 class Replica:
     """One seeded switch replica and everything a transport does to it:
     arm the fault injector for an epoch attempt, fold one chunk through
-    the scalar or columnar entry point, read the registers back.
+    the columnar entry point, read the registers back.
 
     The in-process transport (:func:`_run_shard_epoch`) and the ring-fed
     worker loop (:func:`repro.testbed.worker._worker_main`) drive this
-    same object, so the backend dispatch table below exists once and
-    the two transports cannot drift apart.
+    same object, so the fold exists once and the two transports cannot
+    drift apart.
     """
 
     def __init__(
@@ -227,34 +211,17 @@ class Replica:
         self.folded = 0
         self._injector = None
         self._batch = 0
-        # Each entry folds one chunk and returns how many of its rows
-        # reached the registers (the columnar batch's count).  Rows
-        # arrive as bytes-likes (list slices inline, ring views in a
-        # worker); the columnar kernels take the chunk as it comes.
+        # Folds one chunk and returns how many of its rows reached the
+        # registers (the columnar batch's count).
+        self._process: Callable[[Any], int]
         if self.spec.kind == "half":
-            # A ring-hosted switch half runs its columnar stages only.
-            self._process = {"columnar": switch.feed}
+            self._process = switch.feed
         elif self.spec.kind == "lark":
-            from repro.quic.connection_id import ConnectionID
-
-            self._process: Dict[str, Callable[[Any], int]] = {
-                "scalar": lambda rows: sum(
-                    switch.process_quic_packet(ConnectionID(r)).folded
-                    for r in rows
-                ),
-                "columnar": lambda rows: (
-                    switch.process_quic_columnar(rows).folded
-                ),
-            }
+            self._process = lambda rows: (
+                switch.process_quic_columnar(rows).folded
+            )
         else:
-            self._process = {
-                "scalar": lambda rows: sum(
-                    switch.process_packet(bytes(r)).merged for r in rows
-                ),
-                "columnar": lambda rows: (
-                    switch.process_columnar(rows).merged
-                ),
-            }
+            self._process = lambda rows: switch.process_columnar(rows).merged
 
     def arm(self, epoch: int, attempt: int, chunk_offset: int) -> None:
         """Start an epoch attempt: chunk numbering restarts and the
@@ -269,7 +236,7 @@ class Replica:
             else None
         )
 
-    def feed(self, rows: Any, backend: str, continued: bool = False) -> None:
+    def feed(self, rows: Any, continued: bool = False) -> None:
         """Fold one chunk — or, ``continued``, the next ring slot of the
         chunk fed last.  Raises :class:`ShardCrash` *before* touching a
         register when the armed plan scripts this chunk to die."""
@@ -279,7 +246,7 @@ class Replica:
             self._batch += 1
         # A poison row stays unfolded: the caller reads it off the
         # counters as packets - folded.
-        process = self._process[backend]
+        process = self._process
         counts, _poisoned = process_isolated(
             lambda chunk: [process(chunk)], rows
         )
@@ -309,7 +276,6 @@ def _run_shard_epoch(
     spec: ShardSpec,
     shard: int,
     part: Any,
-    backend: str,
     chunk_size: int,
     plan: Optional[ShardFaultPlan] = None,
     epoch: int = 0,
@@ -322,8 +288,8 @@ def _run_shard_epoch(
     """
     replica = Replica(spec, shard, plan)
     replica.arm(epoch, attempt, chunk_offset)
-    for chunk in _chunked(part, chunk_size, backend):
-        replica.feed(chunk, backend)
+    for chunk in _chunked(part, chunk_size):
+        replica.feed(chunk)
     return replica.snapshot(), replica.counters()
 
 
@@ -422,20 +388,14 @@ def _slice_part(part: Any, lo: int, hi: int) -> Any:
     return part[lo:hi]
 
 
-def _chunked(part: Any, chunk_size: int, backend: str) -> Iterator[Any]:
-    """Cut one shard part into ``chunk_size`` slices — the unit both
-    transports fold, count and inject faults on.  Slices are
-    :class:`PacketColumns` when the columnar path will consume them
-    (one matrix copy into a ring slot, no per-row work) and plain row
-    lists for the interpreter."""
-    columnar = backend == "columnar"
-    if not columnar and isinstance(part, PacketColumns):
-        part = part.raw
+def _chunked(part: Any, chunk_size: int) -> Iterator[PacketColumns]:
+    """Cut one shard part into ``chunk_size`` :class:`PacketColumns`
+    slices — the unit both transports fold, count and inject faults on
+    (one matrix copy into a ring slot, no per-row work)."""
+    if not isinstance(part, PacketColumns):
+        part = PacketColumns(part)
     for lo in range(0, len(part), chunk_size):
-        chunk = _slice_part(part, lo, lo + chunk_size)
-        if columnar and not isinstance(chunk, PacketColumns):
-            chunk = PacketColumns(chunk)
-        yield chunk
+        yield _slice_part(part, lo, lo + chunk_size)
 
 
 def render_report(
@@ -491,10 +451,11 @@ class _ShardState:
 class ShardExecutor:
     """Fan a packet stream across switch-replica shards and merge.
 
-    ``backend`` is the per-shard path (``scalar`` or ``columnar``).
-    ``persistent=True`` keeps one ring-fed worker process per shard
-    alive across ``run()`` calls (:mod:`repro.testbed.worker`): same
-    results, shards fold in parallel, an injected crash is a real
+    Every shard folds through the columnar entry point; ``backend``
+    accepts only ``"columnar"``, as ``placement`` accepts only the
+    shard count.  ``persistent=True`` keeps one ring-fed worker process
+    per shard alive across ``run()`` calls (:mod:`repro.testbed.worker`):
+    same results, shards fold in parallel, an injected crash is a real
     ``SIGKILL``; :meth:`close` (or a ``with`` block) releases them.
     ``placement`` may restate the shard count as a
     :class:`PartitionMap`; the split is always ``crc32(key) % shards``
@@ -542,7 +503,8 @@ class ShardExecutor:
             )
         self.spec = spec
         self.shards = shards
-        self.backend = check_backend(backend)
+        if backend != "columnar":
+            raise ValueError("shards run columnar, not %r" % (backend,))
         self.chunk_size = chunk_size
         self.epoch_size = checkpoint_batches and checkpoint_batches * chunk_size
         self.max_retries = max_retries
@@ -578,8 +540,8 @@ class ShardExecutor:
             from repro.testbed.worker import WorkerFleet
 
             self._fleet = WorkerFleet(
-                self.spec, self.backend, max(self.chunk_size, 64),
-                self.fault_plan, JOB_TIMEOUT_S,
+                self.spec, max(self.chunk_size, 64), self.fault_plan,
+                JOB_TIMEOUT_S,
             )
         parts = partition_columns(self.spec, self.shards, packets)
         busy = [state for state in chain if len(parts[state.shard])]
@@ -644,8 +606,8 @@ class ShardExecutor:
         try:
             if inline or self._fleet is None:
                 outcome = _run_shard_epoch(
-                    self.spec, state.shard, part, self.backend,
-                    self.chunk_size, None if inline else self.fault_plan,
+                    self.spec, state.shard, part, self.chunk_size,
+                    None if inline else self.fault_plan,
                     state.epochs, state.attempt, state.chunks_done,
                 )
             else:
@@ -657,7 +619,7 @@ class ShardExecutor:
                     self._fleet.push(state.shard, part, self.chunk_size)
                 if not drain:
                     return None
-                outcome = self._fleet.drain_shard(state.shard, reset=True)
+                outcome = self._fleet.drain_shard(state.shard)
         except Exception as exc:
             return exc
         snapshot, counters = outcome

@@ -49,6 +49,7 @@ __all__ = ["NetworkTestbed", "NetworkRunResult"]
 
 _APP_ID = 0x5C
 _EPS_MS = 0.25  # agg -> analytics last hop
+_INGEST_BATCH = 256  # events per client-side micro-batch
 # The one pathway the topology below models, as TestbedConfig fields:
 # Trans-1RTT cookies, INSA in the switches, per-packet forwarding.
 _MODELED = {
@@ -95,23 +96,7 @@ class NetworkTestbed:
         config: Optional[TestbedConfig] = None,
         agg_loss_rate: float = 0.0,
         workload: Optional[AdCampaignWorkload] = None,
-        batch_window_ms: float = 0.0,
-        batch_max: int = 256,
-        ingest_batch: int = 256,
-        streaming_ingest: bool = True,
     ):
-        if batch_window_ms < 0:
-            raise ValueError("batch_window_ms must be non-negative")
-        if batch_max < 1:
-            raise ValueError("batch_max must be >= 1")
-        if ingest_batch < 1:
-            raise ValueError("ingest_batch must be >= 1")
-        # batch_window_ms > 0 switches the in-path switch nodes to the
-        # columnar fast path: packets arriving within a window
-        # are buffered and processed together (capped at batch_max),
-        # modeling a recirculation/burst buffer in front of the pipe.
-        self.batch_window_ms = batch_window_ms
-        self.batch_max = batch_max
         self.config = config or TestbedConfig(**_MODELED)
         for name, modeled in _MODELED.items():
             value = getattr(self.config, name)
@@ -138,18 +123,12 @@ class NetworkTestbed:
         )
         self.agg_device = AggSwitch("agg-dev", random.Random(2))
         self.agg_device.register_application(_APP_ID, schema, self._key, specs)
-        self._schema = schema
-        self.codec = TransportCookieCodec(
-            _APP_ID, schema, self._key, random.Random(3)
-        )
         # Client-side ingest: generation streams micro-batches of
-        # ``ingest_batch`` events and cookies come out of the encode
-        # cache (one batched AES pass per batch of misses).
-        # ``streaming_ingest=False`` keeps the pre-optimization
-        # materialize-everything loop as the reference/baseline.
-        self.ingest_batch = ingest_batch
-        self.streaming_ingest = streaming_ingest
-        self.cookie_cache = CookieEncodeCache(self.codec)
+        # _INGEST_BATCH events and cookies come out of the encode cache
+        # (one batched AES pass per batch of misses).
+        self.cookie_cache = CookieEncodeCache(
+            TransportCookieCodec(_APP_ID, schema, self._key, random.Random(3))
+        )
         self.agg_loss_rate = agg_loss_rate
         self.net = Network()
         self._build_topology()
@@ -162,7 +141,6 @@ class NetworkTestbed:
         self.agg_device.rekey_application(_APP_ID, new_key)
         self.lark_device.rekey_application(_APP_ID, new_key)
         self.cookie_cache.rekey(new_key)
-        self.codec = self.cookie_cache.codec
 
     # -- topology -----------------------------------------------------------
 
@@ -173,67 +151,19 @@ class NetworkTestbed:
 
         class LarkNode(SwitchNode):
             """Runs the real LarkSwitch program on transiting QUIC
-            packets and injects aggregation packets toward the agg.
-
-            With ``batch_window_ms`` set, arriving packets queue in a
-            burst buffer and go through the columnar fast path
-            together; each packet is scheduled from the batch's
-            columns exactly as from its own result, after waiting out
-            the remainder of its window.
-            """
-
-            def __init__(self, name: str):
-                super().__init__(name)
-                self._pending: List[NetPacket] = []
-                self._flush_scheduled = False
+            packets and injects aggregation packets toward the agg."""
 
             def handle(self, packet: NetPacket) -> None:
                 if packet.protocol != "quic":
                     self.forward(packet)
                     return
-                if testbed.batch_window_ms <= 0:
-                    result = testbed.lark_device.process_quic_packet(
-                        ConnectionID(packet.headers["dcid"])
-                    )
-                    self._schedule_finish(
-                        packet, result.latency_ms,
-                        result.forwarded_original, result.aggregation_payload,
-                    )
-                    return
-                self._pending.append(packet)
-                if len(self._pending) >= testbed.batch_max:
-                    self._flush()
-                elif not self._flush_scheduled:
-                    self._flush_scheduled = True
-                    self.sim.schedule(testbed.batch_window_ms, self._flush)
-
-            def _flush(self) -> None:
-                self._flush_scheduled = False
-                pending, self._pending = self._pending, []
-                if not pending:
-                    return
-                batch = testbed.lark_device.process_quic_columnar(
-                    [ConnectionID(p.headers["dcid"]) for p in pending]
+                result = testbed.lark_device.process_quic_packet(
+                    ConnectionID(packet.headers["dcid"])
                 )
-                payload_of = dict(zip(batch.emitters, batch.payloads))
-                dropped = set(batch.dropped)
-                for i, (queued, latency_ms) in enumerate(
-                    zip(pending, batch.latency_ms)
-                ):
-                    self._schedule_finish(
-                        queued, latency_ms, i not in dropped,
-                        payload_of.get(i),
-                    )
+                payload = result.aggregation_payload
 
-            def _schedule_finish(
-                self,
-                packet: NetPacket,
-                latency_ms: float,
-                forward: bool,
-                payload: Optional[bytes],
-            ) -> None:
                 def finish() -> None:
-                    if forward:
+                    if result.forwarded_original:
                         self.forward(packet)
                     if payload is not None:
                         clone = NetPacket(
@@ -247,57 +177,24 @@ class NetworkTestbed:
                         )
                         self.send(clone)
 
-                self.sim.schedule(latency_ms, finish)
+                self.sim.schedule(result.latency_ms, finish)
 
         class AggNode(SwitchNode):
             """Merges aggregation packets, forwards results onward."""
-
-            def __init__(self, name: str):
-                super().__init__(name)
-                self._pending: List[NetPacket] = []
-                self._flush_scheduled = False
 
             def handle(self, packet: NetPacket) -> None:
                 if packet.protocol != "snatch-agg":
                     self.forward(packet)
                     return
-                if testbed.batch_window_ms <= 0:
-                    result = testbed.agg_device.process_packet(packet.payload)
-                    self._schedule_finish(
-                        packet, result.latency_ms, result.merged
-                    )
-                    return
-                self._pending.append(packet)
-                if len(self._pending) >= testbed.batch_max:
-                    self._flush()
-                elif not self._flush_scheduled:
-                    self._flush_scheduled = True
-                    self.sim.schedule(testbed.batch_window_ms, self._flush)
+                result = testbed.agg_device.process_packet(packet.payload)
 
-            def _flush(self) -> None:
-                self._flush_scheduled = False
-                pending, self._pending = self._pending, []
-                if not pending:
-                    return
-                batch = testbed.agg_device.process_columnar(
-                    [p.payload for p in pending]
-                )
-                merged = set(batch.merged_at)
-                for i, (queued, latency_ms) in enumerate(
-                    zip(pending, batch.latency_ms)
-                ):
-                    self._schedule_finish(queued, latency_ms, i in merged)
-
-            def _schedule_finish(
-                self, packet: NetPacket, latency_ms: float, merged: bool
-            ) -> None:
                 def finish() -> None:
-                    if merged:
+                    if result.merged:
                         self.forward(
                             packet.clone(dst="analytics", src=self.name)
                         )
 
-                self.sim.schedule(latency_ms, finish)
+                self.sim.schedule(result.latency_ms, finish)
 
         net.add_node(Node("client"))
         net.add_node(LarkNode("lark"))
@@ -342,22 +239,13 @@ class NetworkTestbed:
         )
         self.net.nodes["client"].send(packet)
 
-    def _result(
-        self,
-        latencies: Dict[int, float],
-        reference: Dict[str, Dict[Any, int]],
-    ) -> NetworkRunResult:
-        lark_agg = self.net.link("lark", "agg")
-        return NetworkRunResult(
-            latencies_ms=[latencies[i] for i in sorted(latencies)],
-            aggregation_packets=lark_agg.packets_sent,
-            aggregation_bytes=lark_agg.bytes_sent,
-            report=self.agg_device.report(_APP_ID),
-            reference=reference,
-            lost_packets=lark_agg.packets_lost,
-        )
-
     def run(self) -> NetworkRunResult:
+        """Pull-based ingest: the pump generates one micro-batch of
+        events (struct-of-arrays, no event objects), encodes its
+        cookies through the cache, schedules the sends, and re-arms
+        itself at the batch's last event time — so generation streams
+        alongside the simulation instead of front-loading the run.
+        The reference accumulates incrementally batch by batch."""
         latencies: Dict[int, float] = {}
         t0s: Dict[int, float] = {}
 
@@ -367,43 +255,6 @@ class NetworkTestbed:
                 latencies[request_id] = now_ms - t0s[request_id]
 
         self.analytics.on_receive = on_analytics
-        if not self.streaming_ingest:
-            return self._run_materialized(latencies, t0s)
-        return self._run_streaming(latencies, t0s)
-
-    def _run_materialized(
-        self, latencies: Dict[int, float], t0s: Dict[int, float]
-    ) -> NetworkRunResult:
-        """Pre-optimization reference ingest: materialize every event,
-        encode every cookie from scratch, schedule one closure each."""
-        events = self.workload.generate_events(
-            self.config.requests_per_second, self.config.duration_ms
-        )
-        for request_id, event in enumerate(events):
-            cid = self.codec.encode(
-                event.user.semantic_values(event.campaign, event.event_type)
-            )
-            t0s[request_id] = event.time_ms
-            self.net.sim.schedule_at(
-                event.time_ms,
-                partial(
-                    self._send_request, request_id, event.time_ms, bytes(cid)
-                ),
-            )
-        self.net.sim.run()
-        return self._result(
-            latencies, self.workload.reference_counts(events)
-        )
-
-    def _run_streaming(
-        self, latencies: Dict[int, float], t0s: Dict[int, float]
-    ) -> NetworkRunResult:
-        """Pull-based ingest: the pump generates one micro-batch of
-        events (struct-of-arrays, no event objects), encodes its
-        cookies through the cache, schedules the sends, and re-arms
-        itself at the batch's last event time — so generation streams
-        alongside the simulation instead of front-loading the run.
-        The reference accumulates incrementally batch by batch."""
         stream = self.workload.stream(
             self.config.requests_per_second, self.config.duration_ms
         )
@@ -415,7 +266,7 @@ class NetworkTestbed:
         next_id = [0]
 
         def pump() -> None:
-            cols = stream.generate_batch(self.ingest_batch)
+            cols = stream.generate_batch(_INGEST_BATCH)
             n = len(cols)
             if not n:
                 return
@@ -435,4 +286,12 @@ class NetworkTestbed:
 
         pump()
         sim.run()
-        return self._result(latencies, reference)
+        lark_agg = self.net.link("lark", "agg")
+        return NetworkRunResult(
+            latencies_ms=[latencies[i] for i in sorted(latencies)],
+            aggregation_packets=lark_agg.packets_sent,
+            aggregation_bytes=lark_agg.bytes_sent,
+            report=self.agg_device.report(_APP_ID),
+            reference=reference,
+            lost_packets=lark_agg.packets_lost,
+        )

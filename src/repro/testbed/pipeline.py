@@ -47,12 +47,7 @@ from repro.core.larkswitch import LarkBatchResult, LarkSwitch
 from repro.core.stats import counts_match
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.testbed.executor import (
-    BACKENDS,
-    ShardSpec,
-    _slice_part,
-    process_isolated,
-)
+from repro.testbed.executor import ShardSpec, _slice_part, process_isolated
 
 __all__ = [
     "ReorderInjector",
@@ -63,11 +58,11 @@ __all__ = [
     "PIPELINE_BACKENDS",
 ]
 
-# The in-process tiers plus the persistent-worker tier (the switch half
-# runs in a long-lived ring-fed process; see repro.testbed.worker).
-# Kept out of BACKENDS so suites that compare collected per-payload
-# AggResults — which never leave the worker — keep their parametrize
-# surface.
+# The in-process tiers, ascending: the P4-interpreter reference and the
+# columnar fast path.
+BACKENDS = ("scalar", "columnar")
+# Plus the persistent-worker tier (the switch half runs in a long-lived
+# ring-fed process; see repro.testbed.worker).
 PIPELINE_BACKENDS = BACKENDS + ("persistent",)
 
 class ReorderInjector:

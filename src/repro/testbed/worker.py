@@ -34,8 +34,8 @@ command               effect
 ====================  =====================================================
 
 Every command body is a pickle of under 64 bytes.  A worker starts
-from a freshly built replica — state never travels into one — and its
-backend is fixed when it is started.
+from a freshly built replica — state never travels into one — and
+folds every data slot through the replica's columnar entry point.
 
 Start-up: :func:`_start_context` picks one start method for every
 worker.  On Linux, in a process running exactly one Python thread, a
@@ -78,7 +78,7 @@ from dataclasses import replace
 from typing import Any, Collection, Dict, Iterable, List, Optional, Tuple
 
 from repro.chaos.shard_faults import ShardCrash, ShardFaultPlan
-from repro.testbed.executor import Replica, ShardSpec, _chunked, check_backend
+from repro.testbed.executor import Replica, ShardSpec, _chunked
 from repro.testbed.shm_ring import (
     KIND_CONTROL,
     ColumnRing,
@@ -119,7 +119,6 @@ def _worker_main(
     descriptor: Dict[str, Any],
     spec: ShardSpec,
     shard_index: int,
-    backend: str,
     conn,
     plan: Optional[ShardFaultPlan],
 ) -> None:
@@ -162,6 +161,9 @@ def _worker_main(
                 if op == "epoch":
                     replica.arm(*command[1:])
                 elif op == "rekey":
+                    # A reset rebuilds the replica from its spec, so the
+                    # spec carries the live key too.
+                    replica.spec = replace(replica.spec, key=command[1])
                     replica.switch.rekey_application(spec.app_id, command[1])
                 elif op == "period":
                     replica.switch.end_period()
@@ -178,11 +180,7 @@ def _worker_main(
                 continue
             # DATA slot.
             try:
-                replica.feed(
-                    view.columns() if backend == "columnar" else view.rows(),
-                    backend,
-                    continued=view.continued,
-                )
+                replica.feed(view.columns(), continued=view.continued)
             except ShardCrash:
                 # The in-process transport raises this to its caller; a
                 # persistent worker dies for real — the executor must
@@ -214,13 +212,11 @@ class ShardWorker:
         self,
         spec: ShardSpec,
         shard_index: int,
-        backend: str = "columnar",
         ring_capacity: int = 8,
         row_capacity: int = 4096,
         fault_plan: Optional[ShardFaultPlan] = None,
         reply_timeout_s: float = 60.0,
     ):
-        self.backend = check_backend(backend)
         if not shared_memory_available():
             raise RuntimeError(
                 "persistent workers need POSIX shared memory"
@@ -261,7 +257,6 @@ class ShardWorker:
                 self.ring.descriptor,
                 self.spec,
                 self.shard_index,
-                self.backend,
                 child_conn,
                 self.fault_plan,
             ),
@@ -435,7 +430,9 @@ class ShardWorker:
         )
 
     def rekey(self, new_key: bytes) -> None:
-        """Ring-ordered rekey: applies after every batch already pushed."""
+        """Ring-ordered rekey: applies after every batch already pushed,
+        and a respawn starts from the new key."""
+        self.spec = replace(self.spec, key=bytes(new_key))
         self._push_control(("rekey", bytes(new_key)), timeout=30.0)
 
     def end_period(self) -> None:
@@ -454,9 +451,6 @@ class ShardWorker:
         return self._recv_reply()
 
 
-_ZERO = {"packets": 0, "folded": 0, "unmerged": 0}
-
-
 class WorkerFleet:
     """The one owner of ring-fed worker lifecycle for a runtime.
 
@@ -465,28 +459,23 @@ class WorkerFleet:
     nothing else about workers: a set of shards
     is brought up together (processes started side by side by
     :func:`_start_context`'s method, then the readiness handshakes),
-    parts stream in ``chunk_size`` ring pushes on the backend the fleet
-    was built with, a drain barrier returns a worker's register
-    snapshot with its counter **deltas** since its previous drain
-    (worker counters are cumulative; the fleet keeps the bases), and a
-    dead worker is respawned on its own ring.
+    parts stream in ``chunk_size`` ring pushes, a drain barrier returns
+    a worker's register snapshot and counters and resets its replica,
+    and a dead worker is respawned on its own ring.
     """
 
     def __init__(
         self,
         spec: ShardSpec,
-        backend: str = "columnar",
         row_capacity: int = 4096,
         fault_plan: Optional[ShardFaultPlan] = None,
         reply_timeout_s: float = 60.0,
     ):
         self.spec = spec
-        self.backend = backend
         self.row_capacity = row_capacity
         self.fault_plan = fault_plan
         self.reply_timeout_s = reply_timeout_s
         self.workers: Dict[int, ShardWorker] = {}
-        self._bases: Dict[int, Dict[str, int]] = {}
 
     def bring_up(self, shards: Iterable[int]) -> None:
         """Make every shard in ``shards`` a live, ready worker.
@@ -506,7 +495,6 @@ class WorkerFleet:
                     fresh[shard] = ShardWorker(
                         self.spec,
                         shard,
-                        backend=self.backend,
                         row_capacity=self.row_capacity,
                         fault_plan=self.fault_plan,
                         reply_timeout_s=self.reply_timeout_s,
@@ -516,9 +504,7 @@ class WorkerFleet:
         except BaseException:
             _close_all(fresh.values())
             raise
-        for shard, worker in fresh.items():
-            self.workers[shard] = worker
-            self._bases[shard] = _ZERO
+        self.workers.update(fresh)
 
     def worker(self, shard: int) -> ShardWorker:
         """The live worker for ``shard`` — :meth:`bring_up` of that one
@@ -534,9 +520,7 @@ class WorkerFleet:
         fault plan's kill coordinates count these pushes, however many
         slots the ring splits one into)."""
         worker = self.worker(shard)
-        for chunk in _chunked(
-            part, chunk_size or self.row_capacity, self.backend
-        ):
+        for chunk in _chunked(part, chunk_size or self.row_capacity):
             worker.push_batch(chunk)
 
     def rekey(self, new_key: bytes) -> None:
@@ -548,27 +532,24 @@ class WorkerFleet:
             worker.rekey(new_key)
 
     def drain_shard(
-        self, shard: int, reset: bool = False
+        self, shard: int
     ) -> Tuple[Dict[str, List[int]], Dict[str, int]]:
-        """Barrier one worker.  Returns its register snapshot — the
-        checkpoint unit — and its counter deltas since its last drain."""
-        reply = self.workers[shard].drain(reset=reset)
-        counters, base = reply["counters"], self._bases[shard]
-        self._bases[shard] = _ZERO if reset else counters
-        return reply["snapshot"], {k: counters[k] - base[k] for k in _ZERO}
+        """Barrier one worker and reset its replica.  Returns its
+        register snapshot — the checkpoint unit — and its counters
+        since its last drain."""
+        reply = self.workers[shard].drain(reset=True)
+        return reply["snapshot"], reply["counters"]
 
     def respawn(self, shard: int) -> None:
         """Replace a dead or wedged worker on the SAME ring segment,
         fresh, for the replay."""
         self.workers[shard].respawn()
-        self._bases[shard] = _ZERO
 
     def close(self) -> None:
         """Shut every worker down and release the rings (idempotent;
         the fleet can be used again and respawns lazily)."""
         workers = list(self.workers.values())
         self.workers.clear()
-        self._bases.clear()
         _close_all(workers)
 
 

@@ -254,6 +254,20 @@ class TestFallback:
         assert ("lark", "reenroll") in kinds
         assert result.consistent
 
+    def test_kill_and_restart_mid_run_stays_consistent(self):
+        """The same outage under the swept seed."""
+        harness = ChaosHarness(seed=CHAOS_SEED)
+        harness.apply(
+            ChaosScenario("outage").crash("lark", at_ms=450.0, down_ms=220.0)
+        )
+        result = harness.run()
+        assert result.consistent
+        assert result.fallback_events > 0  # the crash actually bit
+        kinds = [(e[1], e[2]) for e in result.lifecycle]
+        assert ("lark", "crash") in kinds
+        assert ("lark", "restart") in kinds
+        assert ("lark", "reenroll") in kinds
+
     def test_no_crash_no_fallback(self):
         result = ChaosHarness(seed=3).run()
         assert result.fallback_events == 0
@@ -281,6 +295,10 @@ class TestAcceptance:
         second = self._run(CHAOS_SEED)
         assert first.fingerprint() == second.fingerprint()
         assert first.final_report == second.final_report
+
+    @pytest.mark.parametrize("seed", [0, 7, 9])
+    def test_deterministic_per_seed(self, seed):
+        assert self._run(seed).fingerprint() == self._run(seed).fingerprint()
 
     def test_different_seeds_differ(self):
         assert (

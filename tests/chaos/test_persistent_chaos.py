@@ -42,7 +42,6 @@ def _agg_spec(wl):
 def _executor(spec, plan=None, **kwargs):
     defaults = dict(
         shards=2,
-        backend="columnar",
         chunk_size=64,
         checkpoint_batches=2,
         max_retries=3,
@@ -183,12 +182,8 @@ class TestExecutorFallback:
         wl = DifferentialWorkload(seed=23)
         spec = _agg_spec(wl)
         packets = wl.payloads("uniform", 400)
-        reference = ShardExecutor(
-            spec, shards=2, backend="columnar"
-        ).run(packets)
-        with ShardExecutor(
-            spec, shards=2, backend="columnar", persistent=True
-        ) as executor:
+        reference = ShardExecutor(spec, shards=2).run(packets)
+        with ShardExecutor(spec, shards=2, persistent=True) as executor:
             warm = executor.run(packets)
             assert warm.used_workers
             executor._fleet.workers[1].kill()
@@ -206,12 +201,10 @@ class TestExecutorFallback:
         spec = _agg_spec(wl)
         packets = wl.payloads("uniform", 400)
         packets.insert(150, bytes(range(250)) * 20)
-        reference = ShardExecutor(
-            spec, shards=2, backend="columnar", chunk_size=64
-        ).run(packets)
+        reference = ShardExecutor(spec, shards=2, chunk_size=64).run(packets)
         with ShardExecutor(
-            spec, shards=2, backend="columnar", chunk_size=64,
-            persistent=True, sleep=lambda _s: None,
+            spec, shards=2, chunk_size=64, persistent=True,
+            sleep=lambda _s: None,
         ) as executor:
             result = executor.run(packets)
         assert result.used_workers, result.fallback_cause
@@ -234,8 +227,8 @@ class TestSoak:
         during = []
         drain_shard = WorkerFleet.drain_shard
 
-        def spy(fleet, shard, reset=False):
-            drained = drain_shard(fleet, shard, reset)
+        def spy(fleet, shard):
+            drained = drain_shard(fleet, shard)
             ring = fleet.workers[shard].ring
             during.append((len(ring), ring.capacity))
             return drained
@@ -279,7 +272,7 @@ class TestSoak:
         the ring segment must be unlinked by the parent."""
         wl = DifferentialWorkload(seed=59)
         spec = _agg_spec(wl)
-        worker = ShardWorker(spec, 0, backend="columnar")
+        worker = ShardWorker(spec, 0)
         try:
             assert worker.alive
             worker.kill()

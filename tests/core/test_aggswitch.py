@@ -571,10 +571,7 @@ class TestHostilePayloads:
             snapshots.append((agg.metrics.snapshot(), _registers(agg)))
         assert snapshots[0] == snapshots[1]
 
-    @pytest.mark.parametrize("backend", ("scalar", "columnar"))
-    def test_replica_counts_without_rendering_a_result(
-        self, backend, monkeypatch
-    ):
+    def test_replica_counts_without_rendering_a_result(self, monkeypatch):
         from repro.core import aggswitch
         from repro.testbed.executor import Replica, ShardSpec
 
@@ -599,13 +596,13 @@ class TestHostilePayloads:
             0,
         )
         del built[:]
-        replica.feed(batch, backend)
+        replica.feed(batch)
         assert replica.counters() == {
             "packets": len(batch), "folded": merged,
             "unmerged": len(batch) - merged,
         }
         assert replica.switch.merge(APP) == scalar.merge(APP)
-        assert bool(built) == (backend == "scalar")
+        assert not built
 
 
 def _per_packet_meters(agg):

@@ -239,46 +239,53 @@ def _single_switch(spec, payloads):
 
 
 @pytest.mark.parametrize("seed,shards", itertools.product(SEEDS, (2, 4, 7)))
-@pytest.mark.parametrize("backend", ("scalar", "columnar"))
+@pytest.mark.parametrize("kernels", (True, False), ids=("numpy", "python"))
 def test_shard_executor_agg_matches_single_switch(
-    seed, shards, backend, persistent
+    seed, shards, kernels, persistent
 ):
     """K aggregation pipes are the replica runtime: whatever the seed,
-    shard count, per-shard backend and transport, the folded snapshot and the
-    rendered report equal one AggSwitch fed the whole stream — a
-    wrapping SUM included, since the fold adds modulo the register
-    width like the register itself."""
+    shard count, kernel form and transport, the columnar shards' folded
+    snapshot and rendered report equal one scalar AggSwitch fed the
+    whole stream — a wrapping SUM included, since the fold adds modulo
+    the register width like the register itself.  Forked ring workers
+    inherit the parent's kernel form."""
     wl = DifferentialWorkload(seed)
-    for spec, streams in _agg_streams(wl):
-        # One executor per spec: a persistent fleet serves every stream.
-        with ShardExecutor(
-            spec, shards=shards, backend=backend, chunk_size=64,
-            persistent=persistent,
-        ) as executor:
-            for stream, payloads in streams.items():
-                single = _single_switch(spec, payloads)
-                result = executor.run(payloads)
-                assert result.used_workers == persistent, (
-                    stream, result.fallback_cause,
-                )
-                assert result.total_packets == len(payloads), stream
-                assert result.snapshot == single.merge(APP_ID), stream
-                assert result.report == single.report(APP_ID), stream
+    force_numpy(kernels)
+    try:
+        for spec, streams in _agg_streams(wl):
+            # One executor per spec: a persistent fleet serves every
+            # stream.
+            with ShardExecutor(
+                spec, shards=shards, chunk_size=64, persistent=persistent,
+            ) as executor:
+                for stream, payloads in streams.items():
+                    single = _single_switch(spec, payloads)
+                    result = executor.run(payloads)
+                    assert result.used_workers == persistent, (
+                        stream, result.fallback_cause,
+                    )
+                    assert result.total_packets == len(payloads), stream
+                    assert result.snapshot == single.merge(APP_ID), stream
+                    assert result.report == single.report(APP_ID), stream
+    finally:
+        force_numpy(None)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
-def test_shard_executor_lark_matches_single_switch(seed):
+def test_shard_executor_lark_matches_single_switch(seed, persistent):
     """Lark partition keeps each user's packets on one shard; the
-    merged snapshot equals the single-switch register state."""
+    merged snapshot equals the single scalar switch's register state,
+    inline and on ring workers."""
     wl = DifferentialWorkload(seed)
     cids = [bytes(c) for c in wl.cids("zipfian", PACKETS)]
     single = wl.new_lark()
     for cid in wl.cids("zipfian", PACKETS):
         single.process_quic_packet(cid)
-    executor = ShardExecutor(
-        _lark_spec(wl), shards=4, backend="columnar"
-    )
-    result = executor.run(cids)
+    with ShardExecutor(
+        _lark_spec(wl), shards=4, persistent=persistent
+    ) as executor:
+        result = executor.run(cids)
+    assert result.used_workers == persistent, result.fallback_cause
     stats = single._apps[APP_ID].stats
     assert result.snapshot == stats.snapshot()
     assert result.report == single.stats_report(APP_ID)
@@ -288,20 +295,17 @@ def test_shard_executor_lark_matches_single_switch(seed):
 
 
 def test_batch_backend_name_is_rejected_everywhere():
-    """There are two tiers.  The retired ``"batch"`` name is an error at
-    every ``backend=`` entry point, never an alias."""
-    from repro.chaos import ChaosHarness
+    """There are two switch tiers.  The retired ``"batch"`` name is an
+    error at every ``backend=`` entry point, never an alias; and shards
+    run columnar only, so ``"scalar"`` is an error for the executor."""
     from repro.testbed.pipeline import StreamingPipeline
-    from repro.testbed.worker import ShardWorker, WorkerFleet
 
     wl = DifferentialWorkload(SEEDS[0])
     spec = _agg_spec(wl)
     attempts = (
         lambda: ShardExecutor(spec, backend="batch"),
-        lambda: ShardWorker(spec, 0, backend="batch"),
-        lambda: WorkerFleet(spec, backend="batch").worker(0),
+        lambda: ShardExecutor(spec, backend="scalar"),
         lambda: StreamingPipeline(wl.workload, backend="batch"),
-        lambda: ChaosHarness(backend="batch"),
     )
     for attempt in attempts:
         with pytest.raises(ValueError):

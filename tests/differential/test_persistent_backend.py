@@ -3,9 +3,10 @@
 A long-lived shard worker fed over a shared-memory columnar ring is
 only an optimization if it changes nothing observable: every run that
 streams through :mod:`repro.testbed.worker` must equal the in-process
-scalar / columnar paths byte for byte — merged register
-snapshots, rendered reports, per-shard packet/fold counters, streamed
-pipeline observables — at five seeds, across the uniform / zipfian /
+columnar shards and one scalar switch byte for byte — merged register
+snapshots, rendered reports, per-shard packet/fold counters — and the
+streamed pipeline's observables must equal its in-process tiers', at
+five seeds, across the uniform / zipfian /
 adversarial workload shapes, sharded and unsharded, for both switch
 kinds, including mid-run rekey and forwarding-period boundaries.
 
@@ -15,6 +16,7 @@ The whole module skips where POSIX shared memory is unavailable.
 import pytest
 
 from repro.core.aggregation import ForwardingMode
+from repro.quic.connection_id import ConnectionID
 from repro.testbed.executor import ShardExecutor, ShardSpec
 from repro.testbed.pipeline import StreamingPipeline
 from repro.testbed.shm_ring import shared_memory_available
@@ -45,7 +47,7 @@ def _agg_spec(wl: DifferentialWorkload) -> ShardSpec:
 
 def _lark_spec(wl: DifferentialWorkload) -> ShardSpec:
     # dedup off so results depend only on packet order, not arrival
-    # timing — the property every backend must then agree on.
+    # timing — the property every transport must then agree on.
     return ShardSpec(
         kind="lark", app_id=APP_ID, schema=wl.schema, key=wl.key,
         specs=tuple(wl.specs), seed=7, dedup=False,
@@ -61,15 +63,33 @@ def _observables(result):
     )
 
 
-def _inline(spec, packets, shards, backend):
-    executor = ShardExecutor(
-        spec, shards=shards, backend=backend, chunk_size=96
-    )
+def _inline(spec, packets, shards):
+    executor = ShardExecutor(spec, shards=shards, chunk_size=96)
     return _observables(executor.run(packets))
 
 
+def _single_switch(wl, spec, packets):
+    """One scalar switch fed every packet: the merged snapshot and the
+    report every shard run must reproduce."""
+    if spec.kind == "agg":
+        agg = wl.new_agg()
+        for payload in packets:
+            agg.process_packet(payload)
+        return agg.checkpoint(APP_ID), agg.report(APP_ID)
+    lark = wl.new_lark()
+    for cid in packets:
+        lark.process_quic_packet(ConnectionID(cid))
+    return lark.checkpoint(APP_ID), lark.stats_report(APP_ID)
+
+
+def _assert_matches(wl, spec, packets, shards, got, label):
+    assert got == _inline(spec, packets, shards), label
+    assert got[:2] == _single_switch(wl, spec, packets), label
+
+
 class TestExecutorSharded:
-    """Persistent fleet vs the in-process backends, 2-way sharded.
+    """Persistent fleet vs in-process shards and one scalar switch,
+    2-way sharded.
 
     One fleet per seed is reused across all three workload shapes
     (``drain(reset=True)`` returns every worker replica to pristine
@@ -82,36 +102,32 @@ class TestExecutorSharded:
         wl = DifferentialWorkload(seed=seed)
         spec = _agg_spec(wl)
         with ShardExecutor(
-            spec, shards=2, backend="columnar", chunk_size=96,
-            persistent=True,
+            spec, shards=2, chunk_size=96, persistent=True,
         ) as executor:
             for shape in SHAPES:
                 packets = wl.payloads(shape, PACKETS)
                 result = executor.run(packets)
                 assert result.used_workers, (shape, result.fallback_cause)
-                got = _observables(result)
-                for backend in INLINE_BACKENDS:
-                    assert got == _inline(spec, packets, 2, backend), (
-                        seed, shape, backend,
-                    )
+                _assert_matches(
+                    wl, spec, packets, 2, _observables(result),
+                    (seed, shape),
+                )
 
     @pytest.mark.parametrize("seed", SEEDS[:2])
     def test_lark_cid_stream_matches(self, seed):
         wl = DifferentialWorkload(seed=seed)
         spec = _lark_spec(wl)
         with ShardExecutor(
-            spec, shards=2, backend="columnar", chunk_size=96,
-            persistent=True,
+            spec, shards=2, chunk_size=96, persistent=True,
         ) as executor:
             for shape in SHAPES:
                 packets = [bytes(c) for c in wl.cids(shape, PACKETS)]
                 result = executor.run(packets)
                 assert result.used_workers, (shape, result.fallback_cause)
-                got = _observables(result)
-                for backend in INLINE_BACKENDS:
-                    assert got == _inline(spec, packets, 2, backend), (
-                        seed, shape, backend,
-                    )
+                _assert_matches(
+                    wl, spec, packets, 2, _observables(result),
+                    (seed, shape),
+                )
 
     def test_skewed_partition_matches(self):
         """The hash-collision adversary: most packets land on one
@@ -120,13 +136,12 @@ class TestExecutorSharded:
         spec = _agg_spec(wl)
         packets = wl.skewed_payloads(PACKETS, shards=2)
         with ShardExecutor(
-            spec, shards=2, backend="columnar", chunk_size=32,
-            persistent=True,
+            spec, shards=2, chunk_size=32, persistent=True,
         ) as executor:
             result = executor.run(packets)
             assert result.used_workers, result.fallback_cause
-            assert _observables(result) == _inline(
-                spec, packets, 2, "columnar"
+            _assert_matches(
+                wl, spec, packets, 2, _observables(result), "skewed"
             )
 
 
@@ -136,37 +151,16 @@ class TestExecutorUnsharded:
         wl = DifferentialWorkload(seed=seed)
         spec = _agg_spec(wl)
         with ShardExecutor(
-            spec, shards=1, backend="columnar", chunk_size=96,
-            persistent=True,
+            spec, shards=1, chunk_size=96, persistent=True,
         ) as executor:
             for shape in SHAPES:
                 packets = wl.payloads(shape, PACKETS)
                 result = executor.run(packets)
                 assert result.used_workers, (shape, result.fallback_cause)
-                got = _observables(result)
-                for backend in INLINE_BACKENDS:
-                    assert got == _inline(spec, packets, 1, backend), (
-                        seed, shape, backend,
-                    )
-
-
-class TestWorkerBackendSelection:
-    """The worker honors the scalar per-shard backend too: the ring
-    transport is orthogonal to the compute tier it feeds."""
-
-    def test_worker_runs_requested_backend(self):
-        wl = DifferentialWorkload(seed=SEEDS[2])
-        spec = _agg_spec(wl)
-        packets = wl.payloads("zipfian", PACKETS)
-        with ShardExecutor(
-            spec, shards=2, backend="scalar", chunk_size=96,
-            persistent=True,
-        ) as executor:
-            result = executor.run(packets)
-            assert result.used_workers, result.fallback_cause
-            assert _observables(result) == _inline(
-                spec, packets, 2, "scalar"
-            )
+                _assert_matches(
+                    wl, spec, packets, 1, _observables(result),
+                    (seed, shape),
+                )
 
 
 # -- streamed pipeline ------------------------------------------------------

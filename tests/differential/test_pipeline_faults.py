@@ -16,6 +16,7 @@ import pytest
 from repro.core.aggregation import ForwardingMode
 from repro.core.aggswitch import AggResult
 from repro.obs.registry import MetricsRegistry
+from repro.quic.connection_id import ConnectionID
 from repro.testbed.executor import Replica, ShardSpec, process_isolated
 from repro.testbed.pipeline import BACKENDS, StreamingPipeline
 from repro.workloads.adcampaign import AdCampaignWorkload
@@ -240,8 +241,7 @@ class TestPoisonIsolation:
         assert result.dead_letters == 1
         assert result.merged == result.payloads - 1
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_replica_leaves_the_poison_unfolded(self, backend):
+    def test_replica_leaves_the_poison_unfolded(self):
         pipe = _pipe("columnar", mode=ForwardingMode.PER_PACKET)
         payloads = []
         pipe.half._deliver = payloads.extend
@@ -254,19 +254,17 @@ class TestPoisonIsolation:
             ),
             0,
         )
-        replica._process[backend] = self._poisoning(
-            replica._process[backend]
-        )
-        replica.feed(payloads[:50], backend)
+        replica._process = self._poisoning(replica._process)
+        replica.feed(payloads[:50])
         assert replica.counters() == {
             "packets": 50, "folded": 49, "unmerged": 1,
         }
 
 
 class TestLarkReplicaCounters:
-    """A lark replica counts folded packets off ``LarkResult.folded``:
-    the same count on both backends, and on the columnar one without
-    rendering a single value dict from its wire rows."""
+    """A lark replica counts folded packets off the columnar batch: the
+    count a scalar switch folds, without rendering a single value dict
+    from its wire rows."""
 
     def test_folded_count_needs_no_rendered_values(self, monkeypatch):
         import random
@@ -296,12 +294,15 @@ class TestLarkReplicaCounters:
             TransportCookieCodec, "values_from_row",
             lambda self, row: rendered.append(row) or render(self, row),
         )
-        counters = {}
-        for backend in BACKENDS:
-            replica = Replica(spec, 0)
-            replica.feed(rows, backend)
-            counters[backend] = replica.counters()
-        assert counters["columnar"] == counters["scalar"]
-        assert 0 < counters["scalar"]["folded"] < 300
-        assert counters["scalar"]["packets"] == 340
+        replica = Replica(spec, 0)
+        replica.feed(rows)
         assert rendered == []
+        scalar = Replica(spec, 0).switch
+        folded = sum(
+            scalar.process_quic_packet(ConnectionID(row)).folded
+            for row in rows
+        )
+        assert 0 < folded < 300
+        assert replica.counters() == {
+            "packets": 340, "folded": folded, "unmerged": 340 - folded,
+        }

@@ -7,12 +7,12 @@ a one-shard run byte for byte, whatever the shard count and however
 lopsided the split.  (Per-shard packet counts differ between shard
 counts; the snapshot and report are the cross-split comparands.)
 
-Covered here, at three seeds each: the inline executor across the
-scalar and columnar backends for agg and lark shards, a hash-adversary
-stream that piles most packets on one shard, several shard counts
-against each other and the persistent ring-fed executor — plus the
-check that an explicit ``PartitionMap`` reproduces the default split
-exactly, per-shard packet counts included.
+Covered here, at three seeds each: agg shards, inline and on ring-fed
+workers, against one shard and one scalar switch; lark shards; a
+hash-adversary stream that piles most packets on one shard; several
+shard counts against each other — plus the check that an explicit
+``PartitionMap`` reproduces the default split exactly, per-shard
+packet counts included.
 """
 
 import pytest
@@ -30,11 +30,14 @@ from tests.differential.workloads import (
 
 SEEDS = (11, 23, 37)
 PACKETS = 400
-BACKENDS = ("scalar", "columnar")
 
-needs_shm = pytest.mark.skipif(
-    not shared_memory_available(),
-    reason="POSIX shared memory unavailable",
+TRANSPORTS = pytest.mark.parametrize(
+    "persistent",
+    [False, pytest.param(True, marks=pytest.mark.skipif(
+        not shared_memory_available(),
+        reason="POSIX shared memory unavailable",
+    ))],
+    ids=["inline", "workers"],
 )
 
 
@@ -52,12 +55,10 @@ def _lark_spec(wl: DifferentialWorkload) -> ShardSpec:
     )
 
 
-def _executor(spec, backend="columnar", placement=None, shards=2,
-              persistent=False):
+def _executor(spec, placement=None, shards=2, persistent=False):
     return ShardExecutor(
         spec,
         shards=shards,
-        backend=backend,
         chunk_size=32,
         checkpoint_batches=2,
         registry=MetricsRegistry(),
@@ -70,15 +71,24 @@ class TestExecutorSplit:
     """The inline executor on several shards vs one shard."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_agg_split_matches_one_shard(self, seed, backend):
+    @TRANSPORTS
+    def test_agg_split_matches_one_shard(self, seed, persistent):
         wl = DifferentialWorkload(seed=seed)
         spec = _agg_spec(wl)
         packets = wl.payloads("zipfian", PACKETS)
-        whole = _executor(spec, backend, shards=1).run(packets)
-        split = _executor(spec, backend, shards=3).run(packets)
-        assert split.snapshot == whole.snapshot, (seed, backend)
-        assert split.report == whole.report, (seed, backend)
+        single = wl.new_agg()
+        for payload in packets:
+            single.process_packet(payload)
+        whole = _executor(spec, shards=1).run(packets)
+        with _executor(
+            spec, shards=3, persistent=persistent
+        ) as executor:
+            split = executor.run(packets)
+        assert split.used_workers == persistent, split.fallback_cause
+        assert split.snapshot == whole.snapshot, seed
+        assert split.report == whole.report, seed
+        assert split.snapshot == single.checkpoint(APP_ID), seed
+        assert split.report == single.report(APP_ID), seed
         assert split.shard_packets == [
             sum(1 for p in packets if crc32(p) % 3 == s) for s in range(3)
         ]
@@ -88,8 +98,8 @@ class TestExecutorSplit:
         wl = DifferentialWorkload(seed=seed)
         spec = _lark_spec(wl)
         packets = [bytes(c) for c in wl.cids("zipfian", PACKETS)]
-        whole = _executor(spec, "columnar", shards=1).run(packets)
-        split = _executor(spec, "columnar", shards=3).run(packets)
+        whole = _executor(spec, shards=1).run(packets)
+        split = _executor(spec, shards=3).run(packets)
         assert split.snapshot == whole.snapshot, seed
         assert split.report == whole.report, seed
         assert split.shard_packets == [
@@ -106,8 +116,8 @@ class TestExecutorSplit:
         pool = wl.payloads("uniform", PACKETS)
         hot = [p for p in pool if crc32(p) % 2 == 0]
         packets = pool[:PACKETS // 4] + (hot * 4)[:PACKETS * 3 // 4]
-        whole = _executor(spec, "columnar", shards=1).run(packets)
-        split = _executor(spec, "columnar", shards=2).run(packets)
+        whole = _executor(spec, shards=1).run(packets)
+        split = _executor(spec, shards=2).run(packets)
         assert split.shard_packets[0] > 3 * split.shard_packets[1], seed
         assert split.snapshot == whole.snapshot, seed
         assert split.report == whole.report, seed
@@ -118,9 +128,9 @@ class TestExecutorSplit:
         wl = DifferentialWorkload(seed=SEEDS[0])
         spec = _agg_spec(wl)
         packets = wl.payloads("uniform", PACKETS)
-        static = _executor(spec, "columnar").run(packets)
+        static = _executor(spec).run(packets)
         mapped = _executor(
-            spec, "columnar", placement=PartitionMap(shards=2)
+            spec, placement=PartitionMap(shards=2)
         ).run(packets)
         assert mapped.shards == 2
         assert mapped.shard_packets == static.shard_packets
@@ -134,9 +144,7 @@ class TestExecutorSplit:
         spec = _agg_spec(wl)
         packets = wl.payloads("zipfian", PACKETS)
         runs = {
-            n: ShardExecutor(
-                spec, shards=n, backend="columnar", chunk_size=96,
-            ).run(packets)
+            n: ShardExecutor(spec, shards=n, chunk_size=96).run(packets)
             for n in (2, 5, 7)
         }
         for n, result in runs.items():
@@ -144,22 +152,3 @@ class TestExecutorSplit:
             assert result.total_packets == len(packets)
             assert result.snapshot == runs[2].snapshot, (seed, n)
             assert result.report == runs[2].report, (seed, n)
-
-
-@needs_shm
-class TestExecutorSplitPersistent:
-    """The split on real ring-fed worker processes."""
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_persistent_split_matches_inline(self, seed):
-        wl = DifferentialWorkload(seed=seed)
-        spec = _agg_spec(wl)
-        packets = wl.payloads("zipfian", PACKETS)
-        inline = _executor(spec, "columnar", shards=1).run(packets)
-        with _executor(
-            spec, "columnar", shards=2, persistent=True,
-        ) as executor:
-            ringed = executor.run(packets)
-        assert ringed.used_workers, ringed.fallback_cause
-        assert ringed.snapshot == inline.snapshot, seed
-        assert ringed.report == inline.report, seed

@@ -1,11 +1,11 @@
 """Golden end-to-end conformance: the full pipeline, byte-compared.
 
 One pinned scenario — clients -> web -> LarkSwitch -> AggSwitch ->
-analytics over the DES network, with aggregation-link loss *and* the
-batched data plane (the switches' columnar entry points) enabled — is
-serialized to canonical JSON and compared byte-for-byte against a
-checked-in golden file.  Any drift in the simulator, the crypto, the statistics layout,
-the batch fast path, or the metrics namespace shows up as a diff here.
+analytics over the DES network, each switch running its per-packet
+entry point, with aggregation-link loss enabled — is serialized to
+canonical JSON and compared byte-for-byte against a checked-in golden
+file.  Any drift in the simulator, the crypto, the statistics layout,
+the switch programs, or the metrics namespace shows up as a diff here.
 
 Regenerate deliberately with::
 
@@ -49,8 +49,6 @@ def run_pinned_scenario():
         testbed = NetworkTestbed(
             config=config,
             agg_loss_rate=0.2,      # faults on: lossy lark->agg link
-            batch_window_ms=5.0,    # batched data plane
-            batch_max=64,
         )
         result = testbed.run()
         metrics = registry.snapshot()
@@ -61,8 +59,6 @@ def run_pinned_scenario():
             "requests_per_second": config.requests_per_second,
             "duration_ms": config.duration_ms,
             "agg_loss_rate": 0.2,
-            "batch_window_ms": 5.0,
-            "batch_max": 64,
         },
         "completed_requests": len(result.latencies_ms),
         "latencies_ms": result.latencies_ms,

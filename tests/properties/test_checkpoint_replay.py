@@ -11,7 +11,6 @@ holds fold state:
   (count-by-class, sum, avg) and the non-additive min/max folds —
   via ``LarkSwitch.checkpoint``/``restore`` on the scalar and the
   columnar path (both kernel forms) and the ``AggSwitch`` equivalents;
-* the Bloom filter (period dedup) via ``snapshot``/``load_snapshot``;
 * the count-min sketch via ``snapshot``/``load_snapshot``.
 
 Each case runs the same seeded stream uninterrupted and interrupted at
@@ -31,7 +30,6 @@ from repro.core.stats import StatKind, StatSpec
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.obs.registry import MetricsRegistry
 from repro.switch import columns
-from repro.switch.bloom import BloomFilter
 from repro.switch.sketch import CountMinSketch
 
 SEEDS = (2, 29, 83)
@@ -268,39 +266,6 @@ class TestAggRegisterReplay:
         checkpoint["user_quantiles"] = [0]
         with pytest.raises(KeyError):
             agg.restore(APP_ID, checkpoint)
-
-
-class TestBloomReplay:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_restore_and_replay_tail_matches(self, seed):
-        rng = random.Random(seed)
-        keys = [
-            rng.getrandbits(64).to_bytes(8, "big") for _ in range(300)
-        ]
-        cut = rng.randrange(1, len(keys))
-
-        uninterrupted = BloomFilter(size_bits=2048, num_hashes=3)
-        answers = [uninterrupted.add(k) for k in keys]
-
-        first = BloomFilter(size_bits=2048, num_hashes=3)
-        for k in keys[:cut]:
-            first.add(k)
-        snapshot = first.snapshot()
-
-        recovered = BloomFilter(size_bits=2048, num_hashes=3)
-        recovered.load_snapshot(snapshot)
-        tail_answers = [recovered.add(k) for k in keys[cut:]]
-
-        assert recovered.snapshot() == uninterrupted.snapshot()
-        assert recovered.items_added == uninterrupted.items_added
-        # membership answers on the tail are also unchanged
-        assert tail_answers == answers[cut:]
-
-    def test_shape_mismatch_rejected(self):
-        small = BloomFilter(size_bits=64, num_hashes=2)
-        big = BloomFilter(size_bits=128, num_hashes=2)
-        with pytest.raises(ValueError):
-            big.load_snapshot(small.snapshot())
 
 
 class TestSketchReplay:

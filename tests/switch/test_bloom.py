@@ -139,68 +139,3 @@ class TestBloomParameters:
         for i in range(100):
             bloom.add(b"k%d" % i)
         assert all(bloom.contains(b"k%d" % i) for i in range(100))
-
-
-class TestSnapshotRestore:
-    def test_roundtrip(self):
-        bloom = BloomFilter(2048, 3)
-        for i in range(200):
-            bloom.add(b"user-%d" % i)
-        snap = bloom.snapshot()
-        fresh = BloomFilter(2048, 3)
-        fresh.load_snapshot(snap)
-        assert fresh.items_added == bloom.items_added
-        assert all(fresh.contains(b"user-%d" % i) for i in range(200))
-        assert fresh.snapshot() == snap
-
-    def test_size_mismatch_rejected(self):
-        bloom = BloomFilter(1024, 3)
-        with pytest.raises(ValueError):
-            bloom.load_snapshot({"bits": [0] * 512, "items_added": 0})
-
-    def test_restore_uses_bulk_load_not_per_cell_writes(self, monkeypatch):
-        """Regression: load_snapshot used to call RegisterArray.write
-        once per bit, which at 1M-user sizing (~9.6M bits) dominated
-        every epoch restore.  It must go through one bulk load."""
-        from repro.switch.registers import RegisterArray
-
-        bloom = BloomFilter(4096, 3)
-        for i in range(300):
-            bloom.add(b"k%d" % i)
-        snap = bloom.snapshot()
-
-        calls = {"write": 0, "load": 0}
-        real_write = RegisterArray.write
-        real_load = RegisterArray.load
-
-        def spy_write(self, index, value):
-            calls["write"] += 1
-            return real_write(self, index, value)
-
-        def spy_load(self, values):
-            calls["load"] += 1
-            return real_load(self, values)
-
-        monkeypatch.setattr(RegisterArray, "write", spy_write)
-        monkeypatch.setattr(RegisterArray, "load", spy_load)
-        fresh = BloomFilter(4096, 3)
-        fresh.load_snapshot(snap)
-        assert calls["write"] == 0
-        assert calls["load"] == 1
-        assert fresh.snapshot() == snap
-
-    def test_restore_latency_scales_to_large_filters(self):
-        """The bulk path keeps a ~1M-bit restore well under a second
-        (the old loop took tens of seconds at this size)."""
-        import time
-
-        bloom = BloomFilter(1 << 20, 2)
-        for i in range(1000):
-            bloom.add(b"u%d" % i)
-        snap = bloom.snapshot()
-        fresh = BloomFilter(1 << 20, 2)
-        start = time.perf_counter()
-        fresh.load_snapshot(snap)
-        elapsed = time.perf_counter() - start
-        assert elapsed < 2.0
-        assert fresh.items_added == 1000

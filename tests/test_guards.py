@@ -213,6 +213,17 @@ GUARDS = (
         "controller = PlacementController(shards=4)",
         "Delete elastic placement; split shards by crc32 % shards",
     ),
+    Guard(
+        # The packet simulator's switch nodes run the per-packet
+        # programs on a streamed ingest; shards fold columnar.
+        "test-only-data-plane-modes",
+        "streaming_ingest|_run_materialized|ingest_batch|batch_window_ms|"
+        "batch_max|check_backend",
+        ("src",),
+        "testbed = NetworkTestbed(config, batch_window_ms=5.0)",
+        "One data-plane path per harness: delete the execution modes "
+        "that only tests select",
+    ),
 )
 
 

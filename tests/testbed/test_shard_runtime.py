@@ -7,12 +7,13 @@ the recovery replays only the failed epoch's tail, never the whole
 stream.
 
 Almost everything here runs over the in-process transport so the
-assertions are exact and cheap; one parametrised case drives the same
-scripted kill through both transports (in-process, ring-fed workers)
-and pins what may never differ between them.  The ring-worker cases
-also pin the loop's shape: every busy shard's epoch is pushed before
-any is drained, and one executor's consecutive runs never see each
-other's state.
+assertions are exact and cheap; the parametrised cases drive the same
+streams and scripted kills through both transports (in-process,
+ring-fed workers), check the columnar shards against one scalar switch
+fed the whole stream, and pin what may never differ between them.
+The ring-worker cases also pin the loop's shape: every busy shard's
+epoch is pushed before any is drained, and one executor's consecutive
+runs never see each other's state.
 """
 
 import pytest
@@ -20,6 +21,7 @@ import pytest
 from repro.chaos import ShardCrash, ShardFaultPlan
 from repro.core.aggregation import ForwardingMode
 from repro.obs.registry import MetricsRegistry
+from repro.quic.connection_id import ConnectionID
 from repro.testbed.executor import (
     BACKOFF_BASE_S,
     BACKOFF_MAX_S,
@@ -75,10 +77,18 @@ def _stream(fixture, packets=600):
     return [bytes(c) for c in fixture.cids("uniform", packets)]
 
 
+def _single_lark(fixture, stream):
+    """One scalar LarkSwitch fed the whole stream, packet by packet:
+    the reference every sharded lark run must equal."""
+    lark = fixture.new_lark()
+    for cid in stream:
+        lark.process_quic_packet(ConnectionID(cid))
+    return lark.checkpoint(APP_ID), lark.stats_report(APP_ID)
+
+
 def _executor(spec, plan=None, **kwargs):
     defaults = dict(
         shards=3,
-        backend="columnar",
         chunk_size=32,
         checkpoint_batches=2,
         fault_plan=plan,
@@ -90,20 +100,24 @@ def _executor(spec, plan=None, **kwargs):
 
 
 class TestFaultFreeEquivalence:
-    """No faults: checkpointing every epoch changes nothing."""
+    """No faults: checkpointing every epoch changes nothing, and the
+    columnar shards equal one scalar switch."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("backend", ["scalar", "columnar"])
-    def test_matches_one_epoch_run_on_lark(self, seed, backend):
+    @TRANSPORTS
+    def test_matches_one_epoch_run_on_lark(self, seed, persistent):
         fixture = DifferentialWorkload(seed, num_users=150)
         stream = _stream(fixture)
         spec = _lark_spec(fixture)
-        reference = ShardExecutor(
-            spec, shards=3, backend=backend, chunk_size=64
-        ).run(stream)
-        checkpointed = _executor(spec, backend=backend).run(stream)
+        reference = ShardExecutor(spec, shards=3, chunk_size=64).run(stream)
+        with _executor(spec, persistent=persistent) as executor:
+            checkpointed = executor.run(stream)
+        assert checkpointed.used_workers == persistent
         assert checkpointed.snapshot == reference.snapshot
         assert checkpointed.report == reference.report
+        assert (checkpointed.snapshot, checkpointed.report) == _single_lark(
+            fixture, stream
+        )
         assert checkpointed.crashes == 0
         assert checkpointed.retries == 0
         assert checkpointed.recovered_packets == 0
@@ -114,9 +128,7 @@ class TestFaultFreeEquivalence:
         fixture = DifferentialWorkload(5, num_users=150)
         payloads = fixture.payloads("uniform", 400)
         spec = _agg_spec(fixture)
-        reference = ShardExecutor(
-            spec, shards=3, backend="columnar", chunk_size=64
-        ).run(payloads)
+        reference = ShardExecutor(spec, shards=3, chunk_size=64).run(payloads)
         checkpointed = _executor(spec).run(payloads)
         assert checkpointed.snapshot == reference.snapshot
         assert checkpointed.report == reference.report
@@ -135,17 +147,20 @@ class TestFaultFreeEquivalence:
 
 class TestCrashRecovery:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("backend", ["scalar", "columnar"])
-    def test_scripted_kill_recovers_bit_identical(self, seed, backend):
+    @TRANSPORTS
+    def test_scripted_kill_recovers_bit_identical(self, seed, persistent):
         fixture = DifferentialWorkload(seed, num_users=150)
         stream = _stream(fixture)
         spec = _lark_spec(fixture)
-        baseline = _executor(spec).run(stream)
         plan = ShardFaultPlan(seed=seed).kill_shard(1, at_batch=2)
-        executor = _executor(spec, plan=plan, backend=backend)
-        faulted = executor.run(stream)
-        assert faulted.snapshot == baseline.snapshot
-        assert faulted.report == baseline.report
+        with _executor(
+            spec, plan=plan, persistent=persistent
+        ) as executor:
+            faulted = executor.run(stream)
+        assert faulted.used_workers == persistent
+        assert (faulted.snapshot, faulted.report) == _single_lark(
+            fixture, stream
+        )
         assert faulted.crashes == 1
         assert faulted.retries == 1
         # tail-only recovery: at most one epoch replayed per crash
@@ -225,11 +240,11 @@ class TestCrashRecovery:
             _agg_spec(fixture), 0, ShardFaultPlan().kill_shard(0, at_batch=1)
         )
         replica.arm(0, 0, 0)
-        replica.feed(payloads[:20], "columnar")
-        replica.feed(payloads[20:40], "columnar", continued=True)
+        replica.feed(payloads[:20])
+        replica.feed(payloads[20:40], continued=True)
         assert replica.counters()["packets"] == 40
         with pytest.raises(ShardCrash, match="batch 1 "):
-            replica.feed(payloads[40:], "columnar")
+            replica.feed(payloads[40:])
         assert replica.counters()["packets"] == 40
 
 
@@ -486,15 +501,14 @@ class TestExecutorFallbackCause:
         monkeypatch.setattr(multiprocessing, "get_context", _broken)
         registry = MetricsRegistry()
         executor = ShardExecutor(
-            spec, shards=2, backend="columnar", registry=registry,
-            persistent=True,
+            spec, shards=2, registry=registry, persistent=True,
         )
         result = executor.run(stream)
         assert not result.used_workers
         assert result.fallback_cause is not None
         assert executor.last_error == result.fallback_cause
         assert registry.value("shard_executor.worker_fallbacks") == 1
-        reference = ShardExecutor(spec, shards=2, backend="columnar").run(stream)
+        reference = ShardExecutor(spec, shards=2).run(stream)
         assert result.snapshot == reference.snapshot
         assert result.report == reference.report
 
@@ -503,8 +517,7 @@ class TestExecutorFallbackCause:
         stream = _stream(fixture, packets=200)
         spec = _lark_spec(fixture)
         result = ShardExecutor(
-            spec, shards=2, backend="columnar",
-            registry=MetricsRegistry(),
+            spec, shards=2, registry=MetricsRegistry()
         ).run(stream)
         assert not result.used_workers
         assert result.fallback_cause is None

@@ -158,7 +158,6 @@ def _killed_executor_run():
     with ShardExecutor(
         spec,
         shards=2,
-        backend="columnar",
         chunk_size=64,
         checkpoint_batches=2,
         fault_plan=ShardFaultPlan(seed=3).kill_shard(1, at_batch=3),
@@ -224,7 +223,7 @@ def test_forked_workers_leave_every_segment_to_its_owner():
     wl, spec = _spec("agg")
     payloads = wl.payloads("uniform", 200)
     before = set(os.listdir(_SHM_DIR))
-    fleet = WorkerFleet(spec, backend="columnar", row_capacity=64)
+    fleet = WorkerFleet(spec, row_capacity=64)
     try:
         fleet.bring_up(range(2))
         zero, one = fleet.workers[0], fleet.workers[1]
@@ -243,9 +242,9 @@ def test_forked_workers_leave_every_segment_to_its_owner():
         fleet.respawn(0)
         assert _segment(zero) == segments[0]
         fleet.push(0, payloads, 64)
-        _snapshot, delta = fleet.drain_shard(0)
-        assert delta["packets"] == len(payloads)
-        assert delta["folded"] == len(payloads)
+        _snapshot, counters = fleet.drain_shard(0)
+        assert counters["packets"] == len(payloads)
+        assert counters["folded"] == len(payloads)
         assert segments[0] in os.listdir(_SHM_DIR)
     finally:
         fleet.close()
@@ -262,7 +261,7 @@ def test_an_inherited_owner_finalizer_does_not_unlink():
 
     _wl, spec = _spec("agg")
     before = set(os.listdir(_SHM_DIR))
-    with ShardWorker(spec, 0, backend="columnar", row_capacity=64) as owner:
+    with ShardWorker(spec, 0, row_capacity=64) as owner:
         owner.await_ready()
         child = multiprocessing.get_context("fork").Process(
             target=_run_inherited_finalizer, args=(owner,)

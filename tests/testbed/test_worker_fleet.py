@@ -45,7 +45,7 @@ _OWNER = textwrap.dedent(
             specs=tuple(wl.specs), seed=7,
         )
         payloads = wl.payloads("uniform", 256)
-        fleet = WorkerFleet(spec, backend="columnar", row_capacity=64)
+        fleet = WorkerFleet(spec, row_capacity=64)
         pids = [fleet.worker(shard)._proc.pid for shard in (0, 1)]
         print(" ".join(str(pid) for pid in pids), flush=True)
         while True:
@@ -154,7 +154,7 @@ def test_bring_up_starts_every_process_before_the_first_handshake(
     log = []
     _log_calls(monkeypatch, log, "__init__", "await_ready")
     before = set(os.listdir(_SHM_DIR))
-    fleet = WorkerFleet(_agg_spec(), backend="columnar", row_capacity=64)
+    fleet = WorkerFleet(_agg_spec(), row_capacity=64)
     try:
         fleet.bring_up(range(3))
         assert log == [
@@ -168,8 +168,8 @@ def test_bring_up_starts_every_process_before_the_first_handshake(
         # Ready means the handshake is consumed: the first reply each
         # worker sends after it is the barrier's.
         for shard in range(3):
-            snapshot, delta = fleet.drain_shard(shard)
-            assert delta == {"packets": 0, "folded": 0, "unmerged": 0}
+            snapshot, counters = fleet.drain_shard(shard)
+            assert counters == {"packets": 0, "folded": 0, "unmerged": 0}
             assert not any(any(cells) for cells in snapshot.values())
         # Live shards are left alone; one more brings up only itself.
         del log[:]
@@ -200,7 +200,7 @@ def test_one_failed_start_releases_the_whole_set(monkeypatch):
 
     monkeypatch.setattr(ShardWorker, "__init__", init)
     before = set(os.listdir(_SHM_DIR))
-    fleet = WorkerFleet(_agg_spec(), backend="columnar", row_capacity=64)
+    fleet = WorkerFleet(_agg_spec(), row_capacity=64)
     try:
         with pytest.raises(WorkerDied) as failure:
             fleet.bring_up(range(3))
@@ -233,9 +233,7 @@ def test_a_worker_brought_up_after_rekey_decodes_under_the_live_key():
 
     live = _agg_spec()
     payloads = DifferentialWorkload(seed=11).payloads("uniform", 200)
-    fleet = WorkerFleet(
-        replace(live, key=bytes(16)), backend="columnar", row_capacity=64
-    )
+    fleet = WorkerFleet(replace(live, key=bytes(16)), row_capacity=64)
     try:
         fleet.push(0, payloads)
         assert fleet.drain_shard(0)[1]["folded"] == 0
@@ -243,8 +241,36 @@ def test_a_worker_brought_up_after_rekey_decodes_under_the_live_key():
         fleet.bring_up([1])
         for shard in (0, 1):
             fleet.push(shard, payloads)
-            _snapshot, delta = fleet.drain_shard(shard)
-            assert delta == {"packets": 200, "folded": 200, "unmerged": 0}
+            _snapshot, counters = fleet.drain_shard(shard)
+            assert counters == {"packets": 200, "folded": 200, "unmerged": 0}
+    finally:
+        fleet.close()
+
+
+@pytest.mark.parametrize("rebuild", ("respawn", "reset"))
+def test_rekey_survives_respawn_and_reset(rebuild):
+    """A respawned worker is started from its handle's recipe and a
+    reset replica is rebuilt from its own: the rekey must reach both,
+    or the rebuilt shard decodes under the stale key and folds
+    nothing."""
+    from dataclasses import replace
+
+    from repro.testbed.worker import WorkerFleet
+    from tests.differential.workloads import DifferentialWorkload
+
+    live = _agg_spec()
+    payloads = DifferentialWorkload(seed=11).payloads("uniform", 200)
+    fleet = WorkerFleet(replace(live, key=bytes(16)), row_capacity=64)
+    try:
+        fleet.bring_up([0])
+        fleet.rekey(live.key)
+        if rebuild == "respawn":
+            fleet.respawn(0)
+        else:
+            fleet.workers[0].drain(reset=True)
+        fleet.push(0, payloads)
+        _snapshot, counters = fleet.drain_shard(0)
+        assert counters == {"packets": 200, "folded": 200, "unmerged": 0}
     finally:
         fleet.close()
 
@@ -277,7 +303,7 @@ _UNIMPORTABLE_MAIN = textwrap.dedent(
             kind="lark", app_id=APP_ID, schema=wl.schema, key=wl.key,
             specs=tuple(wl.specs), seed=7,
         )
-        fleet = WorkerFleet(spec, backend="columnar", row_capacity=64)
+        fleet = WorkerFleet(spec, row_capacity=64)
         try:
             fleet.bring_up(range(2))
             error = None
@@ -335,7 +361,7 @@ def test_unimportable_main_is_no_obstacle_to_fork(tmp_path):
 def test_close_tells_every_worker_before_collecting_any(monkeypatch):
     from repro.testbed.worker import WorkerFleet
 
-    fleet = WorkerFleet(_agg_spec(), backend="columnar", row_capacity=64)
+    fleet = WorkerFleet(_agg_spec(), row_capacity=64)
     before = set(os.listdir(_SHM_DIR))
     try:
         fleet.bring_up(range(3))
