@@ -272,19 +272,24 @@ def test_shard_executor_agg_matches_single_switch(
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
-def test_shard_executor_lark_matches_single_switch(seed, persistent):
+@pytest.mark.parametrize("kernels", (True, False), ids=("numpy", "python"))
+def test_shard_executor_lark_matches_single_switch(seed, kernels, persistent):
     """Lark partition keeps each user's packets on one shard; the
     merged snapshot equals the single scalar switch's register state,
-    inline and on ring workers."""
+    inline and on ring workers, under either kernel form."""
     wl = DifferentialWorkload(seed)
     cids = [bytes(c) for c in wl.cids("zipfian", PACKETS)]
     single = wl.new_lark()
     for cid in wl.cids("zipfian", PACKETS):
         single.process_quic_packet(cid)
-    with ShardExecutor(
-        _lark_spec(wl), shards=4, persistent=persistent
-    ) as executor:
-        result = executor.run(cids)
+    force_numpy(kernels)
+    try:
+        with ShardExecutor(
+            _lark_spec(wl), shards=4, persistent=persistent
+        ) as executor:
+            result = executor.run(cids)
+    finally:
+        force_numpy(None)
     assert result.used_workers == persistent, result.fallback_cause
     stats = single._apps[APP_ID].stats
     assert result.snapshot == stats.snapshot()

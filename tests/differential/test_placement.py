@@ -8,7 +8,8 @@ lopsided the split.  (Per-shard packet counts differ between shard
 counts; the snapshot and report are the cross-split comparands.)
 
 Covered here, at three seeds each: agg shards, inline and on ring-fed
-workers, against one shard and one scalar switch; lark shards; a
+workers, under both kernel forms, against one shard and one scalar
+switch; lark shards; a
 hash-adversary stream that piles most packets on one shard; several
 shard counts against each other — plus the check that an explicit
 ``PartitionMap`` reproduces the default split exactly, per-shard
@@ -18,6 +19,7 @@ packet counts included.
 import pytest
 
 from repro.obs.registry import MetricsRegistry
+from repro.switch import columns
 from repro.switch.hashing import crc32
 from repro.testbed.executor import ShardExecutor, ShardSpec
 from repro.testbed.placement import PartitionMap
@@ -39,6 +41,17 @@ TRANSPORTS = pytest.mark.parametrize(
     ))],
     ids=["inline", "workers"],
 )
+
+
+@pytest.fixture(params=(True, False), ids=("numpy", "python"))
+def kernel_form(request):
+    """The shards' kernel form; forked ring workers inherit it."""
+    previous = columns._FORCED
+    columns.force_numpy(request.param)
+    try:
+        yield
+    finally:
+        columns._FORCED = previous
 
 
 def _agg_spec(wl: DifferentialWorkload) -> ShardSpec:
@@ -72,6 +85,7 @@ class TestExecutorSplit:
 
     @pytest.mark.parametrize("seed", SEEDS)
     @TRANSPORTS
+    @pytest.mark.usefixtures("kernel_form")
     def test_agg_split_matches_one_shard(self, seed, persistent):
         wl = DifferentialWorkload(seed=seed)
         spec = _agg_spec(wl)

@@ -4,6 +4,7 @@ and link-level loss behaviour."""
 import pytest
 
 from repro.core.aggregation import ForwardingMode
+from repro.testbed import network_testbed
 from repro.testbed.config import Scheme, TestbedConfig
 from repro.testbed.experiment import TestbedExperiment
 from repro.testbed.network_testbed import NetworkTestbed
@@ -101,6 +102,20 @@ class TestLossBehaviour:
 
 
 class TestStreamingIngest:
+    @pytest.mark.parametrize("batch", (1, 7, 1024))
+    def test_ingest_batch_size_is_unobservable(self, batch, monkeypatch):
+        """The pump's micro-batch is an implementation detail: a
+        one-event, an odd-sized and a larger-than-the-run batch give
+        the same run as the default one."""
+        default = NetworkTestbed(_config()).run()
+        monkeypatch.setattr(network_testbed, "_INGEST_BATCH", batch)
+        other = NetworkTestbed(_config()).run()
+        assert other.latencies_ms == default.latencies_ms
+        assert other.report == default.report
+        assert other.reference == default.reference
+        assert other.aggregation_packets == default.aggregation_packets
+        assert other.aggregation_bytes == default.aggregation_bytes
+
     def test_cache_serves_repeat_visitors(self):
         # 5 users x 8 campaigns x 2 event types = 80 distinct cookies,
         # far fewer than the ~500 requests: repeat hits are guaranteed.

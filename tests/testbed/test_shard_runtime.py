@@ -9,8 +9,9 @@ stream.
 Almost everything here runs over the in-process transport so the
 assertions are exact and cheap; the parametrised cases drive the same
 streams and scripted kills through both transports (in-process,
-ring-fed workers), check the columnar shards against one scalar switch
-fed the whole stream, and pin what may never differ between them.
+ring-fed workers) under both kernel forms (numpy and pure Python),
+check the columnar shards against one scalar switch fed the whole
+stream, and pin what may never differ between them.
 The ring-worker cases also pin the loop's shape: every busy shard's
 epoch is pushed before any is drained, and one executor's consecutive
 runs never see each other's state.
@@ -22,6 +23,7 @@ from repro.chaos import ShardCrash, ShardFaultPlan
 from repro.core.aggregation import ForwardingMode
 from repro.obs.registry import MetricsRegistry
 from repro.quic.connection_id import ConnectionID
+from repro.switch import columns
 from repro.testbed.executor import (
     BACKOFF_BASE_S,
     BACKOFF_MAX_S,
@@ -46,6 +48,17 @@ TRANSPORTS = pytest.mark.parametrize(
     [False, pytest.param(True, marks=needs_shm)],
     ids=["inline", "workers"],
 )
+
+
+@pytest.fixture(params=(True, False), ids=("numpy", "python"))
+def kernel_form(request):
+    """The shards' kernel form; forked ring workers inherit it."""
+    previous = columns._FORCED
+    columns.force_numpy(request.param)
+    try:
+        yield
+    finally:
+        columns._FORCED = previous
 
 
 def _lark_spec(fixture, dedup=False):
@@ -105,6 +118,7 @@ class TestFaultFreeEquivalence:
 
     @pytest.mark.parametrize("seed", SEEDS)
     @TRANSPORTS
+    @pytest.mark.usefixtures("kernel_form")
     def test_matches_one_epoch_run_on_lark(self, seed, persistent):
         fixture = DifferentialWorkload(seed, num_users=150)
         stream = _stream(fixture)
@@ -148,6 +162,7 @@ class TestFaultFreeEquivalence:
 class TestCrashRecovery:
     @pytest.mark.parametrize("seed", SEEDS)
     @TRANSPORTS
+    @pytest.mark.usefixtures("kernel_form")
     def test_scripted_kill_recovers_bit_identical(self, seed, persistent):
         fixture = DifferentialWorkload(seed, num_users=150)
         stream = _stream(fixture)
