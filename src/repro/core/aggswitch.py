@@ -211,9 +211,7 @@ class AggBatchResult:
 
     ``matched`` holds, ascending, the positions that hit the SID/app
     table and ``merged_at`` those whose payload reached the registers;
-    ``latency_ms`` is each payload's pipeline latency.  A packet-level
-    simulator forwards exactly the merged payloads, each after its
-    latency.
+    ``latency_ms`` is each payload's pipeline latency.
     """
 
     matched: List[int]

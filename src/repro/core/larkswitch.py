@@ -151,8 +151,7 @@ class LarkBatchResult:
     hit the application table, and ``folded`` counts the packets that
     reached the statistics registers.  ``latency_ms`` is each packet's
     pipeline latency and ``dropped`` the positions whose original the
-    switch did not forward (only a reshaped pipeline drops): what a
-    packet-level simulator schedules each packet from.
+    switch did not forward (only a reshaped pipeline drops).
     """
 
     payloads: List[bytes]

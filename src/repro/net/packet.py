@@ -2,15 +2,14 @@
 
 A :class:`NetPacket` carries an opaque payload (bytes or a structured
 message), a protocol label, a size used for serialization-delay and
-bandwidth accounting, and free-form headers that in-network elements
-(switches) may read or rewrite.
+bandwidth accounting, and free-form headers.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 __all__ = ["NetPacket"]
 
@@ -33,21 +32,3 @@ class NetPacket:
     def __post_init__(self):
         if self.size_bytes <= 0:
             raise ValueError("packet size must be positive")
-
-    def clone(self, **overrides: Any) -> "NetPacket":
-        """Copy the packet (new packet id), optionally overriding fields.
-
-        Used by switches that clone a packet toward the analytics server
-        while forwarding the original (paper section 4.1).
-        """
-        fields = {
-            "src": self.src,
-            "dst": self.dst,
-            "protocol": self.protocol,
-            "size_bytes": self.size_bytes,
-            "payload": self.payload,
-            "headers": dict(self.headers),
-            "created_at_ms": self.created_at_ms,
-        }
-        fields.update(overrides)
-        return NetPacket(**fields)

@@ -1,11 +1,9 @@
 """Network: nodes + links + shortest-path forwarding.
 
-The testbed topology of paper section 5.2 (client, Tofino switch, edge
-server, web server, analytics cluster, with ``tc``-controlled delays)
-is built on this class.  Forwarding is hop-by-hop along BFS shortest
-paths; nodes flagged as in-path processors (switches) receive every
-transiting packet, while plain nodes only consume packets addressed to
-them and are otherwise routed through transparently.
+Forwarding is hop-by-hop along BFS shortest paths: a node consumes only
+the packets addressed to it, and a packet in transit is routed through
+it transparently.  :mod:`repro.chaos.harness` builds its lark -> agg
+fault path on this class.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.link import Link
-from repro.net.node import Node, SwitchNode
+from repro.net.node import Node
 from repro.net.packet import NetPacket
 from repro.net.simulator import Simulator
 
@@ -135,9 +133,8 @@ class Network:
             )
 
     def _arrived(self, at: str, packet: NetPacket) -> None:
-        node = self.nodes[at]
-        if at == packet.dst or isinstance(node, SwitchNode):
-            node.deliver(packet)
+        if at == packet.dst:
+            self.nodes[at].deliver(packet)
         else:
-            # Transparent transit through a non-processing node.
+            # In transit: route on toward packet.dst.
             self.transmit(at, packet)

@@ -72,9 +72,8 @@ _FORCED: Optional[bool] = _DEFAULT
 
 # Batches with fewer rows run the Python kernel forms even when the
 # gate is open: building the padded matrix and the field arrays costs
-# tens of microseconds per call, which makes the
-# 1-8 row calls a per-packet simulator issues 2-3x slower than the
-# loops they replace (measured on 20-byte CIDs through LarkSwitch).
+# tens of microseconds per call, which makes 1-8 row calls 2-3x
+# slower than the loops they replace (measured on 20-byte CIDs through LarkSwitch).
 # From here up the two forms of the row kernels are within ~25% of
 # each other, and a matrix-backed batch is what the CRC, partition and
 # ring-push kernels need to win outright.

@@ -21,6 +21,11 @@ Five request pathways are modelled (config: scheme x INSA):
 Every event's semantic data really flows: cookies are AES-encrypted and
 decoded by the switch pipelines, and results are checked against the
 workload's reference aggregation.
+
+Aggregation packets reach the AggSwitch over a :class:`~repro.net.link.Link`
+per source (LarkSwitch or edge).  ``agg_loss_rate`` makes the LarkSwitch ->
+AggSwitch link drop UDP aggregation packets at random (Appendix B.3): a
+lost packet loses exactly its own data points.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from repro.core.stats import counts_match
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.core.app_cookie import ApplicationCookieCodec, format_cookie_header
 from repro.model.params import ScenarioParams, percentile_scenario
+from repro.net.link import Link
 from repro.net.simulator import Simulator
 from repro.testbed.config import Scheme, TestbedConfig
 from repro.testbed.spark_model import SparkLatencyModel
@@ -75,6 +81,7 @@ class TestbedResult:
     aggregation_packets: int
     aggregated_report: Dict[str, Any]
     reference_counts: Dict[str, Dict[Any, int]]
+    lost_packets: int = 0
 
     def latencies(self) -> List[float]:
         return [
@@ -113,12 +120,16 @@ class TestbedResult:
 
     def counts_match_reference(self) -> bool:
         """Whether the in-network aggregate equals ground truth (valid
-        for per-packet forwarding with no loss)."""
+        when no aggregation packet was lost)."""
         return counts_match(self.aggregated_report, self.reference_counts)
 
 
 class TestbedExperiment:
-    """Builds and runs one configuration end to end."""
+    """Builds and runs one configuration end to end.
+
+    ``agg_loss_rate`` is the LarkSwitch -> AggSwitch link's random loss
+    rate, in [0, 1).
+    """
 
     __test__ = False  # not a pytest class despite the name
 
@@ -126,6 +137,7 @@ class TestbedExperiment:
         self,
         config: TestbedConfig,
         workload: Optional[AdCampaignWorkload] = None,
+        agg_loss_rate: float = 0.0,
     ):
         self.config = config
         self.workload = workload or AdCampaignWorkload(
@@ -170,9 +182,13 @@ class TestbedExperiment:
         # Server queues (testbed machines).
         self._edge_free_at = [0.0] * config.edge_workers
         self._web_free_at = [0.0] * config.web_workers
-        # Aggregation-stream accounting.
-        self.aggregation_bytes = 0
-        self.aggregation_packets = 0
+        # The aggregation stream's links; each counts what it delivers
+        # and what it loses.
+        self._lark_link = Link(
+            "lark", "agg", self.params.d_ia, loss_rate=agg_loss_rate,
+            rng=random.Random(config.seed + 20),
+        )
+        self._edge_link = Link("edge", "agg", self.params.d_ea)
         # Periodical forwarding state.
         self._pending_periodical: List[RequestRecord] = []
 
@@ -202,9 +218,12 @@ class TestbedExperiment:
         from_isp: bool = False,
     ) -> None:
         """Carry an aggregation packet to the AggSwitch + analytics."""
-        self.aggregation_bytes += len(payload) + _UDP_IP_OVERHEAD_BYTES
-        self.aggregation_packets += 1
-        delay = self.params.d_ia if from_isp else self.params.d_ea
+        link = self._lark_link if from_isp else self._edge_link
+        delay = link.transit_time_ms(
+            self.sim.now, len(payload) + _UDP_IP_OVERHEAD_BYTES
+        )
+        if delay is None:  # lost on the link
+            return
 
         def arrive() -> None:
             result = self.agg.process_packet(payload)
@@ -347,11 +366,13 @@ class TestbedExperiment:
             if cfg.scheme is not Scheme.BASELINE
             else {}
         )
+        links = (self._lark_link, self._edge_link)
         return TestbedResult(
             config=cfg,
             records=records,
-            aggregation_bytes=self.aggregation_bytes,
-            aggregation_packets=self.aggregation_packets,
+            aggregation_bytes=sum(link.bytes_sent for link in links),
+            aggregation_packets=sum(link.packets_sent for link in links),
             aggregated_report=report,
             reference_counts=self.workload.reference_counts(events),
+            lost_packets=sum(link.packets_lost for link in links),
         )

@@ -1,11 +1,11 @@
 """Network-free streaming ingest pipeline (the e2e fast path).
 
-:mod:`repro.testbed.network_testbed` runs the Figure-2 topology packet
-by packet on the discrete-event simulator — the right tool for latency
-questions, the wrong one for throughput: the simulator heap dominates
-the profile long before the switch kernels saturate.  This module wires
-the same devices into a pull-based *stage* pipeline with no simulator
-in between, split where the paper splits the devices::
+:mod:`repro.testbed.experiment` times the request pathways on the
+discrete-event simulator — the right tool for latency questions, the
+wrong one for throughput: the simulator heap dominates the profile long
+before the switch kernels saturate.  This module wires the same devices
+into a pull-based *stage* pipeline with no simulator in between, split
+where the paper splits the devices::
 
     client half:  generate -> encode            (StreamingPipeline)
     switch half:  lark -> (corrupt?) -> (reorder?) -> agg   (SwitchHalf)

@@ -46,7 +46,9 @@ claimed.
 
 Lifecycle rules (the chaos/soak suite enforces them):
 
-* the **creator owns the segment** — only it calls ``unlink()``;
+* the **creator owns the segment** — only it calls ``unlink()``; the
+  segment's name starts with :func:`segment_prefix` of the creator's
+  pid, so a leak check can tell its own rings from other processes';
   consumers ``attach()`` and only ever ``close()`` their mapping;
 * consumers share the creator's ``resource_tracker``, which unlinks a
   segment still registered only after every process sharing it has
@@ -82,6 +84,7 @@ __all__ = [
     "RingSlotView",
     "RingClosed",
     "RingTimeout",
+    "segment_prefix",
     "shared_memory_available",
     "KIND_DATA",
     "KIND_CONTROL",
@@ -136,6 +139,13 @@ def shared_memory_available() -> bool:
     probe.close()
     probe.unlink()
     return True
+
+
+def segment_prefix(pid: int) -> str:
+    """The name prefix of every ring segment process ``pid`` creates.
+    It keeps Python's own ``psm_`` prefix: ``bench/run.py`` unlinks the
+    ``psm_`` segments a crashed repetition left behind."""
+    return "psm_%d_" % pid
 
 
 def _attach_segment(name: str):
@@ -270,7 +280,9 @@ class ColumnRing:
             raise ValueError("row_capacity must be >= 1")
         stride = _SLOT_HDR_SIZE + (4 + _BYTES_PER_ROW) * row_capacity
         shm = _shared_memory.SharedMemory(
-            create=True, size=_HDR_SIZE + capacity * stride
+            name=segment_prefix(os.getpid()) + os.urandom(6).hex(),
+            create=True,
+            size=_HDR_SIZE + capacity * stride,
         )
         _HDR.pack_into(shm.buf, 0, _MAGIC, capacity, row_capacity)
         ring = cls(shm, capacity, row_capacity, owner=True)

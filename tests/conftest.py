@@ -4,6 +4,8 @@ import os
 
 import pytest
 
+from tests.shm import no_leaked_rings
+
 try:  # the chaos / crash-recovery CI jobs install pytest only
     from hypothesis import settings
 except ImportError:
@@ -36,20 +38,8 @@ def regen_goldens(request):
     return request.config.getoption("--regen-goldens")
 
 
-def _shm_entries():
-    """Current shared-memory segment names (empty set when the
-    platform hides them — the leak assertions then degrade to no-ops
-    rather than false alarms)."""
-    try:
-        return set(os.listdir("/dev/shm"))
-    except OSError:  # pragma: no cover - non-Linux shm namespaces
-        return set()
-
-
 @pytest.fixture
 def shm_leakcheck():
-    """Fails the test when it leaves a shared-memory segment behind."""
-    before = _shm_entries()
-    yield
-    leaked = _shm_entries() - before
-    assert not leaked, "leaked shared-memory segments: %s" % sorted(leaked)
+    """Fails the test when it leaves a ring segment of its own behind."""
+    with no_leaked_rings():
+        yield

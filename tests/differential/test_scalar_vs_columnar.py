@@ -29,8 +29,6 @@ from repro.core.transport_cookie import TransportCookieCodec
 from repro.obs.registry import MetricsRegistry
 from repro.switch import columns
 from repro.switch.tables import MatchActionTable, MatchKey, MatchKind
-from repro.testbed.config import Scheme, TestbedConfig
-from repro.testbed.network_testbed import NetworkTestbed
 from repro.testbed.pipeline import StreamingPipeline
 from repro.workloads.adcampaign import AdCampaignWorkload, iter_batches
 
@@ -857,27 +855,3 @@ def test_reshaped_pipeline_runs_through_the_interpreter(shape):
     assert batch.merged == len(payloads)
     assert register_state(columnar_agg) == register_state(scalar_agg)
     assert columnar_agg.pipeline.packets_dropped == len(payloads)
-
-
-def test_testbed_analytics_are_independent_of_the_kernel_form():
-    """End to end: the packet testbed's ingest encodes cookies through
-    the columnar kernels; a run under the fixture's kernel form reaches
-    the same analytics, latencies and wire bytes as a pure-Python run."""
-    config = TestbedConfig(
-        scheme=Scheme.TRANS_1RTT,
-        insa=True,
-        requests_per_second=40.0,
-        duration_ms=2000.0,
-    )
-    result = NetworkTestbed(config=config).run()
-    previous = columns._FORCED
-    columns.force_numpy(False)
-    try:
-        python = NetworkTestbed(config=config).run()
-    finally:
-        columns._FORCED = previous
-    assert result.counts_match_reference()
-    assert result.report == python.report
-    assert result.reference == python.reference
-    assert result.latencies_ms == python.latencies_ms
-    assert result.aggregation_bytes == python.aggregation_bytes

@@ -1,11 +1,11 @@
 """Golden end-to-end conformance: the full pipeline, byte-compared.
 
-One pinned scenario — clients -> web -> LarkSwitch -> AggSwitch ->
-analytics over the DES network, each switch running its per-packet
-entry point, with aggregation-link loss enabled — is serialized to
-canonical JSON and compared byte-for-byte against a checked-in golden
-file.  Any drift in the simulator, the crypto, the statistics layout,
-the switch programs, or the metrics namespace shows up as a diff here.
+One pinned scenario — Trans-1RTT clients -> LarkSwitch -> AggSwitch ->
+analytics on the testbed DES, each switch running its per-packet entry
+point, with loss on the lark -> agg link — is serialized to canonical
+JSON and compared byte-for-byte against a checked-in golden file.  Any
+drift in the simulator, the crypto, the statistics layout, the switch
+programs, or the metrics namespace shows up as a diff here.
 
 Regenerate deliberately with::
 
@@ -17,7 +17,7 @@ import os
 
 from repro.obs import MetricsRegistry, scoped_registry
 from repro.testbed.config import Scheme, TestbedConfig
-from repro.testbed.network_testbed import NetworkTestbed
+from repro.testbed.experiment import TestbedExperiment
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_e2e.json")
 
@@ -46,11 +46,10 @@ def run_pinned_scenario():
         duration_ms=2000.0,
     )
     with scoped_registry(MetricsRegistry()) as registry:
-        testbed = NetworkTestbed(
-            config=config,
+        result = TestbedExperiment(
+            config,
             agg_loss_rate=0.2,      # faults on: lossy lark->agg link
-        )
-        result = testbed.run()
+        ).run()
         metrics = registry.snapshot()
     return {
         "scenario": {
@@ -60,13 +59,13 @@ def run_pinned_scenario():
             "duration_ms": config.duration_ms,
             "agg_loss_rate": 0.2,
         },
-        "completed_requests": len(result.latencies_ms),
-        "latencies_ms": result.latencies_ms,
+        "completed_requests": result.completed,
+        "latencies_ms": result.latencies(),
         "aggregation_packets": result.aggregation_packets,
         "aggregation_bytes": result.aggregation_bytes,
         "lost_packets": result.lost_packets,
-        "report": _canonical(result.report),
-        "reference": _canonical(result.reference),
+        "report": _canonical(result.aggregated_report),
+        "reference": _canonical(result.reference_counts),
         "metrics": _canonical(metrics),
     }
 

@@ -5,7 +5,6 @@ from repro.core.aggregation import ForwardingMode
 from repro.measurement.study import MeasurementStudy
 from repro.testbed.config import Scheme, TestbedConfig
 from repro.testbed.experiment import TestbedExperiment
-from repro.testbed.network_testbed import NetworkTestbed
 from repro.workloads.adcampaign import AdCampaignWorkload
 
 
@@ -21,16 +20,16 @@ class TestTestbedDeterminism:
         assert a.aggregated_report == b.aggregated_report
         assert a.aggregation_bytes == b.aggregation_bytes
 
-    def test_network_testbed_reproducible(self):
+    def test_lossy_chain_experiment_reproducible(self):
         config = TestbedConfig(
             scheme=Scheme.TRANS_1RTT, insa=True,
             requests_per_second=30, duration_ms=1500, seed=78,
         )
-        a = NetworkTestbed(config, agg_loss_rate=0.01).run()
-        b = NetworkTestbed(config, agg_loss_rate=0.01).run()
-        assert a.latencies_ms == b.latencies_ms
+        a = TestbedExperiment(config, agg_loss_rate=0.01).run()
+        b = TestbedExperiment(config, agg_loss_rate=0.01).run()
+        assert a.latencies() == b.latencies()
         assert a.lost_packets == b.lost_packets
-        assert a.report == b.report
+        assert a.aggregated_report == b.aggregated_report
 
     def test_periodical_reproducible(self):
         config = TestbedConfig(

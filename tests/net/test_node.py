@@ -1,8 +1,8 @@
-"""Nodes: processing queues (the congestion model), sinks, switches."""
+"""Nodes: sinks and the base node."""
 
 import pytest
 
-from repro.net.node import Node, ProcessingNode, SinkNode, SwitchNode
+from repro.net.node import Node, SinkNode
 from repro.net.packet import NetPacket
 from repro.net.topology import Network
 
@@ -35,91 +35,7 @@ class TestSinkNode:
         assert seen == [("a", 1.0)]
 
 
-class TestProcessingNode:
-    def test_single_worker_serializes(self):
-        done = []
-        server = ProcessingNode(
-            "srv", service_time_ms=10, workers=1,
-            processor=lambda pkt, node: done.append(node.sim.now),
-        )
-        net = _network_with(Node("a"), server)
-        net.add_link("a", "srv", delay_ms=0)
-        for _ in range(3):
-            net.nodes["a"].send(NetPacket(src="a", dst="srv"))
-        net.sim.run()
-        assert done == [10.0, 20.0, 30.0]
-        assert server.completed == 3
-
-    def test_parallel_workers(self):
-        done = []
-        server = ProcessingNode(
-            "srv", service_time_ms=10, workers=2,
-            processor=lambda pkt, node: done.append(node.sim.now),
-        )
-        net = _network_with(Node("a"), server)
-        net.add_link("a", "srv", delay_ms=0)
-        for _ in range(4):
-            net.nodes["a"].send(NetPacket(src="a", dst="srv"))
-        net.sim.run()
-        assert done == [10.0, 10.0, 20.0, 20.0]
-
-    def test_capacity_rps(self):
-        server = ProcessingNode("srv", service_time_ms=10, workers=2)
-        assert server.capacity_rps() == pytest.approx(200.0)
-
-    def test_variable_service_time(self):
-        done = []
-        server = ProcessingNode(
-            "srv",
-            service_time_ms=lambda pkt: pkt.size_bytes / 10.0,
-            processor=lambda pkt, node: done.append(node.sim.now),
-        )
-        net = _network_with(Node("a"), server)
-        net.add_link("a", "srv", delay_ms=0)
-        net.nodes["a"].send(NetPacket(src="a", dst="srv", size_bytes=50))
-        net.sim.run()
-        assert done == [5.0]
-        with pytest.raises(ValueError):
-            server.capacity_rps()
-
-    def test_queue_waits_recorded(self):
-        server = ProcessingNode("srv", service_time_ms=10, workers=1)
-        net = _network_with(Node("a"), server)
-        net.add_link("a", "srv", delay_ms=0)
-        for _ in range(2):
-            net.nodes["a"].send(NetPacket(src="a", dst="srv"))
-        net.sim.run()
-        assert server.queue_waits_ms == [0.0, 10.0]
-
-    def test_queue_capacity_drops(self):
-        server = ProcessingNode(
-            "srv", service_time_ms=10, workers=1, queue_capacity=2
-        )
-        net = _network_with(Node("a"), server)
-        net.add_link("a", "srv", delay_ms=0)
-        for _ in range(10):
-            net.nodes["a"].send(NetPacket(src="a", dst="srv"))
-        net.sim.run()
-        assert server.dropped > 0
-        assert server.completed + server.dropped == 10
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            ProcessingNode("srv", workers=0)
-
-
-class TestSwitchNode:
-    def test_plain_switch_forwards(self):
-        sink = SinkNode("dst")
-        switch = SwitchNode("sw")
-        net = _network_with(Node("src"), switch, sink)
-        net.add_link("src", "sw", delay_ms=1)
-        net.add_link("sw", "dst", delay_ms=2)
-        net.nodes["src"].send(NetPacket(src="src", dst="dst"))
-        net.sim.run()
-        assert sink.arrival_times_ms == [3.0]
-        assert switch.forwarded == 1
-
+class TestNode:
     def test_detached_node_cannot_send(self):
         node = Node("orphan")
         with pytest.raises(RuntimeError, match="not attached"):
@@ -129,46 +45,6 @@ class TestSwitchNode:
 
 
 class TestNetPacket:
-    def test_clone_gets_new_id(self):
-        packet = NetPacket(src="a", dst="b", headers={"k": 1})
-        clone = packet.clone(dst="c")
-        assert clone.packet_id != packet.packet_id
-        assert clone.dst == "c" and clone.src == "a"
-        clone.headers["k"] = 2
-        assert packet.headers["k"] == 1
-
     def test_size_positive(self):
         with pytest.raises(ValueError):
             NetPacket(src="a", dst="b", size_bytes=0)
-
-
-class TestFailureInjection:
-    def test_down_server_drops_requests(self):
-        server = ProcessingNode("srv", service_time_ms=5, workers=1)
-        net = _network_with(Node("a"), server)
-        net.add_link("a", "srv", delay_ms=0)
-        server.fail_until(recover_at_ms=50)
-        for t in (10.0, 20.0, 60.0):
-            net.sim.schedule_at(
-                t, lambda: net.nodes["a"].send(NetPacket(src="a", dst="srv"))
-            )
-        net.sim.run()
-        assert server.dropped == 2
-        assert server.completed == 1
-
-    def test_explicit_recover(self):
-        server = ProcessingNode("srv", service_time_ms=5)
-        net = _network_with(Node("a"), server)
-        net.add_link("a", "srv", delay_ms=0)
-        server.fail_until(recover_at_ms=1e9)
-        server.recover()
-        net.nodes["a"].send(NetPacket(src="a", dst="srv"))
-        net.sim.run()
-        assert server.completed == 1
-
-    def test_is_down_window(self):
-        server = ProcessingNode("srv")
-        net = _network_with(server)
-        server.fail_until(recover_at_ms=100)
-        assert server.is_down(50)
-        assert not server.is_down(100)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.node import Node, SinkNode, SwitchNode
+from repro.net.node import Node, SinkNode
 from repro.net.packet import NetPacket
 from repro.net.topology import Network, NoRouteError
 
@@ -45,19 +45,6 @@ class TestRouting:
         assert web.arrival_times_ms == [pytest.approx(50.3)]
         # Intermediate plain nodes did not consume the packet.
         assert net.nodes["edge"].received == []
-
-    def test_switch_nodes_see_transit_traffic(self):
-        net = Network()
-        net.add_node(SinkNode("a"))
-        switch = SwitchNode("sw")
-        net.add_node(switch)
-        net.add_node(SinkNode("b"))
-        net.add_link("a", "sw", 1)
-        net.add_link("sw", "b", 1)
-        net.nodes["a"].send(NetPacket(src="a", dst="b"))
-        net.sim.run()
-        assert switch.packets_received == 1
-        assert net.nodes["b"].received
 
     def test_self_delivery(self):
         net = _linear_net()

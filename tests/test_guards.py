@@ -224,6 +224,16 @@ GUARDS = (
         "One data-plane path per harness: delete the execution modes "
         "that only tests select",
     ),
+    Guard(
+        # One testbed DES (experiment.py) carries the lossy agg link;
+        # repro.net keeps only what the chaos harness builds.
+        "one-testbed-simulator",
+        "NetworkTestbed|NetworkRunResult|ProcessingNode|SwitchNode|"
+        "network_testbed",
+        ("src", "benchmarks", "examples"),
+        "testbed = NetworkTestbed(config)",
+        "One testbed simulator: delete NetworkTestbed and its node classes",
+    ),
 )
 
 

@@ -48,7 +48,6 @@ class TestImportClosure:
             "repro.model",
             "repro.chaos.harness",
             "repro.testbed.experiment",
-            "repro.testbed.network_testbed",
         ):
             heavy = [
                 m for m in loaded if m == prefix or m.startswith(prefix + ".")

@@ -1,6 +1,6 @@
 """Report verification is strict on every result type.
 
-``counts_match_reference`` on the three testbed results answers the
+``counts_match_reference`` on the two testbed results answers the
 same question — does the in-network aggregate equal ground truth — so
 it must answer it the same way: every reference cell reported with its
 exact count, and no non-zero cell the reference lacks.
@@ -10,7 +10,6 @@ import pytest
 
 from repro.testbed.config import TestbedConfig
 from repro.testbed.experiment import TestbedResult
-from repro.testbed.network_testbed import NetworkRunResult
 from repro.testbed.pipeline import PipelineResult
 
 REFERENCE = {"gender_by_campaign": {("camp-0", "m"): 3, ("camp-1", "f"): 1}}
@@ -24,13 +23,6 @@ def _pipeline(report):
     )
 
 
-def _network(report):
-    return NetworkRunResult(
-        latencies_ms=[1.0], aggregation_packets=1, aggregation_bytes=70,
-        report=report, reference=REFERENCE, lost_packets=0,
-    )
-
-
 def _experiment(report):
     return TestbedResult(
         config=TestbedConfig(), records=[], aggregation_bytes=70,
@@ -39,7 +31,7 @@ def _experiment(report):
     )
 
 
-RESULTS = (_pipeline, _network, _experiment)
+RESULTS = (_pipeline, _experiment)
 
 
 def _report(cells=()):

@@ -28,13 +28,12 @@ from repro.testbed.shm_ring import shared_memory_available
 from repro.testbed.worker import ShardWorker, WorkerFleet
 from repro.workloads.adcampaign import AdCampaignWorkload
 from tests.differential.workloads import APP_ID, DifferentialWorkload
+from tests.shm import ring_segments
 
 pytestmark = pytest.mark.skipif(
     not shared_memory_available() or not os.path.isdir("/dev/shm"),
     reason="needs POSIX shared memory under /dev/shm",
 )
-
-_SHM_DIR = "/dev/shm"
 
 
 @contextlib.contextmanager
@@ -222,7 +221,7 @@ def test_forked_workers_leave_every_segment_to_its_owner():
     parent closes it, and worker 0 folds again on its own ring."""
     wl, spec = _spec("agg")
     payloads = wl.payloads("uniform", 200)
-    before = set(os.listdir(_SHM_DIR))
+    before = ring_segments(os.getpid())
     fleet = WorkerFleet(spec, row_capacity=64)
     try:
         fleet.bring_up(range(2))
@@ -232,12 +231,12 @@ def test_forked_workers_leave_every_segment_to_its_owner():
 
         zero.kill()
         assert zero.wait_dead(5.0)
-        assert set(segments) <= set(os.listdir(_SHM_DIR))
+        assert set(segments) <= ring_segments(os.getpid())
 
         fleet.workers.pop(1).close()  # shuts worker 1 down, closes ring 1
         assert one._proc.exitcode == 0, "not a clean exit"
-        assert segments[0] in os.listdir(_SHM_DIR)
-        assert segments[1] not in os.listdir(_SHM_DIR)
+        assert segments[0] in ring_segments(os.getpid())
+        assert segments[1] not in ring_segments(os.getpid())
 
         fleet.respawn(0)
         assert _segment(zero) == segments[0]
@@ -245,10 +244,10 @@ def test_forked_workers_leave_every_segment_to_its_owner():
         _snapshot, counters = fleet.drain_shard(0)
         assert counters["packets"] == len(payloads)
         assert counters["folded"] == len(payloads)
-        assert segments[0] in os.listdir(_SHM_DIR)
+        assert segments[0] in ring_segments(os.getpid())
     finally:
         fleet.close()
-    assert not set(os.listdir(_SHM_DIR)) - before
+    assert not ring_segments(os.getpid()) - before
 
 
 def _run_inherited_finalizer(worker):
@@ -260,7 +259,7 @@ def test_an_inherited_owner_finalizer_does_not_unlink():
     import multiprocessing
 
     _wl, spec = _spec("agg")
-    before = set(os.listdir(_SHM_DIR))
+    before = ring_segments(os.getpid())
     with ShardWorker(spec, 0, row_capacity=64) as owner:
         owner.await_ready()
         child = multiprocessing.get_context("fork").Process(
@@ -269,6 +268,6 @@ def test_an_inherited_owner_finalizer_does_not_unlink():
         child.start()
         child.join(10.0)
         assert child.exitcode == 0
-        assert _segment(owner) in os.listdir(_SHM_DIR)
+        assert _segment(owner) in ring_segments(os.getpid())
         assert owner.drain()["counters"]["packets"] == 0
-    assert not set(os.listdir(_SHM_DIR)) - before
+    assert not ring_segments(os.getpid()) - before

@@ -20,13 +20,12 @@ import pytest
 
 from repro.testbed.shm_ring import shared_memory_available
 from tests.fresh import fresh_env
+from tests.shm import ring_segments
 
 pytestmark = pytest.mark.skipif(
     not shared_memory_available() or not os.path.isdir("/proc"),
     reason="needs POSIX shared memory and /proc",
 )
-
-_SHM_DIR = "/dev/shm"
 
 # Builds a 2-worker fleet, reports the worker pids, then keeps pushing
 # epoch data forever — the kill always lands mid-epoch.
@@ -68,7 +67,6 @@ def _gone(pid):
 def test_sigkilled_owner_takes_its_fleet_down(tmp_path):
     script = tmp_path / "fleet_owner.py"
     script.write_text(_OWNER)
-    before = set(os.listdir(_SHM_DIR))
     pids = []
     owner = subprocess.Popen(
         [sys.executable, str(script)],
@@ -79,7 +77,7 @@ def test_sigkilled_owner_takes_its_fleet_down(tmp_path):
     try:
         pids = [int(pid) for pid in owner.stdout.readline().split()]
         assert len(pids) == 2, "fleet owner never came up"
-        assert set(os.listdir(_SHM_DIR)) - before, "no ring was created"
+        assert ring_segments(owner.pid), "no ring was created"
         time.sleep(0.2)  # let epochs flow: the rings are busy, not idle
         owner.send_signal(signal.SIGKILL)
         owner.wait()
@@ -92,10 +90,10 @@ def test_sigkilled_owner_takes_its_fleet_down(tmp_path):
         # The rings were the dead owner's to unlink; its resource
         # tracker does it once the last worker has let go.
         deadline = time.monotonic() + 3.0
-        while set(os.listdir(_SHM_DIR)) - before:
+        while ring_segments(owner.pid):
             assert time.monotonic() < deadline, (
                 "leaked shared-memory segments: %s"
-                % sorted(set(os.listdir(_SHM_DIR)) - before)
+                % sorted(ring_segments(owner.pid))
             )
             time.sleep(0.05)
     finally:
@@ -153,7 +151,7 @@ def test_bring_up_starts_every_process_before_the_first_handshake(
 
     log = []
     _log_calls(monkeypatch, log, "__init__", "await_ready")
-    before = set(os.listdir(_SHM_DIR))
+    before = ring_segments(os.getpid())
     fleet = WorkerFleet(_agg_spec(), row_capacity=64)
     try:
         fleet.bring_up(range(3))
@@ -179,7 +177,7 @@ def test_bring_up_starts_every_process_before_the_first_handshake(
     finally:
         fleet.close()
     _assert_all_gone(procs)
-    assert not set(os.listdir(_SHM_DIR)) - before
+    assert not ring_segments(os.getpid()) - before
 
 
 def test_one_failed_start_releases_the_whole_set(monkeypatch):
@@ -199,7 +197,7 @@ def test_one_failed_start_releases_the_whole_set(monkeypatch):
         started.append(self)
 
     monkeypatch.setattr(ShardWorker, "__init__", init)
-    before = set(os.listdir(_SHM_DIR))
+    before = ring_segments(os.getpid())
     fleet = WorkerFleet(_agg_spec(), row_capacity=64)
     try:
         with pytest.raises(WorkerDied) as failure:
@@ -210,7 +208,7 @@ def test_one_failed_start_releases_the_whole_set(monkeypatch):
         assert len(started) == 3, "the set was not started side by side"
         assert fleet.workers == {}
         _assert_all_gone([worker._proc for worker in started])
-        assert not set(os.listdir(_SHM_DIR)) - before
+        assert not ring_segments(os.getpid()) - before
         # The fleet is as it was before the call: still usable.
         monkeypatch.setattr(ShardWorker, "__init__", real_init)
         assert fleet.worker(0).alive
@@ -218,7 +216,7 @@ def test_one_failed_start_releases_the_whole_set(monkeypatch):
     finally:
         fleet.close()
     _assert_all_gone([proc])
-    assert not set(os.listdir(_SHM_DIR)) - before
+    assert not ring_segments(os.getpid()) - before
 
 
 def test_a_worker_brought_up_after_rekey_decodes_under_the_live_key():
@@ -284,6 +282,7 @@ _UNIMPORTABLE_MAIN = textwrap.dedent(
     """
     import json
     import multiprocessing
+    import os
     import sys
     import threading
 
@@ -313,6 +312,7 @@ _UNIMPORTABLE_MAIN = textwrap.dedent(
         with ShardExecutor(spec, shards=2, persistent=True) as executor:
             result = executor.run(packets)
         print(json.dumps({
+            "pid": os.getpid(),
             "error": error,
             "workers": len(fleet.workers),
             "children": len(multiprocessing.active_children()),
@@ -337,7 +337,6 @@ def _run_unimportable_main(tmp_path, how):
 
 
 def test_unimportable_main_is_named_and_falls_back(tmp_path):
-    before = set(os.listdir(_SHM_DIR))
     out = _run_unimportable_main(tmp_path, "spawn")
     assert "start-up" in out["error"] and "exit code 1" in out["error"]
     assert out["workers"] == 0 and out["children"] == 0
@@ -345,24 +344,23 @@ def test_unimportable_main_is_named_and_falls_back(tmp_path):
     assert out["fallback_cause"].startswith("WorkerDied: shard 0")
     assert "start-up" in out["fallback_cause"]
     assert out["packets"] == 200
-    assert not set(os.listdir(_SHM_DIR)) - before
+    assert not ring_segments(out["pid"])
 
 
 def test_unimportable_main_is_no_obstacle_to_fork(tmp_path):
-    before = set(os.listdir(_SHM_DIR))
     out = _run_unimportable_main(tmp_path, "fork")
     assert out["error"] is None
     assert out["workers"] == 2 and out["children"] == 2
     assert out["fallback_cause"] is None
     assert out["packets"] == 200
-    assert not set(os.listdir(_SHM_DIR)) - before
+    assert not ring_segments(out["pid"])
 
 
 def test_close_tells_every_worker_before_collecting_any(monkeypatch):
     from repro.testbed.worker import WorkerFleet
 
     fleet = WorkerFleet(_agg_spec(), row_capacity=64)
-    before = set(os.listdir(_SHM_DIR))
+    before = ring_segments(os.getpid())
     try:
         fleet.bring_up(range(3))
         procs = [worker._proc for worker in fleet.workers.values()]
@@ -381,6 +379,6 @@ def test_close_tells_every_worker_before_collecting_any(monkeypatch):
     ]
     _assert_all_gone(procs)
     assert all(proc.exitcode == 0 for proc in procs), "not a clean exit"
-    assert not set(os.listdir(_SHM_DIR)) - before
+    assert not ring_segments(os.getpid()) - before
     assert fleet.workers == {}
     fleet.close()  # idempotent
