@@ -855,3 +855,25 @@ def test_reshaped_pipeline_runs_through_the_interpreter(shape):
     assert batch.merged == len(payloads)
     assert register_state(columnar_agg) == register_state(scalar_agg)
     assert columnar_agg.pipeline.packets_dropped == len(payloads)
+
+
+def test_pipeline_analytics_are_independent_of_the_kernel_form():
+    """End to end: a streaming run under the fixture's kernel form
+    reaches the same analytics, register state, payload count and
+    cache behaviour as a pure-Python run."""
+
+    def run():
+        return StreamingPipeline(
+            AdCampaignWorkload(num_users=200, seed=SEEDS[3]),
+            seed=SEEDS[3], batch_size=BATCH_SIZES[SEEDS[3]],
+        ).run(2000.0, 200.0)
+
+    result = run()
+    previous = columns._FORCED
+    columns.force_numpy(False)
+    try:
+        python = run()
+    finally:
+        columns._FORCED = previous
+    assert result.counts_match_reference()
+    assert result == python

@@ -41,6 +41,21 @@ class TestTestbedDeterminism:
         b = TestbedExperiment(config).run()
         assert a.latencies() == b.latencies()
 
+    def test_lossy_periodical_reproducible(self):
+        """A lost fragment withholds its whole period: which one is lost
+        must be the same on every run of one seed."""
+        config = TestbedConfig(
+            scheme=Scheme.TRANS_1RTT, insa=True,
+            requests_per_second=100, duration_ms=1500,
+            forwarding=ForwardingMode.PERIODICAL, period_ms=100, seed=80,
+        )
+        a = TestbedExperiment(config, agg_loss_rate=0.2).run()
+        b = TestbedExperiment(config, agg_loss_rate=0.2).run()
+        assert a.lost_packets > 0
+        assert a.lost_packets == b.lost_packets
+        assert a.latencies() == b.latencies()
+        assert a.aggregated_report == b.aggregated_report
+
     def test_different_seeds_differ(self):
         base = dict(scheme=Scheme.TRANS_1RTT, insa=True,
                     requests_per_second=50, duration_ms=2000)

@@ -10,8 +10,29 @@ import pytest
 from repro.core.aggregation import ForwardingMode
 from repro.core.aggswitch import AggSwitch
 from repro.core.stats import counts_match
+from repro.model.params import percentile_scenario
 from repro.testbed.config import Scheme, TestbedConfig
 from repro.testbed.experiment import TestbedExperiment
+
+_UDP_IP_OVERHEAD_BYTES = 28
+
+# The five request pathways, per-packet and periodical where both exist.
+PATHWAYS = {
+    "baseline": dict(scheme=Scheme.BASELINE, insa=False),
+    "app-https": dict(scheme=Scheme.APP_HTTPS),
+    "app-periodical": dict(
+        scheme=Scheme.APP_HTTPS,
+        forwarding=ForwardingMode.PERIODICAL, period_ms=100.0,
+    ),
+    "1rtt": dict(),
+    "0rtt": dict(scheme=Scheme.TRANS_0RTT),
+    "no-insa": dict(insa=False),
+    "periodical": dict(forwarding=ForwardingMode.PERIODICAL, period_ms=100.0),
+}
+# Pathways whose aggregation packets leave from the edge (or that have
+# none), and those that cross the lossy LarkSwitch -> AggSwitch link.
+EDGE_PATHWAYS = ("baseline", "app-https", "app-periodical")
+LARK_PATHWAYS = ("1rtt", "0rtt", "no-insa", "periodical")
 
 
 def _config(**kwargs):
@@ -54,6 +75,111 @@ class TestLossBehaviour:
     def test_loss_rate_outside_unit_interval_is_refused(self):
         with pytest.raises(ValueError, match="loss rate"):
             TestbedExperiment(_config(), agg_loss_rate=1.0)
+
+
+class TestLinkPlacement:
+    """Only the LarkSwitch -> AggSwitch hop is lossy, as in the
+    prototype: the edge's aggregation stream is untouched."""
+
+    @pytest.mark.parametrize("pathway", EDGE_PATHWAYS)
+    def test_pathways_off_the_lark_link_lose_nothing(self, pathway):
+        config = _config(**PATHWAYS[pathway])
+        lossless = TestbedExperiment(config).run()
+        lossy = TestbedExperiment(config, agg_loss_rate=0.2).run()
+        assert lossy.lost_packets == 0
+        assert lossy.latencies() == lossless.latencies()
+        assert lossy.aggregated_report == lossless.aggregated_report
+        assert lossy.aggregation_packets == lossless.aggregation_packets
+        assert lossy.aggregation_bytes == lossless.aggregation_bytes
+        assert lossy.completed == len(lossy.records)
+
+    @pytest.mark.parametrize("pathway", LARK_PATHWAYS)
+    def test_every_emitted_packet_is_delivered_or_lost(self, pathway):
+        """The LarkSwitch emits the same payloads whatever happens
+        downstream; the link splits them into delivered and lost."""
+        config = _config(**PATHWAYS[pathway])
+        lossless = TestbedExperiment(config).run()
+        lossy = TestbedExperiment(config, agg_loss_rate=0.2).run()
+        assert lossy.lost_packets > 0
+        assert (
+            lossy.aggregation_packets + lossy.lost_packets
+            == lossless.aggregation_packets
+        )
+        assert lossy.aggregation_bytes < lossless.aggregation_bytes
+
+
+class TestLinkCounters:
+    @pytest.mark.parametrize("pathway", PATHWAYS)
+    def test_counters_are_what_the_agg_switch_received(
+        self, pathway, monkeypatch
+    ):
+        """``aggregation_packets`` / ``aggregation_bytes`` count the
+        delivered packets (payload plus UDP/IP headers), on every
+        pathway, lossy or not."""
+        experiment = TestbedExperiment(
+            _config(**PATHWAYS[pathway]), agg_loss_rate=0.2
+        )
+        received = []
+        process_packet = experiment.agg.process_packet
+
+        def recording(payload):
+            received.append(payload)
+            return process_packet(payload)
+
+        monkeypatch.setattr(experiment.agg, "process_packet", recording)
+        result = experiment.run()
+        assert result.aggregation_packets == len(received)
+        assert result.aggregation_bytes == sum(
+            len(p) + _UDP_IP_OVERHEAD_BYTES for p in received
+        )
+
+    @pytest.mark.parametrize("rate", (0.05, 0.2, 0.5))
+    def test_observed_loss_tracks_the_rate(self, rate):
+        result = TestbedExperiment(
+            _config(requests_per_second=200), agg_loss_rate=rate
+        ).run()
+        sent = result.aggregation_packets + result.lost_packets
+        sigma = (rate * (1 - rate) / sent) ** 0.5
+        assert abs(result.lost_packets / sent - rate) < 4 * sigma
+
+
+class TestLossAndLatency:
+    @pytest.mark.parametrize("pathway", LARK_PATHWAYS)
+    def test_loss_never_delays_a_delivered_request(self, pathway):
+        """A lost packet only withholds its own requests' results: every
+        request the lossy run completes, it completes when the lossless
+        run does."""
+        config = _config(**PATHWAYS[pathway])
+        lossless = TestbedExperiment(config).run()
+        lossy = TestbedExperiment(config, agg_loss_rate=0.2).run()
+        assert lossy.completed < lossless.completed
+        for kept, clean in zip(lossy.records, lossless.records):
+            if kept.completed_ms is not None:
+                assert kept.completed_ms == clean.completed_ms
+
+    @pytest.mark.parametrize("percentile", (25, 50, 75, 90))
+    def test_delivered_latency_is_the_analytic_sum(self, percentile):
+        """Under loss, each delivered Trans-1RTT + INSA request still
+        takes d_CI + d_IA plus the two switch hops, at every delay
+        percentile."""
+        result = TestbedExperiment(
+            _config(delay_percentile=percentile), agg_loss_rate=0.2
+        ).run()
+        params = percentile_scenario(percentile)
+        analytic = params.d_ci + params.d_ia + 2 * 0.101  # two switch hops
+        assert result.lost_packets > 0
+        for latency in result.latencies():
+            assert latency == pytest.approx(analytic, rel=1e-9)
+
+    @pytest.mark.parametrize("pathway", ("0rtt", "no-insa"))
+    def test_undercount_is_the_lost_packets(self, pathway):
+        """Per-packet forwarding carries one data point per packet on
+        the other transport pathways too."""
+        result = TestbedExperiment(
+            _config(**PATHWAYS[pathway]), agg_loss_rate=0.05
+        ).run()
+        assert result.lost_packets > 0
+        assert _undercount(result) == result.lost_packets
 
 
 class TestPerPacketEntryPoints:
