@@ -83,16 +83,3 @@ class Link:
         if self.faults is None:
             return [base]
         return self.faults.apply(self, base)
-
-    def throughput_kbps(self, duration_ms: float) -> float:
-        """Average throughput over a window (for Figure 6(c))."""
-        if duration_ms <= 0:
-            raise ValueError("duration must be positive")
-        return (self.bytes_sent * 8) / duration_ms
-
-    def reset_counters(self) -> None:
-        self.packets_sent = 0
-        self.packets_lost = 0
-        self.packets_duplicated = 0
-        self.packets_reordered = 0
-        self.bytes_sent = 0

@@ -70,13 +70,6 @@ class Network:
             raise KeyError("no link %s -> %s" % key)
         return self.links[key]
 
-    def set_link_delay(self, src: str, dst: str, delay_ms: float,
-                       bidirectional: bool = True) -> None:
-        """Reconfigure delays, like re-running ``tc qdisc change``."""
-        self.link(src, dst).delay_ms = delay_ms
-        if bidirectional and (dst, src) in self.links:
-            self.links[(dst, src)].delay_ms = delay_ms
-
     # -- routing -----------------------------------------------------------
 
     def path(self, src: str, dst: str) -> List[str]:
@@ -104,13 +97,6 @@ class Network:
         hops.reverse()
         self._route_cache[key] = hops
         return hops
-
-    def path_delay_ms(self, src: str, dst: str) -> float:
-        """Sum of propagation delays along the path (no queueing)."""
-        hops = self.path(src, dst)
-        return sum(
-            self.links[(a, b)].delay_ms for a, b in zip(hops, hops[1:])
-        )
 
     # -- transmission --------------------------------------------------------
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
-from repro.switch.columns import PacketColumns
-from repro.switch.hashing import HashUnit
+from repro.switch.hashing import HashUnit, crc32_many
 from repro.switch.registers import RegisterArray
 
 __all__ = ["BloomFilter", "bloom_parameters", "optimal_num_hashes"]
@@ -107,15 +106,15 @@ class BloomFilter:
         """Insert a batch of keys in order; element ``i`` of the result
         equals ``add(keys[i])`` called sequentially.
 
-        The k hash rows for the whole batch are computed in one
-        vectorized pass (the expensive part); the test-and-set walk
-        stays sequential because within a batch each membership answer
-        depends on the bits set by every earlier key.
+        The k hash units differ only in their finalizer, so the batch
+        takes one CRC pass and k vectorized finalizers; the test-and-set
+        walk stays sequential because within a batch each membership
+        answer depends on the bits set by every earlier key.
         """
         if not keys:
             return []
-        columns = PacketColumns(keys)
-        index_rows = [h.hash_many(columns) for h in self._hashes]
+        raw = crc32_many(keys)
+        index_rows = [h.mix_many(raw) for h in self._hashes]
         bits = self._bits
         out: List[bool] = []
         for i in range(len(keys)):

@@ -8,7 +8,7 @@ value, plus an identity-fold hash used for direct indexing.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.switch.columns import PacketColumns, get_numpy
 
@@ -48,42 +48,76 @@ def _as_columns(rows) -> PacketColumns:
     return rows if isinstance(rows, PacketColumns) else PacketColumns(rows)
 
 
-def crc32_many(rows) -> "Sequence[int]":
-    """CRC-32 of every row of a batch (columnar kernel).
+def crc32_many(
+    rows, start: int = 0, stop: Optional[int] = None
+) -> "Sequence[int]":
+    """CRC-32 of ``row[start:stop]`` for every row of a batch (columnar
+    kernel), identical to :func:`crc32` per row.
 
     ``rows`` is a :class:`PacketColumns` or a sequence of byte strings.
-    The vectorized path walks byte *positions* (bounded by the longest
-    row) and gathers the CRC table across all still-active rows at
-    once; rows past their length stop updating, so variable lengths
-    come out identical to :func:`crc32` per row.  Returns an int64
-    array when numpy is on, else a plain list.
+    The vectorized form uses the linearity of CRC-32 over GF(2): with
+    every row right-aligned in the ``width``-wide key matrix, a row of
+    length ``l`` hashes to ``C[l] ^ XOR_p T_p[byte at p]``, where
+    ``C[l] = crc32(bytes(l))`` and ``T_p`` is the byte table advanced
+    by ``width - 1 - p`` zero-byte steps (:func:`_position_tables`).
+    That is one 256-entry gather per column; front padding adds nothing
+    because ``T_p[0] = 0``, and bytes past a row's length are never
+    read.  The ``[start, stop)`` region is hashed in place; only a
+    ragged batch pays an alignment copy.  Returns an int64 array when
+    numpy is on, else a plain list.
     """
     columns = _as_columns(rows)
     np = get_numpy()
     if np is None or not columns.vectorized:
-        return [crc32(row) for row in columns.raw]
-    table = _crc32_table_np()
-    crc = np.full(columns.n, 0xFFFFFFFF, dtype=np.int64)
-    lengths = columns.lengths
-    data = columns.data
-    for j in range(columns.max_len):
-        active = lengths > j
-        if not active.any():
-            break
-        lane = crc[active]
-        crc[active] = (lane >> 8) ^ table[(lane ^ data[active, j]) & 0xFF]
-    return crc ^ 0xFFFFFFFF
+        return [crc32(row[start:stop]) for row in columns.raw]
+    stop = columns.max_len if stop is None else min(stop, columns.max_len)
+    start = min(start, stop)
+    width = stop - start
+    data = columns.data[:, start:stop]
+    lengths = np.clip(columns.lengths - start, 0, width)
+    if (lengths != width).any():
+        # Right-align: row i's window into [zeros | row] starts at its
+        # length, so it ends on the row's last byte.
+        padded = np.concatenate([np.zeros_like(data), data], axis=1)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            padded, width, axis=1
+        )
+        data = windows[np.arange(columns.n), lengths]
+    tables, zero_crcs = _position_tables(np, width)
+    crc = zero_crcs[lengths]
+    for p in range(width):
+        crc ^= tables[width - 1 - p].take(data[:, p])
+    return crc.astype(np.int64)
 
 
-_CRC32_TABLE_NP = None
+# Row k of _TABLES is the CRC-32 table advanced by k zero bytes: the
+# contribution of a byte k positions before a row's last.  _ZERO_CRCS[l]
+# is crc32(bytes(l)).  Both are rebuilt when a wider key arrives; the
+# first build is _MIN_TABLES wide so that cookie regions, connection
+# IDs and short payloads never trigger a second.
+_TABLES = None
+_ZERO_CRCS = None
+_MIN_TABLES = 64
 
 
-def _crc32_table_np():
-    global _CRC32_TABLE_NP
-    np = get_numpy()
-    if _CRC32_TABLE_NP is None:
-        _CRC32_TABLE_NP = np.array(_CRC32_TABLE, dtype=np.int64)
-    return _CRC32_TABLE_NP
+def _position_tables(np, width: int):
+    """``(tables, zero_crcs)`` covering keys up to ``width`` bytes."""
+    global _TABLES, _ZERO_CRCS
+    if _TABLES is None or len(_TABLES) < width:
+        size = max(width, _MIN_TABLES)
+        tables = np.empty((size, 256), dtype=np.uint32)
+        tables[0] = _CRC32_TABLE
+        for k in range(1, size):
+            # One zero-byte CRC step on all 256 lanes at once.
+            prev = tables[k - 1]
+            tables[k] = (prev >> 8) ^ tables[0][prev & 0xFF]
+        zero = [0]
+        state = 0xFFFFFFFF
+        for _ in range(size):
+            state = (state >> 8) ^ _CRC32_TABLE[state & 0xFF]
+            zero.append(state ^ 0xFFFFFFFF)
+        _TABLES, _ZERO_CRCS = tables, np.array(zero, dtype=np.uint32)
+    return _TABLES, _ZERO_CRCS
 
 
 def fold_hash(value: int, width: int) -> int:
@@ -151,8 +185,3 @@ class HashUnit:
         mixed = (mixed * 0x85EBCA77) & 0xFFFFFFFF
         mixed ^= mixed >> 13
         return mixed % self.output_range
-
-    def hash_many(self, rows) -> "Sequence[int]":
-        """Hash every row of a batch; the columnar counterpart of
-        :meth:`hash` (one multi-row CRC pass + vectorized finalizer)."""
-        return self.mix_many(crc32_many(rows))

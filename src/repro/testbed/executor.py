@@ -313,17 +313,22 @@ def fold_snapshots(
     return merged
 
 
+def _partition_key(spec: ShardSpec) -> slice:
+    """The bytes a row is split on: the cookie region for lark
+    streams, the whole payload for agg streams."""
+    return _COOKIE_REGION if spec.kind == "lark" else slice(0, None)
+
+
 def partition_packets(
     spec: ShardSpec, shards: int, packets: Sequence[bytes]
 ) -> List[List[bytes]]:
     """The scalar partition loop: :func:`partition_columns`'s numpy-off
     form and the reference its vectorized form is tested against."""
     parts: List[List[bytes]] = [[] for _ in range(shards)]
-    lark = spec.kind == "lark"
+    key = _partition_key(spec)
     for packet in packets:
         raw = bytes(packet)
-        key = raw[_COOKIE_REGION] if lark else raw
-        parts[crc32(key) % shards].append(raw)
+        parts[crc32(raw[key]) % shards].append(raw)
     return parts
 
 
@@ -336,10 +341,10 @@ def partition_columns(
     state) stay on one shard; agg streams key on the whole payload.
 
     Returns ``parts``, where ``parts[s]`` is the shard-``s`` sub-batch.
-    A vectorized batch takes batched CRC-32 plus a per-shard stable
-    gather, without materializing per-row ``bytes``; anything else
-    takes the scalar :func:`partition_packets` loop — identical output,
-    slower.
+    A vectorized batch hashes its key columns in place with batched
+    CRC-32, then takes a per-shard stable gather, without materializing
+    per-row ``bytes``; anything else takes the scalar
+    :func:`partition_packets` loop — identical output, slower.
     """
     columns = rows if isinstance(rows, PacketColumns) else PacketColumns(rows)
     np = get_numpy()
@@ -348,20 +353,8 @@ def partition_columns(
             PacketColumns(part)
             for part in partition_packets(spec, shards, columns.raw)
         ]
-    if spec.kind == "lark":
-        start, stop = _COOKIE_REGION.start, _COOKIE_REGION.stop
-        stop = min(stop, columns.max_len)
-        width = max(0, stop - start)
-        sub_lengths = np.clip(columns.lengths - start, 0, width)
-        sub = PacketColumns.from_matrix(
-            columns.data[:, start:start + width]
-            if width
-            else np.zeros((columns.n, 0), dtype=np.uint8),
-            sub_lengths,
-        )
-        crcs = np.asarray(crc32_many(sub))
-    else:
-        crcs = np.asarray(crc32_many(columns))
+    key = _partition_key(spec)
+    crcs = crc32_many(columns, key.start, key.stop)
     shard_ids = crcs % shards
     parts: List[PacketColumns] = []
     for shard in range(shards):
@@ -369,9 +362,12 @@ def partition_columns(
         if len(index) == 0:
             parts.append(PacketColumns([]))
         else:
+            # take() gathers whole rows at about twice the speed of
+            # fancy indexing.
             parts.append(
                 PacketColumns.from_matrix(
-                    columns.data[index], columns.lengths[index]
+                    columns.data.take(index, axis=0),
+                    columns.lengths.take(index),
                 )
             )
     return parts

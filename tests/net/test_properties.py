@@ -98,7 +98,6 @@ class TestNetworkProperties:
         net.add_link("a", "b", d1)
         net.add_link("b", "c", d2)
         net.add_link("c", "d", d3)
-        assert abs(net.path_delay_ms("a", "d") - (d1 + d2 + d3)) < 1e-9
         net.nodes["a"].send(NetPacket(src="a", dst="d"))
         net.sim.run()
         arrival = net.nodes["d"].arrival_times_ms[0]

@@ -1,4 +1,4 @@
-"""Network routing and tc-style delay control."""
+"""Network routing and hop-by-hop delivery."""
 
 import pytest
 
@@ -22,10 +22,6 @@ class TestRouting:
     def test_shortest_path(self):
         net = _linear_net()
         assert net.path("client", "web") == ["client", "isp", "edge", "web"]
-
-    def test_path_delay(self):
-        net = _linear_net()
-        assert net.path_delay_ms("client", "web") == pytest.approx(50.3)
 
     def test_no_route(self):
         net = _linear_net()
@@ -73,12 +69,6 @@ class TestConstruction:
         assert net.path("a", "b") == ["a", "b"]
         with pytest.raises(NoRouteError):
             net.path("b", "a")
-
-    def test_set_link_delay_like_tc(self):
-        net = _linear_net()
-        net.set_link_delay("edge", "web", 100.0)
-        assert net.path_delay_ms("client", "web") == pytest.approx(106.7)
-        assert net.link("web", "edge").delay_ms == 100.0
 
     def test_link_lookup(self):
         net = _linear_net()

@@ -12,6 +12,7 @@ Pins the one placement rule the shard runtime has:
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 
@@ -143,6 +144,41 @@ class TestVectorizedPartition:
         assert [p.raw for p in closed_parts] == [
             p.raw for p in open_parts
         ]
+
+    @pytest.mark.parametrize("numpy_on", [True, False],
+                             ids=["numpy", "python"])
+    @pytest.mark.parametrize("longest", (5, 17, 18, 19))
+    @pytest.mark.parametrize("shards", (1, 2, 3, 7))
+    def test_short_and_ragged_lark_rows(self, shards, longest, numpy_on):
+        """Rows of 0..``longest`` bytes, many shorter than the cookie
+        region ``[1, 18)`` (the key is then what the row has of it);
+        batches narrower and wider than the region."""
+        wl = DifferentialWorkload(seed=SEEDS[2])
+        spec = _specs(wl)["lark"]
+        rng = random.Random(shards * 100 + longest)
+        packets = [
+            rng.randbytes(rng.randrange(longest + 1)) for _ in range(120)
+        ]
+        packets[0] = bytes(longest)
+        scalar = partition_packets(spec, shards, packets)
+        force_numpy(numpy_on)
+        try:
+            parts = partition_columns(spec, shards, packets)
+            assert [part.raw for part in parts] == scalar
+            np = get_numpy()
+            if np is not None:
+                # Bytes past a row's length must not move it.
+                flat = b"".join(p.ljust(longest, b"\xee") for p in packets)
+                matrix = np.frombuffer(flat, dtype=np.uint8).reshape(
+                    len(packets), longest
+                )
+                batch = PacketColumns.from_matrix(
+                    matrix, [len(p) for p in packets]
+                )
+                parts = partition_columns(spec, shards, batch)
+                assert [part.raw for part in parts] == scalar
+        finally:
+            force_numpy(None)
 
     def test_columns_input_accepted(self):
         if get_numpy() is None:

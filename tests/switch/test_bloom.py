@@ -1,14 +1,18 @@
 """Bloom filter: no false negatives, plausible false-positive rate."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.switch import bloom as bloom_module
 from repro.switch.bloom import (
     BloomFilter,
     bloom_parameters,
     optimal_num_hashes,
 )
+from repro.switch.columns import VECTOR_MIN_ROWS, force_numpy
 
 
 class TestBasics:
@@ -42,6 +46,52 @@ class TestBasics:
             BloomFilter(100, 0)
         with pytest.raises(ValueError):
             BloomFilter(100, 9)
+
+
+@pytest.fixture(params=(True, False), ids=("numpy", "python"))
+def kernel_form(request):
+    force_numpy(request.param)
+    try:
+        yield request.param
+    finally:
+        force_numpy(None)
+
+
+class TestAddMany:
+    """``add_many`` == ``add`` called key by key, in both kernel forms."""
+
+    @pytest.mark.parametrize("num_hashes", (1, 2, 3, 4))
+    def test_matches_sequential_add(self, kernel_form, num_hashes):
+        rng = random.Random(num_hashes)
+        keys = [
+            bytes(rng.getrandbits(8) for _ in range(rng.randrange(0, 24)))
+            for _ in range(60)
+        ]
+        keys += keys[:15]  # duplicates within the batch
+        assert len(keys) >= VECTOR_MIN_ROWS
+        # Small enough that some fresh keys find their bits already set.
+        seq = BloomFilter(size_bits=512, num_hashes=num_hashes, name="seq")
+        vec = BloomFilter(size_bits=512, num_hashes=num_hashes, name="vec")
+        expected = [seq.add(key) for key in keys]
+        assert vec.add_many(keys) == expected
+        assert vec.items_added == seq.items_added
+        probes = [bytes([i, i ^ 0x5A]) for i in range(64)]
+        assert [vec.contains(p) for p in probes] == [
+            seq.contains(p) for p in probes
+        ]
+
+    def test_one_crc_pass_per_batch(self, kernel_form, monkeypatch):
+        calls = []
+        crc32_many = bloom_module.crc32_many
+
+        def counted(rows):
+            calls.append(len(rows))
+            return crc32_many(rows)
+
+        monkeypatch.setattr(bloom_module, "crc32_many", counted)
+        keys = [b"key-%d" % i for i in range(40)]
+        BloomFilter(size_bits=4096, num_hashes=4).add_many(keys)
+        assert calls == [len(keys)]
 
 
 class TestNoFalseNegatives:

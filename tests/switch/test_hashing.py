@@ -4,11 +4,13 @@ import random
 import zlib
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.switch import columns
-from repro.switch.columns import VECTOR_MIN_ROWS, PacketColumns
+from repro.switch.columns import (
+    VECTOR_MIN_ROWS, PacketColumns, force_numpy, get_numpy,
+)
 from repro.switch.hashing import HashUnit, crc32, crc32_many, fold_hash
 
 # CRC-32/ISO-HDLC catalogue values.
@@ -54,6 +56,72 @@ class TestCrc32:
         expected = [crc for _, crc in CRC32_VECTORS] * 4
         assert [int(v) for v in crc32_many(rows)] == expected
         assert [int(v) for v in crc32_many(PacketColumns(rows))] == expected
+
+
+@st.composite
+def ragged_batches(draw):
+    """Rows of 0..width bytes, width 0..200: empty rows, all-empty
+    batches, and keys wider than the 64 position tables built first."""
+    width = draw(st.integers(0, 200))
+    return draw(st.lists(st.binary(max_size=width), max_size=40))
+
+
+def _padded_matrix(np, rows, fill):
+    """The rows as a from_matrix batch whose bytes past each row's
+    length are ``fill``, not zero."""
+    width = max(map(len, rows), default=0)
+    flat = b"".join(row.ljust(width, bytes([fill])) for row in rows)
+    matrix = np.frombuffer(flat, dtype=np.uint8).reshape(len(rows), width)
+    return PacketColumns.from_matrix(matrix, [len(row) for row in rows])
+
+
+class TestCrc32ManyProperties:
+    """``crc32_many`` == ``zlib.crc32`` row by row, whatever the batch
+    shape, under both kernel forms."""
+
+    @pytest.mark.parametrize("numpy_on", (True, False),
+                             ids=("numpy", "python"))
+    @given(rows=ragged_batches(), fill=st.integers(1, 255))
+    @example(rows=[], fill=1)
+    @example(rows=[b""] * (VECTOR_MIN_ROWS + 3), fill=7)
+    @example(rows=[b"\x00" * 200, b"", b"\xff" * 65], fill=255)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_zlib_per_row(self, numpy_on, rows, fill):
+        expected = [zlib.crc32(row) for row in rows]
+        force_numpy(numpy_on)
+        try:
+            assert [int(v) for v in crc32_many(rows)] == expected
+            np = get_numpy()
+            if np is not None:
+                # Matrix form at any row count, garbage past lengths.
+                batch = _padded_matrix(np, rows, fill)
+                assert [int(v) for v in crc32_many(batch)] == expected
+        finally:
+            force_numpy(None)
+
+    @pytest.mark.parametrize("numpy_on", (True, False),
+                             ids=("numpy", "python"))
+    @given(
+        rows=ragged_batches(),
+        start=st.integers(0, 30),
+        stop=st.one_of(st.none(), st.integers(0, 210)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_region_hashes_as_the_sliced_rows(
+        self, numpy_on, rows, start, stop
+    ):
+        expected = [zlib.crc32(row[start:stop]) for row in rows]
+        force_numpy(numpy_on)
+        try:
+            got = crc32_many(PacketColumns(rows), start, stop)
+            assert [int(v) for v in got] == expected
+            np = get_numpy()
+            if np is not None:
+                batch = _padded_matrix(np, rows, 0xA5)
+                got = crc32_many(batch, start, stop)
+                assert [int(v) for v in got] == expected
+        finally:
+            force_numpy(None)
 
 
 class TestFoldHash:
@@ -114,8 +182,9 @@ def _ragged_rows(n, seed):
 
 
 class TestHashMany:
-    """``hash_many`` (one CRC pass plus the batched finalizer) against
-    :meth:`HashUnit.hash` row by row, in both kernel forms."""
+    """``mix_many`` over one ``crc32_many`` pass (what Bloom
+    ``add_many`` runs) against :meth:`HashUnit.hash` row by row, in
+    both kernel forms."""
 
     # The largest seed makes the finalizer's multiplier 34 bits wide,
     # so the uint64 products wrap: the low 32 bits must survive that.
@@ -123,7 +192,7 @@ class TestHashMany:
     def test_matches_scalar_hash(self, kernel_form, seed):
         rows = _ragged_rows(64, seed)
         unit = HashUnit(4093, seed=seed)
-        assert [int(v) for v in unit.hash_many(rows)] == [
+        assert [int(v) for v in unit.mix_many(crc32_many(rows))] == [
             unit.hash(r) for r in rows
         ]
 
@@ -131,7 +200,7 @@ class TestHashMany:
     def test_output_range_respected(self, kernel_form, output_range):
         rows = _ragged_rows(48, output_range % 97)
         unit = HashUnit(output_range, seed=7)
-        hashed = [int(v) for v in unit.hash_many(rows)]
+        hashed = [int(v) for v in unit.mix_many(crc32_many(rows))]
         assert all(0 <= h < output_range for h in hashed)
         assert hashed == [unit.hash(r) for r in rows]
 
@@ -139,7 +208,7 @@ class TestHashMany:
     def test_batches_below_the_matrix_form(self, kernel_form, n):
         rows = _ragged_rows(n, n + 11)
         unit = HashUnit(1 << 12, seed=5)
-        assert [int(v) for v in unit.hash_many(rows)] == [
+        assert [int(v) for v in unit.mix_many(crc32_many(rows))] == [
             unit.hash(r) for r in rows
         ]
 

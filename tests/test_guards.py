@@ -234,6 +234,27 @@ GUARDS = (
         "testbed = NetworkTestbed(config)",
         "One testbed simulator: delete NetworkTestbed and its node classes",
     ),
+    Guard(
+        # crc32_many has one numpy form, the position-table gather; the
+        # masked walk over still-active rows is gone.
+        "crc32-one-form",
+        r"crc\[active\]|_crc32_table_np",
+        ("src/repro/switch",),
+        "crc[active] = (lane >> 8) ^ table[(lane ^ data[active, j]) & 0xFF]",
+        "Partition the sharded stream at gather speed: one position-table "
+        "CRC-32 kernel",
+    ),
+    Guard(
+        # repro.net keeps what the chaos harness drives; these helpers
+        # had only test callers.
+        "net-test-only-helpers",
+        "set_link_delay|path_delay_ms|throughput_kbps|reset_counters",
+        ("src", "benchmarks", "examples"),
+        "net.set_link_delay('edge', 'web', 100.0)",
+        "Partition the sharded stream at gather speed: one position-table "
+        "CRC-32 kernel",
+        word=True,
+    ),
 )
 
 
