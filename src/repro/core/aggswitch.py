@@ -16,9 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
-from itertools import repeat
-from operator import add, mul
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.aggregation import (
@@ -98,14 +95,14 @@ def _wire_row(
 
 def _parse_payloads(
     app: _AggApp, columns: PacketColumns, idxs: List[int]
-) -> Tuple[List[int], Any, List[Tuple[int, int, int, bytes]]]:
+) -> Tuple[Any, List[Tuple[int, int, bytes]]]:
     """The parse kernel: decrypt the payloads at batch positions
     ``idxs`` (all matched to ``app``) and parse every per-packet
-    data-stack to its wire row.  Returns ``(merged, rows, snapshots)``:
-    the batch positions of the payloads that carry a valid row, those
-    rows in the same order (a tuple list, or an ``(n, F)`` int64 matrix
-    in the numpy form), and per periodical payload that decrypted
-    ``(batch position, valid rows before it, summary byte, body)``.
+    data-stack to its wire row.  Returns ``(rows, snapshots)``: the
+    valid rows in batch order (a tuple list, or an ``(n, F)`` int64
+    matrix in the numpy form), and per periodical payload that
+    decrypted, in batch order, ``(valid rows before it, summary byte,
+    body)``.
     Every other payload is a decode failure, rejected exactly where
     the scalar action rejects it (see :func:`_wire_row`).  The numpy
     form (a matrix batch: ``VECTOR_MIN_ROWS`` payloads up) works per
@@ -115,8 +112,7 @@ def _parse_payloads(
     cards = [feature.cardinality for feature in app.schema.features]
     np = columns.kernels()
     if np is None:
-        merged: List[int] = []
-        snapshots: List[Tuple[int, int, int, bytes]] = []
+        snapshots: List[Tuple[int, int, bytes]] = []
         raws = columns.raw
         # The header checks the scalar decode performs are already
         # guaranteed by the match mask, all but the length.
@@ -132,13 +128,12 @@ def _parse_payloads(
                 continue  # corrupt CBC
             count_byte = raws[i][3]
             if count_byte & 0x80:
-                snapshots.append((i, len(rows), count_byte, body))
+                snapshots.append((len(rows), count_byte, body))
                 continue
             row = _wire_row(cards, body, count_byte)
             if row is not None:
-                merged.append(i)
                 rows.append(row)
-        return merged, rows, snapshots
+        return rows, snapshots
     picks = np.array(idxs)
     lengths = columns.lengths[picks]
     matrix = np.full((len(idxs), len(cards)), -1, dtype=np.int64)
@@ -184,8 +179,8 @@ def _parse_payloads(
             has = good[count_byte[good] > slot]
             matrix[at[has], index[has, slot]] = wire[has, slot]
     before = np.cumsum(valid)
-    return picks[valid].tolist(), matrix[valid], [
-        (idxs[k], int(before[k]), count_byte, body)
+    return matrix[valid], [
+        (int(before[k]), count_byte, body)
         for k, count_byte, body in sorted(periodicals)
     ]
 
@@ -199,42 +194,27 @@ class AggResult:
     latency_ms: float
     forward_report: Optional[Dict[str, Any]] = None
     destination: Optional[str] = None
-    # The packet hit the SID/app table (and so was decrypted).
-    matched: bool = False
 
 
 @dataclass
 class AggBatchResult:
-    """Outcome of one :meth:`AggSwitch.process_columnar` batch, as
-    columns over the batch's payload positions — the mirror of
-    :class:`~repro.core.larkswitch.LarkBatchResult`.
-
-    ``matched`` holds, ascending, the positions that hit the SID/app
-    table and ``merged_at`` those whose payload reached the registers;
-    ``latency_ms`` is each payload's pipeline latency.
+    """Outcome of one :meth:`AggSwitch.process_columnar` batch — the
+    mirror of :class:`~repro.core.larkswitch.LarkBatchResult`:
+    ``merged`` counts the payloads that reached the registers and
+    ``packets`` the batch's packets.
     """
 
-    matched: List[int]
-    merged_at: List[int]
-    latency_ms: List[float]
+    merged: int
+    packets: int
 
     def __len__(self) -> int:
-        return len(self.latency_ms)
-
-    @property
-    def merged(self) -> int:
-        """How many payloads reached the registers."""
-        return len(self.merged_at)
+        return self.packets
 
     @classmethod
     def of(cls, results: List[AggResult]) -> "AggBatchResult":
-        """The columns of per-payload results (the scalar interpreter
-        produced them, or the switch is down)."""
-        return cls(
-            [i for i, r in enumerate(results) if r.matched],
-            [i for i, r in enumerate(results) if r.merged],
-            [r.latency_ms for r in results],
-        )
+        """The batch outcome of per-payload results (the scalar
+        interpreter produced them)."""
+        return cls(sum(r.merged for r in results), len(results))
 
 
 class AggSwitch:
@@ -477,16 +457,14 @@ class AggSwitch:
         kernel (:func:`_parse_payloads`), each run of consecutive
         per-packet rows of an app folds at once (:meth:`_fold_run`),
         and a periodical payload folds in its own place between runs.
-        The result is the batch's columns (:class:`AggBatchResult`);
+        The result is the batch's counts (:class:`AggBatchResult`);
         no forward report is built.
         The column, parse and fold kernels each pick their numpy
         or Python form; only a reshaped pipeline leaves this path, for
         the interpreter.
         """
         if not self.alive:
-            return AggBatchResult.of(
-                [AggResult(False, False, 0.0) for _ in payloads]
-            )
+            return AggBatchResult(0, len(payloads))
         if not self._columnar_ready():
             return AggBatchResult.of(
                 [self.process_packet(bytes(p)) for p in payloads]
@@ -504,17 +482,17 @@ class AggSwitch:
         table.lookups += n
         sids = columns.be16_column(0, default=0)
         app_ids = columns.byte_column(2, default=-1)
-        matched: List[int] = []
-        merged_at: List[int] = []
+        hit_count = 0
+        merged = 0
         for app_id, app in self._apps.items():
             idxs = match_rows((sids, app_ids), (SNATCH_SID, app_id))
             if not idxs:
                 continue
-            matched.extend(idxs)
-            merged, rows, periodical = _parse_payloads(app, columns, idxs)
-            merged_at.extend(merged)
+            hit_count += len(idxs)
+            rows, periodical = _parse_payloads(app, columns, idxs)
+            merged += len(rows)
             done = 0  # rows[:done] are folded
-            for i, before, count_byte, body in periodical:
+            for before, count_byte, body in periodical:
                 # A periodical snapshot merge reads the bank, so the
                 # run before it folds first: packet order is preserved.
                 if before > done:
@@ -525,13 +503,9 @@ class AggSwitch:
                 except ValueError:
                     continue  # malformed data-stack: decode failure
                 if self._fold_packet(app, packet):
-                    merged_at.append(i)
-            if len(merged) > done:
+                    merged += 1
+            if len(rows) > done:
                 self._fold_run(app, rows[done:])
-        # Ascending across applications and periodical payloads.
-        matched.sort()
-        merged_at.sort()
-        hit_count = len(matched)
         hit_meter, miss_meter = pipe._stage_meters[0]
         table.hits += hit_count
         hit_meter.inc(hit_count)
@@ -540,24 +514,13 @@ class AggSwitch:
         hit_us = _HIT_LATENCY_MS * 1000.0
         pipe._m_latency_us.observe_many(line_us, n - hit_count)
         pipe._m_latency_us.observe_many(hit_us, hit_count)
-        self._m_decode_failures.inc(hit_count - len(merged_at))
+        self._m_decode_failures.inc(hit_count - merged)
         pipe._m_batches.inc()
         pipe._m_batch_size.observe(n)
-        if not isinstance(sids, list):
-            sids, app_ids = sids.tolist(), app_ids.tolist()
-        latency_ms = list(map(
-            dict.fromkeys(
-                zip(repeat(SNATCH_SID), self._apps), _HIT_LATENCY_MS
-            ).get,
-            zip(sids, app_ids), repeat(LINE_RATE_LATENCY_MS),
-        ))
-        # The batch latency is the per-payload latencies added up one
-        # after another in payload order (n * hit_us differs from that
-        # in the last bits), here without a Python-level loop.
         pipe._m_batch_latency_us.observe(
-            reduce(add, map(mul, latency_ms, repeat(1000.0)), 0.0)
+            hit_count * hit_us + (n - hit_count) * line_us
         )
-        return AggBatchResult(matched, merged_at, latency_ms)
+        return AggBatchResult(merged, n)
 
     def _fold_run(self, app: _AggApp, rows: Any) -> None:
         """Fold one run of validated per-packet wire rows — one
@@ -581,8 +544,6 @@ class AggSwitch:
             latency_ms=result.latency_ms,
             forward_report=forward_report,
             destination=destination,
-            matched=merged_app is not None
-            or metadata.get("decode_failed", False),
         )
 
     # -- read-out ----------------------------------------------------------------

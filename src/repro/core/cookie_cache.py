@@ -29,10 +29,10 @@ Correctness invariants:
   blocks and draws the per-packet framing bytes in the same order
   with the numpy gate open or closed, so from the same RNG state and
   cache contents it emits byte-identical wire cookies.  (A *warm*
-  batch is also byte-identical to sequential ``encode`` calls; on
-  misses the batch draws padding in one ``getrandbits`` call per block
-  ahead of the framing bytes, which only changes random bits that
-  nothing downstream decodes.)
+  batch is also byte-identical to one-key batches in turn; on misses
+  the batch draws padding in one ``getrandbits`` call per block ahead
+  of the framing bytes, which only changes random bits that nothing
+  downstream decodes.)
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.crypto.aes import random_bytes
-from repro.quic.connection_id import ConnectionID
 
 __all__ = ["CookieEncodeCache"]
 
@@ -214,27 +213,6 @@ class CookieEncodeCache:
             for i in set(missed).difference(positions):
                 out[i] = out[first[keys[i]]]
         return out  # type: ignore[return-value]
-
-    def encode(
-        self, key: Hashable, values_fn: Callable[[], Dict[str, Any]]
-    ) -> ConnectionID:
-        """Single-cookie entry point (the testbed's scalar backend).
-        A miss is counted and stored only once its block is built."""
-        blocks = self._blocks
-        block = blocks.get(key)
-        if block is not None:
-            blocks.move_to_end(key)
-            self.hits += 1
-        else:
-            block = self._codec.aes.encrypt_block(
-                self._codec.encode_block(values_fn())
-            )
-            self.misses += 1
-            blocks[key] = block
-            if len(blocks) > self._capacity:
-                blocks.popitem(last=False)
-                self.evictions += 1
-        return self._codec.assemble(block)
 
     def encode_columns(
         self,

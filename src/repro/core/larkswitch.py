@@ -25,9 +25,8 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate, compress, islice, repeat
-from operator import add, mul
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.aggregation import (
@@ -141,44 +140,33 @@ _HIT_LATENCY_MS = LINE_RATE_LATENCY_MS + AES_PASS_LATENCY_MS
 
 @dataclass
 class LarkBatchResult:
-    """Outcome of one :meth:`LarkSwitch.process_quic_columnar` batch,
-    as columns over the batch's packet positions.
+    """Outcome of one :meth:`LarkSwitch.process_quic_columnar` batch:
+    what a line-rate switch puts out, not a record per packet.
 
     ``payloads`` are the emitted aggregation payloads in packet order
     (none for a periodical application, whose only output is the
-    period close) and ``emitters`` the position of the packet that
-    emitted each one; ``matched`` holds, ascending, the positions that
-    hit the application table, and ``folded`` counts the packets that
-    reached the statistics registers.  ``latency_ms`` is each packet's
-    pipeline latency and ``dropped`` the positions whose original the
-    switch did not forward (only a reshaped pipeline drops).
+    period close), ``folded`` counts the packets that reached the
+    statistics registers and ``packets`` the batch's packets.
     """
 
     payloads: List[bytes]
-    emitters: List[int]
-    matched: List[int]
     folded: int
-    latency_ms: List[float]
-    dropped: List[int]
+    packets: int
 
     def __len__(self) -> int:
-        return len(self.latency_ms)
+        return self.packets
 
     @classmethod
     def of(cls, results: List[LarkResult]) -> "LarkBatchResult":
-        """The columns of per-packet results (the scalar interpreter
-        produced them, or the switch is down)."""
-        emitters = [
-            i for i, r in enumerate(results)
-            if r.aggregation_payload is not None
-        ]
+        """The batch outcome of per-packet results (the scalar
+        interpreter produced them)."""
         return cls(
-            [results[i].aggregation_payload for i in emitters],
-            emitters,
-            [i for i, r in enumerate(results) if r.matched],
+            [
+                r.aggregation_payload for r in results
+                if r.aggregation_payload is not None
+            ],
             sum(r.folded for r in results),
-            [r.latency_ms for r in results],
-            [i for i, r in enumerate(results) if not r.forwarded_original],
+            len(results),
         )
 
 
@@ -483,21 +471,18 @@ class LarkSwitch:
         return out
 
     @staticmethod
-    def _seal_per_packet(
-        emitting: List[Tuple[Any, ...]]
-    ) -> Tuple[List[bytes], List[int]]:
+    def _seal_per_packet(emitting: List[Tuple[Any, ...]]) -> List[bytes]:
         """Seal a batch's per-packet clones: ``emitting`` holds, per
         per-packet application, ``(agg codec, emitting packet indexes,
         the folded groups' wire rows, each emitting packet's row)``.
         Returns the payloads in packet order (one ``seal_rows`` per
-        application) and the packet index of each.  Every codec on a
-        switch draws from its one RNG, so the batch's IVs are one draw
-        in global packet order, dealt out to the applications slot by
-        slot."""
+        application).  Every codec on a switch draws from its one RNG,
+        so the batch's IVs are one draw in global packet order, dealt
+        out to the applications slot by slot."""
         codecs, indexes, rows, groups = zip(*emitting)
         ivs = codecs[0].draw_ivs(sum(map(len, indexes)))
         if len(emitting) == 1:
-            return codecs[0].seal_rows(rows[0], groups[0], ivs), indexes[0]
+            return codecs[0].seal_rows(rows[0], groups[0], ivs)
         slots = sorted(
             (i, a, k)
             for a, emit_idxs in enumerate(indexes)
@@ -512,7 +497,7 @@ class LarkSwitch:
                 codecs, rows, groups, dealt
             )
         ]
-        return [sealed[a][k] for _, a, k in slots], [i for i, _, _ in slots]
+        return [sealed[a][k] for _, a, k in slots]
 
     def process_quic_columnar(
         self, dcids: Sequence[ConnectionID]
@@ -528,7 +513,7 @@ class LarkSwitch:
         an application forwards per packet: then the payload IVs are
         one draw in packet order and each application's payloads are
         sealed straight from its groups' wire rows, one batched CBC
-        pass each.  The result is the batch's columns
+        pass each.  The result is the payloads and the counts
         (:class:`LarkBatchResult`).
         The kernels underneath (:mod:`repro.switch.columns`, AES,
         register folds) each pick their numpy or Python form, so this
@@ -538,9 +523,7 @@ class LarkSwitch:
         means, and the batch runs through it packet by packet.
         """
         if not self.alive:
-            return LarkBatchResult.of(
-                [LarkResult(False, True, None, 0.0) for _ in dcids]
-            )
+            return LarkBatchResult([], 0, len(dcids))
         if not self._columnar_ready():
             return LarkBatchResult.of(
                 [self.process_quic_packet(dcid) for dcid in dcids]
@@ -563,7 +546,6 @@ class LarkSwitch:
         decoded_count = 0
         failure_count = 0
         digest_count = 0
-        matched: List[int] = []
         # Per per-packet application: (agg codec, emitting packet
         # indexes, the folded groups' wire rows, each emitting packet's
         # row).
@@ -573,7 +555,6 @@ class LarkSwitch:
             if not idxs:
                 continue
             hit_count += len(idxs)
-            matched.extend(idxs)
             keys, lengths, inverse = group_rows(
                 columns, COOKIE_BYTE_START, COOKIE_BYTE_END,
                 None if len(idxs) == n else idxs,
@@ -622,10 +603,7 @@ class LarkSwitch:
                         emit_idxs.append(i)
                         emit_rows.append(slot_of[g] - 1)
                 emitting.append((app.agg_codec, emit_idxs, rows, emit_rows))
-        payloads, emitters = (
-            self._seal_per_packet(emitting) if emitting else ([], [])
-        )
-        matched.sort()  # ascending across applications
+        payloads = self._seal_per_packet(emitting) if emitting else []
         hit_meter, miss_meter = pipe._stage_meters[0]
         table.hits += hit_count
         hit_meter.inc(hit_count)
@@ -641,21 +619,10 @@ class LarkSwitch:
         self._m_digests.inc(digest_count)
         pipe._m_batches.inc()
         pipe._m_batch_size.observe(n)
-        if not isinstance(app_column, list):
-            app_column = app_column.tolist()
-        latency_ms = list(map(
-            dict.fromkeys(self._apps, _HIT_LATENCY_MS).get, app_column,
-            repeat(LINE_RATE_LATENCY_MS),
-        ))
-        # The batch latency is the per-packet latencies added up one
-        # after another in packet order (n * hit_us differs from that
-        # in the last bits), here without a Python-level loop.
         pipe._m_batch_latency_us.observe(
-            reduce(add, map(mul, latency_ms, repeat(1000.0)), 0.0)
+            hit_count * hit_us + (n - hit_count) * line_us
         )
-        return LarkBatchResult(
-            payloads, emitters, matched, decoded_count, latency_ms, []
-        )
+        return LarkBatchResult(payloads, decoded_count, n)
 
     @staticmethod
     def _to_lark_result(result: Any) -> LarkResult:

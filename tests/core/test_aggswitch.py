@@ -20,6 +20,7 @@ from repro.switch import columns
 
 from tests.differential.workloads import (
     WIDE_MAX as BIG,
+    table_meters,
     wide_payloads,
     wide_schema as _wide_schema,
     wide_specs as _wide_specs,
@@ -295,7 +296,7 @@ class TestColumnarRuns:
             chunk = expected[at:at + size]
             batch = columnar.process_columnar(payloads[at:at + size])
             assert batch == AggBatchResult.of(chunk)
-            assert batch.merged_at == list(range(len(chunk)))
+            assert batch.merged == len(chunk)
             assert columnar.report(APP) == chunk[-1].forward_report
             at, calls = at + size, calls + 1
         assert calls > 1
@@ -362,8 +363,8 @@ class TestColumnarRuns:
                 batch = AggBatchResult.of(results)
             else:
                 batch = agg.process_columnar(payloads)
-            assert batch.matched == list(range(21))
-            assert batch.merged_at == list(range(9)) + list(range(10, 21))
+            assert batch == AggBatchResult(20, 21)
+            assert table_meters(agg) == (21, 0)
             assert _registers(agg) == _registers(clean)
             assert agg.merge(APP) == clean.merge(APP)
             meters = _agg_meters(agg)
@@ -409,11 +410,8 @@ class TestColumnarRuns:
         assert batch == _wide_agg().process_columnar(payloads)
         assert batch == AggBatchResult.of(first)
         assert batch != AggBatchResult.of(first[:2])
-        assert batch != object() and batch != AggBatchResult.of(first).matched
-        assert repr(batch) == (
-            "AggBatchResult(matched=[0, 1, 2], merged_at=[0, 1, 2], "
-            "latency_ms=%r)" % (batch.latency_ms,)
-        )
+        assert batch != object() and batch != AggBatchResult.of(first).merged
+        assert repr(batch) == "AggBatchResult(merged=3, packets=3)"
 
 
 # -- hostile payloads through the parse kernel, the batch result --------------
@@ -616,7 +614,7 @@ def _per_packet_meters(agg):
 
 @pytest.mark.usefixtures("kernel_form")
 class TestBatchResult:
-    def test_columns_are_the_scalar_path(self):
+    def test_counts_are_the_scalar_path(self):
         payloads = _wide_payloads(40, seed=31)
         payloads[7] = payloads[7][:-1]
         scalar, columnar = _wide_agg(), _wide_agg()
@@ -624,17 +622,43 @@ class TestBatchResult:
         batch = columnar.process_columnar(payloads)
         assert batch == AggBatchResult.of(expected)
         assert len(batch) == 40 and batch.merged == 39
-        assert batch.matched == list(range(40))
-        assert batch.merged_at == [i for i in range(40) if i != 7]
-        assert batch.latency_ms == [r.latency_ms for r in expected]
+        assert table_meters(columnar) == table_meters(scalar) == (40, 0)
+        assert _per_packet_meters(columnar) == _per_packet_meters(scalar)
+        _assert_same_switch_state(columnar, scalar)
         assert batch == _wide_agg().process_columnar(payloads)
+
+    @pytest.mark.parametrize("n", (1, 15, 16, 17, 64, 4096))
+    def test_batch_latency_is_the_per_packet_latencies(self, n):
+        """A batch observes the sum of its payloads' latencies: a table
+        hit (truncated ones included, which fail to decode) costs the
+        AES pass, a foreign SID or an unknown app-ID the line rate.
+        No size has as many hits as misses, so the two cannot trade
+        places unseen."""
+        pool = _wide_payloads(40, seed=34)
+        payloads = []
+        for i in range(n):
+            good = pool[i % len(pool)]
+            payloads.append((
+                good, b"\x12\x34" + good[2:], good,
+                good[:2] + b"\x77" + good[3:], good[:-1],
+            )[i % 5])
+        agg = _wide_agg()
+        batch = agg.process_columnar(payloads)
+        hits, misses = table_meters(agg)
+        assert hits + misses == len(batch) == n and hits != misses
+        meters = {m["name"]: m for m in agg.metrics.snapshot()}
+        assert meters["pipeline.agg.batch.latency_us"]["count"] == 1
+        assert (
+            meters["pipeline.agg.batch.latency_us"]["total"]
+            == meters["pipeline.agg.latency_us"]["total"]
+        )
 
     def test_empty_input(self):
         agg = _wide_agg()
         before = _registers(agg), _per_packet_meters(agg)
         empty = agg.process_columnar([])
         assert len(empty) == 0 and empty.merged == 0
-        assert empty == AggBatchResult([], [], []) == AggBatchResult.of([])
+        assert empty == AggBatchResult(0, 0) == AggBatchResult.of([])
         # An empty call is still a call (as before): one batch of size 0.
         assert (_registers(agg), _per_packet_meters(agg)) == before
         meters = {m["name"]: m for m in agg.metrics.snapshot()}
@@ -657,10 +681,13 @@ class TestBatchResult:
             False, False, True, False, True,
         ] * (n // 5)
         batch = columnar.process_columnar(misses)
-        assert batch == AggBatchResult.of(expected) and len(batch) == n
-        assert batch.matched == batch.merged_at == []
-        assert batch.latency_ms == [LINE_RATE_LATENCY_MS] * n
+        assert batch == AggBatchResult.of(expected) == AggBatchResult(0, n)
+        assert table_meters(columnar) == table_meters(scalar) == (0, n)
         assert _per_packet_meters(columnar) == _per_packet_meters(scalar)
+        meters = {m["name"]: m for m in columnar.metrics.snapshot()}
+        assert meters["pipeline.agg.batch.latency_us"]["total"] == round(
+            n * LINE_RATE_LATENCY_MS * 1000.0
+        )
 
     def test_branches_that_hold_a_list_return_the_same_type(self):
         from repro.switch.tables import MatchActionTable, MatchKey, MatchKind
@@ -668,9 +695,11 @@ class TestBatchResult:
         payloads = _wide_payloads(20, seed=33)
         down = _wide_agg()
         down.crash()
+        before = down.metrics.snapshot()
         batch = down.process_columnar(payloads)
-        assert isinstance(batch, AggBatchResult) and len(batch) == 20
-        assert batch.merged == 0 and batch.latency_ms == [0.0] * 20
+        assert batch == AggBatchResult(0, 20)
+        # A downed switch is routed around: no meter moves.
+        assert down.metrics.snapshot() == before
         assert batch == AggBatchResult.of(
             [down.process_packet(p) for p in payloads]
         )

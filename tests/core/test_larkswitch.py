@@ -6,12 +6,14 @@ import pytest
 
 from repro.core.aggregation import AggregationCodec, ForwardingMode
 from repro.core.aggswitch import AggSwitch
-from repro.core.larkswitch import LarkSwitch
+from repro.core.larkswitch import LarkBatchResult, LarkSwitch
 from repro.core.schema import CookieSchema, Feature
 from repro.core.stats import StatKind, StatSpec
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.quic.connection_id import random_connection_id
 from repro.switch.pipeline import AES_PASS_LATENCY_MS, LINE_RATE_LATENCY_MS
+
+from tests.differential.workloads import table_meters
 
 KEY = bytes(range(16))
 APP = 0x42
@@ -342,8 +344,10 @@ class TestPerPacketItemLimits:
         codec = TransportCookieCodec(APP, schema, KEY, random.Random(3))
         cids = [codec.encode({"x": 2**49}) for _ in range(20)]
         assert not lark.process_quic_packet(cids[0]).matched
+        hits, misses = table_meters(lark)
         batch = lark.process_quic_columnar(cids)
-        assert batch.folded == 0 and batch.payloads == batch.matched == []
+        assert batch == LarkBatchResult([], 0, len(cids))
+        assert table_meters(lark) == (hits, misses + len(cids))
         # Periodical forwarding carries register cells, not wire
         # integers: the same schema registers and folds.
         lark.register_application(

@@ -18,6 +18,7 @@ from tests.differential.workloads import (
     APP_ID,
     DifferentialWorkload,
     register_state,
+    table_meters,
 )
 
 
@@ -92,8 +93,10 @@ class TestRotationOnTheDataPlane:
         lark = wl.new_lark()
         lark.process_quic_columnar(cids)
         assert lark.revoke_application(APP_ID)
+        hits, misses = table_meters(lark)
         results = lark.process_quic_columnar(cids)
-        assert results.matched == [] and results.folded == 0
+        assert results == LarkBatchResult([], 0, len(cids))
+        assert table_meters(lark) == (hits, misses + len(cids))
         # No stats registers survive the revoke.
         names = lark.pipeline.registers.names()
         assert not any("app%02x" % APP_ID in n for n in names)

@@ -39,6 +39,7 @@ from tests.differential.workloads import (
     columnar_batches,
     register_state,
     scalar_columns,
+    table_meters,
 )
 
 SEEDS = (11, 23, 37, 41, 59)
@@ -392,7 +393,7 @@ def test_lark_per_packet_payload_bytes_come_from_the_wire_row():
     batch = columnar.process_quic_columnar(cids)
     assert batch.payloads == [r.aggregation_payload for r in scalar_results]
     assert batch == LarkBatchResult.of(scalar_results)
-    assert batch.emitters == list(range(len(cids)))
+    assert len(batch.payloads) == len(cids)
     agg_codec = columnar._apps[APP_ID].agg_codec
     assert any(len(values) < len(features) for values in cookies)
     for values, result, payload in zip(
@@ -492,8 +493,8 @@ def test_columnar_per_packet_path_builds_no_object_per_payload(monkeypatch):
         patch.setattr(aggswitch, "AggResult", forbidden)
         payloads = lark.process_quic_columnar(cids).payloads
         batch = agg.process_columnar(payloads)
-    assert batch.merged == len(payloads) == 64
-    assert batch.merged_at == batch.matched == list(range(64))
+    assert batch == AggBatchResult(64, 64)
+    assert table_meters(agg) == (64, 0)
     assert payloads == [r.aggregation_payload for r in expected]
 
 
@@ -604,10 +605,10 @@ def test_lark_batch_columns_and_counters_are_the_scalar_path(
     size, n, mode, dedup, digests, apps, matrix
 ):
     """Each batch is ``LarkBatchResult.of`` the scalar results of its
-    chunk — payloads, their emitters, matched positions, ``folded``,
-    latencies — and every counter is what the scalar switch counts
-    packet by packet, whether the chunk comes as a row list or as a
-    (ragged) matrix."""
+    chunk — payloads, ``folded``, packets — and every counter (the app
+    table's hits and misses, the latencies among them) is what the
+    scalar switch counts packet by packet, whether the chunk comes as a
+    row list or as a (ragged) matrix."""
     if matrix and not columns.numpy_enabled():
         pytest.skip("matrix-built batches need the numpy gate open")
     wl, rows, scalar_results, scalar_state = _scalar_run(
@@ -652,7 +653,7 @@ def test_lark_batch_result_empty_input_and_all_misses():
     before = (_lark_state(lark), dict(lark._decode_memo))
     empty = lark.process_quic_columnar([])
     assert len(empty) == 0 and empty == LarkBatchResult.of([])
-    assert empty == LarkBatchResult([], [], [], 0, [], [])
+    assert empty == LarkBatchResult([], 0, 0)
     # An empty call is still a call (as before): one batch of size 0.
     assert (_lark_state(lark), lark._decode_memo) == before
     meters = {m["name"]: m for m in lark.metrics.snapshot()}
@@ -665,8 +666,12 @@ def test_lark_batch_result_empty_input_and_all_misses():
     expected = [scalar.process_quic_packet(row) for row in misses]
     batch = lark.process_quic_columnar(misses)
     assert batch == LarkBatchResult.of(expected)
-    assert (batch.payloads, batch.matched, batch.folded) == ([], [], 0)
-    assert batch.latency_ms == [LINE_RATE_LATENCY_MS] * len(misses)
+    assert batch == LarkBatchResult([], 0, len(misses))
+    assert table_meters(lark) == (0, len(misses))
+    meters = {m["name"]: m for m in lark.metrics.snapshot()}
+    assert meters["pipeline.diff-lark.batch.latency_us"]["total"] == round(
+        len(misses) * LINE_RATE_LATENCY_MS * 1000.0
+    )
     assert _lark_state(lark) == _lark_state(scalar)
 
 
@@ -675,16 +680,16 @@ def test_lark_batch_result_empty_input_and_all_misses():
 ))
 def test_lark_batch_result_from_the_branches_that_hold_a_list(mode):
     """A downed switch and a reshaped pipeline produce their results
-    packet by packet; they come back as the same columns, filled in
-    from the list."""
+    packet by packet; they come back as the same batch result."""
     wl = DifferentialWorkload(SEEDS[0])
     cids = wl.cids("uniform", 30)
     down = wl.new_lark(mode=mode)
     down.crash()
+    before = down.metrics.snapshot()
     batch = down.process_quic_columnar(cids)
-    assert isinstance(batch, LarkBatchResult) and len(batch) == 30
-    assert batch.payloads == batch.matched == [] and batch.folded == 0
-    assert batch.latency_ms == [0.0] * 30 and batch.dropped == []
+    assert batch == LarkBatchResult([], 0, 30)
+    # A downed switch is routed around: no meter moves.
+    assert down.metrics.snapshot() == before
     assert batch == LarkBatchResult.of(
         [down.process_quic_packet(cid) for cid in cids]
     )
@@ -700,7 +705,8 @@ def test_lark_batch_result_from_the_branches_that_hold_a_list(mode):
     expected = [scalar.process_quic_packet(cid) for cid in cids]
     batch = reshaped.process_quic_columnar(cids)
     assert batch == LarkBatchResult.of(expected)
-    assert batch.folded == 30 and batch.matched == list(range(30))
+    assert batch.folded == 30
+    assert table_meters(reshaped) == table_meters(scalar) == (30, 0)
     assert batch.payloads == [
         r.aggregation_payload for r in expected
         if r.aggregation_payload is not None
@@ -802,6 +808,10 @@ def test_agg_mixed_modes_and_corruption_bit_identical(seed):
     assert _agg_state(columnar) == _agg_state(scalar)
 
 
+def _meter(switch, name):
+    return {m["name"]: m for m in switch.metrics.snapshot()}[name]["value"]
+
+
 def _reshape(switch):
     """Install a second stage the columnar path knows nothing about: a
     table whose default action drops every packet."""
@@ -838,9 +848,11 @@ def test_reshaped_pipeline_runs_through_the_interpreter(shape):
     assert batches == scalar_columns(
         LarkBatchResult.of, scalar_results, batches
     )
-    assert all(
-        batch.dropped == list(range(len(batch))) for batch in batches
-    )
+    # The new stage dropped every original, as on the scalar switch.
+    drops = "pipeline.diff-lark.drops"
+    assert _meter(columnar, drops) == _meter(scalar, drops) == len(cids)
+    assert columnar.pipeline.packets_dropped == len(cids)
+    assert scalar.pipeline.packets_dropped == len(cids)
     assert register_state(columnar) == register_state(scalar)
 
     payloads = wl.payloads(shape, PACKETS)

@@ -70,6 +70,13 @@ def scalar_columns(of, results: List[Any], batches: List[Any]) -> List[Any]:
     return out
 
 
+def table_meters(switch):
+    """The (hits, misses) meters of a switch's one match-action table:
+    how many packets of the batches so far hit it."""
+    hits, misses = switch.pipeline._stage_meters[0]
+    return hits.value, misses.value
+
+
 def register_state(switch):
     """Full raw register-file contents of a switch pipeline — the
     strictest state comparison the differential suite makes."""

@@ -53,6 +53,13 @@ def _values(i):
     }
 
 
+def _encode(cache, key, values):
+    """One cookie through the batch entry point."""
+    return ConnectionID(
+        cache.encode_columns([key], values_fn=lambda _: values).raw[0]
+    )
+
+
 def _cache(capacity=4096, seed=3):
     codec = TransportCookieCodec(APP_ID, _schema(), KEY, random.Random(seed))
     return CookieEncodeCache(codec, capacity=capacity)
@@ -64,8 +71,8 @@ class TestDecodeIdentity:
         decoder = TransportCookieCodec(
             APP_ID, _schema(), KEY, random.Random(99)
         )
-        miss = cache.encode(7, lambda: _values(7))
-        hit = cache.encode(7, lambda: _values(7))
+        miss = _encode(cache, 7, _values(7))
+        hit = _encode(cache, 7, _values(7))
         fresh = decoder.encode(_values(7))
         assert cache.hits == 1 and cache.misses == 1
         # The semantic region is byte-identical between hit and miss...
@@ -116,7 +123,7 @@ class TestEntryPointEquivalence:
         batched = cache.encode_columns(keys, lambda i: _values(keys[i]))
         cache.codec.rng.setstate(state)
         sequential = [
-            cache.encode(k, lambda k=k: _values(k)) for k in keys
+            _encode(cache, k, _values(k)) for k in keys
         ]
         assert batched.raw == [bytes(b) for b in sequential]
 
@@ -129,7 +136,7 @@ class TestBoundsAndInvalidation:
         assert len(cache) <= 8
         assert cache.evictions == 50 - 8
         # The most recently stored keys survived.
-        cache.encode(49, lambda: _values(49))
+        _encode(cache, 49, _values(49))
         assert cache.hits == 1
 
     def test_rekey_drops_every_block_and_reencodes(self):
@@ -142,7 +149,7 @@ class TestBoundsAndInvalidation:
         assert cache.epoch == 1 and cache.invalidations == 1
         # Same user key after the rekey: a miss (no stale serve), and
         # the fresh cookie decodes under the *new* key.
-        cid = cache.encode(3, lambda: _values(3))
+        cid = _encode(cache, 3, _values(3))
         assert cache.misses == 11
         decoder = TransportCookieCodec(
             APP_ID, _schema(), new_key, random.Random(1)
@@ -181,7 +188,7 @@ class TestControllerClientHooks:
         assert cache.epoch == 1 and len(cache) == 0
         assert cache.app_id == new_handle.app_id
         # Cookies minted after the push decode under the new version.
-        cid = cache.encode(0, lambda: _values(0))
+        cid = _encode(cache, 0, _values(0))
         decoder = TransportCookieCodec(
             new_handle.app_id, new_handle.transport_schema,
             new_handle.key, random.Random(1),
@@ -190,13 +197,13 @@ class TestControllerClientHooks:
 
     def test_revoke_invalidates(self):
         controller, cache, handle = self._controller_and_cache()
-        cache.encode(0, lambda: _values(0))
+        _encode(cache, 0, _values(0))
         controller.remove_application("crowd")
         assert cache.epoch == 1 and len(cache) == 0
 
     def test_unrelated_push_is_ignored(self):
         controller, cache, handle = self._controller_and_cache()
-        cache.encode(0, lambda: _values(0))
+        _encode(cache, 0, _values(0))
         controller.add_application(
             "other",
             [Feature.categorical("tier", ("a", "b"))],
@@ -343,13 +350,13 @@ class TestEncodeColumnsCallbacks:
         assert cache.stats() == stats
         assert cache.codec.rng.getstate() == state
 
-    def test_a_rejected_scalar_encode_counts_nothing(self):
+    def test_a_rejected_value_dict_counts_nothing(self):
         cache = _cache()
-        cache.encode(1, lambda: _values(1))
+        _encode(cache, 1, _values(1))
         blocks = list(cache._blocks.items())
         stats = cache.stats()
         with pytest.raises(ValueError):
-            cache.encode(2, lambda: {"region": "nowhere"})
+            _encode(cache, 2, {"region": "nowhere"})
         assert list(cache._blocks.items()) == blocks
         assert cache.stats() == stats
 

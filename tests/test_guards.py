@@ -255,6 +255,16 @@ GUARDS = (
         "CRC-32 kernel",
         word=True,
     ),
+    Guard(
+        # A batch result holds the payloads and the counts its callers
+        # read; the batch latency is the closed form over the hits.
+        "batch-results-hold-counts",
+        r"emitters|merged_at|reduce\(add, map\(mul",
+        ("src/repro/core",),
+        "return AggBatchResult(matched, merged_at, latency_ms)",
+        "Columnar switch calls return payloads and counts, no per-packet "
+        "columns",
+    ),
 )
 
 

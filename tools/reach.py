@@ -4,19 +4,22 @@
 
 Runs every caller the reproduction serves — the examples, the paper
 benches, the CLI subcommands, the public-API test and every ledger
-workload, traced — with a function-level recorder in each Python
-process they start, then prints one table: per module of ``src/repro``,
-its lines and the lines that sit in functions none of those processes
-ever entered.
+workload, traced — with a line recorder in each Python process they
+start, then prints one table: per module of ``src/repro``, its lines,
+its executable lines and the executable lines none of those processes
+ever ran; under the table, each module's missed line ranges.
 
-The recorder is a ``sys.setprofile`` hook installed by a temporary
-``sitecustomize`` on ``PYTHONPATH``, so processes started by a caller
-(bench repetitions, spawned ring workers) record too; a forked ring
-worker inherits the hook and appends to its parent's file.  Each newly
-entered code object is appended as it goes, so a worker that is killed
-instead of exiting still counts.  The paper benches run with
+A module's executable lines are the line numbers of its code objects'
+``co_lines()``: the lines a line tracer can report.  The recorder is a
+``sys.settrace`` hook installed by a temporary ``sitecustomize`` on
+``PYTHONPATH``, so processes started by a caller (bench repetitions,
+spawned ring workers) record too; a forked ring worker inherits the
+hook and appends to its parent's file.  Each line is appended the
+first time it runs, so a worker that is killed instead of exiting
+still counts, and a code object stops being traced once every one of
+its lines has run.  The paper benches run with
 ``--benchmark-disable``: pytest-benchmark's instrumentation pause
-clears the profiler inside timed calls.
+clears the tracer inside timed calls.
 
 Everything runs in a temporary copy of the checkout and the copy is
 deleted afterwards: nothing is written inside the repository.  Stdlib
@@ -25,13 +28,13 @@ only; the ledger leg makes a run take several minutes.
 
 from __future__ import annotations
 
-import ast
 import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+from types import CodeType
 from typing import Dict, List, Set, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -66,20 +69,35 @@ _OUT = open(
     "a",
     buffering=1,
 )
-_SEEN = set()
+# Per code object, its lines not yet recorded (empty outside _PREFIX).
+_PENDING = {}
 
 
-def _record(frame, event, arg):
-    if event == "call":
+def _line(frame, event, arg):
+    if event == "line":
         code = frame.f_code
-        if code not in _SEEN:
-            _SEEN.add(code)
-            if code.co_filename.startswith(_PREFIX):
-                _OUT.write("%s\\t%d\\n" % (code.co_filename, code.co_firstlineno))
+        pending = _PENDING[code]
+        if frame.f_lineno in pending:
+            pending.discard(frame.f_lineno)
+            _OUT.write("%s\\t%d\\n" % (code.co_filename, frame.f_lineno))
+    return _line
 
 
-sys.setprofile(_record)
-threading.setprofile(_record)
+def _call(frame, event, arg):
+    code = frame.f_code
+    if code not in _PENDING:
+        pending = _PENDING[code] = set()
+        if code.co_filename.startswith(_PREFIX):
+            pending.update(line for _, _, line in code.co_lines() if line)
+            # A function's or class body's first line runs in the code
+            # that defines it; its own frame reports no event for it.
+            if code.co_name != "<module>":
+                pending.discard(code.co_firstlineno)
+    return _line if _PENDING[code] else None
+
+
+sys.settrace(_call)
+threading.settrace(_call)
 '''
 
 
@@ -116,23 +134,41 @@ def entry_points(work: str) -> List[Tuple[str, List[str]]]:
     return commands
 
 
-def record(work: str) -> Set[Tuple[str, int]]:
-    """Run every entry point under the recorder; the (module path
-    relative to ``src``, first line) of every code object entered."""
+def recorder_env(work: str) -> Tuple[Dict[str, str], str]:
+    """Install the recorder under ``work``: the environment that runs a
+    process under it (``work/src`` first on the path) and the directory
+    its records land in."""
     site = os.path.join(work, "_reach_site")
     out = os.path.join(work, "_reach_out")
     os.makedirs(site)
     os.makedirs(out)
     with open(os.path.join(site, "sitecustomize.py"), "w") as handle:
         handle.write(SITECUSTOMIZE)
-    src = os.path.join(work, "src") + os.sep
     env = dict(os.environ)
     env.update(
         PYTHONPATH=os.pathsep.join([site, os.path.join(work, "src"), work]),
         PYTHONDONTWRITEBYTECODE="1",
-        REACH_SRC=src,
+        REACH_SRC=os.path.join(work, "src") + os.sep,
         REACH_OUT=out,
     )
+    return env, out
+
+
+def read_records(out: str, src: str) -> Dict[str, Set[int]]:
+    """The lines run, per module path relative to ``src``."""
+    prefix = os.path.join(src, "")
+    ran: Dict[str, Set[int]] = {}
+    for name in os.listdir(out):
+        with open(os.path.join(out, name)) as handle:
+            for line in handle:
+                path, number = line.rstrip("\n").split("\t")
+                ran.setdefault(path[len(prefix):], set()).add(int(number))
+    return ran
+
+
+def record(work: str) -> Dict[str, Set[int]]:
+    """Run every entry point under the recorder; the lines run."""
+    env, out = recorder_env(work)
     for label, argv in entry_points(work):
         done = subprocess.run(
             argv, cwd=work, env=env, stdout=subprocess.PIPE,
@@ -142,50 +178,69 @@ def record(work: str) -> Set[Tuple[str, int]]:
         print("ran %-48s %s" % (label, status), file=sys.stderr)
         if done.returncode != 0:
             print(done.stdout.strip()[-600:], file=sys.stderr)
-    entered = set()
-    for name in os.listdir(out):
-        with open(os.path.join(out, name)) as handle:
-            for line in handle:
-                path, first = line.rstrip("\n").split("\t")
-                entered.add((path[len(src):], int(first)))
-    return entered
+    return read_records(out, os.path.join(work, "src"))
 
 
-def unreached_lines(path: str, relative: str,
-                    entered: Set[Tuple[str, int]]) -> Tuple[int, int]:
-    """(lines, lines inside functions never entered) of one module."""
+def executable_lines(path: str) -> Set[int]:
+    """The lines of a module's code objects (``co_lines``): what a line
+    tracer reports as the module runs."""
     with open(path) as handle:
-        text = handle.read()
+        pending = [compile(handle.read(), path, "exec")]
     lines: Set[int] = set()
-    for node in ast.walk(ast.parse(text)):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        # A decorated function's code starts at its first decorator.
-        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-        if (relative, first) in entered or (relative, node.lineno) in entered:
-            continue
-        lines.update(range(first, node.end_lineno + 1))
-    return text.count("\n"), len(lines)
+    while pending:
+        code = pending.pop()
+        lines.update(line for _, _, line in code.co_lines() if line)
+        pending.extend(c for c in code.co_consts if isinstance(c, CodeType))
+    return lines
 
 
-def report(entered: Set[Tuple[str, int]], src: str) -> None:
-    rows: Dict[str, Tuple[int, int]] = {}
+def missed_ranges(
+    executable: Set[int], ran: Set[int]
+) -> List[Tuple[int, int]]:
+    """The missed executable lines as ``(first, last)`` runs; a run
+    ends at an executable line that ran."""
+    runs: List[Tuple[int, int]] = []
+    extend = False
+    for line in sorted(executable):
+        if line in ran:
+            extend = False
+        elif extend:
+            runs[-1] = (runs[-1][0], line)
+        else:
+            runs.append((line, line))
+            extend = True
+    return runs
+
+
+def report(ran: Dict[str, Set[int]], src: str) -> None:
+    rows: Dict[str, Tuple[int, int, int]] = {}
+    ranges: Dict[str, List[Tuple[int, int]]] = {}
     for directory, _dirs, files in os.walk(os.path.join(src, "repro")):
         for name in files:
             if name.endswith(".py"):
                 path = os.path.join(directory, name)
                 relative = os.path.relpath(path, src)
-                rows[relative] = unreached_lines(path, relative, entered)
-    print("%-40s %7s %9s" % ("module", "lines", "unreached"))
-    for relative, (total, unreached) in sorted(
-        rows.items(), key=lambda item: (-item[1][1], item[0])
-    ):
-        print("%-40s %7d %9d" % (relative, total, unreached))
-    print("%-40s %7d %9d" % (
-        "total",
-        sum(total for total, _ in rows.values()),
-        sum(unreached for _, unreached in rows.values()),
+                with open(path) as handle:
+                    total = handle.read().count("\n")
+                executable = executable_lines(path)
+                lines_ran = ran.get(relative, set())
+                rows[relative] = (
+                    total, len(executable), len(executable - lines_ran)
+                )
+                ranges[relative] = missed_ranges(executable, lines_ran)
+    order = sorted(rows, key=lambda relative: (-rows[relative][2], relative))
+    print("%-40s %7s %10s %7s" % ("module", "lines", "executable", "missed"))
+    for relative in order:
+        print("%-40s %7d %10d %7d" % ((relative,) + rows[relative]))
+    print("%-40s %7d %10d %7d" % (
+        ("total",) + tuple(map(sum, zip(*rows.values())))
     ))
+    for relative in order:
+        if ranges[relative]:
+            print("\n%s:\n  %s" % (relative, ", ".join(
+                str(first) if first == last else "%d-%d" % (first, last)
+                for first, last in ranges[relative]
+            )))
 
 
 def main() -> int:
