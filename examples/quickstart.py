@@ -15,12 +15,15 @@ from repro.core import (
     StatKind,
     StatSpec,
 )
+from repro.core.rpc import RpcBus
 from repro.core.transport_cookie import TransportCookieCodec
 
 
 def main() -> None:
-    # 1. A trusted controller coordinates all Snatch devices.
-    controller = SnatchController(seed=7)
+    # 1. A trusted controller coordinates all Snatch devices over its
+    #    control-plane RPC bus (zero delay here: no WAN in this demo).
+    bus = RpcBus(default_delay_ms=0.0)
+    controller = SnatchController(bus, seed=7)
     lark = LarkSwitch("isp-switch")
     agg = AggSwitch("agg-switch")
     edge = SnatchEdgeServer("cdn-edge")
@@ -45,6 +48,9 @@ def main() -> None:
             )
         ],
     )
+    # The controller only sends RPCs; running the bus delivers them,
+    # AggSwitch first, then LarkSwitch, then edge server.
+    bus.quiesce(raise_on_error=True)
     print("registered app-ID 0x%02x (version %d)" % (handle.app_id, handle.version))
 
     # 3. The web server plants semantic cookies in QUIC connection IDs

@@ -91,9 +91,9 @@ class DeviceLifecycle:
 
     def restart(self, device_name: str) -> int:
         """Bring the device back empty and re-enroll it: the controller
-        re-pushes every current application's parameters (over the
-        RpcBus when the controller rides one, so a lost push is
-        retried until acked).  Returns applications re-pushed."""
+        re-pushes every current application's parameters over its
+        RpcBus (with a bus timeout, a lost push is retried until
+        acked).  Returns applications re-pushed."""
         device = self._find(device_name)
         if device.alive:
             return 0

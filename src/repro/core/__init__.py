@@ -22,7 +22,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "CompileError", "CompiledQuery", "Query", "QueryCompiler", "QueryOp",
         "QueryOpKind",
     ),
-    "controller": ("ApplicationHandle", "RpcLog", "SnatchController"),
+    "controller": ("ApplicationHandle", "SnatchController"),
     "cookie_cache": ("CookieEncodeCache",),
     "edge_service": ("EdgeResult", "SnatchEdgeServer"),
     "fault": ("Discrepancy", "FaultRepairLoop", "ResultVerifier"),

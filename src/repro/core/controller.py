@@ -19,14 +19,17 @@ Consistency (section 4.3): every update creates a **new version with a
 new application-ID**; the old version's rules are revoked only after a
 grace period, so in-flight cookies in either format stay decodable.
 
-Control-plane transport: by default the controller provisions devices
-synchronously (direct method calls — convenient for unit tests).  When
-constructed with an :class:`~repro.core.rpc.RpcBus`, every push rides
-the bus instead, and the AggSwitch -> LarkSwitch -> edge-server order
-is enforced with acknowledgment barriers: the next tier's RPCs are not
+Control-plane transport: the controller reaches its devices only
+through its :class:`~repro.core.rpc.RpcBus`.  Every push, revoke and
+repair is a bus call, so it takes the device's RPC delay and lands only
+when the caller runs the bus's simulator (``bus.quiesce()``); the
+caller owns time.  The AggSwitch -> LarkSwitch -> edge-server order is
+enforced with acknowledgment barriers: the next tier's RPCs are not
 even *sent* until every call to the previous tier has acked (or been
-declared dead), so the ordering invariant survives RPC loss and
-retries.  Devices that restart after a crash re-enroll through
+declared dead), so the ordering invariant survives skew, RPC loss and
+retries.  A device that raises does not raise here: the failed call
+lands in :attr:`SnatchController.push_failures` and ``bus.failed()``.
+Devices that restart after a crash re-enroll through
 :meth:`SnatchController.reenroll_device`, which re-pushes every
 application they lost (section 6 recovery).
 """
@@ -34,15 +37,17 @@ application they lost (section 6 recovery).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.aggregation import ForwardingMode, check_per_packet_schema
+from repro.core.aggregation import ForwardingMode
+from repro.core.larkswitch import check_registration
+from repro.core.rpc import RpcBus
 from repro.core.schema import CookieSchema, Feature
 from repro.core.stats import StatSpec
 from repro.crypto.keys import AES128_KEY_LEN
 
-__all__ = ["SnatchController", "ApplicationHandle", "RpcLog"]
+__all__ = ["SnatchController", "ApplicationHandle"]
 
 
 @dataclass
@@ -62,20 +67,10 @@ class ApplicationHandle:
     period_ms: float
 
 
-@dataclass
-class RpcLog:
-    """Record of one controller -> device RPC (for consistency tests)."""
-
-    order: int
-    device: str
-    action: str
-    app_id: int
-
-
 class SnatchController:
     """Coordinates AggSwitches, LarkSwitches and edge servers."""
 
-    def __init__(self, seed: Optional[int] = None, bus: Optional[Any] = None):
+    def __init__(self, bus: RpcBus, seed: Optional[int] = None):
         self._rng = random.Random(seed)
         self.bus = bus
         self._agg_switches: List[Any] = []
@@ -86,31 +81,25 @@ class SnatchController:
         self._event_filters: Dict[str, Any] = {}
         self._used_app_ids: set = set()
         self._retired: List[Tuple[str, int]] = []  # (name, old app_id)
-        self.rpc_log: List[RpcLog] = []
         self.push_failures: List[Any] = []  # terminal RpcCall failures
         self._inflight: set = set()  # (device_name, app_id) pushes en route
-        self._rpc_counter = 0
 
     # -- device enrollment ------------------------------------------------------
-
-    def _enroll(self, device: Any, delay_ms: Optional[float]) -> None:
-        if self.bus is not None:
-            self.bus.register_device(device.name, device, delay_ms)
 
     def attach_agg_switch(self, switch: Any,
                           delay_ms: Optional[float] = None) -> None:
         self._agg_switches.append(switch)
-        self._enroll(switch, delay_ms)
+        self.bus.register_device(switch.name, switch, delay_ms)
 
     def attach_lark_switch(self, switch: Any,
                            delay_ms: Optional[float] = None) -> None:
         self._lark_switches.append(switch)
-        self._enroll(switch, delay_ms)
+        self.bus.register_device(switch.name, switch, delay_ms)
 
     def attach_edge_server(self, server: Any,
                            delay_ms: Optional[float] = None) -> None:
         self._edge_servers.append(server)
-        self._enroll(server, delay_ms)
+        self.bus.register_device(server.name, server, delay_ms)
 
     def attach_client(self, client: Any) -> None:
         """Register a cookie-minting client (e.g. a web server's
@@ -122,12 +111,6 @@ class SnatchController:
 
     # -- internals ------------------------------------------------------------------
 
-    def _log(self, device: str, action: str, app_id: int) -> None:
-        self.rpc_log.append(
-            RpcLog(self._rpc_counter, device, action, app_id)
-        )
-        self._rpc_counter += 1
-
     def _new_app_id(self) -> int:
         """A random unused byte (section 4.3: 'generates a random byte
         as the application ID')."""
@@ -137,17 +120,6 @@ class SnatchController:
         app_id = self._rng.choice(available)
         self._used_app_ids.add(app_id)
         return app_id
-
-    @staticmethod
-    def _check_carriable(transport_schema: CookieSchema, mode: str) -> None:
-        """Refuse, before an application-ID is drawn or any tier is
-        touched, a per-packet application whose cookies the LarkSwitch
-        could not forward (it would refuse the registration after the
-        AggSwitch had accepted it)."""
-        if mode == ForwardingMode.PER_PACKET:
-            check_per_packet_schema(
-                [feature.cardinality for feature in transport_schema.features]
-            )
 
     def _new_key(self) -> bytes:
         return bytes(
@@ -182,30 +154,11 @@ class SnatchController:
     def _install(
         self, handle: ApplicationHandle, event_filter=None
     ) -> None:
-        """Push parameters in the consistency-preserving order."""
-        if self.bus is not None:
-            self._install_via_bus(handle, event_filter)
-        else:
-            for tier, devices in self._tiers():
-                for device in devices:
-                    args, kwargs = self._register_args(
-                        tier, handle, event_filter
-                    )
-                    device.register_application(*args, **kwargs)
-                    self._log(device.name, "register", handle.app_id)
-        # Clients are co-located with the controller-facing edge (no
-        # RPC): tell minting caches about the new version immediately so
-        # no cookie encoded under the old key is served past this point.
-        for client in self._clients:
-            client.on_application_push(handle)
-
-    def _install_via_bus(
-        self, handle: ApplicationHandle, event_filter=None
-    ) -> None:
-        """Reliably-ordered push: tier N+1's RPCs are sent only after
-        every tier-N call acked (or was declared dead after retries).
-        A lost or delayed ack therefore delays the lower tiers instead
-        of reordering them — the paper's invariant holds under loss."""
+        """Push parameters in the consistency-preserving order: tier
+        N+1's RPCs are sent only after every tier-N call acked (or was
+        declared dead after retries).  A lost or delayed ack therefore
+        delays the lower tiers instead of reordering them — the paper's
+        invariant holds under skew and loss."""
         tiers = self._tiers()
 
         def push_tier(index: int) -> None:
@@ -217,9 +170,7 @@ class SnatchController:
             remaining = {"count": len(devices)}
 
             def done(record) -> None:
-                if record.error is None:
-                    self._log(record.device, "register", handle.app_id)
-                else:
+                if record.error is not None:
                     self.push_failures.append(record)
                 remaining["count"] -= 1
                 if remaining["count"] == 0:
@@ -233,6 +184,11 @@ class SnatchController:
                 )
 
         push_tier(0)
+        # Clients are co-located with the controller-facing edge (no
+        # RPC): tell minting caches about the new version immediately so
+        # no cookie encoded under the old key is served past this point.
+        for client in self._clients:
+            client.on_application_push(handle)
 
     # -- developer API 1: add/remove applications -------------------------------------
 
@@ -249,7 +205,10 @@ class SnatchController:
             raise ValueError("application %r already exists" % name)
         schema = CookieSchema(name, tuple(features))
         transport_schema, overflow = schema.split_for_transport()
-        self._check_carriable(transport_schema, mode)
+        # Refuse what the LarkSwitch would refuse before an app-ID is
+        # drawn or any tier is touched: the LarkSwitch's own check runs
+        # only after the AggSwitch has accepted the application.
+        check_registration(transport_schema, specs, mode, period_ms)
         handle = ApplicationHandle(
             name=name,
             app_id=self._new_app_id(),
@@ -278,11 +237,7 @@ class SnatchController:
         # Revocation order mirrors installation.
         for _tier, devices in self._tiers():
             for device in devices:
-                if self.bus is not None:
-                    self.bus.call(device.name, "revoke_application", app_id)
-                else:
-                    device.revoke_application(app_id)
-                self._log(device.name, "revoke", app_id)
+                self.bus.call(device.name, "revoke_application", app_id)
         for client in self._clients:
             client.on_application_revoke(app_id)
 
@@ -298,7 +253,9 @@ class SnatchController:
         event_filter=None,
     ) -> ApplicationHandle:
         """Create a new version with a fresh application-ID and key; the
-        old version keeps running until :meth:`retire_old_versions`."""
+        old version keeps running until :meth:`retire_old_versions`.
+        Every parameter left ``None`` — the edge event filter included —
+        carries over from the current version."""
         old = self._apps.get(name)
         if old is None:
             raise KeyError("no application %r" % name)
@@ -310,9 +267,10 @@ class SnatchController:
         transport_schema, overflow = schema.split_for_transport()
         new_mode = mode if mode is not None else old.mode
         new_period = period_ms if period_ms is not None else old.period_ms
-        if new_mode == ForwardingMode.PERIODICAL and new_period <= 0:
-            raise ValueError("periodical forwarding needs a positive period")
-        self._check_carriable(transport_schema, new_mode)
+        new_specs = list(specs) if specs is not None else list(old.specs)
+        if event_filter is None:
+            event_filter = self._event_filters.get(name)
+        check_registration(transport_schema, new_specs, new_mode, new_period)
         handle = ApplicationHandle(
             name=name,
             app_id=self._new_app_id(),
@@ -321,7 +279,7 @@ class SnatchController:
             schema=schema,
             transport_schema=transport_schema,
             overflow_schema=overflow,
-            specs=list(specs) if specs is not None else list(old.specs),
+            specs=new_specs,
             mode=new_mode,
             period_ms=new_period,
         )
@@ -388,38 +346,30 @@ class SnatchController:
         return len(self._retired)
 
     def _push_to_device(self, tier: str, device: Any,
-                        handle: ApplicationHandle, action: str) -> None:
-        """Re-push one application to one device, over the bus when
-        present (retried until acked) or directly otherwise."""
+                        handle: ApplicationHandle) -> None:
+        """Re-push one application to one device over the bus
+        (retried until acked when the bus has a timeout)."""
+        key = (device.name, handle.app_id)
+        if key in self._inflight:
+            return  # an identical push is already being retried
+        self._inflight.add(key)
         args, kwargs = self._register_args(
             tier, handle, self._event_filters.get(handle.name)
         )
-        if self.bus is not None:
-            key = (device.name, handle.app_id)
-            if key in self._inflight:
-                return  # an identical push is already being retried
-            self._inflight.add(key)
 
-            def done(record) -> None:
-                self._inflight.discard(key)
-                if record.error is None:
-                    self._log(record.device, action, handle.app_id)
-                else:
-                    self.push_failures.append(record)
+        def done(record) -> None:
+            self._inflight.discard(key)
+            if record.error is not None:
+                self.push_failures.append(record)
 
-            kwargs["_on_complete"] = done
-            self.bus.call(
-                device.name, "register_application", *args, **kwargs
-            )
-        else:
-            device.register_application(*args, **kwargs)
-            self._log(device.name, action, handle.app_id)
+        kwargs["_on_complete"] = done
+        self.bus.call(device.name, "register_application", *args, **kwargs)
 
     def resync(self, name: str) -> int:
         """Fault repair (section 6): re-push the current version's
         parameters to every device that lost them (e.g. after a failed
         key update).  Returns the number of devices re-provisioned
-        (push scheduled, when riding an RpcBus)."""
+        (push sent; it lands when the bus runs)."""
         handle = self._apps[name]
         resynced = 0
         for tier, devices in self._tiers():
@@ -428,7 +378,7 @@ class SnatchController:
                     continue  # a crashed device re-enrolls on restart
                 if handle.app_id in device.registered_app_ids():
                     continue
-                self._push_to_device(tier, device, handle, "resync")
+                self._push_to_device(tier, device, handle)
                 resynced += 1
         return resynced
 
@@ -448,7 +398,7 @@ class SnatchController:
         for handle in self._apps.values():
             if handle.app_id in registered:
                 continue
-            self._push_to_device(tier, device, handle, "reenroll")
+            self._push_to_device(tier, device, handle)
             pushed += 1
         return pushed
 

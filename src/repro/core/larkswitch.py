@@ -78,6 +78,7 @@ __all__ = [
     "LarkResult",
     "LarkBatchResult",
     "RegisteredApp",
+    "check_registration",
     "lark_process_raw",
 ]
 
@@ -238,20 +239,7 @@ class LarkSwitch:
         cookie format, statistics program)."""
         if app_id in self._apps:
             raise ValueError("app-ID %d already registered" % app_id)
-        if mode == ForwardingMode.PERIODICAL:
-            if period_ms <= 0:
-                raise ValueError(
-                    "periodical forwarding needs a positive period"
-                )
-            check_flattenable({
-                name: size
-                for spec in specs
-                for name, size in array_shapes(schema, spec)
-            })
-        elif mode == ForwardingMode.PER_PACKET:
-            check_per_packet_schema(
-                [feature.cardinality for feature in schema.features]
-            )
+        check_registration(schema, specs, mode, period_ms)
         app = RegisteredApp(
             app_id=app_id,
             schema=schema,
@@ -709,6 +697,28 @@ def check_flattenable(sizes: Dict[str, int]) -> None:
                 "statistics array %r has %d cells; a periodical "
                 "snapshot tag indexes at most 1024" % (name, size)
             )
+
+
+def check_registration(
+    schema: CookieSchema, specs: List[StatSpec], mode: str, period_ms: float
+) -> None:
+    """Raise ``ValueError`` unless a LarkSwitch can carry an application
+    in this forwarding mode: a periodical one needs a positive period
+    and a flattenable statistics program, a per-packet one cookies that
+    fit one aggregation packet.  The controller runs the same check
+    before it draws an application-ID, so no tier is half-installed."""
+    if mode == ForwardingMode.PERIODICAL:
+        if period_ms <= 0:
+            raise ValueError("periodical forwarding needs a positive period")
+        check_flattenable({
+            name: size
+            for spec in specs
+            for name, size in array_shapes(schema, spec)
+        })
+    elif mode == ForwardingMode.PER_PACKET:
+        check_per_packet_schema(
+            [feature.cardinality for feature in schema.features]
+        )
 
 
 def flatten_snapshot(

@@ -111,8 +111,9 @@ class TestPushOrderingUnderRetry:
         bus.drop_next("lark", 2)
         _add_app(controller)
         bus.quiesce(raise_on_error=True)
-        devices = [entry.device for entry in controller.rpc_log]
-        assert devices == ["agg", "lark", "edge"]
+        # One record per call, retries included, in the order sent.
+        assert [call.device for call in bus.log] == ["agg", "lark", "edge"]
+        assert all(call.acked_at_ms is not None for call in bus.log)
 
 
 class TestCrashRecovery:

@@ -5,13 +5,14 @@ import random
 import pytest
 
 from repro.core.aggswitch import AggSwitch
-from repro.core.controller import SnatchController
 from repro.core.edge_service import SnatchEdgeServer
 from repro.core.fault import Discrepancy, FaultRepairLoop, ResultVerifier
 from repro.core.larkswitch import LarkSwitch
 from repro.core.schema import Feature
 from repro.core.stats import StatKind, StatSpec
 from repro.core.transport_cookie import TransportCookieCodec
+
+from tests.control import new_controller, settled
 
 
 class TestResultVerifier:
@@ -98,7 +99,7 @@ class TestVerifierSymmetry:
 
 class TestRepairLoop:
     def _deployment(self):
-        controller = SnatchController(seed=3)
+        controller = new_controller(seed=3)
         agg = AggSwitch("agg", random.Random(1))
         lark = LarkSwitch("lark", random.Random(2))
         edge = SnatchEdgeServer("edge", random.Random(3))
@@ -107,7 +108,7 @@ class TestRepairLoop:
         controller.attach_edge_server(edge)
         features = [Feature.categorical("gender", ["f", "m", "x"])]
         specs = [StatSpec("by_gender", StatKind.COUNT_BY_CLASS, "gender")]
-        handle = controller.add_application("ads", features, specs)
+        handle = settled(controller.add_application, "ads", features, specs)
         return controller, agg, lark, handle
 
     def test_failed_key_update_detected_and_repaired(self):
@@ -130,6 +131,7 @@ class TestRepairLoop:
         in_network = agg.report(handle.app_id)
         ground_truth = {"by_gender": {"f": 5, "m": 0, "x": 0}}
         discrepancies = loop.check("ads", in_network, ground_truth)
+        controller.bus.quiesce(raise_on_error=True)
         assert discrepancies
         assert controller.is_consistent("ads")
         assert loop.history[0].devices_resynced == 1
@@ -152,12 +154,11 @@ class TestRepairLoop:
 
     def test_self_scheduling_loop_repairs_without_manual_check(self):
         """The loop on a simulator: verification ticks periodically,
-        spots an injected fault, and resyncs — zero check() calls."""
-        from repro.net.simulator import Simulator
-
+        spots an injected fault, and resyncs — zero check() calls.
+        It shares the control plane's simulator, so the resync lands."""
         controller, agg, lark, handle = self._deployment()
         loop = FaultRepairLoop(controller)
-        sim = Simulator()
+        sim = controller.bus.sim
         truth = {"by_gender": {"f": 0}}
         loop.schedule(
             sim,

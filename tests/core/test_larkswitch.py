@@ -13,6 +13,7 @@ from repro.core.transport_cookie import TransportCookieCodec
 from repro.quic.connection_id import random_connection_id
 from repro.switch.pipeline import AES_PASS_LATENCY_MS, LINE_RATE_LATENCY_MS
 
+from tests.control import new_controller, settled
 from tests.differential.workloads import table_meters
 
 KEY = bytes(range(16))
@@ -392,9 +393,7 @@ class TestPerPacketItemLimits:
         )
 
     def test_controller_refuses_before_any_tier_is_touched(self):
-        from repro.core.controller import SnatchController
-
-        controller = SnatchController(seed=1)
+        controller = new_controller(seed=1)
         agg = AggSwitch("agg", random.Random(2))
         lark = LarkSwitch("lark", random.Random(3))
         controller.attach_agg_switch(agg)
@@ -403,10 +402,10 @@ class TestPerPacketItemLimits:
         with pytest.raises(ValueError, match="48 bits"):
             controller.add_application("wide", list(schema.features), specs)
         assert agg.registered_app_ids() == lark.registered_app_ids() == []
-        assert controller.applications() == [] and not controller.rpc_log
+        assert controller.applications() == [] and not controller.bus.log
         assert not controller._used_app_ids
-        handle = controller.add_application(
-            "wide", list(schema.features), specs,
+        handle = settled(
+            controller.add_application, "wide", list(schema.features), specs,
             mode=ForwardingMode.PERIODICAL, period_ms=100.0,
         )
         with pytest.raises(ValueError, match="48 bits"):

@@ -9,6 +9,7 @@ import random
 import pytest
 
 from repro.core.aggswitch import AggSwitch
+from repro.core.controller import SnatchController
 from repro.core.larkswitch import LarkSwitch
 from repro.core.rpc import RpcBus
 from repro.core.schema import CookieSchema, Feature
@@ -106,9 +107,8 @@ class TestConsistencyExperiment:
         bus.register_device("agg", agg, delay_ms=120)
         return lark, agg, bus
 
-    def _traffic(self, lark, agg, key, at_ms, bus):
+    def _traffic(self, lark, agg, codec, at_ms, bus):
         """One request at simulated time at_ms; returns merged?"""
-        codec = TransportCookieCodec(APP, _schema(), key, random.Random(3))
         outcome = {}
 
         def fire():
@@ -125,45 +125,62 @@ class TestConsistencyExperiment:
 
     def test_naive_rekey_loses_data_in_the_skew_window(self):
         lark, agg, bus = self._deployment()
+        new_codec = TransportCookieCodec(
+            APP, _schema(), NEW_KEY, random.Random(3)
+        )
         # t=0: the controller broadcasts an in-place rekey.
         bus.call("lark", "rekey_application", APP, NEW_KEY)
         bus.call("agg", "rekey_application", APP, NEW_KEY)
         # t=50: the lark (rekeyed at t=10) emits NEW_KEY aggregation
         # packets, but the agg (rekeys at t=120) still expects OLD_KEY.
-        during = self._traffic(lark, agg, NEW_KEY, at_ms=50, bus=bus)
-        after = self._traffic(lark, agg, NEW_KEY, at_ms=200, bus=bus)
+        during = self._traffic(lark, agg, new_codec, at_ms=50, bus=bus)
+        after = self._traffic(lark, agg, new_codec, at_ms=200, bus=bus)
         bus.quiesce()
         assert during["merged"] is False   # data silently lost
         assert after["merged"] is True     # consistent again
 
     def test_versioned_update_never_loses_data(self):
-        """The controller's actual scheme: a *new* app-ID is installed
-        agg-first; the old version keeps running until retirement, so
-        every instant has a fully-consistent pipeline for whichever
-        cookie version the user holds."""
-        lark, agg, bus = self._deployment()
-        new_app = 0x43
-        # Install order: AggSwitch first (its rules must exist before
-        # any LarkSwitch can emit the new format).
-        bus.call("agg", "register_application", new_app, _schema(),
-                 NEW_KEY, _specs())
-
-        def install_lark():
-            bus.call("lark", "register_application", new_app, _schema(),
-                     NEW_KEY, _specs())
-
-        # Lark installation begins only after the agg's RPC landed.
-        bus.sim.schedule_at(125, install_lark)
-
-        outcomes = []
-        # Old-version cookies flow throughout the update.
-        for t in (50, 150, 300):
-            outcomes.append(self._traffic(lark, agg, OLD_KEY, t, bus))
-        bus.quiesce()
-        assert all(o["merged"] for o in outcomes)
-        # And new-version cookies work once both tiers know the app.
-        lark_codec = TransportCookieCodec(
-            new_app, _schema(), NEW_KEY, random.Random(4)
+        """The controller's actual scheme, over the same skewed bus: a
+        *new* app-ID is installed agg-first; the old version keeps
+        running until retirement, so every instant has a
+        fully-consistent pipeline for whichever cookie version the user
+        holds."""
+        bus = RpcBus(default_delay_ms=10)
+        controller = SnatchController(bus, seed=1)
+        lark = LarkSwitch("lark", random.Random(1))
+        agg = AggSwitch("agg", random.Random(2))
+        controller.attach_lark_switch(lark, delay_ms=10)
+        controller.attach_agg_switch(agg, delay_ms=120)
+        old = controller.add_application(
+            "ads", list(_schema().features), _specs()
         )
-        result = lark.process_quic_packet(lark_codec.encode({"gender": "m"}))
+        bus.quiesce(raise_on_error=True)
+        old_codec = TransportCookieCodec(
+            old.app_id, old.transport_schema, old.key, random.Random(3)
+        )
+
+        start = bus.sim.now
+        new = controller.update_application("ads")
+        # Old-version cookies flow throughout the update: before the
+        # agg's RPC lands, between the two tiers, and after both.
+        outcomes = [
+            self._traffic(lark, agg, old_codec, start + t, bus)
+            for t in (50, 125, 300)
+        ]
+        bus.quiesce(raise_on_error=True)
+        assert all(o["merged"] for o in outcomes)
+        (agg_call, lark_call) = bus.log[-2:]
+        assert lark_call.sent_at_ms >= agg_call.deliver_at_ms
+        # New-version cookies work once both tiers know the app.
+        new_codec = TransportCookieCodec(
+            new.app_id, new.transport_schema, new.key, random.Random(4)
+        )
+        result = lark.process_quic_packet(new_codec.encode({"gender": "m"}))
         assert agg.process_packet(result.aggregation_payload).merged
+        # After the grace period the old version's rules are revoked.
+        assert controller.retire_old_versions() == 1
+        bus.quiesce(raise_on_error=True)
+        assert not lark.process_quic_packet(
+            old_codec.encode({"gender": "f"})
+        ).matched
+        assert controller.is_consistent("ads")

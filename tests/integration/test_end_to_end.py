@@ -11,7 +11,6 @@ from repro.core import (
     Feature,
     ForwardingMode,
     LarkSwitch,
-    SnatchController,
     SnatchEdgeServer,
     SnatchWebServer,
     StatKind,
@@ -31,9 +30,11 @@ from repro.quic.connection import (
 )
 from repro.workloads import AdCampaignWorkload
 
+from tests.control import new_controller, settled
+
 
 def _deployment(seed=11):
-    controller = SnatchController(seed=seed)
+    controller = new_controller(seed=seed)
     agg = AggSwitch("agg", random.Random(seed + 1))
     lark = LarkSwitch("lark", random.Random(seed + 2))
     edge = SnatchEdgeServer("edge", random.Random(seed + 3))
@@ -52,7 +53,7 @@ class TestTransportPathOverRealQuic:
     def test_cookie_flows_client_to_analytics(self):
         controller, agg, lark, _edge = _deployment()
         workload, features, specs = _ad_features()
-        handle = controller.add_application("ads", features, specs)
+        handle = settled(controller.add_application, "ads", features, specs)
 
         # The web server plants semantic DstConnID*s via QUIC.
         web = SnatchWebServer(
@@ -88,7 +89,7 @@ class TestTransportPathOverRealQuic:
     def test_1rtt_policy_preserves_cookie_across_connections(self):
         controller, _agg, lark, _edge = _deployment(seed=21)
         _workload, features, specs = _ad_features()
-        handle = controller.add_application("ads", features, specs)
+        handle = settled(controller.add_application, "ads", features, specs)
         codec = TransportCookieCodec(
             handle.app_id, handle.transport_schema, handle.key,
             random.Random(3),
@@ -114,7 +115,7 @@ class TestTransportPathOverRealQuic:
     def test_0rtt_replays_same_semantic_cid(self):
         controller, _agg, lark, _edge = _deployment(seed=31)
         _workload, features, specs = _ad_features()
-        handle = controller.add_application("ads", features, specs)
+        handle = settled(controller.add_application, "ads", features, specs)
         web = SnatchWebServer(
             handle.app_id, handle.schema, handle.key,
             lambda prev, req: {"event": "click", "campaign": "camp-0",
@@ -139,8 +140,8 @@ class TestApplicationLayerPath:
     def test_edge_to_agg_flow(self):
         controller, agg, _lark, edge = _deployment(seed=41)
         workload, features, specs = _ad_features()
-        handle = controller.add_application(
-            "ads", features, specs,
+        handle = settled(
+            controller.add_application, "ads", features, specs,
             event_filter=AdCampaignWorkload.event_filter,
         )
         web = SnatchWebServer(
@@ -168,8 +169,8 @@ class TestApplicationLayerPath:
     def test_event_filter_drops_non_ad_traffic(self):
         controller, _agg, _lark, edge = _deployment(seed=51)
         _workload, features, specs = _ad_features()
-        handle = controller.add_application(
-            "ads", features, specs,
+        handle = settled(
+            controller.add_application, "ads", features, specs,
             event_filter=AdCampaignWorkload.event_filter,
         )
         web = SnatchWebServer(
@@ -193,11 +194,11 @@ class TestVersionedConsistency:
     def test_both_versions_decodable_during_grace_period(self):
         controller, agg, lark, _edge = _deployment(seed=61)
         _workload, features, specs = _ad_features()
-        old = controller.add_application("ads", features, specs)
+        old = settled(controller.add_application, "ads", features, specs)
         old_codec = TransportCookieCodec(
             old.app_id, old.transport_schema, old.key, random.Random(10)
         )
-        new = controller.update_application("ads")
+        new = settled(controller.update_application, "ads")
         new_codec = TransportCookieCodec(
             new.app_id, new.transport_schema, new.key, random.Random(11)
         )
@@ -208,7 +209,7 @@ class TestVersionedConsistency:
             assert result.decoded_values == values
             assert agg.process_packet(result.aggregation_payload).merged
         # After retirement only the new version matches.
-        controller.retire_old_versions()
+        settled(controller.retire_old_versions)
         stale = lark.process_quic_packet(old_codec.encode(values))
         assert not stale.matched
         fresh = lark.process_quic_packet(new_codec.encode(values))
@@ -217,9 +218,10 @@ class TestVersionedConsistency:
     def test_forwarding_scheme_change_via_controller(self):
         controller, _agg, lark, _edge = _deployment(seed=71)
         _workload, features, specs = _ad_features()
-        controller.add_application("ads", features, specs)
-        handle = controller.change_forwarding(
-            "ads", ForwardingMode.PERIODICAL, period_ms=150
+        settled(controller.add_application, "ads", features, specs)
+        handle = settled(
+            controller.change_forwarding,
+            "ads", ForwardingMode.PERIODICAL, period_ms=150,
         )
         codec = TransportCookieCodec(
             handle.app_id, handle.transport_schema, handle.key,
@@ -240,7 +242,7 @@ class TestPrivacyInvariants:
         the user index in any byte — there is simply no identifier."""
         controller, _agg, lark, _edge = _deployment(seed=81)
         workload, features, specs = _ad_features()
-        handle = controller.add_application("ads", features, specs)
+        handle = settled(controller.add_application, "ads", features, specs)
         codec = TransportCookieCodec(
             handle.app_id, handle.transport_schema, handle.key,
             random.Random(13),

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.controller import SnatchController
 from repro.core.cookie_cache import CookieEncodeCache
 from repro.core.schema import Feature
 from repro.core.stats import StatKind, StatSpec
@@ -24,6 +23,8 @@ from repro.core.transport_cookie import TransportCookieCodec
 from repro.quic.connection_id import ConnectionID
 from repro.switch.columns import force_numpy, get_numpy
 from repro.workloads.adcampaign import AdCampaignWorkload
+
+from tests.control import new_controller
 
 APP_ID = 0x5C
 KEY = bytes(range(16))
@@ -165,7 +166,7 @@ class TestBoundsAndInvalidation:
 
 class TestControllerClientHooks:
     def _controller_and_cache(self):
-        controller = SnatchController(seed=5)
+        controller = new_controller(seed=5)
         handle = controller.add_application(
             "crowd",
             list(_schema().features),

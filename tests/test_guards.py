@@ -265,6 +265,15 @@ GUARDS = (
         "Columnar switch calls return payloads and counts, no per-packet "
         "columns",
     ),
+    Guard(
+        # The controller reaches its devices only through its RpcBus;
+        # bus.log is the one record of what it sent.
+        "one-control-plane",
+        r"RpcLog|rpc_log|_install_via_bus|bus is (not )?None",
+        ("src/repro/core/controller.py",),
+        "        if self.bus is not None:",
+        "One control plane: the controller speaks only over its RpcBus",
+    ),
 )
 
 
