@@ -252,7 +252,6 @@ class ChaosHarness:
 
     def _schedule_verification(self) -> None:
         self.repair_loop.schedule(
-            self.sim,
             "chaos",
             in_network_fn=self._in_network_report,
             ground_truth_fn=self._truth_snapshot,

@@ -27,8 +27,10 @@ caller owns time.  The AggSwitch -> LarkSwitch -> edge-server order is
 enforced with acknowledgment barriers: the next tier's RPCs are not
 even *sent* until every call to the previous tier has acked (or been
 declared dead), so the ordering invariant survives skew, RPC loss and
-retries.  A device that raises does not raise here: the failed call
-lands in :attr:`SnatchController.push_failures` and ``bus.failed()``.
+retries; attached minting clients hear of a new version only after
+the last tier's barrier.  A device that raises does not raise here:
+the failed call lands in :attr:`SnatchController.push_failures` and
+``bus.failed()``.
 Devices that restart after a crash re-enroll through
 :meth:`SnatchController.reenroll_device`, which re-pushes every
 application they lost (section 6 recovery).
@@ -158,13 +160,18 @@ class SnatchController:
         N+1's RPCs are sent only after every tier-N call acked (or was
         declared dead after retries).  A lost or delayed ack therefore
         delays the lower tiers instead of reordering them — the paper's
-        invariant holds under skew and loss."""
+        invariant holds under skew and loss.  Clients learn the new
+        version only after the last tier's barrier, so no cookie is
+        minted under it before every device can match it."""
         tiers = self._tiers()
 
         def push_tier(index: int) -> None:
             while index < len(tiers) and not tiers[index][1]:
                 index += 1
             if index >= len(tiers):
+                # Clients are co-located with the controller (no RPC).
+                for client in self._clients:
+                    client.on_application_push(handle)
                 return
             tier, devices = tiers[index]
             remaining = {"count": len(devices)}
@@ -184,11 +191,6 @@ class SnatchController:
                 )
 
         push_tier(0)
-        # Clients are co-located with the controller-facing edge (no
-        # RPC): tell minting caches about the new version immediately so
-        # no cookie encoded under the old key is served past this point.
-        for client in self._clients:
-            client.on_application_push(handle)
 
     # -- developer API 1: add/remove applications -------------------------------------
 

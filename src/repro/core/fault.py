@@ -197,7 +197,6 @@ class FaultRepairLoop:
 
     def schedule(
         self,
-        sim,
         application: str,
         in_network_fn: Callable[[], Dict[str, Dict[Any, Any]]],
         ground_truth_fn: Callable[[], Dict[str, Dict[Any, Any]]],
@@ -207,9 +206,12 @@ class FaultRepairLoop:
     ) -> None:
         """Self-scheduling verification: every ``period_ms`` the loop
         pulls the current in-network report and the (complete, delayed)
-        ground truth and runs :meth:`check` — no manual driving."""
+        ground truth and runs :meth:`check` — no manual driving.  It
+        ticks on the controller's bus simulator, the one its resyncs
+        ride, so a repair lands while the loop runs."""
         if period_ms <= 0:
             raise ValueError("verification period must be positive")
+        sim = self.controller.bus.sim
 
         def tick() -> None:
             self.check(

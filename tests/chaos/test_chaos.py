@@ -111,9 +111,11 @@ class TestPushOrderingUnderRetry:
         bus.drop_next("lark", 2)
         _add_app(controller)
         bus.quiesce(raise_on_error=True)
-        # One record per call, retries included, in the order sent.
+        # One RpcCall per call, in the order sent; retries are counted
+        # in ``attempts``.
         assert [call.device for call in bus.log] == ["agg", "lark", "edge"]
         assert all(call.acked_at_ms is not None for call in bus.log)
+        assert bus.log[1].attempts == 3
 
 
 class TestCrashRecovery:

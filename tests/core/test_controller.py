@@ -67,13 +67,15 @@ class TestAddApplication:
 
     def test_duplicate_name_rejected(self):
         controller, *_ = _deployment()
-        controller.add_application("ads", _features(), _specs())
+        settled(controller.add_application, "ads", _features(), _specs())
         with pytest.raises(ValueError, match="already"):
             controller.add_application("ads", _features(), _specs())
 
     def test_handle_contents(self):
         controller, *_ = _deployment()
-        handle = controller.add_application("ads", _features(), _specs())
+        handle = settled(
+            controller.add_application, "ads", _features(), _specs()
+        )
         assert 0 <= handle.app_id <= 255
         assert len(handle.key) == 16
         assert handle.version == 0
@@ -83,8 +85,9 @@ class TestAddApplication:
     def test_wide_schema_spills_to_application_layer(self):
         controller, *_ = _deployment()
         wide = [Feature.number("f%d" % i, 0, 2**30) for i in range(6)]
-        handle = controller.add_application(
-            "wide", wide, [StatSpec("s", StatKind.SUM, "f0")]
+        handle = settled(
+            controller.add_application,
+            "wide", wide, [StatSpec("s", StatKind.SUM, "f0")],
         )
         assert handle.overflow_schema is not None
         assert handle.transport_schema.fits_transport()
@@ -104,8 +107,10 @@ class TestAddApplication:
 class TestVersionedUpdates:
     def test_update_creates_new_app_id_and_key(self):
         controller, *_ = _deployment()
-        old = controller.add_application("ads", _features(), _specs())
-        new = controller.update_application("ads")
+        old = settled(
+            controller.add_application, "ads", _features(), _specs()
+        )
+        new = settled(controller.update_application, "ads")
         assert new.app_id != old.app_id
         assert new.key != old.key
         assert new.version == 1
@@ -126,25 +131,27 @@ class TestVersionedUpdates:
 
     def test_add_cookie(self):
         controller, *_ = _deployment()
-        controller.add_application("ads", _features(), _specs())
-        handle = controller.add_cookie(
-            "ads", Feature.categorical("geo", ["NA", "EU"])
+        settled(controller.add_application, "ads", _features(), _specs())
+        handle = settled(
+            controller.add_cookie,
+            "ads", Feature.categorical("geo", ["NA", "EU"]),
         )
         assert "geo" in handle.schema.feature_names()
 
     def test_remove_cookie(self):
         controller, *_ = _deployment()
-        controller.add_application("ads", _features(), _specs())
-        handle = controller.remove_cookie("ads", "demand")
+        settled(controller.add_application, "ads", _features(), _specs())
+        handle = settled(controller.remove_cookie, "ads", "demand")
         assert handle.schema.feature_names() == ["gender"]
         with pytest.raises(KeyError):
             controller.remove_cookie("ads", "ghost")
 
     def test_change_feature_range(self):
         controller, *_ = _deployment()
-        controller.add_application("ads", _features(), _specs())
-        handle = controller.change_feature(
-            "ads", Feature.number("demand", 0, 1000)
+        settled(controller.add_application, "ads", _features(), _specs())
+        handle = settled(
+            controller.change_feature,
+            "ads", Feature.number("demand", 0, 1000),
         )
         assert handle.schema.feature("demand").max_value == 1000
         with pytest.raises(KeyError):
@@ -176,18 +183,18 @@ class TestVersionedUpdates:
 class TestAppIdAllocation:
     def test_ids_never_reused_across_versions(self):
         controller, *_ = _deployment()
-        controller.add_application("ads", _features(), _specs())
+        settled(controller.add_application, "ads", _features(), _specs())
         seen = {controller.application("ads").app_id}
         for _ in range(20):
-            handle = controller.update_application("ads")
+            handle = settled(controller.update_application, "ads")
             assert handle.app_id not in seen
             seen.add(handle.app_id)
 
     def test_deterministic_with_seed(self):
         a = _deployment(seed=5)[0]
         b = _deployment(seed=5)[0]
-        ha = a.add_application("ads", _features(), _specs())
-        hb = b.add_application("ads", _features(), _specs())
+        ha = settled(a.add_application, "ads", _features(), _specs())
+        hb = settled(b.add_application, "ads", _features(), _specs())
         assert ha.app_id == hb.app_id
         assert ha.key == hb.key
 

@@ -161,7 +161,6 @@ class TestRepairLoop:
         sim = controller.bus.sim
         truth = {"by_gender": {"f": 0}}
         loop.schedule(
-            sim,
             "ads",
             in_network_fn=lambda: agg.report(handle.app_id),
             ground_truth_fn=lambda: dict(truth),

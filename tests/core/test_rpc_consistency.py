@@ -10,11 +10,13 @@ import pytest
 
 from repro.core.aggswitch import AggSwitch
 from repro.core.controller import SnatchController
+from repro.core.cookie_cache import CookieEncodeCache
 from repro.core.larkswitch import LarkSwitch
 from repro.core.rpc import RpcBus
 from repro.core.schema import CookieSchema, Feature
 from repro.core.stats import StatKind, StatSpec
 from repro.core.transport_cookie import TransportCookieCodec
+from repro.quic.connection_id import ConnectionID
 
 OLD_KEY = bytes(range(16))
 NEW_KEY = bytes(range(16, 32))
@@ -184,3 +186,44 @@ class TestConsistencyExperiment:
             old_codec.encode({"gender": "f"})
         ).matched
         assert controller.is_consistent("ads")
+
+    def test_client_mints_the_new_version_only_once_every_tier_holds_it(self):
+        """A minting client attached to the controller adopts the new
+        version only after the last tier's barrier: every cookie it
+        mints while the update rides the skewed bus is matched by the
+        LarkSwitch and merged by the AggSwitch."""
+        bus = RpcBus(default_delay_ms=10)
+        controller = SnatchController(bus, seed=1)
+        lark = LarkSwitch("lark", random.Random(1))
+        agg = AggSwitch("agg", random.Random(2))
+        controller.attach_lark_switch(lark, delay_ms=10)
+        controller.attach_agg_switch(agg, delay_ms=120)
+        old = controller.add_application(
+            "ads", list(_schema().features), _specs()
+        )
+        bus.quiesce(raise_on_error=True)
+        cache = CookieEncodeCache(TransportCookieCodec(
+            old.app_id, old.transport_schema, old.key, random.Random(3)
+        ))
+        controller.attach_client(cache)
+        minted = []
+
+        def mint(key):
+            raw = cache.encode_columns(
+                [key], values_fn=lambda _: {"gender": "f"}
+            ).raw[0]
+            result = lark.process_quic_packet(ConnectionID(raw))
+            merged = result.aggregation_payload is not None and (
+                agg.process_packet(result.aggregation_payload).merged
+            )
+            minted.append((cache.app_id, result.matched, merged))
+
+        start = bus.sim.now
+        new = controller.update_application("ads")
+        for t in range(0, 300, 5):
+            bus.sim.schedule_at(start + t, lambda k=t: mint(k))
+        bus.quiesce(raise_on_error=True)
+        assert {app_id for app_id, _, _ in minted} == {
+            old.app_id, new.app_id,
+        }
+        assert all(matched and merged for _, matched, merged in minted)

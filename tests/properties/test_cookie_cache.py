@@ -24,7 +24,7 @@ from repro.quic.connection_id import ConnectionID
 from repro.switch.columns import force_numpy, get_numpy
 from repro.workloads.adcampaign import AdCampaignWorkload
 
-from tests.control import new_controller
+from tests.control import new_controller, settled
 
 APP_ID = 0x5C
 KEY = bytes(range(16))
@@ -167,7 +167,8 @@ class TestBoundsAndInvalidation:
 class TestControllerClientHooks:
     def _controller_and_cache(self):
         controller = new_controller(seed=5)
-        handle = controller.add_application(
+        handle = settled(
+            controller.add_application,
             "crowd",
             list(_schema().features),
             [StatSpec("interest_by_region", StatKind.COUNT_BY_CLASS,
@@ -185,7 +186,7 @@ class TestControllerClientHooks:
         controller, cache, handle = self._controller_and_cache()
         cache.encode_columns(list(range(12)), lambda i: _values(i))
         assert len(cache) == 12
-        new_handle = controller.update_application("crowd")
+        new_handle = settled(controller.update_application, "crowd")
         assert cache.epoch == 1 and len(cache) == 0
         assert cache.app_id == new_handle.app_id
         # Cookies minted after the push decode under the new version.
@@ -199,13 +200,14 @@ class TestControllerClientHooks:
     def test_revoke_invalidates(self):
         controller, cache, handle = self._controller_and_cache()
         _encode(cache, 0, _values(0))
-        controller.remove_application("crowd")
+        settled(controller.remove_application, "crowd")
         assert cache.epoch == 1 and len(cache) == 0
 
     def test_unrelated_push_is_ignored(self):
         controller, cache, handle = self._controller_and_cache()
         _encode(cache, 0, _values(0))
-        controller.add_application(
+        settled(
+            controller.add_application,
             "other",
             [Feature.categorical("tier", ("a", "b"))],
             [StatSpec("sessions", StatKind.COUNT_BY_CLASS, "tier")],
