@@ -4,7 +4,7 @@ the Network Edge* (EuroSys 2024).
 Subpackages
 -----------
 ``repro.crypto``       AES-128 (from scratch) + key management
-``repro.quic``         QUIC headers, connection IDs, handshakes
+``repro.quic``         QUIC connection IDs and handshakes
 ``repro.switch``       P4/Tofino-style programmable-switch model
 ``repro.net``          discrete-event network simulator + fault model
 ``repro.chaos``        scripted fault scenarios + self-healing harness
@@ -12,7 +12,7 @@ Subpackages
 ``repro.measurement``  synthetic global measurement study
 ``repro.model``        analytic speedup model (paper Eqs. 1-6)
 ``repro.core``         Snatch itself: semantic cookies, LarkSwitch,
-                       AggSwitch, edge/web services, controller, privacy
+                       AggSwitch, edge service, controller, privacy
 ``repro.workloads``    ad-campaign / crowd / resource-demand workloads
 ``repro.testbed``      end-to-end experiments (paper Figure 6)
 ``repro.obs``          metrics registry, sim-time tracer, exporters
@@ -39,7 +39,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "core.larkswitch": ("LarkSwitch",),
     "core.schema": ("CookieSchema", "Feature"),
     "core.stats": ("StatKind", "StatSpec"),
-    "core.web_server": ("SnatchWebServer",),
     "model.speedup": ("Protocol", "speedup"),
     "testbed.config": ("Scheme", "TestbedConfig"),
     "testbed.experiment": ("TestbedExperiment",),

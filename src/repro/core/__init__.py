@@ -1,5 +1,5 @@
-"""Snatch core: semantic cookies, the two switch tiers, edge/web
-services, the controller, INSA planning and privacy mechanisms."""
+"""Snatch core: semantic cookies, the two switch tiers, the edge
+service, the controller, INSA planning and privacy mechanisms."""
 
 from repro._lazy import lazy_exports
 
@@ -13,7 +13,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "CarrierProfile", "Ipv6Carrier", "QUIC_CARRIER_PROFILE",
         "TcpTimestampCarrier", "carrier_comparison",
     ),
-    "analytics_server": ("AnalyticsServer",),
     "app_cookie": (
         "ApplicationCookieCodec", "cookie_name_for_app",
         "format_cookie_header", "parse_cookie_header",
@@ -35,8 +34,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "unflatten_snapshot",
     ),
     "privacy": (
-        "CorrelatedCookies", "IdentifiabilityError", "NoisyDelta",
-        "PrivacyAccountant", "PrivacyBudgetExceeded", "RandomizedResponse",
+        "CorrelatedCookies", "IdentifiabilityError", "RandomizedResponse",
         "SchemaAuditFinding", "ValueTransform", "audit_schema",
     ),
     "regional": ("RegionalDeployment", "RegionalHandle"),
@@ -51,5 +49,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "switch_join": ("JoinKind", "JoinedRow", "SwitchJoinTable"),
     "transport_cookie": ("DecodedTransportCookie", "TransportCookieCodec"),
-    "web_server": ("CookieUpdateFn", "ServedResponse", "SnatchWebServer"),
 })

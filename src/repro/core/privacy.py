@@ -9,10 +9,8 @@ threat model:
   (:class:`ValueTransform` — reversible affine obfuscation), correlated
   decoy cookies (:class:`CorrelatedCookies`), and — for full
   protection — local differential privacy (:class:`RandomizedResponse`
-  for class features, :class:`NoisyDelta` generalizing the paper's
-  "increase by 2 w.p. 75 %, decrease by 2 w.p. 25 %" example).  Both DP
-  mechanisms include the unbiased population-level estimators that keep
-  the aggregated analytics accurate.
+  for class features), with the unbiased population-level estimator
+  that keeps the aggregated analytics accurate.
 * **Malicious application developers** are policed by
   :func:`audit_schema`, which flags features whose cardinality makes
   individual identification possible.
@@ -23,15 +21,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.schema import CookieSchema, Feature, FeatureType
 
 __all__ = [
-    "PrivacyAccountant",
-    "PrivacyBudgetExceeded",
     "RandomizedResponse",
-    "NoisyDelta",
     "ValueTransform",
     "CorrelatedCookies",
     "SchemaAuditFinding",
@@ -104,47 +99,6 @@ class RandomizedResponse:
             obs = observed.get(category, 0)
             out[category] = (obs - q * n) / (self.p_truth - q)
         return out
-
-
-class NoisyDelta:
-    """The paper's numeric DP example, generalized.
-
-    To change a number feature by ``delta``, apply ``+magnitude`` with
-    probability ``(1 + delta/magnitude) / 2`` and ``-magnitude``
-    otherwise: the expectation is exactly ``delta``, so sums over many
-    users stay accurate while any single update reveals almost nothing.
-    The default (magnitude 2) reproduces the paper's 75 % / 25 %
-    example for delta = 1.
-    """
-
-    def __init__(self, magnitude: int = 2, rng: Optional[random.Random] = None):
-        if magnitude <= 0:
-            raise ValueError("magnitude must be positive")
-        self.magnitude = magnitude
-        self._rng = rng or random.Random()
-
-    def probability_up(self, delta: float) -> float:
-        if abs(delta) > self.magnitude:
-            raise ValueError(
-                "delta %r exceeds noise magnitude %d" % (delta, self.magnitude)
-            )
-        return (1.0 + delta / self.magnitude) / 2.0
-
-    def perturb(self, delta: float) -> int:
-        """The noisy delta actually applied to the cookie."""
-        if self._rng.random() < self.probability_up(delta):
-            return self.magnitude
-        return -self.magnitude
-
-    def apply(self, value: int, delta: float,
-              lo: Optional[int] = None, hi: Optional[int] = None) -> int:
-        """Apply a noisy delta, clamped to the feature's valid range."""
-        result = value + self.perturb(delta)
-        if lo is not None:
-            result = max(lo, result)
-        if hi is not None:
-            result = min(hi, result)
-        return result
 
 
 # -- obfuscation against honest-but-curious edges -----------------------------
@@ -274,53 +228,3 @@ def audit_schema(
             "; ".join(f.reason for f in findings if f.severity == "reject")
         )
     return findings
-
-
-class PrivacyBudgetExceeded(RuntimeError):
-    """A user's cumulative privacy loss would exceed the budget."""
-
-
-class PrivacyAccountant:
-    """Tracks cumulative privacy loss per user (basic composition).
-
-    Each perturbed report spends its mechanism's epsilon; under basic
-    composition the losses add.  When a user's remaining budget cannot
-    cover a report, the application must stop collecting from them (or
-    fall back to coarser mechanisms) — this is the bookkeeping that
-    makes the paper's "adaptive and more complex DP model" (section
-    3.6) operational.
-    """
-
-    def __init__(self, epsilon_budget: float):
-        if epsilon_budget <= 0:
-            raise ValueError("epsilon budget must be positive")
-        self.epsilon_budget = epsilon_budget
-        self._spent: Dict[str, float] = {}
-
-    def spent(self, user: str) -> float:
-        return self._spent.get(user, 0.0)
-
-    def remaining(self, user: str) -> float:
-        return self.epsilon_budget - self.spent(user)
-
-    def can_spend(self, user: str, epsilon: float) -> bool:
-        return epsilon <= self.remaining(user) + 1e-12
-
-    def spend(self, user: str, epsilon: float) -> float:
-        """Record one report's privacy loss; returns the new total."""
-        if epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        if not self.can_spend(user, epsilon):
-            raise PrivacyBudgetExceeded(
-                "user %s: spending %.3f would exceed budget %.3f "
-                "(already spent %.3f)"
-                % (user, epsilon, self.epsilon_budget, self.spent(user))
-            )
-        self._spent[user] = self.spent(user) + epsilon
-        return self._spent[user]
-
-    def reports_affordable(self, epsilon_per_report: float) -> int:
-        """How many reports of a given mechanism a fresh user affords."""
-        if epsilon_per_report <= 0:
-            raise ValueError("per-report epsilon must be positive")
-        return int(self.epsilon_budget / epsilon_per_report + 1e-12)

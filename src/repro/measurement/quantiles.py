@@ -5,14 +5,13 @@ The paper reports its measurement results as medians, ranges, and CDFs
 (Figure 6(a): "taking the Nth percentile of delays").  We therefore
 represent each measured delay distribution directly by its quantile
 function — monotone piecewise-linear through calibrated anchor points —
-which makes percentile lookup exact and sampling (inverse-CDF) trivial.
+which makes percentile lookup exact and inverse-CDF draws trivial.
 """
 
 from __future__ import annotations
 
 import bisect
-import random
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Tuple
 
 __all__ = ["QuantileCurve"]
 
@@ -41,7 +40,6 @@ class QuantileCurve:
         self.name = name
         self._ps = [p for p, _ in points]
         self._vs = [v for _, v in points]
-        self._default_rng: Optional[random.Random] = None
 
     def percentile(self, p: float) -> float:
         """Value at percentile ``p`` (linear interpolation)."""
@@ -61,62 +59,9 @@ class QuantileCurve:
     def median(self) -> float:
         return self.percentile(50.0)
 
-    @property
-    def minimum(self) -> float:
-        return self._vs[0]
-
-    @property
-    def maximum(self) -> float:
-        return self._vs[-1]
-
-    def sample(self, rng: Optional[random.Random] = None) -> float:
-        """Draw one value by inverse-CDF sampling.
-
-        Pass an explicit :class:`random.Random` to correlate draws
-        with other seeded processes.  Without one, the curve uses its
-        own deterministically seeded generator (derived from the curve
-        name) — it must never fall back to the process-global
-        ``random`` module, which would silently break run-to-run
-        reproducibility.
-        """
-        if rng is None:
-            if self._default_rng is None:
-                self._default_rng = random.Random(
-                    "quantilecurve/%s" % self.name
-                )
-            rng = self._default_rng
-        return self.percentile(rng.uniform(0.0, 100.0))
-
     def sample_at(self, u: float) -> float:
         """Value at uniform position ``u`` in [0, 1] — lets callers
         correlate several metrics through a shared site 'remoteness'."""
         if not 0.0 <= u <= 1.0:
             raise ValueError("u must be in [0, 1]")
         return self.percentile(u * 100.0)
-
-    def cdf_points(self, steps: int = 100) -> List[Tuple[float, float]]:
-        """(value, cumulative_fraction) pairs for plotting a CDF."""
-        if steps < 2:
-            raise ValueError("steps must be >= 2")
-        return [
-            (self.percentile(100.0 * i / steps), i / steps)
-            for i in range(steps + 1)
-        ]
-
-    @classmethod
-    def from_samples(
-        cls, samples: Sequence[float], name: str = ""
-    ) -> "QuantileCurve":
-        """Build an empirical curve from observed samples."""
-        if len(samples) < 2:
-            raise ValueError("need at least two samples")
-        ordered = sorted(samples)
-        n = len(ordered)
-        anchors = [
-            (100.0 * i / (n - 1), value) for i, value in enumerate(ordered)
-        ]
-        # Collapse duplicate percentiles from repeated values.
-        unique = {}
-        for p, v in anchors:
-            unique[p] = v
-        return cls(sorted(unique.items()), name=name)

@@ -90,9 +90,6 @@ class StudyResult:
         idx = min(len(values) - 1, int(round(p / 100.0 * (len(values) - 1))))
         return values[idx]
 
-    def empirical_curve(self, name: str) -> QuantileCurve:
-        return QuantileCurve.from_samples(self.metric(name), name=name)
-
     def summary(self) -> Dict[str, float]:
         return {
             name: self.median(name)

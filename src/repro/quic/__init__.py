@@ -1,4 +1,4 @@
-"""QUIC substrate: headers, connection IDs, and handshake state machines.
+"""QUIC substrate: connection IDs, handshake records and state machines.
 
 The transport-layer semantic cookie rides in the QUIC connection-ID
 field (paper sections 3.3, 4.1, Appendix B.2); this package provides
@@ -18,7 +18,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "packet": (
         "LongHeaderPacket", "PacketType", "QUIC_VERSION", "SNATCH_DCID_LENGTH",
-        "ShortHeaderPacket", "parse_packet",
+        "ShortHeaderPacket",
     ),
-    "varint": ("decode_varint", "encode_varint", "varint_length"),
 })

@@ -11,10 +11,12 @@ Implements the handshake procedures of paper Figure 7:
   endpoint; the client replays the remembered ``DstConnID*`` and sends
   application data immediately in a 0-RTT long-header packet.
 
-The server's connection-ID factory is pluggable: Snatch's web server
-installs a factory that emits semantic-cookie-structured IDs (see
-:mod:`repro.core.transport_cookie`), while a vanilla server emits random
-IDs.  The client-side Snatch modification (paper section 4.2, "<50 lines
+The server's connection-ID factory is pluggable: a Snatch application
+passes one that mints semantic-cookie-structured IDs
+(``cid_factory=lambda _: codec.encode(values)`` with a
+:class:`~repro.core.transport_cookie.TransportCookieCodec`), while a
+vanilla server emits random IDs.  The packets exchanged are in-memory
+records; nothing here encodes or parses wire bytes.  The client-side Snatch modification (paper section 4.2, "<50 lines
 of code") is :class:`SnatchConnectionIdPolicy`: on a new 1-RTT
 connection it keeps the cookie-carrying byte range of the last
 ``DstConnID*`` and regenerates only the random identification bits.

@@ -1,6 +1,6 @@
 """Streaming-analytics substrate: the Spark-Streaming-like micro-batch
 engine behind the no-INSA baseline.  It runs the operators the YSB
-query and the analytics server use; Table 1's other DStream methods
+query and the micro benches use; Table 1's other DStream methods
 are classified (:mod:`repro.core.insa`), not executed.
 """
 

@@ -5,7 +5,7 @@ Appendix C classifies every PySpark ``DStream`` method by whether
 Snatch's in-network streaming analytics can execute it; Table 1 is
 that classification (:mod:`repro.core.insa`), not an execution.  This
 engine keeps the operators the Spark baseline's pipelines use — the
-YSB query, the analytics server's L1-L4 chain and the micro benches —
+YSB query and the micro benches —
 under Spark's (Pythonic camelCase) names, each of them a Table 1 row.
 
 Each DStream node computes its batch-``i`` RDD from its parent's

@@ -27,7 +27,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "primitives": ("SUPPORTED_OPS", "SwitchALU", "UnsupportedOperationError"),
     "registers": ("RegisterArray", "RegisterFile", "SramExhaustedError"),
-    "sketch": ("CountMinSketch", "dimensions_for"),
+    "sketch": ("CountMinSketch",),
     "tables": (
         "MatchActionTable", "MatchKey", "MatchKind", "TableEntry",
         "TableFullError",

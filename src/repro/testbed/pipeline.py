@@ -36,7 +36,7 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -190,6 +190,11 @@ class SwitchHalf:
         self.agg.rekey_application(app_id, new_key)
         self.lark.rekey_application(app_id, new_key)
 
+    def crash(self) -> None:
+        """Power off both switches (a replica reset drops this half)."""
+        self.lark.crash()
+        self.agg.crash()
+
     def feed(self, cids: Any) -> int:
         """Run one segment through the LarkSwitch and its aggregation
         payloads on to the AggSwitch; returns the packets the
@@ -307,7 +312,9 @@ class StreamingPipeline:
 
     ``lark`` and ``agg`` are the in-process switch half's switches (the
     persistent tier renders its report through that ``agg``, restored
-    from the worker's snapshot at the end-of-run barrier).
+    from the worker's snapshot at the end-of-run barrier).  Every
+    :meth:`run` starts from empty registers: a run after the first
+    rebuilds the in-process half and resets the worker's.
 
     ``on_batch(pipeline, columns)`` runs before each micro-batch is
     encoded — the hook the rekey regression test uses to push a
@@ -375,11 +382,9 @@ class StreamingPipeline:
             corrupt_probability=corrupt_probability,
             reorder_probability=reorder_probability,
         )
-        self.half = SwitchHalf(
-            spec, "scalar" if backend == "scalar" else "columnar"
-        )
-        self.lark = self.half.lark
-        self.agg = self.half.agg
+        self._spec = spec
+        self._runs = 0
+        self._build_half()
         self.codec = TransportCookieCodec(
             app_id, schema, self._key, random.Random(3)
         )
@@ -404,6 +409,15 @@ class StreamingPipeline:
             self._fleet.worker(0)
 
     # -- lifecycle ---------------------------------------------------------
+
+    def _build_half(self) -> None:
+        """A freshly built in-process switch half under the live key."""
+        self.half = SwitchHalf(
+            replace(self._spec, key=self._key),
+            "scalar" if self.backend == "scalar" else "columnar",
+        )
+        self.lark = self.half.lark
+        self.agg = self.half.agg
 
     def close(self) -> None:
         """Release the persistent switch-half worker (no-op otherwise)."""
@@ -506,6 +520,13 @@ class StreamingPipeline:
         reference: Dict[str, Dict[Any, int]] = (
             new_reference() if new_reference is not None else {}
         )
+        if self._runs:
+            # Every run starts from empty switch registers, wherever
+            # the switch half runs.
+            self._build_half()
+            if self._fleet is not None:
+                self._fleet.worker(0).drain(reset=True)
+        self._runs += 1
         self._next_boundary = self.period_ms
         self.periods = 0
         self._payloads = 0

@@ -8,7 +8,6 @@ import pytest
 from repro.core.privacy import (
     CorrelatedCookies,
     IdentifiabilityError,
-    NoisyDelta,
     RandomizedResponse,
     ValueTransform,
     audit_schema,
@@ -67,42 +66,6 @@ class TestRandomizedResponse:
             RandomizedResponse(_gender(), p_truth=1.0)
         with pytest.raises(ValueError, match="uniform"):
             RandomizedResponse(_gender(), p_truth=0.2)
-
-
-class TestNoisyDelta:
-    def test_paper_example(self):
-        """Delta +1 with magnitude 2: +2 w.p. 75 %, -2 w.p. 25 %."""
-        nd = NoisyDelta(magnitude=2)
-        assert nd.probability_up(1) == pytest.approx(0.75)
-
-    def test_perturb_values(self):
-        nd = NoisyDelta(2, rng=random.Random(5))
-        assert set(nd.perturb(1) for _ in range(50)) == {-2, 2}
-
-    def test_expectation_matches_delta(self):
-        nd = NoisyDelta(2, rng=random.Random(6))
-        n = 20_000
-        total = sum(nd.perturb(1) for _ in range(n))
-        assert total / n == pytest.approx(1.0, abs=0.1)
-
-    def test_zero_delta_is_symmetric(self):
-        nd = NoisyDelta(4, rng=random.Random(7))
-        assert nd.probability_up(0) == pytest.approx(0.5)
-
-    def test_delta_bounded_by_magnitude(self):
-        nd = NoisyDelta(2)
-        with pytest.raises(ValueError, match="magnitude"):
-            nd.probability_up(3)
-
-    def test_apply_clamps_to_range(self):
-        nd = NoisyDelta(2, rng=random.Random(8))
-        for _ in range(50):
-            out = nd.apply(1, 1, lo=0, hi=10)
-            assert 0 <= out <= 10
-
-    def test_invalid_magnitude(self):
-        with pytest.raises(ValueError):
-            NoisyDelta(0)
 
 
 class TestValueTransform:
@@ -206,56 +169,3 @@ class TestSchemaAudit:
         schema = CookieSchema("x", (_gender(),))
         with pytest.raises(ValueError):
             audit_schema(schema, expected_population=0)
-
-
-class TestPrivacyAccountant:
-    def _accountant(self, budget=2.0):
-        from repro.core.privacy import PrivacyAccountant
-        return PrivacyAccountant(epsilon_budget=budget)
-
-    def test_basic_composition_adds(self):
-        accountant = self._accountant(budget=2.0)
-        accountant.spend("alice", 0.5)
-        accountant.spend("alice", 0.7)
-        assert accountant.spent("alice") == pytest.approx(1.2)
-        assert accountant.remaining("alice") == pytest.approx(0.8)
-
-    def test_budget_enforced(self):
-        from repro.core.privacy import PrivacyBudgetExceeded
-        accountant = self._accountant(budget=1.0)
-        accountant.spend("bob", 0.9)
-        with pytest.raises(PrivacyBudgetExceeded, match="bob"):
-            accountant.spend("bob", 0.2)
-        # The failed spend did not change the ledger.
-        assert accountant.spent("bob") == pytest.approx(0.9)
-
-    def test_budgets_are_per_user(self):
-        accountant = self._accountant(budget=1.0)
-        accountant.spend("alice", 1.0)
-        accountant.spend("bob", 1.0)  # independent budget
-
-    def test_exact_budget_spendable(self):
-        accountant = self._accountant(budget=1.0)
-        accountant.spend("carol", 1.0)
-        assert accountant.remaining("carol") == pytest.approx(0.0)
-
-    def test_reports_affordable_from_mechanism(self):
-        accountant = self._accountant(budget=8.2)
-        rr = RandomizedResponse(_gender(), p_truth=0.75)
-        n = accountant.reports_affordable(rr.epsilon)
-        assert n == int(8.2 / rr.epsilon)
-        for i in range(n):
-            accountant.spend("dave", rr.epsilon)
-        from repro.core.privacy import PrivacyBudgetExceeded
-        with pytest.raises(PrivacyBudgetExceeded):
-            accountant.spend("dave", rr.epsilon)
-
-    def test_validation(self):
-        from repro.core.privacy import PrivacyAccountant
-        with pytest.raises(ValueError):
-            PrivacyAccountant(epsilon_budget=0)
-        accountant = self._accountant()
-        with pytest.raises(ValueError):
-            accountant.spend("x", -0.1)
-        with pytest.raises(ValueError):
-            accountant.reports_affordable(0)

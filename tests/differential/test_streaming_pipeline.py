@@ -5,14 +5,20 @@ streamed micro-batch run must equal a one-shot run bit-identically —
 aggregation report, merged register arrays, payload and merge counts —
 for every backend, every micro-batch size, with and without reordering
 fault injection, and with numpy force-disabled.  A mid-run controller
-rekey must stay exact on every tier at once.
+rekey must stay exact on every tier at once, and a second run on the
+same pipeline must start from empty switch registers.
 """
 
 import pytest
 
 from repro.core.aggregation import ForwardingMode
 from repro.switch.columns import force_numpy
-from repro.testbed.pipeline import BACKENDS, StreamingPipeline
+from repro.testbed.pipeline import (
+    BACKENDS,
+    PIPELINE_BACKENDS,
+    StreamingPipeline,
+)
+from repro.testbed.shm_ring import shared_memory_available
 from repro.workloads.adcampaign import AdCampaignWorkload
 from repro.workloads.crowd import CrowdWorkload
 
@@ -149,3 +155,19 @@ class TestMidRunRekey:
             if backend != "scalar":
                 # Re-populated after the invalidation.
                 assert pipe.cache.stats()["size"] > 0
+
+
+class TestRepeatedRuns:
+    @pytest.mark.parametrize("backend", PIPELINE_BACKENDS)
+    def test_each_run_starts_from_empty_registers(self, backend):
+        if backend == "persistent" and not shared_memory_available():
+            pytest.skip("POSIX shared memory unavailable")
+        runs = {}
+        for tier in dict.fromkeys(("scalar", backend)):
+            workload = AdCampaignWorkload(num_users=50, seed=3)
+            with StreamingPipeline(workload, backend=tier) as pipe:
+                runs[tier] = [pipe.run(1000.0, 3000.0) for _ in range(2)]
+        for result in runs[backend]:
+            assert result.counts_match_reference(), backend
+        assert list(map(_observables, runs[backend])) == \
+            list(map(_observables, runs["scalar"]))

@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 from repro.core.aggregation import AggregationCodec
 from repro.core.aggswitch import AggSwitch
 from repro.core.app_cookie import ApplicationCookieCodec
-from repro.core.larkswitch import LarkSwitch
+from repro.core.larkswitch import LarkSwitch, lark_process_raw
 from repro.core.schema import CookieSchema, Feature
 from repro.core.stats import StatKind, StatSpec
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.quic.connection_id import ConnectionID
-from repro.quic.packet import parse_packet
+from repro.switch.parser import ParseError, snatch_parser
 
 KEY = bytes(range(16))
 APP = 0x42
@@ -56,13 +56,19 @@ def _agg():
 
 
 class TestPacketFuzzing:
-    @given(st.binary(min_size=0, max_size=64))
+    @given(st.binary(min_size=0, max_size=96))
     @settings(max_examples=60)
     def test_quic_parser_never_crashes_unexpectedly(self, data):
+        """The switch's own parser is the one that reads the DCID off
+        the wire: it raises only ParseError, and the LarkSwitch path
+        over it forwards such bytes untouched and folds nothing."""
         try:
-            parse_packet(data)
-        except ValueError:
+            snatch_parser().parse(data)
+        except ParseError:
             pass  # the only acceptable failure mode
+        result = lark_process_raw(_lark(), data)
+        assert result.forwarded_original
+        assert not result.folded
 
     @given(st.binary(min_size=0, max_size=20))
     @settings(max_examples=60)

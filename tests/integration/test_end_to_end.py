@@ -12,11 +12,13 @@ from repro.core import (
     ForwardingMode,
     LarkSwitch,
     SnatchEdgeServer,
-    SnatchWebServer,
     StatKind,
     StatSpec,
 )
-from repro.core.app_cookie import format_cookie_header
+from repro.core.app_cookie import (
+    ApplicationCookieCodec,
+    format_cookie_header,
+)
 from repro.core.transport_cookie import (
     COOKIE_BYTE_END,
     COOKIE_BYTE_START,
@@ -56,9 +58,9 @@ class TestTransportPathOverRealQuic:
         handle = settled(controller.add_application, "ads", features, specs)
 
         # The web server plants semantic DstConnID*s via QUIC.
-        web = SnatchWebServer(
-            handle.app_id, handle.schema, handle.key,
-            lambda prev, req: req["values"], rng=random.Random(1),
+        codec = TransportCookieCodec(
+            handle.app_id, handle.transport_schema, handle.key,
+            random.Random(1),
         )
         quic_rng = random.Random(2)
         events = workload.generate_events(50, 1000)
@@ -68,7 +70,8 @@ class TestTransportPathOverRealQuic:
                 event.campaign, event.event_type
             )
             server = QuicServer(
-                "web", cid_factory=web.quic_cid_factory(values), rng=quic_rng
+                "web", cid_factory=lambda _: codec.encode(values),
+                rng=quic_rng,
             )
             client = QuicClient(
                 "user-%d" % event.user.user_index,
@@ -116,15 +119,14 @@ class TestTransportPathOverRealQuic:
         controller, _agg, lark, _edge = _deployment(seed=31)
         _workload, features, specs = _ad_features()
         handle = settled(controller.add_application, "ads", features, specs)
-        web = SnatchWebServer(
-            handle.app_id, handle.schema, handle.key,
-            lambda prev, req: {"event": "click", "campaign": "camp-0",
-                               "gender": "male", "age": "35-44", "geo": "NA"},
-            rng=random.Random(5),
+        codec = TransportCookieCodec(
+            handle.app_id, handle.transport_schema, handle.key,
+            random.Random(5),
         )
-        response = web.handle_request({})
+        values = {"event": "click", "campaign": "camp-0",
+                  "gender": "male", "age": "35-44", "geo": "NA"}
         server = QuicServer(
-            "web", cid_factory=web.quic_cid_factory(response.new_values),
+            "web", cid_factory=lambda _: codec.encode(values),
             rng=random.Random(6),
         )
         client = QuicClient("bob", rng=random.Random(7))
@@ -144,17 +146,15 @@ class TestApplicationLayerPath:
             controller.add_application, "ads", features, specs,
             event_filter=AdCampaignWorkload.event_filter,
         )
-        web = SnatchWebServer(
-            handle.app_id, handle.schema, handle.key,
-            lambda prev, req: req["values"], rng=random.Random(8),
+        codec = ApplicationCookieCodec(
+            handle.app_id, handle.schema, handle.key, random.Random(8)
         )
         events = workload.generate_events(40, 1000)
         for event in events:
             values = event.user.semantic_values(
                 event.campaign, event.event_type
             )
-            served = web.handle_request({"values": values})
-            name, value = served.set_cookie
+            name, value = codec.encode(values)
             result = edge.handle_request(
                 {"event": event.event_type},
                 format_cookie_header({name: value}),
@@ -173,15 +173,13 @@ class TestApplicationLayerPath:
             controller.add_application, "ads", features, specs,
             event_filter=AdCampaignWorkload.event_filter,
         )
-        web = SnatchWebServer(
-            handle.app_id, handle.schema, handle.key,
-            lambda prev, req: {"event": "view", "campaign": "camp-0",
-                               "gender": "other", "age": "18-24",
-                               "geo": "OC"},
-            rng=random.Random(9),
+        codec = ApplicationCookieCodec(
+            handle.app_id, handle.schema, handle.key, random.Random(9)
         )
-        served = web.handle_request({})
-        name, value = served.set_cookie
+        name, value = codec.encode(
+            {"event": "view", "campaign": "camp-0", "gender": "other",
+             "age": "18-24", "geo": "OC"}
+        )
         result = edge.handle_request(
             {"event": "page-load"}, format_cookie_header({name: value})
         )

@@ -1,9 +1,7 @@
-"""Quantile curves: interpolation, sampling, empirical construction."""
-
-import random
+"""Quantile curves: interpolation, validation, inverse-CDF lookup."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.measurement.quantiles import QuantileCurve
@@ -20,8 +18,6 @@ class TestInterpolation:
         assert curve.percentile(50) == 10.0
         assert curve.percentile(100) == 100.0
         assert curve.median == 10.0
-        assert curve.minimum == 1.0
-        assert curve.maximum == 100.0
 
     def test_linear_between_anchors(self):
         curve = _curve()
@@ -38,6 +34,10 @@ class TestInterpolation:
     def test_monotone(self, p):
         curve = _curve()
         assert curve.percentile(p) <= curve.percentile(min(100.0, p + 5))
+
+    @given(st.floats(min_value=0, max_value=100))
+    def test_values_stay_within_the_end_anchors(self, p):
+        assert 1.0 <= _curve().percentile(p) <= 100.0
 
 
 class TestValidation:
@@ -59,85 +59,13 @@ class TestValidation:
 
 
 class TestSampling:
-    def test_sample_within_range(self):
-        curve = _curve()
-        rng = random.Random(1)
-        for _ in range(200):
-            assert 1.0 <= curve.sample(rng) <= 100.0
-
     def test_sample_at(self):
         curve = _curve()
         assert curve.sample_at(0.5) == 10.0
         with pytest.raises(ValueError):
             curve.sample_at(1.5)
 
-    def test_sample_median_near_curve_median(self):
+    @given(st.floats(min_value=0, max_value=1))
+    def test_sample_at_is_the_percentile(self, u):
         curve = _curve()
-        rng = random.Random(2)
-        samples = sorted(curve.sample(rng) for _ in range(2001))
-        assert abs(samples[1000] - curve.median) < 2.0
-
-
-class TestSamplingDeterminism:
-    """The bugfix regression: ``sample()`` with no rng must never fall
-    back to the process-global ``random`` module."""
-
-    def test_no_rng_sampling_is_reproducible(self):
-        first, second = _curve(), _curve()
-        assert [first.sample() for _ in range(10)] == \
-            [second.sample() for _ in range(10)]
-
-    def test_no_rng_sampling_leaves_global_random_untouched(self):
-        random.seed(123)
-        expected = random.random()
-        random.seed(123)
-        for _ in range(5):
-            _curve().sample()
-            _curve()
-        assert random.random() == expected
-
-    def test_default_streams_derive_from_curve_name(self):
-        anchors = [(0, 1.0), (50, 10.0), (100, 100.0)]
-        a = QuantileCurve(anchors, name="a")
-        b = QuantileCurve(anchors, name="b")
-        assert [a.sample() for _ in range(5)] != \
-            [b.sample() for _ in range(5)]
-
-    def test_explicit_rng_still_honoured(self):
-        draws = [_curve().sample(random.Random(1)) for _ in range(2)]
-        assert draws[0] == draws[1]
-
-
-class TestCdfPoints:
-    def test_shape(self):
-        points = _curve().cdf_points(steps=10)
-        assert len(points) == 11
-        assert points[0] == (1.0, 0.0)
-        assert points[-1] == (100.0, 1.0)
-        values = [v for v, _f in points]
-        assert values == sorted(values)
-
-    def test_invalid_steps(self):
-        with pytest.raises(ValueError):
-            _curve().cdf_points(1)
-
-
-class TestFromSamples:
-    def test_reconstructs_order_statistics(self):
-        samples = [5.0, 1.0, 3.0]
-        curve = QuantileCurve.from_samples(samples)
-        assert curve.minimum == 1.0
-        assert curve.maximum == 5.0
-        assert curve.median == 3.0
-
-    def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            QuantileCurve.from_samples([1.0])
-
-    @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=2,
-                    max_size=50))
-    @settings(max_examples=30)
-    def test_range_preserved(self, samples):
-        curve = QuantileCurve.from_samples(samples)
-        assert curve.minimum == min(samples)
-        assert curve.maximum == max(samples)
+        assert curve.sample_at(u) == curve.percentile(u * 100.0)

@@ -51,12 +51,6 @@ class TestStudyResult:
             result.percentile("d_ci", 50), rel=0.05
         )
 
-    def test_empirical_curve(self):
-        result = _result(200)
-        curve = result.empirical_curve("d_ew")
-        assert curve.minimum == min(result.metric("d_ew"))
-        assert curve.maximum == max(result.metric("d_ew"))
-
     def test_empty_result_raises(self):
         empty = StudyResult(measurements=[], discarded_sites=0)
         with pytest.raises(ValueError):

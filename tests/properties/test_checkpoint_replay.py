@@ -10,8 +10,7 @@ holds fold state:
 * the switch statistics registers — additive counters
   (count-by-class, sum, avg) and the non-additive min/max folds —
   via ``LarkSwitch.checkpoint``/``restore`` on the scalar and the
-  columnar path (both kernel forms) and the ``AggSwitch`` equivalents;
-* the count-min sketch via ``snapshot``/``load_snapshot``.
+  columnar path (both kernel forms) and the ``AggSwitch`` equivalents.
 
 Each case runs the same seeded stream uninterrupted and interrupted at
 several cut points, across three seeds, and requires bit-identical end
@@ -30,7 +29,6 @@ from repro.core.stats import StatKind, StatSpec
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.obs.registry import MetricsRegistry
 from repro.switch import columns
-from repro.switch.sketch import CountMinSketch
 
 SEEDS = (2, 29, 83)
 APP_ID = 0x44
@@ -266,46 +264,3 @@ class TestAggRegisterReplay:
         checkpoint["user_quantiles"] = [0]
         with pytest.raises(KeyError):
             agg.restore(APP_ID, checkpoint)
-
-
-class TestSketchReplay:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_restore_and_replay_tail_matches(self, seed):
-        rng = random.Random(seed + 100)
-        keys = [
-            rng.getrandbits(32).to_bytes(4, "big") for _ in range(400)
-        ]
-        cut = rng.randrange(1, len(keys))
-
-        uninterrupted = CountMinSketch(width=128, depth=3)
-        for k in keys:
-            uninterrupted.add(k)
-
-        first = CountMinSketch(width=128, depth=3)
-        for k in keys[:cut]:
-            first.add(k)
-        rows = first.snapshot()
-
-        recovered = CountMinSketch(width=128, depth=3)
-        recovered.load_snapshot(rows, total=first.total)
-        for k in keys[cut:]:
-            recovered.add(k)
-
-        assert recovered.snapshot() == uninterrupted.snapshot()
-        assert recovered.total == uninterrupted.total
-        for k in keys[:20]:
-            assert recovered.estimate(k) == uninterrupted.estimate(k)
-
-    def test_total_recovered_from_first_row_when_omitted(self):
-        sketch = CountMinSketch(width=64, depth=2)
-        for i in range(50):
-            sketch.add(b"%d" % i)
-        clone = CountMinSketch(width=64, depth=2)
-        clone.load_snapshot(sketch.snapshot())
-        assert clone.total == sketch.total
-
-    def test_shape_mismatch_rejected(self):
-        sketch = CountMinSketch(width=64, depth=2)
-        other = CountMinSketch(width=32, depth=2)
-        with pytest.raises(ValueError):
-            sketch.load_snapshot(other.snapshot())

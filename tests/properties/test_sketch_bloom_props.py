@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.switch.bloom import BloomFilter, bloom_parameters
-from repro.switch.sketch import CountMinSketch, dimensions_for
+from repro.switch.sketch import CountMinSketch
 
 
 def _zipf_stream(rng, keys, total):
@@ -46,7 +46,9 @@ def test_sketch_error_bound_mostly_holds(seed):
     """Estimates exceed truth by more than eps*N for at most ~delta of
     keys (the standard count-min guarantee is per-key probabilistic)."""
     epsilon, delta = 0.02, 0.01
-    width, depth = dimensions_for(epsilon, delta)
+    # The standard count-min dimensions for (epsilon, delta).
+    width = math.ceil(math.e / epsilon)
+    depth = math.ceil(math.log(1.0 / delta))
     rng = random.Random(100 + seed)
     keys = [("key-%d" % i).encode() for i in range(400)]
     counts = _zipf_stream(rng, keys, 8000)
@@ -61,28 +63,6 @@ def test_sketch_error_bound_mostly_holds(seed):
     )
     # Allow 5x the analytic failure probability as seed slack.
     assert violations <= max(1, int(5 * delta * len(counts)))
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_sketch_merge_equals_union_stream(seed):
-    rng = random.Random(200 + seed)
-    keys = [("key-%d" % i).encode() for i in range(200)]
-    left = _zipf_stream(rng, keys, 2000)
-    right = _zipf_stream(rng, keys, 2000)
-    a = CountMinSketch(width=128, depth=3, name="a")
-    b = CountMinSketch(width=128, depth=3, name="b")
-    union = CountMinSketch(width=128, depth=3, name="u")
-    for key, count in left.items():
-        a.add(key, count)
-        union.add(key, count)
-    for key, count in right.items():
-        b.add(key, count)
-        union.add(key, count)
-    a.merge(b)
-    assert a.snapshot() == union.snapshot()
-    assert a.total == union.total
-    for key in keys:
-        assert a.estimate(key) == union.estimate(key)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -1,4 +1,4 @@
-"""Count-min sketch: one-sided error, bounds, mergeability."""
+"""Count-min sketch: one-sided error, bounds, register budget."""
 
 import random
 
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.switch.registers import RegisterFile, SramExhaustedError
-from repro.switch.sketch import CountMinSketch, dimensions_for
+from repro.switch.sketch import CountMinSketch
 
 
 class TestEstimates:
@@ -52,50 +52,7 @@ class TestEstimates:
             CountMinSketch().add(b"x", count=-1)
 
 
-class TestHeavyHitters:
-    def test_finds_the_elephant(self):
-        cms = CountMinSketch(width=1024, depth=4)
-        for _ in range(900):
-            cms.add(b"elephant")
-        for i in range(100):
-            cms.add(b"mouse-%d" % i)
-        candidates = [b"elephant"] + [b"mouse-%d" % i for i in range(100)]
-        hitters = cms.heavy_hitters(candidates, threshold_fraction=0.5)
-        assert hitters[0][0] == b"elephant"
-        assert len(hitters) == 1
-
-    def test_threshold_validated(self):
-        with pytest.raises(ValueError):
-            CountMinSketch().heavy_hitters([], threshold_fraction=0)
-
-
-class TestMerge:
-    def test_merged_counts_add(self):
-        a = CountMinSketch(width=512, depth=3)
-        b = CountMinSketch(width=512, depth=3)
-        a.add(b"k", 5)
-        b.add(b"k", 7)
-        b.add(b"other", 2)
-        a.merge(b)
-        assert a.estimate(b"k") == 12
-        assert a.estimate(b"other") == 2
-        assert a.total == 14
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shapes"):
-            CountMinSketch(width=512, depth=3).merge(
-                CountMinSketch(width=256, depth=3)
-            )
-
-
 class TestResources:
-    def test_reset(self):
-        cms = CountMinSketch(width=128, depth=2)
-        cms.add(b"x", 9)
-        cms.reset()
-        assert cms.estimate(b"x") == 0
-        assert cms.total == 0
-
     def test_uses_register_budget(self):
         registers = RegisterFile(sram_budget_bits=128 * 32 * 2)
         CountMinSketch(width=128, depth=2, registers=registers)
@@ -103,37 +60,6 @@ class TestResources:
             CountMinSketch(width=128, depth=2, name="second",
                            registers=registers)
 
-    def test_dimensions_for(self):
-        width, depth = dimensions_for(0.01, 0.01)
-        assert width >= 272
-        assert depth >= 5
-        with pytest.raises(ValueError):
-            dimensions_for(0, 0.5)
-
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
             CountMinSketch(width=0)
-
-
-class TestHeavyHitterCost:
-    def test_one_estimate_per_candidate(self, monkeypatch):
-        """Regression: heavy_hitters used to call estimate() twice per
-        candidate (filter + kept value) — at depth hashes per estimate
-        that doubled the control-plane read-out cost."""
-        cms = CountMinSketch(width=512, depth=4)
-        for _ in range(50):
-            cms.add(b"hot")
-        cms.add(b"cold")
-
-        calls = {"estimate": 0}
-        real_estimate = CountMinSketch.estimate
-
-        def spy(self, key):
-            calls["estimate"] += 1
-            return real_estimate(self, key)
-
-        monkeypatch.setattr(CountMinSketch, "estimate", spy)
-        candidates = [b"hot", b"cold", b"absent"]
-        hitters = cms.heavy_hitters(candidates, threshold_fraction=0.5)
-        assert calls["estimate"] == len(candidates)
-        assert hitters == [(b"hot", 50)]

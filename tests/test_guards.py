@@ -274,6 +274,19 @@ GUARDS = (
         "        if self.bus is not None:",
         "One control plane: the controller speaks only over its RpcBus",
     ),
+    Guard(
+        # switch/parser.py is the one QUIC header parser; the codec
+        # helpers, app-layer servers and mechanisms had only test
+        # callers.
+        "reach-round-three",
+        "parse_packet|encode_varint|SnatchWebServer|AnalyticsServer|"
+        "NoisyDelta|PrivacyAccountant|heavy_hitters|from_samples",
+        ("src",),
+        "header = parse_packet(data)",
+        "Reach round three: delete the protocol stand-ins and helpers "
+        "that only tests run",
+        word=True,
+    ),
 )
 
 

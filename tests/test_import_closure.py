@@ -75,7 +75,7 @@ class TestImportClosure:
             "        failed[name] = repr(exc)\n"
             "print(json.dumps(failed))\n"
         )
-        assert len(MODULES) >= 90
+        assert len(MODULES) >= 87
         assert fresh_interpreter(code, *MODULES) == {}
 
 
