@@ -4,9 +4,11 @@ One scripted chaos scenario runs against a self-healing Snatch
 deployment on the discrete-event simulator (paper section 6 plus the
 section 3.3 incremental-deployment fallback):
 
-* **inject** — ``standard_outage()``: 5 % loss on the periodical UDP
-  report link, a LarkSwitch crash at t=450 ms (all register state
-  lost), and one deliberately dropped controller RPC during recovery;
+* **inject** — ``standard_outage()``: 5 % loss on the lark -> agg hop
+  that carries the periodical UDP reports (its seeded fault process,
+  ``repro.net.hop.Hop``, draws once per report), a LarkSwitch crash at
+  t=450 ms (all register state lost), and one deliberately dropped
+  controller RPC during recovery;
 * **degrade** — while the switch is down, traffic falls back to
   application-layer cookie processing at the edge server, and the
   un-flushed partial period dies with the switch;
@@ -33,12 +35,12 @@ SEED = 9
 def run(seed: int):
     harness = ChaosHarness(seed=seed)
     harness.apply(standard_outage())
-    return harness.run()
+    return harness, harness.run()
 
 
 def main() -> None:
     print("== inject: standard outage (crash + report loss + lost RPC) ==")
-    result = run(SEED)
+    harness, result = run(SEED)
 
     print("traffic: %d events, %d served by the app-layer fallback "
           "while the LarkSwitch was down"
@@ -46,6 +48,12 @@ def main() -> None:
     print("reports: %d sent over UDP, %d lost, %d duplicated"
           % (result.reports_sent, result.reports_lost,
              result.reports_duplicated))
+    for (src, dst), link in harness.links.items():
+        c = link.hop.counts()
+        print("  hop %s -> %s: %d arrived - %d dropped + %d duplicated"
+              " = %d delivered + %d held"
+              % (src, dst, c["arrived"], c["dropped"], c["duplicated"],
+                 c["delivered"], c["held"]))
 
     print("\n== degrade / recover: device lifecycle ==")
     for at_ms, device, kind, detail in result.lifecycle:
@@ -68,7 +76,7 @@ def main() -> None:
     print("web-server ground truth:", result.ground_truth["by_region"])
     print("consistent:", result.consistent)
 
-    again = run(SEED)
+    _harness, again = run(SEED)
     print("\ndeterministic: rerun fingerprint matches =",
           again.fingerprint() == result.fingerprint())
 

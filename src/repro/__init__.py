@@ -6,7 +6,7 @@ Subpackages
 ``repro.crypto``       AES-128 (from scratch) + key management
 ``repro.quic``         QUIC connection IDs and handshakes
 ``repro.switch``       P4/Tofino-style programmable-switch model
-``repro.net``          discrete-event network simulator + fault model
+``repro.net``          discrete-event simulator, links + per-hop faults
 ``repro.chaos``        scripted fault scenarios + self-healing harness
 ``repro.streaming``    Spark-Streaming-like micro-batch engine
 ``repro.measurement``  synthetic global measurement study

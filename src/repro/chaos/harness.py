@@ -6,9 +6,9 @@ One object builds the whole loop on a single deterministic simulator:
   (timeouts, acks, exponential backoff, seeded jitter);
 * a LarkSwitch, AggSwitch and edge server enrolled with the controller
   and subject to crash/restart via :class:`DeviceLifecycle`;
-* a :class:`Network` whose lark -> agg link carries the periodical UDP
-  aggregation reports through a seeded :class:`FaultModel` (drop /
-  duplicate / reorder / jitter);
+* two :class:`~repro.net.link.Link` hops, lark -> agg and edge -> agg,
+  carrying the periodical UDP aggregation reports through each one's
+  seeded :class:`~repro.net.hop.Hop` (drop / duplicate / reorder);
 * deterministic synthetic traffic: the transport path through the
   LarkSwitch while it is up, gracefully degrading to application-layer
   cookie processing at the edge server while it is down (the paper's
@@ -41,18 +41,14 @@ from repro.core.rpc import RpcBus
 from repro.core.schema import Feature
 from repro.core.stats import StatKind, StatSpec
 from repro.core.transport_cookie import TransportCookieCodec
-from repro.net.faults import FaultModel
-from repro.net.node import Node, SinkNode
-from repro.net.packet import NetPacket
+from repro.net.hop import Hop
+from repro.net.link import Link
 from repro.net.simulator import Simulator
-from repro.net.topology import Network
 from repro.obs.export import jsonl_lines, render_spans, render_table
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
 
 __all__ = ["ChaosHarness", "ChaosResult"]
-
-_UDP_HEADER_BYTES = 28
 
 
 @dataclass
@@ -134,7 +130,6 @@ class ChaosHarness:
         self.verify_margin_ms = link_delay_ms + 10.0
 
         self.sim = Simulator()
-        self.network = Network(self.sim)
         # The harness keeps its own registry/tracer by default so two
         # seeded runs can be compared dump-for-dump without leaking
         # series into (or from) the process-wide default.
@@ -166,17 +161,15 @@ class ChaosHarness:
         self.controller.attach_lark_switch(self.lark)
         self.controller.attach_edge_server(self.edge)
 
-        # Data plane: the two report sources and the aggregation sink.
-        self.network.add_node(Node("lark"))
-        self.network.add_node(Node("edge"))
-        sink = SinkNode("agg")
-        sink.on_receive = self._on_report
-        self.network.add_node(sink)
-        self.network.add_link("lark", "agg", link_delay_ms,
-                              bidirectional=False)
-        self.network.add_link("edge", "agg", link_delay_ms,
-                              bidirectional=False)
-        self.fault_model = FaultModel(seed, registry=self.registry)
+        # Data plane: the two report sources' hops to the aggregation
+        # switch, each with its own fault RNG, so faults on one never
+        # perturb the other's draws.
+        self.links: Dict[Tuple[str, str], Link] = {
+            (src, "agg"): Link(src, "agg", link_delay_ms, Hop(
+                random.Random("faultmodel/%d/%s>agg" % (seed, src))
+            ))
+            for src in ("lark", "edge")
+        }
 
         # The application under test: periodical forwarding so reports
         # ride (losable) UDP packets at period boundaries.
@@ -291,24 +284,18 @@ class ChaosHarness:
                 continue
             if self.app_id not in device.registered_app_ids():
                 continue
+            link = self.links[(source, "agg")]
             for payload in device.end_period(self.app_id):
                 self.reports_sent += 1
                 self._m_reports.inc()
-                self.network.transmit(source, NetPacket(
-                    src=source,
-                    dst="agg",
-                    protocol="udp",
-                    size_bytes=_UDP_HEADER_BYTES + len(payload),
-                    payload=payload,
-                    created_at_ms=self.sim.now,
-                ))
+                link.send(self.sim, payload, self._on_report)
 
-    def _on_report(self, packet: NetPacket, _now: float) -> None:
+    def _on_report(self, payload: bytes) -> None:
         if not self.agg.alive or self.app_id not in self.agg.registered_app_ids():
             self.reports_dropped_at_agg += 1
             self._m_reports_dropped.inc()
             return
-        self.agg.process_packet(packet.payload)
+        self.agg.process_packet(payload)
 
     # -- verification -----------------------------------------------------------
 
@@ -350,22 +337,37 @@ class ChaosHarness:
         scenario.apply(self)
         return self
 
+    def set_link_faults(self, src: str, dst: str, drop: float = 0.0,
+                        duplicate: float = 0.0,
+                        reorder: float = 0.0) -> None:
+        """Arm (or heal, with nothing set) the ``src -> dst`` hop's
+        faults; its RNG and held reports carry over."""
+        key = (src, dst)
+        if key not in self.links:
+            raise KeyError("no link %s -> %s" % key)
+        self.links[key].hop.set(
+            drop=drop, duplicate=duplicate, reorder=reorder
+        )
+
     def run(self) -> ChaosResult:
         """Drain the simulation and assemble the canonical result."""
         if self._ran:
             raise RuntimeError("harness already ran; build a fresh one")
         self._ran = True
-        self.fault_model.install(self.network)
         # The root span brackets the whole run, so every chaos-phase
         # span opened inside a scheduled event nests under it.
         with self.tracer.span("chaos.run", seed=self.seed):
             self.sim.run()
+        for (src, dst), link in self.links.items():
+            base = "faults.%s->%s." % (src, dst)
+            self.registry.counter(base + "drops").inc(link.hop.dropped)
+            self.registry.counter(base + "duplicates").inc(link.hop.duplicated)
+            self.registry.counter(base + "reorders").inc(link.hop.reordered)
         final_report = self._in_network_report()
         truth = {
             name: dict(cells) for name, cells in self.ground_truth.items()
         }
-        lark_agg = self.network.link("lark", "agg")
-        edge_agg = self.network.link("edge", "agg")
+        hops = [link.hop for link in self.links.values()]
         return ChaosResult(
             seed=self.seed,
             consistent=self.repair_loop.verifier.consistent(
@@ -374,10 +376,8 @@ class ChaosHarness:
             events_total=self.events_total,
             fallback_events=self.fallback_events,
             reports_sent=self.reports_sent,
-            reports_lost=lark_agg.packets_lost + edge_agg.packets_lost,
-            reports_duplicated=(
-                lark_agg.packets_duplicated + edge_agg.packets_duplicated
-            ),
+            reports_lost=sum(hop.dropped for hop in hops),
+            reports_duplicated=sum(hop.duplicated for hop in hops),
             rpc_retries=self.bus.retries(),
             rpc_failures=len(self.bus.failed()),
             repairs=[

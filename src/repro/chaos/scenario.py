@@ -1,9 +1,12 @@
 """Named, scripted fault scenarios.
 
 A :class:`ChaosScenario` is a declarative timeline of fault events —
-device crashes, link-level loss/duplication/reordering, forced
-control-plane RPC drops — that :meth:`ChaosScenario.apply` schedules
-onto a :class:`~repro.chaos.harness.ChaosHarness`.  Scenarios are pure
+device crashes, hop faults on a report link, forced control-plane RPC
+drops — that :meth:`ChaosScenario.apply` schedules onto a
+:class:`~repro.chaos.harness.ChaosHarness`.  A ``link_faults`` event
+sets the link's seeded :class:`~repro.net.hop.Hop`: each report handed
+to it is dropped, duplicated or held back a few reports (``reorder``)
+with the given probabilities, drawn per report.  Scenarios are pure
 data until applied, so the same scenario can run under many seeds (the
 CI chaos job does exactly that).
 
@@ -51,8 +54,8 @@ class ChaosScenario:
 
     def link_faults(self, src: str, dst: str, at_ms: float = 0.0,
                     **spec) -> "ChaosScenario":
-        """Arm (or rearm) the fault model on a link at ``at_ms``; pass
-        ``drop=`` / ``duplicate=`` / ``reorder=`` / ``extra_jitter_ms=``."""
+        """Set the ``src -> dst`` hop's faults at ``at_ms``; pass
+        ``drop=`` / ``duplicate=`` / ``reorder=`` (none heals it)."""
         self.events.append(
             ChaosEvent(at_ms, "link_faults",
                        {"src": src, "dst": dst, "spec": dict(spec)})
@@ -91,11 +94,10 @@ class ChaosScenario:
                     event.params["device"], event.params.get("down_ms")
                 )
             elif event.action == "link_faults":
-                harness.fault_model.set_link(
+                harness.set_link_faults(
                     event.params["src"], event.params["dst"],
                     **event.params["spec"]
                 )
-                harness.fault_model.install(harness.network)
             elif event.action == "drop_rpc":
                 harness.bus.drop_next(
                     event.params["device"], event.params.get("count", 1)

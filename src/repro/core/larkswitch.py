@@ -321,7 +321,9 @@ class LarkSwitch:
         raw = bytes(phv["dcid"])
         pipeline.charge_latency(AES_PASS_LATENCY_MS)  # AES decrypt
         decoded = app.cookie_codec.try_decode(ConnectionID(raw))
-        if decoded is None:
+        if decoded is None or not decoded.values:
+            # No feature present (every bitmap bit clear) counts as a
+            # failure: it would fold nothing into the registers.
             phv.metadata["decode_failed"] = True
             self._m_decode_failures.inc()
             return
@@ -421,7 +423,8 @@ class LarkSwitch:
     ) -> List[Optional[Tuple[int, ...]]]:
         """Decode each unique cookie group once — memo probe first, then
         one batched AES pass over the still-unknown blocks — to its
-        wire row, ``None`` where decode fails."""
+        wire row, ``None`` where decode fails or no feature is present
+        (what :meth:`_action_decode` books as a failure)."""
         memo = self._decode_memo
         app_id = app.app_id
         out = list(map(
@@ -444,7 +447,10 @@ class LarkSwitch:
                 [keys[group][skip:] for group in pending],
             )
             decoded = app.cookie_codec.rows_from_blocks(plains)
+            absent = (-1,) * len(app.schema.features)
             for group, entry in zip(pending, decoded):
+                if entry == absent:
+                    entry = None  # no feature present: a decode failure
                 memo[(app_id, MAX_CONNECTION_ID_BYTES, keys[group])] = entry
                 out[group] = entry
         if len(memo) > DECODE_MEMO_BOUND:

@@ -1,85 +1,49 @@
-"""Point-to-point links with delay, bandwidth, jitter and loss.
+"""Point-to-point links: a fixed one-way delay behind a hop's faults.
 
 Link shaping mirrors what the paper's testbed does with Linux Traffic
-Control (``tc``, section 5.2): a configurable one-way propagation
-delay, optional jitter, an optional bandwidth cap that adds
-serialization delay and FIFO ordering, and an optional random loss
-rate (Appendix B.3 argues Snatch tolerates the <0.01 % WAN loss of its
-UDP aggregation packets).
+Control (``tc``, section 5.2): a configurable one-way propagation delay
+and, through the link's :class:`~repro.net.hop.Hop`, seeded drop,
+duplicate and reorder faults (Appendix B.3 argues Snatch tolerates the
+<0.01 % WAN loss of its UDP aggregation packets).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
-__all__ = ["Link"]
+from repro.net.hop import Hop
+from repro.net.simulator import Simulator
+
+__all__ = ["Link", "UDP_IP_OVERHEAD_BYTES"]
+
+# IPv4 + UDP headers around an aggregation payload.
+UDP_IP_OVERHEAD_BYTES = 28
 
 
 class Link:
-    """A unidirectional link between two named nodes."""
+    """A unidirectional link between two named nodes.
 
-    def __init__(
-        self,
-        src: str,
-        dst: str,
-        delay_ms: float,
-        bandwidth_mbps: Optional[float] = None,
-        loss_rate: float = 0.0,
-        jitter_ms: float = 0.0,
-        rng: Optional[random.Random] = None,
-    ):
+    The hop carries ``(payload, deliver)`` pairs, so a packet it holds
+    back still reaches the callback it was sent with; it takes no
+    ``corrupt`` fault.
+    """
+
+    def __init__(self, src: str, dst: str, delay_ms: float,
+                 hop: Optional[Hop] = None):
         if delay_ms < 0:
             raise ValueError("delay must be non-negative")
-        if bandwidth_mbps is not None and bandwidth_mbps <= 0:
-            raise ValueError("bandwidth must be positive")
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError("loss rate must be in [0, 1)")
-        if jitter_ms < 0:
-            raise ValueError("jitter must be non-negative")
         self.src = src
         self.dst = dst
         self.delay_ms = delay_ms
-        self.bandwidth_mbps = bandwidth_mbps
-        self.loss_rate = loss_rate
-        self.jitter_ms = jitter_ms
-        self._rng = rng or random.Random(0)
-        self._busy_until_ms = 0.0
-        self.packets_sent = 0
-        self.packets_lost = 0
-        self.packets_duplicated = 0
-        self.packets_reordered = 0
+        self.hop = hop if hop is not None else Hop(random.Random(0))
         self.bytes_sent = 0
-        # Optional injected fault process (repro.net.faults.LinkFaults),
-        # attached by FaultModel.install.
-        self.faults = None
 
-    def serialization_delay_ms(self, size_bytes: int) -> float:
-        if self.bandwidth_mbps is None:
-            return 0.0
-        return (size_bytes * 8) / (self.bandwidth_mbps * 1000.0)
-
-    def transit_time_ms(self, now_ms: float, size_bytes: int) -> Optional[float]:
-        """Total time from hand-off to delivery, or None if the packet
-        is lost.  Maintains FIFO ordering under a bandwidth cap."""
-        if self.loss_rate and self._rng.random() < self.loss_rate:
-            self.packets_lost += 1
-            return None
-        self.packets_sent += 1
-        self.bytes_sent += size_bytes
-        serialization = self.serialization_delay_ms(size_bytes)
-        start = max(now_ms, self._busy_until_ms)
-        self._busy_until_ms = start + serialization
-        jitter = self._rng.uniform(0, self.jitter_ms) if self.jitter_ms else 0.0
-        return (start - now_ms) + serialization + self.delay_ms + jitter
-
-    def transit_times_ms(self, now_ms: float, size_bytes: int) -> list:
-        """Like :meth:`transit_time_ms` but fault-aware: returns every
-        delivery time for this packet (empty = lost, two = duplicated,
-        inflated = reordered/jittered)."""
-        base = self.transit_time_ms(now_ms, size_bytes)
-        if base is None:
-            return []
-        if self.faults is None:
-            return [base]
-        return self.faults.apply(self, base)
+    def send(self, sim: Simulator, payload: bytes,
+             deliver: Callable[[bytes], None]) -> None:
+        """Hand ``payload`` to the hop now; each packet the hop
+        releases reaches its ``deliver`` ``delay_ms`` later."""
+        for packet, to in self.hop.push((payload, deliver)):
+            self.bytes_sent += len(packet) + UDP_IP_OVERHEAD_BYTES
+            sim.schedule(self.delay_ms, partial(to, packet))

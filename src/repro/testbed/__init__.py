@@ -6,6 +6,6 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "config": ("Scheme", "TestbedConfig"),
     "experiment": ("RequestRecord", "TestbedExperiment", "TestbedResult"),
-    "pipeline": ("PipelineResult", "ReorderInjector", "StreamingPipeline"),
+    "pipeline": ("PipelineResult", "StreamingPipeline"),
     "spark_model": ("SparkLatencyModel",),
 })

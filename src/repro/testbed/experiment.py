@@ -24,8 +24,8 @@ workload's reference aggregation.
 
 Aggregation packets reach the AggSwitch over a :class:`~repro.net.link.Link`
 per source (LarkSwitch or edge).  ``agg_loss_rate`` makes the LarkSwitch ->
-AggSwitch link drop UDP aggregation packets at random (Appendix B.3): a
-lost packet loses exactly its own data points.
+AggSwitch link's :class:`~repro.net.hop.Hop` drop UDP aggregation packets
+at random (Appendix B.3): a lost packet loses exactly its own data points.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from repro.core.stats import counts_match
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.core.app_cookie import ApplicationCookieCodec, format_cookie_header
 from repro.model.params import ScenarioParams, percentile_scenario
+from repro.net.hop import Hop
 from repro.net.link import Link
 from repro.net.simulator import Simulator
 from repro.testbed.config import Scheme, TestbedConfig
@@ -52,7 +53,6 @@ from repro.workloads.adcampaign import AdCampaignWorkload, AdEvent
 __all__ = ["TestbedExperiment", "TestbedResult", "RequestRecord"]
 
 _APP_ID = 0x5C
-_UDP_IP_OVERHEAD_BYTES = 28
 
 
 @dataclass
@@ -139,6 +139,8 @@ class TestbedExperiment:
         workload: Optional[AdCampaignWorkload] = None,
         agg_loss_rate: float = 0.0,
     ):
+        if not 0.0 <= agg_loss_rate < 1.0:
+            raise ValueError("loss rate must be in [0, 1)")
         self.config = config
         self.workload = workload or AdCampaignWorkload(
             num_users=config.num_users,
@@ -182,11 +184,11 @@ class TestbedExperiment:
         # Server queues (testbed machines).
         self._edge_free_at = [0.0] * config.edge_workers
         self._web_free_at = [0.0] * config.web_workers
-        # The aggregation stream's links; each counts what it delivers
-        # and what it loses.
+        # The aggregation stream's links; each hop counts what it
+        # delivers and what it loses.
         self._lark_link = Link(
-            "lark", "agg", self.params.d_ia, loss_rate=agg_loss_rate,
-            rng=random.Random(config.seed + 20),
+            "lark", "agg", self.params.d_ia,
+            Hop(random.Random(config.seed + 20), drop=agg_loss_rate),
         )
         self._edge_link = Link("edge", "agg", self.params.d_ea)
         # Periodical forwarding state.
@@ -219,13 +221,8 @@ class TestbedExperiment:
     ) -> None:
         """Carry an aggregation packet to the AggSwitch + analytics."""
         link = self._lark_link if from_isp else self._edge_link
-        delay = link.transit_time_ms(
-            self.sim.now, len(payload) + _UDP_IP_OVERHEAD_BYTES
-        )
-        if delay is None:  # lost on the link
-            return
 
-        def arrive() -> None:
+        def arrive(payload: bytes) -> None:
             result = self.agg.process_packet(payload)
 
             def at_analytics() -> None:
@@ -241,7 +238,7 @@ class TestbedExperiment:
 
             self.sim.schedule(result.latency_ms, at_analytics)
 
-        self.sim.schedule(delay, arrive)
+        link.send(self.sim, payload, arrive)
 
     def _launch_baseline(self, record: RequestRecord) -> None:
         p = self.params
@@ -371,8 +368,8 @@ class TestbedExperiment:
             config=cfg,
             records=records,
             aggregation_bytes=sum(link.bytes_sent for link in links),
-            aggregation_packets=sum(link.packets_sent for link in links),
+            aggregation_packets=sum(link.hop.delivered for link in links),
             aggregated_report=report,
             reference_counts=self.workload.reference_counts(events),
-            lost_packets=sum(link.packets_lost for link in links),
+            lost_packets=sum(link.hop.dropped for link in links),
         )

@@ -8,7 +8,7 @@ into a pull-based *stage* pipeline with no simulator in between, split
 where the paper splits the devices::
 
     client half:  generate -> encode            (StreamingPipeline)
-    switch half:  lark -> (corrupt?) -> (reorder?) -> agg   (SwitchHalf)
+    switch half:  lark -> hop (corrupt?, reorder?) -> agg   (SwitchHalf)
 
 Micro-batches of events stream through all stages without ever
 materializing the full event list: the workload's
@@ -17,8 +17,9 @@ batches, the :class:`~repro.core.cookie_cache.CookieEncodeCache` turns
 them into wire cookies (one batched AES pass over the cache misses),
 and the :class:`SwitchHalf` takes them one forwarding-period segment at
 a time: the LarkSwitch consumes them through the configured backend,
-and aggregation payloads flow — optionally through fault-injected
-corruption and reordering stages — into the AggSwitch.  The in-process
+and aggregation payloads flow — through the lark -> agg hop's seeded
+fault process (:class:`~repro.net.hop.Hop`: corruption and reordering
+when set) — into the AggSwitch.  The in-process
 tiers call the switch half directly; the persistent tier hosts a twin
 of it, built from the same recipe, in a ring-fed worker process.
 
@@ -28,17 +29,16 @@ arrays and the merged / dead-letter counts are **identical for every
 micro-batch size**, including with reordering fault injection enabled.
 Period boundaries in periodical forwarding depend only on event
 timestamps, and the tail is flushed exactly once at end-of-run; the
-:class:`ReorderInjector` advances on arrival *count*, not batch shape.
+hop advances on arrival *count*, not batch shape.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.aggregation import ForwardingMode
 from repro.core.aggswitch import AggBatchResult, AggSwitch
@@ -46,11 +46,11 @@ from repro.core.cookie_cache import CookieEncodeCache
 from repro.core.larkswitch import LarkBatchResult, LarkSwitch
 from repro.core.stats import counts_match
 from repro.core.transport_cookie import TransportCookieCodec
+from repro.net.hop import Hop
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.testbed.executor import ShardSpec, _slice_part, process_isolated
 
 __all__ = [
-    "ReorderInjector",
     "StreamingPipeline",
     "PipelineResult",
     "SwitchHalf",
@@ -64,57 +64,6 @@ BACKENDS = ("scalar", "columnar")
 # Plus the persistent-worker tier (the switch half runs in a long-lived
 # ring-fed process; see repro.testbed.worker).
 PIPELINE_BACKENDS = BACKENDS + ("persistent",)
-
-class ReorderInjector:
-    """Deterministic packet-reordering fault injection.
-
-    Each arriving item draws a delay in *arrival counts*: with
-    probability ``probability`` it is held back ``randint(1,
-    max_delay)`` arrivals, otherwise zero.  Held items sit in a heap
-    keyed ``(release_arrival, arrival)``; after arrival ``i`` every
-    item with release position ``<= i`` is emitted.  Because both the
-    draws and the release rule see only the arrival index, the emitted
-    permutation is a function of the item sequence alone — feeding the
-    same stream in different chunk sizes yields the same output order.
-    """
-
-    def __init__(
-        self,
-        rng: random.Random,
-        probability: float,
-        max_delay: int = 8,
-    ):
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError("probability must be in [0, 1]")
-        if max_delay < 1:
-            raise ValueError("max_delay must be >= 1")
-        self._rng = rng
-        self.probability = probability
-        self.max_delay = max_delay
-        self._heap: List[Tuple[int, int, Any]] = []
-        self._arrivals = 0
-        self.delayed = 0
-
-    def push(self, item: Any) -> List[Any]:
-        """Feed one item; returns the items released by this arrival."""
-        i = self._arrivals
-        self._arrivals += 1
-        delay = 0
-        if self._rng.random() < self.probability:
-            delay = self._rng.randint(1, self.max_delay)
-            self.delayed += 1
-        heapq.heappush(self._heap, (i + delay, i, item))
-        out: List[Any] = []
-        while self._heap and self._heap[0][0] <= i:
-            out.append(heapq.heappop(self._heap)[2])
-        return out
-
-    def flush(self) -> List[Any]:
-        """End of stream: release everything still held, in key order."""
-        out = [heapq.heappop(self._heap)[2] for _ in range(len(self._heap))]
-        self._arrivals = 0
-        return out
-
 
 @dataclass
 class PipelineResult:
@@ -135,14 +84,16 @@ class PipelineResult:
     dead_letters: int = 0
     # Period-boundary checkpoints taken (checkpoint_every_periods > 0).
     checkpoints: int = 0
+    # The lark -> agg hop's counts (Hop.counts) at the final barrier.
+    hop: Dict[str, int] = field(default_factory=dict)
 
     def counts_match_reference(self) -> bool:
         return counts_match(self.report, self.reference)
 
 
 class SwitchHalf:
-    """The switch half of a pipeline: LarkSwitch -> corrupt -> reorder
-    -> AggSwitch, driven in stream order by :meth:`feed` (one period
+    """The switch half of a pipeline: LarkSwitch -> hop -> AggSwitch,
+    driven in stream order by :meth:`feed` (one period
     segment of cookies), :meth:`end_period` and :meth:`barrier`.
 
     One object, two transports, like
@@ -152,12 +103,14 @@ class SwitchHalf:
     same :class:`ShardSpec` recipe, so their seeds match and they emit
     the same payload bytes, not just the same reports.
 
-    ``corrupt_probability`` is a seeded fault stage flipping one byte
-    in that fraction of aggregation payloads; the AggSwitch rejects
-    them at decode and they count as **dead letters** instead of
-    aborting the run.  Both fault stages draw per arrival, so they are
-    invariant to batch shape.  The counts run from one barrier to the
-    next.
+    ``hop`` is the lark -> agg :class:`~repro.net.hop.Hop`, seeded
+    from the spec: ``corrupt_probability`` flips one byte in that
+    fraction of aggregation payloads (the AggSwitch rejects them at
+    decode and they count as **dead letters** instead of aborting the
+    run) and ``reorder_probability`` holds that fraction back a few
+    payloads.  It draws per arrival, so it is invariant to batch
+    shape.  The payload, merged and dead-letter counts run from one
+    barrier to the next; the hop's counts run for the half's life.
     """
 
     def __init__(
@@ -177,14 +130,12 @@ class SwitchHalf:
         self.agg.register_application(
             spec.app_id, spec.schema, spec.key, list(spec.specs)
         )
-        self.injector: Optional[ReorderInjector] = None
-        if spec.reorder_probability > 0.0:
-            self.injector = ReorderInjector(
-                random.Random(spec.seed + 31), spec.reorder_probability
-            )
-        self.corrupt_probability = spec.corrupt_probability
-        self._corrupt_rng = random.Random(spec.seed + 47)
-        self.payloads = self.merged = self.dead_letters = self.corrupted = 0
+        self.hop = Hop(
+            random.Random(spec.seed + 31),
+            corrupt=spec.corrupt_probability,
+            reorder=spec.reorder_probability,
+        )
+        self.payloads = self.merged = self.dead_letters = 0
 
     def rekey_application(self, app_id: int, new_key: bytes) -> None:
         self.agg.rekey_application(app_id, new_key)
@@ -216,13 +167,14 @@ class SwitchHalf:
     def barrier(
         self, final: bool = False, lark: bool = False
     ) -> Dict[str, Any]:
-        """Everything fed so far has reached the AggSwitch: its register
-        snapshot (and, ``lark``, the LarkSwitch's) with the payload,
-        merged, dead-letter and corrupted counts since the previous
-        barrier.  ``final`` ends the stream first: the reorder stage
-        releases whatever it still holds."""
-        if final and self.injector is not None:
-            held = self.injector.flush()  # counted at lark emission
+        """Everything the hop released so far has reached the
+        AggSwitch: its register snapshot (and, ``lark``, the
+        LarkSwitch's) with the payload, merged and dead-letter counts
+        since the previous barrier and the hop's counts.  ``final``
+        ends the stream first: the hop releases whatever it still
+        holds."""
+        if final:
+            held = self.hop.flush()  # counted at lark emission
             if held:
                 self._deliver(held)
         state = {
@@ -230,26 +182,12 @@ class SwitchHalf:
             "payloads": self.payloads,
             "merged": self.merged,
             "dead_letters": self.dead_letters,
-            "corrupted": self.corrupted,
+            "hop": self.hop.counts(),
         }
         if lark:
             state["lark"] = self.lark.checkpoint(self.app_id)
-        self.payloads = self.merged = self.dead_letters = self.corrupted = 0
+        self.payloads = self.merged = self.dead_letters = 0
         return state
-
-    def _corrupt(self, payloads: List[bytes]) -> List[bytes]:
-        """Seeded fault stage: flip one byte in a fraction of payloads
-        (per-arrival draws, batch-shape invariant)."""
-        out: List[bytes] = []
-        for payload in payloads:
-            if self._corrupt_rng.random() < self.corrupt_probability:
-                index = self._corrupt_rng.randrange(len(payload))
-                mutated = bytearray(payload)
-                mutated[index] ^= 0xFF
-                payload = bytes(mutated)
-                self.corrupted += 1
-            out.append(payload)
-        return out
 
     def _agg_process(self, payloads: List[bytes]) -> AggBatchResult:
         if self.backend == "scalar":
@@ -259,16 +197,9 @@ class SwitchHalf:
         return self.agg.process_columnar(payloads)
 
     def _dispatch(self, payloads: List[bytes]) -> None:
-        """Route payloads through the corruption and reorder fault
-        stages (when present) to the AggSwitch."""
+        """Route payloads through the hop to the AggSwitch."""
         self.payloads += len(payloads)
-        if self.corrupt_probability > 0.0:
-            payloads = self._corrupt(payloads)
-        if self.injector is not None:
-            emitted: List[bytes] = []
-            for payload in payloads:
-                emitted.extend(self.injector.push(payload))
-            payloads = emitted
+        payloads = self.hop.push_many(payloads)
         if payloads:
             self._deliver(payloads)
 
@@ -325,8 +256,9 @@ class StreamingPipeline:
     under the old key).
 
     ``corrupt_probability`` and ``reorder_probability`` configure the
-    switch half's fault stages; corrupted payloads are counted as
-    **dead letters** (``pipeline.dead_letters`` counter).
+    switch half's lark -> agg hop; corrupted payloads are counted as
+    **dead letters** (``pipeline.dead_letters`` counter), and
+    ``hop_counts`` holds the hop's counts at the last barrier.
     ``checkpoint_every_periods`` snapshots both switches' registers at
     period flushes (a barrier on the switch half);
     ``last_checkpoint`` holds the most recent one.
@@ -354,8 +286,6 @@ class StreamingPipeline:
             )
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not 0.0 <= corrupt_probability <= 1.0:
-            raise ValueError("corrupt_probability must be in [0, 1]")
         if checkpoint_every_periods < 0:
             raise ValueError("checkpoint_every_periods must be >= 0")
         self.workload = workload
@@ -394,7 +324,7 @@ class StreamingPipeline:
         self._payloads = 0
         self._merged = 0
         self.dead_letters = 0
-        self.corrupted = 0
+        self.hop_counts: Dict[str, int] = {}
         self.last_checkpoint: Optional[Dict[str, Any]] = None
         self._checkpoints_taken = 0
         # Persistent tier: the switch half runs in one long-lived worker
@@ -501,7 +431,7 @@ class StreamingPipeline:
             state = self.half.barrier(final, lark)
         self._payloads += state["payloads"]
         self._merged += state["merged"]
-        self.corrupted += state["corrupted"]
+        self.hop_counts = state["hop"]
         if state["dead_letters"]:
             self.dead_letters += state["dead_letters"]
             self.registry.counter("pipeline.dead_letters").inc(
@@ -532,7 +462,7 @@ class StreamingPipeline:
         self._payloads = 0
         self._merged = 0
         self.dead_letters = 0
-        self.corrupted = 0
+        self.hop_counts = {}
         self.last_checkpoint = None
         self._checkpoints_taken = 0
         if self._fleet is not None:
@@ -572,7 +502,7 @@ class StreamingPipeline:
                 if flush:
                     self._flush_period()
         # Tail flush: exactly one end-of-run period close (partial
-        # period), then the final barrier drains the reorder stage and
+        # period), then the final barrier drains the hop and
         # waits until every segment is folded.
         if self.mode == ForwardingMode.PERIODICAL:
             self._flush_period()
@@ -595,4 +525,5 @@ class StreamingPipeline:
             cache_stats=self.cache.stats(),
             dead_letters=self.dead_letters,
             checkpoints=self._checkpoints_taken,
+            hop=self.hop_counts,
         )

@@ -56,9 +56,10 @@ class TestDeadLetters:
     def test_corrupted_payloads_become_dead_letters(self, backend):
         pipe = _pipe(backend, corrupt_probability=0.3)
         result = pipe.run(RATE, DURATION_MS)
-        assert pipe.corrupted > 0  # the fault stage actually fired
+        corrupted = result.hop["corrupted"]
+        assert corrupted > 0  # the hop's corrupt fault actually fired
         assert result.dead_letters > 0
-        assert result.dead_letters <= pipe.corrupted
+        assert result.dead_letters <= corrupted
         assert (
             pipe.registry.value("pipeline.dead_letters")
             == result.dead_letters

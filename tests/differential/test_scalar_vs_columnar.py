@@ -412,8 +412,9 @@ def test_lark_per_packet_payload_bytes_come_from_the_wire_row():
 
 def _ragged_cids(wl, app_ids, keys, n, seed):
     """Cookies carrying anything from every feature to none at all (an
-    all-absent row seals as zero items), so one batch holds payloads of
-    three lengths; a small pool, so most packets repeat a cookie."""
+    all-absent row is a decode failure: it folds and seals nothing), so
+    one batch holds payloads of several lengths and packets that emit
+    none; a small pool, so most packets repeat a cookie."""
     rng = random.Random(seed)
     pool = []
     for app_id, key in zip(app_ids, keys):
@@ -424,6 +425,9 @@ def _ragged_cids(wl, app_ids, keys, n, seed):
             )
             keep = rng.sample(sorted(values), rng.randrange(len(values) + 1))
             pool.append(codec.encode({name: values[name] for name in keep}))
+        # One feature seals the shortest payload; none seals nothing.
+        name = sorted(values)[0]
+        pool.append(codec.encode({name: values[name]}))
         pool.append(codec.encode({}))
     return [rng.choice(pool) for _ in range(n)]
 
@@ -463,7 +467,11 @@ def test_lark_sealed_payloads_are_the_scalar_encode(apps, dedup, size):
         if r.aggregation_payload is not None
     ]
     assert len({len(p) for p in payloads}) == 3
-    assert dedup == (len(payloads) < len(cids))
+    carrying = sum(
+        r.decoded_values is not None or r.deduplicated for r in expected
+    )
+    assert 0 < carrying < len(cids)
+    assert dedup == (len(payloads) < carrying)
     assert columnar._rng.getstate() == scalar._rng.getstate()
     assert register_state(columnar) == register_state(scalar)
     assert [

@@ -1,81 +1,84 @@
-"""Links: propagation, serialization, FIFO, loss, byte accounting."""
+"""Links: propagation delay, hop faults on the way, byte accounting."""
 
 import random
 
 import pytest
 
-from repro.net.link import Link
+from repro.net.hop import Hop
+from repro.net.link import UDP_IP_OVERHEAD_BYTES, Link
+from repro.net.simulator import Simulator
+
+
+def _send_all(link, payloads, at_ms=0.0):
+    sim = Simulator()
+    arrivals = []
+    for payload in payloads:
+        sim.schedule_at(at_ms, lambda p=payload: link.send(
+            sim, p, lambda q: arrivals.append((sim.now, q))
+        ))
+    sim.run()
+    return arrivals
 
 
 class TestPropagation:
     def test_pure_delay(self):
         link = Link("a", "b", delay_ms=10)
-        assert link.transit_time_ms(0.0, 100) == 10
+        assert _send_all(link, [b"x"], at_ms=3.0) == [(13.0, b"x")]
 
-    def test_invalid_parameters(self):
+    def test_invalid_delay(self):
         with pytest.raises(ValueError):
             Link("a", "b", delay_ms=-1)
-        with pytest.raises(ValueError):
-            Link("a", "b", 1, bandwidth_mbps=0)
-        with pytest.raises(ValueError):
-            Link("a", "b", 1, loss_rate=1.0)
-        with pytest.raises(ValueError):
-            Link("a", "b", 1, jitter_ms=-1)
 
-
-class TestSerialization:
-    def test_bandwidth_adds_delay(self):
-        # 1 Mbps: 1250 bytes = 10 ms serialization.
-        link = Link("a", "b", delay_ms=5, bandwidth_mbps=1.0)
-        assert link.serialization_delay_ms(1250) == pytest.approx(10.0)
-        assert link.transit_time_ms(0.0, 1250) == pytest.approx(15.0)
-
-    def test_fifo_queueing(self):
-        link = Link("a", "b", delay_ms=0, bandwidth_mbps=1.0)
-        first = link.transit_time_ms(0.0, 1250)
-        second = link.transit_time_ms(0.0, 1250)  # must wait for first
-        assert first == pytest.approx(10.0)
-        assert second == pytest.approx(20.0)
-
-    def test_no_queue_after_idle(self):
-        link = Link("a", "b", delay_ms=0, bandwidth_mbps=1.0)
-        link.transit_time_ms(0.0, 1250)
-        later = link.transit_time_ms(100.0, 1250)
-        assert later == pytest.approx(10.0)
-
-    def test_infinite_bandwidth_has_no_serialization(self):
-        link = Link("a", "b", delay_ms=1)
-        assert link.serialization_delay_ms(10**6) == 0.0
-
-
-class TestLoss:
     def test_lossless_by_default(self):
         link = Link("a", "b", delay_ms=1)
-        assert all(
-            link.transit_time_ms(0, 100) is not None for _ in range(100)
-        )
-
-    def test_loss_rate_applies(self):
-        link = Link("a", "b", 1, loss_rate=0.5, rng=random.Random(1))
-        outcomes = [link.transit_time_ms(0, 100) for _ in range(400)]
-        lost = sum(1 for o in outcomes if o is None)
-        assert 120 < lost < 280
-        assert link.packets_lost == lost
-        assert link.packets_sent == 400 - lost
+        payloads = [bytes([i]) for i in range(100)]
+        assert [p for _, p in _send_all(link, payloads)] == payloads
+        assert link.hop.dropped == 0
 
 
-class TestJitter:
-    def test_jitter_bounded(self):
-        link = Link("a", "b", 10, jitter_ms=5, rng=random.Random(2))
-        for _ in range(50):
-            t = link.transit_time_ms(0, 100)
-            assert 10 <= t <= 15
+class TestHopFaults:
+    def test_certain_drop_means_nothing_arrives(self):
+        link = Link("a", "b", 10.0, Hop(random.Random(1), drop=1.0))
+        assert _send_all(link, [b"x"] * 5) == []
+        assert link.hop.dropped == 5
+
+    def test_certain_duplicate_doubles_arrivals(self):
+        link = Link("a", "b", 10.0, Hop(random.Random(1), duplicate=1.0))
+        assert _send_all(link, [b"x"]) == [(10.0, b"x"), (10.0, b"x")]
+        assert link.hop.duplicated == 1
+
+    def test_a_held_packet_reaches_its_own_callback(self):
+        """Reordering releases a packet with a later send; it still
+        reaches the callback it was sent with."""
+        sim = Simulator()
+        link = Link("a", "b", 1.0, Hop(random.Random(4), reorder=0.5))
+        got = []
+        for i in range(40):
+            link.send(sim, bytes([i]), lambda p, i=i: got.append((i, p[0])))
+        for packet, deliver in link.hop.flush():
+            deliver(packet)
+        sim.run()
+        assert sorted(got) == [(i, i) for i in range(40)]
+        assert [i for i, _ in got] != list(range(40))
+
+    def test_rearming_in_place_heals(self):
+        link = Link("a", "b", 1.0, Hop(random.Random(1), drop=1.0))
+        assert _send_all(link, [b"x"]) == []
+        link.hop.set()
+        assert len(_send_all(link, [b"x"])) == 1
 
 
 class TestAccounting:
-    def test_bytes_sent(self):
+    def test_bytes_sent_counts_delivered_packets_with_headers(self):
         link = Link("a", "b", 1)
-        for _ in range(10):
-            link.transit_time_ms(0, 125)
-        assert link.bytes_sent == 1250
-        assert link.packets_sent == 10
+        _send_all(link, [b"\0" * 97] * 10)
+        assert link.bytes_sent == 10 * (97 + UDP_IP_OVERHEAD_BYTES)
+        assert link.hop.delivered == 10
+
+    def test_lost_packets_send_no_bytes(self):
+        link = Link("a", "b", 1, Hop(random.Random(1), drop=0.5))
+        _send_all(link, [b"\0" * 100] * 400)
+        assert 120 < link.hop.dropped < 280
+        assert link.bytes_sent == link.hop.delivered * (
+            100 + UDP_IP_OVERHEAD_BYTES
+        )

@@ -1,4 +1,4 @@
-"""Hot-path instrumentation: pipeline stages, fault model, LarkSwitch.
+"""Hot-path instrumentation: pipeline stages and the LarkSwitch.
 
 Each test injects a fresh :class:`MetricsRegistry` so assertions see
 exactly the series of the component under test (and, implicitly, that
@@ -7,13 +7,11 @@ writing to the process default).
 """
 
 import random
-from types import SimpleNamespace
 
 from repro.core.larkswitch import LarkSwitch
 from repro.core.schema import CookieSchema, Feature
 from repro.core.stats import StatKind, StatSpec
 from repro.core.transport_cookie import TransportCookieCodec
-from repro.net.faults import FaultModel
 from repro.obs import DEFAULT_LATENCY_EDGES_US, MetricsRegistry
 from repro.switch.pipeline import SwitchPipeline
 from repro.switch.tables import (
@@ -86,44 +84,6 @@ class TestPipelineMetrics:
         SwitchPipeline("t", registry=registry).process({})
         SwitchPipeline("t", registry=registry).process({})
         assert registry.value("pipeline.t.packets") == 2
-
-
-class _FakeLink:
-    def __init__(self):
-        self.faults = None
-        self.packets_lost = 0
-        self.packets_duplicated = 0
-        self.packets_reordered = 0
-
-
-class TestFaultMetrics:
-    def _installed(self, registry, **spec):
-        model = FaultModel(seed=3, registry=registry)
-        model.set_link("lark", "agg", **spec)
-        network = SimpleNamespace(links={("lark", "agg"): _FakeLink()})
-        assert model.install(network) == 1
-        return network.links[("lark", "agg")]
-
-    def test_injected_drops_counted(self):
-        registry = MetricsRegistry()
-        link = self._installed(registry, drop=1.0)
-        assert link.faults.apply(link, 10.0) == []
-        assert registry.value("faults.lark->agg.drops") == 1
-        assert link.packets_lost == 1
-
-    def test_duplicates_and_reorders_counted(self):
-        registry = MetricsRegistry()
-        link = self._installed(registry, duplicate=1.0, reorder=1.0)
-        deliveries = link.faults.apply(link, 10.0)
-        assert len(deliveries) == 2
-        assert registry.value("faults.lark->agg.duplicates") == 1
-        assert registry.value("faults.lark->agg.reorders") == 1
-
-    def test_configured_but_not_fired_counts_nothing(self):
-        registry = MetricsRegistry()
-        link = self._installed(registry, drop=0.0)
-        assert link.faults.apply(link, 10.0) == [10.0]
-        assert registry.value("faults.lark->agg.drops") == 0
 
 
 APP = 0x42

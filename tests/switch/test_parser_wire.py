@@ -19,6 +19,7 @@ from repro.core.larkswitch import LarkSwitch, lark_process_raw
 from repro.core.schema import CookieSchema, Feature
 from repro.core.stats import StatKind, StatSpec
 from repro.core.transport_cookie import TransportCookieCodec
+from repro.quic.connection_id import ConnectionID
 from repro.switch.parser import (
     ETHERNET,
     IPV4,
@@ -206,3 +207,54 @@ class TestDcid:
         report = lark.stats_report(APP)["count"]
         assert set(report) == set(CLASSES)
         assert _counted(lark) <= 1
+
+
+class TestNoFeaturePresent:
+    """A flipped DCID byte can decrypt to a cookie whose bitmap has no
+    feature present.  Such a packet changes no register, so both switch
+    paths book it as a decode failure, never as folded, decoded or a
+    register update."""
+
+    def _absent_flips(self):
+        _lark_unused, codec = _lark()
+        dcid = bytes(codec.encode({"g": "c"}))
+        flips = []
+        for position in range(len(dcid)):
+            flipped = _patched(dcid, position, [dcid[position] ^ 0x01])
+            decoded = codec.try_decode(ConnectionID(flipped))
+            if decoded is not None and decoded.values == {}:
+                flips.append(flipped)
+        assert flips, "no flip left every feature absent"
+        return flips
+
+    @staticmethod
+    def _counters(lark):
+        """(decoded, decode failures, register updates) so far; the
+        switch meters into the shared default registry."""
+        value = lark.metrics.value
+        return tuple(value("lark.l." + name) for name in (
+            "decoded", "decode_failures", "register_updates",
+        ))
+
+    def _booked(self, lark, before):
+        after = self._counters(lark)
+        return tuple(a - b for a, b in zip(after, before))
+
+    def test_scalar_path(self):
+        for dcid in self._absent_flips():
+            lark, _codec = _lark()
+            registers, counters = lark.checkpoint(APP), self._counters(lark)
+            result = lark_process_raw(lark, build_snatch_packet(dcid))
+            assert result.matched and not result.folded
+            assert result.decoded_values is None
+            assert lark.checkpoint(APP) == registers
+            assert self._booked(lark, counters) == (0, 1, 0)
+
+    def test_columnar_path(self):
+        for dcid in self._absent_flips():
+            lark, _codec = _lark()
+            registers, counters = lark.checkpoint(APP), self._counters(lark)
+            batch = lark.process_quic_columnar([ConnectionID(dcid)] * 3)
+            assert batch.folded == 0 and batch.packets == 3
+            assert lark.checkpoint(APP) == registers
+            assert self._booked(lark, counters) == (0, 3, 0)

@@ -40,6 +40,11 @@ class Guard:
         return re.compile(self.pattern)
 
 
+HOP_MODEL = (
+    "One hop model: the chaos harness on plain links, and one seeded "
+    "fault process per lark -> agg hop"
+)
+
 GUARDS = (
     Guard(
         # Two switch tiers (scalar, columnar); one numpy AES round
@@ -273,6 +278,29 @@ GUARDS = (
         ("src/repro/core/controller.py",),
         "        if self.bus is not None:",
         "One control plane: the controller speaks only over its RpcBus",
+    ),
+    Guard(
+        # The chaos harness schedules its two hops on Link + Simulator;
+        # the routed network, its nodes and packets, and the three hop
+        # fault mechanisms are gone.  (Network followed by a space or a
+        # hyphen is prose: "the Network Edge", "Network-free".)
+        "one-hop-model",
+        r"Network(?![ -])|NoRouteError|SinkNode|NetPacket|ReorderInjector|"
+        "LinkFaults|LinkFaultSpec|FaultModel|transit_times_ms|bandwidth_mbps",
+        ("src",),
+        "self.network = Network(self.sim)",
+        HOP_MODEL,
+        word=True,
+    ),
+    Guard(
+        # net/hop.py is the one module that draws hop faults.
+        "hop-fault-draws",
+        r"\.random\(\) < (self\.|spec\.)?(drop|duplicate|reorder|corrupt|"
+        r"loss)\w*|_corrupt_rng",
+        ("src",),
+        "if self.loss_rate and self._rng.random() < self.loss_rate:",
+        HOP_MODEL,
+        exclude=("src/repro/net/hop.py",),
     ),
     Guard(
         # switch/parser.py is the one QUIC header parser; the codec

@@ -75,7 +75,7 @@ class TestImportClosure:
             "        failed[name] = repr(exc)\n"
             "print(json.dumps(failed))\n"
         )
-        assert len(MODULES) >= 87
+        assert len(MODULES) >= 84
         assert fresh_interpreter(code, *MODULES) == {}
 
 
