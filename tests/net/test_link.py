@@ -61,12 +61,6 @@ class TestHopFaults:
         assert sorted(got) == [(i, i) for i in range(40)]
         assert [i for i, _ in got] != list(range(40))
 
-    def test_rearming_in_place_heals(self):
-        link = Link("a", "b", 1.0, Hop(random.Random(1), drop=1.0))
-        assert _send_all(link, [b"x"]) == []
-        link.hop.set()
-        assert len(_send_all(link, [b"x"])) == 1
-
 
 class TestAccounting:
     def test_bytes_sent_counts_delivered_packets_with_headers(self):
