@@ -72,6 +72,18 @@ class TestEachFault:
         assert held > 0
         assert len(hop.flush()) == held and hop.held == 0
 
+    def test_duplicate_copies_leave_together(self):
+        """Both copies of a reordered duplicate share one release
+        position, so they leave side by side."""
+        hop = Hop(random.Random(0), reorder=1.0, duplicate=1.0)
+        assert hop.push(b"dup") == []
+        assert hop.held == 2
+        hop.set()
+        released = [p for i in range(MAX_HOLD) for p in hop.push(bytes([i]))]
+        at = released.index(b"dup")
+        assert released[at:at + 2] == [b"dup", b"dup"]
+        assert released.count(b"dup") == 2 and hop.held == 0
+
 
 class TestDeterminism:
     def test_same_seed_same_sequence(self):
@@ -90,6 +102,18 @@ class TestDeterminism:
         hop.set()  # heal
         assert hop.push(b"y") == [b"y"]
         assert hop.counts()["arrived"] == 2 and hop.dropped == 1
+
+    def test_push_many_after_healing_still_releases_held_packets(self):
+        """The no-fault fast path of ``push_many`` waits until nothing
+        is held: a healed hop keeps its held packets on schedule."""
+        hop = Hop(random.Random(0), reorder=1.0)
+        assert hop.push_many([b"held"]) == []
+        hop.set()
+        batch = [bytes([i]) for i in range(MAX_HOLD)]
+        out = hop.push_many(batch)
+        assert sorted(out) == sorted(batch + [b"held"])
+        assert out != batch + [b"held"]  # it leaves at its release position
+        assert hop.held == 0 and hop.delivered == hop.arrived
 
 
 class TestChaosHarnessHops:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.net.hop import Hop
+from repro.net.hop import MAX_HOLD, Hop
 from repro.net.link import UDP_IP_OVERHEAD_BYTES, Link
 from repro.net.simulator import Simulator
 
@@ -60,6 +60,32 @@ class TestHopFaults:
         sim.run()
         assert sorted(got) == [(i, i) for i in range(40)]
         assert [i for i, _ in got] != list(range(40))
+
+    def test_rearming_in_place_heals(self):
+        link = Link("a", "b", 1.0, Hop(random.Random(1), drop=1.0))
+        assert _send_all(link, [b"x"]) == []
+        link.hop.set()
+        assert len(_send_all(link, [b"x"])) == 1
+
+    def test_held_packet_delay_counts_from_its_release(self):
+        """A packet the hop holds back leaves with a later send and
+        arrives ``delay_ms`` after that send, not after its own."""
+        sim = Simulator()
+        link = Link("a", "b", 10.0, Hop(random.Random(2), reorder=1.0))
+        arrivals = []
+
+        def send(i):
+            link.send(sim, bytes([i]),
+                      lambda p: arrivals.append((sim.now, p[0])))
+            link.hop.set()  # only the first packet is held back
+
+        for i in range(MAX_HOLD + 1):
+            sim.schedule_at(float(i), lambda i=i: send(i))
+        sim.run()
+        (first_at,) = [t for t, p in arrivals if p == 0]
+        assert 11.0 <= first_at <= 10.0 + MAX_HOLD
+        assert sorted(p for _, p in arrivals) == list(range(MAX_HOLD + 1))
+        assert all(t == 10.0 + p for t, p in arrivals if p != 0)
 
 
 class TestAccounting:
