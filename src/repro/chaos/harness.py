@@ -62,6 +62,10 @@ class ChaosResult:
     reports_sent: int
     reports_lost: int
     reports_duplicated: int
+    # Reports a hop still held back when the run ended: never
+    # delivered (late loss), and never released afterwards, since the
+    # repair loop already reconciled the aggregate to the ground truth.
+    reports_held: int
     rpc_retries: int
     rpc_failures: int
     repairs: List[Tuple[float, int, int, bool]]
@@ -81,6 +85,7 @@ class ChaosResult:
             self.reports_sent,
             self.reports_lost,
             self.reports_duplicated,
+            self.reports_held,
             self.rpc_retries,
             self.rpc_failures,
             self.repairs,
@@ -378,6 +383,7 @@ class ChaosHarness:
             reports_sent=self.reports_sent,
             reports_lost=sum(hop.dropped for hop in hops),
             reports_duplicated=sum(hop.duplicated for hop in hops),
+            reports_held=sum(hop.held for hop in hops),
             rpc_retries=self.bus.retries(),
             rpc_failures=len(self.bus.failed()),
             repairs=[

@@ -112,11 +112,3 @@ class DeviceLifecycle:
         if span is not None:
             self.tracer.finish(span, apps_repushed=pushed)
         return pushed
-
-    # -- introspection ----------------------------------------------------------
-
-    def crash_count(self, device_name: str) -> int:
-        return sum(
-            1 for e in self.events
-            if e.device == device_name and e.kind == "crash"
-        )

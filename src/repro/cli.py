@@ -157,13 +157,14 @@ def _cmd_metrics(args, out) -> int:
         % (args.scenario, args.seed, args.duration_ms)
     )
     out.write(
-        "events=%d fallback=%d reports=%d lost=%d repairs=%d "
+        "events=%d fallback=%d reports=%d lost=%d held=%d repairs=%d "
         "consistent=%s\n\n"
         % (
             result.events_total,
             result.fallback_events,
             result.reports_sent,
             result.reports_lost,
+            result.reports_held,
             len(result.repairs),
             "yes" if result.consistent else "no",
         )

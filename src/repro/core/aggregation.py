@@ -67,10 +67,6 @@ class AggregationPacket:
     items: List[Tuple[int, int]]  # (tag, value) pairs
     source: str = ""
 
-    @property
-    def item_count(self) -> int:
-        return len(self.items)
-
 
 def check_per_packet_schema(cardinalities: Sequence[int]) -> None:
     """Raise ``ValueError`` unless every cookie of a schema whose
@@ -302,8 +298,3 @@ class AggregationCodec:
         self.check_header(data)
         body = decrypt_cbc(self._aes, data[4:20], data[20:])
         return self.packet_from_body(body, data[3])
-
-    @staticmethod
-    def is_aggregation_packet(data: bytes) -> bool:
-        """The AggSwitch's first-stage match on the SID field."""
-        return len(data) >= 2 and int.from_bytes(data[0:2], "big") == SNATCH_SID

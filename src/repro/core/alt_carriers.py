@@ -187,10 +187,6 @@ class TcpTimestampCarrier:
     def open_connection(self) -> None:
         self._connection_open = True
 
-    def close_connection(self) -> None:
-        """Closing the connection invalidates the carried cookie."""
-        self._connection_open = False
-
     def encode(self, values: Dict[str, Any]) -> int:
         if not self._connection_open:
             raise RuntimeError(

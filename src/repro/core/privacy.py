@@ -129,11 +129,6 @@ class ValueTransform:
     def inverse(self, y: int) -> int:
         return (self._a_inv * (y - self.b)) % self.modulus
 
-    def inverse_sum(self, sum_y: int, count: int) -> int:
-        """Recover sum(x) from sum(y) over ``count`` users when no
-        modular wrap occurred (the developer sizes the modulus so)."""
-        return (self._a_inv * (sum_y - count * self.b)) % self.modulus
-
 
 class CorrelatedCookies:
     """Two cookies for one purpose, alternately updated (section 3.6).

@@ -271,22 +271,7 @@ class RpcBus:
 
         self.sim.schedule(timeout, maybe_retry)
 
-    def call_all(self, method: str, *args: Any, **kwargs: Any) -> List[RpcCall]:
-        """Broadcast a call to every device (delays differ per device,
-        so completion is staggered — the root of the consistency
-        problem)."""
-        return [
-            self.call(name, method, *args, **kwargs)
-            for name in sorted(self._devices)
-        ]
-
     # -- status ---------------------------------------------------------------
-
-    def pending(self) -> int:
-        return sum(
-            1 for record in self.log
-            if not record.completed and record.error is None
-        )
 
     def failed(self) -> List[RpcCall]:
         """Calls that reached a terminal failure (device raised, or the

@@ -7,12 +7,12 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "delays": (
-        "MEDIANS", "all_delay_curves", "client_to_closest_cloud",
+        "MEDIANS", "client_to_closest_cloud",
         "client_to_edge", "client_to_isp", "client_to_web_server",
         "edge_to_cloud", "inter_dc",
     ),
     "interdc": (
-        "AWS_REGIONS", "US_REGIONS", "delay_matrix", "haversine_km",
+        "AWS_REGIONS", "US_REGIONS", "haversine_km",
         "matrix_stats", "region_delay_ms",
     ),
     "providers": (

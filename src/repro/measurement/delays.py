@@ -32,7 +32,6 @@ __all__ = [
     "client_to_web_server",
     "edge_to_cloud",
     "inter_dc",
-    "all_delay_curves",
     "MEDIANS",
 ]
 
@@ -108,14 +107,3 @@ def inter_dc() -> QuantileCurve:
         name="inter-dc",
     )
 
-
-def all_delay_curves() -> Dict[str, QuantileCurve]:
-    """All Figure 5(a)-style curves keyed by short name."""
-    return {
-        "client-isp": client_to_isp(),
-        "client-edge": client_to_edge(),
-        "client-cloud-closest": client_to_closest_cloud(),
-        "client-web": client_to_web_server(),
-        "edge-cloud": edge_to_cloud(),
-        "inter-dc": inter_dc(),
-    }

@@ -19,7 +19,6 @@ __all__ = [
     "US_REGIONS",
     "haversine_km",
     "region_delay_ms",
-    "delay_matrix",
     "matrix_stats",
 ]
 
@@ -120,16 +119,6 @@ def region_delay_ms(region_a: str, region_b: str) -> float:
     if region_a == region_b:
         return _INTRA_DC_MS
     return round(_calibrate(_raw_delay_ms(region_a, region_b)), 1)
-
-
-def delay_matrix(regions: Tuple[str, ...] = ()) -> Dict[Tuple[str, str], float]:
-    """Full (ordered-pair) delay matrix over ``regions`` (default all)."""
-    names = tuple(regions) or tuple(sorted(AWS_REGIONS))
-    return {
-        (a, b): region_delay_ms(a, b)
-        for a in names
-        for b in names
-    }
 
 
 def matrix_stats(regions: Tuple[str, ...] = ()) -> Dict[str, float]:

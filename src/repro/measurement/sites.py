@@ -97,9 +97,6 @@ class SiteCensus:
             self.per_country().items(), key=lambda kv: (-kv[1], kv[0])
         )[:n]
 
-    def residential_sites(self) -> List[Site]:
-        return [s for s in self.sites if s.residential]
-
     def countries(self) -> int:
         return len(self.per_country())
 

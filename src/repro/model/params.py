@@ -17,8 +17,7 @@ the paper evaluates:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict
+from dataclasses import dataclass
 
 from repro.measurement.delays import (
     MEDIANS,
@@ -79,16 +78,6 @@ class ScenarioParams:
             if getattr(self, name) < 0:
                 raise ValueError("%s must be non-negative" % name)
 
-    def with_analytics_time(self, t_analytics: float) -> "ScenarioParams":
-        return replace(self, t_analytics=t_analytics)
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "d_ci": self.d_ci, "d_ce": self.d_ce, "d_ew": self.d_ew,
-            "d_wa": self.d_wa, "d_ea": self.d_ea, "d_ia": self.d_ia,
-            "t_trans": self.t_trans, "t_edge": self.t_edge,
-            "t_web": self.t_web, "t_analytics": self.t_analytics,
-        }
 
 
 def _lerp(frac: float, lo: float, hi: float) -> float:

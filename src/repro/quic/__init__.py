@@ -11,7 +11,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "connection": (
         "ConnectionResult", "HandshakeEvent", "HandshakeMode", "QuicClient",
         "QuicServer", "RandomConnectionIdPolicy", "SessionTicket",
-        "SnatchConnectionIdPolicy", "one_way_delays_to_server_data",
+        "one_way_delays_to_server_data",
     ),
     "connection_id": (
         "ConnectionID", "MAX_CONNECTION_ID_BYTES", "random_connection_id",

@@ -16,10 +16,14 @@ passes one that mints semantic-cookie-structured IDs
 (``cid_factory=lambda _: codec.encode(values)`` with a
 :class:`~repro.core.transport_cookie.TransportCookieCodec`), while a
 vanilla server emits random IDs.  The packets exchanged are in-memory
-records; nothing here encodes or parses wire bytes.  The client-side Snatch modification (paper section 4.2, "<50 lines
-of code") is :class:`SnatchConnectionIdPolicy`: on a new 1-RTT
-connection it keeps the cookie-carrying byte range of the last
-``DstConnID*`` and regenerates only the random identification bits.
+records; nothing here encodes or parses wire bytes.  The client-side
+Snatch modification (paper section 4.2, "<50 lines of code") keeps the
+cookie-carrying bytes 1-17 of a ``DstConnID*`` and redraws only the
+random identification bytes 0 and 18-19.  Every pipeline runs it as
+:class:`~repro.core.cookie_cache.CookieEncodeCache`, which keeps each
+identity's encrypted block and draws those bytes afresh per packet;
+:meth:`~repro.core.transport_cookie.TransportCookieCodec.assemble` is
+its one-cookie form.
 """
 
 from __future__ import annotations
@@ -29,11 +33,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.quic.connection_id import (
-    ConnectionID,
-    MAX_CONNECTION_ID_BYTES,
-    random_connection_id,
-)
+from repro.quic.connection_id import ConnectionID, random_connection_id
 from repro.quic.packet import (
     LongHeaderPacket,
     PacketType,
@@ -47,7 +47,6 @@ __all__ = [
     "SessionTicket",
     "QuicServer",
     "QuicClient",
-    "SnatchConnectionIdPolicy",
     "RandomConnectionIdPolicy",
     "one_way_delays_to_server_data",
 ]
@@ -85,39 +84,6 @@ class RandomConnectionIdPolicy:
         self, previous: Optional[ConnectionID]
     ) -> ConnectionID:
         return random_connection_id(SNATCH_DCID_LENGTH, self._rng)
-
-
-class SnatchConnectionIdPolicy:
-    """The Snatch client modification for QUIC 1-RTT.
-
-    Keeps bytes ``[cookie_start, cookie_end)`` of the previous
-    ``DstConnID*`` (the app-ID + encrypted bitmap/cookie-stack region)
-    and regenerates the remaining random-identification bytes (DCID and
-    DCID-R2 in the paper's Figure 3 layout).
-    """
-
-    def __init__(
-        self,
-        cookie_start: int = 1,
-        cookie_end: int = SNATCH_DCID_LENGTH,
-        rng: Optional[random.Random] = None,
-    ):
-        if not 0 <= cookie_start <= cookie_end <= MAX_CONNECTION_ID_BYTES:
-            raise ValueError(
-                "invalid cookie byte range [%d, %d)" % (cookie_start, cookie_end)
-            )
-        self.cookie_start = cookie_start
-        self.cookie_end = cookie_end
-        self._rng = rng or random.Random()
-
-    def next_initial_dcid(
-        self, previous: Optional[ConnectionID]
-    ) -> ConnectionID:
-        fresh = random_connection_id(SNATCH_DCID_LENGTH, self._rng)
-        if previous is None or len(previous) != SNATCH_DCID_LENGTH:
-            return fresh
-        keep = bytes(previous)[self.cookie_start:self.cookie_end]
-        return fresh.replace_range(self.cookie_start, keep)
 
 
 class QuicServer:

@@ -44,30 +44,6 @@ class ConnectionID:
     def __bytes__(self) -> bytes:
         return self.value
 
-    @property
-    def hex(self) -> str:
-        return self.value.hex()
-
-    def first_byte(self) -> int:
-        """The leading (DCID) byte, used for flow identification."""
-        if not self.value:
-            raise ValueError("empty connection ID has no first byte")
-        return self.value[0]
-
-    def replace_range(self, start: int, payload: bytes) -> "ConnectionID":
-        """Return a copy with ``payload`` overwriting bytes from
-        ``start``.  Used by the Snatch client modification that
-        regenerates random bits while preserving the cookie bits."""
-        end = start + len(payload)
-        if start < 0 or end > len(self.value):
-            raise ValueError(
-                "range [%d, %d) outside connection ID of %d bytes"
-                % (start, end, len(self.value))
-            )
-        return ConnectionID(
-            self.value[:start] + payload + self.value[end:]
-        )
-
 
 # Deterministic default generator: falling back to the process-global
 # ``random`` module would make no-rng callers (tests, examples) vary

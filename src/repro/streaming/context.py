@@ -12,9 +12,8 @@ registered stream, fires output operations, and then evicts every
 cached batch older than the widest registered window — nothing reads
 it again, so each stream holds at most that many batches.  A
 configurable ``processing_time_ms`` (constant or callable on the
-batch's record count) models the analytics computation cost, and
-:meth:`result_time_ms` exposes when a record's batch result becomes
-available — the quantity the testbed experiments log.
+batch's record count) models the analytics computation cost that each
+:class:`BatchInfo` records.
 """
 
 from __future__ import annotations
@@ -39,10 +38,6 @@ class BatchInfo:
         self.end_ms = end_ms
         self.processing_ms = processing_ms
         self.num_records = num_records
-
-    @property
-    def result_available_ms(self) -> float:
-        return self.end_ms + self.processing_ms
 
     def __repr__(self) -> str:
         return "BatchInfo(#%d, [%.0f, %.0f) ms, %d records, +%.1f ms)" % (
@@ -97,21 +92,6 @@ class StreamingContext:
         """End time of batch ``batch_index`` (results computed then)."""
         return (batch_index + 1) * self.batch_interval_ms
 
-    def batch_index_for(self, time_ms: float) -> int:
-        return int(time_ms // self.batch_interval_ms)
-
-    def result_time_ms(self, arrival_ms: float) -> float:
-        """When the batch result containing a record arriving at
-        ``arrival_ms`` becomes available: the batch boundary plus the
-        batch processing cost."""
-        end = self.batch_time_ms(self.batch_index_for(arrival_ms))
-        return end + self._processing_cost(0)
-
-    def expected_wait_ms(self) -> float:
-        """Average in-batch wait for uniform arrivals: interval / 2
-        (paper footnote 3)."""
-        return self.batch_interval_ms / 2.0
-
     # -- execution ----------------------------------------------------------------
 
     def _processing_cost(self, num_records: int) -> float:
@@ -142,9 +122,6 @@ class StreamingContext:
         )
         self.batch_history.append(info)
         return info
-
-    def run_batches(self, count: int) -> List[BatchInfo]:
-        return [self.run_batch() for _ in range(count)]
 
     def run_until(self, time_ms: float) -> List[BatchInfo]:
         """Run every batch whose interval ends at or before ``time_ms``."""

@@ -9,12 +9,12 @@ scarce register SRAM, clones, and control-plane digests.
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "bloom": ("BloomFilter", "bloom_parameters", "optimal_num_hashes"),
+    "bloom": ("BloomFilter",),
     "columns": (
         "HAVE_NUMPY", "PacketColumns", "force_numpy", "group_rows",
         "numpy_enabled",
     ),
-    "hashing": ("HashUnit", "crc32", "crc32_many", "fold_hash"),
+    "hashing": ("HashUnit", "crc32", "crc32_many"),
     "parser": (
         "ETHERNET", "HeaderField", "HeaderType", "IPV4", "ParseError",
         "ParseState", "Parser", "QUIC_SHORT", "UDP", "build_snatch_packet",

@@ -10,46 +10,12 @@ period boundary.
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.switch.hashing import HashUnit, crc32_many
 from repro.switch.registers import RegisterArray
 
-__all__ = ["BloomFilter", "bloom_parameters", "optimal_num_hashes"]
-
-
-def optimal_num_hashes(bits: int, expected_items: int) -> int:
-    """k = (m/n) ln 2, clamped to [1, 8] (switch stage budget).
-
-    The clamp matters at the overloaded boundary: once
-    ``expected_items`` exceeds roughly ``2 * bits / ln 2`` the
-    unclamped ``round()`` lands on 0 — a zero-hash filter that
-    degenerately matches everything — so k is pinned at 1.
-    """
-    if expected_items <= 0:
-        return 1
-    k = round(bits / expected_items * math.log(2))
-    return max(1, min(8, k))
-
-
-def bloom_parameters(
-    expected_items: int, target_fp_rate: float = 0.01
-) -> Tuple[int, int]:
-    """Size a filter: (size_bits, num_hashes) for ``expected_items``
-    at ``target_fp_rate``, via m = -n ln p / (ln 2)^2.  Both outputs
-    are clamped to switch-feasible minima (one register cell, one hash
-    unit) so an overloaded or tiny configuration never degenerates to
-    a zero-bit or zero-hash filter."""
-    if expected_items <= 0:
-        raise ValueError("expected_items must be positive")
-    if not 0.0 < target_fp_rate < 1.0:
-        raise ValueError("target_fp_rate must be in (0, 1)")
-    bits = math.ceil(
-        -expected_items * math.log(target_fp_rate) / (math.log(2) ** 2)
-    )
-    bits = max(1, bits)
-    return bits, optimal_num_hashes(bits, expected_items)
+__all__ = ["BloomFilter"]
 
 
 class BloomFilter:
@@ -73,19 +39,6 @@ class BloomFilter:
             for i in range(num_hashes)
         ]
         self.items_added = 0
-
-    @classmethod
-    def for_expected_items(
-        cls,
-        expected_items: int,
-        target_fp_rate: float = 0.01,
-        name: str = "bloom",
-    ) -> "BloomFilter":
-        """Build a filter sized by :func:`bloom_parameters`."""
-        size_bits, num_hashes = bloom_parameters(
-            expected_items, target_fp_rate
-        )
-        return cls(size_bits=size_bits, num_hashes=num_hashes, name=name)
 
     def _indexes(self, key: bytes):
         return [h.hash(key) for h in self._hashes]
@@ -136,10 +89,3 @@ class BloomFilter:
         """Control-plane reset at a period boundary."""
         self._bits.reset()
         self.items_added = 0
-
-    def false_positive_rate(self, items: Optional[int] = None) -> float:
-        """Analytic FPR estimate (1 - e^{-kn/m})^k for n inserted items."""
-        n = self.items_added if items is None else items
-        k = self.num_hashes
-        m = self.size_bits
-        return (1.0 - math.exp(-k * n / m)) ** k

@@ -3,7 +3,7 @@
 Tofino exposes CRC-based hash engines to index register arrays and
 implement Bloom filters / sketches.  We implement CRC-32 (IEEE) from
 scratch with table-driven reflection, matching the standard check
-value, plus an identity-fold hash used for direct indexing.
+value.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from repro.switch.columns import PacketColumns, get_numpy
 __all__ = [
     "crc32",
     "crc32_many",
-    "fold_hash",
     "HashUnit",
 ]
 
@@ -120,20 +119,6 @@ def _position_tables(np, width: int):
     return _TABLES, _ZERO_CRCS
 
 
-def fold_hash(value: int, width: int) -> int:
-    """Fold an integer down to ``width`` bits by XOR-ing chunks; the
-    cheap identity-style hash a switch uses for direct indexing."""
-    if width <= 0:
-        raise ValueError("width must be positive")
-    mask = (1 << width) - 1
-    out = 0
-    value = abs(value)
-    while value:
-        out ^= value & mask
-        value >>= width
-    return out
-
-
 class HashUnit:
     """A configurable hash engine bound to an output range.
 
@@ -155,10 +140,6 @@ class HashUnit:
         # per unit; we emulate that with a nonlinear per-seed finalizer
         # (odd-multiplier mix, as in splitmix/murmur finalizers).
         return self._mix(crc32(data))
-
-    def hash_int(self, value: int) -> int:
-        length = max(1, (value.bit_length() + 7) // 8)
-        return self.hash(value.to_bytes(length, "big"))
 
     def mix_many(self, raw_crcs) -> "Sequence[int]":
         """Vectorized finalizer: map raw CRC values (one per row, from

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from math import log as _log
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.schema import CookieSchema, Feature
 from repro.core.stats import StatKind, StatSpec
@@ -31,17 +31,7 @@ __all__ = [
     "AdEvent",
     "AdEventStream",
     "AdCampaignWorkload",
-    "iter_batches",
 ]
-
-
-def iter_batches(items: List, batch_size: int) -> Iterator[List]:
-    """Yield successive ``batch_size``-sized slices of ``items`` (the
-    last one may be shorter).  Feeds the switch columnar fast path."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    for start in range(0, len(items), batch_size):
-        yield items[start:start + batch_size]
 
 # Batches with fewer events fold the reference in its Python form even
 # with the numpy gate open: the numpy form costs ~12 us a call before

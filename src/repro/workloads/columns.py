@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import random
 from math import log as _log
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = ["EventColumns", "EventStream"]
 
@@ -156,16 +156,6 @@ class EventStream:
         return EventColumns(
             times, dict(zip(self.column_names, map(list, cols)))
         )
-
-    def batches(self, batch_size: int) -> Iterator[EventColumns]:
-        """Drain the stream as successive ``batch_size`` micro-batches."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        while True:
-            batch = self.generate_batch(batch_size)
-            if batch.n == 0:
-                return
-            yield batch
 
     def drain(self) -> List:
         """All remaining events as scalar objects (legacy list API)."""

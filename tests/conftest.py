@@ -38,6 +38,31 @@ def regen_goldens(request):
     return request.config.getoption("--regen-goldens")
 
 
+@pytest.fixture(autouse=True, scope="session")
+def chaos_hops_conserve():
+    """Every chaos run in the suite ends with each of its hops
+    conserved (``arrived - dropped + duplicated == delivered + held``)
+    and with ``reports_held`` equal to what the hops still hold."""
+    from repro.chaos.harness import ChaosHarness
+
+    run = ChaosHarness.run
+
+    def checked(harness):
+        result = run(harness)
+        hops = [link.hop for link in harness.links.values()]
+        for hop in hops:
+            assert (
+                hop.arrived - hop.dropped + hop.duplicated
+                == hop.delivered + hop.held
+            ), hop.counts()
+        assert result.reports_held == sum(hop.held for hop in hops)
+        return result
+
+    ChaosHarness.run = checked
+    yield
+    ChaosHarness.run = run
+
+
 @pytest.fixture
 def shm_leakcheck():
     """Fails the test when it leaves a ring segment of its own behind."""

@@ -44,7 +44,6 @@ class TestRoundtrip:
         codec = _codec()
         decoded = codec.decode(codec.encode(_packet([])))
         assert decoded.items == []
-        assert decoded.item_count == 0
 
     @given(
         st.lists(
@@ -63,11 +62,15 @@ class TestWireFormat:
     def test_sid_leads_the_packet(self):
         wire = _codec().encode(_packet([(0, 1)]))
         assert int.from_bytes(wire[0:2], "big") == SNATCH_SID
-        assert AggregationCodec.is_aggregation_packet(wire)
+        _codec().check_header(wire)
 
     def test_regular_udp_not_matched(self):
-        assert not AggregationCodec.is_aggregation_packet(b"\x00\x01hello")
-        assert not AggregationCodec.is_aggregation_packet(b"")
+        wire = bytearray(_codec().encode(_packet([(0, 1)])))
+        wire[0:2] = b"\x00\x01"
+        with pytest.raises(ValueError, match="SID mismatch"):
+            _codec().check_header(bytes(wire))
+        with pytest.raises(ValueError, match="too short"):
+            _codec().check_header(b"")
 
     def test_payload_is_encrypted(self):
         wire = _codec().encode(_packet([(0xBEEF, 0xCAFE)]))

@@ -10,7 +10,7 @@ from repro.core.larkswitch import LarkBatchResult, LarkSwitch
 from repro.core.schema import CookieSchema, Feature
 from repro.core.stats import StatKind, StatSpec
 from repro.core.transport_cookie import TransportCookieCodec
-from repro.quic.connection_id import random_connection_id
+from repro.quic.connection_id import ConnectionID, random_connection_id
 from repro.switch.pipeline import AES_PASS_LATENCY_MS, LINE_RATE_LATENCY_MS
 
 from tests.control import new_controller, settled
@@ -56,11 +56,9 @@ class TestMatching:
 
     def test_foreign_quic_traffic_passes_untouched(self):
         lark, _codec = _setup()
-        result = lark.process_quic_packet(
-            random_connection_id(20, random.Random(3)).replace_range(
-                1, b"\x99"
-            )
-        )
+        raw = bytearray(bytes(random_connection_id(20, random.Random(3))))
+        raw[1] = 0x99
+        result = lark.process_quic_packet(ConnectionID(bytes(raw)))
         assert not result.matched
         assert result.forwarded_original
         assert result.aggregation_payload is None

@@ -79,12 +79,6 @@ class TestValueTransform:
         changed = sum(transform.forward(x) != x for x in range(101))
         assert changed > 90
 
-    def test_inverse_sum(self):
-        transform = ValueTransform(a=3, b=5, modulus=10_007)
-        values = [10, 20, 30]
-        wire_sum = sum(transform.forward(v) for v in values)
-        assert transform.inverse_sum(wire_sum, len(values)) == 60
-
     def test_requires_coprime_multiplier(self):
         with pytest.raises(ValueError, match="coprime"):
             ValueTransform(a=4, b=0, modulus=8)

@@ -44,11 +44,10 @@ class TestRpcBus:
 
         bus.register_device("d", Device())
         record = bus.call("d", "ping", 7)
-        assert bus.pending() == 1
+        assert not record.completed
         bus.quiesce()
         assert calls == [(25.0, 7)]
         assert record.completed
-        assert bus.pending() == 0
 
     def test_per_device_delays(self):
         bus = RpcBus(default_delay_ms=10)
@@ -63,7 +62,8 @@ class TestRpcBus:
 
         bus.register_device("near", Device("near"), delay_ms=5)
         bus.register_device("far", Device("far"), delay_ms=90)
-        bus.call_all("mark")
+        bus.call("far", "mark")
+        bus.call("near", "mark")
         bus.quiesce()
         assert order == [(5.0, "near"), (90.0, "far")]
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.schema import CookieSchema, Feature, FeatureValueError
 from repro.core.transport_cookie import (
     APP_ID_BYTE_INDEX,
+    COOKIE_BLOCK_START,
     COOKIE_BYTE_END,
     COOKIE_BYTE_START,
     ROW_KERNEL_MIN_ROWS,
@@ -16,7 +17,6 @@ from repro.core.transport_cookie import (
 )
 from repro.switch import columns
 from repro.quic.connection_id import ConnectionID, random_connection_id
-from repro.quic.connection import SnatchConnectionIdPolicy
 
 KEY = bytes(range(16))
 
@@ -320,14 +320,15 @@ class TestClientPolicyCompatibility:
         codec = _codec()
         values = {"gender": "x", "age": "25-34", "score": 99}
         original = codec.encode(values)
-        policy = SnatchConnectionIdPolicy(
-            cookie_start=COOKIE_BYTE_START,
-            cookie_end=COOKIE_BYTE_END,
-            rng=random.Random(4),
-        )
-        regenerated = policy.next_initial_dcid(original)
-        assert bytes(regenerated)[0:1] != bytes(original)[0:1] or True
-        assert codec.decode(regenerated).values == values
+        block = bytes(original)[COOKIE_BLOCK_START:COOKIE_BYTE_END]
+        regenerated = [codec.assemble(block) for _ in range(32)]
+        for cid in regenerated:
+            kept = bytes(cid)[COOKIE_BYTE_START:COOKIE_BYTE_END]
+            assert kept == bytes(original)[COOKIE_BYTE_START:COOKIE_BYTE_END]
+            assert codec.decode(cid).values == values
+        # Byte 0 (DCID) and bytes 18-19 (DCID-R2) are drawn afresh.
+        assert len({bytes(cid)[0] for cid in regenerated}) > 1
+        assert len({bytes(cid)[COOKIE_BYTE_END:] for cid in regenerated}) > 1
 
     def test_preserved_range_covers_app_id_and_block(self):
         assert COOKIE_BYTE_START == 1

@@ -30,7 +30,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.switch import columns
 from repro.switch.tables import MatchActionTable, MatchKey, MatchKind
 from repro.testbed.pipeline import StreamingPipeline
-from repro.workloads.adcampaign import AdCampaignWorkload, iter_batches
+from repro.workloads.adcampaign import AdCampaignWorkload
 
 from tests.differential.workloads import (
     APP_ID,
@@ -324,9 +324,9 @@ def test_lark_memo_drops_its_older_half(shape, bound, monkeypatch):
     cids = wl.cids(shape, PACKETS)
     lark = wl.new_lark()
     evictions = 0
-    for chunk in iter_batches(cids, 16):
+    for at in range(0, len(cids), 16):
         before = list(lark._decode_memo)
-        lark.process_quic_columnar(chunk)
+        lark.process_quic_columnar(cids[at:at + 16])
         after = list(lark._decode_memo)
         old = set(before)
         kept = [key for key in after if key in old]
@@ -460,8 +460,8 @@ def test_lark_sealed_payloads_are_the_scalar_encode(apps, dedup, size):
     scalar, columnar = new_lark(), new_lark()
     expected = [scalar.process_quic_packet(cid) for cid in cids]
     payloads = []
-    for chunk in iter_batches(cids, size):
-        payloads.extend(columnar.process_quic_columnar(chunk).payloads)
+    for batch in columnar_batches(columnar.process_quic_columnar, cids, size):
+        payloads.extend(batch.payloads)
     assert payloads == [
         r.aggregation_payload for r in expected
         if r.aggregation_payload is not None
@@ -628,7 +628,7 @@ def test_lark_batch_columns_and_counters_are_the_scalar_path(
     lark = _batch_lark(wl, apps, mode, dedup, digests)
     chunks = [
         _as_matrix(chunk) if matrix else chunk
-        for chunk in iter_batches(rows, size)
+        for chunk in (rows[at:at + size] for at in range(0, len(rows), size))
     ]
     position = 0
     for chunk in chunks:

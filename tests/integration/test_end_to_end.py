@@ -20,6 +20,7 @@ from repro.core.app_cookie import (
     format_cookie_header,
 )
 from repro.core.transport_cookie import (
+    COOKIE_BLOCK_START,
     COOKIE_BYTE_END,
     COOKIE_BYTE_START,
     TransportCookieCodec,
@@ -28,7 +29,6 @@ from repro.quic.connection import (
     HandshakeMode,
     QuicClient,
     QuicServer,
-    SnatchConnectionIdPolicy,
 )
 from repro.workloads import AdCampaignWorkload
 
@@ -74,9 +74,7 @@ class TestTransportPathOverRealQuic:
                 rng=quic_rng,
             )
             client = QuicClient(
-                "user-%d" % event.user.user_index,
-                cid_policy=SnatchConnectionIdPolicy(rng=quic_rng),
-                rng=quic_rng,
+                "user-%d" % event.user.user_index, rng=quic_rng,
             )
             connection = client.connect(server)
             # The ISP switch sees the QUIC packet's DstConnID*.
@@ -100,15 +98,13 @@ class TestTransportPathOverRealQuic:
         values = {"event": "view", "campaign": "camp-1",
                   "gender": "female", "age": "25-34", "geo": "EU"}
         planted = codec.encode(values)
-        policy = SnatchConnectionIdPolicy(
-            cookie_start=COOKIE_BYTE_START,
-            cookie_end=COOKIE_BYTE_END,
-            rng=random.Random(4),
-        )
-        # Five fresh 1-RTT connections, each regenerating random bits.
-        cid = planted
+        block = bytes(planted)[COOKIE_BLOCK_START:COOKIE_BYTE_END]
+        # Five fresh 1-RTT connections, each regenerating random bits
+        # around the one encrypted block, as CookieEncodeCache serves it.
         for _ in range(5):
-            cid = policy.next_initial_dcid(cid)
+            cid = codec.assemble(block)
+            assert (bytes(cid)[COOKIE_BYTE_START:COOKIE_BYTE_END]
+                    == bytes(planted)[COOKIE_BYTE_START:COOKIE_BYTE_END])
             result = lark.process_quic_packet(cid)
             assert result.decoded_values == values
         assert lark.stats_report(handle.app_id)["gender_by_campaign"][

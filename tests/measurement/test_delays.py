@@ -4,7 +4,6 @@ import pytest
 
 from repro.measurement.delays import (
     MEDIANS,
-    all_delay_curves,
     client_to_closest_cloud,
     client_to_edge,
     client_to_isp,
@@ -47,14 +46,10 @@ class TestPaperAnchors:
         curve = client_to_edge()
         assert curve.percentile(100) > 20 * curve.median
 
-    def test_all_curves_listing(self):
-        curves = all_delay_curves()
-        assert set(curves) == {
-            "client-isp", "client-edge", "client-cloud-closest",
-            "client-web", "edge-cloud", "inter-dc",
-        }
-        for curve in curves.values():
-            assert curve.percentile(0) >= 0
+    def test_every_curve_starts_non_negative(self):
+        for make in (client_to_isp, client_to_edge, client_to_closest_cloud,
+                     client_to_web_server, edge_to_cloud, inter_dc):
+            assert make().percentile(0) >= 0
 
     def test_medians_table_complete(self):
         for key in ("d_CI", "d_CE", "d_EW", "d_WA", "T_trans", "T_E",

@@ -5,7 +5,6 @@ import pytest
 from repro.measurement.interdc import (
     AWS_REGIONS,
     US_REGIONS,
-    delay_matrix,
     haversine_km,
     matrix_stats,
     region_delay_ms,
@@ -51,10 +50,9 @@ class TestDelayMatrix:
         with pytest.raises(KeyError):
             region_delay_ms("us-east-1", "moon-base-1")
 
-    def test_matrix_shape(self):
-        matrix = delay_matrix(("us-east-1", "eu-west-1"))
-        assert len(matrix) == 4
-        assert matrix[("us-east-1", "us-east-1")] == pytest.approx(0.8)
+    def test_intra_dc_delay(self):
+        for region in ("us-east-1", "eu-west-1"):
+            assert region_delay_ms(region, region) == pytest.approx(0.8)
 
     def test_all_pairs_within_calibrated_range(self):
         names = tuple(sorted(AWS_REGIONS))

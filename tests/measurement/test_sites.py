@@ -48,12 +48,12 @@ class TestCensusShape:
 class TestResidentialFilter:
     def test_some_sites_non_residential(self):
         census = generate_sites(non_residential_rate=0.2, seed=3)
-        residential = census.residential_sites()
+        residential = [s for s in census.sites if s.residential]
         assert 0 < len(residential) < len(census.sites)
 
     def test_zero_rate(self):
         census = generate_sites(non_residential_rate=0.0)
-        assert len(census.residential_sites()) == len(census.sites)
+        assert all(s.residential for s in census.sites)
 
 
 class TestDeterminism:

@@ -7,6 +7,8 @@ zero-cost components, single-site measurement runs — where off-by-one
 and division bugs live.
 """
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.measurement.study import MeasurementStudy
@@ -91,7 +93,7 @@ class TestInterpolationBoundaries:
     def test_percentile_extremes(self):
         p0 = percentile_scenario(0.0)
         p100 = percentile_scenario(100.0)
-        for name, value in p0.as_dict().items():
+        for name, value in asdict(p0).items():
             assert value >= 0.0, name
             assert getattr(p100, name) >= value, name
 

@@ -1,5 +1,7 @@
 """Figure 1 time-cost breakdown anchors."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.model.breakdown import (
@@ -76,7 +78,7 @@ class TestScenarioConsistency:
         assert p.d_wa == 32.3
 
     def test_custom_params_flow_through(self):
-        p = figure1_scenario().with_analytics_time(100.0)
+        p = replace(figure1_scenario(), t_analytics=100.0)
         assert baseline_breakdown(p).total_ms == pytest.approx(
             1008.3 - 400.0, abs=2.0
         )

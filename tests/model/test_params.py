@@ -27,14 +27,6 @@ class TestScenarioParams:
                 t_trans=1, t_edge=1, t_web=1, t_analytics=1,
             )
 
-    def test_with_analytics_time(self):
-        p = median_scenario().with_analytics_time(42.0)
-        assert p.t_analytics == 42.0
-
-    def test_as_dict_roundtrip(self):
-        d = median_scenario().as_dict()
-        assert d["d_ci"] == 1.4 and d["t_web"] == 241.6
-
     def test_insa_cost_below_1ms(self):
         assert INSA_ANALYTICS_MS <= 1.0
 

@@ -56,8 +56,29 @@ def test_chaos_harness(scenario):
     hops = [link.hop for link in harness.links.values()]
     assert sum(hop.arrived for hop in hops) == result.reports_sent > 0
     assert sum(hop.dropped for hop in hops) == result.reports_lost
+    assert sum(hop.held for hop in hops) == result.reports_held
     for hop in hops:
         assert _conserved(hop.counts())
+
+
+@pytest.mark.parametrize("seed,held", ((0, 2), (1, 2), (2, 1), (9, 3)))
+def test_chaos_reorder_holds_reports_past_the_run(seed, held):
+    """A chaos ``reorder`` holds a report back k *reports*; the ones
+    held when the last period closes are never delivered: late loss,
+    counted in ``reports_held`` and not in ``reports_lost``."""
+    harness = ChaosHarness(seed=seed)
+    result = harness.apply(
+        ChaosScenario("r").link_faults("lark", "agg", reorder=0.3)
+    ).run()
+    lark = harness.links[("lark", "agg")].hop.counts()
+    assert lark["arrived"] == result.reports_sent == 9
+    assert lark["held"] == result.reports_held == held
+    assert lark["delivered"] == 9 - held
+    assert result.reports_lost == 0
+    for link in harness.links.values():
+        assert _conserved(link.hop.counts())
+    # The repair loop reconciled what the held reports left out.
+    assert result.consistent
 
 
 @pytest.mark.parametrize("backend", PIPELINE_BACKENDS)

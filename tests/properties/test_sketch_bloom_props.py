@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.switch.bloom import BloomFilter, bloom_parameters
+from repro.switch.bloom import BloomFilter
 from repro.switch.sketch import CountMinSketch
 
 
@@ -68,7 +68,7 @@ def test_sketch_error_bound_mostly_holds(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_bloom_no_false_negatives(seed):
     rng = random.Random(300 + seed)
-    bloom = BloomFilter.for_expected_items(500, target_fp_rate=0.01)
+    bloom = BloomFilter(size_bits=4793, num_hashes=7)
     inserted = [
         bytes(rng.getrandbits(8) for _ in range(12)) for _ in range(500)
     ]
@@ -82,8 +82,9 @@ def test_bloom_no_false_negatives(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_bloom_false_positive_rate_near_analytic(seed):
     rng = random.Random(400 + seed)
+    # m = -n ln p / (ln 2)^2 and k = (m/n) ln 2 for n = 500, p = 1%.
     expected_items, target = 500, 0.01
-    size_bits, num_hashes = bloom_parameters(expected_items, target)
+    size_bits, num_hashes = 4793, 7
     bloom = BloomFilter(size_bits=size_bits, num_hashes=num_hashes)
     for _ in range(expected_items):
         bloom.add(bytes(rng.getrandbits(8) for _ in range(12)))
@@ -92,7 +93,9 @@ def test_bloom_false_positive_rate_near_analytic(seed):
         1 for _ in range(probes)
         if bloom.contains(bytes(rng.getrandbits(8) for _ in range(16)))
     )
-    analytic = bloom.false_positive_rate()
+    analytic = (
+        1.0 - math.exp(-num_hashes * expected_items / size_bits)
+    ) ** num_hashes
     assert analytic <= 3 * target
     # Measured FPR within 3x analytic plus absolute slack for small
     # samples; still sharp enough to catch a broken hash or index bug.

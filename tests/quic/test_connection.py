@@ -1,4 +1,4 @@
-"""QUIC handshake state machines and the Snatch connection-ID policy."""
+"""QUIC handshake state machines and the vanilla connection-ID policy."""
 
 import random
 
@@ -9,7 +9,6 @@ from repro.quic.connection import (
     QuicClient,
     QuicServer,
     RandomConnectionIdPolicy,
-    SnatchConnectionIdPolicy,
     one_way_delays_to_server_data,
 )
 from repro.quic.connection_id import ConnectionID, random_connection_id
@@ -97,37 +96,7 @@ class TestZeroRtt:
             server.handle_0rtt(bad, b"psk")
 
 
-class TestSnatchPolicy:
-    def test_preserves_cookie_bytes_on_new_1rtt(self):
-        rng = random.Random(3)
-        server = QuicServer("s", rng=rng)
-        policy = SnatchConnectionIdPolicy(rng=rng)
-        client = QuicClient("c", cid_policy=policy, rng=rng)
-        first = client.connect(server)
-        # Next 1-RTT: Initial DCID keeps bytes [1, 20) of DstConnID*.
-        next_dcid = policy.next_initial_dcid(first.dst_conn_id)
-        kept = bytes(first.dst_conn_id)[1:20]
-        assert bytes(next_dcid)[1:20] == kept
-
-    def test_regenerates_random_identification_bits(self):
-        rng = random.Random(4)
-        policy = SnatchConnectionIdPolicy(cookie_start=1, cookie_end=18, rng=rng)
-        previous = random_connection_id(20, rng)
-        regenerated = [
-            bytes(policy.next_initial_dcid(previous))[0] for _ in range(32)
-        ]
-        assert len(set(regenerated)) > 1  # byte 0 actually varies
-
-    def test_without_previous_generates_fresh(self):
-        policy = SnatchConnectionIdPolicy(rng=random.Random(5))
-        assert len(policy.next_initial_dcid(None)) == SNATCH_DCID_LENGTH
-
-    def test_invalid_range_rejected(self):
-        with pytest.raises(ValueError):
-            SnatchConnectionIdPolicy(cookie_start=5, cookie_end=3)
-        with pytest.raises(ValueError):
-            SnatchConnectionIdPolicy(cookie_start=0, cookie_end=21)
-
+class TestRandomPolicy:
     def test_random_policy_ignores_previous(self):
         rng = random.Random(6)
         policy = RandomConnectionIdPolicy(rng)

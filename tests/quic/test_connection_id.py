@@ -3,8 +3,6 @@
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.quic.connection_id import (
     ConnectionID,
@@ -18,8 +16,6 @@ class TestConnectionID:
         cid = ConnectionID(b"\x01\x02\x03")
         assert len(cid) == 3
         assert bytes(cid) == b"\x01\x02\x03"
-        assert cid.hex == "010203"
-        assert cid.first_byte() == 1
 
     def test_immutability(self):
         cid = ConnectionID(b"abc")
@@ -38,35 +34,9 @@ class TestConnectionID:
         cid = ConnectionID(bytearray(b"xy"))
         assert isinstance(cid.value, bytes)
 
-    def test_empty_has_no_first_byte(self):
-        with pytest.raises(ValueError):
-            ConnectionID(b"").first_byte()
-
     def test_equality_by_value(self):
         assert ConnectionID(b"ab") == ConnectionID(b"ab")
         assert ConnectionID(b"ab") != ConnectionID(b"ac")
-
-
-class TestReplaceRange:
-    def test_replaces_middle(self):
-        cid = ConnectionID(b"\x00" * 5)
-        out = cid.replace_range(1, b"\xff\xff")
-        assert bytes(out) == b"\x00\xff\xff\x00\x00"
-        assert bytes(cid) == b"\x00" * 5  # original untouched
-
-    def test_out_of_range(self):
-        cid = ConnectionID(b"abc")
-        with pytest.raises(ValueError):
-            cid.replace_range(2, b"xy")
-        with pytest.raises(ValueError):
-            cid.replace_range(-1, b"x")
-
-    @given(st.binary(min_size=4, max_size=20), st.integers(0, 3))
-    def test_length_preserved(self, raw, start):
-        cid = ConnectionID(raw)
-        out = cid.replace_range(start, b"\x42")
-        assert len(out) == len(cid)
-        assert bytes(out)[start] == 0x42
 
 
 class TestRandomConnectionID:

@@ -1,4 +1,4 @@
-"""StreamingContext: batch timing, latency accounting, the bounded
+"""StreamingContext: batch timing, batch bookkeeping, the bounded
 batch cache."""
 
 import pytest
@@ -11,21 +11,6 @@ class TestTiming:
         ssc = StreamingContext(150)
         assert ssc.batch_time_ms(0) == 150
         assert ssc.batch_time_ms(3) == 600
-
-    def test_batch_index_for(self):
-        ssc = StreamingContext(100)
-        assert ssc.batch_index_for(0) == 0
-        assert ssc.batch_index_for(99.9) == 0
-        assert ssc.batch_index_for(100) == 1
-
-    def test_result_time(self):
-        ssc = StreamingContext(100, processing_time_ms=30)
-        assert ssc.result_time_ms(10) == 130
-        assert ssc.result_time_ms(199) == 230
-
-    def test_expected_wait_is_half_interval(self):
-        # Paper footnote 3: Spark's default 1 s interval -> 500 ms mean.
-        assert StreamingContext(1000).expected_wait_ms() == 500.0
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
@@ -40,7 +25,7 @@ class TestExecution:
         info = ssc.run_batch()
         assert info.index == 0
         assert info.num_records == 3
-        assert info.result_available_ms == 120
+        assert (info.end_ms, info.processing_ms) == (100, 20)
         assert "3 records" in repr(info)
 
     def test_callable_processing_time(self):
@@ -60,7 +45,8 @@ class TestExecution:
     def test_history_accumulates(self):
         ssc = StreamingContext(100)
         ssc.input_stream()
-        ssc.run_batches(2)
+        for _ in range(2):
+            ssc.run_batch()
         assert len(ssc.batch_history) == 2
 
     def test_multiple_outputs_all_fire(self):
@@ -89,7 +75,8 @@ class TestBoundedCache:
         narrow = pairs.window(200)
         for t in range(0, 5000, 50):
             inp.push(t // 50, t)
-        ssc.run_batches(50)
+        for _ in range(50):
+            ssc.run_batch()
         assert ssc._widest_window == 3
         for stream in ssc._streams:
             assert len(stream._cache) <= 3, stream
@@ -106,7 +93,8 @@ class TestBoundedCache:
         windowed.foreachRDD(lambda rdd, i: sizes.append(rdd.count()))
         for t in range(0, 3000, 100):
             inp.push(t, t)
-        ssc.run_batches(30)
+        for _ in range(30):
+            ssc.run_batch()
         assert max(len(s._cache) for s in ssc._streams) == width
         # Full windows throughout: one record per batch.
         assert sizes[width - 1:] == [width] * (30 - width + 1)
@@ -117,5 +105,6 @@ class TestBoundedCache:
         stream = inp.map(lambda x: x)
         for t in range(0, 600, 100):
             inp.push(t, t)
-        ssc.run_batches(6)
+        for _ in range(6):
+            ssc.run_batch()
         assert set(stream._cache) == {5}

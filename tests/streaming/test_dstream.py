@@ -67,7 +67,8 @@ class TestWindowCategory:
         out = _collecting(inp.window(300))
         for t in (10, 110, 210, 310):
             inp.push(t, t)
-        ssc.run_batches(4)
+        for _ in range(4):
+            ssc.run_batch()
         assert out == [[10], [10, 110], [10, 110, 210], [110, 210, 310]]
 
     def test_window_slide(self):
@@ -75,7 +76,8 @@ class TestWindowCategory:
         out = _collecting(inp.window(200, 200))
         for t in (10, 110, 210, 310):
             inp.push(t, t)
-        ssc.run_batches(4)
+        for _ in range(4):
+            ssc.run_batch()
         # Emits only on even batch ends (200 ms slide).
         assert out == [[], [10, 110], [], [210, 310]]
 
@@ -88,7 +90,8 @@ class TestWindowCategory:
         )
         inp.push(("k", 1), 10)
         inp.push(("k", 5), 110)
-        ssc.run_batches(2)
+        for _ in range(2):
+            ssc.run_batch()
         assert out == [[("k", 1)], [("k", 6)]]
 
     def test_window_requires_multiple_of_interval(self):

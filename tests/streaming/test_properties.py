@@ -27,7 +27,8 @@ class TestBatchPartitioning:
         inp.foreachRDD(lambda rdd, i: seen.extend(rdd.collect()))
         for t, key in records:
             inp.push(key, t)
-        ssc.run_batches(5)
+        for _ in range(5):
+            ssc.run_batch()
         assert Counter(seen) == Counter(key for _t, key in records)
 
     @given(events)
@@ -39,7 +40,8 @@ class TestBatchPartitioning:
         inp.foreachRDD(lambda rdd, i: per_batch.append(rdd.collect()))
         for t, key in records:
             inp.push((t, key), t)
-        ssc.run_batches(5)
+        for _ in range(5):
+            ssc.run_batch()
         for index, batch in enumerate(per_batch):
             for t, _key in batch:
                 assert index * 100 <= t < (index + 1) * 100
@@ -59,7 +61,8 @@ class TestWindowInvariants:
         )
         for t, key in records:
             inp.push(key, t)
-        ssc.run_batches(5)
+        for _ in range(5):
+            ssc.run_batch()
         for index in range(5):
             member = batch_counts[max(0, index - 2):index + 1]
             assert window_counts[index] == sum(member)
@@ -73,7 +76,8 @@ class TestWindowInvariants:
         inp.window(500).foreachRDD(lambda rdd, i: counts.append(rdd.count()))
         for t, key in records:
             inp.push(key, t)
-        ssc.run_batches(5)
+        for _ in range(5):
+            ssc.run_batch()
         assert counts[-1] == len(records)
 
 
@@ -94,7 +98,8 @@ class TestStatefulInvariants:
         )
         for t, key in records:
             inp.push(key, t)
-        ssc.run_batches(5)
+        for _ in range(5):
+            ssc.run_batch()
         assert state == Counter(key for _t, key in records)
 
     @given(events)
@@ -110,7 +115,8 @@ class TestStatefulInvariants:
         )
         for t, key in records:
             inp.push(key, t)
-        ssc.run_batches(5)
+        for _ in range(5):
+            ssc.run_batch()
         for index in range(5):
             lo, hi = (index - 1) * 100, (index + 1) * 100
             expected = Counter(
@@ -142,7 +148,8 @@ class TestWindowGrid:
         )
         for t, key in records:
             inp.push(key, t)
-        ssc.run_batches(5)
+        for _ in range(5):
+            ssc.run_batch()
         for index in range(5):
             expected = {}
             if (index + 1) % slide == 0:

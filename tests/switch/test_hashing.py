@@ -1,4 +1,4 @@
-"""Hash units: CRC check values, folding, range discipline."""
+"""Hash units: CRC check values, range discipline."""
 
 import random
 import zlib
@@ -11,7 +11,7 @@ from repro.switch import columns
 from repro.switch.columns import (
     VECTOR_MIN_ROWS, PacketColumns, force_numpy, get_numpy,
 )
-from repro.switch.hashing import HashUnit, crc32, crc32_many, fold_hash
+from repro.switch.hashing import HashUnit, crc32, crc32_many
 
 # CRC-32/ISO-HDLC catalogue values.
 CRC32_VECTORS = [
@@ -124,22 +124,6 @@ class TestCrc32ManyProperties:
             force_numpy(None)
 
 
-class TestFoldHash:
-    def test_folds_down(self):
-        assert fold_hash(0xABCD, 8) == (0xAB ^ 0xCD)
-
-    def test_zero(self):
-        assert fold_hash(0, 8) == 0
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            fold_hash(1, 0)
-
-    @given(st.integers(min_value=0, max_value=2**64), st.integers(1, 16))
-    def test_within_width(self, value, width):
-        assert 0 <= fold_hash(value, width) < (1 << width)
-
-
 class TestHashUnit:
     def test_range_respected(self):
         unit = HashUnit(100)
@@ -158,11 +142,6 @@ class TestHashUnit:
     def test_deterministic(self):
         unit = HashUnit(1000, seed=3)
         assert unit.hash(b"key") == unit.hash(b"key")
-
-    def test_hash_int(self):
-        unit = HashUnit(1000)
-        assert unit.hash_int(12345) == unit.hash_int(12345)
-        assert 0 <= unit.hash_int(0) < 1000
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):

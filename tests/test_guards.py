@@ -45,6 +45,11 @@ HOP_MODEL = (
     "fault process per lark -> agg hop"
 )
 
+REACH_FOUR = (
+    "Reach round four: delete what no caller runs outside the frozen "
+    "tiers, including the second client-CID policy"
+)
+
 GUARDS = (
     Guard(
         # Two switch tiers (scalar, columnar); one numpy AES round
@@ -314,6 +319,35 @@ GUARDS = (
         "Reach round three: delete the protocol stand-ins and helpers "
         "that only tests run",
         word=True,
+    ),
+    Guard(
+        # Accessors, sizing formulas and helpers that only tests ran;
+        # the client CID policy is CookieEncodeCache (one cookie:
+        # TransportCookieCodec.assemble).
+        "reach-round-four",
+        "call_all|item_count|is_aggregation_packet|fold_hash|hash_int|"
+        "optimal_num_hashes|bloom_parameters|for_expected_items|"
+        "false_positive_rate|SnatchConnectionIdPolicy|replace_range|"
+        "first_byte|with_analytics_time|as_dict|result_available_ms|"
+        "batch_index_for|expected_wait_ms|run_batches|all_delay_curves|"
+        "delay_matrix|residential_sites|iter_batches|crash_count|"
+        "inverse_sum|close_connection",
+        ("src", "examples", "benchmarks", "tools", ".github"),
+        "policy = SnatchConnectionIdPolicy(rng=rng)",
+        REACH_FOUR,
+        word=True,
+    ),
+    Guard(
+        # The same round's methods whose names other classes still use
+        # (Simulator.pending, SparkLatencyModel.result_time_ms).
+        "reach-round-four-methods",
+        r"def (pending|hex|result_time_ms|batches)\b",
+        (
+            "src/repro/core/rpc.py", "src/repro/quic/connection_id.py",
+            "src/repro/streaming/context.py", "src/repro/workloads",
+        ),
+        "    def result_time_ms(self, arrival_ms: float) -> float:",
+        REACH_FOUR,
     ),
 )
 

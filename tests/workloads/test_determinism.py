@@ -99,8 +99,11 @@ def test_chunked_batches_equal_whole(name, chunk):
     whole = _make(name, 33).stream(RATE, DURATION_MS).generate_batch(10_000)
     stream = _make(name, 33).stream(RATE, DURATION_MS)
     times, columns = [], {c: [] for c in stream.column_names}
-    for batch in stream.batches(chunk):
-        assert 0 < len(batch) <= chunk
+    while True:
+        batch = stream.generate_batch(chunk)
+        if len(batch) == 0:
+            break
+        assert len(batch) <= chunk
         times.extend(batch.time_ms)
         for c in stream.column_names:
             columns[c].extend(batch.columns[c])
