@@ -79,6 +79,20 @@ class TestValueTransform:
         changed = sum(transform.forward(x) != x for x in range(101))
         assert changed > 90
 
+    def test_forward_permutes_the_residues(self):
+        """Coprime ``a`` makes the map a bijection on ``[0, m)``: no two
+        values share a wire value."""
+        transform = ValueTransform(a=10, b=3, modulus=77)
+        assert sorted(transform.forward(x) for x in range(77)) == list(
+            range(77)
+        )
+
+    def test_negative_coefficients_reduced_mod_m(self):
+        transform = ValueTransform(a=-3, b=-5, modulus=11)
+        assert (transform.a, transform.b) == (8, 6)
+        for x in range(11):
+            assert transform.inverse(transform.forward(x)) == x
+
     def test_requires_coprime_multiplier(self):
         with pytest.raises(ValueError, match="coprime"):
             ValueTransform(a=4, b=0, modulus=8)

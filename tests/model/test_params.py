@@ -1,5 +1,7 @@
 """Scenario presets and the best-practice interpolation."""
 
+import dataclasses
+
 import pytest
 
 from repro.model.params import (
@@ -26,6 +28,39 @@ class TestScenarioParams:
                 d_ci=-1, d_ce=1, d_ew=1, d_wa=1, d_ea=1, d_ia=1,
                 t_trans=1, t_edge=1, t_web=1, t_analytics=1,
             )
+
+    @pytest.mark.parametrize("name", (
+        "d_ci", "d_ce", "d_ew", "d_wa", "d_ea", "d_ia",
+        "t_trans", "t_edge", "t_web", "t_analytics",
+    ))
+    def test_every_delay_and_cost_validated(self, name):
+        fields = dict.fromkeys(
+            ("d_ci", "d_ce", "d_ew", "d_wa", "d_ea", "d_ia",
+             "t_trans", "t_edge", "t_web", "t_analytics"), 1.0,
+        )
+        fields[name] = -0.5
+        with pytest.raises(ValueError, match=name):
+            ScenarioParams(**fields)
+
+    def test_zero_delays_accepted(self):
+        p = ScenarioParams(
+            d_ci=0, d_ce=0, d_ew=0, d_wa=0, d_ea=0, d_ia=0,
+            t_trans=0, t_edge=0, t_web=0, t_analytics=0,
+        )
+        assert p.t_edge_snatch == 0
+
+    def test_explicit_t_edge_snatch_kept(self):
+        p = dataclasses.replace(median_scenario(), t_edge_snatch=12.5)
+        assert p.t_edge_snatch == 12.5
+        assert p.t_edge == median_scenario().t_edge
+
+    def test_replace_revalidates(self):
+        """``dataclasses.replace`` is how callers vary one parameter;
+        it runs the same validation as the constructor."""
+        p = dataclasses.replace(median_scenario(), t_analytics=42.0)
+        assert p.t_analytics == 42.0 and p.d_ci == 1.4
+        with pytest.raises(ValueError, match="t_analytics"):
+            dataclasses.replace(median_scenario(), t_analytics=-1.0)
 
     def test_insa_cost_below_1ms(self):
         assert INSA_ANALYTICS_MS <= 1.0

@@ -61,6 +61,21 @@ def test_chaos_harness(scenario):
         assert _conserved(hop.counts())
 
 
+@pytest.mark.parametrize("scenario", (
+    standard_outage(),
+    ChaosScenario("drop-dup").link_faults(
+        "lark", "agg", drop=0.3, duplicate=0.5
+    ),
+), ids=("standard-outage", "drop-duplicate"))
+def test_chaos_without_reorder_holds_nothing(scenario):
+    """Only ``reorder`` holds reports back; drops and duplicates
+    settle before the run ends."""
+    harness = ChaosHarness(seed=9)
+    result = harness.apply(scenario).run()
+    assert result.reports_held == 0
+    assert all(link.hop.held == 0 for link in harness.links.values())
+
+
 @pytest.mark.parametrize("seed,held", ((0, 2), (1, 2), (2, 1), (9, 3)))
 def test_chaos_reorder_holds_reports_past_the_run(seed, held):
     """A chaos ``reorder`` holds a report back k *reports*; the ones

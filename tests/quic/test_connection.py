@@ -1,9 +1,12 @@
-"""QUIC handshake state machines and the vanilla connection-ID policy."""
+"""QUIC handshake state machines, the vanilla connection-ID policy and
+a Snatch server planting semantic cookies through its CID factory."""
 
 import random
 
 import pytest
 
+from repro.core.schema import CookieSchema, Feature
+from repro.core.transport_cookie import TransportCookieCodec
 from repro.quic.connection import (
     HandshakeMode,
     QuicClient,
@@ -103,6 +106,52 @@ class TestRandomPolicy:
         previous = random_connection_id(20, rng)
         fresh = policy.next_initial_dcid(previous)
         assert bytes(fresh)[1:18] != bytes(previous)[1:18]
+
+
+def _cookie_codec(seed=0):
+    schema = CookieSchema(
+        "app",
+        (
+            Feature.categorical("gender", ["f", "m", "x"]),
+            Feature.number("score", 0, 100),
+        ),
+    )
+    return TransportCookieCodec(
+        0x42, schema, bytes(range(16)), random.Random(seed)
+    )
+
+
+class TestSnatchServer:
+    """The server's CID factory is the Snatch web server's hook: the
+    ``DstConnID*`` it mints carries the user's semantic cookie."""
+
+    def test_each_client_receives_its_own_cookie(self):
+        codec = _cookie_codec()
+        users = {"alice": {"gender": "f", "score": 17},
+                 "bob": {"gender": "m", "score": 90}}
+        rng = random.Random(8)
+        server = QuicServer(
+            "s", cid_factory=lambda who: codec.encode(users[who]), rng=rng
+        )
+        for who, values in users.items():
+            result = QuicClient(who, rng=rng).connect(server)
+            assert result.mode is HandshakeMode.ONE_RTT
+            assert codec.decode(result.dst_conn_id).values == values
+
+    def test_0rtt_replays_the_planted_cookie(self):
+        """0-RTT resends the remembered ``DstConnID*`` unchanged, so the
+        cookie reaches the switch one round trip earlier (Eq. 2/4)."""
+        codec = _cookie_codec(seed=3)
+        rng = random.Random(9)
+        server = QuicServer(
+            "s", cid_factory=lambda _c: codec.encode({"score": 55}), rng=rng
+        )
+        client = QuicClient("c", rng=rng)
+        first = client.connect(server)
+        second = client.connect(server)
+        assert second.mode is HandshakeMode.ZERO_RTT
+        assert second.dst_conn_id == first.dst_conn_id
+        assert codec.decode(second.dst_conn_id).values == {"score": 55}
 
 
 class TestDelayCoefficients:

@@ -38,6 +38,20 @@ class TestConnectionID:
         assert ConnectionID(b"ab") == ConnectionID(b"ab")
         assert ConnectionID(b"ab") != ConnectionID(b"ac")
 
+    def test_empty_is_a_valid_id(self):
+        """RFC 9000 allows a zero-length connection ID."""
+        assert len(ConnectionID(b"")) == 0
+        assert bytes(ConnectionID(b"")) == b""
+
+    def test_accepts_exactly_160_bits(self):
+        raw = bytes(range(MAX_CONNECTION_ID_BYTES))
+        assert bytes(ConnectionID(raw)) == raw
+
+    def test_hashes_by_value(self):
+        """Frozen IDs key dicts and sets (a server's session table)."""
+        ids = {ConnectionID(b"ab"), ConnectionID(bytearray(b"ab"))}
+        assert ids == {ConnectionID(b"ab")}
+
 
 class TestRandomConnectionID:
     def test_default_length(self):
@@ -45,6 +59,9 @@ class TestRandomConnectionID:
 
     def test_custom_length(self):
         assert len(random_connection_id(8)) == 8
+
+    def test_zero_length(self):
+        assert random_connection_id(0) == ConnectionID(b"")
 
     def test_invalid_length(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,14 @@ class TestTiming:
         with pytest.raises(ValueError):
             StreamingContext(0)
 
+    def test_interval_end_opens_the_next_batch(self):
+        """A record at exactly ``k * interval`` belongs to batch k: the
+        batch that ends then has already closed."""
+        ssc = StreamingContext(100)
+        inp = ssc.input_stream()
+        assert [inp.push(t, t) for t in (0, 99.9, 100)] == [0, 0, 1]
+        assert [ssc.run_batch().num_records for _ in range(2)] == [2, 1]
+
 
 class TestExecution:
     def test_batch_info(self):
@@ -41,6 +49,22 @@ class TestExecution:
         infos = ssc.run_until(350)
         assert [i.index for i in infos] == [0, 1, 2]
         assert ssc.batches_run == 3
+
+    def test_run_until_includes_a_batch_ending_at_the_limit(self):
+        ssc = StreamingContext(100)
+        ssc.input_stream()
+        assert ssc.run_until(99.9) == []
+        assert [i.index for i in ssc.run_until(100)] == [0]
+
+    def test_run_until_resumes_where_it_stopped(self):
+        ssc = StreamingContext(100)
+        ssc.input_stream()
+        ssc.run_until(200)
+        infos = ssc.run_until(450)
+        assert [(i.index, i.start_ms, i.end_ms) for i in infos] == [
+            (2, 200, 300), (3, 300, 400),
+        ]
+        assert [i.index for i in ssc.batch_history] == [0, 1, 2, 3]
 
     def test_history_accumulates(self):
         ssc = StreamingContext(100)

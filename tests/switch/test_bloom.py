@@ -36,6 +36,13 @@ class TestBasics:
         assert not bloom.contains(b"x")
         assert bloom.items_added == 0
 
+    def test_reset_filter_counts_afresh(self):
+        bloom = BloomFilter(1024, 3)
+        bloom.add(b"x")
+        bloom.reset()
+        assert not bloom.add(b"x")
+        assert bloom.items_added == 1
+
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             BloomFilter(0)
@@ -77,6 +84,11 @@ class TestAddMany:
             seq.contains(p) for p in probes
         ]
 
+    def test_empty_batch(self, kernel_form):
+        bloom = BloomFilter(size_bits=512, num_hashes=3)
+        assert bloom.add_many([]) == []
+        assert bloom.items_added == 0
+
     def test_one_crc_pass_per_batch(self, kernel_form, monkeypatch):
         calls = []
         crc32_many = bloom_module.crc32_many
@@ -106,6 +118,15 @@ class TestNoFalseNegatives:
         for i in range(100):
             bloom.add(b"k%d" % i)
         assert all(bloom.contains(b"k%d" % i) for i in range(100))
+
+
+    def test_full_hash_budget(self):
+        """k = 8, the most hash units a switch stage gives the filter."""
+        bloom = BloomFilter(8192, 8)
+        keys = [b"u%d" % i for i in range(150)]
+        assert not any(bloom.add_many(keys))
+        assert all(bloom.contains(key) for key in keys)
+        assert bloom.items_added == len(keys)
 
 
 class TestFalsePositiveRate:
