@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.core.insa import InsaPlanner, PlanOp
 from repro.core.schema import CookieSchema, FeatureType
 from repro.core.stats import StatKind, StatSpec
 from repro.switch.pipeline import MAX_STAGES
-from repro.switch.primitives import SUPPORTED_OPS
 
 __all__ = [
     "QueryOpKind",

@@ -22,7 +22,7 @@ the aggregation path uniform.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.aggregation import (

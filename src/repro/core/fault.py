@@ -20,7 +20,7 @@ way).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.registry import MetricsRegistry, get_registry

@@ -26,7 +26,7 @@ whose ``alive`` flag is False (crashed — see ``repro.chaos``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.net.simulator import Simulator

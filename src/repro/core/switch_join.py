@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.schema import CookieSchema, Feature, FeatureType
+from repro.core.schema import CookieSchema
 from repro.switch.registers import RegisterFile
 
 __all__ = ["JoinKind", "SwitchJoinTable", "JoinedRow"]

@@ -219,16 +219,18 @@ class TransportCookieCodec:
         flat = packed.tobytes()
         return [flat[i:i + 16] for i in range(0, len(flat), 16)]
 
-    def encrypt_rows(self, rows) -> "list[bytes]":
+    def encrypt_rows(self, rows):
         """The *encrypted* cookie block per wire row: :meth:`pack_rows`,
-        then AES under the codec key — the numpy form's packed words
-        go into AES as one ``(m, 16)`` uint8 matrix and are cut into
-        blocks once, after it.  Same checks, draws and bytes as
-        ``encrypt_blocks_many(aes, pack_rows(rows))``."""
+        then AES under the codec key.  With the numpy gate open the
+        blocks come back as one ``(m, 16)`` uint8 matrix, the AES
+        pass's own output (the numpy pack's words go into it without a
+        cut); with it closed, as a list of 16-byte strings.  Same
+        checks, draws and bytes as ``encrypt_blocks_many(aes,
+        pack_rows(rows))``."""
         packed = self._pack(rows)
         if not isinstance(packed, list):
             packed = packed.view("uint8")
-        return encrypt_blocks_many(self._aes, packed)
+        return encrypt_blocks_many(self._aes, packed, as_matrix=True)
 
     def _pack(self, rows):
         """The body of :meth:`pack_rows`: the blocks as a list of bytes

@@ -392,7 +392,7 @@ def _split_blocks(flat: bytes) -> List[bytes]:
     return [flat[i:i + 16] for i in range(0, len(flat), 16)]
 
 
-def _blocks_many(cipher: "AES", blocks, decrypt: bool) -> List[bytes]:
+def _blocks_many(cipher: "AES", blocks, decrypt: bool, as_matrix=False):
     cipher = _as_cipher(cipher)
     np = _numpy()
     if hasattr(blocks, "dtype"):
@@ -402,24 +402,26 @@ def _blocks_many(cipher: "AES", blocks, decrypt: bool) -> List[bytes]:
             raise ValueError("a block matrix must be (n, 16) uint8")
         if np is not None:
             # Already the state matrix: no join, no scalar cut-off.
-            return _split_blocks(_rounds(cipher, blocks, decrypt).tobytes())
+            state = _rounds(cipher, blocks, decrypt)
+            return state if as_matrix else _split_blocks(state.tobytes())
         blocks = _split_blocks(blocks.tobytes())
-    if np is None or len(blocks) <= 1:
+    if np is None or (len(blocks) <= 1 and not as_matrix):
         one = cipher.decrypt_block if decrypt else cipher.encrypt_block
         return [one(b) for b in blocks]
-    if set(map(len, blocks)) != {BLOCK_SIZE}:
+    if set(map(len, blocks)) - {BLOCK_SIZE}:
         raise ValueError("every block must be 16 bytes")
     state = np.frombuffer(b"".join(blocks), dtype=np.uint8)
-    return _split_blocks(
-        _rounds(cipher, state.reshape(len(blocks), 16), decrypt).tobytes()
-    )
+    state = _rounds(cipher, state.reshape(len(blocks), 16), decrypt)
+    return state if as_matrix else _split_blocks(state.tobytes())
 
 
-def encrypt_blocks_many(cipher: "AES", blocks) -> List[bytes]:
+def encrypt_blocks_many(cipher: "AES", blocks, *, as_matrix: bool = False):
     """Encrypt many independent 16-byte blocks (ECB-style) at once:
     ``blocks`` is a list of 16-byte strings or one (n, 16) uint8
-    matrix, the result a list of 16-byte strings either way."""
-    return _blocks_many(cipher, blocks, False)
+    matrix, the result a list of 16-byte strings either way — or,
+    with ``as_matrix`` and the numpy gate open, the round kernel's own
+    (n, 16) uint8 matrix, never cut into strings."""
+    return _blocks_many(cipher, blocks, False, as_matrix)
 
 
 def decrypt_blocks_many(cipher: "AES", blocks) -> List[bytes]:

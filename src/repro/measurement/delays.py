@@ -20,7 +20,6 @@ no-Snatch total to ~2.8 s).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from repro.measurement.quantiles import QuantileCurve

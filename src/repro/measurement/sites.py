@@ -16,8 +16,8 @@ filter with a per-site residential flag.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 __all__ = ["Site", "SiteCensus", "generate_sites", "TOTAL_SITES",
            "TOTAL_COUNTRIES", "COUNTRY_CONTINENTS"]

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.measurement.delays import (
-    MEDIANS,
     client_to_closest_cloud,
     client_to_isp,
     client_to_web_server,

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.model.params import INSA_ANALYTICS_MS, ScenarioParams
-from repro.model.speedup import Protocol, snatch_latency_ms
 
 __all__ = [
     "BreakdownStep",

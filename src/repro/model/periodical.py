@@ -10,7 +10,6 @@ per request to one per interval (section 3.4, 5.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List
 
 from repro.model.params import ScenarioParams

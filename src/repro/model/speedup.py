@@ -28,7 +28,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterable, List
 
-from repro.model.params import INSA_ANALYTICS_MS, ScenarioParams
+from repro.model.params import ScenarioParams
 
 __all__ = [
     "Protocol",

@@ -13,7 +13,7 @@ Two formats, both deterministic:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, TextIO
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.tracer import Tracer

@@ -16,8 +16,8 @@ parse packet headers").  This module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "HeaderField",

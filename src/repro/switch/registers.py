@@ -10,7 +10,7 @@ with an explicit SRAM budget on the :class:`RegisterFile`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 __all__ = ["RegisterArray", "RegisterFile", "SramExhaustedError"]
 

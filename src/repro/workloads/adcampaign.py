@@ -13,13 +13,14 @@ Python reference aggregation for correctness checks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log as _log
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.schema import CookieSchema, Feature
 from repro.core.stats import StatKind, StatSpec
+from repro.switch.columns import get_numpy
 from repro.workloads.columns import EventColumns, EventStream
 
 __all__ = [
@@ -181,13 +182,25 @@ class AdCampaignWorkload:
 
     # -- batched cookie assembly hooks -------------------------------------------
 
-    def cookie_keys(self, columns: EventColumns) -> List[Tuple[int, int, int]]:
-        """Cache keys for one column batch: the encoded cookie of an ad
-        interaction is fully determined by (user, campaign, click), so
-        a cheap int triple keys the client-side encode cache without
-        materializing a values dict per event."""
+    def cookie_keys(self, columns: EventColumns):
+        """Encode-cache identity codes for one column batch: the
+        encoded cookie of an ad interaction is fully determined by
+        (user, campaign, click), numbered ``(user * campaigns +
+        campaign) * 2 + click`` — dense, one per identity, and decoded
+        by two ``divmod`` calls.  No tuple is built.  A batch the
+        cache's numpy form runs (the gate open, ``SLOT_KERNEL_MIN_ROWS``
+        events or more) gets one int64 column; any other a list of
+        ints, which is cheaper to build for a few events."""
+        from repro.core.cookie_cache import SLOT_KERNEL_MIN_ROWS
+
         cols = columns.columns
-        return list(zip(cols["user"], cols["campaign"], cols["click"]))
+        triples = (cols["user"], cols["campaign"], cols["click"])
+        width = len(self.campaigns)
+        np = get_numpy()
+        if np is None or len(triples[0]) < SLOT_KERNEL_MIN_ROWS:
+            return [(u * width + c) * 2 + k for u, c, k in zip(*triples)]
+        # (user * campaigns + campaign) * 2 + click as one product.
+        return np.array((2 * width, 2, 1)) @ np.array(triples, dtype=np.int64)
 
     def cookie_rows(self, columns: EventColumns, indexes: Sequence[int]):
         """Wire rows (one wire integer per schema feature) of the
@@ -204,8 +217,6 @@ class AdCampaignWorkload:
         user, campaign, click = cols["user"], cols["campaign"], cols["click"]
         m = len(indexes)
         if m >= ROW_KERNEL_MIN_ROWS:
-            from repro.switch.columns import get_numpy
-
             np = get_numpy()
             if np is not None:
                 if self._wire_table is None:
@@ -272,8 +283,6 @@ class AdCampaignWorkload:
         cols = columns.columns
         users, campaigns = cols["user"], cols["campaign"]
         if len(users) >= REFERENCE_MIN_ROWS:
-            from repro.switch.columns import get_numpy
-
             np = get_numpy()
             if np is not None:
                 self._reference_numpy(np, users, campaigns, out)

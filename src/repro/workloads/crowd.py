@@ -106,7 +106,9 @@ class CrowdWorkload:
         return self.stream(rate_per_second, duration_ms).drain()
 
     def cookie_keys(self, columns: EventColumns) -> List[int]:
-        """Encode-cache keys: the member index alone (constant cookie)."""
+        """Encode-cache identity codes: the member index alone (a
+        member's cookie is constant), already dense in
+        ``[0, members)``."""
         return list(columns.columns["member"])
 
     def cookie_rows(

@@ -92,6 +92,9 @@ class ResourceDemandWorkload:
         return self.stream(rate_per_second, duration_ms).drain()
 
     def cookie_keys(self, columns: EventColumns) -> List[int]:
+        """Encode-cache identity codes: the tenant index alone (a
+        tenant's cookie is constant), already dense in
+        ``[0, tenants)``."""
         return list(columns.columns["tenant"])
 
     def cookie_rows(

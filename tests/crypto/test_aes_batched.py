@@ -194,6 +194,30 @@ class TestBlocksMany:
         )
         assert decrypt_blocks_many(c, back) == blocks
 
+    @pytest.mark.parametrize("n", (0,) + SIZES)
+    def test_as_matrix_keeps_the_kernel_output(self, kernel_form, n):
+        """``as_matrix``: the same bytes as one (n, 16) uint8 matrix
+        with the numpy gate open (a list of blocks or a matrix in, one
+        block included), the list with it closed."""
+        rng = random.Random(n)
+        c = AES(_bytes(rng, 16))
+        blocks = [_bytes(rng, 16) for _ in range(n)]
+        expected = [c.encrypt_block(b) for b in blocks]
+        inputs = [blocks]
+        if columns.HAVE_NUMPY:
+            import numpy as np
+
+            inputs.append(np.frombuffer(
+                b"".join(blocks), dtype=np.uint8
+            ).reshape(n, 16))
+        for given in inputs:
+            out = encrypt_blocks_many(c, given, as_matrix=True)
+            if columns.numpy_enabled():
+                assert out.dtype == "uint8" and out.shape == (n, 16)
+                assert out.tobytes() == b"".join(expected)
+            else:
+                assert out == expected
+
     @pytest.mark.parametrize(
         "many", (encrypt_blocks_many, decrypt_blocks_many)
     )

@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cookie_cache import CookieEncodeCache
+from repro.core.cookie_cache import SLOT_KERNEL_MIN_ROWS, CookieEncodeCache
 from repro.core.schema import Feature
 from repro.core.stats import StatKind, StatSpec
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.quic.connection_id import ConnectionID
-from repro.switch.columns import force_numpy, get_numpy
+from repro.switch.columns import HAVE_NUMPY, force_numpy, get_numpy
 from repro.workloads.adcampaign import AdCampaignWorkload
+from repro.workloads.columns import EventColumns
 
 from tests.control import new_controller, settled
 
@@ -254,6 +255,19 @@ def _sha(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
+def _triple(workload, code):
+    """An ad workload identity code back to (user, campaign, click),
+    the key the pins were recorded under."""
+    rest, click = divmod(code, 2)
+    return divmod(rest, len(workload.campaigns)) + (click,)
+
+
+def _ad_items(workload, cache):
+    """The cache's LRU view under the pins' (user, campaign, click)
+    keys."""
+    return [(_triple(workload, key), block) for key, block in cache.items()]
+
+
 def _replay(batch, hook):
     workload = AdCampaignWorkload(num_users=60, seed=42)
     codec = TransportCookieCodec(
@@ -281,7 +295,7 @@ def _replay(batch, hook):
     return (
         wire.hexdigest(),
         _sha(codec.rng.getstate()),
-        _sha(list(cache._blocks.items())),
+        _sha(_ad_items(workload, cache)),
         stats["hits"], stats["queued_hits"], stats["misses"],
         stats["evictions"],
     )
@@ -337,7 +351,7 @@ class TestEncodeColumnsCallbacks:
         and nothing is counted."""
         cache = _cache()
         cache.encode_columns([1, 2, 3], lambda i: _values(i + 1))
-        blocks = list(cache._blocks.items())
+        blocks = cache.items()
         stats = cache.stats()
         state = cache.codec.rng.getstate()
         force_numpy(numpy_on)
@@ -349,18 +363,18 @@ class TestEncodeColumnsCallbacks:
                 )
         finally:
             force_numpy(None)
-        assert list(cache._blocks.items()) == blocks
+        assert cache.items() == blocks
         assert cache.stats() == stats
         assert cache.codec.rng.getstate() == state
 
     def test_a_rejected_value_dict_counts_nothing(self):
         cache = _cache()
         _encode(cache, 1, _values(1))
-        blocks = list(cache._blocks.items())
+        blocks = cache.items()
         stats = cache.stats()
         with pytest.raises(ValueError):
             _encode(cache, 2, {"region": "nowhere"})
-        assert list(cache._blocks.items()) == blocks
+        assert cache.items() == blocks
         assert cache.stats() == stats
 
     def test_framing_bytes_are_one_buffer_of_the_same_draws(self):
@@ -385,7 +399,7 @@ class TestEncodeColumnsCallbacks:
                 drawn = [replay.getrandbits(8) for _ in range(3)]
                 assert [row[0], row[18], row[19]] == drawn
                 assert row[1] == APP_ID
-                assert row[2:18] == cache._blocks[key]
+                assert row[2:18] == dict(cache.items())[key]
             assert cache.codec.rng.getstate() == replay.getstate()
             outputs.append(out)
         assert outputs[0] == outputs[1]
@@ -474,7 +488,7 @@ class TestProbeOrderPins:
         assert (
             wire.hexdigest(),
             _sha(cache.codec.rng.getstate()),
-            _sha(list(cache._blocks)),
+            _sha([key for key, _ in _ad_items(workload, cache)]),
             cache.stats(),
         ) == PROBE_PINS[batch]
 
@@ -511,7 +525,7 @@ class TestProbeOrderPins:
         assert (
             wire.hexdigest(),
             _sha(cache.codec.rng.getstate()),
-            list(cache._blocks),
+            [key for key, _ in cache.items()],
             cache.stats(),
         ) == MIXED_PIN
 
@@ -603,7 +617,220 @@ class TestBatchAgainstASequentialModel:
                 )
                 assert wire == expected
                 assert cache.codec.rng.getstate() == codec.rng.getstate()
-                assert list(cache._blocks.items()) == list(model.items())
+                assert cache.items() == list(model.items())
                 assert cache.stats() == stats
         finally:
             force_numpy(None)
+
+    @pytest.mark.parametrize("numpy_on", (True, False), ids=("numpy", "python"))
+    def test_stale_touches_ahead_of_the_oldest_entry(self, numpy_on):
+        """Every entry rehit three times leaves three stale touches
+        per entry ahead of the oldest live one, more than eviction's
+        first window; long runs of such batches compact the log."""
+        cut = SLOT_KERNEL_MIN_ROWS
+        capacity = 2 * cut
+        cache = _cache(capacity=capacity, seed=29)
+        codec = TransportCookieCodec(
+            APP_ID, _schema(), KEY, random.Random(29)
+        )
+        model = OrderedDict()
+        stats = dict(cache.stats())
+        full = list(range(capacity))
+        batches = [full] * 4 + [list(range(500, 500 + cut))]
+        batches += [full[::-1], list(range(cut))] * 3 * capacity
+        force_numpy(numpy_on)
+        try:
+            for keys in batches:
+                wire = cache.encode_columns(
+                    keys, lambda i, keys=keys: _values(keys[i])
+                ).raw
+                assert wire == _sequential_batch(
+                    model, stats, codec, keys, capacity
+                )
+                assert cache.items() == list(model.items())
+                assert cache.stats() == stats
+        finally:
+            force_numpy(None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_one_cache_across_the_cut_the_gate_and_key_forms(self, data):
+        """One cache, one call after another: batch sizes on both sides
+        of the cut, the numpy gate flipped between calls, keys as a list
+        or an int64 array, each call's keys reaching past the slot map
+        the earlier calls grew, capacities down to 1 (so one batch's
+        fresh keys often outnumber the entries)."""
+        cut = SLOT_KERNEL_MIN_ROWS
+        capacity = data.draw(st.integers(1, 2 * cut), label="capacity")
+        cache = _cache(capacity=capacity, seed=19)
+        codec = TransportCookieCodec(
+            APP_ID, _schema(), KEY, random.Random(19)
+        )
+        model = OrderedDict()
+        stats = dict(cache.stats())
+        top = 0
+        for _ in range(data.draw(st.integers(1, 6), label="calls")):
+            n = data.draw(
+                st.sampled_from((1, cut - 1, cut, cut + 1, 3 * cut + 5)),
+                label="n",
+            )
+            top = data.draw(st.integers(top, top + 2 * n), label="top")
+            keys = data.draw(
+                st.lists(st.integers(0, top), min_size=n, max_size=n),
+                label="keys",
+            )
+            numpy_on = HAVE_NUMPY and data.draw(st.booleans(), label="gate")
+            as_array = HAVE_NUMPY and data.draw(st.booleans(), label="array")
+            if as_array:
+                import numpy
+
+                given_keys = numpy.array(keys, dtype=numpy.int64)
+            else:
+                given_keys = keys
+            force_numpy(numpy_on)
+            try:
+                wire = cache.encode_columns(
+                    given_keys,
+                    rows_fn=lambda positions, keys=keys: (
+                        cache.codec.rows_from_values(
+                            [_values(keys[i]) for i in positions]
+                        )
+                    ),
+                ).raw
+            finally:
+                force_numpy(None)
+            assert wire == _sequential_batch(
+                model, stats, codec, keys, capacity
+            )
+            assert cache.codec.rng.getstate() == codec.rng.getstate()
+            assert cache.items() == list(model.items())
+            assert cache.stats() == stats
+
+    @pytest.mark.parametrize("numpy_on", (True, False), ids=("numpy", "python"))
+    @pytest.mark.parametrize(
+        "n", (SLOT_KERNEL_MIN_ROWS - 1, 3 * SLOT_KERNEL_MIN_ROWS)
+    )
+    def test_capacity_one_and_a_key_far_above_the_index(self, n, numpy_on):
+        """Every fresh key evicts the one before it; a key 10,000 past
+        the slot map grows it in the same call."""
+        cache = _cache(capacity=1, seed=23)
+        codec = TransportCookieCodec(
+            APP_ID, _schema(), KEY, random.Random(23)
+        )
+        model = OrderedDict()
+        stats = dict(cache.stats())
+        batches = (
+            [i % 5 for i in range(n)],
+            [4] * n,
+            [10_000 + i % 3 for i in range(n)],
+        )
+        force_numpy(numpy_on)
+        try:
+            for keys in batches:
+                wire = cache.encode_columns(
+                    keys, lambda i, keys=keys: _values(keys[i])
+                ).raw
+                assert wire == _sequential_batch(
+                    model, stats, codec, keys, 1
+                )
+                assert cache.items() == list(model.items())
+                assert cache.stats() == stats
+        finally:
+            force_numpy(None)
+        # Misses enter in first-occurrence order; a repeat of a queued
+        # miss touches nothing.
+        assert [key for key, _ in cache.items()] == [10_002]
+
+
+def _bad_batches():
+    """Batches with one refused key among good ones, under and over
+    the cut: (label, keys)."""
+    cut = SLOT_KERNEL_MIN_ROWS
+    out = []
+    for n in (3, 2 * cut):
+        good = list(range(n - 1))
+        for label, bad in (
+            ("negative", -1), ("float", 2.0), ("tuple", (1, 2, 0)),
+            ("bool", True),
+        ):
+            out.append(("%s-%d" % (label, n), good + [bad]))
+    if HAVE_NUMPY:
+        import numpy
+
+        for n in (3, 2 * cut):
+            keys = numpy.arange(n, dtype=numpy.int64)
+            keys[-1] = -7
+            out.append(("array-negative-%d" % n, keys))
+            out.append((
+                "array-float-%d" % n, numpy.arange(n, dtype=numpy.float64)
+            ))
+            out.append((
+                "array-2d-%d" % n,
+                numpy.arange(n, dtype=numpy.int64).reshape(n, 1),
+            ))
+    return out
+
+
+class TestRefusedKeys:
+    """A key that is not a non-negative int raises ``ValueError``
+    before anything moves: no slot, no counter, no RNG draw, no row
+    asked for."""
+
+    @pytest.mark.parametrize("numpy_on", (True, False), ids=("numpy", "python"))
+    @pytest.mark.parametrize(
+        "keys",
+        [case[1] for case in _bad_batches()],
+        ids=[case[0] for case in _bad_batches()],
+    )
+    def test_a_refused_key_changes_nothing(self, keys, numpy_on):
+        cache = _cache(capacity=4)
+        cache.encode_columns([0, 1, 2, 3, 1], lambda i: _values(i))
+        items = cache.items()
+        stats = cache.stats()
+        state = cache.codec.rng.getstate()
+        asked = []
+        force_numpy(numpy_on)
+        try:
+            with pytest.raises(ValueError, match="non-negative ints"):
+                cache.encode_columns(
+                    keys, rows_fn=lambda positions: asked.append(positions)
+                )
+        finally:
+            force_numpy(None)
+        assert asked == []
+        assert cache.items() == items
+        assert cache.stats() == stats
+        assert cache.codec.rng.getstate() == state
+
+
+class TestAdIdentityCodes:
+    @pytest.mark.parametrize("numpy_on", (True, False), ids=("numpy", "python"))
+    def test_codes_are_one_per_identity_and_decode_back(self, numpy_on):
+        """Every (user, campaign, click) of the population gets its own
+        code, the codes are exactly 0 .. 2 * users * campaigns - 1, and
+        two divmods give the triple back — in a batch under the cut
+        (a list of ints) and over it (an int64 array with numpy)."""
+        workload = AdCampaignWorkload(num_users=37, num_campaigns=5, seed=4)
+        triples = [
+            (user, campaign, click)
+            for user in range(37)
+            for campaign in range(5)
+            for click in (0, 1)
+        ]
+        force_numpy(numpy_on)
+        try:
+            for lo, hi in ((0, SLOT_KERNEL_MIN_ROWS - 1), (0, len(triples))):
+                batch = triples[lo:hi]
+                user, campaign, click = (list(c) for c in zip(*batch))
+                codes = workload.cookie_keys(EventColumns(
+                    [0.0] * len(batch),
+                    {"user": user, "campaign": campaign, "click": click},
+                ))
+                if hasattr(codes, "dtype"):
+                    assert numpy_on and codes.dtype == "int64"
+                    codes = codes.tolist()
+                assert set(map(type, codes)) == {int}
+                assert [_triple(workload, code) for code in codes] == batch
+        finally:
+            force_numpy(None)
+        assert sorted(codes) == list(range(2 * 37 * 5))

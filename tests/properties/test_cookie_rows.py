@@ -61,6 +61,18 @@ def _codec(schema, seed=5):
     return TransportCookieCodec(0x42, schema, KEY, random.Random(seed))
 
 
+def _encrypted_blocks(encrypted, numpy_on):
+    """``encrypt_rows``' result as a list of 16-byte blocks: one
+    ``(m, 16)`` uint8 matrix with the numpy gate open, a list with it
+    closed."""
+    if not numpy_on:
+        assert isinstance(encrypted, list)
+        return encrypted
+    assert encrypted.dtype == "uint8" and encrypted.shape[1:] == (16,)
+    flat = encrypted.tobytes()
+    return [flat[i:i + 16] for i in range(0, len(flat), 16)]
+
+
 def _fits_int64(rows):
     return all(-(1 << 63) <= wire < (1 << 63) for row in rows for wire in row)
 
@@ -327,8 +339,10 @@ def test_a_wire_matrix_packs_like_its_rows(numpy_on, case):
         blocks = listed.pack_rows(rows)
         assert stacked.pack_rows(matrix) == blocks
         assert stacked.rng.getstate() == listed.rng.getstate()
-        encrypted = listed.encrypt_rows(rows)
-        assert stacked.encrypt_rows(matrix) == encrypted
+        encrypted = _encrypted_blocks(listed.encrypt_rows(rows), numpy_on)
+        assert _encrypted_blocks(
+            stacked.encrypt_rows(matrix), numpy_on
+        ) == encrypted
         assert stacked.rng.getstate() == listed.rng.getstate()
     # encrypt_rows is the pack, then AES block by block: a fresh codec
     # replays ``listed``'s two packs.

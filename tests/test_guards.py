@@ -45,6 +45,11 @@ HOP_MODEL = (
     "fault process per lark -> agg hop"
 )
 
+SLOT_TABLE = (
+    "Encode cache on integer identities: one slot table and one block "
+    "slab, no per-cookie objects"
+)
+
 REACH_FOUR = (
     "Reach round four: delete what no caller runs outside the frozen "
     "tiers, including the second client-CID policy"
@@ -348,6 +353,15 @@ GUARDS = (
         ),
         "    def result_time_ms(self, arrival_ms: float) -> float:",
         REACH_FOUR,
+    ),
+    Guard(
+        # The encode cache's LRU is its slot table: stamps and a touch
+        # log over flat buffers, no ordered dict beside it.
+        "one-slot-table",
+        r"OrderedDict|move_to_end",
+        ("src/repro/core/cookie_cache.py",),
+        "        deque(map(blocks.move_to_end, compress(keys, out)), maxlen=0)",
+        SLOT_TABLE,
     ),
 )
 
